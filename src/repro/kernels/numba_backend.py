@@ -37,6 +37,8 @@ from __future__ import annotations
 import numpy as np
 from numba import njit
 
+from repro.kernels.chain_tables import wl1d_adapters
+
 __all__ = ["OPS"]
 
 
@@ -121,91 +123,6 @@ def _pairwise_sum(a, lo, n):
             ret = val[sp] + ret
             sp -= 1
     return ret
-
-
-# -- chain (1-D world-line) kernels -----------------------------------
-
-@njit(cache=True)
-def _chain_code(spins, i, t, n_sites, n_slices):
-    j = (i + 1) % n_sites
-    t1 = (t + 1) % n_slices
-    return (
-        spins[i, t] + 2 * spins[j, t] + 4 * spins[i, t1] + 8 * spins[j, t1]
-    )
-
-
-@njit(cache=True)
-def _wl1d_corner(spins, weights, i, t, u):
-    n_sites, n_slices = spins.shape
-    n_acc = 0
-    for m in range(i.size):
-        im = i[m]
-        tm = t[m]
-        im1 = (im - 1) % n_sites
-        ip1 = (im + 1) % n_sites
-        tm1 = (tm - 1) % n_slices
-        tp1 = (tm + 1) % n_slices
-        old = (
-            weights[_chain_code(spins, im1, tm, n_sites, n_slices)]
-            * weights[_chain_code(spins, ip1, tm, n_sites, n_slices)]
-            * weights[_chain_code(spins, im, tm1, n_sites, n_slices)]
-            * weights[_chain_code(spins, im, tp1, n_sites, n_slices)]
-        )
-        j = ip1
-        t1 = tp1
-        spins[im, tm] ^= 1
-        spins[im, t1] ^= 1
-        spins[j, tm] ^= 1
-        spins[j, t1] ^= 1
-        new = (
-            weights[_chain_code(spins, im1, tm, n_sites, n_slices)]
-            * weights[_chain_code(spins, ip1, tm, n_sites, n_slices)]
-            * weights[_chain_code(spins, im, tm1, n_sites, n_slices)]
-            * weights[_chain_code(spins, im, tp1, n_sites, n_slices)]
-        )
-        if new > 0.0 and u[m] * old < new:
-            n_acc += 1
-        else:
-            spins[im, tm] ^= 1
-            spins[im, t1] ^= 1
-            spins[j, tm] ^= 1
-            spins[j, t1] ^= 1
-    return n_acc
-
-
-@njit(cache=True)
-def _wl1d_col_log_weight(spins, logw, c, tmp, n_sites, n_slices):
-    """Log-weight of the two bond columns flanking site ``c``."""
-    half = n_slices // 2
-    total = 0.0
-    for b_off in range(-1, 1):
-        b = (c + b_off) % n_sites
-        start = 0 if b % 2 == 0 else 1
-        for k in range(half):
-            tt = start + 2 * k
-            tmp[k] = logw[_chain_code(spins, b, tt, n_sites, n_slices)]
-        total += _pairwise_sum(tmp, 0, half)
-    return total
-
-
-@njit(cache=True)
-def _wl1d_column(spins, logw, cols, log_u):
-    n_sites, n_slices = spins.shape
-    tmp = np.empty(n_slices // 2, np.float64)
-    n_acc = 0
-    for ci in range(cols.size):
-        c = cols[ci]
-        old = _wl1d_col_log_weight(spins, logw, c, tmp, n_sites, n_slices)
-        for t in range(n_slices):
-            spins[c, t] ^= 1
-        new = _wl1d_col_log_weight(spins, logw, c, tmp, n_sites, n_slices)
-        log_ratio = new - old
-        if np.isfinite(log_ratio) and log_u[ci] < log_ratio:
-            n_acc += 1
-        else:
-            for t in range(n_slices):
-                spins[c, t] ^= 1
-    return n_acc
 
 
 # -- 2-D world-line (square-lattice) kernels --------------------------
@@ -443,14 +360,6 @@ def _block_color(g, kx, ky, kt, mask, log_u):
 
 # -- python-level wrappers matching the registry op signatures --------
 
-def wl1d_corner(spins, weights, i, t, u) -> int:
-    return int(_wl1d_corner(spins, weights, i, t, u))
-
-
-def wl1d_column(spins, logw, cols, log_u) -> int:
-    return int(_wl1d_column(spins, logw, cols, log_u))
-
-
 def wl2d_segment(sf, weights, bl, br, tl, tr, wi, wj, u) -> int:
     # The class tables arrive as strided views (every-other-interval
     # slices); numba specializes per layout, so pass them through
@@ -476,6 +385,11 @@ def strip_column(loc, logw, lc, c00, c10, c01, c11, log_uu):
 def block_color(g, couplings, mask, log_u) -> int:
     kx, ky, kt = couplings
     return int(_block_color(g, float(kx), float(ky), float(kt), mask, log_u))
+
+
+# Compatibility adapters: the chain sampler itself calls the strip ops
+# over tables cached at construction.
+wl1d_corner, wl1d_column = wl1d_adapters(strip_corner, strip_column)
 
 
 OPS = {

@@ -25,91 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.chain_tables import wl1d_adapters
 from repro.qmc.plaquette import codes_from_flat
 
 __all__ = ["OPS"]
-
-
-def _chain_codes(spins: np.ndarray, i, t) -> np.ndarray:
-    """Plaquette codes with bottom-left corner at ``(i, t)`` (chain)."""
-    n_sites, n_slices = spins.shape
-    j = (i + 1) % n_sites
-    t1 = (t + 1) % n_slices
-    return (
-        spins[i, t].astype(np.intp)
-        + 2 * spins[j, t].astype(np.intp)
-        + 4 * spins[i, t1].astype(np.intp)
-        + 8 * spins[j, t1].astype(np.intp)
-    )
-
-
-def wl1d_corner(spins, weights, i, t, u) -> int:
-    """Batched corner flips of one chain independence class.
-
-    ``i, t`` index the bottom-left corners; ``u`` is the caller's
-    uniform draw (one per move).  Returns the number of accepts.
-    """
-    n_sites, n_slices = spins.shape
-    im1, ip1 = (i - 1) % n_sites, (i + 1) % n_sites
-    tm1, tp1 = (t - 1) % n_slices, (t + 1) % n_slices
-    old = (
-        weights[_chain_codes(spins, im1, t)]
-        * weights[_chain_codes(spins, ip1, t)]
-        * weights[_chain_codes(spins, i, tm1)]
-        * weights[_chain_codes(spins, i, tp1)]
-    )
-    j = ip1
-    t1 = (t + 1) % n_slices
-    spins[i, t] ^= 1
-    spins[i, t1] ^= 1
-    spins[j, t] ^= 1
-    spins[j, t1] ^= 1
-    new = (
-        weights[_chain_codes(spins, im1, t)]
-        * weights[_chain_codes(spins, ip1, t)]
-        * weights[_chain_codes(spins, i, tm1)]
-        * weights[_chain_codes(spins, i, tp1)]
-    )
-    reject = ~(new > 0.0) | (u * old >= new)
-    ri, rt, rt1, rj = i[reject], t[reject], t1[reject], j[reject]
-    spins[ri, rt] ^= 1
-    spins[ri, rt1] ^= 1
-    spins[rj, rt] ^= 1
-    spins[rj, rt1] ^= 1
-    return int(i.size - np.count_nonzero(reject))
-
-
-def _chain_col_log_weight(spins, logw, cs) -> np.ndarray:
-    """Total log-weight of the two bond columns flanking sites ``cs``."""
-    n_sites, n_slices = spins.shape
-    t_even = np.arange(0, n_slices, 2, dtype=np.intp)
-    t_odd = np.arange(1, n_slices, 2, dtype=np.intp)
-    total = np.zeros(cs.size)
-    for b_off in (-1, 0):
-        b = (cs + b_off) % n_sites
-        ts = t_even if b[0] % 2 == 0 else t_odd
-        bb = np.repeat(b, ts.size)
-        tt = np.tile(ts, b.size)
-        lw = logw[_chain_codes(spins, bb, tt)].reshape(b.size, ts.size)
-        total += lw.sum(axis=1)
-    return total
-
-
-def wl1d_column(spins, logw, cols, log_u) -> int:
-    """Batched straight-column flips for the chain sampler.
-
-    ``cols`` must already be filtered to straight world lines (the
-    caller does the detection so its RNG draw sizes stay in lockstep
-    across backends); ``log_u = log(max(u, 1e-300))``.
-    """
-    old_lw = _chain_col_log_weight(spins, logw, cols)
-    spins[cols] ^= 1
-    new_lw = _chain_col_log_weight(spins, logw, cols)
-    log_ratio = new_lw - old_lw
-    with np.errstate(invalid="ignore"):
-        reject = ~np.isfinite(log_ratio) | (log_u >= log_ratio)
-    spins[cols[reject]] ^= 1
-    return int(cols.size - np.count_nonzero(reject))
 
 
 def wl2d_segment(sf, weights, bl, br, tl, tr, wi, wj, u) -> int:
@@ -224,6 +143,10 @@ def block_color(g, couplings, mask, log_u) -> int:
     spins[accept] = -spins[accept]
     return int(np.count_nonzero(accept))
 
+
+# Compatibility adapters: the chain sampler itself calls the strip ops
+# over tables cached at construction.
+wl1d_corner, wl1d_column = wl1d_adapters(strip_corner, strip_column)
 
 OPS = {
     "wl1d_corner": wl1d_corner,

@@ -62,6 +62,8 @@ __all__ = [
 #: array(s) in place for the accepted moves of ONE independence class
 #: and returns acceptance counts; RNG draws and transcendentals stay in
 #: the caller so trajectories cannot depend on the backend's libm.
+#: ``wl1d_*`` are compatibility adapters over ``strip_*`` (the chain
+#: sampler calls the strip ops directly); see DESIGN.md.
 OP_NAMES = (
     "wl1d_corner",
     "wl1d_column",

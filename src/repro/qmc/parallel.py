@@ -63,6 +63,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import kernels
+from repro.kernels.chain_tables import CORNER_XMASK
 from repro.lattice.decomposition import (
     BlockDecomposition,
     StripDecomposition,
@@ -262,13 +263,6 @@ class _StripState:
             self._build_overlap_caches()
 
     # -- static per-stage geometry ----------------------------------------
-
-    #: XOR masks turning a neighbor-plaquette code into its post-flip
-    #: value.  A corner move flips the four spins (J, t), (J, t1),
-    #: (J+1, t), (J+1, t1); in the code ``s00 + 2 s10 + 4 s01 + 8 s11``
-    #: of the neighbors -- rows ordered (J-1, t), (J+1, t), (J, tm1),
-    #: (J, t1) -- those spins occupy bits {1,3}, {0,2}, {2,3}, {0,1}.
-    _CORNER_XMASK = np.array([[10], [5], [12], [3]], dtype=np.int8)
 
     def _build_stage_caches(self) -> None:
         """Precompute the index tables of every stage (geometry is static).
@@ -559,7 +553,7 @@ class _StripState:
         n_acc = self._kops["strip_corner"](
             flat, self.table.weights,
             cache["i00"], cache["i10"], cache["i01"], cache["i11"],
-            self._CORNER_XMASK, cache["flip"], uu,
+            CORNER_XMASK, cache["flip"], uu,
         )
         self.n_attempted += cache["j"].size
         self.n_accepted += n_acc

@@ -31,7 +31,10 @@ use *open* chains, where no winding sector exists.
 Two sweep implementations are provided and cross-checked: a scalar
 reference (any geometry) and a vectorized eight-color sweep requiring
 ``L % 4 == 0`` (periodic) and ``T % 4 == 0``, following the
-vectorize-the-inner-loop idiom of the HPC guides.
+vectorize-the-inner-loop idiom of the HPC guides.  The vectorized
+sweep is the P = 1, no-ghost case of the strip driver: it runs the
+registry's ``strip_corner`` / ``strip_column`` ops over index tables
+built once at construction (:mod:`repro.kernels.chain_tables`).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
+from repro.kernels.chain_tables import CORNER_XMASK, column_tables, corner_tables
 from repro.models.hamiltonians import XXZChainModel
 from repro.qmc.plaquette import PlaquetteTable
 from repro.util.correlation import mean_circular_correlation
@@ -118,7 +122,7 @@ class WorldlineChainQmc:
         self.spins = np.fromfunction(
             lambda i, t: (i % 2).astype(np.int8), (self.L, self.n_slices), dtype=int
         ).astype(np.int8)
-        self._init_shaded_index()
+        self._init_tables()
         # Log-space plaquette weights for the column kernels (illegal
         # codes pinned to -inf).
         self._logw = np.where(
@@ -136,16 +140,38 @@ class WorldlineChainQmc:
     def n_bonds(self) -> int:
         return self.L if self.periodic else self.L - 1
 
-    def _init_shaded_index(self) -> None:
-        """Precompute (bond, interval) arrays of all shaded plaquettes."""
-        ii, tt = [], []
-        for i in range(self.n_bonds):
-            for t in range(self.n_slices):
-                if (i + t) % 2 == 0:
-                    ii.append(i)
-                    tt.append(t)
-        self._shaded_i = np.array(ii, dtype=np.intp)
-        self._shaded_t = np.array(tt, dtype=np.intp)
+    def _init_tables(self) -> None:
+        """Precompute the static flat-index tables into ``spins.reshape(-1)``.
+
+        ``_shaded`` gathers the four corners of every shaded plaquette
+        (bond-major, the measurement path's summation order).  On
+        vectorizable geometries the sweep tables follow: the eight
+        corner independence classes -- (bond a, interval b) stride-4
+        grids with (a + b) odd, in (a, b) order -- and the two column
+        parities, in the layout of the ``strip_corner`` /
+        ``strip_column`` ops with the periodic wrap folded in.
+        """
+        L, T = self.L, self.n_slices
+        i, t = np.nonzero(
+            (np.arange(self.n_bonds)[:, None] + np.arange(T)[None, :]) % 2 == 0
+        )
+        j, t1 = (i + 1) % L, (t + 1) % T
+        self._shaded = np.stack([i * T + t, j * T + t, i * T + t1, j * T + t1])
+        self._stag_signs = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)[:, None]
+        if not self.can_vectorize:
+            return
+        self._corner_tables = []
+        for a, b in ((a, b) for a in range(4) for b in range(4) if (a + b) % 2):
+            gi, gt = np.meshgrid(
+                np.arange(a, L, 4, dtype=np.intp),
+                np.arange(b, T, 4, dtype=np.intp),
+                indexing="ij",
+            )
+            self._corner_tables.append(corner_tables(L, T, gi.ravel(), gt.ravel()))
+        self._column_tables = [
+            (cols, *column_tables(L, T, cols))
+            for cols in (np.arange(p, L, 2, dtype=np.intp) for p in (0, 1))
+        ]
 
     def _codes(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Corner codes of shaded plaquettes at bonds ``i``, intervals ``t``."""
@@ -161,7 +187,8 @@ class WorldlineChainQmc:
 
     def shaded_codes(self) -> np.ndarray:
         """Corner codes of every shaded plaquette (measurement path)."""
-        return self._codes(self._shaded_i, self._shaded_t)
+        s = self.spins.reshape(-1)[self._shaded]
+        return s[0] + (s[1] << 1) + (s[2] << 2) + (s[3] << 3)
 
     def config_log_weight(self) -> float:
         """log of the configuration weight; ``-inf`` if illegal."""
@@ -193,8 +220,7 @@ class WorldlineChainQmc:
 
     def staggered_magnetization_sq(self) -> float:
         """Slice-averaged squared staggered magnetization per site."""
-        signs = np.where(np.arange(self.L) % 2 == 0, 1.0, -1.0)
-        m_st = (signs[:, None] * (self.spins - 0.5)).sum(axis=0) / self.L
+        m_st = (self._stag_signs * (self.spins - 0.5)).sum(axis=0) / self.L
         return float(np.mean(m_st**2))
 
     def szsz_time_correlation(self, method: str = "auto") -> np.ndarray:
@@ -380,48 +406,42 @@ class WorldlineChainQmc:
     def can_vectorize(self) -> bool:
         return self.periodic and self.L % 4 == 0 and self.n_slices % 4 == 0
 
-    def _class_indices(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (bond, interval) grids of independence class (a, b)."""
-        ii = np.arange(a, self.L, 4, dtype=np.intp)
-        tt = np.arange(b, self.n_slices, 4, dtype=np.intp)
-        gi, gt = np.meshgrid(ii, tt, indexing="ij")
-        return gi.ravel(), gt.ravel()
+    def _sweep_fused(self, ops) -> None:
+        """The ten stages of one sweep through the backend's strip ops.
 
-    def _vector_corner_class(self, i: np.ndarray, t: np.ndarray, ops) -> None:
-        """Simultaneous Metropolis on one independence class of corner flips.
-
-        Moves within a class touch disjoint spin neighborhoods (sites
-        i-1..i+2, slices t-1..t+2 are separated by the stride-4 grid),
-        so parallel acceptance equals sequential acceptance in any
-        order -- the property the domain-decomposed driver and the
-        compiled kernel backends rely on.  The uniform draw stays here
-        (one block per class, identical across backends).
+        Moves within a corner class touch disjoint spin neighborhoods
+        (sites i-1..i+2, slices t-1..t+2 are separated by the stride-4
+        grid), so parallel acceptance equals sequential acceptance in
+        any order -- the property the domain-decomposed driver and the
+        compiled kernel backends rely on.  The uniform draws stay here
+        (one block per corner class, one per parity sized to its
+        straight columns), identical across backends.
         """
-        u = self.stream.uniform(size=i.size)
-        n_acc = ops["wl1d_corner"](self.spins, self.table.weights, i, t, u)
-        self.n_attempted += i.size
-        self.n_accepted += n_acc
+        corner, column = ops["strip_corner"], ops["strip_column"]
+        flat = self.spins.reshape(-1)
+        weights = self.table.weights
+        for i00, i10, i01, i11, flip in self._corner_tables:
+            n = flip.shape[1]
+            u = self.stream.uniform(size=n)
+            self.n_accepted += corner(
+                flat, weights, i00, i10, i01, i11, CORNER_XMASK, flip, u
+            )
+            self.n_attempted += n
+        for parity, (cols, *tables) in enumerate(self._column_tables):
+            rows = self.spins[parity::2]
+            straight = rows.min(axis=1) == rows.max(axis=1)
+            n_straight = int(np.count_nonzero(straight))
+            if n_straight == 0:
+                continue
+            # The op re-derives ``straight`` and ignores the other slots.
+            log_uu = np.zeros(cols.size)
+            log_uu[straight] = np.log(
+                np.maximum(self.stream.uniform(size=n_straight), 1e-300)
+            )
+            self.n_accepted += column(self.spins, self._logw, cols, *tables, log_uu)[1]
+            self.n_attempted += n_straight
 
-    def _vector_column_parity(self, parity: int, ops) -> None:
-        """Simultaneous straight-line flips on all columns of one parity."""
-        L = self.L
-        cols = np.arange(parity, L, 2, dtype=np.intp)
-        straight = self.spins[cols].min(axis=1) == self.spins[cols].max(axis=1)
-        cols = cols[straight]
-        if cols.size == 0:
-            return
-        u = self.stream.uniform(size=cols.size)
-        log_u = np.log(np.maximum(u, 1e-300))
-        n_acc = ops["wl1d_column"](self.spins, self._logw, cols, log_u)
-        self.n_attempted += cols.size
-        self.n_accepted += n_acc
-
-    def sweep_vectorized(self, kernel: str = "numpy") -> None:
-        """Eight-color vectorized sweep (periodic chains, L%4 == T%4 == 0).
-
-        ``kernel`` names the registry backend supplying the class ops;
-        every backend produces the bit-identical trajectory.
-        """
+    def _require_vectorizable(self) -> None:
         if not self.can_vectorize:
             raise ValueError(
                 "vectorized sweep needs a periodic chain with L % 4 == 0 and "
@@ -429,14 +449,27 @@ class WorldlineChainQmc:
                 f"periodic={self.periodic}; fall back to the per-move "
                 "reference with sweep(mode='scalar') / run(mode='scalar')"
             )
+
+    def sweep_vectorized(self, kernel: str = "numpy") -> None:
+        """Eight-color vectorized sweep (periodic chains, L%4 == T%4 == 0).
+
+        ``kernel`` names the registry backend supplying the class ops;
+        every backend produces the bit-identical trajectory.
+        """
+        self._require_vectorizable()
+        self._sweep_fused(kernels.get_ops(kernel))
+
+    def _sweep_fn(self, mode: str):
+        """Resolve ``mode`` (see :meth:`sweep`) to a zero-argument sweep."""
+        if mode == "auto":
+            kernel = kernels.resolve_kernel("auto") if self.can_vectorize else "scalar"
+        else:
+            kernel = kernels.resolve_sweep_mode(mode)
+        if kernel == "scalar":
+            return self.sweep_scalar
+        self._require_vectorizable()
         ops = kernels.get_ops(kernel)
-        for a in range(4):
-            for b in range(4):
-                if (a + b) % 2 == 1:
-                    i, t = self._class_indices(a, b)
-                    self._vector_corner_class(i, t, ops)
-        self._vector_column_parity(0, ops)
-        self._vector_column_parity(1, ops)
+        return lambda: self._sweep_fused(ops)
 
     def sweep(self, mode: str = "auto") -> None:
         """One full sweep.
@@ -448,15 +481,7 @@ class WorldlineChainQmc:
         "numba", ...; "vectorized" aliases "numpy") forces that
         backend.
         """
-        if mode == "auto":
-            if self.can_vectorize:
-                self.sweep_vectorized(kernel=kernels.resolve_kernel("auto"))
-            else:
-                self.sweep_scalar()
-        elif mode == "scalar":
-            self.sweep_scalar()
-        else:
-            self.sweep_vectorized(kernel=kernels.resolve_sweep_mode(mode))
+        self._sweep_fn(mode)()
 
     @property
     def acceptance_rate(self) -> float:
@@ -479,11 +504,12 @@ class WorldlineChainQmc:
         """
         if n_sweeps < 1:
             raise ValueError("need at least one measured sweep")
+        sweep = self._sweep_fn(mode)  # resolved once, not per sweep
         for _ in range(n_thermalize):
-            self.sweep(mode)
+            sweep()
         energies, mags, mstag, corr = [], [], [], []
         for s in range(n_sweeps):
-            self.sweep(mode)
+            sweep()
             if s % measure_every == 0:
                 energies.append(self.energy_estimate())
                 mags.append(self.magnetization())

@@ -389,15 +389,15 @@ class Simulation:
                 )
                 all_energy.append(meas.energy)
                 all_mag.append(meas.magnetization)
-                n_att += getattr(sampler, "n_attempted", 0)
-                n_acc += getattr(sampler, "n_accepted", 0)
+                n_att += sampler.n_attempted
+                n_acc += sampler.n_accepted
                 if rules is not None:
                     monitors.append(
                         _posthoc_health(
                             rules,
                             {"energy": meas.energy, "magnetization": meas.magnetization},
-                            getattr(sampler, "n_attempted", 0),
-                            getattr(sampler, "n_accepted", 0),
+                            sampler.n_attempted,
+                            sampler.n_accepted,
                             cfg.measure_every,
                             rank=chain_idx,
                         )
@@ -416,6 +416,7 @@ class Simulation:
                 n_sweeps=cfg.n_sweeps,
                 n_thermalize=cfg.n_thermalize,
                 measure_every=cfg.measure_every,
+                sweep_seed=cfg.seed,
                 overlap=layout.overlap,
                 mode=kernel,
             )

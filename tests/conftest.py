@@ -36,6 +36,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260705)
 
 
+class ForcedStream:
+    """Stream stub returning a constant uniform (0 = always accept
+    legal proposals, 1 = always reject)."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def uniform(self, size=None):
+        if size is None:
+            return self.value
+        return np.full(size, self.value)
+
+
 def assert_within(value: float, reference: float, error: float,
                   n_sigma: float = 4.0, atol: float = 0.0, label: str = "") -> None:
     """Assert a stochastic estimate agrees with a reference."""

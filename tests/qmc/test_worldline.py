@@ -300,3 +300,45 @@ class TestCorrelationFastPaths:
         q = self._randomized(periodic=True)
         with pytest.raises(ValueError, match="method"):
             q.szsz_correlation(method="rolls")
+
+
+class TestPinnedTrajectories:
+    """Fixed-seed trajectories recorded at the commit *before* the sweep
+    became table-driven over the strip ops: restructuring the sampler
+    must not move a single accept decision or RNG draw.
+
+    The digest covers the final spins, the Metropolis counts and the
+    energy / staggered-magnetization series (energies rounded to 1e-9
+    so a last-ulp ``log`` difference between hosts cannot trip it).
+    """
+
+    # (L, T, beta, jz, periodic), takes the vectorized path, sha256
+    PINNED = [
+        ((64, 16, 1.0, 1.0, True), True,
+         "2900900611d9e51ac46fc202ebf34cc285c47ebb8bc8370e5f5ca48abfd64f36"),
+        ((8, 8, 0.5, 1.0, True), True,
+         "ff9850300f543cdee84123e9d19698781282b1ca1e0b98a88eccea2037486e16"),
+        ((16, 32, 2.0, 0.5, True), True,
+         "cf3ec0078dc498ccecacad3e5cb8269de4a4a60dc30f7112d9e2ebe03811b51c"),
+        # L % 4 != 0 and an open chain: mode="auto" must keep falling
+        # back to the scalar reference.
+        ((10, 8, 1.0, 1.0, True), False,
+         "4056fca8105023e47f19bbd2446b541bb17ee8951890fab2c968a3e83ecd45c0"),
+        ((6, 8, 1.0, 1.0, False), False,
+         "b620d3b8fdeb0512c714adc9eeec123ce8fff86a0a33431a11423c2190b40dbc"),
+    ]
+
+    @pytest.mark.parametrize("case, vectorizes, pinned", PINNED)
+    def test_digest_unchanged(self, case, vectorizes, pinned):
+        import hashlib
+
+        L, T, beta, jz, periodic = case
+        q = make(n_sites=L, n_slices=T, beta=beta, jz=jz, periodic=periodic, seed=11)
+        assert q.can_vectorize == vectorizes
+        meas = q.run(n_sweeps=40, n_thermalize=10, mode="auto")
+        h = hashlib.sha256()
+        h.update(q.spins.tobytes())
+        h.update(np.round(meas.energy, 9).tobytes())
+        h.update(meas.m_stag_sq.tobytes())
+        h.update(repr((q.n_attempted, q.n_accepted)).encode())
+        assert h.hexdigest() == pinned

@@ -29,25 +29,12 @@ from repro.models.symmetry_ed import MomentumBlockED
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 
-from tests.conftest import assert_within
+from tests.conftest import ForcedStream, assert_within
 
 
 def make(lx=4, ly=4, beta=0.75, n_slices=16, seed=0, **model_kw):
     model = XXZSquareModel(lx=lx, ly=ly, **model_kw)
     return WorldlineSquareQmc(model, beta, n_slices, seed=seed)
-
-
-class _ForcedStream:
-    """Stream stub returning a constant uniform (0 = always accept
-    legal proposals, 1 = always reject)."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def uniform(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
 
 
 def interval_slices(q):
@@ -161,8 +148,8 @@ class TestKernelScalarCoupling:
 
     def test_segment_kernel_equals_scalar_moves(self, shape):
         a, b = self._pair(shape, seed=41)
-        a.stream = _ForcedStream(0.0)
-        b.stream = _ForcedStream(0.0)
+        a.stream = ForcedStream(0.0)
+        b.stream = ForcedStream(0.0)
         for ci, cls in enumerate(a._seg_classes):
             for sl in interval_slices(a):
                 a._run_segment_kernel(cls, sl)
@@ -175,8 +162,8 @@ class TestKernelScalarCoupling:
 
     def test_column_kernel_equals_scalar_moves(self, shape):
         a, b = self._pair(shape, seed=43)
-        a.stream = _ForcedStream(0.0)
-        b.stream = _ForcedStream(0.0)
+        a.stream = ForcedStream(0.0)
+        b.stream = ForcedStream(0.0)
         for ci, cls in enumerate(a._col_classes):
             a._run_column_kernel(cls)
             for site in b._col_classes[ci]["sites"]:
@@ -190,7 +177,7 @@ class TestKernelScalarCoupling:
         # can never lower the configuration weight.
         a, _ = self._pair(shape, seed=47)
         logw = a.config_log_weight()
-        a.stream = _ForcedStream(1.0)
+        a.stream = ForcedStream(1.0)
         for _ in range(3):
             a.sweep_vectorized()
             new_logw = a.config_log_weight()

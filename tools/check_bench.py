@@ -14,6 +14,11 @@ property of the runner, but the ratios travel:
 * per-case vectorized/scalar site-update speedup (``records``);
 * strip-driver vectorized/scalar speedup on the thread backend at each
   P the two documents share (``parallel_records``);
+* serial chain sampler over strip driver at thread P=1, vectorized
+  sweeps/s on the lattice the two record sets share
+  (``serial_vs_strip_p1``).  Both run the same strip ops over cached
+  tables, so this is an absolute floor on the fresh record, not a
+  baseline diff: it fails when the two paths drift apart again;
 * telemetry overhead of the ``metrics`` and ``health`` variants
   (``observability_overhead``; lower is better, compared with an
   absolute slack since their baselines sit near zero).  Smoke-tier
@@ -74,6 +79,12 @@ OVERHEAD_SLACK = 0.05
 CAMPAIGN_CACHE_SPEEDUP_FLOOR = 2.0
 CAMPAIGN_MIN_SWEEPS_PER_S = 5.0
 
+#: Floor on (serial chain vectorized sweeps/s) / (strip thread P=1
+#: vectorized sweeps/s).  The serial sampler is the P=1, no-ghost case of
+#: the strip ops and its record excludes launch and measurement, so it
+#: should sit at or above 1; 0.8 leaves room for runner noise.
+SERIAL_VS_STRIP_P1_FLOOR = 0.8
+
 #: Absolute slack granted to the overlapped comm-fraction metrics: the
 #: fractions are modeled (deterministic for a given geometry), but the
 #: smoke tier runs fewer sweeps, so amortized collective costs shift a
@@ -117,6 +128,44 @@ def _kernel_speedups(doc: dict) -> dict[str, float]:
                 rec["speedup_vs_numpy"]
             )
     return out
+
+
+def serial_vs_strip_p1(doc: dict) -> float | None:
+    """Serial over strip-P=1 vectorized sweeps/s on their shared lattice.
+
+    ``records`` labels the chain case ``chain L=.. T=..`` and
+    ``parallel_records`` the same lattice ``strip chain L=.. T=..``;
+    None when the document lacks either side.
+    """
+    strip = {
+        rec["case"]: rec["sweeps_per_s"]
+        for rec in doc.get("parallel_records", [])
+        if (rec.get("backend"), rec.get("p"), rec.get("mode"))
+        == ("thread", 1, "vectorized")
+    }
+    for rec in doc.get("records", []):
+        shared = strip.get(f"strip {rec['case']}")
+        if rec["mode"] == "vectorized" and shared:
+            return rec["sweeps_per_s"] / shared
+    return None
+
+
+def check_serial_vs_strip(doc: dict) -> list[str]:
+    """Gate ``serial_vs_strip_p1`` of one document against its floor."""
+    ratio = serial_vs_strip_p1(doc)
+    if ratio is None:
+        print("  (no shared chain / strip P=1 records; serial_vs_strip_p1 "
+              "gate skipped)")
+        return []
+    ok = ratio >= SERIAL_VS_STRIP_P1_FLOOR
+    print(f"  {'serial_vs_strip_p1':45s} required "
+          f"{SERIAL_VS_STRIP_P1_FLOOR:8.2f}  fresh {ratio:8.2f}  "
+          f"{'ok' if ok else 'BELOW FLOOR'}")
+    if ok:
+        return []
+    return [f"serial_vs_strip_p1: {ratio:.2f} is below the floor "
+            f"{SERIAL_VS_STRIP_P1_FLOOR:.2f} (the serial chain sweep is "
+            f"slower than the strip driver at P=1 on the same lattice)"]
 
 
 def _require_kernels(fresh: dict, requirements: list[str]) -> list[str]:
@@ -422,6 +471,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(baseline diff skipped):")
         failures += check_committed_overheads(args.fresh)
         failures += check_campaign_records(fresh, required=True)
+        failures += check_serial_vs_strip(fresh)
         if fresh.get("two_level_records") and not any(
             not rec.get("executed")
             for rec in fresh["two_level_records"]
@@ -435,6 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"comparing {args.fresh.name} against {args.baseline.name} "
               f"(tolerance {args.tolerance:.0%}):")
         failures += compare(fresh, baseline, args.tolerance)
+        failures += check_serial_vs_strip(fresh)
         print(f"checking campaign-scheduler records in {args.fresh.name}:")
         failures += check_campaign_records(fresh)
         print(f"checking committed telemetry overheads in "
