@@ -377,7 +377,7 @@ def _time_kernel(backend: str, n_sweeps: int) -> dict:
 def collect_kernels(smoke: bool = False) -> list[dict]:
     """Registry-backend A/B records on the 16x16, T=64 lattice.
 
-    One record per *available* backend (numpy always; numba/cupy when
+    One record per *available* backend (numpy always; numba when
     importable), each with warm sweeps/s plus the separately-reported
     first-sweep ``compile_seconds``, and ``speedup_vs_numpy`` so
     ``tools/check_bench.py --require-kernel numba=3.0`` can gate the

@@ -106,5 +106,4 @@ def run_metadata() -> dict:
         "cpu_count": cpus,
         "kernel_backend": kernels.resolve_kernel("auto"),
         "numba_version": kernels.backend_version("numba"),
-        "cupy_version": kernels.backend_version("cupy"),
     }

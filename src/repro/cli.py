@@ -64,7 +64,7 @@ def _add_layout_args(p: argparse.ArgumentParser, strategies: list[str]) -> None:
                         "trajectories, shorter modeled makespan)")
     p.add_argument("--kernel", default="auto",
                    help="sweep kernel backend: 'auto' (best available), a "
-                        "registered backend (numpy/numba/cupy), or 'scalar' "
+                        "registered backend (numpy/numba), or 'scalar' "
                         "for the per-move reference path; every backend "
                         "yields the bit-identical trajectory (default: auto)")
     p.add_argument("--replicas", type=int, default=1, metavar="R",
@@ -162,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="schedule a sweep-spec grid of runs with a result cache",
     )
     p_camp.add_argument("--spec", type=str, required=True, metavar="PATH",
-                        help="campaign spec file (.toml, or .json with the "
-                             "same structure)")
+                        help="campaign spec file (.toml, which needs "
+                             "Python >= 3.11, or .json with the same "
+                             "structure)")
     p_camp.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker-pool width (overrides the spec's jobs)")
     p_camp.add_argument("--output-dir", type=str, default=None, metavar="DIR",

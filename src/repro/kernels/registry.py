@@ -9,15 +9,13 @@ a named provider of that table:
 * ``numpy``  -- the vectorized reference path (always available);
 * ``numba``  -- ``@njit(cache=True)`` ports of the same kernels,
   bit-identical to ``numpy`` by construction (see
-  :mod:`repro.kernels.numba_backend`);
-* ``cupy``   -- a GPU stub that registers as available only when the
-  accelerator actually imports; never chosen by ``auto``.
+  :mod:`repro.kernels.numba_backend`).
 
 Selection semantics
 -------------------
 ``resolve_kernel(name)`` maps a requested backend name to a concrete
 registered one.  ``"auto"`` picks the highest-priority *available*
-backend (numba over numpy when installed; cupy is opt-in only).
+backend (numba over numpy when installed).
 Requesting an unavailable backend raises
 :class:`KernelUnavailableError` -- a structured, actionable error
 mirroring :class:`repro.vmp.mpi_backend.MpiUnavailableError` -- instead
@@ -106,8 +104,7 @@ class KernelBackend:
         Registry key (``--kernel NAME``).
     priority:
         ``"auto"`` picks the available backend with the highest
-        priority; a negative priority means *never* auto-selected
-        (explicit opt-in only, e.g. the cupy stub).
+        priority.
     probe:
         Cheap availability check; must not raise.  Result is memoized.
     loader:
@@ -185,16 +182,15 @@ def kernel_available(name: str) -> bool:
 def resolve_kernel(name: str = "auto") -> str:
     """Map a requested backend name to a concrete available one.
 
-    ``"auto"`` returns the highest-priority available backend with a
-    non-negative priority (``numpy`` is always registered and
-    available, so auto cannot fail).  The legacy ``"vectorized"`` alias
+    ``"auto"`` returns the highest-priority available backend
+    (``numpy`` is always registered and available, so auto cannot
+    fail).  The legacy ``"vectorized"`` alias
     resolves to ``"numpy"``.  Unknown names raise ``ValueError``;
     known-but-unavailable ones raise :class:`KernelUnavailableError`.
     """
     if name == "auto":
         for cand in known_backends():
-            backend = _REGISTRY[cand]
-            if backend.priority >= 0 and backend.available():
+            if _REGISTRY[cand].available():
                 return cand
         raise KernelUnavailableError(
             "auto", "no kernel backend is available",
@@ -280,25 +276,6 @@ def _numba_ops() -> Mapping[str, Callable]:
     return numba_backend.OPS
 
 
-def _cupy_probe() -> bool:
-    # find_spec first so the common no-cupy case stays cheap; then an
-    # actual import, because cupy can be installed yet fail to load
-    # when no CUDA runtime/device is present.
-    if importlib.util.find_spec("cupy") is None:
-        return False
-    try:
-        importlib.import_module("cupy")
-        return True
-    except Exception:
-        return False
-
-
-def _cupy_ops() -> Mapping[str, Callable]:
-    from repro.kernels import cupy_backend
-
-    return cupy_backend.build_ops()
-
-
 register_backend(KernelBackend(
     name="numpy",
     priority=10,
@@ -311,16 +288,4 @@ register_backend(KernelBackend(
     probe=_numba_probe,
     loader=_numba_ops,
     requires="numba",
-))
-register_backend(KernelBackend(
-    name="cupy",
-    # Negative priority: the stub is explicit opt-in, never "auto" --
-    # it has no bit-identity story against the CPU backends yet.
-    priority=-10,
-    probe=_cupy_probe,
-    loader=_cupy_ops,
-    requires="cupy",
-    hint=("install a cupy wheel matching the local CUDA runtime "
-          "(e.g. pip install cupy-cuda12x) on a GPU machine, or fall "
-          "back with --kernel numpy"),
 ))

@@ -88,7 +88,6 @@ def environment_info() -> dict:
     # Compiled-kernel availability: versions are None for backends the
     # environment lacks, so manifests record what a run *could* use.
     info["numba"] = kernels.backend_version("numba")
-    info["cupy"] = kernels.backend_version("cupy")
     info["kernel_backends"] = list(kernels.available_backends())
     return info
 

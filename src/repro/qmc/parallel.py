@@ -27,6 +27,12 @@ boundary column/plane.  Under the alpha--beta cost model
 (``alpha + n * beta`` per message) aggregation cuts the latency term
 by the aggregation factor while leaving the bandwidth term unchanged;
 see :class:`repro.lattice.decomposition.HaloSpec` for the accounting.
+Each state only *describes* its exchange as :class:`_HaloLink` tuples
+(2 for the strip, 4 for the blocks; an axis the decomposition does not
+split wraps locally); :meth:`_DecomposedState._exchange` is the one
+place that posts and completes them, in the lockstep or the overlapped
+schedule, and :func:`_run_decomposed` is the one run loop all programs
+(including :func:`repro.qmc.two_level.two_level_program`) share.
 
 Ownership conventions (world-line strip, global column indices):
 
@@ -58,7 +64,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -100,28 +106,6 @@ _TAG_WL = 4096
 _TAG_ISING = 8192
 
 
-def _bind_sweep_metrics(state, metrics) -> None:
-    """Pre-bind the shared per-sweep metric handles onto a driver state.
-
-    Both decomposed drivers record the same sweep-level telemetry;
-    pre-binding keeps the enabled hot path at one bool test plus float
-    adds, and the disabled path at a single bool test.  The states
-    additionally bind a ``sweep.kernel_seconds.<backend>`` counter once
-    their kernel backend is resolved, so per-sweep kernel time lands in
-    the metrics tagged by backend.
-    """
-    state._obs = bool(metrics.enabled)
-    if state._obs:
-        state._m_sweeps = metrics.counter("sweep.count")
-        state._m_attempted = metrics.counter("sweep.attempted")
-        state._m_accepted = metrics.counter("sweep.accepted")
-        state._m_model = metrics.counter("sweep.model_seconds")
-        state._m_wall = metrics.counter("sweep.wall_seconds")
-        state._m_acc_hist = metrics.histogram(
-            "sweep.acceptance", ACCEPTANCE_EDGES
-        )
-
-
 def _validate_mode(mode: str) -> None:
     """Config-time check of a driver ``mode`` string (names only --
     availability of a compiled backend is resolved at state init /
@@ -144,6 +128,341 @@ WL_STAGES = tuple(
     + [("column", p, None) for p in (0, 1)]
 )
 N_WL_STAGES = len(WL_STAGES)
+
+
+# ======================================================================
+# the decomposed-run spine: one state base, one halo exchange, one loop
+# ======================================================================
+
+
+class _HaloLink(NamedTuple):
+    """One direction of a halo refresh along one decomposed axis.
+
+    The owned boundary ``send`` travels to rank ``dest`` while the same
+    tag brings the opposite neighbor's (``source``) boundary into the
+    ``ghost`` view.  ``dest is None`` marks an axis the decomposition
+    does not split: ``send`` wraps into ``ghost`` locally, for free.
+    ``tag`` is the link's offset inside the exchange's tag block; the
+    masks select the parity-packed sites of a checkerboard plane
+    (``None``: the whole buffer ships).
+    """
+
+    dest: int | None
+    source: int | None
+    send: np.ndarray
+    ghost: np.ndarray
+    tag: int
+    send_mask: np.ndarray | None = None
+    ghost_mask: np.ndarray | None = None
+
+
+class _DecomposedState:
+    """What every domain-decomposed rank state shares.
+
+    Owns the communicator and config, the shared-randomness sweep
+    counter, the Metropolis accounting, kernel-backend resolution, the
+    per-sweep telemetry, the halo exchange and the checkpoint pair.  A
+    subclass supplies the geometry: the class attributes below, its
+    ghosted spin array (the attribute named by ``_array``), the
+    ``_links`` table (per stage key, the :class:`_HaloLink` tuples that
+    refresh the ghosts the stage reads, grouped by axis),
+    :meth:`_sweep_stages`, :meth:`measure` and :meth:`result`.
+    """
+
+    #: Attribute holding the ghosted spin array -- also its bundle key --
+    #: and what a resume error calls it.
+    _array: str
+    _array_label: str
+    #: Names of the measured series, in :meth:`measure` order; they are
+    #: the bundle keys and the result-dict keys of the series.
+    series: tuple[str, ...]
+    #: The scalar series the health monitor tracks.
+    health_series: tuple[str, ...]
+    #: Halo tag block of exchange ``n``: ``base + (n % period) * stride``.
+    _tag_schedule: tuple[int, int, int]
+    #: Checkpoint fingerprint: the driver's name and the config fields
+    #: (geometry, couplings) a resume must match exactly, next to the
+    #: rank count, sweep seed and thermalization length.
+    _driver: str
+    _fingerprint: tuple[str, ...]
+
+    def __init__(self, comm, cfg):
+        self.comm = comm
+        self.cfg = cfg
+        self.sweep_factory = SeedSequenceFactory(cfg.sweep_seed)
+        self.sweep_index = 0
+        self._n_exchanges = 0
+        #: Cumulative Metropolis accounting across the rank's lifetime
+        #: (always maintained -- the CLI summary prints acceptance
+        #: without telemetry flags).
+        self.n_attempted = 0
+        self.n_accepted = 0
+        #: True once the overlap pipeline is engaged: it needs real
+        #: neighbors (P > 1) and a non-degenerate interior; thin
+        #: subdomains fall back to lockstep and leave this False, which
+        #: every program reports in its result dict.
+        self.overlap_active = False
+        # Resolve the kernel backend once per rank ("scalar" bypasses
+        # the registry; every registry backend is trajectory-identical).
+        self.kernel = kernels.resolve_sweep_mode(cfg.mode)
+        self._kops = (
+            None if self.kernel == "scalar" else kernels.get_ops(self.kernel)
+        )
+        # Pre-bound metric handles keep the enabled hot path at one bool
+        # test plus float adds, and the disabled path at one bool test;
+        # kernel time lands in a counter tagged by the resolved backend.
+        metrics = comm.metrics
+        self._obs = bool(metrics.enabled)
+        if self._obs:
+            self._m_sweeps = metrics.counter("sweep.count")
+            self._m_attempted = metrics.counter("sweep.attempted")
+            self._m_accepted = metrics.counter("sweep.accepted")
+            self._m_model = metrics.counter("sweep.model_seconds")
+            self._m_wall = metrics.counter("sweep.wall_seconds")
+            self._m_acc_hist = metrics.histogram(
+                "sweep.acceptance", ACCEPTANCE_EDGES
+            )
+            self._m_kernel = metrics.counter(
+                f"sweep.kernel_seconds.{self.kernel}"
+            )
+
+    # -- halo exchange -------------------------------------------------------
+    def _exchange(self, stage=None, offload: bool = False) -> list:
+        """Post one aggregated halo exchange: ONE message per neighbor.
+
+        Lockstep (``offload=False``) sends then receives axis by axis
+        with blocking calls and returns nothing pending.  The overlap
+        pipeline (``offload=True``) posts the same payloads to the same
+        neighbors under the same tags as offloaded ``isend``/``irecv``
+        and returns the ``(request, link)`` pairs, in the lockstep
+        receive order, for :meth:`_exchange_wait` -- so the modeled
+        clock advances through identical arrival stamps.  Packing (and
+        local wrapping) happens here, before any interior update, so
+        the shipped data is the pre-stage state in both schedules.
+        """
+        comm = self.comm
+        base, period, stride = self._tag_schedule
+        tag = base + (self._n_exchanges % period) * stride
+        self._n_exchanges += 1
+        pending = []
+        for axis in self._links[stage]:
+            for ln in axis:
+                if ln.dest is None:
+                    ln.ghost[...] = ln.send
+                elif offload:
+                    comm.isend(pack_plane(ln.send, ln.send_mask), ln.dest,
+                               tag=tag + ln.tag, offload=True)
+                else:
+                    comm.send(pack_plane(ln.send, ln.send_mask), ln.dest,
+                              tag=tag + ln.tag)
+            for ln in axis:
+                if ln.dest is None:
+                    continue
+                if offload:
+                    req = comm.irecv(source=ln.source, tag=tag + ln.tag,
+                                     offload=True)
+                    pending.append((req, ln))
+                else:
+                    unpack_plane(
+                        ln.ghost, comm.recv(source=ln.source, tag=tag + ln.tag),
+                        ln.ghost_mask,
+                    )
+        return pending
+
+    @staticmethod
+    def _exchange_wait(pending: list) -> None:
+        """Overlap stage 4: wait for each halo message, unpack its ghosts."""
+        for req, ln in pending:
+            unpack_plane(ln.ghost, req.wait(), ln.ghost_mask)
+
+    # -- sweeping ------------------------------------------------------------
+    def _sweep_stages(self) -> None:
+        """One full lattice sweep: every independence class, each behind
+        its halo exchange; maintains ``n_attempted`` / ``n_accepted``."""
+        raise NotImplementedError
+
+    def _timed(self, kernel, *args):
+        """Run one kernel call, charging its wall time to the backend's
+        ``sweep.kernel_seconds`` counter when telemetry is on."""
+        if not self._obs:
+            return kernel(*args)
+        t0 = perf_counter()
+        out = kernel(*args)
+        self._m_kernel.inc(perf_counter() - t0)
+        return out
+
+    def sweep(self) -> None:
+        """One sweep (:meth:`_sweep_stages`) plus its sweep-level telemetry."""
+        obs = self._obs
+        if obs:
+            t0_wall = perf_counter()
+            t0_model = self.comm.clock.now
+            att0, acc0 = self.n_attempted, self.n_accepted
+        self._sweep_stages()
+        if obs:
+            att = self.n_attempted - att0
+            acc = self.n_accepted - acc0
+            self._m_sweeps.inc()
+            self._m_attempted.inc(att)
+            self._m_accepted.inc(acc)
+            self._m_model.inc(self.comm.clock.now - t0_model)
+            self._m_wall.inc(perf_counter() - t0_wall)
+            if att:
+                self._m_acc_hist.observe(acc / att)
+
+    # -- measurement / result ------------------------------------------------
+    def measure(self) -> tuple:
+        """Refresh the ghosts, reduce, and return one value per ``series``
+        name (identical on every rank of the communicator)."""
+        raise NotImplementedError
+
+    def result(self) -> dict:
+        """The program-specific entries of the rank's result dict."""
+        raise NotImplementedError
+
+    # -- checkpoint/restart --------------------------------------------------
+    def _checkpoint_expect(self) -> dict:
+        """Geometry/seed fingerprint a resume must match exactly."""
+        cfg = self.cfg
+        return {
+            "driver": self._driver,
+            "n_ranks": self.comm.size,
+            **{name: getattr(cfg, name) for name in self._fingerprint},
+            "sweep_seed": cfg.sweep_seed,
+            "n_thermalize": cfg.n_thermalize,
+        }
+
+    def save_rank_state(self, directory, sweeps_done: int, series: dict) -> None:
+        """Snapshot this rank's complete resumable state to its bundle.
+
+        Captures the ghosted local spins, the sweep and halo-exchange
+        counters, the rank's RNG stream, and the accumulated series --
+        everything a restarted rank needs to continue the trajectory
+        bit-identically (``mode`` and ``overlap`` are deliberately
+        absent: all kernels and both schedules share trajectories, so
+        resumes may switch).
+        """
+        from repro.run.checkpoint import pack_rng_state, save_rank_checkpoint
+
+        meta = self._checkpoint_expect()
+        meta["sweeps_done"] = int(sweeps_done)
+        meta["sweep_index"] = int(self.sweep_index)
+        meta["n_exchanges"] = int(self._n_exchanges)
+        arrays = {self._array: getattr(self, self._array)}
+        for name in self.series:
+            arrays[name] = np.asarray(series[name], dtype=np.float64)
+        arrays["rng_state"] = pack_rng_state(self.comm.stream.generator)
+        save_rank_checkpoint(
+            directory, self.comm.rank, meta, arrays, metrics=self.comm.metrics
+        )
+
+    def restore_rank_state(self, directory) -> tuple[int, dict]:
+        """Restore this rank from its bundle; returns ``(sweeps_done, series)``."""
+        from repro.run.checkpoint import load_rank_checkpoint, restore_rng_state
+
+        meta, arrays = load_rank_checkpoint(
+            directory, self.comm.rank, expect=self._checkpoint_expect(),
+            metrics=self.comm.metrics,
+        )
+        spins = getattr(self, self._array)
+        if arrays[self._array].shape != spins.shape:
+            raise ValueError(
+                f"checkpoint {self._array_label} {arrays[self._array].shape} "
+                f"!= this rank's {spins.shape}"
+            )
+        spins[...] = arrays[self._array]  # in place: views stay valid
+        self.sweep_index = int(meta["sweep_index"])
+        self._n_exchanges = int(meta["n_exchanges"])
+        restore_rng_state(self.comm.stream.generator, arrays["rng_state"])
+        return (
+            int(meta["sweeps_done"]),
+            {name: list(arrays[name]) for name in self.series},
+        )
+
+
+def _run_decomposed(
+    state: _DecomposedState,
+    checkpoint: "CheckpointConfig | None",
+    health: "HealthRules | None",
+    *,
+    monitor=None,
+    on_measure=None,
+    before_save=None,
+) -> dict:
+    """The run loop of every decomposed program.
+
+    Resume (or thermalize), then per sweep: sweep, measure every
+    ``measure_every``-th, checkpoint every ``checkpoint.every``-th,
+    health-check at ``health.interval``, snapshot the metrics at their
+    interval; finally assemble the rank's result dict (the series, the
+    state's :meth:`~_DecomposedState.result`, the kernel mode, the move
+    counters, whether the overlap pipeline ran, and the health report).
+
+    The keyword arguments are the composed two-level program's hooks:
+    ``monitor`` replaces the default per-rank health monitor (it stamps
+    world rank and replica), ``on_measure(sweep, series)`` runs after
+    each measurement and ``before_save()`` before each checkpoint write.
+    """
+    comm, cfg = state.comm, state.cfg
+    metrics = comm.metrics
+    interval = metrics.interval if metrics.enabled else 0
+    if monitor is None:
+        monitor = (
+            HealthMonitor(health, rank=comm.rank)
+            if health is not None
+            else NOOP_HEALTH
+        )
+    check_every = health.interval if health is not None else 0
+    series: dict[str, list] = {name: [] for name in state.series}
+    first_sweep = 0
+    if checkpoint is not None and checkpoint.resume:
+        # Thermalization is already in the restored trajectory.
+        first_sweep, series = state.restore_rank_state(checkpoint.directory)
+    else:
+        for _ in range(cfg.n_thermalize):
+            state.sweep()
+    for s in range(first_sweep, cfg.n_sweeps):
+        state.sweep()
+        if s % cfg.measure_every == 0:
+            for name, value in zip(state.series, state.measure()):
+                series[name].append(value)
+            if monitor.enabled:
+                monitor.t_model = comm.clock.now
+                for name in state.health_series:
+                    monitor.observe(name, series[name][-1], s)
+            if on_measure is not None:
+                on_measure(s, series)
+        if (
+            checkpoint is not None
+            and checkpoint.every
+            and (s + 1) % checkpoint.every == 0
+        ):
+            if before_save is not None:
+                before_save()
+            state.save_rank_state(checkpoint.directory, s + 1, series)
+        if check_every and (s + 1) % check_every == 0:
+            monitor.check(
+                s + 1,
+                attempted=state.n_attempted,
+                accepted=state.n_accepted,
+                model_seconds=comm.clock.now,
+                comm_seconds=clock_comm_seconds(comm.clock),
+            )
+        if interval and (s + 1) % interval == 0:
+            comm.sync_metrics()
+            metrics.snapshot(sweep=s + 1, t_model=comm.clock.now)
+    out = {name: np.array(values) for name, values in series.items()}
+    out.update(state.result())
+    out.update(
+        mode=cfg.mode,
+        n_attempted=state.n_attempted,
+        n_accepted=state.n_accepted,
+        overlap_active=state.overlap_active,
+    )
+    if monitor.enabled:
+        out["health_events"] = monitor.event_docs()
+        out["health_summary"] = monitor.summary()
+    return out
 
 
 # ======================================================================
@@ -190,7 +509,7 @@ class WorldlineStripConfig:
         _validate_mode(self.mode)
 
 
-class _StripState:
+class _StripState(_DecomposedState):
     """Per-rank world-line state: owned columns plus two ghosts per side.
 
     Local layout along axis 0: ``[ghost(start-2), ghost(start-1),
@@ -200,9 +519,16 @@ class _StripState:
     ``seam - 1 .. seam + 2``).
     """
 
+    _array = "loc"
+    _array_label = "strip block"
+    series = ("energy", "magnetization")
+    health_series = series
+    _tag_schedule = (_TAG_WL, 16, 2)
+    _driver = "worldline_strip"
+    _fingerprint = ("n_sites", "n_slices", "jz", "jxy", "beta")
+
     def __init__(self, comm, cfg: WorldlineStripConfig):
-        self.comm = comm
-        self.cfg = cfg
+        super().__init__(comm, cfg)
         self.L = cfg.n_sites
         self.T = cfg.n_slices
         self.n_trotter = cfg.n_slices // 2
@@ -217,36 +543,29 @@ class _StripState:
         self.decomp = decomp
         piece = decomp.piece(comm.rank)
         self.start, self.stop = piece.start, piece.stop
-        self.n_owned = piece.n_owned
-        self.left, self.right = piece.left_rank, piece.right_rank
-        if comm.size > 1 and self.n_owned < 4:
+        self.n_owned = n = piece.n_owned
+        if comm.size > 1 and n < 4:
             raise ValueError(
                 "strip world-line driver needs >= 4 owned columns per rank"
             )
         # Neel start, straight world lines (legal everywhere).
         g = np.arange(self.start - 2, self.stop + 2)
-        self.loc = np.repeat((g % 2).astype(np.int8)[:, None], self.T, axis=1)
+        self.loc = loc = np.repeat(
+            (g % 2).astype(np.int8)[:, None], self.T, axis=1
+        )
+        # Every stage (and the measurement) refreshes all four ghost
+        # columns: the two boundary columns a neighbor needs travel as
+        # a single contiguous ``(2, T)`` int8 buffer (one alpha charge
+        # instead of two).  Single-rank runs wrap locally.
+        right, left = (
+            (piece.right_rank, piece.left_rank) if comm.size > 1 else (None, None)
+        )
+        self._links = {None: [[
+            _HaloLink(right, left, loc[n : n + 2], loc[0:2], 0),
+            _HaloLink(left, right, loc[2:4], loc[n + 2 : n + 4], 1),
+        ]]}
         self._t_even = np.arange(0, self.T, 2, dtype=np.intp)
         self._t_odd = np.arange(1, self.T, 2, dtype=np.intp)
-        self.sweep_factory = SeedSequenceFactory(cfg.sweep_seed)
-        self.sweep_index = 0
-        self._n_exchanges = 0
-        #: Cumulative Metropolis accounting across the rank's lifetime
-        #: (always maintained -- the CLI summary prints acceptance
-        #: without telemetry flags).
-        self.n_attempted = 0
-        self.n_accepted = 0
-        # Resolve the kernel backend once per rank ("scalar" bypasses
-        # the registry; every registry backend is trajectory-identical).
-        self.kernel = kernels.resolve_sweep_mode(cfg.mode)
-        self._kops = (
-            None if self.kernel == "scalar" else kernels.get_ops(self.kernel)
-        )
-        _bind_sweep_metrics(self, comm.metrics)
-        if self._obs:
-            self._m_kernel = comm.metrics.counter(
-                f"sweep.kernel_seconds.{self.kernel}"
-            )
         # One shared uniform block per sweep, sliced per stage: corner
         # classes consume an (L/4, T/4) lattice, column parities L/2.
         sizes = [
@@ -255,10 +574,17 @@ class _StripState:
         ]
         self._u_offsets = np.concatenate(([0], np.cumsum(sizes)))
         self._u_total = int(self._u_offsets[-1])
+        # Per-kind kernels, resolved once ("scalar" bypasses the registry).
+        vec = self._kops is not None
+        self._stage_fn = {
+            "corner": (
+                self._corner_class_vectorized if vec else self._corner_class_scalar
+            ),
+            "column": (
+                self._column_parity_vectorized if vec else self._column_parity_scalar
+            ),
+        }
         self._build_stage_caches()
-        #: Overlap pipeline engages only with real neighbors (P > 1) and
-        #: a non-degenerate interior in every independence class.
-        self.overlap_active = False
         if cfg.overlap and comm.size > 1:
             self._build_overlap_caches()
 
@@ -279,16 +605,15 @@ class _StripState:
         flat positions of the four spins a move toggles.
         """
         n, T, L = self.n_owned, self.T, self.L
-        self._corner_cache: dict[tuple[int, int], dict | None] = {}
+        #: One table per entry of :data:`WL_STAGES`, in stage order; none
+        #: is empty (L % 4 == T % 4 == 0 and an even n_owned >= 4).
+        self._stage_cache: list[dict] = []
         for kind, a, b in WL_STAGES:
             if kind != "corner":
                 continue
             j0 = 1 + ((a - (self.start - 1)) % 4)
             lj = np.arange(j0, n + 2, 4, dtype=np.intp)
             tt = np.arange(b, T, 4, dtype=np.intp)
-            if lj.size == 0 or tt.size == 0:
-                self._corner_cache[(a, b)] = None
-                continue
             J, Tt = np.meshgrid(lj, tt, indexing="ij")
             J, Tt = J.ravel(), Tt.ravel()
             gb = (self.start - 2 + J) % L
@@ -299,11 +624,9 @@ class _StripState:
             lb = np.stack([J - 1, J + 1, J, J])
             pt = np.stack([Tt, Tt, tm1, t1])
             pt1 = (pt + 1) % T
-            self._corner_cache[(a, b)] = {
+            self._stage_cache.append({
                 "j": J,
                 "t": Tt,
-                "t1": t1,
-                "tm1": tm1,
                 "ui": (gb - a) // 4,
                 "ut": (Tt - b) // 4,
                 "uflat": (gb - a) // 4 * (T // 4) + (Tt - b) // 4,
@@ -314,34 +637,32 @@ class _StripState:
                 "flip": np.stack(
                     [J * T + Tt, J * T + t1, (J + 1) * T + Tt, (J + 1) * T + t1]
                 ),
-            }
-        self._column_cache: dict[int, dict] = {}
+            })
         for p in (0, 1):
             first = self.start + ((p - self.start) % 2)
             gc = np.arange(first, self.stop, 2, dtype=np.intp)
-            cache = {
+            lc = gc - self.start + 2
+            # Bond-columns gc-1 and gc, as (2, n_cols, T/2) flat spin
+            # indices; a column flip XORs the off=-1 codes with 10
+            # (bits 1,3) and the off=0 codes with 5.
+            i00, i10, i01, i11 = [], [], [], []
+            for off in (-1, 0):
+                lb = lc + off
+                ts = self._t_even if (p + off) % 2 == 0 else self._t_odd
+                ts1 = (ts + 1) % T
+                i00.append(lb[:, None] * T + ts[None, :])
+                i10.append((lb[:, None] + 1) * T + ts[None, :])
+                i01.append(lb[:, None] * T + ts1[None, :])
+                i11.append((lb[:, None] + 1) * T + ts1[None, :])
+            self._stage_cache.append({
                 "gc": gc,
-                "lc": gc - self.start + 2,
+                "lc": lc,
                 "uc": (gc - p) // 2,
-            }
-            if gc.size:
-                # Bond-columns gc-1 and gc, as (2, n_cols, T/2) flat
-                # spin indices; a column flip XORs the off=-1 codes
-                # with 10 (bits 1,3) and the off=0 codes with 5.
-                i00, i10, i01, i11 = [], [], [], []
-                for off in (-1, 0):
-                    lb = cache["lc"] + off
-                    ts = self._t_even if (p + off) % 2 == 0 else self._t_odd
-                    ts1 = (ts + 1) % T
-                    i00.append(lb[:, None] * T + ts[None, :])
-                    i10.append((lb[:, None] + 1) * T + ts[None, :])
-                    i01.append(lb[:, None] * T + ts1[None, :])
-                    i11.append((lb[:, None] + 1) * T + ts1[None, :])
-                cache.update(
-                    c00=np.stack(i00), c10=np.stack(i10),
-                    c01=np.stack(i01), c11=np.stack(i11),
-                )
-            self._column_cache[p] = cache
+                "c00": np.stack(i00),
+                "c10": np.stack(i10),
+                "c01": np.stack(i01),
+                "c11": np.stack(i11),
+            })
 
     @staticmethod
     def _subset_cache(cache: dict, sel: np.ndarray) -> dict | None:
@@ -373,52 +694,28 @@ class _StripState:
         lockstep path.
         """
         n = self.n_owned
-        self._corner_split: dict[tuple[int, int], tuple[dict | None, dict | None]] = {}
-        self._column_split: dict[int, tuple[dict | None, dict | None]] = {}
         rank = self.comm.rank
-        for kind, a, b in WL_STAGES:
+        #: Per stage: its ``(interior, boundary)`` sub-tables.
+        self._stage_split: list[tuple[dict | None, dict | None]] = []
+        for (kind, a, b), cache in zip(WL_STAGES, self._stage_cache):
             if kind == "corner":
-                cache = self._corner_cache[(a, b)]
-                if cache is None:
-                    self._corner_split[(a, b)] = (None, None)
-                    continue
-                part = self.decomp.overlap_partition(
-                    ("wl-corner", rank, a, b), cache["j"], 3, n - 1
-                )
-                if part.all_boundary:
-                    warnings.warn(
-                        f"strip overlap disabled: corner class ({a}, {b}) has "
-                        f"no interior moves on rank {rank} ({n} owned "
-                        f"columns); falling back to the lockstep exchange",
-                        stacklevel=3,
-                    )
-                    self.overlap_active = False
-                    return
-                self._corner_split[(a, b)] = (
-                    self._subset_cache(cache, part.interior),
-                    self._subset_cache(cache, part.boundary),
-                )
+                key, rows, hi = ("wl-corner", rank, a, b), "j", n - 1
+                what = f"corner class ({a}, {b}) has no interior moves"
             else:
-                cache = self._column_cache[a]
-                if cache["lc"].size == 0:
-                    self._column_split[a] = (None, None)
-                    continue
-                part = self.decomp.overlap_partition(
-                    ("wl-col", rank, a), cache["lc"], 3, n
+                key, rows, hi = ("wl-col", rank, a), "lc", n
+                what = f"column parity {a} has no interior columns"
+            part = self.decomp.overlap_partition(key, cache[rows], 3, hi)
+            if part.all_boundary:
+                warnings.warn(
+                    f"strip overlap disabled: {what} on rank {rank} ({n} "
+                    f"owned columns); falling back to the lockstep exchange",
+                    stacklevel=3,
                 )
-                if part.all_boundary:
-                    warnings.warn(
-                        f"strip overlap disabled: column parity {a} has no "
-                        f"interior columns on rank {rank} ({n} owned "
-                        f"columns); falling back to the lockstep exchange",
-                        stacklevel=3,
-                    )
-                    self.overlap_active = False
-                    return
-                self._column_split[a] = (
-                    self._subset_cache(cache, part.interior),
-                    self._subset_cache(cache, part.boundary),
-                )
+                return
+            self._stage_split.append((
+                self._subset_cache(cache, part.interior),
+                self._subset_cache(cache, part.boundary),
+            ))
         self.overlap_active = True
 
     # -- indexing helpers -------------------------------------------------
@@ -443,74 +740,6 @@ class _StripState:
             + 4 * int(s[j, t1])
             + 8 * int(s[j + 1, t1])
         )
-
-    # -- communication -----------------------------------------------------
-    def exchange_ghosts(self) -> None:
-        """Refresh all four ghost columns: ONE message per neighbor.
-
-        The two boundary columns a neighbor needs travel as a single
-        contiguous ``(2, T)`` int8 buffer -- the aggregated-halo
-        protocol (one alpha charge instead of two).  Single-rank runs
-        wrap locally.
-        """
-        n = self.n_owned
-        loc = self.loc
-        if self.comm.size == 1:
-            loc[0:2] = loc[n : n + 2]
-            loc[n + 2 : n + 4] = loc[2:4]
-            return
-        tag = _TAG_WL + (self._n_exchanges % 16) * 2
-        self._n_exchanges += 1
-        comm = self.comm
-        comm.send(np.ascontiguousarray(loc[n : n + 2]), self.right, tag=tag)
-        comm.send(np.ascontiguousarray(loc[2:4]), self.left, tag=tag + 1)
-        loc[0:2] = comm.recv(source=self.left, tag=tag)
-        loc[n + 2 : n + 4] = comm.recv(source=self.right, tag=tag + 1)
-
-    def _exchange_begin(self) -> tuple | None:
-        """Overlap stage 1-2: pack boundary columns, post offloaded sends/recvs.
-
-        Same payloads, destinations, and tag schedule as
-        :meth:`exchange_ghosts`; the packing copy
-        (``ascontiguousarray``) happens here, before any interior
-        update, so the in-flight data is the pre-stage state exactly as
-        in the lockstep path.  Single-rank runs wrap locally and return
-        ``None``.
-        """
-        n = self.n_owned
-        loc = self.loc
-        if self.comm.size == 1:
-            loc[0:2] = loc[n : n + 2]
-            loc[n + 2 : n + 4] = loc[2:4]
-            return None
-        tag = _TAG_WL + (self._n_exchanges % 16) * 2
-        self._n_exchanges += 1
-        comm = self.comm
-        comm.isend(
-            np.ascontiguousarray(loc[n : n + 2]), self.right, tag=tag,
-            offload=True,
-        )
-        comm.isend(
-            np.ascontiguousarray(loc[2:4]), self.left, tag=tag + 1,
-            offload=True,
-        )
-        r_left = comm.irecv(source=self.left, tag=tag, offload=True)
-        r_right = comm.irecv(source=self.right, tag=tag + 1, offload=True)
-        return (r_left, r_right)
-
-    def _exchange_complete(self, reqs: tuple | None) -> None:
-        """Overlap stage 4: wait for the halo and unpack the ghost columns.
-
-        Waits in the same left-then-right order the lockstep path
-        receives in, so the modeled clock advances through identical
-        arrival stamps.
-        """
-        if reqs is None:
-            return
-        r_left, r_right = reqs
-        n = self.n_owned
-        self.loc[0:2] = r_left.wait()
-        self.loc[n + 2 : n + 4] = r_right.wait()
 
     # -- shared randomness --------------------------------------------------
     def _sweep_uniforms(self) -> np.ndarray:
@@ -638,12 +867,9 @@ class _StripState:
         """
         if cache is None:
             return
-        lc = cache["lc"]
-        if lc.size == 0:
-            return
         log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
         n_straight, n_acc = self._kops["strip_column"](
-            self.loc, self._logw, lc,
+            self.loc, self._logw, cache["lc"],
             cache["c00"], cache["c10"], cache["c01"], cache["c11"], log_uu,
         )
         if n_straight == 0:
@@ -686,137 +912,27 @@ class _StripState:
             self.comm.machine.compute_time(2.0 * self.T * n_straight), category
         )
 
-    def _stage_kernel(self, kind: str, cache: dict | None, u: np.ndarray,
-                      category: str = "compute") -> None:
-        """Dispatch one stage's (sub-)table to the resolved kernel backend."""
-        obs = self._obs
-        if obs:
-            t0 = perf_counter()
-        if kind == "corner":
-            if self._kops is None:
-                self._corner_class_scalar(cache, u, category)
-            else:
-                self._corner_class_vectorized(cache, u, category)
-        elif self._kops is None:
-            self._column_parity_scalar(cache, u, category)
-        else:
-            self._column_parity_vectorized(cache, u, category)
-        if obs:
-            self._m_kernel.inc(perf_counter() - t0)
-
-    def sweep(self) -> None:
+    def _sweep_stages(self) -> None:
         """One full sweep: 10 stages, one aggregated ghost exchange each.
 
         With the overlap pipeline active, each stage instead posts its
         exchange, updates the interior sub-table while the halo is in
         flight, waits, and finishes with the boundary sub-table.
         """
-        obs = self._obs
-        if obs:
-            t0_wall = perf_counter()
-            t0_model = self.comm.clock.now
-            att0, acc0 = self.n_attempted, self.n_accepted
         u_sweep = self._sweep_uniforms()
-        if self.overlap_active:
-            for s_idx, (kind, x, y) in enumerate(WL_STAGES):
-                reqs = self._exchange_begin()
-                u = self._stage_slice(u_sweep, s_idx)
-                split = (
-                    self._corner_split[(x, y)]
-                    if kind == "corner"
-                    else self._column_split[x]
-                )
-                self._stage_kernel(kind, split[0], u, "interior")
-                self._exchange_complete(reqs)
-                self._stage_kernel(kind, split[1], u, "boundary")
-        else:
-            for s_idx, (kind, x, y) in enumerate(WL_STAGES):
-                self.exchange_ghosts()
-                u = self._stage_slice(u_sweep, s_idx)
-                cache = (
-                    self._corner_cache[(x, y)]
-                    if kind == "corner"
-                    else self._column_cache[x]
-                )
-                self._stage_kernel(kind, cache, u)
+        for s_idx, (kind, _, _) in enumerate(WL_STAGES):
+            kernel = self._stage_fn[kind]
+            u = self._stage_slice(u_sweep, s_idx)
+            if self.overlap_active:
+                interior, boundary = self._stage_split[s_idx]
+                pending = self._exchange(offload=True)
+                self._timed(kernel, interior, u, "interior")
+                self._exchange_wait(pending)
+                self._timed(kernel, boundary, u, "boundary")
+            else:
+                self._exchange()
+                self._timed(kernel, self._stage_cache[s_idx], u, "compute")
         self.sweep_index += 1
-        if obs:
-            att = self.n_attempted - att0
-            acc = self.n_accepted - acc0
-            self._m_sweeps.inc()
-            self._m_attempted.inc(att)
-            self._m_accepted.inc(acc)
-            self._m_model.inc(self.comm.clock.now - t0_model)
-            self._m_wall.inc(perf_counter() - t0_wall)
-            if att:
-                self._m_acc_hist.observe(acc / att)
-
-    # -- checkpoint/restart --------------------------------------------------
-    def _checkpoint_expect(self) -> dict:
-        """Geometry/seed fingerprint a resume must match exactly."""
-        cfg = self.cfg
-        return {
-            "driver": "worldline_strip",
-            "n_ranks": self.comm.size,
-            "n_sites": self.L,
-            "n_slices": self.T,
-            "jz": cfg.jz,
-            "jxy": cfg.jxy,
-            "beta": cfg.beta,
-            "sweep_seed": cfg.sweep_seed,
-            "n_thermalize": cfg.n_thermalize,
-        }
-
-    def save_rank_state(self, directory, sweeps_done: int, energies, mags) -> None:
-        """Snapshot this rank's complete resumable state to its bundle.
-
-        Captures the ghosted local spins, the sweep and halo-exchange
-        counters, the rank's RNG stream, and the accumulated series --
-        everything a restarted rank needs to continue the trajectory
-        bit-identically (``mode`` is deliberately absent: scalar and
-        vectorized kernels share trajectories, so resumes may switch).
-        """
-        from repro.run.checkpoint import pack_rng_state, save_rank_checkpoint
-
-        meta = self._checkpoint_expect()
-        meta["sweeps_done"] = int(sweeps_done)
-        meta["sweep_index"] = int(self.sweep_index)
-        meta["n_exchanges"] = int(self._n_exchanges)
-        save_rank_checkpoint(
-            directory,
-            self.comm.rank,
-            meta,
-            {
-                "loc": self.loc,
-                "energy": np.asarray(energies, dtype=np.float64),
-                "magnetization": np.asarray(mags, dtype=np.float64),
-                "rng_state": pack_rng_state(self.comm.stream.generator),
-            },
-            metrics=self.comm.metrics,
-        )
-
-    def restore_rank_state(self, directory) -> tuple[int, list, list]:
-        """Restore this rank from its bundle; returns (sweeps_done, series...)."""
-        from repro.run.checkpoint import load_rank_checkpoint, restore_rng_state
-
-        meta, arrays = load_rank_checkpoint(
-            directory, self.comm.rank, expect=self._checkpoint_expect(),
-            metrics=self.comm.metrics,
-        )
-        if arrays["loc"].shape != self.loc.shape:
-            raise ValueError(
-                f"checkpoint strip block {arrays['loc'].shape} != "
-                f"this rank's {self.loc.shape}"
-            )
-        self.loc[...] = arrays["loc"]
-        self.sweep_index = int(meta["sweep_index"])
-        self._n_exchanges = int(meta["n_exchanges"])
-        restore_rng_state(self.comm.stream.generator, arrays["rng_state"])
-        return (
-            int(meta["sweeps_done"]),
-            arrays["energy"].tolist(),
-            arrays["magnetization"].tolist(),
-        )
 
     # -- measurement ---------------------------------------------------------
     def local_dlog_sum(self) -> float:
@@ -833,9 +949,22 @@ class _StripState:
             total += float(np.sum(self.table.dlog[self._codes(bb, tt)]))
         return total
 
-    def local_magnetization(self) -> float:
-        """Owned-column contribution to total S^z on slice 0."""
-        return float(self.loc[2 : self.n_owned + 2, 0].sum() - self.n_owned / 2.0)
+    def measure(self) -> tuple[float, float]:
+        """Energy estimate and slice-0 total S^z of the whole chain."""
+        self._exchange()
+        dlog = self.comm.allreduce(self.local_dlog_sum())
+        owned = self.loc[2 : self.n_owned + 2, 0]
+        mag = self.comm.allreduce(float(owned.sum() - self.n_owned / 2.0))
+        return -dlog / self.n_trotter, mag
+
+    def result(self) -> dict:
+        return {
+            "owned_spins": self.loc[2 : self.n_owned + 2].copy(),
+            "start": self.start,
+            "stop": self.stop,
+            "beta": self.cfg.beta,
+            "dtau": self.dtau,
+        }
 
 
 def worldline_strip_program(
@@ -848,7 +977,10 @@ def worldline_strip_program(
 
     Returns, on every rank, a dict with the energy and magnetization
     time series (identical across ranks thanks to allreduce) plus this
-    rank's final owned spin block (for invariant checks).
+    rank's final owned spin block (for invariant checks) and
+    ``overlap_active`` -- whether the halo-overlap pipeline actually
+    ran on this rank (a requested overlap falls back to lockstep on
+    thin strips).
 
     ``checkpoint`` enables distributed checkpoint/restart: with
     ``every > 0`` each rank snapshots its bundle after every
@@ -863,69 +995,7 @@ def worldline_strip_program(
     dict.  The monitor is pure observation (no RNG, no comm), so the
     trajectory is bit-identical with health on or off.
     """
-    state = _StripState(comm, cfg)
-    metrics = comm.metrics
-    interval = metrics.interval if metrics.enabled else 0
-    monitor = (
-        HealthMonitor(health, rank=comm.rank) if health is not None else NOOP_HEALTH
-    )
-    health_on = monitor.enabled
-    check_every = health.interval if health is not None else 0
-    energies, mags = [], []
-    first_sweep = 0
-    if checkpoint is not None and checkpoint.resume:
-        first_sweep, energies, mags = state.restore_rank_state(
-            checkpoint.directory
-        )
-    else:
-        for _ in range(cfg.n_thermalize):
-            state.sweep()
-    for s in range(first_sweep, cfg.n_sweeps):
-        state.sweep()
-        if s % cfg.measure_every == 0:
-            state.exchange_ghosts()
-            dlog = comm.allreduce(state.local_dlog_sum())
-            mag = comm.allreduce(state.local_magnetization())
-            energies.append(-dlog / state.n_trotter)
-            mags.append(mag)
-            if health_on:
-                monitor.t_model = comm.clock.now
-                monitor.observe("energy", energies[-1], s)
-                monitor.observe("magnetization", mag, s)
-        if (
-            checkpoint is not None
-            and checkpoint.every
-            and (s + 1) % checkpoint.every == 0
-        ):
-            state.save_rank_state(checkpoint.directory, s + 1, energies, mags)
-        if check_every and (s + 1) % check_every == 0:
-            monitor.check(
-                s + 1,
-                attempted=state.n_attempted,
-                accepted=state.n_accepted,
-                model_seconds=comm.clock.now,
-                comm_seconds=clock_comm_seconds(comm.clock),
-            )
-        if interval and (s + 1) % interval == 0:
-            comm.sync_metrics()
-            metrics.snapshot(sweep=s + 1, t_model=comm.clock.now)
-    owned = state.loc[2 : state.n_owned + 2].copy()
-    out = {
-        "energy": np.array(energies),
-        "magnetization": np.array(mags),
-        "owned_spins": owned,
-        "start": state.start,
-        "stop": state.stop,
-        "beta": cfg.beta,
-        "dtau": state.dtau,
-        "mode": cfg.mode,
-        "n_attempted": state.n_attempted,
-        "n_accepted": state.n_accepted,
-    }
-    if health_on:
-        out["health_events"] = monitor.event_docs()
-        out["health_summary"] = monitor.summary()
-    return out
+    return _run_decomposed(_StripState(comm, cfg), checkpoint, health)
 
 
 # ======================================================================
@@ -976,17 +1046,24 @@ class IsingBlockConfig:
         _validate_mode(self.mode)
 
 
-class _BlockState:
+class _BlockState(_DecomposedState):
     """Per-rank block of the (lx, ly, lt) classical lattice.
 
-    The block lives inside a ghosted array with one ghost plane per
-    spatial side; ``spins`` is the interior view.  Ghost corners are
-    never read (no diagonal couplings).
+    The block lives inside a ghosted array ``g`` with one ghost plane
+    per spatial side; ``spins`` is the interior view.  Ghost corners
+    are never read (no diagonal couplings).
     """
 
+    _array = "g"
+    _array_label = "block"
+    series = ("magnetization", "bond_sums")
+    health_series = ("magnetization",)
+    _tag_schedule = (_TAG_ISING, 8, 4)
+    _driver = "ising_block"
+    _fingerprint = ("lx", "ly", "lt", "kx", "ky", "kt")
+
     def __init__(self, comm, cfg: IsingBlockConfig):
-        self.comm = comm
-        self.cfg = cfg
+        super().__init__(comm, cfg)
         grid = None
         if cfg.ly == 1:
             grid = (comm.size, 1)  # inert y axis: decompose x only
@@ -1011,31 +1088,21 @@ class _BlockState:
         self.couplings = np.array([cfg.kx, cfg.ky, cfg.kt])
         # Cold start matching AnisotropicIsing's default; ghost planes
         # are overwritten by the first exchange.
-        self._g = np.ones((self.bx + 2, self.by + 2, self.lt), dtype=np.int8)
-        self.spins = self._g[1:-1, 1:-1]
+        self.g = np.ones((self.bx + 2, self.by + 2, self.lt), dtype=np.int8)
+        self.spins = self.g[1:-1, 1:-1]
         # Global parity of each local site (for checkerboard colors).
         gx = np.arange(p.x_start, p.x_stop)
         gy = np.arange(p.y_start, p.y_stop)
         gt = np.arange(self.lt)
         parity = (gx[:, None, None] + gy[None, :, None] + gt[None, None, :]) % 2
         self.color_masks = [(parity == c) for c in (0, 1)]
-        # Plane-parity tables for color-packed halos: the parity of an
-        # x-boundary site is (gx + yt_par) % 2, of a y-boundary site
-        # (gy + xt_par) % 2.  Sender and receiver evaluate the same
-        # global coordinate, so pack/unpack masks agree.
-        self._yt_par = (gy[:, None] + gt[None, :]) % 2
-        self._xt_par = (gx[:, None] + gt[None, :]) % 2
-        self.sweep_factory = SeedSequenceFactory(cfg.sweep_seed)
-        self.sweep_index = 0
-        self._n_exchanges = 0
-        #: Cumulative Metropolis accounting (always maintained; see
-        #: :class:`_StripState`).
-        self.n_attempted = 0
-        self.n_accepted = 0
+        self._n_sites = cfg.lx * cfg.ly * cfg.lt
         self._n_color_sites = [int(m.sum()) for m in self.color_masks]
-        #: Overlap pipeline state: per-color interior/boundary masks and
-        #: interior site counts (compute-charge split weights).
-        self.overlap_active = False
+        # Link tables per stage: the two checkerboard colors, plus
+        # ``None`` for the full-plane measurement exchange.
+        self._links = {c: self._build_links(c) for c in (0, 1, None)}
+        # Overlap pipeline state: per-color interior/boundary masks and
+        # interior site counts (compute-charge split weights).
         if cfg.overlap and comm.size > 1:
             part = decomp.overlap_partition(comm.rank)
             if part.all_boundary:
@@ -1053,148 +1120,47 @@ class _BlockState:
                 self._bnd_masks = [m & bnd3 for m in self.color_masks]
                 self._n_int = [int(m.sum()) for m in self._int_masks]
                 self.overlap_active = True
-        # Resolve the kernel backend once per rank (see _StripState).
-        self.kernel = kernels.resolve_sweep_mode(cfg.mode)
-        self._kops = (
-            None if self.kernel == "scalar" else kernels.get_ops(self.kernel)
-        )
-        _bind_sweep_metrics(self, comm.metrics)
-        if self._obs:
-            self._m_kernel = comm.metrics.counter(
-                f"sweep.kernel_seconds.{self.kernel}"
-            )
 
-    # -- halo exchange ------------------------------------------------------
-    def _x_mask(self, gx_plane: int, color: int) -> np.ndarray:
-        """Sites of an x-boundary plane with global parity ``(color+1) % 2``."""
-        return self._yt_par == ((gx_plane + color + 1) % 2)
+    # -- halo description -----------------------------------------------------
+    def _build_links(self, color: int | None) -> list[list[_HaloLink]]:
+        """The x-axis and y-axis link pairs of one stage.
 
-    def _y_mask(self, gy_plane: int, color: int) -> np.ndarray:
-        """Sites of a y-boundary plane with global parity ``(color+1) % 2``."""
-        return self._xt_par == ((gy_plane + color + 1) % 2)
-
-    def _exchange_ghosts(self, color: int | None = None) -> None:
-        """Aggregated ghost-plane refresh: one packed message per neighbor.
-
-        ``color`` selects the checkerboard color about to be updated;
-        only the opposite-parity boundary sites -- the ones that color
+        ``color`` is the checkerboard color about to be updated: only
+        the opposite-parity boundary sites -- the ones that color
         actually reads -- are packed, halving the wire bytes at the
-        same message count.  ``color=None`` ships full planes (the
-        measurement exchange).  Axes the process grid does not split
-        wrap locally for free.
+        same message count.  The parity of an x-boundary site is
+        ``(gx + yt) % 2``, of a y-boundary site ``(gy + xt) % 2``;
+        sender and receiver evaluate the same *global* plane
+        coordinate, so pack and unpack masks agree.  ``color=None``
+        ships full planes.  Axes the process grid does not split wrap
+        locally.
         """
-        comm, p, g = self.comm, self.piece, self._g
-        s = self.spins
-        tag = _TAG_ISING + (self._n_exchanges % 8) * 4
-        self._n_exchanges += 1
-        if self.decomp.px > 1:
-            east_mask = None if color is None else self._x_mask(p.x_stop - 1, color)
-            west_mask = None if color is None else self._x_mask(p.x_start, color)
-            comm.send(pack_plane(s[-1], east_mask), p.east, tag=tag)
-            comm.send(pack_plane(s[0], west_mask), p.west, tag=tag + 1)
-            unpack_plane(
-                g[0, 1:-1],
-                comm.recv(source=p.west, tag=tag),
-                None if color is None else self._x_mask(p.x_start - 1, color),
-            )
-            unpack_plane(
-                g[-1, 1:-1],
-                comm.recv(source=p.east, tag=tag + 1),
-                None if color is None else self._x_mask(p.x_stop, color),
-            )
-        else:
-            g[0, 1:-1] = s[-1]
-            g[-1, 1:-1] = s[0]
-        if self.decomp.py > 1:
-            north_mask = None if color is None else self._y_mask(p.y_stop - 1, color)
-            south_mask = None if color is None else self._y_mask(p.y_start, color)
-            comm.send(pack_plane(s[:, -1], north_mask), p.north, tag=tag + 2)
-            comm.send(pack_plane(s[:, 0], south_mask), p.south, tag=tag + 3)
-            unpack_plane(
-                g[1:-1, 0],
-                comm.recv(source=p.south, tag=tag + 2),
-                None if color is None else self._y_mask(p.y_start - 1, color),
-            )
-            unpack_plane(
-                g[1:-1, -1],
-                comm.recv(source=p.north, tag=tag + 3),
-                None if color is None else self._y_mask(p.y_stop, color),
-            )
-        else:
-            g[1:-1, 0] = s[:, -1]
-            g[1:-1, -1] = s[:, 0]
 
-    def _exchange_begin(self, color: int) -> list:
-        """Overlap stages 1-2: pack boundary planes, post offloaded messages.
+        def mask(par: np.ndarray, plane: int) -> np.ndarray | None:
+            if color is None:
+                return None
+            return par == ((plane + color + 1) % 2)
 
-        Same color-packed payloads, neighbors, and tag schedule as
-        :meth:`_exchange_ghosts`; axes the process grid does not split
-        wrap locally here, before any interior flip, so the shipped (and
-        wrapped) data is the pre-color state exactly as in the lockstep
-        path.  Returns ``(request, ghost_view, unpack_mask)`` triples in
-        the lockstep receive order (west, east, south, north).
-        """
-        comm, p, g = self.comm, self.piece, self._g
-        s = self.spins
-        tag = _TAG_ISING + (self._n_exchanges % 8) * 4
-        self._n_exchanges += 1
-        pending: list = []
-        if self.decomp.px > 1:
-            east_mask = self._x_mask(p.x_stop - 1, color)
-            west_mask = self._x_mask(p.x_start, color)
-            comm.isend(pack_plane(s[-1], east_mask), p.east, tag=tag,
-                       offload=True)
-            comm.isend(pack_plane(s[0], west_mask), p.west, tag=tag + 1,
-                       offload=True)
-            pending.append((
-                comm.irecv(source=p.west, tag=tag, offload=True),
-                g[0, 1:-1],
-                self._x_mask(p.x_start - 1, color),
-            ))
-            pending.append((
-                comm.irecv(source=p.east, tag=tag + 1, offload=True),
-                g[-1, 1:-1],
-                self._x_mask(p.x_stop, color),
-            ))
-        else:
-            g[0, 1:-1] = s[-1]
-            g[-1, 1:-1] = s[0]
-        if self.decomp.py > 1:
-            north_mask = self._y_mask(p.y_stop - 1, color)
-            south_mask = self._y_mask(p.y_start, color)
-            comm.isend(pack_plane(s[:, -1], north_mask), p.north,
-                       tag=tag + 2, offload=True)
-            comm.isend(pack_plane(s[:, 0], south_mask), p.south,
-                       tag=tag + 3, offload=True)
-            pending.append((
-                comm.irecv(source=p.south, tag=tag + 2, offload=True),
-                g[1:-1, 0],
-                self._y_mask(p.y_start - 1, color),
-            ))
-            pending.append((
-                comm.irecv(source=p.north, tag=tag + 3, offload=True),
-                g[1:-1, -1],
-                self._y_mask(p.y_stop, color),
-            ))
-        else:
-            g[1:-1, 0] = s[:, -1]
-            g[1:-1, -1] = s[:, 0]
-        return pending
-
-    def _exchange_complete(self, pending: list) -> None:
-        """Overlap stage 4: wait for each halo message, unpack its plane."""
-        for req, ghost_view, mask in pending:
-            unpack_plane(ghost_view, req.wait(), mask)
-
-    def local_field(self) -> np.ndarray:
-        """``sum_a K_a (s_+a + s_-a)`` for every owned site, via the ghosts."""
-        g = self._g
-        s = self.spins
-        kx, ky, kt = self.couplings
-        field = kx * (g[2:, 1:-1] + g[:-2, 1:-1])
-        field = field + ky * (g[1:-1, 2:] + g[1:-1, :-2])
-        field += kt * (np.roll(s, 1, axis=2) + np.roll(s, -1, axis=2))
-        return field
+        p, g, s = self.piece, self.g, self.spins
+        gt = np.arange(self.lt)
+        yt = (np.arange(p.y_start, p.y_stop)[:, None] + gt) % 2
+        xt = (np.arange(p.x_start, p.x_stop)[:, None] + gt) % 2
+        east, west = (p.east, p.west) if self.decomp.px > 1 else (None, None)
+        north, south = (p.north, p.south) if self.decomp.py > 1 else (None, None)
+        return [
+            [
+                _HaloLink(east, west, s[-1], g[0, 1:-1], 0,
+                          mask(yt, p.x_stop - 1), mask(yt, p.x_start - 1)),
+                _HaloLink(west, east, s[0], g[-1, 1:-1], 1,
+                          mask(yt, p.x_start), mask(yt, p.x_stop)),
+            ],
+            [
+                _HaloLink(north, south, s[:, -1], g[1:-1, 0], 2,
+                          mask(xt, p.y_stop - 1), mask(xt, p.y_start - 1)),
+                _HaloLink(south, north, s[:, 0], g[1:-1, -1], 3,
+                          mask(xt, p.y_start), mask(xt, p.y_stop)),
+            ],
+        ]
 
     def _sweep_uniforms(self) -> np.ndarray:
         """This sweep's per-site uniforms, *sliced from the global field*.
@@ -1219,7 +1185,7 @@ class _BlockState:
         sites never neighbor each other, so any visit order yields the
         identical trajectory).  Returns the number of accepted flips.
         """
-        g = self._g
+        g = self.g
         s = self.spins
         kx, ky, kt = self.couplings
         lt = self.lt
@@ -1234,26 +1200,17 @@ class _BlockState:
                 n_acc += 1
         return n_acc
 
-    def _accept_vectorized(self, mask: np.ndarray, log_u: np.ndarray) -> int:
-        """Batched Metropolis over ``mask`` via the resolved backend's
-        ``block_color`` op; returns the accepted-flip count."""
-        return self._kops["block_color"](self._g, self.couplings, mask, log_u)
-
     def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
-        """One (sub-)color update through the configured kernel, with
-        per-backend kernel-time telemetry."""
-        obs = self._obs
-        if obs:
-            t0 = perf_counter()
+        """One (sub-)color Metropolis update through the configured
+        kernel (the backend's ``block_color`` op, or the scalar
+        reference); returns the accepted-flip count."""
         if self._kops is None:
-            n_acc = self._update_color_scalar(mask, log_u)
-        else:
-            n_acc = self._accept_vectorized(mask, log_u)
-        if obs:
-            self._m_kernel.inc(perf_counter() - t0)
-        return n_acc
+            return self._timed(self._update_color_scalar, mask, log_u)
+        return self._timed(
+            self._kops["block_color"], self.g, self.couplings, mask, log_u
+        )
 
-    def sweep(self) -> None:
+    def _sweep_stages(self) -> None:
         """Both checkerboard colors, one color-packed halo exchange each.
 
         With the overlap pipeline active each color instead posts its
@@ -1264,10 +1221,6 @@ class _BlockState:
         sites -- same-color sites are never adjacent -- so the accept
         decisions match the lockstep path bit for bit.
         """
-        obs = self._obs
-        if obs:
-            t0_wall = perf_counter()
-            t0_model = self.comm.clock.now
         uniforms = self._sweep_uniforms()
         log_u = np.log(np.maximum(uniforms, 1e-300))
         n_acc = 0
@@ -1275,13 +1228,13 @@ class _BlockState:
             flops_per_color = FLOPS_PER_SPIN_UPDATE * self.spins.size
             machine = self.comm.machine
             for c in range(2):
-                pending = self._exchange_begin(color=c)
+                pending = self._exchange(c, offload=True)
                 n_acc += self._update_color(self._int_masks[c], log_u)
                 frac = self._n_int[c] / self._n_color_sites[c]
                 self.comm.charge_seconds(
                     machine.compute_time(flops_per_color * frac), "interior"
                 )
-                self._exchange_complete(pending)
+                self._exchange_wait(pending)
                 n_acc += self._update_color(self._bnd_masks[c], log_u)
                 self.comm.charge_seconds(
                     machine.compute_time(flops_per_color * (1.0 - frac)),
@@ -1289,97 +1242,33 @@ class _BlockState:
                 )
         else:
             for c, mask in enumerate(self.color_masks):
-                self._exchange_ghosts(color=c)
+                self._exchange(c)
                 n_acc += self._update_color(mask, log_u)
             self.comm.charge_compute(
                 FLOPS_PER_SPIN_UPDATE * self.spins.size * 2
             )
-        att = self._n_color_sites[0] + self._n_color_sites[1]
-        self.n_attempted += att
+        self.n_attempted += self._n_color_sites[0] + self._n_color_sites[1]
         self.n_accepted += n_acc
-        if obs:
-            self._m_sweeps.inc()
-            self._m_attempted.inc(att)
-            self._m_accepted.inc(n_acc)
-            self._m_model.inc(self.comm.clock.now - t0_model)
-            self._m_wall.inc(perf_counter() - t0_wall)
-            if att:
-                self._m_acc_hist.observe(n_acc / att)
-
-    # -- checkpoint/restart --------------------------------------------------
-    def _checkpoint_expect(self) -> dict:
-        """Geometry/seed fingerprint a resume must match exactly."""
-        cfg = self.cfg
-        return {
-            "driver": "ising_block",
-            "n_ranks": self.comm.size,
-            "lx": cfg.lx,
-            "ly": cfg.ly,
-            "lt": cfg.lt,
-            "kx": cfg.kx,
-            "ky": cfg.ky,
-            "kt": cfg.kt,
-            "sweep_seed": cfg.sweep_seed,
-            "n_thermalize": cfg.n_thermalize,
-        }
-
-    def save_rank_state(self, directory, sweeps_done: int, mags, bonds) -> None:
-        """Snapshot this rank's ghosted block, counters, RNG, and series."""
-        from repro.run.checkpoint import pack_rng_state, save_rank_checkpoint
-
-        meta = self._checkpoint_expect()
-        meta["sweeps_done"] = int(sweeps_done)
-        meta["sweep_index"] = int(self.sweep_index)
-        meta["n_exchanges"] = int(self._n_exchanges)
-        save_rank_checkpoint(
-            directory,
-            self.comm.rank,
-            meta,
-            {
-                "g": self._g,
-                "magnetization": np.asarray(mags, dtype=np.float64),
-                "bond_sums": np.asarray(bonds, dtype=np.float64).reshape(-1, 3),
-                "rng_state": pack_rng_state(self.comm.stream.generator),
-            },
-            metrics=self.comm.metrics,
-        )
-
-    def restore_rank_state(self, directory) -> tuple[int, list, list]:
-        """Restore this rank from its bundle; returns (sweeps_done, series...)."""
-        from repro.run.checkpoint import load_rank_checkpoint, restore_rng_state
-
-        meta, arrays = load_rank_checkpoint(
-            directory, self.comm.rank, expect=self._checkpoint_expect(),
-            metrics=self.comm.metrics,
-        )
-        if arrays["g"].shape != self._g.shape:
-            raise ValueError(
-                f"checkpoint block {arrays['g'].shape} != this rank's "
-                f"{self._g.shape}"
-            )
-        self._g[...] = arrays["g"]  # in place: self.spins stays a view
-        self.sweep_index = int(meta["sweep_index"])
-        self._n_exchanges = int(meta["n_exchanges"])
-        restore_rng_state(self.comm.stream.generator, arrays["rng_state"])
-        return (
-            int(meta["sweeps_done"]),
-            arrays["magnetization"].tolist(),
-            [row for row in arrays["bond_sums"]],
-        )
 
     # -- measurement -----------------------------------------------------------
-    def local_bond_sums(self) -> np.ndarray:
-        """(x, y, t) bond sums counting each owned-origin bond once."""
-        self._exchange_ghosts(color=None)
-        g = self._g
+    def measure(self) -> tuple[float, np.ndarray]:
+        """Global magnetization per site and (x, y, t) bond sums, each
+        owned-origin bond counted once."""
+        m = self.comm.allreduce(float(self.spins.sum())) / self._n_sites
+        self._exchange()
+        g = self.g
         s = self.spins.astype(np.int64)
         bx = float(np.sum(s * g[2:, 1:-1].astype(np.int64)))
         by = float(np.sum(s * g[1:-1, 2:].astype(np.int64)))
         bt = float(np.sum(s * np.roll(s, -1, axis=2)))
-        return np.array([bx, by, bt])
+        return m, self.comm.allreduce(np.array([bx, by, bt]))
 
-    def local_spin_sum(self) -> float:
-        return float(self.spins.sum())
+    def result(self) -> dict:
+        p = self.piece
+        return {
+            "block": self.spins.copy(),
+            "piece": (p.x_start, p.x_stop, p.y_start, p.y_stop),
+        }
 
 
 def ising_block_program(
@@ -1396,63 +1285,7 @@ def ising_block_program(
     checkpoint/restart and ``health`` the streaming run-health monitor,
     exactly as in :func:`worldline_strip_program`.
     """
-    state = _BlockState(comm, cfg)
-    metrics = comm.metrics
-    interval = metrics.interval if metrics.enabled else 0
-    monitor = (
-        HealthMonitor(health, rank=comm.rank) if health is not None else NOOP_HEALTH
-    )
-    health_on = monitor.enabled
-    check_every = health.interval if health is not None else 0
-    n_sites = cfg.lx * cfg.ly * cfg.lt
-    mags, bonds = [], []
-    first_sweep = 0
-    if checkpoint is not None and checkpoint.resume:
-        first_sweep, mags, bonds = state.restore_rank_state(checkpoint.directory)
-    else:
-        for _ in range(cfg.n_thermalize):
-            state.sweep()
-    for s in range(first_sweep, cfg.n_sweeps):
-        state.sweep()
-        if s % cfg.measure_every == 0:
-            m = comm.allreduce(state.local_spin_sum()) / n_sites
-            b = comm.allreduce(state.local_bond_sums())
-            mags.append(m)
-            bonds.append(b)
-            if health_on:
-                monitor.t_model = comm.clock.now
-                monitor.observe("magnetization", m, s)
-        if (
-            checkpoint is not None
-            and checkpoint.every
-            and (s + 1) % checkpoint.every == 0
-        ):
-            state.save_rank_state(checkpoint.directory, s + 1, mags, bonds)
-        if check_every and (s + 1) % check_every == 0:
-            monitor.check(
-                s + 1,
-                attempted=state.n_attempted,
-                accepted=state.n_accepted,
-                model_seconds=comm.clock.now,
-                comm_seconds=clock_comm_seconds(comm.clock),
-            )
-        if interval and (s + 1) % interval == 0:
-            comm.sync_metrics()
-            metrics.snapshot(sweep=s + 1, t_model=comm.clock.now)
-    out = {
-        "magnetization": np.array(mags),
-        "bond_sums": np.array(bonds),
-        "block": state.spins.copy(),
-        "piece": (state.piece.x_start, state.piece.x_stop,
-                  state.piece.y_start, state.piece.y_stop),
-        "mode": cfg.mode,
-        "n_attempted": state.n_attempted,
-        "n_accepted": state.n_accepted,
-    }
-    if health_on:
-        out["health_events"] = monitor.event_docs()
-        out["health_summary"] = monitor.summary()
-    return out
+    return _run_decomposed(_BlockState(comm, cfg), checkpoint, health)
 
 
 # ======================================================================

@@ -51,9 +51,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.health import NOOP_HEALTH, HealthMonitor, clock_comm_seconds
+from repro.obs.health import NOOP_HEALTH, HealthMonitor
 from repro.obs.online import Welford, gelman_rubin_from_pooled_sums
-from repro.qmc.parallel import WorldlineStripConfig, _StripState
+from repro.qmc.parallel import WorldlineStripConfig, _run_decomposed, _StripState
 from repro.vmp.faults import RankFailure
 
 __all__ = [
@@ -189,6 +189,12 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None) -
     ``ensemble_magnetization``; None when pooling was degraded by a
     peer-replica failure).
 
+    Each replica runs the strip driver's own state and run loop
+    (:func:`~repro.qmc.parallel._run_decomposed`) on its domain
+    sub-communicator; the two-level parts ride along as that loop's
+    hooks -- the ensemble heartbeat after each measurement, the layout
+    manifest before each checkpoint write.
+
     ``health`` (a :class:`~repro.obs.health.HealthRules`) enables the
     streaming run-health monitor exactly as in
     :func:`~repro.qmc.parallel.worldline_strip_program`, plus the
@@ -220,101 +226,75 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None) -
         if health is not None
         else NOOP_HEALTH
     )
-    health_on = monitor.enabled
-    check_every = health.interval if health is not None else 0
     energy_stats = Welford()
-
-    rep_cfg = cfg.config_for(replica)
     if checkpoint is not None and checkpoint.resume:
         _validate_resume_layout(checkpoint.directory, cfg)
-    state = _StripState(domain, rep_cfg)
-    energies: list[float] = []
-    mags: list[float] = []
-    first_sweep = 0
-    rep_dir = (
-        replica_checkpoint_dir(checkpoint.directory, replica)
-        if checkpoint is not None
-        else None
-    )
-    if checkpoint is not None and checkpoint.resume:
-        first_sweep, energies, mags = state.restore_rank_state(rep_dir)
-    else:
-        for _ in range(rep_cfg.n_thermalize):
-            state.sweep()
-
     degraded = False
-    n_syncs = 0
-    measured = 0
-    for s in range(first_sweep, rep_cfg.n_sweeps):
-        state.sweep()
-        if s % rep_cfg.measure_every == 0:
-            state.exchange_ghosts()
-            dlog = domain.allreduce(state.local_dlog_sum())
-            mag = domain.allreduce(state.local_magnetization())
-            energies.append(-dlog / state.n_trotter)
-            mags.append(mag)
-            measured += 1
-            if health_on:
-                monitor.t_model = comm.clock.now
-                monitor.observe("energy", energies[-1], s)
-                monitor.observe("magnetization", mag, s)
-                energy_stats.push(energies[-1])
-            # Ensemble heartbeat: leaders pool the latest estimate so
-            # the run exercises (and telemetry measures) ensemble-level
-            # traffic at a controlled cadence.  A peer-replica failure
-            # degrades pooling but never this replica's trajectory.
-            if (
-                ensemble is not None
-                and not degraded
-                and cfg.ensemble_every
-                and measured % cfg.ensemble_every == 0
-            ):
-                try:
-                    ensemble.allreduce(energies[-1])
-                    n_syncs += 1
-                    # Cross-replica convergence: pool the leaders'
-                    # streaming energy moments and check R-hat.  One
-                    # extra ensemble-charged allreduce per heartbeat;
-                    # no domain traffic, no RNG, so the trajectory is
-                    # untouched.
-                    if health_on and R >= 2 and measured >= 2:
-                        count, mean, var = energy_stats.moments()
-                        sums = ensemble.allreduce(
-                            np.array([mean, mean * mean, var], dtype=np.float64)
-                        )
-                        rhat = gelman_rubin_from_pooled_sums(
-                            count, R, sums[0], sums[1], sums[2]
-                        )
-                        monitor.t_model = comm.clock.now
-                        monitor.observe_rhat("energy", rhat, s)
-                except RankFailure:
-                    degraded = True
+    n_syncs = measured = 0
+
+    def heartbeat(s: int, series: dict) -> None:
+        """Leaders pool the latest estimate so the run exercises (and
+        telemetry measures) ensemble-level traffic at a controlled
+        cadence.  A peer-replica failure degrades pooling but never
+        this replica's trajectory."""
+        nonlocal degraded, n_syncs, measured
+        energy = series["energy"][-1]
+        measured += 1
+        if monitor.enabled:
+            energy_stats.push(energy)
         if (
-            checkpoint is not None
-            and checkpoint.every
-            and (s + 1) % checkpoint.every == 0
+            ensemble is None
+            or degraded
+            or not cfg.ensemble_every
+            or measured % cfg.ensemble_every
         ):
-            if comm.rank == 0:
-                _write_layout_manifest(checkpoint.directory, cfg)
-            state.save_rank_state(rep_dir, s + 1, energies, mags)
-        if check_every and (s + 1) % check_every == 0:
-            monitor.check(
-                s + 1,
-                attempted=state.n_attempted,
-                accepted=state.n_accepted,
-                model_seconds=comm.clock.now,
-                comm_seconds=clock_comm_seconds(comm.clock),
-            )
+            return
+        try:
+            ensemble.allreduce(energy)
+            n_syncs += 1
+            # Cross-replica convergence: pool the leaders' streaming
+            # energy moments and check R-hat.  One extra
+            # ensemble-charged allreduce per heartbeat; no domain
+            # traffic, no RNG, so the trajectory is untouched.
+            if monitor.enabled and R >= 2 and measured >= 2:
+                count, mean, var = energy_stats.moments()
+                sums = ensemble.allreduce(
+                    np.array([mean, mean * mean, var], dtype=np.float64)
+                )
+                rhat = gelman_rubin_from_pooled_sums(
+                    count, R, sums[0], sums[1], sums[2]
+                )
+                monitor.t_model = comm.clock.now
+                monitor.observe_rhat("energy", rhat, s)
+        except RankFailure:
+            degraded = True
+
+    def write_manifest() -> None:
+        if comm.rank == 0:
+            _write_layout_manifest(checkpoint.directory, cfg)
+
+    replica_checkpoint = checkpoint
+    if checkpoint is not None:
+        replica_checkpoint = replace(
+            checkpoint,
+            directory=replica_checkpoint_dir(checkpoint.directory, replica),
+        )
+    out = _run_decomposed(
+        _StripState(domain, cfg.config_for(replica)),
+        replica_checkpoint,
+        health,
+        monitor=monitor,
+        on_measure=heartbeat,
+        before_save=write_manifest,
+    )
 
     # Pooled mean series, computed once from the full series so resumed
     # runs pool bit-identically to uninterrupted ones.
     pooled_e = pooled_m = None
     if ensemble is not None and not degraded:
         try:
-            pooled_e = ensemble.allreduce(np.asarray(energies, dtype=np.float64))
-            pooled_m = ensemble.allreduce(np.asarray(mags, dtype=np.float64))
-            pooled_e = pooled_e / R
-            pooled_m = pooled_m / R
+            pooled_e = ensemble.allreduce(out["energy"]) / R
+            pooled_m = ensemble.allreduce(out["magnetization"]) / R
         except RankFailure:
             degraded = True
             pooled_e = pooled_m = None
@@ -323,26 +303,11 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None) -
     else:
         pooled = domain.bcast(None, root=0)
     pooled_e, pooled_m, degraded = pooled
-
-    owned = state.loc[2 : state.n_owned + 2].copy()
-    out = {
-        "replica": replica,
-        "energy": np.array(energies),
-        "magnetization": np.array(mags),
-        "owned_spins": owned,
-        "start": state.start,
-        "stop": state.stop,
-        "beta": rep_cfg.beta,
-        "dtau": state.dtau,
-        "mode": rep_cfg.mode,
-        "n_attempted": state.n_attempted,
-        "n_accepted": state.n_accepted,
-        "ensemble_energy": pooled_e,
-        "ensemble_magnetization": pooled_m,
-        "n_ensemble_syncs": n_syncs,
-        "ensemble_degraded": degraded,
-    }
-    if health_on:
-        out["health_events"] = monitor.event_docs()
-        out["health_summary"] = monitor.summary()
+    out.update(
+        replica=replica,
+        ensemble_energy=pooled_e,
+        ensemble_magnetization=pooled_m,
+        n_ensemble_syncs=n_syncs,
+        ensemble_degraded=degraded,
+    )
     return out

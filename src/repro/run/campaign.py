@@ -10,9 +10,9 @@ checkpoint bundles, JSONL metrics, health events, the ``repro report``
 dashboard) into that serving layer:
 
 * :class:`CampaignSpec` -- a validated sweep specification, normally
-  loaded from a TOML file (:func:`load_campaign_spec`; a small built-in
-  parser covers Python 3.10 where :mod:`tomllib` is absent, and
-  ``.json`` specs are accepted unchanged).  ``[base]`` holds the run
+  loaded from a TOML file (:func:`load_campaign_spec`, through the
+  stdlib :mod:`tomllib`; on Python 3.10, where it is absent, pass the
+  same document as ``.json``, which is accepted everywhere).  ``[base]`` holds the run
   parameters shared by every run, ``[sweep]`` maps field names to value
   lists; their cartesian product is the campaign grid.
 * :func:`expand_grid` -- the grid as a list of :class:`CampaignRun`
@@ -125,110 +125,15 @@ _SPECIAL_FIELDS = ("checkpoint_every",)
 # ======================================================================
 
 
-def _parse_minimal_toml(text: str) -> dict:
-    """Parse the TOML subset campaign specs use (3.10 fallback).
-
-    Supported: one level of ``[section]`` tables; ``key = value`` with
-    string (single/double quoted), integer, float, boolean, and
-    single-line array values; ``#`` comments.  Anything fancier raises
-    with a pointer at the stdlib parser.
-    """
-    doc: dict[str, Any] = {}
-    section = doc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or line.startswith("[["):
-                raise ValueError(
-                    f"spec line {lineno}: unsupported table header {line!r} "
-                    f"(the built-in TOML subset has single-level tables only)"
-                )
-            name = line[1:-1].strip()
-            section = doc.setdefault(name, {})
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"spec line {lineno}: expected 'key = value'")
-        section[key.strip().strip('"').strip("'")] = _parse_toml_value(
-            value.strip(), lineno
-        )
-    return doc
-
-
-def _strip_toml_comment(line: str) -> str:
-    """Drop a ``#`` comment that is not inside a quoted string."""
-    quote = None
-    for i, ch in enumerate(line):
-        if quote is None and ch in "\"'":
-            quote = ch
-        elif quote == ch:
-            quote = None
-        elif quote is None and ch == "#":
-            return line[:i]
-    return line
-
-
-def _parse_toml_value(token: str, lineno: int):
-    if not token:
-        raise ValueError(f"spec line {lineno}: empty value")
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_toml_value(part.strip(), lineno)
-            for part in _split_toml_array(inner)
-        ]
-    if token[0] in "\"'":
-        if len(token) < 2 or token[-1] != token[0]:
-            raise ValueError(f"spec line {lineno}: unterminated string {token!r}")
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(
-            f"spec line {lineno}: cannot parse value {token!r} (the "
-            f"built-in TOML subset covers strings, numbers, booleans and "
-            f"single-line arrays; install Python >= 3.11 for full TOML)"
-        ) from None
-
-
-def _split_toml_array(inner: str) -> list[str]:
-    parts, depth, quote, start = [], 0, None, 0
-    for i, ch in enumerate(inner):
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    parts.append(inner[start:])
-    return [p for p in parts if p.strip()]
-
-
 def _load_toml(path: Path) -> dict:
-    text = path.read_text()
     try:
         import tomllib
     except ImportError:  # Python 3.10: stdlib tomllib landed in 3.11
-        return _parse_minimal_toml(text)
-    return tomllib.loads(text)
+        raise ValueError(
+            f"cannot read campaign spec {path}: TOML specs need Python >= "
+            f"3.11; pass the same document as .json"
+        ) from None
+    return tomllib.loads(path.read_text())
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class ParallelLayout:
     kernel:
         Compiled-kernel backend for the checkerboard sweeps:
         ``auto`` (default; best available registry backend), a
-        registered backend name (``numpy``/``numba``/``cupy``), or
+        registered backend name (``numpy``/``numba``), or
         ``scalar`` for the per-move reference path.  Every registry
         backend produces the bit-identical trajectory; selection is
         resolved once at run start so an unavailable backend fails

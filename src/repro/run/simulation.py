@@ -17,6 +17,7 @@ modeled makespan and communication fraction.
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -209,13 +210,38 @@ def _emit_observability(kind, cfg, params, registry, spmd=None, runtime=None,
     return outputs
 
 
+def _record_spmd(result: RunResult, spmd, layout) -> None:
+    """Fold a decomposed SPMD run's modeled costs into ``result``.
+
+    Shared by the strip (incl. two-level) and block layouts: modeled
+    makespan and comm fraction, the Metropolis counters summed over
+    ranks, the halo traffic totals, the phase report, and the overlap
+    fact -- ``requested`` is the layout knob, ``active`` whether the
+    pipeline really ran on every rank (thin subdomains fall back to
+    lockstep with a warning an mp/mpi child's stderr may swallow).
+    """
+    result.model_time = spmd.elapsed_model_time
+    result.comm_fraction = spmd.comm_fraction()
+    result.runtime.update(
+        n_attempted=sum(v["n_attempted"] for v in spmd.values),
+        n_accepted=sum(v["n_accepted"] for v in spmd.values),
+        halo_bytes=spmd.total_bytes,
+        halo_messages=spmd.total_messages,
+        report=_report_summary(spmd.report),
+        overlap={
+            "requested": layout.overlap,
+            "active": all(v["overlap_active"] for v in spmd.values),
+        },
+    )
+
+
 def _resolve_layout_kernel(layout) -> str:
     """Resolve ``layout.kernel`` to a concrete sweep mode up front.
 
     Returns ``"scalar"`` or a concrete registered backend name
     (``auto`` picks the best available one).  Resolving *before* any
     rank programs spawn means a run requesting an uninstalled backend
-    (e.g. ``--kernel cupy`` on a CPU box) fails fast with a structured
+    (e.g. ``--kernel numba`` without numba) fails fast with a structured
     :class:`repro.kernels.KernelUnavailableError` instead of dying
     mid-flight inside a worker.
     """
@@ -457,16 +483,8 @@ class Simulation:
             else:
                 energy = out0["energy"]
                 mag = out0["magnetization"]
-            result.model_time = spmd.elapsed_model_time
-            result.comm_fraction = spmd.comm_fraction()
+            _record_spmd(result, spmd, layout)
             n_sweeps_run = cfg.n_sweeps + cfg.n_thermalize
-            result.runtime.update(
-                n_attempted=sum(v["n_attempted"] for v in spmd.values),
-                n_accepted=sum(v["n_accepted"] for v in spmd.values),
-                halo_bytes=spmd.total_bytes,
-                halo_messages=spmd.total_messages,
-                report=_report_summary(spmd.report),
-            )
             if layout.replicas > 1:
                 result.runtime.update(
                     replicas=layout.replicas,
@@ -543,9 +561,9 @@ class Simulation:
                 e_all.append(meas.energy)
                 sx_all.append(meas.sigma_x)
                 m_all.append(meas.abs_magnetization)
-                inner = getattr(sampler, "classical", sampler)
-                n_att += getattr(inner, "n_attempted", 0)
-                n_acc += getattr(inner, "n_accepted", 0)
+                inner = sampler.classical
+                n_att += inner.n_attempted
+                n_acc += inner.n_accepted
                 if rules is not None:
                     monitors.append(
                         _posthoc_health(
@@ -555,8 +573,8 @@ class Simulation:
                                 "sigma_x": meas.sigma_x,
                                 "abs_magnetization": meas.abs_magnetization,
                             },
-                            getattr(inner, "n_attempted", 0),
-                            getattr(inner, "n_accepted", 0),
+                            inner.n_attempted,
+                            inner.n_accepted,
                             cfg.measure_every,
                             rank=chain_idx,
                         )
@@ -568,8 +586,6 @@ class Simulation:
             result.runtime.update(n_attempted=n_att, n_accepted=n_acc)
         else:  # block layout over the virtual machine
             dtau = cfg.beta / cfg.n_slices
-            import math
-
             k_space = dtau * cfg.j
             k_tau = -0.5 * math.log(math.tanh(dtau * cfg.gamma))
             if len(cfg.spatial_shape) == 1:
@@ -625,16 +641,8 @@ class Simulation:
                 ]
             )
             abs_mag = np.abs(out["magnetization"])
-            result.model_time = spmd.elapsed_model_time
-            result.comm_fraction = spmd.comm_fraction()
+            _record_spmd(result, spmd, layout)
             n_sweeps_run = cfg.n_sweeps + cfg.n_thermalize
-            result.runtime.update(
-                n_attempted=sum(v["n_attempted"] for v in spmd.values),
-                n_accepted=sum(v["n_accepted"] for v in spmd.values),
-                halo_bytes=spmd.total_bytes,
-                halo_messages=spmd.total_messages,
-                report=_report_summary(spmd.report),
-            )
 
         self._finish_runtime(result, registry, n_sweeps_run, t0_wall)
         health = _collect_health(rules, result, monitors=monitors, spmd=spmd)

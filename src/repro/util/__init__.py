@@ -26,7 +26,7 @@ from repro.util.logspace import (
 )
 from repro.util.rng import RankStream, SeedSequenceFactory, spawn_streams
 from repro.util.tables import Series, Table, format_float, render_series
-from repro.util.timer import ModelClock, Timer, TimerRegistry
+from repro.util.timer import ModelClock, Timer
 
 __all__ = [
     "mean_circular_correlation",
@@ -46,5 +46,4 @@ __all__ = [
     "render_series",
     "ModelClock",
     "Timer",
-    "TimerRegistry",
 ]

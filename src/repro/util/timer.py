@@ -11,10 +11,8 @@ Two clocks coexist in this codebase:
   1993-era target machine rather than this container.
 
 :class:`ModelClock` is a trivial accumulator; the richness lives in who
-charges it (see :mod:`repro.vmp.costmodel`).  :class:`Timer` /
-:class:`TimerRegistry` provide hierarchical wall-time sections for
-profiling per the optimization guide ("no optimization without
-measuring").
+charges it (see :mod:`repro.vmp.costmodel`).  :class:`Timer` is a
+named wall-time section ("no optimization without measuring").
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "ModelClock",
     "Timer",
-    "TimerRegistry",
     "COMPUTE_CATEGORIES",
     "COMM_CATEGORIES",
     "WAIT_CATEGORIES",
@@ -143,42 +140,3 @@ class Timer:
     def mean(self) -> float:
         """Mean seconds per call (0 when never called)."""
         return self.elapsed / self.calls if self.calls else 0.0
-
-
-class TimerRegistry:
-    """A flat namespace of :class:`Timer` objects.
-
-    Usage::
-
-        timers = TimerRegistry()
-        with timers("sweep"):
-            ...
-        print(timers.report())
-    """
-
-    def __init__(self) -> None:
-        self._timers: dict[str, Timer] = {}
-
-    def __call__(self, name: str) -> Timer:
-        if name not in self._timers:
-            self._timers[name] = Timer(name)
-        return self._timers[name]
-
-    def __getitem__(self, name: str) -> Timer:
-        return self._timers[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._timers
-
-    def report(self) -> str:
-        """Plain-text profile sorted by total elapsed time."""
-        rows = sorted(self._timers.values(), key=lambda t: -t.elapsed)
-        if not rows:
-            return "(no timers)"
-        width = max(len(t.name) for t in rows)
-        lines = [f"{'section':<{width}}  {'calls':>7}  {'total[s]':>10}  {'mean[s]':>10}"]
-        for t in rows:
-            lines.append(
-                f"{t.name:<{width}}  {t.calls:>7d}  {t.elapsed:>10.4f}  {t.mean:>10.6f}"
-            )
-        return "\n".join(lines)

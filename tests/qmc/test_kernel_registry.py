@@ -76,9 +76,8 @@ class TestRegistrySemantics:
 
     def test_known_backends_priority_ordered(self):
         names = kernels.known_backends()
-        # numba (20) outranks numpy (10); the cupy stub (-10) sits last
-        # so auto never drifts onto the GPU path by accident.
-        assert names.index("numba") < names.index("numpy") < names.index("cupy")
+        # numba (20) outranks numpy (10); nothing else is registered.
+        assert names == ("numba", "numpy")
 
     def test_auto_resolves_to_an_available_backend(self):
         assert kernels.resolve_kernel("auto") in kernels.available_backends()
@@ -119,20 +118,6 @@ class TestRegistrySemantics:
         finally:
             kernels.unregister_backend("fake-accel")
         assert kernels.resolve_kernel("auto") in ("numpy", "numba")
-
-    def test_negative_priority_backend_never_auto_selected(self):
-        fake = KernelBackend(
-            name="fake-optin",
-            priority=-1,
-            probe=lambda: True,
-            loader=lambda: dict(kernels.get_ops("numpy")),
-        )
-        kernels.register_backend(fake)
-        try:
-            assert kernels.resolve_kernel("auto") != "fake-optin"
-            assert kernels.resolve_kernel("fake-optin") == "fake-optin"
-        finally:
-            kernels.unregister_backend("fake-optin")
 
     def test_incomplete_op_table_rejected(self):
         fake = KernelBackend(
@@ -175,12 +160,19 @@ class TestStructuredError:
         finally:
             kernels.unregister_backend("fake-gpu")
 
-    @pytest.mark.skipif(kernels.kernel_available("cupy"),
-                        reason="cupy installed here")
     def test_cupy_unavailable_is_structured_and_actionable(self):
-        with pytest.raises(KernelUnavailableError) as exc:
+        # The GPU stub is gone: "cupy" is an unknown name like any
+        # other, and the error lists what is registered.
+        with pytest.raises(ValueError, match="unknown kernel backend 'cupy'") as exc:
             kernels.resolve_kernel("cupy")
-        assert exc.value.backend == "cupy"
+        assert not isinstance(exc.value, KernelUnavailableError)
+        assert "numba, numpy" in str(exc.value)
+
+    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
+    def test_numba_unavailable_is_structured_and_actionable(self):
+        with pytest.raises(KernelUnavailableError) as exc:
+            kernels.resolve_kernel("numba")
+        assert exc.value.backend == "numba"
         assert "--kernel numpy" in str(exc.value)
 
     def test_probe_exceptions_mean_unavailable_not_crash(self):
@@ -204,7 +196,7 @@ class TestStructuredError:
 
 class TestConfigSurfaces:
     def test_layout_accepts_registry_names(self):
-        for name in ("auto", "scalar", "vectorized", "numpy", "numba", "cupy"):
+        for name in ("auto", "scalar", "vectorized", "numpy", "numba"):
             assert ParallelLayout(kernel=name).kernel == name
 
     def test_layout_rejects_unknown_kernel(self):
@@ -236,16 +228,26 @@ class TestConfigSurfaces:
         with pytest.raises(ValueError, match="scalar"):
             q.sweep_vectorized()
 
-    @pytest.mark.skipif(kernels.kernel_available("cupy"),
-                        reason="cupy installed here")
     def test_cli_kernel_cupy_exits_2_with_message(self, capsys):
+        # No cupy backend is registered: the CLI rejects the name like
+        # any unknown backend and names the ones it knows.
         from repro.cli import main
 
         rc = main(["run-xxz", "--sites", "8", "--beta", "1.0",
                    "--sweeps", "4", "--thermalize", "1", "--kernel", "cupy"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "cupy" in err and "--kernel numpy" in err
+        assert "unknown kernel 'cupy'" in err and "numba, numpy" in err
+
+    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
+    def test_cli_kernel_numba_absent_exits_2_with_message(self, capsys):
+        from repro.cli import main
+
+        rc = main(["run-xxz", "--sites", "8", "--beta", "1.0",
+                   "--sweeps", "4", "--thermalize", "1", "--kernel", "numba"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numba" in err and "--kernel numpy" in err
 
 
 # ======================================================================

@@ -77,14 +77,12 @@ def _inspect_strip_partitions(comm, cfg):
     out = {"active": st.overlap_active, "classes": {}}
     if not st.overlap_active:
         return out
-    for kind, a, b in WL_STAGES:
+    for i, (kind, a, b) in enumerate(WL_STAGES):
+        cache = st._stage_cache[i]
+        split = st._stage_split[i]
         if kind == "corner":
-            cache = st._corner_cache[(a, b)]
-            split = st._corner_split[(a, b)]
             key, sizer = f"corner{a}{b}", "j"
         else:
-            cache = st._column_cache[a]
-            split = st._column_split[a]
             key, sizer = f"col{a}", "lc"
         total = 0 if cache is None else cache[sizer].size
         n_int = 0 if split[0] is None else split[0][sizer].size
@@ -93,7 +91,7 @@ def _inspect_strip_partitions(comm, cfg):
     # Cache identity: rebuilding a class split must hand back the very
     # same partition object the decomposition cached during __init__.
     n = st.n_owned
-    cache = st._column_cache[0]
+    cache = st._stage_cache[WL_STAGES.index(("column", 0, None))]
     p1 = st.decomp.overlap_partition(("wl-col", comm.rank, 0), cache["lc"], 3, n)
     p2 = st.decomp.overlap_partition(("wl-col", comm.rank, 0), cache["lc"], 3, n)
     out["cache_identity"] = p1 is p2
@@ -130,7 +128,12 @@ class TestStripPartitionTables:
             res = run_spmd(
                 _inspect_strip_partitions, 4, PARAGON, seed=1, args=(cfg,)
             )
+            ran = run_spmd(worldline_strip_program, 4, PARAGON, seed=1,
+                           args=(cfg,))
         assert not any(v["active"] for v in res.values)
+        # The fallback is a recorded fact, not only a warning: every
+        # rank's result says the pipeline did not run.
+        assert [v["overlap_active"] for v in ran.values] == [False] * 4
 
     def test_single_rank_overlap_inactive_silently(self):
         res = run_spmd(
@@ -210,6 +213,8 @@ class TestOverlapBitIdentity:
         ref = _run_strip(p, mode, overlap=False)
         got = _run_strip(p, mode, overlap=True)
         assert_bit_identical(ref, got, STRIP_KEYS)
+        assert not any(v["overlap_active"] for v in ref.values)
+        assert all(v["overlap_active"] == (p > 1) for v in got.values)
         if p > 1:
             # The pipeline must shorten the modeled makespan, never pad it.
             assert got.elapsed_model_time < ref.elapsed_model_time
@@ -218,6 +223,7 @@ class TestOverlapBitIdentity:
         ref = _run_block(p, mode, overlap=False)
         got = _run_block(p, mode, overlap=True)
         assert_bit_identical(ref, got, BLOCK_KEYS)
+        assert all(v["overlap_active"] == (p > 1) for v in got.values)
         if p > 1:
             assert got.elapsed_model_time < ref.elapsed_model_time
 

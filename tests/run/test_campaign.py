@@ -1,8 +1,8 @@
 """Campaign scheduler: specs, cache keys, resume, retry, pool width.
 
-Pure tests cover spec parsing/validation (including the built-in TOML
-subset parser against stdlib ``tomllib``), grid expansion, and cache-key
-purity.  The ``tier1_fault``-marked tests drive the real scheduler with
+Pure tests cover spec parsing/validation (including the spec error a
+``.toml`` file raises where ``tomllib`` is absent), grid expansion, and
+cache-key purity.  The ``tier1_fault``-marked tests drive the real scheduler with
 backend OS processes: fresh-then-resume cache hits, stale-checkpoint
 rejection after a spec edit, retry-then-succeed after a genuinely
 fault-injected :class:`~repro.vmp.faults.RankFailure`, and bit-identity
@@ -26,7 +26,6 @@ from repro.run.campaign import (
     CampaignSpec,
     RunAttempt,
     _is_transient,
-    _parse_minimal_toml,
     build_run_argv,
     expand_grid,
     load_campaign_spec,
@@ -92,6 +91,7 @@ def _spec(**overrides):
 
 class TestSpecParsing:
     def test_toml_spec_loads(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "demo.toml"
         path.write_text(SPEC_TOML)
         spec = load_campaign_spec(path)
@@ -102,13 +102,15 @@ class TestSpecParsing:
         assert spec.sweep == {"beta": [0.5, 1.0], "seed": [0, 1]}
         assert spec.n_runs == 4
 
-    def test_minimal_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _parse_minimal_toml(SPEC_TOML) == tomllib.loads(SPEC_TOML)
-
-    def test_minimal_parser_rejects_nested_tables(self):
-        with pytest.raises(ValueError, match="single-level"):
-            _parse_minimal_toml("[[campaign]]\nkind = 'xxz'\n")
+    def test_toml_spec_without_tomllib_is_a_spec_error(self, tmp_path, monkeypatch):
+        # Python 3.10 has no tomllib: the loader must say so as a spec
+        # error (CLI exit 2) and point at the .json route.
+        monkeypatch.setitem(sys.modules, "tomllib", None)  # import -> ImportError
+        path = tmp_path / "demo.toml"
+        path.write_text(SPEC_TOML)
+        with pytest.raises(ValueError, match=r"demo\.toml.*TOML specs need "
+                                             r"Python >= 3\.11.*\.json"):
+            load_campaign_spec(path)
 
     def test_json_spec_loads(self, tmp_path):
         path = tmp_path / "demo.json"

@@ -52,6 +52,21 @@ class TestXXZRuns:
         assert 0 < result.comm_fraction < 1
         assert result.parameters["machine"] == "Paragon"
 
+    @pytest.mark.parametrize("n_sites, active", [(16, False), (32, True)])
+    def test_strip_run_records_overlap_fallback(self, n_sites, active):
+        """Four columns per rank are too thin to overlap, eight are not;
+        the runtime block says which schedule actually ran."""
+        cfg = XXZRunConfig(
+            n_sites=n_sites, beta=0.5, n_slices=8, n_sweeps=4,
+            layout=ParallelLayout("strip", 4, "Paragon", overlap=True),
+        )
+        if active:
+            result = Simulation(cfg).run()
+        else:
+            with pytest.warns(UserWarning, match="falling back to the lockstep"):
+                result = Simulation(cfg).run()
+        assert result.runtime["overlap"] == {"requested": True, "active": active}
+
     @staticmethod
     def _strip_energy(seed, n_ranks, replicas=1):
         cfg = XXZRunConfig(
@@ -114,6 +129,7 @@ class TestTfimRuns:
         result = Simulation(cfg).run()
         assert np.isfinite(result.estimate("energy").value)
         assert result.comm_fraction > 0
+        assert result.runtime["overlap"] == {"requested": False, "active": False}
 
 
 class TestXXZ2DRuns:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.util.timer import ModelClock, Timer, TimerRegistry
+from repro.util.timer import ModelClock, Timer
 
 
 class TestModelClock:
@@ -69,25 +69,3 @@ class TestTimer:
 
     def test_mean_of_unused_timer(self):
         assert Timer("y").mean == 0.0
-
-
-class TestTimerRegistry:
-    def test_reuses_named_timers(self):
-        reg = TimerRegistry()
-        with reg("a"):
-            pass
-        with reg("a"):
-            pass
-        assert reg["a"].calls == 2
-        assert "a" in reg
-
-    def test_report_contains_sections(self):
-        reg = TimerRegistry()
-        with reg("sweep"):
-            pass
-        report = reg.report()
-        assert "sweep" in report
-        assert "calls" in report
-
-    def test_empty_report(self):
-        assert TimerRegistry().report() == "(no timers)"
