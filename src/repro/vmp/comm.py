@@ -153,12 +153,12 @@ class Request:
     """Handle of a nonblocking operation (mpi4py ``isend``/``irecv`` style).
 
     The semantics are the *contract* every backend honors identically
-    (thread fabric, multiprocessing queues, real MPI -- asserted by
+    (thread fabric, shared-memory rings, real MPI -- asserted by
     ``tests/vmp/test_nonblocking.py`` across all three):
 
     * a **send** request is complete the moment ``isend`` returns --
-      every backend buffers the payload eagerly (mailbox deposit, queue
-      put, or an internal send buffer), so ``test()`` is True and
+      every backend buffers the payload eagerly (mailbox deposit, ring
+      slot, or an internal send buffer), so ``test()`` is True and
       ``wait()`` returns ``None`` without blocking;
     * a **recv** request completes when a matching message is consumed:
       ``test()`` polls without blocking (consuming a ready message),

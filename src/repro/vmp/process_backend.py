@@ -2,18 +2,26 @@
 
 The cooperative thread scheduler in :mod:`repro.vmp.scheduler` is the
 default backend; this module runs the *same program objects* on real OS
-processes with genuinely disjoint address spaces, demonstrating that
-nothing in the programming model depends on shared memory.  It supports
-the full collective set by reusing :mod:`repro.vmp.collectives`, which
-only needs ``send``/``recv``/``sendrecv``.
+processes with genuinely disjoint address spaces.  It supports the full
+collective set by reusing :mod:`repro.vmp.collectives`, which only
+needs ``send``/``recv``/``sendrecv``.
+
+Messages travel through a shared-memory fabric (:class:`_Inbox`): every
+rank owns one anonymous ``MAP_SHARED`` mapping, created before the fork
+and inherited over it, that holds one fixed-slot single-producer ring
+per source plus a semaphore doorbell counting published messages.  A
+halo is one header and the raw array bytes written straight into the
+next slot -- no pickle, no feeder thread, no pipe and no lock.  See
+DESIGN.md "Shared-memory fabric" for the layout and the ordering
+argument.
 
 Fault tolerance mirrors the thread backend:
 
 * every blocking receive has a configurable wall-clock timeout
-  (:class:`MpCommunicator` constructor parameter, default 120 s) with
-  exponential backoff polling; expiry raises a structured
-  :class:`~repro.vmp.faults.RankFailure` carrying stash/inbox
-  diagnostics instead of a bare ``TimeoutError``;
+  (:class:`MpCommunicator` constructor parameter, default 120 s);
+  expiry raises a structured :class:`~repro.vmp.faults.RankFailure`
+  carrying stash/ring diagnostics instead of a bare ``TimeoutError``,
+  and so does a send whose ring stays full that long;
 * a failing worker broadcasts a *poison pill* to every peer inbox
   before dying, so survivors blocked in ``recv`` fail fast with a
   :class:`RankFailure` naming the dead rank rather than waiting out
@@ -30,14 +38,17 @@ Deterministic fault injection (:class:`~repro.vmp.faults.FaultPlan`) is
 honored identically to the thread scheduler: the plan ships to each
 worker and drives the same per-op counters.
 
-Intended for small rank counts (P <= 8 on this container); programs
-must be picklable (defined at module top level).
+Intended for small rank counts (P <= 8 on this container); the fabric
+needs the ``fork`` start method, which the launcher already uses.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
+import pickle
 import queue as queue_mod
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -48,7 +59,15 @@ import numpy as np
 from repro.obs.metrics import NOOP
 from repro.util.rng import SeedSequenceFactory
 from repro.util.timer import ModelClock
-from repro.vmp.comm import ANY_SOURCE, ANY_TAG, CommStats, Request, payload_nbytes
+from repro.vmp import collectives
+from repro.vmp.comm import (
+    ANY_SOURCE,
+    ANY_TAG,
+    CommStats,
+    ReduceOp,
+    Request,
+    payload_nbytes,
+)
 from repro.vmp.faults import (
     AbortRecord,
     FaultPlan,
@@ -65,54 +84,175 @@ __all__ = ["MpCommunicator", "MpRunResult", "run_multiprocessing"]
 #: Default wall-clock bound on a blocking receive (and on the whole run).
 _DEFAULT_TIMEOUT_S = 120.0
 
-#: Wire marker of an ndarray encoded by :func:`_pack_payload`.
-_ND_MARKER = "__vmp_ndarray__"
-
-#: First element of a poison-pill inbox item: ``(_POISON, origin_rank, reason)``.
-_POISON = "__vmp_poison__"
-
 #: Grace period between noticing a dead worker process and declaring it
 #: failed-without-result (its result may still be in the queue's pipe).
 _DEATH_GRACE_S = 1.0
 
+#: Slots per ring.  Data messages use at most ``_N_SLOTS - 1`` of them:
+#: the last one is kept for the single poison pill a dying rank posts,
+#: so a full ring can never hold a pill back.
+_N_SLOTS = 64
+#: Bytes per slot: a 64-byte header, then the payload.  Slots are
+#: page-multiples, so a small message dirties one page of its slot.
+_SLOT_BYTES = 8192
+_HEADER = struct.Struct("<BB6sI4xqd4q")  # kind ndim dtype nbytes tag arrival shape
+_SLOT_PAYLOAD = _SLOT_BYTES - _HEADER.size
+_MAX_NDIM = 4
+#: Each ring's head and tail counters sit on their own cache line.
+_LINE_WORDS = 8
 
-def _pack_payload(obj: Any) -> Any:
-    """Encode ndarrays as ``(marker, dtype, shape, buffer-bytes)``.
+# Slot kinds.
+_K_ARRAY = 1  # raw ndarray bytes; dtype/shape/tag in the header
+_K_PICKLE = 2  # pickle of (tag, obj) in the slot
+_K_OVERFLOW = 3  # marker: the pickle went through the inbox's overflow queue
+_K_POISON = 4  # pickle of (origin_rank, reason)
 
-    ``mp.Queue`` pickles whatever it is handed; shipping the raw
-    C-contiguous buffer instead of the array object skips the generic
-    object-graph pickle for the hot halo payloads.  Containers recurse
-    so tuples/dicts of arrays take the same fast path; non-numeric
-    dtypes (object, structured) fall back to the queue's own pickle.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+class _Inbox:
+    """One rank's receive side of the shared-memory fabric.
+
+    An anonymous shared mapping holds ``n_ranks + 1`` rings -- one per
+    sending rank, the last for the launcher's poison pills -- so every
+    ring has exactly one producer and one consumer and needs no lock.
+    Ring ``s`` publishes through two 8-byte counters: ``head`` (slots
+    written, stored only by the producer) and ``tail`` (slots consumed,
+    stored only by the consumer).  A slot belongs to the producer until
+    the head store that publishes it and to the consumer until the tail
+    store that frees it, so slot bytes are never accessed concurrently.
+
+    The counters *are* read while the other side rewrites them, so they
+    go through a ``memoryview`` cast to ``"Q"``: one aligned 8-byte
+    load or store.  ``struct.pack_into`` zeroes the field before
+    packing it, and a reader on another core then sees a zero head.
+
+    ``doorbell`` counts published, not yet consumed messages over all
+    rings; the consumer acquires it once per message it takes.
     """
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "biufc":
-        a = np.ascontiguousarray(obj)
-        return (_ND_MARKER, a.dtype.str, a.shape, a.tobytes())
-    if isinstance(obj, tuple):
-        return tuple(_pack_payload(x) for x in obj)
-    if isinstance(obj, list):
-        return [_pack_payload(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _pack_payload(v) for k, v in obj.items()}
-    return obj
 
+    def __init__(self, ctx, n_ranks: int):
+        self.n_rings = n_ranks + 1
+        self._slots_at = 2 * _LINE_WORDS * 8 * self.n_rings
+        self._mm = mmap.mmap(-1, self._slots_at + self.n_rings * _N_SLOTS * _SLOT_BYTES)
+        self._ctr = memoryview(self._mm).cast("Q")
+        self.doorbell = ctx.Semaphore(0)
+        #: Bodies too large for a slot, as ``(source, pickle-bytes)``.
+        self.overflow = ctx.Queue()
+        #: Consumer side: overflow bodies read ahead of their ring marker.
+        self._bodies: dict[int, deque] = {}
 
-def _unpack_payload(obj: Any) -> Any:
-    """Inverse of :func:`_pack_payload`; arrays come back owned and writable."""
-    if isinstance(obj, tuple):
-        if len(obj) == 4 and obj[0] == _ND_MARKER:
-            _, dtype_str, shape, data = obj
-            return np.frombuffer(data, dtype=np.dtype(dtype_str)).reshape(shape).copy()
-        return tuple(_unpack_payload(x) for x in obj)
-    if isinstance(obj, list):
-        return [_unpack_payload(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _unpack_payload(v) for k, v in obj.items()}
-    return obj
+    def _head(self, source: int) -> int:
+        return self._ctr[2 * _LINE_WORDS * source]
+
+    def _tail(self, source: int) -> int:
+        return self._ctr[2 * _LINE_WORDS * source + _LINE_WORDS]
+
+    def unread(self, source: int) -> int:
+        return self._head(source) - self._tail(source)
+
+    def has_room(self, source: int) -> bool:
+        """True if ring ``source`` can take one more data message."""
+        return self.unread(source) < _N_SLOTS - 1
+
+    # -- producer side (ring ``source`` is written by one process only) ----
+    def _publish(self, source: int, head: int) -> None:
+        self._ctr[2 * _LINE_WORDS * source] = head + 1
+        self.doorbell.release()
+
+    def _slot(self, source: int, index: int) -> int:
+        return self._slots_at + (source * _N_SLOTS + index % _N_SLOTS) * _SLOT_BYTES
+
+    def post(self, source: int, tag, arrival: float, obj: Any) -> None:
+        """Write one message into ring ``source`` (caller checked has_room)."""
+        head = self._head(source)
+        at = self._slot(source, head)
+        if (
+            type(obj) is np.ndarray
+            and obj.nbytes <= _SLOT_PAYLOAD
+            and obj.ndim <= _MAX_NDIM
+            and obj.dtype.kind in "biufc"
+            and isinstance(tag, int)
+            and _INT64_MIN <= tag <= _INT64_MAX
+        ):
+            shape = obj.shape
+            _HEADER.pack_into(
+                self._mm, at, _K_ARRAY, obj.ndim, obj.dtype.str.encode(),
+                obj.nbytes, tag, arrival, *shape, *(0,) * (_MAX_NDIM - obj.ndim),
+            )
+            # One strided copy; non-contiguous views need no staging buffer.
+            np.ndarray(shape, obj.dtype, self._mm, at + _HEADER.size)[...] = obj
+        else:
+            # Pickled now, so the sender may reuse its buffers on return.
+            data = pickle.dumps((tag, obj), protocol=pickle.HIGHEST_PROTOCOL)
+            if len(data) <= _SLOT_PAYLOAD:
+                self._put_bytes(at, _K_PICKLE, arrival, data)
+            else:
+                # The marker keeps the body's place in ring order.
+                self.overflow.put((source, data))
+                self._put_bytes(at, _K_OVERFLOW, arrival, b"")
+        self._publish(source, head)
+
+    def post_poison(self, source: int, origin: int, reason: str) -> None:
+        """Post a pill naming ``origin``; may take the ring's reserved slot."""
+        head = self._head(source)
+        if head - self._tail(source) >= _N_SLOTS:
+            return  # only if one producer posts a second pill into a full ring
+        data = pickle.dumps((origin, reason[:1000]), protocol=pickle.HIGHEST_PROTOCOL)
+        self._put_bytes(self._slot(source, head), _K_POISON, 0.0, data)
+        self._publish(source, head)
+
+    def _put_bytes(self, at: int, kind: int, arrival: float, data: bytes) -> None:
+        _HEADER.pack_into(self._mm, at, kind, 0, b"", len(data), 0, arrival, 0, 0, 0, 0)
+        body = at + _HEADER.size
+        self._mm[body:body + len(data)] = data
+
+    # -- consumer side -----------------------------------------------------
+    def take(self, hint: int, timeout: float):
+        """Consume one published message; call once per doorbell acquire.
+
+        Scans the rings from ``hint`` and returns ``(kind, source, tag,
+        arrival, payload)`` of the first unread slot, decoded into
+        objects this process owns; a pill comes back as ``(_K_POISON,
+        source, origin, 0.0, reason)``.  ``timeout`` bounds the wait for
+        an overflow body still in its pipe (``queue.Empty`` past it).
+        """
+        for k in range(self.n_rings):
+            source = (hint + k) % self.n_rings
+            tail = self._tail(source)
+            if self._head(source) > tail:
+                break
+        else:
+            raise RuntimeError("fabric doorbell rang but every ring is empty")
+        at = self._slot(source, tail)
+        kind, ndim, dtype, nbytes, tag, arrival, *shape = _HEADER.unpack_from(
+            self._mm, at
+        )
+        body = at + _HEADER.size
+        if kind == _K_ARRAY:
+            payload = np.ndarray(
+                shape[:ndim], np.dtype(dtype.rstrip(b"\0").decode()), self._mm, body
+            ).copy()
+        else:
+            data = self._mm[body:body + nbytes]
+        self._ctr[2 * _LINE_WORDS * source + _LINE_WORDS] = tail + 1
+        if kind == _K_OVERFLOW:
+            data = self._overflow_body(source, timeout)
+        if kind != _K_ARRAY:
+            tag, payload = pickle.loads(data)
+        return kind, source, tag, arrival, payload
+
+    def _overflow_body(self, source: int, timeout: float) -> bytes:
+        """Next overflow body from ``source`` (the queue is FIFO per source)."""
+        deadline = time.monotonic() + timeout
+        while not self._bodies.get(source):
+            src, data = self.overflow.get(timeout=max(deadline - time.monotonic(), 0.0))
+            self._bodies.setdefault(src, deque()).append(data)
+        return self._bodies[source].popleft()
 
 
 class MpCommunicator:
-    """Communicator over multiprocessing queues (one inbox per rank).
+    """Communicator over the shared-memory fabric (one inbox per rank).
 
     Implements the same cost convention as the in-process fabric: the
     sender's clock time travels with each message so arrival stamps and
@@ -127,7 +267,7 @@ class MpCommunicator:
         self,
         rank: int,
         size: int,
-        inboxes: Sequence[mp.Queue],
+        inboxes: Sequence[_Inbox],
         machine: MachineModel,
         topology: Topology,
         stream,
@@ -144,6 +284,7 @@ class MpCommunicator:
         self.recv_timeout = recv_timeout
         self.fault_state = fault_state
         self._inboxes = inboxes
+        self._inbox = inboxes[rank]
         #: Unmatched messages keyed per ``(source, tag)`` as FIFO deques
         #: of ``(seq, item)``; the monotone ``seq`` keeps wildcard
         #: matches (ANY_SOURCE / ANY_TAG) globally FIFO.  Keyed access
@@ -205,34 +346,68 @@ class MpCommunicator:
         self.stats.bytes_sent += nbytes
         if drop:
             return  # injected loss: sender charged, message never delivered
-        self._inboxes[dest].put((self.rank, tag, arrival, _pack_payload(obj)))
+        box = self._inboxes[dest]
+        if not box.has_room(self.rank):
+            self._wait_for_room(box, dest)
+        box.post(self.rank, tag, arrival, obj)
 
-    def _timeout_diagnostics(self, source: int, tag: int) -> str:
-        """Stash/inbox state for the RankFailure a timed-out recv raises."""
+    def _wait_for_room(self, box: _Inbox, dest: int) -> None:
+        """Block until our ring at ``dest`` has a free slot.
+
+        Keeps draining our own inbox into the stash meanwhile, so two
+        ranks flooding each other both make progress; our doorbell is
+        also what a peer's traffic (or its poison pill) wakes us with.
+        """
+        deadline = time.monotonic() + self.recv_timeout
+        wait = 0.0005
+        while not box.has_room(self.rank):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise RankFailure(
+                    failed_rank=dest,
+                    detected_by=self.rank,
+                    via="timeout",
+                    detail=f"ring to rank {dest} stayed full for "
+                           f"{self.recv_timeout}s; {self._diagnostics()}",
+                )
+            if self._inbox.doorbell.acquire(timeout=min(wait, remaining)):
+                self._stash_next(ANY_SOURCE, remaining)
+            else:
+                wait = min(wait * 2, 0.05)
+
+    def _diagnostics(self) -> str:
+        """Stash and ring state for the RankFailure of an expired wait."""
         stashed = [key for key, q in self._stash.items() for _ in q]
-        try:
-            inbox_n = self._inboxes[self.rank].qsize()
-        except (NotImplementedError, OSError):  # qsize is platform-dependent
-            inbox_n = -1
+        unread = {s: self._inbox.unread(s) for s in range(self._inbox.n_rings)}
         return (
-            f"no message (source={source}, tag={tag}) within "
-            f"{self.recv_timeout}s; stash holds {len(stashed)} unmatched "
-            f"message(s) {stashed[:8]}, inbox qsize={inbox_n}"
+            f"stash holds {len(stashed)} unmatched message(s) {stashed[:8]}, "
+            f"unread per source ring {unread}"
         )
 
-    def _raise_poison(self, item) -> None:
-        _, origin, reason = item
-        raise RankFailure(
-            failed_rank=origin,
-            detected_by=self.rank,
-            via="poison-pill",
-            detail=reason,
-        )
-
-    def _stash_put(self, item) -> None:
-        """File an unmatched inbox item under its (source, tag) deque."""
-        key = (item[0], item[1])
-        self._stash.setdefault(key, deque()).append((self._stash_seq, item))
+    def _stash_next(self, hint: int, timeout: float) -> None:
+        """Move the message one doorbell acquire stands for into the stash."""
+        try:
+            kind, source, tag, arrival, payload = self._inbox.take(
+                max(hint, 0), timeout
+            )
+        except queue_mod.Empty:
+            raise RankFailure(
+                failed_rank=None,
+                detected_by=self.rank,
+                via="timeout",
+                detail=f"an oversize message body did not follow its ring "
+                       f"marker within {timeout:.3g}s; {self._diagnostics()}",
+            ) from None
+        if kind == _K_POISON:
+            origin, reason = tag, payload
+            raise RankFailure(
+                failed_rank=origin,
+                detected_by=self.rank,
+                via="poison-pill",
+                detail=reason,
+            )
+        item = (source, tag, arrival, payload)
+        self._stash.setdefault((source, tag), deque()).append((self._stash_seq, item))
         self._stash_seq += 1
 
     def _stash_match(self, source: int, tag: int):
@@ -276,46 +451,39 @@ class MpCommunicator:
         match = self._stash_match(source, tag)
         if match is not None:
             return match
-        while True:
-            try:
-                item = self._inboxes[self.rank].get_nowait()
-            except queue_mod.Empty:
-                return self._stash_match(source, tag)
-            if item[0] == _POISON:
-                self._raise_poison(item)
-            self._stash_put(item)
+        while self._inbox.doorbell.acquire(False):
+            self._stash_next(source, self.recv_timeout)
+        return self._stash_match(source, tag)
 
     def _collect(self, source: int, tag: int):
         """Blocking matching receive with the configured wall-clock bound."""
-        deadline = time.monotonic() + self.recv_timeout
-        wait = 0.005
+        doorbell = self._inbox.doorbell
+        remaining = self.recv_timeout
+        deadline = None
         while True:
             match = self._stash_match(source, tag)
             if match is not None:
                 return match
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RankFailure(
-                    failed_rank=None if source == ANY_SOURCE else source,
-                    detected_by=self.rank,
-                    via="timeout",
-                    detail=self._timeout_diagnostics(source, tag),
-                )
-            try:
-                # Exponential backoff (5 ms doubling to 250 ms) keeps
-                # failure detection prompt without busy-spinning.
-                item = self._inboxes[self.rank].get(timeout=min(wait, remaining))
-            except queue_mod.Empty:
-                wait = min(wait * 2, 0.25)
-                continue
-            if item[0] == _POISON:
-                self._raise_poison(item)
-            self._stash_put(item)
+            if not doorbell.acquire(False):
+                # Nothing published yet: park on the doorbell.  Every
+                # producer rings it (pills too), so one timed wait is
+                # enough -- no polling ladder.
+                if deadline is None:
+                    deadline = time.monotonic() + self.recv_timeout
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not doorbell.acquire(timeout=remaining):
+                    raise RankFailure(
+                        failed_rank=None if source == ANY_SOURCE else source,
+                        detected_by=self.rank,
+                        via="timeout",
+                        detail=f"no message (source={source}, tag={tag}) within "
+                               f"{self.recv_timeout}s; {self._diagnostics()}",
+                    )
+            self._stash_next(source, remaining)
 
     def _complete_recv(self, msg, offload: bool = False) -> Any:
         """Charge and count one completed receive; returns the payload."""
-        _src, _t, arrival, obj = msg
-        payload = _unpack_payload(obj)
+        _src, _t, arrival, payload = msg
         if offload:
             self.clock.advance_to(arrival, self._cat_halo_wait)
         else:
@@ -326,6 +494,8 @@ class MpCommunicator:
         return payload
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise ValueError(f"invalid source rank {source}")
         if self.fault_state is not None:
             self.fault_state.on_op(self.clock)
         return self._complete_recv(self._collect(source, tag))
@@ -335,7 +505,7 @@ class MpCommunicator:
         return self.recv(source=source, tag=recvtag)
 
     def isend(self, obj, dest: int, tag: int = 0, offload: bool = False) -> Request:
-        """Nonblocking send; complete on return (queue put buffers eagerly)."""
+        """Nonblocking send; complete on return (the slot holds a copy)."""
         self.send(obj, dest, tag=tag, offload=offload)
         return Request(self, "send")
 
@@ -358,45 +528,27 @@ class MpCommunicator:
 
     # -- collectives: identical algorithms as the thread backend -------------
     def barrier(self) -> None:
-        from repro.vmp import collectives
-
         collectives.barrier(self)
 
     def bcast(self, obj, root: int = 0):
-        from repro.vmp import collectives
-
         return collectives.bcast(self, obj, root)
 
     def reduce(self, value, op=None, root: int = 0):
-        from repro.vmp import collectives
-        from repro.vmp.comm import ReduceOp
-
         return collectives.reduce(self, value, op or ReduceOp.SUM, root)
 
     def allreduce(self, value, op=None):
-        from repro.vmp import collectives
-        from repro.vmp.comm import ReduceOp
-
         return collectives.allreduce(self, value, op or ReduceOp.SUM)
 
     def gather(self, value, root: int = 0):
-        from repro.vmp import collectives
-
         return collectives.gather(self, value, root)
 
     def allgather(self, value):
-        from repro.vmp import collectives
-
         return collectives.allgather(self, value)
 
     def scatter(self, values, root: int = 0):
-        from repro.vmp import collectives
-
         return collectives.scatter(self, values, root)
 
     def alltoall(self, values):
-        from repro.vmp import collectives
-
         return collectives.alltoall(self, values)
 
 
@@ -421,14 +573,11 @@ class MpRunResult:
     stats: list[CommStats] = None
 
 
-def _poison_all(inboxes, skip: int, origin: int, reason: str) -> None:
-    """Deposit a poison pill naming ``origin`` in every inbox but ``skip``."""
+def _poison_all(inboxes, source: int, skip: int, origin: int, reason: str) -> None:
+    """Post a pill naming ``origin`` on ring ``source`` of every inbox but ``skip``."""
     for d, box in enumerate(inboxes):
         if d != skip:
-            try:
-                box.put((_POISON, origin, reason))
-            except (OSError, ValueError):
-                pass  # inbox already torn down
+            box.post_poison(source, origin, reason)
 
 
 def _worker(
@@ -459,13 +608,13 @@ def _worker(
         # Survivor that detected a peer death: report the abort and
         # forward the culprit so ranks blocked on *us* also fail fast.
         model_time = comm.clock.now if comm is not None else 0.0
-        _poison_all(inboxes, rank, exc.failed_rank if exc.failed_rank is not None
+        _poison_all(inboxes, rank, rank, exc.failed_rank if exc.failed_rank is not None
                     else rank, str(exc))
         results.put((rank, "detected", (exc.failed_rank, exc.via, str(exc)),
                      model_time, {}, None))
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         model_time = comm.clock.now if comm is not None else 0.0
-        _poison_all(inboxes, rank, rank, repr(exc))
+        _poison_all(inboxes, rank, rank, rank, repr(exc))
         results.put(
             (rank, "error", (repr(exc), isinstance(exc, InjectedRankCrash)),
              model_time, {}, None)
@@ -503,7 +652,7 @@ def run_multiprocessing(
         raise ValueError("topology size mismatch")
 
     ctx = mp.get_context("fork")
-    inboxes = [ctx.Queue() for _ in range(n_ranks)]
+    inboxes = [_Inbox(ctx, n_ranks) for _ in range(n_ranks)]
     results: mp.Queue = ctx.Queue()
     procs = [
         ctx.Process(
@@ -557,7 +706,7 @@ def run_multiprocessing(
                     report.failures.append(
                         RankFailureRecord(rank=r, error=reason, model_time=0.0)
                     )
-                    _poison_all(inboxes, r, r, reason)
+                    _poison_all(inboxes, n_ranks, r, r, reason)
             continue
         pending.discard(rank)
         model_times[rank] = model_time

@@ -29,7 +29,7 @@ from repro.vmp.faults import (
     StallFault,
 )
 from repro.vmp.machines import IDEAL
-from repro.vmp.process_backend import MpCommunicator, run_multiprocessing
+from repro.vmp.process_backend import MpCommunicator, _Inbox, run_multiprocessing
 from repro.vmp.scheduler import run_spmd
 
 mp_fault = pytest.mark.tier1_fault
@@ -280,7 +280,7 @@ class TestMpCommunicatorTimeout:
         from repro.util.rng import SeedSequenceFactory
 
         ctx = mp.get_context("fork")
-        inboxes = [ctx.Queue(), ctx.Queue()]
+        inboxes = [_Inbox(ctx, 2), _Inbox(ctx, 2)]
         return MpCommunicator(
             rank=0,
             size=2,
@@ -307,14 +307,24 @@ class TestMpCommunicatorTimeout:
     def test_timeout_error_includes_stash_and_inbox_diagnostics(self):
         comm = self._comm(recv_timeout=0.3)
         # An unmatched message (wrong tag) must show up in the report.
-        comm._inboxes[0].put((1, 99, 0.0, "stray"))
-        time.sleep(0.05)  # let the queue feeder deliver
+        comm._inboxes[0].post(1, 99, 0.0, "stray")
         with pytest.raises(RankFailure) as excinfo:
             comm.recv(source=1, tag=7)
         msg = str(excinfo.value)
         assert "stash holds 1 unmatched message(s)" in msg
         assert "(1, 99)" in msg
-        assert "inbox qsize=" in msg
+        # The stray message was drained into the stash: every ring
+        # (two ranks + the launcher's) reports nothing unread.
+        assert "unread per source ring {0: 0, 1: 0, 2: 0}" in msg
+
+    def test_timeout_diagnostics_report_per_source_ring_depth(self):
+        comm = self._comm(recv_timeout=0.3)
+        for i in range(3):
+            comm._inboxes[0].post(1, 40 + i, 0.0, i)
+        # Not drained yet: three published, unread messages on ring 1.
+        assert "unread per source ring {0: 0, 1: 3, 2: 0}" in comm._diagnostics()
+        assert comm.recv(source=1, tag=42) == 2
+        assert comm.stash_size() == 2
 
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
@@ -322,7 +332,7 @@ class TestMpCommunicatorTimeout:
 
     def test_poison_pill_names_origin(self):
         comm = self._comm(recv_timeout=5.0)
-        comm._inboxes[0].put(("__vmp_poison__", 1, "synthetic death"))
+        comm._inboxes[0].post_poison(1, 1, "synthetic death")
         t0 = time.monotonic()
         with pytest.raises(RankFailure) as excinfo:
             comm.recv(source=1)

@@ -38,7 +38,7 @@ def prog_barrier_then_rank(comm):
 
 
 def prog_large_halo(comm):
-    # Halo-sized ndarray through the queue fast path (1 MB int8).
+    # 1 MB int8: larger than a ring slot, so it takes the overflow route.
     if comm.rank == 0:
         arr = np.arange(1_000_000, dtype=np.int8).reshape(1000, 1000)
         comm.send(arr, 1, tag=3)
@@ -66,7 +66,7 @@ def prog_noncontiguous(comm):
 
 
 def prog_mixed_payload(comm):
-    # Containers of arrays take the same buffer fast path.
+    # Containers of arrays travel as one pickle and come back mutable.
     if comm.rank == 0:
         payload = {
             "planes": (np.ones((4, 6), dtype=np.int8), np.zeros(3)),
@@ -105,7 +105,7 @@ def prog_stash_bounded(comm):
         for i in range(n):
             comm.send(i, 1, tag=100 + i)  # phase 2: wildcard matches
         return comm.recv(source=1, tag=999)
-    # Phase 1: receive in *reverse* tag order.  The inbox is FIFO, so
+    # Phase 1: receive in *reverse* tag order.  A source's ring is FIFO, so
     # matching the last-sent tag first stashes the n-1 earlier messages,
     # and each subsequent recv pops one straight from the stash.
     values, trajectory = [], []

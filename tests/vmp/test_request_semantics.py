@@ -62,6 +62,30 @@ def _wait_charges_once(comm):
     return comm.clock.now
 
 
+def _recv_rejects_bad_source(comm):
+    # An out-of-range source can never be matched: every receive entry
+    # point must say so at once instead of waiting out its timeout.
+    errors = []
+    for call in (comm.recv, comm.irecv):
+        for source in (comm.size, -2):
+            try:
+                call(source=source, tag=0)
+            except ValueError as exc:
+                errors.append(str(exc))
+    return errors
+
+
+@backends
+def test_recv_validates_source_rank(backend):
+    res = run_spmd(_recv_rejects_bad_source, 2, machine=IDEAL, backend=backend,
+                   recv_timeout=5.0)
+    for errors in res.values:
+        assert errors == [
+            "invalid source rank 2", "invalid source rank -2",
+            "invalid source rank 2", "invalid source rank -2",
+        ]
+
+
 @backends
 def test_send_request_complete_on_return(backend):
     res = run_spmd(_send_completes_on_return, 2, machine=IDEAL, backend=backend)
