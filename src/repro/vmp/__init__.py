@@ -26,7 +26,7 @@ The split between *executed* communication (correctness) and *modeled*
 time (performance) is the key substitution documented in DESIGN.md.
 """
 
-from repro.vmp.comm import AbortError, Communicator, ReduceOp
+from repro.vmp.comm import Communicator, ReduceOp
 from repro.vmp.faults import (
     CrashFault,
     FaultPlan,
@@ -75,7 +75,6 @@ from repro.vmp.topology import (
 )
 
 __all__ = [
-    "AbortError",
     "Communicator",
     "ReduceOp",
     "CrashFault",

@@ -50,7 +50,7 @@ _TAG_STRIDE = 64  # max rounds per collective
 
 
 def _next_tag(comm: Communicator) -> int:
-    seq = getattr(comm, "_coll_seq", 0)
+    seq = comm._coll_seq
     comm._coll_seq = seq + 1
     return _TAG_BASE + (seq % (1 << 16)) * _TAG_STRIDE
 

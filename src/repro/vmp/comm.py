@@ -42,6 +42,7 @@ import enum
 import pickle
 import threading
 import time as _time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -53,11 +54,11 @@ from repro.util.timer import WAIT_CATEGORIES, ModelClock
 from repro.vmp.faults import RankFailure, RankFaultState
 from repro.vmp.machines import MachineModel
 from repro.vmp.topology import Topology
+from repro.vmp.trace import MessageEvent
 
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "AbortError",
     "RankFailure",
     "ReduceOp",
     "Communicator",
@@ -71,10 +72,6 @@ __all__ = [
 ANY_SOURCE = -1
 #: Wildcard tag.
 ANY_TAG = -1
-
-
-class AbortError(RuntimeError):
-    """Raised in blocked ranks when a peer rank died with an exception."""
 
 
 class ReduceOp(enum.Enum):
@@ -140,13 +137,76 @@ def _copy_payload(obj: Any) -> Any:
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-@dataclass
-class _Message:
-    src: int
-    tag: int
-    payload: Any
-    nbytes: int
-    arrival: float  # modeled arrival time at the destination
+class _Stash:
+    """Unmatched messages of one rank, matched like an MPI receive queue.
+
+    Messages are ``(src, tag, arrival, payload)`` tuples (tags may be
+    any hashable, e.g. the ``(uid, tag)`` tuples of sub-communicators),
+    kept per ``(src, tag)`` as FIFO deques of ``(seq, msg)``.  A
+    specific match is one dict probe and a ``popleft``; a wildcard
+    (``ANY_SOURCE`` / ``ANY_TAG``) looks only at the deque heads and
+    takes the globally oldest by the monotone ``seq``, so wildcard
+    receives stay FIFO across sources and tags.  Drained keys are
+    deleted: ``len(stash)`` counts the live ``(src, tag)`` keys,
+    :meth:`size` the messages.
+    """
+
+    def __init__(self):
+        self._queues: dict[tuple, deque] = {}
+        self._seq = 0
+
+    def add(self, msg: tuple) -> None:
+        key = msg[:2]
+        q = self._queues.get(key)
+        if q is None:
+            q = self._queues[key] = deque()
+        q.append((self._seq, msg))
+        self._seq += 1
+
+    def pop(self, source: int, tag) -> tuple | None:
+        """Remove and return the oldest message matching, or None."""
+        queues = self._queues
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            key = (source, tag)
+            q = queues.get(key)
+            if q is None:
+                return None
+        else:
+            key = q = None
+            for k, head in queues.items():
+                if (source in (ANY_SOURCE, k[0]) and tag in (ANY_TAG, k[1])
+                        and (q is None or head[0][0] < q[0][0])):
+                    key, q = k, head
+            if q is None:
+                return None
+        msg = q.popleft()[1]
+        if not q:
+            del queues[key]
+        return msg
+
+    def __len__(self) -> int:
+        return len(self._queues)
+
+    def size(self) -> int:
+        """Number of stashed messages."""
+        return sum(len(q) for q in self._queues.values())
+
+    def describe(self) -> str:
+        """``holds N unmatched message(s) [(src, tag), ...]`` for timeouts."""
+        keys = [key for key, q in self._queues.items() for _ in q]
+        return f"holds {len(keys)} unmatched message(s) {keys[:8]}"
+
+
+def recv_timeout_failure(rank: int, source: int, tag, timeout: float,
+                         diagnostics: str) -> RankFailure:
+    """The one :class:`RankFailure` of an expired blocking receive."""
+    return RankFailure(
+        failed_rank=None if source == ANY_SOURCE else source,
+        detected_by=rank,
+        via="timeout",
+        detail=f"no message (source={source}, tag={tag}) within {timeout}s; "
+               f"{diagnostics}",
+    )
 
 
 class Request:
@@ -171,10 +231,8 @@ class Request:
       time; completion charges no further alpha, only the residual
       ``halo_wait`` to the arrival stamp.
 
-    The mechanics are delegated to the owning communicator through the
-    private collect hooks (``_try_collect`` / ``_collect`` /
-    ``_complete_recv``), which is what lets the three transports share
-    this single implementation.
+    The mechanics are :meth:`Communicator._match` (the transport's
+    collect hooks) and :meth:`Communicator._complete_recv`.
     """
 
     def __init__(self, comm, kind: str, source: int = ANY_SOURCE,
@@ -191,7 +249,7 @@ class Request:
         """Nonblocking completion check; a ready receive is consumed."""
         if self._done:
             return True
-        msg = self._comm._try_collect(self._source, self._tag)
+        msg = self._comm._match(self._source, self._tag, block=False)
         if msg is None:
             return False
         self._payload = self._comm._complete_recv(msg, offload=self._offload)
@@ -201,7 +259,7 @@ class Request:
     def wait(self) -> Any:
         """Block until complete; returns the payload (None for sends)."""
         if not self._done:
-            msg = self._comm._collect(self._source, self._tag)
+            msg = self._comm._match(self._source, self._tag, block=True)
             self._payload = self._comm._complete_recv(msg, offload=self._offload)
             self._done = True
         return self._payload
@@ -223,6 +281,23 @@ class CommStats:
         self.bytes_received += other.bytes_received
 
 
+def record_comm_counters(metrics, stats: CommStats, breakdown: dict) -> None:
+    """Write a rank's ``comm.*`` counters into its metrics scope.
+
+    ``comm.wait_seconds`` is the modeled time the rank spent blocked
+    past the latency charge -- the clock's wait categories
+    (``comm_wait``, the overlap pipeline's ``halo_wait``, per-level
+    waits), so no per-message accounting is needed.
+    """
+    metrics.counter("comm.messages_sent").value = float(stats.messages_sent)
+    metrics.counter("comm.bytes_sent").value = float(stats.bytes_sent)
+    metrics.counter("comm.messages_received").value = float(stats.messages_received)
+    metrics.counter("comm.bytes_received").value = float(stats.bytes_received)
+    metrics.counter("comm.wait_seconds").value = sum(
+        breakdown.get(c, 0.0) for c in WAIT_CATEGORIES
+    )
+
+
 @dataclass
 class _DeadRank:
     """Registry entry of a failed rank (see :meth:`Fabric.mark_dead`)."""
@@ -236,8 +311,8 @@ class _DeadRank:
 class Fabric:
     """Shared in-process message fabric connecting ``n`` ranks.
 
-    One instance per SPMD run; owns the mailboxes, the dead-rank
-    registry, and the legacy abort flag.
+    One instance per SPMD run; owns the mailboxes and the dead-rank
+    registry.
     """
 
     def __init__(
@@ -256,8 +331,7 @@ class Fabric:
         self.topology = topology
         self._lock = threading.Lock()
         self._conditions = [threading.Condition(self._lock) for _ in range(n_ranks)]
-        self._mailboxes: list[list[_Message]] = [[] for _ in range(n_ranks)]
-        self.abort_exc: BaseException | None = None
+        self._mailboxes = [_Stash() for _ in range(n_ranks)]
         #: rank -> _DeadRank for every rank whose program raised.  Blocked
         #: receivers waiting on a dead source fail fast with RankFailure.
         self.dead_ranks: dict[int, _DeadRank] = {}
@@ -270,9 +344,9 @@ class Fabric:
             with self._trace_lock:
                 self.trace_events.append(event)
 
-    def deposit(self, dst: int, msg: _Message) -> None:
+    def deposit(self, dst: int, msg: tuple) -> None:
         with self._conditions[dst]:
-            self._mailboxes[dst].append(msg)
+            self._mailboxes[dst].add(msg)
             self._conditions[dst].notify_all()
 
     def _check_dead(self, dst: int, src: int) -> None:
@@ -303,7 +377,7 @@ class Fabric:
 
     def collect(
         self, dst: int, src: int, tag: int, timeout: float | None = None
-    ) -> _Message:
+    ) -> tuple:
         """Block until a message matching (src, tag) is available.
 
         ``timeout`` bounds the *wall-clock* wait; waiting uses
@@ -313,55 +387,35 @@ class Fabric:
         mailbox diagnostics.
         """
         cond = self._conditions[dst]
+        box = self._mailboxes[dst]
         deadline = None if timeout is None else _time.monotonic() + timeout
         wait = 0.001
         with cond:
             while True:
-                if self.abort_exc is not None:
-                    raise AbortError(f"peer rank failed: {self.abort_exc!r}")
-                box = self._mailboxes[dst]
-                for i, m in enumerate(box):
-                    if (src in (ANY_SOURCE, m.src)) and (tag in (ANY_TAG, m.tag)):
-                        return box.pop(i)
+                msg = box.pop(src, tag)
+                if msg is not None:
+                    return msg
                 self._check_dead(dst, src)
                 if deadline is not None:
                     remaining = deadline - _time.monotonic()
                     if remaining <= 0:
-                        pending = [(m.src, m.tag) for m in box]
-                        raise RankFailure(
-                            failed_rank=None if src == ANY_SOURCE else src,
-                            detected_by=dst,
-                            via="timeout",
-                            detail=(
-                                f"no message (source={src}, tag={tag}) within "
-                                f"{timeout}s; mailbox holds {len(pending)} "
-                                f"unmatched message(s) {pending[:8]}"
-                            ),
+                        raise recv_timeout_failure(
+                            dst, src, tag, timeout, f"mailbox {box.describe()}"
                         )
                     cond.wait(timeout=min(wait, remaining))
                 else:
-                    # Bounded waits so aborts/deaths are noticed even
-                    # with no traffic.
+                    # Bounded waits so deaths are noticed even with no
+                    # traffic.
                     cond.wait(timeout=wait)
                 wait = min(wait * 2, 0.25)
 
-    def try_collect(self, dst: int, src: int, tag: int) -> _Message | None:
+    def try_collect(self, dst: int, src: int, tag: int) -> tuple | None:
         """Nonblocking matching receive; None when nothing matches."""
         with self._conditions[dst]:
-            if self.abort_exc is not None:
-                raise AbortError(f"peer rank failed: {self.abort_exc!r}")
-            box = self._mailboxes[dst]
-            for i, m in enumerate(box):
-                if (src in (ANY_SOURCE, m.src)) and (tag in (ANY_TAG, m.tag)):
-                    return box.pop(i)
-            self._check_dead(dst, src)
-            return None
-
-    def abort(self, exc: BaseException) -> None:
-        with self._lock:
-            if self.abort_exc is None:
-                self.abort_exc = exc
-        self._notify_all()
+            msg = self._mailboxes[dst].pop(src, tag)
+            if msg is None:
+                self._check_dead(dst, src)
+            return msg
 
     def mark_dead(self, rank: int, exc: BaseException, model_time: float = 0.0) -> None:
         """Register ``rank`` as dead and wake every blocked receiver.
@@ -378,17 +432,9 @@ class Fabric:
                 self.dead_ranks[rank] = _DeadRank(
                     rank=rank, origin=origin, error=repr(exc), model_time=model_time
                 )
-        self._notify_all()
-
-    def _notify_all(self) -> None:
         for cond in self._conditions:
             with cond:
                 cond.notify_all()
-
-    def pending(self, dst: int) -> int:
-        """Number of undelivered messages in a rank's mailbox."""
-        with self._conditions[dst]:
-            return len(self._mailboxes[dst])
 
 
 class Communicator:
@@ -398,6 +444,24 @@ class Communicator:
     (pickle-based) API -- ``send``/``recv``/``bcast``/``allreduce``/... --
     so the SPMD programs in :mod:`repro.qmc` read like ordinary MPI
     codes and could be ported to real MPI verbatim.
+
+    This class is both the thread transport's endpoint and the base of
+    every other one (:class:`~repro.vmp.process_backend.MpCommunicator`,
+    :class:`~repro.vmp.mpi_backend.MpiCommunicator`,
+    :class:`~repro.vmp.split.SubCommunicator`).  Everything the cost
+    convention and the :class:`Request` contract depend on is written
+    here once; a transport supplies three hooks over the one message
+    shape ``(src, tag, arrival, payload)``:
+
+    * ``_deliver(dest, tag, arrival, obj, nbytes, t_send, drop)`` --
+      put a copy of ``obj`` into ``dest``'s inbox unless ``drop``
+      (an injected loss: charged and counted, never delivered);
+    * ``_try_collect(source, tag)`` -- pop the oldest matching message
+      without blocking, or return ``None``;
+    * ``_collect(source, tag)`` -- block for it, raising
+      :func:`recv_timeout_failure` past ``recv_timeout``.
+
+    Subclasses call :meth:`_init_endpoint` instead of this constructor.
     """
 
     def __init__(
@@ -410,57 +474,82 @@ class Communicator:
         metrics=NOOP,
     ):
         self.fabric = fabric
+        self._init_endpoint(
+            rank, fabric.n_ranks, fabric.machine, fabric.topology, stream,
+            recv_timeout, fault_state, metrics,
+        )
+
+    def _init_endpoint(self, rank: int, size: int, machine: MachineModel,
+                       topology: Topology, stream, recv_timeout: float | None,
+                       fault_state: RankFaultState | None = None,
+                       metrics=NOOP) -> None:
+        """Set the transport-independent state of a world endpoint."""
         self.rank = int(rank)
-        self.size = fabric.n_ranks
-        self.machine = fabric.machine
-        self.topology = fabric.topology
+        self.size = int(size)
+        self.machine = machine
+        self.topology = topology
         self.clock = ModelClock()
         self.stream = stream
         self.stats = CommStats()
         #: Wall-clock bound on every blocking receive (None = wait forever,
         #: relying on the dead-rank registry for failure detection).
         self.recv_timeout = recv_timeout
-        #: Per-rank fault-injection state (None = no faults).
+        #: Per-rank fault-injection state (None = no faults), keyed by
+        #: world rank on every communicator of the rank.
         self.fault_state = fault_state
         #: Rank-scoped metrics recorder (the free NOOP unless the run
-        #: enables telemetry).  CommStats already counts messages and
-        #: bytes on every op, so the comm.* counters are *synced* from
-        #: it lazily (:meth:`sync_metrics`, called at snapshot cadence
-        #: and at end of run) rather than bumped per message -- the only
-        #: per-message cost when enabled is the wire-size histogram.
+        #: enables telemetry; always NOOP inside mp/mpi workers, whose
+        #: launcher records the end-of-run counters instead).  CommStats
+        #: already counts messages and bytes on every op, so the comm.*
+        #: counters are *synced* from it lazily (:meth:`sync_metrics`,
+        #: called at snapshot cadence and at end of run) rather than
+        #: bumped per message -- the only per-message cost when enabled
+        #: is the wire-size histogram.
         self.metrics = metrics
-        #: Clock categories this endpoint charges (see util.timer).  A
-        #: sub-communicator created with ``split(..., label=...)``
-        #: temporarily swaps these around delegated operations so its
-        #: traffic is attributed to its own per-level categories.
+        #: Display name (set on split children); prefixed to the detail
+        #: of a RankFailure detected through this communicator.
+        self.name: str | None = None
+        #: Clock categories this endpoint charges (see util.timer); a
+        #: ``split(..., label=...)`` child charges per-level ones.
         self._cat_comm = "comm"
         self._cat_wait = "comm_wait"
         self._cat_halo_wait = "halo_wait"
+        #: Collective and split call counters (every rank of a
+        #: communicator makes the same calls in the same order, so these
+        #: namespace tags identically everywhere) and the split lineage.
+        self._coll_seq = 0
+        self._split_seq = 0
+        self._uid: tuple[int, ...] = ()
         self._obs = bool(metrics.enabled)
         if self._obs:
             self._m_msg_hist = metrics.histogram(
                 "comm.message_bytes", MESSAGE_BYTES_EDGES
             )
 
-    def sync_metrics(self) -> None:
-        """Fold CommStats and the clock's wait total into the registry.
+    def _adopt(self, parent: "Communicator", label: str | None,
+               name: str | None) -> None:
+        """Make this endpoint a split child of ``parent``.
 
-        ``comm.wait_seconds`` is the modeled time this rank spent
-        blocked past the latency charge -- the clock's wait categories
-        (``comm_wait`` plus the overlap pipeline's ``halo_wait``), so
-        no per-message accounting is needed.
+        One rank has one clock and one set of counters however many
+        communicators it holds, so the child shares the parent's; it
+        charges the parent's categories unless ``label`` names its own
+        level (``label`` / ``label_wait``, offloaded waits included).
         """
-        if not self._obs:
-            return
-        m, s = self.metrics, self.stats
-        m.counter("comm.messages_sent").value = float(s.messages_sent)
-        m.counter("comm.bytes_sent").value = float(s.bytes_sent)
-        m.counter("comm.messages_received").value = float(s.messages_received)
-        m.counter("comm.bytes_received").value = float(s.bytes_received)
-        b = self.clock.breakdown()
-        m.counter("comm.wait_seconds").value = sum(
-            b.get(c, 0.0) for c in WAIT_CATEGORIES
-        )
+        self.clock = parent.clock
+        self.stats = parent.stats
+        self.name = name
+        if label is None:
+            self._cat_comm = parent._cat_comm
+            self._cat_wait = parent._cat_wait
+            self._cat_halo_wait = parent._cat_halo_wait
+        else:
+            self._cat_comm = label
+            self._cat_wait = self._cat_halo_wait = f"{label}_wait"
+
+    def sync_metrics(self) -> None:
+        """Fold CommStats and the clock's wait total into the registry."""
+        if self._obs:
+            record_comm_counters(self.metrics, self.stats, self.clock.breakdown())
 
     # -- modeled compute -------------------------------------------------
     def charge_compute(self, flops: float) -> None:
@@ -502,62 +591,80 @@ class Communicator:
         )
         drop = False
         if self.fault_state is not None:
-            extra, drop = self.fault_state.outgoing(dest)
+            extra, drop = self.fault_state.outgoing(self._world_rank(dest))
             arrival += extra
         self.stats.messages_sent += 1
         self.stats.bytes_sent += nbytes
         if self._obs:
             self._m_msg_hist.observe(nbytes)
-        if self.fabric.trace_events is not None:
-            from repro.vmp.trace import MessageEvent
+        self._deliver(dest, tag, arrival, obj, nbytes, start, drop)
 
-            self.fabric.record_event(
+    def _world_rank(self, rank: int) -> int:
+        """World rank of local ``rank`` (the key fault plans are written in)."""
+        return rank
+
+    # -- transport hooks (thread: the in-process fabric) -------------------
+    def _deliver(self, dest: int, tag, arrival: float, obj: Any, nbytes: int,
+                 t_send: float, drop: bool) -> None:
+        fabric = self.fabric
+        if fabric.trace_events is not None:
+            fabric.record_event(
                 MessageEvent(
                     src=self.rank,
                     dst=dest,
                     tag=tag,
                     nbytes=nbytes,
-                    t_send=start,
+                    t_send=t_send,
                     t_arrival=arrival,
                 )
             )
-        if drop:
-            return  # injected loss: sender charged, message never delivered
-        self.fabric.deposit(
-            dest,
-            _Message(
-                src=self.rank,
-                tag=tag,
-                payload=_copy_payload(obj),
-                nbytes=nbytes,
-                arrival=arrival,
-            ),
-        )
+        if not drop:
+            fabric.deposit(dest, (self.rank, tag, arrival, _copy_payload(obj)))
 
-    # -- collect hooks shared with :class:`Request` ------------------------
-    def _try_collect(self, source: int, tag: int) -> _Message | None:
-        """Nonblocking matching receive from the fabric (None: no match)."""
+    def _try_collect(self, source: int, tag) -> tuple | None:
         return self.fabric.try_collect(self.rank, source, tag)
 
-    def _collect(self, source: int, tag: int) -> _Message:
-        """Blocking matching receive from the fabric."""
+    def _collect(self, source: int, tag) -> tuple:
         return self.fabric.collect(self.rank, source, tag, timeout=self.recv_timeout)
 
-    def _complete_recv(self, msg: _Message, offload: bool = False) -> Any:
+    # -- receive side shared with :class:`Request` -------------------------
+    def _match(self, source: int, tag, block: bool) -> tuple | None:
+        """One matching message from the transport (None: none yet).
+
+        A :class:`RankFailure` detected here carries this
+        communicator's ``name``, so a crash inside one replica's domain
+        is reported as such.
+        """
+        try:
+            if block:
+                return self._collect(source, tag)
+            return self._try_collect(source, tag)
+        except RankFailure as exc:
+            if self.name is None:
+                raise
+            raise RankFailure(
+                failed_rank=exc.failed_rank,
+                detected_by=exc.detected_by,
+                via=exc.via,
+                detail=f"[{self.name}] {exc.detail}",
+            ) from None
+
+    def _complete_recv(self, msg: tuple, offload: bool = False) -> Any:
         """Charge and count one completed receive; returns the payload.
 
         Offloaded receives were charged their post overhead at post
         time, so completion only absorbs the residual wait to the
         arrival stamp (``halo_wait``).
         """
+        _src, _tag, arrival, payload = msg
         if offload:
-            self.clock.advance_to(msg.arrival, self._cat_halo_wait)
+            self.clock.advance_to(arrival, self._cat_halo_wait)
         else:
             self.clock.charge(self.machine.latency, self._cat_comm)
-            self.clock.advance_to(msg.arrival, self._cat_wait)
+            self.clock.advance_to(arrival, self._cat_wait)
         self.stats.messages_received += 1
-        self.stats.bytes_received += msg.nbytes
-        return msg.payload
+        self.stats.bytes_received += payload_nbytes(payload)
+        return payload
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload object."""
@@ -565,7 +672,7 @@ class Communicator:
             raise ValueError(f"invalid source rank {source}")
         if self.fault_state is not None:
             self.fault_state.on_op(self.clock)
-        return self._complete_recv(self._collect(source, tag))
+        return self._complete_recv(self._match(source, tag, block=True))
 
     def sendrecv(
         self,
@@ -616,50 +723,39 @@ class Communicator:
         returns ``None``.  See :mod:`repro.vmp.split` for scoping,
         clock-accounting (``label=``) and naming (``name=``) semantics.
         """
-        from repro.vmp.split import split_communicator
-
-        return split_communicator(self, color, key, label=label, name=name)
+        return _split.split_communicator(self, color, key, label=label, name=name)
 
     # -- collectives (implemented in repro.vmp.collectives) ----------------
     def barrier(self) -> None:
-        from repro.vmp import collectives
-
         collectives.barrier(self)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        from repro.vmp import collectives
-
         return collectives.bcast(self, obj, root)
 
     def reduce(self, value: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0) -> Any:
-        from repro.vmp import collectives
-
         return collectives.reduce(self, value, op, root)
 
     def allreduce(self, value: Any, op: ReduceOp = ReduceOp.SUM) -> Any:
-        from repro.vmp import collectives
-
         return collectives.allreduce(self, value, op)
 
     def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        from repro.vmp import collectives
-
         return collectives.gather(self, value, root)
 
     def allgather(self, value: Any) -> list[Any]:
-        from repro.vmp import collectives
-
         return collectives.allgather(self, value)
 
     def scatter(self, values: list[Any] | None, root: int = 0) -> Any:
-        from repro.vmp import collectives
-
         return collectives.scatter(self, values, root)
 
     def alltoall(self, values: list[Any]) -> list[Any]:
-        from repro.vmp import collectives
-
         return collectives.alltoall(self, values)
 
     def __repr__(self) -> str:
-        return f"Communicator(rank={self.rank}, size={self.size}, machine={self.machine.name})"
+        return (
+            f"{type(self).__name__}(rank={self.rank}, size={self.size}, "
+            f"machine={self.machine.name})"
+        )
+
+
+# Both modules import names defined above, so they load last.
+from repro.vmp import collectives, split as _split  # noqa: E402

@@ -9,11 +9,11 @@ tempering_program`, every collective -- run under a real MPI launcher,
     mpiexec -n 4 python -m repro run-xxz --sites 64 --beta 1.0 \\
         --strategy strip --ranks 4 --backend mpi
 
-which is exactly how the 1993 genre paper's codes executed.  The
-module adapts the repository's :class:`~repro.vmp.comm.Communicator`
-surface (``send``/``recv``/``sendrecv``/``isend``/``irecv``, logical
-tags, ``CommStats``, modeled clock, collectives via
-:mod:`repro.vmp.collectives`) onto ``MPI.COMM_WORLD``:
+which is exactly how the 1993 genre paper's codes executed.
+:class:`MpiCommunicator` is a :class:`~repro.vmp.comm.Communicator`
+(which states the cost convention, the ``Request`` contract, matching
+order and the collectives once) whose three transport hooks run over
+``MPI.COMM_WORLD``:
 
 * **Transport.**  Every point-to-point message travels as one mpi4py
   lowercase (pickle) message carrying ``(src, logical_tag, arrival,
@@ -29,12 +29,10 @@ tags, ``CommStats``, modeled clock, collectives via
   drained at finalize, so sends never rendezvous-block and the
   :class:`~repro.vmp.comm.Request` contract (send handles complete on
   return) holds identically to the thread and mp backends.
-* **Modeled time.**  Each rank carries the same
-  :class:`~repro.util.timer.ModelClock` charged by the alpha--beta
-  machine model; the sender's modeled arrival stamp travels with each
-  message, so ``comm``/``comm_wait`` accounting -- and therefore
-  trajectories *and* modeled makespans -- are identical across all
-  three backends.  Wall-clock throughput comes from the real hardware.
+* **Modeled time.**  The sender's modeled arrival stamp travels with
+  each message, so the shared accounting yields the same trajectories
+  *and* modeled makespans as the other two backends.  Wall-clock
+  throughput comes from the real hardware.
 * **Failure handling.**  A rank whose program raises prints the
   traceback and calls ``MPI.COMM_WORLD.Abort`` (the standard MPI
   idiom); the launcher surfaces a structured
@@ -60,29 +58,20 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.obs.metrics import NOOP
 from repro.util.rng import SeedSequenceFactory
-from repro.util.timer import ModelClock
-from repro.vmp.comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommStats,
-    Request,
-    _copy_payload,
-    payload_nbytes,
-)
+from repro.vmp.comm import Communicator, _copy_payload, _Stash, recv_timeout_failure
 from repro.vmp.faults import RankFailure, RunReport
 from repro.vmp.machines import IDEAL, MachineModel
+from repro.vmp.scheduler import BackendRunResult
+from repro.vmp.split import SubTopology, _validate_label, split_membership
 from repro.vmp.topology import Topology
 
 __all__ = [
     "MpiUnavailableError",
     "MpiCommunicator",
-    "MpiRunResult",
     "mpi_available",
     "mpiexec_available",
     "world_size_hint",
@@ -169,23 +158,17 @@ def _require_mpi():
     return MPI
 
 
-def _sub_topology(parent: Topology, members) -> Topology:
-    """Embedded-subset topology of a split child (lazy import, no cycle)."""
-    from repro.vmp.split import SubTopology
-
-    return SubTopology(parent, members)
-
-
-class MpiCommunicator:
+class MpiCommunicator(Communicator):
     """One rank's endpoint over a real mpi4py communicator.
 
-    Same public surface as :class:`~repro.vmp.comm.Communicator` and
-    :class:`~repro.vmp.process_backend.MpCommunicator`: point-to-point
-    ops with logical tags, the full collective set (reused from
-    :mod:`repro.vmp.collectives`), a modeled clock, per-rank
-    :class:`~repro.vmp.comm.CommStats`, and the rank's seeded random
-    stream.  ``recv_timeout`` bounds blocking receives in wall-clock
-    seconds (None: wait forever, like the thread backend's default).
+    The cost convention, ``Request`` semantics and collectives are
+    :class:`~repro.vmp.comm.Communicator`'s; this class is the
+    transport: eager ``isend`` with opportunistic reaping, a probe/recv
+    drain into the stash, :meth:`finalize`, and a :meth:`split` backed
+    by a real ``MPI.Comm.Split``.  ``recv_timeout`` bounds blocking
+    receives in wall-clock seconds (None: wait forever, like the thread
+    backend's default).  Fault injection is thread/mp-only (see the
+    module docstring), so ``fault_state`` is always ``None`` here.
     """
 
     def __init__(
@@ -195,51 +178,19 @@ class MpiCommunicator:
         topology: Topology,
         stream,
         recv_timeout: float | None = None,
-        metrics=NOOP,
     ):
         self._MPI = _require_mpi()
         self._mpi = mpi_comm
-        self.rank = int(mpi_comm.Get_rank())
-        self.size = int(mpi_comm.Get_size())
-        self.machine = machine
-        self.topology = topology
-        self.stream = stream
-        self.recv_timeout = recv_timeout
-        self.clock = ModelClock()
-        self.stats = CommStats()
-        #: Fault injection is thread/mp-only (see module docstring);
-        #: the attribute exists so shared driver code can test it.
-        self.fault_state = None
-        #: Per-rank recorders cannot be aggregated across MPI processes
-        #: mid-run; the launcher folds CommStats and the clock breakdown
-        #: into the run registry afterwards (run_spmd backend dispatch).
-        self.metrics = metrics
-        #: Unmatched in-band messages: (src, logical_tag, arrival, payload).
-        self._stash: list[tuple[int, int, float, Any]] = []
+        self._init_endpoint(mpi_comm.Get_rank(), mpi_comm.Get_size(), machine,
+                            topology, stream, recv_timeout)
+        #: Wire messages received but not yet matched.
+        self._stash = _Stash()
         #: Outstanding MPI isend requests (reaped opportunistically).
         self._pending_sends: list = []
         #: Sub-communicators created by :meth:`split` (finalized with us).
         self._children: list[MpiCommunicator] = []
-        #: Optional display name (set on split children); prefixed to
-        #: RankFailure details so failures name the replica/level.
-        self.name: str | None = None
-        # Clock categories this endpoint charges; a labeled split child
-        # gets per-level categories instead (see repro.vmp.split).
-        self._cat_comm = "comm"
-        self._cat_wait = "comm_wait"
-        self._cat_halo_wait = "halo_wait"
 
-    def sync_metrics(self) -> None:
-        """No-op counterpart of Communicator.sync_metrics (metrics is NOOP)."""
-
-    # -- modeled compute ---------------------------------------------------
-    def charge_compute(self, flops: float) -> None:
-        self.clock.charge(self.machine.compute_time(flops), "compute")
-
-    def charge_seconds(self, seconds: float, category: str = "compute") -> None:
-        self.clock.charge(seconds, category)
-
-    # -- point-to-point ----------------------------------------------------
+    # -- transport hooks ---------------------------------------------------
     def _reap_sends(self) -> None:
         """Drop completed isend requests without blocking."""
         if self._pending_sends:
@@ -247,74 +198,40 @@ class MpiCommunicator:
                 req for req in self._pending_sends if not req.Test()
             ]
 
-    def send(self, obj: Any, dest: int, tag: int = 0, offload: bool = False) -> None:
-        """Buffered send: returns once the message is en route.
-
-        ``offload=True`` uses the coprocessor cost convention shared
-        with the other backends: only the post overhead is charged, the
-        arrival stamp is unchanged.  On this backend the isend really
-        is eager, so the overlap is physical as well as modeled.
-        """
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        nbytes = payload_nbytes(obj)
-        hops = self.topology.hops(self.rank, dest)
-        start = self.clock.now
-        if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
-        else:
-            self.clock.charge(
-                self.machine.latency + self.machine.byte_time * nbytes,
-                self._cat_comm,
-            )
-        arrival = (
-            start
-            + self.machine.latency
-            + self.machine.hop_time * hops
-            + self.machine.byte_time * nbytes
-        )
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += nbytes
-        wire = (self.rank, tag, arrival, obj)
+    def _deliver(self, dest, tag, arrival, obj, nbytes, t_send, drop) -> None:
+        # The isend really is eager here, so an offloaded send overlaps
+        # physically as well as in the model.
         if dest == self.rank:
             # Self-delivery never touches MPI; copy to preserve the
             # disjoint-address-space semantics of the other backends.
-            self._stash.append((self.rank, tag, arrival, _copy_payload(obj)))
+            self._stash.add((self.rank, tag, arrival, _copy_payload(obj)))
             return
         self._pending_sends.append(
-            self._mpi.isend(wire, dest=dest, tag=_WIRE_TAG)
+            self._mpi.isend((self.rank, tag, arrival, obj), dest=dest, tag=_WIRE_TAG)
         )
         self._reap_sends()
 
-    def _stash_match(self, source: int, tag: int):
-        """Pop and return the first stashed match, or None."""
-        for i, (src, t, _arrival, _obj) in enumerate(self._stash):
-            if source in (ANY_SOURCE, src) and tag in (ANY_TAG, t):
-                return self._stash.pop(i)
-        return None
+    def _stash_wire(self) -> None:
+        """Receive one wire message (blocking) into the stash."""
+        self._stash.add(self._mpi.recv(source=self._MPI.ANY_SOURCE, tag=_WIRE_TAG))
 
     def _drain_inbox(self) -> bool:
         """Move every already-arrived wire message into the stash."""
         got_any = False
         while self._mpi.iprobe(source=self._MPI.ANY_SOURCE, tag=_WIRE_TAG):
-            self._stash.append(
-                self._mpi.recv(source=self._MPI.ANY_SOURCE, tag=_WIRE_TAG)
-            )
+            self._stash_wire()
             got_any = True
         return got_any
 
-    # -- collect hooks shared with :class:`repro.vmp.comm.Request` ---------
-    def _try_collect(self, source: int, tag: int):
-        """Nonblocking matching receive (None: no match available)."""
-        match = self._stash_match(source, tag)
+    def _try_collect(self, source: int, tag):
+        match = self._stash.pop(source, tag)
         if match is not None:
             return match
         self._reap_sends()
         self._drain_inbox()
-        return self._stash_match(source, tag)
+        return self._stash.pop(source, tag)
 
-    def _collect(self, source: int, tag: int):
-        """Blocking matching receive honoring ``recv_timeout``."""
+    def _collect(self, source: int, tag):
         deadline = (
             None
             if self.recv_timeout is None
@@ -322,7 +239,7 @@ class MpiCommunicator:
         )
         wait = 0.0005
         while True:
-            match = self._stash_match(source, tag)
+            match = self._stash.pop(source, tag)
             if match is not None:
                 return match
             self._reap_sends()
@@ -330,67 +247,20 @@ class MpiCommunicator:
                 # Nothing stashed matches: block on the wire.  Any
                 # message unblocks us; non-matching ones are stashed
                 # and the loop re-scans.
-                self._stash.append(
-                    self._mpi.recv(source=self._MPI.ANY_SOURCE, tag=_WIRE_TAG)
-                )
+                self._stash_wire()
                 continue
             if self._drain_inbox():
                 continue
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                stashed = [(s, t) for s, t, _, _ in self._stash]
-                prefix = f"[{self.name}] " if self.name else ""
-                raise RankFailure(
-                    failed_rank=None if source == ANY_SOURCE else source,
-                    detected_by=self.rank,
-                    via="timeout",
-                    detail=(
-                        f"{prefix}no message (source={source}, tag={tag}) "
-                        f"within {self.recv_timeout}s; stash holds "
-                        f"{len(stashed)} unmatched message(s) {stashed[:8]}"
-                    ),
+                raise recv_timeout_failure(
+                    self.rank, source, tag, self.recv_timeout,
+                    f"stash {self._stash.describe()}",
                 )
             # Exponential backoff (0.5 ms doubling to 50 ms): prompt
             # matching without busy-spinning the MPI progress engine.
             time.sleep(min(wait, remaining))
             wait = min(wait * 2, 0.05)
-
-    def _complete_recv(self, msg, offload: bool = False) -> Any:
-        """Charge and count one completed receive; returns the payload."""
-        _src, _tag, arrival, payload = msg
-        if offload:
-            self.clock.advance_to(arrival, self._cat_halo_wait)
-        else:
-            self.clock.charge(self.machine.latency, self._cat_comm)
-            self.clock.advance_to(arrival, self._cat_wait)
-        self.stats.messages_received += 1
-        self.stats.bytes_received += payload_nbytes(payload)
-        return payload
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; returns the payload object."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise ValueError(f"invalid source rank {source}")
-        return self._complete_recv(self._collect(source, tag))
-
-    def sendrecv(self, obj, dest, source, sendtag=0, recvtag=0):
-        """Combined exchange; sends never block, so no deadlock."""
-        self.send(obj, dest, tag=sendtag)
-        return self.recv(source=source, tag=recvtag)
-
-    def isend(self, obj, dest: int, tag: int = 0, offload: bool = False) -> Request:
-        """Nonblocking send; complete on return (isend buffers eagerly)."""
-        self.send(obj, dest, tag=tag, offload=offload)
-        return Request(self, "send")
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              offload: bool = False) -> Request:
-        """Nonblocking receive with the shared :class:`Request` semantics."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise ValueError(f"invalid source rank {source}")
-        if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
-        return Request(self, "recv", source=source, tag=tag, offload=offload)
 
     def finalize(self) -> None:
         """Complete every outstanding send (call after the program returns)."""
@@ -414,8 +284,6 @@ class MpiCommunicator:
         ``label``-derived categories when a label is given, and is
         finalized together with its parent.
         """
-        from repro.vmp.split import _validate_label, split_membership
-
         _validate_label(label)
         members, my_rank = split_membership(self, color, key)
         mpi_color = self._MPI.UNDEFINED if color is None else int(color)
@@ -425,10 +293,9 @@ class MpiCommunicator:
         child = MpiCommunicator(
             sub_mpi,
             self.machine,
-            _sub_topology(self.topology, members),
+            SubTopology(self.topology, members),
             self.stream,
             recv_timeout=self.recv_timeout,
-            metrics=self.metrics,
         )
         # MPI_Comm_split orders by (key, parent rank) -- the same order
         # split_membership computed; the check guards the assumption.
@@ -436,79 +303,9 @@ class MpiCommunicator:
             raise RuntimeError(
                 f"MPI split rank {child.rank} != modeled rank {my_rank}"
             )
-        child.clock = self.clock
-        child.stats = self.stats
-        child.name = name
-        if label is not None:
-            child._cat_comm = label
-            child._cat_wait = f"{label}_wait"
-            child._cat_halo_wait = f"{label}_wait"
-        else:
-            child._cat_comm = self._cat_comm
-            child._cat_wait = self._cat_wait
-            child._cat_halo_wait = self._cat_halo_wait
+        child._adopt(self, label, name)
         self._children.append(child)
         return child
-
-    # -- collectives: identical algorithms as the other backends -----------
-    def barrier(self) -> None:
-        from repro.vmp import collectives
-
-        collectives.barrier(self)
-
-    def bcast(self, obj, root: int = 0):
-        from repro.vmp import collectives
-
-        return collectives.bcast(self, obj, root)
-
-    def reduce(self, value, op=None, root: int = 0):
-        from repro.vmp import collectives
-        from repro.vmp.comm import ReduceOp
-
-        return collectives.reduce(self, value, op or ReduceOp.SUM, root)
-
-    def allreduce(self, value, op=None):
-        from repro.vmp import collectives
-        from repro.vmp.comm import ReduceOp
-
-        return collectives.allreduce(self, value, op or ReduceOp.SUM)
-
-    def gather(self, value, root: int = 0):
-        from repro.vmp import collectives
-
-        return collectives.gather(self, value, root)
-
-    def allgather(self, value):
-        from repro.vmp import collectives
-
-        return collectives.allgather(self, value)
-
-    def scatter(self, values, root: int = 0):
-        from repro.vmp import collectives
-
-        return collectives.scatter(self, values, root)
-
-    def alltoall(self, values):
-        from repro.vmp import collectives
-
-        return collectives.alltoall(self, values)
-
-    def __repr__(self) -> str:
-        return (
-            f"MpiCommunicator(rank={self.rank}, size={self.size}, "
-            f"machine={self.machine.name})"
-        )
-
-
-@dataclass
-class MpiRunResult:
-    """Outcome of an MPI-backed SPMD run (rank-ordered, like MpRunResult)."""
-
-    values: list[Any]
-    model_times: list[float]
-    breakdowns: list[dict]
-    stats: list[CommStats]
-    report: RunReport
 
 
 def run_mpi_world(
@@ -519,12 +316,12 @@ def run_mpi_world(
     seed: int = 0,
     args: Sequence[Any] = (),
     recv_timeout: float | None = None,
-) -> MpiRunResult:
+) -> BackendRunResult:
     """Run ``program(comm, *args)`` on every rank of ``MPI.COMM_WORLD``.
 
     Must be called collectively from a process already launched by
     ``mpiexec`` (every rank executes it, ordinary SPMD style).  Returns
-    the same :class:`MpiRunResult` -- with *all* ranks' values,
+    the same :class:`~repro.vmp.scheduler.BackendRunResult` -- with *all* ranks' values,
     modeled clocks, breakdowns and comm stats -- on every rank, so the
     calling code (the Simulation facade, the CLI) runs identically
     everywhere and only output needs a rank-0 guard.
@@ -568,7 +365,7 @@ def run_mpi_world(
     )
     report = RunReport(n_ranks=size)
     report.completed = list(range(size))
-    return MpiRunResult(
+    return BackendRunResult(
         values=[o[0] for o in outcomes],
         model_times=[o[1] for o in outcomes],
         breakdowns=[o[2] for o in outcomes],
@@ -596,7 +393,7 @@ def run_mpiexec(
     recv_timeout: float | None = None,
     launch_timeout: float = _DEFAULT_LAUNCH_TIMEOUT_S,
     mpiexec: str = "mpiexec",
-) -> MpiRunResult:
+) -> BackendRunResult:
     """Launch ``mpiexec -n P python -m repro.vmp.mpi_worker`` and collect.
 
     For callers *not* already under an MPI launcher (pytest, the
@@ -604,7 +401,8 @@ def run_mpiexec(
     machine model, topology, seed, args -- is pickled to a scratch
     file, ``mpiexec`` starts ``n_ranks`` fresh interpreters running
     :mod:`repro.vmp.mpi_worker`, rank 0 writes the gathered
-    :class:`MpiRunResult` back, and this process loads and returns it.
+    :class:`~repro.vmp.scheduler.BackendRunResult` back, and this process
+    loads and returns it.
     ``program`` must be picklable (defined at module top level), the
     same constraint the multiprocessing backend imposes.
 
@@ -688,5 +486,4 @@ def run_mpiexec(
                 via="mpiexec",
                 detail="mpiexec exited cleanly but rank 0 wrote no result",
             )
-        result: MpiRunResult = pickle.loads(result_path.read_bytes())
-    return result
+        return pickle.loads(result_path.read_bytes())

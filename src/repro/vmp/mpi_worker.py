@@ -7,7 +7,7 @@ Started by :func:`repro.vmp.mpi_backend.run_mpiexec` as
 Every rank loads the pickled run request (program object, machine
 model, topology, seed, args), executes the rank program collectively
 through :func:`~repro.vmp.mpi_backend.run_mpi_world`, and rank 0
-writes the gathered :class:`~repro.vmp.mpi_backend.MpiRunResult` to
+writes the gathered :class:`~repro.vmp.scheduler.BackendRunResult` to
 ``result.pkl`` (atomically, via a rename) for the launching process to
 collect.  Program exceptions abort the whole job inside
 ``run_mpi_world``; the launcher turns the nonzero exit status into a

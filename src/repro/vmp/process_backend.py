@@ -2,9 +2,11 @@
 
 The cooperative thread scheduler in :mod:`repro.vmp.scheduler` is the
 default backend; this module runs the *same program objects* on real OS
-processes with genuinely disjoint address spaces.  It supports the full
-collective set by reusing :mod:`repro.vmp.collectives`, which only
-needs ``send``/``recv``/``sendrecv``.
+processes with genuinely disjoint address spaces.
+:class:`MpCommunicator` is a :class:`~repro.vmp.comm.Communicator` whose
+three transport hooks post to and collect from the fabric below; the
+cost convention, ``Request`` semantics, matching order and collectives
+are stated once, in :mod:`repro.vmp.comm`.
 
 Messages travel through a shared-memory fabric (:class:`_Inbox`): every
 rank owns one anonymous ``MAP_SHARED`` mapping, created before the fork
@@ -29,7 +31,8 @@ Fault tolerance mirrors the thread backend:
 * the launcher monitors process liveness: a rank that dies without
   reporting (e.g. SIGKILL mid-sweep) is detected from its exit code and
   poison pills are injected on its behalf;
-* :func:`run_multiprocessing` returns an :class:`MpRunResult` whose
+* :func:`run_multiprocessing` returns a
+  :class:`~repro.vmp.scheduler.BackendRunResult` whose
   :class:`~repro.vmp.faults.RunReport` records who failed, when
   (modeled clock at death), and who aborted -- and raises a
   :class:`RankFailure` with that report attached when any rank failed.
@@ -51,22 +54,17 @@ import queue as queue_mod
 import struct
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import NOOP
 from repro.util.rng import SeedSequenceFactory
-from repro.util.timer import ModelClock
-from repro.vmp import collectives
 from repro.vmp.comm import (
     ANY_SOURCE,
-    ANY_TAG,
     CommStats,
-    ReduceOp,
-    Request,
-    payload_nbytes,
+    Communicator,
+    _Stash,
+    recv_timeout_failure,
 )
 from repro.vmp.faults import (
     AbortRecord,
@@ -77,9 +75,10 @@ from repro.vmp.faults import (
     RunReport,
 )
 from repro.vmp.machines import IDEAL, MachineModel
+from repro.vmp.scheduler import BackendRunResult
 from repro.vmp.topology import Topology
 
-__all__ = ["MpCommunicator", "MpRunResult", "run_multiprocessing"]
+__all__ = ["MpCommunicator", "run_multiprocessing"]
 
 #: Default wall-clock bound on a blocking receive (and on the whole run).
 _DEFAULT_TIMEOUT_S = 120.0
@@ -251,12 +250,15 @@ class _Inbox:
         return self._bodies[source].popleft()
 
 
-class MpCommunicator:
+class MpCommunicator(Communicator):
     """Communicator over the shared-memory fabric (one inbox per rank).
 
-    Implements the same cost convention as the in-process fabric: the
-    sender's clock time travels with each message so arrival stamps and
-    ``comm_wait`` accounting behave identically across backends.
+    The cost convention, ``Request`` semantics and collectives are
+    :class:`~repro.vmp.comm.Communicator`'s; this class is the
+    transport: ring posts with ring-full progress, the doorbell wait
+    and poison pills.  The sender's clock time travels with each
+    message, so arrival stamps and ``comm_wait`` accounting are those
+    of the in-process fabric.
 
     ``recv_timeout`` bounds every blocking receive in wall-clock
     seconds; ``fault_state`` is this rank's view of an injected
@@ -276,76 +278,17 @@ class MpCommunicator:
     ):
         if recv_timeout <= 0:
             raise ValueError("recv_timeout must be positive")
-        self.rank = rank
-        self.size = size
-        self.machine = machine
-        self.topology = topology
-        self.stream = stream
-        self.recv_timeout = recv_timeout
-        self.fault_state = fault_state
+        self._init_endpoint(rank, size, machine, topology, stream,
+                            recv_timeout, fault_state)
         self._inboxes = inboxes
         self._inbox = inboxes[rank]
-        #: Unmatched messages keyed per ``(source, tag)`` as FIFO deques
-        #: of ``(seq, item)``; the monotone ``seq`` keeps wildcard
-        #: matches (ANY_SOURCE / ANY_TAG) globally FIFO.  Keyed access
-        #: makes the hot specific-match path O(1) instead of a linear
-        #: re-scan of the whole stash on every poll.
-        self._stash: dict[tuple[int, int], deque] = {}
-        self._stash_seq = 0
-        self.clock = ModelClock()
-        self.stats = CommStats()
-        # Telemetry recorders cannot cross process boundaries; driver
-        # code can still reference comm.metrics uniformly.  The launcher
-        # folds CommStats and the clock breakdown into the run's
-        # registry after the fact (see run_spmd backend dispatch).
-        self.metrics = NOOP
-        # Clock categories this endpoint charges; a labeled
-        # sub-communicator swaps these around delegated operations
-        # (see repro.vmp.split).
-        self._cat_comm = "comm"
-        self._cat_wait = "comm_wait"
-        self._cat_halo_wait = "halo_wait"
+        #: Messages taken off the rings but not yet matched.
+        self._stash = _Stash()
 
-    def sync_metrics(self) -> None:
-        """No-op counterpart of Communicator.sync_metrics (metrics is NOOP)."""
-
-    # -- modeled compute ---------------------------------------------------
-    def charge_compute(self, flops: float) -> None:
-        self.clock.charge(self.machine.compute_time(flops), "compute")
-
-    def charge_seconds(self, seconds: float, category: str = "compute") -> None:
-        self.clock.charge(seconds, category)
-
-    # -- point-to-point ------------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0, offload: bool = False) -> None:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"invalid destination rank {dest}")
-        if self.fault_state is not None:
-            self.fault_state.on_op(self.clock)
-        nbytes = payload_nbytes(obj)
-        hops = self.topology.hops(self.rank, dest)
-        start = self.clock.now
-        if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
-        else:
-            self.clock.charge(
-                self.machine.latency + self.machine.byte_time * nbytes,
-                self._cat_comm,
-            )
-        arrival = (
-            start
-            + self.machine.latency
-            + self.machine.hop_time * hops
-            + self.machine.byte_time * nbytes
-        )
-        drop = False
-        if self.fault_state is not None:
-            extra, drop = self.fault_state.outgoing(dest)
-            arrival += extra
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += nbytes
+    # -- transport hooks ---------------------------------------------------
+    def _deliver(self, dest, tag, arrival, obj, nbytes, t_send, drop) -> None:
         if drop:
-            return  # injected loss: sender charged, message never delivered
+            return
         box = self._inboxes[dest]
         if not box.has_room(self.rank):
             self._wait_for_room(box, dest)
@@ -377,12 +320,8 @@ class MpCommunicator:
 
     def _diagnostics(self) -> str:
         """Stash and ring state for the RankFailure of an expired wait."""
-        stashed = [key for key, q in self._stash.items() for _ in q]
         unread = {s: self._inbox.unread(s) for s in range(self._inbox.n_rings)}
-        return (
-            f"stash holds {len(stashed)} unmatched message(s) {stashed[:8]}, "
-            f"unread per source ring {unread}"
-        )
+        return f"stash {self._stash.describe()}, unread per source ring {unread}"
 
     def _stash_next(self, hint: int, timeout: float) -> None:
         """Move the message one doorbell acquire stands for into the stash."""
@@ -406,62 +345,26 @@ class MpCommunicator:
                 via="poison-pill",
                 detail=reason,
             )
-        item = (source, tag, arrival, payload)
-        self._stash.setdefault((source, tag), deque()).append((self._stash_seq, item))
-        self._stash_seq += 1
-
-    def _stash_match(self, source: int, tag: int):
-        """Pop and return the oldest stashed match, or None.
-
-        Specific (source, tag) lookups are a single dict probe +
-        popleft; wildcard lookups scan only the deque *heads* (one per
-        distinct key) and pick the globally oldest by sequence number,
-        preserving FIFO order across sources and tags.
-        """
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            q = self._stash.get((source, tag))
-            if not q:
-                return None
-            item = q.popleft()[1]
-            if not q:
-                del self._stash[(source, tag)]
-            return item
-        best_key = None
-        best_seq = -1
-        for (src, t), q in self._stash.items():
-            if source in (ANY_SOURCE, src) and tag in (ANY_TAG, t):
-                seq = q[0][0]
-                if best_key is None or seq < best_seq:
-                    best_key, best_seq = (src, t), seq
-        if best_key is None:
-            return None
-        q = self._stash[best_key]
-        item = q.popleft()[1]
-        if not q:
-            del self._stash[best_key]
-        return item
+        self._stash.add((source, tag, arrival, payload))
 
     def stash_size(self) -> int:
         """Total unmatched messages currently stashed (for diagnostics)."""
-        return sum(len(q) for q in self._stash.values())
+        return self._stash.size()
 
-    # -- collect hooks shared with :class:`repro.vmp.comm.Request` ---------
-    def _try_collect(self, source: int, tag: int):
-        """Nonblocking matching receive (drains the inbox; None: no match)."""
-        match = self._stash_match(source, tag)
+    def _try_collect(self, source: int, tag):
+        match = self._stash.pop(source, tag)
         if match is not None:
             return match
         while self._inbox.doorbell.acquire(False):
             self._stash_next(source, self.recv_timeout)
-        return self._stash_match(source, tag)
+        return self._stash.pop(source, tag)
 
-    def _collect(self, source: int, tag: int):
-        """Blocking matching receive with the configured wall-clock bound."""
+    def _collect(self, source: int, tag):
         doorbell = self._inbox.doorbell
         remaining = self.recv_timeout
         deadline = None
         while True:
-            match = self._stash_match(source, tag)
+            match = self._stash.pop(source, tag)
             if match is not None:
                 return match
             if not doorbell.acquire(False):
@@ -472,105 +375,11 @@ class MpCommunicator:
                     deadline = time.monotonic() + self.recv_timeout
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not doorbell.acquire(timeout=remaining):
-                    raise RankFailure(
-                        failed_rank=None if source == ANY_SOURCE else source,
-                        detected_by=self.rank,
-                        via="timeout",
-                        detail=f"no message (source={source}, tag={tag}) within "
-                               f"{self.recv_timeout}s; {self._diagnostics()}",
+                    raise recv_timeout_failure(
+                        self.rank, source, tag, self.recv_timeout,
+                        self._diagnostics(),
                     )
             self._stash_next(source, remaining)
-
-    def _complete_recv(self, msg, offload: bool = False) -> Any:
-        """Charge and count one completed receive; returns the payload."""
-        _src, _t, arrival, payload = msg
-        if offload:
-            self.clock.advance_to(arrival, self._cat_halo_wait)
-        else:
-            self.clock.charge(self.machine.latency, self._cat_comm)
-            self.clock.advance_to(arrival, self._cat_wait)
-        self.stats.messages_received += 1
-        self.stats.bytes_received += payload_nbytes(payload)
-        return payload
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise ValueError(f"invalid source rank {source}")
-        if self.fault_state is not None:
-            self.fault_state.on_op(self.clock)
-        return self._complete_recv(self._collect(source, tag))
-
-    def sendrecv(self, obj, dest, source, sendtag=0, recvtag=0):
-        self.send(obj, dest, tag=sendtag)
-        return self.recv(source=source, tag=recvtag)
-
-    def isend(self, obj, dest: int, tag: int = 0, offload: bool = False) -> Request:
-        """Nonblocking send; complete on return (the slot holds a copy)."""
-        self.send(obj, dest, tag=tag, offload=offload)
-        return Request(self, "send")
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              offload: bool = False) -> Request:
-        """Nonblocking receive with the shared :class:`Request` semantics."""
-        if source != ANY_SOURCE and not 0 <= source < self.size:
-            raise ValueError(f"invalid source rank {source}")
-        if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
-        return Request(self, "recv", source=source, tag=tag, offload=offload)
-
-    # -- communicator splitting ---------------------------------------------
-    def split(self, color: int | None, key: int = 0, *,
-              label: str | None = None, name: str | None = None):
-        """MPI-style collective split (see :meth:`Communicator.split`)."""
-        from repro.vmp.split import split_communicator
-
-        return split_communicator(self, color, key, label=label, name=name)
-
-    # -- collectives: identical algorithms as the thread backend -------------
-    def barrier(self) -> None:
-        collectives.barrier(self)
-
-    def bcast(self, obj, root: int = 0):
-        return collectives.bcast(self, obj, root)
-
-    def reduce(self, value, op=None, root: int = 0):
-        return collectives.reduce(self, value, op or ReduceOp.SUM, root)
-
-    def allreduce(self, value, op=None):
-        return collectives.allreduce(self, value, op or ReduceOp.SUM)
-
-    def gather(self, value, root: int = 0):
-        return collectives.gather(self, value, root)
-
-    def allgather(self, value):
-        return collectives.allgather(self, value)
-
-    def scatter(self, values, root: int = 0):
-        return collectives.scatter(self, values, root)
-
-    def alltoall(self, values):
-        return collectives.alltoall(self, values)
-
-
-@dataclass
-class MpRunResult:
-    """Outcome of a :func:`run_multiprocessing` run.
-
-    ``values``, ``model_times``, ``breakdowns`` and ``stats`` are
-    rank-ordered; ``report`` is the run's
-    :class:`~repro.vmp.faults.RunReport` (all-completed here -- failed
-    runs raise instead of returning).  ``breakdowns`` holds each rank's
-    modeled-clock category split and ``stats`` its
-    :class:`~repro.vmp.comm.CommStats`, which is what lets the backend
-    dispatcher present mp runs as ordinary
-    :class:`~repro.vmp.scheduler.SpmdResult` objects.
-    """
-
-    values: list[Any]
-    model_times: list[float]
-    report: RunReport
-    breakdowns: list[dict] = None
-    stats: list[CommStats] = None
 
 
 def _poison_all(inboxes, source: int, skip: int, origin: int, reason: str) -> None:
@@ -631,12 +440,12 @@ def run_multiprocessing(
     recv_timeout: float = _DEFAULT_TIMEOUT_S,
     join_timeout: float = _DEFAULT_TIMEOUT_S,
     fault_plan: FaultPlan | None = None,
-) -> MpRunResult:
+) -> BackendRunResult:
     """Run ``program(comm, *args)`` on ``n_ranks`` OS processes.
 
-    Returns an :class:`MpRunResult` with rank-ordered program values,
-    modeled per-rank clocks, and the run's
-    :class:`~repro.vmp.faults.RunReport`.  If any rank fails, raises a
+    Returns a :class:`~repro.vmp.scheduler.BackendRunResult` with
+    rank-ordered program values, modeled per-rank clocks, breakdowns
+    and comm stats, and the run's :class:`~repro.vmp.faults.RunReport`.  If any rank fails, raises a
     :class:`~repro.vmp.faults.RankFailure` naming the first failed rank
     with the full report attached as ``run_report``.
 
@@ -749,7 +558,7 @@ def run_multiprocessing(
             )
         exc.run_report = report
         raise exc
-    return MpRunResult(
+    return BackendRunResult(
         values=[outcomes[r] for r in range(n_ranks)],
         model_times=[model_times[r] for r in range(n_ranks)],
         report=report,

@@ -34,7 +34,7 @@ from repro.obs.metrics import NOOP, MetricsRegistry
 from repro.obs.spans import SpanCollector
 from repro.util.rng import SeedSequenceFactory
 from repro.util.timer import COMM_CATEGORIES, COMPUTE_CATEGORIES, WAIT_CATEGORIES
-from repro.vmp.comm import AbortError, Communicator, Fabric
+from repro.vmp.comm import CommStats, Communicator, Fabric, record_comm_counters
 from repro.vmp.faults import (
     AbortRecord,
     FaultPlan,
@@ -46,7 +46,7 @@ from repro.vmp.faults import (
 from repro.vmp.machines import IDEAL, MachineModel
 from repro.vmp.topology import Topology
 
-__all__ = ["BACKENDS", "SpmdResult", "run_spmd"]
+__all__ = ["BACKENDS", "BackendRunResult", "SpmdResult", "run_spmd"]
 
 
 @dataclass
@@ -57,8 +57,25 @@ class RankOutcome:
     value: Any
     model_time: float
     breakdown: dict[str, float]
-    messages_sent: int
-    bytes_sent: int
+    stats: CommStats
+
+
+@dataclass
+class BackendRunResult:
+    """Rank-ordered outcome of an mp or mpi run, as its launcher returns it.
+
+    ``breakdowns`` holds each rank's modeled-clock category split and
+    ``stats`` its :class:`~repro.vmp.comm.CommStats`; ``report`` is the
+    run's :class:`~repro.vmp.faults.RunReport` (all-completed -- failed
+    runs raise instead of returning).  :func:`run_spmd` presents it as
+    an ordinary :class:`SpmdResult`.
+    """
+
+    values: list[Any]
+    model_times: list[float]
+    report: RunReport
+    breakdowns: list[dict[str, float]]
+    stats: list[CommStats]
 
 
 @dataclass
@@ -156,11 +173,11 @@ class SpmdResult:
 
     @property
     def total_messages(self) -> int:
-        return sum(o.messages_sent for o in self.outcomes)
+        return sum(o.stats.messages_sent for o in self.outcomes)
 
     @property
     def total_bytes(self) -> int:
-        return sum(o.bytes_sent for o in self.outcomes)
+        return sum(o.stats.bytes_sent for o in self.outcomes)
 
     def comm_fraction(self) -> float:
         """Share of the makespan rank 0 spent communicating or waiting.
@@ -221,63 +238,51 @@ class _RankBox:
 BACKENDS = ("thread", "mp", "mpi")
 
 
-def _fold_backend_metrics(metrics, outcomes) -> None:
-    """Fold per-rank comm stats and phase breakdowns into a registry.
+def _record_rank_metrics(scope, breakdown: dict, model_time: float,
+                         stats: CommStats) -> None:
+    """Record one rank's end-of-run comm counters and phase gauges.
 
-    The mp and mpi backends run ranks in separate processes, so the
-    live in-run recorders cannot be shared; what *can* be reported
-    faithfully after the fact is exactly what the thread backend's
-    ``sync_metrics`` + scheduler phase gauges record: comm counters and
-    the modeled-clock phase split.  Sweep-level counters (attempted /
-    accepted / wall time) stay thread-backend-only; DESIGN.md carries
+    The phase gauges say how the rank's modeled makespan splits into
+    compute / comm overhead / idle wait.  The same call serves every
+    backend: thread ranks pass their live scope, while mp/mpi ranks ran
+    in other processes (recorders cannot cross that boundary), so the
+    launcher records what they reported.  Sweep-level counters and the
+    message-size histogram stay thread-backend-only; DESIGN.md carries
     the support matrix.
     """
-    for o in outcomes:
-        b = o.breakdown
-        scope = metrics.scope(o.rank)
-        scope.counter("comm.messages_sent").value = float(o.messages_sent)
-        scope.counter("comm.bytes_sent").value = float(o.bytes_sent)
-        scope.counter("comm.wait_seconds").value = sum(
-            b.get(c, 0.0) for c in WAIT_CATEGORIES
-        )
-        scope.set_gauge(
-            "phase.compute_seconds",
-            sum(b.get(c, 0.0) for c in COMPUTE_CATEGORIES),
-        )
-        scope.set_gauge(
-            "phase.comm_seconds", sum(b.get(c, 0.0) for c in COMM_CATEGORIES)
-        )
-        scope.set_gauge(
-            "phase.idle_seconds", sum(b.get(c, 0.0) for c in WAIT_CATEGORIES)
-        )
-        scope.set_gauge("phase.model_seconds", o.model_time)
+    record_comm_counters(scope, stats, breakdown)
+    scope.set_gauge(
+        "phase.compute_seconds",
+        sum(breakdown.get(c, 0.0) for c in COMPUTE_CATEGORIES),
+    )
+    scope.set_gauge(
+        "phase.comm_seconds", sum(breakdown.get(c, 0.0) for c in COMM_CATEGORIES)
+    )
+    scope.set_gauge(
+        "phase.idle_seconds", sum(breakdown.get(c, 0.0) for c in WAIT_CATEGORIES)
+    )
+    scope.set_gauge("phase.model_seconds", model_time)
 
 
 def _result_from_backend(
-    backend_result, machine: MachineModel, topo: Topology, metrics
+    res: BackendRunResult, machine: MachineModel, topo: Topology, metrics
 ) -> SpmdResult:
-    """Present an Mp/MpiRunResult as a uniform :class:`SpmdResult`."""
-    stats = backend_result.stats or [None] * len(backend_result.values)
-    breakdowns = backend_result.breakdowns or [{}] * len(backend_result.values)
+    """Present a :class:`BackendRunResult` as a uniform :class:`SpmdResult`."""
     outcomes = [
-        RankOutcome(
-            rank=r,
-            value=value,
-            model_time=backend_result.model_times[r],
-            breakdown=breakdowns[r] or {},
-            messages_sent=stats[r].messages_sent if stats[r] else 0,
-            bytes_sent=stats[r].bytes_sent if stats[r] else 0,
-        )
-        for r, value in enumerate(backend_result.values)
+        RankOutcome(r, value, res.model_times[r], res.breakdowns[r], res.stats[r])
+        for r, value in enumerate(res.values)
     ]
     if metrics is not None:
-        _fold_backend_metrics(metrics, outcomes)
+        for o in outcomes:
+            _record_rank_metrics(
+                metrics.scope(o.rank), o.breakdown, o.model_time, o.stats
+            )
     return SpmdResult(
         outcomes=outcomes,
         machine=machine,
         topology=topo,
         trace=None,
-        report=backend_result.report,
+        report=res.report,
         metrics=metrics,
         spans=None,
     )
@@ -430,15 +435,10 @@ def run_spmd(
         try:
             boxes[rank].value = program(comm, *args)
             boxes[rank].done = True
-        except AbortError:
-            pass  # secondary failure; the primary exception is reported
-        except RankFailure as exc:
-            # This rank survived but detected a peer death; record the
-            # abort and propagate the *original* culprit to ranks still
-            # blocked on us.
-            boxes[rank].error = exc
-            fabric.mark_dead(rank, exc, model_time=comm.clock.now)
         except BaseException as exc:  # noqa: BLE001 - must propagate everything
+            # Our own failure, or a RankFailure because we detected a
+            # peer's: mark_dead propagates the *original* culprit to
+            # ranks still blocked on us.
             boxes[rank].error = exc
             fabric.mark_dead(rank, exc, model_time=comm.clock.now)
 
@@ -468,7 +468,7 @@ def run_spmd(
                     model_time=model_time,
                 )
             )
-        elif box.error is not None:
+        else:
             report.failures.append(
                 RankFailureRecord(
                     rank=r,
@@ -476,11 +476,6 @@ def run_spmd(
                     model_time=model_time,
                     injected=isinstance(box.error, InjectedRankCrash),
                 )
-            )
-        else:  # legacy AbortError path: released without a culprit
-            report.aborted.append(
-                AbortRecord(rank=r, failed_rank=None, via="abort",
-                            model_time=model_time)
             )
 
     # Primary exception: a rank's own failure outranks the RankFailure
@@ -500,32 +495,9 @@ def run_spmd(
         assert comm is not None
         breakdown = comm.clock.breakdown()
         if metrics is not None:
-            # Scheduler-level phase accounting: how the rank's modeled
-            # makespan splits into compute / comm overhead / idle wait.
-            comm.sync_metrics()
-            scope = comm.metrics
-            scope.set_gauge(
-                "phase.compute_seconds",
-                sum(breakdown.get(c, 0.0) for c in COMPUTE_CATEGORIES),
-            )
-            scope.set_gauge(
-                "phase.comm_seconds",
-                sum(breakdown.get(c, 0.0) for c in COMM_CATEGORIES),
-            )
-            scope.set_gauge(
-                "phase.idle_seconds",
-                sum(breakdown.get(c, 0.0) for c in WAIT_CATEGORIES),
-            )
-            scope.set_gauge("phase.model_seconds", comm.clock.now)
+            _record_rank_metrics(comm.metrics, breakdown, comm.clock.now, comm.stats)
         outcomes.append(
-            RankOutcome(
-                rank=r,
-                value=box.value,
-                model_time=comm.clock.now,
-                breakdown=breakdown,
-                messages_sent=comm.stats.messages_sent,
-                bytes_sent=comm.stats.bytes_sent,
-            )
+            RankOutcome(r, box.value, comm.clock.now, breakdown, comm.stats)
         )
     return SpmdResult(
         outcomes=outcomes,

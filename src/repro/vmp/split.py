@@ -13,14 +13,15 @@ same modeled time on every backend (the mpi backend reuses this
 exchange before calling the real ``MPI.Comm.Split``, keeping makespans
 bit-identical across transports).
 
-:class:`SubCommunicator` (thread/mp) is a view onto the parent: it
+:class:`SubCommunicator` (thread/mp) is a
+:class:`~repro.vmp.comm.Communicator` that is a view onto its parent: it
 shares the parent's :class:`~repro.util.timer.ModelClock`, RNG stream,
 ``CommStats`` and fault state, translates local ranks to parent ranks,
 and namespaces message tags by wrapping them as ``(uid, tag)`` tuples
 -- all three transports match tags by equality, so traffic of one
 sub-communicator can never be received by another (or by the parent).
-Collectives come from :mod:`repro.vmp.collectives` unchanged, scoped
-by the same mechanism.
+The cost convention and the collectives are the base class's (stated
+once, in :mod:`repro.vmp.comm`), scoped by the same mechanism.
 
 Per-level clock accounting: ``split(..., label="ensemble")`` makes the
 sub-communicator charge its traffic to the ``ensemble`` /
@@ -37,11 +38,10 @@ domain is reported as such.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any
 
 from repro.util.timer import COMM_CATEGORIES, WAIT_CATEGORIES
-from repro.vmp.comm import ANY_SOURCE, ANY_TAG, RankFailure, Request
+from repro.vmp.comm import ANY_SOURCE, ANY_TAG, Communicator, Request
 from repro.vmp.topology import Topology
 
 __all__ = ["SubCommunicator", "SubTopology", "split_communicator"]
@@ -89,12 +89,12 @@ def split_communicator(parent, color: int | None, key: int = 0, *,
     members, my_rank = split_membership(parent, color, key)
     # Collective call order gives every rank the same sequence number;
     # chained with the parent's uid it namespaces nested splits too.
-    seq = getattr(parent, "_split_seq", 0)
+    seq = parent._split_seq
     parent._split_seq = seq + 1
     if my_rank is None:
         return None
-    uid = getattr(parent, "_uid", ()) + (seq,)
-    return SubCommunicator(parent, members, my_rank, uid, label=label, name=name)
+    return SubCommunicator(parent, members, my_rank, parent._uid + (seq,),
+                           label=label, name=name)
 
 
 class SubTopology(Topology):
@@ -139,13 +139,15 @@ class SubTopology(Topology):
         return f"SubTopology({self.size} of {self.parent!r})"
 
 
-class SubCommunicator:
+class SubCommunicator(Communicator):
     """One rank's endpoint in a split-off sub-communicator (thread/mp).
 
     Shares the parent's clock, stats, RNG stream and fault state;
-    translates ranks and namespaces tags.  The public surface mirrors
-    the parent's, so SPMD programs (including the strip world-line
-    driver) run unchanged inside a domain sub-communicator.  Wildcard
+    translates ranks and namespaces tags, forwarding the three
+    transport hooks to the parent while the inherited ``send`` and
+    ``_complete_recv`` charge *this* communicator's categories.  SPMD
+    programs (including the strip world-line driver) therefore run
+    unchanged inside a domain sub-communicator.  Wildcard
     ``ANY_SOURCE``/``ANY_TAG`` receives are rejected: matching them
     against parent-level traffic would break scoping, and no driver
     uses them.
@@ -156,104 +158,37 @@ class SubCommunicator:
                  name: str | None = None):
         self._parent = parent
         self._parent_ranks = tuple(parent_ranks)
-        self._uid = uid
-        self.rank = int(rank)
-        self.size = len(self._parent_ranks)
-        self.name = name
         self.label = label
-        self.machine = parent.machine
-        self.topology = SubTopology(parent.topology, self._parent_ranks)
-        self.clock = parent.clock
-        self.stream = parent.stream
-        self.stats = parent.stats
-        self.recv_timeout = parent.recv_timeout
-        self.metrics = parent.metrics
-        if label is None:
-            self._cat_comm = parent._cat_comm
-            self._cat_wait = parent._cat_wait
-            self._cat_halo_wait = parent._cat_halo_wait
-        else:
-            self._cat_comm = label
-            self._cat_wait = f"{label}_wait"
-            self._cat_halo_wait = f"{label}_wait"
-
-    # -- category override -------------------------------------------------
-    @contextmanager
-    def _charged(self):
-        """Route the parent's clock charges to this comm's categories.
-
-        Each rank is single-threaded, so temporarily swapping the
-        parent's category attributes around one delegated operation is
-        race-free (and nests correctly through chained splits).
-        """
-        p = self._parent
-        saved = (p._cat_comm, p._cat_wait, p._cat_halo_wait)
-        p._cat_comm = self._cat_comm
-        p._cat_wait = self._cat_wait
-        p._cat_halo_wait = self._cat_halo_wait
-        try:
-            yield
-        finally:
-            p._cat_comm, p._cat_wait, p._cat_halo_wait = saved
-
-    # -- rank/tag translation ----------------------------------------------
-    def _wrap(self, tag: int):
-        return (self._uid, tag)
-
-    def _check_rank(self, rank: int, what: str) -> int:
-        if not 0 <= rank < self.size:
-            raise ValueError(f"invalid {what} rank {rank} in {self!r}")
-        return self._parent_ranks[rank]
-
-    def _named(self, exc: RankFailure) -> RankFailure:
-        if self.name is None:
-            return exc
-        return RankFailure(
-            failed_rank=exc.failed_rank,
-            detected_by=exc.detected_by,
-            via=exc.via,
-            detail=f"[{self.name}] {exc.detail}",
+        self._init_endpoint(
+            rank, len(self._parent_ranks), parent.machine,
+            SubTopology(parent.topology, self._parent_ranks), parent.stream,
+            parent.recv_timeout, parent.fault_state, parent.metrics,
         )
+        self._adopt(parent, label, name)
+        self._uid = uid
 
-    # -- modeled compute ---------------------------------------------------
-    def charge_compute(self, flops: float) -> None:
-        self.clock.charge(self.machine.compute_time(flops), "compute")
+    def _world_rank(self, rank: int) -> int:
+        return self._parent._world_rank(self._parent_ranks[rank])
 
-    def charge_seconds(self, seconds: float, category: str = "compute") -> None:
-        self.clock.charge(seconds, category)
+    # -- transport hooks: the parent's, with ranks and tags translated -----
+    def _deliver(self, dest: int, tag, *costed) -> None:
+        self._parent._deliver(self._parent_ranks[dest], (self._uid, tag), *costed)
 
-    # -- point-to-point ----------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0, offload: bool = False) -> None:
-        parent_dest = self._check_rank(dest, "destination")
-        with self._charged():
-            self._parent.send(obj, parent_dest, tag=self._wrap(tag),
-                              offload=offload)
+    def _try_collect(self, source: int, tag):
+        return self._parent._try_collect(self._parent_ranks[source], (self._uid, tag))
 
+    def _collect(self, source: int, tag):
+        return self._parent._collect(self._parent_ranks[source], (self._uid, tag))
+
+    # -- wildcard rejection ------------------------------------------------
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         self._reject_wildcards(source, tag)
-        self._check_rank(source, "source")
-        fault_state = getattr(self._parent, "fault_state", None)
-        if fault_state is not None:
-            fault_state.on_op(self.clock)
-        return self._complete_recv(self._collect(source, tag))
-
-    def sendrecv(self, obj: Any, dest: int, source: int, sendtag: int = 0,
-                 recvtag: int = 0) -> Any:
-        self.send(obj, dest, tag=sendtag)
-        return self.recv(source=source, tag=recvtag)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0,
-              offload: bool = False) -> Request:
-        self.send(obj, dest, tag=tag, offload=offload)
-        return Request(self, "send")
+        return super().recv(source, tag)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               offload: bool = False) -> Request:
         self._reject_wildcards(source, tag)
-        self._check_rank(source, "source")
-        if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
-        return Request(self, "recv", source=source, tag=tag, offload=offload)
+        return super().irecv(source, tag, offload)
 
     def _reject_wildcards(self, source: int, tag) -> None:
         if source == ANY_SOURCE or tag == ANY_TAG:
@@ -261,78 +196,6 @@ class SubCommunicator:
                 "wildcard ANY_SOURCE/ANY_TAG receives are not supported on "
                 "a sub-communicator (they would match parent-level traffic)"
             )
-
-    # -- collect hooks shared with :class:`Request` ------------------------
-    def _try_collect(self, source: int, tag):
-        try:
-            return self._parent._try_collect(
-                self._parent_ranks[source], self._wrap(tag)
-            )
-        except RankFailure as exc:
-            raise self._named(exc) from None
-
-    def _collect(self, source: int, tag):
-        try:
-            return self._parent._collect(
-                self._parent_ranks[source], self._wrap(tag)
-            )
-        except RankFailure as exc:
-            raise self._named(exc) from None
-
-    def _complete_recv(self, msg, offload: bool = False) -> Any:
-        with self._charged():
-            return self._parent._complete_recv(msg, offload=offload)
-
-    # -- nested splitting --------------------------------------------------
-    def split(self, color: int | None, key: int = 0, *,
-              label: str | None = None, name: str | None = None):
-        return split_communicator(self, color, key, label=label, name=name)
-
-    # -- collectives (implemented in repro.vmp.collectives) ----------------
-    def barrier(self) -> None:
-        from repro.vmp import collectives
-
-        collectives.barrier(self)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        from repro.vmp import collectives
-
-        return collectives.bcast(self, obj, root)
-
-    def reduce(self, value: Any, op=None, root: int = 0) -> Any:
-        from repro.vmp import collectives
-        from repro.vmp.comm import ReduceOp
-
-        return collectives.reduce(self, value, op or ReduceOp.SUM, root)
-
-    def allreduce(self, value: Any, op=None) -> Any:
-        from repro.vmp import collectives
-        from repro.vmp.comm import ReduceOp
-
-        return collectives.allreduce(self, value, op or ReduceOp.SUM)
-
-    def gather(self, value: Any, root: int = 0):
-        from repro.vmp import collectives
-
-        return collectives.gather(self, value, root)
-
-    def allgather(self, value: Any) -> list[Any]:
-        from repro.vmp import collectives
-
-        return collectives.allgather(self, value)
-
-    def scatter(self, values, root: int = 0) -> Any:
-        from repro.vmp import collectives
-
-        return collectives.scatter(self, values, root)
-
-    def alltoall(self, values: list[Any]) -> list[Any]:
-        from repro.vmp import collectives
-
-        return collectives.alltoall(self, values)
-
-    def sync_metrics(self) -> None:
-        self._parent.sync_metrics()
 
     def __repr__(self) -> str:
         label = f", label={self.label!r}" if self.label else ""

@@ -429,6 +429,30 @@ class TestTwoLevelFaults:
         assert all(a.failed_rank == 2 for a in report.aborted)
 
 
+def prog_split_pair_send(comm):
+    """Odd and even world ranks pair up; sub rank 0 sends to sub rank 1."""
+    sub = comm.split(comm.rank % 2, key=comm.rank)
+    if sub.rank == 0:
+        sub.send(1.0, 1, tag=4)
+        return None
+    before = comm.clock.breakdown().get("comm_wait", 0.0)
+    sub.recv(source=0, tag=4)
+    return comm.clock.breakdown().get("comm_wait", 0.0) - before
+
+
+@pytest.mark.parametrize("backend", ["thread", pytest.param("mp", marks=mp_fault)])
+def test_fault_plans_stay_keyed_by_world_rank_through_a_split(backend):
+    # Both sends go sub rank 0 -> sub rank 1, but only the odd pair's is
+    # world edge 1 -> 3: the plan must hit that one and not the even
+    # pair's (0 -> 2).  The split's own allgather ring uses neither edge.
+    plan = FaultPlan((MessageDelayFault(src=1, dst=3, nth=0, seconds=0.5),))
+    base = run_spmd(prog_split_pair_send, 4, IDEAL, backend=backend)
+    hit = run_spmd(prog_split_pair_send, 4, IDEAL, backend=backend,
+                   fault_plan=plan)
+    assert hit.values[3] == pytest.approx(base.values[3] + 0.5)
+    assert hit.values[2] == base.values[2]
+
+
 def test_run_report_summary_is_informative():
     plan = FaultPlan((CrashFault(rank=1, at_step=2),))
     with pytest.raises(InjectedRankCrash) as excinfo:

@@ -21,6 +21,7 @@ from repro.vmp.mpi_backend import (
     world_size_hint,
 )
 from repro.vmp.scheduler import BACKENDS, run_spmd
+from tests.vmp import fake_mpi
 
 HAVE_REAL_MPI = mpi_available() and mpiexec_available()
 
@@ -181,3 +182,118 @@ def _crashing_program(comm):
     if comm.rank == 1:
         raise RuntimeError("boom: deliberate test failure")
     return comm.allreduce(1)
+
+
+# ======================================================================
+# The mpi transport over a fake mpi4py (runs everywhere; tests/vmp/fake_mpi.py)
+# ======================================================================
+
+
+def _wildcard_fifo(comm):
+    """Ranks 1.. each send a numbered stream; rank 0 takes them by wildcard."""
+    n = 6
+    if comm.rank != 0:
+        for i in range(n):
+            comm.send((comm.rank, i), 0, tag=i % 2)
+        comm.send("mark", 0, tag=7)
+        comm.recv(source=0, tag=9)  # keep the sender alive until drained
+        return None
+    # Specific receives first: everything sent ahead of the marks is
+    # stashed, so the wildcard matches come out of the stash.
+    for peer in range(1, comm.size):
+        comm.recv(source=peer, tag=7)
+    got = [comm.recv() for _ in range((comm.size - 1) * n)]
+    for peer in range(1, comm.size):
+        comm.send("done", peer, tag=9)
+    return got
+
+
+def _named_child_timeout(comm):
+    from repro.vmp.faults import RankFailure
+
+    sub = comm.split(comm.rank // 2, key=comm.rank, name=f"replica{comm.rank // 2}")
+    if comm.rank == 0:
+        try:
+            sub.recv(source=1, tag=5)  # the peer never sends
+        except RankFailure as exc:
+            return str(exc), exc.via, exc.failed_rank, exc.detected_by
+    return None
+
+
+def _self_send(comm):
+    payload = {"a": np.arange(4.0), "b": [1, 2]}
+    comm.send(payload, comm.rank, tag=1)
+    payload["a"][:] = -1.0  # must not reach the copy already in flight
+    payload["b"].append(3)
+    got = comm.recv(source=comm.rank, tag=1)
+    return got["a"].tolist(), got["b"], got is payload
+
+
+def _split_traffic(comm):
+    """Ring traffic on the world and on a split child, never finalized here."""
+    sub = comm.split(comm.rank % 2, key=comm.rank, label="ensemble")
+    nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    a = comm.sendrecv(comm.rank, nxt, prv, sendtag=2, recvtag=2)
+    b = sub.sendrecv(comm.rank, (sub.rank + 1) % sub.size,
+                     (sub.rank - 1) % sub.size)
+    return a, b, sub.allreduce(comm.rank)
+
+
+class TestFakeMpiTransport:
+    def test_ring_and_allreduce(self, monkeypatch):
+        res, _ = fake_mpi.run_world(monkeypatch, _token_ring, 4, machine=PARAGON,
+                                    seed=1)
+        assert [v["from"] for v in res.values] == [3, 0, 1, 2]
+        assert all(v["total"] == 6 for v in res.values)
+        assert res.report.completed == [0, 1, 2, 3]
+        thread = run_spmd(_token_ring, 4, machine=PARAGON, seed=1)
+        assert res.model_times == [o.model_time for o in thread.outcomes]
+        assert res.stats == [o.stats for o in thread.outcomes]
+
+    def test_wildcard_recv_is_fifo_per_source(self, monkeypatch):
+        res, _ = fake_mpi.run_world(monkeypatch, _wildcard_fifo, 3, machine=IDEAL)
+        got = res.values[0]
+        for source in (1, 2):
+            assert [i for s, i in got if s == source] == list(range(6))
+
+    def test_recv_timeout_names_the_split_child(self, monkeypatch):
+        res, _ = fake_mpi.run_world(monkeypatch, _named_child_timeout, 4,
+                                    machine=IDEAL, recv_timeout=0.3)
+        msg, via, failed_rank, detected_by = res.values[0]
+        assert via == "timeout" and failed_rank == 1 and detected_by == 0
+        assert "[replica0] no message (source=1, tag=5) within 0.3s; " in msg
+        assert "stash holds 0 unmatched message(s)" in msg
+
+    def test_self_send_copies(self, monkeypatch):
+        res, world = fake_mpi.run_world(monkeypatch, _self_send, 1, machine=IDEAL)
+        assert res.values[0] == ([0.0, 1.0, 2.0, 3.0], [1, 2], False)
+        assert world.requests == []  # self-delivery never touches MPI
+
+    def test_finalize_drains_world_and_children(self, monkeypatch):
+        res, world = fake_mpi.run_world(monkeypatch, _split_traffic, 4,
+                                        machine=PARAGON)
+        assert [v[0] for v in res.values] == [3, 0, 1, 2]
+        assert [v[1] for v in res.values] == [2, 3, 0, 1]
+        assert [v[2] for v in res.values] == [2, 4, 2, 4]
+        # The fake leaves an isend in flight until its second poll, so
+        # some are still pending when the program returns; finalize must
+        # complete the child's as well as the world's.
+        assert world.requests and all(r.completed for r in world.requests)
+        assert any(r.polls < 2 for r in world.requests)
+        thread = run_spmd(_split_traffic, 4, machine=PARAGON)
+        assert res.breakdowns == [o.breakdown for o in thread.outcomes]
+
+    def test_strip_makespan_equals_thread_backend(self, monkeypatch):
+        cfg = WorldlineStripConfig(
+            n_sites=8, jz=1.0, jxy=1.0, beta=0.8, n_slices=8,
+            n_sweeps=12, n_thermalize=4,
+        )
+        thread = run_spmd(worldline_strip_program, 2, machine=PARAGON, seed=9,
+                          args=(cfg, None))
+        res, _ = fake_mpi.run_world(monkeypatch, worldline_strip_program, 2,
+                                    machine=PARAGON, seed=9, args=(cfg, None))
+        assert max(res.model_times) == thread.elapsed_model_time
+        assert res.breakdowns == [o.breakdown for o in thread.outcomes]
+        np.testing.assert_array_equal(
+            res.values[0]["energy"], thread.values[0]["energy"]
+        )

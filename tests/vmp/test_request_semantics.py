@@ -1,29 +1,56 @@
-"""Request (isend/irecv handle) semantics, identical on every backend.
+"""Request (isend/irecv handle) and endpoint semantics, identical everywhere.
 
 The contract pinned here (see the comm-module docstring): a *send*
 request is complete the moment ``isend`` returns -- every backend
 buffers eagerly, there is no rendezvous -- and a *receive* request
 completes when a matching message is collected, charging modeled
 latency/wait exactly once no matter how often ``test``/``wait`` are
-called.  The programs are module-level so the mp and mpi backends can
-pickle them; the mpi leg skips without mpi4py + mpiexec.
+called.  Because that behaviour is written once, in
+:class:`repro.vmp.comm.Communicator`, the same programs run here on the
+world communicator *and* on a split child, over the thread, mp and mpi
+transports; the mpi leg uses real MPI when mpi4py + mpiexec exist and
+the thread-backed fake of ``tests/vmp/fake_mpi.py`` always.  The
+programs are module-level so the mp and mpi backends can pickle them.
 """
 
 import numpy as np
 import pytest
 
+from repro.vmp.comm import ANY_SOURCE, ANY_TAG, Communicator, _Stash
 from repro.vmp.machines import IDEAL, PARAGON
-from repro.vmp.mpi_backend import mpi_available, mpiexec_available
+from repro.vmp.mpi_backend import MpiCommunicator, mpi_available, mpiexec_available
+from repro.vmp.process_backend import MpCommunicator
 from repro.vmp.scheduler import run_spmd
+from repro.vmp.split import SubCommunicator
+from tests.vmp import fake_mpi
 
-BACKENDS_UNDER_TEST = ["thread", "mp"] + (
+BACKENDS_UNDER_TEST = ["thread", "mp", "fake-mpi"] + (
     ["mpi"] if mpi_available() and mpiexec_available() else []
 )
 
 backends = pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+#: Every contract below holds on the world communicator and on a split
+#: child of it (looped inside the tests, so ids stay ``[backend]``).
+SCOPES = ("world", "split")
 
 
-def _send_completes_on_return(comm):
+def _values(monkeypatch, backend, program, n_ranks, machine, args=(), **kwargs):
+    """Rank-ordered return values of ``program`` on one backend."""
+    if backend == "fake-mpi":
+        res, _ = fake_mpi.run_world(monkeypatch, program, n_ranks,
+                                    machine=machine, args=args, **kwargs)
+        return res.values
+    return run_spmd(program, n_ranks, machine=machine, backend=backend,
+                    args=args, **kwargs).values
+
+
+def _scoped(comm, scope):
+    """The world communicator, or a split child holding the same ranks."""
+    return comm if scope == "world" else comm.split(0, key=comm.rank)
+
+
+def _send_completes_on_return(comm, scope):
+    comm = _scoped(comm, scope)
     if comm.rank == 0:
         req = comm.isend(np.arange(6.0), 1, tag=4)
         done_immediately = req.test()
@@ -35,7 +62,8 @@ def _send_completes_on_return(comm):
     return float(got.sum())
 
 
-def _recv_not_done_until_sent(comm):
+def _recv_not_done_until_sent(comm, scope):
+    comm = _scoped(comm, scope)
     if comm.rank == 0:
         req = comm.irecv(source=1, tag=9)
         # Rank 1 blocks for our go-message before sending, so the
@@ -52,7 +80,8 @@ def _recv_not_done_until_sent(comm):
     return None
 
 
-def _wait_charges_once(comm):
+def _wait_charges_once(comm, scope):
+    comm = _scoped(comm, scope)
     nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     req = comm.irecv(source=prv, tag=2)
     comm.isend(np.full(16, float(comm.rank)), nxt, tag=2)
@@ -62,48 +91,219 @@ def _wait_charges_once(comm):
     return comm.clock.now
 
 
-def _recv_rejects_bad_source(comm):
-    # An out-of-range source can never be matched: every receive entry
-    # point must say so at once instead of waiting out its timeout.
+def _rejects_bad_ranks(comm, scope, peer_kw):
+    # An out-of-range peer can never be matched: every entry point must
+    # say so at once instead of waiting out its timeout.
+    comm = _scoped(comm, scope)
+    calls = {"source": (comm.recv, comm.irecv), "dest": (comm.send, comm.isend)}
     errors = []
-    for call in (comm.recv, comm.irecv):
-        for source in (comm.size, -2):
+    for call in calls[peer_kw]:
+        for peer in (comm.size, -2):
+            args = ("x",) if peer_kw == "dest" else ()
             try:
-                call(source=source, tag=0)
+                call(*args, **{peer_kw: peer}, tag=0)
             except ValueError as exc:
                 errors.append(str(exc))
     return errors
 
 
 @backends
-def test_recv_validates_source_rank(backend):
-    res = run_spmd(_recv_rejects_bad_source, 2, machine=IDEAL, backend=backend,
-                   recv_timeout=5.0)
-    for errors in res.values:
-        assert errors == [
-            "invalid source rank 2", "invalid source rank -2",
-            "invalid source rank 2", "invalid source rank -2",
-        ]
+def test_recv_validates_source_rank(monkeypatch, backend):
+    for scope in SCOPES:
+        values = _values(monkeypatch, backend, _rejects_bad_ranks, 2, IDEAL,
+                         args=(scope, "source"), recv_timeout=5.0)
+        for errors in values:
+            assert errors == [
+                "invalid source rank 2", "invalid source rank -2",
+                "invalid source rank 2", "invalid source rank -2",
+            ]
 
 
 @backends
-def test_send_request_complete_on_return(backend):
-    res = run_spmd(_send_completes_on_return, 2, machine=IDEAL, backend=backend)
-    assert res.values[0] is True
-    assert res.values[1] == 15.0
+def test_send_validates_destination_rank(monkeypatch, backend):
+    for scope in SCOPES:
+        values = _values(monkeypatch, backend, _rejects_bad_ranks, 2, IDEAL,
+                         args=(scope, "dest"), recv_timeout=5.0)
+        for errors in values:
+            assert errors == [
+                "invalid destination rank 2", "invalid destination rank -2",
+                "invalid destination rank 2", "invalid destination rank -2",
+            ]
+
+
+def _wildcards_on_split(comm):
+    sub = comm.split(0, key=comm.rank)
+    errors = []
+    for call, kwargs in ((sub.recv, {}), (sub.irecv, {}),
+                         (sub.recv, {"source": 0}), (sub.irecv, {"tag": 3})):
+        try:
+            call(**kwargs)
+        except ValueError as exc:
+            errors.append("wildcard" in str(exc))
+    return errors, comm.clock.breakdown() == sub.clock.breakdown()
+
+
+@pytest.mark.parametrize("backend", ["thread", "mp"])
+def test_wildcard_receives_rejected_on_a_sub_communicator(monkeypatch, backend):
+    # Thread/mp children share the parent's inbox, so a wildcard would
+    # match parent-level traffic.  (An mpi child is a real Comm.Split
+    # with its own matching scope and takes wildcards.)
+    for errors, same_clock in _values(monkeypatch, backend, _wildcards_on_split,
+                                      2, IDEAL):
+        assert errors == [True] * 4
+        assert same_clock
 
 
 @backends
-def test_recv_request_lifecycle(backend):
-    res = run_spmd(_recv_not_done_until_sent, 2, machine=IDEAL, backend=backend)
-    out = res.values[0]
-    assert out["early"] is False
-    assert out["value"] == "payload"
-    assert out["again"] == "payload"
+def test_send_request_complete_on_return(monkeypatch, backend):
+    for scope in SCOPES:
+        values = _values(monkeypatch, backend, _send_completes_on_return, 2,
+                         IDEAL, args=(scope,))
+        assert values[0] is True
+        assert values[1] == 15.0
 
 
 @backends
-def test_completed_requests_charge_the_clock_once(backend):
-    res = run_spmd(_wait_charges_once, 2, machine=PARAGON, backend=backend)
-    thread = run_spmd(_wait_charges_once, 2, machine=PARAGON, backend="thread")
-    assert res.values == thread.values
+def test_recv_request_lifecycle(monkeypatch, backend):
+    for scope in SCOPES:
+        out = _values(monkeypatch, backend, _recv_not_done_until_sent, 2, IDEAL,
+                      args=(scope,))[0]
+        assert out["early"] is False
+        assert out["value"] == "payload"
+        assert out["again"] == "payload"
+
+
+@backends
+def test_completed_requests_charge_the_clock_once(monkeypatch, backend):
+    for scope in SCOPES:
+        values = _values(monkeypatch, backend, _wait_charges_once, 2, PARAGON,
+                         args=(scope,))
+        thread = run_spmd(_wait_charges_once, 2, machine=PARAGON, args=(scope,))
+        assert values == thread.values
+
+
+def _delta(after, before):
+    return {k: v - before.get(k, 0.0) for k, v in after.items()
+            if v != before.get(k, 0.0)}
+
+
+def _offloaded_irecv_charges(comm, scope):
+    comm = _scoped(comm, scope)
+    if comm.rank == 1:
+        comm.send(np.zeros(4), 0, tag=3)
+        return None
+    b0 = comm.clock.breakdown()
+    req = comm.irecv(source=1, tag=3, offload=True)
+    b1 = comm.clock.breakdown()
+    req.wait()
+    b2 = comm.clock.breakdown()
+    return _delta(b1, b0), _delta(b2, b1), comm.clock.now
+
+
+@backends
+def test_offloaded_irecv_pays_overhead_at_post_and_only_waits_after(
+        monkeypatch, backend):
+    for scope in SCOPES:
+        values = _values(monkeypatch, backend, _offloaded_irecv_charges, 2,
+                         PARAGON, args=(scope,))
+        at_post, at_completion, _now = values[0]
+        assert at_post == {"comm": pytest.approx(PARAGON.post_overhead)}
+        # No alpha at completion: the clock only moves, under halo_wait,
+        # to the arrival stamp (if the message has not landed already).
+        assert set(at_completion) <= {"halo_wait"}
+        thread = run_spmd(_offloaded_irecv_charges, 2, machine=PARAGON,
+                          args=(scope,))
+        assert values[0] == thread.values[0]
+
+
+def _labelled_split_charges(comm):
+    sub = comm.split(0, key=comm.rank, label="ensemble")
+    nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    b0 = comm.clock.breakdown()
+    req = sub.irecv(source=prv, tag=1, offload=True)
+    sub.isend(np.arange(3.0), nxt, tag=1, offload=True)
+    req.wait()
+    sub.sendrecv(comm.rank, nxt, prv)
+    sub.allreduce(1.0)
+    b1 = comm.clock.breakdown()
+    comm.sendrecv(comm.rank, nxt, prv)
+    comm.barrier()
+    b2 = comm.clock.breakdown()
+    cats = (comm._cat_comm, comm._cat_wait, comm._cat_halo_wait)
+    return _delta(b1, b0), _delta(b2, b1), cats
+
+
+@backends
+def test_labelled_split_charges_its_own_categories(monkeypatch, backend):
+    values = _values(monkeypatch, backend, _labelled_split_charges, 2, PARAGON)
+    for on_sub, on_world, cats in values:
+        assert "ensemble" in on_sub and set(on_sub) <= {"ensemble", "ensemble_wait"}
+        assert "comm" in on_world and set(on_world) <= {"comm", "comm_wait"}
+        assert cats == ("comm", "comm_wait", "halo_wait")
+    thread = run_spmd(_labelled_split_charges, 2, machine=PARAGON)
+    assert values == thread.values
+
+
+# -- written once: structure ------------------------------------------------
+
+
+def test_endpoint_logic_is_defined_once():
+    shared = ("send", "sendrecv", "isend", "_complete_recv", "_match", "split",
+              "charge_compute", "charge_seconds", "sync_metrics", "barrier",
+              "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
+              "alltoall")
+    for cls in (MpCommunicator, MpiCommunicator, SubCommunicator):
+        assert issubclass(cls, Communicator)
+        own = set(vars(cls))
+        # Every transport supplies the three hooks and none of the rest.
+        assert {"_deliver", "_try_collect", "_collect"} <= own
+        overridden = own & set(shared)
+        if cls is MpiCommunicator:
+            overridden -= {"split"}  # the real MPI.Comm.Split
+        assert not overridden, f"{cls.__name__} re-implements {overridden}"
+        for name in ("recv", "irecv"):
+            # Only a sub-communicator may wrap these, to reject wildcards.
+            assert (name in own) == (cls is SubCommunicator)
+    assert not hasattr(SubCommunicator, "_charged")
+
+
+# -- the one stash -------------------------------------------------------------
+
+
+class TestStash:
+    @staticmethod
+    def _msg(src, tag, n):
+        return (src, tag, 0.0, n)
+
+    def test_specific_match_is_fifo_and_drained_keys_are_deleted(self):
+        stash = _Stash()
+        for n in range(3):
+            stash.add(self._msg(1, 7, n))
+        stash.add(self._msg(2, 7, 99))
+        assert (len(stash), stash.size()) == (2, 4)
+        assert stash.pop(1, 8) is None and stash.pop(3, 7) is None
+        assert [stash.pop(1, 7)[3] for _ in range(3)] == [0, 1, 2]
+        assert stash.pop(1, 7) is None
+        assert list(stash._queues) == [(2, 7)]  # the drained key is gone
+        assert stash.pop(2, 7)[3] == 99
+        assert (len(stash), stash.size(), stash._queues) == (0, 0, {})
+
+    def test_wildcards_take_the_globally_oldest_match(self):
+        stash = _Stash()
+        order = [(2, 5), (1, 5), (2, 6), (1, 6), (2, 5)]
+        for n, (src, tag) in enumerate(order):
+            stash.add(self._msg(src, tag, n))
+        assert stash.pop(ANY_SOURCE, 6)[3] == 2  # oldest with tag 6
+        assert stash.pop(1, ANY_TAG)[3] == 1  # oldest from source 1
+        assert [stash.pop(ANY_SOURCE, ANY_TAG)[3] for _ in range(3)] == [0, 3, 4]
+        assert stash.pop(ANY_SOURCE, ANY_TAG) is None and len(stash) == 0
+
+    def test_tuple_tags_of_sub_communicators(self):
+        stash = _Stash()
+        stash.add(self._msg(0, ((0,), 4), "child"))
+        stash.add(self._msg(0, 4, "world"))
+        stash.add(self._msg(0, ((0, 1), 4), "grandchild"))
+        assert stash.pop(0, 4)[3] == "world"
+        assert stash.pop(0, ((0, 1), 4))[3] == "grandchild"
+        assert stash.pop(0, ((1,), 4)) is None
+        assert stash.describe() == "holds 1 unmatched message(s) [(0, ((0,), 4))]"
