@@ -31,41 +31,25 @@ Subpackages
     Log-space arithmetic, RNG streams, timers, table rendering.
 """
 
-from repro.run import (
-    CampaignResult,
-    CampaignSpec,
-    ObservableEstimate,
-    ParallelLayout,
-    RunResult,
-    Simulation,
-    TfimRunConfig,
-    XXZ2DRunConfig,
-    XXZRunConfig,
-    load_campaign_spec,
-    load_checkpoint,
-    load_result,
-    run_campaign,
-    save_checkpoint,
-    save_result,
-)
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulation",
-    "XXZRunConfig",
-    "XXZ2DRunConfig",
-    "TfimRunConfig",
-    "ParallelLayout",
-    "RunResult",
-    "ObservableEstimate",
-    "save_result",
-    "load_result",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CampaignSpec",
-    "CampaignResult",
-    "load_campaign_spec",
-    "run_campaign",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "CampaignResult": "repro.run.campaign",
+    "CampaignSpec": "repro.run.campaign",
+    "load_campaign_spec": "repro.run.campaign",
+    "run_campaign": "repro.run.campaign",
+    "load_checkpoint": "repro.run.checkpoint",
+    "save_checkpoint": "repro.run.checkpoint",
+    "ParallelLayout": "repro.run.config",
+    "TfimRunConfig": "repro.run.config",
+    "XXZ2DRunConfig": "repro.run.config",
+    "XXZRunConfig": "repro.run.config",
+    "ObservableEstimate": "repro.run.results",
+    "RunResult": "repro.run.results",
+    "load_result": "repro.run.results",
+    "save_result": "repro.run.results",
+    "Simulation": "repro.run.simulation",
+})
+__all__.append("__version__")

@@ -39,8 +39,6 @@ from repro.run.config import (
     XXZ2DRunConfig,
     XXZRunConfig,
 )
-from repro.run.results import save_result
-from repro.run.simulation import Simulation
 from repro.util.tables import Table
 from repro.vmp.machines import MACHINES
 
@@ -202,16 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish_run(result, args) -> int:
-    """Print/save a run result; a no-op off rank 0 under an MPI launch.
+def _run(cfg, args) -> int:
+    """Run ``cfg``, then print/save the result (rank 0 only under MPI).
 
     Under ``mpiexec`` every rank runs the whole command and computes an
     identical result (the mpi backend allgathers rank values), so only
-    world rank 0 talks to the terminal and the filesystem.
+    world rank 0 talks to the terminal and the filesystem.  The samplers
+    are imported here, not at module level: ``machines``, ``scaling``
+    and ``report`` never touch them.
     """
     from repro.run.reporting import StatusReporter
+    from repro.run.results import save_result
+    from repro.run.simulation import Simulation
     from repro.vmp.mpi_backend import world_rank_hint
 
+    result = Simulation(cfg).run()
     if world_rank_hint() != 0:
         return 0
     reporter = StatusReporter(quiet=getattr(args, "quiet", False))
@@ -248,8 +251,7 @@ def _cmd_run_xxz(args) -> int:
         health_rules=args.health_rules,
         events_out=args.events_out,
     )
-    result = Simulation(cfg).run()
-    return _finish_run(result, args)
+    return _run(cfg, args)
 
 
 def _cmd_run_xxz2d(args) -> int:
@@ -277,8 +279,7 @@ def _cmd_run_xxz2d(args) -> int:
         health_rules=args.health_rules,
         events_out=args.events_out,
     )
-    result = Simulation(cfg).run()
-    return _finish_run(result, args)
+    return _run(cfg, args)
 
 
 def _cmd_run_tfim(args) -> int:
@@ -306,8 +307,7 @@ def _cmd_run_tfim(args) -> int:
         health_rules=args.health_rules,
         events_out=args.events_out,
     )
-    result = Simulation(cfg).run()
-    return _finish_run(result, args)
+    return _run(cfg, args)
 
 
 def _cmd_machines(_args) -> int:

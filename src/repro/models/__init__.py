@@ -15,43 +15,24 @@
   classical sampler that underlies the TFIM mapping.
 """
 
-from repro.models.ed import ExactDiagonalization, ThermalExpectation
-from repro.models.hamiltonians import TFIM1D, TFIM2D, XXZChainModel
-from repro.models.ising_exact import (
-    onsager_critical_temperature,
-    onsager_energy_per_site,
-    onsager_spontaneous_magnetization,
-)
-from repro.models.operators import (
-    identity_on,
-    pauli_x,
-    pauli_y,
-    pauli_z,
-    site_operator,
-    two_site_operator,
-)
-from repro.models.tfim_exact import (
-    tfim_finite_temperature_energy,
-    tfim_ground_state_energy,
-    tfim_mode_energies,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ExactDiagonalization",
-    "ThermalExpectation",
-    "XXZChainModel",
-    "TFIM1D",
-    "TFIM2D",
-    "identity_on",
-    "pauli_x",
-    "pauli_y",
-    "pauli_z",
-    "site_operator",
-    "two_site_operator",
-    "tfim_ground_state_energy",
-    "tfim_finite_temperature_energy",
-    "tfim_mode_energies",
-    "onsager_critical_temperature",
-    "onsager_energy_per_site",
-    "onsager_spontaneous_magnetization",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "ExactDiagonalization": "repro.models.ed",
+    "ThermalExpectation": "repro.models.ed",
+    "TFIM1D": "repro.models.hamiltonians",
+    "TFIM2D": "repro.models.hamiltonians",
+    "XXZChainModel": "repro.models.hamiltonians",
+    "onsager_critical_temperature": "repro.models.ising_exact",
+    "onsager_energy_per_site": "repro.models.ising_exact",
+    "onsager_spontaneous_magnetization": "repro.models.ising_exact",
+    "identity_on": "repro.models.operators",
+    "pauli_x": "repro.models.operators",
+    "pauli_y": "repro.models.operators",
+    "pauli_z": "repro.models.operators",
+    "site_operator": "repro.models.operators",
+    "two_site_operator": "repro.models.operators",
+    "tfim_finite_temperature_energy": "repro.models.tfim_exact",
+    "tfim_ground_state_energy": "repro.models.tfim_exact",
+    "tfim_mode_energies": "repro.models.tfim_exact",
+})

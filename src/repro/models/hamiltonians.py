@@ -22,12 +22,52 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import scipy.sparse as sp
-
 from repro.lattice.lattice import Chain, SquareLattice
-from repro.models.operators import pauli_x, pauli_z, site_operator, two_site_operator
 
 __all__ = ["XXZChainModel", "XXZSquareModel", "TFIM1D", "TFIM2D"]
+
+
+# The parameter records are on every run's import path; the sparse
+# builders serve only the exact references, so scipy.sparse and the
+# operator algebra are imported where a matrix is actually built.
+
+
+def _xxz_sparse(n: int, bonds, jz: float, jxy: float, field: float = 0.0):
+    """``sum_bonds [Jz SzSz + (Jxy/2)(S+S- + S-S+)] - h sum_i Sz`` on n sites."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    from repro.models.operators import pauli_z, site_operator, two_site_operator
+
+    sz = pauli_z() / 2.0
+    sp_plus = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))  # S+ |down> = |up>
+    sp_minus = sp_plus.T.tocsr()
+    h = sp.csr_matrix((2**n, 2**n))
+    for a, b, *_ in bonds:
+        h = h + jz * two_site_operator(sz, a, sz, b, n)
+        h = h + (jxy / 2.0) * (
+            two_site_operator(sp_plus, a, sp_minus, b, n)
+            + two_site_operator(sp_minus, a, sp_plus, b, n)
+        )
+    if field != 0.0:
+        for i in range(n):
+            h = h - field * site_operator(sz, i, n)
+    return h.tocsr()
+
+
+def _tfim_sparse(n: int, bonds, j: float, gamma: float):
+    """``-J sum_bonds sz sz - Gamma sum_i sx`` (Pauli convention) on n sites."""
+    import scipy.sparse as sp
+
+    from repro.models.operators import pauli_x, pauli_z, site_operator, two_site_operator
+
+    sx, sz = pauli_x(), pauli_z()
+    h = sp.csr_matrix((2**n, 2**n))
+    for a, b, *_ in bonds:
+        h = h - j * two_site_operator(sz, a, sz, b, n)
+    for i in range(n):
+        h = h - gamma * site_operator(sx, i, n)
+    return h.tocsr()
 
 
 @dataclass(frozen=True)
@@ -47,30 +87,11 @@ class XXZChainModel:
     def chain(self) -> Chain:
         return Chain(self.n_sites, periodic=self.periodic)
 
-    def build_sparse(self) -> sp.csr_matrix:
-        """Full sparse Hamiltonian in the S^z product basis."""
-        n = self.n_sites
-        sz = pauli_z() / 2.0
-        sx = pauli_x() / 2.0
-        # S^x S^x + S^y S^y = (1/2)(S+S- + S-S+); build from sx, sy via
-        # the equivalent real form sxsx + sysy using ladder matrices.
-        import numpy as np
-
-        sp_plus = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))  # S+ |down> = |up>
-        sp_minus = sp_plus.T.tocsr()
-
-        h = sp.csr_matrix((2**n, 2**n))
-        for a, b, _color in self.chain.bonds():
-            h = h + self.jz * two_site_operator(sz, a, sz, b, n)
-            h = h + (self.jxy / 2.0) * (
-                two_site_operator(sp_plus, a, sp_minus, b, n)
-                + two_site_operator(sp_minus, a, sp_plus, b, n)
-            )
-        if self.field != 0.0:
-            for i in range(n):
-                h = h - self.field * site_operator(sz, i, n)
-        _ = sx  # kept for symmetry with TFIM builder readability
-        return h.tocsr()
+    def build_sparse(self):
+        """Full sparse (CSR) Hamiltonian in the S^z product basis."""
+        return _xxz_sparse(
+            self.n_sites, self.chain.bonds(), self.jz, self.jxy, self.field
+        )
 
     @property
     def energy_scale(self) -> float:
@@ -103,24 +124,12 @@ class XXZSquareModel:
     def n_sites(self) -> int:
         return self.lx * self.ly
 
-    def build_sparse(self) -> sp.csr_matrix:
-        """Full sparse Hamiltonian in the S^z product basis."""
-        import numpy as np
-
+    def build_sparse(self):
+        """Full sparse (CSR) Hamiltonian in the S^z product basis."""
         n = self.n_sites
         if n > 16:
             raise ValueError(f"refusing to build a 2^{n}-dimensional Hamiltonian")
-        sz = pauli_z() / 2.0
-        sp_plus = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        sp_minus = sp_plus.T.tocsr()
-        h = sp.csr_matrix((2**n, 2**n))
-        for a, b, _color in self.lattice.bonds():
-            h = h + self.jz * two_site_operator(sz, a, sz, b, n)
-            h = h + (self.jxy / 2.0) * (
-                two_site_operator(sp_plus, a, sp_minus, b, n)
-                + two_site_operator(sp_minus, a, sp_plus, b, n)
-            )
-        return h.tocsr()
+        return _xxz_sparse(n, self.lattice.bonds(), self.jz, self.jxy)
 
 
 @dataclass(frozen=True)
@@ -136,17 +145,11 @@ class TFIM1D:
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
 
-    def build_sparse(self) -> sp.csr_matrix:
+    def build_sparse(self):
         n = self.n_sites
-        sx, sz = pauli_x(), pauli_z()
-        h = sp.csr_matrix((2**n, 2**n))
         n_bonds = n if self.periodic else n - 1
-        for a in range(n_bonds):
-            b = (a + 1) % n
-            h = h - self.j * two_site_operator(sz, a, sz, b, n)
-        for i in range(n):
-            h = h - self.gamma * site_operator(sx, i, n)
-        return h.tocsr()
+        bonds = [(a, (a + 1) % n) for a in range(n_bonds)]
+        return _tfim_sparse(n, bonds, self.j, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -170,14 +173,8 @@ class TFIM2D:
     def n_sites(self) -> int:
         return self.lx * self.ly
 
-    def build_sparse(self) -> sp.csr_matrix:
+    def build_sparse(self):
         n = self.n_sites
         if n > 20:
             raise ValueError(f"refusing to build a 2^{n} dense-dimension Hamiltonian")
-        sx, sz = pauli_x(), pauli_z()
-        h = sp.csr_matrix((2**n, 2**n))
-        for a, b, _color in self.lattice.bonds():
-            h = h - self.j * two_site_operator(sz, a, sz, b, n)
-        for i in range(n):
-            h = h - self.gamma * site_operator(sx, i, n)
-        return h.tocsr()
+        return _tfim_sparse(n, self.lattice.bonds(), self.j, self.gamma)

@@ -9,123 +9,58 @@ are bit-reproducible, and wall-clock values are always suffixed
 ``wall_seconds``.
 """
 
-from repro.obs.chrome_trace import (
-    CATEGORY_ALIASES,
-    chrome_trace_doc,
-    chrome_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.events import (
-    EVENT_SCHEMA,
-    EVENT_SCHEMA_VERSION,
-    events_summary,
-    health_instant_events,
-    read_events_jsonl,
-    sort_events,
-    validate_event,
-    write_events_jsonl,
-)
-from repro.obs.health import (
-    NOOP_HEALTH,
-    SEVERITIES,
-    HealthEvent,
-    HealthMonitor,
-    HealthRules,
-    NoopHealthMonitor,
-    clock_comm_seconds,
-    load_health_rules,
-)
-from repro.obs.manifest import (
-    build_manifest,
-    config_hash,
-    environment_info,
-    git_revision,
-    write_manifest,
-)
-from repro.obs.metrics import (
-    ACCEPTANCE_EDGES,
-    MESSAGE_BYTES_EDGES,
-    NOOP,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NoopMetrics,
-    RankMetrics,
-)
-from repro.obs.online import (
-    StreamingBinning,
-    Welford,
-    gelman_rubin,
-    gelman_rubin_from_moments,
-    gelman_rubin_from_pooled_sums,
-)
-from repro.obs.report import (
-    REPORT_VERSION,
-    build_report,
-    discover_runs,
-    load_run,
-    render_html,
-    render_text,
-)
-from repro.obs.sinks import (
-    METRICS_SCHEMA,
-    METRICS_SCHEMA_VERSION,
-    read_metrics_jsonl,
-    write_metrics_jsonl,
-)
-from repro.obs.spans import Span, SpanCollector
+from repro._lazy import attach
 
-__all__ = [
-    "ACCEPTANCE_EDGES",
-    "MESSAGE_BYTES_EDGES",
-    "CATEGORY_ALIASES",
-    "EVENT_SCHEMA",
-    "EVENT_SCHEMA_VERSION",
-    "METRICS_SCHEMA",
-    "METRICS_SCHEMA_VERSION",
-    "REPORT_VERSION",
-    "SEVERITIES",
-    "Counter",
-    "Gauge",
-    "HealthEvent",
-    "HealthMonitor",
-    "HealthRules",
-    "Histogram",
-    "MetricsRegistry",
-    "NoopHealthMonitor",
-    "NoopMetrics",
-    "NOOP",
-    "NOOP_HEALTH",
-    "RankMetrics",
-    "Span",
-    "SpanCollector",
-    "StreamingBinning",
-    "Welford",
-    "build_manifest",
-    "build_report",
-    "chrome_trace_doc",
-    "chrome_trace_events",
-    "clock_comm_seconds",
-    "config_hash",
-    "discover_runs",
-    "environment_info",
-    "events_summary",
-    "gelman_rubin",
-    "gelman_rubin_from_moments",
-    "gelman_rubin_from_pooled_sums",
-    "git_revision",
-    "health_instant_events",
-    "load_health_rules",
-    "load_run",
-    "read_events_jsonl",
-    "read_metrics_jsonl",
-    "render_html",
-    "render_text",
-    "sort_events",
-    "validate_event",
-    "write_chrome_trace",
-    "write_events_jsonl",
-    "write_manifest",
-    "write_metrics_jsonl",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "CATEGORY_ALIASES": "repro.obs.chrome_trace",
+    "chrome_trace_doc": "repro.obs.chrome_trace",
+    "chrome_trace_events": "repro.obs.chrome_trace",
+    "write_chrome_trace": "repro.obs.chrome_trace",
+    "EVENT_SCHEMA": "repro.obs.events",
+    "EVENT_SCHEMA_VERSION": "repro.obs.events",
+    "events_summary": "repro.obs.events",
+    "health_instant_events": "repro.obs.events",
+    "read_events_jsonl": "repro.obs.events",
+    "sort_events": "repro.obs.events",
+    "validate_event": "repro.obs.events",
+    "write_events_jsonl": "repro.obs.events",
+    "NOOP_HEALTH": "repro.obs.health",
+    "SEVERITIES": "repro.obs.health",
+    "HealthEvent": "repro.obs.health",
+    "HealthMonitor": "repro.obs.health",
+    "HealthRules": "repro.obs.health",
+    "NoopHealthMonitor": "repro.obs.health",
+    "clock_comm_seconds": "repro.obs.health",
+    "load_health_rules": "repro.obs.health",
+    "build_manifest": "repro.obs.manifest",
+    "config_hash": "repro.obs.manifest",
+    "environment_info": "repro.obs.manifest",
+    "git_revision": "repro.obs.manifest",
+    "write_manifest": "repro.obs.manifest",
+    "ACCEPTANCE_EDGES": "repro.obs.metrics",
+    "MESSAGE_BYTES_EDGES": "repro.obs.metrics",
+    "NOOP": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "NoopMetrics": "repro.obs.metrics",
+    "RankMetrics": "repro.obs.metrics",
+    "StreamingBinning": "repro.obs.online",
+    "Welford": "repro.obs.online",
+    "gelman_rubin": "repro.obs.online",
+    "gelman_rubin_from_moments": "repro.obs.online",
+    "gelman_rubin_from_pooled_sums": "repro.obs.online",
+    "REPORT_VERSION": "repro.obs.report",
+    "build_report": "repro.obs.report",
+    "discover_runs": "repro.obs.report",
+    "load_run": "repro.obs.report",
+    "render_html": "repro.obs.report",
+    "render_text": "repro.obs.report",
+    "METRICS_SCHEMA": "repro.obs.sinks",
+    "METRICS_SCHEMA_VERSION": "repro.obs.sinks",
+    "read_metrics_jsonl": "repro.obs.sinks",
+    "write_metrics_jsonl": "repro.obs.sinks",
+    "Span": "repro.obs.spans",
+    "SpanCollector": "repro.obs.spans",
+})

@@ -21,36 +21,24 @@
 * :mod:`repro.qmc.tempering` -- parallel tempering across ranks.
 """
 
-from repro.qmc.classical_ising import AnisotropicIsing, IsingObservables
-from repro.qmc.cluster import SwendsenWangIsing
-from repro.qmc.multicanonical import (
-    MulticanonicalSampler,
-    WangLandauResult,
-    WangLandauSampler,
-)
-from repro.qmc.plaquette import PlaquetteTable
-from repro.qmc.tfim import TfimQmc, TfimMeasurement
-from repro.qmc.trotter import TrotterPoint, trotter_extrapolate
-from repro.qmc.vmc import MarshallJastrowVmc, VmcResult
-from repro.qmc.worldline import WorldlineChainQmc, WorldlineMeasurement
-from repro.qmc.worldline2d import Worldline2DMeasurement, WorldlineSquareQmc
+from repro._lazy import attach
 
-__all__ = [
-    "PlaquetteTable",
-    "WorldlineChainQmc",
-    "WorldlineMeasurement",
-    "WorldlineSquareQmc",
-    "Worldline2DMeasurement",
-    "AnisotropicIsing",
-    "IsingObservables",
-    "SwendsenWangIsing",
-    "WangLandauSampler",
-    "WangLandauResult",
-    "MulticanonicalSampler",
-    "TfimQmc",
-    "TfimMeasurement",
-    "MarshallJastrowVmc",
-    "VmcResult",
-    "TrotterPoint",
-    "trotter_extrapolate",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "AnisotropicIsing": "repro.qmc.classical_ising",
+    "IsingObservables": "repro.qmc.classical_ising",
+    "SwendsenWangIsing": "repro.qmc.cluster",
+    "MulticanonicalSampler": "repro.qmc.multicanonical",
+    "WangLandauResult": "repro.qmc.multicanonical",
+    "WangLandauSampler": "repro.qmc.multicanonical",
+    "PlaquetteTable": "repro.qmc.plaquette",
+    "TfimQmc": "repro.qmc.tfim",
+    "TfimMeasurement": "repro.qmc.tfim",
+    "TrotterPoint": "repro.qmc.trotter",
+    "trotter_extrapolate": "repro.qmc.trotter",
+    "MarshallJastrowVmc": "repro.qmc.vmc",
+    "VmcResult": "repro.qmc.vmc",
+    "WorldlineChainQmc": "repro.qmc.worldline",
+    "WorldlineMeasurement": "repro.qmc.worldline",
+    "Worldline2DMeasurement": "repro.qmc.worldline2d",
+    "WorldlineSquareQmc": "repro.qmc.worldline2d",
+})

@@ -1,37 +1,22 @@
 """High-level orchestration: configs, the Simulation facade, result I/O."""
 
-from repro.run.campaign import (
-    CampaignResult,
-    CampaignSpec,
-    expand_grid,
-    load_campaign_spec,
-    run_campaign,
-)
-from repro.run.checkpoint import load_checkpoint, save_checkpoint
-from repro.run.config import (
-    ParallelLayout,
-    TfimRunConfig,
-    XXZ2DRunConfig,
-    XXZRunConfig,
-)
-from repro.run.results import ObservableEstimate, RunResult, load_result, save_result
-from repro.run.simulation import Simulation
+from repro._lazy import attach
 
-__all__ = [
-    "ParallelLayout",
-    "TfimRunConfig",
-    "XXZRunConfig",
-    "XXZ2DRunConfig",
-    "Simulation",
-    "ObservableEstimate",
-    "RunResult",
-    "save_result",
-    "load_result",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CampaignSpec",
-    "CampaignResult",
-    "expand_grid",
-    "load_campaign_spec",
-    "run_campaign",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "CampaignResult": "repro.run.campaign",
+    "CampaignSpec": "repro.run.campaign",
+    "expand_grid": "repro.run.campaign",
+    "load_campaign_spec": "repro.run.campaign",
+    "run_campaign": "repro.run.campaign",
+    "load_checkpoint": "repro.run.checkpoint",
+    "save_checkpoint": "repro.run.checkpoint",
+    "ParallelLayout": "repro.run.config",
+    "TfimRunConfig": "repro.run.config",
+    "XXZ2DRunConfig": "repro.run.config",
+    "XXZRunConfig": "repro.run.config",
+    "ObservableEstimate": "repro.run.results",
+    "RunResult": "repro.run.results",
+    "load_result": "repro.run.results",
+    "save_result": "repro.run.results",
+    "Simulation": "repro.run.simulation",
+})

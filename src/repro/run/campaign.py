@@ -20,9 +20,12 @@ dashboard) into that serving layer:
   and its **cache key**: :func:`repro.obs.manifest.config_hash` over
   ``{"kind": ..., "params": ...}``.  The key is a pure function of the
   spec contents, so it is stable across process restarts and machines.
-* :func:`run_campaign` -- the async scheduler.  Runs fan out across a
-  bounded worker pool of backend OS processes (one ``python -m repro
-  run-<kind> ...`` per run), with a per-run wall-clock timeout,
+* :func:`run_campaign` -- the async scheduler.  Runs fan out as at
+  most ``jobs`` concurrent *cells*: OS processes forked by one preloaded
+  :class:`CellServer` per campaign, each running the recorded ``python
+  -m repro run-<kind> ...`` command line of its run without paying the
+  interpreter start-up and imports again, with a per-run wall-clock
+  timeout,
   retry-with-backoff on transient failures (a surfaced
   :class:`~repro.vmp.faults.RankFailure`, a timeout, or any non-config
   crash), and a ``fail-fast`` | ``keep-going`` policy.  Completed runs
@@ -49,12 +52,14 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.obs.manifest import config_hash
+from repro.run.cell_server import kill_cell
 from repro.vmp.faults import RankFailure
 
 __all__ = [
@@ -533,74 +538,157 @@ class CampaignResult:
 Executor = Callable[[CampaignRun, Sequence[str], int], Awaitable[RunAttempt]]
 
 
-def subprocess_executor(timeout: float) -> Executor:
-    """The default executor: one backend OS process per attempt.
+class _Cell:
+    """One in-flight cell: the two replies its server owes the scheduler."""
 
-    The child is its own process group leader, so cancelling the
-    campaign (``KeyboardInterrupt`` / a ``fail-fast`` abort) can kill
-    the whole rank tree a run may have spawned, not just the CLI
-    front process.
+    def __init__(self, proc):
+        self.proc = proc  # the server process that forked it
+        loop = asyncio.get_running_loop()
+        self.pid: asyncio.Future = loop.create_future()  # None: never forked
+        self.exited: asyncio.Future = loop.create_future()  # None: server died
+
+
+class CellServer:
+    """The default executor: cells forked from one preloaded interpreter.
+
+    ``execute`` starts ``python -m repro.run.cell_server`` on first use
+    (an all-cache-hit resume starts none) and sends it one request per
+    attempt; see :mod:`repro.run.cell_server` for the protocol.  Each
+    cell leads its own session, so a timeout, a cancelled campaign
+    (``KeyboardInterrupt`` / a ``fail-fast`` abort) or a dead server
+    kills the whole rank tree a run may have spawned.  A dead server's
+    cells fail as transient and the retry starts a new server.  Use as
+    ``async with CellServer(timeout)`` or call :meth:`close`: on stdin
+    EOF -- also what a killed scheduler leaves -- the server kills the
+    cells still alive and exits.
     """
 
-    # The child must resolve ``import repro`` exactly as this process
-    # did, installed or not: prepend our package's parent directory to
-    # its PYTHONPATH.
-    package_root = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if package_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            package_root + (os.pathsep + existing if existing else "")
-        )
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        #: Construction -> first server ready; 0.0 while none was needed.
+        self.start_seconds = 0.0
+        self._created = time.perf_counter()
+        self._proc = None
+        self._reader: asyncio.Task | None = None
+        self._lock = asyncio.Lock()
+        self._cells: dict[int, _Cell] = {}
+        self._ids = itertools.count()
+        self._stderr_dir: str | None = None
 
-    async def _execute(run: CampaignRun, argv: Sequence[str], attempt: int
-                       ) -> RunAttempt:
-        t0 = time.perf_counter()
-        proc = await asyncio.create_subprocess_exec(
-            *argv,
-            stdout=asyncio.subprocess.DEVNULL,
-            stderr=asyncio.subprocess.PIPE,
-            start_new_session=True,
-            env=env,
-        )
-        try:
-            if timeout > 0:
-                _out, err = await asyncio.wait_for(
-                    proc.communicate(), timeout=timeout
+    async def __aenter__(self) -> "CellServer":
+        return self
+
+    async def __aexit__(self, *_exc) -> None:
+        await self.close()
+
+    async def _ensure_started(self) -> None:
+        async with self._lock:
+            if self._proc is not None:
+                return
+            if self._reader is not None:
+                await self._reader  # the dead server's, about to be replaced
+            if self._stderr_dir is None:
+                self._stderr_dir = tempfile.mkdtemp(prefix="repro-cells-")
+            # The server must resolve ``import repro`` exactly as this
+            # process did, installed or not: prepend our package's parent
+            # directory to its PYTHONPATH.
+            package_root = str(Path(__file__).resolve().parents[2])
+            env = dict(os.environ)
+            existing = env.get("PYTHONPATH", "")
+            if package_root not in existing.split(os.pathsep):
+                env["PYTHONPATH"] = (
+                    package_root + (os.pathsep + existing if existing else "")
                 )
-            else:
-                _out, err = await proc.communicate()
-        except asyncio.TimeoutError:
-            _kill_process_tree(proc)
-            await proc.communicate()
-            return RunAttempt(
-                returncode=-1,
-                wall_seconds=time.perf_counter() - t0,
-                stderr_tail=f"timed out after {timeout:.1f} s",
-                transient=True,
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro.run.cell_server",
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE,
+                start_new_session=True,  # a terminal's ^C stops the scheduler only
+                env=env,
             )
-        except asyncio.CancelledError:
-            _kill_process_tree(proc)
-            await proc.communicate()
-            raise
-        tail = err.decode(errors="replace")[-2000:] if err else ""
-        return RunAttempt(
-            returncode=proc.returncode,
-            wall_seconds=time.perf_counter() - t0,
-            stderr_tail=tail,
-        )
+            await proc.stdout.readline()  # "ready" (or EOF: _read_replies copes)
+            if not self.start_seconds:
+                self.start_seconds = time.perf_counter() - self._created
+            self._proc = proc
+            self._reader = asyncio.create_task(self._read_replies(proc))
 
-    return _execute
+    async def _read_replies(self, proc) -> None:
+        async for line in proc.stdout:
+            msg = json.loads(line)
+            cell = self._cells.get(msg["id"])
+            if cell is None:  # its attempt was cancelled twice and left
+                continue
+            if "pid" in msg:
+                cell.pid.set_result(msg["pid"])
+            else:
+                cell.exited.set_result(msg["returncode"])
+        # EOF: the server is gone.  Cells it forked are orphans now, not
+        # dead -- kill them before their attempts are retried.
+        if self._proc is proc:
+            self._proc = None
+        for cell in self._cells.values():
+            if cell.proc is not proc or cell.exited.done():
+                continue
+            if cell.pid.done():
+                kill_cell(cell.pid.result())
+            else:
+                cell.pid.set_result(None)
+            cell.exited.set_result(None)
+        await proc.wait()
 
-
-def _kill_process_tree(proc) -> None:
-    try:
-        os.killpg(proc.pid, 9)
-    except (ProcessLookupError, PermissionError, OSError):
+    async def execute(self, run: CampaignRun, argv: Sequence[str],
+                      attempt: int) -> RunAttempt:
+        t0 = time.perf_counter()
+        await self._ensure_started()
+        cell_id = next(self._ids)
+        cell = self._cells[cell_id] = _Cell(self._proc)
+        stderr_path = Path(self._stderr_dir) / f"{cell_id}.stderr"
+        request = {"id": cell_id, "argv": list(argv), "stderr": str(stderr_path)}
+        cell.proc.stdin.write((json.dumps(request) + "\n").encode())
         try:
-            proc.kill()
-        except ProcessLookupError:
-            pass
+            await asyncio.wait(
+                {cell.exited}, timeout=self.timeout if self.timeout > 0 else None
+            )
+            failure = None
+            if not cell.exited.done():
+                await self._kill(cell)
+                failure = f"timed out after {self.timeout:.1f} s"
+            elif cell.exited.result() is None:
+                failure = "cell server died"
+            wall = time.perf_counter() - t0
+            if failure is not None:
+                return RunAttempt(-1, wall, failure, transient=True)
+            tail = ""
+            if stderr_path.exists():
+                tail = stderr_path.read_text(errors="replace")[-2000:]
+            return RunAttempt(cell.exited.result(), wall, tail)
+        except asyncio.CancelledError:
+            await self._kill(cell)
+            raise
+        finally:
+            del self._cells[cell_id]
+            stderr_path.unlink(missing_ok=True)
+
+    async def _kill(self, cell: _Cell) -> None:
+        """Kill a cell's process group and wait until its server reaped it.
+
+        Shielded: a second cancellation must end this wait, not cancel
+        the futures the reply reader still has to resolve (the cell is
+        then killed by the server itself when :meth:`close` hangs up).
+        """
+        pid = await asyncio.shield(cell.pid)
+        if pid is not None and not cell.exited.done():
+            kill_cell(pid)
+        await asyncio.shield(cell.exited)
+
+    async def close(self) -> None:
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            proc.stdin.close()  # EOF: the server kills live cells and exits
+        if self._reader is not None:
+            await self._reader
+        if self._stderr_dir is not None:
+            shutil.rmtree(self._stderr_dir, ignore_errors=True)
 
 
 def _is_transient(attempt: RunAttempt) -> bool:
@@ -627,31 +715,39 @@ async def _run_one(
     """Execute one run to completion, retrying transient failures."""
     outcome = RunOutcome(run=run, status="failed")
     t0 = time.perf_counter()
-    for attempt_no in range(spec.retries + 1):
-        run_dir.mkdir(parents=True, exist_ok=True)
-        argv = build_run_argv(run, run_dir, resume=resume_from_checkpoint)
+    argv: list[str] = []
+
+    def write_status(status: str, **fields) -> None:
+        # ``argv`` is the cell's whole command line: running it by hand
+        # reproduces the run, whatever executed it here.
         _write_json_atomic(
             _status_path(run_dir),
             {
                 "campaign_run_version": CAMPAIGN_VERSION,
                 "run_id": run.run_id,
                 "cache_key": run.cache_key,
-                "status": "running",
-                "attempt": attempt_no + 1,
+                "status": status,
                 "params": dict(run.params),
-                "argv": list(argv),
+                "argv": argv,
+                **fields,
             },
         )
+
+    for attempt_no in range(spec.retries + 1):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        argv = build_run_argv(run, run_dir, resume=resume_from_checkpoint)
+        write_status("running", attempt=attempt_no + 1)
         outcome.attempts = attempt_no + 1
+        t_attempt = time.perf_counter()
         try:
             attempt = await executor(run, argv, attempt_no)
         except RankFailure as exc:
             # In-process executors surface the structured error
-            # directly; treat it exactly like a subprocess that died
-            # with a RankFailure on stderr.
+            # directly; treat it exactly like a cell that died with a
+            # RankFailure on stderr.
             attempt = RunAttempt(
                 returncode=1,
-                wall_seconds=time.perf_counter() - t0,
+                wall_seconds=time.perf_counter() - t_attempt,
                 stderr_tail=f"RankFailure: {exc}",
                 transient=True,
             )
@@ -665,23 +761,14 @@ async def _run_one(
             )
             outcome.n_sweeps = float(runtime.get("n_sweeps", 0.0) or 0.0)
             outcome.resumed_from_checkpoint = resume_from_checkpoint
-            _write_json_atomic(
-                _status_path(run_dir),
-                {
-                    "campaign_run_version": CAMPAIGN_VERSION,
-                    "run_id": run.run_id,
-                    "cache_key": run.cache_key,
-                    "status": "completed",
-                    "attempts": outcome.attempts,
-                    "wall_seconds": outcome.wall_seconds,
-                    "sweeps_per_second": outcome.sweeps_per_second,
-                    "n_sweeps": outcome.n_sweeps,
-                    "resumed_from_checkpoint": resume_from_checkpoint,
-                    "manifest_config_hash": (
-                        (manifest or {}).get("config_hash")
-                    ),
-                    "params": dict(run.params),
-                },
+            write_status(
+                "completed",
+                attempts=outcome.attempts,
+                wall_seconds=outcome.wall_seconds,
+                sweeps_per_second=outcome.sweeps_per_second,
+                n_sweeps=outcome.n_sweeps,
+                resumed_from_checkpoint=resume_from_checkpoint,
+                manifest_config_hash=(manifest or {}).get("config_hash"),
             )
             return outcome
         outcome.error = (
@@ -702,18 +789,7 @@ async def _run_one(
         )
         await asyncio.sleep(spec.backoff * (2 ** attempt_no))
     outcome.wall_seconds = time.perf_counter() - t0
-    _write_json_atomic(
-        _status_path(run_dir),
-        {
-            "campaign_run_version": CAMPAIGN_VERSION,
-            "run_id": run.run_id,
-            "cache_key": run.cache_key,
-            "status": "failed",
-            "attempts": outcome.attempts,
-            "error": outcome.error,
-            "params": dict(run.params),
-        },
-    )
+    write_status("failed", attempts=outcome.attempts, error=outcome.error)
     return outcome
 
 
@@ -726,8 +802,10 @@ async def _run_campaign_async(
 ) -> CampaignResult:
     runs = expand_grid(spec)
     runs_root = out_dir / "runs"
+    server = None
     if executor is None:
-        executor = subprocess_executor(spec.timeout)
+        server = CellServer(spec.timeout)
+        executor = server.execute
     say = progress or (lambda _msg: None)
 
     outcomes: dict[int, RunOutcome] = {}
@@ -783,6 +861,9 @@ async def _run_campaign_async(
             t.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         interrupted = True
+    finally:
+        if server is not None:
+            await server.close()
     wall = time.perf_counter() - t0
 
     ordered = [
@@ -801,6 +882,7 @@ async def _run_campaign_async(
         "wall_seconds": wall,
         "total_sweeps": total_sweeps,
         "sweeps_per_second": total_sweeps / wall if wall > 0 else 0.0,
+        "server_start_seconds": server.start_seconds if server else 0.0,
     }
     result = CampaignResult(
         spec=spec,
@@ -892,9 +974,9 @@ def run_campaign(
 
     Keyword overrides (``jobs``/``timeout``/``retries``/``policy``)
     replace the spec's values for this invocation only -- they do not
-    enter any cache key.  ``executor`` replaces the backend-process
-    launcher (tests inject failures through it); ``progress`` receives
-    one human-readable line per scheduling event.
+    enter any cache key.  ``executor`` replaces the :class:`CellServer`
+    (tests inject failures through it); ``progress`` receives one
+    human-readable line per scheduling event.
     """
     import dataclasses
 

@@ -19,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# By name, not as ``np.random.X`` at call time: NumPy loads numpy.random on
+# first attribute access, which for an mp run would be after the fork, in
+# every rank of every run (DESIGN.md, "Import surface").
+from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = ["SeedSequenceFactory", "RankStream", "spawn_streams"]
 
@@ -37,7 +41,7 @@ class RankStream:
     """
 
     rank: int
-    generator: np.random.Generator = field(compare=False)
+    generator: Generator = field(compare=False)
 
     # Convenience pass-throughs used throughout the QMC kernels. Keeping
     # them thin ensures there is exactly one source of randomness per rank.
@@ -103,7 +107,7 @@ class SeedSequenceFactory:
     def __repr__(self) -> str:
         return f"SeedSequenceFactory(root_seed={self.root_seed})"
 
-    def seed_sequence(self, kind: str, index: int) -> np.random.SeedSequence:
+    def seed_sequence(self, kind: str, index: int) -> SeedSequence:
         """The raw child :class:`~numpy.random.SeedSequence` for an address."""
         try:
             kind_key = self.KINDS[kind]
@@ -114,12 +118,12 @@ class SeedSequenceFactory:
         if index < 0:
             raise ValueError("stream index must be non-negative")
         # spawn_key addressing: (kind, index) under the root entropy.
-        return np.random.SeedSequence(entropy=self.root_seed, spawn_key=(kind_key, index))
+        return SeedSequence(entropy=self.root_seed, spawn_key=(kind_key, index))
 
     def stream(self, kind: str, index: int) -> RankStream:
         """A :class:`RankStream` for the given address."""
         ss = self.seed_sequence(kind, index)
-        return RankStream(rank=index, generator=np.random.Generator(np.random.PCG64(ss)))
+        return RankStream(rank=index, generator=Generator(PCG64(ss)))
 
     def rank_stream(self, rank: int) -> RankStream:
         """Shorthand for ``stream('rank', rank)``."""

@@ -13,9 +13,14 @@ one, which reduces to scheduling order never entering the physics).
 
 import asyncio
 import json
+import os
+import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +29,7 @@ import pytest
 from repro.run.campaign import (
     CAMPAIGN_VERSION,
     CampaignSpec,
+    CellServer,
     RunAttempt,
     _is_transient,
     build_run_argv,
@@ -32,7 +38,6 @@ from repro.run.campaign import (
     parse_spec_dict,
     run_cache_key,
     run_campaign,
-    subprocess_executor,
 )
 from repro.vmp.faults import (
     CrashFault,
@@ -370,7 +375,6 @@ class TestSchedulerEndToEnd:
     def test_retry_then_succeed_after_injected_rank_failure(self, tmp_path):
         """A CrashFault-driven RankFailure is transient: retry succeeds."""
         spec = _spec(sweep={"beta": [0.7]}, retries=2, backoff=0.01)
-        real = subprocess_executor(spec.timeout)
         injected = []
 
         def ring(comm, n_rounds=6):
@@ -403,7 +407,8 @@ class TestSchedulerEndToEnd:
                         detail=repr(exc),
                     ) from exc
                 raise AssertionError("fault plan did not fire")
-            return await real(run, argv, attempt)
+            async with CellServer(spec.timeout) as server:
+                return await server.execute(run, argv, attempt)
 
         result = run_campaign(spec, out_dir=tmp_path / "c", executor=flaky)
         assert result.ok
@@ -432,27 +437,279 @@ class TestSchedulerEndToEnd:
 
 
 # ======================================================================
-# executor unit behavior
+# the cell server: one preloaded interpreter, one forked process per cell
 # ======================================================================
 
 
+def _proc_stat(pid) -> tuple[str, int] | None:
+    """``(state, ppid)`` of a process, or None once it is gone."""
+    try:
+        stat = (Path("/proc") / str(pid) / "stat").read_text()
+    except OSError:
+        return None
+    # "pid (comm) state ppid ..."; comm may itself contain ") ".
+    state, ppid = stat.rpartition(") ")[2].split()[:2]
+    return state, int(ppid)
+
+
+def _is_alive(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _descendants(root: int) -> dict[int, str]:
+    """Live (non-zombie) descendant processes of ``root``: pid -> cmdline."""
+    stats = {int(e.name): _proc_stat(e.name)
+             for e in Path("/proc").iterdir() if e.name.isdigit()}
+    stats = {pid: stat for pid, stat in stats.items() if stat is not None}
+    found, frontier = {}, {root}
+    while frontier:
+        frontier = {
+            pid for pid, (_state, ppid) in stats.items() if ppid in frontier
+        } - set(found)
+        for pid in frontier:
+            try:
+                cmdline = (Path("/proc") / str(pid) / "cmdline").read_bytes()
+            except OSError:
+                cmdline = b""
+            found[pid] = cmdline.replace(b"\0", b" ").decode(errors="replace")
+    return {pid: cmd for pid, cmd in found.items() if stats[pid][0] != "Z"}
+
+
+def _wait_gone(pids, seconds: float = 5.0) -> set[int]:
+    """The members of ``pids`` still alive after at most ``seconds``."""
+    deadline = time.monotonic() + seconds
+    left = set(pids)
+    while left and time.monotonic() < deadline:
+        left = {pid for pid in left if _is_alive(pid)}
+        if left:
+            time.sleep(0.02)
+    return left
+
+
+#: A cell that outlives any timeout used below (hours of sweeps).
+_ENDLESS = {"n_sites": 6, "n_slices": 4, "n_sweeps": 10**9, "n_thermalize": 2}
+
+
+def _one_cell(server_timeout: float, base: dict, tmp_path, sample=None):
+    """Execute one attempt of one cell on a private server."""
+    (run,) = expand_grid(_spec(base=base, sweep={"beta": [0.5]}))
+    argv = build_run_argv(run, tmp_path / "run")
+    (tmp_path / "run").mkdir()
+
+    async def go():
+        async with CellServer(server_timeout) as server:
+            sampler = asyncio.create_task(sample()) if sample else None
+            try:
+                return await server.execute(run, argv, 0)
+            finally:
+                if sampler is not None:
+                    sampler.cancel()
+
+    return asyncio.run(go())
+
+
 @fault
-class TestSubprocessExecutor:
+class TestCellServer:
     def test_timeout_is_transient(self, tmp_path):
-        execute = subprocess_executor(timeout=0.2)
-        (run,) = expand_grid(_spec(sweep={"beta": [0.5]}))
-        argv = [sys.executable, "-c", "import time; time.sleep(30)"]
-        attempt = asyncio.run(execute(run, argv, 0))
+        """A cell past its timeout is killed, group and all, and retried."""
+        before = set(_descendants(os.getpid()))
+        attempt = _one_cell(0.5, _ENDLESS, tmp_path)
         assert attempt.transient is True
         assert _is_transient(attempt)
         assert "timed out" in attempt.stderr_tail
         assert attempt.wall_seconds < 5.0
+        assert set(_descendants(os.getpid())) <= before
 
     def test_stderr_tail_captured(self, tmp_path):
-        execute = subprocess_executor(timeout=30.0)
-        (run,) = expand_grid(_spec(sweep={"beta": [0.5]}))
-        argv = [sys.executable, "-c",
-                "import sys; sys.stderr.write('boom-diag'); sys.exit(3)"]
-        attempt = asyncio.run(execute(run, argv, 0))
-        assert attempt.returncode == 3
-        assert "boom-diag" in attempt.stderr_tail
+        """A cell's exit code and the end of its stderr reach the attempt."""
+        attempt = _one_cell(
+            30.0, {**_ENDLESS, "kernel": "no-such-kernel"}, tmp_path
+        )
+        assert attempt.returncode == 2
+        assert attempt.transient is None and not _is_transient(attempt)
+        assert "no-such-kernel" in attempt.stderr_tail
+
+    def test_timed_out_mp_cell_leaves_no_rank_processes(self, tmp_path):
+        """killpg of the cell's session takes its mp rank processes too."""
+        before = set(_descendants(os.getpid()))
+        most = []
+
+        async def sample():
+            while True:
+                most.append(len(set(_descendants(os.getpid())) - before))
+                await asyncio.sleep(0.05)
+
+        attempt = _one_cell(
+            2.0,
+            {**_ENDLESS, "n_sites": 8, "strategy": "strip", "ranks": 2,
+             "backend": "mp"},
+            tmp_path, sample,
+        )
+        assert "timed out" in attempt.stderr_tail
+        # server + cell + 2 ranks were alive together, so the kill had
+        # a rank tree to take down.
+        assert max(most) >= 4, most
+        assert set(_descendants(os.getpid())) <= before
+
+    def test_a_twice_cancelled_attempt_cannot_outlive_the_server(self, tmp_path):
+        """A second cancel interrupts the wait for the kill, nothing else."""
+        before = set(_descendants(os.getpid()))
+        (run,) = expand_grid(_spec(base=_ENDLESS, sweep={"beta": [0.5]}))
+        argv = build_run_argv(run, tmp_path)
+
+        async def go():
+            async with CellServer(0) as server:
+                task = asyncio.create_task(server.execute(run, argv, 0))
+                await asyncio.sleep(1.0)  # server up, cell sweeping
+                (cell,) = server._cells.values()
+                task.cancel()
+                await asyncio.sleep(0)  # ... now waiting for the reaped cell
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                # The reply reader may still resolve the cell's futures:
+                # the second cancel must not have cancelled them under it.
+                assert not cell.pid.cancelled() and not cell.exited.cancelled()
+
+        asyncio.run(go())
+        assert set(_descendants(os.getpid())) <= before
+
+    def test_cell_matches_the_recorded_argv_run_by_hand(self, tmp_path):
+        """``campaign_run.json``'s argv reproduces the cell's result files."""
+        spec = _spec(sweep={"beta": [0.5]})
+        assert run_campaign(spec, out_dir=tmp_path / "c").ok
+        run_dir = tmp_path / "c" / "runs" / expand_grid(spec)[0].run_id
+        status = json.loads((run_dir / "campaign_run.json").read_text())
+        assert status["argv"][:4] == [sys.executable, "-m", "repro", "run-xxz"]
+        npz = (run_dir / "result.npz").read_bytes()
+        doc = json.loads((run_dir / "result.json").read_text())
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        subprocess.run(status["argv"], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        assert (run_dir / "result.npz").read_bytes() == npz
+        by_hand = json.loads((run_dir / "result.json").read_text())
+        # result.json carries the run's own wall clock; nothing else may move.
+        for d in (doc, by_hand):
+            del d["runtime"]["wall_seconds"], d["runtime"]["sweeps_per_second"]
+        assert by_hand == doc
+
+    def test_unguarded_script_can_run_a_campaign(self, tmp_path):
+        """No ``if __name__ == "__main__"`` guard is needed around
+        ``run_campaign`` (cells never re-import the caller's main module,
+        which is what the stdlib forkserver would do)."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent(f"""\
+            from repro import CampaignSpec, run_campaign
+            spec = CampaignSpec(
+                kind="xxz", name="unguarded",
+                base={{"n_sites": 6, "n_slices": 4, "n_sweeps": 10,
+                       "n_thermalize": 2}},
+                sweep={{"beta": [0.5, 1.0]}})
+            result = run_campaign(spec, out_dir={str(tmp_path / "c")!r})
+            print("counters", result.counters["completed"], result.ok)
+        """))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("counters 2 True") == 1, out.stdout
+
+
+@fault
+class TestServerLifecycle:
+    """Whatever way ``run_campaign`` ends, nothing it started survives it."""
+
+    @pytest.fixture(autouse=True)
+    def _no_process_or_fd_survives(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        before = set(_descendants(os.getpid()))
+        fds = len(os.listdir("/proc/self/fd"))
+        yield
+        assert set(_descendants(os.getpid())) <= before
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert list((tmp_path / "tmp").iterdir()) == []  # the stderr files
+
+    def test_after_a_completed_campaign_and_a_cached_one(self, tmp_path):
+        spec = _spec(base={**_spec().base, "beta": 0.5, "n_sweeps": 2,
+                           "n_thermalize": 0},
+                     sweep={"seed": list(range(50))})
+        fresh = run_campaign(spec, out_dir=tmp_path / "c")
+        assert fresh.ok and fresh.counters["completed"] == 50
+        assert fresh.aggregate["server_start_seconds"] > 0
+        manifest = json.loads((tmp_path / "c" / "campaign.json").read_text())
+        assert manifest["aggregate"]["server_start_seconds"] > 0
+        # An all-cache-hit resume needs no server and starts none.
+        resumed = run_campaign(spec, out_dir=tmp_path / "c", resume=True)
+        assert resumed.counters["cached"] == 50
+        assert resumed.aggregate["server_start_seconds"] == 0.0
+
+    def test_after_a_failed_cell(self, tmp_path):
+        spec = _spec(base={**_spec().base, "kernel": "no-such-kernel"})
+        assert run_campaign(spec, out_dir=tmp_path / "c").counters["failed"] == 2
+
+    def test_after_a_timeout(self, tmp_path):
+        spec = _spec(base=_ENDLESS, timeout=0.5, retries=1)
+        result = run_campaign(spec, out_dir=tmp_path / "c")
+        assert result.counters == {
+            "completed": 0, "cached": 0, "failed": 2, "skipped": 0,
+            "retried": 2,
+        }
+        assert "timed out" in result.outcomes[0].error
+
+    def test_after_a_fail_fast_abort(self, tmp_path):
+        spec = _spec(base={**_spec().base, "kernel": "no-such-kernel"},
+                     sweep={"beta": [0.5, 1.0, 1.5]}, jobs=1,
+                     policy="fail-fast")
+        result = run_campaign(spec, out_dir=tmp_path / "c")
+        assert result.counters["failed"] == 1
+        assert result.counters["skipped"] == 2
+
+    def test_after_a_keyboard_interrupt(self, tmp_path):
+        spec = _spec(base=_ENDLESS)
+        timer = threading.Timer(1.5, os.kill, (os.getpid(), signal.SIGINT))
+        timer.start()
+        try:
+            result = run_campaign(spec, out_dir=tmp_path / "c")
+        except KeyboardInterrupt:  # Python 3.10: asyncio.run re-raises it
+            pass
+        else:
+            assert result.interrupted and not result.ok
+        finally:
+            timer.cancel()
+
+    def test_a_dead_server_is_a_transient_failure(self, tmp_path):
+        """SIGKILL the server mid-campaign: its cells are killed, their
+        attempts retried on a new server, and nothing hangs."""
+        # ~1 s cells: long enough to be caught mid-flight.
+        base = {**_spec().base, "beta": 0.5, "n_sweeps": 4000}
+        spec = _spec(base=base, sweep={"seed": [0, 1]}, retries=2)
+        me, orphans = os.getpid(), set()
+
+        def kill_server_once_cells_run():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                # The server is our child; the cells (same command line:
+                # they are forks of it) are its children.
+                servers = [p for p, c in _descendants(me).items()
+                           if "cell_server" in c]
+                cells = set().union(*(_descendants(p) for p in servers))
+                if cells:
+                    orphans.update(cells)
+                    (server,) = set(servers) - cells
+                    os.kill(server, signal.SIGKILL)
+                    return
+                time.sleep(0.02)
+
+        killer = threading.Thread(target=kill_server_once_cells_run)
+        killer.start()
+        result = run_campaign(spec, out_dir=tmp_path / "c")
+        killer.join(timeout=30)
+        assert not killer.is_alive()
+        assert orphans, "the server was never caught with a cell in flight"
+        assert result.ok and result.counters["completed"] == 2
+        assert result.counters["retried"] >= 1
+        assert _wait_gone(orphans) == set()

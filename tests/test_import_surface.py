@@ -1,0 +1,154 @@
+"""What a run imports, and the lazy package API that keeps it small.
+
+Every process pays for its imports before its first sweep, so the
+sampling commands must not load the exact references, the report
+renderer or the campaign scheduler (DESIGN.md, "Import surface").  The
+first half runs real commands in fresh interpreters and inspects
+``sys.modules`` afterwards; the second half pins the contract of the
+lazily exporting packages.
+"""
+
+import importlib
+import json
+import pickle
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: Nothing a sampling run touches lives in these.
+FORBIDDEN = (
+    "scipy.sparse", "scipy.linalg", "scipy.special", "asyncio",
+    "repro.models.ed", "repro.obs.report", "repro.run.campaign",
+)
+
+LAZY_PACKAGES = ("repro", "repro.run", "repro.models", "repro.qmc", "repro.obs")
+
+RUN = ["--beta", "1.0", "--slices", "8", "--sweeps", "20", "--thermalize", "4",
+       "--quiet"]
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that sees only ``src``; its stdout."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env={"PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def _modules_after(cli_args, tmp_path) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``repro <cli_args>``."""
+    argv = [*cli_args, "--output", str(tmp_path / "result"),
+            "--metrics-out", str(tmp_path / "metrics.jsonl")]
+    code = (
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    exit_code, modules = json.loads(_fresh_interpreter(code).splitlines()[-1])
+    assert exit_code == 0
+    assert (tmp_path / "result.json").is_file()
+    return set(modules)
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["run-xxz", "--sites", "8", *RUN],
+    ["run-xxz", "--sites", "8", *RUN, "--strategy", "strip", "--ranks", "2",
+     "--backend", "mp"],
+    ["run-tfim", "--shape", "8", *RUN, "--strategy", "block", "--ranks", "2"],
+], ids=["xxz-serial", "xxz-strip-mp", "tfim-block"])
+def test_a_run_imports_only_the_run_path(cli_args, tmp_path):
+    loaded = _modules_after(cli_args, tmp_path)
+    assert "repro.run.simulation" in loaded
+    leaked = sorted(
+        m for m in loaded
+        if any(m == bad or m.startswith(bad + ".") for bad in FORBIDDEN)
+    )
+    assert leaked == []
+
+
+def test_info_commands_do_not_import_the_samplers():
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['machines']) == 0\n"
+        "assert main(['scaling', '--max-p', '4']) == 0\n"
+        "bad = [m for m in sys.modules if m.startswith(('repro.qmc.worldline',"
+        " 'repro.run.simulation', 'repro.qmc.parallel'))]\n"
+        "assert bad == [], bad\n"
+    )
+    _fresh_interpreter(code)
+
+
+def test_the_launcher_imports_what_forked_ranks_use():
+    """NumPy loads ``numpy.random`` on first attribute access; were that
+    left to the first stream an mp rank creates, every rank of every run
+    would import it after the fork, inside the run's wall time."""
+    code = (
+        "import sys\n"
+        "import repro.util.rng\n"
+        "assert 'numpy.random' in sys.modules\n"
+    )
+    _fresh_interpreter(code)
+
+
+def _defining_module(pkg, name, value):
+    """Where ``name`` is defined: by ``__module__``, else by ``__all__``."""
+    module = sys.modules.get(getattr(value, "__module__", None))
+    if module is not None and hasattr(module, name):
+        return module
+    for info in pkgutil.iter_modules(pkg.__path__):
+        module = importlib.import_module(f"{pkg.__name__}.{info.name}")
+        if name in getattr(module, "__all__", ()):
+            return module
+    raise AssertionError(f"no module of {pkg.__name__} defines {name}")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_exported_name_resolves_to_its_defining_object(package):
+    pkg = importlib.import_module(package)
+    assert len(set(pkg.__all__)) == len(pkg.__all__)
+    listed = dir(pkg)
+    for name in pkg.__all__:
+        value = getattr(pkg, name)
+        assert name in listed
+        if name == "__version__":
+            continue
+        assert value is getattr(_defining_module(pkg, name, value), name)
+        # A second lookup is served from the package namespace itself.
+        assert vars(pkg)[name] is value
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    import repro
+
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        repro.nope
+    with pytest.raises(ImportError):
+        from repro import nope  # noqa: F401
+
+
+def test_star_import_submodule_import_and_pickling_still_work():
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    import repro
+
+    assert set(repro.__all__) <= set(namespace)
+    assert namespace["Simulation"] is repro.Simulation
+
+    from repro import kernels  # a subpackage, not an exported name
+
+    assert kernels is sys.modules["repro.kernels"]
+
+    cfg = repro.XXZRunConfig(n_sites=6, beta=0.5, n_slices=4, n_sweeps=8,
+                             n_thermalize=2)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    result = repro.Simulation(cfg).run()
+    clone = pickle.loads(pickle.dumps(result))
+    assert type(clone) is repro.RunResult
+    assert clone.estimates == result.estimates
