@@ -39,15 +39,15 @@ def build_table() -> Table:
 
 
 def executed_anchor() -> dict[int, float]:
-    """Executed small-P makespans of the *fine-grained* 8-class driver.
+    """Executed small-P makespans of the strip driver.
 
-    The executed driver refreshes ghosts around every independence
-    class (~20 messages per sweep per rank), a deliberately
-    conservative schedule; at this toy size it is latency-bound and
-    does NOT speed up -- the ablation the model's
-    ``halo_messages_per_sweep`` override captures.  Production-scale
-    rows in the main table use the genre-standard half-sweep-batched
-    schedule (4 messages per sweep).
+    The driver's static halo schedule ships each ghost pair twice per
+    sweep -- the same 4 messages per rank per sweep the main table's
+    half-sweep-batched model charges -- so the anchor is compared with
+    that model as it stands.  At this toy size the run is still
+    latency-bound; the model's ``halo_messages_per_sweep`` override
+    remains the granularity ablation (e.g. 20: a refresh before every
+    stage).
     """
     cfg = WorldlineStripConfig(
         n_sites=32, jz=1.0, jxy=1.0, beta=2.0, n_slices=16,
@@ -77,22 +77,21 @@ def test_table1_fixed_speedup(benchmark, record):
     assert all(a >= b for a, b in zip(effs, effs[1:])), "efficiency monotone"
     assert effs[ps.index(256)] > 0.25
 
-    # Executed anchor: compare against the model configured with the
-    # driver's actual fine-grained message schedule.  Agreement within a
-    # structural factor validates the large-P rows above.
+    # Executed anchor: compare against the same model at the anchor's
+    # size (default schedule: the 4 halo messages per sweep the driver
+    # sends).  Agreement within a structural factor validates the
+    # large-P rows above.
     import dataclasses
 
-    fine = dataclasses.replace(
-        WORKLOAD, lx=32, lt=16, sweeps=60, halo_messages_per_sweep=20
+    small_pm = PerformanceModel(
+        CM5, dataclasses.replace(WORKLOAD, lx=32, lt=16, sweeps=60)
     )
-    fine_pm = PerformanceModel(CM5, fine)
     anchor_tab = Table(
-        "executed anchor: fine-grained (8-class) schedule, 32-site chain "
-        "x 16 slices, 60 sweeps",
+        "executed anchor: 32-site chain x 16 slices, 60 sweeps",
         ["P", "T_exec[s]", "T_model[s]", "ratio"],
     )
     for p in (1, 2, 4):
-        t_model = fine_pm.time(p) + fine.sweeps * 0  # same sweep count
+        t_model = small_pm.time(p)
         ratio = anchors[p] / t_model
         anchor_tab.add_row([p, anchors[p], t_model, ratio])
         assert 0.3 < ratio < 3.0, (

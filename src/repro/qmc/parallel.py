@@ -19,20 +19,55 @@ Two production drivers, each an ordinary rank program runnable under
   **bit-identical** to the serial one (same-color sites do not
   interact), which the integration tests assert literally.
 
-Halo protocol (both drivers): ghost copies of the boundary data are
-refreshed by ONE aggregated contiguous-buffer message per neighbor per
-exchange -- two packed spin columns for the strip, a parity-packed
-boundary plane for the Ising blocks -- instead of one message per
-boundary column/plane.  Under the alpha--beta cost model
-(``alpha + n * beta`` per message) aggregation cuts the latency term
-by the aggregation factor while leaving the bandwidth term unchanged;
-see :class:`repro.lattice.decomposition.HaloSpec` for the accounting.
-Each state only *describes* its exchange as :class:`_HaloLink` tuples
-(2 for the strip, 4 for the blocks; an axis the decomposition does not
-split wraps locally); :meth:`_DecomposedState._exchange` is the one
-place that posts and completes them, in the lockstep or the overlapped
-schedule, and :func:`_run_decomposed` is the one run loop all programs
-(including :func:`repro.qmc.two_level.two_level_program`) share.
+Halo protocol (both drivers): ghost copies of the boundary data travel
+as ONE aggregated contiguous-buffer message per neighbor -- two packed
+spin columns for the strip, a parity-packed boundary plane for the
+Ising blocks -- instead of one message per boundary column/plane (under
+``alpha + n * beta`` per message, aggregation cuts the latency term and
+leaves the bandwidth term; see
+:class:`repro.lattice.decomposition.HaloSpec`).  Each state only
+*describes* its traffic as a ``_links`` table: per stage key, the
+:class:`_HaloLink` tuples that stage posts (an axis the decomposition
+does not split wraps locally); :meth:`_DecomposedState._exchange` is
+the one place that posts and completes them, in the lockstep or the
+overlapped schedule, and :func:`_run_decomposed` is the one run loop
+all programs (including :func:`repro.qmc.two_level.two_level_program`)
+share.
+
+Halo schedule: a ghost ships only when it is stale and about to be
+read.  A stage's ``_links`` entry holds a link iff the stage reads a
+ghost column/plane its owner has written, un-mirrored, since the link's
+last refresh -- a function of the stage list and the decomposition
+alone, so both sides compute it independently and trajectories equal
+refreshing everything everywhere.  Strip facts are per *seam* (the
+boundary before global column ``c``, even): ``G0 = c-2, G1 = c-1`` are
+the left ghost pair of the rank right of it, ``G2 = c, G3 = c+1`` the
+right pair of the rank left of it, and corner class ``a`` acts through
+``d = (a - c) % 4``:
+
+===========  ===========  ================================
+stage        reads        leaves stale
+===========  ===========  ================================
+corner d=0   G1           G2, G3  (bond ``c``)
+corner d=1   --           G0, G3  (bonds ``c-3``, ``c+1``)
+corner d=2   G2           G0, G1  (bond ``c-2``)
+corner d=3   G0 G1 G2 G3  --  (seam bond ``c-1``: mirrored)
+column p=0   G1           G0, G2
+column p=1   G2           G1, G3
+measurement  G2           --
+===========  ===========  ================================
+
+Every ghost is stale at sweep start (so nothing depends on whether a
+measurement ran, on the start configuration or on a bundle's ghost
+values); staleness is kept per column, refreshed per pair.  A seam at
+``c % 4 == 0`` posts ``L...R.L..R.`` over the ten stages plus the
+measurement (L/R: its left/right pair), one at ``2`` posts
+``R.L......R.``: 4 one-directional messages per rank per sweep on the
+usual geometry, none for any measurement.  A rank receives by the seams
+at its ``start`` / ``stop`` and sends by the same tables read from the
+other side.  The block colors already ship only the sites they read;
+the measurement reads the east/north ghost planes, stale only at their
+color-1 sites.
 
 Ownership conventions (world-line strip, global column indices):
 
@@ -129,6 +164,34 @@ WL_STAGES = tuple(
 )
 N_WL_STAGES = len(WL_STAGES)
 
+#: The module docstring's halo-schedule table, G0..G3 as 0..3 -> (reads,
+#: leaves stale); tests/qmc/test_halo_schedule.py holds every entry
+#: against the kernels' own gather/flip tables.
+_SEAM_FACTS = {
+    ("corner", 0): ((1,), (2, 3)),
+    ("corner", 1): ((), (0, 3)),
+    ("corner", 2): ((2,), (0, 1)),
+    ("corner", 3): ((0, 1, 2, 3), ()),
+    ("column", 0): ((1,), (0, 2)),
+    ("column", 1): ((2,), (1, 3)),
+    ("measure", 0): ((2,), ()),
+}
+
+
+def _seam_schedule(seam: int) -> list[list[bool]]:
+    """Per sweep stage, then the measurement: is the [left, right] ghost
+    pair at the seam before global column ``seam`` refreshed first?
+    O(stages), whatever the strip."""
+    stale = [True] * 4
+    schedule = []
+    for kind, a, _ in (*WL_STAGES, ("measure", 0, None)):
+        reads, writes = _SEAM_FACTS[kind, (a - seam) % 4 if kind == "corner" else a]
+        post = [any(stale[g] for g in reads if g // 2 == pair) for pair in (0, 1)]
+        for g in range(4):
+            stale[g] = (stale[g] and not post[g // 2]) or g in writes
+        schedule.append(post)
+    return schedule
+
 
 # ======================================================================
 # the decomposed-run spine: one state base, one halo exchange, one loop
@@ -140,8 +203,10 @@ class _HaloLink(NamedTuple):
 
     The owned boundary ``send`` travels to rank ``dest`` while the same
     tag brings the opposite neighbor's (``source``) boundary into the
-    ``ghost`` view.  ``dest is None`` marks an axis the decomposition
-    does not split: ``send`` wraps into ``ghost`` locally, for free.
+    ``ghost`` view.  The halo schedule may want only one half: the link
+    sends iff ``dest`` is a rank and receives iff ``source`` is one.
+    Both ``None`` marks an axis the decomposition does not split:
+    ``send`` wraps into ``ghost`` locally, for free.
     ``tag`` is the link's offset inside the exchange's tag block; the
     masks select the parity-packed sites of a checkerboard plane
     (``None``: the whole buffer ships).
@@ -164,8 +229,8 @@ class _DecomposedState:
     per-sweep telemetry, the halo exchange and the checkpoint pair.  A
     subclass supplies the geometry: the class attributes below, its
     ghosted spin array (the attribute named by ``_array``), the
-    ``_links`` table (per stage key, the :class:`_HaloLink` tuples that
-    refresh the ghosts the stage reads, grouped by axis),
+    ``_links`` table (per stage key, the :class:`_HaloLink` tuples the
+    halo schedule posts before that stage, grouped by axis),
     :meth:`_sweep_stages`, :meth:`measure` and :meth:`result`.
     """
 
@@ -227,8 +292,9 @@ class _DecomposedState:
             )
 
     # -- halo exchange -------------------------------------------------------
-    def _exchange(self, stage=None, offload: bool = False) -> list:
-        """Post one aggregated halo exchange: ONE message per neighbor.
+    def _exchange(self, stage, offload: bool = False) -> list:
+        """Post the halo links scheduled before ``stage``: ONE aggregated
+        message per link, none where the schedule has nothing stale.
 
         Lockstep (``offload=False``) sends then receives axis by axis
         with blocking calls and returns nothing pending.  The overlap
@@ -239,6 +305,8 @@ class _DecomposedState:
         clock advances through identical arrival stamps.  Packing (and
         local wrapping) happens here, before any interior update, so
         the shipped data is the pre-stage state in both schedules.
+        Every call advances the tag block, posted or not: tags stay in
+        step across ranks.
         """
         comm = self.comm
         base, period, stride = self._tag_schedule
@@ -247,16 +315,14 @@ class _DecomposedState:
         pending = []
         for axis in self._links[stage]:
             for ln in axis:
-                if ln.dest is None:
-                    ln.ghost[...] = ln.send
-                elif offload:
-                    comm.isend(pack_plane(ln.send, ln.send_mask), ln.dest,
-                               tag=tag + ln.tag, offload=True)
-                else:
+                if ln.dest is not None:
+                    # offloaded, this is isend minus its finished Request
                     comm.send(pack_plane(ln.send, ln.send_mask), ln.dest,
-                              tag=tag + ln.tag)
+                              tag=tag + ln.tag, offload=offload)
+                elif ln.source is None:
+                    ln.ghost[...] = ln.send
             for ln in axis:
-                if ln.dest is None:
+                if ln.source is None:
                     continue
                 if offload:
                     req = comm.irecv(source=ln.source, tag=tag + ln.tag,
@@ -312,8 +378,9 @@ class _DecomposedState:
 
     # -- measurement / result ------------------------------------------------
     def measure(self) -> tuple:
-        """Refresh the ghosts, reduce, and return one value per ``series``
-        name (identical on every rank of the communicator)."""
+        """Refresh the stale ghosts it reads, reduce once, and return one
+        value per ``series`` name (identical on every rank of the
+        communicator)."""
         raise NotImplementedError
 
     def result(self) -> dict:
@@ -553,17 +620,29 @@ class _StripState(_DecomposedState):
         self.loc = loc = np.repeat(
             (g % 2).astype(np.int8)[:, None], self.T, axis=1
         )
-        # Every stage (and the measurement) refreshes all four ghost
-        # columns: the two boundary columns a neighbor needs travel as
-        # a single contiguous ``(2, T)`` int8 buffer (one alpha charge
-        # instead of two).  Single-rank runs wrap locally.
+        # The two boundary columns a neighbor mirrors travel as one
+        # contiguous ``(2, T)`` int8 buffer (one alpha charge instead of
+        # two), at the stages the halo schedule names: at the seam
+        # ``start`` this rank holds the left ghost pair and feeds its
+        # left neighbor's right pair, at ``stop`` the reverse.  Single-
+        # rank runs wrap locally (both seams are column 0 there).
         right, left = (
             (piece.right_rank, piece.left_rank) if comm.size > 1 else (None, None)
         )
-        self._links = {None: [[
-            _HaloLink(right, left, loc[n : n + 2], loc[0:2], 0),
-            _HaloLink(left, right, loc[2:4], loc[n + 2 : n + 4], 1),
-        ]]}
+        rightward = _HaloLink(right, left, loc[n : n + 2], loc[0:2], 0)
+        leftward = _HaloLink(left, right, loc[2:4], loc[n + 2 : n + 4], 1)
+        self._links = {}
+        for key, (recv_l, send_l), (send_r, recv_r) in zip(
+            (*range(N_WL_STAGES), "measure"),
+            _seam_schedule(self.start), _seam_schedule(self.stop),
+        ):
+            self._links[key] = [[
+                ln._replace(dest=ln.dest if sends else None,
+                            source=ln.source if receives else None)
+                for ln, sends, receives in (
+                    (rightward, send_r, recv_l), (leftward, send_l, recv_r))
+                if sends or receives
+            ]]
         self._t_even = np.arange(0, self.T, 2, dtype=np.intp)
         self._t_odd = np.arange(1, self.T, 2, dtype=np.intp)
         # One shared uniform block per sweep, sliced per stage: corner
@@ -608,6 +687,9 @@ class _StripState(_DecomposedState):
         #: One table per entry of :data:`WL_STAGES`, in stage order; none
         #: is empty (L % 4 == T % 4 == 0 and an even n_owned >= 4).
         self._stage_cache: list[dict] = []
+        #: Per column parity, the ``(4, n)`` flat corner indices of the
+        #: shaded plaquettes :meth:`local_dlog_sum` reads.
+        self._dlog_tables: list[np.ndarray] = []
         for kind, a, b in WL_STAGES:
             if kind != "corner":
                 continue
@@ -663,6 +745,11 @@ class _StripState(_DecomposedState):
                 "c01": np.stack(i01),
                 "c11": np.stack(i11),
             })
+            # The off=0 halves are the shaded plaquettes at this
+            # parity's owned bonds: the energy measurement's gather.
+            self._dlog_tables.append(
+                np.stack([i00[1], i10[1], i01[1], i11[1]]).reshape(4, -1)
+            )
 
     @staticmethod
     def _subset_cache(cache: dict, sel: np.ndarray) -> dict | None:
@@ -913,49 +1000,47 @@ class _StripState(_DecomposedState):
         )
 
     def _sweep_stages(self) -> None:
-        """One full sweep: 10 stages, one aggregated ghost exchange each.
+        """One full sweep: 10 stages, each behind the halo links the
+        schedule posts for it (none at most stages).
 
-        With the overlap pipeline active, each stage instead posts its
-        exchange, updates the interior sub-table while the halo is in
-        flight, waits, and finishes with the boundary sub-table.
+        With the overlap pipeline active, a stage that has a halo in
+        flight updates its interior sub-table meanwhile, waits, and
+        finishes with the boundary sub-table; a stage with nothing in
+        flight runs its unsplit table in one kernel call.
         """
         u_sweep = self._sweep_uniforms()
         for s_idx, (kind, _, _) in enumerate(WL_STAGES):
             kernel = self._stage_fn[kind]
             u = self._stage_slice(u_sweep, s_idx)
-            if self.overlap_active:
+            pending = self._exchange(s_idx, offload=self.overlap_active)
+            if pending:
                 interior, boundary = self._stage_split[s_idx]
-                pending = self._exchange(offload=True)
                 self._timed(kernel, interior, u, "interior")
                 self._exchange_wait(pending)
                 self._timed(kernel, boundary, u, "boundary")
             else:
-                self._exchange()
                 self._timed(kernel, self._stage_cache[s_idx], u, "compute")
         self.sweep_index += 1
 
     # -- measurement ---------------------------------------------------------
     def local_dlog_sum(self) -> float:
-        """Sum of d ln W over shaded plaquettes at owned bonds."""
-        gi = np.arange(self.start, self.stop, dtype=np.intp)
-        li = gi - self.start + 2
+        """Sum of d ln W over shaded plaquettes at owned bonds (one
+        partial sum per bond parity, even first: the series' bits)."""
+        flat = self.loc.reshape(-1)
         total = 0.0
-        for parity, ts in ((0, self._t_even), (1, self._t_odd)):
-            sel = li[(gi % 2) == parity]
-            if sel.size == 0:
-                continue
-            bb = np.repeat(sel, ts.size)
-            tt = np.tile(ts, sel.size)
-            total += float(np.sum(self.table.dlog[self._codes(bb, tt)]))
+        for table in self._dlog_tables:
+            s00, s10, s01, s11 = flat[table]
+            total += float(np.sum(self.table.dlog[s00 + 2 * s10 + 4 * s01 + 8 * s11]))
         return total
 
     def measure(self) -> tuple[float, float]:
         """Energy estimate and slice-0 total S^z of the whole chain."""
-        self._exchange()
-        dlog = self.comm.allreduce(self.local_dlog_sum())
+        self._exchange("measure")
         owned = self.loc[2 : self.n_owned + 2, 0]
-        mag = self.comm.allreduce(float(owned.sum() - self.n_owned / 2.0))
-        return -dlog / self.n_trotter, mag
+        dlog, mag = self.comm.allreduce(np.array(
+            [self.local_dlog_sum(), owned.sum() - self.n_owned / 2.0]
+        ))
+        return -float(dlog) / self.n_trotter, float(mag)
 
     def result(self) -> dict:
         return {
@@ -1098,9 +1183,11 @@ class _BlockState(_DecomposedState):
         self.color_masks = [(parity == c) for c in (0, 1)]
         self._n_sites = cfg.lx * cfg.ly * cfg.lt
         self._n_color_sites = [int(m.sum()) for m in self.color_masks]
-        # Link tables per stage: the two checkerboard colors, plus
-        # ``None`` for the full-plane measurement exchange.
-        self._links = {c: self._build_links(c) for c in (0, 1, None)}
+        # Link tables per stage: the two checkerboard colors; the
+        # measurement reads the east/north ghost planes, stale only at
+        # their color-1 sites -- the color-0 tables' second links.
+        self._links = {c: self._build_links(c) for c in (0, 1)}
+        self._links["measure"] = [[axis[1]] for axis in self._links[0]]
         # Overlap pipeline state: per-color interior/boundary masks and
         # interior site counts (compute-charge split weights).
         if cfg.overlap and comm.size > 1:
@@ -1122,23 +1209,21 @@ class _BlockState(_DecomposedState):
                 self.overlap_active = True
 
     # -- halo description -----------------------------------------------------
-    def _build_links(self, color: int | None) -> list[list[_HaloLink]]:
+    def _build_links(self, color: int) -> list[list[_HaloLink]]:
         """The x-axis and y-axis link pairs of one stage.
 
         ``color`` is the checkerboard color about to be updated: only
         the opposite-parity boundary sites -- the ones that color
-        actually reads -- are packed, halving the wire bytes at the
-        same message count.  The parity of an x-boundary site is
+        actually reads, and the only ones written since they last
+        shipped -- are packed, halving the wire bytes at the same
+        message count.  The parity of an x-boundary site is
         ``(gx + yt) % 2``, of a y-boundary site ``(gy + xt) % 2``;
         sender and receiver evaluate the same *global* plane
-        coordinate, so pack and unpack masks agree.  ``color=None``
-        ships full planes.  Axes the process grid does not split wrap
-        locally.
+        coordinate, so pack and unpack masks agree.  Axes the process
+        grid does not split wrap locally.
         """
 
-        def mask(par: np.ndarray, plane: int) -> np.ndarray | None:
-            if color is None:
-                return None
+        def mask(par: np.ndarray, plane: int) -> np.ndarray:
             return par == ((plane + color + 1) % 2)
 
         p, g, s = self.piece, self.g, self.spins
@@ -1254,14 +1339,16 @@ class _BlockState(_DecomposedState):
     def measure(self) -> tuple[float, np.ndarray]:
         """Global magnetization per site and (x, y, t) bond sums, each
         owned-origin bond counted once."""
-        m = self.comm.allreduce(float(self.spins.sum())) / self._n_sites
-        self._exchange()
+        self._exchange("measure")
         g = self.g
         s = self.spins.astype(np.int64)
         bx = float(np.sum(s * g[2:, 1:-1].astype(np.int64)))
         by = float(np.sum(s * g[1:-1, 2:].astype(np.int64)))
         bt = float(np.sum(s * np.roll(s, -1, axis=2)))
-        return m, self.comm.allreduce(np.array([bx, by, bt]))
+        total = self.comm.allreduce(
+            np.array([float(self.spins.sum()), bx, by, bt])
+        )
+        return float(total[0]) / self._n_sites, total[1:]
 
     def result(self) -> dict:
         p = self.piece

@@ -520,6 +520,8 @@ class Communicator:
         self._coll_seq = 0
         self._split_seq = 0
         self._uid: tuple[int, ...] = ()
+        #: Route length to each destination sent to so far (static).
+        self._hops: dict[int, int] = {}
         self._obs = bool(metrics.enabled)
         if self._obs:
             self._m_msg_hist = metrics.histogram(
@@ -574,7 +576,9 @@ class Communicator:
         if self.fault_state is not None:
             self.fault_state.on_op(self.clock)
         nbytes = payload_nbytes(obj)
-        hops = self.topology.hops(self.rank, dest)
+        hops = self._hops.get(dest)
+        if hops is None:
+            hops = self._hops[dest] = self.topology.hops(self.rank, dest)
         start = self.clock.now
         if offload:
             self.clock.charge(self.machine.post_overhead, self._cat_comm)

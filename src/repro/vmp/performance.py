@@ -95,8 +95,10 @@ class WorkloadShape:
     halo_messages_per_sweep:
         Override for the number of halo messages a rank sends per sweep
         (default ``None`` = the strategy's half-sweep-batched count:
-        2 half-sweeps x neighbors).  Set it to model fine-grained
-        schedules such as the executed 10-stage world-line driver.
+        2 half-sweeps x neighbors, which is also what the executed
+        strip driver's halo schedule sends).  Set it to model
+        finer-grained schedules, e.g. 20 for a refresh before every one
+        of the world-line driver's ten stages.
     halo_sites_per_message:
         Override for the lattice sites packed into one halo message
         (default ``None`` = one boundary column/plane).  Set it to
@@ -202,17 +204,17 @@ def worldline_strip_workload(
     * compute -- one corner proposal per unshaded plaquette (half the
       space--time sites) plus the straight-column pass, so per
       site-slice ``flops = FLOPS_PER_CORNER_MOVE / 2 + 2``;
-    * halos -- ten stages (eight corner classes + two column
-      parities), each refreshing ghosts with ONE aggregated two-column
-      message per neighbor: ``halo_messages_per_sweep = 20`` and
-      ``halo_sites_per_message = 2 * n_slices``.  Under alpha--beta
-      this is the aggregation the executed driver implements; spins
-      ship as single bytes.
+    * halos -- the static halo schedule ships each of a rank's two
+      ghost pairs twice per sweep, as ONE aggregated two-column
+      message: ``halo_messages_per_sweep = 4`` and
+      ``halo_sites_per_message = 2 * n_slices`` (ranks whose seams sit
+      at ``2 (mod 4)`` receive 3).  Spins ship as single bytes;
+    * measurement -- one allreduce of two doubles (energy and
+      magnetization partial sums folded into one vector).
 
     Pass ``overlap=True`` to model the five-stage pipeline variant the
     driver runs under ``WorldlineStripConfig(overlap=True)``.
     """
-    from repro.qmc.parallel import N_WL_STAGES
     from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 
     kwargs = dict(
@@ -223,7 +225,7 @@ def worldline_strip_workload(
         sweeps=sweeps,
         strategy="strip",
         bytes_per_site=1,
-        halo_messages_per_sweep=2 * N_WL_STAGES,
+        halo_messages_per_sweep=4,
         halo_sites_per_message=2.0 * n_slices,
         allreduce_doubles=2,
     )

@@ -2,15 +2,22 @@
 
 The decomposed drivers share one halo exchange and one run loop; this
 suite makes sure a restructuring of either cannot shift a single
-modeled charge or message.  Every literal below was recorded at commit
-9aedf5a -- the last one with a separate exchange and loop per driver --
-on the thread backend and the PARAGON machine model: the makespan, the
+modeled charge or message.  Every literal below is a recorded run on
+the thread backend and the PARAGON machine model: the makespan, the
 message and byte totals, and rank 0's per-category clock breakdown,
 for the strip driver at P in {2, 4} and the block driver at P = 4 in
 both the lockstep and the overlapped schedule, plus a two-level 2 x 2
 run.  The comparisons are exact (``==`` on floats): the clock is a
 deterministic sum of charges in a fixed order, so any drift is a
 reordered or re-priced operation, not rounding.
+
+First recorded at commit 9aedf5a (the last one with a separate exchange
+and loop per driver); re-recorded once, on purpose, when the static
+halo schedule and the folded measurement allreduce landed (strip P = 2
+lockstep 648 -> 132 messages, 0.04178 -> 0.01076 s; the full before ->
+after table is in CHANGES.md, PR 17).  The per-sweep counts at the end
+hold the schedule's message count itself, so a later change cannot
+quietly re-inflate it.
 """
 
 import pytest
@@ -53,53 +60,54 @@ TWO_LEVEL = (
 #:          (makespan, messages, bytes, rank-0 clock breakdown))
 PINNED = {
     "strip-p2-lockstep": (STRIP, 2, False, (
-        0.04177801428571424, 648, 10176,
-        {"comm": 0.03895268571428566,
-         "comm_wait": 6.028571428588411e-06,
+        0.010758871428571428, 132, 2112,
+        {"comm": 0.007935085714285734,
+         "comm_wait": 4.48571428571156e-06,
          "compute": 0.002816000000000002},
     )),
     "strip-p2-overlap": (STRIP, 2, True, (
-        0.014357971428571278, 648, 10176,
-        {"boundary": 0.0006208000000000007,
-         "comm": 0.010084114285714227,
-         "comm_wait": 5.271428571425145e-06,
-         "halo_wait": 0.0014524857142856741,
-         "interior": 0.0021951999999999965},
+        0.006352728571428583, 132, 2112,
+        {"boundary": 0.0003104000000000001,
+         "comm": 0.00216137142857143,
+         "comm_wait": 8.442857142857991e-06,
+         "compute": 0.0016960000000000011,
+         "halo_wait": 0.001366914285714304,
+         "interior": 0.0008096000000000007},
     )),
     "strip-p4-lockstep": (STRIP, 4, False, (
-        0.041887157142857005, 1320, 20544,
-        {"comm": 0.04039405714285707,
-         "comm_wait": 1.4500000000026644e-05,
+        0.010146814285714298, 276, 4416,
+        {"comm": 0.008656457142857161,
+         "comm_wait": 1.1757142857138272e-05,
          "compute": 0.0014784000000000002},
     )),
     "strip-p4-overlap": (STRIP, 4, True, (
-        0.015813714285714157, 1320, 20544,
-        {"boundary": 0.0006208000000000007,
-         "comm": 0.011525485714285652,
-         "comm_wait": 1.0542857142848121e-05,
-         "halo_wait": 0.0027992857142857147,
-         "interior": 0.000857600000000001},
+        0.00627144285714288, 276, 4416,
+        {"boundary": 0.0003104000000000001,
+         "comm": 0.0028827428571428543,
+         "comm_wait": 1.2085714285714998e-05,
+         "compute": 0.0008832000000000011,
+         "halo_wait": 0.0018965142857143035,
+         "interior": 0.0002848000000000002},
     )),
     "block-p4-lockstep": (BLOCK, 4, False, (
-        0.021985257142857113, 556, 10176,
-        {"comm": 0.017317485714285697,
-         "comm_wait": 8.371428571409337e-06,
+        0.019576399999999976, 486, 8256,
+        {"comm": 0.014910628571428566,
+         "comm_wait": 6.371428571421214e-06,
          "compute": 0.0046592},
     )),
     "block-p4-overlap": (BLOCK, 4, True, (
-        0.011977485714285667, 556, 10176,
+        0.009568628571428546, 486, 8256,
         {"boundary": 0.0034943999999999978,
-         "comm": 0.00730971428571427,
-         "comm_wait": 8.37142857142495e-06,
+         "comm": 0.00490285714285713,
+         "comm_wait": 6.371428571429888e-06,
          "interior": 0.0011648},
     )),
     "two-level-2x2": (TWO_LEVEL, 4, False, (
-        0.04353272857142849, 1338, 21424,
-        {"comm": 0.03973622857142851,
-         "comm_wait": 1.8857142857226644e-06,
+        0.012513242857142856, 306, 5296,
+        {"comm": 0.00871862857142859,
          "compute": 0.002816000000000002,
          "ensemble": 0.0009620571428571431,
-         "ensemble_wait": 1.635714285714955e-05},
+         "ensemble_wait": 1.6357142857142612e-05},
     )),
 }
 
@@ -115,3 +123,49 @@ def test_modeled_accounting_matches_recorded_literals(case):
         res.outcomes[0].breakdown,
     )
     assert got == want
+
+
+#: (driver, config, P) -> (messages, bytes) per sweep, measuring every
+#: sweep: halo messages plus the one measurement allreduce.
+PER_SWEEP = {
+    "strip-p2": (
+        worldline_strip_program,
+        WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
+                             n_slices=16, n_sweeps=5),
+        2, (10, 288),
+    ),
+    "strip-p4": (
+        worldline_strip_program,
+        WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
+                             n_slices=16, n_sweeps=5),
+        4, (22, 608),
+    ),
+    # L = 40 over 4 ranks: seams at 10 and 30 are 2 (mod 4)
+    "strip-p4-odd-seams": (
+        worldline_strip_program,
+        WorldlineStripConfig(n_sites=40, jz=1.0, jxy=1.0, beta=1.0,
+                             n_slices=16, n_sweeps=5),
+        4, (20, 544),
+    ),
+    "block-p2": (
+        ising_block_program,
+        IsingBlockConfig(lx=64, ly=1, lt=64, kx=0.2, ky=0.0, kt=0.3,
+                         n_sweeps=5),
+        2, (12, 384),
+    ),
+    "block-2x2": (
+        ising_block_program,
+        IsingBlockConfig(lx=16, ly=16, lt=8, kx=0.2, ky=0.2, kt=0.3,
+                         n_sweeps=5),
+        4, (46, 1472),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_SWEEP))
+def test_per_sweep_message_and_byte_counts(case):
+    program, cfg, n_ranks, want = PER_SWEEP[case]
+    res = run_driver_matrix(program, n_ranks, cfg, seed=1)
+    assert (
+        res.total_messages / cfg.n_sweeps, res.total_bytes / cfg.n_sweeps
+    ) == want

@@ -79,8 +79,9 @@ class TestMessageAccounting:
     def test_executed_message_count_matches_halo_structure(self):
         res = executed(4)  # 2x2 process grid: both axes split
         # Per sweep per rank: 2 colors x 4 plane messages (halo) +
-        # measurement (_exchange_planes again: 4) + allreduce traffic.
-        halo_msgs = SWEEPS * (2 * 4 + 4)
+        # measurement (the stale east + north planes: 2) + allreduce
+        # traffic.
+        halo_msgs = SWEEPS * (2 * 4 + 2)
         per_rank = res.total_messages / 4
         assert per_rank >= halo_msgs  # collectives add more on top
         assert per_rank < halo_msgs + SWEEPS * 12  # but not unboundedly

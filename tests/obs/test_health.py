@@ -60,12 +60,16 @@ def _faulty_two_level():
 
     Checkerboard world-line acceptance sits far below 90%, so the band
     ``(0.9, 1.0)`` is a deterministic injected fault: every windowed
-    check trips the acceptance rule on every rank.
+    check trips the acceptance rule on every rank.  The comm-fraction
+    ceiling is lowered as well: this toy strip spends 0.88 of its
+    modeled time communicating (0.97, over the default 0.95 ceiling,
+    before the halo schedule), and the stream keeps that rule's events.
     """
     cfg = TwoLevelConfig(
         replicas=2, domain_ranks=2, base=_strip_cfg(n_sweeps=20)
     )
-    rules = HealthRules(interval=5, acceptance_band=(0.9, 1.0), rhat_max=1.05)
+    rules = HealthRules(interval=5, acceptance_band=(0.9, 1.0), rhat_max=1.05,
+                        comm_fraction_max=0.5)
     return cfg, rules
 
 

@@ -162,14 +162,30 @@ class TestWorldline2DWorkload:
 
 class TestWorldlineStripWorkload:
     def test_mirrors_executed_stage_structure(self):
-        from repro.qmc.parallel import N_WL_STAGES
+        from repro.qmc.parallel import (
+            WorldlineStripConfig,
+            worldline_strip_program,
+        )
         from repro.vmp.performance import worldline_strip_workload
+        from repro.vmp.scheduler import run_spmd
 
         w = worldline_strip_workload(64, 64, sweeps=100)
         assert w.strategy == "strip"
         assert w.bytes_per_site == 1  # int8 spins on the wire
-        assert w.halo_messages_per_sweep == 2 * N_WL_STAGES
+        assert w.halo_messages_per_sweep == 4
         assert w.halo_sites_per_message == 2.0 * 64  # two ghost columns
+        assert w.allreduce_doubles == 2  # one folded reduction
+        # ... which is what the driver sends: per rank and sweep, 4 halo
+        # messages plus the 2 of a P = 2 reduce + bcast of 16 bytes.
+        cfg = WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
+                                   n_slices=64, n_sweeps=3)
+        res = run_spmd(worldline_strip_program, 2, machine=PARAGON, args=(cfg,))
+        per_rank = w.halo_messages_per_sweep + 1
+        assert res.total_messages == 2 * per_rank * cfg.n_sweeps
+        assert res.total_bytes == cfg.n_sweeps * 2 * (
+            w.halo_messages_per_sweep * int(w.halo_sites_per_message)
+            + 8 * w.allreduce_doubles
+        )
 
     def test_matches_strip_decomposition_halo_spec(self):
         from repro.vmp.performance import worldline_strip_workload
@@ -181,13 +197,12 @@ class TestWorldlineStripWorkload:
     def test_halo_aggregation_reduces_modeled_time(self):
         # Same bytes in 2-column buffers vs column-at-a-time: fewer
         # alphas => strictly smaller halo seconds per sweep.
-        from repro.qmc.parallel import N_WL_STAGES
         from repro.vmp.performance import worldline_strip_workload
 
         aggregated = worldline_strip_workload(64, 64, sweeps=100)
         split = worldline_strip_workload(
             64, 64, sweeps=100,
-            halo_messages_per_sweep=2 * N_WL_STAGES * 2,
+            halo_messages_per_sweep=2 * aggregated.halo_messages_per_sweep,
             halo_sites_per_message=64.0,
         )
         t_agg = PerformanceModel(PARAGON, aggregated).halo_seconds_per_sweep(4)
