@@ -2,10 +2,11 @@
 
 Commands
 --------
-``run-xxz``
-    World-line QMC of the XXZ chain via the Simulation facade.
-``run-tfim``
-    Transverse-field Ising QMC (chain or square lattice).
+``run-xxz`` / ``run-xxz2d`` / ``run-tfim``
+    One per run kind (:data:`repro.run.config.RUN_KINDS`): world-line
+    QMC of the XXZ chain, of the 2-D XXZ model, and transverse-field
+    Ising QMC (chain or square lattice), via the Simulation facade.
+    Their options are the kind's field table.
 ``machines``
     List the calibrated machine models.
 ``scaling``
@@ -29,85 +30,16 @@ stream convergence/health diagnostics during the run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
 from repro.kernels import KernelUnavailableError
-from repro.run.config import (
-    ParallelLayout,
-    TfimRunConfig,
-    XXZ2DRunConfig,
-    XXZRunConfig,
-)
+from repro.run.config import RUN_KINDS, ParallelLayout, RunConfig
 from repro.util.tables import Table
 from repro.vmp.machines import MACHINES
 
-__all__ = ["main", "build_parser"]
-
-
-def _add_layout_args(p: argparse.ArgumentParser, strategies: list[str]) -> None:
-    p.add_argument("--strategy", choices=strategies, default="serial",
-                   help="parallelization strategy")
-    p.add_argument("--ranks", type=int, default=1, help="virtual processors")
-    p.add_argument("--machine", choices=sorted(MACHINES), default="Ideal",
-                   help="machine cost model")
-    p.add_argument("--backend", choices=["thread", "mp", "mpi"],
-                   default="thread",
-                   help="execution backend for strip/block layouts; 'mpi' "
-                        "expects the command to run under "
-                        "'mpiexec -n RANKS python -m repro ...'")
-    p.add_argument("--overlap", action="store_true",
-                   help="overlap halo exchanges with interior updates in "
-                        "the strip/block sweep drivers (bit-identical "
-                        "trajectories, shorter modeled makespan)")
-    p.add_argument("--kernel", default="auto",
-                   help="sweep kernel backend: 'auto' (best available), a "
-                        "registered backend (numpy/numba), or 'scalar' "
-                        "for the per-move reference path; every backend "
-                        "yields the bit-identical trajectory (default: auto)")
-    p.add_argument("--replicas", type=int, default=1, metavar="R",
-                   help="two-level ensemble x domain run: R independent "
-                        "strip replicas of --ranks domain processors each "
-                        "(R * RANKS total; strip strategy only)")
-
-
-def _add_mc_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    p.add_argument("--slices", type=int, default=16, help="Trotter slices")
-    p.add_argument("--sweeps", type=int, default=2000, help="measured sweeps")
-    p.add_argument("--thermalize", type=int, default=200, help="warm-up sweeps")
-    p.add_argument("--seed", type=int, default=0, help="root random seed")
-    p.add_argument("--output", type=str, default=None,
-                   help="save result to PATH.json/.npz")
-    p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
-                   help="save per-rank checkpoints every N sweeps "
-                        "(strip/block layouts)")
-    p.add_argument("--checkpoint-dir", type=str, default=None, metavar="DIR",
-                   help="directory for per-rank checkpoint bundles")
-    p.add_argument("--resume", action="store_true",
-                   help="resume bit-identically from --checkpoint-dir")
-    p.add_argument("--metrics-out", type=str, default=None, metavar="PATH",
-                   help="write per-rank metrics as JSONL (plus a manifest.json "
-                        "next to it)")
-    p.add_argument("--trace-out", type=str, default=None, metavar="PATH",
-                   help="write a Chrome trace_event JSON of the run's phase "
-                        "spans (strip/block layouts; open in Perfetto)")
-    p.add_argument("--obs-interval", type=int, default=0, metavar="N",
-                   help="snapshot metrics every N sweeps into --metrics-out "
-                        "(0: summaries only); with --health also sets the "
-                        "health-check cadence")
-    p.add_argument("--health", action="store_true",
-                   help="enable the streaming run-health engine (online "
-                        "convergence estimators + alert rules; trajectories "
-                        "stay bit-identical to a run without it)")
-    p.add_argument("--health-rules", type=str, default=None, metavar="PATH",
-                   help="JSON file overriding the default health rules "
-                        "(implies nothing without --health)")
-    p.add_argument("--events-out", type=str, default=None, metavar="PATH",
-                   help="write health events as JSONL (requires --health)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the human-readable summary on stdout "
-                        "(file sinks are still written)")
+__all__ = ["main", "build_parser", "config_from_args"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,32 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_xxz = sub.add_parser("run-xxz", help="world-line QMC of the XXZ chain")
-    p_xxz.add_argument("--sites", type=int, required=True)
-    p_xxz.add_argument("--jz", type=float, default=1.0)
-    p_xxz.add_argument("--jxy", type=float, default=1.0)
-    p_xxz.add_argument("--open-chain", action="store_true",
-                       help="open boundaries (default periodic)")
-    _add_mc_args(p_xxz)
-    _add_layout_args(p_xxz, ["serial", "replica", "strip"])
-
-    p_xxz2d = sub.add_parser(
-        "run-xxz2d", help="world-line QMC of the 2-D XXZ (Heisenberg) model"
-    )
-    p_xxz2d.add_argument("--lx", type=int, required=True)
-    p_xxz2d.add_argument("--ly", type=int, required=True)
-    p_xxz2d.add_argument("--jz", type=float, default=1.0)
-    p_xxz2d.add_argument("--jxy", type=float, default=1.0)
-    _add_mc_args(p_xxz2d)
-    _add_layout_args(p_xxz2d, ["serial", "replica"])
-
-    p_tfim = sub.add_parser("run-tfim", help="transverse-field Ising QMC")
-    p_tfim.add_argument("--shape", type=str, required=True,
-                        help="spatial shape, e.g. '32' or '8x8'")
-    p_tfim.add_argument("--j", type=float, default=1.0)
-    p_tfim.add_argument("--gamma", type=float, default=1.0)
-    _add_mc_args(p_tfim)
-    _add_layout_args(p_tfim, ["serial", "replica", "block"])
+    for kind, cls in RUN_KINDS.items():
+        p_run = sub.add_parser(f"run-{kind}", help=cls.summary)
+        for row in cls.run_fields():
+            if row.type is bool:
+                p_run.add_argument(row.flag, action="store_true", help=row.help)
+            else:
+                p_run.add_argument(
+                    row.flag, type=row.type, default=row.default,
+                    required=row.required, choices=row.choices,
+                    metavar=row.metavar, help=row.help,
+                )
 
     sub.add_parser("machines", help="list calibrated machine models")
 
@@ -200,8 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(cfg, args) -> int:
-    """Run ``cfg``, then print/save the result (rank 0 only under MPI).
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run config a parsed ``run-<kind>`` command line describes.
+
+    Walks the kind's field table: each row's option lands in the config
+    field (or :class:`ParallelLayout` field) the row names.
+    """
+    cls = RUN_KINDS[args.command.removeprefix("run-")]
+    layout_names = {f.name for f in dataclasses.fields(ParallelLayout)}
+    layout, fields = {}, {}
+    for row in cls.run_fields():
+        if row.name is None:
+            continue
+        value = getattr(args, row.dest)
+        if row.type is bool:
+            value = value != row.default
+        (layout if row.name in layout_names else fields)[row.name] = value
+    return cls(layout=ParallelLayout(**layout), **fields)
+
+
+def _cmd_run(args) -> int:
+    """Run the config; print/save the result (rank 0 only under MPI).
 
     Under ``mpiexec`` every rank runs the whole command and computes an
     identical result (the mpi backend allgathers rank values), so only
@@ -214,100 +150,16 @@ def _run(cfg, args) -> int:
     from repro.run.simulation import Simulation
     from repro.vmp.mpi_backend import world_rank_hint
 
-    result = Simulation(cfg).run()
+    result = Simulation(config_from_args(args)).run()
     if world_rank_hint() != 0:
         return 0
-    reporter = StatusReporter(quiet=getattr(args, "quiet", False))
+    reporter = StatusReporter(quiet=args.quiet)
     reporter.info(result.summary())
     if args.output:
         save_result(result, args.output)
         reporter.info(f"saved to {args.output}.json")
     reporter.flush()
     return 0
-
-
-def _cmd_run_xxz(args) -> int:
-    layout = ParallelLayout(args.strategy, args.ranks, args.machine,
-                            args.backend, overlap=args.overlap,
-                            kernel=args.kernel, replicas=args.replicas)
-    cfg = XXZRunConfig(
-        n_sites=args.sites,
-        beta=args.beta,
-        jz=args.jz,
-        jxy=args.jxy,
-        n_slices=args.slices,
-        periodic=not args.open_chain,
-        n_sweeps=args.sweeps,
-        n_thermalize=args.thermalize,
-        seed=args.seed,
-        layout=layout,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        metrics_out=args.metrics_out,
-        trace_out=args.trace_out,
-        obs_interval=args.obs_interval,
-        health=args.health,
-        health_rules=args.health_rules,
-        events_out=args.events_out,
-    )
-    return _run(cfg, args)
-
-
-def _cmd_run_xxz2d(args) -> int:
-    layout = ParallelLayout(args.strategy, args.ranks, args.machine,
-                            args.backend, overlap=args.overlap,
-                            kernel=args.kernel, replicas=args.replicas)
-    cfg = XXZ2DRunConfig(
-        lx=args.lx,
-        ly=args.ly,
-        beta=args.beta,
-        jz=args.jz,
-        jxy=args.jxy,
-        n_slices=args.slices,
-        n_sweeps=args.sweeps,
-        n_thermalize=args.thermalize,
-        seed=args.seed,
-        layout=layout,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        metrics_out=args.metrics_out,
-        trace_out=args.trace_out,
-        obs_interval=args.obs_interval,
-        health=args.health,
-        health_rules=args.health_rules,
-        events_out=args.events_out,
-    )
-    return _run(cfg, args)
-
-
-def _cmd_run_tfim(args) -> int:
-    shape = tuple(int(x) for x in args.shape.lower().split("x"))
-    layout = ParallelLayout(args.strategy, args.ranks, args.machine,
-                            args.backend, overlap=args.overlap,
-                            kernel=args.kernel, replicas=args.replicas)
-    cfg = TfimRunConfig(
-        spatial_shape=shape,
-        beta=args.beta,
-        j=args.j,
-        gamma=args.gamma,
-        n_slices=args.slices,
-        n_sweeps=args.sweeps,
-        n_thermalize=args.thermalize,
-        seed=args.seed,
-        layout=layout,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        metrics_out=args.metrics_out,
-        trace_out=args.trace_out,
-        obs_interval=args.obs_interval,
-        health=args.health,
-        health_rules=args.health_rules,
-        events_out=args.events_out,
-    )
-    return _run(cfg, args)
 
 
 def _cmd_machines(_args) -> int:
@@ -415,9 +267,7 @@ def _cmd_report(args) -> int:
 
 
 _COMMANDS = {
-    "run-xxz": _cmd_run_xxz,
-    "run-xxz2d": _cmd_run_xxz2d,
-    "run-tfim": _cmd_run_tfim,
+    **{f"run-{kind}": _cmd_run for kind in RUN_KINDS},
     "run-campaign": _cmd_run_campaign,
     "machines": _cmd_machines,
     "scaling": _cmd_scaling,
@@ -430,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, KernelUnavailableError) as exc:
+    except (ValueError, KernelUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -7,7 +7,7 @@ Two regimes:
   magnetization, uniform susceptibility, and spin--spin correlations at
   any temperature.  QMC validation tables (T4) compare against these.
 * **Lanczos** (up to ~20 sites): sparse ground-state energy only, used
-  to check zero-temperature extrapolations and VMC variational bounds.
+  to check zero-temperature extrapolations.
 """
 
 from __future__ import annotations

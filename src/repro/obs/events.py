@@ -35,7 +35,7 @@ __all__ = [
 EVENT_SCHEMA = "repro.health.events"
 EVENT_SCHEMA_VERSION = 1
 
-_REQUIRED_FIELDS = {
+_EVENT_FIELDS = {
     "kind": str,
     "rule": str,
     "severity": str,
@@ -54,7 +54,7 @@ def validate_event(doc: dict) -> dict:
     """
     if not isinstance(doc, dict):
         raise ValueError(f"event record must be an object, got {type(doc).__name__}")
-    for name, typ in _REQUIRED_FIELDS.items():
+    for name, typ in _EVENT_FIELDS.items():
         if name not in doc:
             raise ValueError(f"event record missing required field {name!r}: {doc}")
         if not isinstance(doc[name], typ):

@@ -11,13 +11,12 @@
   engine behind the TFIM mapping.
 * :mod:`repro.qmc.tfim` -- transverse-field Ising QMC via the
   quantum--classical mapping, with quantum estimators.
-* :mod:`repro.qmc.vmc` -- variational Monte Carlo (Marshall--Jastrow)
-  baseline for the Heisenberg chain.
 * :mod:`repro.qmc.trotter` -- Delta-tau -> 0 extrapolation driver.
 * :mod:`repro.qmc.parallel` -- domain-decomposed SPMD drivers (strip
-  world-line, block classical/TFIM) over :mod:`repro.vmp`.
-* :mod:`repro.qmc.replica` -- replica (independent Markov chain)
-  parallelism.
+  world-line, block classical/TFIM) and the replica-parallel 2-D
+  world-line program over :mod:`repro.vmp`.
+* :mod:`repro.qmc.two_level` -- ensemble x domain runs: independent
+  strip replicas pooled over a sub-communicator.
 * :mod:`repro.qmc.tempering` -- parallel tempering across ranks.
 """
 
@@ -35,8 +34,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "TfimMeasurement": "repro.qmc.tfim",
     "TrotterPoint": "repro.qmc.trotter",
     "trotter_extrapolate": "repro.qmc.trotter",
-    "MarshallJastrowVmc": "repro.qmc.vmc",
-    "VmcResult": "repro.qmc.vmc",
     "WorldlineChainQmc": "repro.qmc.worldline",
     "WorldlineMeasurement": "repro.qmc.worldline",
     "Worldline2DMeasurement": "repro.qmc.worldline2d",

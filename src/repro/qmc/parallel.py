@@ -141,10 +141,18 @@ _TAG_WL = 4096
 _TAG_ISING = 8192
 
 
-def _validate_mode(mode: str) -> None:
-    """Config-time check of a driver ``mode`` string (names only --
-    availability of a compiled backend is resolved at state init /
-    Simulation start, where the structured error can name the run)."""
+def _validate_schedule(cfg) -> None:
+    """Config-time checks every driver config shares: the sweep schedule
+    and the ``mode`` string (names only -- availability of a compiled
+    backend is resolved at state init / Simulation start, where the
+    structured error can name the run)."""
+    if cfg.n_sweeps < 1:
+        raise ValueError("need at least one sweep")
+    if cfg.n_thermalize < 0:
+        raise ValueError("n_thermalize must be >= 0")
+    if cfg.measure_every < 1:
+        raise ValueError("measure_every must be >= 1")
+    mode = cfg.mode
     if mode in ("scalar", "vectorized", "auto"):
         return
     if mode not in kernels.known_backends():
@@ -571,9 +579,7 @@ class WorldlineStripConfig:
             raise ValueError("parallel world-line driver needs n_slices % 4 == 0")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.n_sweeps < 1:
-            raise ValueError("need at least one sweep")
-        _validate_mode(self.mode)
+        _validate_schedule(self)
 
 
 class _StripState(_DecomposedState):
@@ -1126,9 +1132,7 @@ class IsingBlockConfig:
                     raise ValueError(f"extent-1 axis {name} must have zero coupling")
             elif v < 2 or v % 2:
                 raise ValueError(f"{name} must be even and >= 2 (or inert 1), got {v}")
-        if self.n_sweeps < 1:
-            raise ValueError("need at least one sweep")
-        _validate_mode(self.mode)
+        _validate_schedule(self)
 
 
 class _BlockState(_DecomposedState):
@@ -1405,11 +1409,7 @@ class Worldline2DReplicaConfig:
 
     def __post_init__(self):
         XXZSquareModel(self.lx, self.ly, jz=self.jz, jxy=self.jxy)  # validates
-        if self.n_sweeps < 1:
-            raise ValueError("need at least one sweep")
-        if self.measure_every < 1:
-            raise ValueError("measure_every must be >= 1")
-        _validate_mode(self.mode)
+        _validate_schedule(self)
 
 
 def worldline2d_replica_flops_per_sweep(sampler) -> float:

@@ -60,6 +60,7 @@ from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.obs.manifest import config_hash
 from repro.run.cell_server import kill_cell
+from repro.run.config import RUN_KINDS, RunField
 from repro.vmp.faults import RankFailure
 
 __all__ = [
@@ -83,46 +84,10 @@ CAMPAIGN_VERSION = 1
 #: retry can fix a bad parameter.
 _CONFIG_ERROR_EXIT = 2
 
-_KINDS = ("xxz", "xxz2d", "tfim")
 
-#: Spec field -> CLI flag, shared by every kind.
-_COMMON_FLAGS = {
-    "beta": "--beta",
-    "n_slices": "--slices",
-    "n_sweeps": "--sweeps",
-    "n_thermalize": "--thermalize",
-    "seed": "--seed",
-    "strategy": "--strategy",
-    "ranks": "--ranks",
-    "machine": "--machine",
-    "backend": "--backend",
-    "kernel": "--kernel",
-    "replicas": "--replicas",
-}
-
-#: Boolean spec fields that map to store-true CLI flags.
-_COMMON_BOOL_FLAGS = {"overlap": "--overlap"}
-
-#: Kind-specific spec field -> CLI flag.
-_KIND_FLAGS = {
-    "xxz": {"n_sites": "--sites", "jz": "--jz", "jxy": "--jxy"},
-    "xxz2d": {"lx": "--lx", "ly": "--ly", "jz": "--jz", "jxy": "--jxy"},
-    "tfim": {"shape": "--shape", "j": "--j", "gamma": "--gamma"},
-}
-
-#: Kind-specific boolean fields (value False emits the flag).
-_KIND_FALSE_FLAGS = {"xxz": {"periodic": "--open-chain"}}
-
-#: Fields every run of a kind must end up with after base+sweep merge.
-_REQUIRED_FIELDS = {
-    "xxz": ("n_sites", "beta"),
-    "xxz2d": ("lx", "ly", "beta"),
-    "tfim": ("shape", "beta"),
-}
-
-#: ``checkpoint_every`` is handled out of band (it also needs a
-#: per-run ``--checkpoint-dir``), so it is allowed but has no flag here.
-_SPECIAL_FIELDS = ("checkpoint_every",)
+def _spec_fields(kind: str) -> dict[str, RunField]:
+    """The rows of ``kind``'s field table a spec may set, by spec field."""
+    return {row.spec: row for row in RUN_KINDS[kind].run_fields() if row.spec}
 
 
 # ======================================================================
@@ -163,10 +128,10 @@ class CampaignSpec:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in RUN_KINDS:
             raise ValueError(
                 f"unknown campaign kind {self.kind!r}; expected one of "
-                f"{', '.join(_KINDS)}"
+                f"{', '.join(RUN_KINDS)}"
             )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -181,7 +146,7 @@ class CampaignSpec:
                 f"unknown policy {self.policy!r}; expected 'fail-fast' or "
                 f"'keep-going'"
             )
-        allowed = self.allowed_fields(self.kind)
+        allowed = _spec_fields(self.kind)
         for source, mapping in (("base", self.base), ("sweep", self.sweep)):
             for key in mapping:
                 if key not in allowed:
@@ -199,7 +164,10 @@ class CampaignSpec:
                     f"[sweep] field {key!r} must be a non-empty value list"
                 )
         present = set(self.base) | set(self.sweep)
-        missing = [f for f in _REQUIRED_FIELDS[self.kind] if f not in present]
+        missing = [
+            name for name, row in allowed.items()
+            if row.required and name not in present
+        ]
         if missing:
             raise ValueError(
                 f"{self.kind} campaign is missing required field(s): "
@@ -208,13 +176,7 @@ class CampaignSpec:
 
     @staticmethod
     def allowed_fields(kind: str) -> set[str]:
-        return (
-            set(_COMMON_FLAGS)
-            | set(_COMMON_BOOL_FLAGS)
-            | set(_KIND_FLAGS[kind])
-            | set(_KIND_FALSE_FLAGS.get(kind, {}))
-            | set(_SPECIAL_FIELDS)
-        )
+        return set(_spec_fields(kind))
 
     @property
     def n_runs(self) -> int:
@@ -232,7 +194,9 @@ def parse_spec_dict(doc: Mapping[str, Any], name_hint: str = "campaign"
     head = dict(doc["campaign"])
     kind = head.pop("kind", None)
     if kind is None:
-        raise ValueError("[campaign] table needs a 'kind' (xxz/xxz2d/tfim)")
+        raise ValueError(
+            f"[campaign] table needs a 'kind' ({'/'.join(RUN_KINDS)})"
+        )
     known = {"name", "jobs", "timeout", "retries", "backoff", "policy",
              "output_dir"}
     unknown = set(head) - known
@@ -340,26 +304,23 @@ def build_run_argv(run: CampaignRun, run_dir: Path, resume: bool = False
 
     Every run writes the standard artifact set into its own directory:
     ``result.json``/``.npz`` (``--output``), ``metrics.jsonl`` +
-    ``manifest.json`` (``--metrics-out``).  ``checkpoint_every > 0``
-    adds per-rank checkpoint bundles under ``checkpoints/``; ``resume``
-    restarts from them.
+    ``manifest.json`` (``--metrics-out``).  ``checkpoint_every`` is
+    handled out of band: ``> 0`` adds per-rank checkpoint bundles under
+    the run's own ``checkpoints/`` (it needs ``--checkpoint-dir`` too);
+    ``resume`` restarts from them.
     """
     argv = [sys.executable, "-m", "repro", f"run-{run.kind}"]
-    flags = {**_COMMON_FLAGS, **_KIND_FLAGS[run.kind]}
-    bools = dict(_COMMON_BOOL_FLAGS)
-    false_flags = _KIND_FALSE_FLAGS.get(run.kind, {})
+    rows = _spec_fields(run.kind)
     checkpoint_every = 0
     for name, value in run.params.items():
+        row = rows[name]
         if name == "checkpoint_every":
             checkpoint_every = int(value)
-        elif name in bools:
-            if value:
-                argv.append(bools[name])
-        elif name in false_flags:
-            if not value:
-                argv.append(false_flags[name])
+        elif row.type is bool:  # a switch away from its default
+            if bool(value) != row.default:
+                argv.append(row.flag)
         else:
-            argv += [flags[name], str(value)]
+            argv += [row.flag, str(value)]
     argv += ["--output", str(run_dir / "result")]
     argv += ["--metrics-out", str(run_dir / "metrics.jsonl")]
     if checkpoint_every > 0:

@@ -11,8 +11,10 @@ computed from the sampled energy series.
 import numpy as np
 import pytest
 
-from repro.qmc.classical_ising import AnisotropicIsing
-from repro.qmc.replica import ReplicaConfig, replica_program
+from repro.qmc.parallel import (
+    Worldline2DReplicaConfig,
+    worldline2d_replica_program,
+)
 from repro.qmc.tempering import TemperingConfig, tempering_program
 from repro.vmp.machines import CM5, IDEAL
 from repro.vmp.scheduler import run_spmd
@@ -30,16 +32,8 @@ PT_CFG = TemperingConfig(
 )
 
 
-def _ising_factory(stream):
-    return AnisotropicIsing((8, 8), (0.3, 0.3), stream=stream, hot_start=True)
-
-
-REPLICA_CFG = ReplicaConfig(
-    sampler_factory=_ising_factory,
-    observables=("magnetization", "abs_magnetization"),
-    n_sweeps=60,
-    n_thermalize=20,
-    flops_per_sweep=8 * 8 * 14.0,
+REPLICA_CFG = Worldline2DReplicaConfig(
+    lx=4, ly=4, beta=0.5, n_slices=8, n_sweeps=30, n_thermalize=10
 )
 
 
@@ -116,17 +110,14 @@ class TestTemperingOnProcesses:
 class TestReplicaOnProcesses:
     def test_replica_program_agrees_with_thread_backend(self):
         thread = run_spmd(
-            replica_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,)
+            worldline2d_replica_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,)
         )
         mp = run_spmd(
-            replica_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,),
-            backend="mp",
+            worldline2d_replica_program, 4, machine=CM5, seed=3,
+            args=(REPLICA_CFG,), backend="mp",
         )
         for t, m in zip(thread.values, mp.values):
-            assert t["pooled_mean"] == m["pooled_mean"]
-        for name in REPLICA_CFG.observables:
-            for ts, ms in zip(
-                thread.values[0]["series"][name], mp.values[0]["series"][name]
-            ):
-                np.testing.assert_array_equal(ts, ms)
+            # Allreduce-pooled series and each replica's own chain.
+            for name in ("energy", "m_stag_sq", "spins"):
+                np.testing.assert_array_equal(t[name], m[name])
         assert mp.elapsed_model_time == thread.elapsed_model_time

@@ -28,6 +28,7 @@ import pytest
 
 from repro.run.campaign import (
     CAMPAIGN_VERSION,
+    CampaignRun,
     CampaignSpec,
     CellServer,
     RunAttempt,
@@ -253,6 +254,182 @@ class TestGridAndCacheKeys:
         assert _is_transient(
             RunAttempt(returncode=2, wall_seconds=0.1, transient=True)
         )
+
+
+#: kind -> ([base], swept beta, cache key, argv after the interpreter),
+#: recorded at 36e83cd before the field tables replaced the flag dicts.
+PINNED_SPECS = {
+    "xxz": (
+        {"n_sites": 8, "n_slices": 8, "n_sweeps": 10, "n_thermalize": 2,
+         "jz": 0.5, "jxy": 1.0, "strategy": "strip", "ranks": 2,
+         "machine": "Paragon", "backend": "thread", "kernel": "numpy",
+         "replicas": 2, "overlap": True, "periodic": True,
+         "checkpoint_every": 5, "seed": 4},
+        0.5,
+        "d73f784fe64715f125584d0328733736e9979b243596422236e4eb20b6d6de94",
+        ["-m", "repro", "run-xxz", "--sites", "8", "--slices", "8",
+         "--sweeps", "10", "--thermalize", "2", "--jz", "0.5", "--jxy", "1.0",
+         "--strategy", "strip", "--ranks", "2", "--machine", "Paragon",
+         "--backend", "thread", "--kernel", "numpy", "--replicas", "2",
+         "--overlap", "--seed", "4", "--beta", "0.5",
+         "--output", "/runs/x/result", "--metrics-out", "/runs/x/metrics.jsonl",
+         "--checkpoint-every", "5", "--checkpoint-dir", "/runs/x/checkpoints",
+         "--resume", "--quiet"],
+    ),
+    "xxz2d": (
+        {"lx": 4, "ly": 4, "jz": 1.0, "jxy": 0.5, "n_slices": 8,
+         "n_sweeps": 10, "n_thermalize": 2, "strategy": "replica", "ranks": 2,
+         "seed": 1, "overlap": False},
+        0.5,
+        "0cf546f229ea16f2013f7ab0ca9b73696da21dd0f16520000f4dc592f564ffea",
+        ["-m", "repro", "run-xxz2d", "--lx", "4", "--ly", "4", "--jz", "1.0",
+         "--jxy", "0.5", "--slices", "8", "--sweeps", "10", "--thermalize", "2",
+         "--strategy", "replica", "--ranks", "2", "--seed", "1", "--beta", "0.5",
+         "--output", "/runs/x/result", "--metrics-out", "/runs/x/metrics.jsonl",
+         "--quiet"],
+    ),
+    "tfim": (
+        {"shape": "4x4", "j": 1.0, "gamma": 2.0, "n_slices": 8, "n_sweeps": 10,
+         "n_thermalize": 2, "strategy": "block", "ranks": 4, "machine": "CM-5",
+         "backend": "mp", "kernel": "scalar", "seed": 2},
+        1.0,
+        "6b6763541ebcd143789c5a1339337f93849adaf864304705f4e6a34f126ce0d2",
+        ["-m", "repro", "run-tfim", "--shape", "4x4", "--j", "1.0",
+         "--gamma", "2.0", "--slices", "8", "--sweeps", "10", "--thermalize", "2",
+         "--strategy", "block", "--ranks", "4", "--machine", "CM-5",
+         "--backend", "mp", "--kernel", "scalar", "--seed", "2", "--beta", "1.0",
+         "--output", "/runs/x/result", "--metrics-out", "/runs/x/metrics.jsonl",
+         "--quiet"],
+    ),
+}
+
+#: kind -> the spec fields a campaign may set (17 / 17 / 16).
+PINNED_SPEC_FIELDS = {
+    "xxz": {"backend", "beta", "checkpoint_every", "jxy", "jz", "kernel",
+            "machine", "n_sites", "n_slices", "n_sweeps", "n_thermalize",
+            "overlap", "periodic", "ranks", "replicas", "seed", "strategy"},
+    "xxz2d": {"backend", "beta", "checkpoint_every", "jxy", "jz", "kernel",
+              "lx", "ly", "machine", "n_slices", "n_sweeps", "n_thermalize",
+              "overlap", "ranks", "replicas", "seed", "strategy"},
+    "tfim": {"backend", "beta", "checkpoint_every", "gamma", "j", "kernel",
+             "machine", "n_slices", "n_sweeps", "n_thermalize", "overlap",
+             "ranks", "replicas", "seed", "shape", "strategy"},
+}
+
+
+class TestPinnedFlagMapping:
+    """Cache keys and cell command lines of one spec per kind, as
+    literals: campaign directories written before a refactor of the
+    field <-> flag mapping must still cache-hit after it."""
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_SPECS))
+    def test_cache_key_and_argv_unchanged(self, kind):
+        base, beta, key, argv = PINNED_SPECS[kind]
+        (run,) = expand_grid(
+            CampaignSpec(kind=kind, name="pin", base=base, sweep={"beta": [beta]})
+        )
+        assert run.run_id == f"r0000-beta{beta}"
+        assert run.cache_key == key == run_cache_key(kind, {**base, "beta": beta})
+        assert build_run_argv(run, Path("/runs/x"), resume=True) == [
+            sys.executable, *argv
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_SPEC_FIELDS))
+    def test_spec_fields_unchanged(self, kind):
+        assert CampaignSpec.allowed_fields(kind) == PINNED_SPEC_FIELDS[kind]
+
+
+#: Valid parameter sets that between them set every spec field of
+#: each kind (non-default wherever the kind's layouts allow one).
+_ROUND_TRIP_SPECS = {
+    "xxz": [
+        {"n_sites": 8, "jz": 0.5, "jxy": 0.25, "periodic": True, "beta": 0.75,
+         "n_slices": 8, "n_sweeps": 12, "n_thermalize": 3, "seed": 9,
+         "checkpoint_every": 4, "strategy": "strip", "ranks": 2,
+         "machine": "Paragon", "backend": "mp", "overlap": True,
+         "kernel": "scalar", "replicas": 2},
+        {"n_sites": 6, "beta": 1.0, "periodic": False, "strategy": "replica",
+         "ranks": 3, "overlap": False},
+    ],
+    "xxz2d": [
+        {"lx": 4, "ly": 8, "jz": 0.5, "jxy": 0.25, "beta": 0.75, "n_slices": 8,
+         "n_sweeps": 12, "n_thermalize": 3, "seed": 9, "checkpoint_every": 0,
+         "strategy": "replica", "ranks": 3, "machine": "Delta",
+         "backend": "thread", "overlap": False, "kernel": "scalar",
+         "replicas": 1},
+    ],
+    "tfim": [
+        {"shape": "4x6", "j": 0.5, "gamma": 2.0, "beta": 0.75, "n_slices": 8,
+         "n_sweeps": 12, "n_thermalize": 3, "seed": 9, "checkpoint_every": 4,
+         "strategy": "block", "ranks": 2, "machine": "CM-5", "backend": "mp",
+         "overlap": True, "kernel": "scalar", "replicas": 1},
+        {"shape": 16, "beta": 1.0},
+    ],
+}
+#: Spec fields whose config field has another name or a parsed value.
+_CONFIG_FIELD = {"ranks": "n_ranks", "shape": "spatial_shape"}
+_CONFIG_VALUE = {"4x6": (4, 6), 16: (16,)}
+#: Flags the campaign sets itself, from the run's own directory...
+_CAMPAIGN_SET_FLAGS = {
+    "--output", "--metrics-out", "--checkpoint-dir", "--resume", "--quiet",
+}
+#: ...and run flags it offers no spec field for.
+_NOT_OFFERED_FLAGS = {
+    "--trace-out", "--obs-interval", "--health", "--health-rules",
+    "--events-out",
+}
+
+
+class TestOneFieldTable:
+    """Spec field -> argv -> parsed args -> config, through the one
+    table the CLI and the campaign both read."""
+
+    @pytest.mark.parametrize("kind", sorted(_ROUND_TRIP_SPECS))
+    def test_every_spec_field_reaches_its_config_field(self, kind, tmp_path):
+        import dataclasses
+
+        from repro.cli import build_parser, config_from_args
+        from repro.run.config import ParallelLayout
+
+        layout_fields = {f.name for f in dataclasses.fields(ParallelLayout)}
+        covered = set()
+        for params in _ROUND_TRIP_SPECS[kind]:
+            run = CampaignRun("r0", 0, kind, params, {}, run_cache_key(kind, params))
+            argv = build_run_argv(run, tmp_path)
+            cfg = config_from_args(build_parser().parse_args(argv[3:]))
+            assert cfg.kind == kind
+            for field, value in params.items():
+                name = _CONFIG_FIELD.get(field, field)
+                holder = cfg.layout if name in layout_fields else cfg
+                if field == "shape":
+                    value = _CONFIG_VALUE[value]
+                assert getattr(holder, name) == value, field
+            covered |= set(params)
+        assert covered == CampaignSpec.allowed_fields(kind)
+
+    @pytest.mark.parametrize("kind", sorted(_ROUND_TRIP_SPECS))
+    def test_every_run_flag_is_a_spec_field_or_campaign_owned(self, kind, tmp_path):
+        from repro.cli import build_parser
+
+        # A flag-emitting value for every spec field (whether they make
+        # a valid run together is the run's business, not the argv's).
+        emitting = {"periodic": False, "overlap": True, "checkpoint_every": 5}
+        fields = CampaignSpec.allowed_fields(kind)
+        params = {field: emitting.get(field, 1) for field in fields}
+        run = CampaignRun("r0", 0, kind, params, {}, "key")
+        emitted = {
+            arg for arg in build_run_argv(run, tmp_path, resume=True)
+            if arg.startswith("--")
+        }
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {
+            s for a in sub.choices[f"run-{kind}"]._actions
+            for s in a.option_strings
+        } - {"-h", "--help"}
+        assert flags - emitted == _NOT_OFFERED_FLAGS
+        assert emitted - flags == set()
+        assert _CAMPAIGN_SET_FLAGS <= emitted
+        assert len(emitted - _CAMPAIGN_SET_FLAGS) == len(fields)
 
 
 # ======================================================================

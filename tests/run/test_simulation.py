@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.run.config import ParallelLayout, TfimRunConfig, XXZRunConfig
+from repro.run.config import (
+    ParallelLayout,
+    TfimRunConfig,
+    XXZ2DRunConfig,
+    XXZRunConfig,
+)
 from repro.run.simulation import Simulation
 
 
@@ -134,8 +139,6 @@ class TestTfimRuns:
 
 class TestXXZ2DRuns:
     def test_serial_run(self):
-        from repro.run.config import XXZ2DRunConfig
-
         cfg = XXZ2DRunConfig(lx=2, ly=4, beta=0.5, n_slices=8,
                              n_sweeps=60, n_thermalize=10)
         result = Simulation(cfg).run()
@@ -145,8 +148,6 @@ class TestXXZ2DRuns:
         assert result.estimate("susceptibility").value >= 0
 
     def test_replica_run_concatenates(self):
-        from repro.run.config import XXZ2DRunConfig
-
         cfg = XXZ2DRunConfig(
             lx=2, ly=4, beta=0.5, n_slices=8, n_sweeps=30, n_thermalize=5,
             layout=ParallelLayout("replica", 2),
@@ -155,8 +156,161 @@ class TestXXZ2DRuns:
         assert len(result.series["energy"]) == 60
 
     def test_block_layout_rejected(self):
-        from repro.run.config import XXZ2DRunConfig
-
         with pytest.raises(ValueError, match="serial and replica"):
             XXZ2DRunConfig(lx=4, ly=4, beta=1.0,
                            layout=ParallelLayout("block", 4))
+
+
+_REPLICA_KINDS = {
+    "xxz": lambda **kw: XXZRunConfig(
+        n_sites=8, beta=0.5, n_slices=8, n_sweeps=50, n_thermalize=5, **kw),
+    "xxz2d": lambda **kw: XXZ2DRunConfig(
+        lx=2, ly=4, beta=0.5, n_slices=8, n_sweeps=50, n_thermalize=5, **kw),
+    "tfim": lambda **kw: TfimRunConfig(
+        spatial_shape=(8,), beta=1.0, n_slices=8, n_sweeps=50, n_thermalize=5, **kw),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPLICA_KINDS))
+class TestReplicaStreams:
+    """Chain i of a replica run draws from the i-th child stream of the
+    root seed.  Seeding it ``seed + i`` made ``replica x 4`` at seeds 0
+    and 1 share three of their four chains bit for bit."""
+
+    @staticmethod
+    def _chains(make, seed, n_chains=4):
+        cfg = make(seed=seed, layout=ParallelLayout("replica", n_chains))
+        energy = Simulation(cfg).run().series["energy"]
+        return energy.reshape(n_chains, cfg.n_sweeps)
+
+    def test_neighbouring_seeds_share_no_chain(self, kind):
+        make = _REPLICA_KINDS[kind]
+        at_0, at_1 = self._chains(make, 0), self._chains(make, 1)
+        for a in at_0:
+            for b in at_1:
+                assert not np.array_equal(a, b)
+        # Nor does a run repeat a chain within itself.
+        assert len({a.tobytes() for a in at_0}) == len(at_0)
+
+    def test_chain_zero_is_the_serial_run(self, kind):
+        make = _REPLICA_KINDS[kind]
+        serial = Simulation(make(seed=7)).run().series["energy"]
+        np.testing.assert_array_equal(self._chains(make, 7)[0], serial)
+
+
+# ======================================================================
+# the pinned surface (recorded at 36e83cd, before the run spine)
+# ======================================================================
+
+_MC = dict(n_slices=8, n_sweeps=24, n_thermalize=4, seed=3)
+_XXZ = dict(n_sites=8, beta=0.5, **_MC)
+_TFIM = dict(spatial_shape=(8,), beta=1.0, gamma=1.0, **_MC)
+
+
+def _numpy(*layout, **kw):
+    # An explicit kernel: "auto" resolves to numba where it is installed
+    # and would move ``parameters`` and the config hash with the host.
+    return ParallelLayout(*layout, kernel="numpy", **kw)
+
+
+_RT_SERIAL = {"kernel", "manifest", "metrics_out", "n_accepted", "n_attempted",
+              "n_sweeps", "sweeps_per_second", "wall_seconds"}
+_RT_SPMD = _RT_SERIAL | {"halo_bytes", "halo_messages", "overlap", "report"}
+_RT_TWO_LEVEL = _RT_SPMD | {"comm_fraction_by_level", "domain_ranks",
+                            "ensemble_degraded", "replicas"}
+_XXZ_PARAMS = {"n_sites": 8, "beta": 0.5, "jz": 1.0, "jxy": 1.0, "n_slices": 8,
+               "periodic": True, "strategy": "serial", "n_ranks": 1,
+               "machine": "Ideal", "backend": "thread", "kernel": "numpy",
+               "replicas": 1}
+_TFIM_PARAMS = {"spatial_shape": [8], "beta": 1.0, "j": 1.0, "gamma": 1.0,
+                "n_slices": 8, "strategy": "serial", "n_ranks": 1,
+                "machine": "Ideal", "backend": "thread", "kernel": "numpy"}
+_XXZ_ESTIMATES = ["energy", "energy_per_site", "susceptibility"]
+_TFIM_ESTIMATES = ["energy", "energy_per_site", "sigma_x", "abs_magnetization"]
+
+#: name -> (config factory, series digests, parameters, estimate names,
+#: runtime key set, manifest config_hash).  One small config per run path.
+PINNED_RUNS = {
+    "xxz_serial": (
+        lambda **kw: XXZRunConfig(**_XXZ, layout=_numpy(), **kw),
+        {"energy": "7b8d7d17682a0fcda97373cfb571f0e1a2ed4f99a544702b0c3faf58bd17a719",
+         "magnetization": "665bc61104170b68b0dc223683476be568a34580d17dc0b9f039b7b2566b5930"},
+        _XXZ_PARAMS, _XXZ_ESTIMATES, _RT_SERIAL,
+        "99226d26337205f0974f76079709c3a476f4d92f2f0b29269da4933f3bf1e714",
+    ),
+    "xxz_strip_p2": (
+        lambda **kw: XXZRunConfig(**_XXZ, layout=_numpy("strip", 2, "Paragon"), **kw),
+        {"energy": "e8ef14ec425c03074afaaa7b480e7538a14a75417b349088d08319d15ff4ed8c",
+         "magnetization": "3ce826b09473d42d15fa769e2a8c5bf32fc1718636d36f99098f6550941f175e"},
+        {**_XXZ_PARAMS, "strategy": "strip", "n_ranks": 2, "machine": "Paragon"},
+        _XXZ_ESTIMATES, _RT_SPMD,
+        "d5f74b466b6b8bbaea5ee7f874d8d1897494d58182dbf8c38274ec69f1f8ed49",
+    ),
+    "xxz_two_level_2x2": (
+        lambda **kw: XXZRunConfig(
+            **_XXZ, layout=_numpy("strip", 2, "Paragon", replicas=2), **kw),
+        {"energy": "c430f6fc4515beceb2d376e72118dc0e3e47cad3eb5c272fa0f70256c6fe9205",
+         "magnetization": "29369d2fc6d97a60209fbf2bd48021731691519d87595cc240d457ad837f1e10"},
+        {**_XXZ_PARAMS, "strategy": "strip", "n_ranks": 2, "machine": "Paragon",
+         "replicas": 2},
+        _XXZ_ESTIMATES, _RT_TWO_LEVEL,
+        "907222943de13a7727a8603621648e45a5f9a3214a6f72769e7ff470eb309cd4",
+    ),
+    "xxz2d_serial": (
+        lambda **kw: XXZ2DRunConfig(lx=4, ly=4, beta=0.5, **_MC, layout=_numpy(), **kw),
+        {"energy": "2b76964fb33831e2fd9005c4aa9128e75a4e6eb045de5c214c61adb7288b8edc",
+         "magnetization": "eecc988d43bd076d9685585edbf6843e4505a19d33d5829d0b3342d9134b1a04"},
+        {"lx": 4, "ly": 4, "beta": 0.5, "jz": 1.0, "jxy": 1.0, "n_slices": 8,
+         "strategy": "serial", "n_ranks": 1, "kernel": "numpy"},
+        _XXZ_ESTIMATES + ["staggered_structure_factor"], _RT_SERIAL,
+        "12eed8419a4d7a3fa6f61a4f043f6e431b364d4de15f0d807e149b9ad612652b",
+    ),
+    "tfim_serial": (
+        lambda **kw: TfimRunConfig(**_TFIM, layout=_numpy(), **kw),
+        {"energy": "351262f403d380fb6cd03938ef37b91fa95a66c63530582adfd18bea7d5f3049",
+         "sigma_x": "9c13d5bdd5ba37a3d8c07f6a5549a6acc22d190abf12a66609505ece3e23f280",
+         "abs_magnetization": "d283318aabf75c6a6e8ccb56142a218dc4562607773266bb27b1e968e23bef4a"},
+        _TFIM_PARAMS, _TFIM_ESTIMATES, _RT_SERIAL,
+        "5b00f17a709c07bfdff090419648197fe5427e787986a6d2fc7bc5205c6dfde2",
+    ),
+    "tfim_block_p2": (
+        lambda **kw: TfimRunConfig(**_TFIM, layout=_numpy("block", 2, "CM-5"), **kw),
+        {"energy": "9914710bce938d4f51992e17d0d42a518d9b0e65a04b2a621401a0e9adb5f099",
+         "sigma_x": "4ec869f0cf2caca0924291e960efc56f67d61d8991324d408367b766f18d74b3",
+         "abs_magnetization": "ba9b272b207f588027fb131bcbaf51b080ea564305c6d786131618a69fc148d0"},
+        {**_TFIM_PARAMS, "strategy": "block", "n_ranks": 2, "machine": "CM-5"},
+        _TFIM_ESTIMATES, _RT_SPMD,
+        "fb62fa53f4d6d8277b39a30de6b3a5701512765edea239b53d70d955c253bd3d",
+    ),
+}
+
+
+class TestPinnedSurface:
+    """What a run returns and records, per run path, as literals.
+
+    Series digests round to 1e-9 like the sampler digests in
+    ``tests/qmc/test_worldline.py`` (a last-ulp ``log`` difference
+    between hosts must not trip them).  ``parameters`` keys feed the
+    manifest ``config_hash`` that campaign caches compare, so neither
+    may move when the runner is restructured.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_run_surface_unchanged(self, name, tmp_path):
+        import hashlib
+        import json
+
+        make, digests, parameters, estimates, runtime_keys, config_hash = (
+            PINNED_RUNS[name]
+        )
+        result = Simulation(make(metrics_out=str(tmp_path / "metrics.jsonl"))).run()
+        assert {
+            k: hashlib.sha256(np.round(v, 9).tobytes()).hexdigest()
+            for k, v in result.series.items()
+        } == digests
+        assert result.parameters == parameters
+        assert list(result.parameters) == list(parameters)
+        assert list(result.estimates) == estimates
+        assert set(result.runtime) == runtime_keys
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash
