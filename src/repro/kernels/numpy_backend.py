@@ -132,15 +132,28 @@ def block_color(g, couplings, mask, log_u) -> int:
 
     ``g`` is the (bx+2, by+2, lt) ghosted spin array whose interior
     view is the block's spins; spatial neighbours come from the ghost
-    frame, temporal ones wrap locally.
+    frame, temporal ones wrap locally.  The field is summed x, y, t; an
+    axis whose coupling is 0 adds a signed zero no ``<`` can see and is
+    skipped, ghosts unread.  Every temporary is the call's own: the
+    thread backend's ranks run this op concurrently.
     """
     spins = g[1:-1, 1:-1]
     kx, ky, kt = couplings
-    field = kx * (g[2:, 1:-1] + g[:-2, 1:-1])
-    field = field + ky * (g[1:-1, 2:] + g[1:-1, :-2])
-    field += kt * (np.roll(spins, 1, axis=2) + np.roll(spins, -1, axis=2))
+    field = 0.0
+    if kx:
+        field = kx * (g[2:, 1:-1] + g[:-2, 1:-1])
+    if ky:
+        field = field + ky * (g[1:-1, 2:] + g[1:-1, :-2])
+    if kt:
+        # s[t-1] + s[t+1]: the bulk in one slice add, the two wrap slices
+        nt = np.empty_like(spins)
+        np.add(spins[..., :-2], spins[..., 2:], out=nt[..., 1:-1])
+        np.add(spins[..., -1], spins[..., 1], out=nt[..., 0])
+        np.add(spins[..., -2], spins[..., 0], out=nt[..., -1])
+        term = kt * nt
+        field = np.add(field, term, out=term)
     accept = mask & (log_u < -2.0 * spins * field)
-    spins[accept] = -spins[accept]
+    np.negative(spins, out=spins, where=accept)
     return int(np.count_nonzero(accept))
 
 

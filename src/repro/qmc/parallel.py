@@ -20,9 +20,10 @@ Two production drivers, each an ordinary rank program runnable under
   interact), which the integration tests assert literally.
 
 Halo protocol (both drivers): ghost copies of the boundary data travel
-as ONE aggregated contiguous-buffer message per neighbor -- two packed
-spin columns for the strip, a parity-packed boundary plane for the
-Ising blocks -- instead of one message per boundary column/plane (under
+as ONE aggregated contiguous-buffer message per neighbor *rank* -- two
+packed spin columns for the strip, the parity-packed boundary planes
+for the Ising blocks (both of them where east and west are the same
+rank) -- instead of one message per boundary column/plane (under
 ``alpha + n * beta`` per message, aggregation cuts the latency term and
 leaves the bandwidth term; see
 :class:`repro.lattice.decomposition.HaloSpec`).  Each state only
@@ -32,7 +33,9 @@ does not split wraps locally); :meth:`_DecomposedState._exchange` is
 the one place that posts and completes them, in the lockstep or the
 overlapped schedule, and :func:`_run_decomposed` is the one run loop
 all programs (including :func:`repro.qmc.two_level.two_level_program`)
-share.
+share.  That loop also owns the reductions: a measurement leaves its
+rank-local partial sums pending, and one allreduce carries every
+pending row when a global value is due.
 
 Halo schedule: a ghost ships only when it is stale and about to be
 read.  A stage's ``_links`` entry holds a link iff the stage reads a
@@ -65,9 +68,11 @@ measurement (L/R: its left/right pair), one at ``2`` posts
 ``R.L......R.``: 4 one-directional messages per rank per sweep on the
 usual geometry, none for any measurement.  A rank receives by the seams
 at its ``start`` / ``stop`` and sends by the same tables read from the
-other side.  The block colors already ship only the sites they read;
-the measurement reads the east/north ghost planes, stale only at their
-color-1 sites.
+other side.  The block colors already ship only the sites they read,
+which leaves exactly the color-1 ghost sites stale after a sweep; every
+boundary bond has one color-1 end, and the rank owning that end counts
+the bond against its fresh color-0 ghost partner, so the block
+measurement posts nothing either.
 
 Ownership conventions (world-line strip, global column indices):
 
@@ -105,12 +110,7 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.chain_tables import CORNER_XMASK
-from repro.lattice.decomposition import (
-    BlockDecomposition,
-    StripDecomposition,
-    pack_plane,
-    unpack_plane,
-)
+from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
 from repro.qmc.plaquette import PlaquetteTable
 from repro.models.hamiltonians import XXZSquareModel
@@ -127,6 +127,7 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.run.__init__
 __all__ = [
     "WL_STAGES",
     "N_WL_STAGES",
+    "REDUCE_BATCH",
     "WorldlineStripConfig",
     "worldline_strip_program",
     "IsingBlockConfig",
@@ -209,15 +210,15 @@ def _seam_schedule(seam: int) -> list[list[bool]]:
 class _HaloLink(NamedTuple):
     """One direction of a halo refresh along one decomposed axis.
 
-    The owned boundary ``send`` travels to rank ``dest`` while the same
-    tag brings the opposite neighbor's (``source``) boundary into the
-    ``ghost`` view.  The halo schedule may want only one half: the link
-    sends iff ``dest`` is a rank and receives iff ``source`` is one.
-    Both ``None`` marks an axis the decomposition does not split:
-    ``send`` wraps into ``ghost`` locally, for free.
-    ``tag`` is the link's offset inside the exchange's tag block; the
-    masks select the parity-packed sites of a checkerboard plane
-    (``None``: the whole buffer ships).
+    The owned boundary sites ``send`` travel to rank ``dest`` while the
+    opposite neighbor's (``source``) boundary lands in the ``ghost``
+    sites -- both flat indices into the rank's ghosted spin array, in
+    the one site order the two ends share.  The halo schedule may want
+    only one half: the link sends iff ``dest`` is a rank and receives
+    iff ``source`` is one.  Both ``None`` marks an axis the
+    decomposition does not split: ``send`` wraps into ``ghost``
+    locally, for free.  ``tag`` is the link's offset inside the
+    exchange's tag block.
     """
 
     dest: int | None
@@ -225,8 +226,24 @@ class _HaloLink(NamedTuple):
     send: np.ndarray
     ghost: np.ndarray
     tag: int
-    send_mask: np.ndarray | None = None
-    ghost_mask: np.ndarray | None = None
+
+
+def _per_neighbor(links, end: str, sites: str) -> list[tuple[int, int, np.ndarray]]:
+    """Coalesce the links of one stage by the rank at their ``end``:
+    one ``(rank, tag offset, flat site index)`` per neighbor, the sites
+    concatenated in link order.  The sender groups by ``dest``, the
+    receiver by ``source``; link ``i`` of the one names link ``i`` of
+    the other, so buffer layout and tag agree without negotiation."""
+    by_rank: dict[int, list[_HaloLink]] = {}
+    for ln in links:
+        rank = getattr(ln, end)
+        if rank is not None:
+            by_rank.setdefault(rank, []).append(ln)
+    return [
+        (rank, group[0].tag,
+         np.concatenate([getattr(ln, sites) for ln in group]))
+        for rank, group in by_rank.items()
+    ]
 
 
 class _DecomposedState:
@@ -238,16 +255,17 @@ class _DecomposedState:
     subclass supplies the geometry: the class attributes below, its
     ghosted spin array (the attribute named by ``_array``), the
     ``_links`` table (per stage key, the :class:`_HaloLink` tuples the
-    halo schedule posts before that stage, grouped by axis),
-    :meth:`_sweep_stages`, :meth:`measure` and :meth:`result`.
+    halo schedule posts before that stage, grouped by axis) followed by
+    a call to :meth:`_plan_exchanges`, :meth:`_sweep_stages`,
+    :meth:`measure`, :meth:`series_columns` and :meth:`result`.
     """
 
     #: Attribute holding the ghosted spin array -- also its bundle key --
     #: and what a resume error calls it.
     _array: str
     _array_label: str
-    #: Names of the measured series, in :meth:`measure` order; they are
-    #: the bundle keys and the result-dict keys of the series.
+    #: Names of the measured series, in :meth:`series_columns` order;
+    #: they are the bundle keys and the result-dict keys of the series.
     series: tuple[str, ...]
     #: The scalar series the health monitor tracks.
     health_series: tuple[str, ...]
@@ -300,54 +318,65 @@ class _DecomposedState:
             )
 
     # -- halo exchange -------------------------------------------------------
+    def _plan_exchanges(self) -> None:
+        """Compile ``_links`` into what :meth:`_exchange` executes: per
+        stage key the sends and the receives, one per neighbor rank
+        (:func:`_per_neighbor`), and the one local wrap of its unsplit
+        links.  Geometry is static, so this runs once, at construction.
+        """
+        #: The ghosted spin array, flat: what every link indexes.
+        self._flat = getattr(self, self._array).reshape(-1)
+        self._plans = {}
+        for stage, axes in self._links.items():
+            links = [ln for axis in axes for ln in axis]
+            wraps = [ln for ln in links if ln.dest is None and ln.source is None]
+            self._plans[stage] = (
+                _per_neighbor(links, "dest", "send"),
+                _per_neighbor(links, "source", "ghost"),
+                (np.concatenate([ln.ghost for ln in wraps]),
+                 np.concatenate([ln.send for ln in wraps])) if wraps else None,
+            )
+
     def _exchange(self, stage, offload: bool = False) -> list:
         """Post the halo links scheduled before ``stage``: ONE aggregated
-        message per link, none where the schedule has nothing stale.
+        message per neighbor rank, none where the schedule has nothing
+        stale.
 
-        Lockstep (``offload=False``) sends then receives axis by axis
-        with blocking calls and returns nothing pending.  The overlap
-        pipeline (``offload=True``) posts the same payloads to the same
+        Lockstep (``offload=False``) sends, then receives, with blocking
+        calls and returns nothing pending.  The overlap pipeline
+        (``offload=True``) posts the same payloads to the same
         neighbors under the same tags as offloaded ``isend``/``irecv``
-        and returns the ``(request, link)`` pairs, in the lockstep
-        receive order, for :meth:`_exchange_wait` -- so the modeled
-        clock advances through identical arrival stamps.  Packing (and
-        local wrapping) happens here, before any interior update, so
-        the shipped data is the pre-stage state in both schedules.
-        Every call advances the tag block, posted or not: tags stay in
-        step across ranks.
+        and returns the ``(request, ghost sites)`` pairs, in the
+        lockstep receive order, for :meth:`_exchange_wait` -- so the
+        modeled clock advances through identical arrival stamps.
+        Packing (and local wrapping) happens here, before any interior
+        update, so the shipped data is the pre-stage state in both
+        schedules.  Every call advances the tag block, posted or not:
+        tags stay in step across ranks.
         """
-        comm = self.comm
+        comm, flat = self.comm, self._flat
         base, period, stride = self._tag_schedule
         tag = base + (self._n_exchanges % period) * stride
         self._n_exchanges += 1
-        pending = []
-        for axis in self._links[stage]:
-            for ln in axis:
-                if ln.dest is not None:
-                    # offloaded, this is isend minus its finished Request
-                    comm.send(pack_plane(ln.send, ln.send_mask), ln.dest,
-                              tag=tag + ln.tag, offload=offload)
-                elif ln.source is None:
-                    ln.ghost[...] = ln.send
-            for ln in axis:
-                if ln.source is None:
-                    continue
-                if offload:
-                    req = comm.irecv(source=ln.source, tag=tag + ln.tag,
-                                     offload=True)
-                    pending.append((req, ln))
-                else:
-                    unpack_plane(
-                        ln.ghost, comm.recv(source=ln.source, tag=tag + ln.tag),
-                        ln.ghost_mask,
-                    )
-        return pending
+        sends, recvs, wrap = self._plans[stage]
+        for dest, offset, sites in sends:
+            # offloaded, this is isend minus its finished Request
+            comm.send(flat[sites], dest, tag=tag + offset, offload=offload)
+        if wrap is not None:
+            flat[wrap[0]] = flat[wrap[1]]
+        if offload:
+            return [
+                (comm.irecv(source=source, tag=tag + offset, offload=True), sites)
+                for source, offset, sites in recvs
+            ]
+        for source, offset, sites in recvs:
+            flat[sites] = comm.recv(source=source, tag=tag + offset)
+        return []
 
-    @staticmethod
-    def _exchange_wait(pending: list) -> None:
+    def _exchange_wait(self, pending: list) -> None:
         """Overlap stage 4: wait for each halo message, unpack its ghosts."""
-        for req, ln in pending:
-            unpack_plane(ln.ghost, req.wait(), ln.ghost_mask)
+        for req, sites in pending:
+            self._flat[sites] = req.wait()
 
     # -- sweeping ------------------------------------------------------------
     def _sweep_stages(self) -> None:
@@ -385,10 +414,17 @@ class _DecomposedState:
                 self._m_acc_hist.observe(acc / att)
 
     # -- measurement / result ------------------------------------------------
-    def measure(self) -> tuple:
-        """Refresh the stale ghosts it reads, reduce once, and return one
-        value per ``series`` name (identical on every rank of the
-        communicator)."""
+    def measure(self) -> np.ndarray:
+        """This rank's partial sums of the current configuration, as one
+        float64 vector; it reads no ghost that is stale after a full
+        sweep, so it posts nothing.  The run loop sums the vectors over
+        the ranks, many measurements to an allreduce."""
+        raise NotImplementedError
+
+    def series_columns(self, totals: np.ndarray) -> tuple:
+        """Turn ``(k, n)`` rank-summed :meth:`measure` rows into the
+        ``k`` values of each ``series`` name (identical on every rank
+        of the communicator)."""
         raise NotImplementedError
 
     def result(self) -> dict:
@@ -455,6 +491,12 @@ class _DecomposedState:
         )
 
 
+#: Pending measurement rows reduce together at the latest when this
+#: many have piled up: 128 rows of 4 doubles are 4 KB, one slot of the mp
+#: backend's shared-memory ring.
+REDUCE_BATCH = 128
+
+
 def _run_decomposed(
     state: _DecomposedState,
     checkpoint: "CheckpointConfig | None",
@@ -473,6 +515,13 @@ def _run_decomposed(
     state's :meth:`~_DecomposedState.result`, the kernel mode, the move
     counters, whether the overlap pipeline ran, and the health report).
 
+    Reductions run in batches: a measurement only appends its rank-local
+    row, and one allreduce of the ``(k, n)`` array of pending rows runs
+    when a global value is due -- at :data:`REDUCE_BATCH` rows, before
+    a checkpoint write, before a health check, before ``on_measure``
+    and at the end of the run.  The sum is element-wise and in the same
+    rank order whatever ``k``, so no series bit depends on the cadence.
+
     The keyword arguments are the composed two-level program's hooks:
     ``monitor`` replaces the default per-rank health monitor (it stamps
     world rank and replica), ``on_measure(sweep, series)`` runs after
@@ -489,6 +538,22 @@ def _run_decomposed(
         )
     check_every = health.interval if health is not None else 0
     series: dict[str, list] = {name: [] for name in state.series}
+    pending: list[tuple[int, np.ndarray]] = []  # (sweep, measure() row)
+
+    def reduce_pending() -> None:
+        if not pending:
+            return
+        totals = comm.allreduce(np.array([row for _, row in pending]))
+        columns = dict(zip(state.series, state.series_columns(totals)))
+        for name, column in columns.items():
+            series[name].extend(column)
+        if monitor.enabled:
+            monitor.t_model = comm.clock.now
+            for i, (s, _) in enumerate(pending):
+                for name in state.health_series:
+                    monitor.observe(name, columns[name][i], s)
+        pending.clear()
+
     first_sweep = 0
     if checkpoint is not None and checkpoint.resume:
         # Thermalization is already in the restored trajectory.
@@ -499,23 +564,23 @@ def _run_decomposed(
     for s in range(first_sweep, cfg.n_sweeps):
         state.sweep()
         if s % cfg.measure_every == 0:
-            for name, value in zip(state.series, state.measure()):
-                series[name].append(value)
-            if monitor.enabled:
-                monitor.t_model = comm.clock.now
-                for name in state.health_series:
-                    monitor.observe(name, series[name][-1], s)
+            pending.append((s, state.measure()))
             if on_measure is not None:
+                reduce_pending()
                 on_measure(s, series)
+            elif len(pending) == REDUCE_BATCH:
+                reduce_pending()
         if (
             checkpoint is not None
             and checkpoint.every
             and (s + 1) % checkpoint.every == 0
         ):
+            reduce_pending()
             if before_save is not None:
                 before_save()
             state.save_rank_state(checkpoint.directory, s + 1, series)
         if check_every and (s + 1) % check_every == 0:
+            reduce_pending()
             monitor.check(
                 s + 1,
                 attempted=state.n_attempted,
@@ -526,6 +591,7 @@ def _run_decomposed(
         if interval and (s + 1) % interval == 0:
             comm.sync_metrics()
             metrics.snapshot(sweep=s + 1, t_model=comm.clock.now)
+    reduce_pending()
     out = {name: np.array(values) for name, values in series.items()}
     out.update(state.result())
     out.update(
@@ -635,8 +701,11 @@ class _StripState(_DecomposedState):
         right, left = (
             (piece.right_rank, piece.left_rank) if comm.size > 1 else (None, None)
         )
-        rightward = _HaloLink(right, left, loc[n : n + 2], loc[0:2], 0)
-        leftward = _HaloLink(left, right, loc[2:4], loc[n + 2 : n + 4], 1)
+        cols = np.arange(loc.size).reshape(loc.shape)  # flat index of (column, t)
+        rightward = _HaloLink(
+            right, left, cols[n : n + 2].ravel(), cols[0:2].ravel(), 0)
+        leftward = _HaloLink(
+            left, right, cols[2:4].ravel(), cols[n + 2 : n + 4].ravel(), 1)
         self._links = {}
         for key, (recv_l, send_l), (send_r, recv_r) in zip(
             (*range(N_WL_STAGES), "measure"),
@@ -649,6 +718,7 @@ class _StripState(_DecomposedState):
                     (rightward, send_r, recv_l), (leftward, send_l, recv_r))
                 if sends or receives
             ]]
+        self._plan_exchanges()
         self._t_even = np.arange(0, self.T, 2, dtype=np.intp)
         self._t_odd = np.arange(1, self.T, 2, dtype=np.intp)
         # One shared uniform block per sweep, sliced per stage: corner
@@ -1039,14 +1109,17 @@ class _StripState(_DecomposedState):
             total += float(np.sum(self.table.dlog[s00 + 2 * s10 + 4 * s01 + 8 * s11]))
         return total
 
-    def measure(self) -> tuple[float, float]:
-        """Energy estimate and slice-0 total S^z of the whole chain."""
-        self._exchange("measure")
+    def measure(self) -> np.ndarray:
+        """Owned-bond d ln W sum and slice-0 S^z of the owned columns."""
+        self._exchange("measure")  # scheduled empty; takes its tag block
         owned = self.loc[2 : self.n_owned + 2, 0]
-        dlog, mag = self.comm.allreduce(np.array(
+        return np.array(
             [self.local_dlog_sum(), owned.sum() - self.n_owned / 2.0]
-        ))
-        return -float(dlog) / self.n_trotter, float(mag)
+        )
+
+    def series_columns(self, totals: np.ndarray) -> tuple:
+        """Energy estimate and slice-0 total S^z of the whole chain."""
+        return -totals[:, 0] / self.n_trotter, totals[:, 1]
 
     def result(self) -> dict:
         return {
@@ -1083,8 +1156,10 @@ def worldline_strip_program(
     streaming run-health monitor: measured observables feed online
     estimators and the declarative rules fire at ``health.interval``
     sweeps, with the resulting events/summary returned in the value
-    dict.  The monitor is pure observation (no RNG, no comm), so the
-    trajectory is bit-identical with health on or off.
+    dict.  The monitor draws no random number and sends nothing of its
+    own -- a check only pulls the pending measurement reduction forward
+    -- so the trajectory and every series are bit-identical with health
+    on or off.
     """
     return _run_decomposed(_StripState(comm, cfg), checkpoint, health)
 
@@ -1187,11 +1262,20 @@ class _BlockState(_DecomposedState):
         self.color_masks = [(parity == c) for c in (0, 1)]
         self._n_sites = cfg.lx * cfg.ly * cfg.lt
         self._n_color_sites = [int(m.sum()) for m in self.color_masks]
-        # Link tables per stage: the two checkerboard colors; the
-        # measurement reads the east/north ghost planes, stale only at
-        # their color-1 sites -- the color-0 tables' second links.
+        # Link tables per stage: the two checkerboard colors.  The
+        # measurement has none (see :meth:`measure`).
         self._links = {c: self._build_links(c) for c in (0, 1)}
-        self._links["measure"] = [[axis[1]] for axis in self._links[0]]
+        self._plan_exchanges()
+        # Per spatial axis, the boundary bonds this rank counts: its
+        # color-1 face sites (what the color-0 links send) against their
+        # ghost partners (where the color-1 links land, opposite face
+        # first); None for an extent-1 axis.
+        self._face_bonds = [
+            (np.concatenate([ln.send for ln in before]),
+             np.concatenate([ln.ghost for ln in reversed(after)]))
+            if before else None
+            for before, after in zip(self._links[0], self._links[1])
+        ]
         # Overlap pipeline state: per-color interior/boundary masks and
         # interior site counts (compute-charge split weights).
         if cfg.overlap and comm.size > 1:
@@ -1223,14 +1307,18 @@ class _BlockState(_DecomposedState):
         message count.  The parity of an x-boundary site is
         ``(gx + yt) % 2``, of a y-boundary site ``(gy + xt) % 2``;
         sender and receiver evaluate the same *global* plane
-        coordinate, so pack and unpack masks agree.  Axes the process
-        grid does not split wrap locally.
+        coordinate and flatten in C order, so the site orders agree.
+        Axes the process grid does not split wrap locally; an extent-1
+        axis (zero coupling, no bonds) has an empty pair: its ghosts
+        are never refreshed and never read.
         """
 
-        def mask(par: np.ndarray, plane: int) -> np.ndarray:
-            return par == ((plane + color + 1) % 2)
+        def sites(plane: np.ndarray, par: np.ndarray, coord: int) -> np.ndarray:
+            return plane[par == ((coord + color + 1) % 2)]
 
-        p, g, s = self.piece, self.g, self.spins
+        p, cfg = self.piece, self.cfg
+        g = np.arange(self.g.size).reshape(self.g.shape)  # flat site index
+        s = g[1:-1, 1:-1]
         gt = np.arange(self.lt)
         yt = (np.arange(p.y_start, p.y_stop)[:, None] + gt) % 2
         xt = (np.arange(p.x_start, p.x_stop)[:, None] + gt) % 2
@@ -1238,33 +1326,32 @@ class _BlockState(_DecomposedState):
         north, south = (p.north, p.south) if self.decomp.py > 1 else (None, None)
         return [
             [
-                _HaloLink(east, west, s[-1], g[0, 1:-1], 0,
-                          mask(yt, p.x_stop - 1), mask(yt, p.x_start - 1)),
-                _HaloLink(west, east, s[0], g[-1, 1:-1], 1,
-                          mask(yt, p.x_start), mask(yt, p.x_stop)),
-            ],
+                _HaloLink(east, west, sites(s[-1], yt, p.x_stop - 1),
+                          sites(g[0, 1:-1], yt, p.x_start - 1), 0),
+                _HaloLink(west, east, sites(s[0], yt, p.x_start),
+                          sites(g[-1, 1:-1], yt, p.x_stop), 1),
+            ] if cfg.lx > 1 else [],
             [
-                _HaloLink(north, south, s[:, -1], g[1:-1, 0], 2,
-                          mask(xt, p.y_stop - 1), mask(xt, p.y_start - 1)),
-                _HaloLink(south, north, s[:, 0], g[1:-1, -1], 3,
-                          mask(xt, p.y_start), mask(xt, p.y_stop)),
-            ],
+                _HaloLink(north, south, sites(s[:, -1], xt, p.y_stop - 1),
+                          sites(g[1:-1, 0], xt, p.y_start - 1), 2),
+                _HaloLink(south, north, sites(s[:, 0], xt, p.y_start),
+                          sites(g[1:-1, -1], xt, p.y_stop), 3),
+            ] if cfg.ly > 1 else [],
         ]
 
     def _sweep_uniforms(self) -> np.ndarray:
-        """This sweep's per-site uniforms, *sliced from the global field*.
-
-        Every rank generates the same global (lx, ly, lt) uniform lattice
-        from the shared sweep seed and takes its own block -- the source
-        of serial/parallel bit-identity.  (A production code would use a
-        counter-based generator to skip the unused portion; regenerating
-        is the simple deterministic equivalent.)
+        """This sweep's per-site uniforms: this rank's block of the
+        global ``(lx, ly, lt)`` field every rank derives from the shared
+        sweep seed -- the source of serial/parallel bit-identity.  The
+        generator skips ahead to the rank's first x-row and draws its
+        rows only (PCG64 spends one step per double), so a rank's
+        random work is its share of the lattice.
         """
         gen = self.sweep_factory.stream("scratch", self.sweep_index).generator
-        full = gen.random((self.cfg.lx, self.cfg.ly, self.lt))
-        p = self.piece
         self.sweep_index += 1
-        return full[p.x_start : p.x_stop, p.y_start : p.y_stop]
+        p, ly = self.piece, self.cfg.ly
+        gen.bit_generator.advance(p.x_start * ly * self.lt)
+        return gen.random((self.bx, ly, self.lt))[:, p.y_start : p.y_stop]
 
     def _update_color_scalar(self, mask: np.ndarray, log_u: np.ndarray) -> int:
         """Per-site reference loop; float op order matches the batched kernel.
@@ -1340,19 +1427,42 @@ class _BlockState(_DecomposedState):
         self.n_accepted += n_acc
 
     # -- measurement -----------------------------------------------------------
-    def measure(self) -> tuple[float, np.ndarray]:
-        """Global magnetization per site and (x, y, t) bond sums, each
-        owned-origin bond counted once."""
-        self._exchange("measure")
-        g = self.g
-        s = self.spins.astype(np.int64)
-        bx = float(np.sum(s * g[2:, 1:-1].astype(np.int64)))
-        by = float(np.sum(s * g[1:-1, 2:].astype(np.int64)))
-        bt = float(np.sum(s * np.roll(s, -1, axis=2)))
-        total = self.comm.allreduce(
-            np.array([float(self.spins.sum()), bx, by, bt])
+    def measure(self) -> np.ndarray:
+        """Spin sum and (x, y, t) bond sums of the bonds this rank counts.
+
+        After a full sweep a ghost is stale exactly at its color-1
+        sites (color 0 shipped before the color-1 stage and has not
+        moved since).  Every boundary bond has one color-1 end; the
+        rank owning that end counts the bond, reading the partner's
+        fresh color-0 ghost.  Each bond is still counted once over the
+        ranks and the sums are exact integers, so the totals are the
+        ones owned-origin counting gave.  An extent-1 axis bonds every
+        site to itself.
+        """
+        self._n_exchanges += 1  # the tag block its exchange used to take
+        s, flat = self.spins, self._flat
+
+        def bonds(a: np.ndarray, b: np.ndarray) -> int:
+            return (a * b).sum(dtype=np.int64)  # int8 products, exact
+
+        sums = [s.sum(dtype=np.int64)]
+        for inner, faces in zip(
+            ((s[:-1], s[1:]), (s[:, :-1], s[:, 1:])), self._face_bonds
+        ):
+            if faces is None:
+                sums.append(s.size)
+            else:
+                own, ghost = faces
+                sums.append(bonds(*inner) + bonds(flat[own], flat[ghost]))
+        sums.append(
+            bonds(s[..., :-1], s[..., 1:]) + bonds(s[..., -1], s[..., 0])
+            if self.lt > 1 else s.size
         )
-        return float(total[0]) / self._n_sites, total[1:]
+        return np.array(sums, dtype=np.float64)
+
+    def series_columns(self, totals: np.ndarray) -> tuple:
+        """Global magnetization per site and (x, y, t) bond sums."""
+        return totals[:, 0] / self._n_sites, totals[:, 1:]
 
     def result(self) -> dict:
         p = self.piece

@@ -192,8 +192,10 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None) -
     Each replica runs the strip driver's own state and run loop
     (:func:`~repro.qmc.parallel._run_decomposed`) on its domain
     sub-communicator; the two-level parts ride along as that loop's
-    hooks -- the ensemble heartbeat after each measurement, the layout
-    manifest before each checkpoint write.
+    hooks -- the ensemble heartbeat after each measurement (it pools the
+    latest global energy, so a replica's domain reduces at every
+    measurement instead of in batches), the layout manifest before each
+    checkpoint write.
 
     ``health`` (a :class:`~repro.obs.health.HealthRules`) enables the
     streaming run-health monitor exactly as in

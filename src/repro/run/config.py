@@ -70,7 +70,7 @@ class ParallelLayout:
         Machine-model name from :data:`repro.vmp.MACHINES`.
     backend:
         Execution backend for the SPMD strategies (``strip``/``block``):
-        ``thread`` (default; cooperative in-process scheduler), ``mp``
+        ``thread`` (default; one OS thread per rank, in-process), ``mp``
         (real OS processes), or ``mpi`` (real message passing via
         mpi4py; run the CLI under ``mpiexec -n <n_ranks>``).  All three
         produce bit-identical trajectories at the same seed.

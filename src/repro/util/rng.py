@@ -9,8 +9,8 @@ collision-free child entropy for any tree of workers.
 
 :class:`SeedSequenceFactory` wraps that mechanism with a stable,
 hashable addressing scheme so a rank program can ask for "the stream of
-rank 7 of run 42" and get the same stream on every backend (cooperative
-scheduler, multiprocessing, or a future real-MPI port) and every
+rank 7 of run 42" and get the same stream on every backend (threads,
+multiprocessing, or a future real-MPI port) and every
 platform.
 """
 

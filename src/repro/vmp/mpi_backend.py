@@ -1,6 +1,6 @@
 """Real MPI execution of SPMD rank programs via mpi4py.
 
-Third execution backend, after the cooperative thread scheduler
+Third execution backend, after the thread-per-rank scheduler
 (:mod:`repro.vmp.scheduler`) and the multiprocessing backend
 (:mod:`repro.vmp.process_backend`): the *unchanged* rank programs --
 the strip/block world-line drivers, :func:`~repro.qmc.tempering.

@@ -15,7 +15,9 @@ parallelization strategies implemented in :mod:`repro.qmc.parallel`:
 
 ``block``
     2-D spatial decomposition on a ``px x py`` process grid; halos are
-    the four boundary edges of the owned block, again over all slices.
+    the four boundary edges of the owned block, again over all slices,
+    one message per neighbor *rank* (on a 2-wide axis both edges go to
+    the same rank and share a buffer).
 
 ``replica``
     Trivial parallelism: each rank runs an independent Markov chain
@@ -88,6 +90,13 @@ class WorkloadShape:
         allreduce of ``allreduce_doubles`` doubles.
     allreduce_doubles:
         Accumulator width reduced per measurement.
+    reduction_batch:
+        Measurements whose accumulator rows share one allreduce
+        (default 1: reduce at every measurement).  The decomposed
+        drivers let rows pend and reduce ``k`` of them as one
+        ``(k, allreduce_doubles)`` array, so a batch pays each tree
+        round's alpha once; their workloads set this to the drivers'
+        cap (a run with fewer measurements reduces them all at once).
     serial_fraction:
         Non-parallelizable fraction of the total work (equilibration
         bookkeeping, global RNG setup, output).  Dominates the replica
@@ -124,6 +133,7 @@ class WorkloadShape:
     strategy: str = "strip"
     measurement_interval: int = 1
     allreduce_doubles: int = 8
+    reduction_batch: int = 1
     serial_fraction: float = 0.0
     halo_messages_per_sweep: int | None = None
     halo_sites_per_message: float | None = None
@@ -136,6 +146,8 @@ class WorkloadShape:
             raise ValueError("lattice extents must be positive")
         if self.sweeps < 1:
             raise ValueError("need at least one sweep")
+        if self.reduction_batch < 1:
+            raise ValueError("reduction_batch must be >= 1")
         if not 0 <= self.serial_fraction < 1:
             raise ValueError("serial_fraction must lie in [0, 1)")
 
@@ -209,12 +221,14 @@ def worldline_strip_workload(
       message: ``halo_messages_per_sweep = 4`` and
       ``halo_sites_per_message = 2 * n_slices`` (ranks whose seams sit
       at ``2 (mod 4)`` receive 3).  Spins ship as single bytes;
-    * measurement -- one allreduce of two doubles (energy and
-      magnetization partial sums folded into one vector).
+    * measurement -- two doubles per measurement (energy and
+      magnetization partial sums folded into one vector), reduced in
+      batches of up to the run loop's cap.
 
     Pass ``overlap=True`` to model the five-stage pipeline variant the
     driver runs under ``WorldlineStripConfig(overlap=True)``.
     """
+    from repro.qmc.parallel import REDUCE_BATCH
     from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 
     kwargs = dict(
@@ -228,6 +242,7 @@ def worldline_strip_workload(
         halo_messages_per_sweep=4,
         halo_sites_per_message=2.0 * n_slices,
         allreduce_doubles=2,
+        reduction_batch=REDUCE_BATCH,
     )
     kwargs.update(overrides)
     return WorkloadShape(**kwargs)
@@ -312,40 +327,59 @@ class PerformanceModel:
             return 0.0
         return (ix * iy) / float(bx * by)
 
+    def _halo_neighbors(self, p: int) -> int:
+        """Neighbor ranks one halo exchange addresses, a message each."""
+        w = self.workload
+        if p == 1 or w.strategy == "replica":
+            return 0
+        if w.strategy == "strip":
+            return 2  # left + right
+        px, py = self._process_grid(p)
+        # On a 2-wide axis east and west are the same rank.
+        return min(px - 1, 2) + min(py - 1, 2)
+
+    def halo_messages_per_sweep(self, p: int) -> int:
+        """Halo messages one rank sends per sweep: the workload's
+        override, else two half-sweeps times its neighbor ranks."""
+        w = self.workload
+        neighbors = self._halo_neighbors(p)
+        if neighbors and w.halo_messages_per_sweep is not None:
+            return w.halo_messages_per_sweep
+        return 2 * neighbors
+
     def halo_seconds_per_sweep(self, p: int) -> float:
         """Modeled halo-exchange seconds per sweep on one rank.
 
         Two checkerboard half-sweeps per sweep; each half-sweep sends
-        and receives the full boundary.  With ``workload.overlap`` the
-        critical path instead carries ``2 * post_overhead`` per message
-        plus, per exchange, whatever wire delay the exchange's interior
-        compute fails to hide.
+        and receives the full boundary, one message per neighbor rank.
+        With ``workload.overlap`` the critical path instead carries
+        ``2 * post_overhead`` per message plus, per exchange, whatever
+        wire delay the exchange's interior compute fails to hide.
         """
         w = self.workload
-        if p == 1 or w.strategy == "replica":
+        neighbor_messages = self._halo_neighbors(p)
+        if neighbor_messages == 0:
             return 0.0
         hops = self._neighbor_hops(p)
         if w.strategy == "strip":
-            neighbor_messages = 2  # left + right
             halo_sites = w.ly * w.lt
         else:
             px, py = self._process_grid(p)
             bx = math.ceil(w.lx / px)
             by = math.ceil(w.ly / py)
-            neighbor_messages = (2 if px > 1 else 0) + (2 if py > 1 else 0)
-            # Mean boundary-edge sites per message across the two axes.
-            edges = ([by * w.lt] * 2 if px > 1 else []) + ([bx * w.lt] * 2 if py > 1 else [])
-            halo_sites = sum(edges) / len(edges) if edges else 0
+            # Mean sites per message: both edges of every split axis,
+            # over the messages that carry them.
+            edges = (2 * by * w.lt if px > 1 else 0) + (
+                2 * bx * w.lt if py > 1 else 0
+            )
+            halo_sites = edges / neighbor_messages
         if w.halo_sites_per_message is not None:
             halo_sites = w.halo_sites_per_message
         per_message = self.machine.message_time(
             int(halo_sites * w.bytes_per_site), hops
         )
-        if w.halo_messages_per_sweep is not None:
-            n_messages = w.halo_messages_per_sweep
-        else:
-            n_messages = 2 * neighbor_messages  # two half-sweeps
-        if not w.overlap or neighbor_messages == 0:
+        n_messages = self.halo_messages_per_sweep(p)
+        if not w.overlap:
             return n_messages * per_message
         f_int = self.interior_fraction(p)
         if f_int <= 0.0:
@@ -359,16 +393,26 @@ class PerformanceModel:
         residual = max(0.0, per_message - interior_per_exchange)
         return n_messages * posts + n_exchanges * residual
 
+    def reductions(self) -> tuple[int, int]:
+        """``(allreduces in the run, measurement rows in each)``: one per
+        ``reduction_batch`` measurements, the last one of what is left
+        (priced as a full one)."""
+        w = self.workload
+        n_measured = math.ceil(w.sweeps / w.measurement_interval)
+        rows = min(w.reduction_batch, n_measured)
+        return math.ceil(n_measured / rows), rows
+
     def collective_seconds_per_sweep(self, p: int) -> float:
-        """Allreduce cost amortized per sweep."""
+        """Allreduce cost amortized per sweep, and over its batch."""
         w = self.workload
         if p == 1:
             return 0.0
+        _, rows = self.reductions()
         rounds = 2 * math.ceil(math.log2(p))  # reduce + bcast trees
         per_round = self.machine.message_time(
-            8 * w.allreduce_doubles, self._collective_hop(p)
+            8 * w.allreduce_doubles * rows, self._collective_hop(p)
         )
-        return rounds * per_round / w.measurement_interval
+        return rounds * per_round / (w.measurement_interval * rows)
 
     # -- totals -------------------------------------------------------------
     def time(self, p: int) -> float:

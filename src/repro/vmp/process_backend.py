@@ -1,6 +1,6 @@
 """Real-process execution of SPMD rank programs via multiprocessing.
 
-The cooperative thread scheduler in :mod:`repro.vmp.scheduler` is the
+The thread-per-rank scheduler in :mod:`repro.vmp.scheduler` is the
 default backend; this module runs the *same program objects* on real OS
 processes with genuinely disjoint address spaces.
 :class:`MpCommunicator` is a :class:`~repro.vmp.comm.Communicator` whose

@@ -393,8 +393,9 @@ def run_spmd(
         holds the per-rank compute/comm/idle phase history, exportable
         via ``SpmdResult.chrome_trace()``.  Thread backend only.
     backend:
-        Execution backend: ``"thread"`` (default; cooperative threads
-        over the in-process fabric), ``"mp"`` (real OS processes via
+        Execution backend: ``"thread"`` (default; one preemptive OS
+        thread per rank over the in-process fabric, serialized only by
+        the GIL), ``"mp"`` (real OS processes via
         :mod:`repro.vmp.process_backend`), or ``"mpi"`` (real message
         passing via :mod:`repro.vmp.mpi_backend`; runs in the current
         MPI world under ``mpiexec``, else launches one).  All three

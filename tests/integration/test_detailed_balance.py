@@ -3,16 +3,23 @@
 These are the deepest correctness guards of the sampler layer: for
 randomly generated parameters and configurations, each Monte Carlo
 kernel's acceptance ratio must equal the true weight ratio of the
-global configurations it connects.
+global configurations it connects.  The block driver's color update is
+held exhaustively instead: on lattices small enough to enumerate, its
+flip set is the Metropolis rule for every configuration, and the
+transition matrix of that rule leaves the Boltzmann weights invariant.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import kernels
 from repro.models.hamiltonians import XXZChainModel
 from repro.qmc.classical_ising import AnisotropicIsing
+from repro.qmc.parallel import IsingBlockConfig, _BlockState
 from repro.qmc.worldline import WorldlineChainQmc
+from repro.vmp.machines import IDEAL
+from repro.vmp.scheduler import run_spmd
 
 couplings = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 positive_dtau = st.floats(min_value=0.02, max_value=0.4, allow_nan=False)
@@ -119,3 +126,132 @@ class TestIsingStationarity:
         for _ in range(5):
             s.sweep()
         assert abs(s.magnetization()) == 1.0
+
+
+# ======================================================================
+# the block driver's color update: exhaustive small-lattice stationarity
+# ======================================================================
+
+#: Lattices small enough to enumerate (8 sites, 256 configurations) that
+#: still have every awkward feature: 2-wide axes (both neighbours are the
+#: same site), an inert extent-1 axis, couplings of both signs.
+SMALL_LATTICES = {
+    "2x1x4": dict(lx=2, ly=1, lt=4, kx=0.3, ky=0.0, kt=0.7),
+    "2x2x2": dict(lx=2, ly=2, lt=2, kx=0.3, ky=-0.45, kt=0.7),
+}
+COLOR_KERNELS = ["scalar", "numpy"] + (
+    ["numba"] if kernels.kernel_available("numba") else []
+)
+EPS = 1e-9
+
+
+def _all_configurations(shape) -> np.ndarray:
+    n = int(np.prod(shape))
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    return (2 * bits - 1).astype(np.int8).reshape((-1, *shape))
+
+
+def _reduced_energies(configs, couplings) -> np.ndarray:
+    """-sum over sites and axes of K s(r) s(r + e): the exponent the
+    sampler's weight exp(-E) is defined by, periodic images and all."""
+    e = np.zeros(len(configs))
+    for axis, k in enumerate(couplings, start=1):
+        e -= k * np.sum(
+            configs * np.roll(configs, -1, axis=axis), axis=(1, 2, 3),
+            dtype=np.int64,
+        )
+    return e
+
+
+def _flip_costs(configs, couplings) -> np.ndarray:
+    """dE[c, site]: brute-force E(config with site flipped) - E(config)."""
+    energies = _reduced_energies(configs, couplings)
+    costs = np.empty(configs.shape)
+    for site in np.ndindex(*configs.shape[1:]):
+        flipped = configs.copy()
+        flipped[(slice(None), *site)] *= -1
+        costs[(slice(None), *site)] = (
+            _reduced_energies(flipped, couplings) - energies
+        )
+    return costs
+
+
+def _probe_color_updates(comm, cfg, configs, costs, wanted):
+    """Rank program: for every configuration, color and probe, load the
+    configuration, run the color's own halo stage and update with
+    ``log_u`` a hair below -dE on the ``wanted`` sites and a hair above
+    it elsewhere, and report which sites flipped."""
+    st = _BlockState(comm, cfg)
+    flipped = np.empty((len(configs), 2, len(wanted), *st.spins.shape), bool)
+    for i, (config, cost) in enumerate(zip(configs, costs)):
+        for color, mask in enumerate(st.color_masks):
+            for j, want in enumerate(wanted):
+                st.g[...] = 3  # no ghost survives from the previous probe
+                st.spins[...] = config
+                st._exchange(color)
+                n_acc = st._update_color(
+                    mask, -cost + np.where(want, -EPS, EPS))
+                flipped[i, color, j] = st.spins != config
+                assert n_acc == np.count_nonzero(flipped[i, color, j])
+    return flipped, np.array(st.color_masks)
+
+
+@pytest.mark.parametrize("kernel", COLOR_KERNELS)
+@pytest.mark.parametrize("lattice", sorted(SMALL_LATTICES))
+def test_block_color_flip_set_is_the_metropolis_rule(lattice, kernel):
+    """A site flips iff it has the stage's color and log u < -dE."""
+    geometry = SMALL_LATTICES[lattice]
+    cfg = IsingBlockConfig(n_sweeps=1, mode=kernel, **geometry)
+    shape = (cfg.lx, cfg.ly, cfg.lt)
+    configs = _all_configurations(shape)
+    costs = _flip_costs(configs, (cfg.kx, cfg.ky, cfg.kt))
+    rng = np.random.default_rng(5)
+    wanted = [np.ones(shape, bool), np.zeros(shape, bool),
+              rng.random(shape) < 0.5]
+    flipped, color_masks = run_spmd(
+        _probe_color_updates, 1, machine=IDEAL,
+        args=(cfg, configs, costs, wanted),
+    ).values[0]
+    assert (color_masks[0] ^ color_masks[1]).all()
+    for color in (0, 1):
+        for j, want in enumerate(wanted):
+            np.testing.assert_array_equal(
+                flipped[:, color, j],
+                np.broadcast_to(want & color_masks[color], flipped[:, 0, 0].shape),
+                err_msg=f"color {color} probe {j}",
+            )
+
+
+@pytest.mark.parametrize("lattice", sorted(SMALL_LATTICES))
+def test_block_color_transition_matrix_is_stationary(lattice):
+    """pi P = pi for each color stage and for the sweep, where P flips
+    every site of the color independently with the probability the rule
+    above implies, P(log u < -dE) = min(1, exp(-dE)) -- which is only a
+    Markov kernel for pi if same-color sites never see each other, the
+    property the 2-wide and extent-1 axes put under stress."""
+    g = SMALL_LATTICES[lattice]
+    shape = (g["lx"], g["ly"], g["lt"])
+    couplings = (g["kx"], g["ky"], g["kt"])
+    configs = _all_configurations(shape)
+    n = len(configs)
+    flat = configs.reshape(n, -1)
+    index = {row.tobytes(): i for i, row in enumerate(flat)}
+    p_flip = np.minimum(1.0, np.exp(-_flip_costs(configs, couplings))).reshape(n, -1)
+    parity = np.indices(shape).sum(axis=0).reshape(-1) % 2
+    pi = np.exp(-_reduced_energies(configs, couplings))
+    pi /= pi.sum()
+    stages = []
+    for color in (0, 1):
+        sites = np.flatnonzero(parity == color)
+        P = np.zeros((n, n))
+        for i in range(n):
+            for subset in range(2 ** len(sites)):
+                chosen = (subset >> np.arange(len(sites))) & 1 == 1
+                target = flat[i].copy()
+                target[sites[chosen]] *= -1
+                P[i, index[target.tobytes()]] = np.prod(
+                    np.where(chosen, p_flip[i, sites], 1.0 - p_flip[i, sites]))
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pi @ P, pi, atol=1e-12)
+        stages.append(P)
+    np.testing.assert_allclose(pi @ stages[0] @ stages[1], pi, atol=1e-12)

@@ -15,9 +15,14 @@ First recorded at commit 9aedf5a (the last one with a separate exchange
 and loop per driver); re-recorded once, on purpose, when the static
 halo schedule and the folded measurement allreduce landed (strip P = 2
 lockstep 648 -> 132 messages, 0.04178 -> 0.01076 s; the full before ->
-after table is in CHANGES.md, PR 17).  The per-sweep counts at the end
-hold the schedule's message count itself, so a later change cannot
-quietly re-inflate it.
+after table is in CHANGES.md, PR 17); and once more, on purpose, when
+halo links to the same rank began to share a message, the block
+measurement stopped posting a halo and reductions began to run in
+batches (block P = 4 lockstep 486 -> 214 messages, 0.01958 -> 0.01117 s;
+table in CHANGES.md, PR 19).  The two-level run reduces at every
+measurement, as its heartbeat needs, and kept every literal.  The
+per-sweep counts at the end hold the schedule's message count itself,
+so a later change cannot quietly re-inflate it.
 """
 
 import pytest
@@ -60,46 +65,45 @@ TWO_LEVEL = (
 #:          (makespan, messages, bytes, rank-0 clock breakdown))
 PINNED = {
     "strip-p2-lockstep": (STRIP, 2, False, (
-        0.010758871428571428, 132, 2112,
-        {"comm": 0.007935085714285734,
-         "comm_wait": 4.48571428571156e-06,
+        0.010151185714285714, 122, 2112,
+        {"comm": 0.007335085714285732,
          "compute": 0.002816000000000002},
     )),
     "strip-p2-overlap": (STRIP, 2, True, (
-        0.006352728571428583, 132, 2112,
+        0.00574905714285715, 122, 2112,
         {"boundary": 0.0003104000000000001,
-         "comm": 0.00216137142857143,
-         "comm_wait": 8.442857142857991e-06,
+         "comm": 0.0015613714285714303,
+         "comm_wait": 4.671428571428708e-06,
          "compute": 0.0016960000000000011,
-         "halo_wait": 0.001366914285714304,
+         "halo_wait": 0.001366914285714302,
          "interior": 0.0008096000000000007},
     )),
     "strip-p4-lockstep": (STRIP, 4, False, (
-        0.010146814285714298, 276, 4416,
-        {"comm": 0.008656457142857161,
-         "comm_wait": 1.1757142857138272e-05,
+        0.008939728571428593, 246, 4416,
+        {"comm": 0.007456457142857161,
+         "comm_wait": 4.671428571427841e-06,
          "compute": 0.0014784000000000002},
     )),
     "strip-p4-overlap": (STRIP, 4, True, (
-        0.00627144285714288, 276, 4416,
+        0.005065200000000004, 246, 4416,
         {"boundary": 0.0003104000000000001,
-         "comm": 0.0028827428571428543,
-         "comm_wait": 1.2085714285714998e-05,
+         "comm": 0.0016827428571428587,
+         "comm_wait": 7.342857142854549e-06,
          "compute": 0.0008832000000000011,
-         "halo_wait": 0.0018965142857143035,
+         "halo_wait": 0.0018965142857142957,
          "interior": 0.0002848000000000002},
     )),
     "block-p4-lockstep": (BLOCK, 4, False, (
-        0.019576399999999976, 486, 8256,
-        {"comm": 0.014910628571428566,
-         "comm_wait": 6.371428571421214e-06,
+        0.01117251428571427, 214, 7616,
+        {"comm": 0.006508342857142856,
+         "comm_wait": 4.771428571428982e-06,
          "compute": 0.0046592},
     )),
     "block-p4-overlap": (BLOCK, 4, True, (
-        0.009568628571428546, 486, 8256,
+        0.006156742857142847, 214, 7616,
         {"boundary": 0.0034943999999999978,
-         "comm": 0.00490285714285713,
-         "comm_wait": 6.371428571429888e-06,
+         "comm": 0.0014925714285714293,
+         "comm_wait": 4.771428571428982e-06,
          "interior": 0.0011648},
     )),
     "two-level-2x2": (TWO_LEVEL, 4, False, (
@@ -125,47 +129,58 @@ def test_modeled_accounting_matches_recorded_literals(case):
     assert got == want
 
 
-#: (driver, config, P) -> (messages, bytes) per sweep, measuring every
-#: sweep: halo messages plus the one measurement allreduce.
+#: (driver, config, P) -> (halo messages, all bytes) per sweep, measuring
+#: every sweep.  The five pending rows reduce once, at the end of the
+#: run: a reduce and a bcast tree of P - 1 messages each on top.
 PER_SWEEP = {
     "strip-p2": (
         worldline_strip_program,
         WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
                              n_slices=16, n_sweeps=5),
-        2, (10, 288),
+        2, (8, 288),
     ),
     "strip-p4": (
         worldline_strip_program,
         WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
                              n_slices=16, n_sweeps=5),
-        4, (22, 608),
+        4, (16, 608),
     ),
     # L = 40 over 4 ranks: seams at 10 and 30 are 2 (mod 4)
     "strip-p4-odd-seams": (
         worldline_strip_program,
         WorldlineStripConfig(n_sites=40, jz=1.0, jxy=1.0, beta=1.0,
                              n_slices=16, n_sweeps=5),
-        4, (20, 544),
+        4, (14, 544),
     ),
+    # east and west are the same rank: one message per color and rank
     "block-p2": (
         ising_block_program,
         IsingBlockConfig(lx=64, ly=1, lt=64, kx=0.2, ky=0.0, kt=0.3,
                          n_sweeps=5),
-        2, (12, 384),
+        2, (4, 320),
     ),
+    # ... and so are north and south: two per color and rank
     "block-2x2": (
         ising_block_program,
         IsingBlockConfig(lx=16, ly=16, lt=8, kx=0.2, ky=0.2, kt=0.3,
                          n_sweeps=5),
-        4, (46, 1472),
+        4, (16, 1216),
+    ),
+    # a 4-wide axis keeps two neighbors a rank
+    "block-4x1": (
+        ising_block_program,
+        IsingBlockConfig(lx=64, ly=1, lt=64, kx=0.2, ky=0.0, kt=0.3,
+                         n_sweeps=5),
+        4, (16, 704),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PER_SWEEP))
 def test_per_sweep_message_and_byte_counts(case):
-    program, cfg, n_ranks, want = PER_SWEEP[case]
+    program, cfg, n_ranks, (halo_messages, n_bytes) = PER_SWEEP[case]
     res = run_driver_matrix(program, n_ranks, cfg, seed=1)
-    assert (
-        res.total_messages / cfg.n_sweeps, res.total_bytes / cfg.n_sweeps
-    ) == want
+    assert res.total_messages == (
+        cfg.n_sweeps * halo_messages + 2 * (n_ranks - 1)
+    )
+    assert res.total_bytes / cfg.n_sweeps == n_bytes

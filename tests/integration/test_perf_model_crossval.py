@@ -3,15 +3,20 @@
 The scaling benchmarks trust the closed-form model for P beyond what
 the thread scheduler can execute; these tests pin the model to the
 executed virtual machine at small P.  Compute seconds must match
-exactly (same flop counts, same machine rate); communication seconds
-must agree within a structural factor (the model idealizes message
-schedules, the driver also ships measurement halos).
+exactly (same flop counts, same machine rate), message counts must
+match exactly, and communication seconds must agree within a structural
+factor (the model ships whole boundary planes where the driver ships
+one parity of them).
 """
 
 import pytest
 
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
-from repro.qmc.parallel import IsingBlockConfig, ising_block_program
+from repro.qmc.parallel import (
+    REDUCE_BATCH,
+    IsingBlockConfig,
+    ising_block_program,
+)
 from repro.vmp.machines import PARAGON
 from repro.vmp.performance import PerformanceModel, WorkloadShape
 from repro.vmp.scheduler import run_spmd
@@ -31,6 +36,8 @@ def block_workload() -> WorkloadShape:
         bytes_per_site=1,  # int8 spin planes
         strategy="block",
         measurement_interval=1,
+        allreduce_doubles=4,  # spin sum + three bond sums
+        reduction_batch=REDUCE_BATCH,
     )
 
 
@@ -77,11 +84,15 @@ class TestCommunicationAgreement:
 
 class TestMessageAccounting:
     def test_executed_message_count_matches_halo_structure(self):
-        res = executed(4)  # 2x2 process grid: both axes split
-        # Per sweep per rank: 2 colors x 4 plane messages (halo) +
-        # measurement (the stale east + north planes: 2) + allreduce
-        # traffic.
-        halo_msgs = SWEEPS * (2 * 4 + 2)
-        per_rank = res.total_messages / 4
-        assert per_rank >= halo_msgs  # collectives add more on top
-        assert per_rank < halo_msgs + SWEEPS * 12  # but not unboundedly
+        # Per rank and sweep: 2 colors x one message per neighbor rank
+        # (P = 2 is a 1 x 2 grid, P = 4 a 2 x 2 one: north and south,
+        # east and west are the same rank), nothing for a measurement.
+        # On top, per allreduce, a reduce and a bcast tree of P - 1
+        # messages each -- and 12 measurements make one batch.
+        model = PerformanceModel(PARAGON, block_workload())
+        assert model.reductions() == (1, SWEEPS)
+        for p, per_rank_and_sweep in ((2, 2), (4, 4)):
+            assert model.halo_messages_per_sweep(p) == per_rank_and_sweep
+            assert executed(p).total_messages == (
+                p * SWEEPS * per_rank_and_sweep + 2 * (p - 1)
+            )

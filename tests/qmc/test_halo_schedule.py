@@ -16,10 +16,13 @@ that schedule in place:
   the start of each sweep, and in a saved bundle before a resume, on
   both drivers -- trajectories and series equal the clean run, which is
   what entitles bundles written before the schedule existed to resume;
+  and, for the block measurement that posts no halo at all, every site
+  a sweep leaves stale overwritten right before each ``measure()``;
 * a ``start % 4 == 2`` geometry through the bit-identity matrix.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +361,54 @@ class TestPoisonedGhosts:
         dirty = run_driver_matrix(
             poisoned_block_program, p, cfg, seed=42, backend=backend)
         assert_bit_identical(clean, dirty, BLOCK_KEYS, accounting=True)
+
+
+def poisoned_measurement_program(comm, cfg, checkpoint=None):
+    """Block program whose every ``measure()`` first finds wrong spins
+    in each ghost site a full sweep leaves stale: the color-1 ones, and
+    every ghost along an extent-1 axis (no stage refreshes those)."""
+    st = _BlockState(comm, cfg)
+    p = st.piece
+    gx = np.arange(p.x_start - 1, p.x_stop + 1)[:, None, None]
+    gy = np.arange(p.y_start - 1, p.y_stop + 1)[None, :, None]
+    stale = (gx + gy + np.arange(st.lt)) % 2 == 1
+    if cfg.lx == 1:
+        stale[[0, -1]] = True
+    if cfg.ly == 1:
+        stale[:, [0, -1]] = True
+    stale[1:-1, 1:-1] = False  # owned sites
+    clean_measure = st.measure
+
+    def measure():
+        st.g[stale] *= -1
+        return clean_measure()
+
+    st.measure = measure
+    return _run_decomposed(st, checkpoint, None)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize(
+    "shape", [(64, 1, 8), (1, 8, 8), (8, 8, 4)],
+    ids=lambda s: "x".join(map(str, s)))
+def test_block_measurement_reads_no_stale_ghost(shape, p, overlap):
+    """The measurement posts no halo, so it may read no ghost site the
+    sweep before it left stale -- and whatever it finds there must not
+    leak into the next sweep either."""
+    lx, ly, lt = shape
+    cfg = IsingBlockConfig(
+        lx=lx, ly=ly, lt=lt, kx=0.25 if lx > 1 else 0.0,
+        ky=0.25 if ly > 1 else 0.0, kt=0.4, n_sweeps=8, n_thermalize=2,
+        overlap=overlap,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # thin blocks fall back to lockstep
+        clean = run_driver_matrix(
+            parallel.ising_block_program, p, cfg, seed=42)
+        dirty = run_driver_matrix(
+            poisoned_measurement_program, p, cfg, seed=42)
+    assert_bit_identical(clean, dirty, BLOCK_KEYS, accounting=True)
 
 
 def _poison_bundles(directory, n_ranks, key, ghosts_of, wrong):

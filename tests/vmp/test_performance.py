@@ -163,6 +163,7 @@ class TestWorldline2DWorkload:
 class TestWorldlineStripWorkload:
     def test_mirrors_executed_stage_structure(self):
         from repro.qmc.parallel import (
+            REDUCE_BATCH,
             WorldlineStripConfig,
             worldline_strip_program,
         )
@@ -175,17 +176,41 @@ class TestWorldlineStripWorkload:
         assert w.halo_messages_per_sweep == 4
         assert w.halo_sites_per_message == 2.0 * 64  # two ghost columns
         assert w.allreduce_doubles == 2  # one folded reduction
-        # ... which is what the driver sends: per rank and sweep, 4 halo
-        # messages plus the 2 of a P = 2 reduce + bcast of 16 bytes.
+        assert w.reduction_batch == REDUCE_BATCH
+        assert PerformanceModel(PARAGON, w).reductions() == (1, 100)
+        # ... which is what the driver sends: per rank, 4 halo messages a
+        # sweep plus one message (P = 2: the reduce's or the bcast's) per
+        # allreduce -- 130 measurements cross the batch cap once -- and
+        # 16 reduced bytes per measurement however they are batched.
+        w = worldline_strip_workload(64, 64, sweeps=REDUCE_BATCH + 2)
+        n_reductions, rows = PerformanceModel(PARAGON, w).reductions()
+        assert (n_reductions, rows) == (2, REDUCE_BATCH)
         cfg = WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
-                                   n_slices=64, n_sweeps=3)
+                                   n_slices=64, n_sweeps=w.sweeps)
         res = run_spmd(worldline_strip_program, 2, machine=PARAGON, args=(cfg,))
-        per_rank = w.halo_messages_per_sweep + 1
-        assert res.total_messages == 2 * per_rank * cfg.n_sweeps
+        assert res.total_messages == 2 * (
+            w.halo_messages_per_sweep * cfg.n_sweeps + n_reductions
+        )
         assert res.total_bytes == cfg.n_sweeps * 2 * (
             w.halo_messages_per_sweep * int(w.halo_sites_per_message)
             + 8 * w.allreduce_doubles
         )
+
+    def test_batched_reductions_amortise_the_latency(self):
+        # k rows in one allreduce pay each tree round's alpha once.
+        each = workload(allreduce_doubles=2)
+        batched = workload(allreduce_doubles=2, reduction_batch=50)
+        assert PerformanceModel(PARAGON, each).reductions() == (200, 1)
+        assert PerformanceModel(PARAGON, batched).reductions() == (4, 50)
+        t_each = PerformanceModel(PARAGON, each).collective_seconds_per_sweep(4)
+        t_batched = PerformanceModel(
+            PARAGON, batched).collective_seconds_per_sweep(4)
+        rounds, hop = 4, 1  # reduce + bcast over 4 ranks, adjacent nodes
+        assert t_each == pytest.approx(rounds * PARAGON.message_time(16, hop))
+        assert t_batched == pytest.approx(
+            rounds * PARAGON.message_time(16 * 50, hop) / 50)
+        with pytest.raises(ValueError):
+            workload(reduction_batch=0)
 
     def test_matches_strip_decomposition_halo_spec(self):
         from repro.vmp.performance import worldline_strip_workload
