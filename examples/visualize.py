@@ -3,7 +3,8 @@
 Renders the space--time spin lattice the way the original papers drew
 it: imaginary time running down the page, one column per site, with the
 up-spin world lines shown as filled tracks.  Purely for inspection and
-teaching -- estimators never go through this path.
+teaching -- estimators never go through this path; it lives here, next
+to ``worldline_gallery.py``, its one user.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ Run:  python examples/worldline_gallery.py
 """
 
 from repro.models.hamiltonians import XXZChainModel
-from repro.qmc.visualize import kink_positions, render_worldlines
 from repro.qmc.worldline import WorldlineChainQmc
+from visualize import kink_positions, render_worldlines  # examples/visualize.py
 
 
 def show(beta: float, n_slices: int, sweeps: int) -> None:

@@ -113,8 +113,6 @@ class KernelBackend:
     requires:
         The pip-installable distribution backing the backend, used in
         error hints and version reporting (None: stdlib/numpy only).
-    hint:
-        Override for the actionable part of the unavailable error.
     """
 
     name: str
@@ -122,7 +120,6 @@ class KernelBackend:
     probe: Callable[[], bool]
     loader: Callable[[], Mapping[str, Callable]]
     requires: str | None = None
-    hint: str | None = None
     _avail: bool | None = field(default=None, repr=False, compare=False)
     _ops: Mapping[str, Callable] | None = field(default=None, repr=False,
                                                 compare=False)
@@ -210,9 +207,8 @@ def resolve_kernel(name: str = "auto") -> str:
         raise KernelUnavailableError(
             name,
             f"the {requires!r} package is not importable in this environment",
-            backend.hint
-            or (f"pip install {requires}, or fall back with --kernel numpy "
-                f"(kernel='numpy')"),
+            f"pip install {requires}, or fall back with --kernel numpy "
+            f"(kernel='numpy')",
         )
     return name
 

@@ -1,11 +1,10 @@
 """Domain decompositions with owned/ghost bookkeeping.
 
 A decomposition assigns each spatial site (column of the space--time
-lattice) to exactly one rank and records, per rank, which remote
-columns it must mirror as *ghosts* to evaluate its boundary plaquettes.
-The QMC parallel drivers use these index maps for halo exchange; the
-performance model uses the same geometry for its byte counts, keeping
-executed and modeled communication consistent.
+lattice) to exactly one rank and names, per rank, the neighbours whose
+boundary columns it mirrors as *ghosts*.  The QMC parallel drivers
+(:mod:`repro.qmc.parallel`) build their halo link tables and their
+interior / boundary overlap split from these pieces.
 """
 
 from __future__ import annotations
@@ -15,106 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "StripDecomposition",
-    "BlockDecomposition",
-    "HaloSpec",
-    "OverlapPartition",
-    "pack_plane",
-    "unpack_plane",
-]
-
-
-# ----------------------------------------------------------------------
-# aggregated-halo protocol helpers
-# ----------------------------------------------------------------------
-
-
-def pack_plane(plane: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Pack one boundary plane into a single contiguous wire buffer.
-
-    With ``mask=None`` the whole plane ships (measurement exchanges);
-    with a boolean ``mask`` only the selected sites ship, flattened in
-    C order -- the checkerboard drivers use this to send just the
-    parity a color actually reads, halving the bytes per message.
-    """
-    if mask is None:
-        return np.ascontiguousarray(plane)
-    return plane[mask]
-
-
-def unpack_plane(
-    dest: np.ndarray, buf: np.ndarray, mask: np.ndarray | None = None
-) -> None:
-    """Scatter a wire buffer produced by :func:`pack_plane` into ``dest``.
-
-    Pack and unpack both traverse the mask in C order, so as long as
-    sender and receiver evaluate the mask at the same *global* plane
-    coordinate the sites land where they came from.
-    """
-    if mask is None:
-        dest[...] = buf
-    else:
-        dest[mask] = buf
-
-
-@dataclass(frozen=True)
-class HaloSpec:
-    """Modeled shape of one rank's aggregated halo exchange.
-
-    Under the alpha--beta cost model a message of ``n`` bytes costs
-    ``alpha + n * beta``; aggregating the ``w`` boundary columns (or
-    the packed plane) a neighbor needs into ONE buffer pays a single
-    alpha per neighbor per exchange instead of ``w`` of them, while
-    the beta (bandwidth) term is unchanged -- the protocol both
-    drivers in :mod:`repro.qmc.parallel` implement.
-
-    Attributes
-    ----------
-    neighbors:
-        Ranks this rank exchanges with (2 for strips; 2 or 4 for
-        blocks depending on which axes the process grid splits).
-    sites_per_message:
-        Lattice sites packed into the single per-neighbor buffer.
-    messages_per_neighbor:
-        Messages sent to each neighbor per exchange (1 = aggregated).
-    """
-
-    neighbors: int
-    sites_per_message: float
-    messages_per_neighbor: int = 1
-
-    @property
-    def messages_per_exchange(self) -> int:
-        return self.neighbors * self.messages_per_neighbor
-
-    def bytes_per_message(self, bytes_per_site: int = 1) -> float:
-        return self.sites_per_message * bytes_per_site
-
-    def seconds_per_exchange(self, machine, bytes_per_site: int = 1,
-                             hops: int = 1) -> float:
-        """Alpha--beta cost of one full exchange on ``machine``."""
-        per_message = machine.message_time(
-            int(round(self.bytes_per_message(bytes_per_site))), hops
-        )
-        return self.messages_per_exchange * per_message
-
-    def post_seconds_per_exchange(self, machine) -> float:
-        """CPU cost of *posting* one overlapped exchange.
-
-        Under the offloaded cost convention (see
-        :mod:`repro.vmp.comm`) each message costs the CPU one isend
-        post and one irecv post; the wire transfer itself rides the
-        message coprocessor and can hide behind interior computation.
-        """
-        return self.messages_per_exchange * 2.0 * machine.post_overhead
-
-    def wire_seconds_per_message(self, machine, bytes_per_site: int = 1,
-                                 hops: int = 1) -> float:
-        """In-flight time of one halo message (what overlap must hide)."""
-        return machine.message_time(
-            int(round(self.bytes_per_message(bytes_per_site))), hops
-        )
+__all__ = ["StripDecomposition", "BlockDecomposition", "OverlapPartition"]
 
 
 @dataclass(frozen=True)
@@ -232,16 +132,6 @@ class StripDecomposition:
             self._overlap_cache[key] = part
         return part
 
-    def halo_spec(self, n_slices: int, ghost_width: int = 2) -> HaloSpec:
-        """Aggregated halo of the strip world-line driver.
-
-        Each exchange ships the ``ghost_width`` boundary columns a
-        neighbor mirrors as one ``(ghost_width, n_slices)`` buffer.
-        """
-        if self.n_ranks == 1:
-            return HaloSpec(neighbors=0, sites_per_message=0.0)
-        return HaloSpec(neighbors=2, sites_per_message=float(ghost_width * n_slices))
-
     def owner_of(self, column: int) -> int:
         """Rank owning a global column index."""
         if not 0 <= column < self.n_columns:
@@ -357,29 +247,6 @@ class BlockDecomposition:
 
     def piece(self, rank: int) -> BlockPiece:
         return self.pieces[rank]
-
-    def halo_spec(self, rank: int, n_slices: int,
-                  color_packed: bool = False) -> HaloSpec:
-        """Aggregated halo of one rank's block exchange.
-
-        One packed boundary plane per split-axis neighbor;
-        ``color_packed=True`` models the checkerboard exchanges that
-        ship only the parity the updated color reads (half the sites).
-        ``sites_per_message`` is the mean over the participating
-        directions when the x and y planes differ in size.
-        """
-        bx, by = self.piece(rank).shape
-        planes: list[float] = []
-        if self.px > 1:
-            planes += [float(by * n_slices)] * 2
-        if self.py > 1:
-            planes += [float(bx * n_slices)] * 2
-        if not planes:
-            return HaloSpec(neighbors=0, sites_per_message=0.0)
-        mean_sites = sum(planes) / len(planes)
-        if color_packed:
-            mean_sites /= 2.0
-        return HaloSpec(neighbors=len(planes), sites_per_message=mean_sites)
 
     def overlap_partition(self, rank: int) -> OverlapPartition:
         """Cached interior/boundary masks over one rank's ``(bx, by)`` block.

@@ -1,7 +1,8 @@
 """Streaming run-health engine: declarative rules over online estimators.
 
-A :class:`HealthMonitor` lives inside a sampler or SPMD rank program and
-is fed from the measurement loop:
+A :class:`HealthMonitor` lives inside an SPMD rank program -- every
+layout is one, serial and replica chains included -- and is fed from
+the run loop (:func:`repro.qmc.parallel._run_decomposed`):
 
 * ``observe(name, value, sweep)`` pushes one measured scalar into the
   per-observable streaming estimators (:class:`~repro.obs.online.Welford`
@@ -277,8 +278,8 @@ class HealthMonitor:
 
         ``attempted``/``accepted`` are cumulative counters; the rules
         look at the delta since the previous check.  ``model_seconds``/
-        ``comm_seconds`` come from the rank's modeled clock (omitted on
-        serial samplers, which disables the comm-fraction rule).
+        ``comm_seconds`` come from the rank's modeled clock (a chain
+        models no time: at zero the comm-fraction rule stays dormant).
         """
         if model_seconds is not None:
             self.t_model = model_seconds

@@ -12,9 +12,10 @@
 * :mod:`repro.qmc.tfim` -- transverse-field Ising QMC via the
   quantum--classical mapping, with quantum estimators.
 * :mod:`repro.qmc.trotter` -- Delta-tau -> 0 extrapolation driver.
-* :mod:`repro.qmc.parallel` -- domain-decomposed SPMD drivers (strip
-  world-line, block classical/TFIM) and the replica-parallel 2-D
-  world-line program over :mod:`repro.vmp`.
+* :mod:`repro.qmc.parallel` -- the SPMD rank programs over
+  :mod:`repro.vmp`: domain-decomposed drivers (strip world-line, block
+  classical/TFIM) and the whole-lattice chain program of the serial and
+  replica layouts, on one run loop.
 * :mod:`repro.qmc.two_level` -- ensemble x domain runs: independent
   strip replicas pooled over a sub-communicator.
 * :mod:`repro.qmc.tempering` -- parallel tempering across ranks.

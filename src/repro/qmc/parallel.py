@@ -1,8 +1,11 @@
-"""Domain-decomposed SPMD drivers for the QMC kernels.
+"""The SPMD drivers of the QMC kernels: every layout is a rank program.
 
-Two production drivers, each an ordinary rank program runnable under
+Three programs, each an ordinary rank program runnable under
 :func:`repro.vmp.run_spmd` (threads), the multiprocessing backend, or
--- the API being mpi4py-shaped -- real MPI:
+-- the API being mpi4py-shaped -- real MPI, and all of them one rank
+state (:class:`_DecomposedState`) driven by one run loop
+(:func:`_run_decomposed`: thermalize -> sweep -> measure -> health),
+under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
 
 * :func:`worldline_strip_program` -- the world-line XXZ chain split
   into contiguous site strips.  Updates proceed stage-by-stage through
@@ -19,23 +22,30 @@ Two production drivers, each an ordinary rank program runnable under
   **bit-identical** to the serial one (same-color sites do not
   interact), which the integration tests assert literally.
 
-Halo protocol (both drivers): ghost copies of the boundary data travel
-as ONE aggregated contiguous-buffer message per neighbor *rank* -- two
-packed spin columns for the strip, the parity-packed boundary planes
-for the Ising blocks (both of them where east and west are the same
-rank) -- instead of one message per boundary column/plane (under
-``alpha + n * beta`` per message, aggregation cuts the latency term and
-leaves the bandwidth term; see
-:class:`repro.lattice.decomposition.HaloSpec`).  Each state only
-*describes* its traffic as a ``_links`` table: per stage key, the
-:class:`_HaloLink` tuples that stage posts (an axis the decomposition
-does not split wraps locally); :meth:`_DecomposedState._exchange` is
-the one place that posts and completes them, in the lockstep or the
-overlapped schedule, and :func:`_run_decomposed` is the one run loop
-all programs (including :func:`repro.qmc.two_level.two_level_program`)
-share.  That loop also owns the reductions: a measurement leaves its
-rank-local partial sums pending, and one allreduce carries every
-pending row when a global value is due.
+* :func:`chain_program` -- one whole lattice per rank, the serial (one
+  rank) and replica (``n`` independent chains) layouts of every run
+  kind: the no-link, no-ghost case.  A :class:`Chain` wraps the serial
+  sampler (:mod:`repro.qmc.worldline`, :mod:`~repro.qmc.worldline2d`,
+  :mod:`~repro.qmc.tfim`); the chain's sweep is the sampler's, on the
+  rank's own random stream, and its measurement is exactly the series
+  the run stores.
+
+Halo protocol (both decomposed drivers): ghost copies of the boundary
+data travel as ONE aggregated contiguous-buffer message per neighbor
+*rank* -- two packed spin columns for the strip, the parity-packed
+boundary planes for the Ising blocks (both of them where east and west
+are the same rank) -- instead of one message per boundary column/plane
+(under ``alpha + n * beta`` per message, aggregation cuts the latency
+term and leaves the bandwidth term).  Each state only *describes* its
+traffic as a ``_links`` table: per stage key, the :class:`_HaloLink`
+tuples that stage posts (an axis the decomposition does not split wraps
+locally); :meth:`_DecomposedState._exchange` is the one place that posts
+and completes them, in the lockstep or the overlapped schedule, and
+:func:`_run_decomposed` is the one run loop all programs (including
+:func:`repro.qmc.two_level.two_level_program` and :func:`chain_program`,
+whose states post nothing) share.  That loop also owns the reductions:
+a measurement leaves its rank-local partial sums pending, and one
+allreduce carries every pending row when a global value is due.
 
 Halo schedule: a ghost ships only when it is stale and about to be
 read.  A stage's ``_links`` entry holds a link iff the stage reads a
@@ -104,20 +114,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro import kernels
-from repro.kernels.chain_tables import CORNER_XMASK
+from repro.kernels.chain_tables import CORNER_XMASK, column_tables, corner_tables
 from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
 from repro.qmc.plaquette import PlaquetteTable
-from repro.models.hamiltonians import XXZSquareModel
 from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 from repro.obs.health import NOOP_HEALTH, HealthMonitor, clock_comm_seconds
 from repro.obs.metrics import ACCEPTANCE_EDGES
-from repro.qmc.worldline2d import FLOPS_PER_SEGMENT_MOVE, WorldlineSquareQmc
 from repro.util.rng import SeedSequenceFactory
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.run.__init__
@@ -132,9 +140,9 @@ __all__ = [
     "worldline_strip_program",
     "IsingBlockConfig",
     "ising_block_program",
-    "Worldline2DReplicaConfig",
-    "worldline2d_replica_program",
-    "worldline2d_replica_flops_per_sweep",
+    "Chain",
+    "ChainConfig",
+    "chain_program",
 ]
 
 # Tag bases for the two drivers (distinct from the collective range).
@@ -257,7 +265,9 @@ class _DecomposedState:
     ``_links`` table (per stage key, the :class:`_HaloLink` tuples the
     halo schedule posts before that stage, grouped by axis) followed by
     a call to :meth:`_plan_exchanges`, :meth:`_sweep_stages`,
-    :meth:`measure`, :meth:`series_columns` and :meth:`result`.
+    :meth:`measure`, :meth:`series_columns` and :meth:`result`.  A state
+    with no geometry to exchange or checkpoint (:class:`_ChainState`)
+    supplies the last four only.
     """
 
     #: Attribute holding the ghosted spin array -- also its bundle key --
@@ -278,11 +288,25 @@ class _DecomposedState:
     _fingerprint: tuple[str, ...]
 
     def __init__(self, comm, cfg):
-        self.comm = comm
-        self.cfg = cfg
+        # Resolve the kernel backend once per rank ("scalar" bypasses
+        # the registry; every registry backend is trajectory-identical).
+        self._init_rank(comm, cfg, kernels.resolve_sweep_mode(cfg.mode))
+        self._kops = (
+            None if self.kernel == "scalar" else kernels.get_ops(self.kernel)
+        )
         self.sweep_factory = SeedSequenceFactory(cfg.sweep_seed)
         self.sweep_index = 0
         self._n_exchanges = 0
+
+    def _init_rank(self, comm, cfg, kernel: str) -> None:
+        """What :meth:`sweep` and :func:`_run_decomposed` need of any
+        rank state, decomposed or not (:class:`_ChainState` calls this
+        instead of the constructor): the communicator, the config with
+        the sweep schedule, the resolved ``kernel``, the move counters
+        and the telemetry handles."""
+        self.comm = comm
+        self.cfg = cfg
+        self.kernel = kernel
         #: Cumulative Metropolis accounting across the rank's lifetime
         #: (always maintained -- the CLI summary prints acceptance
         #: without telemetry flags).
@@ -293,12 +317,6 @@ class _DecomposedState:
         #: subdomains fall back to lockstep and leave this False, which
         #: every program reports in its result dict.
         self.overlap_active = False
-        # Resolve the kernel backend once per rank ("scalar" bypasses
-        # the registry; every registry backend is trajectory-identical).
-        self.kernel = kernels.resolve_sweep_mode(cfg.mode)
-        self._kops = (
-            None if self.kernel == "scalar" else kernels.get_ops(self.kernel)
-        )
         # Pre-bound metric handles keep the enabled hot path at one bool
         # test plus float adds, and the disabled path at one bool test;
         # kernel time lands in a counter tagged by the resolved backend.
@@ -491,6 +509,14 @@ class _DecomposedState:
         )
 
 
+def _health_monitor(health: "HealthRules | None", rank: int, replica=None):
+    """The run-health monitor of world rank ``rank`` (of ``replica``):
+    inert unless ``health`` rules are given."""
+    if health is None:
+        return NOOP_HEALTH
+    return HealthMonitor(health, rank=rank, replica=replica)
+
+
 #: Pending measurement rows reduce together at the latest when this
 #: many have piled up: 128 rows of 4 doubles are 4 KB, one slot of the mp
 #: backend's shared-memory ring.
@@ -512,8 +538,9 @@ def _run_decomposed(
     ``measure_every``-th, checkpoint every ``checkpoint.every``-th,
     health-check at ``health.interval``, snapshot the metrics at their
     interval; finally assemble the rank's result dict (the series, the
-    state's :meth:`~_DecomposedState.result`, the kernel mode, the move
-    counters, whether the overlap pipeline ran, and the health report).
+    state's :meth:`~_DecomposedState.result`, the requested ``mode`` and
+    the ``kernel`` it resolved to, the move counters, whether the overlap
+    pipeline ran, and the health report).
 
     Reductions run in batches: a measurement only appends its rank-local
     row, and one allreduce of the ``(k, n)`` array of pending rows runs
@@ -531,11 +558,7 @@ def _run_decomposed(
     metrics = comm.metrics
     interval = metrics.interval if metrics.enabled else 0
     if monitor is None:
-        monitor = (
-            HealthMonitor(health, rank=comm.rank)
-            if health is not None
-            else NOOP_HEALTH
-        )
+        monitor = _health_monitor(health, comm.rank)
     check_every = health.interval if health is not None else 0
     series: dict[str, list] = {name: [] for name in state.series}
     pending: list[tuple[int, np.ndarray]] = []  # (sweep, measure() row)
@@ -596,6 +619,7 @@ def _run_decomposed(
     out.update(state.result())
     out.update(
         mode=cfg.mode,
+        kernel=state.kernel,
         n_attempted=state.n_attempted,
         n_accepted=state.n_accepted,
         overlap_active=state.overlap_active,
@@ -754,10 +778,13 @@ class _StripState(_DecomposedState):
         with intervals ``t == b (mod 4)``.  ``ui``/``ut`` index the
         shared ``(L/4, T/4)`` stage-uniform lattice.
 
-        For the batched kernel the four spin gathers of the four
-        neighbor plaquettes are fused into flat-index tables of shape
-        ``(4, n_moves)`` into ``loc.reshape(-1)``; ``flip`` holds the
-        flat positions of the four spins a move toggles.
+        The fused gather / flip tables -- flat indices into
+        ``loc.reshape(-1)``, ``(4, n_moves)`` per corner class and
+        ``(2, n_cols, T/2)`` per column parity -- are the serial
+        sampler's (:mod:`repro.kernels.chain_tables`) on the ``n + 4``
+        local rows: a move's rows ``j-1 .. j+2`` never wrap there, and
+        strip starts are even, so a bond's local parity is its global
+        one.
         """
         n, T, L = self.n_owned, self.T, self.L
         #: One table per entry of :data:`WL_STAGES`, in stage order; none
@@ -770,61 +797,40 @@ class _StripState(_DecomposedState):
             if kind != "corner":
                 continue
             j0 = 1 + ((a - (self.start - 1)) % 4)
-            lj = np.arange(j0, n + 2, 4, dtype=np.intp)
-            tt = np.arange(b, T, 4, dtype=np.intp)
-            J, Tt = np.meshgrid(lj, tt, indexing="ij")
+            J, Tt = np.meshgrid(
+                np.arange(j0, n + 2, 4, dtype=np.intp),
+                np.arange(b, T, 4, dtype=np.intp),
+                indexing="ij",
+            )
             J, Tt = J.ravel(), Tt.ravel()
             gb = (self.start - 2 + J) % L
-            t1 = (Tt + 1) % T
-            tm1 = (Tt - 1) % T
-            # Neighbor plaquettes (lb, tt): same row order as the
-            # scalar reference's weight product.
-            lb = np.stack([J - 1, J + 1, J, J])
-            pt = np.stack([Tt, Tt, tm1, t1])
-            pt1 = (pt + 1) % T
+            i00, i10, i01, i11, flip = corner_tables(n + 4, T, J, Tt)
             self._stage_cache.append({
                 "j": J,
                 "t": Tt,
                 "ui": (gb - a) // 4,
                 "ut": (Tt - b) // 4,
                 "uflat": (gb - a) // 4 * (T // 4) + (Tt - b) // 4,
-                "i00": lb * T + pt,
-                "i10": (lb + 1) * T + pt,
-                "i01": lb * T + pt1,
-                "i11": (lb + 1) * T + pt1,
-                "flip": np.stack(
-                    [J * T + Tt, J * T + t1, (J + 1) * T + Tt, (J + 1) * T + t1]
-                ),
+                "i00": i00, "i10": i10, "i01": i01, "i11": i11,
+                "flip": flip,
             })
         for p in (0, 1):
             first = self.start + ((p - self.start) % 2)
             gc = np.arange(first, self.stop, 2, dtype=np.intp)
             lc = gc - self.start + 2
-            # Bond-columns gc-1 and gc, as (2, n_cols, T/2) flat spin
-            # indices; a column flip XORs the off=-1 codes with 10
-            # (bits 1,3) and the off=0 codes with 5.
-            i00, i10, i01, i11 = [], [], [], []
-            for off in (-1, 0):
-                lb = lc + off
-                ts = self._t_even if (p + off) % 2 == 0 else self._t_odd
-                ts1 = (ts + 1) % T
-                i00.append(lb[:, None] * T + ts[None, :])
-                i10.append((lb[:, None] + 1) * T + ts[None, :])
-                i01.append(lb[:, None] * T + ts1[None, :])
-                i11.append((lb[:, None] + 1) * T + ts1[None, :])
+            # Bond-columns lc-1 and lc; a column flip XORs the codes of
+            # the first with 10 (bits 1,3) and of the second with 5.
+            c00, c10, c01, c11 = tables = column_tables(n + 4, T, lc)
             self._stage_cache.append({
                 "gc": gc,
                 "lc": lc,
                 "uc": (gc - p) // 2,
-                "c00": np.stack(i00),
-                "c10": np.stack(i10),
-                "c01": np.stack(i01),
-                "c11": np.stack(i11),
+                "c00": c00, "c10": c10, "c01": c01, "c11": c11,
             })
-            # The off=0 halves are the shaded plaquettes at this
+            # The second halves are the shaded plaquettes at this
             # parity's owned bonds: the energy measurement's gather.
             self._dlog_tables.append(
-                np.stack([i00[1], i10[1], i01[1], i11[1]]).reshape(4, -1)
+                np.stack([c[1] for c in tables]).reshape(4, -1)
             )
 
     @staticmethod
@@ -925,6 +931,16 @@ class _StripState(_DecomposedState):
             return u.reshape(self.L // 4, self.T // 4)
         return u
 
+    def _count(self, n_moves: int, n_acc: int, flops_per_move: float,
+               category: str) -> None:
+        """Book one stage's attempted / accepted moves and their modeled
+        compute charge."""
+        self.n_attempted += n_moves
+        self.n_accepted += n_acc
+        self.comm.charge_seconds(
+            self.comm.machine.compute_time(flops_per_move * n_moves), category
+        )
+
     # -- corner moves --------------------------------------------------------
     def _corner_class_vectorized(
         self, cache: dict | None, u: np.ndarray, category: str = "compute"
@@ -947,14 +963,7 @@ class _StripState(_DecomposedState):
             cache["i00"], cache["i10"], cache["i01"], cache["i11"],
             CORNER_XMASK, cache["flip"], uu,
         )
-        self.n_attempted += cache["j"].size
-        self.n_accepted += n_acc
-        self.comm.charge_seconds(
-            self.comm.machine.compute_time(
-                FLOPS_PER_CORNER_MOVE * cache["j"].size
-            ),
-            category,
-        )
+        self._count(cache["j"].size, n_acc, FLOPS_PER_CORNER_MOVE, category)
 
     def _corner_class_scalar(
         self, cache: dict | None, u: np.ndarray, category: str = "compute"
@@ -997,14 +1006,7 @@ class _StripState(_DecomposedState):
                 loc[j, t1] ^= 1
                 loc[j + 1, tt] ^= 1
                 loc[j + 1, t1] ^= 1
-        self.n_attempted += cache["j"].size
-        self.n_accepted += n_acc
-        self.comm.charge_seconds(
-            self.comm.machine.compute_time(
-                FLOPS_PER_CORNER_MOVE * cache["j"].size
-            ),
-            category,
-        )
+        self._count(cache["j"].size, n_acc, FLOPS_PER_CORNER_MOVE, category)
 
     # -- straight-line column moves -----------------------------------------
     def _col_log_weight1(self, l: int, g: int) -> float:
@@ -1037,11 +1039,7 @@ class _StripState(_DecomposedState):
         )
         if n_straight == 0:
             return
-        self.n_attempted += n_straight
-        self.n_accepted += n_acc
-        self.comm.charge_seconds(
-            self.comm.machine.compute_time(2.0 * self.T * n_straight), category
-        )
+        self._count(n_straight, n_acc, 2.0 * self.T, category)
 
     def _column_parity_scalar(
         self, cache: dict | None, u: np.ndarray, category: str = "compute"
@@ -1069,11 +1067,7 @@ class _StripState(_DecomposedState):
                 n_acc += 1
             else:
                 self.loc[l] ^= 1
-        self.n_attempted += n_straight
-        self.n_accepted += n_acc
-        self.comm.charge_seconds(
-            self.comm.machine.compute_time(2.0 * self.T * n_straight), category
-        )
+        self._count(n_straight, n_acc, 2.0 * self.T, category)
 
     def _sweep_stages(self) -> None:
         """One full sweep: 10 stages, each behind the halo links the
@@ -1490,88 +1484,96 @@ def ising_block_program(
 
 
 # ======================================================================
-# replica-parallel 2-D world-line driver
+# whole-lattice chains: the serial and replica layouts
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class Worldline2DReplicaConfig:
-    """Run parameters of the replica-parallel 2-D world-line sampler.
+class Chain(NamedTuple):
+    """A whole-lattice sampler as :class:`_ChainState` drives it.
 
-    Each rank runs an independent Markov chain of the full ``lx x ly``
-    lattice using the batched conflict-free kernels of
-    :class:`~repro.qmc.worldline2d.WorldlineSquareQmc`; measurements
-    are allreduce-averaged across replicas.  This is the strategy the
-    paper used when the lattice fits in one node's memory: perfect
-    compute scaling, one collective per measurement.
+    ``sampler`` carries the ``spins`` and the ``n_attempted`` /
+    ``n_accepted`` counters, ``kernel`` names the kernel ``sweep`` (a
+    zero-argument full-lattice sweep) runs -- the samplers' geometry
+    gates may resolve ``"auto"`` to ``"scalar"`` -- and ``measure()``
+    returns one value per :attr:`ChainConfig.series` name.
     """
 
-    lx: int
-    ly: int
-    beta: float
-    n_slices: int
-    jz: float = 1.0
-    jxy: float = 1.0
-    n_sweeps: int = 50
+    sampler: Any
+    kernel: str
+    sweep: Callable[[], None]
+    measure: Callable[[], tuple]
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    """Run parameters of :func:`chain_program`.
+
+    ``build(stream, mode)`` constructs the rank's sampler on its random
+    stream and returns its :class:`Chain`; ``series`` names what the
+    chain measures and ``health_series`` the ones of them the health
+    monitor tracks.  ``mode`` is a sweep mode of the samplers
+    (``"auto"``, ``"scalar"``, ``"vectorized"`` or a kernel backend).
+    """
+
+    build: Callable[[Any, str], Chain]
+    series: tuple[str, ...]
+    health_series: tuple[str, ...]
+    n_sweeps: int
     n_thermalize: int = 0
     measure_every: int = 1
     mode: str = "auto"
 
     def __post_init__(self):
-        XXZSquareModel(self.lx, self.ly, jz=self.jz, jxy=self.jxy)  # validates
         _validate_schedule(self)
 
 
-def worldline2d_replica_flops_per_sweep(sampler) -> float:
-    """Modeled FLOPs one replica charges per full lattice sweep.
+class _ChainState(_DecomposedState):
+    """A whole lattice on one rank: the no-link, no-ghost case.
 
-    One segment proposal per (bond, activation interval) plus the
-    straight-column pass over every space--time site -- the same
-    accounting :func:`repro.vmp.performance.worldline2d_workload` uses,
-    so executed-driver timings and the analytic model stay comparable.
+    ``comm`` has this rank alone, so the run loop's reductions return
+    the chain's own rows and ``series_columns`` is the identity; the
+    sweep is the sampler's, under the one telemetry wrapper.
     """
-    segment = sampler.n_bonds * sampler.n_trotter * FLOPS_PER_SEGMENT_MOVE
-    column = 2.0 * sampler.n_sites * sampler.n_slices
-    return segment + column
+
+    def __init__(self, comm, cfg: ChainConfig):
+        self.chain = chain = cfg.build(comm.stream, cfg.mode)
+        self._init_rank(comm, cfg, chain.kernel)
+        self.series = cfg.series
+        self.health_series = cfg.health_series
+
+    def _sweep_stages(self) -> None:
+        self._timed(self.chain.sweep)
+        sampler = self.chain.sampler
+        self.n_attempted = sampler.n_attempted
+        self.n_accepted = sampler.n_accepted
+
+    def measure(self) -> np.ndarray:
+        return np.array(self.chain.measure(), dtype=np.float64)
+
+    def series_columns(self, totals: np.ndarray) -> tuple:
+        return tuple(totals.T)
+
+    def result(self) -> dict:
+        return {"spins": self.chain.sampler.spins.copy()}
 
 
-def worldline2d_replica_program(comm, cfg: Worldline2DReplicaConfig) -> dict:
-    """SPMD rank program: independent-replica batched 2-D world lines.
+def chain_program(
+    comm, cfg: ChainConfig, health: "HealthRules | None" = None
+) -> dict:
+    """SPMD rank program: one independent whole-lattice chain per rank.
 
-    Returns, on every rank, replica-averaged energy and squared
-    staggered magnetization series (identical across ranks thanks to
-    allreduce) plus this rank's final configuration and acceptance.
+    Chain ``i`` draws from ``comm.stream`` of rank ``i`` -- the ``i``-th
+    child stream of the run's seed, so chain 0 is the one-rank run at
+    that seed -- and runs the drivers' loop over a communicator of its
+    own (``comm.split(comm.rank)``): nothing is pooled across chains,
+    the caller concatenates their series in rank order.  Returns the
+    chain's series, final ``spins``, move counters, the ``kernel`` that
+    ran and, with ``health`` rules, the events and summary of a monitor
+    stamped with the chain's world rank.
     """
-    model = XXZSquareModel(cfg.lx, cfg.ly, jz=cfg.jz, jxy=cfg.jxy)
-    metrics = comm.metrics
-    interval = metrics.interval if metrics.enabled else 0
-    sampler = WorldlineSquareQmc(
-        model, cfg.beta, cfg.n_slices, stream=comm.stream,
-        metrics=metrics if metrics.enabled else None,
+    return _run_decomposed(
+        _ChainState(comm.split(comm.rank), cfg),
+        None,
+        health,
+        monitor=_health_monitor(health, comm.rank),
     )
-    flops_per_sweep = worldline2d_replica_flops_per_sweep(sampler)
-    for _ in range(cfg.n_thermalize):
-        sampler.sweep(mode=cfg.mode)
-        comm.charge_compute(flops_per_sweep)
-    energies, m2s = [], []
-    for s in range(cfg.n_sweeps):
-        sampler.sweep(mode=cfg.mode)
-        comm.charge_compute(flops_per_sweep)
-        if s % cfg.measure_every == 0:
-            e = comm.allreduce(sampler.energy_estimate()) / comm.size
-            m2 = comm.allreduce(sampler.staggered_magnetization_sq()) / comm.size
-            energies.append(e)
-            m2s.append(m2)
-        if interval and (s + 1) % interval == 0:
-            comm.sync_metrics()
-            metrics.snapshot(sweep=s + 1, t_model=comm.clock.now)
-    return {
-        "energy": np.array(energies),
-        "m_stag_sq": np.array(m2s),
-        "spins": sampler.spins.copy(),
-        "acceptance": sampler.acceptance_rate,
-        "beta": cfg.beta,
-        "dtau": sampler.dtau,
-        "n_attempted": sampler.n_attempted,
-        "n_accepted": sampler.n_accepted,
-    }

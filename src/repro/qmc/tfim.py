@@ -56,7 +56,8 @@ def tfim_energy_from_bond_sums(
     """Quantum total-energy estimator from classical bond sums.
 
     Shared by the serial sampler and the domain-decomposed driver (which
-    measures bond sums via allreduce); see the module docstring for the
+    measures bond sums via allreduce, and passes whole series of them:
+    the arithmetic is element-wise); see the module docstring for the
     derivation from ``E = -d ln Z / d beta``.
     """
     x = dtau * gamma

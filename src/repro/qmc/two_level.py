@@ -51,9 +51,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.health import NOOP_HEALTH, HealthMonitor
 from repro.obs.online import Welford, gelman_rubin_from_pooled_sums
-from repro.qmc.parallel import WorldlineStripConfig, _run_decomposed, _StripState
+from repro.qmc.parallel import (
+    WorldlineStripConfig,
+    _health_monitor,
+    _run_decomposed,
+    _StripState,
+)
 from repro.vmp.faults import RankFailure
 
 __all__ = [
@@ -223,11 +227,7 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None) -
         name="ensemble",
     )
 
-    monitor = (
-        HealthMonitor(health, rank=comm.rank, replica=replica)
-        if health is not None
-        else NOOP_HEALTH
-    )
+    monitor = _health_monitor(health, comm.rank, replica)
     energy_stats = Welford()
     if checkpoint is not None and checkpoint.resume:
         _validate_resume_layout(checkpoint.directory, cfg)

@@ -459,17 +459,18 @@ class WorldlineChainQmc:
         self._require_vectorizable()
         self._sweep_fused(kernels.get_ops(kernel))
 
-    def _sweep_fn(self, mode: str):
-        """Resolve ``mode`` (see :meth:`sweep`) to a zero-argument sweep."""
-        if mode == "auto":
-            kernel = kernels.resolve_kernel("auto") if self.can_vectorize else "scalar"
-        else:
-            kernel = kernels.resolve_sweep_mode(mode)
+    def resolve_sweep(self, mode: str = "auto"):
+        """``(kernel, sweep)``: the kernel ``mode`` (see :meth:`sweep`)
+        resolves to on this geometry -- ``"scalar"`` or a backend name --
+        and a zero-argument sweep bound to it."""
+        if mode == "auto" and not self.can_vectorize:
+            mode = "scalar"  # the geometry gate: off-grid lattices
+        kernel = kernels.resolve_sweep_mode(mode)
         if kernel == "scalar":
-            return self.sweep_scalar
+            return kernel, self.sweep_scalar
         self._require_vectorizable()
         ops = kernels.get_ops(kernel)
-        return lambda: self._sweep_fused(ops)
+        return kernel, lambda: self._sweep_fused(ops)
 
     def sweep(self, mode: str = "auto") -> None:
         """One full sweep.
@@ -481,7 +482,7 @@ class WorldlineChainQmc:
         "numba", ...; "vectorized" aliases "numpy") forces that
         backend.
         """
-        self._sweep_fn(mode)()
+        self.resolve_sweep(mode)[1]()
 
     @property
     def acceptance_rate(self) -> float:
@@ -504,7 +505,7 @@ class WorldlineChainQmc:
         """
         if n_sweeps < 1:
             raise ValueError("need at least one measured sweep")
-        sweep = self._sweep_fn(mode)  # resolved once, not per sweep
+        sweep = self.resolve_sweep(mode)[1]  # resolved once, not per sweep
         for _ in range(n_thermalize):
             sweep()
         energies, mags, mstag, corr = [], [], [], []

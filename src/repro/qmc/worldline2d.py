@@ -69,18 +69,20 @@ parallel acceptance equals sequential acceptance in any order -- both
 modes sample exactly the same distribution, which the statistical
 cross-check tests assert against each other and against exact
 references.
+
+The sampler records nothing about itself: a run's sweep telemetry and
+health checks belong to the rank state that drives it
+(:func:`repro.qmc.parallel.chain_program`), as for every other layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro import kernels
 from repro.models.hamiltonians import XXZSquareModel
-from repro.obs.metrics import ACCEPTANCE_EDGES
 from repro.qmc.plaquette import PlaquetteTable, codes_from_flat, corner_flat_indices
 from repro.util.rng import RankStream, SeedSequenceFactory
 
@@ -134,8 +136,6 @@ class WorldlineSquareQmc:
         n_slices: int,
         seed: int | None = 0,
         stream: RankStream | None = None,
-        metrics=None,
-        health=None,
     ):
         if not model.periodic:
             raise ValueError("the 2-D world-line sampler uses periodic lattices")
@@ -171,26 +171,6 @@ class WorldlineSquareQmc:
             self._build_class_tables()
         self.n_attempted = 0
         self.n_accepted = 0
-        # Optional telemetry (repro.obs): a RankMetrics scope, or None.
-        # There is no modeled clock here, so only move counts and wall
-        # time are recorded; per-sweep recording happens in sweep().
-        self._obs = metrics is not None and metrics.enabled
-        self._metrics = metrics if self._obs else None
-        # Optional run-health monitor (repro.obs.health): a HealthMonitor
-        # fed from run(), or the inert NOOP_HEALTH.  Pure observation --
-        # it draws no randomness and never touches sampler state.
-        from repro.obs.health import NOOP_HEALTH
-
-        self._health = health if health is not None else NOOP_HEALTH
-        self._m_kernel: dict = {}
-        if self._obs:
-            self._m_sweeps = metrics.counter("sweep.count")
-            self._m_attempted = metrics.counter("sweep.attempted")
-            self._m_accepted = metrics.counter("sweep.accepted")
-            self._m_wall = metrics.counter("sweep.wall_seconds")
-            self._m_acc_hist = metrics.histogram(
-                "sweep.acceptance", ACCEPTANCE_EDGES
-            )
 
     # ------------------------------------------------------------------
     # geometry tables
@@ -639,13 +619,16 @@ class WorldlineSquareQmc:
         for cls in self._col_classes:
             self._run_column_kernel(cls, ops)
 
-    def _kernel_counter(self, backend: str):
-        """Per-backend kernel-time counter, created on first use."""
-        counter = self._m_kernel.get(backend)
-        if counter is None:
-            counter = self._metrics.counter(f"sweep.kernel_seconds.{backend}")
-            self._m_kernel[backend] = counter
-        return counter
+    def resolve_sweep(self, mode: str = "auto"):
+        """``(kernel, sweep)``: the kernel ``mode`` (see :meth:`sweep`)
+        resolves to on this geometry -- ``"scalar"`` or a backend name --
+        and a zero-argument sweep bound to it."""
+        if mode == "auto" and not self.can_vectorize:
+            mode = "scalar"  # the geometry gate: off-grid lattices
+        kernel = kernels.resolve_sweep_mode(mode)
+        if kernel == "scalar":
+            return kernel, self.sweep_scalar
+        return kernel, lambda: self.sweep_vectorized(kernel)
 
     def sweep(self, mode: str = "auto") -> None:
         """One full sweep: every (bond, activation) segment move once,
@@ -660,32 +643,7 @@ class WorldlineSquareQmc:
         proposes the same move set; the batched backends are
         bit-identical to each other.
         """
-        if mode == "auto":
-            mode = (
-                kernels.resolve_kernel("auto")
-                if self.can_vectorize else "scalar"
-            )
-        elif mode != "scalar":
-            mode = kernels.resolve_sweep_mode(mode)
-        obs = self._obs
-        if obs:
-            t0_wall = perf_counter()
-            att0, acc0 = self.n_attempted, self.n_accepted
-        if mode == "scalar":
-            self.sweep_scalar()
-        else:
-            self.sweep_vectorized(kernel=mode)
-            if obs:
-                self._kernel_counter(mode).inc(perf_counter() - t0_wall)
-        if obs:
-            att = self.n_attempted - att0
-            acc = self.n_accepted - acc0
-            self._m_sweeps.inc()
-            self._m_attempted.inc(att)
-            self._m_accepted.inc(acc)
-            self._m_wall.inc(perf_counter() - t0_wall)
-            if att:
-                self._m_acc_hist.observe(acc / att)
+        self.resolve_sweep(mode)[1]()
 
     def sweep_scalar(self) -> None:
         """Reference sweep: per-bond segment moves (time-batched into
@@ -728,27 +686,16 @@ class WorldlineSquareQmc:
         """Thermalize, sweep, measure (``mode`` as in :meth:`sweep`)."""
         if n_sweeps < 1:
             raise ValueError("need at least one measured sweep")
+        sweep = self.resolve_sweep(mode)[1]  # resolved once, not per sweep
         for _ in range(n_thermalize):
-            self.sweep(mode)
-        monitor = self._health
-        health_on = monitor.enabled
-        check_every = monitor.rules.interval if health_on else 0
+            sweep()
         energy, mags, mstag = [], [], []
         for s in range(n_sweeps):
-            self.sweep(mode)
+            sweep()
             if s % measure_every == 0:
                 energy.append(self.energy_estimate())
                 mags.append(self.magnetization())
                 mstag.append(self.staggered_magnetization_sq())
-                if health_on:
-                    monitor.observe("energy", energy[-1], s)
-                    monitor.observe("magnetization", mags[-1], s)
-            if check_every and (s + 1) % check_every == 0:
-                # No modeled clock on the serial sampler: the
-                # comm-fraction rule stays dormant (model_seconds=None).
-                monitor.check(
-                    s + 1, attempted=self.n_attempted, accepted=self.n_accepted
-                )
         return Worldline2DMeasurement(
             beta=self.beta,
             dtau=self.dtau,

@@ -202,9 +202,9 @@ class RunConfig:
         self._check_model()
         self._check_checkpoint_fields()
         self._check_obs_fields()
-        # Health works on every layout (SPMD drivers check in-loop,
-        # serial samplers stream the same estimators), so the only
-        # constraint is that the auxiliary knobs need the engine on.
+        # Health works on every layout (each is a rank program that
+        # checks in its run loop), so the only constraint is that the
+        # auxiliary knobs need the engine on.
         if self.health_rules is not None and not self.health:
             raise ValueError("health_rules given but health is not enabled")
         if self.events_out is not None and not self.health:
@@ -255,9 +255,8 @@ class RunConfig:
     def _check_obs_fields(self) -> None:
         """The metrics_out / trace_out / obs_interval trio.
 
-        Only the decomposed layout runs under the SPMD scheduler and can
-        export phase-span traces; metrics and manifests work for every
-        layout.
+        Only the decomposed layout models time and so has phase spans
+        to export; metrics and manifests work for every layout.
         """
         if self.obs_interval < 0:
             raise ValueError("obs_interval must be >= 0")

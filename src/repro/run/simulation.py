@@ -14,26 +14,33 @@ Every estimate carries a binning-analysis error bar and integrated
 autocorrelation time; parallel runs also report the virtual machine's
 modeled makespan and communication fraction.
 
-:meth:`Simulation.run` is one skeleton for every run kind: resolve the
-kernel -> ``params`` -> sample (independent chains in-process, or the
-kind's rank program under ``run_spmd``) -> runtime -> health ->
-artifacts -> estimates.  A kind (``_XXZ`` / ``_XXZ2D`` / ``_Tfim``
+:meth:`Simulation.run` is one skeleton for every run kind and every
+layout: resolve the kernel -> ``params`` -> the layout's rank program
+under ONE ``run_spmd`` call -> runtime -> health -> artifacts ->
+estimates.  Every layout is a rank program over the drivers' one run
+loop (:func:`repro.qmc.parallel._run_decomposed`): a serial run is one
+rank holding the whole lattice, a replica run ``n_ranks`` of them
+(:func:`~repro.qmc.parallel.chain_program`), a strip / block run the
+kind's domain-decomposed driver -- so sweep telemetry and in-loop health
+are the same on all of them.  A kind (``_XXZ`` / ``_XXZ2D`` / ``_Tfim``
 below, keyed by its config's ``kind``) supplies only the hooks the
 skeleton calls:
 
 ``params(cfg, kernel)``
     The result's ``parameters``.  Their keys are frozen: the manifest
     ``config_hash`` is taken over them, and campaign caches compare it.
-``chain(cfg, i, stream, kernel, registry, rules)``
-    Run chain ``i`` of a serial / replica layout on ``stream``; returns
-    what a rank program returns -- the chain's series plus
-    ``n_attempted`` / ``n_accepted`` (and its health output), see
-    :func:`_chain_value`.
+``chain(cfg, stream, mode)``
+    The state factory of the serial / replica layouts: build the
+    whole-lattice sampler on ``stream`` and return it as a
+    :class:`~repro.qmc.parallel.Chain` (its sweep resolved from
+    ``mode``, its ``measure`` yielding one value per ``chain_series``
+    name).
 ``decomposed(cfg, kernel, checkpoint, rules)``
-    ``(program, args, n_ranks)`` of the kind's domain-decomposed driver;
-    only kinds whose config names a ``decomposed`` strategy have it.
-``series(cfg, values)``
-    The run's named series from the chains' / ranks' values.
+    ``(program, args, n_ranks)`` of the kind's domain-decomposed driver,
+    whose rank states the driver builds; only kinds whose config names a
+    ``decomposed`` strategy have it, with ``decomposed_series(cfg,
+    values)`` turning its rank values into the run's named series
+    (chains' series are concatenated in chain order).
 ``estimates(cfg, series)``
     The observable estimates; ``stored`` names the series the result
     keeps.
@@ -41,6 +48,7 @@ skeleton calls:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from pathlib import Path
@@ -50,8 +58,11 @@ import numpy as np
 from repro import kernels
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.parallel import (
+    Chain,
+    ChainConfig,
     IsingBlockConfig,
     WorldlineStripConfig,
+    chain_program,
     ising_block_program,
     worldline_strip_program,
 )
@@ -66,8 +77,7 @@ from repro.run.config import RunConfig
 from repro.run.results import ObservableEstimate, RunResult
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.stats.binning import BinningAnalysis
-from repro.util.rng import spawn_streams
-from repro.vmp.machines import MACHINES
+from repro.vmp.machines import IDEAL, MACHINES
 from repro.vmp.scheduler import run_spmd
 
 __all__ = ["Simulation"]
@@ -118,72 +128,29 @@ def _health_rules(cfg):
     return rules
 
 
-def _posthoc_health(rules, series, n_attempted, n_accepted, measure_every, rank=0):
-    """Run the health monitor over already-measured serial series.
-
-    The serial chain samplers have no in-loop hook; feeding their
-    measured series through the same monitor after the fact gives the
-    identical estimators and NaN sentinels, plus a single end-of-run
-    acceptance-band check over the whole run.  Returns the monitor
-    (None when health is off).
-    """
-    if rules is None:
-        return None
-    from repro.obs.health import HealthMonitor
-
-    monitor = HealthMonitor(rules, rank=rank)
-    n_meas = max((len(v) for v in series.values()), default=0)
-    for i in range(n_meas):
-        sweep = i * measure_every
-        for name, values in series.items():
-            if i < len(values):
-                monitor.observe(name, float(values[i]), sweep)
-    last_sweep = max((n_meas - 1) * measure_every, 0)
-    monitor.check(0, attempted=0, accepted=0)  # open the window
-    monitor.check(last_sweep, attempted=int(n_attempted), accepted=int(n_accepted))
-    return monitor
-
-
-def _chain_value(series, n_attempted, n_accepted, monitor) -> dict:
-    """A serial chain's outcome in the shape a rank program returns."""
-    value = {**series, "n_attempted": n_attempted, "n_accepted": n_accepted}
-    if monitor is not None:
-        value["health_events"] = monitor.event_docs()
-        value["health_summary"] = monitor.summary()
-    return value
-
-
-def _collect_health(rules, result, values):
+def _collect_health(rules, result, spmd):
     """Merge per-rank health output into one run-level view.
 
-    ``values`` are the chains' / rank programs' returned dicts, each
-    carrying its monitor's ``health_events`` / ``health_summary``.
-    Stores the aggregate verdict in ``result.runtime['health']`` and
-    returns ``{"events": [...], "summary": {...}, "rank_summaries":
-    [...]}`` for the sinks, or None when health is off.
+    Every rank program returns its monitor's ``health_events`` /
+    ``health_summary``.  Stores the aggregate verdict in
+    ``result.runtime['health']`` and returns ``{"events": [...],
+    "summary": {...}, "rank_summaries": [...]}`` for the sinks, or None
+    when health is off.
     """
     if rules is None:
         return None
-    from repro.obs.events import events_summary, sort_events
+    from repro.obs.events import events_summary
 
-    events: list[dict] = []
-    rank_summaries: list[dict] = []
-    for value in values:
-        if isinstance(value, dict):
-            events.extend(value.get("health_events") or ())
-            if value.get("health_summary"):
-                rank_summaries.append(value["health_summary"])
-    events = sort_events(events)
+    events = spmd.health_events()
     summary = events_summary(events)
     summary["rules"] = rules.to_doc()
     result.runtime["health"] = summary
+    rank_summaries = [value["health_summary"] for value in spmd.values]
     return {"events": events, "summary": summary, "rank_summaries": rank_summaries}
 
 
 def _report_summary(report) -> dict:
     """Compact JSON view of a RunReport for runtime/CLI output."""
-    if report is None:
-        return {}
     return {
         "n_ranks": report.n_ranks,
         "n_completed": len(report.completed),
@@ -196,11 +163,10 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
     """Write the requested metrics/events JSONL / Chrome trace / manifest.
 
     Merges ``{key: path}`` of everything written into ``runtime`` so the
-    CLI summary can point at the files.  ``spmd`` is the decomposed
-    run's result (None for chains), ``health`` the
-    :func:`_collect_health` bundle (or None).  Under an MPI launch
-    every rank computes the same result; only world rank 0 writes
-    files, so mpiexec runs do not race on the output paths.
+    CLI summary can point at the files.  ``spmd`` is the run's result,
+    ``health`` the :func:`_collect_health` bundle (or None).  Under an
+    MPI launch every rank computes the same result; only world rank 0
+    writes files, so mpiexec runs do not race on the output paths.
     """
     from repro.obs import build_manifest, write_manifest, write_metrics_jsonl
     from repro.vmp.mpi_backend import world_rank_hint
@@ -210,7 +176,7 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
     outputs: dict[str, str] = {}
     if cfg.metrics_out is not None and registry is not None:
         outputs["metrics_out"] = str(write_metrics_jsonl(cfg.metrics_out, registry))
-    if cfg.trace_out is not None and spmd is not None and spmd.spans is not None:
+    if cfg.trace_out is not None and spmd.spans is not None:
         outputs["trace_out"] = str(
             spmd.write_chrome_trace(cfg.trace_out, metadata={"kind": kind, **params})
         )
@@ -233,7 +199,7 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
             params,
             seed=cfg.seed,
             registry=registry,
-            report=spmd.report if spmd is not None else None,
+            report=spmd.report,
             extra=extra,
         )
         outputs["manifest"] = str(
@@ -283,11 +249,6 @@ def _estimate(name: str, series: np.ndarray) -> ObservableEstimate:
     return ObservableEstimate(name, float(series.mean()), err)
 
 
-def _pooled(values, names) -> dict[str, np.ndarray]:
-    """The chains' series ``names``, concatenated in chain order."""
-    return {name: np.concatenate([v[name] for v in values]) for name in names}
-
-
 def _xxz_estimates(series, beta: float, n_sites: int) -> dict:
     """Energy, energy per site and fluctuation susceptibility of an XXZ run."""
     energy, mag = series["energy"], series["magnetization"]
@@ -301,10 +262,48 @@ def _xxz_estimates(series, beta: float, n_sites: int) -> dict:
     }
 
 
-class _XXZ:
+class _Kind:
+    """A run kind's hooks; the module docstring says what each supplies."""
+
+    #: The series a result keeps (the health monitor tracks the same).
+    stored: tuple[str, ...]
+    #: What a chain measures: ``stored`` plus what only estimates use.
+    chain_series: tuple[str, ...]
+
+    @classmethod
+    def program(cls, cfg, kernel, checkpoint, rules):
+        """``(program, args, n_ranks)`` of the run's layout."""
+        layout = cfg.layout
+        if layout.strategy == cfg.decomposed:
+            return cls.decomposed(cfg, kernel, checkpoint, rules)
+        chain_cfg = ChainConfig(
+            build=functools.partial(cls.chain, cfg),
+            series=cls.chain_series,
+            health_series=cls.stored,
+            n_sweeps=cfg.n_sweeps,
+            n_thermalize=cfg.n_thermalize,
+            measure_every=cfg.measure_every,
+            # "auto" keeps the samplers' geometry gate (the scalar
+            # reference on off-grid lattices); explicit backends are
+            # passed through.
+            mode="auto" if layout.kernel == "auto" else kernel,
+        )
+        return chain_program, (chain_cfg, rules), layout.n_ranks
+
+    @classmethod
+    def series(cls, cfg, values):
+        if cfg.layout.strategy == cfg.decomposed:
+            return cls.decomposed_series(cfg, values)
+        return {
+            name: np.concatenate([v[name] for v in values])
+            for name in cls.chain_series
+        }
+
+
+class _XXZ(_Kind):
     """World-line XXZ chain: serial / replica chains, strip (two-level) driver."""
 
-    stored = ("energy", "magnetization")
+    stored = chain_series = ("energy", "magnetization")
 
     @staticmethod
     def params(cfg, kernel):
@@ -325,21 +324,15 @@ class _XXZ:
         }
 
     @staticmethod
-    def chain(cfg, i, stream, kernel, registry, rules):
+    def chain(cfg, stream, mode):
         model = XXZChainModel(
             n_sites=cfg.n_sites, jz=cfg.jz, jxy=cfg.jxy, periodic=cfg.periodic
         )
-        sampler = WorldlineChainQmc(model, cfg.beta, cfg.n_slices, stream=stream)
-        # "auto" keeps the sampler's geometry gate (scalar fallback on
-        # off-grid lattices); explicit backends are passed through.
-        mode = "auto" if cfg.layout.kernel == "auto" else kernel
-        meas = sampler.run(cfg.n_sweeps, cfg.n_thermalize, cfg.measure_every, mode=mode)
-        series = {"energy": meas.energy, "magnetization": meas.magnetization}
-        monitor = _posthoc_health(
-            rules, series, sampler.n_attempted, sampler.n_accepted,
-            cfg.measure_every, rank=i,
+        q = WorldlineChainQmc(model, cfg.beta, cfg.n_slices, stream=stream)
+        return Chain(
+            q, *q.resolve_sweep(mode),
+            lambda: (q.energy_estimate(), q.magnetization()),
         )
-        return _chain_value(series, sampler.n_attempted, sampler.n_accepted, monitor)
 
     @staticmethod
     def decomposed(cfg, kernel, checkpoint, rules):
@@ -367,9 +360,7 @@ class _XXZ:
         return two_level_program, (tl_cfg, checkpoint, rules), tl_cfg.n_ranks
 
     @staticmethod
-    def series(cfg, values):
-        if cfg.layout.strategy != "strip":
-            return _pooled(values, _XXZ.stored)
+    def decomposed_series(cfg, values):
         out0 = values[0]
         # A two-level run reports the pooled ensemble-mean series; the
         # per-replica series stay available in the rank values.
@@ -382,10 +373,11 @@ class _XXZ:
         return _xxz_estimates(series, cfg.beta, cfg.n_sites)
 
 
-class _XXZ2D:
+class _XXZ2D(_Kind):
     """World-line XXZ on the square lattice: serial / replica chains only."""
 
     stored = ("energy", "magnetization")
+    chain_series = stored + ("m_stag_sq",)
 
     @staticmethod
     def params(cfg, kernel):
@@ -402,32 +394,17 @@ class _XXZ2D:
         }
 
     @staticmethod
-    def chain(cfg, i, stream, kernel, registry, rules):
-        # This sampler has in-loop metrics and health hooks, so its
-        # monitor observes as it runs rather than after the fact.
-        monitor = None
-        if rules is not None:
-            from repro.obs.health import HealthMonitor
-
-            monitor = HealthMonitor(rules, rank=i)
+    def chain(cfg, stream, mode):
         model = XXZSquareModel(lx=cfg.lx, ly=cfg.ly, jz=cfg.jz, jxy=cfg.jxy)
-        sampler = WorldlineSquareQmc(
-            model, cfg.beta, cfg.n_slices, stream=stream,
-            metrics=registry.scope(i) if registry is not None else None,
-            health=monitor,
+        q = WorldlineSquareQmc(model, cfg.beta, cfg.n_slices, stream=stream)
+        return Chain(
+            q, *q.resolve_sweep(mode),
+            lambda: (
+                q.energy_estimate(),
+                q.magnetization(),
+                q.staggered_magnetization_sq(),
+            ),
         )
-        mode = "auto" if cfg.layout.kernel == "auto" else kernel
-        meas = sampler.run(cfg.n_sweeps, cfg.n_thermalize, cfg.measure_every, mode=mode)
-        series = {
-            "energy": meas.energy,
-            "magnetization": meas.magnetization,
-            "m_stag_sq": meas.m_stag_sq,
-        }
-        return _chain_value(series, sampler.n_attempted, sampler.n_accepted, monitor)
-
-    @staticmethod
-    def series(cfg, values):
-        return _pooled(values, _XXZ2D.stored + ("m_stag_sq",))
 
     @staticmethod
     def estimates(cfg, series):
@@ -439,10 +416,10 @@ class _XXZ2D:
         return estimates
 
 
-class _Tfim:
+class _Tfim(_Kind):
     """TFIM via the classical mapping: serial / replica chains, block driver."""
 
-    stored = ("energy", "sigma_x", "abs_magnetization")
+    stored = chain_series = ("energy", "sigma_x", "abs_magnetization")
 
     @staticmethod
     def params(cfg, kernel):
@@ -461,8 +438,8 @@ class _Tfim:
         }
 
     @staticmethod
-    def chain(cfg, i, stream, kernel, registry, rules):
-        sampler = TfimQmc(
+    def chain(cfg, stream, mode):
+        q = TfimQmc(
             cfg.spatial_shape,
             j=cfg.j,
             gamma=cfg.gamma,
@@ -472,20 +449,17 @@ class _Tfim:
             # The serial classical sampler's batched color update *is*
             # its reference implementation, so "scalar" maps to numpy
             # here; the block driver keeps a true per-site scalar path.
-            kernel="numpy" if kernel == "scalar" else kernel,
+            kernel="numpy" if mode == "scalar" else mode,
         )
-        meas = sampler.run(cfg.n_sweeps, cfg.n_thermalize, cfg.measure_every)
-        series = {
-            "energy": meas.energy,
-            "sigma_x": meas.sigma_x,
-            "abs_magnetization": meas.abs_magnetization,
-        }
-        inner = sampler.classical
-        monitor = _posthoc_health(
-            rules, series, inner.n_attempted, inner.n_accepted,
-            cfg.measure_every, rank=i,
+        # The classical lattice holds the spins and the move counters.
+        return Chain(
+            q.classical, q.classical.kernel, q.sweep,
+            lambda: (
+                q.energy_estimate(),
+                q.sigma_x_estimate(),
+                abs(q.magnetization_estimate()),
+            ),
         )
-        return _chain_value(series, inner.n_attempted, inner.n_accepted, monitor)
 
     @staticmethod
     def _couplings(cfg):
@@ -517,28 +491,21 @@ class _Tfim:
         return ising_block_program, (block_cfg, checkpoint, rules), cfg.layout.n_ranks
 
     @staticmethod
-    def series(cfg, values):
-        if cfg.layout.strategy != "block":
-            return _pooled(values, _Tfim.stored)
+    def decomposed_series(cfg, values):
         out = values[0]
         dtau = _Tfim._couplings(cfg)[0]
         n_sites = int(np.prod(cfg.spatial_shape))
         bonds = out["bond_sums"]  # (n_meas, 3): x, y, t
         space_sum = bonds[:, 0] + (bonds[:, 1] if len(cfg.spatial_shape) == 2 else 0.0)
         time_sum = bonds[:, 2]
+        # The estimators are plain arithmetic: element-wise over the series.
         return {
-            "energy": np.array([
-                tfim_energy_from_bond_sums(
-                    float(s), float(t), n_sites, cfg.n_slices, cfg.j, cfg.gamma, dtau
-                )
-                for s, t in zip(space_sum, time_sum)
-            ]),
-            "sigma_x": np.array([
-                tfim_sigma_x_from_time_bonds(
-                    float(t), n_sites * cfg.n_slices, cfg.gamma, dtau
-                )
-                for t in time_sum
-            ]),
+            "energy": tfim_energy_from_bond_sums(
+                space_sum, time_sum, n_sites, cfg.n_slices, cfg.j, cfg.gamma, dtau
+            ),
+            "sigma_x": tfim_sigma_x_from_time_bonds(
+                time_sum, n_sites * cfg.n_slices, cfg.gamma, dtau
+            ),
             "abs_magnetization": np.abs(out["magnetization"]),
         }
 
@@ -579,46 +546,45 @@ class Simulation:
         kernel = kernels.resolve_sweep_mode(layout.kernel)
         params = kind.params(cfg, kernel)
         result = RunResult(kind=self.kind, parameters=params)
-        result.runtime.update(kernel=kernel)
         registry = _obs_registry(cfg)
         rules = _health_rules(cfg)
+        decomposed = layout.strategy == cfg.decomposed
         t0_wall = time.perf_counter()
-        spmd = None
-        n_chains = layout.n_ranks if layout.strategy == "replica" else 1
-        if layout.strategy == cfg.decomposed:
-            program, args, n_ranks = kind.decomposed(
-                cfg, kernel, _checkpoint_config(cfg), rules
-            )
-            spmd = run_spmd(
-                program,
-                n_ranks,
-                machine=MACHINES[layout.machine],
-                seed=cfg.seed,
-                args=args,
-                metrics=registry,
-                spans=cfg.trace_out is not None,
-                trace=cfg.trace_out is not None,
-                backend=layout.backend,
-            )
-            values = spmd.values
-        else:
-            # Chain i draws from the i-th child stream of the root seed
-            # (chain 0 is the serial run at that seed).  Offsetting the
-            # seed by the chain index instead would make replica runs at
-            # neighbouring seeds share all but one chain.
-            values = [
-                kind.chain(cfg, i, stream, kernel, registry, rules)
-                for i, stream in enumerate(spawn_streams(cfg.seed, n_chains))
-            ]
+        program, args, n_ranks = kind.program(
+            cfg, kernel, _checkpoint_config(cfg), rules
+        )
+        # Rank i's stream is the i-th child stream of the root seed, so
+        # chain 0 of a replica run is the serial run at that seed.
+        # (Offsetting the seed by the chain index instead would make
+        # replica runs at neighbouring seeds share all but one chain.)
+        spmd = run_spmd(
+            program,
+            n_ranks,
+            # Chains exchange nothing and model no time: they run on the
+            # ideal machine, whatever sizes ``layout.machine`` (recorded
+            # in the parameters only) could be built for.
+            machine=MACHINES[layout.machine] if decomposed else IDEAL,
+            seed=cfg.seed,
+            args=args,
+            metrics=registry,
+            spans=cfg.trace_out is not None,
+            trace=cfg.trace_out is not None,
+            backend=layout.backend,
+        )
+        values = spmd.values
         result.runtime.update(
+            # The kernel that ran: under "auto" a sampler's geometry
+            # gate may have picked the scalar reference.
+            kernel=values[0]["kernel"],
             n_attempted=sum(v["n_attempted"] for v in values),
             n_accepted=sum(v["n_accepted"] for v in values),
         )
-        if spmd is not None:
+        if decomposed:
             _record_spmd(result, spmd, layout)
 
         # The always-on throughput numbers and metric summaries.
         wall = time.perf_counter() - t0_wall
+        n_chains = n_ranks if layout.strategy == "replica" else 1
         n_sweeps_run = n_chains * (cfg.n_sweeps + cfg.n_thermalize)
         result.runtime.update(
             wall_seconds=wall,
@@ -629,7 +595,7 @@ class Simulation:
             result.rank_summaries = {
                 str(r): v for r, v in registry.summary().items()
             }
-        health = _collect_health(rules, result, values)
+        health = _collect_health(rules, result, spmd)
         _emit_observability(
             self.kind, cfg, params, registry, spmd, result.runtime, health
         )

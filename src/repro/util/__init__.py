@@ -6,8 +6,8 @@ This subpackage is dependency-free (NumPy only) and provides:
   stored as logarithms (densities of states, partition functions).
 * :mod:`repro.util.rng` -- reproducible, collision-free random-number
   streams for SPMD rank programs and replica threads.
-* :mod:`repro.util.timer` -- hierarchical timers that can account either
-  real wall-clock time or *modeled* time charged by the virtual machine.
+* :mod:`repro.util.timer` -- the per-rank clock of *modeled* time the
+  virtual machine charges, and its compute / comm / wait categories.
 * :mod:`repro.util.tables` -- plain-text table / data-series rendering
   used by the benchmark harness to print paper-style tables and figures.
 * :mod:`repro.util.correlation` -- FFT fast paths for the circular
@@ -26,7 +26,7 @@ from repro.util.logspace import (
 )
 from repro.util.rng import RankStream, SeedSequenceFactory, spawn_streams
 from repro.util.tables import Series, Table, format_float, render_series
-from repro.util.timer import ModelClock, Timer
+from repro.util.timer import ModelClock
 
 __all__ = [
     "mean_circular_correlation",
@@ -45,5 +45,4 @@ __all__ = [
     "format_float",
     "render_series",
     "ModelClock",
-    "Timer",
 ]

@@ -86,14 +86,10 @@ class SeedSequenceFactory:
         "measurement": 3,
         "tempering": 4,
         "scratch": 5,
-        # Per-(sweep, stage) shared uniforms of the strip world-line
-        # driver: every rank derives the identical lattice, the source
-        # of rank-count-independent trajectories.
-        "wl-stage": 6,
-        # Per-sweep shared uniforms (one generator per sweep, sliced
-        # into the ten stage lattices): amortizes generator
-        # construction over a whole sweep while keeping the same
-        # every-rank-draws-identical-numbers guarantee.
+        # Per-sweep shared uniforms of the strip world-line driver (one
+        # generator per sweep, sliced into the ten stage lattices):
+        # every rank derives the identical numbers, the source of
+        # rank-count-independent trajectories.
         "wl-sweep": 7,
     }
 

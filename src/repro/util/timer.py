@@ -1,28 +1,23 @@
-"""Wall-clock and modeled-time accounting.
+"""Modeled-time accounting.
 
 Two clocks coexist in this codebase:
 
-* real wall-clock time (``time.perf_counter``) for host-side profiling
-  of the Python kernels, and
+* real wall-clock time (``time.perf_counter``), recorded per sweep by
+  the ``sweep.*`` counters of :mod:`repro.obs.metrics`, and
 * **modeled time** -- the virtual machine charges each rank for
   computation (flop counts / machine flop rate) and communication
   (latency--bandwidth model).  Modeled time is what the scaling
   benchmarks report, because it is deterministic and represents the
   1993-era target machine rather than this container.
 
-:class:`ModelClock` is a trivial accumulator; the richness lives in who
-charges it (see :mod:`repro.vmp.costmodel`).  :class:`Timer` is a
-named wall-time section ("no optimization without measuring").
+:class:`ModelClock` is the second: a trivial accumulator whose richness
+lives in who charges it (see :mod:`repro.vmp.comm`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 __all__ = [
     "ModelClock",
-    "Timer",
     "COMPUTE_CATEGORIES",
     "COMM_CATEGORIES",
     "WAIT_CATEGORIES",
@@ -113,30 +108,3 @@ class ModelClock:
     def reset(self) -> None:
         self._now = 0.0
         self._by_category.clear()
-
-
-@dataclass
-class Timer:
-    """One named wall-clock section, usable as a context manager."""
-
-    name: str
-    elapsed: float = 0.0
-    calls: int = 0
-    _started: float | None = field(default=None, repr=False)
-
-    def __enter__(self) -> "Timer":
-        if self._started is not None:
-            raise RuntimeError(f"timer {self.name!r} is already running")
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._started is not None
-        self.elapsed += time.perf_counter() - self._started
-        self.calls += 1
-        self._started = None
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per call (0 when never called)."""
-        return self.elapsed / self.calls if self.calls else 0.0

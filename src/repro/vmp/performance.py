@@ -177,8 +177,8 @@ def worldline2d_workload(
 ) -> WorkloadShape:
     """Workload of the batched 2-D world-line sampler, replica strategy.
 
-    FLOP accounting matches what the executed driver
-    (:func:`repro.qmc.parallel.worldline2d_replica_program`) charges per
+    FLOP accounting follows the moves the sampler
+    (:class:`repro.qmc.worldline2d.WorldlineSquareQmc`) executes per
     sweep: each space--time site sees half a segment proposal (one
     proposal per bond and activation interval, ``2 N_sites`` bonds over
     ``T/4`` intervals, eight plaquettes each) plus the straight-column

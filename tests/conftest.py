@@ -119,3 +119,39 @@ def assert_bit_identical(ref, got, keys, *, accounting=False):
         assert got.elapsed_model_time == ref.elapsed_model_time
         assert got.total_messages == ref.total_messages
         assert got.total_bytes == ref.total_bytes
+
+
+# ----------------------------------------------------------------------
+# the chain program on the 2-D world-line sampler
+# ----------------------------------------------------------------------
+
+#: Series :func:`square_chain_config` chains measure.
+SQUARE_CHAIN_KEYS = ("energy", "m_stag_sq", "spins")
+
+
+def _square_chain(lx, ly, beta, n_slices, stream, mode):
+    from repro.models.hamiltonians import XXZSquareModel
+    from repro.qmc.parallel import Chain
+    from repro.qmc.worldline2d import WorldlineSquareQmc
+
+    q = WorldlineSquareQmc(XXZSquareModel(lx, ly), beta, n_slices, stream=stream)
+    return Chain(
+        q, *q.resolve_sweep(mode),
+        lambda: (q.energy_estimate(), q.staggered_magnetization_sq()),
+    )
+
+
+def square_chain_config(lx=4, ly=4, beta=0.5, n_slices=8, **schedule):
+    """A ``ChainConfig`` of Heisenberg chains on the ``lx x ly`` lattice:
+    what the replica layout of an ``xxz2d`` run hands ``chain_program``,
+    built on the samplers' public API."""
+    import functools
+
+    from repro.qmc.parallel import ChainConfig
+
+    return ChainConfig(
+        build=functools.partial(_square_chain, lx, ly, beta, n_slices),
+        series=SQUARE_CHAIN_KEYS[:2],
+        health_series=("energy",),
+        **schedule,
+    )

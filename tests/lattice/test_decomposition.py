@@ -6,13 +6,9 @@ from hypothesis import given, strategies as st
 
 from repro.lattice.decomposition import (
     BlockDecomposition,
-    HaloSpec,
     OverlapPartition,
     StripDecomposition,
-    pack_plane,
-    unpack_plane,
 )
-from repro.vmp.machines import PARAGON
 
 
 class TestStripDecomposition:
@@ -132,96 +128,6 @@ class TestBlockDecomposition:
         d = BlockDecomposition(lx, ly, px * py, process_grid=(px, py))
         total = sum(p.shape[0] * p.shape[1] for p in d.pieces)
         assert total == lx * ly
-
-
-class TestPackPlane:
-    def test_full_plane_roundtrip(self):
-        plane = np.arange(12, dtype=np.int8).reshape(3, 4)
-        buf = pack_plane(plane)
-        assert buf.flags.c_contiguous
-        dest = np.zeros_like(plane)
-        unpack_plane(dest, buf)
-        np.testing.assert_array_equal(dest, plane)
-
-    def test_noncontiguous_plane_is_made_contiguous(self):
-        base = np.arange(24, dtype=np.int8).reshape(4, 6)
-        view = base[::2]  # strided boundary plane
-        buf = pack_plane(view)
-        assert buf.flags.c_contiguous
-        np.testing.assert_array_equal(buf, view)
-
-    def test_masked_roundtrip_preserves_site_positions(self):
-        # Color-packed halo: only one parity ships, and the same global
-        # mask on both ends puts every site back where it came from.
-        rng = np.random.default_rng(3)
-        plane = rng.integers(-1, 2, size=(4, 8)).astype(np.int8)
-        y, t = np.meshgrid(np.arange(4), np.arange(8), indexing="ij")
-        mask = (y + t) % 2 == 0
-        buf = pack_plane(plane, mask)
-        assert buf.size == mask.sum()
-        dest = np.zeros_like(plane)
-        unpack_plane(dest, buf, mask)
-        np.testing.assert_array_equal(dest[mask], plane[mask])
-        assert np.all(dest[~mask] == 0)
-
-
-class TestHaloSpec:
-    def test_aggregation_counts_one_message_per_neighbor(self):
-        spec = HaloSpec(neighbors=2, sites_per_message=128.0)
-        assert spec.messages_per_exchange == 2
-        assert spec.bytes_per_message(bytes_per_site=1) == 128.0
-
-    def test_seconds_follow_alpha_beta(self):
-        spec = HaloSpec(neighbors=2, sites_per_message=128.0)
-        per_msg = PARAGON.message_time(128, 1)
-        assert spec.seconds_per_exchange(PARAGON) == pytest.approx(2 * per_msg)
-        # Unaggregated equivalent: same bytes split over 128 messages
-        # pays 128 alphas instead of 1 -- strictly slower.
-        split = HaloSpec(neighbors=2, sites_per_message=1.0,
-                         messages_per_neighbor=128)
-        assert split.seconds_per_exchange(PARAGON) > spec.seconds_per_exchange(
-            PARAGON
-        )
-
-    def test_strip_halo_spec(self):
-        d = StripDecomposition(64, 4)
-        spec = d.halo_spec(n_slices=64)
-        assert spec.neighbors == 2
-        assert spec.sites_per_message == 2 * 64
-        assert d.halo_spec(n_slices=64, ghost_width=1).sites_per_message == 64
-
-    def test_strip_single_rank_has_no_halo(self):
-        spec = StripDecomposition(16, 1).halo_spec(n_slices=8)
-        assert spec.neighbors == 0
-        assert spec.seconds_per_exchange(PARAGON) == 0.0
-
-    def test_block_halo_spec_counts_split_axes(self):
-        d = BlockDecomposition(8, 8, 4, process_grid=(2, 2))
-        spec = d.halo_spec(0, n_slices=4)
-        assert spec.neighbors == 4
-        assert spec.sites_per_message == 4 * 4  # 4-wide planes x 4 slices
-
-    def test_block_halo_spec_unsplit_axis(self):
-        d = BlockDecomposition(8, 8, 2, process_grid=(2, 1))
-        spec = d.halo_spec(0, n_slices=4)
-        assert spec.neighbors == 2  # only east/west
-        assert spec.sites_per_message == 8 * 4
-
-    def test_color_packing_halves_bytes_not_messages(self):
-        d = BlockDecomposition(8, 8, 4, process_grid=(2, 2))
-        full = d.halo_spec(0, n_slices=4)
-        packed = d.halo_spec(0, n_slices=4, color_packed=True)
-        assert packed.neighbors == full.neighbors
-        assert packed.sites_per_message == full.sites_per_message / 2.0
-
-    def test_post_cost_counts_isend_and_irecv(self):
-        spec = HaloSpec(neighbors=2, sites_per_message=128.0)
-        assert spec.post_seconds_per_exchange(PARAGON) == pytest.approx(
-            2 * 2.0 * PARAGON.post_overhead
-        )
-        assert spec.wire_seconds_per_message(PARAGON) == pytest.approx(
-            PARAGON.message_time(128, 1)
-        )
 
 
 class TestOverlapPartition:

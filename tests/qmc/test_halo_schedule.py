@@ -223,6 +223,65 @@ def _inspect_strip(comm, cfg):
 GEOMETRIES = [(16, 1), (16, 2), (16, 4), (12, 2), (20, 2), (40, 4), (24, 6)]
 
 
+def _stage_tables(comm, cfg):
+    """Rank program: the rank's stage caches, measurement gathers, frame."""
+    st = _StripState(comm, cfg)
+    return st._stage_cache, st._dlog_tables, (st.start, st.stop, st.n_owned)
+
+
+@pytest.mark.parametrize("n_sites,p", GEOMETRIES)
+def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
+    """The strip's gather / flip tables come from ``chain_tables`` on the
+    local frame; here is the algebra the driver used to carry, written
+    out (rows ``j-1 .. j+2`` of a move, no wrap, *global* bond parity)."""
+    T = 8
+    cfg = WorldlineStripConfig(
+        n_sites=n_sites, jz=1.0, jxy=0.8, beta=0.9, n_slices=T, n_sweeps=1,
+    )
+    t_even, t_odd = np.arange(0, T, 2), np.arange(1, T, 2)
+    for cache, dlog, (start, stop, n) in run_spmd(
+            _stage_tables, p, PARAGON, seed=1, args=(cfg,)).values:
+        assert start % 2 == 0
+        want_dlog = []
+        for (kind, a, b), got in zip(WL_STAGES, cache):
+            if kind == "corner":
+                j0 = 1 + ((a - (start - 1)) % 4)
+                J, Tt = np.meshgrid(
+                    np.arange(j0, n + 2, 4), np.arange(b, T, 4), indexing="ij")
+                J, Tt = J.ravel(), Tt.ravel()
+                t1, tm1 = (Tt + 1) % T, (Tt - 1) % T
+                lb = np.stack([J - 1, J + 1, J, J])
+                pt = np.stack([Tt, Tt, tm1, t1])
+                pt1 = (pt + 1) % T
+                want = {
+                    "i00": lb * T + pt, "i10": (lb + 1) * T + pt,
+                    "i01": lb * T + pt1, "i11": (lb + 1) * T + pt1,
+                    "flip": np.stack([J * T + Tt, J * T + t1,
+                                      (J + 1) * T + Tt, (J + 1) * T + t1]),
+                }
+            else:
+                gc = np.arange(start + ((a - start) % 2), stop, 2)
+                lc = gc - start + 2
+                want = {k: [] for k in ("c00", "c10", "c01", "c11")}
+                for off in (-1, 0):
+                    lb = (lc + off)[:, None]
+                    ts = (t_even if (a + off) % 2 == 0 else t_odd)[None, :]
+                    ts1 = (ts + 1) % T
+                    want["c00"].append(lb * T + ts)
+                    want["c10"].append((lb + 1) * T + ts)
+                    want["c01"].append(lb * T + ts1)
+                    want["c11"].append((lb + 1) * T + ts1)
+                want = {k: np.stack(v) for k, v in want.items()}
+                want_dlog.append(np.stack(
+                    [want[k][1] for k in ("c00", "c10", "c01", "c11")]
+                ).reshape(4, -1))
+            for name, table in want.items():
+                np.testing.assert_array_equal(got[name], table, err_msg=name)
+                assert got[name].dtype == np.intp
+        for got, want in zip(dlog, want_dlog, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("n_sites,p", GEOMETRIES)
 def test_facts_match_the_stage_tables_and_links_pair_up(n_sites, p):
     cfg = WorldlineStripConfig(

@@ -35,8 +35,8 @@ from repro.obs import MetricsRegistry
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.parallel import (
     IsingBlockConfig,
-    Worldline2DReplicaConfig,
     WorldlineStripConfig,
+    chain_program,
     ising_block_program,
     worldline_strip_program,
 )
@@ -51,6 +51,7 @@ from tests.conftest import (
     STRIP_KEYS,
     assert_bit_identical,
     run_driver_matrix,
+    square_chain_config,
 )
 
 HAVE_NUMBA = kernels.kernel_available("numba")
@@ -217,9 +218,10 @@ class TestConfigSurfaces:
         assert cfg.mode == "numpy"
 
     def test_replica_config_accepts_backend_modes(self):
-        cfg = Worldline2DReplicaConfig(lx=4, ly=4, beta=1.0, n_slices=8,
-                                       mode="numpy")
+        cfg = square_chain_config(n_sweeps=1, mode="numpy")
         assert cfg.mode == "numpy"
+        with pytest.raises(ValueError, match="unknown sweep mode"):
+            square_chain_config(n_sweeps=1, mode="simd")
 
     def test_divisibility_error_names_scalar_fallback(self):
         model = XXZSquareModel(2, 4)
@@ -438,12 +440,18 @@ class TestResumeWithKernelToggled:
 
 class TestKernelTelemetry:
     def test_serial_sweep_time_tagged_by_backend(self):
-        reg = MetricsRegistry(interval=1)
-        q = WorldlineSquareQmc(XXZSquareModel(4, 4), beta=0.8, n_slices=8,
-                               seed=5, metrics=reg.scope(0))
-        q.sweep(mode="numpy")
-        summary = reg.summary()[0]
-        assert summary["sweep.kernel_seconds.numpy"] > 0.0
+        """A whole-lattice chain records under the kernel that ran: the
+        2 x 4 lattice is off the batched kernels' grid, so ``auto``
+        there is the scalar reference."""
+        for lx, kernel in ((4, "numpy"), (2, "scalar")):
+            reg = MetricsRegistry(interval=1)
+            cfg = square_chain_config(
+                lx=lx, n_sweeps=2, mode="numpy" if lx == 4 else "auto")
+            res = run_spmd(chain_program, 1, seed=5, args=(cfg,), metrics=reg)
+            assert res.values[0]["kernel"] == kernel
+            summary = reg.summary()[0]
+            assert summary[f"sweep.kernel_seconds.{kernel}"] > 0.0
+            assert summary["sweep.count"] == 2
 
     def test_strip_driver_records_kernel_counter(self):
         reg = MetricsRegistry(interval=1)

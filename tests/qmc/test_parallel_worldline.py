@@ -169,75 +169,65 @@ class TestStatisticalAgreement:
 
 
 # ======================================================================
-# replica-parallel 2-D driver (batched kernels)
+# the chain program (serial / replica layouts) on the 2-D sampler
 # ======================================================================
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.symmetry_ed import MomentumBlockED
-from repro.qmc.parallel import (
-    Worldline2DReplicaConfig,
-    worldline2d_replica_flops_per_sweep,
-    worldline2d_replica_program,
-)
-from repro.qmc.worldline2d import FLOPS_PER_SEGMENT_MOVE, WorldlineSquareQmc
+from repro.qmc.parallel import chain_program
+from repro.qmc.worldline2d import WorldlineSquareQmc
+from repro.util.rng import spawn_streams
+
+from tests.conftest import square_chain_config
+
+REPLICA = square_chain_config(n_slices=16, n_sweeps=120, n_thermalize=30)
 
 
-REPLICA = Worldline2DReplicaConfig(
-    lx=4, ly=4, beta=0.5, n_slices=16, n_sweeps=120, n_thermalize=30
-)
+def _square_sampler(stream=None):
+    return WorldlineSquareQmc(XXZSquareModel(4, 4), 0.5, 16, stream=stream)
 
 
 class TestWorldline2DReplicaConfig:
     def test_geometry_validated(self):
-        with pytest.raises(ValueError):
-            Worldline2DReplicaConfig(lx=3, ly=4, beta=1.0, n_slices=8)
+        # The sampler's own error, raised while a rank builds its chain.
+        with pytest.raises(ValueError, match="even"):
+            run_spmd(chain_program, 2, args=(square_chain_config(lx=3, n_sweeps=2),))
 
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
-            Worldline2DReplicaConfig(lx=4, ly=4, beta=1.0, n_slices=8, mode="simd")
+            square_chain_config(n_sweeps=2, mode="simd")
 
 
 class TestWorldline2DReplica:
     @pytest.mark.parametrize("p", [1, 3])
-    def test_series_identical_on_all_ranks(self, p):
-        res = run_spmd(worldline2d_replica_program, p, args=(REPLICA,))
-        vals = [o.value for o in res.outcomes]
-        for v in vals[1:]:
-            np.testing.assert_array_equal(v["energy"], vals[0]["energy"])
-            np.testing.assert_array_equal(v["m_stag_sq"], vals[0]["m_stag_sq"])
-        assert all(0.0 < v["acceptance"] < 1.0 for v in vals)
+    def test_each_chain_is_the_sampler_run(self, p):
+        """Nothing is pooled: rank i's value is what the sampler's own
+        ``run()`` measures on the i-th child stream of the seed."""
+        res = run_spmd(chain_program, p, seed=11, args=(REPLICA,))
+        for value, stream in zip(res.values, spawn_streams(11, p)):
+            q = _square_sampler(stream)
+            meas = q.run(REPLICA.n_sweeps, REPLICA.n_thermalize)
+            np.testing.assert_array_equal(value["energy"], meas.energy)
+            np.testing.assert_array_equal(value["m_stag_sq"], meas.m_stag_sq)
+            np.testing.assert_array_equal(value["spins"], q.spins)
+            assert value["n_attempted"] == q.n_attempted
+            assert value["n_accepted"] == q.n_accepted
+            assert value["kernel"] == q.resolve_sweep("auto")[0]
 
     def test_replica_configurations_stay_legal(self):
-        res = run_spmd(worldline2d_replica_program, 2, args=(REPLICA,))
-        model = XXZSquareModel(REPLICA.lx, REPLICA.ly)
+        res = run_spmd(chain_program, 2, args=(REPLICA,))
         for o in res.outcomes:
-            q = WorldlineSquareQmc(model, REPLICA.beta, REPLICA.n_slices)
+            q = _square_sampler()
             q.spins = o.value["spins"]
             q.check_invariants()
-
-    def test_flops_charged_match_model(self):
-        res = run_spmd(worldline2d_replica_program, 2, args=(REPLICA,), machine=PARAGON)
-        sampler = WorldlineSquareQmc(
-            XXZSquareModel(REPLICA.lx, REPLICA.ly), REPLICA.beta, REPLICA.n_slices
-        )
-        per_sweep = worldline2d_replica_flops_per_sweep(sampler)
-        assert per_sweep == (
-            sampler.n_bonds * sampler.n_trotter * FLOPS_PER_SEGMENT_MOVE
-            + 2.0 * sampler.n_sites * sampler.n_slices
-        )
-        sweeps = REPLICA.n_sweeps + REPLICA.n_thermalize
-        expected = sweeps * per_sweep / PARAGON.flops
-        for o in res.outcomes:
-            assert o.breakdown["compute"] == pytest.approx(expected)
+            assert 0 < o.value["n_accepted"] < o.value["n_attempted"]
 
     @pytest.mark.slow
     def test_replica_average_matches_symmetry_ed(self):
-        cfg = Worldline2DReplicaConfig(
-            lx=4, ly=4, beta=0.5, n_slices=16, n_sweeps=1500, n_thermalize=200
-        )
-        res = run_spmd(worldline2d_replica_program, 4, args=(cfg,))
-        energy = res.outcomes[0].value["energy"]
-        ref = MomentumBlockED(XXZSquareModel(4, 4)).thermal(cfg.beta)
+        cfg = square_chain_config(n_slices=16, n_sweeps=1500, n_thermalize=200)
+        res = run_spmd(chain_program, 4, args=(cfg,))
+        energy = np.mean([v["energy"] for v in res.values], axis=0)
+        ref = MomentumBlockED(XXZSquareModel(4, 4)).thermal(0.5)
         ba = BinningAnalysis.from_series(energy)
         # Same zero-winding-sector + Trotter allowance as the serial
         # agreement tests (see test_worldline2d_vectorized).

@@ -1,9 +1,10 @@
 """Tempering and replica drivers on the process backend.
 
 Satellite coverage for the backend work: the parallel-tempering and
-replica rank programs -- the two drivers whose correctness depends on
-shared decision streams and collectives rather than halo exchange --
-must produce bit-identical results on real OS processes, and the
+chain (replica layout) rank programs -- the two drivers whose
+correctness depends on per-rank and shared decision streams and on
+collectives rather than halo exchange -- must produce bit-identical
+results on real OS processes, and the
 observed swap acceptance must match the detailed-balance expectation
 computed from the sampled energy series.
 """
@@ -11,13 +12,16 @@ computed from the sampled energy series.
 import numpy as np
 import pytest
 
-from repro.qmc.parallel import (
-    Worldline2DReplicaConfig,
-    worldline2d_replica_program,
-)
+from repro.qmc.parallel import chain_program
 from repro.qmc.tempering import TemperingConfig, tempering_program
 from repro.vmp.machines import CM5, IDEAL
 from repro.vmp.scheduler import run_spmd
+
+from tests.conftest import (
+    SQUARE_CHAIN_KEYS,
+    assert_bit_identical,
+    square_chain_config,
+)
 
 BETAS = (0.25, 0.32, 0.40, 0.50)
 
@@ -32,9 +36,7 @@ PT_CFG = TemperingConfig(
 )
 
 
-REPLICA_CFG = Worldline2DReplicaConfig(
-    lx=4, ly=4, beta=0.5, n_slices=8, n_sweeps=30, n_thermalize=10
-)
+REPLICA_CFG = square_chain_config(n_sweeps=30, n_thermalize=10)
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +112,14 @@ class TestTemperingOnProcesses:
 class TestReplicaOnProcesses:
     def test_replica_program_agrees_with_thread_backend(self):
         thread = run_spmd(
-            worldline2d_replica_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,)
+            chain_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,)
         )
         mp = run_spmd(
-            worldline2d_replica_program, 4, machine=CM5, seed=3,
-            args=(REPLICA_CFG,), backend="mp",
+            chain_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,),
+            backend="mp",
         )
-        for t, m in zip(thread.values, mp.values):
-            # Allreduce-pooled series and each replica's own chain.
-            for name in ("energy", "m_stag_sq", "spins"):
-                np.testing.assert_array_equal(t[name], m[name])
-        assert mp.elapsed_model_time == thread.elapsed_model_time
+        # Each rank's own chain, and the modeled cost of the split that
+        # gives it a communicator of its own.
+        assert_bit_identical(thread, mp, SQUARE_CHAIN_KEYS, accounting=True)
+        chains = {v["energy"].tobytes() for v in mp.values}
+        assert len(chains) == 4

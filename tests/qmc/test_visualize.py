@@ -1,11 +1,17 @@
-"""Tests for world-line visualization."""
+"""Tests for world-line visualization (``examples/visualize.py``, the
+helper of ``examples/worldline_gallery.py``)."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.models.hamiltonians import XXZChainModel
-from repro.qmc.visualize import kink_positions, render_worldlines
 from repro.qmc.worldline import WorldlineChainQmc
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "examples"))
+from visualize import kink_positions, render_worldlines  # noqa: E402
 
 
 class TestKinkPositions:

@@ -766,9 +766,14 @@ class TestCellServer:
                        env={**os.environ, "PYTHONPATH": src})
         assert (run_dir / "result.npz").read_bytes() == npz
         by_hand = json.loads((run_dir / "result.json").read_text())
-        # result.json carries the run's own wall clock; nothing else may move.
+        # result.json carries the run's own wall clock -- the runtime's and
+        # rank 0's sweep counters'; nothing else may move.
         for d in (doc, by_hand):
             del d["runtime"]["wall_seconds"], d["runtime"]["sweeps_per_second"]
+            rank0 = d["rank_summaries"]["0"]
+            for name in [n for n in rank0 if n.startswith("sweep.kernel_seconds.")]:
+                del rank0[name]
+            del rank0["sweep.wall_seconds"]
         assert by_hand == doc
 
     def test_unguarded_script_can_run_a_campaign(self, tmp_path):

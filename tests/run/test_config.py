@@ -191,8 +191,8 @@ class TestDriverConfigSchedules:
     ])
     def test_bad_schedule_rejected(self, kw, match):
         from repro.qmc.parallel import (
+            ChainConfig,
             IsingBlockConfig,
-            Worldline2DReplicaConfig,
             WorldlineStripConfig,
         )
 
@@ -203,4 +203,4 @@ class TestDriverConfigSchedules:
         with pytest.raises(ValueError, match=match):
             IsingBlockConfig(lx=4, ly=4, lt=4, kx=0.1, ky=0.1, kt=0.1, **good)
         with pytest.raises(ValueError, match=match):
-            Worldline2DReplicaConfig(lx=4, ly=4, beta=1.0, n_slices=8, **good)
+            ChainConfig(build=None, series=(), health_series=(), **good)

@@ -199,6 +199,124 @@ class TestReplicaStreams:
 
 
 # ======================================================================
+# every layout is a rank program through the one run loop
+# ======================================================================
+
+#: kind -> (config factory, its decomposed strategy or None).
+_LAYOUT_KINDS = {
+    "xxz": (_REPLICA_KINDS["xxz"], "strip"),
+    "xxz2d": (_REPLICA_KINDS["xxz2d"], None),
+    "tfim": (_REPLICA_KINDS["tfim"], "block"),
+}
+_LAYOUTS = {
+    "serial": lambda decomposed: ParallelLayout(),
+    "replica2": lambda decomposed: ParallelLayout("replica", 2),
+    "decomposed2": lambda decomposed: ParallelLayout(decomposed, 2, "Paragon"),
+}
+_SWEEP_METRICS = {"sweep.count", "sweep.attempted", "sweep.accepted",
+                  "sweep.wall_seconds", "sweep.acceptance"}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("kind", sorted(_LAYOUT_KINDS))
+def test_every_layout_records_the_same_sweep_metrics(kind, layout, tmp_path):
+    from repro.obs.sinks import read_metrics_jsonl
+
+    make, decomposed = _LAYOUT_KINDS[kind]
+    if layout == "decomposed2" and decomposed is None:
+        pytest.skip("xxz2d has no domain-decomposed driver")
+    cfg = make(layout=_LAYOUTS[layout](decomposed),
+               metrics_out=str(tmp_path / "metrics.jsonl"))
+    result = Simulation(cfg).run()
+    summaries = [row for row in read_metrics_jsonl(cfg.metrics_out)
+                 if row.get("kind") == "summary"]
+    assert [row["rank"] for row in summaries] == list(range(cfg.layout.n_ranks))
+    for row in summaries:
+        assert _SWEEP_METRICS <= set(row)
+        assert f"sweep.kernel_seconds.{result.runtime['kernel']}" in row
+        assert row["sweep.count"] == cfg.n_sweeps + cfg.n_thermalize
+        assert row["sweep.attempted"] >= row["sweep.accepted"] > 0
+    # A rank of a decomposed run attempts its share of the one lattice,
+    # a chain all of its own.
+    assert result.runtime["n_attempted"] == sum(
+        row["sweep.attempted"] for row in summaries)
+
+
+@pytest.mark.parametrize("n_chains", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_REPLICA_KINDS))
+def test_chain_health_checks_run_in_the_loop(kind, n_chains, tmp_path):
+    """An impossible acceptance band fires at the first check of every
+    chain -- on the interval boundary, not once after the run -- and the
+    event carries the chain's index as its rank."""
+    import json
+
+    from repro.obs.events import read_events_jsonl
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"interval": 7, "acceptance_band": [0.999, 1.0]}))
+    layout = ParallelLayout("replica", 2) if n_chains == 2 else ParallelLayout()
+    cfg = _REPLICA_KINDS[kind](
+        layout=layout, health=True, health_rules=str(rules),
+        events_out=str(tmp_path / "events.jsonl"),
+    )
+    result = Simulation(cfg).run()
+    events = read_events_jsonl(cfg.events_out)
+    assert [(e["rule"], e["sweep"], e["rank"]) for e in events] == [
+        ("acceptance", 7, chain) for chain in range(n_chains)
+    ]
+    assert all(e["t_model"] == 0.0 for e in events)  # chains model no time
+    assert result.runtime["health"]["healthy"] is False
+
+
+def test_replica_chains_run_on_the_ideal_machine():
+    """No 3-node hypercube exists; ``layout.machine`` of a chain layout is
+    recorded, not built."""
+    cfg = _REPLICA_KINDS["xxz"](layout=ParallelLayout("replica", 3, "nCUBE-2"))
+    result = Simulation(cfg).run()
+    assert result.parameters["machine"] == "nCUBE-2"
+    assert len(result.series["energy"]) == 3 * cfg.n_sweeps
+    assert result.model_time == 0.0
+    np.testing.assert_array_equal(
+        result.series["energy"],
+        Simulation(_REPLICA_KINDS["xxz"](layout=ParallelLayout("replica", 3)))
+        .run().series["energy"],
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: XXZRunConfig(n_sites=6, beta=0.5, n_slices=8, periodic=False,
+                         n_sweeps=4, n_thermalize=1),
+    lambda: XXZ2DRunConfig(lx=2, ly=4, beta=0.5, n_slices=8,
+                           n_sweeps=4, n_thermalize=1),
+], ids=["open-chain", "2x4"])
+def test_runtime_names_the_kernel_that_ran(make):
+    """``auto`` on a lattice off the batched kernels' grid runs the scalar
+    reference (the samplers' geometry gate): the runtime block says so,
+    while ``parameters`` -- the config hash's input -- keep the requested
+    kernel's resolution."""
+    from repro import kernels
+
+    result = Simulation(make()).run()
+    assert result.runtime["kernel"] == "scalar"
+    assert result.parameters["kernel"] == kernels.resolve_kernel("auto")
+    on_grid = Simulation(
+        XXZRunConfig(n_sites=8, beta=0.5, n_slices=8, n_sweeps=4)).run()
+    assert on_grid.runtime["kernel"] == on_grid.parameters["kernel"]
+
+
+def test_chain_errors_surface_as_themselves():
+    """A ``ValueError`` raised while a rank builds or sweeps its chain
+    leaves ``run()`` as that ``ValueError`` (the CLI's exit 2)."""
+    cfg = XXZ2DRunConfig(lx=2, ly=4, beta=0.5, n_slices=8, n_sweeps=2,
+                         layout=ParallelLayout(kernel="numpy"))
+    with pytest.raises(ValueError, match="vectorized sweep needs"):
+        Simulation(cfg).run()
+    with pytest.raises(ValueError, match="even"):
+        Simulation(XXZ2DRunConfig(lx=3, ly=4, beta=0.5, n_slices=8, n_sweeps=2,
+                                  layout=ParallelLayout("replica", 2))).run()
+
+
+# ======================================================================
 # the pinned surface (recorded at 36e83cd, before the run spine)
 # ======================================================================
 
@@ -281,6 +399,34 @@ PINNED_RUNS = {
         {**_TFIM_PARAMS, "strategy": "block", "n_ranks": 2, "machine": "CM-5"},
         _TFIM_ESTIMATES, _RT_SPMD,
         "fb62fa53f4d6d8277b39a30de6b3a5701512765edea239b53d70d955c253bd3d",
+    ),
+    # The replica layout, recorded at 0147ce4 (chains still run in-process).
+    "xxz_replica_3": (
+        lambda **kw: XXZRunConfig(**_XXZ, layout=_numpy("replica", 3), **kw),
+        {"energy": "a7fea03ffafe46e37bfa95e7118b764dcc100811e2f140837ef88869ebee3c8b",
+         "magnetization": "691e83c9010784fd4d25654904ac5fe68f70c679846dd708cd04fcce4f6c091e"},
+        {**_XXZ_PARAMS, "strategy": "replica", "n_ranks": 3},
+        _XXZ_ESTIMATES, _RT_SERIAL,
+        "f0757ff38511e37e4b6ff953fc41747f114291f28f2d2f2ff5ac9977c1f62427",
+    ),
+    "xxz2d_replica_2": (
+        lambda **kw: XXZ2DRunConfig(
+            lx=4, ly=4, beta=0.5, **_MC, layout=_numpy("replica", 2), **kw),
+        {"energy": "94af097703f40576b8fe4216d824b011fc158e2a19b4c2fef9bf6a3bbc99d12e",
+         "magnetization": "d1911c6fa367b65cf59d228ce833f959bef16b0989686780a4387db2653f0b1e"},
+        {"lx": 4, "ly": 4, "beta": 0.5, "jz": 1.0, "jxy": 1.0, "n_slices": 8,
+         "strategy": "replica", "n_ranks": 2, "kernel": "numpy"},
+        _XXZ_ESTIMATES + ["staggered_structure_factor"], _RT_SERIAL,
+        "7d576375e8d2bd54d9a9f51f8099d530d35a28a66eeaa1b4c0eb5d3106ccdf05",
+    ),
+    "tfim_replica_2": (
+        lambda **kw: TfimRunConfig(**_TFIM, layout=_numpy("replica", 2), **kw),
+        {"energy": "348f7af4a3f820b273bb6354fb2b70b7ec3a7b97c8186972c58d61c7e2abe9f8",
+         "sigma_x": "cf1d4a58d5fb318e16328a8d49b836e67aedfde8b0128dc5548f0116b3463e19",
+         "abs_magnetization": "c183929b88b930d1bd91e322ca7711885f00517d13e6552876453946daf565f3"},
+        {**_TFIM_PARAMS, "strategy": "replica", "n_ranks": 2},
+        _TFIM_ESTIMATES, _RT_SERIAL,
+        "0d80f1f80cdc88745861d68198fdd18525f4fd4f30636bc64009978a6f886204",
     ),
 }
 

@@ -1,10 +1,8 @@
-"""Tests for the model clock and wall timers."""
-
-import time
+"""Tests for the model clock."""
 
 import pytest
 
-from repro.util.timer import ModelClock, Timer
+from repro.util.timer import ModelClock
 
 
 class TestModelClock:
@@ -49,23 +47,3 @@ class TestModelClock:
         c.reset()
         assert c.now == 0.0
         assert c.breakdown() == {}
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        t = Timer("x")
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-        assert t.calls == 1
-        assert t.mean == pytest.approx(t.elapsed)
-
-    def test_reentry_rejected(self):
-        t = Timer("x")
-        with pytest.raises(RuntimeError):
-            with t:
-                with t:
-                    pass
-
-    def test_mean_of_unused_timer(self):
-        assert Timer("y").mean == 0.0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.lattice.decomposition import StripDecomposition
 from repro.vmp.machines import CM5, IDEAL, NCUBE2, PARAGON
 from repro.vmp.performance import (
     PerformanceModel,
@@ -139,14 +138,19 @@ class TestMachineComparisonShape:
 
 class TestWorldline2DWorkload:
     def test_flop_accounting_matches_executed_driver(self):
+        """One segment proposal per (bond, activation interval) plus the
+        straight-column pass over every space--time site, counted on the
+        sampler that executes them."""
         from repro.models.hamiltonians import XXZSquareModel
-        from repro.qmc.parallel import worldline2d_replica_flops_per_sweep
-        from repro.qmc.worldline2d import WorldlineSquareQmc
+        from repro.qmc.worldline2d import FLOPS_PER_SEGMENT_MOVE, WorldlineSquareQmc
         from repro.vmp.performance import worldline2d_workload
 
         w = worldline2d_workload(8, 8, 32, sweeps=10)
-        sampler = WorldlineSquareQmc(XXZSquareModel(8, 8), 1.0, 32)
-        per_sweep = worldline2d_replica_flops_per_sweep(sampler)
+        q = WorldlineSquareQmc(XXZSquareModel(8, 8), 1.0, 32)
+        per_sweep = (
+            q.n_bonds * q.n_trotter * FLOPS_PER_SEGMENT_MOVE
+            + 2.0 * q.n_sites * q.n_slices
+        )
         assert w.total_flops == pytest.approx(10 * per_sweep)
 
     def test_defaults_and_overrides(self):
@@ -215,9 +219,9 @@ class TestWorldlineStripWorkload:
     def test_matches_strip_decomposition_halo_spec(self):
         from repro.vmp.performance import worldline_strip_workload
 
+        # One message refreshes a ghost pair: two columns of T sites.
         w = worldline_strip_workload(64, 64, sweeps=100)
-        spec = StripDecomposition(64, 4).halo_spec(n_slices=64)
-        assert w.halo_sites_per_message == spec.sites_per_message
+        assert w.halo_sites_per_message == 2 * 64
 
     def test_halo_aggregation_reduces_modeled_time(self):
         # Same bytes in 2-column buffers vs column-at-a-time: fewer
