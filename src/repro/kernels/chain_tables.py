@@ -6,8 +6,11 @@ with the periodic wrap folded into the flat indices instead of living
 in ghost columns.  The tables are static per geometry, so
 :class:`~repro.qmc.worldline.WorldlineChainQmc` builds them once at
 construction; the ``wl1d_*`` registry ops rebuild them per call and
-exist only as compatibility adapters (see DESIGN.md "Kernel
-registry").
+exist only as compatibility adapters.  The row layout built here
+(K = 4 plaquettes a move, the shared :data:`CORNER_XMASK`, bond
+columns ``c - 1`` / ``c`` as the two column halves) is the chain's
+instance of the contract in DESIGN.md "Kernel registry"; the
+square-lattice sampler builds its K = 8 instance itself.
 """
 
 from __future__ import annotations

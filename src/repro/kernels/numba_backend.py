@@ -3,18 +3,22 @@
 Each op fuses the gather -> evaluate -> accept -> scatter of one
 conflict-free independence class into a single compiled loop over the
 class's moves, eliminating the temporaries and multi-pass fancy
-indexing of the vectorized NumPy path.  Bit-identity with
+indexing of the vectorized NumPy path.  As in the NumPy backend there
+is one world-line body pair, ``strip_corner`` / ``strip_column``, for
+the chain, the square lattice and the strip driver.  Bit-identity with
 :mod:`repro.kernels.numpy_backend` rests on three pillars (documented
-in DESIGN.md, enforced by ``tests/qmc/test_kernel_registry.py``):
+in DESIGN.md, enforced by ``tests/qmc/test_kernel_registry.py`` -- in
+tier-1 over ``tests/qmc/fake_numba.py``, which runs these same loops
+interpreted where numba is not installed):
 
 1. *No RNG, no transcendentals in kernels.*  Uniforms and their
    ``np.log`` values are drawn/computed by the caller with NumPy, so
    the compared numbers are identical bytes regardless of backend.
 2. *Sequential per-move processing is exact.*  Moves within an
    independence class have disjoint read/write footprints by
-   construction, so flip -> evaluate -> maybe-unflip one move at a
-   time produces the same accept decisions as NumPy's batched
-   speculative flips.
+   construction, so evaluate -> maybe-flip one move at a time
+   produces the same accept decisions as NumPy's batched evaluation
+   of the whole class.
 3. *Reduction order is replicated.*  Plaquette-weight products are
    strictly sequential (matching ``prod``/``multiply.reduce``), and
    the float64 log-weight row sums replicate NumPy's pairwise
@@ -125,81 +129,6 @@ def _pairwise_sum(a, lo, n):
     return ret
 
 
-# -- 2-D world-line (square-lattice) kernels --------------------------
-
-@njit(cache=True)
-def _wl2d_segment(sf, weights, bl, br, tl, tr, wi, wj, u):
-    n_b, n_m = bl.shape[0], bl.shape[1]
-    n_acc = 0
-    for b in range(n_b):
-        for m in range(n_m):
-            code = (
-                sf[bl[b, m, 0]] + 2 * sf[br[b, m, 0]]
-                + 4 * sf[tl[b, m, 0]] + 8 * sf[tr[b, m, 0]]
-            )
-            old = weights[code]
-            for k in range(1, 8):
-                code = (
-                    sf[bl[b, m, k]] + 2 * sf[br[b, m, k]]
-                    + 4 * sf[tl[b, m, k]] + 8 * sf[tr[b, m, k]]
-                )
-                old = old * weights[code]
-            for k in range(4):
-                sf[wi[b, m, k]] ^= 1
-                sf[wj[b, m, k]] ^= 1
-            code = (
-                sf[bl[b, m, 0]] + 2 * sf[br[b, m, 0]]
-                + 4 * sf[tl[b, m, 0]] + 8 * sf[tr[b, m, 0]]
-            )
-            new = weights[code]
-            for k in range(1, 8):
-                code = (
-                    sf[bl[b, m, k]] + 2 * sf[br[b, m, k]]
-                    + 4 * sf[tl[b, m, k]] + 8 * sf[tr[b, m, k]]
-                )
-                new = new * weights[code]
-            if new > 0.0 and u[b, m] * old < new:
-                n_acc += 1
-            else:
-                for k in range(4):
-                    sf[wi[b, m, k]] ^= 1
-                    sf[wj[b, m, k]] ^= 1
-    return n_acc
-
-
-@njit(cache=True)
-def _wl2d_column(spins, logw, bl, br, tl, tr, flip, log_u):
-    sf = spins.reshape(-1)
-    n_slices = spins.shape[1]
-    tmp = np.empty(bl.shape[1], np.float64)
-    n_acc = 0
-    for s in range(flip.size):
-        for k in range(bl.shape[1]):
-            code = (
-                sf[bl[s, k]] + 2 * sf[br[s, k]]
-                + 4 * sf[tl[s, k]] + 8 * sf[tr[s, k]]
-            )
-            tmp[k] = logw[code]
-        old = _pairwise_sum(tmp, 0, tmp.size)
-        row = flip[s]
-        for t in range(n_slices):
-            spins[row, t] ^= 1
-        for k in range(bl.shape[1]):
-            code = (
-                sf[bl[s, k]] + 2 * sf[br[s, k]]
-                + 4 * sf[tl[s, k]] + 8 * sf[tr[s, k]]
-            )
-            tmp[k] = logw[code]
-        new = _pairwise_sum(tmp, 0, tmp.size)
-        log_ratio = new - old
-        if np.isfinite(log_ratio) and log_u[s] < log_ratio:
-            n_acc += 1
-        else:
-            for t in range(n_slices):
-                spins[row, t] ^= 1
-    return n_acc
-
-
 # -- classical Ising (serial, periodic) -------------------------------
 
 @njit(cache=True)
@@ -252,27 +181,29 @@ def ising_color(spins, couplings, mask, log_u):
     return spins, n_acc
 
 
-# -- strip driver (1-D decomposition of the chain) --------------------
+# -- world-line plaquette flips (chain, square lattice, strip driver) --
 
 @njit(cache=True)
 def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu):
+    per_move = xmask.shape[1] > 1  # (K, n) masks; else one (K, 1) column
     n_acc = 0
     for m in range(uu.size):
+        mm = m if per_move else 0
         code = (
             flat[i00[0, m]] + (flat[i10[0, m]] << 1)
             + (flat[i01[0, m]] << 2) + (flat[i11[0, m]] << 3)
         )
         old = weights[code]
-        new = weights[code ^ xmask[0, 0]]
-        for k in range(1, 4):
+        new = weights[code ^ xmask[0, mm]]
+        for k in range(1, i00.shape[0]):
             code = (
                 flat[i00[k, m]] + (flat[i10[k, m]] << 1)
                 + (flat[i01[k, m]] << 2) + (flat[i11[k, m]] << 3)
             )
             old = old * weights[code]
-            new = new * weights[code ^ xmask[k, 0]]
+            new = new * weights[code ^ xmask[k, mm]]
         if new > 0.0 and uu[m] * old < new:
-            for k in range(4):
+            for k in range(flip.shape[0]):
                 flat[flip[k, m]] ^= 1
             n_acc += 1
     return n_acc
@@ -360,17 +291,6 @@ def _block_color(g, kx, ky, kt, mask, log_u):
 
 # -- python-level wrappers matching the registry op signatures --------
 
-def wl2d_segment(sf, weights, bl, br, tl, tr, wi, wj, u) -> int:
-    # The class tables arrive as strided views (every-other-interval
-    # slices); numba specializes per layout, so pass them through
-    # rather than copying on every call.
-    return int(_wl2d_segment(sf, weights, bl, br, tl, tr, wi, wj, u))
-
-
-def wl2d_column(spins, logw, bl, br, tl, tr, flip, log_u) -> int:
-    return int(_wl2d_column(spins, logw, bl, br, tl, tr, flip, log_u))
-
-
 def strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu) -> int:
     return int(_strip_corner(flat, weights, i00, i10, i01, i11, xmask,
                              flip, uu))
@@ -395,8 +315,6 @@ wl1d_corner, wl1d_column = wl1d_adapters(strip_corner, strip_column)
 OPS = {
     "wl1d_corner": wl1d_corner,
     "wl1d_column": wl1d_column,
-    "wl2d_segment": wl2d_segment,
-    "wl2d_column": wl2d_column,
     "ising_color": ising_color,
     "strip_corner": strip_corner,
     "strip_column": strip_column,

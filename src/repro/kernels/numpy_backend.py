@@ -1,9 +1,11 @@
 """Vectorized NumPy kernel ops -- the bit-identity reference backend.
 
-These are the batched conflict-free update bodies that previously
-lived inline in ``qmc/worldline.py``, ``qmc/worldline2d.py``,
-``qmc/classical_ising.py`` and ``qmc/parallel.py``, moved behind the
-registry op signatures.  Each op:
+One body per kind of checkerboard update: ``strip_corner`` /
+``strip_column`` flip world-line plaquette windows and straight columns
+for every world-line caller (the chain and square-lattice samplers and
+the strip driver differ only in the index tables they pass),
+``block_color`` / ``ising_color`` are the Ising Metropolis colors.
+Each op:
 
 * receives the spin storage plus *precomputed* gather tables for one
   independence class,
@@ -18,7 +20,8 @@ registry op signatures.  Each op:
 
 The floating-point evaluation order of these bodies is the contract
 other backends must reproduce exactly; see the "Kernel registry"
-section of DESIGN.md.
+section of DESIGN.md.  Kernels are the bottom layer: this module
+imports nothing from the samplers.
 """
 
 from __future__ import annotations
@@ -26,43 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.chain_tables import wl1d_adapters
-from repro.qmc.plaquette import codes_from_flat
 
 __all__ = ["OPS"]
-
-
-def wl2d_segment(sf, weights, bl, br, tl, tr, wi, wj, u) -> int:
-    """Batched 4-plaquette window flips of one 2-D segment class.
-
-    ``sf`` is the flat spin view; ``bl..tr`` are (B, M, 8) corner
-    gather tables, ``wi/wj`` the (B, M, 4) flip tables, ``u`` the
-    (B, M) uniform draw.
-    """
-    old = weights[codes_from_flat(sf, bl, br, tl, tr)].prod(axis=2)
-    sf[wi] ^= 1
-    sf[wj] ^= 1
-    new = weights[codes_from_flat(sf, bl, br, tl, tr)].prod(axis=2)
-    reject = ~(new > 0.0) | (u * old >= new)
-    sf[wi[reject]] ^= 1
-    sf[wj[reject]] ^= 1
-    return int(old.size - np.count_nonzero(reject))
-
-
-def wl2d_column(spins, logw, bl, br, tl, tr, flip, log_u) -> int:
-    """Batched temporal-column flips of one 2-D column class.
-
-    The caller detects straight columns, subsets the (S, T) gather
-    tables and draws ``u``; this op evaluates and commits the flips.
-    """
-    sf = spins.reshape(-1)
-    old = logw[codes_from_flat(sf, bl, br, tl, tr)].sum(axis=1)
-    spins[flip] ^= 1
-    new = logw[codes_from_flat(sf, bl, br, tl, tr)].sum(axis=1)
-    log_ratio = new - old
-    with np.errstate(invalid="ignore"):
-        reject = ~np.isfinite(log_ratio) | (log_u >= log_ratio)
-    spins[flip[reject]] ^= 1
-    return int(flip.size - np.count_nonzero(reject))
 
 
 def ising_color(spins, couplings, mask, log_u):
@@ -82,13 +50,17 @@ def ising_color(spins, couplings, mask, log_u):
 
 
 def strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu) -> int:
-    """Batched corner flips of one strip-driver stage (XOR code trick).
+    """Batched plaquette-window flips of one independence class (XOR
+    code trick: a flipped neighbor is a code bit flipped, so nothing is
+    flipped and regathered to price a move).
 
-    ``flat`` is the ghosted local spin array flattened; ``i00..i11``
-    are (4, n) flat gather indices for the four plaquettes of each
-    move, ``xmask`` the (4, 1) per-plaquette XOR update masks,
-    ``flip`` the (4, n) flip indices, ``uu`` the move's share of the
-    shared per-sweep uniform block.
+    ``flat`` is the (ghosted) spin array flattened; ``i00..i11`` are
+    (K, n) flat gather indices of the K shaded plaquettes each of the n
+    moves reads, in weight-product order; ``xmask`` their post-flip XOR
+    masks, (K, 1) when every move shares them (the chain's four
+    neighbors) or (K, n) per move (the square lattice's eight);
+    ``flip`` the (F, n) cells an accepted move flips; ``uu`` one
+    uniform per move.
     """
     codes = (
         flat[i00] + (flat[i10] << 1) + (flat[i01] << 2) + (flat[i11] << 3)
@@ -101,11 +73,15 @@ def strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu) -> int:
 
 
 def strip_column(loc, logw, lc, c00, c10, c01, c11, log_uu):
-    """Batched straight-column flips of one strip-driver parity.
+    """Batched straight-column flips of rows ``lc`` of ``loc``.
 
-    Straight detection happens inside the op (the uniforms come
-    pre-drawn from the shared sweep block, so no draw-order concern).
-    Returns ``(n_straight, n_accepted)``.
+    ``c00..c11`` are (2, n_cols, T/2) gather indices of each column's
+    shaded plaquettes, split by the corner pair the column holds: half
+    0 the plaquettes whose right-hand corners it is (a flip XORs their
+    code with 10), half 1 the left-hand ones (5).  Straight detection
+    happens inside the op (``log_uu`` carries one slot per column; the
+    slots of bent columns are ignored).  Returns
+    ``(n_straight, n_accepted)``.
     """
     cols = loc[lc]
     straight = cols.min(axis=1) == cols.max(axis=1)
@@ -164,8 +140,6 @@ wl1d_corner, wl1d_column = wl1d_adapters(strip_corner, strip_column)
 OPS = {
     "wl1d_corner": wl1d_corner,
     "wl1d_column": wl1d_column,
-    "wl2d_segment": wl2d_segment,
-    "wl2d_column": wl2d_column,
     "ising_color": ising_color,
     "strip_corner": strip_corner,
     "strip_column": strip_column,

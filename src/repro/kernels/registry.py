@@ -60,13 +60,12 @@ __all__ = [
 #: array(s) in place for the accepted moves of ONE independence class
 #: and returns acceptance counts; RNG draws and transcendentals stay in
 #: the caller so trajectories cannot depend on the backend's libm.
-#: ``wl1d_*`` are compatibility adapters over ``strip_*`` (the chain
-#: sampler calls the strip ops directly); see DESIGN.md.
+#: ``strip_corner`` / ``strip_column`` are the plaquette-flip pair of
+#: every world-line caller (chain, square lattice, strip driver);
+#: ``wl1d_*`` are compatibility adapters over them; see DESIGN.md.
 OP_NAMES = (
     "wl1d_corner",
     "wl1d_column",
-    "wl2d_segment",
-    "wl2d_column",
     "ising_color",
     "strip_corner",
     "strip_column",

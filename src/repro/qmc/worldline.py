@@ -34,7 +34,9 @@ reference (any geometry) and a vectorized eight-color sweep requiring
 vectorize-the-inner-loop idiom of the HPC guides.  The vectorized
 sweep is the P = 1, no-ghost case of the strip driver: it runs the
 registry's ``strip_corner`` / ``strip_column`` ops over index tables
-built once at construction (:mod:`repro.kernels.chain_tables`).
+built once at construction (:mod:`repro.kernels.chain_tables`).  That
+stage loop and the mode dispatch around it are :class:`TableSweeps`,
+which the square-lattice sampler shares.
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ from repro.qmc.plaquette import PlaquetteTable
 from repro.util.correlation import mean_circular_correlation
 from repro.util.rng import RankStream, SeedSequenceFactory
 
-__all__ = ["WorldlineChainQmc", "WorldlineMeasurement", "FLOPS_PER_CORNER_MOVE"]
+__all__ = [
+    "TableSweeps",
+    "WorldlineChainQmc",
+    "WorldlineMeasurement",
+    "FLOPS_PER_CORNER_MOVE",
+]
 
 #: Modeled floating-point work of one corner-flip attempt (4 plaquette
 #: weight lookups old+new, one ratio, one compare, index arithmetic).
@@ -87,7 +94,104 @@ class WorldlineMeasurement:
         return float(self.beta * (np.mean(m**2) - np.mean(m) ** 2) / n_sites)
 
 
-class WorldlineChainQmc:
+class TableSweeps:
+    """Sweep dispatch and the table-driven sweep of a world-line sampler.
+
+    The sampler supplies ``spins`` (sites x slices, C-contiguous int8),
+    ``table``, ``_logw`` (log weights, ``-inf`` on illegal codes),
+    ``stream``, the ``n_attempted`` / ``n_accepted`` counters,
+    ``sweep_scalar``, and ``can_vectorize`` with ``_grid_rule`` saying
+    what that asks of the geometry.  Where ``can_vectorize`` holds it
+    also builds the static tables of its move set in the layout of the
+    strip ops: ``_corner_tables``, one ``(i00, i10, i01, i11, xmask,
+    flip)`` row per conflict-free class of plaquette-window flips, and
+    ``_column_tables``, one ``(sites, c00, c10, c01, c11)`` row per
+    class of straight columns.
+    """
+
+    def _sweep_fused(self, ops) -> None:
+        """Every class of one sweep through the backend's strip ops.
+
+        Moves within a class have disjoint read and write footprints,
+        so parallel acceptance equals sequential acceptance in any
+        order -- the property the domain-decomposed driver and the
+        compiled kernel backends rely on.  The uniform draws stay here
+        (one block per corner class, one per column class sized to its
+        straight columns), identical across backends.
+        """
+        corner, column = ops["strip_corner"], ops["strip_column"]
+        flat = self.spins.reshape(-1)
+        weights = self.table.weights
+        for i00, i10, i01, i11, xmask, flip in self._corner_tables:
+            n = flip.shape[1]
+            u = self.stream.uniform(size=n)
+            self.n_accepted += corner(flat, weights, i00, i10, i01, i11, xmask, flip, u)
+            self.n_attempted += n
+        for sites, *tables in self._column_tables:
+            rows = self.spins[sites]
+            straight = rows.min(axis=1) == rows.max(axis=1)
+            n_straight = int(np.count_nonzero(straight))
+            if n_straight == 0:
+                continue
+            # The op re-derives ``straight`` and ignores the other slots.
+            log_uu = np.zeros(sites.size)
+            log_uu[straight] = np.log(
+                np.maximum(self.stream.uniform(size=n_straight), 1e-300)
+            )
+            self.n_accepted += column(self.spins, self._logw, sites, *tables, log_uu)[1]
+            self.n_attempted += n_straight
+
+    def _require_vectorizable(self) -> None:
+        if not self.can_vectorize:
+            raise ValueError(
+                f"vectorized sweep needs {self._grid_rule}; this geometry "
+                "runs the per-move reference, mode='scalar' (CLI: --kernel "
+                "scalar), which mode='auto' selects for it"
+            )
+
+    def sweep_vectorized(self, kernel: str = "numpy") -> None:
+        """One table-driven sweep (needs :attr:`can_vectorize`).
+
+        ``kernel`` names the registry backend supplying the class ops;
+        every backend produces the bit-identical trajectory.
+        """
+        self._require_vectorizable()
+        self._sweep_fused(kernels.get_ops(kernel))
+
+    def resolve_sweep(self, mode: str = "auto"):
+        """``(kernel, sweep)``: the kernel ``mode`` (see :meth:`sweep`)
+        resolves to on this geometry -- ``"scalar"`` or a backend name --
+        and a zero-argument sweep bound to it.  A batched backend on a
+        geometry off its grid is a ``ValueError`` here, not at the first
+        sweep."""
+        if mode == "auto" and not self.can_vectorize:
+            mode = "scalar"  # the geometry gate: off-grid lattices
+        kernel = kernels.resolve_sweep_mode(mode)
+        if kernel == "scalar":
+            return kernel, self.sweep_scalar
+        self._require_vectorizable()
+        ops = kernels.get_ops(kernel)
+        return kernel, lambda: self._sweep_fused(ops)
+
+    def sweep(self, mode: str = "auto") -> None:
+        """One full sweep.
+
+        ``mode="auto"`` (the default, and the historical behavior)
+        runs the registry's best available kernel backend when the
+        geometry allows and the scalar reference otherwise;
+        ``"scalar"`` forces the reference; a backend name ("numpy",
+        "numba", ...; "vectorized" aliases "numpy") forces that
+        backend.  Every mode proposes the same move set; the batched
+        backends are bit-identical to each other.
+        """
+        self.resolve_sweep(mode)[1]()
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.n_accepted / self.n_attempted if self.n_attempted else 0.0
+
+
+class WorldlineChainQmc(TableSweeps):
     """World-line sampler for one XXZ chain at fixed (beta, n_slices)."""
 
     def __init__(
@@ -167,7 +271,8 @@ class WorldlineChainQmc:
                 np.arange(b, T, 4, dtype=np.intp),
                 indexing="ij",
             )
-            self._corner_tables.append(corner_tables(L, T, gi.ravel(), gt.ravel()))
+            *gather, flip = corner_tables(L, T, gi.ravel(), gt.ravel())
+            self._corner_tables.append((*gather, CORNER_XMASK, flip))
         self._column_tables = [
             (cols, *column_tables(L, T, cols))
             for cols in (np.arange(p, L, 2, dtype=np.intp) for p in (0, 1))
@@ -406,87 +511,12 @@ class WorldlineChainQmc:
     def can_vectorize(self) -> bool:
         return self.periodic and self.L % 4 == 0 and self.n_slices % 4 == 0
 
-    def _sweep_fused(self, ops) -> None:
-        """The ten stages of one sweep through the backend's strip ops.
-
-        Moves within a corner class touch disjoint spin neighborhoods
-        (sites i-1..i+2, slices t-1..t+2 are separated by the stride-4
-        grid), so parallel acceptance equals sequential acceptance in
-        any order -- the property the domain-decomposed driver and the
-        compiled kernel backends rely on.  The uniform draws stay here
-        (one block per corner class, one per parity sized to its
-        straight columns), identical across backends.
-        """
-        corner, column = ops["strip_corner"], ops["strip_column"]
-        flat = self.spins.reshape(-1)
-        weights = self.table.weights
-        for i00, i10, i01, i11, flip in self._corner_tables:
-            n = flip.shape[1]
-            u = self.stream.uniform(size=n)
-            self.n_accepted += corner(
-                flat, weights, i00, i10, i01, i11, CORNER_XMASK, flip, u
-            )
-            self.n_attempted += n
-        for parity, (cols, *tables) in enumerate(self._column_tables):
-            rows = self.spins[parity::2]
-            straight = rows.min(axis=1) == rows.max(axis=1)
-            n_straight = int(np.count_nonzero(straight))
-            if n_straight == 0:
-                continue
-            # The op re-derives ``straight`` and ignores the other slots.
-            log_uu = np.zeros(cols.size)
-            log_uu[straight] = np.log(
-                np.maximum(self.stream.uniform(size=n_straight), 1e-300)
-            )
-            self.n_accepted += column(self.spins, self._logw, cols, *tables, log_uu)[1]
-            self.n_attempted += n_straight
-
-    def _require_vectorizable(self) -> None:
-        if not self.can_vectorize:
-            raise ValueError(
-                "vectorized sweep needs a periodic chain with L % 4 == 0 and "
-                f"n_slices % 4 == 0; got L={self.L}, T={self.n_slices}, "
-                f"periodic={self.periodic}; fall back to the per-move "
-                "reference with sweep(mode='scalar') / run(mode='scalar')"
-            )
-
-    def sweep_vectorized(self, kernel: str = "numpy") -> None:
-        """Eight-color vectorized sweep (periodic chains, L%4 == T%4 == 0).
-
-        ``kernel`` names the registry backend supplying the class ops;
-        every backend produces the bit-identical trajectory.
-        """
-        self._require_vectorizable()
-        self._sweep_fused(kernels.get_ops(kernel))
-
-    def resolve_sweep(self, mode: str = "auto"):
-        """``(kernel, sweep)``: the kernel ``mode`` (see :meth:`sweep`)
-        resolves to on this geometry -- ``"scalar"`` or a backend name --
-        and a zero-argument sweep bound to it."""
-        if mode == "auto" and not self.can_vectorize:
-            mode = "scalar"  # the geometry gate: off-grid lattices
-        kernel = kernels.resolve_sweep_mode(mode)
-        if kernel == "scalar":
-            return kernel, self.sweep_scalar
-        self._require_vectorizable()
-        ops = kernels.get_ops(kernel)
-        return kernel, lambda: self._sweep_fused(ops)
-
-    def sweep(self, mode: str = "auto") -> None:
-        """One full sweep.
-
-        ``mode="auto"`` (the default, and the historical behavior)
-        runs the registry's best available kernel backend when the
-        geometry allows and the scalar reference otherwise;
-        ``"scalar"`` forces the reference; a backend name ("numpy",
-        "numba", ...; "vectorized" aliases "numpy") forces that
-        backend.
-        """
-        self.resolve_sweep(mode)[1]()
-
     @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_attempted if self.n_attempted else 0.0
+    def _grid_rule(self) -> str:
+        return (
+            "a periodic chain with L % 4 == 0 and n_slices % 4 == 0 "
+            f"(got L={self.L}, T={self.n_slices}, periodic={self.periodic})"
+        )
 
     # ------------------------------------------------------------------
     # run driver

@@ -42,9 +42,12 @@ Two sweep implementations are provided and cross-checked, mirroring the
 * ``sweep(mode="scalar")`` -- the reference path: per-bond Python loops
   over segment moves, scalar window and column flips.  Works on every
   legal geometry.
-* ``sweep(mode="vectorized")`` -- batched conflict-free kernels.  The
-  (bond, activation-interval) proposals are partitioned *statically*
-  into independence classes
+* ``sweep(mode="vectorized")`` -- the table-driven sweep the chain
+  sampler runs (:class:`repro.qmc.worldline.TableSweeps`): this module
+  only lays the move set out as rows for the registry's
+  ``strip_corner`` / ``strip_column`` ops and owns no kernel of its
+  own.  The (bond, activation-interval) proposals are partitioned
+  *statically* into independence classes
 
       bond color (4)  x  spatial bond parity (2 x 2)  x  mod-8 interval (2)
 
@@ -54,15 +57,15 @@ Two sweep implementations are provided and cross-checked, mirroring the
   the bond axis, stride-2 across it) separates read neighborhoods by
   more than one lattice spacing, and the mod-8 interval classes keep
   the six read slices ``t0 .. t0+5`` of concurrent moves disjoint.
-  Each class executes as ONE masked-Metropolis array kernel over
-  precomputed flat-index gather tables (see
-  :func:`repro.qmc.plaquette.corner_flat_indices`): gather all corner
-  codes, form old/new weight products by table lookup, accept with a
-  single vectorized uniform draw, scatter the accepted flips.  Straight
-  -line column flips batch the same way over the two sublattices.
-  Requires ``lx % 4 == 0`` and ``ly % 4 == 0`` (which also excludes the
-  doubled-bond extent-2 geometries); odd Trotter numbers fall back to
-  one-interval-at-a-time kernels that are still batched over bonds.
+  Each class is one ``strip_corner`` row: flat gather indices of the
+  eight plaquettes every move reads, the XOR mask that turns each
+  plaquette's code into its post-flip value (so a move is priced
+  without flipping anything), and the 4 + 4 cells an accepted move
+  flips.  Straight-line column flips are two ``strip_column`` rows,
+  one per sublattice.  Requires ``lx % 4 == 0`` and ``ly % 4 == 0``
+  (which also excludes the doubled-bond extent-2 geometries); odd
+  Trotter numbers get one row per activation interval, still batched
+  over bonds.
 
 Because moves within a class have disjoint read/write footprints,
 parallel acceptance equals sequential acceptance in any order -- both
@@ -81,9 +84,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels
 from repro.models.hamiltonians import XXZSquareModel
 from repro.qmc.plaquette import PlaquetteTable, codes_from_flat, corner_flat_indices
+from repro.qmc.worldline import TableSweeps
 from repro.util.rng import RankStream, SeedSequenceFactory
 
 __all__ = [
@@ -124,7 +127,7 @@ class Worldline2DMeasurement:
         return float(n_sites * np.mean(self.m_stag_sq))
 
 
-class WorldlineSquareQmc:
+class WorldlineSquareQmc(TableSweeps):
     """Four-color world-line sampler on the periodic square lattice."""
 
     N_COLORS = 4
@@ -257,79 +260,90 @@ class WorldlineSquareQmc:
 
     @property
     def can_vectorize(self) -> bool:
-        """Batched kernels need the 2x2 spatial parity classes to tile:
-        both extents multiples of 4 (also excludes doubled-bond pairs)."""
+        """The 2x2 spatial parity classes need both extents to be
+        multiples of 4 (which also excludes doubled-bond pairs)."""
         return self.lattice.lx % 4 == 0 and self.lattice.ly % 4 == 0
 
-    def _build_class_tables(self) -> None:
-        """Static conflict-free class decomposition of all segment moves.
+    @property
+    def _grid_rule(self) -> str:
+        return (
+            "lx % 4 == 0 and ly % 4 == 0 "
+            f"(got {self.lattice.lx}x{self.lattice.ly})"
+        )
 
-        For every (color, 2x2 spatial parity) class, precompute the flat
-        gather indices of the 8 affected plaquettes of every (bond, t0)
-        proposal -- shape ``(B, M, 8)`` per corner -- plus the flip
-        windows ``(B, M, 4)``.  The sweep slices the M axis into the two
-        mod-8 interval classes (or single intervals for odd M) and runs
-        one array kernel per slice: the hot path does no index
-        arithmetic at all, only gathers, table lookups and scatters.
+    def _build_class_tables(self) -> None:
+        """The sweep's static conflict-free classes as strip-op rows.
+
+        Corner rows come in class order -- color, 2x2 spatial parity,
+        then the two mod-8 interval classes (single intervals for odd
+        M) -- with moves in (bond, interval) C order.  The eight
+        plaquettes of a move at bond ``(i, j)``, interval ``t0`` are
+        in the scalar reference's weight-product order: the bond at
+        ``t0`` and ``t0 + 4``, then the active plaquettes of ``i`` and
+        ``j`` at ``t0 + 1, + 2, + 3``.  The flip window covers the top
+        corners of the first (mask 12), the bottom corners of the
+        second (3) and one whole side of each of the others: the left
+        (5) when the flipped site is that bond's first site, else the
+        right (10).  The hot path does no index arithmetic at all,
+        only gathers, table lookups and scatters.
         """
-        T, M = self.n_slices, self.n_trotter
-        lx, ly = self.lattice.lx, self.lattice.ly
+        T, C = self.n_slices, self.N_COLORS
         coords = np.array([self.lattice.coords(s) for s in range(self.n_sites)])
-        offs = np.array([0, self.N_COLORS, 1, 1, 2, 2, 3, 3], dtype=np.intp)
-        self._seg_classes = []
-        for c in range(self.N_COLORS):
+        offs = np.array([0, C, 1, 1, 2, 2, 3, 3], dtype=np.intp)[:, None, None]
+        win = np.arange(1, C + 1, dtype=np.intp)[:, None, None]
+        self._corner_tables = []
+        for c in range(C):
             bonds_c = np.nonzero(self.bond_colors == c)[0]
-            x = coords[self.bond_sites[bonds_c, 0], 0]
-            y = coords[self.bond_sites[bonds_c, 0], 1]
+            x, y = coords[self.bond_sites[bonds_c, 0]].T
             if c < 2:  # x-bond: stride 4 along x, stride 2 along y
                 subkey = 2 * ((x // 2) % 2) + y % 2
             else:  # y-bond: stride 2 along x, stride 4 along y
                 subkey = 2 * (x % 2) + (y // 2) % 2
-            t0s = np.arange(c, T, self.N_COLORS, dtype=np.intp)  # (M,)
+            t0s = np.arange(c, T, C, dtype=np.intp)
+            if self.n_trotter % 2 == 0:
+                interval_classes = (t0s[0::2], t0s[1::2])
+            else:  # the two mod-8 classes do not tile: one interval a row
+                interval_classes = t0s[:, None]
             for sub in range(4):
                 sel = bonds_c[subkey == sub]
-                i = self.bond_sites[sel, 0]
-                j = self.bond_sites[sel, 1]
-                B = sel.size
-                aff = np.empty((B, 8), dtype=np.intp)
-                aff[:, 0] = sel
-                aff[:, 1] = sel
-                for k, off in enumerate((1, 2, 3)):
-                    cc = (c + off) % self.N_COLORS
-                    aff[:, 2 + 2 * k] = self.bond_of[i, cc]
-                    aff[:, 3 + 2 * k] = self.bond_of[j, cc]
-                pa = self.bond_sites[aff, 0]  # (B, 8)
-                pb = self.bond_sites[aff, 1]
-                tau = (t0s[:, None] + offs[None, :]) % T  # (M, 8)
-                bl, br, tl, tr = corner_flat_indices(
-                    pa[:, None, :], pb[:, None, :], tau[None, :, :], T
-                )  # each (B, M, 8)
-                win = (
-                    t0s[None, :, None] + np.arange(1, self.N_COLORS + 1)
-                ) % T  # (1, M, 4)
-                self._seg_classes.append(
-                    {
-                        "bonds": sel,
-                        "t0s": t0s,
-                        "bl": bl, "br": br, "tl": tl, "tr": tr,
-                        "wi": i[:, None, None] * T + win,
-                        "wj": j[:, None, None] * T + win,
-                    }
-                )
-        # Straight-line column kernels: one class per sublattice (column
-        # flips read only the column's own active plaquettes, whose other
-        # corners live on the opposite sublattice).
-        ts = np.arange(T, dtype=np.intp)
-        self._col_classes = []
+                i, j = self.bond_sites[sel].T
+                site = np.stack([i, i, i, j, i, j, i, j])
+                aff = np.stack([sel, sel] + [
+                    self.bond_of[s, (c + off) % C] for off in (1, 2, 3) for s in (i, j)
+                ])
+                pa, pb = self.bond_sites[aff, 0], self.bond_sites[aff, 1]  # (8, B)
+                xmask = np.where(pa == site, 5, 10).astype(np.int8)
+                xmask[0], xmask[1] = 12, 3
+                for t0 in interval_classes:
+                    n = sel.size * t0.size
+                    gather = corner_flat_indices(
+                        pa[:, :, None], pb[:, :, None], (t0 + offs) % T, T
+                    )  # each (8, B, m)
+                    flip = np.concatenate(
+                        [s[:, None] * T + (t0 + win) % T for s in (i, j)]
+                    )  # the 4 + 4 window cells, (8, B, m)
+                    self._corner_tables.append((
+                        *(g.reshape(8, n) for g in gather),
+                        np.repeat(xmask, t0.size, axis=1),
+                        flip.reshape(8, n),
+                    ))
+        # Straight-line columns: one class per sublattice (a column flip
+        # reads only the column's own active plaquettes, whose other
+        # corners live on the opposite sublattice).  Each column's
+        # intervals split into the T/2 where the site is its active
+        # bond's second site (half 0, mask 10) and the T/2 where it is
+        # the first (half 1, mask 5): first in exactly two colors.
+        colors = np.arange(T, dtype=np.intp) % C
+        self._column_tables = []
         for parity in (0, 1):
             sites = np.nonzero(self._sublattice == parity)[0]
-            bonds_col = self.bond_of[sites[:, None], ts[None, :] % self.N_COLORS]
-            ca = self.bond_sites[bonds_col, 0]  # (S, T)
-            cb = self.bond_sites[bonds_col, 1]
-            bl, br, tl, tr = corner_flat_indices(ca, cb, ts[None, :], T)
-            self._col_classes.append(
-                {"sites": sites, "bl": bl, "br": br, "tl": tl, "tr": tr}
-            )
+            first = self.bond_sites[self.bond_of[sites], 0] == sites[:, None]  # (S, C)
+            tt = np.argsort(first[:, colors], axis=1, kind="stable")
+            tt = tt.reshape(sites.size, 2, T // 2).transpose(1, 0, 2)
+            bond = self.bond_of[sites[:, None], tt % C]  # (2, S, T/2)
+            self._column_tables.append((sites, *corner_flat_indices(
+                self.bond_sites[bond, 0], self.bond_sites[bond, 1], tt, T
+            )))
         w = self.table.weights
         self._logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
 
@@ -408,10 +422,6 @@ class WorldlineSquareQmc:
     def staggered_magnetization_sq(self) -> float:
         m_st = (self._stag_signs[:, None] * (self.spins - 0.5)).sum(axis=0)
         return float(np.mean((m_st / self.n_sites) ** 2))
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_attempted if self.n_attempted else 0.0
 
     # ------------------------------------------------------------------
     # moves
@@ -534,116 +544,6 @@ class WorldlineSquareQmc:
             return False
         self.n_accepted += 1
         return True
-
-    # ------------------------------------------------------------------
-    # batched conflict-free kernels
-    # ------------------------------------------------------------------
-    def _run_segment_kernel(self, cls: dict, sl: slice, ops=None) -> None:
-        """One masked-Metropolis kernel call: every segment move of one
-        conflict-free class (``sl`` selects the mod-8 interval class on
-        the precomputed M axis).
-
-        The uniform draw happens here (one block per class, same
-        generator sequence for every backend); the gather -> accept ->
-        scatter body is the backend op.  All flipped spin indices
-        within a call are distinct (same-color bonds are site-disjoint;
-        in-class intervals are >= 8 slices apart), so in-place updates
-        are exact for both the batched and the compiled sequential
-        backends.
-        """
-        if ops is None:
-            ops = kernels.get_ops("numpy")
-        bl, br = cls["bl"][:, sl], cls["br"][:, sl]
-        tl, tr = cls["tl"][:, sl], cls["tr"][:, sl]
-        wi, wj = cls["wi"][:, sl], cls["wj"][:, sl]
-        sf = self.spins.reshape(-1)
-        u = self.stream.uniform(size=bl.shape[:2])
-        n_acc = ops["wl2d_segment"](
-            sf, self.table.weights, bl, br, tl, tr, wi, wj, u
-        )
-        self.n_attempted += u.size
-        self.n_accepted += n_acc
-
-    def _run_column_kernel(self, cls: dict, ops=None) -> None:
-        """Batched straight-line flips across all legal sites of one
-        sublattice (log-space weights: T plaquettes per column).
-
-        Straight detection and the uniform draw stay here so the draw
-        *size* is backend-independent; the flip evaluation is the
-        backend op.
-        """
-        if ops is None:
-            ops = kernels.get_ops("numpy")
-        sites = cls["sites"]
-        cols = self.spins[sites]
-        straight = np.nonzero(cols.min(axis=1) == cols.max(axis=1))[0]
-        if straight.size == 0:
-            return
-        bl, br = cls["bl"][straight], cls["br"][straight]
-        tl, tr = cls["tl"][straight], cls["tr"][straight]
-        flip = sites[straight]
-        u = self.stream.uniform(size=flip.size)
-        log_u = np.log(np.maximum(u, 1e-300))
-        n_acc = ops["wl2d_column"](
-            self.spins, self._logw, bl, br, tl, tr, flip, log_u
-        )
-        self.n_attempted += flip.size
-        self.n_accepted += n_acc
-
-    def sweep_vectorized(self, kernel: str = "numpy") -> None:
-        """Batched sweep: 4 colors x 4 spatial parities x 2 interval
-        classes of segment kernels, then the two sublattice column
-        kernels.  Proposal set identical to the scalar sweep; the
-        ``kernel`` registry backend supplies the class-update ops
-        (trajectories are bit-identical across backends)."""
-        if not self.can_vectorize:
-            raise ValueError(
-                "vectorized sweep needs lx % 4 == 0 and ly % 4 == 0; got "
-                f"{self.lattice.lx}x{self.lattice.ly}; fall back to the "
-                "per-bond reference with sweep(mode='scalar') / "
-                "run(mode='scalar') or resize the lattice "
-                "(the CLI --kernel flag only selects among batched "
-                "backends, so it needs the same divisibility)"
-            )
-        ops = kernels.get_ops(kernel)
-        even_m = self.n_trotter % 2 == 0
-        for cls in self._seg_classes:
-            if even_m:
-                self._run_segment_kernel(cls, slice(0, None, 2), ops)
-                self._run_segment_kernel(cls, slice(1, None, 2), ops)
-            else:
-                # Odd Trotter number: the two mod-8 classes do not tile;
-                # fall back to one interval at a time, still bond-batched.
-                for m in range(self.n_trotter):
-                    self._run_segment_kernel(cls, slice(m, m + 1), ops)
-        for cls in self._col_classes:
-            self._run_column_kernel(cls, ops)
-
-    def resolve_sweep(self, mode: str = "auto"):
-        """``(kernel, sweep)``: the kernel ``mode`` (see :meth:`sweep`)
-        resolves to on this geometry -- ``"scalar"`` or a backend name --
-        and a zero-argument sweep bound to it."""
-        if mode == "auto" and not self.can_vectorize:
-            mode = "scalar"  # the geometry gate: off-grid lattices
-        kernel = kernels.resolve_sweep_mode(mode)
-        if kernel == "scalar":
-            return kernel, self.sweep_scalar
-        return kernel, lambda: self.sweep_vectorized(kernel)
-
-    def sweep(self, mode: str = "auto") -> None:
-        """One full sweep: every (bond, activation) segment move once,
-        then straight-line attempts on every site.
-
-        ``mode`` selects the implementation: ``"scalar"`` runs the
-        per-bond reference, a kernel-backend name (``"numpy"``,
-        ``"numba"``, ...; ``"vectorized"`` is a legacy alias for
-        ``"numpy"``) runs the batched conflict-free kernels through
-        that backend, and ``"auto"`` asks the registry for the best
-        available backend whenever the geometry allows.  Every mode
-        proposes the same move set; the batched backends are
-        bit-identical to each other.
-        """
-        self.resolve_sweep(mode)[1]()
 
     def sweep_scalar(self) -> None:
         """Reference sweep: per-bond segment moves (time-batched into

@@ -155,3 +155,16 @@ def square_chain_config(lx=4, ly=4, beta=0.5, n_slices=8, **schedule):
         health_series=("energy",),
         **schedule,
     )
+
+
+def square_corner_moves(q, flip):
+    """``(bond, t0)`` of the segment moves behind the ``(8, n)`` flip
+    cells of a ``WorldlineSquareQmc`` corner-table row: the windows of
+    sites i then j over slices t0+1 .. t0+4."""
+    i, first = np.divmod(flip[0], q.n_slices)
+    t0 = (first - 1) % q.n_slices
+    bond = q.bond_of[i, t0 % q.N_COLORS]
+    window = (t0 + np.arange(1, 5)[:, None]) % q.n_slices
+    for site, cells in zip(q.bond_sites[bond].T, (flip[:4], flip[4:])):
+        assert np.array_equal(cells, site * q.n_slices + window)
+    return bond, t0

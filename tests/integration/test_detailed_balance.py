@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import kernels
 from repro.models.hamiltonians import XXZChainModel
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.parallel import IsingBlockConfig, _BlockState
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.vmp.machines import IDEAL
 from repro.vmp.scheduler import run_spmd
+from tests.qmc.fake_numba import numba_backend  # noqa: F401 (autouse: needs_numba)
 
 couplings = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 positive_dtau = st.floats(min_value=0.02, max_value=0.4, allow_nan=False)
@@ -139,9 +139,9 @@ SMALL_LATTICES = {
     "2x1x4": dict(lx=2, ly=1, lt=4, kx=0.3, ky=0.0, kt=0.7),
     "2x2x2": dict(lx=2, ly=2, lt=2, kx=0.3, ky=-0.45, kt=0.7),
 }
-COLOR_KERNELS = ["scalar", "numpy"] + (
-    ["numba"] if kernels.kernel_available("numba") else []
-)
+COLOR_KERNELS = [
+    "scalar", "numpy", pytest.param("numba", marks=pytest.mark.needs_numba),
+]
 EPS = 1e-9
 
 

@@ -1,65 +1,109 @@
-"""The table-driven chain sweep decides every move like the scalar reference.
+"""The table-driven sweeps decide every move like the scalar references.
 
-The vectorized sweep of :class:`WorldlineChainQmc` runs the strip ops
-over index tables built once at construction.  Here each move of each
-table is replayed alone, from thermalised configurations, against
-``attempt_corner_flip`` / ``attempt_column_flip`` fed the same uniform:
-both must take the same decision and leave the same spins.  A property
-test pins the geometry: the tables tile the move set exactly once.
+The vectorized sweeps of :class:`WorldlineChainQmc` and
+:class:`WorldlineSquareQmc` run the strip ops over index tables built
+once at construction.  Here each move of each table row is replayed
+alone, from thermalised configurations, against the sampler's scalar
+move (``attempt_corner_flip`` / ``segment_flip_class`` /
+``attempt_column_flip``) fed the same uniform: both must take the same
+decision and leave the same spins, and the row's XOR mask must turn
+every gathered code into the code regathered after the flip.  A
+property test pins the chain geometry: the tables tile the move set
+exactly once.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.kernels.chain_tables import CORNER_XMASK
-from repro.models.hamiltonians import XXZChainModel
+from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.worldline import WorldlineChainQmc
+from repro.qmc.worldline2d import WorldlineSquareQmc
 
-from tests.conftest import ForcedStream
+from tests.conftest import ForcedStream, square_corner_moves
 
 
-def _thermalised(L, T, seed, n_sweeps):
-    q = WorldlineChainQmc(
-        XXZChainModel(n_sites=L, jz=0.7, periodic=True), beta=1.0, n_slices=T, seed=seed
+def _chain(L, T, n_sweeps):
+    return WorldlineChainQmc(
+        XXZChainModel(n_sites=L, jz=0.7, periodic=True), beta=1.0, n_slices=T,
+        seed=L * T + n_sweeps,
     )
-    for _ in range(n_sweeps):
-        q.sweep("numpy")
-    return q
+
+
+def _square(lx, ly, T, n_sweeps):
+    return WorldlineSquareQmc(
+        XXZSquareModel(lx, ly, jz=0.7), beta=1.0, n_slices=T,
+        seed=lx * ly * T + n_sweeps,
+    )
+
+
+def _chain_corner(q, flip):
+    """The scalar move behind one column of a chain corner row."""
+    return ("attempt_corner_flip", *divmod(int(flip[0]), q.n_slices))
+
+
+def _square_corner(q, flip):
+    """... of a square-lattice row."""
+    bond, t0 = square_corner_moves(q, flip[:, None])
+    return "segment_flip_class", int(bond[0]), t0
+
+
+#: id -> (sampler factory, scalar corner move, thermalisation sweeps)
+CASES = {
+    **{f"{n}-{T}-{L}": (functools.partial(_chain, L, T, n), _chain_corner, n)
+       for n in (0, 25) for T in (4, 8) for L in (4, 8)},
+    **{f"{n}-{lx}x{ly}x{T}": (
+        functools.partial(_square, lx, ly, T, n), _square_corner, n)
+       for n in (0, 25) for lx, ly, T in ((4, 4, 8), (8, 4, 16), (4, 4, 12))},
+}
 
 
 def _scalar_decision(q, start, u, move, *args):
     """One scalar move from ``start`` whose only possible draw is ``u``."""
     q.spins = start.copy()
     q.stream = ForcedStream(u)
-    accepted = getattr(q, move)(*args)
-    return accepted, q.spins
+    before = q.n_accepted
+    getattr(q, move)(*args)
+    return q.n_accepted - before, q.spins
 
 
-@pytest.mark.parametrize("L", [4, 8])
-@pytest.mark.parametrize("T", [4, 8])
-@pytest.mark.parametrize("n_sweeps", [0, 25])
-def test_every_table_move_matches_the_scalar_reference(L, T, n_sweeps):
+def _codes(flat, gather):
+    s00, s10, s01, s11 = (flat[g] for g in gather)
+    return s00 + (s10 << 1) + (s01 << 2) + (s11 << 3)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_table_move_matches_the_scalar_reference(case):
+    make, corner_move, n_sweeps = CASES[case]
     ops = kernels.get_ops("numpy")
-    q = _thermalised(L, T, seed=L * T + n_sweeps, n_sweeps=n_sweeps)
+    q = make()
+    for _ in range(n_sweeps):
+        q.sweep("numpy")
     start = q.spins.copy()
     rng = np.random.default_rng(7)
     n_corner_accepts = n_column_accepts = 0
-    for *gather, flip in q._corner_tables:
+    for *gather, xmask, flip in q._corner_tables:
         for m in range(flip.shape[1]):
-            i, t = divmod(int(flip[0, m]), T)
             one = slice(m, m + 1)
+            gather1 = [g[:, one] for g in gather]
+            xmask1 = xmask if xmask.shape[1] == 1 else xmask[:, one]
+            flipped = start.reshape(-1).copy()
+            flipped[flip[:, m]] ^= 1
+            np.testing.assert_array_equal(
+                _codes(start.reshape(-1), gather1) ^ xmask1, _codes(flipped, gather1)
+            )
+            move = corner_move(q, flip[:, m])
             for u in rng.uniform(size=3):
                 fused = start.copy()
                 n_acc = ops["strip_corner"](
-                    fused.reshape(-1), q.table.weights, *(g[:, one] for g in gather),
-                    CORNER_XMASK, flip[:, one], np.array([u]),
+                    fused.reshape(-1), q.table.weights, *gather1, xmask1,
+                    flip[:, one], np.array([u]),
                 )
-                accepted, spins = _scalar_decision(
-                    q, start, u, "attempt_corner_flip", i, t
-                )
-                assert n_acc == int(accepted), (i, t, u)
+                accepted, spins = _scalar_decision(q, start, u, *move)
+                assert n_acc == accepted, (move, u)
                 np.testing.assert_array_equal(fused, spins)
                 n_corner_accepts += n_acc
     for cols, *tables in q._column_tables:
@@ -75,7 +119,7 @@ def test_every_table_move_matches_the_scalar_reference(L, T, n_sweeps):
                     q, start, u, "attempt_column_flip", site
                 )
                 assert n_straight == int(start[site].min() == start[site].max())
-                assert n_acc == int(accepted), (site, u)
+                assert n_acc == accepted, (site, u)
                 np.testing.assert_array_equal(fused, spins)
                 n_column_accepts += n_acc
     # The comparison is not vacuous: both move types fire somewhere.

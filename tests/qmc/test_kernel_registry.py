@@ -10,9 +10,8 @@ backends replicate numpy's reduction order exactly.  This suite pins:
 * the structured :class:`KernelUnavailableError` (backend/reason
   attributes, actionable ``--kernel numpy`` fallback in the message);
 * serial samplers: ``mode="numpy"`` is bit-identical to the legacy
-  ``mode="vectorized"`` path, and -- where numba is installed -- the
-  JIT backend is bit-identical to numpy on the chain, square-lattice
-  and classical-Ising samplers;
+  ``mode="vectorized"`` path, and the numba backend is bit-identical
+  to numpy on the chain, square-lattice and classical-Ising samplers;
 * SPMD drivers: strip/block trajectories agree between numpy and numba
   kernels across P in {1, 2, 4}, overlap on/off, and the thread/mp
   backends, and a checkpoint written under one kernel resumes under
@@ -21,9 +20,14 @@ backends replicate numpy's reduction order exactly.  This suite pins:
 * telemetry: per-sweep kernel time lands in a counter tagged by the
   backend name.
 
-The numba legs skip cleanly where numba is not importable; CI's numba
-job installs it and runs this file as its bit-identity gate.
+The numba legs never skip: where numba is not installed they run
+``repro.kernels.numba_backend`` interpreted, over the stand-in of
+``tests/qmc/fake_numba.py`` (same source, same loops, no compiler);
+CI's numba job installs the real JIT and runs this file as its
+bit-identity gate.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -53,15 +57,19 @@ from tests.conftest import (
     run_driver_matrix,
     square_chain_config,
 )
+from tests.qmc.fake_numba import HAVE_NUMBA, numba_backend  # noqa: F401
 
-HAVE_NUMBA = kernels.kernel_available("numba")
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+#: Runs the test with the ``numba`` backend loadable: the real JIT
+#: where installed, else the same module over the interpreted stand-in
+#: (the imported autouse fixture acts on this mark).
+needs_numba = pytest.mark.needs_numba
 
-#: Kernel pairs whose trajectories must agree (numpy against every
-#: other available batched backend; just the alias pair without numba).
-PAIRS = [("vectorized", "numpy")] + (
-    [("numpy", "numba")] if HAVE_NUMBA else []
-)
+#: Kernel pairs whose trajectories must agree: the alias pair, and
+#: numpy against the other batched backend.
+PAIRS = [
+    ("vectorized", "numpy"),
+    pytest.param("numpy", "numba", marks=needs_numba),
+]
 
 
 # ======================================================================
@@ -99,6 +107,25 @@ class TestRegistrySemantics:
         ops = kernels.get_ops("numpy")
         assert set(kernels.OP_NAMES) <= set(ops)
         assert all(callable(ops[n]) for n in kernels.OP_NAMES)
+
+    @pytest.mark.parametrize(
+        "backend", ["numpy", pytest.param("numba", marks=needs_numba)])
+    def test_one_plaquette_flip_pair_and_nothing_else(self, backend):
+        """Six ops: every world-line caller shares ``strip_*``."""
+        assert set(kernels.OP_NAMES) == {
+            "wl1d_corner", "wl1d_column", "ising_color",
+            "strip_corner", "strip_column", "block_color",
+        }
+        assert set(kernels.get_ops(backend)) == set(kernels.OP_NAMES)
+
+    def test_numba_stand_in_stays_inside_its_tests(self):
+        """The fixture of ``tests/qmc/fake_numba.py`` leaves nothing
+        behind: outside it this host resolves what is installed."""
+        assert kernels.kernel_available("numba") == HAVE_NUMBA
+        if not HAVE_NUMBA:
+            assert kernels.resolve_kernel("auto") == "numpy"
+            assert "numba" not in sys.modules
+            assert "repro.kernels.numba_backend" not in sys.modules
 
     def test_backend_version_reporting(self):
         assert kernels.backend_version("numpy") == np.__version__
@@ -335,6 +362,44 @@ class TestNumbaSerialShapes:
         np.testing.assert_array_equal(a.spins, b.spins)
         assert a.n_accepted == b.n_accepted
         b.check_invariants()
+
+    @pytest.mark.parametrize("make,k,per_move_mask", [
+        (lambda: WorldlineSquareQmc(XXZSquareModel(4, 4), 0.8, 8, seed=2), 8, True),
+        (lambda: WorldlineSquareQmc(XXZSquareModel(8, 4), 1.1, 12, seed=2), 8, True),
+        (lambda: WorldlineChainQmc(XXZChainModel(8), 0.9, 8, seed=2), 4, False),
+    ], ids=["square-4x4x8", "square-8x4x12-odd-M", "chain-8x8"])
+    def test_strip_ops_agree_row_by_row_on_both_mask_shapes(
+            self, make, k, per_move_mask):
+        """``strip_corner`` takes K rows and a (K, 1) or (K, n) mask:
+        every table row of both samplers, op against op."""
+        q = make()
+        for _ in range(5):
+            q.sweep(mode="numpy")
+        rng = np.random.default_rng(17)
+        np_ops, nb_ops = kernels.get_ops("numpy"), kernels.get_ops("numba")
+        n_acc = 0
+        for *gather, xmask, flip in q._corner_tables:
+            n = flip.shape[1]
+            assert gather[0].shape == (k, n)
+            assert xmask.shape == (k, n if per_move_mask else 1)
+            u = rng.uniform(size=n)
+            a, b = q.spins.copy(), q.spins.copy()
+            got = [ops["strip_corner"](s.reshape(-1), q.table.weights, *gather,
+                                       xmask, flip, u)
+                   for ops, s in ((np_ops, a), (nb_ops, b))]
+            assert got[0] == got[1]
+            np.testing.assert_array_equal(a, b)
+            n_acc += got[0]
+        assert n_acc > 0
+        start = np.ascontiguousarray(  # straight columns for the column op
+            np.repeat(q.spins[:, :1], q.n_slices, axis=1))
+        for sites, *tables in q._column_tables:
+            log_u = np.log(rng.uniform(size=sites.size))
+            a, b = start.copy(), start.copy()
+            got = [ops["strip_column"](s, q._logw, sites, *tables, log_u)
+                   for ops, s in ((np_ops, a), (nb_ops, b))]
+            assert got[0] == got[1] and got[0][0] == sites.size
+            np.testing.assert_array_equal(a, b)
 
 
 # ======================================================================

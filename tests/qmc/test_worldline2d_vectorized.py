@@ -1,4 +1,4 @@
-"""Tests for the batched conflict-free kernels of the 2-D sampler.
+"""Tests for the table-driven sweep of the 2-D sampler.
 
 Three layers of evidence that ``sweep_vectorized`` samples exactly the
 scalar sampler's distribution:
@@ -6,11 +6,12 @@ scalar sampler's distribution:
 1. **Structural**: within every (color, spatial parity, interval)
    class, all flipped spin cells are distinct and no proposal reads a
    plaquette corner another proposal writes -- verified directly on the
-   precomputed gather tables.
-2. **Coupled trajectories**: with the Metropolis uniforms forced, one
-   array kernel produces bit-identical spins to running the same
-   class's moves one bond at a time through the scalar move methods
-   (order independence is exactly conflict-freedom).
+   rows the sampler hands the ``strip_corner`` / ``strip_column`` ops.
+2. **Coupled trajectories**: with the Metropolis uniforms forced, the
+   sampler's sweep body over one table row produces bit-identical
+   spins to running the same class's moves one bond at a time through
+   the scalar move methods (order independence is exactly
+   conflict-freedom).
 3. **Statistical**: long scalar and vectorized runs on 4x4 agree with
    each other and with the momentum-blocked exact reference (the latter
    up to the documented zero-winding-sector restriction, measured small
@@ -29,7 +30,7 @@ from repro.models.symmetry_ed import MomentumBlockED
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 
-from tests.conftest import ForcedStream, assert_within
+from tests.conftest import ForcedStream, assert_within, square_corner_moves
 
 
 def make(lx=4, ly=4, beta=0.75, n_slices=16, seed=0, **model_kw):
@@ -37,11 +38,14 @@ def make(lx=4, ly=4, beta=0.75, n_slices=16, seed=0, **model_kw):
     return WorldlineSquareQmc(model, beta, n_slices, seed=seed)
 
 
-def interval_slices(q):
-    """The M-axis slices sweep_vectorized runs each class with."""
-    if q.n_trotter % 2 == 0:
-        return [slice(0, None, 2), slice(1, None, 2)]
-    return [slice(m, m + 1) for m in range(q.n_trotter)]
+def run_rows(q, corner=(), column=()):
+    """The sampler's own sweep body over just these table rows."""
+    saved = q._corner_tables, q._column_tables
+    q._corner_tables, q._column_tables = list(corner), list(column)
+    try:
+        q.sweep_vectorized()
+    finally:
+        q._corner_tables, q._column_tables = saved
 
 
 class TestGeometryGate:
@@ -55,6 +59,17 @@ class TestGeometryGate:
         q = make(2, 4, n_slices=8)
         with pytest.raises(ValueError, match="lx % 4"):
             q.sweep_vectorized()
+
+    @pytest.mark.parametrize("mode", ["numpy", "vectorized"])
+    def test_batched_backend_off_grid_fails_at_resolve(self, mode):
+        """Before any sweep, like the chain, and naming the way out."""
+        q = make(2, 4, n_slices=8)
+        with pytest.raises(ValueError, match="lx % 4") as exc:
+            q.resolve_sweep(mode)
+        assert "--kernel scalar" in str(exc.value)
+        assert "mode='scalar'" in str(exc.value)
+        assert q.n_attempted == 0
+        assert q.resolve_sweep("scalar")[0] == q.resolve_sweep("auto")[0] == "scalar"
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown sweep mode"):
@@ -70,13 +85,14 @@ class TestGeometryGate:
 class TestClassTables:
     def test_classes_cover_every_proposal_once(self):
         q = make()
-        total = sum(
-            cls["bl"].shape[0] * cls["bl"].shape[1] for cls in q._seg_classes
+        bonds, t0s = map(
+            np.concatenate, zip(*(square_corner_moves(q, row[-1]) for row in q._corner_tables))
         )
-        assert total == q.n_bonds * q.n_trotter
-        bonds = np.concatenate([cls["bonds"] for cls in q._seg_classes])
-        assert np.array_equal(np.sort(bonds), np.arange(q.n_bonds))
-        sites = np.concatenate([cls["sites"] for cls in q._col_classes])
+        assert bonds.size == q.n_bonds * q.n_trotter
+        assert np.array_equal(t0s % q.N_COLORS, q.bond_colors[bonds])
+        proposals = bonds * q.n_trotter + t0s // q.N_COLORS
+        assert np.array_equal(np.sort(proposals), np.arange(bonds.size))
+        sites = np.concatenate([sites for sites, *_ in q._column_tables])
         assert np.array_equal(np.sort(sites), np.arange(q.n_sites))
 
     @pytest.mark.parametrize("shape", [(4, 4, 16), (8, 4, 16), (4, 4, 12)])
@@ -85,39 +101,34 @@ class TestClassTables:
         lx, ly, T = shape
         q = make(lx, ly, n_slices=T)
         n_cells = q.n_sites * q.n_slices
-        for cls in q._seg_classes:
-            for sl in interval_slices(q):
-                wi, wj = cls["wi"][:, sl], cls["wj"][:, sl]
-                writes = np.concatenate([wi, wj], axis=2)  # (B, m, 8)
-                flat = writes.reshape(-1)
-                assert flat.size == np.unique(flat).size, "overlapping flips"
-                owner = np.full(n_cells, -1, dtype=np.int64)
-                pid = np.arange(writes.shape[0] * writes.shape[1]).reshape(
-                    writes.shape[0], writes.shape[1], 1
+        n_rows = 16 * (2 if q.n_trotter % 2 == 0 else q.n_trotter)
+        assert len(q._corner_tables) == n_rows
+        for *gather, xmask, writes in q._corner_tables:  # writes: (8, n)
+            flat = writes.reshape(-1)
+            assert flat.size == np.unique(flat).size, "overlapping flips"
+            owner = np.full(n_cells, -1, dtype=np.int64)
+            pid = np.arange(writes.shape[1])[None, :]
+            owner[writes] = np.broadcast_to(pid, writes.shape)
+            assert xmask.shape == writes.shape
+            for corner in gather:
+                read_owner = owner[corner]  # (8, n)
+                ok = (read_owner < 0) | (
+                    read_owner == np.broadcast_to(pid, read_owner.shape)
                 )
-                owner[writes] = np.broadcast_to(pid, writes.shape)
-                for corner in ("bl", "br", "tl", "tr"):
-                    read_owner = owner[cls[corner][:, sl]]  # (B, m, 8)
-                    ok = (read_owner < 0) | (
-                        read_owner == np.broadcast_to(pid, read_owner.shape)
-                    )
-                    assert np.all(ok), "cross-proposal read/write conflict"
+                assert np.all(ok), "cross-proposal read/write conflict"
 
     def test_column_classes_are_conflict_free(self):
         q = make()
         T = q.n_slices
-        for cls in q._col_classes:
-            writes = (
-                cls["sites"][:, None] * T + np.arange(T)[None, :]
-            ).reshape(-1)
+        for sites, *gather in q._column_tables:
+            writes = (sites[:, None] * T + np.arange(T)[None, :]).reshape(-1)
             assert writes.size == np.unique(writes).size
             owner = np.full(q.n_sites * T, -1, dtype=np.int64)
-            owner[writes.reshape(len(cls["sites"]), T)] = np.arange(
-                len(cls["sites"])
-            )[:, None]
-            pid = np.arange(len(cls["sites"]))[:, None]
-            for corner in ("bl", "br", "tl", "tr"):
-                read_owner = owner[cls[corner]]
+            owner[writes.reshape(len(sites), T)] = np.arange(len(sites))[:, None]
+            pid = np.arange(len(sites))[None, :, None]
+            for corner in gather:  # (2, n_cols, T/2)
+                assert corner.shape == (2, len(sites), T // 2)
+                read_owner = owner[corner]
                 assert np.all((read_owner < 0) | (read_owner == pid))
 
     def test_shaded_codes_match_per_plaquette_codes(self):
@@ -150,12 +161,12 @@ class TestKernelScalarCoupling:
         a, b = self._pair(shape, seed=41)
         a.stream = ForcedStream(0.0)
         b.stream = ForcedStream(0.0)
-        for ci, cls in enumerate(a._seg_classes):
-            for sl in interval_slices(a):
-                a._run_segment_kernel(cls, sl)
-                for bond in b._seg_classes[ci]["bonds"]:
-                    b.segment_flip_class(int(bond), b._seg_classes[ci]["t0s"][sl])
-                assert np.array_equal(a.spins, b.spins), "kernel != scalar"
+        for row in a._corner_tables:
+            run_rows(a, corner=[row])
+            bonds, t0s = square_corner_moves(b, row[-1])
+            for bond in np.unique(bonds):
+                b.segment_flip_class(int(bond), t0s[bonds == bond])
+            assert np.array_equal(a.spins, b.spins), "kernel != scalar"
         assert a.n_attempted == b.n_attempted
         assert a.n_accepted == b.n_accepted
         a.check_invariants()
@@ -164,9 +175,9 @@ class TestKernelScalarCoupling:
         a, b = self._pair(shape, seed=43)
         a.stream = ForcedStream(0.0)
         b.stream = ForcedStream(0.0)
-        for ci, cls in enumerate(a._col_classes):
-            a._run_column_kernel(cls)
-            for site in b._col_classes[ci]["sites"]:
+        for row in a._column_tables:
+            run_rows(a, column=[row])
+            for site in row[0]:
                 b.attempt_column_flip(int(site))
             assert np.array_equal(a.spins, b.spins)
         assert a.n_attempted == b.n_attempted

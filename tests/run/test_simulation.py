@@ -383,6 +383,27 @@ PINNED_RUNS = {
         _XXZ_ESTIMATES + ["staggered_structure_factor"], _RT_SERIAL,
         "12eed8419a4d7a3fa6f61a4f043f6e431b364d4de15f0d807e149b9ad612652b",
     ),
+    # Odd Trotter number (one interval per table row) and a non-square
+    # lattice, recorded at 44bf7da (the sampler still ran wl2d_* kernels).
+    "xxz2d_serial_odd_trotter": (
+        lambda **kw: XXZ2DRunConfig(
+            lx=4, ly=4, beta=0.5, **{**_MC, "n_slices": 12}, layout=_numpy(), **kw),
+        {"energy": "86461938f37787d4ff53feae3717daeeaa72737b7a31f078604b4520b84732dc",
+         "magnetization": "5b58aef32907bcb11a77e6397dd3b665762828fb818e78580715e9a696a20305"},
+        {"lx": 4, "ly": 4, "beta": 0.5, "jz": 1.0, "jxy": 1.0, "n_slices": 12,
+         "strategy": "serial", "n_ranks": 1, "kernel": "numpy"},
+        _XXZ_ESTIMATES + ["staggered_structure_factor"], _RT_SERIAL,
+        "d5dc4d0edf58e1793b1353f98722dd7a5c917108a7b164e6a3ef96b3ce3fad00",
+    ),
+    "xxz2d_serial_8x4": (
+        lambda **kw: XXZ2DRunConfig(lx=8, ly=4, beta=0.5, **_MC, layout=_numpy(), **kw),
+        {"energy": "250fe751808b9da02d2ef30f62026513e5e642f6b2cf0036ee22e8729d7860c9",
+         "magnetization": "e168ad26edda0c6db9dff41a65b8aa255c83f60ba299f7fff0f80859193f25e5"},
+        {"lx": 8, "ly": 4, "beta": 0.5, "jz": 1.0, "jxy": 1.0, "n_slices": 8,
+         "strategy": "serial", "n_ranks": 1, "kernel": "numpy"},
+        _XXZ_ESTIMATES + ["staggered_structure_factor"], _RT_SERIAL,
+        "95208b280428362cd321d6815c8e2ac8756ee905f73f65328c9b05b38aae7927",
+    ),
     "tfim_serial": (
         lambda **kw: TfimRunConfig(**_TFIM, layout=_numpy(), **kw),
         {"energy": "351262f403d380fb6cd03938ef37b91fa95a66c63530582adfd18bea7d5f3049",

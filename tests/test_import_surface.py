@@ -85,6 +85,17 @@ def test_info_commands_do_not_import_the_samplers():
     _fresh_interpreter(code)
 
 
+def test_kernels_are_the_bottom_layer():
+    """The op bodies import nothing from the samplers above them."""
+    code = (
+        "import sys\n"
+        "import repro.kernels.numpy_backend\n"
+        "bad = [m for m in sys.modules if m.startswith('repro.qmc')]\n"
+        "assert bad == [], bad\n"
+    )
+    _fresh_interpreter(code)
+
+
 def test_the_launcher_imports_what_forked_ranks_use():
     """NumPy loads ``numpy.random`` on first attribute access; were that
     left to the first stream an mp rank creates, every rank of every run
