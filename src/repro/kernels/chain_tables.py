@@ -1,23 +1,37 @@
-"""Gather tables that run a periodic chain through the strip ops.
+"""Gather and weight tables that run a periodic chain through the strip ops.
 
 The serial chain sampler is the P=1, no-ghost case of the strip
 driver: the same ``strip_corner`` / ``strip_column`` ops update it,
 with the periodic wrap folded into the flat indices instead of living
 in ghost columns.  The tables are static per geometry, so
 :class:`~repro.qmc.worldline.WorldlineChainQmc` builds them once at
-construction; the ``wl1d_*`` registry ops rebuild them per call and
-exist only as compatibility adapters.  The row layout built here
-(K = 4 plaquettes a move, the shared :data:`CORNER_XMASK`, bond
-columns ``c - 1`` / ``c`` as the two column halves) is the chain's
-instance of the contract in DESIGN.md "Kernel registry"; the
-square-lattice sampler builds its K = 8 instance itself.
+construction; the ``wl1d_*`` registry ops rebuild the index tables per
+call and exist only as compatibility adapters.
+
+A corner move reads K = 4 neighbor plaquettes under one shared XOR
+mask (:data:`CORNER_XMASK`), so its 16 environment spins are *packed*:
+:func:`corner_tables` lays them out as one ``(n, 16)`` gather whose
+bits form a 16-bit environment code, and :func:`corner_products` holds
+the weight product before and after the flip for every code.  This is
+the chain's instance of the row contract in DESIGN.md "Kernel
+registry"; the square-lattice sampler's K = 8 per-move-mask rows stay
+unpacked (32 environment bits have no table).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = ["CORNER_XMASK", "column_tables", "corner_tables", "wl1d_adapters"]
+__all__ = [
+    "CORNER_XMASK",
+    "column_log_weights",
+    "column_tables",
+    "corner_products",
+    "corner_tables",
+    "wl1d_adapters",
+]
 
 #: XOR masks turning a neighbor-plaquette code into its post-flip
 #: value.  A corner move flips the four spins (i, t), (i, t1),
@@ -26,51 +40,106 @@ __all__ = ["CORNER_XMASK", "column_tables", "corner_tables", "wl1d_adapters"]
 #: (i, t1) -- those spins occupy bits {1,3}, {0,2}, {2,3}, {0,1}.
 CORNER_XMASK = np.array([[10], [5], [12], [3]], dtype=np.int8)
 
+#: Code permutations of a column flip: a plaquette whose right-hand
+#: corners the column holds goes ``h -> h ^ 10``, a left-hand one
+#: ``h -> h ^ 5`` (row 0 is the identity, the pre-flip table).
+_COLUMN_XCODES = np.arange(16) ^ np.array([[0], [10], [5]])
+
+
+@lru_cache(maxsize=8)
+def _corner_products(weights: bytes):
+    w = np.frombuffer(weights)
+    codes = np.arange(16)
+    tables = []
+    for masks in (np.zeros_like(CORNER_XMASK), CORNER_XMASK):
+        w0, w1, w2, w3 = w[codes ^ masks]
+        # ((w0 w1) w2) w3 on axes [k3, k2, k1, k0]: the scalar
+        # reference's product order, which fixes every float.
+        p = (((w0 * w1[:, None]) * w2[:, None, None]) * w3[:, None, None, None])
+        tables.append(p.reshape(-1))
+    p_old, p_new = tables
+    p_new[p_new <= 0.0] = -1.0
+    for p in tables:
+        p.flags.writeable = False
+    return p_old, p_new
+
+
+def corner_products(weights: np.ndarray):
+    """``(P_old, P_new)``: for each of the 65,536 environment codes
+    ``e`` of :func:`corner_tables` (plaquette ``k``'s code is ``(e >>
+    4k) & 15``), the neighbors' weight product ``((w0 w1) w2) w3``
+    before the corner flip and after it (codes XORed with
+    :data:`CORNER_XMASK`).  ``P_new`` stores -1.0 where the product is
+    not positive: ``u * P_old[e] < P_new[e]`` alone is then the accept
+    rule, since its left side is never negative.
+
+    Memoized on the weights' bytes: every chain, team and strip rank of
+    a process shares one read-only pair (1 MB, built in well under a
+    millisecond).
+    """
+    return _corner_products(np.ascontiguousarray(weights, dtype=np.float64).tobytes())
+
+
+def column_log_weights(weights: np.ndarray) -> np.ndarray:
+    """``(3, 16)`` log weights for the column op: ``logw[h]``,
+    ``logw[h ^ 10]``, ``logw[h ^ 5]`` (``-inf`` on illegal codes)."""
+    logw = np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+    return logw[_COLUMN_XCODES]
+
 
 def corner_tables(n_sites: int, n_slices: int, i: np.ndarray, t: np.ndarray):
-    """``(i00, i10, i01, i11, flip)`` for corner moves at bonds ``i``,
-    intervals ``t``: ``(4, n)`` indices into ``spins.reshape(-1)``.
+    """``(env, flip)`` for corner moves at bonds ``i``, intervals ``t``,
+    as indices into ``spins.reshape(-1)``: ``env`` is ``(n, 16)`` with
+    column ``4k + c`` the corner ``c`` (s00, s10, s01, s11) of neighbor
+    plaquette ``k``, ``flip`` the ``(4, n)`` cells an accepted move
+    flips.
 
-    Rows follow the scalar reference's weight-product order (see
-    :data:`CORNER_XMASK`), which fixes the floating-point result.
+    Plaquettes follow the scalar reference's weight-product order (see
+    :data:`CORNER_XMASK`), which :func:`corner_products` multiplies in.
     """
     L, T = n_sites, n_slices
     ip1, t1 = (i + 1) % L, (t + 1) % T
     lb = np.stack([(i - 1) % L, ip1, i, i])
     pt = np.stack([t, t, (t - 1) % T, t1])
     lb1, pt1 = (lb + 1) % L, (pt + 1) % T
+    env = np.stack([lb * T + pt, lb1 * T + pt, lb * T + pt1, lb1 * T + pt1], axis=1)
     flip = np.stack([i * T + t, i * T + t1, ip1 * T + t, ip1 * T + t1])
-    return lb * T + pt, lb1 * T + pt, lb * T + pt1, lb1 * T + pt1, flip
+    # C order matters: a gather inherits the memory order of its index.
+    return np.ascontiguousarray(env.reshape(16, -1).T), flip
 
 
-def column_tables(n_sites: int, n_slices: int, cols: np.ndarray):
-    """``(c00, c10, c01, c11)`` of shape ``(2, n_cols, T/2)``: the shaded
-    plaquettes of bond columns ``cols - 1`` and ``cols``, whose codes a
-    column flip XORs with 10 and 5 respectively."""
+def column_tables(n_sites: int, n_slices: int, cols: np.ndarray) -> np.ndarray:
+    """``(4, 2, n_cols, T/2)`` gather of the shaded plaquettes' corners
+    (s00, s10, s01, s11 first) of bond columns ``cols - 1`` and
+    ``cols``, whose codes a column flip XORs with 10 and 5 respectively."""
     L, T = n_sites, n_slices
     b = np.stack([(cols - 1) % L, cols])[:, :, None]
     b1 = (b + 1) % L
     ts = b % 2 + np.arange(0, T, 2, dtype=np.intp)  # bond b is shaded at t = b (mod 2)
     ts1 = (ts + 1) % T
-    return b * T + ts, b1 * T + ts, b * T + ts1, b1 * T + ts1
+    return np.stack([b * T + ts, b1 * T + ts, b * T + ts1, b1 * T + ts1])
 
 
 def wl1d_adapters(strip_corner, strip_column):
     """The ``wl1d_corner`` / ``wl1d_column`` ops of a backend, expressed
-    through its strip ops (tables rebuilt on every call)."""
+    through its strip ops (index tables rebuilt on every call, weight
+    products memoized)."""
 
     def wl1d_corner(spins, weights, i, t, u) -> int:
         """Corner flips at bonds ``i``, intervals ``t`` (one independence
         class); ``u`` is the caller's uniform draw, one per move."""
-        *gather, flip = corner_tables(*spins.shape, i, t)
+        env, flip = corner_tables(*spins.shape, i, t)
         return strip_corner(
-            spins.reshape(-1), weights, *gather, CORNER_XMASK, flip, u
+            spins.reshape(-1), corner_products(weights), env, flip, u
         )
 
     def wl1d_column(spins, logw, cols, log_u) -> int:
         """Straight-column flips at sites ``cols`` (already filtered to
         straight world lines); ``log_u = log(max(u, 1e-300))``."""
-        tables = column_tables(*spins.shape, cols)
-        return strip_column(spins, logw, cols, *tables, log_u)[1]
+        return strip_column(
+            spins, logw[_COLUMN_XCODES], cols,
+            column_tables(*spins.shape, cols),
+            np.ones(cols.size, dtype=bool), log_u,
+        )
 
     return wl1d_corner, wl1d_column

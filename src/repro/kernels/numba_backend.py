@@ -20,7 +20,8 @@ interpreted where numba is not installed):
    produces the same accept decisions as NumPy's batched evaluation
    of the whole class.
 3. *Reduction order is replicated.*  Plaquette-weight products are
-   strictly sequential (matching ``prod``/``multiply.reduce``), and
+   strictly sequential (matching ``prod``/``multiply.reduce``; packed
+   K = 4 rows read them from the very tables the NumPy op indexes), and
    the float64 log-weight row sums replicate NumPy's pairwise
    summation exactly: blocks of up to 128 elements use eight scalar
    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
@@ -184,24 +185,36 @@ def ising_color(spins, couplings, mask, log_u):
 # -- world-line plaquette flips (chain, square lattice, strip driver) --
 
 @njit(cache=True)
-def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu):
-    per_move = xmask.shape[1] > 1  # (K, n) masks; else one (K, 1) column
+def _strip_corner_packed(flat, p_old, p_new, env, flip, uu):
     n_acc = 0
     for m in range(uu.size):
-        mm = m if per_move else 0
+        e = 0
+        for b in range(16):
+            e |= int(flat[env[m, b]]) << b
+        if uu[m] * p_old[e] < p_new[e]:  # p_new is -1.0 on illegal moves
+            for k in range(flip.shape[0]):
+                flat[flip[k, m]] ^= 1
+            n_acc += 1
+    return n_acc
+
+
+@njit(cache=True)
+def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu):
+    n_acc = 0
+    for m in range(uu.size):
         code = (
             flat[i00[0, m]] + (flat[i10[0, m]] << 1)
             + (flat[i01[0, m]] << 2) + (flat[i11[0, m]] << 3)
         )
         old = weights[code]
-        new = weights[code ^ xmask[0, mm]]
+        new = weights[code ^ xmask[0, m]]
         for k in range(1, i00.shape[0]):
             code = (
                 flat[i00[k, m]] + (flat[i10[k, m]] << 1)
                 + (flat[i01[k, m]] << 2) + (flat[i11[k, m]] << 3)
             )
             old = old * weights[code]
-            new = new * weights[code ^ xmask[k, mm]]
+            new = new * weights[code ^ xmask[k, m]]
         if new > 0.0 and uu[m] * old < new:
             for k in range(flip.shape[0]):
                 flat[flip[k, m]] ^= 1
@@ -210,58 +223,36 @@ def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu):
 
 
 @njit(cache=True)
-def _strip_column(loc, logw, lc, c00, c10, c01, c11, log_uu):
+def _strip_column(loc, logw, lc, gather, straight, log_uu):
     flat = loc.reshape(-1)
     n_slices = loc.shape[1]
-    half = c00.shape[2]
-    tmp = np.empty(half, np.float64)
-    n_straight = 0
+    half = gather.shape[3]
+    tmp_old = np.empty(half, np.float64)
+    tmp_new = np.empty(half, np.float64)
     n_acc = 0
     for ci in range(lc.size):
-        row = lc[ci]
-        s0 = loc[row, 0]
-        straight = True
-        for t in range(1, n_slices):
-            if loc[row, t] != s0:
-                straight = False
-                break
-        if not straight:
+        if not straight[ci]:
             continue
-        n_straight += 1
-        for k in range(half):
-            code = (
-                flat[c00[0, ci, k]] + (flat[c10[0, ci, k]] << 1)
-                + (flat[c01[0, ci, k]] << 2) + (flat[c11[0, ci, k]] << 3)
-            )
-            tmp[k] = logw[code]
-        old = _pairwise_sum(tmp, 0, half)
-        for k in range(half):
-            code = (
-                flat[c00[0, ci, k]] + (flat[c10[0, ci, k]] << 1)
-                + (flat[c01[0, ci, k]] << 2) + (flat[c11[0, ci, k]] << 3)
-            )
-            tmp[k] = logw[code ^ 10]
-        new = _pairwise_sum(tmp, 0, half)
-        for k in range(half):
-            code = (
-                flat[c00[1, ci, k]] + (flat[c10[1, ci, k]] << 1)
-                + (flat[c01[1, ci, k]] << 2) + (flat[c11[1, ci, k]] << 3)
-            )
-            tmp[k] = logw[code]
-        old = old + _pairwise_sum(tmp, 0, half)
-        for k in range(half):
-            code = (
-                flat[c00[1, ci, k]] + (flat[c10[1, ci, k]] << 1)
-                + (flat[c01[1, ci, k]] << 2) + (flat[c11[1, ci, k]] << 3)
-            )
-            tmp[k] = logw[code ^ 5]
-        new = new + _pairwise_sum(tmp, 0, half)
+        old = 0.0
+        new = 0.0
+        for h in range(2):  # half 0 flips to logw[1], half 1 to logw[2]
+            for k in range(half):
+                code = (
+                    flat[gather[0, h, ci, k]] + (flat[gather[1, h, ci, k]] << 1)
+                    + (flat[gather[2, h, ci, k]] << 2)
+                    + (flat[gather[3, h, ci, k]] << 3)
+                )
+                tmp_old[k] = logw[0, code]
+                tmp_new[k] = logw[h + 1, code]
+            old = old + _pairwise_sum(tmp_old, 0, half)
+            new = new + _pairwise_sum(tmp_new, 0, half)
         log_ratio = new - old
         if np.isfinite(log_ratio) and log_uu[ci] < log_ratio:
+            row = lc[ci]
             for t in range(n_slices):
                 loc[row, t] ^= 1
             n_acc += 1
-    return n_straight, n_acc
+    return n_acc
 
 
 # -- block driver (2-D decomposition of the Ising film) ---------------
@@ -291,15 +282,14 @@ def _block_color(g, kx, ky, kt, mask, log_u):
 
 # -- python-level wrappers matching the registry op signatures --------
 
-def strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu) -> int:
-    return int(_strip_corner(flat, weights, i00, i10, i01, i11, xmask,
-                             flip, uu))
+def strip_corner(flat, weights, gather, flip, uu) -> int:
+    if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
+        return int(_strip_corner(flat, weights, *gather, flip, uu))
+    return int(_strip_corner_packed(flat, *weights, gather, flip, uu))
 
 
-def strip_column(loc, logw, lc, c00, c10, c01, c11, log_uu):
-    n_straight, n_acc = _strip_column(loc, logw, lc, c00, c10, c01, c11,
-                                      log_uu)
-    return int(n_straight), int(n_acc)
+def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
+    return int(_strip_column(loc, logw, lc, gather, straight, log_uu))
 
 
 def block_color(g, couplings, mask, log_u) -> int:

@@ -8,7 +8,8 @@ the strip driver differ only in the index tables they pass),
 Each op:
 
 * receives the spin storage plus *precomputed* gather tables for one
-  independence class,
+  independence class (and, where a move's whole environment fits 16
+  bits, precomputed weight products to look its price up in),
 * receives the uniforms (or their logs) already drawn by the caller --
   no RNG and no transcendental math happens inside an op, so every
   backend consumes the identical stream and compares against the
@@ -49,58 +50,72 @@ def ising_color(spins, couplings, mask, log_u):
     return np.where(accept, -spins, spins), int(np.count_nonzero(accept))
 
 
-def strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu) -> int:
+def strip_corner(flat, weights, gather, flip, uu) -> int:
     """Batched plaquette-window flips of one independence class (XOR
     code trick: a flipped neighbor is a code bit flipped, so nothing is
     flipped and regathered to price a move).
 
-    ``flat`` is the (ghosted) spin array flattened; ``i00..i11`` are
-    (K, n) flat gather indices of the K shaded plaquettes each of the n
-    moves reads, in weight-product order; ``xmask`` their post-flip XOR
-    masks, (K, 1) when every move shares them (the chain's four
-    neighbors) or (K, n) per move (the square lattice's eight);
-    ``flip`` the (F, n) cells an accepted move flips; ``uu`` one
-    uniform per move.
+    ``flat`` is the (ghosted) spin array flattened, ``flip`` the (F, n)
+    cells an accepted move flips, ``uu`` one uniform per move.  The K
+    shaded plaquettes a move reads come in one of two forms:
+
+    * packed (K = 4 under the shared ``CORNER_XMASK``: the chain and
+      the strip driver) -- ``gather`` is the ``(n, 16)`` environment
+      table of :func:`~repro.kernels.chain_tables.corner_tables` and
+      ``weights`` the ``(P_old, P_new)`` pair of ``corner_products``:
+      one lookup prices the move, and ``P_new``'s -1.0 sentinel
+      rejects the illegal ones;
+    * unpacked (the square lattice's K = 8) -- ``gather`` is ``(i00,
+      i10, i01, i11, xmask)``, (K, n) flat corner indices in
+      weight-product order with their per-move post-flip XOR masks, and
+      ``weights`` the 16 plaquette weights.
     """
-    codes = (
-        flat[i00] + (flat[i10] << 1) + (flat[i01] << 2) + (flat[i11] << 3)
-    )
-    old = np.multiply.reduce(weights[codes], axis=0)
-    new = np.multiply.reduce(weights[codes ^ xmask], axis=0)
-    accept = (new > 0.0) & (uu * old < new)
-    flat[flip[:, accept]] ^= 1
+    if isinstance(gather, tuple):
+        i00, i10, i01, i11, xmask = gather
+        codes = (
+            flat[i00] + (flat[i10] << 1) + (flat[i01] << 2) + (flat[i11] << 3)
+        )
+        old = np.multiply.reduce(weights[codes], axis=0)
+        new = np.multiply.reduce(weights[codes ^ xmask], axis=0)
+        accept = (new > 0.0) & (uu * old < new)
+    else:
+        p_old, p_new = weights
+        # Bit 4k + c of e = corner c of plaquette k, on any host: little
+        # bit order within a byte, little byte order across the two.
+        e = np.packbits(flat[gather], bitorder="little").view("<u2")
+        e = e.astype(np.intp)  # once here, not inside each lookup
+        accept = uu * p_old[e] < p_new[e]
+    flat[flip.compress(accept, axis=1)] ^= 1
     return int(np.count_nonzero(accept))
 
 
-def strip_column(loc, logw, lc, c00, c10, c01, c11, log_uu):
+def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
     """Batched straight-column flips of rows ``lc`` of ``loc``.
 
-    ``c00..c11`` are (2, n_cols, T/2) gather indices of each column's
-    shaded plaquettes, split by the corner pair the column holds: half
-    0 the plaquettes whose right-hand corners it is (a flip XORs their
-    code with 10), half 1 the left-hand ones (5).  Straight detection
-    happens inside the op (``log_uu`` carries one slot per column; the
-    slots of bent columns are ignored).  Returns
-    ``(n_straight, n_accepted)``.
+    ``gather`` is the (4, 2, n_cols, T/2) flat corner indices (s00,
+    s10, s01, s11 first) of each column's shaded plaquettes, split by
+    the corner pair the column holds: half 0 the plaquettes whose
+    right-hand corners it is (a flip XORs their code with 10), half 1
+    the left-hand ones (5).  ``logw`` is the (3, 16) table of
+    :func:`~repro.kernels.chain_tables.column_log_weights`, so the
+    post-flip weights are lookups too.  ``straight`` is the caller's
+    mask of the columns whose world line is straight (the slots of
+    bent columns in ``log_uu`` are ignored).  Returns the number
+    accepted.
     """
-    cols = loc[lc]
-    straight = cols.min(axis=1) == cols.max(axis=1)
-    n_straight = int(np.count_nonzero(straight))
-    if n_straight == 0:
-        return 0, 0
-    flat = loc.reshape(-1)
-    codes = (
-        flat[c00] + (flat[c10] << 1) + (flat[c01] << 2) + (flat[c11] << 3)
-    )
-    old_lw = logw[codes[0]].sum(axis=1) + logw[codes[1]].sum(axis=1)
+    s00, s10, s01, s11 = loc.reshape(-1)[gather]
+    codes = s00 | (s10 << 1) | (s01 << 2) | (s11 << 3)
+    # Last-axis reductions: NumPy's pairwise order is part of the contract.
+    old = np.add.reduce(logw[0].take(codes), axis=-1)
     new_lw = (
-        logw[codes[0] ^ 10].sum(axis=1) + logw[codes[1] ^ 5].sum(axis=1)
+        np.add.reduce(logw[1].take(codes[0]), axis=-1)
+        + np.add.reduce(logw[2].take(codes[1]), axis=-1)
     )
     with np.errstate(invalid="ignore"):
-        log_ratio = new_lw - old_lw
+        log_ratio = new_lw - (old[0] + old[1])
         accept = straight & np.isfinite(log_ratio) & (log_uu < log_ratio)
     loc[lc[accept]] ^= 1
-    return n_straight, int(np.count_nonzero(accept))
+    return int(np.count_nonzero(accept))
 
 
 def block_color(g, couplings, mask, log_u) -> int:

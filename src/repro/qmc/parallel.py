@@ -119,7 +119,12 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 import numpy as np
 
 from repro import kernels
-from repro.kernels.chain_tables import CORNER_XMASK, column_tables, corner_tables
+from repro.kernels.chain_tables import (
+    column_log_weights,
+    column_tables,
+    corner_products,
+    corner_tables,
+)
 from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
 from repro.qmc.plaquette import PlaquetteTable
@@ -697,11 +702,9 @@ class _StripState(_DecomposedState):
         self.n_trotter = cfg.n_slices // 2
         self.dtau = cfg.beta / self.n_trotter
         self.table = PlaquetteTable.build(cfg.jz, cfg.jxy, self.dtau)
-        self._logw = np.where(
-            self.table.weights > 0,
-            np.log(np.maximum(self.table.weights, 1e-300)),
-            -np.inf,
-        )
+        # What the two strip ops price a move from (see repro.kernels).
+        self._corner_weights = corner_products(self.table.weights)
+        self._logw = column_log_weights(self.table.weights)
         decomp = StripDecomposition(self.L, comm.size, require_even=True)
         self.decomp = decomp
         piece = decomp.piece(comm.rank)
@@ -779,12 +782,12 @@ class _StripState(_DecomposedState):
         shared ``(L/4, T/4)`` stage-uniform lattice.
 
         The fused gather / flip tables -- flat indices into
-        ``loc.reshape(-1)``, ``(4, n_moves)`` per corner class and
-        ``(2, n_cols, T/2)`` per column parity -- are the serial
-        sampler's (:mod:`repro.kernels.chain_tables`) on the ``n + 4``
-        local rows: a move's rows ``j-1 .. j+2`` never wrap there, and
-        strip starts are even, so a bond's local parity is its global
-        one.
+        ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment and
+        ``(4, n_moves)`` flip cells per corner class, ``(4, 2, n_cols,
+        T/2)`` per column parity -- are the serial sampler's
+        (:mod:`repro.kernels.chain_tables`) on the ``n + 4`` local
+        rows: a move's rows ``j-1 .. j+2`` never wrap there, and strip
+        starts are even, so a bond's local parity is its global one.
         """
         n, T, L = self.n_owned, self.T, self.L
         #: One table per entry of :data:`WL_STAGES`, in stage order; none
@@ -804,14 +807,14 @@ class _StripState(_DecomposedState):
             )
             J, Tt = J.ravel(), Tt.ravel()
             gb = (self.start - 2 + J) % L
-            i00, i10, i01, i11, flip = corner_tables(n + 4, T, J, Tt)
+            env, flip = corner_tables(n + 4, T, J, Tt)
             self._stage_cache.append({
                 "j": J,
                 "t": Tt,
                 "ui": (gb - a) // 4,
                 "ut": (Tt - b) // 4,
                 "uflat": (gb - a) // 4 * (T // 4) + (Tt - b) // 4,
-                "i00": i00, "i10": i10, "i01": i01, "i11": i11,
+                "env": env,
                 "flip": flip,
             })
         for p in (0, 1):
@@ -820,36 +823,33 @@ class _StripState(_DecomposedState):
             lc = gc - self.start + 2
             # Bond-columns lc-1 and lc; a column flip XORs the codes of
             # the first with 10 (bits 1,3) and of the second with 5.
-            c00, c10, c01, c11 = tables = column_tables(n + 4, T, lc)
+            gather = column_tables(n + 4, T, lc)
             self._stage_cache.append({
                 "gc": gc,
                 "lc": lc,
                 "uc": (gc - p) // 2,
-                "c00": c00, "c10": c10, "c01": c01, "c11": c11,
+                "gather": gather,
             })
             # The second halves are the shaded plaquettes at this
             # parity's owned bonds: the energy measurement's gather.
-            self._dlog_tables.append(
-                np.stack([c[1] for c in tables]).reshape(4, -1)
-            )
+            self._dlog_tables.append(gather[:, 1].reshape(4, -1))
 
     @staticmethod
     def _subset_cache(cache: dict, sel: np.ndarray) -> dict | None:
         """The sub-table of a stage cache selected by a boolean mask.
 
-        1-D entries subset along their only axis; the fused gather
-        tables subset along their move axis (axis 1).  ``None`` when
-        the selection is empty, matching the empty-class convention.
+        Every entry subsets along its move axis: the only axis of the
+        1-D ones and of the packed ``env`` the first, of ``flip`` the
+        second, of the column ``gather`` the third.  ``None`` when the
+        selection is empty, matching the empty-class convention.
         """
         if not np.any(sel):
             return None
-        out = {}
-        for k, v in cache.items():
-            if isinstance(v, np.ndarray) and v.ndim > 1:
-                out[k] = v[:, sel]
-            else:
-                out[k] = v[sel] if isinstance(v, np.ndarray) else v
-        return out
+        move_axis = {"flip": 1, "gather": 2}
+        return {
+            k: np.compress(sel, v, axis=move_axis.get(k, 0))
+            for k, v in cache.items()
+        }
 
     def _build_overlap_caches(self) -> None:
         """Split every stage cache into interior/boundary sub-tables.
@@ -959,9 +959,7 @@ class _StripState(_DecomposedState):
         flat = self.loc.reshape(-1)
         uu = u.reshape(-1)[cache["uflat"]]
         n_acc = self._kops["strip_corner"](
-            flat, self.table.weights,
-            cache["i00"], cache["i10"], cache["i01"], cache["i11"],
-            CORNER_XMASK, cache["flip"], uu,
+            flat, self._corner_weights, cache["env"], cache["flip"], uu
         )
         self._count(cache["j"].size, n_acc, FLOPS_PER_CORNER_MOVE, category)
 
@@ -1015,7 +1013,7 @@ class _StripState(_DecomposedState):
         for off in (-1, 0):
             ts = self._t_even if ((g + off) % 2 == 0) else self._t_odd
             lb = np.full(ts.size, l + off, dtype=np.intp)
-            total += float(self._logw[self._codes(lb, ts)].sum())
+            total += float(self._logw[0][self._codes(lb, ts)].sum())
         return total
 
     def _column_parity_vectorized(
@@ -1023,22 +1021,24 @@ class _StripState(_DecomposedState):
     ) -> None:
         """Straight-line moves of one parity (or an overlap sub-table).
 
-        Straight detection and the flip evaluation run inside the
-        backend's ``strip_column`` op over the cached ``(2, n_cols,
-        T/2)`` bond-column index matrix (post-flip codes are pre-flip
-        codes XORed with 10 / 5, so no speculative column flips); the
-        log of the stage's uniforms is taken here with NumPy so every
-        backend compares against identical values.
+        The straight columns are found here, once, and handed to the
+        backend's ``strip_column`` op, which prices their flips over the
+        cached bond-column gather (post-flip codes are pre-flip codes
+        XORed with 10 / 5, so no speculative column flips); the log of
+        the stage's uniforms is taken here with NumPy so every backend
+        compares against identical values.
         """
         if cache is None:
             return
-        log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
-        n_straight, n_acc = self._kops["strip_column"](
-            self.loc, self._logw, cache["lc"],
-            cache["c00"], cache["c10"], cache["c01"], cache["c11"], log_uu,
-        )
+        rows = self.loc[cache["lc"]]
+        straight = (rows == rows[:, :1]).all(axis=1)
+        n_straight = int(np.count_nonzero(straight))
         if n_straight == 0:
             return
+        log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
+        n_acc = self._kops["strip_column"](
+            self.loc, self._logw, cache["lc"], cache["gather"], straight, log_uu
+        )
         self._count(n_straight, n_acc, 2.0 * self.T, category)
 
     def _column_parity_scalar(

@@ -46,7 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.kernels.chain_tables import CORNER_XMASK, column_tables, corner_tables
+from repro.kernels.chain_tables import (
+    column_log_weights,
+    column_tables,
+    corner_products,
+    corner_tables,
+)
 from repro.models.hamiltonians import XXZChainModel
 from repro.qmc.plaquette import PlaquetteTable
 from repro.util.correlation import mean_circular_correlation
@@ -98,15 +103,16 @@ class TableSweeps:
     """Sweep dispatch and the table-driven sweep of a world-line sampler.
 
     The sampler supplies ``spins`` (sites x slices, C-contiguous int8),
-    ``table``, ``_logw`` (log weights, ``-inf`` on illegal codes),
     ``stream``, the ``n_attempted`` / ``n_accepted`` counters,
     ``sweep_scalar``, and ``can_vectorize`` with ``_grid_rule`` saying
     what that asks of the geometry.  Where ``can_vectorize`` holds it
     also builds the static tables of its move set in the layout of the
-    strip ops: ``_corner_tables``, one ``(i00, i10, i01, i11, xmask,
-    flip)`` row per conflict-free class of plaquette-window flips, and
-    ``_column_tables``, one ``(sites, c00, c10, c01, c11)`` row per
-    class of straight columns.
+    strip ops: ``_corner_tables``, one ``(gather, flip)`` row per
+    conflict-free class of plaquette-window flips (``_n_corner_moves``
+    in all, the size of the sweep's one corner draw), priced from
+    ``_corner_weights`` (packed or unpacked, see ``strip_corner``), and
+    ``_column_tables``, one ``(sites, gather)`` row per class of
+    straight columns, priced from the ``(3, 16)`` log weights ``_logw``.
     """
 
     def _sweep_fused(self, ops) -> None:
@@ -116,29 +122,35 @@ class TableSweeps:
         so parallel acceptance equals sequential acceptance in any
         order -- the property the domain-decomposed driver and the
         compiled kernel backends rely on.  The uniform draws stay here
-        (one block per corner class, one per column class sized to its
-        straight columns), identical across backends.
+        (one block for all corner classes, one per column class sized
+        to its straight columns), identical across backends.
         """
         corner, column = ops["strip_corner"], ops["strip_column"]
         flat = self.spins.reshape(-1)
-        weights = self.table.weights
-        for i00, i10, i01, i11, xmask, flip in self._corner_tables:
-            n = flip.shape[1]
-            u = self.stream.uniform(size=n)
-            self.n_accepted += corner(flat, weights, i00, i10, i01, i11, xmask, flip, u)
-            self.n_attempted += n
-        for sites, *tables in self._column_tables:
-            rows = self.spins[sites]
-            straight = rows.min(axis=1) == rows.max(axis=1)
+        weights = self._corner_weights
+        # One draw split by class is the per-class draws concatenated.
+        u = self.stream.uniform(size=self._n_corner_moves)
+        lo = 0
+        for gather, flip in self._corner_tables:
+            hi = lo + flip.shape[1]
+            self.n_accepted += corner(flat, weights, gather, flip, u[lo:hi])
+            lo = hi
+        self.n_attempted += lo
+        # A column flip writes its own column only: one pass finds the
+        # straight world lines of every class.
+        lines = (self.spins == self.spins[:, :1]).all(axis=1)
+        for sites, gather in self._column_tables:
+            straight = lines[sites]
             n_straight = int(np.count_nonzero(straight))
             if n_straight == 0:
                 continue
-            # The op re-derives ``straight`` and ignores the other slots.
-            log_uu = np.zeros(sites.size)
+            log_uu = np.zeros(sites.size)  # bent columns' slots are ignored
             log_uu[straight] = np.log(
                 np.maximum(self.stream.uniform(size=n_straight), 1e-300)
             )
-            self.n_accepted += column(self.spins, self._logw, sites, *tables, log_uu)[1]
+            self.n_accepted += column(
+                self.spins, self._logw, sites, gather, straight, log_uu
+            )
             self.n_attempted += n_straight
 
     def _require_vectorizable(self) -> None:
@@ -227,13 +239,6 @@ class WorldlineChainQmc(TableSweeps):
             lambda i, t: (i % 2).astype(np.int8), (self.L, self.n_slices), dtype=int
         ).astype(np.int8)
         self._init_tables()
-        # Log-space plaquette weights for the column kernels (illegal
-        # codes pinned to -inf).
-        self._logw = np.where(
-            self.table.weights > 0,
-            np.log(np.maximum(self.table.weights, 1e-300)),
-            -np.inf,
-        )
         self.n_attempted = 0
         self.n_accepted = 0
 
@@ -251,9 +256,10 @@ class WorldlineChainQmc(TableSweeps):
         (bond-major, the measurement path's summation order).  On
         vectorizable geometries the sweep tables follow: the eight
         corner independence classes -- (bond a, interval b) stride-4
-        grids with (a + b) odd, in (a, b) order -- and the two column
-        parities, in the layout of the ``strip_corner`` /
-        ``strip_column`` ops with the periodic wrap folded in.
+        grids with (a + b) odd, in (a, b) order -- as packed
+        ``strip_corner`` rows, and the two column parities as
+        ``strip_column`` rows, the periodic wrap folded in; with them
+        the weight tables the two ops read.
         """
         L, T = self.L, self.n_slices
         i, t = np.nonzero(
@@ -271,12 +277,14 @@ class WorldlineChainQmc(TableSweeps):
                 np.arange(b, T, 4, dtype=np.intp),
                 indexing="ij",
             )
-            *gather, flip = corner_tables(L, T, gi.ravel(), gt.ravel())
-            self._corner_tables.append((*gather, CORNER_XMASK, flip))
+            self._corner_tables.append(corner_tables(L, T, gi.ravel(), gt.ravel()))
+        self._n_corner_moves = L * T // 2
+        self._corner_weights = corner_products(self.table.weights)
         self._column_tables = [
-            (cols, *column_tables(L, T, cols))
+            (cols, column_tables(L, T, cols))
             for cols in (np.arange(p, L, 2, dtype=np.intp) for p in (0, 1))
         ]
+        self._logw = column_log_weights(self.table.weights)
 
     def _codes(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Corner codes of shaded plaquettes at bonds ``i``, intervals ``t``."""

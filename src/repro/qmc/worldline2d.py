@@ -57,8 +57,8 @@ Two sweep implementations are provided and cross-checked, mirroring the
   the bond axis, stride-2 across it) separates read neighborhoods by
   more than one lattice spacing, and the mod-8 interval classes keep
   the six read slices ``t0 .. t0+5`` of concurrent moves disjoint.
-  Each class is one ``strip_corner`` row: flat gather indices of the
-  eight plaquettes every move reads, the XOR mask that turns each
+  Each class is one (unpacked) ``strip_corner`` row: flat gather indices
+  of the eight plaquettes every move reads, the XOR mask that turns each
   plaquette's code into its post-flip value (so a move is priced
   without flipping anything), and the 4 + 4 cells an accepted move
   flips.  Straight-line column flips are two ``strip_column`` rows,
@@ -84,6 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.chain_tables import column_log_weights
 from repro.models.hamiltonians import XXZSquareModel
 from repro.qmc.plaquette import PlaquetteTable, codes_from_flat, corner_flat_indices
 from repro.qmc.worldline import TableSweeps
@@ -323,10 +324,12 @@ class WorldlineSquareQmc(TableSweeps):
                         [s[:, None] * T + (t0 + win) % T for s in (i, j)]
                     )  # the 4 + 4 window cells, (8, B, m)
                     self._corner_tables.append((
-                        *(g.reshape(8, n) for g in gather),
-                        np.repeat(xmask, t0.size, axis=1),
+                        (*(g.reshape(8, n) for g in gather),
+                         np.repeat(xmask, t0.size, axis=1)),
                         flip.reshape(8, n),
                     ))
+        self._n_corner_moves = self.n_bonds * self.n_trotter
+        self._corner_weights = self.table.weights  # K = 8: unpacked rows
         # Straight-line columns: one class per sublattice (a column flip
         # reads only the column's own active plaquettes, whose other
         # corners live on the opposite sublattice).  Each column's
@@ -341,11 +344,10 @@ class WorldlineSquareQmc(TableSweeps):
             tt = np.argsort(first[:, colors], axis=1, kind="stable")
             tt = tt.reshape(sites.size, 2, T // 2).transpose(1, 0, 2)
             bond = self.bond_of[sites[:, None], tt % C]  # (2, S, T/2)
-            self._column_tables.append((sites, *corner_flat_indices(
+            self._column_tables.append((sites, np.stack(corner_flat_indices(
                 self.bond_sites[bond, 0], self.bond_sites[bond, 1], tt, T
-            )))
-        w = self.table.weights
-        self._logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
+            ))))
+        self._logw = column_log_weights(self.table.weights)
 
     # ------------------------------------------------------------------
     # plaquette codes

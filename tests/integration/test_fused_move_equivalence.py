@@ -7,9 +7,10 @@ alone, from thermalised configurations, against the sampler's scalar
 move (``attempt_corner_flip`` / ``segment_flip_class`` /
 ``attempt_column_flip``) fed the same uniform: both must take the same
 decision and leave the same spins, and the row's XOR mask must turn
-every gathered code into the code regathered after the flip.  A
-property test pins the chain geometry: the tables tile the move set
-exactly once.
+every gathered code into the code regathered after the flip (for the
+chain's packed rows the mask is ``CORNER_XMASK``, folded into the
+product tables the op reads).  A property test pins the chain
+geometry: the tables tile the move set exactly once.
 """
 
 import functools
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
+from repro.kernels.chain_tables import CORNER_XMASK
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc
@@ -75,6 +77,17 @@ def _codes(flat, gather):
     return s00 + (s10 << 1) + (s01 << 2) + (s11 << 3)
 
 
+def _one_move(gather, m):
+    """Move ``m`` of a corner row: ``(the row's gather cut down to it, its
+    (K, 1) corner index tables, its XOR mask)``."""
+    one = slice(m, m + 1)
+    if isinstance(gather, tuple):  # unpacked: (i00, i10, i01, i11, xmask)
+        *corners, xmask = (g[:, one] for g in gather)
+        return (*corners, xmask), corners, xmask
+    env = gather[one]  # packed: column 4k + c = corner c of plaquette k
+    return env, list(env.reshape(4, 4).T[:, :, None]), CORNER_XMASK
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_table_move_matches_the_scalar_reference(case):
     make, corner_move, n_sweeps = CASES[case]
@@ -85,40 +98,40 @@ def test_every_table_move_matches_the_scalar_reference(case):
     start = q.spins.copy()
     rng = np.random.default_rng(7)
     n_corner_accepts = n_column_accepts = 0
-    for *gather, xmask, flip in q._corner_tables:
+    for gather, flip in q._corner_tables:
         for m in range(flip.shape[1]):
             one = slice(m, m + 1)
-            gather1 = [g[:, one] for g in gather]
-            xmask1 = xmask if xmask.shape[1] == 1 else xmask[:, one]
+            gather1, corners1, xmask1 = _one_move(gather, m)
             flipped = start.reshape(-1).copy()
             flipped[flip[:, m]] ^= 1
             np.testing.assert_array_equal(
-                _codes(start.reshape(-1), gather1) ^ xmask1, _codes(flipped, gather1)
+                _codes(start.reshape(-1), corners1) ^ xmask1, _codes(flipped, corners1)
             )
             move = corner_move(q, flip[:, m])
             for u in rng.uniform(size=3):
                 fused = start.copy()
                 n_acc = ops["strip_corner"](
-                    fused.reshape(-1), q.table.weights, *gather1, xmask1,
+                    fused.reshape(-1), q._corner_weights, gather1,
                     flip[:, one], np.array([u]),
                 )
                 accepted, spins = _scalar_decision(q, start, u, *move)
                 assert n_acc == accepted, (move, u)
                 np.testing.assert_array_equal(fused, spins)
                 n_corner_accepts += n_acc
-    for cols, *tables in q._column_tables:
+    lines = (start == start[:, :1]).all(axis=1)  # the sweep's straight detection
+    for cols, gather in q._column_tables:
         for c, site in enumerate(cols.tolist()):
             one = slice(c, c + 1)
             for u in rng.uniform(size=3):
                 fused = start.copy()
-                n_straight, n_acc = ops["strip_column"](
-                    fused, q._logw, cols[one], *(tab[:, one] for tab in tables),
+                n_acc = ops["strip_column"](
+                    fused, q._logw, cols[one], gather[:, :, one], lines[cols[one]],
                     np.log(np.array([u])),
                 )
                 accepted, spins = _scalar_decision(
                     q, start, u, "attempt_column_flip", site
                 )
-                assert n_straight == int(start[site].min() == start[site].max())
+                assert lines[site] == (start[site].min() == start[site].max())
                 assert n_acc == accepted, (site, u)
                 np.testing.assert_array_equal(fused, spins)
                 n_column_accepts += n_acc
@@ -133,7 +146,7 @@ def test_every_table_move_matches_the_scalar_reference(case):
 def test_tables_tile_the_move_set_exactly_once(L, T):
     q = WorldlineChainQmc(XXZChainModel(n_sites=L, periodic=True), 1.0, T)
     assert len(q._corner_tables) == 8
-    corners = np.concatenate([flip[0] for *_, flip in q._corner_tables])
+    corners = np.concatenate([flip[0] for _, flip in q._corner_tables])
     i, t = np.divmod(np.arange(L * T), T)
     np.testing.assert_array_equal(np.sort(corners), np.flatnonzero((i + t) % 2 == 1))
     for (cols, *_), parity in zip(q._column_tables, (0, 1)):

@@ -195,17 +195,13 @@ def _inspect_strip(comm, cfg):
     for s, (kind, _, _) in enumerate(STAGES):
         if kind == "corner":
             cache = st._stage_cache[s]
-            read = np.concatenate(
-                [cache[k].ravel() for k in ("i00", "i10", "i01", "i11")]
-            ) // T
+            read = cache["env"].ravel() // T
             flip = cache["flip"] // T  # (4, n_moves) rows a move toggles
             mirrored = np.isin(flip, list(ghosts)).any(axis=0)
             written = flip[:, ~mirrored].ravel()
         elif kind == "column":
             cache = st._stage_cache[s]
-            read = np.concatenate(
-                [cache[k].ravel() for k in ("c00", "c10", "c01", "c11")]
-            ) // T
+            read = cache["gather"].ravel() // T
             written = cache["lc"]
         else:
             read = np.concatenate([t.ravel() for t in st._dlog_tables]) // T
@@ -253,12 +249,16 @@ def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
                 lb = np.stack([J - 1, J + 1, J, J])
                 pt = np.stack([Tt, Tt, tm1, t1])
                 pt1 = (pt + 1) % T
+                corners = (lb * T + pt, (lb + 1) * T + pt,
+                           lb * T + pt1, (lb + 1) * T + pt1)
                 want = {
-                    "i00": lb * T + pt, "i10": (lb + 1) * T + pt,
-                    "i01": lb * T + pt1, "i11": (lb + 1) * T + pt1,
+                    # packed: column 4k + c = corner c of plaquette k
+                    "env": np.array(
+                        [corners[c][k] for k in range(4) for c in range(4)]).T,
                     "flip": np.stack([J * T + Tt, J * T + t1,
                                       (J + 1) * T + Tt, (J + 1) * T + t1]),
                 }
+                assert got["env"].flags.c_contiguous  # a gather keeps its index's order
             else:
                 gc = np.arange(start + ((a - start) % 2), stop, 2)
                 lc = gc - start + 2
@@ -275,6 +275,8 @@ def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
                 want_dlog.append(np.stack(
                     [want[k][1] for k in ("c00", "c10", "c01", "c11")]
                 ).reshape(4, -1))
+                want = {"gather": np.stack(
+                    [want[k] for k in ("c00", "c10", "c01", "c11")])}
             for name, table in want.items():
                 np.testing.assert_array_equal(got[name], table, err_msg=name)
                 assert got[name].dtype == np.intp

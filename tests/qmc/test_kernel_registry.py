@@ -370,22 +370,27 @@ class TestNumbaSerialShapes:
     ], ids=["square-4x4x8", "square-8x4x12-odd-M", "chain-8x8"])
     def test_strip_ops_agree_row_by_row_on_both_mask_shapes(
             self, make, k, per_move_mask):
-        """``strip_corner`` takes K rows and a (K, 1) or (K, n) mask:
-        every table row of both samplers, op against op."""
+        """``strip_corner`` takes packed K = 4 rows (the shared mask
+        folded into the product tables) or unpacked K rows with a
+        (K, n) mask: every table row of both samplers, op against op."""
         q = make()
         for _ in range(5):
             q.sweep(mode="numpy")
         rng = np.random.default_rng(17)
         np_ops, nb_ops = kernels.get_ops("numpy"), kernels.get_ops("numba")
         n_acc = 0
-        for *gather, xmask, flip in q._corner_tables:
+        for gather, flip in q._corner_tables:
             n = flip.shape[1]
-            assert gather[0].shape == (k, n)
-            assert xmask.shape == (k, n if per_move_mask else 1)
+            if per_move_mask:
+                *corners, xmask = gather
+                assert corners[0].shape == (k, n)
+                assert xmask.shape == (k, n)
+            else:
+                assert gather.shape == (n, 4 * k)
             u = rng.uniform(size=n)
             a, b = q.spins.copy(), q.spins.copy()
-            got = [ops["strip_corner"](s.reshape(-1), q.table.weights, *gather,
-                                       xmask, flip, u)
+            got = [ops["strip_corner"](s.reshape(-1), q._corner_weights, gather,
+                                       flip, u)
                    for ops, s in ((np_ops, a), (nb_ops, b))]
             assert got[0] == got[1]
             np.testing.assert_array_equal(a, b)
@@ -393,13 +398,24 @@ class TestNumbaSerialShapes:
         assert n_acc > 0
         start = np.ascontiguousarray(  # straight columns for the column op
             np.repeat(q.spins[:, :1], q.n_slices, axis=1))
-        for sites, *tables in q._column_tables:
+        n_acc = 0
+        for sites, gather in q._column_tables:
             log_u = np.log(rng.uniform(size=sites.size))
+            straight = (start[sites] == start[sites, :1]).all(axis=1)
             a, b = start.copy(), start.copy()
-            got = [ops["strip_column"](s, q._logw, sites, *tables, log_u)
+            got = [ops["strip_column"](s, q._logw, sites, gather, straight, log_u)
                    for ops, s in ((np_ops, a), (nb_ops, b))]
-            assert got[0] == got[1] and got[0][0] == sites.size
+            assert got[0] == got[1] and straight.all()
             np.testing.assert_array_equal(a, b)
+            # a bent column's slot is ignored, whatever its uniform
+            bent = np.zeros(sites.size, dtype=bool)
+            for ops in (np_ops, nb_ops):
+                assert ops["strip_column"](
+                    a, q._logw, sites, gather, bent, np.full(sites.size, -np.inf)
+                ) == 0
+            np.testing.assert_array_equal(a, b)
+            n_acc += got[0]
+        assert n_acc > 0
 
 
 # ======================================================================

@@ -103,7 +103,7 @@ class TestClassTables:
         n_cells = q.n_sites * q.n_slices
         n_rows = 16 * (2 if q.n_trotter % 2 == 0 else q.n_trotter)
         assert len(q._corner_tables) == n_rows
-        for *gather, xmask, writes in q._corner_tables:  # writes: (8, n)
+        for (*gather, xmask), writes in q._corner_tables:  # writes: (8, n)
             flat = writes.reshape(-1)
             assert flat.size == np.unique(flat).size, "overlapping flips"
             owner = np.full(n_cells, -1, dtype=np.int64)
@@ -120,13 +120,14 @@ class TestClassTables:
     def test_column_classes_are_conflict_free(self):
         q = make()
         T = q.n_slices
-        for sites, *gather in q._column_tables:
+        for sites, gather in q._column_tables:
             writes = (sites[:, None] * T + np.arange(T)[None, :]).reshape(-1)
             assert writes.size == np.unique(writes).size
             owner = np.full(q.n_sites * T, -1, dtype=np.int64)
             owner[writes.reshape(len(sites), T)] = np.arange(len(sites))[:, None]
             pid = np.arange(len(sites))[None, :, None]
-            for corner in gather:  # (2, n_cols, T/2)
+            assert gather.shape[0] == 4  # one (2, n_cols, T/2) table a corner
+            for corner in gather:
                 assert corner.shape == (2, len(sites), T // 2)
                 read_owner = owner[corner]
                 assert np.all((read_owner < 0) | (read_owner == pid))
