@@ -377,8 +377,10 @@ def _time_kernel(backend: str, n_sweeps: int) -> dict:
 def collect_kernels(smoke: bool = False) -> list[dict]:
     """Registry-backend A/B records on the 16x16, T=64 lattice.
 
-    One record per *available* backend (numpy always; numba when
-    importable), each with warm sweeps/s plus the separately-reported
+    One record per *available* batched or compiled backend (numpy
+    always; numba when importable; not ``scalar``, the per-move
+    reference, which ``records`` / ``parallel_records`` already time as
+    their denominator), each with warm sweeps/s plus the separately-reported
     first-sweep ``compile_seconds``, and ``speedup_vs_numpy`` so
     ``tools/check_bench.py --require-kernel numba=3.0`` can gate the
     JIT backend against the batched-numpy reference.
@@ -387,6 +389,7 @@ def collect_kernels(smoke: bool = False) -> list[dict]:
     records = [
         _time_kernel(backend, n_sweeps)
         for backend in kernels.available_backends()
+        if backend != "scalar"
     ]
     base = next(r["sweeps_per_s"] for r in records if r["backend"] == "numpy")
     for rec in records:

@@ -1,4 +1,4 @@
-"""Pluggable compiled-kernel backends for the checkerboard sweeps.
+"""Pluggable kernel backends for the checkerboard sweeps.
 
 Public surface re-exported from :mod:`repro.kernels.registry`; see
 that module (and DESIGN.md's "Kernel registry" section) for the
@@ -11,6 +11,7 @@ from repro.kernels.registry import (
     KernelUnavailableError,
     available_backends,
     backend_version,
+    check_kernel_name,
     get_ops,
     kernel_available,
     known_backends,
@@ -26,6 +27,7 @@ __all__ = [
     "KernelUnavailableError",
     "available_backends",
     "backend_version",
+    "check_kernel_name",
     "get_ops",
     "kernel_available",
     "known_backends",

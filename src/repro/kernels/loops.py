@@ -1,15 +1,25 @@
-"""Numba ``@njit(cache=True)`` kernel ops, bit-identical to ``numpy``.
+"""Per-move loop kernel ops: the ``scalar`` and ``numba`` backends.
 
-Each op fuses the gather -> evaluate -> accept -> scatter of one
-conflict-free independence class into a single compiled loop over the
-class's moves, eliminating the temporaries and multi-pass fancy
-indexing of the vectorized NumPy path.  As in the NumPy backend there
-is one world-line body pair, ``strip_corner`` / ``strip_column``, for
-the chain, the square lattice and the strip driver.  Bit-identity with
-:mod:`repro.kernels.numpy_backend` rests on three pillars (documented
-in DESIGN.md, enforced by ``tests/qmc/test_kernel_registry.py`` -- in
-tier-1 over ``tests/qmc/fake_numba.py``, which runs these same loops
-interpreted where numba is not installed):
+One source, two op tables.  Each op fuses the gather -> evaluate ->
+accept -> scatter of one conflict-free independence class into a single
+loop over the class's moves -- the per-move statement of every
+Metropolis rule whose batched statement is
+:mod:`repro.kernels.numpy_backend`.  ``njit`` is numba's where numba is
+importable and the identity decorator otherwise, and the module exports
+
+* :data:`PY_OPS` -- the loops *interpreted* (a dispatcher's
+  ``py_func``, or the plain function where nothing was compiled): the
+  ``scalar`` backend, the per-move reference, runnable everywhere;
+* :data:`OPS` -- the same loops under ``@njit(cache=True)``: the
+  ``numba`` backend, available only where numba is.
+
+As in the NumPy backend there is one world-line body pair,
+``strip_corner`` / ``strip_column``, for the chain, the square lattice
+and the strip driver.  Bit-identity with the NumPy backend rests on
+three pillars (documented in DESIGN.md, enforced by
+``tests/qmc/test_kernel_registry.py`` -- natively for ``scalar``, and
+for the ``numba`` name over ``tests/qmc/fake_numba.py`` where numba is
+not installed):
 
 1. *No RNG, no transcendentals in kernels.*  Uniforms and their
    ``np.log`` values are drawn/computed by the caller with NumPy, so
@@ -21,7 +31,9 @@ interpreted where numba is not installed):
    of the whole class.
 3. *Reduction order is replicated.*  Plaquette-weight products are
    strictly sequential (matching ``prod``/``multiply.reduce``; packed
-   K = 4 rows read them from the very tables the NumPy op indexes), and
+   K = 4 rows read them from the very tables the NumPy op indexes --
+   ``tests/qmc/test_chain_tables.py`` holds those against the raster
+   sampler's ``_weight_product`` on every environment), and
    the float64 log-weight row sums replicate NumPy's pairwise
    summation exactly: blocks of up to 128 elements use eight scalar
    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
@@ -33,18 +45,26 @@ use +/-1 int8), gather tables are intp, weights/log-weights float64.
 The ops assume C-contiguous spin storage (true for every sampler) but
 tolerate strided gather tables.
 
-This module imports :mod:`numba` at module scope; it is only loaded by
-the registry after the availability probe passes.
+The registry imports this module only when ``scalar`` or ``numba`` is
+what a name resolves to (``auto`` never picks ``scalar``), so without
+numba a default run never loads it.  Under a real numba the interpreted
+column loop still calls the compiled ``_pairwise_sum``, a global of its
+body.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numba import njit
 
 from repro.kernels.chain_tables import wl1d_adapters
 
-__all__ = ["OPS"]
+try:
+    from numba import njit
+except ImportError:  # no compiler: both tables run the loops interpreted
+    def njit(**_options):
+        return lambda fn: fn
+
+__all__ = ["OPS", "PY_OPS"]
 
 
 # -- NumPy pairwise-summation replica ---------------------------------
@@ -157,31 +177,6 @@ def _ising_color3(s, kx, ky, kt, mask, log_u):
     return n_acc
 
 
-def ising_color(spins, couplings, mask, log_u):
-    """Checkerboard color update, lifted to 3-D for a fixed-arity jit.
-
-    Missing trailing axes get extent 1 with zero coupling; the extra
-    ``+/-0.0`` field terms cannot change an accept decision because
-    ``log_u < 0`` strictly.  Mutates ``spins`` in place (the returned
-    array *is* ``spins``, matching the numpy op's rebind protocol).
-    Lattices beyond 3-D fall back to the numpy op.
-    """
-    ndim = spins.ndim
-    if ndim > 3 or not spins.flags.c_contiguous:
-        from repro.kernels import numpy_backend
-
-        return numpy_backend.ising_color(spins, couplings, mask, log_u)
-    shape3 = spins.shape + (1,) * (3 - ndim)
-    k3 = np.zeros(3)
-    k3[:ndim] = np.asarray(couplings, dtype=np.float64)[:ndim]
-    n_acc = _ising_color3(
-        spins.reshape(shape3), k3[0], k3[1], k3[2],
-        np.ascontiguousarray(mask).reshape(shape3),
-        np.ascontiguousarray(log_u).reshape(shape3),
-    )
-    return spins, n_acc
-
-
 # -- world-line plaquette flips (chain, square lattice, strip driver) --
 
 @njit(cache=True)
@@ -280,33 +275,68 @@ def _block_color(g, kx, ky, kt, mask, log_u):
     return n_acc
 
 
-# -- python-level wrappers matching the registry op signatures --------
+# -- the two op tables over those loops -------------------------------
 
-def strip_corner(flat, weights, gather, flip, uu) -> int:
-    if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
-        return int(_strip_corner(flat, weights, *gather, flip, uu))
-    return int(_strip_corner_packed(flat, *weights, gather, flip, uu))
+def _op_table(interpreted: bool) -> dict:
+    """The registry ops over the loops above as compiled, or
+    (``interpreted``) over the Python functions they were compiled from
+    -- the same objects where ``njit`` is the identity."""
+    ising3, corner_packed, corner, column, block = (
+        getattr(fn, "py_func", fn) if interpreted else fn
+        for fn in (_ising_color3, _strip_corner_packed, _strip_corner,
+                   _strip_column, _block_color)
+    )
+
+    def ising_color(spins, couplings, mask, log_u):
+        """Checkerboard color update, lifted to 3-D for a fixed-arity jit.
+
+        Missing trailing axes get extent 1 with zero coupling; the extra
+        ``+/-0.0`` field terms cannot change an accept decision because
+        ``log_u < 0`` strictly.  Mutates ``spins`` in place (the returned
+        array *is* ``spins``, matching the numpy op's rebind protocol).
+        Lattices beyond 3-D fall back to the numpy op.
+        """
+        ndim = spins.ndim
+        if ndim > 3 or not spins.flags.c_contiguous:
+            from repro.kernels import numpy_backend
+
+            return numpy_backend.ising_color(spins, couplings, mask, log_u)
+        shape3 = spins.shape + (1,) * (3 - ndim)
+        k3 = np.zeros(3)
+        k3[:ndim] = np.asarray(couplings, dtype=np.float64)[:ndim]
+        n_acc = ising3(
+            spins.reshape(shape3), k3[0], k3[1], k3[2],
+            np.ascontiguousarray(mask).reshape(shape3),
+            np.ascontiguousarray(log_u).reshape(shape3),
+        )
+        return spins, n_acc
+
+    def strip_corner(flat, weights, gather, flip, uu) -> int:
+        if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
+            return int(corner(flat, weights, *gather, flip, uu))
+        return int(corner_packed(flat, *weights, gather, flip, uu))
+
+    def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
+        return int(column(loc, logw, lc, gather, straight, log_uu))
+
+    def block_color(g, couplings, mask, log_u) -> int:
+        kx, ky, kt = couplings
+        return int(block(g, float(kx), float(ky), float(kt), mask, log_u))
+
+    # Compatibility adapters: the chain sampler itself calls the strip
+    # ops over tables cached at construction.
+    wl1d_corner, wl1d_column = wl1d_adapters(strip_corner, strip_column)
+    return {
+        "wl1d_corner": wl1d_corner,
+        "wl1d_column": wl1d_column,
+        "ising_color": ising_color,
+        "strip_corner": strip_corner,
+        "strip_column": strip_column,
+        "block_color": block_color,
+    }
 
 
-def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
-    return int(_strip_column(loc, logw, lc, gather, straight, log_uu))
-
-
-def block_color(g, couplings, mask, log_u) -> int:
-    kx, ky, kt = couplings
-    return int(_block_color(g, float(kx), float(ky), float(kt), mask, log_u))
-
-
-# Compatibility adapters: the chain sampler itself calls the strip ops
-# over tables cached at construction.
-wl1d_corner, wl1d_column = wl1d_adapters(strip_corner, strip_column)
-
-
-OPS = {
-    "wl1d_corner": wl1d_corner,
-    "wl1d_column": wl1d_column,
-    "ising_color": ising_color,
-    "strip_corner": strip_corner,
-    "strip_column": strip_column,
-    "block_color": block_color,
-}
+#: The ``numba`` backend: the loops as ``njit`` left them.
+OPS = _op_table(interpreted=False)
+#: The ``scalar`` backend: the loops interpreted.
+PY_OPS = _op_table(interpreted=True)

@@ -1,35 +1,36 @@
-"""Pluggable compiled-kernel registry for the checkerboard sweeps.
+"""Pluggable kernel registry for the checkerboard sweeps.
 
 The sweep samplers (``qmc/worldline.py``, ``qmc/worldline2d.py``,
 ``qmc/classical_ising.py``) and the SPMD drivers (``qmc/parallel.py``)
 dispatch their inner-loop work through a small table of *kernel ops* --
 one callable per conflict-free independence-class update.  A backend is
-a named provider of that table:
+a named provider of that table, and each Metropolis rule is written
+twice under ``repro.kernels``, once batched and once per move:
 
-* ``numpy``  -- the vectorized reference path (always available);
-* ``numba``  -- ``@njit(cache=True)`` ports of the same kernels,
-  bit-identical to ``numpy`` by construction (see
-  :mod:`repro.kernels.numba_backend`).
+* ``numpy``  -- the batched reference path (always available);
+* ``numba``  -- the per-move loops of :mod:`repro.kernels.loops` under
+  ``@njit(cache=True)``, bit-identical to ``numpy`` by construction;
+* ``scalar`` -- the same loops interpreted: the per-move reference,
+  always available, lowest priority.
 
 Selection semantics
 -------------------
-``resolve_kernel(name)`` maps a requested backend name to a concrete
-registered one.  ``"auto"`` picks the highest-priority *available*
-backend (numba over numpy when installed).
-Requesting an unavailable backend raises
+``resolve_kernel(name)`` maps a requested name to a concrete registered
+backend.  ``"auto"`` picks the highest-priority *available* backend
+(numba over numpy when installed; never ``scalar``, which runs only
+when asked for by name) and the legacy ``"vectorized"`` alias folds
+onto ``"numpy"``.  Requesting an unavailable backend raises
 :class:`KernelUnavailableError` -- a structured, actionable error
 mirroring :class:`repro.vmp.mpi_backend.MpiUnavailableError` -- instead
-of an ImportError from deep inside a sweep.
-
-``resolve_sweep_mode(mode)`` additionally passes the ``"scalar"``
-reference mode through untouched and folds the legacy ``"vectorized"``
-alias onto ``"numpy"``, so driver configs can keep their historical
-mode vocabulary.
+of an ImportError from deep inside a sweep.  :func:`check_kernel_name`
+is the name check alone (no availability probe), for config classes.
 
 Backends registered here must honour the bit-identity contract
 documented in DESIGN.md: identical trajectories (RNG draw for draw,
 accept for accept) with the ``numpy`` path on every lattice the
-registry serves.
+registry serves.  (The world-line *samplers* answer ``scalar`` with
+their own raster reference sweep, not with this table; see
+``TableSweeps.resolve_sweep``.)
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "KernelUnavailableError",
     "available_backends",
     "backend_version",
+    "check_kernel_name",
     "get_ops",
     "kernel_available",
     "known_backends",
@@ -175,15 +177,28 @@ def kernel_available(name: str) -> bool:
     return backend is not None and backend.available()
 
 
+def check_kernel_name(name: str) -> None:
+    """``ValueError`` unless ``name`` is ``"auto"``, the ``"vectorized"``
+    alias or a registered backend: the one vocabulary check behind
+    ``--kernel``, ``ParallelLayout.kernel`` and every driver ``mode``."""
+    if name not in ("auto", "vectorized") and name not in _REGISTRY:
+        raise ValueError(
+            f"unknown kernel {name!r}: --kernel / kernel= / mode= take 'auto', "
+            f"'vectorized' or a registered backend ({', '.join(known_backends())})"
+        )
+
+
 def resolve_kernel(name: str = "auto") -> str:
     """Map a requested backend name to a concrete available one.
 
     ``"auto"`` returns the highest-priority available backend
     (``numpy`` is always registered and available, so auto cannot
-    fail).  The legacy ``"vectorized"`` alias
+    fail, and outranks ``scalar``, so auto never runs the per-move
+    reference).  The legacy ``"vectorized"`` alias
     resolves to ``"numpy"``.  Unknown names raise ``ValueError``;
     known-but-unavailable ones raise :class:`KernelUnavailableError`.
     """
+    check_kernel_name(name)
     if name == "auto":
         for cand in known_backends():
             if _REGISTRY[cand].available():
@@ -194,13 +209,7 @@ def resolve_kernel(name: str = "auto") -> str:
         )
     if name == "vectorized":
         name = "numpy"
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; known backends: "
-            f"{', '.join(known_backends())} (plus 'auto', 'scalar', "
-            f"'vectorized')"
-        )
+    backend = _REGISTRY[name]
     if not backend.available():
         requires = backend.requires or name
         raise KernelUnavailableError(
@@ -212,23 +221,9 @@ def resolve_kernel(name: str = "auto") -> str:
     return name
 
 
-def resolve_sweep_mode(mode: str = "auto") -> str:
-    """Resolve a sweep *mode*: ``"scalar"`` or a concrete backend name.
-
-    The sweep samplers accept ``mode`` strings that are a superset of
-    backend names: ``"scalar"`` selects the per-move reference
-    implementation (no registry involvement), everything else goes
-    through :func:`resolve_kernel`.
-    """
-    if mode == "scalar":
-        return "scalar"
-    try:
-        return resolve_kernel(mode)
-    except ValueError:
-        raise ValueError(
-            f"unknown sweep mode {mode!r}; expected 'scalar', 'vectorized', "
-            f"'auto', or a kernel backend ({', '.join(known_backends())})"
-        ) from None
+#: Alias kept importable because ``benchmarks/e2e/child.py`` and
+#: ``probes.py`` call it; nothing in ``src/`` does.
+resolve_sweep_mode = resolve_kernel
 
 
 def get_ops(name: str) -> Mapping[str, Callable]:
@@ -255,32 +250,27 @@ def backend_version(name: str) -> str | None:
 
 # -- built-in backends -------------------------------------------------
 
-def _numpy_ops() -> Mapping[str, Callable]:
-    from repro.kernels import numpy_backend
-
-    return numpy_backend.OPS
-
-
-def _numba_probe() -> bool:
-    return importlib.util.find_spec("numba") is not None
-
-
-def _numba_ops() -> Mapping[str, Callable]:
-    from repro.kernels import numba_backend
-
-    return numba_backend.OPS
+def _table(module: str, attr: str) -> Callable[[], Mapping[str, Callable]]:
+    """Loader of ``repro.kernels.<module>.<attr>``, imported on first use."""
+    return lambda: getattr(importlib.import_module(f"repro.kernels.{module}"), attr)
 
 
 register_backend(KernelBackend(
     name="numpy",
     priority=10,
     probe=lambda: True,
-    loader=_numpy_ops,
+    loader=_table("numpy_backend", "OPS"),
 ))
 register_backend(KernelBackend(
     name="numba",
     priority=20,
-    probe=_numba_probe,
-    loader=_numba_ops,
+    probe=lambda: importlib.util.find_spec("numba") is not None,
+    loader=_table("loops", "OPS"),
     requires="numba",
+))
+register_backend(KernelBackend(
+    name="scalar",
+    priority=0,
+    probe=lambda: True,
+    loader=_table("loops", "PY_OPS"),
 ))

@@ -14,7 +14,7 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
   parities.  Each sweep draws one *shared* uniform block (every rank
   derives the same numbers from ``sweep_seed``), sliced per stage, so
   the trajectory is bit-identical across rank counts and across the
-  ``mode="scalar"`` / ``mode="vectorized"`` kernels.
+  kernel backends (``mode="scalar"`` is the per-move one).
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
@@ -166,14 +166,7 @@ def _validate_schedule(cfg) -> None:
         raise ValueError("n_thermalize must be >= 0")
     if cfg.measure_every < 1:
         raise ValueError("measure_every must be >= 1")
-    mode = cfg.mode
-    if mode in ("scalar", "vectorized", "auto"):
-        return
-    if mode not in kernels.known_backends():
-        raise ValueError(
-            f"unknown sweep mode {mode!r}; expected 'scalar', 'vectorized', "
-            f"'auto', or a kernel backend ({', '.join(kernels.known_backends())})"
-        )
+    kernels.check_kernel_name(cfg.mode)
 
 #: Update stages of one world-line sweep: the eight independence
 #: classes of the corner moves -- (bond a, interval b) stride-4 grids
@@ -293,12 +286,10 @@ class _DecomposedState:
     _fingerprint: tuple[str, ...]
 
     def __init__(self, comm, cfg):
-        # Resolve the kernel backend once per rank ("scalar" bypasses
-        # the registry; every registry backend is trajectory-identical).
-        self._init_rank(comm, cfg, kernels.resolve_sweep_mode(cfg.mode))
-        self._kops = (
-            None if self.kernel == "scalar" else kernels.get_ops(self.kernel)
-        )
+        # Resolve the kernel backend once per rank (every backend, the
+        # per-move "scalar" included, is trajectory-identical).
+        self._init_rank(comm, cfg, kernels.resolve_kernel(cfg.mode))
+        self._kops = kernels.get_ops(self.kernel)
         self.sweep_factory = SeedSequenceFactory(cfg.sweep_seed)
         self.sweep_index = 0
         self._n_exchanges = 0
@@ -645,9 +636,10 @@ class WorldlineStripConfig:
     """Run parameters of the strip-decomposed world-line chain.
 
     ``sweep_seed`` drives the shared per-stage uniforms that make the
-    trajectory independent of the rank count; ``mode`` selects the
-    batched NumPy kernels (default) or the per-move scalar reference,
-    which produce bit-identical trajectories.  ``overlap`` switches
+    trajectory independent of the rank count; ``mode`` names the kernel
+    backend -- the batched NumPy ops (default), the per-move ``scalar``
+    loops or their compiled ``numba`` form -- all of which produce
+    bit-identical trajectories.  ``overlap`` switches
     each stage to the five-stage pipeline (pack -> post isend/irecv ->
     update interior -> wait -> update boundary), hiding halo latency
     behind interior moves; trajectories stay bit-identical to the
@@ -746,8 +738,6 @@ class _StripState(_DecomposedState):
                 if sends or receives
             ]]
         self._plan_exchanges()
-        self._t_even = np.arange(0, self.T, 2, dtype=np.intp)
-        self._t_odd = np.arange(1, self.T, 2, dtype=np.intp)
         # One shared uniform block per sweep, sliced per stage: corner
         # classes consume an (L/4, T/4) lattice, column parities L/2.
         sizes = [
@@ -756,16 +746,6 @@ class _StripState(_DecomposedState):
         ]
         self._u_offsets = np.concatenate(([0], np.cumsum(sizes)))
         self._u_total = int(self._u_offsets[-1])
-        # Per-kind kernels, resolved once ("scalar" bypasses the registry).
-        vec = self._kops is not None
-        self._stage_fn = {
-            "corner": (
-                self._corner_class_vectorized if vec else self._corner_class_scalar
-            ),
-            "column": (
-                self._column_parity_vectorized if vec else self._column_parity_scalar
-            ),
-        }
         self._build_stage_caches()
         if cfg.overlap and comm.size > 1:
             self._build_overlap_caches()
@@ -778,8 +758,8 @@ class _StripState(_DecomposedState):
         Corner class (a, b): local bonds ``j`` in ``[1, n+1]`` (global
         bonds ``start-1 .. stop-1``, the two ends being the redundant
         seam bonds) with global bond index ``== a (mod 4)``, crossed
-        with intervals ``t == b (mod 4)``.  ``ui``/``ut`` index the
-        shared ``(L/4, T/4)`` stage-uniform lattice.
+        with intervals ``t == b (mod 4)``.  ``uflat`` indexes the
+        class's ``(L/4, T/4)`` slice of the sweep's uniforms, raveled.
 
         The fused gather / flip tables -- flat indices into
         ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment and
@@ -810,9 +790,6 @@ class _StripState(_DecomposedState):
             env, flip = corner_tables(n + 4, T, J, Tt)
             self._stage_cache.append({
                 "j": J,
-                "t": Tt,
-                "ui": (gb - a) // 4,
-                "ut": (Tt - b) // 4,
                 "uflat": (gb - a) // 4 * (T // 4) + (Tt - b) // 4,
                 "env": env,
                 "flip": flip,
@@ -825,7 +802,6 @@ class _StripState(_DecomposedState):
             # the first with 10 (bits 1,3) and of the second with 5.
             gather = column_tables(n + 4, T, lc)
             self._stage_cache.append({
-                "gc": gc,
                 "lc": lc,
                 "uc": (gc - p) // 2,
                 "gather": gather,
@@ -887,29 +863,6 @@ class _StripState(_DecomposedState):
             ))
         self.overlap_active = True
 
-    # -- indexing helpers -------------------------------------------------
-    def _codes(self, li: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Corner codes of plaquettes at *local* bond index li, interval t."""
-        s = self.loc
-        t1 = (t + 1) % self.T
-        return (
-            s[li, t].astype(np.intp)
-            + 2 * s[li + 1, t].astype(np.intp)
-            + 4 * s[li, t1].astype(np.intp)
-            + 8 * s[li + 1, t1].astype(np.intp)
-        )
-
-    def _code1(self, j: int, t: int) -> int:
-        """Scalar corner code at one local bond/interval."""
-        s = self.loc
-        t1 = (t + 1) % self.T
-        return (
-            int(s[j, t])
-            + 2 * int(s[j + 1, t])
-            + 4 * int(s[j, t1])
-            + 8 * int(s[j + 1, t1])
-        )
-
     # -- shared randomness --------------------------------------------------
     def _sweep_uniforms(self) -> np.ndarray:
         """This sweep's uniforms; every rank draws the identical block.
@@ -917,19 +870,13 @@ class _StripState(_DecomposedState):
         One generator per sweep yields the ten stage lattices as slices
         of a single draw (corner classes consume the compact
         ``(L/4, T/4)`` class grid, column parities ``L/2`` values).
-        Both modes and all rank counts index the same numbers, the
+        Every kernel and all rank counts index the same numbers, the
         source of bit-identity; amortizing the generator construction
         over the sweep keeps the shared-randomness cost off the
-        vectorized kernels' critical path.
+        kernels' critical path.
         """
         gen = self.sweep_factory.stream("wl-sweep", self.sweep_index).generator
         return gen.random(self._u_total)
-
-    def _stage_slice(self, u_sweep: np.ndarray, stage_idx: int) -> np.ndarray:
-        u = u_sweep[self._u_offsets[stage_idx] : self._u_offsets[stage_idx + 1]]
-        if WL_STAGES[stage_idx][0] == "corner":
-            return u.reshape(self.L // 4, self.T // 4)
-        return u
 
     def _count(self, n_moves: int, n_acc: int, flops_per_move: float,
                category: str) -> None:
@@ -942,81 +889,29 @@ class _StripState(_DecomposedState):
         )
 
     # -- corner moves --------------------------------------------------------
-    def _corner_class_vectorized(
+    def _corner_class(
         self, cache: dict | None, u: np.ndarray, category: str = "compute"
     ) -> None:
-        """One corner class (or an interior/boundary sub-table) batched.
+        """One corner class (or an interior/boundary sub-table).
 
         The gather -> XOR-code -> accept -> scatter body is the
         ``strip_corner`` op of the resolved kernel backend (see
-        :mod:`repro.kernels`); every backend reproduces the scalar
-        reference's weight-product order, keeping accept decisions
-        bit-identical.  ``category`` attributes the compute charge
-        (``interior``/``boundary`` under the overlap pipeline).
+        :mod:`repro.kernels`), batched or per move; every backend
+        prices a move from the same weight-product tables, keeping
+        accept decisions bit-identical.  ``category`` attributes the
+        compute charge (``interior``/``boundary`` under the overlap
+        pipeline).
         """
         if cache is None:
             return
-        flat = self.loc.reshape(-1)
-        uu = u.reshape(-1)[cache["uflat"]]
         n_acc = self._kops["strip_corner"](
-            flat, self._corner_weights, cache["env"], cache["flip"], uu
+            self._flat, self._corner_weights, cache["env"], cache["flip"],
+            u[cache["uflat"]],
         )
         self._count(cache["j"].size, n_acc, FLOPS_PER_CORNER_MOVE, category)
 
-    def _corner_class_scalar(
-        self, cache: dict | None, u: np.ndarray, category: str = "compute"
-    ) -> None:
-        """Per-move reference loop; identical op order to the batched kernel."""
-        if cache is None:
-            return
-        w = self.table.weights
-        loc = self.loc
-        T = self.T
-        n_acc = 0
-        for j, tt, ai, at in zip(
-            cache["j"].tolist(),
-            cache["t"].tolist(),
-            cache["ui"].tolist(),
-            cache["ut"].tolist(),
-        ):
-            t1 = (tt + 1) % T
-            tm1 = (tt - 1) % T
-            old = (
-                w[self._code1(j - 1, tt)]
-                * w[self._code1(j + 1, tt)]
-                * w[self._code1(j, tm1)]
-                * w[self._code1(j, t1)]
-            )
-            loc[j, tt] ^= 1
-            loc[j, t1] ^= 1
-            loc[j + 1, tt] ^= 1
-            loc[j + 1, t1] ^= 1
-            new = (
-                w[self._code1(j - 1, tt)]
-                * w[self._code1(j + 1, tt)]
-                * w[self._code1(j, tm1)]
-                * w[self._code1(j, t1)]
-            )
-            if new > 0.0 and u[ai, at] * old < new:
-                n_acc += 1
-            else:
-                loc[j, tt] ^= 1
-                loc[j, t1] ^= 1
-                loc[j + 1, tt] ^= 1
-                loc[j + 1, t1] ^= 1
-        self._count(cache["j"].size, n_acc, FLOPS_PER_CORNER_MOVE, category)
-
     # -- straight-line column moves -----------------------------------------
-    def _col_log_weight1(self, l: int, g: int) -> float:
-        """ln W of the two bond-columns adjacent to one local column."""
-        total = 0.0
-        for off in (-1, 0):
-            ts = self._t_even if ((g + off) % 2 == 0) else self._t_odd
-            lb = np.full(ts.size, l + off, dtype=np.intp)
-            total += float(self._logw[0][self._codes(lb, ts)].sum())
-        return total
-
-    def _column_parity_vectorized(
+    def _column_parity(
         self, cache: dict | None, u: np.ndarray, category: str = "compute"
     ) -> None:
         """Straight-line moves of one parity (or an overlap sub-table).
@@ -1041,34 +936,6 @@ class _StripState(_DecomposedState):
         )
         self._count(n_straight, n_acc, 2.0 * self.T, category)
 
-    def _column_parity_scalar(
-        self, cache: dict | None, u: np.ndarray, category: str = "compute"
-    ) -> None:
-        """Per-column reference loop; identical op order to the batched kernel."""
-        if cache is None:
-            return
-        n_straight = 0
-        n_acc = 0
-        for g, l, uci in zip(
-            cache["gc"].tolist(), cache["lc"].tolist(), cache["uc"].tolist()
-        ):
-            col = self.loc[l]
-            if col.min() != col.max():
-                continue
-            n_straight += 1
-            old_lw = self._col_log_weight1(l, g)
-            self.loc[l] ^= 1
-            new_lw = self._col_log_weight1(l, g)
-            log_ratio = new_lw - old_lw  # -inf - -inf -> nan -> rejected
-            if (
-                np.isfinite(log_ratio)
-                and np.log(np.maximum(u[uci], 1e-300)) < log_ratio
-            ):
-                n_acc += 1
-            else:
-                self.loc[l] ^= 1
-        self._count(n_straight, n_acc, 2.0 * self.T, category)
-
     def _sweep_stages(self) -> None:
         """One full sweep: 10 stages, each behind the halo links the
         schedule posts for it (none at most stages).
@@ -1080,8 +947,8 @@ class _StripState(_DecomposedState):
         """
         u_sweep = self._sweep_uniforms()
         for s_idx, (kind, _, _) in enumerate(WL_STAGES):
-            kernel = self._stage_fn[kind]
-            u = self._stage_slice(u_sweep, s_idx)
+            kernel = self._corner_class if kind == "corner" else self._column_parity
+            u = u_sweep[self._u_offsets[s_idx] : self._u_offsets[s_idx + 1]]
             pending = self._exchange(s_idx, offload=self.overlap_active)
             if pending:
                 interior, boundary = self._stage_split[s_idx]
@@ -1171,9 +1038,9 @@ class IsingBlockConfig:
     ``ly = 2, ky = 0`` axes as needed for lower-dimensional problems --
     or use the TFIM helpers in :mod:`repro.run` which fill these in.
     ``sweep_seed`` drives the shared per-sweep uniforms that make
-    parallel runs bit-identical to serial ones; ``mode`` selects the
-    batched checkerboard kernel (default) or the per-site scalar
-    reference, which produce bit-identical trajectories.  ``overlap``
+    parallel runs bit-identical to serial ones; ``mode`` names the kernel
+    backend (batched ``numpy``, the default; per-site ``scalar``;
+    ``numba``), all of which produce bit-identical trajectories.  ``overlap``
     turns on the five-stage halo-overlap pipeline (post offloaded
     sends/recvs, update interior sites, wait, update boundary sites);
     trajectories stay bit-identical to the lockstep path because the
@@ -1347,35 +1214,14 @@ class _BlockState(_DecomposedState):
         gen.bit_generator.advance(p.x_start * ly * self.lt)
         return gen.random((self.bx, ly, self.lt))[:, p.y_start : p.y_stop]
 
-    def _update_color_scalar(self, mask: np.ndarray, log_u: np.ndarray) -> int:
-        """Per-site reference loop; float op order matches the batched kernel.
+    def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
+        """One (sub-)color Metropolis update through the configured
+        backend's ``block_color`` op; returns the accepted-flip count.
 
         ``mask`` selects the sites to visit (a full color, or its
         interior/boundary half under the overlap pipeline -- same-color
         sites never neighbor each other, so any visit order yields the
-        identical trajectory).  Returns the number of accepted flips.
-        """
-        g = self.g
-        s = self.spins
-        kx, ky, kt = self.couplings
-        lt = self.lt
-        n_acc = 0
-        for x, y, t in zip(*(idx.tolist() for idx in np.nonzero(mask))):
-            sp = s[x, y, t]
-            f = kx * (g[x + 2, y + 1, t] + g[x, y + 1, t])
-            f = f + ky * (g[x + 1, y + 2, t] + g[x + 1, y, t])
-            f += kt * (s[x, y, (t + 1) % lt] + s[x, y, (t - 1) % lt])
-            if log_u[x, y, t] < -2.0 * sp * f:
-                s[x, y, t] = -sp
-                n_acc += 1
-        return n_acc
-
-    def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
-        """One (sub-)color Metropolis update through the configured
-        kernel (the backend's ``block_color`` op, or the scalar
-        reference); returns the accepted-flip count."""
-        if self._kops is None:
-            return self._timed(self._update_color_scalar, mask, log_u)
+        identical trajectory)."""
         return self._timed(
             self._kops["block_color"], self.g, self.couplings, mask, log_u
         )

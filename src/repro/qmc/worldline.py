@@ -178,7 +178,7 @@ class TableSweeps:
         sweep."""
         if mode == "auto" and not self.can_vectorize:
             mode = "scalar"  # the geometry gate: off-grid lattices
-        kernel = kernels.resolve_sweep_mode(mode)
+        kernel = kernels.resolve_kernel(mode)
         if kernel == "scalar":
             return kernel, self.sweep_scalar
         self._require_vectorizable()

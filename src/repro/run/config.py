@@ -80,11 +80,16 @@ class ParallelLayout:
         boundary).  Trajectories stay bit-identical to the lockstep
         path; only the modeled timeline changes.
     kernel:
-        Compiled-kernel backend for the checkerboard sweeps:
-        ``auto`` (default; best available registry backend), a
-        registered backend name (``numpy``/``numba``), or
-        ``scalar`` for the per-move reference path.  Every registry
-        backend produces the bit-identical trajectory; selection is
+        Kernel backend for the checkerboard sweeps: ``auto`` (default;
+        the best available batched backend) or a registered backend
+        name -- ``numpy``, ``numba``, or ``scalar`` for the per-move
+        reference.  On the strip and block layouts and on every
+        ``tfim`` layout all backends produce the bit-identical
+        trajectory, ``scalar`` one move at a time.  On the serial and
+        replica *world-line* layouts ``scalar`` is instead the samplers'
+        raster reference sweep -- any geometry, its own random-number
+        protocol, hence its own (equally valid) trajectory -- while
+        ``numpy`` / ``numba`` still agree bit for bit.  Selection is
         resolved once at run start so an unavailable backend fails
         fast with a :class:`repro.kernels.KernelUnavailableError`.
     replicas:
@@ -128,14 +133,7 @@ class ParallelLayout:
                 "halo overlap applies to the SPMD strategies (strip/block); "
                 f"{self.strategy!r} has no halo to overlap"
             )
-        if self.kernel not in ("auto", "scalar", "vectorized") and (
-            self.kernel not in kernels.known_backends()
-        ):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected 'auto', 'scalar', "
-                f"'vectorized', or a registered backend "
-                f"({', '.join(kernels.known_backends())})"
-            )
+        kernels.check_kernel_name(self.kernel)
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.replicas > 1 and self.strategy != "strip":
@@ -442,10 +440,13 @@ _LAYOUT_FIELDS = (
                   "strip/block sweep drivers (bit-identical trajectories, "
                   "shorter modeled makespan)"),
     RunField("kernel", "--kernel", default="auto", spec="kernel",
-             help="sweep kernel backend: 'auto' (best available), a "
-                  "registered backend (numpy/numba), or 'scalar' for the "
-                  "per-move reference path; every backend yields the "
-                  "bit-identical trajectory (default: auto)"),
+             help="sweep kernel backend: 'auto' (best available), 'numpy', "
+                  "'numba', or 'scalar' for the per-move reference.  "
+                  "strip / block / tfim runs: every backend yields the "
+                  "bit-identical trajectory.  Serial and replica "
+                  "world-line runs: numpy and numba agree bit for bit; "
+                  "'scalar' is the samplers' raster sweep with its own "
+                  "trajectory (default: auto)"),
     RunField("replicas", "--replicas", int, 1, spec="replicas", metavar="R",
              help="two-level ensemble x domain run: R independent strip "
                   "replicas of --ranks domain processors each (R * RANKS "

@@ -446,10 +446,7 @@ class _Tfim(_Kind):
             beta=cfg.beta,
             n_slices=cfg.n_slices,
             stream=stream,
-            # The serial classical sampler's batched color update *is*
-            # its reference implementation, so "scalar" maps to numpy
-            # here; the block driver keeps a true per-site scalar path.
-            kernel="numpy" if mode == "scalar" else mode,
+            kernel=mode,
         )
         # The classical lattice holds the spins and the move counters.
         return Chain(
@@ -539,11 +536,11 @@ class Simulation:
     def run(self) -> RunResult:
         cfg, kind = self.config, _KINDS[self.kind]
         layout = cfg.layout
-        # Resolved to "scalar" or a concrete registered backend *before*
+        # Resolved to a concrete registered backend *before*
         # any rank program spawns, so a run requesting an uninstalled
         # backend (``--kernel numba`` without numba) fails fast with a
         # KernelUnavailableError instead of dying inside a worker.
-        kernel = kernels.resolve_sweep_mode(layout.kernel)
+        kernel = kernels.resolve_kernel(layout.kernel)
         params = kind.params(cfg, kernel)
         result = RunResult(kind=self.kind, parameters=params)
         registry = _obs_registry(cfg)

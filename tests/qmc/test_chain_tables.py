@@ -31,7 +31,7 @@ from repro.util.rng import SeedSequenceFactory
 from tests.conftest import ForcedStream
 from tests.qmc.fake_numba import numba_backend  # noqa: F401
 
-BACKENDS = ["numpy", pytest.param("numba", marks=pytest.mark.needs_numba)]
+BACKENDS = ["numpy", "scalar", pytest.param("numba", marks=pytest.mark.needs_numba)]
 
 
 def _chain(L=8, T=8, jz=1.0, jxy=1.0, beta=1.0, **kw):
@@ -167,7 +167,7 @@ def test_wl1d_adapters_reuse_the_tables_and_replay_the_sweep(backend):
         a.table.weights > 0, np.log(np.maximum(a.table.weights, 1e-300)), -np.inf
     )
     for _ in range(6):
-        a.sweep(backend)
+        a.sweep_vectorized(backend)  # the table sweep (mode="scalar": raster)
         n_acc = 0
         for ca, cb in ((ca, cb) for ca in range(4) for cb in range(4) if (ca + cb) % 2):
             gi, gt = np.meshgrid(

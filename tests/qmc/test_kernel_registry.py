@@ -2,8 +2,9 @@
 
 Every registered backend must produce the *bit-identical* trajectory:
 RNG draws stay in the callers, so a backend can only differ by the
-order it evaluates the same accept inequalities -- and the compiled
-backends replicate numpy's reduction order exactly.  This suite pins:
+order it evaluates the same accept inequalities -- and the per-move
+loops (``scalar`` interpreted, ``numba`` compiled) replicate numpy's
+reduction order exactly.  This suite pins:
 
 * registry semantics: priority-ordered ``auto`` selection, the
   ``vectorized`` alias, unknown-name errors, fake-backend registration;
@@ -12,19 +13,22 @@ backends replicate numpy's reduction order exactly.  This suite pins:
 * serial samplers: ``mode="numpy"`` is bit-identical to the legacy
   ``mode="vectorized"`` path, and the numba backend is bit-identical
   to numpy on the chain, square-lattice and classical-Ising samplers;
-* SPMD drivers: strip/block trajectories agree between numpy and numba
-  kernels across P in {1, 2, 4}, overlap on/off, and the thread/mp
-  backends, and a checkpoint written under one kernel resumes under
-  the other bit for bit (the kernel is absent from the resume
-  fingerprint, like the overlap knob);
+* SPMD drivers: strip/block trajectories agree between the numpy,
+  scalar and numba kernels across P in {1, 2, 4}, overlap on/off, and
+  the thread/mp backends, and a checkpoint written under one kernel
+  resumes under another bit for bit (the kernel is absent from the
+  resume fingerprint, like the overlap knob);
+* what ``scalar`` means by layout: the per-move loops with the numpy
+  trajectory on strip / block / tfim, the samplers' raster reference
+  (its own trajectory) on the serial and replica world-line layouts;
 * telemetry: per-sweep kernel time lands in a counter tagged by the
   backend name.
 
-The numba legs never skip: where numba is not installed they run
-``repro.kernels.numba_backend`` interpreted, over the stand-in of
-``tests/qmc/fake_numba.py`` (same source, same loops, no compiler);
-CI's numba job installs the real JIT and runs this file as its
-bit-identity gate.
+``scalar`` legs run natively everywhere.  The numba legs never skip:
+where numba is not installed ``tests/qmc/fake_numba.py`` makes the
+*name* selectable and ``repro.kernels.loops`` supplies the same loops
+under its identity ``njit``; CI's numba job installs the real JIT and
+runs this file as its bit-identity gate.
 """
 
 import sys
@@ -47,7 +51,13 @@ from repro.qmc.parallel import (
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.run.checkpoint import CheckpointConfig
-from repro.run.config import ParallelLayout
+from repro.run.config import (
+    ParallelLayout,
+    TfimRunConfig,
+    XXZ2DRunConfig,
+    XXZRunConfig,
+)
+from repro.run.simulation import Simulation
 from repro.vmp.machines import PARAGON
 from repro.vmp.scheduler import run_spmd
 from tests.conftest import (
@@ -60,9 +70,21 @@ from tests.conftest import (
 from tests.qmc.fake_numba import HAVE_NUMBA, numba_backend  # noqa: F401
 
 #: Runs the test with the ``numba`` backend loadable: the real JIT
-#: where installed, else the same module over the interpreted stand-in
-#: (the imported autouse fixture acts on this mark).
+#: where installed, else the same loops interpreted (the imported
+#: autouse fixture acts on this mark).
 needs_numba = pytest.mark.needs_numba
+
+
+def on_both_loop_backends(cases: dict):
+    """Parameter sets ``(*case, backend)``: every case on ``numba`` under
+    its historical id, and natively on ``scalar``."""
+    return [
+        *(pytest.param(*case, "numba", marks=needs_numba, id=name)
+          for name, case in cases.items()),
+        *(pytest.param(*case, "scalar", id=f"{name}-scalar")
+          for name, case in cases.items()),
+    ]
+
 
 #: Kernel pairs whose trajectories must agree: the alias pair, and
 #: numpy against the other batched backend.
@@ -85,23 +107,38 @@ class TestRegistrySemantics:
 
     def test_known_backends_priority_ordered(self):
         names = kernels.known_backends()
-        # numba (20) outranks numpy (10); nothing else is registered.
-        assert names == ("numba", "numpy")
+        # numba (20) outranks numpy (10) outranks scalar (0); nothing
+        # else is registered.
+        assert names == ("numba", "numpy", "scalar")
 
     def test_auto_resolves_to_an_available_backend(self):
         assert kernels.resolve_kernel("auto") in kernels.available_backends()
+
+    def test_auto_never_resolves_to_scalar(self):
+        """The per-move reference runs only when asked for by name: it
+        is always available and ranks below every batched backend."""
+        assert kernels.kernel_available("scalar")
+        assert kernels.known_backends()[-1] == "scalar"
+        assert kernels.resolve_kernel("auto") != "scalar"
+        assert kernels.resolve_kernel("scalar") == "scalar"
 
     def test_vectorized_alias_resolves_to_numpy(self):
         assert kernels.resolve_kernel("vectorized") == "numpy"
 
     def test_scalar_passes_through_resolve_sweep_mode(self):
+        # An alias of the one resolver (benchmarks/e2e calls it).
+        assert kernels.resolve_sweep_mode is kernels.resolve_kernel
         assert kernels.resolve_sweep_mode("scalar") == "scalar"
 
     def test_unknown_name_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown kernel backend 'simd'"):
-            kernels.resolve_kernel("simd")
-        with pytest.raises(ValueError, match="unknown sweep mode 'simd'"):
-            kernels.resolve_sweep_mode("simd")
+        """One vocabulary check, one message, behind every surface."""
+        for check in (kernels.check_kernel_name, kernels.resolve_kernel,
+                      kernels.get_ops):
+            with pytest.raises(ValueError, match="unknown kernel 'simd'.*"
+                               "'auto', 'vectorized'.*numba, numpy, scalar"):
+                check("simd")
+        for name in ("auto", "vectorized", *kernels.known_backends()):
+            kernels.check_kernel_name(name)  # names only: numba may be absent
 
     def test_ops_table_complete(self):
         ops = kernels.get_ops("numpy")
@@ -109,7 +146,8 @@ class TestRegistrySemantics:
         assert all(callable(ops[n]) for n in kernels.OP_NAMES)
 
     @pytest.mark.parametrize(
-        "backend", ["numpy", pytest.param("numba", marks=needs_numba)])
+        "backend",
+        ["numpy", "scalar", pytest.param("numba", marks=needs_numba)])
     def test_one_plaquette_flip_pair_and_nothing_else(self, backend):
         """Six ops: every world-line caller shares ``strip_*``."""
         assert set(kernels.OP_NAMES) == {
@@ -120,12 +158,12 @@ class TestRegistrySemantics:
 
     def test_numba_stand_in_stays_inside_its_tests(self):
         """The fixture of ``tests/qmc/fake_numba.py`` leaves nothing
-        behind: outside it this host resolves what is installed."""
+        behind: outside it this host resolves what is installed, and no
+        ``numba`` module is ever faked."""
         assert kernels.kernel_available("numba") == HAVE_NUMBA
         if not HAVE_NUMBA:
             assert kernels.resolve_kernel("auto") == "numpy"
             assert "numba" not in sys.modules
-            assert "repro.kernels.numba_backend" not in sys.modules
 
     def test_backend_version_reporting(self):
         assert kernels.backend_version("numpy") == np.__version__
@@ -191,7 +229,7 @@ class TestStructuredError:
     def test_cupy_unavailable_is_structured_and_actionable(self):
         # The GPU stub is gone: "cupy" is an unknown name like any
         # other, and the error lists what is registered.
-        with pytest.raises(ValueError, match="unknown kernel backend 'cupy'") as exc:
+        with pytest.raises(ValueError, match="unknown kernel 'cupy'") as exc:
             kernels.resolve_kernel("cupy")
         assert not isinstance(exc.value, KernelUnavailableError)
         assert "numba, numpy" in str(exc.value)
@@ -235,7 +273,7 @@ class TestConfigSurfaces:
         cfg = WorldlineStripConfig(n_sites=8, jz=1, jxy=1, beta=1, n_slices=8,
                                    n_sweeps=1, mode="numpy")
         assert cfg.mode == "numpy"
-        with pytest.raises(ValueError, match="unknown sweep mode"):
+        with pytest.raises(ValueError, match="unknown kernel 'simd'"):
             WorldlineStripConfig(n_sites=8, jz=1, jxy=1, beta=1, n_slices=8,
                                  n_sweeps=1, mode="simd")
 
@@ -247,7 +285,7 @@ class TestConfigSurfaces:
     def test_replica_config_accepts_backend_modes(self):
         cfg = square_chain_config(n_sweeps=1, mode="numpy")
         assert cfg.mode == "numpy"
-        with pytest.raises(ValueError, match="unknown sweep mode"):
+        with pytest.raises(ValueError, match="unknown kernel 'simd'"):
             square_chain_config(n_sweeps=1, mode="simd")
 
     def test_divisibility_error_names_scalar_fallback(self):
@@ -277,6 +315,42 @@ class TestConfigSurfaces:
         assert rc == 2
         err = capsys.readouterr().err
         assert "numba" in err and "--kernel numpy" in err
+
+
+_RUN = dict(beta=1.0, n_slices=8, n_sweeps=12, n_thermalize=2, seed=1)
+_RUN_KINDS = {
+    "xxz": lambda layout: XXZRunConfig(n_sites=8, layout=layout, **_RUN),
+    "xxz2d": lambda layout: XXZ2DRunConfig(lx=4, ly=4, layout=layout, **_RUN),
+    "tfim": lambda layout: TfimRunConfig(spatial_shape=(8,), layout=layout, **_RUN),
+}
+
+
+@pytest.mark.parametrize("kind,strategy,same_trajectory", [
+    ("xxz", "strip", True),
+    ("tfim", "block", True),
+    ("tfim", "replica", True),
+    ("tfim", "serial", True),
+    ("xxz", "serial", False),
+    ("xxz", "replica", False),
+    ("xxz2d", "serial", False),
+])
+def test_scalar_is_the_per_move_loops_or_the_raster_reference(
+        kind, strategy, same_trajectory):
+    """What ``--kernel scalar`` promises, by layout.  Strip, block and
+    every tfim layout: the per-move loops on numpy's trajectory.  Serial
+    and replica world-line: the samplers' raster sweep, which draws its
+    randoms in its own order -- a different, equally valid trajectory.
+    Either way the run records the kernel it ran."""
+    scalar, batched = (
+        Simulation(_RUN_KINDS[kind](ParallelLayout(
+            strategy=strategy, n_ranks=1 if strategy == "serial" else 2,
+            kernel=kernel))).run()
+        for kernel in ("scalar", "numpy"))
+    assert scalar.parameters["kernel"] == scalar.runtime["kernel"] == "scalar"
+    assert batched.runtime["kernel"] == "numpy"
+    assert same_trajectory == all(
+        np.array_equal(scalar.series[name], batched.series[name])
+        for name in batched.series)
 
 
 # ======================================================================
@@ -328,29 +402,34 @@ class TestSerialBitIdentity:
         assert a.n_accepted == b.n_accepted
 
 
-@needs_numba
 class TestNumbaSerialShapes:
-    """Geometry corners the fixed-signature JIT kernels must cover."""
+    """Geometry corners the fixed-signature loop kernels must cover."""
 
+    @needs_numba
     def test_ising_2d_lifted_to_3d(self):
-        a = AnisotropicIsing((8, 8), (0.35, 0.35), seed=11, hot_start=True,
-                             kernel="numpy")
-        b = AnisotropicIsing((8, 8), (0.35, 0.35), seed=11, hot_start=True,
-                             kernel="numba")
+        a, *loops = (
+            AnisotropicIsing((8, 8), (0.35, 0.35), seed=11, hot_start=True,
+                             kernel=kernel)
+            for kernel in ("numpy", "numba", "scalar"))
+        for b in loops:
+            assert b.kernel != "numpy"
+            for _ in range(8):
+                b.sweep()
         for _ in range(8):
             a.sweep()
-            b.sweep()
-        np.testing.assert_array_equal(a.spins, b.spins)
-        assert a.n_accepted == b.n_accepted
+        for b in loops:
+            np.testing.assert_array_equal(a.spins, b.spins)
+            assert a.n_accepted == b.n_accepted
 
     def test_pairwise_sum_replicates_numpy(self):
-        from repro.kernels.numba_backend import _pairwise_sum
+        from repro.kernels.loops import _pairwise_sum
 
         rng = np.random.default_rng(0)
         for n in (1, 5, 8, 9, 64, 127, 128, 129, 500, 4096):
             a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
             assert _pairwise_sum(a, 0, n) == np.sum(a), n
 
+    @needs_numba
     def test_square_larger_lattice(self):
         a = WorldlineSquareQmc(XXZSquareModel(8, 4), beta=1.1, n_slices=12,
                                seed=13)
@@ -363,21 +442,25 @@ class TestNumbaSerialShapes:
         assert a.n_accepted == b.n_accepted
         b.check_invariants()
 
-    @pytest.mark.parametrize("make,k,per_move_mask", [
-        (lambda: WorldlineSquareQmc(XXZSquareModel(4, 4), 0.8, 8, seed=2), 8, True),
-        (lambda: WorldlineSquareQmc(XXZSquareModel(8, 4), 1.1, 12, seed=2), 8, True),
-        (lambda: WorldlineChainQmc(XXZChainModel(8), 0.9, 8, seed=2), 4, False),
-    ], ids=["square-4x4x8", "square-8x4x12-odd-M", "chain-8x8"])
+    @pytest.mark.parametrize("make,k,per_move_mask,loops", on_both_loop_backends({
+        "square-4x4x8": (
+            lambda: WorldlineSquareQmc(XXZSquareModel(4, 4), 0.8, 8, seed=2), 8, True),
+        "square-8x4x12-odd-M": (
+            lambda: WorldlineSquareQmc(XXZSquareModel(8, 4), 1.1, 12, seed=2), 8, True),
+        "chain-8x8": (
+            lambda: WorldlineChainQmc(XXZChainModel(8), 0.9, 8, seed=2), 4, False),
+    }))
     def test_strip_ops_agree_row_by_row_on_both_mask_shapes(
-            self, make, k, per_move_mask):
+            self, make, k, per_move_mask, loops):
         """``strip_corner`` takes packed K = 4 rows (the shared mask
         folded into the product tables) or unpacked K rows with a
-        (K, n) mask: every table row of both samplers, op against op."""
+        (K, n) mask: every table row of both samplers, the batched op
+        against the per-move one."""
         q = make()
         for _ in range(5):
             q.sweep(mode="numpy")
         rng = np.random.default_rng(17)
-        np_ops, nb_ops = kernels.get_ops("numpy"), kernels.get_ops("numba")
+        np_ops, nb_ops = kernels.get_ops("numpy"), kernels.get_ops(loops)
         n_acc = 0
         for gather, flip in q._corner_tables:
             n = flip.shape[1]
@@ -451,6 +534,10 @@ def _run_block(p, mode, overlap=False, backend="thread", ckpt=None, n_sweeps=5):
     )
 
 
+#: overlap off / on under the historical numba ids, and on scalar.
+LOOPS_BY_OVERLAP = on_both_loop_backends({"False": (False,), "True": (True,)})
+
+
 @pytest.mark.parametrize("p", [1, 2, 4])
 class TestDriverKernelAgreement:
     def test_strip_numpy_matches_vectorized_alias(self, p):
@@ -461,17 +548,45 @@ class TestDriverKernelAgreement:
         assert_bit_identical(_run_block(p, "vectorized"), _run_block(p, "numpy"),
                      BLOCK_KEYS)
 
-    @needs_numba
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_strip_numba_matches_numpy(self, p, overlap):
+    @pytest.mark.parametrize("overlap,loops", LOOPS_BY_OVERLAP)
+    def test_strip_numba_matches_numpy(self, p, overlap, loops):
         assert_bit_identical(_run_strip(p, "numpy", overlap),
-                     _run_strip(p, "numba", overlap), STRIP_KEYS)
+                     _run_strip(p, loops, overlap), STRIP_KEYS)
 
-    @needs_numba
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_block_numba_matches_numpy(self, p, overlap):
+    @pytest.mark.parametrize("overlap,loops", LOOPS_BY_OVERLAP)
+    def test_block_numba_matches_numpy(self, p, overlap, loops):
         assert_bit_identical(_run_block(p, "numpy", overlap),
-                     _run_block(p, "numba", overlap), BLOCK_KEYS)
+                     _run_block(p, loops, overlap), BLOCK_KEYS)
+
+
+def _whole_lattice(values) -> np.ndarray:
+    """The ranks' owned pieces put back together."""
+    if "owned_spins" in values[0]:
+        return np.concatenate([v["owned_spins"] for v in values])
+    pieces = np.array([v["piece"] for v in values])
+    whole = np.zeros(
+        (pieces[:, 1].max(), pieces[:, 3].max(), values[0]["block"].shape[2]),
+        dtype=np.int8)
+    for v in values:
+        x0, x1, y0, y1 = v["piece"]
+        whole[x0:x1, y0:y1] = v["block"]
+    return whole
+
+
+@pytest.mark.parametrize("run,keys", [
+    (_run_strip, STRIP_KEYS[:2]), (_run_block, BLOCK_KEYS[:2]),
+], ids=["strip", "block"])
+def test_two_thread_ranks_on_the_interpreted_loops_equal_one(run, keys):
+    """Two ranks of the thread backend call the same interpreted
+    ``scalar`` ops concurrently; the loops keep no state between calls,
+    so the configuration is the one-rank run's, split."""
+    one, two = run(1, "scalar"), run(2, "scalar")
+    assert {v["kernel"] for v in two.values} == {"scalar"}
+    np.testing.assert_array_equal(
+        _whole_lattice(two.values), _whole_lattice(one.values))
+    for key in keys:  # partial sums associate differently across P
+        np.testing.assert_allclose(
+            two.values[0][key], one.values[0][key], rtol=1e-12, err_msg=key)
 
 
 @needs_numba
@@ -486,12 +601,14 @@ class TestNumbaAcrossProcessBackends:
                      _run_block(2, "numba", backend="mp"), BLOCK_KEYS)
 
 
-@needs_numba
 class TestResumeWithKernelToggled:
     """The kernel is not part of the resume fingerprint (like overlap)."""
 
-    @pytest.mark.parametrize("save_mode,resume_mode",
-                             [("numpy", "numba"), ("numba", "numpy")])
+    @pytest.mark.parametrize("save_mode,resume_mode", [
+        pytest.param("numpy", "numba", marks=needs_numba),
+        pytest.param("numba", "numpy", marks=needs_numba),
+        ("numpy", "scalar"), ("scalar", "numpy"),
+    ])
     def test_strip_resume_toggles_kernel(self, tmp_path, save_mode,
                                          resume_mode):
         ref = _run_strip(2, "numpy", n_sweeps=6).values[0]
@@ -503,15 +620,17 @@ class TestResumeWithKernelToggled:
         for k in STRIP_KEYS:
             np.testing.assert_array_equal(resumed[k], ref[k], err_msg=k)
 
+    @needs_numba
     def test_block_resume_toggles_kernel(self, tmp_path):
         ref = _run_block(2, "numpy", n_sweeps=6).values[0]
         d = tmp_path / "ck"
         _run_block(2, "numpy", ckpt=CheckpointConfig(d, every=3), n_sweeps=3)
-        resumed = _run_block(
-            2, "numba", ckpt=CheckpointConfig(d, resume=True), n_sweeps=6
-        ).values[0]
-        for k in BLOCK_KEYS:
-            np.testing.assert_array_equal(resumed[k], ref[k], err_msg=k)
+        for resume_mode in ("numba", "scalar"):
+            resumed = _run_block(
+                2, resume_mode, ckpt=CheckpointConfig(d, resume=True), n_sweeps=6
+            ).values[0]
+            for k in BLOCK_KEYS:
+                np.testing.assert_array_equal(resumed[k], ref[k], err_msg=k)
 
 
 # ======================================================================

@@ -72,7 +72,7 @@ class TestGeometryGate:
         assert q.resolve_sweep("scalar")[0] == q.resolve_sweep("auto")[0] == "scalar"
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown sweep mode"):
+        with pytest.raises(ValueError, match="unknown kernel 'simd'"):
             make().sweep(mode="simd")
 
     def test_auto_dispatch(self):

@@ -9,6 +9,7 @@ lazily exporting packages.
 """
 
 import importlib
+import importlib.util
 import json
 import pickle
 import pkgutil
@@ -70,6 +71,10 @@ def test_a_run_imports_only_the_run_path(cli_args, tmp_path):
         if any(m == bad or m.startswith(bad + ".") for bad in FORBIDDEN)
     )
     assert leaked == []
+    if importlib.util.find_spec("numba") is None:
+        # "auto" is the batched numpy backend: the per-move source (the
+        # scalar / numba backends) loads only when asked for by name.
+        assert not {"numba", "repro.kernels.loops"} & loaded
 
 
 def test_info_commands_do_not_import_the_samplers():
@@ -90,6 +95,7 @@ def test_kernels_are_the_bottom_layer():
     code = (
         "import sys\n"
         "import repro.kernels.numpy_backend\n"
+        "import repro.kernels.loops\n"
         "bad = [m for m in sys.modules if m.startswith('repro.qmc')]\n"
         "assert bad == [], bad\n"
     )
