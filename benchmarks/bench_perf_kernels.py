@@ -200,12 +200,12 @@ def _time_block(p: int, n_sweeps: int, overlap: bool) -> dict:
 
 
 def collect_overlap(smoke: bool = False) -> list[dict]:
-    """Overlap A/B records: lockstep vs pipelined halos, same run setup.
+    """Overlap A/B records: lockstep vs overlapped charges, same run setup.
 
     Strip and block drivers at P in {2, 4} on the thread backend
     (vectorized kernels); each record carries the modeled comm fraction
-    so ``BENCH_perf.json`` tracks how much halo time the five-stage
-    pipeline hides on the Paragon cost model.
+    so ``BENCH_perf.json`` tracks how much halo time the overlapped
+    charge schedule hides on the Paragon cost model.
     """
     records = []
     ps = (2,) if smoke else (2, 4)
@@ -517,7 +517,7 @@ def render_kernels(records: list[dict]) -> Table:
 
 def render_overlap(records: list[dict]) -> Table:
     table = Table(
-        "Halo-overlap A/B (lockstep vs five-stage pipeline, Paragon model)",
+        "Halo-overlap A/B (lockstep vs overlapped charge schedule, Paragon model)",
         ["case", "P", "overlap", "ms/sweep", "comm frac (model)"],
     )
     for rec in records:
@@ -611,7 +611,7 @@ def test_perf_kernels(benchmark, record, smoke):
     )
     json_path.write_text(json.dumps(doc, indent=2) + "\n")
 
-    # Overlap sanity at every tier: the pipeline must never *raise* the
+    # Overlap sanity at every tier: the schedule must never *raise* the
     # modeled comm fraction of the identical run.
     for rec in overlap_records:
         if rec["overlap"]:
@@ -661,7 +661,7 @@ def test_perf_kernels(benchmark, record, smoke):
     assert strip_ratio >= 10.0, (
         f"strip P=4 vectorized only {strip_ratio:.1f}x over scalar"
     )
-    # Acceptance bar of the overlap pipeline: the vectorized strip
+    # Acceptance bar of the overlapped schedule: the vectorized strip
     # driver at P=4 drops its modeled comm fraction to <= 0.45 when
     # halo exchanges overlap interior updates.
     frac_on = _overlap_fraction(overlap_records, STRIP_CASE, 4, True)

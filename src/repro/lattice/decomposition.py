@@ -3,8 +3,8 @@
 A decomposition assigns each spatial site (column of the space--time
 lattice) to exactly one rank and names, per rank, the neighbours whose
 boundary columns it mirrors as *ghosts*.  The QMC parallel drivers
-(:mod:`repro.qmc.parallel`) build their halo link tables and their
-interior / boundary overlap split from these pieces.
+(:mod:`repro.qmc.parallel`) build their halo link tables from these
+pieces.
 """
 
 from __future__ import annotations
@@ -14,41 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StripDecomposition", "BlockDecomposition", "OverlapPartition"]
-
-
-@dataclass(frozen=True)
-class OverlapPartition:
-    """One independence class's site split for the overlap pipeline.
-
-    ``interior`` and ``boundary`` are boolean masks over the class's
-    index table (same length, elementwise complementary): interior
-    entries touch no ghost data and may be updated while halo messages
-    are in flight; boundary entries read ghost planes and must wait for
-    the exchange to complete.  Built once per class by the
-    decomposition and cached, analogous to the drivers' fused gather
-    tables.
-    """
-
-    interior: np.ndarray
-    boundary: np.ndarray
-
-    def __post_init__(self):
-        if self.interior.shape != self.boundary.shape:
-            raise ValueError("interior/boundary masks must share a shape")
-
-    @property
-    def n_interior(self) -> int:
-        return int(np.count_nonzero(self.interior))
-
-    @property
-    def n_boundary(self) -> int:
-        return int(np.count_nonzero(self.boundary))
-
-    @property
-    def all_boundary(self) -> bool:
-        """True when nothing can overlap (degenerate thin strip)."""
-        return self.n_interior == 0
+__all__ = ["StripDecomposition", "BlockDecomposition"]
 
 
 @dataclass(frozen=True)
@@ -106,31 +72,9 @@ class StripDecomposition:
             )
             for r in range(n_ranks)
         ]
-        self._overlap_cache: dict = {}
 
     def piece(self, rank: int) -> StripPiece:
         return self.pieces[rank]
-
-    def overlap_partition(
-        self, key, local_indices: np.ndarray, lo: int, hi: int
-    ) -> OverlapPartition:
-        """Cached interior/boundary split of one class's local indices.
-
-        ``local_indices`` is the class's table of local coordinates
-        (bond or column indices in the rank's ghosted frame) and
-        ``[lo, hi]`` the inclusive range whose stencil stays entirely
-        inside owned columns -- entries inside the range are interior,
-        the rest are boundary.  Results are cached under ``key`` (one
-        per independence class), so repeated sweeps reuse the same
-        mask objects, mirroring the fused gather tables.
-        """
-        part = self._overlap_cache.get(key)
-        if part is None:
-            idx = np.asarray(local_indices)
-            interior = (idx >= lo) & (idx <= hi)
-            part = OverlapPartition(interior=interior, boundary=~interior)
-            self._overlap_cache[key] = part
-        return part
 
     def owner_of(self, column: int) -> int:
         """Rank owning a global column index."""
@@ -226,7 +170,6 @@ class BlockDecomposition:
 
         xs = cuts(self.lx, px)
         ys = cuts(self.ly, py)
-        self._overlap_cache: dict[int, OverlapPartition] = {}
         self.pieces = []
         for gx in range(px):
             for gy in range(py):
@@ -247,29 +190,6 @@ class BlockDecomposition:
 
     def piece(self, rank: int) -> BlockPiece:
         return self.pieces[rank]
-
-    def overlap_partition(self, rank: int) -> OverlapPartition:
-        """Cached interior/boundary masks over one rank's ``(bx, by)`` block.
-
-        A site is boundary when it sits on the first or last plane of
-        an axis the process grid actually splits (its stencil reads a
-        ghost plane); unsplit axes wrap locally and contribute no
-        boundary.  The masks are spatial -- drivers AND them with their
-        color masks.
-        """
-        part = self._overlap_cache.get(rank)
-        if part is None:
-            bx, by = self.piece(rank).shape
-            interior = np.ones((bx, by), dtype=bool)
-            if self.px > 1:
-                interior[0, :] = False
-                interior[-1, :] = False
-            if self.py > 1:
-                interior[:, 0] = False
-                interior[:, -1] = False
-            part = OverlapPartition(interior=interior, boundary=~interior)
-            self._overlap_cache[rank] = part
-        return part
 
     def owner_of(self, x: int, y: int) -> int:
         if not (0 <= x < self.lx and 0 <= y < self.ly):

@@ -14,8 +14,9 @@ test suite to agree with its batch counterpart on the same series:
   ``2**l`` samples and runs a Welford over the completed block means,
   so the per-level errors reproduce the batch ladder (same block
   means, same tail discard, same ``ddof=1``) up to float-summation
-  order.  ``tau_int`` follows the binning convention
-  ``0.5 * (err/naive)**2`` of :class:`~repro.stats.binning.BinningAnalysis`.
+  order.  The ladder is *read* -- plateau error, ``tau_int``,
+  convergence -- by the functions of :mod:`repro.stats.binning` that
+  :class:`~repro.stats.binning.BinningAnalysis` uses.
 * :func:`gelman_rubin` / :func:`gelman_rubin_from_moments` -- the
   cross-replica potential scale reduction factor R-hat.  The moments
   form consumes exactly the ``(count, mean, variance)`` triples replica
@@ -32,6 +33,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from repro.stats.binning import binning_tau_int, ladder_converged, plateau_error
 
 __all__ = [
     "Welford",
@@ -171,31 +174,20 @@ class StreamingBinning:
         """Level-0 (uncorrelated) standard error of the mean."""
         return self._levels[0].stats.std_error
 
+    # The three readings below are repro.stats.binning's, on this ladder.
     @property
     def error(self) -> float:
         """Plateau (largest usable block) error estimate."""
-        ladder = self.levels()
-        return ladder[-1][1] if ladder else self.naive_error
+        return plateau_error(self.levels(), self.naive_error)
 
     @property
     def tau_int(self) -> float:
-        """Binning estimate ``0.5 * (error/naive_error)**2`` (>= 0 only
-        by the data; 0.5 for an uncorrelated series by convention)."""
-        naive = self.naive_error
-        if naive <= 0.0:
-            return 0.5
-        return 0.5 * (self.error / naive) ** 2
+        """Binning estimate ``0.5 * (error/naive_error)**2``."""
+        return binning_tau_int(self.error, self.naive_error)
 
     def is_converged(self, rtol: float = 0.15) -> bool:
-        """Whether the last two ladder levels agree within ``rtol``
-        (the :meth:`BinningAnalysis.is_converged` criterion)."""
-        ladder = self.levels()
-        if len(ladder) < 2:
-            return False
-        (_, e1), (_, e2) = ladder[-2], ladder[-1]
-        if e2 == 0:
-            return e1 == 0
-        return abs(e2 - e1) / e2 <= rtol
+        """Whether the last two ladder levels agree within ``rtol``."""
+        return ladder_converged(self.levels(), rtol)
 
     def summary(self) -> dict:
         """JSON-able snapshot of the analysis (what health events embed)."""

@@ -95,18 +95,16 @@ Ownership conventions (world-line strip, global column indices):
 * straight-line move at column ``c`` is executed by its owner only and
   writes only ``c``.
 
-Overlap pipeline (``overlap=True`` on either driver config): each
-independence class runs as **pack -> post isend/irecv -> update
-interior -> wait -> update boundary** instead of the lockstep exchange
--> full update.  Interior sites touch no ghost data, so they update
-while the halo messages are in flight (offloaded-post cost convention,
-see :mod:`repro.vmp.comm`); boundary sites update after the wait.
-Within one class no move reads data another move writes (stride-4 /
-checkerboard separation exceeds the stencil reach) and the shared
-uniforms are indexed by *global* coordinates, so the interior-then-
-boundary order produces bit-identical trajectories -- the same spins
-flip, in a different wall order, charged to the new ``interior`` /
-``boundary`` / ``halo_wait`` clock categories.
+Overlapped schedule (``overlap=True`` on either driver config): a
+charge schedule of the one execution order, for the modeled machine's
+message coprocessor.  A stage with a halo in flight posts it as
+offloaded isend/irecv (cost convention: :mod:`repro.vmp.comm`), charges
+the clock its *interior* moves -- those reading no ghost, which that
+machine would run meanwhile -- under ``interior``, waits
+(``halo_wait``), runs its whole table in the one kernel call lockstep
+makes, and charges the rest under ``boundary``.  The same comm calls in
+the same order, and nothing executes differently: trajectories are
+lockstep's by construction.
 """
 
 from __future__ import annotations
@@ -308,7 +306,7 @@ class _DecomposedState:
         #: without telemetry flags).
         self.n_attempted = 0
         self.n_accepted = 0
-        #: True once the overlap pipeline is engaged: it needs real
+        #: True once the overlapped schedule is engaged: it needs real
         #: neighbors (P > 1) and a non-degenerate interior; thin
         #: subdomains fall back to lockstep and leave this False, which
         #: every program reports in its result dict.
@@ -357,15 +355,13 @@ class _DecomposedState:
         stale.
 
         Lockstep (``offload=False``) sends, then receives, with blocking
-        calls and returns nothing pending.  The overlap pipeline
+        calls and returns nothing pending.  The overlapped schedule
         (``offload=True``) posts the same payloads to the same
         neighbors under the same tags as offloaded ``isend``/``irecv``
         and returns the ``(request, ghost sites)`` pairs, in the
         lockstep receive order, for :meth:`_exchange_wait` -- so the
         modeled clock advances through identical arrival stamps.
-        Packing (and local wrapping) happens here, before any interior
-        update, so the shipped data is the pre-stage state in both
-        schedules.  Every call advances the tag block, posted or not:
+        Every call advances the tag block, posted or not:
         tags stay in step across ranks.
         """
         comm, flat = self.comm, self._flat
@@ -388,7 +384,7 @@ class _DecomposedState:
         return []
 
     def _exchange_wait(self, pending: list) -> None:
-        """Overlap stage 4: wait for each halo message, unpack its ghosts."""
+        """Wait for each offloaded halo message, unpack its ghosts."""
         for req, sites in pending:
             self._flat[sites] = req.wait()
 
@@ -535,8 +531,8 @@ def _run_decomposed(
     health-check at ``health.interval``, snapshot the metrics at their
     interval; finally assemble the rank's result dict (the series, the
     state's :meth:`~_DecomposedState.result`, the requested ``mode`` and
-    the ``kernel`` it resolved to, the move counters, whether the overlap
-    pipeline ran, and the health report).
+    the ``kernel`` it resolved to, the move counters, whether the
+    overlapped schedule was charged, and the health report).
 
     Reductions run in batches: a measurement only appends its rank-local
     row, and one allreduce of the ``(k, n)`` array of pending rows runs
@@ -639,12 +635,11 @@ class WorldlineStripConfig:
     trajectory independent of the rank count; ``mode`` names the kernel
     backend -- the batched NumPy ops (default), the per-move ``scalar``
     loops or their compiled ``numba`` form -- all of which produce
-    bit-identical trajectories.  ``overlap`` switches
-    each stage to the five-stage pipeline (pack -> post isend/irecv ->
-    update interior -> wait -> update boundary), hiding halo latency
-    behind interior moves; trajectories stay bit-identical to the
-    lockstep path (the knob is deliberately absent from the checkpoint
-    fingerprint, so resumes may toggle it).
+    bit-identical trajectories.  ``overlap`` charges the modeled clock
+    the overlapped schedule (offloaded halo posts, the interior moves'
+    time hidden behind the wire); what executes is the lockstep order,
+    so the knob is absent from the checkpoint fingerprint and resumes
+    may toggle it.
     """
 
     n_sites: int
@@ -748,7 +743,7 @@ class _StripState(_DecomposedState):
         self._u_total = int(self._u_offsets[-1])
         self._build_stage_caches()
         if cfg.overlap and comm.size > 1:
-            self._build_overlap_caches()
+            self._plan_overlap()
 
     # -- static per-stage geometry ----------------------------------------
 
@@ -810,57 +805,41 @@ class _StripState(_DecomposedState):
             # parity's owned bonds: the energy measurement's gather.
             self._dlog_tables.append(gather[:, 1].reshape(4, -1))
 
-    @staticmethod
-    def _subset_cache(cache: dict, sel: np.ndarray) -> dict | None:
-        """The sub-table of a stage cache selected by a boolean mask.
-
-        Every entry subsets along its move axis: the only axis of the
-        1-D ones and of the packed ``env`` the first, of ``flip`` the
-        second, of the column ``gather`` the third.  ``None`` when the
-        selection is empty, matching the empty-class convention.
-        """
-        if not np.any(sel):
-            return None
-        move_axis = {"flip": 1, "gather": 2}
-        return {
-            k: np.compress(sel, v, axis=move_axis.get(k, 0))
-            for k, v in cache.items()
-        }
-
-    def _build_overlap_caches(self) -> None:
-        """Split every stage cache into interior/boundary sub-tables.
+    def _plan_overlap(self) -> None:
+        """Per stage, the moves the overlapped schedule charges as
+        interior -- the ones that read no ghost row.
 
         A corner move at local bond ``J`` reads rows ``J-1 .. J+2``, so
         it is interior iff ``3 <= J <= n-1`` (owned rows are
         ``2 .. n+1``); a column move at local column ``lc`` reads
-        ``lc-1 .. lc+1``, interior iff ``3 <= lc <= n``.  Degenerate
-        geometries (a populated class with no interior moves -- thin
-        strips) disable the overlap with a warning and fall back to the
-        lockstep path.
+        ``lc-1 .. lc+1``, interior iff ``3 <= lc <= n``.  Every corner
+        move is attempted, so a corner cache gains the count,
+        ``n_interior``; only straight columns are, so a column cache
+        gains the mask, ``interior``.  Degenerate geometries (a class
+        with no interior moves -- thin strips) disable the overlap with
+        a warning and fall back to the lockstep schedule.
         """
         n = self.n_owned
         rank = self.comm.rank
-        #: Per stage: its ``(interior, boundary)`` sub-tables.
-        self._stage_split: list[tuple[dict | None, dict | None]] = []
         for (kind, a, b), cache in zip(WL_STAGES, self._stage_cache):
             if kind == "corner":
-                key, rows, hi = ("wl-corner", rank, a, b), "j", n - 1
+                rows, hi = cache["j"], n - 1
                 what = f"corner class ({a}, {b}) has no interior moves"
             else:
-                key, rows, hi = ("wl-col", rank, a), "lc", n
+                rows, hi = cache["lc"], n
                 what = f"column parity {a} has no interior columns"
-            part = self.decomp.overlap_partition(key, cache[rows], 3, hi)
-            if part.all_boundary:
+            interior = (rows >= 3) & (rows <= hi)
+            if not interior.any():
                 warnings.warn(
                     f"strip overlap disabled: {what} on rank {rank} ({n} "
                     f"owned columns); falling back to the lockstep exchange",
                     stacklevel=3,
                 )
                 return
-            self._stage_split.append((
-                self._subset_cache(cache, part.interior),
-                self._subset_cache(cache, part.boundary),
-            ))
+            if kind == "corner":
+                cache["n_interior"] = int(np.count_nonzero(interior))
+            else:
+                cache["interior"] = interior
         self.overlap_active = True
 
     # -- shared randomness --------------------------------------------------
@@ -878,85 +857,86 @@ class _StripState(_DecomposedState):
         gen = self.sweep_factory.stream("wl-sweep", self.sweep_index).generator
         return gen.random(self._u_total)
 
-    def _count(self, n_moves: int, n_acc: int, flops_per_move: float,
-               category: str) -> None:
-        """Book one stage's attempted / accepted moves and their modeled
-        compute charge."""
-        self.n_attempted += n_moves
-        self.n_accepted += n_acc
-        self.comm.charge_seconds(
-            self.comm.machine.compute_time(flops_per_move * n_moves), category
-        )
+    def _charge_moves(self, n_moves: int, flops_per_move: float,
+                      category: str) -> None:
+        """Charge the modeled compute time of ``n_moves`` moves; a zero
+        share charges nothing, so it opens no clock category."""
+        if n_moves:
+            self.comm.charge_seconds(
+                self.comm.machine.compute_time(flops_per_move * n_moves), category
+            )
 
     # -- corner moves --------------------------------------------------------
-    def _corner_class(
-        self, cache: dict | None, u: np.ndarray, category: str = "compute"
-    ) -> None:
-        """One corner class (or an interior/boundary sub-table).
+    def _corner_class(self, cache: dict, u: np.ndarray) -> int:
+        """One corner class; returns the accepted-move count.
 
         The gather -> XOR-code -> accept -> scatter body is the
         ``strip_corner`` op of the resolved kernel backend (see
         :mod:`repro.kernels`), batched or per move; every backend
         prices a move from the same weight-product tables, keeping
-        accept decisions bit-identical.  ``category`` attributes the
-        compute charge (``interior``/``boundary`` under the overlap
-        pipeline).
+        accept decisions bit-identical.
         """
-        if cache is None:
-            return
-        n_acc = self._kops["strip_corner"](
-            self._flat, self._corner_weights, cache["env"], cache["flip"],
-            u[cache["uflat"]],
+        return self._timed(
+            self._kops["strip_corner"], self._flat, self._corner_weights,
+            cache["env"], cache["flip"], u[cache["uflat"]],
         )
-        self._count(cache["j"].size, n_acc, FLOPS_PER_CORNER_MOVE, category)
 
     # -- straight-line column moves -----------------------------------------
-    def _column_parity(
-        self, cache: dict | None, u: np.ndarray, category: str = "compute"
-    ) -> None:
-        """Straight-line moves of one parity (or an overlap sub-table).
+    def _column_parity(self, cache: dict, u: np.ndarray, straight: np.ndarray) -> int:
+        """Straight-line moves of one parity over its ``straight``
+        columns (at least one); returns the accepted-move count.
 
-        The straight columns are found here, once, and handed to the
-        backend's ``strip_column`` op, which prices their flips over the
+        The backend's ``strip_column`` op prices the flips over the
         cached bond-column gather (post-flip codes are pre-flip codes
         XORed with 10 / 5, so no speculative column flips); the log of
         the stage's uniforms is taken here with NumPy so every backend
         compares against identical values.
         """
-        if cache is None:
-            return
-        rows = self.loc[cache["lc"]]
-        straight = (rows == rows[:, :1]).all(axis=1)
-        n_straight = int(np.count_nonzero(straight))
-        if n_straight == 0:
-            return
         log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
-        n_acc = self._kops["strip_column"](
-            self.loc, self._logw, cache["lc"], cache["gather"], straight, log_uu
+        return self._timed(
+            self._kops["strip_column"], self.loc, self._logw, cache["lc"],
+            cache["gather"], straight, log_uu,
         )
-        self._count(n_straight, n_acc, 2.0 * self.T, category)
 
     def _sweep_stages(self) -> None:
         """One full sweep: 10 stages, each behind the halo links the
-        schedule posts for it (none at most stages).
+        schedule posts for it (none at most stages), each one kernel
+        call over its whole table.
 
-        With the overlap pipeline active, a stage that has a halo in
-        flight updates its interior sub-table meanwhile, waits, and
-        finishes with the boundary sub-table; a stage with nothing in
-        flight runs its unsplit table in one kernel call.
+        The overlapped schedule differs in what the clock is charged,
+        not in what runs: a stage with a halo in flight charges its
+        interior moves (the ones reading no ghost) before the wait and
+        the rest after it, under ``interior`` / ``boundary``.  Which
+        columns are straight is read from the owned columns themselves,
+        so a column stage's interior count is known before the wait.
         """
         u_sweep = self._sweep_uniforms()
         for s_idx, (kind, _, _) in enumerate(WL_STAGES):
-            kernel = self._corner_class if kind == "corner" else self._column_parity
+            cache = self._stage_cache[s_idx]
             u = u_sweep[self._u_offsets[s_idx] : self._u_offsets[s_idx + 1]]
             pending = self._exchange(s_idx, offload=self.overlap_active)
-            if pending:
-                interior, boundary = self._stage_split[s_idx]
-                self._timed(kernel, interior, u, "interior")
-                self._exchange_wait(pending)
-                self._timed(kernel, boundary, u, "boundary")
+            if kind == "corner":
+                n_moves, flops = cache["j"].size, FLOPS_PER_CORNER_MOVE
+                n_int = cache["n_interior"] if pending else 0
             else:
-                self._timed(kernel, self._stage_cache[s_idx], u, "compute")
+                rows = self.loc[cache["lc"]]
+                straight = (rows == rows[:, :1]).all(axis=1)
+                n_moves, flops = int(np.count_nonzero(straight)), 2.0 * self.T
+                n_int = (
+                    int(np.count_nonzero(straight & cache["interior"]))
+                    if pending else 0
+                )
+            if pending:
+                self._charge_moves(n_int, flops, "interior")
+                self._exchange_wait(pending)
+            if kind == "corner":
+                self.n_accepted += self._corner_class(cache, u)
+            elif n_moves:
+                self.n_accepted += self._column_parity(cache, u, straight)
+            self.n_attempted += n_moves
+            self._charge_moves(
+                n_moves - n_int, flops, "boundary" if pending else "compute"
+            )
         self.sweep_index += 1
 
     # -- measurement ---------------------------------------------------------
@@ -1003,9 +983,9 @@ def worldline_strip_program(
     Returns, on every rank, a dict with the energy and magnetization
     time series (identical across ranks thanks to allreduce) plus this
     rank's final owned spin block (for invariant checks) and
-    ``overlap_active`` -- whether the halo-overlap pipeline actually
-    ran on this rank (a requested overlap falls back to lockstep on
-    thin strips).
+    ``overlap_active`` -- whether this rank charged the overlapped
+    schedule (a requested overlap falls back to lockstep on thin
+    strips).
 
     ``checkpoint`` enables distributed checkpoint/restart: with
     ``every > 0`` each rank snapshots its bundle after every
@@ -1041,10 +1021,9 @@ class IsingBlockConfig:
     parallel runs bit-identical to serial ones; ``mode`` names the kernel
     backend (batched ``numpy``, the default; per-site ``scalar``;
     ``numba``), all of which produce bit-identical trajectories.  ``overlap``
-    turns on the five-stage halo-overlap pipeline (post offloaded
-    sends/recvs, update interior sites, wait, update boundary sites);
-    trajectories stay bit-identical to the lockstep path because the
-    3-D checkerboard never lets same-color sites neighbor each other.
+    charges the modeled clock the overlapped schedule (offloaded halo
+    posts, the interior sites' share of a color hidden behind the
+    wire); what executes is the lockstep order.
     """
 
     lx: int
@@ -1137,11 +1116,17 @@ class _BlockState(_DecomposedState):
             if before else None
             for before, after in zip(self._links[0], self._links[1])
         ]
-        # Overlap pipeline state: per-color interior/boundary masks and
-        # interior site counts (compute-charge split weights).
+        # Overlapped schedule: per color, the count of interior sites
+        # (no neighbour in a ghost plane: off the first and last plane of
+        # every axis the process grid splits) -- the share of a color's
+        # compute the clock is charged before the halo wait.
         if cfg.overlap and comm.size > 1:
-            part = decomp.overlap_partition(comm.rank)
-            if part.all_boundary:
+            inner = tuple(
+                slice(1, -1) if parts > 1 else slice(None)
+                for parts in (decomp.px, decomp.py)
+            )
+            self._n_int = [int(m[inner].sum()) for m in self.color_masks]
+            if not any(self._n_int):
                 warnings.warn(
                     f"rank {comm.rank}: block {self.bx}x{self.by} is too"
                     " thin for halo overlap (every site is"
@@ -1150,11 +1135,6 @@ class _BlockState(_DecomposedState):
                     stacklevel=2,
                 )
             else:
-                int3 = part.interior[:, :, None]
-                bnd3 = part.boundary[:, :, None]
-                self._int_masks = [m & int3 for m in self.color_masks]
-                self._bnd_masks = [m & bnd3 for m in self.color_masks]
-                self._n_int = [int(m.sum()) for m in self._int_masks]
                 self.overlap_active = True
 
     # -- halo description -----------------------------------------------------
@@ -1215,56 +1195,44 @@ class _BlockState(_DecomposedState):
         return gen.random((self.bx, ly, self.lt))[:, p.y_start : p.y_stop]
 
     def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
-        """One (sub-)color Metropolis update through the configured
-        backend's ``block_color`` op; returns the accepted-flip count.
-
-        ``mask`` selects the sites to visit (a full color, or its
-        interior/boundary half under the overlap pipeline -- same-color
-        sites never neighbor each other, so any visit order yields the
-        identical trajectory)."""
+        """One color's Metropolis update through the configured
+        backend's ``block_color`` op; returns the accepted-flip count."""
         return self._timed(
             self._kops["block_color"], self.g, self.couplings, mask, log_u
         )
 
     def _sweep_stages(self) -> None:
-        """Both checkerboard colors, one color-packed halo exchange each.
+        """Both checkerboard colors, each one kernel call behind its
+        color-packed halo exchange.
 
-        With the overlap pipeline active each color instead posts its
-        exchange, updates interior sites while the halo is in flight
-        (interior reads no ghosts, so stale planes are harmless), waits,
-        and finishes with the ghost-adjacent boundary sites.  The field
-        recompute after the wait sees no changed neighbors of boundary
-        sites -- same-color sites are never adjacent -- so the accept
-        decisions match the lockstep path bit for bit.
+        The overlapped schedule differs in what the clock is charged,
+        not in what runs: each color posts its exchange offloaded,
+        charges its interior sites' share of the update (they read no
+        ghost) under ``interior`` before the wait and the rest under
+        ``boundary`` after it, where lockstep charges both colors at
+        once at the end.
         """
         uniforms = self._sweep_uniforms()
         log_u = np.log(np.maximum(uniforms, 1e-300))
-        n_acc = 0
-        if self.overlap_active:
-            flops_per_color = FLOPS_PER_SPIN_UPDATE * self.spins.size
-            machine = self.comm.machine
-            for c in range(2):
-                pending = self._exchange(c, offload=True)
-                n_acc += self._update_color(self._int_masks[c], log_u)
+        overlap, comm = self.overlap_active, self.comm
+        flops_per_color = FLOPS_PER_SPIN_UPDATE * self.spins.size
+        for c, mask in enumerate(self.color_masks):
+            pending = self._exchange(c, offload=overlap)
+            if overlap:
                 frac = self._n_int[c] / self._n_color_sites[c]
-                self.comm.charge_seconds(
-                    machine.compute_time(flops_per_color * frac), "interior"
+                comm.charge_seconds(
+                    comm.machine.compute_time(flops_per_color * frac), "interior"
                 )
                 self._exchange_wait(pending)
-                n_acc += self._update_color(self._bnd_masks[c], log_u)
-                self.comm.charge_seconds(
-                    machine.compute_time(flops_per_color * (1.0 - frac)),
+            self.n_accepted += self._update_color(mask, log_u)
+            if overlap:
+                comm.charge_seconds(
+                    comm.machine.compute_time(flops_per_color * (1.0 - frac)),
                     "boundary",
                 )
-        else:
-            for c, mask in enumerate(self.color_masks):
-                self._exchange(c)
-                n_acc += self._update_color(mask, log_u)
-            self.comm.charge_compute(
-                FLOPS_PER_SPIN_UPDATE * self.spins.size * 2
-            )
+        if not overlap:
+            comm.charge_compute(flops_per_color * 2)
         self.n_attempted += self._n_color_sites[0] + self._n_color_sites[1]
-        self.n_accepted += n_acc
 
     # -- measurement -----------------------------------------------------------
     def measure(self) -> np.ndarray:

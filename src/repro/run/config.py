@@ -75,10 +75,10 @@ class ParallelLayout:
         mpi4py; run the CLI under ``mpiexec -n <n_ranks>``).  All three
         produce bit-identical trajectories at the same seed.
     overlap:
-        Run the SPMD sweep drivers with the five-stage halo-overlap
-        pipeline (pack -> post -> update interior -> wait -> update
-        boundary).  Trajectories stay bit-identical to the lockstep
-        path; only the modeled timeline changes.
+        Charge the SPMD sweep drivers' modeled clock the halo-overlap
+        schedule (post offloaded -> interior share -> wait -> boundary
+        share).  What executes is the lockstep order; only the modeled
+        timeline changes.
     kernel:
         Kernel backend for the checkerboard sweeps: ``auto`` (default;
         the best available batched backend) or a registered backend

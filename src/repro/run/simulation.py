@@ -214,7 +214,7 @@ def _record_spmd(result: RunResult, spmd, layout) -> None:
     Shared by the strip (incl. two-level) and block layouts: modeled
     makespan and comm fraction, the halo traffic totals, the phase
     report, and the overlap fact -- ``requested`` is the layout knob,
-    ``active`` whether the pipeline really ran on every rank (thin
+    ``active`` whether every rank charged the overlapped schedule (thin
     subdomains fall back to lockstep with a warning an mp/mpi child's
     stderr may swallow).  A two-level run adds its ensemble facts.
     """

@@ -49,6 +49,36 @@ def binning_levels(series: np.ndarray, min_blocks: int = 8) -> list[tuple[int, f
     return levels
 
 
+# How a ``[(block_size, error), ...]`` ladder is read, said once: by the
+# batch analysis below and by :class:`repro.obs.online.StreamingBinning`.
+
+
+def plateau_error(levels: list[tuple[int, float]], naive_error: float) -> float:
+    """A ladder's error estimate: its largest usable block's
+    (``naive_error`` while no level has enough blocks yet)."""
+    return levels[-1][1] if levels else naive_error
+
+
+def binning_tau_int(error: float, naive_error: float) -> float:
+    """Implied integrated autocorrelation time; 0.5, the uncorrelated
+    value, by convention for a constant series."""
+    return 0.5 * (error / naive_error) ** 2 if naive_error > 0 else 0.5
+
+
+def ladder_converged(levels: list[tuple[int, float]], rtol: float = 0.15) -> bool:
+    """Whether the last two binning levels agree within ``rtol``.
+
+    A non-converged ladder means the series is shorter than ~100
+    autocorrelation times and the quoted error is a lower bound.
+    """
+    if len(levels) < 2:
+        return False
+    (_, e1), (_, e2) = levels[-2], levels[-1]
+    if e2 == 0:
+        return e1 == 0
+    return abs(e2 - e1) / e2 <= rtol
+
+
 def binned_error(series: np.ndarray, min_blocks: int = 8) -> float:
     """Plateau estimate of the statistical error of ``mean(series)``.
 
@@ -57,7 +87,7 @@ def binned_error(series: np.ndarray, min_blocks: int = 8) -> float:
     it is larger by ``sqrt(2 tau_int)``.
     """
     levels = binning_levels(series, min_blocks=min_blocks)
-    return levels[-1][1]
+    return plateau_error(levels, levels[0][1])
 
 
 @dataclass
@@ -91,28 +121,15 @@ class BinningAnalysis:
         x = np.asarray(series, dtype=float).ravel()
         levels = binning_levels(x, min_blocks=min_blocks)
         naive = levels[0][1]
-        err = levels[-1][1]
-        if naive > 0:
-            tau = 0.5 * (err / naive) ** 2
-        else:
-            tau = 0.5
+        err = plateau_error(levels, naive)
         return cls(
             mean=float(x.mean()),
             naive_error=naive,
             error=err,
-            tau_int=tau,
+            tau_int=binning_tau_int(err, naive),
             levels=levels,
         )
 
     def is_converged(self, rtol: float = 0.15) -> bool:
-        """Whether the last two binning levels agree within ``rtol``.
-
-        A non-converged ladder means the series is shorter than ~100
-        autocorrelation times and the quoted error is a lower bound.
-        """
-        if len(self.levels) < 2:
-            return False
-        (_, e1), (_, e2) = self.levels[-2], self.levels[-1]
-        if e2 == 0:
-            return e1 == 0
-        return abs(e2 - e1) / e2 <= rtol
+        """:func:`ladder_converged` of this ladder."""
+        return ladder_converged(self.levels, rtol)

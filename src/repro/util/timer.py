@@ -23,10 +23,10 @@ __all__ = [
     "WAIT_CATEGORIES",
 ]
 
-#: Clock categories that count as useful computation.  The overlap
-#: pipeline splits a sweep's kernel charges into ``interior`` (updates
-#: with no ghost dependence, running while halos are in flight) and
-#: ``boundary`` (ghost-adjacent updates after the wait); plain drivers
+#: Clock categories that count as useful computation.  The overlapped
+#: schedule splits a stage's kernel charge into ``interior`` (updates
+#: with no ghost dependence, charged while halos are in flight) and
+#: ``boundary`` (the rest, charged after the wait); plain drivers
 #: charge everything to ``compute``.
 COMPUTE_CATEGORIES: tuple[str, ...] = ("compute", "interior", "boundary")
 
@@ -39,8 +39,8 @@ COMPUTE_CATEGORIES: tuple[str, ...] = ("compute", "interior", "boundary")
 COMM_CATEGORIES: tuple[str, ...] = ("comm", "ensemble")
 
 #: Categories of idle time blocked on a message that has not arrived.
-#: ``halo_wait`` is the overlap pipeline's residual wait after interior
-#: computation; ``comm_wait`` is the blocking-receive wait of the
+#: ``halo_wait`` is the overlapped schedule's residual wait after the
+#: interior charge; ``comm_wait`` is the blocking-receive wait of the
 #: non-overlapped path; ``ensemble_wait`` is the blocking wait on
 #: ensemble-level messages in two-level layouts.
 WAIT_CATEGORIES: tuple[str, ...] = ("comm_wait", "halo_wait", "ensemble_wait")

@@ -25,8 +25,8 @@ Cost convention (documented once, used everywhere):
   transfer proceeds off-CPU with the *same* arrival stamp as above,
   and completing an offloaded receive charges no alpha -- it only
   waits to the arrival stamp (category ``halo_wait``) if the message
-  has not landed yet.  This is the cost convention the overlap
-  pipeline in :mod:`repro.qmc.parallel` relies on; payload movement
+  has not landed yet.  This is the cost convention the overlapped
+  schedule in :mod:`repro.qmc.parallel` charges; payload movement
   and matching are identical to the non-offloaded path, so
   trajectories are bit-identical either way.
 

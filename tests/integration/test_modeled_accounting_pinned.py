@@ -23,6 +23,12 @@ table in CHANGES.md, PR 19).  The two-level run reduces at every
 measurement, as its heartbeat needs, and kept every literal.  The
 per-sweep counts at the end hold the schedule's message count itself,
 so a later change cannot quietly re-inflate it.
+
+``OVERLAP_OTHER_RANKS`` extends the three overlapped cases to every
+rank's breakdown.  Recorded at 0106197, the last commit whose overlapped
+schedule *executed* an interior / boundary split; the charge schedule
+that replaced it reproduces them, as it must: the clock never saw the
+kernels, only the charges.
 """
 
 import pytest
@@ -114,6 +120,63 @@ PINNED = {
          "ensemble_wait": 1.6357142857142612e-05},
     )),
 }
+
+
+#: overlapped case -> the clock breakdowns of ranks 1 .. P-1 (rank 0's
+#: is in PINNED).
+OVERLAP_OTHER_RANKS = {
+    "strip-p2-overlap": [
+        {"boundary": 0.0003104000000000001,
+         "comm": 0.0015613714285714303,
+         "comm_wait": 1.571428571428904e-06,
+         "compute": 0.0016928000000000012,
+         "halo_wait": 0.001376514285714302,
+         "interior": 0.0008064000000000005},
+    ],
+    "strip-p4-overlap": [
+        {"boundary": 0.0003104000000000001,
+         "comm": 0.0016227428571428588,
+         "comm_wait": 6.304285714285769e-05,
+         "compute": 0.0008848000000000011,
+         "halo_wait": 0.0018977142857142927,
+         "interior": 0.00028640000000000024},
+        {"boundary": 0.0003104000000000001,
+         "comm": 0.0016213714285714302,
+         "comm_wait": 7.201428571428341e-05,
+         "compute": 0.0008832000000000011,
+         "halo_wait": 0.0018933142857142959,
+         "interior": 0.0002848000000000002},
+        {"boundary": 0.0003104000000000001,
+         "comm": 0.0015613714285714303,
+         "comm_wait": 0.00012451428571428648,
+         "compute": 0.0008816000000000012,
+         "halo_wait": 0.0019041142857142927,
+         "interior": 0.0002832000000000002},
+    ],
+    "block-p4-overlap": [
+        {"boundary": 0.0034943999999999978,
+         "comm": 0.0014325714285714293,
+         "comm_wait": 6.487142857142941e-05,
+         "interior": 0.0011648},
+        {"boundary": 0.0034943999999999978,
+         "comm": 0.0014302857142857149,
+         "comm_wait": 6.715714285714363e-05,
+         "interior": 0.0011648},
+        {"boundary": 0.0034943999999999978,
+         "comm": 0.001370285714285715,
+         "comm_wait": 0.00012725714285714406,
+         "interior": 0.0011648},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAP_OTHER_RANKS))
+def test_overlapped_accounting_matches_on_every_rank(case):
+    (program, make_cfg, seed), n_ranks, overlap, want = PINNED[case]
+    res = run_driver_matrix(program, n_ranks, make_cfg(overlap), seed=seed)
+    assert [o.breakdown for o in res.outcomes] == [
+        want[3], *OVERLAP_OTHER_RANKS[case]
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))

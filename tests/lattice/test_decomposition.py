@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.lattice.decomposition import (
-    BlockDecomposition,
-    OverlapPartition,
-    StripDecomposition,
-)
+from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 
 
 class TestStripDecomposition:
@@ -128,51 +124,3 @@ class TestBlockDecomposition:
         d = BlockDecomposition(lx, ly, px * py, process_grid=(px, py))
         total = sum(p.shape[0] * p.shape[1] for p in d.pieces)
         assert total == lx * ly
-
-
-class TestOverlapPartition:
-    def test_masks_are_complementary(self):
-        d = StripDecomposition(32, 4)
-        idx = np.arange(1, 10)
-        part = d.overlap_partition("k", idx, 3, 7)
-        np.testing.assert_array_equal(part.interior, ~part.boundary)
-        assert part.n_interior + part.n_boundary == idx.size
-        np.testing.assert_array_equal(
-            idx[part.interior], np.arange(3, 8)
-        )
-
-    def test_strip_partition_cached_by_key(self):
-        d = StripDecomposition(32, 4)
-        idx = np.arange(2, 11)
-        p1 = d.overlap_partition("col-0", idx, 3, 8)
-        p2 = d.overlap_partition("col-0", idx, 3, 8)
-        assert p1 is p2
-        p3 = d.overlap_partition("col-1", idx, 3, 8)
-        assert p3 is not p1
-
-    def test_block_partition_trims_split_axes_only(self):
-        d = BlockDecomposition(8, 8, 2, process_grid=(2, 1))
-        part = d.overlap_partition(0)
-        # x is split: first/last x-planes are boundary; y wraps locally.
-        assert not part.interior[0].any() and not part.interior[-1].any()
-        assert part.interior[1:-1].all()
-        np.testing.assert_array_equal(part.interior, ~part.boundary)
-
-    def test_block_partition_cached_per_rank(self):
-        d = BlockDecomposition(8, 8, 4, process_grid=(2, 2))
-        assert d.overlap_partition(1) is d.overlap_partition(1)
-        assert d.overlap_partition(0) is not d.overlap_partition(1)
-
-    def test_thin_block_is_all_boundary(self):
-        d = BlockDecomposition(4, 4, 4, process_grid=(2, 2))
-        part = d.overlap_partition(0)  # 2x2 block: every site on an edge
-        assert part.all_boundary
-        assert part.n_interior == 0
-        assert part.n_boundary == 4
-
-    def test_mismatched_masks_rejected(self):
-        with pytest.raises(ValueError, match="share a shape"):
-            OverlapPartition(
-                interior=np.ones(3, dtype=bool),
-                boundary=np.zeros(4, dtype=bool),
-            )

@@ -1,12 +1,14 @@
-"""The halo-overlap pipeline: partition tables, bit-identity, resume.
+"""The overlapped halo schedule: interior shares, bit-identity, resume.
 
-The overlap knob reorders *when* halo data moves and which sub-table a
-kernel updates first; it must never change a single accept decision.
-This suite pins:
+The overlap knob changes what the modeled clock is charged -- offloaded
+posts, each stage's interior share before the halo wait and the rest
+after it -- and nothing that executes.  This suite pins:
 
-* the drivers' interior/boundary partition tables (every site of every
-  independence class lands in exactly one partition; tables are cached;
-  degenerate thin subdomains fall back to lockstep with a warning);
+* the drivers' interior masks and counts (every move of every
+  independence class is interior or boundary, never both; no move
+  counted interior touches a ghost; degenerate thin subdomains fall
+  back to lockstep with a warning);
+* one kernel call per stage whatever the schedule, timed on its own;
 * trajectory bit-identity of overlap on vs off across P in {1, 2, 4},
   scalar/vectorized kernels, and the thread/mp/mpi backends (the mpi
   leg skips where mpi4py/mpiexec are absent; CI's MPI job runs it);
@@ -67,34 +69,28 @@ def _block_cfg(mode="vectorized", overlap=False, n_sweeps=6):
 
 
 # ======================================================================
-# partition tables
+# interior shares
 # ======================================================================
 
 
 def _inspect_strip_partitions(comm, cfg):
-    """Rank program: build the state and report its partition tables."""
+    """Rank program: build the state and report, per stage, the class
+    size, the driver's interior count (a corner class) or mask (a
+    column parity), and the local rows (axis 0 of ``loc``) each move
+    touches."""
     st = _StripState(comm, cfg)
-    out = {"active": st.overlap_active, "classes": {}}
+    out = {"active": st.overlap_active, "n_owned": st.n_owned, "classes": {}}
     if not st.overlap_active:
         return out
-    for i, (kind, a, b) in enumerate(WL_STAGES):
-        cache = st._stage_cache[i]
-        split = st._stage_split[i]
+    for (kind, a, b), cache in zip(WL_STAGES, st._stage_cache):
         if kind == "corner":
-            key, sizer = f"corner{a}{b}", "j"
+            key, total, interior = f"corner{a}{b}", cache["j"].size, cache["n_interior"]
+            # (moves, cells): the 16 environment and the 4 flipped cells
+            touched = np.concatenate([cache["env"], cache["flip"].T], axis=1)
         else:
-            key, sizer = f"col{a}", "lc"
-        total = 0 if cache is None else cache[sizer].size
-        n_int = 0 if split[0] is None else split[0][sizer].size
-        n_bnd = 0 if split[1] is None else split[1][sizer].size
-        out["classes"][key] = (total, n_int, n_bnd)
-    # Cache identity: rebuilding a class split must hand back the very
-    # same partition object the decomposition cached during __init__.
-    n = st.n_owned
-    cache = st._stage_cache[WL_STAGES.index(("column", 0, None))]
-    p1 = st.decomp.overlap_partition(("wl-col", comm.rank, 0), cache["lc"], 3, n)
-    p2 = st.decomp.overlap_partition(("wl-col", comm.rank, 0), cache["lc"], 3, n)
-    out["cache_identity"] = p1 is p2
+            key, total, interior = f"col{a}", cache["lc"].size, cache["interior"]
+            touched = np.moveaxis(cache["gather"], 2, 0).reshape(total, -1)
+        out["classes"][key] = (total, interior, touched // st.T)
     return out
 
 
@@ -108,21 +104,37 @@ class TestStripPartitionTables:
         for rank_info in res.values:
             assert rank_info["active"]
             assert rank_info["classes"]
-            for key, (total, n_int, n_bnd) in rank_info["classes"].items():
-                assert n_int + n_bnd == total, key
-                if total:
-                    assert n_int > 0, f"{key}: no overlappable interior"
+            for key, (total, interior, rows) in rank_info["classes"].items():
+                assert rows.shape[0] == total, key
+                n_int = int(np.sum(interior))  # a count, or a mask over the class
+                assert 0 < n_int <= total, f"{key}: no overlappable interior"
+                if key.startswith("col"):
+                    assert interior.shape == (total,), key
 
-    def test_partition_tables_cached(self):
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_interior_moves_touch_no_ghost(self, p):
+        """What the executed split used to prove by running it: the
+        moves the clock charges before the halo wait read and write
+        owned rows ``[2, n + 2)`` only.  The interior share of a class
+        is exactly its ghost-free moves -- by count for a corner class
+        (every move is attempted), move by move for a column parity
+        (the straight ones are) -- so it is also as large as it may be."""
         res = run_spmd(
-            _inspect_strip_partitions, 2, PARAGON, seed=1,
+            _inspect_strip_partitions, p, PARAGON, seed=1,
             args=(_strip_cfg(overlap=True),),
         )
-        assert all(v["cache_identity"] for v in res.values)
+        for rank_info in res.values:
+            n = rank_info["n_owned"]
+            for key, (_, interior, rows) in rank_info["classes"].items():
+                ghost_free = ((rows >= 2) & (rows < n + 2)).all(axis=1)
+                if key.startswith("corner"):
+                    assert interior == np.count_nonzero(ghost_free), key
+                else:
+                    np.testing.assert_array_equal(interior, ghost_free, key)
 
     def test_degenerate_strip_warns_and_falls_back(self):
         # 16 columns over 4 ranks -> 4 owned columns: every corner class
-        # is ghost-adjacent, so the pipeline must refuse and warn.
+        # is ghost-adjacent, so the schedule must refuse and warn.
         cfg = _strip_cfg(overlap=True, n_sites=16)
         with pytest.warns(UserWarning, match="falling back to the lockstep"):
             res = run_spmd(
@@ -132,7 +144,7 @@ class TestStripPartitionTables:
                            args=(cfg,))
         assert not any(v["active"] for v in res.values)
         # The fallback is a recorded fact, not only a warning: every
-        # rank's result says the pipeline did not run.
+        # rank's result says the overlapped schedule was not charged.
         assert [v["overlap_active"] for v in ran.values] == [False] * 4
 
     def test_single_rank_overlap_inactive_silently(self):
@@ -144,19 +156,31 @@ class TestStripPartitionTables:
 
 
 def _inspect_block_partitions(comm, cfg):
+    """Rank program: per color, the class size, the driver's interior
+    count, and the interior / boundary counts derived here from the
+    halo traffic itself: a site is boundary iff one of its four spatial
+    neighbours is a ghost site some rank's message lands in."""
     st = _BlockState(comm, cfg)
-    out = {"active": st.overlap_active}
-    if st.overlap_active:
-        out["colors"] = [
-            (st._n_color_sites[c],
-             int(st._int_masks[c].sum()),
-             int(st._bnd_masks[c].sum()))
-            for c in range(2)
-        ]
-        out["cache_identity"] = (
-            st.decomp.overlap_partition(comm.rank)
-            is st.decomp.overlap_partition(comm.rank)
+    out = {"active": st.overlap_active, "grid": (st.decomp.px, st.decomp.py)}
+    if not st.overlap_active:
+        return out
+    out["colors"] = []
+    for c, mask in enumerate(st.color_masks):
+        in_flight = np.zeros(st.g.shape, dtype=bool)
+        for axis in st._links[c]:
+            for ln in axis:
+                if ln.source is not None:
+                    in_flight.reshape(-1)[ln.ghost] = True
+        reads_ghost = (
+            in_flight[:-2, 1:-1] | in_flight[2:, 1:-1]
+            | in_flight[1:-1, :-2] | in_flight[1:-1, 2:]
         )
+        out["colors"].append((
+            st._n_color_sites[c],
+            st._n_int[c],
+            int(np.count_nonzero(mask & ~reads_ghost)),
+            int(np.count_nonzero(mask & reads_ghost)),
+        ))
     return out
 
 
@@ -169,10 +193,33 @@ class TestBlockPartitionTables:
         )
         for rank_info in res.values:
             assert rank_info["active"]
-            assert rank_info["cache_identity"]
-            for total, n_int, n_bnd in rank_info["colors"]:
-                assert n_int + n_bnd == total
-                assert n_int > 0
+            for total, n_int, free, reading in rank_info["colors"]:
+                assert free + reading == total
+                assert n_int == free > 0
+
+    @pytest.mark.parametrize("p,shape,grid", [
+        (2, (8, 8, 4), (1, 2)),
+        (4, (8, 8, 4), (2, 2)),
+        (2, (16, 1, 4), (2, 1)),
+        (4, (16, 1, 4), (4, 1)),
+        (4, (1, 16, 2), (1, 4)),
+    ], ids=["1x2", "2x2", "2x1", "4x1", "1x4"])
+    def test_interior_sites_touch_no_ghost(self, p, shape, grid):
+        """The sites the clock charges before the halo wait are exactly
+        the ones with no neighbour in a ghost plane of a split axis --
+        planes of an unsplit axis wrap locally and hold nobody back."""
+        lx, ly, lt = shape
+        cfg = IsingBlockConfig(
+            lx=lx, ly=ly, lt=lt, kx=0.25 if lx > 1 else 0.0,
+            ky=0.25 if ly > 1 else 0.0, kt=0.4, n_sweeps=1, overlap=True,
+        )
+        res = run_spmd(_inspect_block_partitions, p, PARAGON, seed=1, args=(cfg,))
+        for rank_info in res.values:
+            assert rank_info["active"] and rank_info["grid"] == grid
+            for total, n_int, free, reading in rank_info["colors"]:
+                assert free + reading == total
+                assert n_int == free
+                assert reading > 0
 
     def test_thin_block_warns_and_falls_back(self):
         cfg = IsingBlockConfig(
@@ -183,6 +230,78 @@ class TestBlockPartitionTables:
             res = run_spmd(_inspect_block_partitions, 4, PARAGON, seed=1,
                            args=(cfg,))
         assert not any(v["active"] for v in res.values)
+
+
+# ======================================================================
+# one kernel call per stage
+# ======================================================================
+
+
+def _count_kernel_calls(comm, state_cls, cfg, n_sweeps=4):
+    """Rank program: sweep with every op and ``_timed`` wrapped; returns
+    the op calls per sweep and what ``_timed`` was handed."""
+    st = state_cls(comm, cfg)
+    calls, timed = [], []
+
+    def counting(name, op):
+        def wrapped(*args):
+            calls[-1][name] = calls[-1].get(name, 0) + 1
+            return op(*args)
+        wrapped.op_name = name
+        return wrapped
+
+    st._kops = {name: counting(name, op) for name, op in st._kops.items()}
+    real_timed = st._timed
+
+    def recording_timed(kernel, *args):
+        timed.append(getattr(kernel, "op_name", None))
+        return real_timed(kernel, *args)
+
+    st._timed = recording_timed
+    for _ in range(n_sweeps):
+        calls.append({})
+        st.sweep()
+    return st.overlap_active, calls, timed
+
+
+class TestOneKernelCallPerStage:
+    """``overlap`` doubles the accounting, not the execution: each stage
+    makes exactly the kernel calls lockstep makes, and the kernel timer
+    wraps the op call alone -- never the halo wait."""
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_strip(self, p):
+        runs = {
+            overlap: run_spmd(
+                _count_kernel_calls, p, PARAGON, seed=1,
+                args=(_StripState, _strip_cfg(overlap=overlap)),
+            ).values
+            for overlap in (False, True)
+        }
+        for (_, calls_off, timed_off), (active, calls_on, timed_on) in zip(
+            runs[False], runs[True]
+        ):
+            assert active
+            assert calls_on == calls_off
+            assert timed_on == timed_off
+            for sweep in calls_on:
+                assert sweep["strip_corner"] == 8
+                assert sweep.get("strip_column", 0) <= 2
+                assert set(sweep) <= {"strip_corner", "strip_column"}
+            # every timed callable is an op, and every op call is timed
+            assert None not in timed_on
+            assert len(timed_on) == sum(sum(s.values()) for s in calls_on)
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_block(self, p):
+        for overlap in (False, True):
+            for active, calls, timed in run_spmd(
+                _count_kernel_calls, p, PARAGON, seed=1,
+                args=(_BlockState, _block_cfg(overlap=overlap)),
+            ).values:
+                assert active == overlap
+                assert calls == [{"block_color": 2}] * len(calls)
+                assert timed == ["block_color"] * (2 * len(calls))
 
 
 # ======================================================================
