@@ -21,6 +21,8 @@ everything else is a pure function of code state and configuration.
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
 import platform
@@ -47,8 +49,13 @@ def config_hash(parameters: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@functools.cache
 def git_revision(repo_root: str | Path | None = None) -> str:
-    """The checkout's HEAD sha, or ``"unknown"`` when git is unavailable."""
+    """The checkout's HEAD sha, or ``"unknown"`` when git is unavailable.
+
+    Asked of ``git`` once per process (and inherited by its forks): the
+    code a process runs is the code it imported.
+    """
     try:
         return subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -63,7 +70,16 @@ def git_revision(repo_root: str | Path | None = None) -> str:
 
 
 def environment_info() -> dict:
-    """Interpreter/package/platform fingerprint of this run."""
+    """Interpreter/package/platform fingerprint of this run.
+
+    Computed once per process (and inherited by its forks); every call
+    hands out its own copy.
+    """
+    return copy.deepcopy(_environment_info())
+
+
+@functools.cache
+def _environment_info() -> dict:
     import numpy
 
     info = {

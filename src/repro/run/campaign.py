@@ -21,11 +21,12 @@ dashboard) into that serving layer:
   ``{"kind": ..., "params": ...}``.  The key is a pure function of the
   spec contents, so it is stable across process restarts and machines.
 * :func:`run_campaign` -- the async scheduler.  Runs fan out as at
-  most ``jobs`` concurrent *cells*: OS processes forked by one preloaded
-  :class:`CellServer` per campaign, each running the recorded ``python
-  -m repro run-<kind> ...`` command line of its run without paying the
-  interpreter start-up and imports again, with a per-run wall-clock
-  timeout,
+  most ``jobs`` concurrent *cells*: OS processes forked by one
+  :class:`CellServer` per campaign -- itself a fork of the calling
+  process, taken at the first cell that is not a cache hit -- each
+  running the recorded ``python -m repro run-<kind> ...`` command line
+  of its run without paying an interpreter start-up or the caller's
+  imports, with a per-run wall-clock timeout,
   retry-with-backoff on transient failures (a surfaced
   :class:`~repro.vmp.faults.RankFailure`, a timeout, or any non-config
   crash), and a ``fail-fast`` | ``keep-going`` policy.  Completed runs
@@ -59,7 +60,7 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.obs.manifest import config_hash
-from repro.run.cell_server import kill_cell
+from repro.run.cell_server import fork_server, kill_cell
 from repro.run.config import RUN_KINDS, RunField
 from repro.vmp.faults import RankFailure
 
@@ -499,37 +500,45 @@ class CampaignResult:
 Executor = Callable[[CampaignRun, Sequence[str], int], Awaitable[RunAttempt]]
 
 
+@dataclass
+class _Server:
+    """A forked cell server as the scheduler holds it."""
+
+    pid: int
+    requests: asyncio.WriteTransport
+
+
 class _Cell:
     """One in-flight cell: the two replies its server owes the scheduler."""
 
-    def __init__(self, proc):
-        self.proc = proc  # the server process that forked it
+    def __init__(self, server: _Server):
+        self.server = server  # the server that forked it
         loop = asyncio.get_running_loop()
         self.pid: asyncio.Future = loop.create_future()  # None: never forked
         self.exited: asyncio.Future = loop.create_future()  # None: server died
 
 
 class CellServer:
-    """The default executor: cells forked from one preloaded interpreter.
+    """The default executor: cells forked from one fork of this process.
 
-    ``execute`` starts ``python -m repro.run.cell_server`` on first use
-    (an all-cache-hit resume starts none) and sends it one request per
-    attempt; see :mod:`repro.run.cell_server` for the protocol.  Each
-    cell leads its own session, so a timeout, a cancelled campaign
+    ``execute`` forks the cell server off the calling process on first
+    use (:func:`repro.run.cell_server.fork_server`; an all-cache-hit
+    resume forks none) and sends it one request per attempt; see
+    :mod:`repro.run.cell_server` for the protocol.  Each cell leads its
+    own session, so a timeout, a cancelled campaign
     (``KeyboardInterrupt`` / a ``fail-fast`` abort) or a dead server
     kills the whole rank tree a run may have spawned.  A dead server's
-    cells fail as transient and the retry starts a new server.  Use as
-    ``async with CellServer(timeout)`` or call :meth:`close`: on stdin
-    EOF -- also what a killed scheduler leaves -- the server kills the
-    cells still alive and exits.
+    cells fail as transient and the retry forks a new server.  Use as
+    ``async with CellServer(timeout)`` or call :meth:`close`: on EOF of
+    its request pipe -- also what a killed scheduler leaves -- the
+    server kills the cells still alive and exits.
     """
 
     def __init__(self, timeout: float):
         self.timeout = timeout
-        #: Construction -> first server ready; 0.0 while none was needed.
+        #: Fork -> first server ready; 0.0 while none was needed.
         self.start_seconds = 0.0
-        self._created = time.perf_counter()
-        self._proc = None
+        self._server: _Server | None = None
         self._reader: asyncio.Task | None = None
         self._lock = asyncio.Lock()
         self._cells: dict[int, _Cell] = {}
@@ -544,38 +553,36 @@ class CellServer:
 
     async def _ensure_started(self) -> None:
         async with self._lock:
-            if self._proc is not None:
+            if self._server is not None:
                 return
             if self._reader is not None:
                 await self._reader  # the dead server's, about to be replaced
             if self._stderr_dir is None:
                 self._stderr_dir = tempfile.mkdtemp(prefix="repro-cells-")
-            # The server must resolve ``import repro`` exactly as this
-            # process did, installed or not: prepend our package's parent
-            # directory to its PYTHONPATH.
-            package_root = str(Path(__file__).resolve().parents[2])
-            env = dict(os.environ)
-            existing = env.get("PYTHONPATH", "")
-            if package_root not in existing.split(os.pathsep):
-                env["PYTHONPATH"] = (
-                    package_root + (os.pathsep + existing if existing else "")
-                )
-            proc = await asyncio.create_subprocess_exec(
-                sys.executable, "-m", "repro.run.cell_server",
-                stdin=asyncio.subprocess.PIPE,
-                stdout=asyncio.subprocess.PIPE,
-                start_new_session=True,  # a terminal's ^C stops the scheduler only
-                env=env,
+            loop = asyncio.get_running_loop()
+            forked = time.perf_counter()
+            pid, request_fd, reply_fd = fork_server()
+            replies = asyncio.StreamReader()
+            await loop.connect_read_pipe(
+                lambda: asyncio.StreamReaderProtocol(replies), open(reply_fd, "rb", 0)
             )
-            await proc.stdout.readline()  # "ready" (or EOF: _read_replies copes)
-            if not self.start_seconds:
-                self.start_seconds = time.perf_counter() - self._created
-            self._proc = proc
-            self._reader = asyncio.create_task(self._read_replies(proc))
+            requests, _ = await loop.connect_write_pipe(
+                asyncio.Protocol, open(request_fd, "wb", 0)
+            )
+            # Requests queue in the pipe while the server preloads.
+            server = self._server = _Server(pid, requests)
+            self._reader = asyncio.create_task(
+                self._read_replies(server, replies, forked)
+            )
 
-    async def _read_replies(self, proc) -> None:
-        async for line in proc.stdout:
+    async def _read_replies(self, server: _Server, replies: asyncio.StreamReader,
+                            forked: float) -> None:
+        async for line in replies:
             msg = json.loads(line)
+            if "ready" in msg:
+                if not self.start_seconds:
+                    self.start_seconds = time.perf_counter() - forked
+                continue
             cell = self._cells.get(msg["id"])
             if cell is None:  # its attempt was cancelled twice and left
                 continue
@@ -585,27 +592,30 @@ class CellServer:
                 cell.exited.set_result(msg["returncode"])
         # EOF: the server is gone.  Cells it forked are orphans now, not
         # dead -- kill them before their attempts are retried.
-        if self._proc is proc:
-            self._proc = None
+        if self._server is server:
+            self._server = None
         for cell in self._cells.values():
-            if cell.proc is not proc or cell.exited.done():
+            if cell.server is not server or cell.exited.done():
                 continue
             if cell.pid.done():
                 kill_cell(cell.pid.result())
             else:
                 cell.pid.set_result(None)
             cell.exited.set_result(None)
-        await proc.wait()
+        server.requests.close()
+        # Its end of the reply pipe closed with its exit: reaping it
+        # cannot block the loop.
+        os.waitpid(server.pid, 0)
 
     async def execute(self, run: CampaignRun, argv: Sequence[str],
                       attempt: int) -> RunAttempt:
         t0 = time.perf_counter()
         await self._ensure_started()
         cell_id = next(self._ids)
-        cell = self._cells[cell_id] = _Cell(self._proc)
+        cell = self._cells[cell_id] = _Cell(self._server)
         stderr_path = Path(self._stderr_dir) / f"{cell_id}.stderr"
         request = {"id": cell_id, "argv": list(argv), "stderr": str(stderr_path)}
-        cell.proc.stdin.write((json.dumps(request) + "\n").encode())
+        cell.server.requests.write((json.dumps(request) + "\n").encode())
         try:
             await asyncio.wait(
                 {cell.exited}, timeout=self.timeout if self.timeout > 0 else None
@@ -643,9 +653,9 @@ class CellServer:
         await asyncio.shield(cell.exited)
 
     async def close(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is not None:
-            proc.stdin.close()  # EOF: the server kills live cells and exits
+        server, self._server = self._server, None
+        if server is not None:
+            server.requests.close()  # EOF: the server kills live cells and exits
         if self._reader is not None:
             await self._reader
         if self._stderr_dir is not None:

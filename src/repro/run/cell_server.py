@@ -1,19 +1,23 @@
-"""Cell server: import the run path once, fork one OS process per cell.
+"""Cell server: a fork of the scheduler that forks one OS process per cell.
 
-``python -m repro.run.cell_server`` is the child a campaign scheduler
-(:class:`repro.run.campaign.CellServer`) starts once.  It speaks JSON
-lines: a request ``{"id", "argv", "stderr"}`` on stdin is answered on
-stdout by ``{"id", "pid"}`` at the fork and ``{"id", "returncode"}`` once
-the cell is reaped; on stdin EOF the live cells' groups are killed and
-the server exits.  ``argv`` is the cell's recorded ``python -m repro
-run-<kind> ...`` command line.  A cell is its own process, session and
-process group, forked from an image that has run no simulation, so
-nothing a cell does reaches the next one and one ``killpg`` takes it and
-every rank process it started (DESIGN.md, "Scheduler & retry policy").
+:func:`fork_server` is how a campaign scheduler
+(:class:`repro.run.campaign.CellServer`) starts it: a ``fork()`` of the
+caller's own process, which has already paid for the interpreter's
+start-up, NumPy and the campaign's imports, so only the run path is left
+to import.  It speaks JSON lines: a request ``{"id", "argv", "stderr"}`` on
+fd 0 is answered on fd 1 by ``{"id", "pid"}`` at the fork and ``{"id",
+"returncode"}`` once the cell is reaped; on EOF the live cells' groups
+are killed and the server exits.  ``argv`` is the cell's recorded
+``python -m repro run-<kind> ...`` command line.  A cell is its own
+process, session and process group, forked from an image that has run
+no simulation since the server started, so nothing a cell does reaches
+the next one and one ``killpg`` takes it and every rank process it
+started (DESIGN.md, "Scheduler & retry policy").
 """
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
@@ -21,8 +25,9 @@ import select
 import signal
 import sys
 import traceback
+from typing import Callable, NoReturn
 
-__all__ = ["serve", "kill_cell"]
+__all__ = ["fork_server", "serve", "kill_cell"]
 
 #: What a ``run-*`` cell imports, at module level or inside the functions
 #: it calls (``scipy``: the manifest records its version, no subpackage
@@ -32,6 +37,10 @@ _PRELOAD = (
     "repro.run.checkpoint", "repro.obs.manifest", "repro.obs.sinks",
     "repro.kernels.numpy_backend", "repro.vmp.process_backend", "scipy",
 )
+
+#: A forked server's references to the caller's stream objects, which
+#: it must never flush or finalize: its fds 0 / 1 are the pipes now.
+_CALLER_STREAMS: list = []
 
 
 def kill_cell(pid: int) -> None:
@@ -44,20 +53,15 @@ def kill_cell(pid: int) -> None:
             continue
 
 
-def _run_cell(argv: list[str], stderr_path: str):
-    """The body of a forked cell; never returns into the server's loop."""
+def _exit_after(body: Callable[[], int]) -> NoReturn:
+    """Run a forked child's ``body`` and leave through ``os._exit``.
+
+    Nothing the child inherited is finalized on the way out: no
+    ``atexit`` hook, no buffered stream of the parent's.
+    """
     code = 1
     try:
-        os.setsid()
-        null = os.open(os.devnull, os.O_RDWR)
-        err = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        for fd, target in ((null, 0), (null, 1), (err, 2)):
-            os.dup2(fd, target)
-        os.close(null)
-        os.close(err)
-        from repro.cli import main
-
-        code = main(argv[3:])
+        code = body()
     except SystemExit as exc:  # argparse: 2 on a malformed argv
         code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
     except BaseException:  # what an interpreter does with an uncaught error
@@ -70,10 +74,79 @@ def _run_cell(argv: list[str], stderr_path: str):
             os._exit(code)
 
 
+def _run_cell(argv: list[str], stderr_path: str) -> NoReturn:
+    """The body of a forked cell; never returns into the server's loop."""
+
+    def body() -> int:
+        os.setsid()
+        null = os.open(os.devnull, os.O_RDWR)
+        err = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        for fd, target in ((null, 0), (null, 1), (err, 2)):
+            os.dup2(fd, target)
+        os.close(null)
+        os.close(err)
+        from repro.cli import main
+
+        return main(argv[3:])
+
+    _exit_after(body)
+
+
+def _become_server(request_r: int, reply_w: int) -> None:
+    """Turn a fork of the scheduler into a server's bare process."""
+    # The caller's objects are frozen out of the collector: a file object
+    # of theirs finalized here would close or flush a descriptor number
+    # that now belongs to someone else.
+    gc.freeze()
+    os.setsid()  # a terminal's ^C stops the scheduler only
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_DFL)
+    os.dup2(request_r, 0)
+    os.dup2(reply_w, 1)
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+    # Fresh streams over fds 0-2: the caller's may be replaced objects
+    # (pytest capture) or hold unflushed text.
+    _CALLER_STREAMS.extend((sys.stdin, sys.stdout, sys.stderr))
+    sys.stdin = open(0, closefd=False)
+    sys.stdout = open(1, "w", closefd=False)
+    sys.stderr = open(2, "w", buffering=1, errors="backslashreplace",
+                      closefd=False)
+
+
+def fork_server() -> tuple[int, int, int]:
+    """Fork a cell server off this process: ``(pid, request fd, reply fd)``.
+
+    The child leads its own session, keeps the two pipes as fds 0 / 1
+    and the caller's fd 2, and closes every other descriptor, so no pipe
+    or file of the caller's is held open by the server or its cells.  It
+    never returns: it runs :func:`serve` and leaves through ``os._exit``.
+    """
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            _become_server(request_r, reply_w)
+        except BaseException:  # no stream of its own yet to report on
+            os._exit(1)
+        _exit_after(serve)
+    os.close(request_r)
+    os.close(reply_w)
+    return pid, request_w, reply_r
+
+
 def serve() -> int:
-    """Preload, announce ``{"ready": pid}``, then serve requests until EOF."""
+    """Preload, announce ``{"ready": pid}``, then serve fd 0 until EOF."""
     for name in _PRELOAD:
         importlib.import_module(name)
+    # The per-process constants of every cell's manifest and command
+    # line, computed once here so that each cell inherits them.
+    from repro.cli import _parser
+    from repro.obs.manifest import environment_info, git_revision
+
+    git_revision()
+    environment_info()
+    _parser()
 
     def reply(msg: dict) -> None:
         os.write(1, (json.dumps(msg) + "\n").encode())
@@ -118,7 +191,3 @@ def serve() -> int:
         kill_cell(pid)
         os.waitpid(pid, 0)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(serve())

@@ -12,8 +12,10 @@ one, which reduces to scheduling order never entering the physics).
 """
 
 import asyncio
+import io
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -614,7 +616,7 @@ class TestSchedulerEndToEnd:
 
 
 # ======================================================================
-# the cell server: one preloaded interpreter, one forked process per cell
+# the cell server: one fork of the scheduler, one forked process per cell
 # ======================================================================
 
 
@@ -651,6 +653,12 @@ def _descendants(root: int) -> dict[int, str]:
                 cmdline = b""
             found[pid] = cmdline.replace(b"\0", b" ").decode(errors="replace")
     return {pid: cmd for pid, cmd in found.items() if stats[pid][0] != "Z"}
+
+
+def _children(parent: int) -> set[int]:
+    """Live (non-zombie) direct children of ``parent``."""
+    stats = {pid: _proc_stat(pid) for pid in _descendants(parent)}
+    return {pid for pid, stat in stats.items() if stat and stat[1] == parent}
 
 
 def _wait_gone(pids, seconds: float = 5.0) -> set[int]:
@@ -706,6 +714,90 @@ class TestCellServer:
         assert attempt.returncode == 2
         assert attempt.transient is None and not _is_transient(attempt)
         assert "no-such-kernel" in attempt.stderr_tail
+
+    def test_stderr_tail_survives_a_replaced_caller_stderr(self, tmp_path,
+                                                          monkeypatch):
+        """The cell writes through fd 2, not the caller's ``sys.stderr``
+        object (which pytest's capture also replaces)."""
+        caller_err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", caller_err)
+        attempt = _one_cell(
+            30.0, {**_ENDLESS, "kernel": "no-such-kernel"}, tmp_path
+        )
+        assert attempt.returncode == 2
+        assert "no-such-kernel" in attempt.stderr_tail
+        assert caller_err.getvalue() == ""
+
+    def test_unflushed_caller_stdout_is_written_once(self, tmp_path):
+        """Text buffered in the caller's ``sys.stdout`` is neither flushed
+        by the server (onto the reply pipe) nor by a cell."""
+        script = tmp_path / "buffered.py"
+        script.write_text(textwrap.dedent(f"""\
+            import sys
+            from repro import CampaignSpec, run_campaign
+            sys.stdout.write("buffered before the campaign\\n")  # a pipe: no flush
+            spec = CampaignSpec(
+                kind="xxz", name="buffered",
+                base={{"n_sites": 6, "n_slices": 4, "n_sweeps": 10,
+                       "n_thermalize": 2}},
+                sweep={{"beta": [0.5, 1.0]}})
+            result = run_campaign(spec, out_dir={str(tmp_path / "c")!r})
+            print("counters", result.counters["completed"], result.ok)
+        """))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        out = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=120, env={**env, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.count("buffered before the campaign") == 1, out.stdout
+        assert out.stdout.count("counters 2 True") == 1, out.stdout
+
+    def test_a_pipe_the_caller_opened_is_not_held_open(self, tmp_path):
+        """Server and cells close every descriptor of the caller's but
+        fd 2: a pipe's reader sees EOF while a cell is in flight."""
+        (run,) = expand_grid(_spec(base=_ENDLESS, sweep={"beta": [0.5]}))
+        argv = build_run_argv(run, tmp_path)
+        r, w = os.pipe()
+
+        async def go():
+            async with CellServer(0) as server:
+                task = asyncio.create_task(server.execute(run, argv, 0))
+                while not (server._cells
+                           and next(iter(server._cells.values())).pid.done()):
+                    await asyncio.sleep(0.02)
+                os.close(w)
+                readable, _, _ = select.select([r], [], [], 10.0)
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                return readable and os.read(r, 1)
+
+        try:
+            assert asyncio.run(go()) == b""
+        finally:
+            os.close(r)
+
+    def test_no_interpreter_is_started_and_provenance_is_the_callers(
+            self, tmp_path, monkeypatch):
+        """The server is a fork, not a new interpreter; the cells' manifests
+        carry this process's git revision and environment."""
+        from repro.obs.manifest import environment_info, git_revision
+
+        def no_interpreters(*_args, **_kwargs):
+            raise AssertionError("a campaign must not start an interpreter")
+
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", no_interpreters)
+        spec = _spec()
+        result = run_campaign(spec, out_dir=tmp_path / "c")
+        assert result.ok and result.counters["completed"] == 2
+        for run in expand_grid(spec):
+            manifest = json.loads(
+                (tmp_path / "c" / "runs" / run.run_id / "manifest.json").read_text()
+            )
+            assert manifest["git_revision"] == git_revision()
+            assert manifest["environment"] == environment_info()
 
     def test_timed_out_mp_cell_leaves_no_rank_processes(self, tmp_path):
         """killpg of the cell's session takes its mp rank processes too."""
@@ -874,16 +966,15 @@ class TestServerLifecycle:
         def kill_server_once_cells_run():
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
-                # The server is our child; the cells (same command line:
-                # they are forks of it) are its children.
-                servers = [p for p, c in _descendants(me).items()
-                           if "cell_server" in c]
-                cells = set().union(*(_descendants(p) for p in servers))
-                if cells:
-                    orphans.update(cells)
-                    (server,) = set(servers) - cells
-                    os.kill(server, signal.SIGKILL)
-                    return
+                # Server and cells are forks of this process, command line
+                # and all: the server is the child of ours whose children
+                # are the cells.
+                for server in _children(me):
+                    cells = _descendants(server)
+                    if cells:
+                        orphans.update(cells)
+                        os.kill(server, signal.SIGKILL)
+                        return
                 time.sleep(0.02)
 
         killer = threading.Thread(target=kill_server_once_cells_run)

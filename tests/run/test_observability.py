@@ -11,7 +11,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.manifest import build_manifest, config_hash
+from repro.obs.manifest import (
+    build_manifest,
+    config_hash,
+    environment_info,
+    git_revision,
+)
 from repro.obs.sinks import read_metrics_jsonl
 from repro.run.config import ParallelLayout, XXZ2DRunConfig, XXZRunConfig
 from repro.run.simulation import Simulation
@@ -134,6 +139,30 @@ class TestManifest:
         assert doc["run_report"] is None
         assert doc["git_revision"]
         assert "written_at" in doc
+
+    def test_git_revision_runs_git_once_per_process(self, monkeypatch):
+        import subprocess
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        git_revision.cache_clear()
+        first = git_revision()
+        assert len(calls) == 1
+        assert git_revision() == first
+        assert len(calls) == 1
+
+    def test_environment_info_hands_out_copies(self):
+        info = environment_info()
+        expected = json.loads(json.dumps(info))
+        info["python"] = "0.0"
+        info["kernel_backends"].append("bogus")
+        assert environment_info() == expected
 
     def test_instrumented_run_matches_plain(self, tmp_path):
         """Telemetry must not perturb the Markov chain."""
