@@ -16,9 +16,6 @@ Monte Carlo moves (all satisfying detailed balance individually):
   plaquette, deflecting a world line sideways.  Exactly four shaded
   plaquettes are affected; illegal results carry zero weight and
   reject themselves.
-* **edge flips** (open chains) -- flip the two time-adjacent spins of a
-  boundary site during its free-evolution interval (two affected
-  plaquettes).
 * **straight-line flips** -- flip an entire time column whose world
   line is straight, changing total magnetization by one.  This is what
   makes the uniform susceptibility measurable.
@@ -441,30 +438,6 @@ class WorldlineChainQmc(TableSweeps):
             return False
         return True
 
-    def attempt_edge_flip(self, site: int, t: int) -> bool:
-        """Open-chain edge move: flip (site, t), (site, t+1) during the
-        site's free-evolution interval."""
-        if self.periodic:
-            raise ValueError("edge moves exist only on open chains")
-        if site == 0:
-            bond = 0
-        elif site == self.L - 1:
-            bond = self.n_bonds - 1
-        else:
-            raise ValueError("edge moves act on the boundary sites only")
-        if (bond + t) % 2 == 0:
-            raise ValueError(f"interval {t} is not free evolution for site {site}")
-        T = self.n_slices
-        affected = [(bond, (t - 1) % T), (bond, (t + 1) % T)]
-        w_old = self._weight_product(affected)
-        idx = ([site, site], [t, (t + 1) % T])
-        self.spins[idx] ^= 1
-        w_new = self._weight_product(affected)
-        if w_new <= 0.0 or not self._metropolis(w_new / w_old):
-            self.spins[idx] ^= 1
-            return False
-        return True
-
     def attempt_column_flip(self, site: int) -> bool:
         """Straight-line move: flip the full time column of ``site``."""
         col = self.spins[site]
@@ -497,18 +470,12 @@ class WorldlineChainQmc(TableSweeps):
         return True
 
     def sweep_scalar(self) -> None:
-        """Reference sweep: every unshaded plaquette, edge interval and
-        column once, in deterministic raster order."""
+        """Reference sweep: every unshaded plaquette and column once, in
+        deterministic raster order."""
         for t in range(self.n_slices):
             for i in range(self.n_bonds):
                 if (i + t) % 2 == 1:
                     self.attempt_corner_flip(i, t)
-        if not self.periodic:
-            for t in range(self.n_slices):
-                if (0 + t) % 2 == 1:
-                    self.attempt_edge_flip(0, t)
-                if (self.n_bonds - 1 + t) % 2 == 1:
-                    self.attempt_edge_flip(self.L - 1, t)
         for site in range(self.L):
             self.attempt_column_flip(site)
 

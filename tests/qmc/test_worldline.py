@@ -61,15 +61,33 @@ class TestMoves:
         with pytest.raises(ValueError, match="shaded"):
             q.attempt_corner_flip(0, 0)  # (0+0) even = shaded
 
-    def test_edge_flip_on_periodic_rejected(self):
-        q = make(periodic=True, n_sites=4, n_slices=8)
-        with pytest.raises(ValueError, match="open chains"):
-            q.attempt_edge_flip(0, 1)
+    def test_no_open_chain_edge_flip_is_ever_legal(self):
+        """Why the move set has no edge move: flipping a boundary site on
+        the two slices around its free interval [t, t+1] changes one
+        corner of the shaded plaquette (bond, t-1) below it, so S^z is no
+        longer conserved there.  Exhaustively, on the open 4-site chain
+        at T = 4: no legal configuration has a legal edge flip."""
+        q = make(n_sites=4, n_slices=4)
+        L, T = q.L, q.n_slices
+        configs = ((np.arange(2 ** (L * T))[:, None] >> np.arange(L * T)) & 1)
 
-    def test_edge_flip_interior_site_rejected(self):
-        q = make()
-        with pytest.raises(ValueError, match="boundary"):
-            q.attempt_edge_flip(1, 1)
+        def legal(flat):
+            s = flat[:, q._shaded]  # (n, 4 corners, shaded plaquettes)
+            codes = s[:, 0] + 2 * s[:, 1] + 4 * s[:, 2] + 8 * s[:, 3]
+            return (q.table.weights[codes] > 0).all(axis=1)
+
+        start = configs[legal(configs)]
+        assert len(start) > 100
+        n_moves = 0
+        for site, bond in ((0, 0), (L - 1, L - 2)):
+            for t in range(T):
+                if (bond + t) % 2 == 0:
+                    continue  # the site's bond is active: not a free interval
+                flipped = start.copy()
+                flipped[:, [site * T + t, site * T + (t + 1) % T]] ^= 1
+                assert not legal(flipped).any(), (site, t)
+                n_moves += 1
+        assert n_moves == 4
 
     def test_column_flip_requires_straight_line(self):
         q = make(seed=5)
