@@ -1,9 +1,11 @@
 """Performance trajectory of the batched world-line kernels.
 
-Times the scalar reference sweep against the vectorized class-batched
-sweep for the 1-D chain and the 2-D square-lattice samplers on fixed
-geometries with fixed seeds, plus the **parallel** strip driver in both
-kernel modes and on both backends, and records the trajectory twice:
+Times the per-move ``scalar`` sweep (the loops of
+``repro.kernels.loops``, interpreted) against the vectorized
+class-batched sweep over the same tables, for the 1-D chain and the 2-D
+square-lattice samplers on fixed geometries with fixed seeds, plus the
+**parallel** strip driver in both kernel modes and on both backends,
+and records the trajectory twice:
 
 * ``benchmarks/output/perf_kernels.txt`` -- the human-readable table;
 * ``BENCH_perf.json`` at the repository root -- machine-readable, one
@@ -107,7 +109,7 @@ def _space_time_sites(sampler) -> int:
 
 def _time_mode(factory, mode: str, n_sweeps: int) -> dict:
     sampler = factory()
-    sweep = sampler.sweep_scalar if mode == "scalar" else sampler.sweep_vectorized
+    sweep = sampler.resolve_sweep(mode)[1]
     sweep()  # warm up gather tables / allocator outside the timed region
     t0 = time.perf_counter()
     for _ in range(n_sweeps):
@@ -353,12 +355,12 @@ def _time_kernel(backend: str, n_sweeps: int) -> dict:
     """
     sampler = _kernel_factory()
     t0 = time.perf_counter()
-    sampler.sweep_vectorized(kernel=backend)
+    sampler.sweep(backend)
     compile_seconds = time.perf_counter() - t0
-    sampler.sweep_vectorized(kernel=backend)
+    sampler.sweep(backend)
     t0 = time.perf_counter()
     for _ in range(n_sweeps):
-        sampler.sweep_vectorized(kernel=backend)
+        sampler.sweep(backend)
     elapsed = time.perf_counter() - t0
     sites = _space_time_sites(sampler)
     return {

@@ -32,7 +32,7 @@ def measure_host_rates() -> Table:
     q = WorldlineChainQmc(model, beta=2.0, n_slices=32, seed=1)
     t0 = time.perf_counter()
     for _ in range(100):
-        q.sweep_vectorized()
+        q.sweep("numpy")
     dt = time.perf_counter() - t0
     table.add_row(["world-line vectorized", "64x32", 100 * 64 * 32 / dt])
 
@@ -41,7 +41,7 @@ def measure_host_rates() -> Table:
     )
     t0 = time.perf_counter()
     for _ in range(20):
-        qs.sweep_scalar()
+        qs.sweep("scalar")
     dt = time.perf_counter() - t0
     table.add_row(["world-line scalar ref", "16x16", 20 * 16 * 16 / dt])
 

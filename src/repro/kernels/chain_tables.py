@@ -1,12 +1,13 @@
-"""Gather and weight tables that run a periodic chain through the strip ops.
+"""Gather and weight tables that run a chain through the strip ops.
 
 The serial chain sampler is the P=1, no-ghost case of the strip
 driver: the same ``strip_corner`` / ``strip_column`` ops update it,
 with the periodic wrap folded into the flat indices instead of living
 in ghost columns.  The tables are static per geometry, so
 :class:`~repro.qmc.worldline.WorldlineChainQmc` builds them once at
-construction; the ``wl1d_*`` registry ops rebuild the index tables per
-call and exist only as compatibility adapters.
+construction (:func:`chain_rows`, any length, open or periodic); the
+``wl1d_*`` registry ops rebuild the index tables per call and exist
+only as compatibility adapters.
 
 A corner move reads K = 4 neighbor plaquettes under one shared XOR
 mask (:data:`CORNER_XMASK`), so its 16 environment spins are *packed*:
@@ -14,8 +15,10 @@ mask (:data:`CORNER_XMASK`), so its 16 environment spins are *packed*:
 bits form a 16-bit environment code, and :func:`corner_products` holds
 the weight product before and after the flip for every code.  This is
 the chain's instance of the row contract in DESIGN.md "Kernel
-registry"; the square-lattice sampler's K = 8 per-move-mask rows stay
-unpacked (32 environment bits have no table).
+registry".  Moves that read fewer plaquettes -- an open chain's end
+bonds, the square lattice's doubled pairs -- are unpacked rows with
+per-move masks (:func:`unpacked_rows`), as are the square-lattice
+sampler's K = 8 moves (32 environment bits have no table).
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import numpy as np
 
 __all__ = [
     "CORNER_XMASK",
+    "chain_rows",
     "column_log_weights",
     "column_tables",
     "corner_products",
     "corner_tables",
+    "unpacked_rows",
     "wl1d_adapters",
 ]
 
@@ -94,18 +99,108 @@ def corner_tables(n_sites: int, n_slices: int, i: np.ndarray, t: np.ndarray):
     plaquette ``k``, ``flip`` the ``(4, n)`` cells an accepted move
     flips.
 
-    Plaquettes follow the scalar reference's weight-product order (see
-    :data:`CORNER_XMASK`), which :func:`corner_products` multiplies in.
+    Plaquettes follow the order of :data:`CORNER_XMASK`, which
+    :func:`corner_products` multiplies in.
     """
-    L, T = n_sites, n_slices
+    corners, flip = _corner_moves(n_sites, n_slices, i, t)
+    # C order matters: a gather inherits the memory order of its index.
+    return np.ascontiguousarray(corners.transpose(1, 0, 2).reshape(16, -1).T), flip
+
+
+def _corner_moves(L: int, T: int, i: np.ndarray, t: np.ndarray):
+    """``(corners, flip)`` of corner moves at bonds ``i``, intervals
+    ``t``: ``corners[c, k]`` the flat index of corner ``c`` of neighbor
+    plaquette ``k`` (in :data:`CORNER_XMASK`'s order), and the ``(4, n)``
+    cells a move flips."""
     ip1, t1 = (i + 1) % L, (t + 1) % T
     lb = np.stack([(i - 1) % L, ip1, i, i])
     pt = np.stack([t, t, (t - 1) % T, t1])
     lb1, pt1 = (lb + 1) % L, (pt + 1) % T
-    env = np.stack([lb * T + pt, lb1 * T + pt, lb * T + pt1, lb1 * T + pt1], axis=1)
-    flip = np.stack([i * T + t, i * T + t1, ip1 * T + t, ip1 * T + t1])
-    # C order matters: a gather inherits the memory order of its index.
-    return np.ascontiguousarray(env.reshape(16, -1).T), flip
+    corners = np.stack([lb * T + pt, lb1 * T + pt, lb * T + pt1, lb1 * T + pt1])
+    return corners, np.stack([i * T + t, i * T + t1, ip1 * T + t, ip1 * T + t1])
+
+
+def unpacked_rows(corners: np.ndarray, keep: np.ndarray, flip: np.ndarray) -> list:
+    """Unpacked ``strip_corner`` rows ``((i00, i10, i01, i11, xmask),
+    flip)`` of moves that read the plaquette slots ``corners`` -- ``(4,
+    K, n)`` flat corner indices in weight-product order, slot ``k`` of
+    move ``m`` read where ``keep[k, m]`` -- and flip the ``(F, n)``
+    cells ``flip``: one row per number of slots read, each move's read
+    slots in their order, moves in theirs.
+
+    A move's XOR masks are read off its own flip cells -- the corners
+    whose cells it flips -- never from a formula: on small lattices one
+    site can fill several corners of one plaquette.
+    """
+    n_read = keep.sum(axis=0)
+    rows = []
+    for k in np.unique(n_read):
+        sel = np.flatnonzero(n_read == k)
+        slots = np.argsort(~keep[:, sel], axis=0, kind="stable")[:k]
+        c = np.take_along_axis(corners[:, :, sel], slots[None], axis=1)
+        f = flip[:, sel]
+        flipped = (c[:, :, None] == f[None, None]).any(axis=2)  # (4, k, n)
+        xmask = (flipped << np.arange(4)[:, None, None]).sum(axis=0)
+        rows.append(((*c, xmask.astype(np.int8)), f))
+    return rows
+
+
+def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray):
+    """``(corner_rows, column_rows)``: a chain's whole move set as
+    ``strip_corner`` rows ``(weights, gather, flip)`` and
+    ``strip_column`` rows ``(logw, sites, gather)``, in the one order a
+    sweep takes them.
+
+    Corner rows follow the eight stride-4 classes -- (bond a, interval
+    b) grids with (a + b) odd, in (a, b) order -- and column rows the
+    two site parities.  With a periodic ``L % 4 == T % 4 == 0`` every
+    class is one conflict-free packed row.  Elsewhere moves of a class
+    may share plaquettes, which only the per-move loops, taking them in
+    row order, can run.  An open chain's end bonds read three neighbor
+    plaquettes (two on ``L = 2``, where a periodic chain's two bonds
+    also join the same pair), so their corner moves are unpacked rows;
+    its end sites' columns read their one bond, each a row of its own
+    whose gather repeats that bond in the other half, where ``logw``
+    keeps the pre-flip weights.
+    """
+    L, T = n_sites, n_slices
+    n_bonds = L if periodic else L - 1
+    packed, logw = corner_products(weights), column_log_weights(weights)
+    corner_rows = []
+    for a, b in ((a, b) for a in range(4) for b in range(4) if (a + b) % 2):
+        gi, gt = np.meshgrid(
+            np.arange(a, n_bonds, 4, dtype=np.intp),
+            np.arange(b, T, 4, dtype=np.intp),
+            indexing="ij",
+        )
+        i, t = gi.ravel(), gt.ravel()
+        keep = np.ones((4, i.size), dtype=bool)  # neighbors (i-1, t), (i+1, t), ...
+        if periodic:
+            keep[1] = L > 2
+        else:
+            keep[0], keep[1] = i > 0, i < n_bonds - 1
+        inner = keep.all(axis=0)
+        if inner.any():
+            corner_rows.append((packed, *corner_tables(L, T, i[inner], t[inner])))
+        corners, flip = _corner_moves(L, T, i[~inner], t[~inner])
+        corner_rows += [(weights, *row) for row in unpacked_rows(
+            corners, keep[:, ~inner], flip)]
+    column_rows = []
+    for p in (0, 1):
+        sites = np.arange(p, L, 2, dtype=np.intp)
+        if periodic:
+            column_rows.append((logw, sites, column_tables(L, T, sites)))
+            continue
+        inner = sites[(sites > 0) & (sites < L - 1)]
+        column_rows.append((logw, inner, column_tables(L, T, inner)))
+        for site in sites[(sites == 0) | (sites == L - 1)]:
+            gather = column_tables(L, T, site[None])
+            own = int(site == 0)  # site 0 is its bond's left site: half 1
+            gather[:, 1 - own] = gather[:, own]
+            row_logw = logw.copy()
+            row_logw[2 - own] = logw[0]
+            column_rows.append((row_logw, site[None], gather))
+    return corner_rows, column_rows
 
 
 def column_tables(n_sites: int, n_slices: int, cols: np.ndarray) -> np.ndarray:

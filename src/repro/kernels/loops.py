@@ -28,12 +28,14 @@ not installed):
    independence class have disjoint read/write footprints by
    construction, so evaluate -> maybe-flip one move at a time
    produces the same accept decisions as NumPy's batched evaluation
-   of the whole class.
+   of the whole class.  (Off NumPy's grid -- open, odd and 2 x N
+   world-line lattices -- a row's moves may share plaquettes; there
+   only these loops run it, one move at a time in row order.)
 3. *Reduction order is replicated.*  Plaquette-weight products are
    strictly sequential (matching ``prod``/``multiply.reduce``; packed
    K = 4 rows read them from the very tables the NumPy op indexes --
    ``tests/qmc/test_chain_tables.py`` holds those against the raster
-   sampler's ``_weight_product`` on every environment), and
+   reference moves on every environment), and
    the float64 log-weight row sums replicate NumPy's pairwise
    summation exactly: blocks of up to 128 elements use eight scalar
    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``

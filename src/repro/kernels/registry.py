@@ -28,9 +28,9 @@ is the name check alone (no availability probe), for config classes.
 Backends registered here must honour the bit-identity contract
 documented in DESIGN.md: identical trajectories (RNG draw for draw,
 accept for accept) with the ``numpy`` path on every lattice the
-registry serves.  (The world-line *samplers* answer ``scalar`` with
-their own raster reference sweep, not with this table; see
-``TableSweeps.resolve_sweep``.)
+registry serves.  World-line lattices off ``numpy``'s grid (open, odd
+and 2 x N geometries) are served by the per-move backends alone, which
+agree with each other there; see ``TableSweeps.resolve_sweep``.
 """
 
 from __future__ import annotations

@@ -25,15 +25,16 @@ periodic chains the simulation is confined to the zero-winding sector
 (corrections fall exponentially with L).  Validation tests therefore
 use *open* chains, where no winding sector exists.
 
-Two sweep implementations are provided and cross-checked: a scalar
-reference (any geometry) and a vectorized eight-color sweep requiring
-``L % 4 == 0`` (periodic) and ``T % 4 == 0``, following the
-vectorize-the-inner-loop idiom of the HPC guides.  The vectorized
-sweep is the P = 1, no-ghost case of the strip driver: it runs the
-registry's ``strip_corner`` / ``strip_column`` ops over index tables
-built once at construction (:mod:`repro.kernels.chain_tables`).  That
-stage loop and the mode dispatch around it are :class:`TableSweeps`,
-which the square-lattice sampler shares.
+A sweep is the P = 1, no-ghost case of the strip driver: the
+registry's ``strip_corner`` / ``strip_column`` ops run over index
+tables built once at construction (:func:`repro.kernels.chain_tables.
+chain_rows`), eight corner classes and two column parities in one
+fixed order, on every geometry.  The per-move backends (``scalar``,
+``numba``) take the moves one at a time and run any chain; the batched
+``numpy`` op needs every class conflict-free: ``L % 4 == 0``
+(periodic) and ``T % 4 == 0``.  That stage loop and the kernel
+dispatch around it are :class:`TableSweeps`, which the square-lattice
+sampler shares.
 """
 
 from __future__ import annotations
@@ -43,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.kernels.chain_tables import (
-    column_log_weights,
-    column_tables,
-    corner_products,
-    corner_tables,
-)
+from repro.kernels.chain_tables import chain_rows
 from repro.models.hamiltonians import XXZChainModel
 from repro.qmc.plaquette import PlaquetteTable
 from repro.util.correlation import mean_circular_correlation
@@ -97,38 +93,38 @@ class WorldlineMeasurement:
 
 
 class TableSweeps:
-    """Sweep dispatch and the table-driven sweep of a world-line sampler.
+    """Kernel dispatch and the table-driven sweep of a world-line sampler.
 
     The sampler supplies ``spins`` (sites x slices, C-contiguous int8),
     ``stream``, the ``n_attempted`` / ``n_accepted`` counters,
-    ``sweep_scalar``, and ``can_vectorize`` with ``_grid_rule`` saying
-    what that asks of the geometry.  Where ``can_vectorize`` holds it
-    also builds the static tables of its move set in the layout of the
-    strip ops: ``_corner_tables``, one ``(gather, flip)`` row per
-    conflict-free class of plaquette-window flips (``_n_corner_moves``
-    in all, the size of the sweep's one corner draw), priced from
-    ``_corner_weights`` (packed or unpacked, see ``strip_corner``), and
-    ``_column_tables``, one ``(sites, gather)`` row per class of
-    straight columns, priced from the ``(3, 16)`` log weights ``_logw``.
+    ``can_vectorize`` with ``_grid_rule`` saying what the batched
+    ``numpy`` op asks of the geometry, and the static tables of its
+    whole move set in the argument layout of the strip ops, in the one
+    order a sweep takes them: ``_corner_tables``, one ``(weights,
+    gather, flip)`` row per class of plaquette-window flips
+    (``_n_corner_moves`` in all, the size of the sweep's one corner
+    draw; packed or unpacked, see ``strip_corner``), and
+    ``_column_tables``, one ``(logw, sites, gather)`` row per class of
+    straight columns.
     """
 
     def _sweep_fused(self, ops) -> None:
-        """Every class of one sweep through the backend's strip ops.
+        """Every row of one sweep through the backend's strip ops.
 
-        Moves within a class have disjoint read and write footprints,
-        so parallel acceptance equals sequential acceptance in any
-        order -- the property the domain-decomposed driver and the
-        compiled kernel backends rely on.  The uniform draws stay here
-        (one block for all corner classes, one per column class sized
-        to its straight columns), identical across backends.
+        The per-move backends take a row's moves one at a time, in
+        order, so any row is theirs.  On :attr:`can_vectorize`
+        geometries every row is conflict-free -- no move reads or
+        writes what another of its row writes -- so batched acceptance
+        equals sequential acceptance and all backends agree bit for
+        bit.  The uniform draws stay here (one block for all corner
+        rows, one per column row sized to its straight columns).
         """
         corner, column = ops["strip_corner"], ops["strip_column"]
         flat = self.spins.reshape(-1)
-        weights = self._corner_weights
-        # One draw split by class is the per-class draws concatenated.
+        # One draw split by row is the per-row draws concatenated.
         u = self.stream.uniform(size=self._n_corner_moves)
         lo = 0
-        for gather, flip in self._corner_tables:
+        for weights, gather, flip in self._corner_tables:
             hi = lo + flip.shape[1]
             self.n_accepted += corner(flat, weights, gather, flip, u[lo:hi])
             lo = hi
@@ -136,7 +132,7 @@ class TableSweeps:
         # A column flip writes its own column only: one pass finds the
         # straight world lines of every class.
         lines = (self.spins == self.spins[:, :1]).all(axis=1)
-        for sites, gather in self._column_tables:
+        for logw, sites, gather in self._column_tables:
             straight = lines[sites]
             n_straight = int(np.count_nonzero(straight))
             if n_straight == 0:
@@ -146,52 +142,37 @@ class TableSweeps:
                 np.maximum(self.stream.uniform(size=n_straight), 1e-300)
             )
             self.n_accepted += column(
-                self.spins, self._logw, sites, gather, straight, log_uu
+                self.spins, logw, sites, gather, straight, log_uu
             )
             self.n_attempted += n_straight
 
-    def _require_vectorizable(self) -> None:
-        if not self.can_vectorize:
-            raise ValueError(
-                f"vectorized sweep needs {self._grid_rule}; this geometry "
-                "runs the per-move reference, mode='scalar' (CLI: --kernel "
-                "scalar), which mode='auto' selects for it"
-            )
-
-    def sweep_vectorized(self, kernel: str = "numpy") -> None:
-        """One table-driven sweep (needs :attr:`can_vectorize`).
-
-        ``kernel`` names the registry backend supplying the class ops;
-        every backend produces the bit-identical trajectory.
-        """
-        self._require_vectorizable()
-        self._sweep_fused(kernels.get_ops(kernel))
-
     def resolve_sweep(self, mode: str = "auto"):
-        """``(kernel, sweep)``: the kernel ``mode`` (see :meth:`sweep`)
-        resolves to on this geometry -- ``"scalar"`` or a backend name --
-        and a zero-argument sweep bound to it.  A batched backend on a
-        geometry off its grid is a ``ValueError`` here, not at the first
-        sweep."""
-        if mode == "auto" and not self.can_vectorize:
-            mode = "scalar"  # the geometry gate: off-grid lattices
+        """``(kernel, sweep)``: the backend ``mode`` (see :meth:`sweep`)
+        resolves to on this geometry and a zero-argument sweep bound to
+        it.  ``numpy`` off its grid is a ``ValueError`` here, not at the
+        first sweep; ``auto``, where it would pick ``numpy``, runs
+        ``scalar`` there instead."""
         kernel = kernels.resolve_kernel(mode)
-        if kernel == "scalar":
-            return kernel, self.sweep_scalar
-        self._require_vectorizable()
+        if kernel == "numpy" and not self.can_vectorize:
+            if mode != "auto":
+                raise ValueError(
+                    f"vectorized sweep needs {self._grid_rule}; the per-move "
+                    "loops run any geometry: mode='scalar' (CLI: --kernel "
+                    "scalar), which mode='auto' selects for it"
+                )
+            kernel = "scalar"
         ops = kernels.get_ops(kernel)
         return kernel, lambda: self._sweep_fused(ops)
 
     def sweep(self, mode: str = "auto") -> None:
         """One full sweep.
 
-        ``mode="auto"`` (the default, and the historical behavior)
-        runs the registry's best available kernel backend when the
-        geometry allows and the scalar reference otherwise;
-        ``"scalar"`` forces the reference; a backend name ("numpy",
-        "numba", ...; "vectorized" aliases "numpy") forces that
-        backend.  Every mode proposes the same move set; the batched
-        backends are bit-identical to each other.
+        ``mode="auto"`` (the default) runs the registry's best
+        available backend (``scalar`` where that is ``numpy`` and the
+        geometry is off its grid); a backend name ("numpy", "numba",
+        "scalar"; "vectorized" aliases "numpy") forces that backend.
+        Every backend runs the same rows; where ``numpy`` runs, all
+        three are bit-identical.
         """
         self.resolve_sweep(mode)[1]()
 
@@ -250,13 +231,8 @@ class WorldlineChainQmc(TableSweeps):
         """Precompute the static flat-index tables into ``spins.reshape(-1)``.
 
         ``_shaded`` gathers the four corners of every shaded plaquette
-        (bond-major, the measurement path's summation order).  On
-        vectorizable geometries the sweep tables follow: the eight
-        corner independence classes -- (bond a, interval b) stride-4
-        grids with (a + b) odd, in (a, b) order -- as packed
-        ``strip_corner`` rows, and the two column parities as
-        ``strip_column`` rows, the periodic wrap folded in; with them
-        the weight tables the two ops read.
+        (bond-major, the measurement path's summation order); the sweep
+        rows of the whole move set follow (:func:`chain_rows`).
         """
         L, T = self.L, self.n_slices
         i, t = np.nonzero(
@@ -265,35 +241,10 @@ class WorldlineChainQmc(TableSweeps):
         j, t1 = (i + 1) % L, (t + 1) % T
         self._shaded = np.stack([i * T + t, j * T + t, i * T + t1, j * T + t1])
         self._stag_signs = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)[:, None]
-        if not self.can_vectorize:
-            return
-        self._corner_tables = []
-        for a, b in ((a, b) for a in range(4) for b in range(4) if (a + b) % 2):
-            gi, gt = np.meshgrid(
-                np.arange(a, L, 4, dtype=np.intp),
-                np.arange(b, T, 4, dtype=np.intp),
-                indexing="ij",
-            )
-            self._corner_tables.append(corner_tables(L, T, gi.ravel(), gt.ravel()))
-        self._n_corner_moves = L * T // 2
-        self._corner_weights = corner_products(self.table.weights)
-        self._column_tables = [
-            (cols, column_tables(L, T, cols))
-            for cols in (np.arange(p, L, 2, dtype=np.intp) for p in (0, 1))
-        ]
-        self._logw = column_log_weights(self.table.weights)
-
-    def _codes(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Corner codes of shaded plaquettes at bonds ``i``, intervals ``t``."""
-        s = self.spins
-        j = (i + 1) % self.L
-        t1 = (t + 1) % self.n_slices
-        return (
-            s[i, t].astype(np.intp)
-            + 2 * s[j, t].astype(np.intp)
-            + 4 * s[i, t1].astype(np.intp)
-            + 8 * s[j, t1].astype(np.intp)
+        self._corner_tables, self._column_tables = chain_rows(
+            L, T, self.periodic, self.table.weights
         )
+        self._n_corner_moves = self.n_bonds * T // 2
 
     def shaded_codes(self) -> np.ndarray:
         """Corner codes of every shaded plaquette (measurement path)."""
@@ -385,102 +336,7 @@ class WorldlineChainQmc(TableSweeps):
         return out
 
     # ------------------------------------------------------------------
-    # scalar reference moves
-    # ------------------------------------------------------------------
-    def _affected_by_corner(self, i: int, t: int) -> list[tuple[int, int]]:
-        """Shaded plaquettes read by a corner flip at unshaded (i, t)."""
-        T = self.n_slices
-        out = [(i, (t - 1) % T), (i, (t + 1) % T)]
-        if self.periodic:
-            out.append(((i - 1) % self.L, t))
-            out.append(((i + 1) % self.L, t))
-        else:
-            if i - 1 >= 0:
-                out.append((i - 1, t))
-            if i + 1 <= self.n_bonds - 1:
-                out.append((i + 1, t))
-        return out
-
-    def _weight_product(self, plaqs: list[tuple[int, int]]) -> float:
-        # Innermost scalar hot path: plain int arithmetic on the corner
-        # code, no per-plaquette array allocations.
-        s = self.spins
-        w = self.table.weights
-        L, T = self.L, self.n_slices
-        prod = 1.0
-        for i, t in plaqs:
-            j = (i + 1) % L
-            t1 = (t + 1) % T
-            code = s[i, t] + 2 * s[j, t] + 4 * s[i, t1] + 8 * s[j, t1]
-            prod *= float(w[code])
-        return prod
-
-    def _metropolis(self, ratio: float) -> bool:
-        self.n_attempted += 1
-        if ratio >= 1.0 or self.stream.uniform() < ratio:
-            self.n_accepted += 1
-            return True
-        return False
-
-    def attempt_corner_flip(self, i: int, t: int) -> bool:
-        """Scalar corner flip at unshaded plaquette (bond i, interval t)."""
-        if (i + t) % 2 == 0:
-            raise ValueError(f"plaquette ({i}, {t}) is shaded, not unshaded")
-        affected = self._affected_by_corner(i, t)
-        w_old = self._weight_product(affected)
-        j = (i + 1) % self.L
-        t1 = (t + 1) % self.n_slices
-        idx = ([i, i, j, j], [t, t1, t, t1])
-        self.spins[idx] ^= 1
-        w_new = self._weight_product(affected)
-        if w_new <= 0.0 or not self._metropolis(w_new / w_old):
-            self.spins[idx] ^= 1  # undo
-            return False
-        return True
-
-    def attempt_column_flip(self, site: int) -> bool:
-        """Straight-line move: flip the full time column of ``site``."""
-        col = self.spins[site]
-        if col.min() != col.max():
-            return False  # world line not straight: move undefined
-        affected = []
-        for b in (site - 1, site):
-            bb = b % self.L if self.periodic else b
-            if not self.periodic and not 0 <= b <= self.n_bonds - 1:
-                continue
-            for t in range(self.n_slices):
-                if (bb + t) % 2 == 0:
-                    affected.append((bb, t))
-        # Log-space product: T plaquettes can under/overflow in linear space.
-        codes_i = np.array([a for a, _ in affected], dtype=np.intp)
-        codes_t = np.array([b for _, b in affected], dtype=np.intp)
-        old_codes = self._codes(codes_i, codes_t)
-        self.spins[site] ^= 1
-        new_codes = self._codes(codes_i, codes_t)
-        w_new = self.table.weights[new_codes]
-        if np.any(w_new <= 0):
-            self.spins[site] ^= 1
-            return False
-        log_ratio = float(
-            np.sum(np.log(w_new)) - np.sum(np.log(self.table.weights[old_codes]))
-        )
-        if not self._metropolis(float(np.exp(min(log_ratio, 0.0))) if log_ratio < 0 else 1.0):
-            self.spins[site] ^= 1
-            return False
-        return True
-
-    def sweep_scalar(self) -> None:
-        """Reference sweep: every unshaded plaquette and column once, in
-        deterministic raster order."""
-        for t in range(self.n_slices):
-            for i in range(self.n_bonds):
-                if (i + t) % 2 == 1:
-                    self.attempt_corner_flip(i, t)
-        for site in range(self.L):
-            self.attempt_column_flip(site)
-
-    # ------------------------------------------------------------------
-    # vectorized sweep (periodic, L % 4 == 0, T % 4 == 0)
+    # the batched numpy op's grid (periodic, L % 4 == 0, T % 4 == 0)
     # ------------------------------------------------------------------
     @property
     def can_vectorize(self) -> bool:

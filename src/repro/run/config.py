@@ -82,16 +82,11 @@ class ParallelLayout:
     kernel:
         Kernel backend for the checkerboard sweeps: ``auto`` (default;
         the best available batched backend) or a registered backend
-        name -- ``numpy``, ``numba``, or ``scalar`` for the per-move
-        reference.  On the strip and block layouts and on every
-        ``tfim`` layout all backends produce the bit-identical
-        trajectory, ``scalar`` one move at a time.  On the serial and
-        replica *world-line* layouts ``scalar`` is instead the samplers'
-        raster reference sweep -- any geometry, its own random-number
-        protocol, hence its own (equally valid) trajectory -- while
-        ``numpy`` / ``numba`` still agree bit for bit.  Selection is
-        resolved once at run start so an unavailable backend fails
-        fast with a :class:`repro.kernels.KernelUnavailableError`.
+        name -- ``numpy``, ``numba``, or ``scalar``, the per-move loops
+        on every layout, with numpy's trajectory wherever numpy runs.
+        Selection is resolved once at run start so an unavailable
+        backend fails fast with a
+        :class:`repro.kernels.KernelUnavailableError`.
     replicas:
         Number of independent strip replicas in a two-level ensemble x
         domain run.  With ``replicas > 1`` (``strip`` strategy only)
@@ -441,12 +436,9 @@ _LAYOUT_FIELDS = (
                   "shorter modeled makespan)"),
     RunField("kernel", "--kernel", default="auto", spec="kernel",
              help="sweep kernel backend: 'auto' (best available), 'numpy', "
-                  "'numba', or 'scalar' for the per-move reference.  "
-                  "strip / block / tfim runs: every backend yields the "
-                  "bit-identical trajectory.  Serial and replica "
-                  "world-line runs: numpy and numba agree bit for bit; "
-                  "'scalar' is the samplers' raster sweep with its own "
-                  "trajectory (default: auto)"),
+                  "'numba', or 'scalar', the per-move loops on every "
+                  "layout, with numpy's trajectory wherever numpy runs "
+                  "(default: auto)"),
     RunField("replicas", "--replicas", int, 1, spec="replicas", metavar="R",
              help="two-level ensemble x domain run: R independent strip "
                   "replicas of --ranks domain processors each (R * RANKS "

@@ -3,23 +3,32 @@
 These are the deepest correctness guards of the sampler layer: for
 randomly generated parameters and configurations, each Monte Carlo
 kernel's acceptance ratio must equal the true weight ratio of the
-global configurations it connects.  The block driver's color update is
-held exhaustively instead: on lattices small enough to enumerate, its
-flip set is the Metropolis rule for every configuration, and the
-transition matrix of that rule leaves the Boltzmann weights invariant.
+global configurations it connects.  Two kernels are held exhaustively
+instead, on lattices small enough to enumerate: every move of every
+world-line table row is the Metropolis rule on pi for every
+configuration of the open 4-site chain at T = 4 and of the 2 x 2 x 8
+reachable sector, and the block driver's color update flips exactly
+the Metropolis set, whose transition matrix leaves the Boltzmann
+weights invariant.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.models.hamiltonians import XXZChainModel
+from repro import kernels
+from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.parallel import IsingBlockConfig, _BlockState
 from repro.qmc.worldline import WorldlineChainQmc
+from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.vmp.machines import IDEAL
 from repro.vmp.scheduler import run_spmd
 from tests.qmc.fake_numba import numba_backend  # noqa: F401 (autouse: needs_numba)
+from tests.qmc.raster_reference import RasterChainQmc
+from tests.qmc.test_worldline2d import reachable_sector
 
 couplings = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 positive_dtau = st.floats(min_value=0.02, max_value=0.4, allow_nan=False)
@@ -37,7 +46,7 @@ class TestWorldlineWeightRatios:
     def test_corner_flip_ratio_equals_global_ratio(self, jz, jxy, beta, seed):
         """Local 4-plaquette ratio == global config-weight ratio."""
         model = XXZChainModel(n_sites=4, jz=jz, jxy=jxy, periodic=True)
-        q = WorldlineChainQmc(model, beta, 8, seed=seed)
+        q = RasterChainQmc(model, beta, 8, seed=seed)
         for _ in range(10):
             q.sweep()
         rng = np.random.default_rng(seed)
@@ -129,6 +138,113 @@ class TestIsingStationarity:
 
 
 # ======================================================================
+# the world-line table rows: exhaustive Metropolis on pi
+# ======================================================================
+
+LOOP_KERNELS = ["scalar", pytest.param("numba", marks=pytest.mark.needs_numba)]
+EPS = 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _worldline_lattice(name):
+    """``(sampler, configurations, shaded corners)``: every legal
+    configuration of the open 4-site chain at T = 4, or the 2 x 2 x 8
+    sector the move set reaches from the Neel state (the enumeration of
+    ``sector_exact_energy_2x2``), as flat spin rows."""
+    if name == "open-chain-4x4":
+        q = WorldlineChainQmc(XXZChainModel(4, jz=0.7, periodic=False), 1.3, 4)
+        n = q.L * q.n_slices
+        configs = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+        configs = configs[np.isfinite(_log_pi(q, configs, q._shaded))]
+        return q, configs, q._shaded
+    q = WorldlineSquareQmc(XXZSquareModel(2, 2), 0.6, 8, seed=11)
+    configs = np.array([c.reshape(-1) for c in reachable_sector(q)])
+    return q, configs, np.stack(q._shaded_gather)
+
+
+def _log_pi(q, configs, corners):
+    """log of each configuration's weight (-inf where illegal)."""
+    s = configs[:, corners]
+    with np.errstate(divide="ignore"):
+        w = q.table.weights[s[:, 0] + 2 * s[:, 1] + 4 * s[:, 2] + 8 * s[:, 3]]
+        return np.log(w).sum(axis=1)
+
+
+def _metropolis_ratio(q, configs, corners, cells):
+    """``min(1, pi'/pi)`` of flipping ``cells`` in every configuration."""
+    target = configs.copy()
+    target[:, cells] ^= 1
+    delta = _log_pi(q, target, corners) - _log_pi(q, configs, corners)
+    return np.exp(np.minimum(delta, 0.0)), target
+
+
+def _forced_uniforms(ratio):
+    """Uniforms a hair below and a hair above each ``min(1, pi'/pi)``,
+    kept inside [0, 1)."""
+    return ratio * (1 - EPS), np.minimum(np.maximum(ratio * (1 + EPS), EPS), 1 - EPS)
+
+
+@pytest.mark.parametrize("kernel", LOOP_KERNELS)
+@pytest.mark.parametrize("lattice", ["open-chain-4x4", "square-2x2x8"])
+def test_every_row_move_is_the_metropolis_rule_on_pi(lattice, kernel):
+    """Each move of each corner and column row, applied to every
+    configuration at once (configuration c lives at offset c of one
+    flat array, so the copies never meet), accepts iff u < min(1,
+    pi'/pi) -- for u just below and just above it -- and then leaves
+    exactly the flipped configuration, which stays in the set.  Every
+    move is its own inverse, so this is detailed balance, and pi P = pi
+    for the sweep that composes them."""
+    q, configs, corners = _worldline_lattice(lattice)
+    ops = kernels.get_ops(kernel)
+    n_cfg, n_cells = configs.shape
+    offset = np.arange(n_cfg, dtype=np.intp) * n_cells
+    members = {c.tobytes() for c in configs}
+    outcomes = set()
+
+    def check(run, ratio, target, proposed):
+        for u in _forced_uniforms(ratio):
+            flat = configs.copy().reshape(-1)
+            with np.errstate(divide="ignore"):  # log u of u = 0
+                n_acc = run(flat, u)
+            accepted = proposed & (u < ratio)
+            after = flat.reshape(n_cfg, n_cells)
+            np.testing.assert_array_equal(after, np.where(accepted[:, None], target, configs))
+            assert n_acc == np.count_nonzero(accepted)
+            assert all(t.tobytes() in members for t in target[accepted])
+            outcomes.update(accepted.tolist())
+
+    n_moves = 0
+    for weights, gather, flip in q._corner_tables:
+        for m in range(flip.shape[1]):
+            if isinstance(gather, tuple):  # each move's gather, once per configuration
+                *idx, xmask = (g[:, m, None] for g in gather)
+                one = (*(i + offset for i in idx), np.repeat(xmask, n_cfg, axis=1))
+            else:
+                one = gather[m] + offset[:, None]
+            cells = flip[:, m]
+            ratio, target = _metropolis_ratio(q, configs, corners, cells)
+            check(lambda flat, u: ops["strip_corner"](
+                flat, weights, one, cells[:, None] + offset, u),
+                ratio, target, np.ones(n_cfg, dtype=bool))
+            n_moves += 1
+    assert n_moves == q._n_corner_moves
+    T = q.n_slices
+    for logw, sites, gather in q._column_tables:
+        for c, site in enumerate(sites):
+            column = configs[:, site * T:(site + 1) * T]
+            straight = (column == column[:, :1]).all(axis=1)
+            ratio, target = _metropolis_ratio(
+                q, configs, corners, np.arange(site * T, (site + 1) * T))
+            rows = offset // T + site
+            one = gather[:, :, c, None] + offset[:, None]
+            check(lambda flat, u: ops["strip_column"](
+                flat.reshape(-1, T), logw, rows, one, straight, np.log(u)),
+                ratio, target, straight)
+            n_moves += 1
+    assert outcomes == {True, False}
+
+
+# ======================================================================
 # the block driver's color update: exhaustive small-lattice stationarity
 # ======================================================================
 
@@ -142,7 +258,6 @@ SMALL_LATTICES = {
 COLOR_KERNELS = [
     "scalar", "numpy", pytest.param("numba", marks=pytest.mark.needs_numba),
 ]
-EPS = 1e-9
 
 
 def _all_configurations(shape) -> np.ndarray:

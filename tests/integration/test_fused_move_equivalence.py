@@ -1,16 +1,19 @@
-"""The table-driven sweeps decide every move like the scalar references.
+"""The table-driven sweeps decide every move like the raster references.
 
-The vectorized sweeps of :class:`WorldlineChainQmc` and
-:class:`WorldlineSquareQmc` run the strip ops over index tables built
-once at construction.  Here each move of each table row is replayed
-alone, from thermalised configurations, against the sampler's scalar
-move (``attempt_corner_flip`` / ``segment_flip_class`` /
+The sweeps of :class:`WorldlineChainQmc` and :class:`WorldlineSquareQmc`
+run the strip ops over index tables built once at construction, on
+every geometry.  Here each move of each table row is replayed alone,
+from thermalised configurations, against the raster reference move of
+``tests/qmc/raster_reference.py`` (``attempt_corner_flip`` /
+``segment_flip_class`` / ``attempt_window_flip`` /
 ``attempt_column_flip``) fed the same uniform: both must take the same
 decision and leave the same spins, and the row's XOR mask must turn
 every gathered code into the code regathered after the flip (for the
 chain's packed rows the mask is ``CORNER_XMASK``, folded into the
-product tables the op reads).  A property test pins the chain
-geometry: the tables tile the move set exactly once.
+product tables the op reads).  The geometries include the ones only
+the per-move loops run: open chains, ``L % 4 != 0``, odd M, and the
+2 x N and 6 x 6 lattices.  A property test pins the chain geometry:
+the tables tile the move set exactly once.
 """
 
 import functools
@@ -23,48 +26,63 @@ from repro import kernels
 from repro.kernels.chain_tables import CORNER_XMASK
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.worldline import WorldlineChainQmc
-from repro.qmc.worldline2d import WorldlineSquareQmc
 
-from tests.conftest import ForcedStream, square_corner_moves
+from tests.conftest import ForcedStream
+from tests.qmc.raster_reference import RasterChainQmc, RasterSquareQmc
 
 
-def _chain(L, T, n_sweeps):
-    return WorldlineChainQmc(
-        XXZChainModel(n_sites=L, jz=0.7, periodic=True), beta=1.0, n_slices=T,
+def _chain(L, T, n_sweeps, periodic=True):
+    return RasterChainQmc(
+        XXZChainModel(n_sites=L, jz=0.7, periodic=periodic), beta=1.0, n_slices=T,
         seed=L * T + n_sweeps,
     )
 
 
 def _square(lx, ly, T, n_sweeps):
-    return WorldlineSquareQmc(
+    return RasterSquareQmc(
         XXZSquareModel(lx, ly, jz=0.7), beta=1.0, n_slices=T,
         seed=lx * ly * T + n_sweeps,
     )
 
 
 def _chain_corner(q, flip):
-    """The scalar move behind one column of a chain corner row."""
+    """The raster move behind one column of a chain corner row."""
     return ("attempt_corner_flip", *divmod(int(flip[0]), q.n_slices))
 
 
 def _square_corner(q, flip):
-    """... of a square-lattice row."""
-    bond, t0 = square_corner_moves(q, flip[:, None])
-    return "segment_flip_class", int(bond[0]), t0
+    """... of a square-lattice row: sites i then j flipped over slices
+    t1+1 .. t2, a segment move where one bond bounds the window, else a
+    doubled pair's window move."""
+    T, C = q.n_slices, q.N_COLORS
+    (i, first), (j, t2) = divmod(int(flip[0]), T), divmod(int(flip[-1]), T)
+    t1 = (first - 1) % T
+    half = flip.size // 2
+    np.testing.assert_array_equal(flip[:half] // T, i)
+    np.testing.assert_array_equal(flip[half:] // T, j)
+    if t1 % C == t2 % C:
+        return "segment_flip_class", int(q.bond_of[i, t1 % C]), np.array([t1])
+    return "attempt_window_flip", i, j, t1, t2
 
 
-#: id -> (sampler factory, scalar corner move, thermalisation sweeps)
+#: id -> (sampler factory, raster corner move, thermalisation sweeps)
 CASES = {
     **{f"{n}-{T}-{L}": (functools.partial(_chain, L, T, n), _chain_corner, n)
-       for n in (0, 25) for T in (4, 8) for L in (4, 8)},
+       for n in (0, 25)
+       for T, L in ((4, 4), (4, 8), (8, 4), (8, 8), (8, 10), (10, 8))},
+    **{f"{n}-{T}-{L}-open": (
+        functools.partial(_chain, L, T, n, periodic=False), _chain_corner, n)
+       for n in (0, 25) for T, L in ((8, 6), (8, 8))},
     **{f"{n}-{lx}x{ly}x{T}": (
         functools.partial(_square, lx, ly, T, n), _square_corner, n)
-       for n in (0, 25) for lx, ly, T in ((4, 4, 8), (8, 4, 16), (4, 4, 12))},
+       for n in (0, 25)
+       for lx, ly, T in ((4, 4, 8), (8, 4, 16), (4, 4, 12),
+                         (2, 2, 8), (2, 4, 8), (2, 4, 12), (6, 6, 8))},
 }
 
 
-def _scalar_decision(q, start, u, move, *args):
-    """One scalar move from ``start`` whose only possible draw is ``u``."""
+def _raster_decision(q, start, u, move, *args):
+    """One raster move from ``start`` whose only possible draw is ``u``."""
     q.spins = start.copy()
     q.stream = ForcedStream(u)
     before = q.n_accepted
@@ -91,14 +109,14 @@ def _one_move(gather, m):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_table_move_matches_the_scalar_reference(case):
     make, corner_move, n_sweeps = CASES[case]
-    ops = kernels.get_ops("numpy")
+    ops = kernels.get_ops("numpy")  # exact on any one-move row
     q = make()
     for _ in range(n_sweeps):
-        q.sweep("numpy")
+        q.sweep()
     start = q.spins.copy()
     rng = np.random.default_rng(7)
     n_corner_accepts = n_column_accepts = 0
-    for gather, flip in q._corner_tables:
+    for weights, gather, flip in q._corner_tables:
         for m in range(flip.shape[1]):
             one = slice(m, m + 1)
             gather1, corners1, xmask1 = _one_move(gather, m)
@@ -111,24 +129,23 @@ def test_every_table_move_matches_the_scalar_reference(case):
             for u in rng.uniform(size=3):
                 fused = start.copy()
                 n_acc = ops["strip_corner"](
-                    fused.reshape(-1), q._corner_weights, gather1,
-                    flip[:, one], np.array([u]),
+                    fused.reshape(-1), weights, gather1, flip[:, one], np.array([u]),
                 )
-                accepted, spins = _scalar_decision(q, start, u, *move)
+                accepted, spins = _raster_decision(q, start, u, *move)
                 assert n_acc == accepted, (move, u)
                 np.testing.assert_array_equal(fused, spins)
                 n_corner_accepts += n_acc
     lines = (start == start[:, :1]).all(axis=1)  # the sweep's straight detection
-    for cols, gather in q._column_tables:
+    for logw, cols, gather in q._column_tables:
         for c, site in enumerate(cols.tolist()):
             one = slice(c, c + 1)
             for u in rng.uniform(size=3):
                 fused = start.copy()
                 n_acc = ops["strip_column"](
-                    fused, q._logw, cols[one], gather[:, :, one], lines[cols[one]],
+                    fused, logw, cols[one], gather[:, :, one], lines[cols[one]],
                     np.log(np.array([u])),
                 )
-                accepted, spins = _scalar_decision(
+                accepted, spins = _raster_decision(
                     q, start, u, "attempt_column_flip", site
                 )
                 assert lines[site] == (start[site].min() == start[site].max())
@@ -141,15 +158,23 @@ def test_every_table_move_matches_the_scalar_reference(case):
         assert n_column_accepts > 0
 
 
-@settings(max_examples=20, deadline=None)
-@given(L=st.integers(1, 6).map(lambda k: 4 * k), T=st.integers(1, 6).map(lambda k: 4 * k))
-def test_tables_tile_the_move_set_exactly_once(L, T):
-    q = WorldlineChainQmc(XXZChainModel(n_sites=L, periodic=True), 1.0, T)
-    assert len(q._corner_tables) == 8
-    corners = np.concatenate([flip[0] for _, flip in q._corner_tables])
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 24), T=st.integers(2, 12).map(lambda k: 2 * k),
+       periodic=st.booleans())
+def test_tables_tile_the_move_set_exactly_once(L, T, periodic):
+    """On any chain, open or periodic, on the batched grid or off it."""
+    L += periodic and L % 2  # periodic chains have an even length
+    q = WorldlineChainQmc(XXZChainModel(n_sites=L, periodic=periodic), 1.0, T)
+    if q.can_vectorize:
+        assert len(q._corner_tables) == 8
+        for (_, cols, _), parity in zip(q._column_tables, (0, 1)):
+            np.testing.assert_array_equal(cols, np.arange(parity, L, 2))
+    corners = np.concatenate([flip[0] for *_, flip in q._corner_tables])
+    assert corners.size == q._n_corner_moves
     i, t = np.divmod(np.arange(L * T), T)
-    np.testing.assert_array_equal(np.sort(corners), np.flatnonzero((i + t) % 2 == 1))
-    for (cols, *_), parity in zip(q._column_tables, (0, 1)):
-        np.testing.assert_array_equal(cols, np.arange(parity, L, 2))
-    sites = np.concatenate([cols for cols, *_ in q._column_tables])
+    np.testing.assert_array_equal(
+        np.sort(corners), np.flatnonzero(((i + t) % 2 == 1) & (i < q.n_bonds)))
+    for _, cols, _ in q._column_tables:
+        assert np.all(cols % 2 == cols[:1] % 2)  # one parity a row
+    sites = np.concatenate([cols for _, cols, _ in q._column_tables])
     np.testing.assert_array_equal(np.sort(sites), np.arange(L))

@@ -4,9 +4,9 @@ A corner move reads 16 environment spins; ``strip_corner`` packs them
 into one 16-bit code and prices the move with one lookup in each of
 ``corner_products``' two tables.  Pinned here:
 
-* the tables against the scalar reference, exhaustively -- every
+* the tables against the raster reference, exhaustively -- every
   consistent environment, before and after the flip, bit for bit, and
-  the -1.0 sentinel exactly on the moves the scalar path self-rejects;
+  the -1.0 sentinel exactly on the moves the raster move self-rejects;
 * the bit and byte order of the code, on a hand-written environment
   (a big-endian host, or a native ``uint16`` view, fails here instead
   of sampling wrong weights);
@@ -26,20 +26,20 @@ from repro import kernels
 from repro.kernels import chain_tables
 from repro.kernels.chain_tables import CORNER_XMASK, corner_products, corner_tables
 from repro.models.hamiltonians import XXZChainModel
-from repro.qmc.worldline import WorldlineChainQmc
 from repro.util.rng import SeedSequenceFactory
 from tests.conftest import ForcedStream
 from tests.qmc.fake_numba import numba_backend  # noqa: F401
+from tests.qmc.raster_reference import RasterChainQmc
 
 BACKENDS = ["numpy", "scalar", pytest.param("numba", marks=pytest.mark.needs_numba)]
 
 
 def _chain(L=8, T=8, jz=1.0, jxy=1.0, beta=1.0, **kw):
-    return WorldlineChainQmc(XXZChainModel(n_sites=L, jz=jz, jxy=jxy), beta, T, **kw)
+    return RasterChainQmc(XXZChainModel(n_sites=L, jz=jz, jxy=jxy), beta, T, **kw)
 
 
 # ----------------------------------------------------------------------
-# (a) the tables against the scalar reference
+# (a) the tables against the raster reference
 # ----------------------------------------------------------------------
 
 
@@ -65,7 +65,7 @@ def test_products_equal_the_scalar_weight_product_on_every_environment(jz, jxy):
         flat[flip[:, 0]] ^= 1
         w_new = q._weight_product(plaqs)
         assert p_old[e] == w_old
-        if w_new <= 0.0:  # the scalar move rejects itself
+        if w_new <= 0.0:  # the raster move rejects itself
             assert p_new[e] == -1.0
             n_rejects += 1
         else:
@@ -87,14 +87,14 @@ def test_sentinel_rejects_whatever_the_uniform(backend):
     start = q.spins.copy()
     q.stream = ForcedStream(0.0)
     n_legal = n_moves = 0
-    for env, flip in q._corner_tables:
+    for weights, env, flip in q._corner_tables:
         n = flip.shape[1]
         legal = np.zeros(n, dtype=bool)
-        for m in range(n):  # the scalar move at u = 0 accepts iff it is legal
+        for m in range(n):  # the raster move at u = 0 accepts iff it is legal
             q.spins[...] = start
             legal[m] = q.attempt_corner_flip(*divmod(int(flip[0, m]), q.n_slices))
         q.spins[...] = start
-        n_acc = op(q.spins.reshape(-1), q._corner_weights, env, flip, np.zeros(n))
+        n_acc = op(q.spins.reshape(-1), weights, env, flip, np.zeros(n))
         assert n_acc == np.count_nonzero(legal)
         changed = (q.spins != start).reshape(-1)
         assert np.array_equal(np.flatnonzero(changed), np.sort(flip[:, legal].ravel()))
@@ -146,12 +146,14 @@ def test_hand_written_environment_indexes_the_documented_entry(backend):
 
 def test_products_are_memoized_shared_and_read_only():
     a, b = _chain(seed=1), _chain(seed=2)
-    assert a._corner_weights is b._corner_weights
-    assert corner_products(a.table.weights.copy()) is a._corner_weights
-    for p in a._corner_weights:
+    packed = a._corner_tables[0][0]
+    assert all(weights is packed for weights, *_ in a._corner_tables)
+    assert b._corner_tables[0][0] is packed
+    assert corner_products(a.table.weights.copy()) is packed
+    for p in packed:
         assert p.shape == (1 << 16,) and p.dtype == np.float64
         assert not p.flags.writeable
-    assert _chain(jz=0.3)._corner_weights is not a._corner_weights
+    assert _chain(jz=0.3)._corner_tables[0][0] is not packed
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -167,7 +169,7 @@ def test_wl1d_adapters_reuse_the_tables_and_replay_the_sweep(backend):
         a.table.weights > 0, np.log(np.maximum(a.table.weights, 1e-300)), -np.inf
     )
     for _ in range(6):
-        a.sweep_vectorized(backend)  # the table sweep (mode="scalar": raster)
+        a.sweep(backend)  # the table sweep
         n_acc = 0
         for ca, cb in ((ca, cb) for ca in range(4) for cb in range(4) if (ca + cb) % 2):
             gi, gt = np.meshgrid(

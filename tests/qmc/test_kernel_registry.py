@@ -18,9 +18,10 @@ reduction order exactly.  This suite pins:
   the thread/mp backends, and a checkpoint written under one kernel
   resumes under another bit for bit (the kernel is absent from the
   resume fingerprint, like the overlap knob);
-* what ``scalar`` means by layout: the per-move loops with the numpy
-  trajectory on strip / block / tfim, the samplers' raster reference
-  (its own trajectory) on the serial and replica world-line layouts;
+* what ``scalar`` means: the per-move loops with the numpy trajectory
+  on every layout, and on the world-line geometries off numpy's grid
+  (open, odd and 2 x N / 6 x 6 lattices) the same rows as ``numba``,
+  bit for bit;
 * telemetry: per-sweep kernel time lands in a counter tagged by the
   backend name.
 
@@ -293,7 +294,7 @@ class TestConfigSurfaces:
         q = WorldlineSquareQmc(model, beta=1.0, n_slices=8, seed=0)
         assert not q.can_vectorize
         with pytest.raises(ValueError, match="scalar"):
-            q.sweep_vectorized()
+            q.sweep("numpy")
 
     def test_cli_kernel_cupy_exits_2_with_message(self, capsys):
         # No cupy backend is registered: the CLI rejects the name like
@@ -330,17 +331,18 @@ _RUN_KINDS = {
     ("tfim", "block", True),
     ("tfim", "replica", True),
     ("tfim", "serial", True),
-    ("xxz", "serial", False),
-    ("xxz", "replica", False),
-    ("xxz2d", "serial", False),
+    ("xxz", "serial", True),
+    ("xxz", "replica", True),
+    ("xxz2d", "serial", True),
 ])
 def test_scalar_is_the_per_move_loops_or_the_raster_reference(
         kind, strategy, same_trajectory):
-    """What ``--kernel scalar`` promises, by layout.  Strip, block and
-    every tfim layout: the per-move loops on numpy's trajectory.  Serial
-    and replica world-line: the samplers' raster sweep, which draws its
-    randoms in its own order -- a different, equally valid trajectory.
-    Either way the run records the kernel it ran."""
+    """What ``--kernel scalar`` promises, on every layout: the per-move
+    loops on numpy's trajectory.  (Serial and replica world-line runs
+    once answered it with the samplers' raster sweep, a trajectory of
+    its own; that sweep is now only the test oracle of
+    ``tests/qmc/raster_reference.py``.)  The run records the kernel it
+    ran."""
     scalar, batched = (
         Simulation(_RUN_KINDS[kind](ParallelLayout(
             strategy=strategy, n_ranks=1 if strategy == "serial" else 2,
@@ -462,7 +464,7 @@ class TestNumbaSerialShapes:
         rng = np.random.default_rng(17)
         np_ops, nb_ops = kernels.get_ops("numpy"), kernels.get_ops(loops)
         n_acc = 0
-        for gather, flip in q._corner_tables:
+        for weights, gather, flip in q._corner_tables:
             n = flip.shape[1]
             if per_move_mask:
                 *corners, xmask = gather
@@ -472,8 +474,7 @@ class TestNumbaSerialShapes:
                 assert gather.shape == (n, 4 * k)
             u = rng.uniform(size=n)
             a, b = q.spins.copy(), q.spins.copy()
-            got = [ops["strip_corner"](s.reshape(-1), q._corner_weights, gather,
-                                       flip, u)
+            got = [ops["strip_corner"](s.reshape(-1), weights, gather, flip, u)
                    for ops, s in ((np_ops, a), (nb_ops, b))]
             assert got[0] == got[1]
             np.testing.assert_array_equal(a, b)
@@ -482,11 +483,11 @@ class TestNumbaSerialShapes:
         start = np.ascontiguousarray(  # straight columns for the column op
             np.repeat(q.spins[:, :1], q.n_slices, axis=1))
         n_acc = 0
-        for sites, gather in q._column_tables:
+        for logw, sites, gather in q._column_tables:
             log_u = np.log(rng.uniform(size=sites.size))
             straight = (start[sites] == start[sites, :1]).all(axis=1)
             a, b = start.copy(), start.copy()
-            got = [ops["strip_column"](s, q._logw, sites, gather, straight, log_u)
+            got = [ops["strip_column"](s, logw, sites, gather, straight, log_u)
                    for ops, s in ((np_ops, a), (nb_ops, b))]
             assert got[0] == got[1] and straight.all()
             np.testing.assert_array_equal(a, b)
@@ -494,11 +495,44 @@ class TestNumbaSerialShapes:
             bent = np.zeros(sites.size, dtype=bool)
             for ops in (np_ops, nb_ops):
                 assert ops["strip_column"](
-                    a, q._logw, sites, gather, bent, np.full(sites.size, -np.inf)
+                    a, logw, sites, gather, bent, np.full(sites.size, -np.inf)
                 ) == 0
             np.testing.assert_array_equal(a, b)
             n_acc += got[0]
         assert n_acc > 0
+
+
+#: Geometries off the batched op's grid, which only the per-move loops run.
+OFF_GRID = {
+    "chain-6-open": lambda: WorldlineChainQmc(
+        XXZChainModel(6, jz=0.8, periodic=False), 1.0, 8, seed=4),
+    "chain-10x8": lambda: WorldlineChainQmc(XXZChainModel(10), 1.0, 8, seed=4),
+    "chain-8x10-odd-M": lambda: WorldlineChainQmc(XXZChainModel(8), 1.0, 10, seed=4),
+    "square-2x2x8": lambda: WorldlineSquareQmc(XXZSquareModel(2, 2), 0.6, 8, seed=4),
+    "square-2x4x8": lambda: WorldlineSquareQmc(XXZSquareModel(2, 4), 0.75, 8, seed=4),
+    "square-6x6x8": lambda: WorldlineSquareQmc(XXZSquareModel(6, 6), 0.75, 8, seed=4),
+}
+
+
+@needs_numba
+@pytest.mark.parametrize("name", sorted(OFF_GRID))
+def test_off_grid_numba_is_the_scalar_trajectory(name):
+    """Off numpy's grid the row classes are not conflict-free; both
+    per-move backends take the moves in row order and agree bit for bit
+    (the compiled loops against the interpreted ones where numba is
+    installed), while numpy refuses before any sweep."""
+    make = OFF_GRID[name]
+    a, b = make(), make()
+    assert a.resolve_sweep("auto")[0] == kernels.resolve_kernel("auto")
+    with pytest.raises(ValueError, match="vectorized sweep needs"):
+        a.resolve_sweep("numpy")
+    for _ in range(6):
+        a.sweep("scalar")
+        b.sweep("numba")
+    np.testing.assert_array_equal(a.spins, b.spins)
+    assert (a.n_attempted, a.n_accepted) == (b.n_attempted, b.n_accepted)
+    assert 0 < a.n_accepted < a.n_attempted
+    b.check_invariants()
 
 
 # ======================================================================

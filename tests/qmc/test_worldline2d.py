@@ -23,11 +23,13 @@ from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 
 from tests.conftest import assert_within
+from tests.qmc.raster_reference import RasterSquareQmc
 
 
-def make(lx=2, ly=4, beta=0.75, n_slices=8, jz=1.0, jxy=1.0, seed=0):
+def make(lx=2, ly=4, beta=0.75, n_slices=8, jz=1.0, jxy=1.0, seed=0,
+         cls=WorldlineSquareQmc):
     model = XXZSquareModel(lx=lx, ly=ly, jz=jz, jxy=jxy)
-    return WorldlineSquareQmc(model, beta, n_slices, seed=seed)
+    return cls(model, beta, n_slices, seed=seed)
 
 
 class TestConstruction:
@@ -142,7 +144,7 @@ class TestMoves:
         q.check_invariants()
 
     def test_segment_flip_rejects_wrong_interval(self):
-        q = make()
+        q = make(cls=RasterSquareQmc)
         bond = 0
         c = int(q.bond_colors[bond])
         wrong = np.array([(c + 1) % 4], dtype=np.intp)
@@ -150,7 +152,7 @@ class TestMoves:
             q.segment_flip_class(bond, wrong)
 
     def test_window_flip_validates_pair(self):
-        q = make(lx=4, ly=4)
+        q = make(lx=4, ly=4, cls=RasterSquareQmc)
         with pytest.raises(ValueError, match="connecting"):
             q.attempt_window_flip(0, 5, 0, 1)  # not even neighbors
 
@@ -162,7 +164,7 @@ class TestMoves:
 
     def test_segment_ratio_equals_global_ratio(self):
         """Local affected-plaquette ratio == global weight ratio."""
-        q = make(seed=7)
+        q = make(seed=7, cls=RasterSquareQmc)
         for _ in range(10):
             q.sweep()
         rng = np.random.default_rng(2)
@@ -200,8 +202,25 @@ class TestMoves:
 
 def sector_exact_energy_2x2(q: WorldlineSquareQmc) -> float:
     """Exact average over the move-reachable sector (BFS enumeration)."""
-    n, t_total = q.n_sites, q.n_slices
     w, d = q.table.weights, q.table.dlog
+    probe = q.spins.copy()
+    z, e = 0.0, 0.0
+    for config in reachable_sector(q):
+        q.spins = config
+        codes = q.shaded_codes()
+        ww = w[codes]
+        weight = float(np.prod(ww))
+        z += weight
+        e += weight * float(-np.sum(d[codes]) / q.n_trotter)
+    q.spins = probe
+    return e / z
+
+
+def reachable_sector(q: WorldlineSquareQmc) -> list[np.ndarray]:
+    """Every configuration the move set reaches from ``q.spins``,
+    breadth first over the segment, column and window move vectors."""
+    n, t_total = q.n_sites, q.n_slices
+    w = q.table.weights
 
     def key_of(s):
         return int("".join(map(str, s.ravel().tolist())), 2)
@@ -256,16 +275,8 @@ def sector_exact_energy_2x2(q: WorldlineSquareQmc) -> float:
                 if k2 not in seen:
                     seen.add(k2)
                     queue.append(k2)
-    z, e = 0.0, 0.0
-    for k in seen:
-        q.spins = config_from_key(k)
-        codes = q.shaded_codes()
-        ww = w[codes]
-        weight = float(np.prod(ww))
-        z += weight
-        e += weight * float(-np.sum(d[codes]) / q.n_trotter)
     q.spins = probe
-    return e / z
+    return [config_from_key(k) for k in seen]
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 """Tests for the table-driven sweep of the 2-D sampler.
 
-Three layers of evidence that ``sweep_vectorized`` samples exactly the
-scalar sampler's distribution:
+Three layers of evidence that the batched sweep samples exactly the
+raster reference sampler's distribution:
 
 1. **Structural**: within every (color, spatial parity, interval)
    class, all flipped spin cells are distinct and no proposal reads a
@@ -10,9 +10,9 @@ scalar sampler's distribution:
 2. **Coupled trajectories**: with the Metropolis uniforms forced, the
    sampler's sweep body over one table row produces bit-identical
    spins to running the same class's moves one bond at a time through
-   the scalar move methods (order independence is exactly
+   the raster reference moves (order independence is exactly
    conflict-freedom).
-3. **Statistical**: long scalar and vectorized runs on 4x4 agree with
+3. **Statistical**: long per-move and batched runs on 4x4 agree with
    each other and with the momentum-blocked exact reference (the latter
    up to the documented zero-winding-sector restriction, measured small
    at beta = 1/2, plus O(dtau^2) Trotter bias).
@@ -31,11 +31,13 @@ from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 
 from tests.conftest import ForcedStream, assert_within, square_corner_moves
+from tests.qmc.raster_reference import RasterSquareQmc
 
 
-def make(lx=4, ly=4, beta=0.75, n_slices=16, seed=0, **model_kw):
+def make(lx=4, ly=4, beta=0.75, n_slices=16, seed=0, cls=WorldlineSquareQmc,
+         **model_kw):
     model = XXZSquareModel(lx=lx, ly=ly, **model_kw)
-    return WorldlineSquareQmc(model, beta, n_slices, seed=seed)
+    return cls(model, beta, n_slices, seed=seed)
 
 
 def run_rows(q, corner=(), column=()):
@@ -43,7 +45,7 @@ def run_rows(q, corner=(), column=()):
     saved = q._corner_tables, q._column_tables
     q._corner_tables, q._column_tables = list(corner), list(column)
     try:
-        q.sweep_vectorized()
+        q.sweep("numpy")
     finally:
         q._corner_tables, q._column_tables = saved
 
@@ -58,7 +60,7 @@ class TestGeometryGate:
     def test_vectorized_sweep_rejected_off_grid(self):
         q = make(2, 4, n_slices=8)
         with pytest.raises(ValueError, match="lx % 4"):
-            q.sweep_vectorized()
+            q.sweep("numpy")
 
     @pytest.mark.parametrize("mode", ["numpy", "vectorized"])
     def test_batched_backend_off_grid_fails_at_resolve(self, mode):
@@ -76,7 +78,7 @@ class TestGeometryGate:
             make().sweep(mode="simd")
 
     def test_auto_dispatch(self):
-        # Off-grid geometries fall back to the scalar path silently.
+        # Off-grid geometries run the per-move loops silently.
         q = make(2, 4, n_slices=8)
         q.sweep(mode="auto")
         assert q.n_attempted > 0
@@ -92,7 +94,7 @@ class TestClassTables:
         assert np.array_equal(t0s % q.N_COLORS, q.bond_colors[bonds])
         proposals = bonds * q.n_trotter + t0s // q.N_COLORS
         assert np.array_equal(np.sort(proposals), np.arange(bonds.size))
-        sites = np.concatenate([sites for sites, *_ in q._column_tables])
+        sites = np.concatenate([sites for _, sites, _ in q._column_tables])
         assert np.array_equal(np.sort(sites), np.arange(q.n_sites))
 
     @pytest.mark.parametrize("shape", [(4, 4, 16), (8, 4, 16), (4, 4, 12)])
@@ -103,7 +105,7 @@ class TestClassTables:
         n_cells = q.n_sites * q.n_slices
         n_rows = 16 * (2 if q.n_trotter % 2 == 0 else q.n_trotter)
         assert len(q._corner_tables) == n_rows
-        for (*gather, xmask), writes in q._corner_tables:  # writes: (8, n)
+        for _, (*gather, xmask), writes in q._corner_tables:  # writes: (8, n)
             flat = writes.reshape(-1)
             assert flat.size == np.unique(flat).size, "overlapping flips"
             owner = np.full(n_cells, -1, dtype=np.int64)
@@ -120,7 +122,7 @@ class TestClassTables:
     def test_column_classes_are_conflict_free(self):
         q = make()
         T = q.n_slices
-        for sites, gather in q._column_tables:
+        for _, sites, gather in q._column_tables:
             writes = (sites[:, None] * T + np.arange(T)[None, :]).reshape(-1)
             assert writes.size == np.unique(writes).size
             owner = np.full(q.n_sites * T, -1, dtype=np.int64)
@@ -133,7 +135,7 @@ class TestClassTables:
                 assert np.all((read_owner < 0) | (read_owner == pid))
 
     def test_shaded_codes_match_per_plaquette_codes(self):
-        q = make(seed=3)
+        q = make(seed=3, cls=RasterSquareQmc)
         q.run(5, mode="vectorized")
         codes = q.shaded_codes()
         k = 0
@@ -148,11 +150,12 @@ class TestClassTables:
 
 @pytest.mark.parametrize("shape", [(4, 4, 16), (8, 4, 16), (4, 4, 12)])
 class TestKernelScalarCoupling:
-    """Forced-uniform trajectories: kernel == scalar moves, per class."""
+    """Forced-uniform trajectories: kernel == raster moves, per class."""
 
     def _pair(self, shape, seed):
         lx, ly, T = shape
-        a, b = make(lx, ly, n_slices=T, seed=seed), make(lx, ly, n_slices=T, seed=seed)
+        a = make(lx, ly, n_slices=T, seed=seed)
+        b = make(lx, ly, n_slices=T, seed=seed, cls=RasterSquareQmc)
         for q in (a, b):
             q.run(3, mode="scalar")  # identical randomized legal start
         assert np.array_equal(a.spins, b.spins)
@@ -178,7 +181,7 @@ class TestKernelScalarCoupling:
         b.stream = ForcedStream(0.0)
         for row in a._column_tables:
             run_rows(a, column=[row])
-            for site in row[0]:
+            for site in row[1]:
                 b.attempt_column_flip(int(site))
             assert np.array_equal(a.spins, b.spins)
         assert a.n_attempted == b.n_attempted
@@ -191,7 +194,7 @@ class TestKernelScalarCoupling:
         logw = a.config_log_weight()
         a.stream = ForcedStream(1.0)
         for _ in range(3):
-            a.sweep_vectorized()
+            a.sweep("numpy")
             new_logw = a.config_log_weight()
             assert new_logw >= logw - 1e-9
             logw = new_logw
@@ -252,7 +255,7 @@ class TestInvariantConfinement:
 
 @pytest.mark.slow
 class TestStatisticalAgreement:
-    """Scalar vs vectorized vs momentum-blocked ED on 4x4.
+    """Per-move vs batched vs momentum-blocked ED on 4x4.
 
     The local move set is confined to the zero-winding sector while the
     exact trace sums all sectors; at beta = 1/2 that bias was measured
