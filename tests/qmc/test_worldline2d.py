@@ -216,20 +216,10 @@ def sector_exact_energy_2x2(q: WorldlineSquareQmc) -> float:
     return e / z
 
 
-def reachable_sector(q: WorldlineSquareQmc) -> list[np.ndarray]:
-    """Every configuration the move set reaches from ``q.spins``,
-    breadth first over the segment, column and window move vectors."""
+def move_vectors(q: WorldlineSquareQmc) -> list[np.ndarray]:
+    """The move set as (sites, slices) flip masks: every segment move,
+    every column, and every doubled pair's mixed-color window."""
     n, t_total = q.n_sites, q.n_slices
-    w = q.table.weights
-
-    def key_of(s):
-        return int("".join(map(str, s.ravel().tolist())), 2)
-
-    def config_from_key(k):
-        return np.array(
-            [int(x) for x in format(k, f"0{n * t_total}b")], dtype=np.int8
-        ).reshape(n, t_total)
-
     move_vectors = []
     for bond in range(q.n_bonds):
         c = int(q.bond_colors[bond])
@@ -256,6 +246,23 @@ def reachable_sector(q: WorldlineSquareQmc) -> list[np.ndarray]:
             v[i, win] ^= 1
             v[j, win] ^= 1
             move_vectors.append(v)
+    return move_vectors
+
+
+def reachable_sector(q: WorldlineSquareQmc) -> list[np.ndarray]:
+    """Every configuration the move set reaches from ``q.spins``,
+    breadth first over :func:`move_vectors`."""
+    n, t_total = q.n_sites, q.n_slices
+    w = q.table.weights
+    moves = move_vectors(q)
+
+    def key_of(s):
+        return int("".join(map(str, s.ravel().tolist())), 2)
+
+    def config_from_key(k):
+        return np.array(
+            [int(x) for x in format(k, f"0{n * t_total}b")], dtype=np.int8
+        ).reshape(n, t_total)
 
     probe = q.spins.copy()
 
@@ -268,7 +275,7 @@ def reachable_sector(q: WorldlineSquareQmc) -> list[np.ndarray]:
     queue = deque([key_of(start)])
     while queue:
         s = config_from_key(queue.popleft())
-        for v in move_vectors:
+        for v in moves:
             s2 = s ^ v
             if legal(s2):
                 k2 = key_of(s2)

@@ -22,6 +22,8 @@ odd-Trotter geometries, and a hand-built wound world line checking the
 winding estimator itself.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from repro.stats.binning import BinningAnalysis
 
 from tests.conftest import ForcedStream, assert_within, square_corner_moves
 from tests.qmc.raster_reference import RasterSquareQmc
+from tests.qmc.test_worldline2d import move_vectors
 
 
 def make(lx=4, ly=4, beta=0.75, n_slices=16, seed=0, cls=WorldlineSquareQmc,
@@ -96,6 +99,21 @@ class TestClassTables:
         assert np.array_equal(np.sort(proposals), np.arange(bonds.size))
         sites = np.concatenate([sites for _, sites, _ in q._column_tables])
         assert np.array_equal(np.sort(sites), np.arange(q.n_sites))
+
+    @pytest.mark.parametrize("shape", [
+        (4, 4, 8), (4, 4, 12), (2, 2, 8), (2, 4, 8), (2, 4, 12), (6, 6, 8)])
+    def test_rows_tile_the_move_set_on_every_geometry(self, shape):
+        """Each segment, window and column move of the move set is one
+        move of one row, on and off the batched grid."""
+        lx, ly, T = shape
+        q = make(lx, ly, n_slices=T)
+        rows = [frozenset(flip[:, m].tolist())
+                for *_, flip in q._corner_tables for m in range(flip.shape[1])]
+        assert len(rows) == q._n_corner_moves
+        rows += [frozenset(range(s * T, (s + 1) * T))
+                 for _, sites, _ in q._column_tables for s in sites.tolist()]
+        expected = [frozenset(np.flatnonzero(v).tolist()) for v in move_vectors(q)]
+        assert Counter(rows) == Counter(expected)
 
     @pytest.mark.parametrize("shape", [(4, 4, 16), (8, 4, 16), (4, 4, 12)])
     def test_segment_classes_are_conflict_free(self, shape):
