@@ -134,12 +134,14 @@ def unpacked_rows(corners: np.ndarray, keep: np.ndarray, flip: np.ndarray) -> li
     """
     n_read = keep.sum(axis=0)
     rows = []
-    for k in np.unique(n_read):
+    for k in sorted(set(n_read.tolist())):
         sel = np.flatnonzero(n_read == k)
         slots = np.argsort(~keep[:, sel], axis=0, kind="stable")[:k]
         c = np.take_along_axis(corners[:, :, sel], slots[None], axis=1)
-        f = flip[:, sel]
-        flipped = (c[:, :, None] == f[None, None]).any(axis=2)  # (4, k, n)
+        f = np.ascontiguousarray(flip[:, sel])
+        flipped = np.zeros(c.shape, dtype=bool)  # (4 corners, k, n)
+        for cell in f:
+            flipped |= c == cell
         xmask = (flipped << np.arange(4)[:, None, None]).sum(axis=0)
         rows.append(((*c, xmask.astype(np.int8)), f))
     return rows
@@ -182,9 +184,10 @@ def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray)
         inner = keep.all(axis=0)
         if inner.any():
             corner_rows.append((packed, *corner_tables(L, T, i[inner], t[inner])))
-        corners, flip = _corner_moves(L, T, i[~inner], t[~inner])
-        corner_rows += [(weights, *row) for row in unpacked_rows(
-            corners, keep[:, ~inner], flip)]
+        if not inner.all():
+            corners, flip = _corner_moves(L, T, i[~inner], t[~inner])
+            corner_rows += [(weights, *row) for row in unpacked_rows(
+                corners, keep[:, ~inner], flip)]
     column_rows = []
     for p in (0, 1):
         sites = np.arange(p, L, 2, dtype=np.intp)
