@@ -18,6 +18,7 @@ from benchmarks.conftest import run_once
 from repro.models.ising_exact import onsager_spontaneous_magnetization
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.cluster import SwendsenWangIsing
+from repro.qmc.parallel import run_chain
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.util.tables import Table
 
@@ -33,11 +34,13 @@ def critical_comparison(scale: int = 1) -> Table:
     for temp, seed in ((2.6, 1), (2.3, 2)):
         beta = 1.0 / temp
         local = AnisotropicIsing((L, L), (beta, beta), seed=seed, hot_start=True)
-        obs_l = local.run(n_sweeps=N_SWEEPS // scale, n_thermalize=600 // scale)
-        tau_l = integrated_autocorr_time(obs_l.magnetization)
+        obs_l = run_chain(local, ("magnetization",), N_SWEEPS // scale,
+                          n_thermalize=600 // scale)
+        tau_l = integrated_autocorr_time(obs_l["magnetization"])
         sw = SwendsenWangIsing((L, L), (beta, beta), seed=seed + 10, hot_start=True)
-        obs_c = sw.run(n_sweeps=N_SWEEPS // scale, n_thermalize=200 // scale)
-        tau_c = integrated_autocorr_time(obs_c.magnetization)
+        obs_c = run_chain(sw, ("magnetization",), N_SWEEPS // scale,
+                          n_thermalize=200 // scale)
+        tau_c = integrated_autocorr_time(obs_c["magnetization"])
         table.add_row([temp, tau_l, tau_c, tau_l / tau_c])
     return table
 
@@ -45,8 +48,9 @@ def critical_comparison(scale: int = 1) -> Table:
 def ordered_phase_accuracy(scale: int = 1) -> tuple[float, float]:
     beta = 0.6
     sw = SwendsenWangIsing((L, L), (beta, beta), seed=21)
-    obs = sw.run(n_sweeps=2000 // scale, n_thermalize=200 // scale)
-    return float(np.mean(obs.abs_magnetization)), onsager_spontaneous_magnetization(beta)
+    obs = run_chain(sw, ("abs_magnetization",), 2000 // scale,
+                    n_thermalize=200 // scale)
+    return float(np.mean(obs["abs_magnetization"])), onsager_spontaneous_magnetization(beta)
 
 
 def test_fig10_cluster_updates(benchmark, record, smoke):

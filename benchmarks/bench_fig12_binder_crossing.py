@@ -13,6 +13,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.models.ising_exact import onsager_critical_temperature
 from repro.qmc.cluster import SwendsenWangIsing
+from repro.qmc.parallel import run_chain
 from repro.stats.finite_size import BinderCurve, binder_cumulant, crossing_temperature
 from repro.util.tables import Table
 
@@ -27,8 +28,9 @@ def measure_curve(size: int, seed: int, scale: int = 1) -> BinderCurve:
     for k, temp in enumerate(TEMPS):
         beta = 1.0 / temp
         s = SwendsenWangIsing((size, size), (beta, beta), seed=seed + k)
-        obs = s.run(n_sweeps=N_SWEEPS // scale, n_thermalize=300 // scale)
-        u4.append(binder_cumulant(obs.magnetization))
+        obs = run_chain(s, ("magnetization",), N_SWEEPS // scale,
+                        n_thermalize=300 // scale)
+        u4.append(binder_cumulant(obs["magnetization"]))
     return BinderCurve(size, TEMPS, np.array(u4))
 
 

@@ -13,6 +13,7 @@ from repro.models.tfim_exact import (
     tfim_finite_temperature_energy,
     tfim_ground_state_energy,
 )
+from repro.qmc.parallel import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.stats.binning import BinningAnalysis
 from repro.util.tables import Table
@@ -34,8 +35,8 @@ def build_table(smoke: bool = False) -> Table:
             n_slices += 1
         q = TfimQmc((L,), j=1.0, gamma=GAMMA, beta=beta, n_slices=n_slices,
                     seed=50 + k)
-        meas = q.run(n_sweeps=2500 // scale, n_thermalize=300 // scale)
-        ba = BinningAnalysis.from_series(meas.energy / L)
+        meas = run_chain(q, ("energy",), 2500 // scale, n_thermalize=300 // scale)
+        ba = BinningAnalysis.from_series(meas["energy"] / L)
         exact = tfim_finite_temperature_energy(L, beta, 1.0, GAMMA) / L
         sigma_eff = float(np.hypot(ba.error, 0.01 * abs(exact)))
         table.add_row([temp, ba.mean, ba.error, exact, abs(ba.mean - exact) / sigma_eff])

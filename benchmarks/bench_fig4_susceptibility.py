@@ -12,7 +12,9 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import XXZChainModel
+from repro.qmc.parallel import run_chain
 from repro.qmc.worldline import WorldlineChainQmc
+from repro.stats.finite_size import susceptibility
 from repro.util.tables import Table
 
 L = 8
@@ -32,8 +34,9 @@ def build_table(smoke: bool = False) -> Table:
         n_slices = max(8, 4 * int(np.ceil(2 * beta)))
         n_slices += n_slices % 4  # keep the vectorized path eligible
         q = WorldlineChainQmc(MODEL, beta, n_slices, seed=60 + k)
-        meas = q.run(n_sweeps=6000 // scale, n_thermalize=600 // scale)
-        chi = meas.susceptibility(L)
+        meas = run_chain(q, ("magnetization",), 6000 // scale,
+                         n_thermalize=600 // scale)
+        chi = susceptibility(meas["magnetization"], beta, L)
         chi_ed = ed.thermal(beta).susceptibility
         table.add_row([temp, chi, chi_ed, abs(chi - chi_ed) / chi_ed])
     return table

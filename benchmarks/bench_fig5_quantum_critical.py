@@ -11,6 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.models.tfim_exact import tfim_transverse_magnetization
+from repro.qmc.parallel import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.util.tables import Table
 
@@ -26,12 +27,13 @@ def build_table(smoke: bool = False) -> Table:
     )
     for k, gamma in enumerate(GAMMAS):
         q = TfimQmc((L,), j=1.0, gamma=gamma, beta=BETA, n_slices=M, seed=70 + k)
-        meas = q.run(n_sweeps=2500 // scale, n_thermalize=400 // scale)
+        meas = run_chain(q, ("abs_magnetization", "sigma_x"), 2500 // scale,
+                         n_thermalize=400 // scale)
         table.add_row(
             [
                 gamma,
-                float(np.mean(meas.abs_magnetization)),
-                float(np.mean(meas.sigma_x)),
+                float(np.mean(meas["abs_magnetization"])),
+                float(np.mean(meas["sigma_x"])),
                 tfim_transverse_magnetization(L, BETA, 1.0, gamma),
             ]
         )

@@ -13,6 +13,7 @@ from benchmarks.conftest import run_once
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
+from repro.qmc.parallel import run_chain
 from repro.qmc.trotter import trotter_extrapolate
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.util.tables import Table
@@ -29,7 +30,8 @@ def build(smoke: bool = False) -> tuple[Table, float, float]:
 
     def run_at(m):
         q = WorldlineChainQmc(MODEL, BETA, 2 * m, seed=200 + m)
-        return q.run(n_sweeps=6000 // scale, n_thermalize=500 // scale).energy
+        return run_chain(q, ("energy",), 6000 // scale,
+                         n_thermalize=500 // scale)["energy"]
 
     v0, points = trotter_extrapolate(run_at, BETA, TROTTER_NUMBERS)
 

@@ -19,6 +19,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.models.ising_exact import onsager_critical_temperature
 from repro.qmc.classical_ising import AnisotropicIsing
+from repro.qmc.parallel import run_chain
 from repro.qmc.tempering import TemperingConfig, tempering_program
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.util.tables import Table
@@ -33,10 +34,11 @@ T_NEAR = 2.3
 def local_taus(temperature: float, seed: int, scale: int = 1) -> tuple[float, float]:
     beta = 1.0 / temperature
     s = AnisotropicIsing((L, L), (beta, beta), seed=seed, hot_start=True)
-    obs = s.run(n_sweeps=N_SWEEPS // scale, n_thermalize=1000 // scale)
-    energy = -(obs.bond_sums[:, 0] + obs.bond_sums[:, 1])
+    obs = run_chain(s, ("magnetization", "bond_sums"), N_SWEEPS // scale,
+                    n_thermalize=1000 // scale)
+    energy = -(obs["bond_sums"][:, 0] + obs["bond_sums"][:, 1])
     return (
-        integrated_autocorr_time(obs.magnetization),
+        integrated_autocorr_time(obs["magnetization"]),
         integrated_autocorr_time(energy),
     )
 

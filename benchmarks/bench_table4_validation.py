@@ -12,6 +12,7 @@ from benchmarks.conftest import run_once
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import TFIM1D, XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
+from repro.qmc.parallel import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.binning import BinningAnalysis
@@ -36,8 +37,8 @@ def build_table(smoke: bool = False) -> Table:
         L = 8 if periodic else 4
         model = XXZChainModel(n_sites=L, jz=jz, jxy=1.0, periodic=periodic)
         q = WorldlineChainQmc(model, beta, 2 * m_trotter, seed=seed)
-        meas = q.run(n_sweeps=5000 // scale, n_thermalize=500 // scale)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 5000 // scale, n_thermalize=500 // scale)
+        ba = BinningAnalysis.from_series(meas["energy"])
         ref = trotter_reference_energy(model, beta, m_trotter)
         dev = abs(ba.mean - ref) / max(ba.error, 1e-12)
         table.add_row([label, "E", ba.mean, ba.error, ref, dev])
@@ -49,8 +50,8 @@ def build_table(smoke: bool = False) -> Table:
         ed = ExactDiagonalization(TFIM1D(n_sites=n, gamma=gamma).build_sparse(), n)
         ref = ed.thermal(beta).energy
         q = TfimQmc((n,), j=1.0, gamma=gamma, beta=beta, n_slices=m, seed=seed)
-        meas = q.run(n_sweeps=5000 // scale, n_thermalize=500 // scale)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 5000 // scale, n_thermalize=500 // scale)
+        ba = BinningAnalysis.from_series(meas["energy"])
         sigma_eff = np.hypot(ba.error, 0.01 * abs(ref))
         dev = abs(ba.mean - ref) / sigma_eff
         table.add_row([f"TFIM L=8 G={gamma}", "E", ba.mean, ba.error, ref, dev])

@@ -11,6 +11,7 @@ consistent across run lengths.
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.qmc.parallel import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.stats.binning import BinningAnalysis
 from repro.util.tables import Table
@@ -27,8 +28,8 @@ def build(smoke: bool = False) -> Table:
     for k, sweeps in enumerate(SWEEP_GRID):
         sweeps //= scale
         q = TfimQmc((16,), j=1.0, gamma=1.0, beta=2.0, n_slices=32, seed=300 + k)
-        meas = q.run(n_sweeps=sweeps, n_thermalize=400 // scale)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), sweeps, n_thermalize=400 // scale)
+        ba = BinningAnalysis.from_series(meas["energy"])
         table.add_row(
             [sweeps, ba.mean, ba.error, ba.error * np.sqrt(sweeps), ba.tau_int]
         )

@@ -10,10 +10,14 @@ grows -- antiferromagnetic order building up.
 Run:  python examples/heisenberg_2d_afm.py   (~2-3 minutes)
 """
 
+import numpy as np
+
 from repro.models.ed import lanczos_ground_state
 from repro.models.hamiltonians import XXZSquareModel
+from repro.qmc.parallel import run_chain
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
+from repro.stats.finite_size import susceptibility
 from repro.util.tables import Series, Table, render_series
 
 MODEL = XXZSquareModel(lx=4, ly=4)
@@ -34,12 +38,12 @@ def main() -> None:
         [(0.5, 6, 2000), (1.0, 12, 1500), (2.0, 20, 1200), (4.0, 40, 1000)]
     ):
         q = WorldlineSquareQmc(MODEL, beta, 4 * m, seed=40 + k)
-        meas = q.run(n_sweeps=sweeps, n_thermalize=sweeps // 5)
-        ba = BinningAnalysis.from_series(meas.energy)
-        s_afm = meas.staggered_structure_factor(N)
-        table.add_row(
-            [1 / beta, ba.mean / N, ba.error / N, s_afm, meas.susceptibility(N)]
-        )
+        meas = run_chain(q, ("energy", "magnetization", "m_stag_sq"), sweeps,
+                         n_thermalize=sweeps // 5)
+        ba = BinningAnalysis.from_series(meas["energy"])
+        s_afm = float(N * np.mean(meas["m_stag_sq"]))
+        chi = susceptibility(meas["magnetization"], beta, N)
+        table.add_row([1 / beta, ba.mean / N, ba.error / N, s_afm, chi])
         s_series.add(1 / beta, s_afm)
     print(table.render())
     print()

@@ -12,9 +12,11 @@ Run:  python examples/heisenberg_thermodynamics.py
 
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import XXZChainModel
+from repro.qmc.parallel import run_chain
 from repro.qmc.trotter import trotter_extrapolate
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.binning import BinningAnalysis
+from repro.stats.finite_size import susceptibility
 from repro.util.tables import Table
 
 L = 8
@@ -23,9 +25,9 @@ MODEL = XXZChainModel(n_sites=L, jz=1.0, jxy=1.0, periodic=True)
 
 def qmc_point(beta: float, n_slices: int, seed: int):
     sampler = WorldlineChainQmc(MODEL, beta, n_slices, seed=seed)
-    meas = sampler.run(n_sweeps=4000, n_thermalize=400)
-    e = BinningAnalysis.from_series(meas.energy)
-    chi = meas.susceptibility(L)
+    meas = run_chain(sampler, ("energy", "magnetization"), 4000, n_thermalize=400)
+    e = BinningAnalysis.from_series(meas["energy"])
+    chi = susceptibility(meas["magnetization"], beta, L)
     return e.mean / L, e.error / L, chi
 
 
@@ -51,7 +53,7 @@ def main() -> None:
 
     def run_at(m):
         q = WorldlineChainQmc(MODEL, beta, 2 * m, seed=100 + m)
-        return q.run(n_sweeps=3000, n_thermalize=300).energy
+        return run_chain(q, ("energy",), 3000, n_thermalize=300)["energy"]
 
     e0, points = trotter_extrapolate(run_at, beta, [2, 4, 8])
     for p in points:
@@ -61,8 +63,8 @@ def main() -> None:
 
     print("\nSpin-spin correlations at beta = 1 (QMC):")
     q = WorldlineChainQmc(MODEL, 1.0, 16, seed=77)
-    meas = q.run(n_sweeps=3000, n_thermalize=300)
-    c = meas.szsz.mean(axis=0)
+    meas = run_chain(q, ("szsz",), 3000, n_thermalize=300)
+    c = meas["szsz"].mean(axis=0)
     for r, val in enumerate(c):
         bar = "#" * int(40 * abs(val) / 0.25)
         sign = "+" if val >= 0 else "-"

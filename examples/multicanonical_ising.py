@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.multicanonical import MulticanonicalSampler, WangLandauSampler
+from repro.qmc.parallel import run_chain
 from repro.util.tables import Series, Table, render_series
 
 L = 8
@@ -54,8 +55,8 @@ def main() -> None:
     for temp in (1.5, 2.27, 3.5):
         beta = 1.0 / temp
         direct = AnisotropicIsing((L, L), (beta, beta), seed=5, hot_start=True)
-        obs = direct.run(n_sweeps=2000, n_thermalize=400)
-        e_direct = float(np.mean(-(obs.bond_sums[:, 0] + obs.bond_sums[:, 1])))
+        bonds = run_chain(direct, ("bond_sums",), 2000, n_thermalize=400)["bond_sums"]
+        e_direct = float(np.mean(-(bonds[:, 0] + bonds[:, 1])))
         table.add_row([temp, muca.reweighted_energy(beta) / N, e_direct / N])
     print(table.render())
     print("\nOne multicanonical run covers every temperature at once; the")

@@ -23,7 +23,6 @@ bit-identical to serial ones given the same per-site random numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,41 +30,23 @@ import numpy as np
 from repro import kernels
 from repro.util.rng import RankStream, SeedSequenceFactory
 
-__all__ = ["AnisotropicIsing", "IsingObservables", "FLOPS_PER_SPIN_UPDATE"]
+__all__ = ["AnisotropicIsing", "FLOPS_PER_SPIN_UPDATE"]
 
 #: Modeled floating-point work per spin-update attempt (2d neighbor
 #: loads, d multiply-adds, one exp-table lookup, one compare).
 FLOPS_PER_SPIN_UPDATE = 14.0
 
 
-@dataclass
-class IsingObservables:
-    """Per-measurement time series from a classical run.
-
-    ``bond_sums[a]`` is ``sum_<ij>_a s_i s_j`` along axis ``a`` -- the
-    sufficient statistics from which every energy-like estimator
-    (classical energy, quantum TFIM estimators) is assembled.
-    """
-
-    magnetization: np.ndarray  # mean spin per config
-    abs_magnetization: np.ndarray
-    bond_sums: np.ndarray  # (n_measurements, ndim)
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.magnetization)
-
-    def binder_cumulant(self) -> float:
-        """``U4 = 1 - <m^4> / (3 <m^2>^2)``."""
-        m2 = float(np.mean(self.magnetization**2))
-        m4 = float(np.mean(self.magnetization**4))
-        if m2 == 0:
-            return 0.0
-        return 1.0 - m4 / (3.0 * m2 * m2)
-
-
 class AnisotropicIsing:
     """Checkerboard Metropolis sampler on a periodic hypercubic lattice."""
+
+    #: Series name -> estimator method.  ``magnetization`` is the mean
+    #: spin; the ``bond_sums`` row holds ``sum_<ij>_a s_i s_j`` per axis.
+    ESTIMATORS = {
+        "magnetization": "magnetization",
+        "abs_magnetization": "abs_magnetization",
+        "bond_sums": "bond_sums",
+    }
 
     def __init__(
         self,
@@ -150,6 +131,16 @@ class AnisotropicIsing:
             self.n_attempted += int(mask.sum())
             self.n_accepted += n_acc
 
+    def resolve_sweep(self, mode: str = "auto"):
+        """``(kernel, sweep)``: the kernel is the constructor's
+        ``kernel=``; a ``mode`` other than ``"auto"`` must name it."""
+        if mode != "auto" and kernels.resolve_kernel(mode) != self.kernel:
+            raise ValueError(
+                f"this sampler sweeps with the {self.kernel!r} kernel its "
+                f"constructor resolved, not {mode!r}: pass kernel={mode!r} there"
+            )
+        return self.kernel, self.sweep
+
     @property
     def acceptance_rate(self) -> float:
         return self.n_accepted / self.n_attempted if self.n_attempted else 0.0
@@ -169,28 +160,5 @@ class AnisotropicIsing:
     def magnetization(self) -> float:
         return float(self.spins.mean())
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        n_sweeps: int,
-        n_thermalize: int = 0,
-        measure_every: int = 1,
-    ) -> IsingObservables:
-        """Thermalize, sweep, and record the standard time series."""
-        if n_sweeps < 1:
-            raise ValueError("need at least one measured sweep")
-        for _ in range(n_thermalize):
-            self.sweep()
-        mags, amags, bsums = [], [], []
-        for s in range(n_sweeps):
-            self.sweep()
-            if s % measure_every == 0:
-                m = self.magnetization()
-                mags.append(m)
-                amags.append(abs(m))
-                bsums.append(self.bond_sums())
-        return IsingObservables(
-            magnetization=np.array(mags),
-            abs_magnetization=np.array(amags),
-            bond_sums=np.array(bsums),
-        )
+    def abs_magnetization(self) -> float:
+        return abs(self.magnetization())

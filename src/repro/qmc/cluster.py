@@ -32,7 +32,7 @@ class SwendsenWangIsing(AnisotropicIsing):
     """Anisotropic Ising sampler with Swendsen--Wang cluster sweeps.
 
     Inherits the whole observable surface (bond sums, magnetization,
-    ``run``) from :class:`AnisotropicIsing`; ``sweep`` performs one full
+    ``ESTIMATORS``) from :class:`AnisotropicIsing`; ``sweep`` performs one full
     cluster decomposition + flip.  ``mix_local`` interleaves a local
     Metropolis sweep after every cluster sweep, the standard recipe when
     both short- and long-wavelength modes matter.

@@ -24,11 +24,14 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
 
 * :func:`chain_program` -- one whole lattice per rank, the serial (one
   rank) and replica (``n`` independent chains) layouts of every run
-  kind: the no-link, no-ghost case.  A :class:`Chain` wraps the serial
-  sampler (:mod:`repro.qmc.worldline`, :mod:`~repro.qmc.worldline2d`,
-  :mod:`~repro.qmc.tfim`); the chain's sweep is the sampler's, on the
-  rank's own random stream, and its measurement is exactly the series
-  the run stores.
+  kind: the no-link, no-ghost case.  A serial sampler
+  (:mod:`repro.qmc.worldline`, :mod:`~repro.qmc.worldline2d`,
+  :mod:`~repro.qmc.tfim`, :mod:`~repro.qmc.classical_ising`,
+  :mod:`~repro.qmc.cluster`) is a move set plus the estimators its
+  class names in ``ESTIMATORS``, and a chain is one such sampler
+  measuring the series asked for, scalar or vector.  :func:`run_chain`
+  runs one sampler, in place, as the chain of a one-rank run: the
+  samplers have no run loop of their own.
 
 Halo protocol (both decomposed drivers): ghost copies of the boundary
 data travel as ONE aggregated contiguous-buffer message per neighbor
@@ -130,6 +133,8 @@ from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 from repro.obs.health import NOOP_HEALTH, HealthMonitor, clock_comm_seconds
 from repro.obs.metrics import ACCEPTANCE_EDGES
 from repro.util.rng import SeedSequenceFactory
+from repro.vmp.machines import IDEAL
+from repro.vmp.scheduler import run_spmd
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.run.__init__
     from repro.obs.health import HealthRules
@@ -143,9 +148,9 @@ __all__ = [
     "worldline_strip_program",
     "IsingBlockConfig",
     "ising_block_program",
-    "Chain",
     "ChainConfig",
     "chain_program",
+    "run_chain",
 ]
 
 # Tag bases for the two drivers (distinct from the collective range).
@@ -159,7 +164,7 @@ def _validate_schedule(cfg) -> None:
     backend is resolved at state init / Simulation start, where the
     structured error can name the run)."""
     if cfg.n_sweeps < 1:
-        raise ValueError("need at least one sweep")
+        raise ValueError("n_sweeps must be >= 1 (need at least one sweep)")
     if cfg.n_thermalize < 0:
         raise ValueError("n_thermalize must be >= 0")
     if cfg.measure_every < 1:
@@ -1302,34 +1307,20 @@ def ising_block_program(
 # ======================================================================
 
 
-class Chain(NamedTuple):
-    """A whole-lattice sampler as :class:`_ChainState` drives it.
-
-    ``sampler`` carries the ``spins`` and the ``n_attempted`` /
-    ``n_accepted`` counters, ``kernel`` names the kernel ``sweep`` (a
-    zero-argument full-lattice sweep) runs -- the samplers' geometry
-    gates may resolve ``"auto"`` to ``"scalar"`` -- and ``measure()``
-    returns one value per :attr:`ChainConfig.series` name.
-    """
-
-    sampler: Any
-    kernel: str
-    sweep: Callable[[], None]
-    measure: Callable[[], tuple]
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Run parameters of :func:`chain_program`.
 
-    ``build(stream, mode)`` constructs the rank's sampler on its random
-    stream and returns its :class:`Chain`; ``series`` names what the
-    chain measures and ``health_series`` the ones of them the health
-    monitor tracks.  ``mode`` is a sweep mode of the samplers
-    (``"auto"``, ``"scalar"``, ``"vectorized"`` or a kernel backend).
+    ``build(stream, mode)`` constructs the rank's serial sampler on its
+    random stream: a move set (``resolve_sweep(mode)``, ``spins`` and
+    the ``n_attempted`` / ``n_accepted`` counters) whose class maps
+    series names to estimator methods in ``ESTIMATORS``.  ``series``
+    names what the chain measures, ``health_series`` the scalar ones of
+    them the health monitor tracks; ``mode`` is a sweep mode of the
+    samplers (``"auto"``, ``"scalar"``, ``"vectorized"`` or a backend).
     """
 
-    build: Callable[[Any, str], Chain]
+    build: Callable[[Any, str], Any]
     series: tuple[str, ...]
     health_series: tuple[str, ...]
     n_sweeps: int
@@ -1344,31 +1335,47 @@ class ChainConfig:
 class _ChainState(_DecomposedState):
     """A whole lattice on one rank: the no-link, no-ghost case.
 
+    The sweep is the sampler's, under the one telemetry wrapper.  The
+    estimators draw nothing, so each is evaluated once here, on the
+    start configuration, to lay out the measurement row: a scalar takes
+    one column and stays a 1-D series, an array of width ``w`` takes
+    ``w`` and is stacked into an ``(n_measurements, w)`` series.
     ``comm`` has this rank alone, so the run loop's reductions return
-    the chain's own rows and ``series_columns`` is the identity; the
-    sweep is the sampler's, under the one telemetry wrapper.
+    the chain's own rows and ``series_columns`` only splits them.
     """
 
     def __init__(self, comm, cfg: ChainConfig):
-        self.chain = chain = cfg.build(comm.stream, cfg.mode)
-        self._init_rank(comm, cfg, chain.kernel)
+        self.sampler = q = cfg.build(comm.stream, cfg.mode)
+        unknown = [name for name in cfg.series if name not in q.ESTIMATORS]
+        if unknown:
+            raise ValueError(f"{type(q).__name__} has no estimator {unknown[0]!r};"
+                             f" it measures {', '.join(q.ESTIMATORS)}")
+        kernel, self._sweep = q.resolve_sweep(cfg.mode)
+        self._init_rank(comm, cfg, kernel)
         self.series = cfg.series
         self.health_series = cfg.health_series
+        self._estimators = [getattr(q, q.ESTIMATORS[name]) for name in cfg.series]
+        self._columns, width = [], 0
+        for estimator in self._estimators:
+            shape = np.shape(estimator())
+            self._columns.append(slice(width, width + shape[0]) if shape else width)
+            width += shape[0] if shape else 1
+        self._vector = any(isinstance(c, slice) for c in self._columns)
 
     def _sweep_stages(self) -> None:
-        self._timed(self.chain.sweep)
-        sampler = self.chain.sampler
-        self.n_attempted = sampler.n_attempted
-        self.n_accepted = sampler.n_accepted
+        self._timed(self._sweep)
+        self.n_attempted = self.sampler.n_attempted
+        self.n_accepted = self.sampler.n_accepted
 
     def measure(self) -> np.ndarray:
-        return np.array(self.chain.measure(), dtype=np.float64)
+        row = [f() for f in self._estimators]
+        return np.hstack(row) if self._vector else np.array(row, dtype=np.float64)
 
     def series_columns(self, totals: np.ndarray) -> tuple:
-        return tuple(totals.T)
+        return tuple(totals[:, c] for c in self._columns)
 
     def result(self) -> dict:
-        return {"spins": self.chain.sampler.spins.copy()}
+        return {"spins": self.sampler.spins.copy()}
 
 
 def chain_program(
@@ -1391,3 +1398,33 @@ def chain_program(
         health,
         monitor=_health_monitor(health, comm.rank),
     )
+
+
+def run_chain(
+    sampler,
+    series,
+    n_sweeps: int,
+    n_thermalize: int = 0,
+    measure_every: int = 1,
+    mode: str = "auto",
+) -> dict:
+    """Run a serial sampler, in place, as the chain of a one-rank
+    :func:`chain_program` (thread backend, ideal machine).
+
+    It draws from the stream it was built on, so its ``spins``, counters
+    and ``check_invariants()`` describe the end of the run.  The
+    schedule is the drivers' (a bad one is a ``ValueError`` naming the
+    field); ``series`` are keys of the sampler's ``ESTIMATORS``.
+    Returns rank 0's value: one array per series name, ``spins``,
+    ``n_attempted`` / ``n_accepted`` and the ``kernel`` that ran.
+    """
+    cfg = ChainConfig(
+        build=lambda _stream, _mode: sampler,
+        series=tuple(series),
+        health_series=(),
+        n_sweeps=n_sweeps,
+        n_thermalize=n_thermalize,
+        measure_every=measure_every,
+        mode=mode,
+    )
+    return run_spmd(chain_program, 1, machine=IDEAL, args=(cfg,)).values[0]

@@ -28,7 +28,6 @@ diagonalization in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from repro.util.rng import RankStream
 
 __all__ = [
     "TfimQmc",
-    "TfimMeasurement",
     "tfim_energy_from_bond_sums",
     "tfim_sigma_x_from_time_bonds",
 ]
@@ -85,30 +83,6 @@ def tfim_sigma_x_from_time_bonds(
     return (n_same * tanh + n_diff * coth) / n_time_bonds
 
 
-@dataclass
-class TfimMeasurement:
-    """Quantum-observable time series of a TFIM QMC run."""
-
-    beta: float
-    dtau: float
-    energy: np.ndarray  # total-energy estimator
-    sigma_x: np.ndarray  # <sigma^x> per site
-    magnetization: np.ndarray  # sigma^z order parameter per site (signed)
-    abs_magnetization: np.ndarray
-    m_squared: np.ndarray  # <m^2> per measurement
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.energy)
-
-    def binder_cumulant(self) -> float:
-        m2 = float(np.mean(self.m_squared))
-        m4 = float(np.mean(self.m_squared**2))
-        if m2 == 0:
-            return 0.0
-        return 1.0 - m4 / (3.0 * m2 * m2)
-
-
 class TfimQmc:
     """QMC sampler for the TFIM in 1-D (chain) or 2-D (square lattice).
 
@@ -124,6 +98,16 @@ class TfimQmc:
     n_slices:
         Trotter slices M; the Trotter error is O((beta/M)^2 * energy scales).
     """
+
+    #: Series name -> estimator method.  The Binder cumulant of the
+    #: ``m_squared`` series is ``binder_cumulant(np.sqrt(m_squared))``.
+    ESTIMATORS = {
+        "energy": "energy_estimate",
+        "sigma_x": "sigma_x_estimate",
+        "magnetization": "magnetization_estimate",
+        "abs_magnetization": "abs_magnetization",
+        "m_squared": "m_squared",
+    }
 
     def __init__(
         self,
@@ -166,9 +150,6 @@ class TfimQmc:
             hot_start=hot_start,
             kernel=kernel,
         )
-        self._tanh = math.tanh(x)
-        self._coth = 1.0 / self._tanh
-        self._coth2 = 1.0 / math.tanh(2 * x)
 
     @property
     def n_sites(self) -> int:
@@ -180,6 +161,14 @@ class TfimQmc:
     @property
     def spins(self) -> np.ndarray:
         return self.classical.spins
+
+    @property
+    def n_attempted(self) -> int:
+        return self.classical.n_attempted
+
+    @property
+    def n_accepted(self) -> int:
+        return self.classical.n_accepted
 
     # ------------------------------------------------------------------
     # quantum estimators
@@ -207,6 +196,16 @@ class TfimQmc:
         """``<sigma^z>`` order parameter (signed, per site)."""
         return self.classical.magnetization()
 
+    def abs_magnetization(self) -> float:
+        return abs(self.magnetization_estimate())
+
+    def m_squared(self) -> float:
+        """Slice-resolved ``m^2``: the mean over slices of the squared
+        spatial mean of sigma^z."""
+        spatial_axes = tuple(range(len(self.spatial_shape)))
+        per_slice = self.classical.spins.mean(axis=spatial_axes)
+        return float(np.mean(per_slice.astype(float) ** 2))
+
     def spin_correlation(self, axis: int = 0, method: str = "auto") -> np.ndarray:
         """Equal-time ``<sigma^z_0 sigma^z_r>`` along one spatial axis.
 
@@ -231,36 +230,6 @@ class TfimQmc:
     def sweep(self, uniforms: np.ndarray | None = None) -> None:
         self.classical.sweep(uniforms=uniforms)
 
-    def run(
-        self,
-        n_sweeps: int,
-        n_thermalize: int = 0,
-        measure_every: int = 1,
-    ) -> TfimMeasurement:
-        """Thermalize, then sweep and record quantum estimators."""
-        if n_sweeps < 1:
-            raise ValueError("need at least one measured sweep")
-        for _ in range(n_thermalize):
-            self.sweep()
-        e, sx, m, am, m2 = [], [], [], [], []
-        for s in range(n_sweeps):
-            self.sweep()
-            if s % measure_every == 0:
-                e.append(self.energy_estimate())
-                sx.append(self.sigma_x_estimate())
-                mag = self.magnetization_estimate()
-                m.append(mag)
-                am.append(abs(mag))
-                # Slice-resolved m^2: mean over slices of squared spatial mean.
-                spatial_axes = tuple(range(len(self.spatial_shape)))
-                per_slice = self.classical.spins.mean(axis=spatial_axes)
-                m2.append(float(np.mean(per_slice.astype(float) ** 2)))
-        return TfimMeasurement(
-            beta=self.beta,
-            dtau=self.dtau,
-            energy=np.array(e),
-            sigma_x=np.array(sx),
-            magnetization=np.array(m),
-            abs_magnetization=np.array(am),
-            m_squared=np.array(m2),
-        )
+    def resolve_sweep(self, mode: str = "auto"):
+        """The classical lattice's ``(kernel, sweep)``."""
+        return self.classical.resolve_sweep(mode)

@@ -39,8 +39,6 @@ sampler shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import kernels
@@ -53,7 +51,6 @@ from repro.util.rng import RankStream, SeedSequenceFactory
 __all__ = [
     "TableSweeps",
     "WorldlineChainQmc",
-    "WorldlineMeasurement",
     "FLOPS_PER_CORNER_MOVE",
 ]
 
@@ -62,34 +59,6 @@ __all__ = [
 #: Used by the parallel drivers / performance model; the value matches
 #: the arithmetic of an optimized Fortran inner loop of the era.
 FLOPS_PER_CORNER_MOVE = 24.0
-
-
-@dataclass
-class WorldlineMeasurement:
-    """Time series measured during a world-line run (one entry per measurement).
-
-    ``energy`` is the total-energy estimator ``-(1/M) sum_p dlnW_p``;
-    ``magnetization`` the conserved-per-slice total S^z; ``m_stag_sq``
-    the squared staggered magnetization per site, slice-averaged;
-    ``szsz`` rows are the distance-resolved correlation function
-    ``C(r) = <S^z_0 S^z_r>`` averaged over sites and slices.
-    """
-
-    beta: float
-    dtau: float
-    energy: np.ndarray
-    magnetization: np.ndarray
-    m_stag_sq: np.ndarray
-    szsz: np.ndarray  # (n_measurements, L//2 + 1)
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.energy)
-
-    def susceptibility(self, n_sites: int) -> float:
-        """Uniform susceptibility ``beta (<M^2> - <M>^2) / L``."""
-        m = self.magnetization
-        return float(self.beta * (np.mean(m**2) - np.mean(m) ** 2) / n_sites)
 
 
 class TableSweeps:
@@ -183,6 +152,16 @@ class TableSweeps:
 
 class WorldlineChainQmc(TableSweeps):
     """World-line sampler for one XXZ chain at fixed (beta, n_slices)."""
+
+    #: Series name -> estimator method: what a chain of this sampler can
+    #: measure (:class:`repro.qmc.parallel.ChainConfig`); ``szsz`` is a
+    #: row, ``C(r) = <S^z_0 S^z_r>`` for r = 0 .. L//2.
+    ESTIMATORS = {
+        "energy": "energy_estimate",
+        "magnetization": "magnetization",
+        "m_stag_sq": "staggered_magnetization_sq",
+        "szsz": "szsz_correlation",
+    }
 
     def __init__(
         self,
@@ -350,38 +329,19 @@ class WorldlineChainQmc(TableSweeps):
         )
 
     # ------------------------------------------------------------------
-    # run driver
-    # ------------------------------------------------------------------
     def run(
         self,
         n_sweeps: int,
         n_thermalize: int = 0,
         measure_every: int = 1,
         mode: str = "auto",
-    ) -> WorldlineMeasurement:
-        """Thermalize, then sweep and measure (``mode`` as in :meth:`sweep`).
+    ) -> dict:
+        """``run_chain(self, ("energy", "magnetization"), ...)``, kept
+        only for ``benchmarks/e2e/child.py::direct_sampler_run``, which
+        times it and discards the result; it goes when that probe stops
+        calling it.  Everything else calls
+        :func:`repro.qmc.parallel.run_chain`."""
+        from repro.qmc.parallel import run_chain  # parallel imports this module
 
-        Returns the raw time series; error analysis is the caller's job
-        (see :mod:`repro.stats`).
-        """
-        if n_sweeps < 1:
-            raise ValueError("need at least one measured sweep")
-        sweep = self.resolve_sweep(mode)[1]  # resolved once, not per sweep
-        for _ in range(n_thermalize):
-            sweep()
-        energies, mags, mstag, corr = [], [], [], []
-        for s in range(n_sweeps):
-            sweep()
-            if s % measure_every == 0:
-                energies.append(self.energy_estimate())
-                mags.append(self.magnetization())
-                mstag.append(self.staggered_magnetization_sq())
-                corr.append(self.szsz_correlation())
-        return WorldlineMeasurement(
-            beta=self.beta,
-            dtau=self.dtau,
-            energy=np.array(energies),
-            magnetization=np.array(mags),
-            m_stag_sq=np.array(mstag),
-            szsz=np.array(corr),
-        )
+        return run_chain(self, ("energy", "magnetization"), n_sweeps,
+                         n_thermalize, measure_every, mode)

@@ -74,8 +74,6 @@ health checks belong to the rank state that drives it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.kernels.chain_tables import column_log_weights, unpacked_rows
@@ -86,7 +84,6 @@ from repro.util.rng import RankStream, SeedSequenceFactory
 
 __all__ = [
     "WorldlineSquareQmc",
-    "Worldline2DMeasurement",
     "FLOPS_PER_SEGMENT_MOVE",
 ]
 
@@ -99,33 +96,16 @@ __all__ = [
 FLOPS_PER_SEGMENT_MOVE = 48.0
 
 
-@dataclass
-class Worldline2DMeasurement:
-    """Time series from a 2-D world-line run."""
-
-    beta: float
-    dtau: float
-    energy: np.ndarray
-    magnetization: np.ndarray
-    m_stag_sq: np.ndarray  # squared staggered magnetization per site
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.energy)
-
-    def susceptibility(self, n_sites: int) -> float:
-        m = self.magnetization
-        return float(self.beta * (np.mean(m**2) - np.mean(m) ** 2) / n_sites)
-
-    def staggered_structure_factor(self, n_sites: int) -> float:
-        """``S(pi, pi) = N <m_st^2>`` -- the 2-D AFM order diagnostic."""
-        return float(n_sites * np.mean(self.m_stag_sq))
-
-
 class WorldlineSquareQmc(TableSweeps):
     """Four-color world-line sampler on the periodic square lattice."""
 
     N_COLORS = 4
+    #: Series name -> estimator method; ``S(pi, pi) = N <m_stag_sq>``.
+    ESTIMATORS = {
+        "energy": "energy_estimate",
+        "magnetization": "magnetization",
+        "m_stag_sq": "staggered_magnetization_sq",
+    }
 
     def __init__(
         self,
@@ -410,32 +390,3 @@ class WorldlineSquareQmc(TableSweeps):
     def staggered_magnetization_sq(self) -> float:
         m_st = (self._stag_signs[:, None] * (self.spins - 0.5)).sum(axis=0)
         return float(np.mean((m_st / self.n_sites) ** 2))
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        n_sweeps: int,
-        n_thermalize: int = 0,
-        measure_every: int = 1,
-        mode: str = "auto",
-    ) -> Worldline2DMeasurement:
-        """Thermalize, sweep, measure (``mode`` as in :meth:`sweep`)."""
-        if n_sweeps < 1:
-            raise ValueError("need at least one measured sweep")
-        sweep = self.resolve_sweep(mode)[1]  # resolved once, not per sweep
-        for _ in range(n_thermalize):
-            sweep()
-        energy, mags, mstag = [], [], []
-        for s in range(n_sweeps):
-            sweep()
-            if s % measure_every == 0:
-                energy.append(self.energy_estimate())
-                mags.append(self.magnetization())
-                mstag.append(self.staggered_magnetization_sq())
-        return Worldline2DMeasurement(
-            beta=self.beta,
-            dtau=self.dtau,
-            energy=np.array(energy),
-            magnetization=np.array(mags),
-            m_stag_sq=np.array(mstag),
-        )

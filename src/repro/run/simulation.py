@@ -29,12 +29,12 @@ skeleton calls:
 ``params(cfg, kernel)``
     The result's ``parameters``.  Their keys are frozen: the manifest
     ``config_hash`` is taken over them, and campaign caches compare it.
-``chain(cfg, stream, mode)``
-    The state factory of the serial / replica layouts: build the
-    whole-lattice sampler on ``stream`` and return it as a
-    :class:`~repro.qmc.parallel.Chain` (its sweep resolved from
-    ``mode``, its ``measure`` yielding one value per ``chain_series``
-    name).
+``sampler(cfg, stream, mode)``
+    The whole-lattice sampler of the serial / replica layouts, built on
+    ``stream``: a move set plus estimators, with no run loop of its own.
+    Each chain measures the sampler's ``chain_series`` estimators, its
+    sweep resolved from ``mode`` -- as in every serial run of the
+    benchmarks and examples (:func:`~repro.qmc.parallel.run_chain`).
 ``decomposed(cfg, kernel, checkpoint, rules)``
     ``(program, args, n_ranks)`` of the kind's domain-decomposed driver,
     whose rank states the driver builds; only kinds whose config names a
@@ -58,7 +58,6 @@ import numpy as np
 from repro import kernels
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.parallel import (
-    Chain,
     ChainConfig,
     IsingBlockConfig,
     WorldlineStripConfig,
@@ -77,6 +76,7 @@ from repro.run.config import RunConfig
 from repro.run.results import ObservableEstimate, RunResult
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.stats.binning import BinningAnalysis
+from repro.stats.finite_size import susceptibility
 from repro.vmp.machines import IDEAL, MACHINES
 from repro.vmp.scheduler import run_spmd
 
@@ -252,12 +252,13 @@ def _estimate(name: str, series: np.ndarray) -> ObservableEstimate:
 def _xxz_estimates(series, beta: float, n_sites: int) -> dict:
     """Energy, energy per site and fluctuation susceptibility of an XXZ run."""
     energy, mag = series["energy"], series["magnetization"]
-    chi = beta * (np.mean(mag**2) - np.mean(mag) ** 2) / n_sites
     return {
         "energy": _estimate("energy", energy),
         "energy_per_site": _estimate("energy_per_site", energy / n_sites),
         "susceptibility": ObservableEstimate(
-            "susceptibility", float(chi), _susceptibility_error(mag, beta, n_sites)
+            "susceptibility",
+            susceptibility(mag, beta, n_sites),
+            _susceptibility_error(mag, beta, n_sites),
         ),
     }
 
@@ -277,7 +278,7 @@ class _Kind:
         if layout.strategy == cfg.decomposed:
             return cls.decomposed(cfg, kernel, checkpoint, rules)
         chain_cfg = ChainConfig(
-            build=functools.partial(cls.chain, cfg),
+            build=functools.partial(cls.sampler, cfg),
             series=cls.chain_series,
             health_series=cls.stored,
             n_sweeps=cfg.n_sweeps,
@@ -324,15 +325,11 @@ class _XXZ(_Kind):
         }
 
     @staticmethod
-    def chain(cfg, stream, mode):
+    def sampler(cfg, stream, mode):
         model = XXZChainModel(
             n_sites=cfg.n_sites, jz=cfg.jz, jxy=cfg.jxy, periodic=cfg.periodic
         )
-        q = WorldlineChainQmc(model, cfg.beta, cfg.n_slices, stream=stream)
-        return Chain(
-            q, *q.resolve_sweep(mode),
-            lambda: (q.energy_estimate(), q.magnetization()),
-        )
+        return WorldlineChainQmc(model, cfg.beta, cfg.n_slices, stream=stream)
 
     @staticmethod
     def decomposed(cfg, kernel, checkpoint, rules):
@@ -394,17 +391,9 @@ class _XXZ2D(_Kind):
         }
 
     @staticmethod
-    def chain(cfg, stream, mode):
+    def sampler(cfg, stream, mode):
         model = XXZSquareModel(lx=cfg.lx, ly=cfg.ly, jz=cfg.jz, jxy=cfg.jxy)
-        q = WorldlineSquareQmc(model, cfg.beta, cfg.n_slices, stream=stream)
-        return Chain(
-            q, *q.resolve_sweep(mode),
-            lambda: (
-                q.energy_estimate(),
-                q.magnetization(),
-                q.staggered_magnetization_sq(),
-            ),
-        )
+        return WorldlineSquareQmc(model, cfg.beta, cfg.n_slices, stream=stream)
 
     @staticmethod
     def estimates(cfg, series):
@@ -438,8 +427,9 @@ class _Tfim(_Kind):
         }
 
     @staticmethod
-    def chain(cfg, stream, mode):
-        q = TfimQmc(
+    def sampler(cfg, stream, mode):
+        # The Ising-based samplers take their kernel at construction.
+        return TfimQmc(
             cfg.spatial_shape,
             j=cfg.j,
             gamma=cfg.gamma,
@@ -447,15 +437,6 @@ class _Tfim(_Kind):
             n_slices=cfg.n_slices,
             stream=stream,
             kernel=mode,
-        )
-        # The classical lattice holds the spins and the move counters.
-        return Chain(
-            q.classical, q.classical.kernel, q.sweep,
-            lambda: (
-                q.energy_estimate(),
-                q.sigma_x_estimate(),
-                abs(q.magnetization_estimate()),
-            ),
         )
 
     @staticmethod
@@ -611,8 +592,6 @@ def _susceptibility_error(mag: np.ndarray, beta: float, n_sites: int) -> float:
     if mag.size < 40:
         return 0.0
     _, err = jackknife(
-        lambda m: beta * (np.mean(m**2) - np.mean(m) ** 2) / n_sites,
-        mag,
-        n_blocks=20,
+        lambda m: susceptibility(m, beta, n_sites), mag, n_blocks=20
     )
     return err

@@ -23,6 +23,7 @@ from repro.stats.finite_size import (
     BinderCurve,
     binder_cumulant,
     crossing_temperature,
+    susceptibility,
 )
 from repro.stats.histogram import EnergyHistogram
 from repro.stats.jackknife import jackknife, jackknife_blocks, jackknife_ratio
@@ -35,6 +36,7 @@ __all__ = [
     "BinderCurve",
     "binder_cumulant",
     "crossing_temperature",
+    "susceptibility",
     "BinningAnalysis",
     "binned_error",
     "binning_levels",

@@ -1,4 +1,4 @@
-"""Finite-size scaling analysis: Binder-cumulant crossings.
+"""Finite-size scaling: Binder cumulant, susceptibility, U4 crossings.
 
 The Binder cumulant ``U4(T, L) = 1 - <m^4> / (3 <m^2>^2)`` is
 scale-invariant at a critical point: curves for different lattice sizes
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinderCurve", "binder_cumulant", "crossing_temperature"]
+__all__ = ["BinderCurve", "binder_cumulant", "crossing_temperature", "susceptibility"]
 
 
 def binder_cumulant(magnetizations: np.ndarray) -> float:
@@ -31,6 +31,13 @@ def binder_cumulant(magnetizations: np.ndarray) -> float:
         return 0.0
     m4 = float(np.mean(m**4))
     return 1.0 - m4 / (3.0 * m2 * m2)
+
+
+def susceptibility(magnetizations: np.ndarray, beta: float, n_sites: int) -> float:
+    """Fluctuation susceptibility ``beta (<M^2> - <M>^2) / N`` of a
+    total-magnetization series."""
+    m = np.asarray(magnetizations, dtype=float)
+    return float(beta * (np.mean(m**2) - np.mean(m) ** 2) / n_sites)
 
 
 @dataclass(frozen=True)

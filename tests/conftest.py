@@ -129,16 +129,25 @@ def assert_bit_identical(ref, got, keys, *, accounting=False):
 SQUARE_CHAIN_KEYS = ("energy", "m_stag_sq", "spins")
 
 
-def _square_chain(lx, ly, beta, n_slices, stream, mode):
+def _square_sampler(lx, ly, beta, n_slices, stream, mode):
     from repro.models.hamiltonians import XXZSquareModel
-    from repro.qmc.parallel import Chain
     from repro.qmc.worldline2d import WorldlineSquareQmc
 
-    q = WorldlineSquareQmc(XXZSquareModel(lx, ly), beta, n_slices, stream=stream)
-    return Chain(
-        q, *q.resolve_sweep(mode),
-        lambda: (q.energy_estimate(), q.staggered_magnetization_sq()),
-    )
+    return WorldlineSquareQmc(XXZSquareModel(lx, ly), beta, n_slices, stream=stream)
+
+
+def hand_run(q, series, n_sweeps, n_thermalize=0, measure_every=1):
+    """The run schedule written out by hand -- thermalize, then sweep and
+    measure every ``measure_every``-th sweep: the independent oracle of
+    ``repro.qmc.parallel.run_chain``.  One array per ``series`` name."""
+    for _ in range(n_thermalize):
+        q.sweep()
+    rows = []
+    for s in range(n_sweeps):
+        q.sweep()
+        if s % measure_every == 0:
+            rows.append([getattr(q, q.ESTIMATORS[name])() for name in series])
+    return {name: np.array(column) for name, column in zip(series, zip(*rows))}
 
 
 def square_chain_config(lx=4, ly=4, beta=0.5, n_slices=8, **schedule):
@@ -150,7 +159,7 @@ def square_chain_config(lx=4, ly=4, beta=0.5, n_slices=8, **schedule):
     from repro.qmc.parallel import ChainConfig
 
     return ChainConfig(
-        build=functools.partial(_square_chain, lx, ly, beta, n_slices),
+        build=functools.partial(_square_sampler, lx, ly, beta, n_slices),
         series=SQUARE_CHAIN_KEYS[:2],
         health_series=("energy",),
         **schedule,

@@ -7,6 +7,7 @@ import pytest
 
 from repro.models.ising_exact import onsager_energy_per_site
 from repro.qmc.classical_ising import AnisotropicIsing
+from repro.qmc.parallel import run_chain
 
 
 class TestConstruction:
@@ -92,10 +93,11 @@ class TestObservables:
 
     def test_run_returns_series(self):
         s = AnisotropicIsing((4, 4), (0.2, 0.2), seed=7)
-        obs = s.run(n_sweeps=20, n_thermalize=5, measure_every=2)
-        assert obs.n_measurements == 10
-        assert obs.bond_sums.shape == (10, 2)
-        assert np.all(np.abs(obs.magnetization) <= 1.0)
+        obs = run_chain(s, ("magnetization", "bond_sums"), 20, n_thermalize=5,
+                        measure_every=2)
+        assert obs["magnetization"].shape == (10,)
+        assert obs["bond_sums"].shape == (10, 2)
+        assert np.all(np.abs(obs["magnetization"]) <= 1.0)
 
 
 class TestExactDistributionTinyLattice:
@@ -144,10 +146,9 @@ class TestOnsagerValidation:
     def test_energy_above_tc(self):
         beta = 0.3  # T ~ 3.33 > Tc: fast mixing
         s = AnisotropicIsing((16, 16), (beta, beta), seed=13, hot_start=True)
-        obs = s.run(n_sweeps=4000, n_thermalize=500)
-        e_per_site = -(obs.bond_sums.sum(axis=1) / beta) * beta / 256
+        bonds = run_chain(s, ("bond_sums",), 4000, n_thermalize=500)["bond_sums"]
         # energy per site = -(bx + by)/N (J=1).
-        e_mean = float(np.mean(-(obs.bond_sums[:, 0] + obs.bond_sums[:, 1]) / 256))
+        e_mean = float(np.mean(-(bonds[:, 0] + bonds[:, 1]) / 256))
         ref = onsager_energy_per_site(beta)
         # Finite-size corrections at L=16 above Tc are small (<1%).
         assert e_mean == pytest.approx(ref, abs=0.03)
@@ -157,6 +158,6 @@ class TestOnsagerValidation:
 
         beta = 0.6  # well below Tc: ordered
         s = AnisotropicIsing((16, 16), (beta, beta), seed=17)
-        obs = s.run(n_sweeps=3000, n_thermalize=500)
-        m = float(np.mean(obs.abs_magnetization))
+        obs = run_chain(s, ("abs_magnetization",), 3000, n_thermalize=500)
+        m = float(np.mean(obs["abs_magnetization"]))
         assert m == pytest.approx(onsager_spontaneous_magnetization(beta), abs=0.02)

@@ -11,6 +11,7 @@ from repro.models.ising_exact import (
 )
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.cluster import SwendsenWangIsing
+from repro.qmc.parallel import run_chain
 from repro.stats.autocorr import integrated_autocorr_time
 
 
@@ -92,8 +93,8 @@ class TestPhysicsAndEfficiency:
     def test_magnetization_matches_onsager(self):
         beta = 0.6
         s = SwendsenWangIsing((16, 16), (beta, beta), seed=13)
-        obs = s.run(n_sweeps=2000, n_thermalize=200)
-        m = float(np.mean(obs.abs_magnetization))
+        obs = run_chain(s, ("abs_magnetization",), 2000, n_thermalize=200)
+        m = float(np.mean(obs["abs_magnetization"]))
         assert m == pytest.approx(onsager_spontaneous_magnetization(beta), abs=0.02)
 
     def test_beats_local_updates_at_criticality(self):
@@ -101,12 +102,12 @@ class TestPhysicsAndEfficiency:
         beta = 1.0 / 2.3  # just above Tc for L=16
         n_sweeps = 4000
         local = AnisotropicIsing((16, 16), (beta, beta), seed=17, hot_start=True)
-        obs_l = local.run(n_sweeps=n_sweeps, n_thermalize=500)
-        tau_local = integrated_autocorr_time(obs_l.magnetization)
+        obs_l = run_chain(local, ("magnetization",), n_sweeps, n_thermalize=500)
+        tau_local = integrated_autocorr_time(obs_l["magnetization"])
 
         sw = SwendsenWangIsing((16, 16), (beta, beta), seed=19, hot_start=True)
-        obs_c = sw.run(n_sweeps=n_sweeps, n_thermalize=200)
-        tau_sw = integrated_autocorr_time(obs_c.magnetization)
+        obs_c = run_chain(sw, ("magnetization",), n_sweeps, n_thermalize=200)
+        tau_sw = integrated_autocorr_time(obs_c["magnetization"])
         assert tau_sw < 0.2 * tau_local, f"SW {tau_sw:.1f} vs local {tau_local:.1f}"
 
     def test_cluster_size_grows_near_criticality(self):

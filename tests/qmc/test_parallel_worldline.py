@@ -178,7 +178,7 @@ from repro.qmc.parallel import chain_program
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.util.rng import spawn_streams
 
-from tests.conftest import square_chain_config
+from tests.conftest import hand_run, square_chain_config
 
 REPLICA = square_chain_config(n_slices=16, n_sweeps=120, n_thermalize=30)
 
@@ -201,14 +201,15 @@ class TestWorldline2DReplicaConfig:
 class TestWorldline2DReplica:
     @pytest.mark.parametrize("p", [1, 3])
     def test_each_chain_is_the_sampler_run(self, p):
-        """Nothing is pooled: rank i's value is what the sampler's own
-        ``run()`` measures on the i-th child stream of the seed."""
+        """Nothing is pooled: rank i's value is what the hand-written
+        schedule measures with the sampler on the i-th child stream of
+        the seed."""
         res = run_spmd(chain_program, p, seed=11, args=(REPLICA,))
         for value, stream in zip(res.values, spawn_streams(11, p)):
             q = _square_sampler(stream)
-            meas = q.run(REPLICA.n_sweeps, REPLICA.n_thermalize)
-            np.testing.assert_array_equal(value["energy"], meas.energy)
-            np.testing.assert_array_equal(value["m_stag_sq"], meas.m_stag_sq)
+            meas = hand_run(q, REPLICA.series, REPLICA.n_sweeps, REPLICA.n_thermalize)
+            np.testing.assert_array_equal(value["energy"], meas["energy"])
+            np.testing.assert_array_equal(value["m_stag_sq"], meas["m_stag_sq"])
             np.testing.assert_array_equal(value["spins"], q.spins)
             assert value["n_attempted"] == q.n_attempted
             assert value["n_accepted"] == q.n_accepted

@@ -10,7 +10,9 @@ from repro.qmc.tfim import (
     tfim_energy_from_bond_sums,
     tfim_sigma_x_from_time_bonds,
 )
+from repro.qmc.parallel import run_chain
 from repro.stats.binning import BinningAnalysis
+from repro.stats.finite_size import binder_cumulant
 
 from tests.conftest import assert_within
 
@@ -66,8 +68,8 @@ class TestValidationAgainstED:
         ed = ExactDiagonalization(TFIM1D(n_sites=n, gamma=gamma).build_sparse(), n)
         ref = ed.thermal(beta).energy
         q = TfimQmc((n,), j=1.0, gamma=gamma, beta=beta, n_slices=m, seed=31)
-        meas = q.run(n_sweeps=5000, n_thermalize=500)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 5000, n_thermalize=500)
+        ba = BinningAnalysis.from_series(meas["energy"])
         # Trotter bias at dtau=1/16 is below ~0.5% of |E|.
         assert_within(ba.mean, ref, ba.error, n_sigma=4.5, atol=0.01 * abs(ref),
                       label=f"TFIM E (gamma={gamma})")
@@ -81,8 +83,8 @@ class TestValidationAgainstED:
         ).log_partition(beta) / beta
         ref = -(f(gamma + eps) - f(gamma - eps)) / (2 * eps) / n
         q = TfimQmc((n,), j=1.0, gamma=gamma, beta=beta, n_slices=m, seed=37)
-        meas = q.run(n_sweeps=5000, n_thermalize=500)
-        ba = BinningAnalysis.from_series(meas.sigma_x)
+        meas = run_chain(q, ("sigma_x",), 5000, n_thermalize=500)
+        ba = BinningAnalysis.from_series(meas["sigma_x"])
         assert_within(ba.mean, ref, ba.error, n_sigma=4.5, atol=0.01 * ref,
                       label="TFIM sigma_x")
 
@@ -92,8 +94,8 @@ class TestValidationAgainstED:
         ed = ExactDiagonalization(ham, lx * ly)
         ref = ed.thermal(beta).energy
         q = TfimQmc((lx, ly), j=1.0, gamma=gamma, beta=beta, n_slices=m, seed=41)
-        meas = q.run(n_sweeps=4000, n_thermalize=400)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 4000, n_thermalize=400)
+        ba = BinningAnalysis.from_series(meas["energy"])
         assert_within(ba.mean, ref, ba.error, n_sigma=4.5, atol=0.015 * abs(ref),
                       label="TFIM 2D E")
 
@@ -103,8 +105,8 @@ class TestValidationAgainstED:
         n, beta, gamma, m = 32, 1.0, 1.0, 16
         ref = tfim_finite_temperature_energy(n, beta, 1.0, gamma)
         q = TfimQmc((n,), j=1.0, gamma=gamma, beta=beta, n_slices=m, seed=43)
-        meas = q.run(n_sweeps=4000, n_thermalize=400)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 4000, n_thermalize=400)
+        ba = BinningAnalysis.from_series(meas["energy"])
         # dtau = 1/16: Trotter bias ~1%; critical chain so allow wide.
         assert_within(ba.mean, ref, ba.error, n_sigma=5.0, atol=0.02 * abs(ref),
                       label="TFIM L=32 E")
@@ -113,18 +115,18 @@ class TestValidationAgainstED:
 class TestOrderParameter:
     def test_ordered_phase_magnetized(self):
         q = TfimQmc((16,), j=1.0, gamma=0.2, beta=8.0, n_slices=32, seed=47)
-        meas = q.run(n_sweeps=800, n_thermalize=200)
-        assert np.mean(meas.abs_magnetization) > 0.8
+        meas = run_chain(q, ("abs_magnetization",), 800, n_thermalize=200)
+        assert np.mean(meas["abs_magnetization"]) > 0.8
 
     def test_disordered_phase_unmagnetized(self):
         q = TfimQmc((16,), j=1.0, gamma=4.0, beta=8.0, n_slices=32, seed=53)
-        meas = q.run(n_sweeps=800, n_thermalize=200)
-        assert np.mean(meas.abs_magnetization) < 0.4
+        meas = run_chain(q, ("abs_magnetization",), 800, n_thermalize=200)
+        assert np.mean(meas["abs_magnetization"]) < 0.4
 
     def test_binder_cumulant_bounds(self):
         q = TfimQmc((8,), j=1.0, gamma=1.0, beta=4.0, n_slices=16, seed=59)
-        meas = q.run(n_sweeps=500, n_thermalize=100)
-        u4 = meas.binder_cumulant()
+        meas = run_chain(q, ("m_squared",), 500, n_thermalize=100)
+        u4 = binder_cumulant(np.sqrt(meas["m_squared"]))
         assert -1.0 <= u4 <= 2.0 / 3.0 + 1e-9
 
     def test_spin_correlation_decays(self):

@@ -78,6 +78,7 @@ class TestWorldlineTrotterExtrapolation:
         """The flagship systematic check: E(dtau) -> E_exact as dtau -> 0."""
         from repro.models.ed import ExactDiagonalization
         from repro.models.hamiltonians import XXZChainModel
+        from repro.qmc.parallel import run_chain
         from repro.qmc.worldline import WorldlineChainQmc
 
         model = XXZChainModel(n_sites=4, periodic=False)
@@ -87,7 +88,7 @@ class TestWorldlineTrotterExtrapolation:
 
         def run_at(m):
             q = WorldlineChainQmc(model, beta, 2 * m, seed=100 + m)
-            return q.run(n_sweeps=4000, n_thermalize=400).energy
+            return run_chain(q, ("energy",), 4000, n_thermalize=400)["energy"]
 
         v0, points = trotter_extrapolate(run_at, beta, [2, 4, 8])
         errs = np.array([p.error for p in points])

@@ -10,8 +10,10 @@ import pytest
 
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
+from repro.qmc.parallel import run_chain
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.binning import BinningAnalysis
+from repro.stats.finite_size import susceptibility
 
 from tests.conftest import assert_within
 from tests.qmc.raster_reference import RasterChainQmc
@@ -163,8 +165,8 @@ class TestValidationAgainstTrotterReference:
         model = XXZChainModel(n_sites=4, periodic=False)
         beta, n_slices = 1.0, 8
         q = WorldlineChainQmc(model, beta, n_slices, seed=11)
-        meas = q.run(n_sweeps=6000, n_thermalize=500)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 6000, n_thermalize=500)
+        ba = BinningAnalysis.from_series(meas["energy"])
         ref = trotter_reference_energy(model, beta, n_slices // 2)
         assert_within(ba.mean, ref, ba.error, n_sigma=4.5, label="open-chain E")
 
@@ -173,8 +175,8 @@ class TestValidationAgainstTrotterReference:
         beta, n_slices = 0.5, 8
         q = WorldlineChainQmc(model, beta, n_slices, seed=13)
         assert q.can_vectorize
-        meas = q.run(n_sweeps=5000, n_thermalize=400)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 5000, n_thermalize=400)
+        ba = BinningAnalysis.from_series(meas["energy"])
         ref = trotter_reference_energy(model, beta, n_slices // 2)
         # Winding sectors are absent from the sampler; at L=8, beta=0.5
         # the bias is far below the statistical resolution.
@@ -183,8 +185,8 @@ class TestValidationAgainstTrotterReference:
     def test_xxz_anisotropy(self):
         model = XXZChainModel(n_sites=4, jz=0.5, jxy=1.0, periodic=False)
         q = WorldlineChainQmc(model, 1.0, 8, seed=17)
-        meas = q.run(n_sweeps=6000, n_thermalize=500)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 6000, n_thermalize=500)
+        ba = BinningAnalysis.from_series(meas["energy"])
         ref = trotter_reference_energy(model, 1.0, 4)
         assert_within(ba.mean, ref, ba.error, n_sigma=4.5, label="XXZ E")
 
@@ -218,8 +220,8 @@ class TestValidationAgainstTrotterReference:
         ed = ExactDiagonalization(model.build_sparse(), 4)
         chi_ref = ed.thermal(beta).susceptibility
         q = WorldlineChainQmc(model, beta, 12, seed=29)
-        meas = q.run(n_sweeps=8000, n_thermalize=500)
-        chi = meas.susceptibility(4)
+        meas = run_chain(q, ("magnetization",), 8000, n_thermalize=500)
+        chi = susceptibility(meas["magnetization"], beta, 4)
         # Trotter bias on chi is O(dtau^2) ~ 1%; allow combined window.
         assert chi == pytest.approx(chi_ref, abs=0.15 * chi_ref)
 
@@ -357,10 +359,10 @@ class TestPinnedTrajectories:
         L, T, beta, jz, periodic = case
         q = make(n_sites=L, n_slices=T, beta=beta, jz=jz, periodic=periodic, seed=11)
         assert q.can_vectorize == vectorizes
-        meas = q.run(n_sweeps=40, n_thermalize=10, mode="auto")
+        meas = run_chain(q, ("energy", "m_stag_sq"), 40, n_thermalize=10, mode="auto")
         h = hashlib.sha256()
         h.update(q.spins.tobytes())
-        h.update(np.round(meas.energy, 9).tobytes())
-        h.update(meas.m_stag_sq.tobytes())
+        h.update(np.round(meas["energy"], 9).tobytes())
+        h.update(meas["m_stag_sq"].tobytes())
         h.update(repr((q.n_attempted, q.n_accepted)).encode())
         assert h.hexdigest() == pinned

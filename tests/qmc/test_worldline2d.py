@@ -19,8 +19,10 @@ import pytest
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.trotter_ref import trotter_reference_energy_colors
+from repro.qmc.parallel import run_chain
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
+from repro.stats.finite_size import susceptibility
 
 from tests.conftest import assert_within
 from tests.qmc.raster_reference import RasterSquareQmc
@@ -294,8 +296,8 @@ class TestSectorExactValidation:
         beta = 0.6
         q = WorldlineSquareQmc(model, beta, 8, seed=11)
         sector_ref = sector_exact_energy_2x2(q)
-        meas = q.run(n_sweeps=5000, n_thermalize=500)
-        ba = BinningAnalysis.from_series(meas.energy)
+        meas = run_chain(q, ("energy",), 5000, n_thermalize=500)
+        ba = BinningAnalysis.from_series(meas["energy"])
         assert_within(ba.mean, sector_ref, ba.error, n_sigma=4.5,
                       label="2x2 sector-exact E")
 
@@ -306,8 +308,8 @@ class TestSectorExactValidation:
         beta, m = 0.75, 2
         full_ref = trotter_reference_energy_colors(model, beta, m)
         q = WorldlineSquareQmc(model, beta, 4 * m, seed=13)
-        meas = q.run(n_sweeps=3000, n_thermalize=300)
-        e = float(np.mean(meas.energy))
+        meas = run_chain(q, ("energy",), 3000, n_thermalize=300)
+        e = float(np.mean(meas["energy"]))
         assert full_ref - 0.01 < e < 0.85 * full_ref, (
             f"E={e} vs full reference {full_ref}"
         )
@@ -317,25 +319,24 @@ class TestSectorExactValidation:
 class TestPhysics:
     def test_staggered_order_grows_as_t_falls(self):
         model = XXZSquareModel(lx=4, ly=4)
-        s_hot = WorldlineSquareQmc(model, 0.5, 8, seed=17).run(
-            600, n_thermalize=100
-        )
-        s_cold = WorldlineSquareQmc(model, 2.0, 16, seed=19).run(
-            600, n_thermalize=100
-        )
-        assert s_cold.staggered_structure_factor(16) > s_hot.staggered_structure_factor(16)
+        def s_afm(beta, n_slices, seed):  # S(pi, pi) = N <m_st^2>
+            q = WorldlineSquareQmc(model, beta, n_slices, seed=seed)
+            return 16 * np.mean(run_chain(q, ("m_stag_sq",), 600, 100)["m_stag_sq"])
+
+        assert s_afm(2.0, 16, 19) > s_afm(0.5, 8, 17)
 
     def test_energy_decreases_with_beta(self):
         model = XXZSquareModel(lx=4, ly=4)
-        e_hot = np.mean(
-            WorldlineSquareQmc(model, 0.5, 8, seed=23).run(500, 100).energy
-        )
-        e_cold = np.mean(
-            WorldlineSquareQmc(model, 1.5, 16, seed=29).run(500, 100).energy
-        )
+        e_hot = np.mean(run_chain(
+            WorldlineSquareQmc(model, 0.5, 8, seed=23), ("energy",), 500, 100
+        )["energy"])
+        e_cold = np.mean(run_chain(
+            WorldlineSquareQmc(model, 1.5, 16, seed=29), ("energy",), 500, 100
+        )["energy"])
         assert e_cold < e_hot
 
     def test_susceptibility_positive(self):
         model = XXZSquareModel(lx=4, ly=4)
-        meas = WorldlineSquareQmc(model, 0.75, 8, seed=31).run(800, 150)
-        assert meas.susceptibility(16) > 0
+        meas = run_chain(WorldlineSquareQmc(model, 0.75, 8, seed=31),
+                         ("magnetization",), 800, 150)
+        assert susceptibility(meas["magnetization"], 0.75, 16) > 0

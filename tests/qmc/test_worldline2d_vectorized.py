@@ -29,6 +29,7 @@ import pytest
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.symmetry_ed import MomentumBlockED
+from repro.qmc.parallel import run_chain
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 
@@ -154,7 +155,7 @@ class TestClassTables:
 
     def test_shaded_codes_match_per_plaquette_codes(self):
         q = make(seed=3, cls=RasterSquareQmc)
-        q.run(5, mode="vectorized")
+        run_chain(q, ("energy",), 5, mode="vectorized")
         codes = q.shaded_codes()
         k = 0
         for c in range(4):
@@ -175,7 +176,7 @@ class TestKernelScalarCoupling:
         a = make(lx, ly, n_slices=T, seed=seed)
         b = make(lx, ly, n_slices=T, seed=seed, cls=RasterSquareQmc)
         for q in (a, b):
-            q.run(3, mode="scalar")  # identical randomized legal start
+            run_chain(q, ("energy",), 3, mode="scalar")  # identical legal start
         assert np.array_equal(a.spins, b.spins)
         return a, b
 
@@ -246,7 +247,7 @@ class TestWindingEstimator:
 
     def test_corrupted_configuration_caught(self):
         q = make(seed=5)
-        q.run(10, mode="vectorized")
+        run_chain(q, ("energy",), 10, mode="vectorized")
         q.spins[0, 0] ^= 1
         with pytest.raises(AssertionError):
             q.check_invariants()
@@ -260,14 +261,14 @@ class TestInvariantConfinement:
     def test_long_vectorized_runs_stay_in_sector(self, shape):
         lx, ly, T = shape
         q = make(lx, ly, beta=1.0, n_slices=T, seed=lx + ly + T)
-        meas = q.run(400, n_thermalize=0, mode="vectorized")
+        meas = run_chain(q, ("energy",), 400, n_thermalize=0, mode="vectorized")
         q.check_invariants()  # legality + slice magnetization + winding
         assert 0.0 < q.acceptance_rate < 1.0
-        assert np.all(np.isfinite(meas.energy))
+        assert np.all(np.isfinite(meas["energy"]))
 
     def test_long_scalar_run_matches_invariants_too(self):
         q = make(4, 4, beta=1.0, n_slices=12, seed=9)
-        q.run(150, mode="scalar")
+        run_chain(q, ("energy",), 150, mode="scalar")
         q.check_invariants()
 
 
@@ -297,10 +298,11 @@ class TestStatisticalAgreement:
             ("scalar", 1500, 103),
         ):
             q = make(4, 4, beta=self.BETA, n_slices=self.T, seed=seed)
-            meas = q.run(n_sweeps, n_thermalize=n_sweeps // 10, mode=mode)
+            meas = run_chain(q, ("energy", "m_stag_sq"), n_sweeps,
+                             n_thermalize=n_sweeps // 10, mode=mode)
             out[mode] = (
-                BinningAnalysis.from_series(meas.energy),
-                BinningAnalysis.from_series(meas.m_stag_sq),
+                BinningAnalysis.from_series(meas["energy"]),
+                BinningAnalysis.from_series(meas["m_stag_sq"]),
             )
             q.check_invariants()
         return out
