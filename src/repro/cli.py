@@ -40,7 +40,7 @@ from repro.run.config import RUN_KINDS, ParallelLayout, RunConfig
 from repro.util.tables import Table
 from repro.vmp.machines import MACHINES
 
-__all__ = ["main", "build_parser", "config_from_args"]
+__all__ = ["main", "main_batch", "build_parser", "config_from_args"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +138,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    """Run the config; print/save the result (rank 0 only under MPI).
+    """Run the config; print/save the result (rank 0 only under MPI)."""
+    return _cmd_run_batch([args])
+
+
+def _cmd_run_batch(batch) -> int:
+    """Run the configs of parsed ``run-<kind>`` command lines as one
+    :func:`~repro.run.simulation.run_batch`; print/save each result as
+    its command line asks (rank 0 only under MPI).
 
     Under ``mpiexec`` every rank runs the whole command and computes an
     identical result (the mpi backend allgathers rank values), so only
@@ -148,18 +155,19 @@ def _cmd_run(args) -> int:
     """
     from repro.run.reporting import StatusReporter
     from repro.run.results import save_result
-    from repro.run.simulation import Simulation
+    from repro.run.simulation import run_batch
     from repro.vmp.mpi_backend import world_rank_hint
 
-    result = Simulation(config_from_args(args)).run()
+    results = run_batch([config_from_args(args) for args in batch])
     if world_rank_hint() != 0:
         return 0
-    reporter = StatusReporter(quiet=args.quiet)
-    reporter.info(result.summary())
-    if args.output:
-        save_result(result, args.output)
-        reporter.info(f"saved to {args.output}.json")
-    reporter.flush()
+    for args, result in zip(batch, results):
+        reporter = StatusReporter(quiet=args.quiet)
+        reporter.info(result.summary())
+        if args.output:
+            save_result(result, args.output)
+            reporter.info(f"saved to {args.output}.json")
+        reporter.flush()
     return 0
 
 
@@ -286,8 +294,25 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _parser().parse_args(argv)
+    return _exit_code(_COMMANDS[args.command], args)
+
+
+def main_batch(argvs: Sequence[Sequence[str]]) -> int:
+    """Exit code of ``run-<kind>`` command lines run as one batch.
+
+    Each command line is parsed as :func:`main` parses it; their configs
+    run as one :func:`~repro.run.simulation.run_batch` (they may differ
+    only in seed and output paths) and each run's outputs are written as
+    its own command line would write them.  A campaign cell that serves
+    several cells runs this.
+    """
+    return _exit_code(_cmd_run_batch, [_parser().parse_args(argv) for argv in argvs])
+
+
+def _exit_code(command, args) -> int:
+    """``command(args)``, with the CLI's errors turned into exit codes."""
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except (ValueError, KernelUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

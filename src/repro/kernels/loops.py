@@ -181,9 +181,12 @@ def _ising_color3(s, kx, ky, kt, mask, log_u):
 
 # -- world-line plaquette flips (chain, square lattice, strip driver) --
 
+# Each loop counts move m's acceptance in ``counts[m // per]``: one
+# slot per chain of a row of R chains' moves, chain-major.
+
 @njit(cache=True)
-def _strip_corner_packed(flat, p_old, p_new, env, flip, uu):
-    n_acc = 0
+def _strip_corner_packed(flat, p_old, p_new, env, flip, uu, counts):
+    per = uu.size // counts.size
     for m in range(uu.size):
         e = 0
         for b in range(16):
@@ -191,13 +194,12 @@ def _strip_corner_packed(flat, p_old, p_new, env, flip, uu):
         if uu[m] * p_old[e] < p_new[e]:  # p_new is -1.0 on illegal moves
             for k in range(flip.shape[0]):
                 flat[flip[k, m]] ^= 1
-            n_acc += 1
-    return n_acc
+            counts[m // per] += 1
 
 
 @njit(cache=True)
-def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu):
-    n_acc = 0
+def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu, counts):
+    per = uu.size // counts.size
     for m in range(uu.size):
         code = (
             flat[i00[0, m]] + (flat[i10[0, m]] << 1)
@@ -215,18 +217,17 @@ def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu):
         if new > 0.0 and uu[m] * old < new:
             for k in range(flip.shape[0]):
                 flat[flip[k, m]] ^= 1
-            n_acc += 1
-    return n_acc
+            counts[m // per] += 1
 
 
 @njit(cache=True)
-def _strip_column(loc, logw, lc, gather, straight, log_uu):
+def _strip_column(loc, logw, lc, gather, straight, log_uu, counts):
     flat = loc.reshape(-1)
     n_slices = loc.shape[1]
     half = gather.shape[3]
     tmp_old = np.empty(half, np.float64)
     tmp_new = np.empty(half, np.float64)
-    n_acc = 0
+    per = lc.size // counts.size
     for ci in range(lc.size):
         if not straight[ci]:
             continue
@@ -248,8 +249,7 @@ def _strip_column(loc, logw, lc, gather, straight, log_uu):
             row = lc[ci]
             for t in range(n_slices):
                 loc[row, t] ^= 1
-            n_acc += 1
-    return n_acc
+            counts[ci // per] += 1
 
 
 # -- block driver (2-D decomposition of the Ising film) ---------------
@@ -313,13 +313,22 @@ def _op_table(interpreted: bool) -> dict:
         )
         return spins, n_acc
 
-    def strip_corner(flat, weights, gather, flip, uu) -> int:
-        if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
-            return int(corner(flat, weights, *gather, flip, uu))
-        return int(corner_packed(flat, *weights, gather, flip, uu))
+    def accepted(uu, run):
+        """``run(flat uu, counts)``, returning what the numpy op does:
+        the total, or per-chain counts for an ``(R, n / R)`` ``uu``."""
+        counts = np.zeros(uu.shape[0] if uu.ndim == 2 else 1, np.int64)
+        run(uu.reshape(-1), counts)
+        return counts if uu.ndim == 2 else int(counts[0])
 
-    def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
-        return int(column(loc, logw, lc, gather, straight, log_uu))
+    def strip_corner(flat, weights, gather, flip, uu):
+        if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
+            return accepted(uu, lambda u, c: corner(flat, weights, *gather, flip, u, c))
+        return accepted(uu, lambda u, c: corner_packed(flat, *weights, gather, flip, u, c))
+
+    def strip_column(loc, logw, lc, gather, straight, log_uu):
+        return accepted(
+            log_uu, lambda u, c: column(loc, logw, lc, gather, straight, u, c)
+        )
 
     def block_color(g, couplings, mask, log_u) -> int:
         kx, ky, kt = couplings

@@ -50,13 +50,15 @@ def ising_color(spins, couplings, mask, log_u):
     return np.where(accept, -spins, spins), int(np.count_nonzero(accept))
 
 
-def strip_corner(flat, weights, gather, flip, uu) -> int:
+def strip_corner(flat, weights, gather, flip, uu):
     """Batched plaquette-window flips of one independence class (XOR
     code trick: a flipped neighbor is a code bit flipped, so nothing is
     flipped and regathered to price a move).
 
     ``flat`` is the (ghosted) spin array flattened, ``flip`` the (F, n)
-    cells an accepted move flips, ``uu`` one uniform per move.  The K
+    cells an accepted move flips, ``uu`` one uniform per move.  A ``(R,
+    n / R)`` ``uu`` says the row is R chains' moves, chain-major; the
+    op then returns the R per-chain counts instead of the total.  The K
     shaded plaquettes a move reads come in one of two forms:
 
     * packed (K = 4 under the shared ``CORNER_XMASK``: the chain and
@@ -70,6 +72,9 @@ def strip_corner(flat, weights, gather, flip, uu) -> int:
       weight-product order with their per-move post-flip XOR masks, and
       ``weights`` the 16 plaquette weights.
     """
+    chains = uu.shape[0] if uu.ndim == 2 else 0
+    if chains:
+        uu = uu.reshape(-1)
     if isinstance(gather, tuple):
         i00, i10, i01, i11, xmask = gather
         codes = (
@@ -86,10 +91,18 @@ def strip_corner(flat, weights, gather, flip, uu) -> int:
         e = e.astype(np.intp)  # once here, not inside each lookup
         accept = uu * p_old[e] < p_new[e]
     flat[flip.compress(accept, axis=1)] ^= 1
+    return _accepted(accept, chains)
+
+
+def _accepted(accept, chains):
+    """The op's return: the accepted total as an ``int``, or with
+    ``chains`` > 0 the ``(chains,)`` per-chain counts."""
+    if chains:
+        return np.count_nonzero(accept.reshape(chains, -1), axis=1)
     return int(np.count_nonzero(accept))
 
 
-def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
+def strip_column(loc, logw, lc, gather, straight, log_uu):
     """Batched straight-column flips of rows ``lc`` of ``loc``.
 
     ``gather`` is the (4, 2, n_cols, T/2) flat corner indices (s00,
@@ -101,8 +114,12 @@ def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
     post-flip weights are lookups too.  ``straight`` is the caller's
     mask of the columns whose world line is straight (the slots of
     bent columns in ``log_uu`` are ignored).  Returns the number
-    accepted.
+    accepted -- per chain for an ``(R, n / R)`` ``log_uu``, as in
+    :func:`strip_corner`.
     """
+    chains = log_uu.shape[0] if log_uu.ndim == 2 else 0
+    if chains:
+        log_uu = log_uu.reshape(-1)
     s00, s10, s01, s11 = loc.reshape(-1)[gather]
     codes = s00 | (s10 << 1) | (s01 << 2) | (s11 << 3)
     # Last-axis reductions: NumPy's pairwise order is part of the contract.
@@ -115,7 +132,7 @@ def strip_column(loc, logw, lc, gather, straight, log_uu) -> int:
         log_ratio = new_lw - (old[0] + old[1])
         accept = straight & np.isfinite(log_ratio) & (log_uu < log_ratio)
     loc[lc[accept]] ^= 1
-    return int(np.count_nonzero(accept))
+    return _accepted(accept, chains)
 
 
 def block_color(g, couplings, mask, log_u) -> int:

@@ -44,6 +44,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "Gauge": "repro.obs.metrics",
     "Histogram": "repro.obs.metrics",
     "MetricsRegistry": "repro.obs.metrics",
+    "MetricsFanout": "repro.obs.metrics",
     "NoopMetrics": "repro.obs.metrics",
     "RankMetrics": "repro.obs.metrics",
     "StreamingBinning": "repro.obs.online",

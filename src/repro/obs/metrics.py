@@ -39,6 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MetricsFanout",
     "RankMetrics",
     "NoopMetrics",
     "NOOP",
@@ -300,3 +301,86 @@ class MetricsRegistry:
                 rank: {name: m.to_value() for name, m in sorted(metrics.items())}
                 for rank, metrics in sorted(self._ranks.items())
             }
+
+
+class MetricsFanout:
+    """Several runs' registries recorded as one: the runs of a batch
+    (:func:`repro.run.simulation.run_batch`), which share one rank.
+
+    Stands in for a :class:`MetricsRegistry` wherever a run takes one
+    (``run_spmd(metrics=...)``): a rank's scope writes each metric into
+    that rank's scope of every registry, so what the runs share -- comm
+    counters, phase gauges, snapshot cadence -- lands in each of them,
+    and the per-run scopes (``scope(rank).scopes``, in registry order)
+    take what differs.
+    """
+
+    def __init__(self, registries):
+        self.registries = list(registries)
+        self.interval = self.registries[0].interval
+
+    def scope(self, rank: int) -> "FanoutMetrics":
+        return FanoutMetrics([r.scope(rank) for r in self.registries])
+
+
+class FanoutMetrics:
+    """A rank scope of a :class:`MetricsFanout`: ``scopes`` are its
+    registries' scopes of that rank, and every write reaches each."""
+
+    enabled = True
+
+    def __init__(self, scopes):
+        self.scopes = list(scopes)
+        self.rank = self.scopes[0].rank
+        self.interval = self.scopes[0].interval
+
+    def counter(self, name: str) -> "_FanoutMetric":
+        return _FanoutMetric([s.counter(name) for s in self.scopes])
+
+    def gauge(self, name: str) -> "_FanoutMetric":
+        return _FanoutMetric([s.gauge(name) for s in self.scopes])
+
+    def histogram(self, name: str, edges: tuple[float, ...]) -> "_FanoutMetric":
+        return _FanoutMetric([s.histogram(name, edges) for s in self.scopes])
+
+    def count(self, name: str, amount: float = 1.0) -> None:
+        self.counter(name).inc(amount)
+
+    def set_gauge(self, name: str, value: float) -> None:
+        self.gauge(name).set(value)
+
+    def observe(self, name: str, value: float,
+                edges: tuple[float, ...] = ACCEPTANCE_EDGES) -> None:
+        self.histogram(name, edges).observe(value)
+
+    def snapshot(self, **labels) -> None:
+        for s in self.scopes:
+            s.snapshot(**labels)
+
+
+class _FanoutMetric:
+    """One metric of a :class:`FanoutMetrics`, held once per scope."""
+
+    def __init__(self, copies):
+        self._copies = copies
+
+    def inc(self, amount: float = 1.0) -> None:
+        for m in self._copies:
+            m.inc(amount)
+
+    def set(self, value: float) -> None:
+        for m in self._copies:
+            m.set(value)
+
+    def observe(self, value: float) -> None:
+        for m in self._copies:
+            m.observe(value)
+
+    @property
+    def value(self) -> float:
+        return self._copies[0].value
+
+    @value.setter
+    def value(self, value: float) -> None:  # record_comm_counters assigns
+        for m in self._copies:
+            m.value = value

@@ -129,7 +129,7 @@ from repro.kernels.chain_tables import (
 from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
 from repro.qmc.plaquette import PlaquetteTable
-from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
+from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE, SweepBatch
 from repro.obs.health import NOOP_HEALTH, HealthMonitor, clock_comm_seconds
 from repro.obs.metrics import ACCEPTANCE_EDGES
 from repro.util.rng import SeedSequenceFactory
@@ -255,6 +255,32 @@ def _per_neighbor(links, end: str, sites: str) -> list[tuple[int, int, np.ndarra
     ]
 
 
+class _SweepMetrics:
+    """The ``sweep.*`` handles of one chain of telemetry: a rank's, or one
+    chain's of a batched rank (:class:`_ChainState`).  Kernel time lands
+    in a counter tagged by the resolved backend."""
+
+    def __init__(self, metrics, kernel: str):
+        self.sweeps = metrics.counter("sweep.count")
+        self.attempted = metrics.counter("sweep.attempted")
+        self.accepted = metrics.counter("sweep.accepted")
+        self.model = metrics.counter("sweep.model_seconds")
+        self.wall = metrics.counter("sweep.wall_seconds")
+        self.acceptance = metrics.histogram("sweep.acceptance", ACCEPTANCE_EDGES)
+        self.kernel = metrics.counter(f"sweep.kernel_seconds.{kernel}")
+
+    def record(self, attempted: int, accepted: int, model_seconds: float,
+               wall_seconds: float) -> None:
+        """Count one sweep of ``attempted`` moves, ``accepted`` of them."""
+        self.sweeps.inc()
+        self.attempted.inc(attempted)
+        self.accepted.inc(accepted)
+        self.model.inc(model_seconds)
+        self.wall.inc(wall_seconds)
+        if attempted:
+            self.acceptance.observe(accepted / attempted)
+
+
 class _DecomposedState:
     """What every domain-decomposed rank state shares.
 
@@ -317,22 +343,10 @@ class _DecomposedState:
         #: every program reports in its result dict.
         self.overlap_active = False
         # Pre-bound metric handles keep the enabled hot path at one bool
-        # test plus float adds, and the disabled path at one bool test;
-        # kernel time lands in a counter tagged by the resolved backend.
-        metrics = comm.metrics
-        self._obs = bool(metrics.enabled)
+        # test plus float adds, and the disabled path at one bool test.
+        self._obs = bool(comm.metrics.enabled)
         if self._obs:
-            self._m_sweeps = metrics.counter("sweep.count")
-            self._m_attempted = metrics.counter("sweep.attempted")
-            self._m_accepted = metrics.counter("sweep.accepted")
-            self._m_model = metrics.counter("sweep.model_seconds")
-            self._m_wall = metrics.counter("sweep.wall_seconds")
-            self._m_acc_hist = metrics.histogram(
-                "sweep.acceptance", ACCEPTANCE_EDGES
-            )
-            self._m_kernel = metrics.counter(
-                f"sweep.kernel_seconds.{self.kernel}"
-            )
+            self._m = _SweepMetrics(comm.metrics, kernel)
 
     # -- halo exchange -------------------------------------------------------
     def _plan_exchanges(self) -> None:
@@ -406,7 +420,7 @@ class _DecomposedState:
             return kernel(*args)
         t0 = perf_counter()
         out = kernel(*args)
-        self._m_kernel.inc(perf_counter() - t0)
+        self._m.kernel.inc(perf_counter() - t0)
         return out
 
     def sweep(self) -> None:
@@ -418,15 +432,12 @@ class _DecomposedState:
             att0, acc0 = self.n_attempted, self.n_accepted
         self._sweep_stages()
         if obs:
-            att = self.n_attempted - att0
-            acc = self.n_accepted - acc0
-            self._m_sweeps.inc()
-            self._m_attempted.inc(att)
-            self._m_accepted.inc(acc)
-            self._m_model.inc(self.comm.clock.now - t0_model)
-            self._m_wall.inc(perf_counter() - t0_wall)
-            if att:
-                self._m_acc_hist.observe(acc / att)
+            self._m.record(
+                self.n_attempted - att0,
+                self.n_accepted - acc0,
+                self.comm.clock.now - t0_model,
+                perf_counter() - t0_wall,
+            )
 
     # -- measurement / result ------------------------------------------------
     def measure(self) -> np.ndarray:
@@ -1318,6 +1329,8 @@ class ChainConfig:
     names what the chain measures, ``health_series`` the scalar ones of
     them the health monitor tracks; ``mode`` is a sweep mode of the
     samplers (``"auto"``, ``"scalar"``, ``"vectorized"`` or a backend).
+    ``seeds``, when given, makes the rank a batch of one chain per seed
+    (see :class:`_ChainState`).
     """
 
     build: Callable[[Any, str], Any]
@@ -1327,55 +1340,96 @@ class ChainConfig:
     n_thermalize: int = 0
     measure_every: int = 1
     mode: str = "auto"
+    seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         _validate_schedule(self)
 
 
 class _ChainState(_DecomposedState):
-    """A whole lattice on one rank: the no-link, no-ghost case.
+    """Whole lattices on one rank: the no-link, no-ghost case.
 
-    The sweep is the sampler's, under the one telemetry wrapper.  The
-    estimators draw nothing, so each is evaluated once here, on the
-    start configuration, to lay out the measurement row: a scalar takes
-    one column and stays a 1-D series, an array of width ``w`` takes
-    ``w`` and is stacked into an ``(n_measurements, w)`` series.
-    ``comm`` has this rank alone, so the run loop's reductions return
-    the chain's own rows and ``series_columns`` only splits them.
+    One chain on the rank's stream, or with ``cfg.seeds`` a batch of R
+    chains, chain ``i`` on the stream a one-rank run at ``seeds[i]``
+    has (``SeedSequenceFactory(seeds[i]).rank_stream(0)``) and all of
+    them swept by one :class:`~repro.qmc.worldline.SweepBatch` -- each
+    chain the trajectory of that run.  The estimators draw nothing, so
+    each is evaluated once here, on the start configuration, to lay out
+    the measurement row: a scalar takes one column and stays a 1-D
+    series, an array of width ``w`` takes ``w`` and is stacked into an
+    ``(n_measurements, w)`` series.  A batch measures the R chains'
+    rows side by side and its series carry a chain axis after the
+    measurement axis (``(n, R)``, ``(n, R, w)``), as its ``spins``
+    (``(R, ...)``) and counters (lists) do.  ``comm`` has this rank
+    alone, so the run loop's reductions return the rank's own rows and
+    ``series_columns`` only splits them.
+
+    A batch records each chain's sweep telemetry into its own scope of
+    the :class:`~repro.obs.metrics.MetricsFanout` the run records into,
+    the batch's wall time split evenly; it takes no health rules.
     """
 
     def __init__(self, comm, cfg: ChainConfig):
-        self.sampler = q = cfg.build(comm.stream, cfg.mode)
+        streams = [comm.stream] if not cfg.seeds else [
+            SeedSequenceFactory(seed).rank_stream(0) for seed in cfg.seeds
+        ]
+        self.samplers = [cfg.build(stream, cfg.mode) for stream in streams]
+        q = self.samplers[0]
         unknown = [name for name in cfg.series if name not in q.ESTIMATORS]
         if unknown:
             raise ValueError(f"{type(q).__name__} has no estimator {unknown[0]!r};"
                              f" it measures {', '.join(q.ESTIMATORS)}")
-        kernel, self._sweep = q.resolve_sweep(cfg.mode)
+        self._batched = bool(cfg.seeds)
+        batch = SweepBatch(self.samplers) if self._batched else q
+        kernel, self._sweep = batch.resolve_sweep(cfg.mode)
         self._init_rank(comm, cfg, kernel)
+        if self._obs and self._batched:
+            self._chain_m = [_SweepMetrics(m, kernel) for m in comm.metrics.scopes]
         self.series = cfg.series
         self.health_series = cfg.health_series
-        self._estimators = [getattr(q, q.ESTIMATORS[name]) for name in cfg.series]
+        self._estimators = [getattr(s, s.ESTIMATORS[name])
+                            for s in self.samplers for name in cfg.series]
         self._columns, width = [], 0
-        for estimator in self._estimators:
+        for estimator in self._estimators[:len(cfg.series)]:
             shape = np.shape(estimator())
             self._columns.append(slice(width, width + shape[0]) if shape else width)
             width += shape[0] if shape else 1
         self._vector = any(isinstance(c, slice) for c in self._columns)
 
+    def sweep(self) -> None:
+        if not (self._obs and self._batched):
+            return super().sweep()
+        before = [(q.n_attempted, q.n_accepted) for q in self.samplers]
+        t0 = perf_counter()
+        self._sweep_stages()
+        share = (perf_counter() - t0) / len(self.samplers)
+        for q, (att0, acc0), m in zip(self.samplers, before, self._chain_m):
+            m.record(q.n_attempted - att0, q.n_accepted - acc0, 0.0, share)
+            m.kernel.inc(share)
+
     def _sweep_stages(self) -> None:
+        if self._batched:
+            self._sweep()
+            self.n_attempted = [q.n_attempted for q in self.samplers]
+            self.n_accepted = [q.n_accepted for q in self.samplers]
+            return
         self._timed(self._sweep)
-        self.n_attempted = self.sampler.n_attempted
-        self.n_accepted = self.sampler.n_accepted
+        self.n_attempted = self.samplers[0].n_attempted
+        self.n_accepted = self.samplers[0].n_accepted
 
     def measure(self) -> np.ndarray:
         row = [f() for f in self._estimators]
         return np.hstack(row) if self._vector else np.array(row, dtype=np.float64)
 
     def series_columns(self, totals: np.ndarray) -> tuple:
-        return tuple(totals[:, c] for c in self._columns)
+        if self._batched:
+            totals = totals.reshape(len(totals), len(self.samplers), -1)
+        return tuple(totals[..., c] for c in self._columns)
 
     def result(self) -> dict:
-        return {"spins": self.sampler.spins.copy()}
+        if self._batched:
+            return {"spins": np.stack([q.spins for q in self.samplers])}
+        return {"spins": self.samplers[0].spins.copy()}
 
 
 def chain_program(
@@ -1390,8 +1444,11 @@ def chain_program(
     the caller concatenates their series in rank order.  Returns the
     chain's series, final ``spins``, move counters, the ``kernel`` that
     ran and, with ``health`` rules, the events and summary of a monitor
-    stamped with the chain's world rank.
+    stamped with the chain's world rank.  With ``cfg.seeds`` the rank is
+    a batch of chains instead (:class:`_ChainState`), run without health.
     """
+    if cfg.seeds and health is not None:
+        raise ValueError("a batch of chains runs without health rules")
     return _run_decomposed(
         _ChainState(comm.split(comm.rank), cfg),
         None,

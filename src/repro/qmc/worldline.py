@@ -32,9 +32,10 @@ chain_rows`), eight corner classes and two column parities in one
 fixed order, on every geometry.  The per-move backends (``scalar``,
 ``numba``) take the moves one at a time and run any chain; the batched
 ``numpy`` op needs every class conflict-free: ``L % 4 == 0``
-(periodic) and ``T % 4 == 0``.  That stage loop and the kernel
-dispatch around it are :class:`TableSweeps`, which the square-lattice
-sampler shares.
+(periodic) and ``T % 4 == 0``.  The kernel dispatch is
+:class:`TableSweeps`, which the square-lattice sampler shares, and the
+one stage loop is :class:`SweepBatch`'s: R samplers of one geometry
+swept as one disconnected lattice, a sampler's own sweep being R = 1.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.util.correlation import mean_circular_correlation
 from repro.util.rng import RankStream, SeedSequenceFactory
 
 __all__ = [
+    "SweepBatch",
     "TableSweeps",
     "WorldlineChainQmc",
     "FLOPS_PER_CORNER_MOVE",
@@ -74,64 +76,18 @@ class TableSweeps:
     (``_n_corner_moves`` in all, the size of the sweep's one corner
     draw; packed or unpacked, see ``strip_corner``), and
     ``_column_tables``, one ``(logw, sites, gather)`` row per class of
-    straight columns.
+    straight columns.  ``model``, ``beta`` and ``n_slices`` fix those
+    tables: samplers equal in all three may share a :class:`SweepBatch`.
     """
-
-    def _sweep_fused(self, ops) -> None:
-        """Every row of one sweep through the backend's strip ops.
-
-        The per-move backends take a row's moves one at a time, in
-        order, so any row is theirs.  On :attr:`can_vectorize`
-        geometries every row is conflict-free -- no move reads or
-        writes what another of its row writes -- so batched acceptance
-        equals sequential acceptance and all backends agree bit for
-        bit.  The uniform draws stay here (one block for all corner
-        rows, one per column row sized to its straight columns).
-        """
-        corner, column = ops["strip_corner"], ops["strip_column"]
-        flat = self.spins.reshape(-1)
-        # One draw split by row is the per-row draws concatenated.
-        u = self.stream.uniform(size=self._n_corner_moves)
-        lo = 0
-        for weights, gather, flip in self._corner_tables:
-            hi = lo + flip.shape[1]
-            self.n_accepted += corner(flat, weights, gather, flip, u[lo:hi])
-            lo = hi
-        self.n_attempted += lo
-        # A column flip writes its own column only: one pass finds the
-        # straight world lines of every class.
-        lines = (self.spins == self.spins[:, :1]).all(axis=1)
-        for logw, sites, gather in self._column_tables:
-            straight = lines[sites]
-            n_straight = int(np.count_nonzero(straight))
-            if n_straight == 0:
-                continue
-            log_uu = np.zeros(sites.size)  # bent columns' slots are ignored
-            log_uu[straight] = np.log(
-                np.maximum(self.stream.uniform(size=n_straight), 1e-300)
-            )
-            self.n_accepted += column(
-                self.spins, logw, sites, gather, straight, log_uu
-            )
-            self.n_attempted += n_straight
 
     def resolve_sweep(self, mode: str = "auto"):
         """``(kernel, sweep)``: the backend ``mode`` (see :meth:`sweep`)
         resolves to on this geometry and a zero-argument sweep bound to
-        it.  ``numpy`` off its grid is a ``ValueError`` here, not at the
-        first sweep; ``auto``, where it would pick ``numpy``, runs
+        it -- the stage loop of a :class:`SweepBatch` of this sampler
+        alone.  ``numpy`` off its grid is a ``ValueError`` here, not at
+        the first sweep; ``auto``, where it would pick ``numpy``, runs
         ``scalar`` there instead."""
-        kernel = kernels.resolve_kernel(mode)
-        if kernel == "numpy" and not self.can_vectorize:
-            if mode != "auto":
-                raise ValueError(
-                    f"vectorized sweep needs {self._grid_rule}; the per-move "
-                    "loops run any geometry: mode='scalar' (CLI: --kernel "
-                    "scalar), which mode='auto' selects for it"
-                )
-            kernel = "scalar"
-        ops = kernels.get_ops(kernel)
-        return kernel, lambda: self._sweep_fused(ops)
+        return SweepBatch([self]).resolve_sweep(mode)
 
     def sweep(self, mode: str = "auto") -> None:
         """One full sweep.
@@ -148,6 +104,153 @@ class TableSweeps:
     @property
     def acceptance_rate(self) -> float:
         return self.n_accepted / self.n_attempted if self.n_attempted else 0.0
+
+
+class SweepBatch:
+    """R :class:`TableSweeps` samplers of one geometry, swept as one
+    disconnected lattice: one kernel call per row for all R chains.
+
+    With R > 1 the samplers' spins are stacked into one ``(R * rows,
+    slices)`` array and each sampler's ``spins`` is rebound to its own
+    view of it (assign into it, do not rebind it), so estimators and
+    ``check_invariants()`` work unchanged.  Sampler 0's rows are tiled
+    R times, chain ``i``'s indices offset by its place in the stack
+    (an unpacked row's XOR ``xmask`` is a mask, not an index).  Each
+    chain draws from its own ``stream`` in the order of its solo sweep
+    and its counters are credited with its own moves, so every chain's
+    trajectory is the one it has alone, bit for bit.  R = 1 is a
+    sampler's own sweep (:meth:`TableSweeps.resolve_sweep`): its arrays,
+    read at every sweep, and the ops' one-chain form.
+    """
+
+    def __init__(self, samplers):
+        self.samplers = list(samplers)
+        q = self.samplers[0]
+        geometry = (type(q), q.model, q.beta, q.n_slices)
+        for other in self.samplers[1:]:
+            if (type(other), other.model, other.beta, other.n_slices) != geometry:
+                raise ValueError("a sweep batch needs samplers of one geometry")
+        self._stacked = None if len(self.samplers) == 1 else self._stack()
+
+    def _stack(self):
+        """``(spins, corner rows, column rows)`` of the stacked chains."""
+        q = self.samplers[0]
+        rows = q.spins.shape[0]
+        spins = np.concatenate([s.spins for s in self.samplers])
+        for i, s in enumerate(self.samplers):
+            s.spins = spins[i * rows:(i + 1) * rows]
+        chain = np.arange(len(self.samplers))
+
+        def tile(index, axis, stride=q.spins.size):
+            return np.concatenate([index + stride * i for i in chain], axis=axis)
+
+        corner = []
+        for weights, gather, flip in q._corner_tables:
+            if isinstance(gather, tuple):
+                *corners, xmask = gather
+                gather = (*(tile(c, 1) for c in corners),
+                          np.concatenate([xmask] * chain.size, axis=1))
+            else:
+                gather = tile(gather, 0)
+            corner.append((weights, gather, tile(flip, 1)))
+        column = [
+            (logw, tile(sites, 0, rows), tile(gather, 2))
+            for logw, sites, gather in q._column_tables
+        ]
+        return spins, corner, column
+
+    def resolve_sweep(self, mode: str = "auto"):
+        """``(kernel, sweep)`` as :meth:`TableSweeps.resolve_sweep`
+        says, the sweep advancing every chain of the batch."""
+        q = self.samplers[0]
+        kernel = kernels.resolve_kernel(mode)
+        if kernel == "numpy" and not q.can_vectorize:
+            if mode != "auto":
+                raise ValueError(
+                    f"vectorized sweep needs {q._grid_rule}; the per-move "
+                    "loops run any geometry: mode='scalar' (CLI: --kernel "
+                    "scalar), which mode='auto' selects for it"
+                )
+            kernel = "scalar"
+        ops = kernels.get_ops(kernel)
+        return kernel, lambda: self._sweep(ops)
+
+    def _sweep(self, ops) -> None:
+        """Every row of one sweep through the backend's strip ops.
+
+        The per-move backends take a row's moves one at a time, in
+        order, so any row is theirs.  On ``can_vectorize`` geometries
+        every row is conflict-free -- no move reads or writes what
+        another of its row writes -- so batched acceptance equals
+        sequential acceptance and all backends agree bit for bit; the
+        chains of a stack share no site, so that holds for the stack
+        too.  The uniform draws stay here: per chain one block for all
+        corner rows, then one per column row sized to its straight
+        columns -- which a stack draws as one block per chain, since a
+        column flip leaves every column as straight as it was.
+        """
+        corner, column = ops["strip_corner"], ops["strip_column"]
+        qs = self.samplers
+        if self._stacked is None:
+            q = qs[0]
+            spins, corner_rows, column_rows = q.spins, q._corner_tables, q._column_tables
+            # One draw split by row is the per-row draws concatenated.
+            u = q.stream.uniform(size=q._n_corner_moves)
+            accepted = 0
+        else:
+            spins, corner_rows, column_rows = self._stacked
+            u = np.stack([q.stream.uniform(size=q._n_corner_moves) for q in qs])
+            accepted = np.zeros(len(qs), dtype=np.int64)
+        flat = spins.reshape(-1)
+        lo = 0
+        for weights, gather, flip in corner_rows:
+            hi = lo + flip.shape[1] // len(qs)
+            accepted = accepted + corner(flat, weights, gather, flip, u[..., lo:hi])
+            lo = hi
+        # A column flip writes its own column only: one pass finds the
+        # straight world lines of every class.
+        lines = (spins == spins[:, :1]).all(axis=1)
+        if self._stacked is None:
+            attempted = lo
+            for logw, sites, gather in column_rows:
+                straight = lines[sites]
+                n_straight = int(np.count_nonzero(straight))
+                if n_straight == 0:
+                    continue
+                log_uu = np.zeros(sites.size)  # bent columns' slots are ignored
+                log_uu[straight] = _log(q.stream.uniform(size=n_straight))
+                accepted += column(spins, logw, sites, gather, straight, log_uu)
+                attempted += n_straight
+            q.n_attempted += attempted
+            q.n_accepted += accepted
+            return
+        attempted = np.full(len(qs), lo)
+        masks = [lines[sites].reshape(len(qs), -1) for _, sites, _ in column_rows]
+        # Chain-major, rows in order within a chain: the solo draw order.
+        straight = np.concatenate(masks, axis=1)
+        draws = [q.stream.uniform(size=n) for q, n in
+                 zip(qs, np.count_nonzero(straight, axis=1).tolist()) if n]
+        log_u = np.zeros(straight.shape)
+        if draws:
+            log_u[straight] = _log(np.concatenate(draws))
+        lo = 0
+        for (logw, sites, gather), mask in zip(column_rows, masks):
+            hi = lo + mask.shape[1]
+            n_straight = np.count_nonzero(mask, axis=1)
+            if n_straight.any():
+                accepted = accepted + column(
+                    spins, logw, sites, gather, mask.reshape(-1), log_u[:, lo:hi]
+                )
+                attempted = attempted + n_straight
+            lo = hi
+        for q, a, c in zip(qs, attempted.tolist(), accepted.tolist()):
+            q.n_attempted += a
+            q.n_accepted += c
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """The column ops' ``log(u)``, floored away from ``-inf``."""
+    return np.log(np.maximum(u, 1e-300))
 
 
 class WorldlineChainQmc(TableSweeps):

@@ -74,6 +74,7 @@ __all__ = [
     "load_campaign_spec",
     "parse_spec_dict",
     "expand_grid",
+    "plan_batches",
     "run_campaign",
 ]
 
@@ -451,6 +452,7 @@ class RunOutcome:
     n_sweeps: float = 0.0
     resumed_from_checkpoint: bool = False
     error: str | None = None
+    batch: str | None = None  # the batch it completed in, if any
 
 
 @dataclass
@@ -609,21 +611,29 @@ class CellServer:
 
     async def execute(self, run: CampaignRun, argv: Sequence[str],
                       attempt: int) -> RunAttempt:
+        return await self.execute_batch([run], [argv], attempt)
+
+    async def execute_batch(self, runs: Sequence[CampaignRun],
+                            argvs: Sequence[Sequence[str]], attempt: int
+                            ) -> RunAttempt:
+        """One attempt of ``runs`` as one cell, each by its own ``argv``
+        (several: one :func:`repro.cli.main_batch` process), under a
+        deadline of ``timeout`` per run."""
         t0 = time.perf_counter()
         await self._ensure_started()
         cell_id = next(self._ids)
         cell = self._cells[cell_id] = _Cell(self._server)
         stderr_path = Path(self._stderr_dir) / f"{cell_id}.stderr"
-        request = {"id": cell_id, "argv": list(argv), "stderr": str(stderr_path)}
+        request = {"id": cell_id, "argvs": [list(argv) for argv in argvs],
+                   "stderr": str(stderr_path)}
         cell.server.requests.write((json.dumps(request) + "\n").encode())
+        timeout = self.timeout * len(runs)
         try:
-            await asyncio.wait(
-                {cell.exited}, timeout=self.timeout if self.timeout > 0 else None
-            )
+            await asyncio.wait({cell.exited}, timeout=timeout if timeout > 0 else None)
             failure = None
             if not cell.exited.done():
                 await self._kill(cell)
-                failure = f"timed out after {self.timeout:.1f} s"
+                failure = f"timed out after {timeout:.1f} s"
             elif cell.exited.result() is None:
                 failure = "cell server died"
             wall = time.perf_counter() - t0
@@ -676,38 +686,67 @@ def _is_transient(attempt: RunAttempt) -> bool:
     return attempt.returncode != _CONFIG_ERROR_EXIT
 
 
+def _write_status(run: CampaignRun, run_dir: Path, argv: Sequence[str],
+                  status: str, **fields) -> None:
+    # ``argv`` is the cell's whole command line: running it by hand
+    # reproduces the run, whatever executed it here (a batch included).
+    _write_json_atomic(
+        _status_path(run_dir),
+        {
+            "campaign_run_version": CAMPAIGN_VERSION,
+            "run_id": run.run_id,
+            "cache_key": run.cache_key,
+            "status": status,
+            "params": dict(run.params),
+            "argv": list(argv),
+            **fields,
+        },
+    )
+
+
+def _complete(outcome: RunOutcome, run_dir: Path, argv: Sequence[str],
+              wall_seconds: float) -> RunOutcome:
+    """Record a run whose cell exited 0: its outcome and status doc."""
+    manifest = _run_manifest(run_dir)
+    runtime = (manifest or {}).get("runtime", {})
+    outcome.status = "completed"
+    outcome.wall_seconds = wall_seconds
+    outcome.sweeps_per_second = float(runtime.get("sweeps_per_second", 0.0) or 0.0)
+    outcome.n_sweeps = float(runtime.get("n_sweeps", 0.0) or 0.0)
+    _write_status(
+        outcome.run, run_dir, argv, "completed",
+        attempts=outcome.attempts,
+        wall_seconds=outcome.wall_seconds,
+        sweeps_per_second=outcome.sweeps_per_second,
+        n_sweeps=outcome.n_sweeps,
+        resumed_from_checkpoint=outcome.resumed_from_checkpoint,
+        manifest_config_hash=(manifest or {}).get("config_hash"),
+    )
+    return outcome
+
+
+def _attempt_error(attempt: RunAttempt) -> str:
+    tail = attempt.stderr_tail.strip()
+    return f"exit {attempt.returncode}" + (f": {tail.splitlines()[-1]}" if tail else "")
+
+
 async def _run_one(
     run: CampaignRun,
     run_dir: Path,
     spec: CampaignSpec,
     resume_from_checkpoint: bool,
     executor: Executor,
+    first_attempt: int = 0,
 ) -> RunOutcome:
-    """Execute one run to completion, retrying transient failures."""
+    """Execute one run to completion, retrying transient failures
+    (attempts ``first_attempt + 1`` onwards: a failed batch's cells
+    retry from 1)."""
     outcome = RunOutcome(run=run, status="failed")
     t0 = time.perf_counter()
-    argv: list[str] = []
-
-    def write_status(status: str, **fields) -> None:
-        # ``argv`` is the cell's whole command line: running it by hand
-        # reproduces the run, whatever executed it here.
-        _write_json_atomic(
-            _status_path(run_dir),
-            {
-                "campaign_run_version": CAMPAIGN_VERSION,
-                "run_id": run.run_id,
-                "cache_key": run.cache_key,
-                "status": status,
-                "params": dict(run.params),
-                "argv": argv,
-                **fields,
-            },
-        )
-
-    for attempt_no in range(spec.retries + 1):
+    for attempt_no in range(first_attempt, spec.retries + 1):
         run_dir.mkdir(parents=True, exist_ok=True)
         argv = build_run_argv(run, run_dir, resume=resume_from_checkpoint)
-        write_status("running", attempt=attempt_no + 1)
+        _write_status(run, run_dir, argv, "running", attempt=attempt_no + 1)
         outcome.attempts = attempt_no + 1
         t_attempt = time.perf_counter()
         try:
@@ -723,30 +762,9 @@ async def _run_one(
                 transient=True,
             )
         if attempt.returncode == 0:
-            manifest = _run_manifest(run_dir)
-            runtime = (manifest or {}).get("runtime", {})
-            outcome.status = "completed"
-            outcome.wall_seconds = time.perf_counter() - t0
-            outcome.sweeps_per_second = float(
-                runtime.get("sweeps_per_second", 0.0) or 0.0
-            )
-            outcome.n_sweeps = float(runtime.get("n_sweeps", 0.0) or 0.0)
             outcome.resumed_from_checkpoint = resume_from_checkpoint
-            write_status(
-                "completed",
-                attempts=outcome.attempts,
-                wall_seconds=outcome.wall_seconds,
-                sweeps_per_second=outcome.sweeps_per_second,
-                n_sweeps=outcome.n_sweeps,
-                resumed_from_checkpoint=resume_from_checkpoint,
-                manifest_config_hash=(manifest or {}).get("config_hash"),
-            )
-            return outcome
-        outcome.error = (
-            f"exit {attempt.returncode}"
-            + (f": {attempt.stderr_tail.strip().splitlines()[-1]}"
-               if attempt.stderr_tail.strip() else "")
-        )
+            return _complete(outcome, run_dir, argv, time.perf_counter() - t0)
+        outcome.error = _attempt_error(attempt)
         if not _is_transient(attempt) or attempt_no == spec.retries:
             break
         # A failed attempt may have left partial checkpoints behind; a
@@ -760,8 +778,93 @@ async def _run_one(
         )
         await asyncio.sleep(spec.backoff * (2 ** attempt_no))
     outcome.wall_seconds = time.perf_counter() - t0
-    write_status("failed", attempts=outcome.attempts, error=outcome.error)
+    _write_status(run, run_dir, argv, "failed", attempts=outcome.attempts,
+                  error=outcome.error)
     return outcome
+
+
+async def _run_batch(
+    batch_id: str,
+    runs: Sequence[CampaignRun],
+    runs_root: Path,
+    spec: CampaignSpec,
+    server: CellServer,
+) -> list[RunOutcome]:
+    """Execute the first attempt of ``runs`` as one batch cell.
+
+    Every run keeps its own directory, status doc, solo ``argv`` and
+    attempt count.  A completed batch's runs share its wall time evenly;
+    a failed one's runs retry solo under the retry policy, from attempt
+    2, after the backoff of attempt 1.
+    """
+    dirs = [runs_root / run.run_id for run in runs]
+    argvs = [build_run_argv(run, run_dir) for run, run_dir in zip(runs, dirs)]
+    for run, run_dir, argv in zip(runs, dirs, argvs):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_status(run, run_dir, argv, "running", attempt=1, batch=batch_id)
+    t0 = time.perf_counter()
+    attempt = await server.execute_batch(runs, argvs, 0)
+    if attempt.returncode == 0:
+        share = (time.perf_counter() - t0) / len(runs)
+        return [
+            _complete(RunOutcome(run, "failed", attempts=1, batch=batch_id),
+                      run_dir, argv, share)
+            for run, run_dir, argv in zip(runs, dirs, argvs)
+        ]
+    if not _is_transient(attempt) or spec.retries == 0:
+        error = _attempt_error(attempt)
+        for run, run_dir, argv in zip(runs, dirs, argvs):
+            _write_status(run, run_dir, argv, "failed", attempts=1, error=error)
+        return [RunOutcome(run, "failed", attempts=1, error=error,
+                           wall_seconds=time.perf_counter() - t0) for run in runs]
+    await asyncio.sleep(spec.backoff)
+    return [
+        await _run_one(run, run_dir, spec, False, server.execute, first_attempt=1)
+        for run, run_dir in zip(runs, dirs)
+    ]
+
+
+def _batch_group(run: CampaignRun) -> str | None:
+    """The key of the cells ``run`` may share a batch with, or None.
+
+    Batchable are the serial world-line cells (``xxz`` / ``xxz2d``) that
+    do not checkpoint -- health, trace and events output are not spec
+    fields, so no cell asks for them -- and their key is their kind and
+    parameters but the seed: exactly what a batch's runs share
+    (:func:`repro.run.simulation.run_batch`).
+    """
+    params = dict(run.params)
+    strategy = params.get("strategy", _spec_fields(run.kind)["strategy"].default)
+    if (run.kind not in ("xxz", "xxz2d") or strategy != "serial"
+            or int(params.get("checkpoint_every", 0) or 0) > 0):
+        return None
+    params.pop("seed", None)
+    return run_cache_key(run.kind, params)
+
+
+def plan_batches(runs: Sequence[CampaignRun], jobs: int) -> list[list[CampaignRun]]:
+    """The cells ``runs`` as batches, each one cell process.
+
+    Batchable cells with equal batch groups (:func:`_batch_group`) share
+    batches: with ``B = ceil(batchable cells / jobs)``, each group is cut
+    into consecutive batches of at most ``B`` cells, in grid order, so a
+    seed sweep fills the ``jobs`` slots with ``jobs`` batches.  Every
+    other cell is a batch of one.  Batches come in the grid order of
+    their first cells.  A pure function of ``(runs, jobs)``.
+    """
+    groups = [_batch_group(run) for run in runs]
+    size = max(1, -(-sum(g is not None for g in groups) // jobs))
+    batches: list[list[CampaignRun]] = []
+    filling: dict[str, list[CampaignRun]] = {}
+    for run, group in zip(runs, groups):
+        batch = filling.get(group) if group is not None else None
+        if batch is None or len(batch) == size:
+            batch = []
+            batches.append(batch)
+            if group is not None:
+                filling[group] = batch
+        batch.append(run)
+    return batches
 
 
 async def _run_campaign_async(
@@ -785,45 +888,66 @@ async def _run_campaign_async(
     semaphore = asyncio.Semaphore(spec.jobs)
     t0 = time.perf_counter()
 
-    async def _task(run: CampaignRun) -> None:
-        nonlocal retried
+    to_run, resume_ckpt = [], {}
+    for run in runs:
         run_dir = runs_root / run.run_id
-        cached, resume_ckpt = _prepare_run_dir(run, run_dir, resume)
-        if cached:
-            status = _read_status(run_dir) or {}
-            outcomes[run.index] = RunOutcome(
-                run=run,
-                status="cached",
-                cached=True,
-                attempts=0,
-                wall_seconds=0.0,
-                sweeps_per_second=float(
-                    status.get("sweeps_per_second", 0.0) or 0.0
-                ),
-                n_sweeps=0.0,  # nothing recomputed
-            )
-            say(f"[campaign] {run.run_id}: cache hit "
-                f"({run.cache_key[:12]})")
-            return
+        cached, resume_ckpt[run.index] = _prepare_run_dir(run, run_dir, resume)
+        if not cached:
+            to_run.append(run)
+            continue
+        status = _read_status(run_dir) or {}
+        outcomes[run.index] = RunOutcome(
+            run=run,
+            status="cached",
+            cached=True,
+            attempts=0,
+            wall_seconds=0.0,
+            sweeps_per_second=float(status.get("sweeps_per_second", 0.0) or 0.0),
+            n_sweeps=0.0,  # nothing recomputed
+        )
+        say(f"[campaign] {run.run_id}: cache hit ({run.cache_key[:12]})")
+    # Only the cell server runs a batch; an injected executor takes one
+    # run at a time.
+    if server is not None:
+        batches = plan_batches(to_run, spec.jobs)
+    else:
+        batches = [[run] for run in to_run]
+
+    def record(outcome: RunOutcome) -> None:
+        nonlocal retried
+        run = outcome.run
+        outcomes[run.index] = outcome
+        retried += max(0, outcome.attempts - 1)
+        if outcome.status == "failed":
+            say(f"[campaign] {run.run_id}: FAILED after "
+                f"{outcome.attempts} attempt(s) ({outcome.error})")
+            if spec.policy == "fail-fast":
+                abort.set()
+        else:
+            say(f"[campaign] {run.run_id}: {outcome.status} in "
+                f"{outcome.wall_seconds:.2f} s")
+
+    async def _task(number: int, batch: list[CampaignRun]) -> None:
         async with semaphore:
             if abort.is_set():
-                outcomes[run.index] = RunOutcome(run=run, status="skipped")
+                for run in batch:
+                    outcomes[run.index] = RunOutcome(run=run, status="skipped")
                 return
+            if len(batch) > 1:
+                batch_id = f"b{number:04d}"
+                say(f"[campaign] {batch_id}: running "
+                    + ", ".join(run.run_id for run in batch))
+                for outcome in await _run_batch(batch_id, batch, runs_root, spec, server):
+                    record(outcome)
+                return
+            (run,) = batch
+            resume_run = resume_ckpt[run.index]
             say(f"[campaign] {run.run_id}: running"
-                + (" (resuming from checkpoints)" if resume_ckpt else ""))
-            outcome = await _run_one(run, run_dir, spec, resume_ckpt, executor)
-            outcomes[run.index] = outcome
-            retried += max(0, outcome.attempts - 1)
-            if outcome.status == "failed":
-                say(f"[campaign] {run.run_id}: FAILED after "
-                    f"{outcome.attempts} attempt(s) ({outcome.error})")
-                if spec.policy == "fail-fast":
-                    abort.set()
-            else:
-                say(f"[campaign] {run.run_id}: {outcome.status} in "
-                    f"{outcome.wall_seconds:.2f} s")
+                + (" (resuming from checkpoints)" if resume_run else ""))
+            record(await _run_one(run, runs_root / run.run_id, spec, resume_run,
+                                  executor))
 
-    tasks = [asyncio.create_task(_task(run)) for run in runs]
+    tasks = [asyncio.create_task(_task(k, batch)) for k, batch in enumerate(batches)]
     try:
         await asyncio.gather(*tasks)
         interrupted = False
@@ -917,6 +1041,7 @@ def _write_campaign_manifest(result: CampaignResult) -> Path:
                 "sweeps_per_second": o.sweeps_per_second,
                 "resumed_from_checkpoint": o.resumed_from_checkpoint,
                 "error": o.error,
+                "batch": o.batch,
                 "swept": dict(o.run.swept),
                 "dir": str(Path("runs") / o.run.run_id),
                 "manifest": str(Path("runs") / o.run.run_id / "manifest.json"),

@@ -4,11 +4,13 @@
 (:class:`repro.run.campaign.CellServer`) starts it: a ``fork()`` of the
 caller's own process, which has already paid for the interpreter's
 start-up, NumPy and the campaign's imports, so only the run path is left
-to import.  It speaks JSON lines: a request ``{"id", "argv", "stderr"}`` on
-fd 0 is answered on fd 1 by ``{"id", "pid"}`` at the fork and ``{"id",
-"returncode"}`` once the cell is reaped; on EOF the live cells' groups
-are killed and the server exits.  ``argv`` is the cell's recorded
-``python -m repro run-<kind> ...`` command line.  A cell is its own
+to import.  It speaks JSON lines: a request ``{"id", "argvs", "stderr"}``
+on fd 0 is answered on fd 1 by ``{"id", "pid"}`` at the fork and
+``{"id", "returncode"}`` once the cell is reaped; on EOF the live cells'
+groups are killed and the server exits.  ``argvs`` are recorded
+``python -m repro run-<kind> ...`` command lines: one is a campaign
+cell's, several are cells that run as one batch
+(:func:`repro.cli.main_batch`) in one process.  A cell is its own
 process, session and process group, forked from an image that has run
 no simulation since the server started, so nothing a cell does reaches
 the next one and one ``killpg`` takes it and every rank process it
@@ -74,7 +76,7 @@ def _exit_after(body: Callable[[], int]) -> NoReturn:
             os._exit(code)
 
 
-def _run_cell(argv: list[str], stderr_path: str) -> NoReturn:
+def _run_cell(argvs: list[list[str]], stderr_path: str) -> NoReturn:
     """The body of a forked cell; never returns into the server's loop."""
 
     def body() -> int:
@@ -85,9 +87,11 @@ def _run_cell(argv: list[str], stderr_path: str) -> NoReturn:
             os.dup2(fd, target)
         os.close(null)
         os.close(err)
-        from repro.cli import main
+        from repro.cli import main, main_batch
 
-        return main(argv[3:])
+        if len(argvs) == 1:
+            return main(argvs[0][3:])
+        return main_batch([argv[3:] for argv in argvs])
 
     _exit_after(body)
 
@@ -183,7 +187,7 @@ def serve() -> int:
                     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
                     os.close(wake_r)
                     os.close(wake_w)
-                    _run_cell(request["argv"], request["stderr"])
+                    _run_cell(request["argvs"], request["stderr"])
                 live[pid] = request["id"]
                 reply({"id": request["id"], "pid": pid})
     # The scheduler is gone (closed cleanly, or killed): so are its cells.

@@ -14,10 +14,10 @@ Every estimate carries a binning-analysis error bar and integrated
 autocorrelation time; parallel runs also report the virtual machine's
 modeled makespan and communication fraction.
 
-:meth:`Simulation.run` is one skeleton for every run kind and every
-layout: resolve the kernel -> ``params`` -> the layout's rank program
-under ONE ``run_spmd`` call -> runtime -> health -> artifacts ->
-estimates.  Every layout is a rank program over the drivers' one run
+:func:`run_batch` (which :meth:`Simulation.run` calls with one config)
+is one skeleton for every run kind and every layout: resolve the kernel
+-> ``params`` -> the layout's rank program under ONE ``run_spmd`` call
+-> runtime -> health -> artifacts -> estimates.  Every layout is a rank program over the drivers' one run
 loop (:func:`repro.qmc.parallel._run_decomposed`): a serial run is one
 rank holding the whole lattice, a replica run ``n_ranks`` of them
 (:func:`~repro.qmc.parallel.chain_program`), a strip / block run the
@@ -48,6 +48,7 @@ skeleton calls:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -80,7 +81,7 @@ from repro.stats.finite_size import susceptibility
 from repro.vmp.machines import IDEAL, MACHINES
 from repro.vmp.scheduler import run_spmd
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "run_batch"]
 
 
 def _checkpoint_config(cfg):
@@ -114,8 +115,6 @@ def _health_rules(cfg):
     """
     if not cfg.health:
         return None
-    import dataclasses
-
     from repro.obs.health import HealthRules, load_health_rules
 
     rules = (
@@ -272,8 +271,9 @@ class _Kind:
     chain_series: tuple[str, ...]
 
     @classmethod
-    def program(cls, cfg, kernel, checkpoint, rules):
-        """``(program, args, n_ranks)`` of the run's layout."""
+    def program(cls, cfg, kernel, checkpoint, rules, seeds=()):
+        """``(program, args, n_ranks)`` of the run's layout; ``seeds``
+        makes a serial rank a batch of one chain per seed."""
         layout = cfg.layout
         if layout.strategy == cfg.decomposed:
             return cls.decomposed(cfg, kernel, checkpoint, rules)
@@ -288,6 +288,7 @@ class _Kind:
             # reference on off-grid lattices); explicit backends are
             # passed through.
             mode="auto" if layout.kernel == "auto" else kernel,
+            seeds=tuple(seeds),
         )
         return chain_program, (chain_cfg, rules), layout.n_ranks
 
@@ -515,41 +516,115 @@ class Simulation:
         self.kind = config.kind
 
     def run(self) -> RunResult:
-        cfg, kind = self.config, _KINDS[self.kind]
-        layout = cfg.layout
-        # Resolved to a concrete registered backend *before*
-        # any rank program spawns, so a run requesting an uninstalled
-        # backend (``--kernel numba`` without numba) fails fast with a
-        # KernelUnavailableError instead of dying inside a worker.
-        kernel = kernels.resolve_kernel(layout.kernel)
-        params = kind.params(cfg, kernel)
-        result = RunResult(kind=self.kind, parameters=params)
-        registry = _obs_registry(cfg)
-        rules = _health_rules(cfg)
-        decomposed = layout.strategy == cfg.decomposed
-        t0_wall = time.perf_counter()
-        program, args, n_ranks = kind.program(
-            cfg, kernel, _checkpoint_config(cfg), rules
+        return run_batch([self.config])[0]
+
+
+def _check_batch(configs) -> None:
+    """The rules of a batch of more than one run (:func:`run_batch`)."""
+    cfg = configs[0]
+    if cfg.kind not in ("xxz", "xxz2d") or cfg.layout.strategy != "serial":
+        raise ValueError(
+            "a batch runs serial world-line chains (xxz / xxz2d, strategy "
+            f"'serial'), got {cfg.kind} / {cfg.layout.strategy!r}"
         )
-        # Rank i's stream is the i-th child stream of the root seed, so
-        # chain 0 of a replica run is the serial run at that seed.
-        # (Offsetting the seed by the chain index instead would make
-        # replica runs at neighbouring seeds share all but one chain.)
-        spmd = run_spmd(
-            program,
-            n_ranks,
-            # Chains exchange nothing and model no time: they run on the
-            # ideal machine, whatever sizes ``layout.machine`` (recorded
-            # in the parameters only) could be built for.
-            machine=MACHINES[layout.machine] if decomposed else IDEAL,
-            seed=cfg.seed,
-            args=args,
-            metrics=registry,
-            spans=cfg.trace_out is not None,
-            trace=cfg.trace_out is not None,
-            backend=layout.backend,
+    if cfg.health:
+        raise ValueError("a batch runs without the health engine")
+
+    def shared(c):
+        # Everything but the seed and where the artifacts go.
+        return dataclasses.replace(
+            c, seed=0, metrics_out=None if c.metrics_out is None else ""
         )
-        values = spmd.values
+
+    if any(shared(c) != shared(cfg) for c in configs[1:]):
+        raise ValueError("the runs of a batch may differ only in seed and "
+                         "output paths")
+
+
+def _chain_values(value: dict, n: int, series) -> list[list[dict]]:
+    """A batched rank's value as ``n`` one-rank runs' rank values."""
+    per_chain = ("spins", "n_attempted", "n_accepted")
+    return [[{
+        **value,
+        **{name: value[name][:, i] for name in series},
+        **{key: value[key][i] for key in per_chain},
+    }] for i in range(n)]
+
+
+def run_batch(configs) -> list[RunResult]:
+    """Run configs as one batch: each result equals its solo run's.
+
+    One skeleton for every run kind and layout: resolve the kernel ->
+    ``params`` -> the layout's rank program under ONE ``run_spmd`` call
+    -> runtime -> health -> artifacts -> estimates.  A single config is
+    an ordinary run (:meth:`Simulation.run`).  Several are serial
+    world-line chains (``xxz`` / ``xxz2d``) that may differ only in
+    ``seed`` and output paths, with no health engine: one rank holds
+    them all and sweeps them as one lattice (a ``chain_program`` with
+    ``seeds``), each chain on the stream its solo run has.  Every
+    result then equals its solo run's -- series, estimates, parameters
+    and counters -- with ``runtime["batch"] = {"size": R, "position":
+    i}``, the batch's wall time split evenly over its runs
+    (``wall_seconds``, ``sweeps_per_second`` and the ``sweep.*`` wall
+    counters), and its own artifacts (metrics JSONL and manifest with
+    the solo run's keys and counts).
+    """
+    configs = list(configs)
+    cfg = configs[0]
+    if len(configs) > 1:
+        _check_batch(configs)
+    n_runs = len(configs)
+    kind = _KINDS[cfg.kind]
+    layout = cfg.layout
+    # Resolved to a concrete registered backend *before*
+    # any rank program spawns, so a run requesting an uninstalled
+    # backend (``--kernel numba`` without numba) fails fast with a
+    # KernelUnavailableError instead of dying inside a worker.
+    kernel = kernels.resolve_kernel(layout.kernel)
+    params = kind.params(cfg, kernel)
+    registries = [_obs_registry(c) for c in configs]
+    rules = _health_rules(cfg)
+    decomposed = layout.strategy == cfg.decomposed
+    t0_wall = time.perf_counter()
+    program, args, n_ranks = kind.program(
+        cfg, kernel, _checkpoint_config(cfg), rules,
+        seeds=[c.seed for c in configs] if n_runs > 1 else (),
+    )
+    if n_runs == 1 or registries[0] is None:
+        metrics = registries[0]
+    else:
+        from repro.obs.metrics import MetricsFanout
+
+        metrics = MetricsFanout(registries)
+    # Rank i's stream is the i-th child stream of the root seed, so
+    # chain 0 of a replica run is the serial run at that seed.
+    # (Offsetting the seed by the chain index instead would make
+    # replica runs at neighbouring seeds share all but one chain.)
+    spmd = run_spmd(
+        program,
+        n_ranks,
+        # Chains exchange nothing and model no time: they run on the
+        # ideal machine, whatever sizes ``layout.machine`` (recorded
+        # in the parameters only) could be built for.
+        machine=MACHINES[layout.machine] if decomposed else IDEAL,
+        seed=cfg.seed,
+        args=args,
+        metrics=metrics,
+        spans=cfg.trace_out is not None,
+        trace=cfg.trace_out is not None,
+        backend=layout.backend,
+    )
+    # The always-on throughput numbers: a batch's runs share its wall.
+    wall = (time.perf_counter() - t0_wall) / n_runs
+    n_chains = n_ranks if layout.strategy == "replica" else 1
+    n_sweeps_run = n_chains * (cfg.n_sweeps + cfg.n_thermalize)
+    if n_runs == 1:
+        runs = [spmd.values]
+    else:
+        runs = _chain_values(spmd.values[0], n_runs, kind.chain_series)
+    results = []
+    for i, (run_cfg, registry, values) in enumerate(zip(configs, registries, runs)):
+        result = RunResult(kind=cfg.kind, parameters=dict(params))
         result.runtime.update(
             # The kernel that ran: under "auto" a sampler's geometry
             # gate may have picked the scalar reference.
@@ -559,30 +634,28 @@ class Simulation:
         )
         if decomposed:
             _record_spmd(result, spmd, layout)
-
-        # The always-on throughput numbers and metric summaries.
-        wall = time.perf_counter() - t0_wall
-        n_chains = n_ranks if layout.strategy == "replica" else 1
-        n_sweeps_run = n_chains * (cfg.n_sweeps + cfg.n_thermalize)
         result.runtime.update(
             wall_seconds=wall,
             n_sweeps=n_sweeps_run,
             sweeps_per_second=n_sweeps_run / wall if wall > 0 else 0.0,
         )
+        if n_runs > 1:
+            result.runtime["batch"] = {"size": n_runs, "position": i}
         if registry is not None:
             result.rank_summaries = {
                 str(r): v for r, v in registry.summary().items()
             }
         health = _collect_health(rules, result, spmd)
         _emit_observability(
-            self.kind, cfg, params, registry, spmd, result.runtime, health
+            cfg.kind, run_cfg, result.parameters, registry, spmd,
+            result.runtime, health,
         )
-
-        series = kind.series(cfg, values)
-        result.estimates.update(kind.estimates(cfg, series))
+        series = kind.series(run_cfg, values)
+        result.estimates.update(kind.estimates(run_cfg, series))
         for name in kind.stored:
             result.add_series(name, series[name])
-        return result
+        results.append(result)
+    return results
 
 
 def _susceptibility_error(mag: np.ndarray, beta: float, n_sites: int) -> float:

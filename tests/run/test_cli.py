@@ -85,12 +85,12 @@ class TestCommands:
         """Exit 2 means "bad parameter, do not retry" to the campaign; a
         KeyError raised while running is a bug and must stay a traceback
         (exit 1, transient), not be dressed up as ``error: 'x'``."""
-        from repro.run.simulation import Simulation
+        from repro.run import simulation
 
-        def boom(self):
+        def boom(configs):
             raise KeyError("x")
 
-        monkeypatch.setattr(Simulation, "run", boom)
+        monkeypatch.setattr(simulation, "run_batch", boom)
         with pytest.raises(KeyError):
             main(["run-xxz", "--sites", "8", "--beta", "1.0", "--sweeps", "4"])
 
