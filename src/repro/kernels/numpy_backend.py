@@ -91,12 +91,6 @@ def strip_corner(flat, weights, gather, flip, uu):
         e = e.astype(np.intp)  # once here, not inside each lookup
         accept = uu * p_old[e] < p_new[e]
     flat[flip.compress(accept, axis=1)] ^= 1
-    return _accepted(accept, chains)
-
-
-def _accepted(accept, chains):
-    """The op's return: the accepted total as an ``int``, or with
-    ``chains`` > 0 the ``(chains,)`` per-chain counts."""
     if chains:
         return np.count_nonzero(accept.reshape(chains, -1), axis=1)
     return int(np.count_nonzero(accept))
@@ -132,7 +126,9 @@ def strip_column(loc, logw, lc, gather, straight, log_uu):
         log_ratio = new_lw - (old[0] + old[1])
         accept = straight & np.isfinite(log_ratio) & (log_uu < log_ratio)
     loc[lc[accept]] ^= 1
-    return _accepted(accept, chains)
+    if chains:
+        return np.count_nonzero(accept.reshape(chains, -1), axis=1)
+    return int(np.count_nonzero(accept))
 
 
 def block_color(g, couplings, mask, log_u) -> int:

@@ -1383,8 +1383,14 @@ class _ChainState(_DecomposedState):
         batch = SweepBatch(self.samplers) if self._batched else q
         kernel, self._sweep = batch.resolve_sweep(cfg.mode)
         self._init_rank(comm, cfg, kernel)
-        if self._obs and self._batched:
-            self._chain_m = [_SweepMetrics(m, kernel) for m in comm.metrics.scopes]
+        if self._batched:
+            # Each chain's sweeps go to its own scope (_sweep_stages),
+            # not the rank's to every scope.
+            self._chain_m = (
+                [_SweepMetrics(m, kernel) for m in comm.metrics.scopes]
+                if self._obs else []
+            )
+            self._obs = False
         self.series = cfg.series
         self.health_series = cfg.health_series
         self._estimators = [getattr(s, s.ESTIMATORS[name])
@@ -1396,26 +1402,21 @@ class _ChainState(_DecomposedState):
             width += shape[0] if shape else 1
         self._vector = any(isinstance(c, slice) for c in self._columns)
 
-    def sweep(self) -> None:
-        if not (self._obs and self._batched):
-            return super().sweep()
+    def _sweep_stages(self) -> None:
+        if not self._batched:
+            self._timed(self._sweep)
+            self.n_attempted = self.samplers[0].n_attempted
+            self.n_accepted = self.samplers[0].n_accepted
+            return
         before = [(q.n_attempted, q.n_accepted) for q in self.samplers]
         t0 = perf_counter()
-        self._sweep_stages()
+        self._sweep()
         share = (perf_counter() - t0) / len(self.samplers)
         for q, (att0, acc0), m in zip(self.samplers, before, self._chain_m):
             m.record(q.n_attempted - att0, q.n_accepted - acc0, 0.0, share)
             m.kernel.inc(share)
-
-    def _sweep_stages(self) -> None:
-        if self._batched:
-            self._sweep()
-            self.n_attempted = [q.n_attempted for q in self.samplers]
-            self.n_accepted = [q.n_accepted for q in self.samplers]
-            return
-        self._timed(self._sweep)
-        self.n_attempted = self.samplers[0].n_attempted
-        self.n_accepted = self.samplers[0].n_accepted
+        self.n_attempted = [q.n_attempted for q in self.samplers]
+        self.n_accepted = [q.n_accepted for q in self.samplers]
 
     def measure(self) -> np.ndarray:
         row = [f() for f in self._estimators]

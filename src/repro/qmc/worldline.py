@@ -190,7 +190,7 @@ class SweepBatch:
         column flip leaves every column as straight as it was.
         """
         corner, column = ops["strip_corner"], ops["strip_column"]
-        qs = self.samplers
+        qs, n_chains = self.samplers, len(self.samplers)
         if self._stacked is None:
             q = qs[0]
             spins, corner_rows, column_rows = q.spins, q._corner_tables, q._column_tables
@@ -200,11 +200,11 @@ class SweepBatch:
         else:
             spins, corner_rows, column_rows = self._stacked
             u = np.stack([q.stream.uniform(size=q._n_corner_moves) for q in qs])
-            accepted = np.zeros(len(qs), dtype=np.int64)
+            accepted = np.zeros(n_chains, dtype=np.int64)
         flat = spins.reshape(-1)
         lo = 0
         for weights, gather, flip in corner_rows:
-            hi = lo + flip.shape[1] // len(qs)
+            hi = lo + flip.shape[1] // n_chains
             accepted = accepted + corner(flat, weights, gather, flip, u[..., lo:hi])
             lo = hi
         # A column flip writes its own column only: one pass finds the
@@ -224,8 +224,8 @@ class SweepBatch:
             q.n_attempted += attempted
             q.n_accepted += accepted
             return
-        attempted = np.full(len(qs), lo)
-        masks = [lines[sites].reshape(len(qs), -1) for _, sites, _ in column_rows]
+        attempted = np.full(n_chains, lo)
+        masks = [lines[sites].reshape(n_chains, -1) for _, sites, _ in column_rows]
         # Chain-major, rows in order within a chain: the solo draw order.
         straight = np.concatenate(masks, axis=1)
         draws = [q.stream.uniform(size=n) for q, n in

@@ -35,6 +35,12 @@ dashboard) into that serving layer:
   skipped, interrupted checkpointed runs restart from their bundles,
   and a stale status/checkpoint (cache key mismatch after a spec edit)
   is rejected and the run re-executed from scratch.
+* :func:`plan_batches` -- which cells share a cell: serial world-line
+  cells that differ only in ``seed`` run as batches, one process
+  sweeping their chains as one lattice
+  (:func:`repro.run.simulation.run_batch`), each cell still with its
+  own directory, status document, solo command line, cache key and
+  attempts; a failed batch retries its cells solo.
 
 Every run directory contains the full artifact set the rest of the
 stack already understands (``result.json``/``result.npz``,
@@ -523,9 +529,10 @@ class _Cell:
 class CellServer:
     """The default executor: cells forked from one fork of this process.
 
-    ``execute`` forks the cell server off the calling process on first
-    use (:func:`repro.run.cell_server.fork_server`; an all-cache-hit
-    resume forks none) and sends it one request per attempt; see
+    ``execute`` (one run) / ``execute_batch`` (several, one cell) forks
+    the cell server off the calling process on first use
+    (:func:`repro.run.cell_server.fork_server`; an all-cache-hit resume
+    forks none) and sends it one request per attempt; see
     :mod:`repro.run.cell_server` for the protocol.  Each cell leads its
     own session, so a timeout, a cancelled campaign
     (``KeyboardInterrupt`` / a ``fail-fast`` abort) or a dead server
