@@ -313,22 +313,20 @@ def _op_table(interpreted: bool) -> dict:
         )
         return spins, n_acc
 
-    def accepted(uu, run):
-        """``run(flat uu, counts)``, returning what the numpy op does:
-        the total, or per-chain counts for an ``(R, n / R)`` ``uu``."""
-        counts = np.zeros(uu.shape[0] if uu.ndim == 2 else 1, np.int64)
-        run(uu.reshape(-1), counts)
+    # What the numpy ops return: the total, or the per-chain counts of
+    # an (R, n / R) draw.
+    def strip_corner(flat, weights, gather, flip, uu):
+        counts = np.zeros(len(uu) if uu.ndim == 2 else 1, np.int64)
+        if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
+            corner(flat, weights, *gather, flip, uu.reshape(-1), counts)
+        else:
+            corner_packed(flat, *weights, gather, flip, uu.reshape(-1), counts)
         return counts if uu.ndim == 2 else int(counts[0])
 
-    def strip_corner(flat, weights, gather, flip, uu):
-        if isinstance(gather, tuple):  # K = 8, per-move masks: unpacked
-            return accepted(uu, lambda u, c: corner(flat, weights, *gather, flip, u, c))
-        return accepted(uu, lambda u, c: corner_packed(flat, *weights, gather, flip, u, c))
-
     def strip_column(loc, logw, lc, gather, straight, log_uu):
-        return accepted(
-            log_uu, lambda u, c: column(loc, logw, lc, gather, straight, u, c)
-        )
+        counts = np.zeros(len(log_uu) if log_uu.ndim == 2 else 1, np.int64)
+        column(loc, logw, lc, gather, straight, log_uu.reshape(-1), counts)
+        return counts if log_uu.ndim == 2 else int(counts[0])
 
     def block_color(g, couplings, mask, log_u) -> int:
         kx, ky, kt = couplings

@@ -808,7 +808,7 @@ async def _run_batch(
     argvs = [build_run_argv(run, run_dir) for run, run_dir in zip(runs, dirs)]
     for run, run_dir, argv in zip(runs, dirs, argvs):
         run_dir.mkdir(parents=True, exist_ok=True)
-        _write_status(run, run_dir, argv, "running", attempt=1, batch=batch_id)
+        _write_status(run, run_dir, argv, "running", attempt=1)
     t0 = time.perf_counter()
     attempt = await server.execute_batch(runs, argvs, 0)
     if attempt.returncode == 0:
