@@ -317,7 +317,6 @@ class MetricsFanout:
 
     def __init__(self, registries):
         self.registries = list(registries)
-        self.interval = self.registries[0].interval
 
     def scope(self, rank: int) -> "FanoutMetrics":
         return FanoutMetrics([r.scope(rank) for r in self.registries])
@@ -343,15 +342,8 @@ class FanoutMetrics:
     def histogram(self, name: str, edges: tuple[float, ...]) -> "_FanoutMetric":
         return _FanoutMetric([s.histogram(name, edges) for s in self.scopes])
 
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
-
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
-
-    def observe(self, name: str, value: float,
-                edges: tuple[float, ...] = ACCEPTANCE_EDGES) -> None:
-        self.histogram(name, edges).observe(value)
 
     def snapshot(self, **labels) -> None:
         for s in self.scopes:
