@@ -39,7 +39,7 @@ def _square(lx, ly, n_slices):
     return build
 
 
-#: name -> (builder, series, the batched kernel the geometry runs)
+#: name -> (ChainConfig.build, series, the batched kernel the geometry runs)
 GEOMETRIES = {
     "chain-8x8": (_chain(8, 8), ("energy", "magnetization", "szsz"), "numpy"),
     "chain-64x16": (_chain(64, 16), ("energy", "m_stag_sq"), "numpy"),
