@@ -11,16 +11,21 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
   into contiguous site strips.  Updates proceed stage-by-stage through
   the eight independence classes of the corner moves (stride-4 grids in
   both bond and interval index) and the two straight-line column
-  parities.  Each sweep draws one *shared* uniform block (every rank
-  derives the same numbers from ``sweep_seed``), sliced per stage, so
-  the trajectory is bit-identical across rank counts and across the
-  kernel backends (``mode="scalar"`` is the per-move one).
+  parities.  Each sweep draws one *shared* uniform block, sliced per
+  stage, so the trajectory is bit-identical across rank counts and
+  across the kernel backends (``mode="scalar"`` is the per-move one).
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
   grid.  Given the same per-site uniforms the parallel trajectory is
   **bit-identical** to the serial one (same-color sites do not
   interact), which the integration tests assert literally.
+
+Both decomposed drivers take their shared uniforms from one stream per
+run (:meth:`_DecomposedState._open_sweep_stream`): every rank builds it
+once from ``sweep_seed`` and skips ahead to its share -- the strip's
+next whole block per sweep, a block rank's own rows of the sweep's
+global field -- instead of building a generator per sweep.
 
 * :func:`chain_program` -- one whole lattice per rank, the serial (one
   rank) and replica (``n`` independent chains) layouts of every run
@@ -156,6 +161,13 @@ __all__ = [
 # Tag bases for the two drivers (distinct from the collective range).
 _TAG_WL = 4096
 _TAG_ISING = 8192
+
+#: How the decomposed drivers address their shared sweep uniforms, as a
+#: checkpoint records it: one skip-ahead stream per run (``"sweep"``
+#: kind), sweep ``k`` at position ``k * per-sweep count``.  Bundles of
+#: the earlier one-generator-per-sweep addressing carry no such entry
+#: and are refused on resume.
+SWEEP_STREAM_SCHEME = "run-stream"
 
 
 def _validate_schedule(cfg) -> None:
@@ -314,14 +326,45 @@ class _DecomposedState:
     _driver: str
     _fingerprint: tuple[str, ...]
 
+    #: Uniforms one sweep takes from the run's sweep stream, all ranks
+    #: together (the subclass sets it at construction).
+    _per_sweep: int
+
     def __init__(self, comm, cfg):
         # Resolve the kernel backend once per rank (every backend, the
         # per-move "scalar" included, is trajectory-identical).
         self._init_rank(comm, cfg, kernels.resolve_kernel(cfg.mode))
         self._kops = kernels.get_ops(self.kernel)
-        self.sweep_factory = SeedSequenceFactory(cfg.sweep_seed)
         self.sweep_index = 0
         self._n_exchanges = 0
+        self._open_sweep_stream()
+
+    # -- shared randomness ---------------------------------------------------
+    def _open_sweep_stream(self) -> None:
+        """Build the run's one sweep stream, positioned at its start.
+
+        Every rank builds the same stream from ``sweep_seed``, once per
+        run (and again on restore): sweep ``k`` owns its ``_per_sweep``
+        doubles from position ``k * _per_sweep`` on, and a rank reaches
+        its share by skipping ahead, so the position is a function of
+        ``sweep_index`` alone and a checkpoint stores nothing of it.
+        """
+        self._sweep_gen = SeedSequenceFactory(self.cfg.sweep_seed).stream(
+            "sweep", 0).generator
+        self._sweep_pos = 0
+
+    def _sweep_draw(self, offset: int, shape) -> np.ndarray:
+        """This sweep's ``shape`` uniforms from ``offset`` into its share
+        of the sweep stream; advances ``sweep_index``.  PCG64 spends one
+        step per double, so ``advance`` skips exactly the numbers other
+        ranks (or earlier sweeps) draw."""
+        target = self.sweep_index * self._per_sweep + offset
+        if target != self._sweep_pos:
+            self._sweep_gen.bit_generator.advance(target - self._sweep_pos)
+        u = self._sweep_gen.random(shape)
+        self._sweep_pos = target + u.size
+        self.sweep_index += 1
+        return u
 
     def _init_rank(self, comm, cfg, kernel: str) -> None:
         """What :meth:`sweep` and :func:`_run_decomposed` need of any
@@ -459,13 +502,17 @@ class _DecomposedState:
 
     # -- checkpoint/restart --------------------------------------------------
     def _checkpoint_expect(self) -> dict:
-        """Geometry/seed fingerprint a resume must match exactly."""
+        """Geometry/seed fingerprint a resume must match exactly; it
+        names the sweep-stream scheme, so a bundle written under another
+        addressing of the sweep uniforms is refused, not resumed on other
+        numbers."""
         cfg = self.cfg
         return {
             "driver": self._driver,
             "n_ranks": self.comm.size,
             **{name: getattr(cfg, name) for name in self._fingerprint},
             "sweep_seed": cfg.sweep_seed,
+            "sweep_stream": SWEEP_STREAM_SCHEME,
             "n_thermalize": cfg.n_thermalize,
         }
 
@@ -510,6 +557,7 @@ class _DecomposedState:
         spins[...] = arrays[self._array]  # in place: views stay valid
         self.sweep_index = int(meta["sweep_index"])
         self._n_exchanges = int(meta["n_exchanges"])
+        self._open_sweep_stream()
         restore_rng_state(self.comm.stream.generator, arrays["rng_state"])
         return (
             int(meta["sweeps_done"]),
@@ -756,7 +804,7 @@ class _StripState(_DecomposedState):
             for kind, _, _ in WL_STAGES
         ]
         self._u_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self._u_total = int(self._u_offsets[-1])
+        self._per_sweep = int(self._u_offsets[-1])
         self._build_stage_caches()
         if cfg.overlap and comm.size > 1:
             self._plan_overlap()
@@ -862,16 +910,13 @@ class _StripState(_DecomposedState):
     def _sweep_uniforms(self) -> np.ndarray:
         """This sweep's uniforms; every rank draws the identical block.
 
-        One generator per sweep yields the ten stage lattices as slices
-        of a single draw (corner classes consume the compact
-        ``(L/4, T/4)`` class grid, column parities ``L/2`` values).
-        Every kernel and all rank counts index the same numbers, the
-        source of bit-identity; amortizing the generator construction
-        over the sweep keeps the shared-randomness cost off the
-        kernels' critical path.
+        The next ``_per_sweep`` numbers of the run's sweep stream hold
+        the ten stage lattices as slices of a single draw (corner
+        classes consume the compact ``(L/4, T/4)`` class grid, column
+        parities ``L/2`` values).  Every kernel and all rank counts
+        index the same numbers, the source of bit-identity.
         """
-        gen = self.sweep_factory.stream("wl-sweep", self.sweep_index).generator
-        return gen.random(self._u_total)
+        return self._sweep_draw(0, self._per_sweep)
 
     def _charge_moves(self, n_moves: int, flops_per_move: float,
                       category: str) -> None:
@@ -953,7 +998,6 @@ class _StripState(_DecomposedState):
             self._charge_moves(
                 n_moves - n_int, flops, "boundary" if pending else "compute"
             )
-        self.sweep_index += 1
 
     # -- measurement ---------------------------------------------------------
     def local_dlog_sum(self) -> float:
@@ -1116,7 +1160,7 @@ class _BlockState(_DecomposedState):
         gt = np.arange(self.lt)
         parity = (gx[:, None, None] + gy[None, :, None] + gt[None, None, :]) % 2
         self.color_masks = [(parity == c) for c in (0, 1)]
-        self._n_sites = cfg.lx * cfg.ly * cfg.lt
+        self._n_sites = self._per_sweep = cfg.lx * cfg.ly * cfg.lt
         self._n_color_sites = [int(m.sum()) for m in self.color_masks]
         # Link tables per stage: the two checkerboard colors.  The
         # measurement has none (see :meth:`measure`).
@@ -1199,16 +1243,14 @@ class _BlockState(_DecomposedState):
     def _sweep_uniforms(self) -> np.ndarray:
         """This sweep's per-site uniforms: this rank's block of the
         global ``(lx, ly, lt)`` field every rank derives from the shared
-        sweep seed -- the source of serial/parallel bit-identity.  The
-        generator skips ahead to the rank's first x-row and draws its
-        rows only (PCG64 spends one step per double), so a rank's
-        random work is its share of the lattice.
+        sweep stream -- the source of serial/parallel bit-identity.  The
+        stream skips ahead to the rank's first x-row of this sweep's
+        field and draws its rows only, so a rank's random work is its
+        share of the lattice.
         """
-        gen = self.sweep_factory.stream("scratch", self.sweep_index).generator
-        self.sweep_index += 1
         p, ly = self.piece, self.cfg.ly
-        gen.bit_generator.advance(p.x_start * ly * self.lt)
-        return gen.random((self.bx, ly, self.lt))[:, p.y_start : p.y_stop]
+        u = self._sweep_draw(p.x_start * ly * self.lt, (self.bx, ly, self.lt))
+        return u[:, p.y_start : p.y_stop]
 
     def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
         """One color's Metropolis update through the configured

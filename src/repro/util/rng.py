@@ -86,11 +86,14 @@ class SeedSequenceFactory:
         "measurement": 3,
         "tempering": 4,
         "scratch": 5,
-        # Per-sweep shared uniforms of the strip world-line driver (one
-        # generator per sweep, sliced into the ten stage lattices):
-        # every rank derives the identical numbers, the source of
-        # rank-count-independent trajectories.
-        "wl-sweep": 7,
+        # 7 addressed one generator per sweep of the strip driver (the
+        # block driver used "scratch"); retired, not to be reused.
+        # The shared sweep uniforms of the strip and block drivers: one
+        # stream per run, index 0, that every rank builds once and skips
+        # ahead through (sweep k from position k * per-sweep count, a
+        # block rank to its own rows) -- the same numbers on every rank,
+        # the source of rank-count-independent trajectories.
+        "sweep": 8,
     }
 
     def __init__(self, root_seed: int):

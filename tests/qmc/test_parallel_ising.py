@@ -32,9 +32,9 @@ def serial_reference(
     sampler = AnisotropicIsing(
         (cfg.lx, cfg.ly, cfg.lt), (cfg.kx, cfg.ky, cfg.kt), seed=0
     )
-    factory = SeedSequenceFactory(cfg.sweep_seed)
+    stream = SeedSequenceFactory(cfg.sweep_seed).stream("sweep", 0).generator
     for k in range(n_sweeps_total):
-        u = factory.stream("scratch", k).generator.random((cfg.lx, cfg.ly, cfg.lt))
+        u = stream.random((cfg.lx, cfg.ly, cfg.lt))  # sweep k's whole field
         sampler.sweep(uniforms=u)
         if after_sweep is not None:
             after_sweep(k, sampler)
@@ -143,16 +143,18 @@ class TestMeasurements:
 
 
 #: Lattices with an inert y axis, an inert x axis and none, and the
-#: sha256 of their ``(n, 3)`` float64 ``bond_sums`` series as the driver
-#: produced it at commit 4206d8e, when every measurement still refreshed
-#: the east and north ghost planes and counted owned-origin bonds.
+#: sha256 of their ``(n, 3)`` float64 ``bond_sums`` series.  First
+#: recorded at commit 4206d8e, when every measurement still refreshed the
+#: east and north ghost planes and counted owned-origin bonds; re-pinned
+#: when the sweep uniforms moved to one skip-ahead stream per run (the
+#: trajectory moved, the counting did not: the serial legs hold that).
 MEASURED_LATTICES = {
     (64, 1, 64): ((0.25, 0.0, 0.4),
-                 "629fe53ac11ba82eabe7a72fff9e7dd8923162a9d7df201d1181f285de11cf5e"),
+                 "5a91aa0fac18fd5f7bba3730d0b81e607ee32ad8872c31c1f4c7b047b396b8f7"),
     (1, 8, 8): ((0.0, 0.2, 0.4),
-               "fdeecccc989888a4f8ee3eb18a593db5e6f5ac88fcd2b4754065159e3c0a9289"),
+               "1348f6b466f60778da4b739a4e2e242f6b455a0c1bc04122a1dad8c135785d32"),
     (8, 8, 8): ((0.25, 0.2, 0.4),
-               "232838e6c78140ef462eb3b0a7acb338983337c1d6b68987e3a2114018200959"),
+               "d260dc2138b639060675018616dda2458d7ed4e5fc6cfcf197716894953d4fa4"),
 }
 
 
@@ -161,7 +163,7 @@ class TestMeasurementWithoutHalo:
 
     The 1-D TFIM energy never reads ``bond_sums[:, 1]``, so a wrong y
     column on an ``ly == 1`` lattice changes no series downstream: all
-    three columns are held here, against the parent's bytes and against
+    three columns are held here, against pinned bytes and against
     the serial sampler's own ``np.roll`` definition sweep by sweep.
     """
 
@@ -221,13 +223,36 @@ class TestSweepUniforms:
         starts = {(piece.x_start, piece.y_start) for piece, _ in ranks}
         assert len({x for x, _ in starts}) == grid[0]
         assert len({y for _, y in starts}) == grid[1]
-        factory = SeedSequenceFactory(cfg.sweep_seed)
         for piece, draws in ranks:
+            stream = SeedSequenceFactory(cfg.sweep_seed).stream("sweep", 0).generator
             for k, u in enumerate(draws):
-                full = factory.stream("scratch", k).generator.random(shape)
+                full = stream.random(shape)
                 np.testing.assert_array_equal(
                     u, full[piece.x_start : piece.x_stop,
                             piece.y_start : piece.y_stop])
+
+
+def _draw_after_sweeps(comm, cfg, k):
+    st = _BlockState(comm, cfg)
+    for _ in range(k):
+        st.sweep()
+    return st.piece, st._sweep_uniforms()
+
+
+class TestSweepStream:
+    """One stream per run: sweep ``k`` of a rank is a skip-ahead of it."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_draw_after_k_sweeps_is_the_advanced_stream(self, p):
+        k = 5
+        lx, ly, lt = CFG_2D.lx, CFG_2D.ly, CFG_2D.lt
+        ranks = run_spmd(_draw_after_sweeps, p, machine=IDEAL,
+                         args=(CFG_2D, k)).values
+        for piece, u in ranks:
+            gen = SeedSequenceFactory(CFG_2D.sweep_seed).stream("sweep", 0).generator
+            gen.bit_generator.advance(k * lx * ly * lt + piece.x_start * ly * lt)
+            rows = gen.random((piece.x_stop - piece.x_start, ly, lt))
+            np.testing.assert_array_equal(u, rows[:, piece.y_start : piece.y_stop])
 
 
 class TestColorOpIsStateless:

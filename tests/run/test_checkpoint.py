@@ -253,6 +253,34 @@ class TestBlockDriverResume:
         np.testing.assert_array_equal(resumed["bond_sums"], ref["bond_sums"])
         np.testing.assert_array_equal(resumed["block"], ref["block"])
 
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_resume_mid_stream_at_every_rank_count(self, tmp_path, p):
+        """The restored rank rebuilds its sweep stream and skips to
+        sweep ``k``: series, blocks and every bundle byte equal the
+        uninterrupted run's."""
+        ref_dir, res_dir = tmp_path / "ref", tmp_path / "res"
+        full = _block_cfg(n_sweeps=7)
+        ref = run_spmd(
+            ising_block_program, p, IDEAL, seed=5,
+            args=(full, CheckpointConfig(ref_dir, every=7)),
+        ).values
+        run_spmd(
+            ising_block_program, p, IDEAL, seed=5,
+            args=(_block_cfg(n_sweeps=3), CheckpointConfig(res_dir, every=3)),
+        )
+        resumed = run_spmd(
+            ising_block_program, p, IDEAL, seed=5,
+            args=(full, CheckpointConfig(res_dir, every=7, resume=True)),
+        ).values
+        for a, b in zip(ref, resumed):
+            for key in ("magnetization", "bond_sums", "block"):
+                np.testing.assert_array_equal(b[key], a[key], err_msg=key)
+        for r in range(p):
+            a, b = _bundle_arrays(ref_dir, r), _bundle_arrays(res_dir, r)
+            assert sorted(a) == sorted(b)
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
 
 class TestDistributedValidation:
     def _write_checkpoint(self, directory, p=2):
@@ -312,6 +340,27 @@ class TestDistributedValidation:
             )
         with pytest.raises(ValueError, match="sweep_seed"):
             self._resume(tmp_path)
+
+    @pytest.mark.parametrize("driver", ["strip", "block"])
+    def test_bundle_of_per_sweep_streams_refused(self, tmp_path, driver):
+        """A bundle written when each sweep built its own generator names
+        no ``sweep_stream`` scheme; resuming it would continue on other
+        numbers, so it gets the structured mismatch error instead."""
+        program, short, full = {
+            "strip": (worldline_strip_program, _strip_cfg(3, "vectorized"),
+                      _strip_cfg(6, "vectorized")),
+            "block": (ising_block_program, _block_cfg(3), _block_cfg(6)),
+        }[driver]
+        run_spmd(program, 2, IDEAL, seed=3,
+                 args=(short, CheckpointConfig(tmp_path, every=3)))
+        for r in range(2):
+            self._rewrite_bundle(
+                rank_checkpoint_path(tmp_path, r),
+                meta_edit=lambda m: m.pop("sweep_stream"),
+            )
+        with pytest.raises(ValueError, match="sweep_stream is None"):
+            run_spmd(program, 2, IDEAL, seed=3,
+                     args=(full, CheckpointConfig(tmp_path, resume=True)))
 
     def test_wrong_bit_generator_rejected(self, tmp_path):
         self._write_checkpoint(tmp_path)
