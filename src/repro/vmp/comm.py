@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import pickle
+import queue
 import threading
 import time as _time
 from collections import deque
@@ -298,21 +299,17 @@ def record_comm_counters(metrics, stats: CommStats, breakdown: dict) -> None:
     )
 
 
-@dataclass
-class _DeadRank:
-    """Registry entry of a failed rank (see :meth:`Fabric.mark_dead`)."""
-
-    rank: int
-    origin: int  # the originally failed rank (!= rank for cascades)
-    error: str
-    model_time: float = 0.0
+#: What :meth:`Fabric.mark_dead` puts into every inbox to wake its reader.
+_WAKE = object()
 
 
 class Fabric:
     """Shared in-process message fabric connecting ``n`` ranks.
 
-    One instance per SPMD run; owns the mailboxes and the dead-rank
-    registry.
+    One instance per SPMD run; owns the dead-rank registry and one C-level
+    :class:`queue.SimpleQueue` inbox per rank, which only that rank's
+    thread drains into its :class:`_Stash` -- in deposit order, so
+    wildcard receives still take the globally oldest message.
     """
 
     def __init__(
@@ -329,12 +326,11 @@ class Fabric:
         self.n_ranks = n_ranks
         self.machine = machine
         self.topology = topology
-        self._lock = threading.Lock()
-        self._conditions = [threading.Condition(self._lock) for _ in range(n_ranks)]
-        self._mailboxes = [_Stash() for _ in range(n_ranks)]
-        #: rank -> _DeadRank for every rank whose program raised.  Blocked
-        #: receivers waiting on a dead source fail fast with RankFailure.
-        self.dead_ranks: dict[int, _DeadRank] = {}
+        self._inboxes = [queue.SimpleQueue() for _ in range(n_ranks)]
+        self._stashes = [_Stash() for _ in range(n_ranks)]
+        #: rank -> (originally failed rank, error repr) for every rank whose
+        #: program raised; receivers waiting on it fail fast.
+        self.dead_ranks: dict[int, tuple[int, str]] = {}
         #: When tracing, every message is appended here as a MessageEvent.
         self.trace_events: list | None = [] if trace else None
         self._trace_lock = threading.Lock()
@@ -345,80 +341,79 @@ class Fabric:
                 self.trace_events.append(event)
 
     def deposit(self, dst: int, msg: tuple) -> None:
-        with self._conditions[dst]:
-            self._mailboxes[dst].add(msg)
-            self._conditions[dst].notify_all()
+        self._inboxes[dst].put(msg)
 
-    def _check_dead(self, dst: int, src: int) -> None:
-        """Raise RankFailure if ``dst``'s wait on ``src`` can never complete.
-
-        Caller holds the lock.  A specific dead source fails immediately;
-        a wildcard source fails only once *every* peer is dead (a live
-        peer might still send).  The raised failure names the *original*
-        culprit so cascades report the root cause, not the messenger.
+    def _failure(self, dst: int, src: int) -> RankFailure | None:
+        """The RankFailure of ``dst``'s wait on ``src`` if it can never
+        complete: a specific dead source fails at once, a wildcard only
+        once *every* peer is dead (a live peer might still send).  It
+        names the *original* culprit, so cascades report the root cause.
         """
-        if src != ANY_SOURCE:
-            entry = self.dead_ranks.get(src)
-            if entry is not None:
-                raise RankFailure(
-                    failed_rank=entry.origin,
-                    detected_by=dst,
-                    via="dead-rank",
-                    detail=f"waiting on rank {src}: {entry.error}",
-                )
-        elif len(self.dead_ranks) >= self.n_ranks - 1 and self.n_ranks > 1:
-            entry = next(iter(self.dead_ranks.values()))
-            raise RankFailure(
-                failed_rank=entry.origin,
-                detected_by=dst,
-                via="dead-rank",
-                detail=f"all peers dead: {entry.error}",
-            )
+        dead = self.dead_ranks
+        entry = dead.get(src)
+        why = f"waiting on rank {src}"
+        if src == ANY_SOURCE and len(dead) >= self.n_ranks - 1 and self.n_ranks > 1:
+            entry, why = list(dead.values())[0], "all peers dead"  # one C copy
+        return None if entry is None else RankFailure(
+            failed_rank=entry[0], detected_by=dst, via="dead-rank",
+            detail=f"{why}: {entry[1]}")
+
+    def _drain(self, dst: int, block: bool = False, timeout=None) -> bool:
+        """Move ``dst``'s inbox into its stash, after waiting (``block``)
+        up to ``timeout`` seconds for a first item; True if there was
+        one.  A :data:`_WAKE` carries nothing."""
+        inbox = self._inboxes[dst]
+        try:
+            item = inbox.get(block, timeout)
+        except queue.Empty:
+            return False
+        while True:
+            if item is not _WAKE:
+                self._stashes[dst].add(item)
+            if inbox.empty():
+                return True
+            item = inbox.get_nowait()
 
     def collect(
         self, dst: int, src: int, tag: int, timeout: float | None = None
     ) -> tuple:
         """Block until a message matching (src, tag) is available.
 
-        ``timeout`` bounds the *wall-clock* wait; waiting uses
-        exponentially backed-off condition waits (1 ms doubling to
-        250 ms) so failures surface quickly without busy-spinning.
-        Expiry raises :class:`RankFailure` (via="timeout") carrying
-        mailbox diagnostics.
+        ``timeout`` bounds the *wall-clock* wait; expiry raises
+        :class:`RankFailure` (via="timeout") carrying mailbox
+        diagnostics.  A death is read *before* the inbox is drained: a
+        dead rank's sends precede its registration, so they still match.
         """
-        cond = self._conditions[dst]
-        box = self._mailboxes[dst]
+        box = self._stashes[dst]
         deadline = None if timeout is None else _time.monotonic() + timeout
-        wait = 0.001
-        with cond:
-            while True:
-                msg = box.pop(src, tag)
-                if msg is not None:
-                    return msg
-                self._check_dead(dst, src)
-                if deadline is not None:
-                    remaining = deadline - _time.monotonic()
-                    if remaining <= 0:
-                        raise recv_timeout_failure(
-                            dst, src, tag, timeout, f"mailbox {box.describe()}"
-                        )
-                    cond.wait(timeout=min(wait, remaining))
-                else:
-                    # Bounded waits so deaths are noticed even with no
-                    # traffic.
-                    cond.wait(timeout=wait)
-                wait = min(wait * 2, 0.25)
+        while True:
+            msg = box.pop(src, tag)
+            if msg is not None:
+                return msg
+            failure = self._failure(dst, src)
+            if self._drain(dst):
+                continue
+            if failure is not None:
+                raise failure
+            remaining = None if deadline is None else deadline - _time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise recv_timeout_failure(
+                    dst, src, tag, timeout, f"mailbox {box.describe()}"
+                )
+            self._drain(dst, True, remaining)
 
     def try_collect(self, dst: int, src: int, tag: int) -> tuple | None:
         """Nonblocking matching receive; None when nothing matches."""
-        with self._conditions[dst]:
-            msg = self._mailboxes[dst].pop(src, tag)
-            if msg is None:
-                self._check_dead(dst, src)
-            return msg
+        failure = self._failure(dst, src)
+        self._drain(dst)
+        msg = self._stashes[dst].pop(src, tag)
+        if msg is None and failure is not None:
+            raise failure
+        return msg
 
-    def mark_dead(self, rank: int, exc: BaseException, model_time: float = 0.0) -> None:
-        """Register ``rank`` as dead and wake every blocked receiver.
+    def mark_dead(self, rank: int, exc: BaseException) -> None:
+        """Register ``rank`` as dead and wake every receiver (a
+        :data:`_WAKE` into each inbox).
 
         A rank dying *because it detected another death* (its program
         raised :class:`RankFailure`) propagates the original culprit, so
@@ -427,14 +422,9 @@ class Fabric:
         origin = rank
         if isinstance(exc, RankFailure) and exc.failed_rank is not None:
             origin = exc.failed_rank
-        with self._lock:
-            if rank not in self.dead_ranks:
-                self.dead_ranks[rank] = _DeadRank(
-                    rank=rank, origin=origin, error=repr(exc), model_time=model_time
-                )
-        for cond in self._conditions:
-            with cond:
-                cond.notify_all()
+        self.dead_ranks.setdefault(rank, (origin, repr(exc)))
+        for inbox in self._inboxes:
+            inbox.put(_WAKE)
 
 
 class Communicator:

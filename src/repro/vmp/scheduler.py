@@ -441,7 +441,7 @@ def run_spmd(
             # peer's: mark_dead propagates the *original* culprit to
             # ranks still blocked on us.
             boxes[rank].error = exc
-            fabric.mark_dead(rank, exc, model_time=comm.clock.now)
+            fabric.mark_dead(rank, exc)
 
     if n_ranks == 1:
         runner(0)
