@@ -1309,9 +1309,9 @@ class _BlockState(_DecomposedState):
         s, flat = self.spins, self._flat
 
         def bonds(a: np.ndarray, b: np.ndarray) -> int:
-            return (a * b).sum(dtype=np.int64)  # int8 products, exact
+            return a.size - 2 * np.count_nonzero(a != b)  # exact for +-1
 
-        sums = [s.sum(dtype=np.int64)]
+        sums = [s.size - 2 * np.count_nonzero(s < 0)]
         for inner, faces in zip(
             ((s[:-1], s[1:]), (s[:, :-1], s[:, 1:])), self._face_bonds
         ):
