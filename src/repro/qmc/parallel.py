@@ -21,12 +21,6 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
   **bit-identical** to the serial one (same-color sites do not
   interact), which the integration tests assert literally.
 
-Both decomposed drivers take their shared uniforms from one stream per
-run (:meth:`_DecomposedState._open_sweep_stream`): every rank builds it
-once from ``sweep_seed`` and skips ahead to its share -- the strip's
-next whole block per sweep, a block rank's own rows of the sweep's
-global field -- instead of building a generator per sweep.
-
 * :func:`chain_program` -- one whole lattice per rank, the serial (one
   rank) and replica (``n`` independent chains) layouts of every run
   kind: the no-link, no-ghost case.  A serial sampler
@@ -37,6 +31,12 @@ global field -- instead of building a generator per sweep.
   measuring the series asked for, scalar or vector.  :func:`run_chain`
   runs one sampler, in place, as the chain of a one-rank run: the
   samplers have no run loop of their own.
+
+Both decomposed drivers take their shared uniforms from one stream per
+run (:meth:`_DecomposedState._sweep_draw`): every rank builds it
+once from ``sweep_seed`` and skips ahead to its share -- the strip's
+next whole block per sweep, a block rank's own rows of the sweep's
+global field.
 
 Halo protocol (both decomposed drivers): ghost copies of the boundary
 data travel as ONE aggregated contiguous-buffer message per neighbor
@@ -337,27 +337,24 @@ class _DecomposedState:
         self._kops = kernels.get_ops(self.kernel)
         self.sweep_index = 0
         self._n_exchanges = 0
-        self._open_sweep_stream()
-
-    # -- shared randomness ---------------------------------------------------
-    def _open_sweep_stream(self) -> None:
-        """Build the run's one sweep stream, positioned at its start.
-
-        Every rank builds the same stream from ``sweep_seed``, once per
-        run (and again on restore): sweep ``k`` owns its ``_per_sweep``
-        doubles from position ``k * _per_sweep`` on, and a rank reaches
-        its share by skipping ahead, so the position is a function of
-        ``sweep_index`` alone and a checkpoint stores nothing of it.
-        """
-        self._sweep_gen = SeedSequenceFactory(self.cfg.sweep_seed).stream(
+        # The run's one sweep stream, built once (see _sweep_draw), and
+        # the position it stands at.
+        self._sweep_gen = SeedSequenceFactory(cfg.sweep_seed).stream(
             "sweep", 0).generator
         self._sweep_pos = 0
 
+    # -- shared randomness ---------------------------------------------------
     def _sweep_draw(self, offset: int, shape) -> np.ndarray:
         """This sweep's ``shape`` uniforms from ``offset`` into its share
-        of the sweep stream; advances ``sweep_index``.  PCG64 spends one
-        step per double, so ``advance`` skips exactly the numbers other
-        ranks (or earlier sweeps) draw."""
+        of the run's sweep stream; advances ``sweep_index``.
+
+        Every rank builds the same stream from ``sweep_seed``, and sweep
+        ``k`` owns its ``_per_sweep`` doubles from position
+        ``k * _per_sweep`` on.  PCG64 spends one step per double, so
+        ``advance`` skips exactly the numbers other ranks (or other
+        sweeps) draw, and the position is a function of ``sweep_index``
+        alone: a restore sets that and nothing else.
+        """
         target = self.sweep_index * self._per_sweep + offset
         if target != self._sweep_pos:
             self._sweep_gen.bit_generator.advance(target - self._sweep_pos)
@@ -557,7 +554,6 @@ class _DecomposedState:
         spins[...] = arrays[self._array]  # in place: views stay valid
         self.sweep_index = int(meta["sweep_index"])
         self._n_exchanges = int(meta["n_exchanges"])
-        self._open_sweep_stream()
         restore_rng_state(self.comm.stream.generator, arrays["rng_state"])
         return (
             int(meta["sweeps_done"]),

@@ -86,13 +86,13 @@ class SeedSequenceFactory:
         "measurement": 3,
         "tempering": 4,
         "scratch": 5,
-        # 7 addressed one generator per sweep of the strip driver (the
-        # block driver used "scratch"); retired, not to be reused.
         # The shared sweep uniforms of the strip and block drivers: one
         # stream per run, index 0, that every rank builds once and skips
         # ahead through (sweep k from position k * per-sweep count, a
         # block rank to its own rows) -- the same numbers on every rank,
-        # the source of rank-count-independent trajectories.
+        # the source of rank-count-independent trajectories.  Key 7 is
+        # left unused: it addressed a generator per strip sweep, and
+        # reusing it would make an old run's numbers look current.
         "sweep": 8,
     }
 

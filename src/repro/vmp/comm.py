@@ -40,12 +40,15 @@ from __future__ import annotations
 
 import enum
 import pickle
-import queue
 import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
+
+# queue.SimpleQueue is _queue's; taking it from there spares every run
+# queue.py and its heapq import (~0.1 MB of peak RSS).
+from _queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -326,7 +329,7 @@ class Fabric:
         self.n_ranks = n_ranks
         self.machine = machine
         self.topology = topology
-        self._inboxes = [queue.SimpleQueue() for _ in range(n_ranks)]
+        self._inboxes = [SimpleQueue() for _ in range(n_ranks)]
         self._stashes = [_Stash() for _ in range(n_ranks)]
         #: rank -> (originally failed rank, error repr) for every rank whose
         #: program raised; receivers waiting on it fail fast.
@@ -353,7 +356,8 @@ class Fabric:
         entry = dead.get(src)
         why = f"waiting on rank {src}"
         if src == ANY_SOURCE and len(dead) >= self.n_ranks - 1 and self.n_ranks > 1:
-            entry, why = list(dead.values())[0], "all peers dead"  # one C copy
+            # list() copies in one C call, safe while a rank registers
+            entry, why = list(dead.values())[0], "all peers dead"
         return None if entry is None else RankFailure(
             failed_rank=entry[0], detected_by=dst, via="dead-rank",
             detail=f"{why}: {entry[1]}")
@@ -365,7 +369,7 @@ class Fabric:
         inbox = self._inboxes[dst]
         try:
             item = inbox.get(block, timeout)
-        except queue.Empty:
+        except Empty:
             return False
         while True:
             if item is not _WAKE:
