@@ -75,6 +75,7 @@ def test_wildcard_receives_stay_fifo_across_two_sources():
             comm.send("b", 0, tag=2)
             comm.send(None, 1, tag=9)
         else:
+            time.sleep(0.1)  # all four wait in the inbox for one drain
             assert comm.recv(source=1, tag=7) == "done"
             return [comm.recv(ANY_SOURCE, ANY_TAG) for _ in range(3)]
         return None
