@@ -167,7 +167,7 @@ _TAG_ISING = 8192
 #: kind), sweep ``k`` at position ``k * per-sweep count``.  Bundles of
 #: the earlier one-generator-per-sweep addressing carry no such entry
 #: and are refused on resume.
-SWEEP_STREAM_SCHEME = "run-stream"
+_SWEEP_STREAM = "run-stream"
 
 
 def _validate_schedule(cfg) -> None:
@@ -356,8 +356,7 @@ class _DecomposedState:
         alone: a restore sets that and nothing else.
         """
         target = self.sweep_index * self._per_sweep + offset
-        if target != self._sweep_pos:
-            self._sweep_gen.bit_generator.advance(target - self._sweep_pos)
+        self._sweep_gen.bit_generator.advance(target - self._sweep_pos)
         u = self._sweep_gen.random(shape)
         self._sweep_pos = target + u.size
         self.sweep_index += 1
@@ -509,7 +508,7 @@ class _DecomposedState:
             "n_ranks": self.comm.size,
             **{name: getattr(cfg, name) for name in self._fingerprint},
             "sweep_seed": cfg.sweep_seed,
-            "sweep_stream": SWEEP_STREAM_SCHEME,
+            "sweep_stream": _SWEEP_STREAM,
             "n_thermalize": cfg.n_thermalize,
         }
 

@@ -84,19 +84,6 @@ def test_wildcard_receives_stay_fifo_across_two_sources():
     assert res.values[0] == ["a", "b", "c"]
 
 
-def test_wildcard_tag_from_one_source_is_fifo_too():
-    def prog(comm):
-        if comm.rank == 1:
-            for tag in (4, 2, 8):
-                comm.send(tag, 0, tag=tag)
-            comm.send("done", 0, tag=99)
-            return None
-        comm.recv(source=1, tag=99)
-        return [comm.recv(source=1, tag=ANY_TAG) for _ in range(3)]
-
-    assert run_spmd(prog, 2, machine=IDEAL).values[0] == [4, 2, 8]
-
-
 def test_a_test_polling_loop_completes():
     """``while not req.test()`` is how a rank overlaps work with a
     receive; on the thread backend the sender must get to run."""
