@@ -19,6 +19,17 @@ registry".  Moves that read fewer plaquettes -- an open chain's end
 bonds, the square lattice's doubled pairs -- are unpacked rows with
 per-move masks (:func:`unpacked_rows`), as are the square-lattice
 sampler's K = 8 moves (32 environment bits have no table).
+
+A straight column's flip is priced by a count.  Every shaded plaquette
+the column touches holds two of its (equal) spins, and world-line
+conservation makes the other two -- one neighbor column's, at the same
+two slices -- equal as well: the plaquette is diagonal, parallel (code
+0 or 15) or antiparallel (5 or 10), and the flip swaps the two.  With
+``n_anti`` of its ``n_adj`` plaquettes antiparallel the exact log
+ratio is ``(n_adj - 2 n_anti) D``, ``D = ln W_anti - ln W_par``, so a
+column row is ``(thr, sites, nbr)``: :func:`column_thresholds` holds
+that ratio for every count and :func:`column_neighbors` the one
+neighbor spin of each plaquette.
 """
 
 from __future__ import annotations
@@ -30,10 +41,12 @@ import numpy as np
 __all__ = [
     "CORNER_XMASK",
     "chain_rows",
-    "column_log_weights",
-    "column_tables",
+    "column_neighbors",
+    "column_thresholds",
     "corner_products",
     "corner_tables",
+    "plaquette_codes",
+    "shaded_corners",
     "unpacked_rows",
     "wl1d_adapters",
 ]
@@ -45,10 +58,7 @@ __all__ = [
 #: (i, t1) -- those spins occupy bits {1,3}, {0,2}, {2,3}, {0,1}.
 CORNER_XMASK = np.array([[10], [5], [12], [3]], dtype=np.int8)
 
-#: Code permutations of a column flip: a plaquette whose right-hand
-#: corners the column holds goes ``h -> h ^ 10``, a left-hand one
-#: ``h -> h ^ 5`` (row 0 is the identity, the pre-flip table).
-_COLUMN_XCODES = np.arange(16) ^ np.array([[0], [10], [5]])
+_CODE_MULTIPLIER = np.uint32(0x01020408)
 
 
 @lru_cache(maxsize=8)
@@ -85,11 +95,60 @@ def corner_products(weights: np.ndarray):
     return _corner_products(np.ascontiguousarray(weights, dtype=np.float64).tobytes())
 
 
-def column_log_weights(weights: np.ndarray) -> np.ndarray:
-    """``(3, 16)`` log weights for the column op: ``logw[h]``,
-    ``logw[h ^ 10]``, ``logw[h ^ 5]`` (``-inf`` on illegal codes)."""
-    logw = np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
-    return logw[_COLUMN_XCODES]
+def column_thresholds(weights: np.ndarray, n_adj: int) -> np.ndarray:
+    """``thr[k] = (n_adj - 2 k) D`` for ``k = 0 .. n_adj``: the log
+    ratio of flipping a straight column that touches ``n_adj`` shaded
+    plaquettes, ``k`` of them antiparallel (``D = ln W[5] - ln W[0]``).
+
+    The count prices the flip exactly only if the diagonal weights are
+    symmetric and positive -- ``W[0] == W[15]``, ``W[5] == W[10]`` --
+    so any other table is a ``ValueError``.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w[0] != w[15] or w[5] != w[10] or min(w[0], w[5]) <= 0.0:
+        raise ValueError(
+            "column thresholds need a plaquette weight table with W[0] == "
+            f"W[15] > 0 and W[5] == W[10] > 0; got W[0]={w[0]!r}, "
+            f"W[15]={w[15]!r}, W[5]={w[5]!r}, W[10]={w[10]!r}"
+        )
+    return (n_adj - 2 * np.arange(n_adj + 1)) * (np.log(w[5]) - np.log(w[0]))
+
+
+def column_neighbors(n_sites: int, n_slices: int, cols: np.ndarray) -> np.ndarray:
+    """``(n_cols, T)`` flat index of the neighbor spin of each shaded
+    plaquette that columns ``cols`` touch, one row a column, one entry
+    an interval ``t``: bond ``c - 1`` is shaded at ``t = c - 1 (mod
+    2)`` and bond ``c`` at ``t = c``, so the neighbor is site ``c - 1``
+    or ``c + 1`` (modulo ``n_sites``) at slice ``t``."""
+    t = np.arange(n_slices, dtype=np.intp)
+    side = 1 - 2 * ((t - cols[:, None]) % 2)
+    return (cols[:, None] + side) % n_sites * n_slices + t
+
+
+def shaded_corners(n_sites: int, n_slices: int, bonds: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` flat indices of the corners (s00, s10, s01, s11) of
+    the shaded plaquettes of ``bonds`` -- bond ``b`` is shaded at ``t =
+    b (mod 2)`` -- bond-major, slices ascending: the rows
+    :func:`plaquette_codes` reads."""
+    L, T = n_sites, n_slices
+    b = np.repeat(bonds, T // 2)
+    t = (bonds[:, None] % 2 + np.arange(0, T, 2, dtype=np.intp)).ravel()
+    b1, t1 = (b + 1) % L, (t + 1) % T
+    return np.stack([b * T + t, b1 * T + t, b * T + t1, b1 * T + t1], axis=1)
+
+
+def plaquette_codes(flat: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Codes ``s00 + 2 s10 + 4 s01 + 8 s11`` of the plaquettes whose
+    ``(n, 4)`` corner indices into the 0/1 int8 spins ``flat`` are
+    ``corners``, in row order.
+
+    One gather: a row's four spin bytes read as one little-endian word
+    ``v`` are ``s00 + s10 << 8 + s01 << 16 + s11 << 24``, and ``v *
+    0x01020408`` (wrapping uint32) sums the code into its top byte --
+    each lower byte of the product holds at most 15, so none carries.
+    """
+    words = flat[corners].view("<u4")[:, 0]
+    return (words * _CODE_MULTIPLIER) >> 24
 
 
 def corner_tables(n_sites: int, n_slices: int, i: np.ndarray, t: np.ndarray):
@@ -150,7 +209,7 @@ def unpacked_rows(corners: np.ndarray, keep: np.ndarray, flip: np.ndarray) -> li
 def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray):
     """``(corner_rows, column_rows)``: a chain's whole move set as
     ``strip_corner`` rows ``(weights, gather, flip)`` and
-    ``strip_column`` rows ``(logw, sites, gather)``, in the one order a
+    ``strip_column`` rows ``(thr, sites, nbr)``, in the one order a
     sweep takes them.
 
     Corner rows follow the eight stride-4 classes -- (bond a, interval
@@ -161,13 +220,12 @@ def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray)
     row order, can run.  An open chain's end bonds read three neighbor
     plaquettes (two on ``L = 2``, where a periodic chain's two bonds
     also join the same pair), so their corner moves are unpacked rows;
-    its end sites' columns read their one bond, each a row of its own
-    whose gather repeats that bond in the other half, where ``logw``
-    keeps the pre-flip weights.
+    its end sites touch the T/2 plaquettes of their one bond, so they
+    follow their parity's inner columns as a row of their own.
     """
     L, T = n_sites, n_slices
     n_bonds = L if periodic else L - 1
-    packed, logw = corner_products(weights), column_log_weights(weights)
+    packed = corner_products(weights)
     corner_rows = []
     for a, b in ((a, b) for a in range(4) for b in range(4) if (a + b) % 2):
         gi, gt = np.meshgrid(
@@ -188,34 +246,24 @@ def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray)
             corners, flip = _corner_moves(L, T, i[~inner], t[~inner])
             corner_rows += [(weights, *row) for row in unpacked_rows(
                 corners, keep[:, ~inner], flip)]
+    thr = column_thresholds(weights, T)
     column_rows = []
     for p in (0, 1):
         sites = np.arange(p, L, 2, dtype=np.intp)
         if periodic:
-            column_rows.append((logw, sites, column_tables(L, T, sites)))
+            column_rows.append((thr, sites, column_neighbors(L, T, sites)))
             continue
-        inner = sites[(sites > 0) & (sites < L - 1)]
-        column_rows.append((logw, inner, column_tables(L, T, inner)))
-        for site in sites[(sites == 0) | (sites == L - 1)]:
-            gather = column_tables(L, T, site[None])
-            own = int(site == 0)  # site 0 is its bond's left site: half 1
-            gather[:, 1 - own] = gather[:, own]
-            row_logw = logw.copy()
-            row_logw[2 - own] = logw[0]
-            column_rows.append((row_logw, site[None], gather))
+        end = (sites == 0) | (sites == L - 1)
+        inner, ends = sites[~end], sites[end]
+        column_rows.append((thr, inner, column_neighbors(L, T, inner)))
+        if ends.size:
+            # Site 0 touches bond 0 at t = 0 (mod 2), site L-1 bond L-2
+            # at t = L - 2: the intervals where its neighbor is in the chain.
+            t = np.arange(T)
+            own = (t - ends[:, None]) % 2 == (ends[:, None] > 0)
+            nbr = column_neighbors(L, T, ends)[own].reshape(ends.size, T // 2)
+            column_rows.append((column_thresholds(weights, T // 2), ends, nbr))
     return corner_rows, column_rows
-
-
-def column_tables(n_sites: int, n_slices: int, cols: np.ndarray) -> np.ndarray:
-    """``(4, 2, n_cols, T/2)`` gather of the shaded plaquettes' corners
-    (s00, s10, s01, s11 first) of bond columns ``cols - 1`` and
-    ``cols``, whose codes a column flip XORs with 10 and 5 respectively."""
-    L, T = n_sites, n_slices
-    b = np.stack([(cols - 1) % L, cols])[:, :, None]
-    b1 = (b + 1) % L
-    ts = b % 2 + np.arange(0, T, 2, dtype=np.intp)  # bond b is shaded at t = b (mod 2)
-    ts1 = (ts + 1) % T
-    return np.stack([b * T + ts, b1 * T + ts, b * T + ts1, b1 * T + ts1])
 
 
 def wl1d_adapters(strip_corner, strip_column):
@@ -233,11 +281,12 @@ def wl1d_adapters(strip_corner, strip_column):
 
     def wl1d_column(spins, logw, cols, log_u) -> int:
         """Straight-column flips at sites ``cols`` (already filtered to
-        straight world lines); ``log_u = log(max(u, 1e-300))``."""
+        straight world lines) of a periodic chain priced from the 16
+        plaquette log weights ``logw``; ``log_u = log(max(u, 1e-300))``."""
+        L, T = spins.shape
         return strip_column(
-            spins, logw[_COLUMN_XCODES], cols,
-            column_tables(*spins.shape, cols),
-            np.ones(cols.size, dtype=bool), log_u,
+            spins, column_thresholds(np.exp(logw), T), cols,
+            column_neighbors(L, T, cols), np.ones(cols.size, dtype=bool), log_u,
         )
 
     return wl1d_corner, wl1d_column

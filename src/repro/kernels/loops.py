@@ -31,27 +31,23 @@ not installed):
    of the whole class.  (Off NumPy's grid -- open, odd and 2 x N
    world-line lattices -- a row's moves may share plaquettes; there
    only these loops run it, one move at a time in row order.)
-3. *Reduction order is replicated.*  Plaquette-weight products are
-   strictly sequential (matching ``prod``/``multiply.reduce``; packed
-   K = 4 rows read them from the very tables the NumPy op indexes --
-   ``tests/qmc/test_chain_tables.py`` holds those against the raster
-   reference moves on every environment), and
-   the float64 log-weight row sums replicate NumPy's pairwise
-   summation exactly: blocks of up to 128 elements use eight scalar
-   accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-   plus a sequential remainder, and longer rows split recursively at
-   ``n2 = (n//2) - (n//2 % 8)``.
+3. *Products are sequential; columns are counts.*  Plaquette-weight
+   products are strictly sequential (matching
+   ``prod``/``multiply.reduce``; packed K = 4 rows read them from the
+   very tables the NumPy op indexes -- ``tests/qmc/test_chain_tables.py``
+   holds those against the raster reference moves on every
+   environment).  A straight column's flip is an integer count of its
+   antiparallel neighbors looked up in the same log-ratio table, so
+   there is no floating-point sum whose order could differ.
 
 Dtype caveats: spins are int8 (bit flips via XOR; the Ising samplers
-use +/-1 int8), gather tables are intp, weights/log-weights float64.
+use +/-1 int8), gather tables are intp, weights/log-ratio tables float64.
 The ops assume C-contiguous spin storage (true for every sampler) but
 tolerate strided gather tables.
 
 The registry imports this module only when ``scalar`` or ``numba`` is
 what a name resolves to (``auto`` never picks ``scalar``), so without
-numba a default run never loads it.  Under a real numba the interpreted
-column loop still calls the compiled ``_pairwise_sum``, a global of its
-body.
+numba a default run never loads it.
 """
 
 from __future__ import annotations
@@ -67,89 +63,6 @@ except ImportError:  # no compiler: both tables run the loops interpreted
         return lambda fn: fn
 
 __all__ = ["OPS", "PY_OPS"]
-
-
-# -- NumPy pairwise-summation replica ---------------------------------
-
-@njit(cache=True)
-def _pairwise_leaf(a, lo, n):
-    """Sum of ``a[lo:lo+n]`` for n <= 128, in NumPy's block order."""
-    if n < 8:
-        res = 0.0
-        for k in range(n):
-            res += a[lo + k]
-        return res
-    r0 = a[lo]
-    r1 = a[lo + 1]
-    r2 = a[lo + 2]
-    r3 = a[lo + 3]
-    r4 = a[lo + 4]
-    r5 = a[lo + 5]
-    r6 = a[lo + 6]
-    r7 = a[lo + 7]
-    i = 8
-    stop = n - (n % 8)
-    while i < stop:
-        r0 += a[lo + i]
-        r1 += a[lo + i + 1]
-        r2 += a[lo + i + 2]
-        r3 += a[lo + i + 3]
-        r4 += a[lo + i + 4]
-        r5 += a[lo + i + 5]
-        r6 += a[lo + i + 6]
-        r7 += a[lo + i + 7]
-        i += 8
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    while i < n:
-        res += a[lo + i]
-        i += 1
-    return res
-
-
-@njit(cache=True)
-def _pairwise_sum(a, lo, n):
-    """NumPy's float64 pairwise summation of ``a[lo:lo+n]``, exactly.
-
-    Iterative post-order walk of the ``pw(n) = pw(n2) + pw(n - n2)``
-    recursion tree (``n2 = n//2 - (n//2 % 8)``); leaves of <= 128
-    elements use the 8-accumulator block above.
-    """
-    if n <= 128:
-        return _pairwise_leaf(a, lo, n)
-    lo_s = np.empty(64, np.intp)
-    n_s = np.empty(64, np.intp)
-    phase = np.empty(64, np.uint8)
-    val = np.empty(64, np.float64)
-    sp = 0
-    lo_s[0] = lo
-    n_s[0] = n
-    phase[0] = 0
-    ret = 0.0
-    while sp >= 0:
-        if n_s[sp] <= 128:
-            ret = _pairwise_leaf(a, lo_s[sp], n_s[sp])
-            sp -= 1
-        elif phase[sp] == 0:
-            phase[sp] = 1
-            n2 = n_s[sp] // 2
-            n2 -= n2 % 8
-            sp += 1
-            lo_s[sp] = lo_s[sp - 1]
-            n_s[sp] = n2
-            phase[sp] = 0
-        elif phase[sp] == 1:
-            val[sp] = ret
-            phase[sp] = 2
-            n2 = n_s[sp] // 2
-            n2 -= n2 % 8
-            sp += 1
-            lo_s[sp] = lo_s[sp - 1] + n2
-            n_s[sp] = n_s[sp - 1] - n2
-            phase[sp] = 0
-        else:
-            ret = val[sp] + ret
-            sp -= 1
-    return ret
 
 
 # -- classical Ising (serial, periodic) -------------------------------
@@ -221,32 +134,20 @@ def _strip_corner(flat, weights, i00, i10, i01, i11, xmask, flip, uu, counts):
 
 
 @njit(cache=True)
-def _strip_column(loc, logw, lc, gather, straight, log_uu, counts):
+def _strip_column(loc, thr, lc, nbr, straight, log_uu, counts):
     flat = loc.reshape(-1)
     n_slices = loc.shape[1]
-    half = gather.shape[3]
-    tmp_old = np.empty(half, np.float64)
-    tmp_new = np.empty(half, np.float64)
     per = lc.size // counts.size
     for ci in range(lc.size):
         if not straight[ci]:
             continue
-        old = 0.0
-        new = 0.0
-        for h in range(2):  # half 0 flips to logw[1], half 1 to logw[2]
-            for k in range(half):
-                code = (
-                    flat[gather[0, h, ci, k]] + (flat[gather[1, h, ci, k]] << 1)
-                    + (flat[gather[2, h, ci, k]] << 2)
-                    + (flat[gather[3, h, ci, k]] << 3)
-                )
-                tmp_old[k] = logw[0, code]
-                tmp_new[k] = logw[h + 1, code]
-            old = old + _pairwise_sum(tmp_old, 0, half)
-            new = new + _pairwise_sum(tmp_new, 0, half)
-        log_ratio = new - old
-        if np.isfinite(log_ratio) and log_uu[ci] < log_ratio:
-            row = lc[ci]
+        row = lc[ci]
+        spin = loc[row, 0]
+        n_anti = 0
+        for k in range(nbr.shape[1]):
+            if flat[nbr[ci, k]] != spin:
+                n_anti += 1
+        if log_uu[ci] < thr[n_anti]:
             for t in range(n_slices):
                 loc[row, t] ^= 1
             counts[ci // per] += 1
@@ -323,9 +224,9 @@ def _op_table(interpreted: bool) -> dict:
             corner_packed(flat, *weights, gather, flip, uu.reshape(-1), counts)
         return counts if uu.ndim == 2 else int(counts[0])
 
-    def strip_column(loc, logw, lc, gather, straight, log_uu):
+    def strip_column(loc, thr, lc, nbr, straight, log_uu):
         counts = np.zeros(len(log_uu) if log_uu.ndim == 2 else 1, np.int64)
-        column(loc, logw, lc, gather, straight, log_uu.reshape(-1), counts)
+        column(loc, thr, lc, nbr, straight, log_uu.reshape(-1), counts)
         return counts if log_uu.ndim == 2 else int(counts[0])
 
     def block_color(g, couplings, mask, log_u) -> int:

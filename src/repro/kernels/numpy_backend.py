@@ -13,7 +13,8 @@ Each op:
 * receives the uniforms (or their logs) already drawn by the caller --
   no RNG and no transcendental math happens inside an op, so every
   backend consumes the identical stream and compares against the
-  identical ``np.log`` values,
+  identical ``np.log`` values (a straight column's flip is priced by a
+  lookup in a log-ratio table built once from the weights),
 * mutates the spins in place for the accepted moves (``ising_color``
   returns the new spin array instead, preserving the historical
   ``np.where`` copy semantics of the serial Ising sampler),
@@ -96,35 +97,25 @@ def strip_corner(flat, weights, gather, flip, uu):
     return int(np.count_nonzero(accept))
 
 
-def strip_column(loc, logw, lc, gather, straight, log_uu):
+def strip_column(loc, thr, lc, nbr, straight, log_uu):
     """Batched straight-column flips of rows ``lc`` of ``loc``.
 
-    ``gather`` is the (4, 2, n_cols, T/2) flat corner indices (s00,
-    s10, s01, s11 first) of each column's shaded plaquettes, split by
-    the corner pair the column holds: half 0 the plaquettes whose
-    right-hand corners it is (a flip XORs their code with 10), half 1
-    the left-hand ones (5).  ``logw`` is the (3, 16) table of
-    :func:`~repro.kernels.chain_tables.column_log_weights`, so the
-    post-flip weights are lookups too.  ``straight`` is the caller's
-    mask of the columns whose world line is straight (the slots of
-    bent columns in ``log_uu`` are ignored).  Returns the number
-    accepted -- per chain for an ``(R, n / R)`` ``log_uu``, as in
-    :func:`strip_corner`.
+    ``nbr`` is the ``(n_cols, n_adj)`` flat index of the neighbor spin
+    of each shaded plaquette a column touches
+    (:func:`~repro.kernels.chain_tables.column_neighbors`) and ``thr``
+    the ``n_adj + 1`` log ratios of
+    :func:`~repro.kernels.chain_tables.column_thresholds`: a straight
+    column with ``k`` neighbor spins unlike its own flips iff ``log_uu <
+    thr[k]``.  ``straight`` is the caller's mask of the columns whose
+    world line is straight (the counts and ``log_uu`` slots of bent
+    columns are ignored).  Returns the number accepted -- per chain for
+    an ``(R, n / R)`` ``log_uu``, as in :func:`strip_corner`.
     """
     chains = log_uu.shape[0] if log_uu.ndim == 2 else 0
     if chains:
         log_uu = log_uu.reshape(-1)
-    s00, s10, s01, s11 = loc.reshape(-1)[gather]
-    codes = s00 | (s10 << 1) | (s01 << 2) | (s11 << 3)
-    # Last-axis reductions: NumPy's pairwise order is part of the contract.
-    old = np.add.reduce(logw[0].take(codes), axis=-1)
-    new_lw = (
-        np.add.reduce(logw[1].take(codes[0]), axis=-1)
-        + np.add.reduce(logw[2].take(codes[1]), axis=-1)
-    )
-    with np.errstate(invalid="ignore"):
-        log_ratio = new_lw - (old[0] + old[1])
-        accept = straight & np.isfinite(log_ratio) & (log_uu < log_ratio)
+    anti = (loc.reshape(-1)[nbr] != loc[lc, :1]).sum(axis=1)
+    accept = straight & (log_uu < thr.take(anti))
     loc[lc[accept]] ^= 1
     if chains:
         return np.count_nonzero(accept.reshape(chains, -1), axis=1)

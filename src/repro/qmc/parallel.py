@@ -126,10 +126,12 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.chain_tables import (
-    column_log_weights,
-    column_tables,
+    column_neighbors,
+    column_thresholds,
     corner_products,
     corner_tables,
+    plaquette_codes,
+    shaded_corners,
 )
 from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
@@ -750,7 +752,7 @@ class _StripState(_DecomposedState):
         self.table = PlaquetteTable.build(cfg.jz, cfg.jxy, self.dtau)
         # What the two strip ops price a move from (see repro.kernels).
         self._corner_weights = corner_products(self.table.weights)
-        self._logw = column_log_weights(self.table.weights)
+        self._thr = column_thresholds(self.table.weights, self.T)
         decomp = StripDecomposition(self.L, comm.size, require_even=True)
         self.decomp = decomp
         piece = decomp.piece(comm.rank)
@@ -817,8 +819,8 @@ class _StripState(_DecomposedState):
 
         The fused gather / flip tables -- flat indices into
         ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment and
-        ``(4, n_moves)`` flip cells per corner class, ``(4, 2, n_cols,
-        T/2)`` per column parity -- are the serial sampler's
+        ``(4, n_moves)`` flip cells per corner class, the ``(n_cols, T)``
+        plaquette neighbors per column parity -- are the serial sampler's
         (:mod:`repro.kernels.chain_tables`) on the ``n + 4`` local
         rows: a move's rows ``j-1 .. j+2`` never wrap there, and strip
         starts are even, so a bond's local parity is its global one.
@@ -827,8 +829,8 @@ class _StripState(_DecomposedState):
         #: One table per entry of :data:`WL_STAGES`, in stage order; none
         #: is empty (L % 4 == T % 4 == 0 and an even n_owned >= 4).
         self._stage_cache: list[dict] = []
-        #: Per column parity, the ``(4, n)`` flat corner indices of the
-        #: shaded plaquettes :meth:`local_dlog_sum` reads.
+        #: Per column parity, the ``(n, 4)`` flat corner indices of the
+        #: shaded plaquettes at its owned bonds: :meth:`local_dlog_sum`'s.
         self._dlog_tables: list[np.ndarray] = []
         for kind, a, b in WL_STAGES:
             if kind != "corner":
@@ -852,17 +854,12 @@ class _StripState(_DecomposedState):
             first = self.start + ((p - self.start) % 2)
             gc = np.arange(first, self.stop, 2, dtype=np.intp)
             lc = gc - self.start + 2
-            # Bond-columns lc-1 and lc; a column flip XORs the codes of
-            # the first with 10 (bits 1,3) and of the second with 5.
-            gather = column_tables(n + 4, T, lc)
             self._stage_cache.append({
                 "lc": lc,
                 "uc": (gc - p) // 2,
-                "gather": gather,
+                "nbr": column_neighbors(n + 4, T, lc),
             })
-            # The second halves are the shaded plaquettes at this
-            # parity's owned bonds: the energy measurement's gather.
-            self._dlog_tables.append(gather[:, 1].reshape(4, -1))
+            self._dlog_tables.append(shaded_corners(n + 4, T, lc))
 
     def _plan_overlap(self) -> None:
         """Per stage, the moves the overlapped schedule charges as
@@ -942,16 +939,15 @@ class _StripState(_DecomposedState):
         """Straight-line moves of one parity over its ``straight``
         columns (at least one); returns the accepted-move count.
 
-        The backend's ``strip_column`` op prices the flips over the
-        cached bond-column gather (post-flip codes are pre-flip codes
-        XORed with 10 / 5, so no speculative column flips); the log of
-        the stage's uniforms is taken here with NumPy so every backend
-        compares against identical values.
+        The backend's ``strip_column`` op counts each column's unlike
+        plaquette neighbors and looks the log ratio up in ``_thr``; the
+        log of the stage's uniforms is taken here with NumPy so every
+        backend compares against identical values.
         """
         log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
         return self._timed(
-            self._kops["strip_column"], self.loc, self._logw, cache["lc"],
-            cache["gather"], straight, log_uu,
+            self._kops["strip_column"], self.loc, self._thr, cache["lc"],
+            cache["nbr"], straight, log_uu,
         )
 
     def _sweep_stages(self) -> None:
@@ -1001,8 +997,7 @@ class _StripState(_DecomposedState):
         flat = self.loc.reshape(-1)
         total = 0.0
         for table in self._dlog_tables:
-            s00, s10, s01, s11 = flat[table]
-            total += float(np.sum(self.table.dlog[s00 + 2 * s10 + 4 * s01 + 8 * s11]))
+            total += float(np.sum(self.table.dlog[plaquette_codes(flat, table)]))
         return total
 
     def measure(self) -> np.ndarray:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.kernels.chain_tables import chain_rows
+from repro.kernels.chain_tables import chain_rows, plaquette_codes, shaded_corners
 from repro.models.hamiltonians import XXZChainModel
 from repro.qmc.plaquette import PlaquetteTable
 from repro.util.correlation import mean_circular_correlation
@@ -75,9 +75,10 @@ class TableSweeps:
     gather, flip)`` row per class of plaquette-window flips
     (``_n_corner_moves`` in all, the size of the sweep's one corner
     draw; packed or unpacked, see ``strip_corner``), and
-    ``_column_tables``, one ``(logw, sites, gather)`` row per class of
-    straight columns.  ``model``, ``beta`` and ``n_slices`` fix those
-    tables: samplers equal in all three may share a :class:`SweepBatch`.
+    ``_column_tables``, one ``(thr, sites, nbr)`` row per class of
+    straight columns (see ``strip_column``).  ``model``, ``beta`` and
+    ``n_slices`` fix those tables: samplers equal in all three may share
+    a :class:`SweepBatch`.
     """
 
     def resolve_sweep(self, mode: str = "auto"):
@@ -154,8 +155,8 @@ class SweepBatch:
                 gather = tile(gather, 0)
             corner.append((weights, gather, tile(flip, 1)))
         column = [
-            (logw, tile(sites, 0, rows), tile(gather, 2))
-            for logw, sites, gather in q._column_tables
+            (thr, tile(sites, 0, rows), tile(nbr, 0))
+            for thr, sites, nbr in q._column_tables
         ]
         return spins, corner, column
 
@@ -185,9 +186,8 @@ class SweepBatch:
         sequential acceptance and all backends agree bit for bit; the
         chains of a stack share no site, so that holds for the stack
         too.  The uniform draws stay here: per chain one block for all
-        corner rows, then one per column row sized to its straight
-        columns -- which a stack draws as one block per chain, since a
-        column flip leaves every column as straight as it was.
+        corner rows, then one for the straight columns of all column rows
+        -- a column flip leaves every column as straight as it was.
         """
         corner, column = ops["strip_corner"], ops["strip_column"]
         qs, n_chains = self.samplers, len(self.samplers)
@@ -211,41 +211,32 @@ class SweepBatch:
         # straight world lines of every class.
         lines = (spins == spins[:, :1]).all(axis=1)
         if self._stacked is None:
-            attempted = lo
-            for logw, sites, gather in column_rows:
-                straight = lines[sites]
-                n_straight = int(np.count_nonzero(straight))
-                if n_straight == 0:
-                    continue
-                log_uu = np.zeros(sites.size)  # bent columns' slots are ignored
-                log_uu[straight] = _log(q.stream.uniform(size=n_straight))
-                accepted += column(spins, logw, sites, gather, straight, log_uu)
-                attempted += n_straight
-            q.n_attempted += attempted
-            q.n_accepted += accepted
-            return
-        attempted = np.full(n_chains, lo)
-        masks = [lines[sites].reshape(n_chains, -1) for _, sites, _ in column_rows]
-        # Chain-major, rows in order within a chain: the solo draw order.
-        straight = np.concatenate(masks, axis=1)
-        draws = [q.stream.uniform(size=n) for q, n in
-                 zip(qs, np.count_nonzero(straight, axis=1).tolist()) if n]
-        log_u = np.zeros(straight.shape)
-        if draws:
-            log_u[straight] = _log(np.concatenate(draws))
-        lo = 0
-        for (logw, sites, gather), mask in zip(column_rows, masks):
-            hi = lo + mask.shape[1]
-            n_straight = np.count_nonzero(mask, axis=1)
-            if n_straight.any():
+            masks = [lines[sites] for _, sites, _ in column_rows]
+            straight = np.concatenate([lines[:0], *masks])  # any rows, even none
+            n_straight = [int(np.count_nonzero(straight))]
+            log_u = np.zeros(straight.size)  # bent columns' slots are ignored
+            if n_straight[0]:
+                log_u[straight] = _log(q.stream.uniform(size=n_straight[0]))
+        else:
+            masks = [lines[sites].reshape(n_chains, -1) for _, sites, _ in column_rows]
+            # Chain-major, rows in order within a chain: the solo draw order.
+            straight = np.concatenate(masks, axis=1)
+            n_straight = np.count_nonzero(straight, axis=1).tolist()
+            log_u = np.zeros(straight.shape)
+            draws = [q.stream.uniform(size=n) for q, n in zip(qs, n_straight) if n]
+            if draws:
+                log_u[straight] = _log(np.concatenate(draws))
+        n_corner, lo = lo, 0
+        for (thr, sites, nbr), mask in zip(column_rows, masks):
+            hi = lo + mask.shape[-1]
+            if mask.any():
                 accepted = accepted + column(
-                    spins, logw, sites, gather, mask.reshape(-1), log_u[:, lo:hi]
+                    spins, thr, sites, nbr, mask.reshape(-1), log_u[..., lo:hi]
                 )
-                attempted = attempted + n_straight
             lo = hi
-        for q, a, c in zip(qs, attempted.tolist(), accepted.tolist()):
-            q.n_attempted += a
-            q.n_accepted += c
+        for q, n, a in zip(qs, n_straight, np.atleast_1d(accepted).tolist()):
+            q.n_attempted += n_corner + n
+            q.n_accepted += a
 
 
 def _log(u: np.ndarray) -> np.ndarray:
@@ -312,16 +303,13 @@ class WorldlineChainQmc(TableSweeps):
     def _init_tables(self) -> None:
         """Precompute the static flat-index tables into ``spins.reshape(-1)``.
 
-        ``_shaded`` gathers the four corners of every shaded plaquette
-        (bond-major, the measurement path's summation order); the sweep
-        rows of the whole move set follow (:func:`chain_rows`).
+        ``_shaded`` gathers the four corners of every shaded plaquette,
+        one ``(n, 4)`` row each (bond-major, the measurement path's
+        summation order); the sweep rows of the whole move set follow
+        (:func:`chain_rows`).
         """
         L, T = self.L, self.n_slices
-        i, t = np.nonzero(
-            (np.arange(self.n_bonds)[:, None] + np.arange(T)[None, :]) % 2 == 0
-        )
-        j, t1 = (i + 1) % L, (t + 1) % T
-        self._shaded = np.stack([i * T + t, j * T + t, i * T + t1, j * T + t1])
+        self._shaded = shaded_corners(L, T, np.arange(self.n_bonds))
         self._stag_signs = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)[:, None]
         self._corner_tables, self._column_tables = chain_rows(
             L, T, self.periodic, self.table.weights
@@ -330,8 +318,7 @@ class WorldlineChainQmc(TableSweeps):
 
     def shaded_codes(self) -> np.ndarray:
         """Corner codes of every shaded plaquette (measurement path)."""
-        s = self.spins.reshape(-1)[self._shaded]
-        return s[0] + (s[1] << 1) + (s[2] << 2) + (s[3] << 3)
+        return plaquette_codes(self.spins.reshape(-1), self._shaded)
 
     def config_log_weight(self) -> float:
         """log of the configuration weight; ``-inf`` if illegal."""

@@ -65,7 +65,8 @@ one row per activation interval, still batched over bonds.  An
 extent-2 axis joins each site pair twice (*doubled* bonds), so its
 segment moves read seven plaquettes and its pairs add the mixed-color
 window moves.  Straight-line column flips are two ``strip_column``
-rows, one per sublattice.
+rows, one per sublattice, each column priced by how many of its T
+plaquette partners' spins differ from its own.
 
 The sampler records nothing about itself: a run's sweep telemetry and
 health checks belong to the rank state that drives it
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.chain_tables import column_log_weights, unpacked_rows
+from repro.kernels.chain_tables import column_thresholds, unpacked_rows
 from repro.models.hamiltonians import XXZSquareModel
 from repro.qmc.plaquette import PlaquetteTable, codes_from_flat, corner_flat_indices
 from repro.qmc.worldline import TableSweeps
@@ -280,22 +281,16 @@ class WorldlineSquareQmc(TableSweeps):
         self._n_corner_moves = sum(flip.shape[1] for _, flip in rows)
         # Straight-line columns: one class per sublattice (a column flip
         # reads only the column's own active plaquettes, whose other
-        # corners live on the opposite sublattice).  Each column's
-        # intervals split into the T/2 where the site is its active
-        # bond's second site (half 0, mask 10) and the T/2 where it is
-        # the first (half 1, mask 5): first in exactly two colors.
-        colors = np.arange(T, dtype=np.intp) % C
-        logw = column_log_weights(self.table.weights)
+        # corners live on the opposite sublattice).  A column touches
+        # one plaquette per interval, its active bond's: the neighbor
+        # spin of interval t is the color-(t % 4) partner's at slice t
+        # (a doubled pair's partner twice over, at different intervals).
+        partner = self.partner[:, np.arange(T) % C] * T + np.arange(T)
+        thr = column_thresholds(self.table.weights, T)
         self._column_tables = []
         for parity in (0, 1):
             sites = np.nonzero(self._sublattice == parity)[0]
-            first = self.bond_sites[self.bond_of[sites], 0] == sites[:, None]  # (S, C)
-            tt = np.argsort(first[:, colors], axis=1, kind="stable")
-            tt = tt.reshape(sites.size, 2, T // 2).transpose(1, 0, 2)
-            bond = self.bond_of[sites[:, None], tt % C]  # (2, S, T/2)
-            self._column_tables.append((logw, sites, np.stack(corner_flat_indices(
-                self.bond_sites[bond, 0], self.bond_sites[bond, 1], tt, T
-            ))))
+            self._column_tables.append((thr, sites, partner[sites]))
 
     def _window_rows(self) -> list:
         """Rows of the doubled pairs' mixed-color window moves, one per

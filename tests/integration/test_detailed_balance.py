@@ -155,8 +155,8 @@ def _worldline_lattice(name):
         q = WorldlineChainQmc(XXZChainModel(4, jz=0.7, periodic=False), 1.3, 4)
         n = q.L * q.n_slices
         configs = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
-        configs = configs[np.isfinite(_log_pi(q, configs, q._shaded))]
-        return q, configs, q._shaded
+        configs = configs[np.isfinite(_log_pi(q, configs, q._shaded.T))]
+        return q, configs, q._shaded.T
     q = WorldlineSquareQmc(XXZSquareModel(2, 2), 0.6, 8, seed=11)
     configs = np.array([c.reshape(-1) for c in reachable_sector(q)])
     return q, configs, np.stack(q._shaded_gather)
@@ -229,16 +229,16 @@ def test_every_row_move_is_the_metropolis_rule_on_pi(lattice, kernel):
             n_moves += 1
     assert n_moves == q._n_corner_moves
     T = q.n_slices
-    for logw, sites, gather in q._column_tables:
+    for thr, sites, nbr in q._column_tables:
         for c, site in enumerate(sites):
             column = configs[:, site * T:(site + 1) * T]
             straight = (column == column[:, :1]).all(axis=1)
             ratio, target = _metropolis_ratio(
                 q, configs, corners, np.arange(site * T, (site + 1) * T))
             rows = offset // T + site
-            one = gather[:, :, c, None] + offset[:, None]
+            one = nbr[c] + offset[:, None]  # this column's neighbors, per configuration
             check(lambda flat, u: ops["strip_column"](
-                flat.reshape(-1, T), logw, rows, one, straight, np.log(u)),
+                flat.reshape(-1, T), thr, rows, one, straight, np.log(u)),
                 ratio, target, straight)
             n_moves += 1
     assert outcomes == {True, False}

@@ -136,13 +136,14 @@ def test_every_table_move_matches_the_scalar_reference(case):
                 np.testing.assert_array_equal(fused, spins)
                 n_corner_accepts += n_acc
     lines = (start == start[:, :1]).all(axis=1)  # the sweep's straight detection
-    for logw, cols, gather in q._column_tables:
+    for thr, cols, nbr in q._column_tables:
+        assert nbr.shape == (cols.size, thr.size - 1)  # one neighbor a plaquette
         for c, site in enumerate(cols.tolist()):
             one = slice(c, c + 1)
             for u in rng.uniform(size=3):
                 fused = start.copy()
                 n_acc = ops["strip_column"](
-                    fused, logw, cols[one], gather[:, :, one], lines[cols[one]],
+                    fused, thr, cols[one], nbr[one], lines[cols[one]],
                     np.log(np.array([u])),
                 )
                 accepted, spins = _raster_decision(

@@ -23,6 +23,20 @@ from repro.qmc.worldline import WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc
 
 
+def _flip_log_ratio(q, site: int, bonds: np.ndarray, ts: np.ndarray) -> float:
+    """``log(pi'/pi)`` of flipping row ``site`` of ``q.spins`` read off
+    the shaded plaquettes ``q._codes(bonds, ts)``, flipped and
+    regathered (and flipped back); ``-inf`` if one becomes illegal."""
+    w = q.table.weights
+    old = w[q._codes(bonds, ts)]
+    q.spins[site] ^= 1
+    new = w[q._codes(bonds, ts)]
+    q.spins[site] ^= 1
+    if np.any(new <= 0):
+        return float("-inf")
+    return float(np.sum(np.log(new)) - np.sum(np.log(old)))
+
+
 class RasterChainQmc(WorldlineChainQmc):
     """The chain sampler plus its raster corner and column moves."""
 
@@ -87,11 +101,10 @@ class RasterChainQmc(WorldlineChainQmc):
             return False
         return True
 
-    def attempt_column_flip(self, site: int) -> bool:
-        """Straight-line move: flip the full time column of ``site``."""
-        col = self.spins[site]
-        if col.min() != col.max():
-            return False  # world line not straight: move undefined
+    def column_log_ratio(self, site: int) -> float:
+        """``log(pi'/pi)`` of flipping the time column of ``site``, from
+        the weights of its shaded plaquettes regathered after the flip
+        (``-inf`` where one is illegal)."""
         affected = []
         for b in (site - 1, site):
             bb = b % self.L if self.periodic else b
@@ -103,19 +116,19 @@ class RasterChainQmc(WorldlineChainQmc):
         # Log-space product: T plaquettes can under/overflow in linear space.
         codes_i = np.array([a for a, _ in affected], dtype=np.intp)
         codes_t = np.array([b for _, b in affected], dtype=np.intp)
-        old_codes = self._codes(codes_i, codes_t)
-        self.spins[site] ^= 1
-        new_codes = self._codes(codes_i, codes_t)
-        w_new = self.table.weights[new_codes]
-        if np.any(w_new <= 0):
-            self.spins[site] ^= 1
+        return _flip_log_ratio(self, site, codes_i, codes_t)
+
+    def attempt_column_flip(self, site: int) -> bool:
+        """Straight-line move: flip the full time column of ``site``."""
+        col = self.spins[site]
+        if col.min() != col.max():
+            return False  # world line not straight: move undefined
+        log_ratio = self.column_log_ratio(site)
+        if log_ratio == -np.inf:
             return False
-        log_ratio = float(
-            np.sum(np.log(w_new)) - np.sum(np.log(self.table.weights[old_codes]))
-        )
         if not self._metropolis(float(np.exp(min(log_ratio, 0.0))) if log_ratio < 0 else 1.0):
-            self.spins[site] ^= 1
             return False
+        self.spins[site] ^= 1
         return True
 
     def sweep_scalar(self) -> None:
@@ -251,27 +264,25 @@ class RasterSquareQmc(WorldlineSquareQmc):
         self.n_accepted += 1
         return True
 
+    def column_log_ratio(self, site: int) -> float:
+        """``log(pi'/pi)`` of flipping the time column of ``site``, from
+        its active plaquette at every interval, regathered after the flip
+        (``-inf`` where one is illegal)."""
+        ts = np.arange(self.n_slices, dtype=np.intp)
+        return _flip_log_ratio(self, site, self.bond_of[site, ts % self.N_COLORS], ts)
+
     def attempt_column_flip(self, site: int) -> bool:
         """Straight-line move at one site (scalar; legality pre-checked)."""
         col = self.spins[site]
         if col.min() != col.max():
             return False
-        ts = np.arange(self.n_slices, dtype=np.intp)
-        bonds = self.bond_of[site, ts % self.N_COLORS]
-        old_codes = self._codes(bonds, ts)
-        self.spins[site] ^= 1
-        new_codes = self._codes(bonds, ts)
-        w_new = self.table.weights[new_codes]
+        log_ratio = self.column_log_ratio(site)
         self.n_attempted += 1
-        if np.any(w_new <= 0):
-            self.spins[site] ^= 1
+        if log_ratio == -np.inf:
             return False
-        log_ratio = float(
-            np.sum(np.log(w_new)) - np.sum(np.log(self.table.weights[old_codes]))
-        )
         if log_ratio < 0 and self.stream.uniform() >= np.exp(log_ratio):
-            self.spins[site] ^= 1
             return False
+        self.spins[site] ^= 1
         self.n_accepted += 1
         return True
 

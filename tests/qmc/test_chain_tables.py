@@ -9,12 +9,12 @@ into one 16-bit code and prices the move with one lookup in each of
   the -1.0 sentinel exactly on the moves the raster move self-rejects;
 * the bit and byte order of the code, on a hand-written environment
   (a big-endian host, or a native ``uint16`` view, fails here instead
-  of sampling wrong weights);
+  of sampling wrong weights), and of the measurement's plaquette codes;
 * the memoization (one read-only pair per weight table, shared by every
   sampler of a process, not rebuilt by the ``wl1d_*`` adapters);
-* the sweep's draws: one for all corner classes plus one per column
-  class that has a straight column, leaving the generator where the
-  per-class draws left it.
+* the sweep's draws: one for all corner classes plus one for the
+  straight columns of every column class, leaving the generator where
+  one draw per class with a straight column left it.
 """
 
 import itertools
@@ -24,7 +24,9 @@ import pytest
 
 from repro import kernels
 from repro.kernels import chain_tables
-from repro.kernels.chain_tables import CORNER_XMASK, corner_products, corner_tables
+from repro.kernels.chain_tables import (
+    CORNER_XMASK, corner_products, corner_tables, plaquette_codes,
+)
 from repro.models.hamiltonians import XXZChainModel
 from repro.util.rng import SeedSequenceFactory
 from tests.conftest import ForcedStream
@@ -139,6 +141,16 @@ def test_hand_written_environment_indexes_the_documented_entry(backend):
     assert CORNER_XMASK.ravel().tolist() == [10, 5, 12, 3]
 
 
+def test_plaquette_codes_read_corner_c_as_bit_c():
+    """The measurement's one-gather codes, on every code: plaquette k
+    reads cells 4k .. 4k + 3, which hold the bits of k."""
+    codes = np.arange(16)
+    flat = ((codes[:, None] >> np.arange(4)) & 1).astype(np.int8).ravel()
+    corners = np.arange(64, dtype=np.intp).reshape(16, 4)
+    assert plaquette_codes(flat, corners).tolist() == codes.tolist()
+    assert plaquette_codes(flat, corners[::-1]).tolist() == codes[::-1].tolist()
+
+
 # ----------------------------------------------------------------------
 # memoization
 # ----------------------------------------------------------------------
@@ -221,16 +233,18 @@ def test_sweep_draws_once_for_corners_then_once_per_straight_class(L, T, n_warm)
         # alone: the lines now are the lines the column stage found
         lines = (q.spins == q.spins[:, :1]).all(axis=1)
         assert sizes[0] == L * T // 2  # every corner class, one draw
-        # column classes: one draw each, sized to its straight columns,
-        # none for a class without one
+        # column classes: one block for all their straight columns, none
+        # if there is none
         straight_classes = [int(lines[p::2].sum()) for p in (0, 1)]
-        assert sizes[1:] == [s for s in straight_classes if s]
-        n_sweeps_with_bent_class += len(sizes) < 3
-        # the parent's ten draws: eight per-class blocks, then the columns
+        assert sizes[1:] == [sum(straight_classes)] * any(straight_classes)
+        n_sweeps_with_bent_class += 0 in straight_classes
+        # the parent's draws: eight per-class corner blocks, then one per
+        # class with a straight column
         for _ in range(8):
             ref.random(L * T // 16)
-        for s in sizes[1:]:
-            ref.random(s)
+        for s in straight_classes:
+            if s:
+                ref.random(s)
         assert q.stream.generator.bit_generator.state == ref.bit_generator.state
     if L == 4:  # the skipped draw is exercised
         assert n_sweeps_with_bent_class > 0

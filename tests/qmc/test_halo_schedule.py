@@ -201,7 +201,8 @@ def _inspect_strip(comm, cfg):
             written = flip[:, ~mirrored].ravel()
         elif kind == "column":
             cache = st._stage_cache[s]
-            read = cache["gather"].ravel() // T
+            # the op reads each column's neighbors and its own spin
+            read = np.concatenate([cache["nbr"].ravel() // T, cache["lc"]])
             written = cache["lc"]
         else:
             read = np.concatenate([t.ravel() for t in st._dlog_tables]) // T
@@ -261,22 +262,17 @@ def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
                 assert got["env"].flags.c_contiguous  # a gather keeps its index's order
             else:
                 gc = np.arange(start + ((a - start) % 2), stop, 2)
-                lc = gc - start + 2
-                want = {k: [] for k in ("c00", "c10", "c01", "c11")}
-                for off in (-1, 0):
-                    lb = (lc + off)[:, None]
-                    ts = (t_even if (a + off) % 2 == 0 else t_odd)[None, :]
-                    ts1 = (ts + 1) % T
-                    want["c00"].append(lb * T + ts)
-                    want["c10"].append((lb + 1) * T + ts)
-                    want["c01"].append(lb * T + ts1)
-                    want["c11"].append((lb + 1) * T + ts1)
-                want = {k: np.stack(v) for k, v in want.items()}
+                lb = (gc - start + 2)[:, None]
+                # bond lc (right of column lc) is shaded at t = a (mod 2),
+                # bond lc - 1 (left) at the other slices
+                t = np.arange(T)
+                want = {"nbr": np.where((t - a) % 2 == 0, lb + 1, lb - 1) * T + t}
+                ts = (t_even if a % 2 == 0 else t_odd)[None, :]
+                ts1 = (ts + 1) % T
                 want_dlog.append(np.stack(
-                    [want[k][1] for k in ("c00", "c10", "c01", "c11")]
-                ).reshape(4, -1))
-                want = {"gather": np.stack(
-                    [want[k] for k in ("c00", "c10", "c01", "c11")])}
+                    [lb * T + ts, (lb + 1) * T + ts, lb * T + ts1, (lb + 1) * T + ts1],
+                    axis=-1,
+                ).reshape(-1, 4))
             for name, table in want.items():
                 np.testing.assert_array_equal(got[name], table, err_msg=name)
                 assert got[name].dtype == np.intp

@@ -423,14 +423,6 @@ class TestNumbaSerialShapes:
             np.testing.assert_array_equal(a.spins, b.spins)
             assert a.n_accepted == b.n_accepted
 
-    def test_pairwise_sum_replicates_numpy(self):
-        from repro.kernels.loops import _pairwise_sum
-
-        rng = np.random.default_rng(0)
-        for n in (1, 5, 8, 9, 64, 127, 128, 129, 500, 4096):
-            a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
-            assert _pairwise_sum(a, 0, n) == np.sum(a), n
-
     @needs_numba
     def test_square_larger_lattice(self):
         a = WorldlineSquareQmc(XXZSquareModel(8, 4), beta=1.1, n_slices=12,
@@ -483,11 +475,13 @@ class TestNumbaSerialShapes:
         start = np.ascontiguousarray(  # straight columns for the column op
             np.repeat(q.spins[:, :1], q.n_slices, axis=1))
         n_acc = 0
-        for logw, sites, gather in q._column_tables:
+        for thr, sites, nbr in q._column_tables:
+            assert nbr.shape == (sites.size, q.n_slices)
+            assert thr.shape == (q.n_slices + 1,)
             log_u = np.log(rng.uniform(size=sites.size))
             straight = (start[sites] == start[sites, :1]).all(axis=1)
             a, b = start.copy(), start.copy()
-            got = [ops["strip_column"](s, logw, sites, gather, straight, log_u)
+            got = [ops["strip_column"](s, thr, sites, nbr, straight, log_u)
                    for ops, s in ((np_ops, a), (nb_ops, b))]
             assert got[0] == got[1] and straight.all()
             np.testing.assert_array_equal(a, b)
@@ -495,7 +489,7 @@ class TestNumbaSerialShapes:
             bent = np.zeros(sites.size, dtype=bool)
             for ops in (np_ops, nb_ops):
                 assert ops["strip_column"](
-                    a, logw, sites, gather, bent, np.full(sites.size, -np.inf)
+                    a, thr, sites, nbr, bent, np.full(sites.size, -np.inf)
                 ) == 0
             np.testing.assert_array_equal(a, b)
             n_acc += got[0]

@@ -89,7 +89,9 @@ def _inspect_strip_partitions(comm, cfg):
             touched = np.concatenate([cache["env"], cache["flip"].T], axis=1)
         else:
             key, total, interior = f"col{a}", cache["lc"].size, cache["interior"]
-            touched = np.moveaxis(cache["gather"], 2, 0).reshape(total, -1)
+            # (columns, cells): the plaquette neighbors and the column itself
+            touched = np.concatenate(
+                [cache["nbr"], cache["lc"][:, None] * st.T], axis=1)
         out["classes"][key] = (total, interior, touched // st.T)
     return out
 

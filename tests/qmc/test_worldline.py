@@ -76,7 +76,7 @@ class TestMoves:
         configs = ((np.arange(2 ** (L * T))[:, None] >> np.arange(L * T)) & 1)
 
         def legal(flat):
-            s = flat[:, q._shaded]  # (n, 4 corners, shaded plaquettes)
+            s = flat[:, q._shaded.T]  # (n, 4 corners, shaded plaquettes)
             codes = s[:, 0] + 2 * s[:, 1] + 4 * s[:, 2] + 8 * s[:, 3]
             return (q.table.weights[codes] > 0).all(axis=1)
 

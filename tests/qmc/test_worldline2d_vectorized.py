@@ -141,17 +141,16 @@ class TestClassTables:
     def test_column_classes_are_conflict_free(self):
         q = make()
         T = q.n_slices
-        for _, sites, gather in q._column_tables:
+        for thr, sites, nbr in q._column_tables:
             writes = (sites[:, None] * T + np.arange(T)[None, :]).reshape(-1)
             assert writes.size == np.unique(writes).size
             owner = np.full(q.n_sites * T, -1, dtype=np.int64)
             owner[writes.reshape(len(sites), T)] = np.arange(len(sites))[:, None]
-            pid = np.arange(len(sites))[None, :, None]
-            assert gather.shape[0] == 4  # one (2, n_cols, T/2) table a corner
-            for corner in gather:
-                assert corner.shape == (2, len(sites), T // 2)
-                read_owner = owner[corner]
-                assert np.all((read_owner < 0) | (read_owner == pid))
+            pid = np.arange(len(sites))[:, None]
+            assert thr.shape == (T + 1,)
+            assert nbr.shape == (len(sites), T)  # one neighbor an interval
+            read_owner = owner[nbr]
+            assert np.all((read_owner < 0) | (read_owner == pid))
 
     def test_shaded_codes_match_per_plaquette_codes(self):
         q = make(seed=3, cls=RasterSquareQmc)

@@ -23,6 +23,8 @@ MOVED = (
     "attempt_window_flip",
     "segment_flip_class",
     "_weight_product",
+    "column_log_ratio",
+    "_flip_log_ratio",
     "_affected_by_corner",
     "_affected_for",
     "_metropolis",
