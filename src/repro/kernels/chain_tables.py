@@ -39,6 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "CORNER_COLORS",
     "CORNER_XMASK",
     "chain_rows",
     "column_neighbors",
@@ -57,6 +58,14 @@ __all__ = [
 #: of the neighbors -- rows ordered (i-1, t), (i+1, t), (i, tm1),
 #: (i, t1) -- those spins occupy bits {1,3}, {0,2}, {2,3}, {0,1}.
 CORNER_XMASK = np.array([[10], [5], [12], [3]], dtype=np.int8)
+
+#: The chain sweep's corner colors, in sweep order: each joins the
+#: stride-4 class (bond a, interval b) with (a + 2, b + 2), whose moves
+#: never interact (:func:`chain_rows`).  Four colors is the fewest the
+#: corner moves admit: their interaction graph is a king's graph.
+CORNER_COLORS = (
+    ((0, 1), (2, 3)), ((0, 3), (2, 1)), ((1, 0), (3, 2)), ((1, 2), (3, 0)),
+)
 
 _CODE_MULTIPLIER = np.uint32(0x01020408)
 
@@ -212,28 +221,34 @@ def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray)
     ``strip_column`` rows ``(thr, sites, nbr)``, in the one order a
     sweep takes them.
 
-    Corner rows follow the eight stride-4 classes -- (bond a, interval
-    b) grids with (a + b) odd, in (a, b) order -- and column rows the
-    two site parities.  With a periodic ``L % 4 == T % 4 == 0`` every
-    class is one conflict-free packed row.  Elsewhere moves of a class
-    may share plaquettes, which only the per-move loops, taking them in
-    row order, can run.  An open chain's end bonds read three neighbor
-    plaquettes (two on ``L = 2``, where a periodic chain's two bonds
-    also join the same pair), so their corner moves are unpacked rows;
-    its end sites touch the T/2 plaquettes of their one bond, so they
-    follow their parity's inner columns as a row of their own.
+    Corner rows follow the four colors of :data:`CORNER_COLORS`, each
+    two stride-4 classes -- (bond a, interval b) grids with (a + b)
+    odd -- in the order listed, and column rows the two site parities.
+    A corner move at (i, t) writes bonds {i, i+1} at intervals {t, t+1}
+    and reads i-1 .. i+2 at {t, t+1} and {i, i+1} at t-1 .. t+2, so two
+    moves interact iff they are (±1, ±1), (±2, 0) or (0, ±2) apart:
+    classes (2, 2) apart never do.  With a periodic ``L % 4 == T % 4 ==
+    0`` every color is therefore one conflict-free packed row.
+    Elsewhere moves of a color may share plaquettes, which only the
+    per-move loops, taking them in row order, can run.  An open chain's
+    end bonds read three neighbor plaquettes (two on ``L = 2``, where a
+    periodic chain's two bonds also join the same pair), so their corner
+    moves are unpacked rows; its end sites touch the T/2 plaquettes of
+    their one bond, so they follow their parity's inner columns as a row
+    of their own.
     """
     L, T = n_sites, n_slices
     n_bonds = L if periodic else L - 1
     packed = corner_products(weights)
     corner_rows = []
-    for a, b in ((a, b) for a in range(4) for b in range(4) if (a + b) % 2):
-        gi, gt = np.meshgrid(
-            np.arange(a, n_bonds, 4, dtype=np.intp),
-            np.arange(b, T, 4, dtype=np.intp),
-            indexing="ij",
-        )
-        i, t = gi.ravel(), gt.ravel()
+    for color in CORNER_COLORS:
+        grids = [
+            np.meshgrid(np.arange(a, n_bonds, 4, dtype=np.intp),
+                        np.arange(b, T, 4, dtype=np.intp), indexing="ij")
+            for a, b in color
+        ]
+        i = np.concatenate([gi.ravel() for gi, _ in grids])
+        t = np.concatenate([gt.ravel() for _, gt in grids])
         keep = np.ones((4, i.size), dtype=bool)  # neighbors (i-1, t), (i+1, t), ...
         if periodic:
             keep[1] = L > 2

@@ -28,11 +28,12 @@ use *open* chains, where no winding sector exists.
 A sweep is the P = 1, no-ghost case of the strip driver: the
 registry's ``strip_corner`` / ``strip_column`` ops run over index
 tables built once at construction (:func:`repro.kernels.chain_tables.
-chain_rows`), eight corner classes and two column parities in one
-fixed order, on every geometry.  The per-move backends (``scalar``,
-``numba``) take the moves one at a time and run any chain; the batched
-``numpy`` op needs every class conflict-free: ``L % 4 == 0``
-(periodic) and ``T % 4 == 0``.  The kernel dispatch is
+chain_rows`), four corner colors and two column parities in one
+fixed order, on every geometry: six kernel calls a sweep where the
+grid allows.  The per-move backends (``scalar``, ``numba``) take the
+moves one at a time and run any chain; the batched ``numpy`` op needs
+every color conflict-free: ``L % 4 == 0`` (periodic) and ``T % 4 ==
+0``.  The kernel dispatch is
 :class:`TableSweeps`, which the square-lattice sampler shares, and the
 one stage loop is :class:`SweepBatch`'s: R samplers of one geometry
 swept as one disconnected lattice, a sampler's own sweep being R = 1.

@@ -13,7 +13,9 @@ chain's packed rows the mask is ``CORNER_XMASK``, folded into the
 product tables the op reads).  The geometries include the ones only
 the per-move loops run: open chains, ``L % 4 != 0``, odd M, and the
 2 x N and 6 x 6 lattices.  A property test pins the chain geometry:
-the tables tile the move set exactly once.
+the tables tile the move set exactly once, one color of
+``CORNER_COLORS`` after another, and no move of a batched row touches
+a cell another move of that row flips.
 """
 
 import functools
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.kernels.chain_tables import CORNER_XMASK
+from repro.kernels.chain_tables import CORNER_COLORS, CORNER_XMASK
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.worldline import WorldlineChainQmc
 
@@ -167,7 +169,6 @@ def test_tables_tile_the_move_set_exactly_once(L, T, periodic):
     L += periodic and L % 2  # periodic chains have an even length
     q = WorldlineChainQmc(XXZChainModel(n_sites=L, periodic=periodic), 1.0, T)
     if q.can_vectorize:
-        assert len(q._corner_tables) == 8
         for (_, cols, _), parity in zip(q._column_tables, (0, 1)):
             np.testing.assert_array_equal(cols, np.arange(parity, L, 2))
     corners = np.concatenate([flip[0] for *_, flip in q._corner_tables])
@@ -179,3 +180,48 @@ def test_tables_tile_the_move_set_exactly_once(L, T, periodic):
         assert np.all(cols % 2 == cols[:1] % 2)  # one parity a row
     sites = np.concatenate([cols for _, cols, _ in q._column_tables])
     np.testing.assert_array_equal(np.sort(sites), np.arange(L))
+
+
+def _row_cells(gather, flip):
+    """Per move of a corner row, ``(reads, writes)``: the flat cells it
+    gathers and the cells it flips, each ``(n, k)``."""
+    if isinstance(gather, tuple):  # unpacked: (i00, i10, i01, i11, xmask)
+        reads = np.concatenate(gather[:4]).T
+    else:
+        reads = gather
+    return reads, flip.T
+
+
+@pytest.mark.parametrize("L,T,periodic", [
+    *((L, T, True) for L in (4, 8, 12, 16) for T in (4, 8, 12, 16)),
+    (12, 8, False), (10, 8, False),
+])
+def test_corner_rows_are_the_four_colors(L, T, periodic):
+    """A chain sweep's corner rows are ``CORNER_COLORS`` in order, they
+    tile the corner moves exactly once, and on the batched op's grid no
+    move of a row reads or writes a cell another move of it flips --
+    what lets the whole row be decided at once."""
+    q = WorldlineChainQmc(XXZChainModel(n_sites=L, periodic=periodic), 1.0, T)
+    assert q.can_vectorize == (periodic and L % 4 == 0 and T % 4 == 0)
+    seen, colors = [], []
+    for _, gather, flip in q._corner_tables:
+        i, t = np.divmod(flip[0], T)  # the move's (bond, interval)
+        classes = set(zip((i % 4).tolist(), (t % 4).tolist()))
+        color = next(k for k, c in enumerate(CORNER_COLORS) if classes <= set(c))
+        colors.append(color)
+        seen.append(flip[0])
+        if not q.can_vectorize:
+            continue
+        reads, writes = _row_cells(gather, flip)
+        owner = np.full(L * T, -1)
+        owner[writes] = np.arange(flip.shape[1])[:, None]
+        assert np.count_nonzero(owner >= 0) == writes.size  # disjoint writes
+        mine = np.arange(flip.shape[1])[:, None]
+        assert np.all((owner[reads] == -1) | (owner[reads] == mine))
+    assert colors == sorted(colors)  # one color after another, in order
+    if q.can_vectorize:
+        assert colors == list(range(len(CORNER_COLORS)))  # one row a color
+    corners = np.sort(np.concatenate(seen))
+    i, t = np.divmod(np.arange(L * T), T)
+    np.testing.assert_array_equal(
+        corners, np.flatnonzero(((i + t) % 2 == 1) & (i < q.n_bonds)))

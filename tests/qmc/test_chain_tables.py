@@ -12,7 +12,7 @@ into one 16-bit code and prices the move with one lookup in each of
   of sampling wrong weights), and of the measurement's plaquette codes;
 * the memoization (one read-only pair per weight table, shared by every
   sampler of a process, not rebuilt by the ``wl1d_*`` adapters);
-* the sweep's draws: one for all corner classes plus one for the
+* the sweep's draws: one for all corner colors plus one for the
   straight columns of every column class, leaving the generator where
   one draw per class with a straight column left it.
 """
@@ -25,7 +25,7 @@ import pytest
 from repro import kernels
 from repro.kernels import chain_tables
 from repro.kernels.chain_tables import (
-    CORNER_XMASK, corner_products, corner_tables, plaquette_codes,
+    CORNER_COLORS, CORNER_XMASK, corner_products, corner_tables, plaquette_codes,
 )
 from repro.models.hamiltonians import XXZChainModel
 from repro.util.rng import SeedSequenceFactory
@@ -171,7 +171,7 @@ def test_products_are_memoized_shared_and_read_only():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_wl1d_adapters_reuse_the_tables_and_replay_the_sweep(backend):
     """The compatibility adapters drive the same ops: the sweep written
-    with them, class by class on the same uniforms, is the sampler's."""
+    with them, color by color on the same uniforms, is the sampler's."""
     ops = kernels.get_ops(backend)
     a, b = _chain(L=16, T=8, seed=4), _chain(L=16, T=8, seed=4)
     corner_products(a.table.weights)
@@ -183,12 +183,13 @@ def test_wl1d_adapters_reuse_the_tables_and_replay_the_sweep(backend):
     for _ in range(6):
         a.sweep(backend)  # the table sweep
         n_acc = 0
-        for ca, cb in ((ca, cb) for ca in range(4) for cb in range(4) if (ca + cb) % 2):
-            gi, gt = np.meshgrid(
-                np.arange(ca, L, 4), np.arange(cb, T, 4), indexing="ij")
+        for color in CORNER_COLORS:
+            grids = [np.meshgrid(np.arange(ca, L, 4), np.arange(cb, T, 4), indexing="ij")
+                     for ca, cb in color]
+            i = np.concatenate([gi.ravel() for gi, _ in grids])
+            t = np.concatenate([gt.ravel() for _, gt in grids])
             n_acc += ops["wl1d_corner"](
-                b.spins, b.table.weights, gi.ravel(), gt.ravel(),
-                b.stream.uniform(size=gi.size))
+                b.spins, b.table.weights, i, t, b.stream.uniform(size=i.size))
         for parity in (0, 1):
             cols = np.arange(parity, L, 2)
             cols = cols[b.spins[cols].min(axis=1) == b.spins[cols].max(axis=1)]
@@ -232,7 +233,7 @@ def test_sweep_draws_once_for_corners_then_once_per_straight_class(L, T, n_warm)
         # column flips keep straight lines straight and leave bent ones
         # alone: the lines now are the lines the column stage found
         lines = (q.spins == q.spins[:, :1]).all(axis=1)
-        assert sizes[0] == L * T // 2  # every corner class, one draw
+        assert sizes[0] == L * T // 2  # every corner color, one draw
         # column classes: one block for all their straight columns, none
         # if there is none
         straight_classes = [int(lines[p::2].sum()) for p in (0, 1)]

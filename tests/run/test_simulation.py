@@ -350,11 +350,14 @@ _TFIM_ESTIMATES = ["energy", "energy_per_site", "sigma_x", "abs_magnetization"]
 #: runtime key set, manifest config_hash).  One small config per run path.
 #: The strip, two-level and block series were re-pinned when the drivers'
 #: sweep uniforms moved to one skip-ahead stream per run; nothing else.
+#: The serial and replica chain series were re-pinned when the chain's
+#: eight corner classes merged into four colors (same moves, another
+#: order); the strip, two-level and 2-D series did not move.
 PINNED_RUNS = {
     "xxz_serial": (
         lambda **kw: XXZRunConfig(**_XXZ, layout=_numpy(), **kw),
-        {"energy": "7b8d7d17682a0fcda97373cfb571f0e1a2ed4f99a544702b0c3faf58bd17a719",
-         "magnetization": "665bc61104170b68b0dc223683476be568a34580d17dc0b9f039b7b2566b5930"},
+        {"energy": "21a98cf530c11ce3cac5e2d5a39c248617cbb6e0a1444ce8620497f5d5725dff",
+         "magnetization": "bdb5cf9ae71ee0dee9d9227b0271365d50b98b590d9a49dcd41bb547a373cfd5"},
         _XXZ_PARAMS, _XXZ_ESTIMATES, _RT_SERIAL,
         "99226d26337205f0974f76079709c3a476f4d92f2f0b29269da4933f3bf1e714",
     ),
@@ -426,8 +429,8 @@ PINNED_RUNS = {
     # The replica layout, recorded at 0147ce4 (chains still run in-process).
     "xxz_replica_3": (
         lambda **kw: XXZRunConfig(**_XXZ, layout=_numpy("replica", 3), **kw),
-        {"energy": "a7fea03ffafe46e37bfa95e7118b764dcc100811e2f140837ef88869ebee3c8b",
-         "magnetization": "691e83c9010784fd4d25654904ac5fe68f70c679846dd708cd04fcce4f6c091e"},
+        {"energy": "d438986c1871e8aacfff179b09ea2001b59e28ecd98d8a5d6efc0ef9fbea8091",
+         "magnetization": "d561fd677deb8441c6a6781e1f62457888062de9bce767fe06bb3e8aab712168"},
         {**_XXZ_PARAMS, "strategy": "replica", "n_ranks": 3},
         _XXZ_ESTIMATES, _RT_SERIAL,
         "f0757ff38511e37e4b6ff953fc41747f114291f28f2d2f2ff5ac9977c1f62427",
