@@ -14,6 +14,12 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
   parities.  Each sweep draws one *shared* uniform block, sliced per
   stage, so the trajectory is bit-identical across rank counts and
   across the kernel backends (``mode="scalar"`` is the per-move one).
+  The serial chain merges the classes into four colors (class (a, b)
+  with (a + 2, b + 2); :data:`repro.kernels.chain_tables.CORNER_COLORS`);
+  the strip keeps all eight because its halo schedule (below) is
+  cheaper with them: any order of four colors and two parities posts a
+  ghost pair at least 6 times per seam a sweep, the ten stages 4 times
+  (seam ``c % 4 == 0``) or 3 (``c % 4 == 2``).
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
@@ -185,7 +191,7 @@ def _validate_schedule(cfg) -> None:
         raise ValueError("measure_every must be >= 1")
     kernels.check_kernel_name(cfg.mode)
 
-#: Update stages of one world-line sweep: the eight independence
+#: Update stages of one strip-driver sweep: the eight independence
 #: classes of the corner moves -- (bond a, interval b) stride-4 grids
 #: with (a + b) odd, which are entirely unshaded plaquettes -- followed
 #: by the two straight-line column parities.  One shared uniform block
@@ -815,7 +821,9 @@ class _StripState(_DecomposedState):
         bonds ``start-1 .. stop-1``, the two ends being the redundant
         seam bonds) with global bond index ``== a (mod 4)``, crossed
         with intervals ``t == b (mod 4)``.  ``uflat`` indexes the
-        class's ``(L/4, T/4)`` slice of the sweep's uniforms, raveled.
+        class's ``(L/4, T/4)`` slice of the sweep's uniforms, raveled;
+        ``n_seam`` counts its moves at ``j = 1``, which the counters
+        leave to the rank that runs them at ``j = n + 1``.
 
         The fused gather / flip tables -- flat indices into
         ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment and
@@ -846,6 +854,7 @@ class _StripState(_DecomposedState):
             env, flip = corner_tables(n + 4, T, J, Tt)
             self._stage_cache.append({
                 "j": J,
+                "n_seam": int(np.count_nonzero(J == 1)),
                 "uflat": (gb - a) // 4 * (T // 4) + (Tt - b) // 4,
                 "env": env,
                 "flip": flip,
@@ -921,7 +930,11 @@ class _StripState(_DecomposedState):
 
     # -- corner moves --------------------------------------------------------
     def _corner_class(self, cache: dict, u: np.ndarray) -> int:
-        """One corner class; returns the accepted-move count.
+        """One corner class; returns the accepted count of the moves this
+        rank counts: all but those at local bond ``j = 1``.  A seam move
+        runs on both ranks beside it and the left one counts it (at P =
+        1, bond ``L - 1`` runs at ``j = 1`` and ``j = L + 1``), so the
+        counters are the chain's whatever the rank count.
 
         The gather -> XOR-code -> accept -> scatter body is the
         ``strip_corner`` op of the resolved kernel backend (see
@@ -929,10 +942,16 @@ class _StripState(_DecomposedState):
         prices a move from the same weight-product tables, keeping
         accept decisions bit-identical.
         """
-        return self._timed(
+        ghost = self.loc[1].copy() if cache["n_seam"] else None
+        accepted = self._timed(
             self._kops["strip_corner"], self._flat, self._corner_weights,
             cache["env"], cache["flip"], u[cache["uflat"]],
         )
+        if ghost is not None:
+            # Only a j = 1 move writes row 1, two cells at its two
+            # slices, and a class's moves are four intervals apart.
+            accepted -= int(np.count_nonzero(self.loc[1] != ghost)) // 2
+        return accepted
 
     # -- straight-line column moves -----------------------------------------
     def _column_parity(self, cache: dict, u: np.ndarray, straight: np.ndarray) -> int:
@@ -983,9 +1002,12 @@ class _StripState(_DecomposedState):
                 self._exchange_wait(pending)
             if kind == "corner":
                 self.n_accepted += self._corner_class(cache, u)
-            elif n_moves:
-                self.n_accepted += self._column_parity(cache, u, straight)
-            self.n_attempted += n_moves
+                self.n_attempted += n_moves - cache["n_seam"]
+            else:
+                if n_moves:
+                    self.n_accepted += self._column_parity(cache, u, straight)
+                self.n_attempted += n_moves
+            # The clock prices the work done, the redundant seam moves too.
             self._charge_moves(
                 n_moves - n_int, flops, "boundary" if pending else "compute"
             )

@@ -16,7 +16,7 @@ import pytest
 
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
-from repro.qmc.parallel import WorldlineStripConfig, worldline_strip_program
+from repro.qmc.parallel import WorldlineStripConfig, _StripState, worldline_strip_program
 from repro.qmc.plaquette import PlaquetteTable
 from repro.stats.binning import BinningAnalysis
 from repro.vmp.machines import IDEAL, PARAGON
@@ -106,6 +106,65 @@ class TestModeAndRankIdentity:
                 # partials whose float association depends on P, so the
                 # series agrees to the last ULP but not bit-for-bit.
                 np.testing.assert_allclose(energy, ref_energy, rtol=1e-12)
+
+
+COUNTED = dataclasses.replace(SHORT, n_sites=32, beta=1.0, n_sweeps=20, n_thermalize=5)
+
+
+def _chain_counts(comm, cfg):
+    """A one-rank strip run counting its moves as the chain defines
+    them: per sweep ``L T / 2`` corner moves plus one column move per
+    straight world line (column flips keep a line as straight as it
+    was, so the lines after a sweep are the ones its column stages
+    tried), and every distinct move whose cells the op changed.  Bond
+    ``L - 1`` runs twice a class here, at both ends of the strip; it is
+    one move.  Returns the two counts and how many accepted moves ran
+    twice."""
+    state = _StripState(comm, cfg)
+    ops = dict(state._kops)
+    L, T = cfg.n_sites, cfg.n_slices
+    accepted, twice = [], []
+
+    def corner(flat, weights, env, flip, u):
+        before = flat[flip]
+        n = ops["strip_corner"](flat, weights, env, flip, u)
+        j, t = np.divmod(flip[0, (flat[flip] != before).all(axis=0)], T)
+        accepted.append(len(set(zip(((j - 2) % L).tolist(), t.tolist()))))
+        twice.append(j.size - accepted[-1])
+        return n
+
+    def column(spins, thr, sites, nbr, straight, log_u):
+        before = spins[sites]
+        n = ops["strip_column"](spins, thr, sites, nbr, straight, log_u)
+        accepted.append(int(np.count_nonzero((spins[sites] != before).any(axis=1))))
+        return n
+
+    state._kops = {**ops, "strip_corner": corner, "strip_column": column}
+    attempted = 0
+    for _ in range(cfg.n_thermalize + cfg.n_sweeps):
+        state.sweep()
+        owned = state.loc[2:L + 2]
+        attempted += L * T // 2 + int(np.count_nonzero(owned.min(axis=1) == owned.max(axis=1)))
+    assert (state.n_attempted, state.n_accepted) == (attempted, sum(accepted))
+    return (attempted, sum(accepted)), sum(twice)
+
+
+def test_counters_are_the_chains_at_every_rank_count():
+    """A seam corner move runs on both ranks beside it and counts once:
+    the summed counters equal the chain's own count on every rank
+    count, backend and schedule."""
+    defined, twice = run_spmd(_chain_counts, 1, machine=IDEAL, args=(COUNTED,)).values[0]
+    assert 0 < twice < defined[1] < defined[0]
+    for p in (1, 2, 4):
+        for backend in ("thread", "mp"):
+            for overlap in (False, True):
+                res = run_spmd(worldline_strip_program, p, machine=PARAGON,
+                               args=(dataclasses.replace(COUNTED, overlap=overlap),),
+                               backend=backend)
+                assert all(v["overlap_active"] == (overlap and p > 1)
+                           for v in res.values)
+                assert tuple(sum(v[key] for v in res.values) for key in (
+                    "n_attempted", "n_accepted")) == defined, (p, backend, overlap)
 
 
 @pytest.mark.parametrize("p", [1, 2])
