@@ -224,10 +224,10 @@ def chain_rows(n_sites: int, n_slices: int, periodic: bool, weights: np.ndarray)
     Corner rows follow the four colors of :data:`CORNER_COLORS`, each
     two stride-4 classes -- (bond a, interval b) grids with (a + b)
     odd -- in the order listed, and column rows the two site parities.
-    A corner move at (i, t) writes bonds {i, i+1} at intervals {t, t+1}
-    and reads i-1 .. i+2 at {t, t+1} and {i, i+1} at t-1 .. t+2, so two
-    moves interact iff they are (±1, ±1), (±2, 0) or (0, ±2) apart:
-    classes (2, 2) apart never do.  With a periodic ``L % 4 == T % 4 ==
+    A corner move at (i, t) writes sites {i, i+1} at slices {t, t+1}
+    and reads sites i-1 .. i+2 at {t, t+1} and {i, i+1} at t-1 .. t+2,
+    so two moves interact iff they are (±1, ±1), (±2, 0) or (0, ±2)
+    apart: classes (2, 2) apart never do.  With a periodic ``L % 4 == T % 4 ==
     0`` every color is therefore one conflict-free packed row.
     Elsewhere moves of a color may share plaquettes, which only the
     per-move loops, taking them in row order, can run.  An open chain's

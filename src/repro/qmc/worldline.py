@@ -33,10 +33,10 @@ fixed order, on every geometry: six kernel calls a sweep where the
 grid allows.  The per-move backends (``scalar``, ``numba``) take the
 moves one at a time and run any chain; the batched ``numpy`` op needs
 every color conflict-free: ``L % 4 == 0`` (periodic) and ``T % 4 ==
-0``.  The kernel dispatch is
-:class:`TableSweeps`, which the square-lattice sampler shares, and the
-one stage loop is :class:`SweepBatch`'s: R samplers of one geometry
-swept as one disconnected lattice, a sampler's own sweep being R = 1.
+0``.  The kernel dispatch is :class:`TableSweeps`, which the
+square-lattice sampler shares, and the one stage loop is
+:class:`SweepBatch`'s: R samplers of one geometry swept as one
+disconnected lattice, a sampler's own sweep being R = 1.
 """
 
 from __future__ import annotations

@@ -182,16 +182,6 @@ def test_tables_tile_the_move_set_exactly_once(L, T, periodic):
     np.testing.assert_array_equal(np.sort(sites), np.arange(L))
 
 
-def _row_cells(gather, flip):
-    """Per move of a corner row, ``(reads, writes)``: the flat cells it
-    gathers and the cells it flips, each ``(n, k)``."""
-    if isinstance(gather, tuple):  # unpacked: (i00, i10, i01, i11, xmask)
-        reads = np.concatenate(gather[:4]).T
-    else:
-        reads = gather
-    return reads, flip.T
-
-
 @pytest.mark.parametrize("L,T,periodic", [
     *((L, T, True) for L in (4, 8, 12, 16) for T in (4, 8, 12, 16)),
     (12, 8, False), (10, 8, False),
@@ -212,12 +202,12 @@ def test_corner_rows_are_the_four_colors(L, T, periodic):
         seen.append(flip[0])
         if not q.can_vectorize:
             continue
-        reads, writes = _row_cells(gather, flip)
+        # on the grid every row is packed: ``gather`` is each move's reads
+        moves = np.arange(flip.shape[1])[:, None]
         owner = np.full(L * T, -1)
-        owner[writes] = np.arange(flip.shape[1])[:, None]
-        assert np.count_nonzero(owner >= 0) == writes.size  # disjoint writes
-        mine = np.arange(flip.shape[1])[:, None]
-        assert np.all((owner[reads] == -1) | (owner[reads] == mine))
+        owner[flip.T] = moves
+        assert np.count_nonzero(owner >= 0) == flip.size  # disjoint writes
+        assert np.all((owner[gather] == -1) | (owner[gather] == moves))
     assert colors == sorted(colors)  # one color after another, in order
     if q.can_vectorize:
         assert colors == list(range(len(CORNER_COLORS)))  # one row a color
