@@ -304,34 +304,24 @@ class MetricsRegistry:
 
 
 class MetricsFanout:
-    """Several runs' registries recorded as one: the runs of a batch
-    (:func:`repro.run.simulation.run_batch`), which share one rank.
-
-    Stands in for a :class:`MetricsRegistry` wherever a run takes one
-    (``run_spmd(metrics=...)``): a rank's scope writes each metric into
-    that rank's scope of every registry, so what the runs share -- comm
-    counters, phase gauges, snapshot cadence -- lands in each of them,
-    and the per-run scopes (``scope(rank).scopes``, in registry order)
-    take what differs.
+    """The one rank scope of a :func:`repro.qmc.parallel.chain_program`
+    run, written into each chain's ``scopes``, one per ``(registry,
+    rank)`` pair: ranks ``0 .. R-1`` of one registry for a replica run,
+    rank 0 of each run's registry for a seed batch
+    (:func:`repro.run.simulation.run_batch`).  Stands in for the
+    :class:`MetricsRegistry` of ``run_spmd(metrics=...)``; what the
+    chains share (comm counters, phase gauges, snapshots) reaches each.
     """
 
-    def __init__(self, registries):
-        self.registries = list(registries)
-
-    def scope(self, rank: int) -> "FanoutMetrics":
-        return FanoutMetrics([r.scope(rank) for r in self.registries])
-
-
-class FanoutMetrics:
-    """A rank scope of a :class:`MetricsFanout`: ``scopes`` are its
-    registries' scopes of that rank, and every write reaches each."""
-
     enabled = True
+    rank = 0
 
-    def __init__(self, scopes):
-        self.scopes = list(scopes)
-        self.rank = self.scopes[0].rank
+    def __init__(self, pairs):
+        self.scopes = [registry.scope(rank) for registry, rank in pairs]
         self.interval = self.scopes[0].interval
+
+    def scope(self, rank: int) -> "MetricsFanout":
+        return self  # the scope of the one rank the run has
 
     def counter(self, name: str) -> "_FanoutMetric":
         return _FanoutMetric([s.counter(name) for s in self.scopes])
@@ -351,7 +341,7 @@ class FanoutMetrics:
 
 
 class _FanoutMetric:
-    """One metric of a :class:`FanoutMetrics`, held once per scope."""
+    """One metric of a :class:`MetricsFanout`, held once per scope."""
 
     def __init__(self, copies):
         self._copies = copies

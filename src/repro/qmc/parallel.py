@@ -27,16 +27,16 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
   **bit-identical** to the serial one (same-color sites do not
   interact), which the integration tests assert literally.
 
-* :func:`chain_program` -- one whole lattice per rank, the serial (one
-  rank) and replica (``n`` independent chains) layouts of every run
-  kind: the no-link, no-ghost case.  A serial sampler
+* :func:`chain_program` -- whole lattices, all on one rank: the serial
+  (one chain) and replica (``n`` independent chains) layouts of every
+  run kind, the no-link, no-ghost case.  A serial sampler
   (:mod:`repro.qmc.worldline`, :mod:`~repro.qmc.worldline2d`,
   :mod:`~repro.qmc.tfim`, :mod:`~repro.qmc.classical_ising`,
   :mod:`~repro.qmc.cluster`) is a move set plus the estimators its
-  class names in ``ESTIMATORS``, and a chain is one such sampler
-  measuring the series asked for, scalar or vector.  :func:`run_chain`
-  runs one sampler, in place, as the chain of a one-rank run: the
-  samplers have no run loop of their own.
+  class names in ``ESTIMATORS``, and a chain is one such sampler on its
+  own stream measuring the series asked for, scalar or vector.
+  :func:`run_chain` runs one sampler, in place, as a one-chain run:
+  the samplers have no run loop of their own.
 
 Both decomposed drivers take their shared uniforms from one stream per
 run (:meth:`_DecomposedState._sweep_draw`): every rank builds it
@@ -125,6 +125,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -142,7 +143,7 @@ from repro.kernels.chain_tables import (
 from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
 from repro.qmc.plaquette import PlaquetteTable
-from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE, SweepBatch
+from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE, SweepBatch, TableSweeps
 from repro.obs.health import NOOP_HEALTH, HealthMonitor, clock_comm_seconds
 from repro.obs.metrics import ACCEPTANCE_EDGES
 from repro.util.rng import SeedSequenceFactory
@@ -276,9 +277,9 @@ def _per_neighbor(links, end: str, sites: str) -> list[tuple[int, int, np.ndarra
 
 
 class _SweepMetrics:
-    """The ``sweep.*`` handles of one chain of telemetry: a rank's, or one
-    chain's of a batched rank (:class:`_ChainState`).  Kernel time lands
-    in a counter tagged by the resolved backend."""
+    """The ``sweep.*`` handles of one chain of telemetry: a decomposed
+    rank's, or one chain's of a chain rank (:class:`_ChainState`).
+    Kernel time lands in a counter tagged by the resolved backend."""
 
     def __init__(self, metrics, kernel: str):
         self.sweeps = metrics.counter("sweep.count")
@@ -1376,15 +1377,16 @@ def ising_block_program(
 class ChainConfig:
     """Run parameters of :func:`chain_program`.
 
-    ``build(stream, mode)`` constructs the rank's serial sampler on its
-    random stream: a move set (``resolve_sweep(mode)``, ``spins`` and
-    the ``n_attempted`` / ``n_accepted`` counters) whose class maps
-    series names to estimator methods in ``ESTIMATORS``.  ``series``
-    names what the chain measures, ``health_series`` the scalar ones of
-    them the health monitor tracks; ``mode`` is a sweep mode of the
-    samplers (``"auto"``, ``"scalar"``, ``"vectorized"`` or a backend).
-    ``seeds``, when given, makes the rank a batch of one chain per seed
-    (see :class:`_ChainState`).
+    ``build(stream, mode)`` constructs one serial sampler on its random
+    stream: a move set (``resolve_sweep(mode)``, ``spins`` and the
+    ``n_attempted`` / ``n_accepted`` counters) whose class maps series
+    names to estimator methods in ``ESTIMATORS``.  ``series`` names what
+    each chain measures, ``health_series`` the scalar ones of them the
+    health monitors track; ``mode`` is a sweep mode of the samplers
+    (``"auto"``, ``"scalar"``, ``"vectorized"`` or a backend).  Chain
+    ``i`` is built on ``SeedSequenceFactory(seed).rank_stream(index)``
+    of ``streams[i] = (seed, index)``: ``(seed, i)`` for chain ``i`` of
+    a replica run, ``((seed, 0),)`` for a serial run.
     """
 
     build: Callable[[Any, str], Any]
@@ -1394,7 +1396,7 @@ class ChainConfig:
     n_thermalize: int = 0
     measure_every: int = 1
     mode: str = "auto"
-    seeds: tuple[int, ...] = ()
+    streams: tuple[tuple[int, int], ...] = ((0, 0),)
 
     def __post_init__(self):
         _validate_schedule(self)
@@ -1403,47 +1405,41 @@ class ChainConfig:
 class _ChainState(_DecomposedState):
     """Whole lattices on one rank: the no-link, no-ghost case.
 
-    One chain on the rank's stream, or with ``cfg.seeds`` a batch of R
-    chains, chain ``i`` on the stream a one-rank run at ``seeds[i]``
-    has (``SeedSequenceFactory(seeds[i]).rank_stream(0)``) and all of
-    them swept by one :class:`~repro.qmc.worldline.SweepBatch` -- each
-    chain the trajectory of that run.  The estimators draw nothing, so
-    each is evaluated once here, on the start configuration, to lay out
-    the measurement row: a scalar takes one column and stays a 1-D
-    series, an array of width ``w`` takes ``w`` and is stacked into an
-    ``(n_measurements, w)`` series.  A batch measures the R chains'
-    rows side by side and its series carry a chain axis after the
-    measurement axis (``(n, R)``, ``(n, R, w)``), as its ``spins``
-    (``(R, ...)``) and counters (lists) do.  ``comm`` has this rank
-    alone, so the run loop's reductions return the rank's own rows and
-    ``series_columns`` only splits them.
-
-    A batch records each chain's sweep telemetry into its own scope of
-    the :class:`~repro.obs.metrics.MetricsFanout` the run records into,
-    the batch's wall time split evenly; it takes no health rules.
+    R chains, chain ``i`` on stream ``cfg.streams[i]``, each the
+    trajectory it has alone: world-line samplers of one geometry swept
+    as one lattice (:class:`~repro.qmc.worldline.SweepBatch`; R = 1 is
+    the sampler's own sweep), others (the TFIM) in turn.  The estimators
+    draw nothing, so each is evaluated once here to lay out the
+    measurement row: a scalar takes one column, an array ``w``.  The
+    chains' rows sit side by side, so the series carry a chain axis
+    after the measurement axis (``(n, R)``, ``(n, R, w)``), as ``spins``
+    and the counters do.  Each chain records its sweep telemetry into
+    its own scope (``scopes`` of a
+    :class:`~repro.obs.metrics.MetricsFanout`), the sweep's wall time
+    split evenly.
     """
 
     def __init__(self, comm, cfg: ChainConfig):
-        streams = [comm.stream] if not cfg.seeds else [
-            SeedSequenceFactory(seed).rank_stream(0) for seed in cfg.seeds
+        self.samplers = [
+            cfg.build(SeedSequenceFactory(seed).rank_stream(index), cfg.mode)
+            for seed, index in cfg.streams
         ]
-        self.samplers = [cfg.build(stream, cfg.mode) for stream in streams]
         q = self.samplers[0]
         unknown = [name for name in cfg.series if name not in q.ESTIMATORS]
         if unknown:
             raise ValueError(f"{type(q).__name__} has no estimator {unknown[0]!r};"
                              f" it measures {', '.join(q.ESTIMATORS)}")
-        self._batched = bool(cfg.seeds)
-        batch = SweepBatch(self.samplers) if self._batched else q
-        kernel, self._sweep = batch.resolve_sweep(cfg.mode)
+        if isinstance(q, TableSweeps):
+            kernel, self._sweep = SweepBatch(self.samplers).resolve_sweep(cfg.mode)
+        else:  # no common tiling: each chain sweeps alone, in turn
+            sweeps = [s.resolve_sweep(cfg.mode) for s in self.samplers]
+            kernel = sweeps[0][0]
+            self._sweep = lambda: [sweep() for _, sweep in sweeps]
         self._init_rank(comm, cfg, kernel)
-        if self._batched:
-            # Each chain's sweeps go to its own scope (_sweep_stages),
-            # not the rank's to every scope.
-            self._chain_m = (
-                [_SweepMetrics(m, kernel) for m in comm.metrics.scopes]
-                if self._obs else []
-            )
+        self._chain_m = []
+        if self._obs:  # each chain records its own sweeps, not the rank
+            scopes = getattr(comm.metrics, "scopes", [comm.metrics])
+            self._chain_m = [_SweepMetrics(m, kernel) for m in scopes]
             self._obs = False
         self.series = cfg.series
         self.health_series = cfg.health_series
@@ -1457,11 +1453,6 @@ class _ChainState(_DecomposedState):
         self._vector = any(isinstance(c, slice) for c in self._columns)
 
     def _sweep_stages(self) -> None:
-        if not self._batched:
-            self._timed(self._sweep)
-            self.n_attempted = self.samplers[0].n_attempted
-            self.n_accepted = self.samplers[0].n_accepted
-            return
         before = [(q.n_attempted, q.n_accepted) for q in self.samplers]
         t0 = perf_counter()
         self._sweep()
@@ -1477,39 +1468,65 @@ class _ChainState(_DecomposedState):
         return np.hstack(row) if self._vector else np.array(row, dtype=np.float64)
 
     def series_columns(self, totals: np.ndarray) -> tuple:
-        if self._batched:
-            totals = totals.reshape(len(totals), len(self.samplers), -1)
+        totals = totals.reshape(len(totals), len(self.samplers), -1)
         return tuple(totals[..., c] for c in self._columns)
 
     def result(self) -> dict:
-        if self._batched:
-            return {"spins": np.stack([q.spins for q in self.samplers])}
-        return {"spins": self.samplers[0].spins.copy()}
+        return {"spins": np.stack([q.spins for q in self.samplers])}
+
+
+class _ChainHealth(list):
+    """The health monitors of a chain rank, one per chain, fed as one:
+    values and counters carry the chain axis."""
+
+    enabled = True
+    t_model = 0.0  # chains model no time; check() hands each monitor the clock
+
+    def observe(self, name: str, values, sweep: int) -> None:
+        for m, value in zip(self, values):
+            m.observe(name, value, sweep)
+
+    def check(self, sweep: int, *, attempted, accepted, **clock) -> None:
+        for m, att, acc in zip(self, attempted, accepted):
+            m.check(sweep, attempted=att, accepted=acc, **clock)
+
+    def event_docs(self) -> list[dict]:
+        return [doc for m in self for doc in m.event_docs()]
+
+    def summary(self) -> list[dict]:
+        return [m.summary() for m in self]
 
 
 def chain_program(
     comm, cfg: ChainConfig, health: "HealthRules | None" = None
 ) -> dict:
-    """SPMD rank program: one independent whole-lattice chain per rank.
-
-    Chain ``i`` draws from ``comm.stream`` of rank ``i`` -- the ``i``-th
-    child stream of the run's seed, so chain 0 is the one-rank run at
-    that seed -- and runs the drivers' loop over a communicator of its
-    own (``comm.split(comm.rank)``): nothing is pooled across chains,
-    the caller concatenates their series in rank order.  Returns the
-    chain's series, final ``spins``, move counters, the ``kernel`` that
-    ran and, with ``health`` rules, the events and summary of a monitor
-    stamped with the chain's world rank.  With ``cfg.seeds`` the rank is
-    a batch of chains instead (:class:`_ChainState`), run without health.
+    """SPMD rank program of the serial and replica layouts: the chains
+    of ``cfg.streams``, all on this one rank (:class:`_ChainState`); a
+    larger communicator is a ``ValueError``.  Nothing is pooled or sent.
+    The value carries a chain axis (series, ``spins``, counters, health
+    summaries; health events chain after chain), which
+    :func:`_chain_values` splits into what each chain returns alone.
     """
-    if cfg.seeds and health is not None:
-        raise ValueError("a batch of chains runs without health rules")
-    return _run_decomposed(
-        _ChainState(comm.split(comm.rank), cfg),
-        None,
-        health,
-        monitor=_health_monitor(health, comm.rank),
-    )
+    if comm.size > 1:
+        raise ValueError("chain_program runs its chains on one rank, not "
+                         f"{comm.size}: give ChainConfig a stream per chain")
+    # A chain's monitor is stamped with its stream index: its rank in its run.
+    monitor = NOOP_HEALTH if health is None else _ChainHealth(
+        HealthMonitor(health, rank=index) for _, index in cfg.streams)
+    return _run_decomposed(_ChainState(comm, cfg), None, health, monitor=monitor)
+
+
+def _chain_values(value: dict, series) -> list[dict]:
+    """A :func:`chain_program` value as one value per chain, each what a
+    run of that chain alone returns; ``series`` names its series."""
+    chains = [{**value, **{name: value[name][:, i] for name in series},
+               **{key: value[key][i] for key in ("spins", "n_attempted", "n_accepted")}}
+              for i in range(len(value["spins"]))]
+    events = iter(value.get("health_events", ()))  # chain after chain
+    for chain, summary in zip(chains, value.get("health_summary", ())):
+        chain["health_summary"] = summary
+        chain["health_events"] = list(islice(events, summary["n_events"]))
+    return chains
 
 
 def run_chain(
@@ -1527,7 +1544,7 @@ def run_chain(
     and ``check_invariants()`` describe the end of the run.  The
     schedule is the drivers' (a bad one is a ``ValueError`` naming the
     field); ``series`` are keys of the sampler's ``ESTIMATORS``.
-    Returns rank 0's value: one array per series name, ``spins``,
+    Returns the chain's value: one array per series name, ``spins``,
     ``n_attempted`` / ``n_accepted`` and the ``kernel`` that ran.
     """
     cfg = ChainConfig(
@@ -1539,4 +1556,5 @@ def run_chain(
         measure_every=measure_every,
         mode=mode,
     )
-    return run_spmd(chain_program, 1, machine=IDEAL, args=(cfg,)).values[0]
+    value = run_spmd(chain_program, 1, machine=IDEAL, args=(cfg,)).values[0]
+    return _chain_values(value, cfg.series)[0]

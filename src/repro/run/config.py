@@ -65,7 +65,8 @@ class ParallelLayout:
     strategy:
         ``serial`` | ``strip`` | ``block`` | ``replica``.
     n_ranks:
-        Logical processors.
+        Logical processors; under ``replica`` the number of independent
+        chains, which all run on one rank.
     machine:
         Machine-model name from :data:`repro.vmp.MACHINES`.
     backend:

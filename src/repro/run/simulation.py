@@ -17,20 +17,21 @@ modeled makespan and communication fraction.
 :func:`run_batch` (which :meth:`Simulation.run` calls with one config)
 is one skeleton for every run kind and every layout: resolve the kernel
 -> ``params`` -> the layout's rank program under ONE ``run_spmd`` call
--> runtime -> health -> artifacts -> estimates.  Every layout is a rank program over the drivers' one run
-loop (:func:`repro.qmc.parallel._run_decomposed`): a serial run is one
-rank holding the whole lattice, a replica run ``n_ranks`` of them
+-> runtime -> health -> artifacts -> estimates.  Every layout is a
+rank program over the drivers' one run loop
+(:func:`repro.qmc.parallel._run_decomposed`): a serial or replica run
+is one rank holding its chains
 (:func:`~repro.qmc.parallel.chain_program`), a strip / block run the
-kind's domain-decomposed driver -- so sweep telemetry and in-loop health
-are the same on all of them.  A kind (``_XXZ`` / ``_XXZ2D`` / ``_Tfim``
-below, keyed by its config's ``kind``) supplies only the hooks the
-skeleton calls:
+kind's domain-decomposed driver -- so sweep telemetry and in-loop
+health are the same on all of them.  A kind (``_XXZ`` / ``_XXZ2D`` /
+``_Tfim`` below, keyed by its config's ``kind``) supplies only the
+hooks the skeleton calls:
 
 ``params(cfg, kernel)``
     The result's ``parameters``.  Their keys are frozen: the manifest
     ``config_hash`` is taken over them, and campaign caches compare it.
 ``sampler(cfg, stream, mode)``
-    The whole-lattice sampler of the serial / replica layouts, built on
+    The whole-lattice sampler of a serial / replica chain, built on
     ``stream``: a move set plus estimators, with no run loop of its own.
     Each chain measures the sampler's ``chain_series`` estimators, its
     sweep resolved from ``mode`` -- as in every serial run of the
@@ -58,10 +59,12 @@ import numpy as np
 
 from repro import kernels
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
+from repro.obs.metrics import MetricsFanout
 from repro.qmc.parallel import (
     ChainConfig,
     IsingBlockConfig,
     WorldlineStripConfig,
+    _chain_values,
     chain_program,
     ising_block_program,
     worldline_strip_program,
@@ -127,10 +130,10 @@ def _health_rules(cfg):
     return rules
 
 
-def _collect_health(rules, result, spmd):
-    """Merge per-rank health output into one run-level view.
+def _collect_health(rules, result, values):
+    """Merge a run's per-rank (or per-chain) health into one view.
 
-    Every rank program returns its monitor's ``health_events`` /
+    Every value carries its monitor's ``health_events`` /
     ``health_summary``.  Stores the aggregate verdict in
     ``result.runtime['health']`` and returns ``{"events": [...],
     "summary": {...}, "rank_summaries": [...]}`` for the sinks, or None
@@ -138,13 +141,13 @@ def _collect_health(rules, result, spmd):
     """
     if rules is None:
         return None
-    from repro.obs.events import events_summary
+    from repro.obs.events import events_summary, sort_events
 
-    events = spmd.health_events()
+    events = sort_events(e for value in values for e in value["health_events"])
     summary = events_summary(events)
     summary["rules"] = rules.to_doc()
     result.runtime["health"] = summary
-    rank_summaries = [value["health_summary"] for value in spmd.values]
+    rank_summaries = [value["health_summary"] for value in values]
     return {"events": events, "summary": summary, "rank_summaries": rank_summaries}
 
 
@@ -271,9 +274,9 @@ class _Kind:
     chain_series: tuple[str, ...]
 
     @classmethod
-    def program(cls, cfg, kernel, checkpoint, rules, seeds=()):
-        """``(program, args, n_ranks)`` of the run's layout; ``seeds``
-        makes a serial rank a batch of one chain per seed."""
+    def program(cls, cfg, kernel, checkpoint, rules, streams):
+        """``(program, args, n_ranks)`` of the run's layout: the kind's
+        decomposed driver, or one rank holding a chain per stream."""
         layout = cfg.layout
         if layout.strategy == cfg.decomposed:
             return cls.decomposed(cfg, kernel, checkpoint, rules)
@@ -288,9 +291,9 @@ class _Kind:
             # reference on off-grid lattices); explicit backends are
             # passed through.
             mode="auto" if layout.kernel == "auto" else kernel,
-            seeds=tuple(seeds),
+            streams=tuple(streams),
         )
-        return chain_program, (chain_cfg, rules), layout.n_ranks
+        return chain_program, (chain_cfg, rules), 1
 
     @classmethod
     def series(cls, cfg, values):
@@ -522,33 +525,20 @@ class Simulation:
 def _check_batch(configs) -> None:
     """The rules of a batch of more than one run (:func:`run_batch`)."""
     cfg = configs[0]
-    if cfg.kind not in ("xxz", "xxz2d") or cfg.layout.strategy != "serial":
-        raise ValueError(
-            "a batch runs serial world-line chains (xxz / xxz2d, strategy "
-            f"'serial'), got {cfg.kind} / {cfg.layout.strategy!r}"
-        )
-    if cfg.health:
-        raise ValueError("a batch runs without the health engine")
+    if cfg.layout.strategy == cfg.decomposed:
+        raise ValueError("a batch runs chains (strategy serial / replica), "
+                         f"not {cfg.layout.strategy!r}")
 
     def shared(c):
         # Everything but the seed and where the artifacts go.
         return dataclasses.replace(
-            c, seed=0, metrics_out=None if c.metrics_out is None else ""
+            c, seed=0, metrics_out=None if c.metrics_out is None else "",
+            events_out=None if c.events_out is None else "",
         )
 
     if any(shared(c) != shared(cfg) for c in configs[1:]):
         raise ValueError("the runs of a batch may differ only in seed and "
                          "output paths")
-
-
-def _chain_values(value: dict, n: int, series) -> list[list[dict]]:
-    """A batched rank's value as ``n`` one-rank runs' rank values."""
-    per_chain = ("spins", "n_attempted", "n_accepted")
-    return [[{
-        **value,
-        **{name: value[name][:, i] for name in series},
-        **{key: value[key][i] for key in per_chain},
-    }] for i in range(n)]
 
 
 def run_batch(configs) -> list[RunResult]:
@@ -557,17 +547,15 @@ def run_batch(configs) -> list[RunResult]:
     One skeleton for every run kind and layout: resolve the kernel ->
     ``params`` -> the layout's rank program under ONE ``run_spmd`` call
     -> runtime -> health -> artifacts -> estimates.  A single config is
-    an ordinary run (:meth:`Simulation.run`).  Several are serial
-    world-line chains (``xxz`` / ``xxz2d``) that may differ only in
-    ``seed`` and output paths, with no health engine: one rank holds
-    them all and sweeps them as one lattice (a ``chain_program`` with
-    ``seeds``), each chain on the stream its solo run has.  Every
-    result then equals its solo run's -- series, estimates, parameters
-    and counters -- with ``runtime["batch"] = {"size": R, "position":
-    i}``, the batch's wall time split evenly over its runs
-    (``wall_seconds``, ``sweeps_per_second`` and the ``sweep.*`` wall
-    counters), and its own artifacts (metrics JSONL and manifest with
-    the solo run's keys and counts).
+    an ordinary run (:meth:`Simulation.run`).  Several are serial or
+    replica runs that may differ only in ``seed`` and output paths: one
+    ``chain_program`` rank holds all their chains, each on the stream
+    its solo run has.  Every result then equals its solo run's --
+    series, estimates, parameters, counters, health -- with
+    ``runtime["batch"] = {"size": R, "position": i}``, the batch's wall
+    time split evenly over its runs (``wall_seconds``,
+    ``sweeps_per_second``, the ``sweep.*`` wall counters), and its own
+    artifacts with the solo run's keys and counts.
     """
     configs = list(configs)
     cfg = configs[0]
@@ -585,21 +573,19 @@ def run_batch(configs) -> list[RunResult]:
     registries = [_obs_registry(c) for c in configs]
     rules = _health_rules(cfg)
     decomposed = layout.strategy == cfg.decomposed
+    # A chain layout's chains as (run, stream index): chain i of a run
+    # draws from the i-th child stream of its seed (DESIGN.md, "Replica
+    # stream rule"), so chain 0 is the serial run at that seed.
+    chains = [(k, i) for k in range(n_runs) for i in range(layout.n_ranks)]
     t0_wall = time.perf_counter()
     program, args, n_ranks = kind.program(
         cfg, kernel, _checkpoint_config(cfg), rules,
-        seeds=[c.seed for c in configs] if n_runs > 1 else (),
+        streams=[(configs[k].seed, i) for k, i in chains],
     )
-    if n_runs == 1 or registries[0] is None:
-        metrics = registries[0]
-    else:
-        from repro.obs.metrics import MetricsFanout
-
-        metrics = MetricsFanout(registries)
-    # Rank i's stream is the i-th child stream of the root seed, so
-    # chain 0 of a replica run is the serial run at that seed.
-    # (Offsetting the seed by the chain index instead would make
-    # replica runs at neighbouring seeds share all but one chain.)
+    metrics = registries[0]
+    if not decomposed and metrics is not None:
+        # Each chain records into its run's registry, as its rank there.
+        metrics = MetricsFanout([(registries[k], i) for k, i in chains])
     spmd = run_spmd(
         program,
         n_ranks,
@@ -616,12 +602,12 @@ def run_batch(configs) -> list[RunResult]:
     )
     # The always-on throughput numbers: a batch's runs share its wall.
     wall = (time.perf_counter() - t0_wall) / n_runs
-    n_chains = n_ranks if layout.strategy == "replica" else 1
-    n_sweeps_run = n_chains * (cfg.n_sweeps + cfg.n_thermalize)
-    if n_runs == 1:
+    if decomposed:
         runs = [spmd.values]
     else:
-        runs = _chain_values(spmd.values[0], n_runs, kind.chain_series)
+        per_chain = _chain_values(spmd.values[0], kind.chain_series)
+        runs = [per_chain[k * layout.n_ranks:(k + 1) * layout.n_ranks]
+                for k in range(n_runs)]
     results = []
     for i, (run_cfg, registry, values) in enumerate(zip(configs, registries, runs)):
         result = RunResult(kind=cfg.kind, parameters=dict(params))
@@ -634,6 +620,8 @@ def run_batch(configs) -> list[RunResult]:
         )
         if decomposed:
             _record_spmd(result, spmd, layout)
+        n_sweeps_run = (1 if decomposed else len(values)) * (
+            cfg.n_sweeps + cfg.n_thermalize)
         result.runtime.update(
             wall_seconds=wall,
             n_sweeps=n_sweeps_run,
@@ -645,7 +633,7 @@ def run_batch(configs) -> list[RunResult]:
             result.rank_summaries = {
                 str(r): v for r, v in registry.summary().items()
             }
-        health = _collect_health(rules, result, spmd)
+        health = _collect_health(rules, result, values)
         _emit_observability(
             cfg.kind, run_cfg, result.parameters, registry, spmd,
             result.runtime, health,

@@ -233,7 +233,7 @@ class TestStatisticalAgreement:
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.symmetry_ed import MomentumBlockED
-from repro.qmc.parallel import chain_program
+from repro.qmc.parallel import _chain_values, chain_program
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.util.rng import spawn_streams
 
@@ -246,25 +246,38 @@ def _square_sampler(stream=None):
     return WorldlineSquareQmc(XXZSquareModel(4, 4), 0.5, 16, stream=stream)
 
 
+def _replica_run(cfg, p, seed=0):
+    """The ``p`` chains of a replica run at ``seed``: one rank, one
+    stream ``(seed, i)`` per chain, one value per chain."""
+    cfg = dataclasses.replace(cfg, streams=tuple((seed, i) for i in range(p)))
+    return _chain_values(run_spmd(chain_program, 1, args=(cfg,)).values[0],
+                         cfg.series)
+
+
 class TestWorldline2DReplicaConfig:
     def test_geometry_validated(self):
-        # The sampler's own error, raised while a rank builds its chain.
+        # The sampler's own error, raised while the rank builds its chains.
         with pytest.raises(ValueError, match="even"):
-            run_spmd(chain_program, 2, args=(square_chain_config(lx=3, n_sweeps=2),))
+            _replica_run(square_chain_config(lx=3, n_sweeps=2), 2)
 
     def test_mode_validated(self):
         with pytest.raises(ValueError, match="mode"):
             square_chain_config(n_sweeps=2, mode="simd")
 
+    def test_chains_are_streams_not_ranks(self):
+        with pytest.raises(ValueError, match="one rank"):
+            run_spmd(chain_program, 2, args=(square_chain_config(n_sweeps=2),))
+
 
 class TestWorldline2DReplica:
     @pytest.mark.parametrize("p", [1, 3])
     def test_each_chain_is_the_sampler_run(self, p):
-        """Nothing is pooled: rank i's value is what the hand-written
+        """Nothing is pooled: chain i's value is what the hand-written
         schedule measures with the sampler on the i-th child stream of
         the seed."""
-        res = run_spmd(chain_program, p, seed=11, args=(REPLICA,))
-        for value, stream in zip(res.values, spawn_streams(11, p)):
+        values = _replica_run(REPLICA, p, seed=11)
+        assert len(values) == p
+        for value, stream in zip(values, spawn_streams(11, p)):
             q = _square_sampler(stream)
             meas = hand_run(q, REPLICA.series, REPLICA.n_sweeps, REPLICA.n_thermalize)
             np.testing.assert_array_equal(value["energy"], meas["energy"])
@@ -275,18 +288,17 @@ class TestWorldline2DReplica:
             assert value["kernel"] == q.resolve_sweep("auto")[0]
 
     def test_replica_configurations_stay_legal(self):
-        res = run_spmd(chain_program, 2, args=(REPLICA,))
-        for o in res.outcomes:
+        for value in _replica_run(REPLICA, 2):
             q = _square_sampler()
-            q.spins = o.value["spins"]
+            q.spins = value["spins"]
             q.check_invariants()
-            assert 0 < o.value["n_accepted"] < o.value["n_attempted"]
+            assert 0 < value["n_accepted"] < value["n_attempted"]
 
     @pytest.mark.slow
     def test_replica_average_matches_symmetry_ed(self):
         cfg = square_chain_config(n_slices=16, n_sweeps=1500, n_thermalize=200)
-        res = run_spmd(chain_program, 4, args=(cfg,))
-        energy = np.mean([v["energy"] for v in res.values], axis=0)
+        values = _replica_run(cfg, 4)
+        energy = np.mean([v["energy"] for v in values], axis=0)
         ref = MomentumBlockED(XXZSquareModel(4, 4)).thermal(0.5)
         ba = BinningAnalysis.from_series(energy)
         # Same zero-winding-sector + Trotter allowance as the serial

@@ -1,8 +1,8 @@
 """A batch of R world-line chains is R solo runs, bit for bit.
 
-``chain_program`` with ``seeds`` holds R chains on one rank and sweeps
+``chain_program`` with R streams holds R chains on one rank and sweeps
 them as one disconnected lattice (:class:`repro.qmc.worldline.SweepBatch`,
-one kernel call per row).  Chain ``i`` must be the one-rank run at
+one kernel call per row).  Chain ``i`` must be the one-chain run at
 ``seeds[i]``: its series, final spins, move counters and per-sweep
 acceptance histogram array-equal, on on-grid and off-grid chains and
 square lattices, on every kernel backend (``numba`` through the
@@ -15,7 +15,7 @@ import pytest
 from repro.kernels import get_ops
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.obs.metrics import MetricsFanout, MetricsRegistry
-from repro.qmc.parallel import ChainConfig, chain_program
+from repro.qmc.parallel import ChainConfig, _chain_values, chain_program
 from repro.qmc.worldline import SweepBatch, WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.util.rng import SeedSequenceFactory
@@ -58,15 +58,17 @@ CASES = [
 ]
 
 
-def _run(build, series, kernel, seed, seeds=()):
-    """One rank of ``chain_program``: its value and metric summaries."""
+def _run(build, series, kernel, seeds):
+    """One rank of ``chain_program`` with a chain at each of ``seeds``:
+    each chain's value and metric summary."""
     cfg = ChainConfig(build=build, series=series, health_series=(), n_sweeps=10,
-                      n_thermalize=3, measure_every=2, mode=kernel, seeds=seeds)
-    registries = [MetricsRegistry() for _ in seeds or [seed]]
-    metrics = MetricsFanout(registries) if seeds else registries[0]
-    res = run_spmd(chain_program, 1, machine=IDEAL, seed=seed, args=(cfg,),
-                   metrics=metrics)
-    return res.values[0], [r.summary()[0] for r in registries]
+                      n_thermalize=3, measure_every=2, mode=kernel,
+                      streams=tuple((seed, 0) for seed in seeds))
+    registries = [MetricsRegistry() for _ in seeds]
+    res = run_spmd(chain_program, 1, machine=IDEAL, args=(cfg,),
+                   metrics=MetricsFanout([(r, 0) for r in registries]))
+    return (_chain_values(res.values[0], series),
+            [r.summary()[0] for r in registries])
 
 
 @pytest.mark.parametrize("n_chains", [1, 2, 3, 8])
@@ -74,15 +76,15 @@ def _run(build, series, kernel, seed, seeds=()):
 def test_each_chain_of_a_batch_is_its_solo_run(geometry, kernel, n_chains):
     build, series, _native = GEOMETRIES[geometry]
     seeds = tuple(100 + 7 * i for i in range(n_chains))
-    batch, batch_metrics = _run(build, series, kernel, 0, seeds)
-    assert batch["kernel"] == kernel
+    batch, batch_metrics = _run(build, series, kernel, seeds)
     for i, seed in enumerate(seeds):
-        solo, (solo_metrics,) = _run(build, series, kernel, seed)
+        (solo,), (solo_metrics,) = _run(build, series, kernel, (seed,))
+        assert batch[i]["kernel"] == solo["kernel"] == kernel
         for name in series:
-            np.testing.assert_array_equal(batch[name][:, i], solo[name], err_msg=name)
-        np.testing.assert_array_equal(batch["spins"][i], solo["spins"])
-        assert batch["n_attempted"][i] == solo["n_attempted"] > 0
-        assert batch["n_accepted"][i] == solo["n_accepted"]
+            np.testing.assert_array_equal(batch[i][name], solo[name], err_msg=name)
+        np.testing.assert_array_equal(batch[i]["spins"], solo["spins"])
+        assert batch[i]["n_attempted"] == solo["n_attempted"] > 0
+        assert batch[i]["n_accepted"] == solo["n_accepted"]
         for key in ("sweep.count", "sweep.attempted", "sweep.accepted",
                     "sweep.acceptance"):
             assert batch_metrics[i][key] == solo_metrics[key], key

@@ -1,27 +1,19 @@
-"""Tempering and replica drivers on the process backend.
+"""The tempering driver on the process backend.
 
-Satellite coverage for the backend work: the parallel-tempering and
-chain (replica layout) rank programs -- the two drivers whose
-correctness depends on per-rank and shared decision streams and on
-collectives rather than halo exchange -- must produce bit-identical
-results on real OS processes, and the
-observed swap acceptance must match the detailed-balance expectation
-computed from the sampled energy series.
+Satellite coverage for the backend work: the parallel-tempering rank
+program -- whose correctness depends on per-rank and shared decision
+streams and on collectives rather than halo exchange -- must produce
+bit-identical results on real OS processes, and the observed swap
+acceptance must match the detailed-balance expectation computed from
+the sampled energy series.
 """
 
 import numpy as np
 import pytest
 
-from repro.qmc.parallel import chain_program
 from repro.qmc.tempering import TemperingConfig, tempering_program
 from repro.vmp.machines import CM5, IDEAL
 from repro.vmp.scheduler import run_spmd
-
-from tests.conftest import (
-    SQUARE_CHAIN_KEYS,
-    assert_bit_identical,
-    square_chain_config,
-)
 
 BETAS = (0.25, 0.32, 0.40, 0.50)
 
@@ -34,9 +26,6 @@ PT_CFG = TemperingConfig(
     exchange_every=5,
     histogram_bins=48,
 )
-
-
-REPLICA_CFG = square_chain_config(n_sweeps=30, n_thermalize=10)
 
 
 @pytest.fixture(scope="module")
@@ -108,18 +97,3 @@ class TestTemperingOnProcesses:
         for v in res.values:
             assert v["exchange_accepts"] == v["exchange_attempts"] > 0
 
-
-class TestReplicaOnProcesses:
-    def test_replica_program_agrees_with_thread_backend(self):
-        thread = run_spmd(
-            chain_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,)
-        )
-        mp = run_spmd(
-            chain_program, 4, machine=CM5, seed=3, args=(REPLICA_CFG,),
-            backend="mp",
-        )
-        # Each rank's own chain, and the modeled cost of the split that
-        # gives it a communicator of its own.
-        assert_bit_identical(thread, mp, SQUARE_CHAIN_KEYS, accounting=True)
-        chains = {v["energy"].tobytes() for v in mp.values}
-        assert len(chains) == 4

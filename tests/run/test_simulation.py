@@ -268,6 +268,81 @@ def test_chain_health_checks_run_in_the_loop(kind, n_chains, tmp_path):
     assert result.runtime["health"]["healthy"] is False
 
 
+def _metric_rows(path):
+    """A metrics JSONL's rows without their wall-clock fields."""
+    from repro.obs.sinks import read_metrics_jsonl
+
+    return [{k: v for k, v in row.items()
+             if "wall" not in k and "kernel_seconds" not in k}
+            for row in read_metrics_jsonl(path)]
+
+
+def test_replica_metrics_are_chain_ordered_and_send_nothing(tmp_path):
+    """The chains of a replica run share one rank: its metrics rows come
+    in chain order, identically on every run, and report no traffic."""
+    rows = []
+    for name in ("a", "b"):
+        cfg = _REPLICA_KINDS["xxz"](
+            layout=ParallelLayout("replica", 2), obs_interval=10,
+            metrics_out=str(tmp_path / name / "metrics.jsonl"))
+        Simulation(cfg).run()
+        rows.append(_metric_rows(cfg.metrics_out))
+    assert rows[0] == rows[1]
+    chains = [row["rank"] for row in rows[0] if "rank" in row]
+    assert chains == [0, 1] * (len(chains) // 2)
+    comm = {k: v for row in rows[0] for k, v in row.items() if k.startswith("comm.")}
+    assert comm and all(
+        v == 0 or v["count"] == 0 for v in comm.values()), comm
+
+
+@pytest.mark.parametrize("kind, n_chains", [
+    ("xxz", 1), ("xxz2d", 1), ("tfim", 1), ("xxz", 2)])
+def test_each_run_of_a_health_batch_is_its_solo_run(kind, n_chains, tmp_path):
+    """A seed batch of serial or replica runs, with health rules: each
+    run's series, estimates, verdict, events and per-rank health
+    summaries are its solo run's."""
+    import json
+
+    from repro.run.simulation import run_batch
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"interval": 5, "acceptance_band": [0.3, 0.5]}))
+    layout = ParallelLayout("replica", 2) if n_chains == 2 else ParallelLayout()
+
+    def make(seed, where):
+        return _REPLICA_KINDS[kind](
+            seed=seed, layout=layout, health=True, health_rules=str(rules),
+            events_out=str(tmp_path / where / f"{seed}" / "events.jsonl"))
+
+    seeds = (3, 4, 5)
+    batch = run_batch([make(seed, "batch") for seed in seeds])
+    for seed, result in zip(seeds, batch):
+        solo = Simulation(make(seed, "solo")).run()
+        assert result.series.keys() == solo.series.keys()
+        for name, series in solo.series.items():
+            np.testing.assert_array_equal(result.series[name], series)
+        assert result.estimates == solo.estimates
+        assert result.runtime["health"] == solo.runtime["health"]
+        assert result.runtime["health"]["n_events"] > 0
+        for name in ("events.jsonl", "manifest.json"):
+            batch_file, solo_file = (
+                (tmp_path / where / f"{seed}" / name).read_text()
+                for where in ("batch", "solo"))
+            if name == "manifest.json":  # its runtime block holds wall time
+                batch_file, solo_file = (
+                    json.loads(doc)["health"] for doc in (batch_file, solo_file))
+            assert batch_file == solo_file, name
+
+
+def test_a_batch_of_decomposed_runs_is_refused():
+    from repro.run.simulation import run_batch
+
+    configs = [_REPLICA_KINDS["xxz"](seed=seed, layout=ParallelLayout("strip", 2))
+               for seed in (1, 2)]
+    with pytest.raises(ValueError, match="serial / replica"):
+        run_batch(configs)
+
+
 def test_replica_chains_run_on_the_ideal_machine():
     """No 3-node hypercube exists; ``layout.machine`` of a chain layout is
     recorded, not built."""
