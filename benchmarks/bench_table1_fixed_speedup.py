@@ -41,13 +41,14 @@ def build_table() -> Table:
 def executed_anchor() -> dict[int, float]:
     """Executed small-P makespans of the strip driver.
 
-    The driver's static halo schedule ships each ghost pair twice per
-    sweep -- the same 4 messages per rank per sweep the main table's
-    half-sweep-batched model charges -- so the anchor is compared with
-    that model as it stands.  At this toy size the run is still
-    latency-bound; the model's ``halo_messages_per_sweep`` override
-    remains the granularity ablation (e.g. 20: a refresh before every
-    stage).
+    The main table's half-sweep-batched model charges 4 messages per
+    rank per sweep; the driver's halo schedule sends 1 at P = 2 (one
+    refresh of its ten-column ghosts) and 4 at P = 4 (pieces of 8 cap
+    the ghosts at 6 columns, refreshed twice), so the anchor holds the
+    model to a structural factor, not to its message count.  At this
+    toy size the run is still latency-bound; the model's
+    ``halo_messages_per_sweep`` override remains the granularity
+    ablation (e.g. 12: a refresh before every stage).
     """
     cfg = WorldlineStripConfig(
         n_sites=32, jz=1.0, jxy=1.0, beta=2.0, n_slices=16,
@@ -78,9 +79,9 @@ def test_table1_fixed_speedup(benchmark, record):
     assert effs[ps.index(256)] > 0.25
 
     # Executed anchor: compare against the same model at the anchor's
-    # size (default schedule: the 4 halo messages per sweep the driver
-    # sends).  Agreement within a structural factor validates the
-    # large-P rows above.
+    # size (default schedule: 4 halo messages per rank and sweep).
+    # Agreement within a structural factor validates the large-P rows
+    # above.
     import dataclasses
 
     small_pm = PerformanceModel(

@@ -9,17 +9,13 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
 
 * :func:`worldline_strip_program` -- the world-line XXZ chain split
   into contiguous site strips.  Updates proceed stage-by-stage through
-  the eight independence classes of the corner moves (stride-4 grids in
-  both bond and interval index) and the two straight-line column
-  parities.  Each sweep draws one *shared* uniform block, sliced per
-  stage, so the trajectory is bit-identical across rank counts and
-  across the kernel backends (``mode="scalar"`` is the per-move one).
-  The serial chain merges the classes into four colors (class (a, b)
-  with (a + 2, b + 2); :data:`repro.kernels.chain_tables.CORNER_COLORS`);
-  the strip keeps all eight because its halo schedule (below) is
-  cheaper with them: any order of four colors and two parities posts a
-  ghost pair at least 6 times per seam a sweep, the ten stages 4 times
-  (seam ``c % 4 == 0``) or 3 (``c % 4 == 2``).
+  the chain's four corner colors
+  (:data:`repro.kernels.chain_tables.CORNER_COLORS`, each two stride-4
+  classes of moves that never interact) and the two straight-line
+  column parities: six kernel calls a rank-sweep.  Each sweep draws one
+  *shared* uniform block, sliced per stage, so the trajectory is
+  bit-identical across rank counts and across the kernel backends
+  (``mode="scalar"`` is the per-move one).
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
@@ -46,7 +42,7 @@ global field.
 
 Halo protocol (both decomposed drivers): ghost copies of the boundary
 data travel as ONE aggregated contiguous-buffer message per neighbor
-*rank* -- two packed spin columns for the strip, the parity-packed
+*rank* -- the packed ghost columns for the strip, the parity-packed
 boundary planes for the Ising blocks (both of them where east and west
 are the same rank) -- instead of one message per boundary column/plane
 (under ``alpha + n * beta`` per message, aggregation cuts the latency
@@ -62,52 +58,49 @@ a measurement leaves its rank-local partial sums pending, and one
 allreduce carries every pending row when a global value is due.
 
 Halo schedule: a ghost ships only when it is stale and about to be
-read.  A stage's ``_links`` entry holds a link iff the stage reads a
-ghost column/plane its owner has written, un-mirrored, since the link's
-last refresh -- a function of the stage list and the decomposition
-alone, so both sides compute it independently and trajectories equal
-refreshing everything everywhere.  Strip facts are per *seam* (the
-boundary before global column ``c``, even): ``G0 = c-2, G1 = c-1`` are
-the left ghost pair of the rank right of it, ``G2 = c, G3 = c+1`` the
-right pair of the rank left of it, and corner class ``a`` acts through
-``d = (a - c) % 4``:
+read -- a function of the stage list and the decomposition alone, so
+both sides compute it independently and trajectories equal refreshing
+everything everywhere.  A strip rank holds ``D`` ghost columns a side
+and runs every move whose reads are fresh, owned or redundant, so its
+ghosts go stale slowly.  :func:`_halo_walk` walks one sweep over the
+columns, every ghost stale at sweep start: a column goes stale when the
+stage's move that writes it cannot run; a refresh (every ghost, one
+message per neighbor rank) goes before a stage whose owned moves would
+read a stale column, or a measurement that would; and of the redundant
+moves only those run that some later move reads.
+``D`` is the smallest even depth at which the walk posts its fewest
+refreshes, capped beyond two ranks by the thinnest piece
+(:func:`_ghost_depth`):
 
-===========  ===========  ================================
-stage        reads        leaves stale
-===========  ===========  ================================
-corner d=0   G1           G2, G3  (bond ``c``)
-corner d=1   --           G0, G3  (bonds ``c-3``, ``c+1``)
-corner d=2   G2           G0, G1  (bond ``c-2``)
-corner d=3   G0 G1 G2 G3  --  (seam bond ``c-1``: mirrored)
-column p=0   G1           G0, G2
-column p=1   G2           G1, G3
-measurement  G2           --
-===========  ===========  ================================
+==========================  =====  =================  =============
+ranks, pieces (columns)     ``D``  refreshes a sweep  before stages
+==========================  =====  =================  =============
+two, any                    10     1                  0
+three or more, 10 or more   10     1                  0
+three or more, 8            6      2                  0, 3
+three or more, 4            4      3                  0, 2, 5
+one (local wraps)           2      5                  0, 1, 2, 3, 5
+==========================  =====  =================  =============
 
-Every ghost is stale at sweep start (so nothing depends on whether a
-measurement ran, on the start configuration or on a bundle's ghost
-values); staleness is kept per column, refreshed per pair.  A seam at
-``c % 4 == 0`` posts ``L...R.L..R.`` over the ten stages plus the
-measurement (L/R: its left/right pair), one at ``2`` posts
-``R.L......R.``: 4 one-directional messages per rank per sweep on the
-usual geometry, none for any measurement.  A rank receives by the seams
-at its ``start`` / ``stop`` and sends by the same tables read from the
-other side.  The block colors already ship only the sites they read,
-which leaves exactly the color-1 ghost sites stale after a sweep; every
-boundary bond has one color-1 end, and the rank owning that end counts
-the bond against its fresh color-0 ghost partner, so the block
-measurement posts nothing either.
+so a P = 2 run sends one message a rank and sweep, a P >= 3 run of wide
+pieces two, and none is posted for a measurement.  The block colors already ship only the
+sites they read, which leaves exactly the color-1 ghost sites stale
+after a sweep; every boundary bond has one color-1 end, and the rank
+owning that end counts the bond against its fresh color-0 ghost
+partner, so the block measurement posts nothing either.
 
 Ownership conventions (world-line strip, global column indices):
 
-* rank ``r`` owns columns ``[start, stop)`` plus two ghost columns on
+* rank ``r`` owns columns ``[start, stop)`` plus ``D`` ghost columns on
   each side; block sizes are even and ``>= 4``.
-* corner moves at the seam bonds ``start - 1`` and ``stop - 1`` are
-  executed redundantly by *both* adjacent ranks.  Shared stage uniforms
-  plus identical ghost neighborhoods make the two decisions identical,
-  which eliminates the boundary write-back message entirely.
-* straight-line move at column ``c`` is executed by its owner only and
-  writes only ``c``.
+* every move that writes an owned column runs on the rank; the corner
+  moves at the seam bonds ``start - 1`` and ``stop - 1`` therefore run
+  on *both* adjacent ranks, and moves inside the ghosts run where the
+  walk keeps them.  Shared stage uniforms plus identical neighborhoods
+  make every copy's decision the owner's, which eliminates the boundary
+  write-back message entirely.
+* a rank counts the bonds ``start .. stop - 1`` and its own columns, so
+  every move counts once over the ranks.
 
 Overlapped schedule (``overlap=True`` on either driver config): a
 charge schedule of the one execution order, for the modeled machine's
@@ -125,6 +118,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
@@ -133,6 +127,7 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.chain_tables import (
+    CORNER_COLORS,
     column_neighbors,
     column_thresholds,
     corner_products,
@@ -158,6 +153,7 @@ __all__ = [
     "WL_STAGES",
     "N_WL_STAGES",
     "REDUCE_BATCH",
+    "strip_halo_traffic",
     "WorldlineStripConfig",
     "worldline_strip_program",
     "IsingBlockConfig",
@@ -192,44 +188,146 @@ def _validate_schedule(cfg) -> None:
         raise ValueError("measure_every must be >= 1")
     kernels.check_kernel_name(cfg.mode)
 
-#: Update stages of one strip-driver sweep: the eight independence
-#: classes of the corner moves -- (bond a, interval b) stride-4 grids
-#: with (a + b) odd, which are entirely unshaded plaquettes -- followed
-#: by the two straight-line column parities.  One shared uniform block
-#: is drawn per sweep and sliced per stage.
-WL_STAGES = tuple(
-    [("corner", a, b) for a in range(4) for b in range(4) if (a + b) % 2 == 1]
-    + [("column", p, None) for p in (0, 1)]
+#: Update stages of one strip-driver sweep, in order: the chain's four
+#: corner colors (``("corner", k)``: :data:`CORNER_COLORS` ``[k]``, two
+#: stride-4 classes whose moves never interact), then the two
+#: straight-line column parities.  One shared uniform block is drawn per
+#: sweep and sliced per stage.
+WL_STAGES = (
+    *(("corner", k) for k in range(len(CORNER_COLORS))), ("column", 0), ("column", 1)
 )
 N_WL_STAGES = len(WL_STAGES)
 
-#: The module docstring's halo-schedule table, G0..G3 as 0..3 -> (reads,
-#: leaves stale); tests/qmc/test_halo_schedule.py holds every entry
-#: against the kernels' own gather/flip tables.
-_SEAM_FACTS = {
-    ("corner", 0): ((1,), (2, 3)),
-    ("corner", 1): ((), (0, 3)),
-    ("corner", 2): ((2,), (0, 1)),
-    ("corner", 3): ((0, 1, 2, 3), ()),
-    ("column", 0): ((1,), (0, 2)),
-    ("column", 1): ((2,), (1, 3)),
-    ("measure", 0): ((2,), ()),
-}
+#: Offsets from a move's local bond (corner) or column (straight line)
+#: to the local columns it reads and the ones it writes.
+_MOVE_READS = {"corner": np.arange(-1, 3), "column": np.arange(-1, 2)}
+_MOVE_WRITES = {"corner": np.arange(2), "column": np.arange(1)}
 
 
-def _seam_schedule(seam: int) -> list[list[bool]]:
-    """Per sweep stage, then the measurement: is the [left, right] ghost
-    pair at the seam before global column ``seam`` refreshed first?
-    O(stages), whatever the strip."""
-    stale = [True] * 4
-    schedule = []
-    for kind, a, _ in (*WL_STAGES, ("measure", 0, None)):
-        reads, writes = _SEAM_FACTS[kind, (a - seam) % 4 if kind == "corner" else a]
-        post = [any(stale[g] for g in reads if g // 2 == pair) for pair in (0, 1)]
-        for g in range(4):
-            stale[g] = (stale[g] and not post[g // 2]) or g in writes
-        schedule.append(post)
-    return schedule
+def _stage_parity(kind: str, index: int) -> int:
+    """The parity of the bonds (columns) a stage's moves sit on."""
+    return CORNER_COLORS[index][0][0] % 2 if kind == "corner" else index
+
+
+class _HaloWalk(NamedTuple):
+    """The strip's halo schedule on one rank's frame (module docstring,
+    "Halo schedule"): per stage, then the measurement, whether every
+    ghost is refreshed first and the columns fresh while it runs; per
+    stage, the local bonds / columns whose moves run, ascending."""
+
+    refresh: list[bool]
+    runs: list[np.ndarray]
+    fresh: list[np.ndarray]
+
+
+@lru_cache(maxsize=64)
+def _halo_walk(n_owned: int, depth: int) -> _HaloWalk:
+    """Walk one sweep over a frame of ``n_owned`` owned columns and
+    ``depth`` ghosts a side (local parity the global one).
+
+    Forward, running every move whose reads are fresh: a column goes
+    stale when the stage's move that writes it cannot run, and a refresh
+    (every ghost fresh) goes before a stage whose owned moves -- the ones
+    writing an owned column -- would read a stale one.  Backward: of the
+    redundant moves only those run whose writes a later move that runs
+    reads before the next refresh (or the measurement, which reads
+    column ``stop``).  Every ghost is stale at sweep start.  Memoized:
+    the ranks of a process share it, read-only.
+    """
+    width = n_owned + 2 * depth
+    owned = np.zeros(width, dtype=bool)
+    owned[depth : depth + n_owned] = True
+    stages = []
+    fresh = owned
+    for kind, index in WL_STAGES:
+        reads, writes = _MOVE_READS[kind], _MOVE_WRITES[kind]
+        parity = _stage_parity(kind, index)
+        x = np.arange(2 - parity, width - reads[-1], 2)
+        ok = fresh[x[:, None] + reads].all(axis=1)
+        post = not ok[owned[x[:, None] + writes].any(axis=1)].all()
+        if post:
+            fresh = np.ones(width, dtype=bool)
+            ok[:] = True
+        stages.append((x, ok, post))
+        fresh = _advance(fresh, kind, parity, x[ok])
+    refresh = [post for _, _, post in stages] + [not fresh[depth + n_owned]]
+    runs = []
+    live = np.zeros(width, dtype=bool)
+    live[depth : depth + n_owned + 1] = not refresh[-1]
+    for (kind, _), (x, ok, post) in zip(WL_STAGES[::-1], stages[::-1]):
+        reads, writes = _MOVE_READS[kind], _MOVE_WRITES[kind]
+        run = x[ok & (owned | live)[x[:, None] + writes].any(axis=1)]
+        runs.insert(0, run)
+        live = live.copy()
+        live[(run[:, None] + reads).ravel()] = True
+        if post:
+            live[:] = False
+    fresh_at, fresh = [], owned
+    for (kind, index), run, post in zip(WL_STAGES, runs, refresh):
+        fresh = np.ones(width, dtype=bool) if post else fresh
+        fresh_at.append(fresh)
+        fresh = _advance(fresh, kind, _stage_parity(kind, index), run)
+    fresh_at.append(np.ones(width, dtype=bool) if refresh[-1] else fresh)
+    for table in (*runs, *fresh_at):
+        table.flags.writeable = False
+    return _HaloWalk(refresh, runs, fresh_at)
+
+
+def _advance(fresh: np.ndarray, kind: str, parity: int, run: np.ndarray) -> np.ndarray:
+    """The columns fresh after a stage that ran the moves ``run``: those
+    it does not write, and those it writes by a move that ran."""
+    kept = np.arange(fresh.size) % 2 != parity if kind == "column" else (
+        np.zeros(fresh.size, dtype=bool))
+    kept[(run[:, None] + _MOVE_WRITES[kind]).ravel()] = True
+    return fresh & kept
+
+
+def _ghost_depth(widths: list[int]) -> int:
+    """Ghost columns a side of a strip cut into pieces of ``widths``:
+    the smallest even depth at which :func:`_halo_walk` posts its fewest
+    refreshes -- one a sweep, unless the thinnest piece caps the depth.
+    Beyond two ranks it does, since a ghost must come from an adjacent
+    rank; on two, every ghost column is the neighbor's or the rank's own
+    (:func:`_ghost_owners`).  One rank posts nothing at any depth -- its
+    refresh is a local wrap -- and keeps the moves' own reach, 2."""
+    if len(widths) == 1:
+        return 2
+    cap = min(widths) if len(widths) > 2 else None
+    best, depth = (N_WL_STAGES + 2, 0), 2
+    while cap is None or depth <= cap:
+        best = min(best, (sum(_halo_walk(min(widths), depth).refresh), depth))
+        if best[0] == 1:  # the sweep's first stage always refreshes
+            break
+        depth += 2
+    return best[1]
+
+
+def _ghost_owners(decomp: StripDecomposition, rank: int, depth: int):
+    """``(ghost, owner, column)`` per ghost column of ``rank`` at
+    ``depth``, ascending: its local index, the rank that owns it and
+    that rank's local index of it."""
+    piece = decomp.piece(rank)
+    out = []
+    for x in (*range(depth), *range(piece.n_owned + depth, piece.n_owned + 2 * depth)):
+        g = (piece.start - depth + x) % decomp.n_columns
+        owner = decomp.owner_of(g)
+        out.append((x, owner, g - decomp.piece(owner).start + depth))
+    return out
+
+
+def strip_halo_traffic(n_sites: int, n_slices: int, n_ranks: int) -> tuple[int, int, int]:
+    """``(refreshes, messages, sites)``: what rank 0 of the strip driver
+    posts a sweep on ``n_ranks`` ranks -- ``refreshes`` halo refreshes
+    of ``messages`` aggregated messages (one per neighbor rank) of
+    ``sites`` spins each.  The performance model's strip workload
+    charges this schedule."""
+    decomp = StripDecomposition(n_sites, n_ranks, require_even=True)
+    widths = [p.n_owned for p in decomp.pieces]
+    depth = _ghost_depth(widths)
+    refreshes = sum(_halo_walk(min(widths), depth).refresh[:N_WL_STAGES])
+    remote = [o for _, o, _ in _ghost_owners(decomp, 0, depth) if o != 0]
+    messages = len(set(remote))
+    return refreshes, messages, len(remote) * n_slices // messages if messages else 0
 
 
 # ======================================================================
@@ -243,12 +341,12 @@ class _HaloLink(NamedTuple):
     The owned boundary sites ``send`` travel to rank ``dest`` while the
     opposite neighbor's (``source``) boundary lands in the ``ghost``
     sites -- both flat indices into the rank's ghosted spin array, in
-    the one site order the two ends share.  The halo schedule may want
-    only one half: the link sends iff ``dest`` is a rank and receives
-    iff ``source`` is one.  Both ``None`` marks an axis the
-    decomposition does not split: ``send`` wraps into ``ghost``
-    locally, for free.  ``tag`` is the link's offset inside the
-    exchange's tag block.
+    the one site order the two ends share.  A link may be one half: it
+    sends iff ``dest`` is a rank and receives iff ``source`` is one
+    (the strip's are).  Both ``None`` is a local copy of ``send`` into
+    ``ghost``, for free: an axis the decomposition does not split, or
+    the ghosts a strip rank owns itself.  ``tag`` is the link's offset
+    inside the exchange's tag block.
     """
 
     dest: int | None
@@ -733,13 +831,14 @@ class WorldlineStripConfig:
 
 
 class _StripState(_DecomposedState):
-    """Per-rank world-line state: owned columns plus two ghosts per side.
+    """Per-rank world-line state: owned columns plus ``depth`` ghosts a side.
 
-    Local layout along axis 0: ``[ghost(start-2), ghost(start-1),
-    owned..., ghost(stop), ghost(stop+1)]``; local index of global
-    column ``g`` is ``g - start + 2``.  Two-wide ghosts are exactly the
-    neighborhood a redundant seam corner move needs (it reads columns
-    ``seam - 1 .. seam + 2``).
+    Local layout along axis 0: ``[ghost(start-depth) .. ghost(start-1),
+    owned..., ghost(stop) .. ghost(stop+depth-1)]``; local index of
+    global column ``g`` is ``g - start + depth``.  The depth is the
+    halo schedule's (:func:`_ghost_depth`): even, so a local bond's
+    parity is its global one, and at least 2, the neighborhood a seam
+    corner move reads (columns ``seam - 2 .. seam + 1``).
     """
 
     _array = "loc"
@@ -769,43 +868,45 @@ class _StripState(_DecomposedState):
             raise ValueError(
                 "strip world-line driver needs >= 4 owned columns per rank"
             )
+        self.depth = d = _ghost_depth([p.n_owned for p in decomp.pieces])
+        self._walk = _halo_walk(n, d)
         # Neel start, straight world lines (legal everywhere).
-        g = np.arange(self.start - 2, self.stop + 2)
+        g = np.arange(self.start - d, self.stop + d)
         self.loc = loc = np.repeat(
             (g % 2).astype(np.int8)[:, None], self.T, axis=1
         )
-        # The two boundary columns a neighbor mirrors travel as one
-        # contiguous ``(2, T)`` int8 buffer (one alpha charge instead of
-        # two), at the stages the halo schedule names: at the seam
-        # ``start`` this rank holds the left ghost pair and feeds its
-        # left neighbor's right pair, at ``stop`` the reverse.  Single-
-        # rank runs wrap locally (both seams are column 0 there).
-        right, left = (
-            (piece.right_rank, piece.left_rank) if comm.size > 1 else (None, None)
-        )
+        # A refresh, before the stages the walk names, ships every ghost
+        # column from the rank that owns it: one contiguous int8 buffer
+        # per neighbor rank, laid out in the receiver's ghost order, which
+        # both ends derive from the decomposition.  Ghosts a rank owns
+        # itself (every ghost of a single rank; the deep ones of a
+        # two-rank ring) copy locally.
         cols = np.arange(loc.size).reshape(loc.shape)  # flat index of (column, t)
-        rightward = _HaloLink(
-            right, left, cols[n : n + 2].ravel(), cols[0:2].ravel(), 0)
-        leftward = _HaloLink(
-            left, right, cols[2:4].ravel(), cols[n + 2 : n + 4].ravel(), 1)
-        self._links = {}
-        for key, (recv_l, send_l), (send_r, recv_r) in zip(
-            (*range(N_WL_STAGES), "measure"),
-            _seam_schedule(self.start), _seam_schedule(self.stop),
-        ):
-            self._links[key] = [[
-                ln._replace(dest=ln.dest if sends else None,
-                            source=ln.source if receives else None)
-                for ln, sends, receives in (
-                    (rightward, send_r, recv_l), (leftward, send_l, recv_r))
-                if sends or receives
-            ]]
+        none = np.empty(0, dtype=np.intp)
+        mine = _ghost_owners(decomp, comm.rank, d)
+        refresh = []
+        # sends rightward first, receives from the left first
+        for peer in dict.fromkeys((piece.right_rank, piece.left_rank)):
+            if peer != comm.rank:
+                wanted = [y for _, o, y in _ghost_owners(decomp, peer, d) if o == comm.rank]
+                refresh.append(_HaloLink(peer, None, cols[wanted].ravel(), none, 0))
+        for owner in dict.fromkeys((piece.left_rank, piece.right_rank, comm.rank)):
+            ghost = cols[[x for x, o, _ in mine if o == owner]].ravel()
+            if owner != comm.rank:
+                refresh.append(_HaloLink(None, owner, none, ghost, 0))
+            elif ghost.size:
+                source = [y for _, o, y in mine if o == owner]
+                refresh.append(_HaloLink(None, None, cols[source].ravel(), ghost, 0))
+        self._links = {
+            key: [refresh if post else []]
+            for key, post in zip((*range(N_WL_STAGES), "measure"), self._walk.refresh)
+        }
         self._plan_exchanges()
-        # One shared uniform block per sweep, sliced per stage: corner
-        # classes consume an (L/4, T/4) lattice, column parities L/2.
+        # One shared uniform block per sweep, sliced per stage: a corner
+        # color consumes an (L/2, T/4) lattice, a column parity L/2.
         sizes = [
-            (self.L // 4) * (self.T // 4) if kind == "corner" else self.L // 2
-            for kind, _, _ in WL_STAGES
+            self.L * self.T // 8 if kind == "corner" else self.L // 2
+            for kind, _ in WL_STAGES
         ]
         self._u_offsets = np.concatenate(([0], np.cumsum(sizes)))
         self._per_sweep = int(self._u_offsets[-1])
@@ -818,83 +919,86 @@ class _StripState(_DecomposedState):
     def _build_stage_caches(self) -> None:
         """Precompute the index tables of every stage (geometry is static).
 
-        Corner class (a, b): local bonds ``j`` in ``[1, n+1]`` (global
-        bonds ``start-1 .. stop-1``, the two ends being the redundant
-        seam bonds) with global bond index ``== a (mod 4)``, crossed
-        with intervals ``t == b (mod 4)``.  ``uflat`` indexes the
-        class's ``(L/4, T/4)`` slice of the sweep's uniforms, raveled;
-        ``n_seam`` counts its moves at ``j = 1``, which the counters
-        leave to the rank that runs them at ``j = n + 1``.
+        A stage's moves are the walk's: local bonds (corner color) or
+        columns (column parity) ``x``, ascending, the owned moves and
+        the redundant ones it keeps.  Corner color ``k`` takes bond
+        ``x`` at the intervals of the class its global bond falls in,
+        bond-major; ``uflat`` is the ``(bonds, T/4)`` index of those
+        moves into the color's ``(L/2, T/4)`` slice of the sweep's
+        uniforms (bond ``g // 2``, interval ``t // 4``).  ``counted``
+        is the slice of ``x`` this rank counts: the bonds ``start ..
+        stop - 1`` (the seam bond ``start - 1`` is its left neighbor's
+        ``stop - 1``) and the owned columns.  Where it leaves some out
+        (``grouped``), the stage's uniforms come one row per bond (per
+        column), so the op returns one count per bond (column): one
+        kernel call runs the stage and counts it.
 
         The fused gather / flip tables -- flat indices into
         ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment and
-        ``(4, n_moves)`` flip cells per corner class, the ``(n_cols, T)``
-        plaquette neighbors per column parity -- are the serial sampler's
-        (:mod:`repro.kernels.chain_tables`) on the ``n + 4`` local
-        rows: a move's rows ``j-1 .. j+2`` never wrap there, and strip
-        starts are even, so a bond's local parity is its global one.
+        ``(4, n_moves)`` flip cells per corner color, the ``(n_cols,
+        T)`` plaquette neighbors per column parity -- are the serial
+        sampler's (:mod:`repro.kernels.chain_tables`) on the ``n + 2
+        depth`` local rows: a move the walk runs reads no row outside
+        them, so nothing wraps.
         """
-        n, T, L = self.n_owned, self.T, self.L
-        #: One table per entry of :data:`WL_STAGES`, in stage order; none
-        #: is empty (L % 4 == T % 4 == 0 and an even n_owned >= 4).
+        n, T, L, d = self.n_owned, self.T, self.L, self.depth
+        width, per_bond = n + 2 * d, T // 4
+        origin = self.start - d  # global column of local column 0
+        #: One table per entry of :data:`WL_STAGES`, in stage order.
         self._stage_cache: list[dict] = []
+        for (kind, index), x in zip(WL_STAGES, self._walk.runs):
+            g = (origin + x) % L
+            counted = slice(*np.searchsorted(x, [d, d + n]).tolist())
+            # One count per bond (column) only where some go uncounted.
+            grouped = counted != slice(0, x.size)
+            cache = {"counted": counted, "grouped": grouped}
+            if kind == "corner":
+                (a, b), (_, b2) = CORNER_COLORS[index]
+                t = np.where(g % 4 == a, b, b2)[:, None] + np.arange(0, T, 4)
+                env, flip = corner_tables(width, T, np.repeat(x, per_bond), t.ravel())
+                uflat = (g // 2)[:, None] * per_bond + t // 4
+                cache.update(
+                    j=x,
+                    uflat=uflat if grouped else uflat.ravel(),
+                    attempted=(counted.stop - counted.start) * per_bond,
+                    env=env,
+                    flip=flip,
+                )
+            else:
+                cache.update(lc=x, uc=(g // 2)[:, None] if grouped else g // 2,
+                             nbr=column_neighbors(width, T, x))
+            self._stage_cache.append(cache)
         #: Per column parity, the ``(n, 4)`` flat corner indices of the
         #: shaded plaquettes at its owned bonds: :meth:`local_dlog_sum`'s.
-        self._dlog_tables: list[np.ndarray] = []
-        for kind, a, b in WL_STAGES:
-            if kind != "corner":
-                continue
-            j0 = 1 + ((a - (self.start - 1)) % 4)
-            J, Tt = np.meshgrid(
-                np.arange(j0, n + 2, 4, dtype=np.intp),
-                np.arange(b, T, 4, dtype=np.intp),
-                indexing="ij",
-            )
-            J, Tt = J.ravel(), Tt.ravel()
-            gb = (self.start - 2 + J) % L
-            env, flip = corner_tables(n + 4, T, J, Tt)
-            self._stage_cache.append({
-                "j": J,
-                "n_seam": int(np.count_nonzero(J == 1)),
-                "uflat": (gb - a) // 4 * (T // 4) + (Tt - b) // 4,
-                "env": env,
-                "flip": flip,
-            })
-        for p in (0, 1):
-            first = self.start + ((p - self.start) % 2)
-            gc = np.arange(first, self.stop, 2, dtype=np.intp)
-            lc = gc - self.start + 2
-            self._stage_cache.append({
-                "lc": lc,
-                "uc": (gc - p) // 2,
-                "nbr": column_neighbors(n + 4, T, lc),
-            })
-            self._dlog_tables.append(shaded_corners(n + 4, T, lc))
+        self._dlog_tables = [
+            shaded_corners(width, T, np.arange(d + p, d + n, 2)) for p in (0, 1)
+        ]
 
     def _plan_overlap(self) -> None:
         """Per stage, the moves the overlapped schedule charges as
         interior -- the ones that read no ghost row.
 
         A corner move at local bond ``J`` reads rows ``J-1 .. J+2``, so
-        it is interior iff ``3 <= J <= n-1`` (owned rows are
-        ``2 .. n+1``); a column move at local column ``lc`` reads
-        ``lc-1 .. lc+1``, interior iff ``3 <= lc <= n``.  Every corner
-        move is attempted, so a corner cache gains the count,
-        ``n_interior``; only straight columns are, so a column cache
-        gains the mask, ``interior``.  Degenerate geometries (a class
-        with no interior moves -- thin strips) disable the overlap with
-        a warning and fall back to the lockstep schedule.
+        it is interior iff ``depth + 1 <= J <= depth + n - 3`` (owned
+        rows are ``depth .. depth + n - 1``); a column move at local
+        column ``lc`` reads ``lc-1 .. lc+1``, interior iff ``depth + 1
+        <= lc <= depth + n - 2``.  Every corner move is attempted, so a
+        corner cache gains the count, ``n_interior``; only straight
+        columns are, so a column cache gains the mask, ``interior``.
+        Degenerate geometries (a stage with no interior moves -- thin
+        strips) disable the overlap with a warning and fall back to the
+        lockstep schedule.
         """
-        n = self.n_owned
+        n, d = self.n_owned, self.depth
         rank = self.comm.rank
-        for (kind, a, b), cache in zip(WL_STAGES, self._stage_cache):
+        for (kind, index), cache in zip(WL_STAGES, self._stage_cache):
             if kind == "corner":
-                rows, hi = cache["j"], n - 1
-                what = f"corner class ({a}, {b}) has no interior moves"
+                rows, hi = cache["j"], d + n - 3
+                what = f"corner color {index} has no interior moves"
             else:
-                rows, hi = cache["lc"], n
-                what = f"column parity {a} has no interior columns"
-            interior = (rows >= 3) & (rows <= hi)
+                rows, hi = cache["lc"], d + n - 2
+                what = f"column parity {index} has no interior columns"
+            interior = (rows > d) & (rows <= hi)
             if not interior.any():
                 warnings.warn(
                     f"strip overlap disabled: {what} on rank {rank} ({n} "
@@ -903,7 +1007,7 @@ class _StripState(_DecomposedState):
                 )
                 return
             if kind == "corner":
-                cache["n_interior"] = int(np.count_nonzero(interior))
+                cache["n_interior"] = int(np.count_nonzero(interior)) * (self.T // 4)
             else:
                 cache["interior"] = interior
         self.overlap_active = True
@@ -913,10 +1017,10 @@ class _StripState(_DecomposedState):
         """This sweep's uniforms; every rank draws the identical block.
 
         The next ``_per_sweep`` numbers of the run's sweep stream hold
-        the ten stage lattices as slices of a single draw (corner
-        classes consume the compact ``(L/4, T/4)`` class grid, column
-        parities ``L/2`` values).  Every kernel and all rank counts
-        index the same numbers, the source of bit-identity.
+        the six stage lattices as slices of a single draw (corner colors
+        consume an ``(L/2, T/4)`` grid, column parities ``L/2`` values).
+        Every kernel and all rank counts index the same numbers, the
+        source of bit-identity.
         """
         return self._sweep_draw(0, self._per_sweep)
 
@@ -929,66 +1033,30 @@ class _StripState(_DecomposedState):
                 self.comm.machine.compute_time(flops_per_move * n_moves), category
             )
 
-    # -- corner moves --------------------------------------------------------
-    def _corner_class(self, cache: dict, u: np.ndarray) -> int:
-        """One corner class; returns the accepted count of the moves this
-        rank counts: all but those at local bond ``j = 1``.  A seam move
-        runs on both ranks beside it and the left one counts it (at P =
-        1, bond ``L - 1`` runs at ``j = 1`` and ``j = L + 1``), so the
-        counters are the chain's whatever the rank count.
-
-        The gather -> XOR-code -> accept -> scatter body is the
-        ``strip_corner`` op of the resolved kernel backend (see
-        :mod:`repro.kernels`), batched or per move; every backend
-        prices a move from the same weight-product tables, keeping
-        accept decisions bit-identical.
-        """
-        ghost = self.loc[1].copy() if cache["n_seam"] else None
-        accepted = self._timed(
-            self._kops["strip_corner"], self._flat, self._corner_weights,
-            cache["env"], cache["flip"], u[cache["uflat"]],
-        )
-        if ghost is not None:
-            # Only a j = 1 move writes row 1, two cells at its two
-            # slices, and a class's moves are four intervals apart.
-            accepted -= int(np.count_nonzero(self.loc[1] != ghost)) // 2
-        return accepted
-
-    # -- straight-line column moves -----------------------------------------
-    def _column_parity(self, cache: dict, u: np.ndarray, straight: np.ndarray) -> int:
-        """Straight-line moves of one parity over its ``straight``
-        columns (at least one); returns the accepted-move count.
-
-        The backend's ``strip_column`` op counts each column's unlike
-        plaquette neighbors and looks the log ratio up in ``_thr``; the
-        log of the stage's uniforms is taken here with NumPy so every
-        backend compares against identical values.
-        """
-        log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
-        return self._timed(
-            self._kops["strip_column"], self.loc, self._thr, cache["lc"],
-            cache["nbr"], straight, log_uu,
-        )
-
     def _sweep_stages(self) -> None:
-        """One full sweep: 10 stages, each behind the halo links the
-        schedule posts for it (none at most stages), each one kernel
-        call over its whole table.
+        """One full sweep: 6 stages, each behind the halo refresh the
+        walk posts for it (one, before the first, on pieces as wide as
+        the ghost depth), each one kernel call over its whole table.
 
-        The overlapped schedule differs in what the clock is charged,
-        not in what runs: a stage with a halo in flight charges its
-        interior moves (the ones reading no ghost) before the wait and
-        the rest after it, under ``interior`` / ``boundary``.  Which
-        columns are straight is read from the owned columns themselves,
-        so a column stage's interior count is known before the wait.
+        Where a stage runs moves this rank does not count, its kernel
+        call returns one accepted count per bond (column) and the
+        counters take the ``counted`` ones, so a move run on two ranks
+        counts once.  The overlapped schedule differs in what
+        the clock is charged, not in what runs: a stage with a halo in
+        flight charges its interior moves (the ones reading no ghost)
+        before the wait and the rest after it, under ``interior`` /
+        ``boundary``.  Which columns are straight is read from the
+        columns themselves, so a column stage's interior count is known
+        before the wait.
         """
         u_sweep = self._sweep_uniforms()
-        for s_idx, (kind, _, _) in enumerate(WL_STAGES):
+        for s_idx, (kind, _) in enumerate(WL_STAGES):
             cache = self._stage_cache[s_idx]
+            counted = cache["counted"]
             u = u_sweep[self._u_offsets[s_idx] : self._u_offsets[s_idx + 1]]
             pending = self._exchange(s_idx, offload=self.overlap_active)
             if kind == "corner":
-                n_moves, flops = cache["j"].size, FLOPS_PER_CORNER_MOVE
+                n_moves, flops = cache["env"].shape[0], FLOPS_PER_CORNER_MOVE
                 n_int = cache["n_interior"] if pending else 0
             else:
                 rows = self.loc[cache["lc"]]
@@ -1001,14 +1069,27 @@ class _StripState(_DecomposedState):
             if pending:
                 self._charge_moves(n_int, flops, "interior")
                 self._exchange_wait(pending)
+            accepted = 0
             if kind == "corner":
-                self.n_accepted += self._corner_class(cache, u)
-                self.n_attempted += n_moves - cache["n_seam"]
+                accepted = self._timed(
+                    self._kops["strip_corner"], self._flat, self._corner_weights,
+                    cache["env"], cache["flip"], u[cache["uflat"]],
+                )
+                self.n_attempted += cache["attempted"]
             else:
                 if n_moves:
-                    self.n_accepted += self._column_parity(cache, u, straight)
-                self.n_attempted += n_moves
-            # The clock prices the work done, the redundant seam moves too.
+                    # Log of the stage's uniforms taken here with NumPy,
+                    # so every backend compares against identical values.
+                    log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
+                    accepted = self._timed(
+                        self._kops["strip_column"], self.loc, self._thr,
+                        cache["lc"], cache["nbr"], straight, log_uu,
+                    )
+                self.n_attempted += int(np.count_nonzero(straight[counted]))
+            if cache["grouped"] and n_moves:
+                accepted = int(accepted[counted].sum())
+            self.n_accepted += accepted
+            # The clock prices the work done, the redundant moves too.
             self._charge_moves(
                 n_moves - n_int, flops, "boundary" if pending else "compute"
             )
@@ -1023,12 +1104,15 @@ class _StripState(_DecomposedState):
             total += float(np.sum(self.table.dlog[plaquette_codes(flat, table)]))
         return total
 
+    def owned(self) -> np.ndarray:
+        """The owned columns of ``loc`` (a view)."""
+        return self.loc[self.depth : self.depth + self.n_owned]
+
     def measure(self) -> np.ndarray:
         """Owned-bond d ln W sum and slice-0 S^z of the owned columns."""
         self._exchange("measure")  # scheduled empty; takes its tag block
-        owned = self.loc[2 : self.n_owned + 2, 0]
         return np.array(
-            [self.local_dlog_sum(), owned.sum() - self.n_owned / 2.0]
+            [self.local_dlog_sum(), self.owned()[:, 0].sum() - self.n_owned / 2.0]
         )
 
     def series_columns(self, totals: np.ndarray) -> tuple:
@@ -1037,11 +1121,23 @@ class _StripState(_DecomposedState):
 
     def result(self) -> dict:
         return {
-            "owned_spins": self.loc[2 : self.n_owned + 2].copy(),
+            "owned_spins": self.owned().copy(),
             "start": self.start,
             "stop": self.stop,
             "beta": self.cfg.beta,
             "dtau": self.dtau,
+        }
+
+    def _checkpoint_expect(self) -> dict:
+        """The shared fingerprint plus the halo schedule: ghost depth and
+        stage set, so a bundle of another schedule (whose ``loc`` and
+        exchange counter mean something else) is refused."""
+        return {
+            **super()._checkpoint_expect(),
+            "strip_schedule": {
+                "ghost_depth": self.depth,
+                "stages": [f"{kind} {index}" for kind, index in WL_STAGES],
+            },
         }
 
 

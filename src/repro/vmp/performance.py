@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.vmp.machines import MachineModel
 from repro.vmp.topology import Topology
@@ -104,18 +106,23 @@ class WorkloadShape:
     halo_messages_per_sweep:
         Override for the number of halo messages a rank sends per sweep
         (default ``None`` = the strategy's half-sweep-batched count:
-        2 half-sweeps x neighbors, which is also what the executed
-        strip driver's halo schedule sends).  Set it to model
-        finer-grained schedules, e.g. 20 for a refresh before every one
-        of the world-line driver's ten stages.
+        2 half-sweeps x neighbors).  Set it to model finer-grained
+        schedules, e.g. 12 for a refresh before every one of the
+        world-line driver's six stages.
     halo_sites_per_message:
         Override for the lattice sites packed into one halo message
         (default ``None`` = one boundary column/plane).  Set it to
         model aggregated-halo protocols that pack several boundary
-        columns -- e.g. the strip driver's two-column ghost buffer --
-        into a single message: the alpha (latency) charge stays
+        columns into a single message: the alpha (latency) charge stays
         per-message while the beta (bandwidth) charge follows the
         aggregated byte count.
+    halo_schedule:
+        An executed driver's halo schedule, ``p -> (exchanges,
+        messages, sites)``: the halo exchanges one rank runs a sweep on
+        ``p`` ranks, the messages it sends at each (one per neighbor
+        rank) and the sites one message carries.  Overrides the two
+        fields above; the strip workload passes the driver's own
+        (:func:`repro.qmc.parallel.strip_halo_traffic`).
     overlap:
         Model the five-stage overlap pipeline (pack -> post -> update
         interior -> wait -> update boundary): each halo message charges
@@ -137,6 +144,7 @@ class WorkloadShape:
     serial_fraction: float = 0.0
     halo_messages_per_sweep: int | None = None
     halo_sites_per_message: float | None = None
+    halo_schedule: Callable[[int], tuple[int, int, int]] | None = None
     overlap: bool = False
 
     def __post_init__(self):
@@ -216,11 +224,12 @@ def worldline_strip_workload(
     * compute -- one corner proposal per unshaded plaquette (half the
       space--time sites) plus the straight-column pass, so per
       site-slice ``flops = FLOPS_PER_CORNER_MOVE / 2 + 2``;
-    * halos -- the static halo schedule ships each of a rank's two
-      ghost pairs twice per sweep, as ONE aggregated two-column
-      message: ``halo_messages_per_sweep = 4`` and
-      ``halo_sites_per_message = 2 * n_slices`` (ranks whose seams sit
-      at ``2 (mod 4)`` receive 3).  Spins ship as single bytes;
+    * halos -- the driver's own schedule at each P
+      (:func:`repro.qmc.parallel.strip_halo_traffic`): a refresh ships
+      all ``2 D`` ghost columns of a rank, one aggregated message per
+      neighbor rank, once a sweep on two ranks or where every piece is
+      as wide as the ghost depth ``D``, more often on thinner ones.
+      Spins ship as single bytes;
     * measurement -- two doubles per measurement (energy and
       magnetization partial sums folded into one vector), reduced in
       batches of up to the run loop's cap.
@@ -228,7 +237,7 @@ def worldline_strip_workload(
     Pass ``overlap=True`` to model the five-stage pipeline variant the
     driver runs under ``WorldlineStripConfig(overlap=True)``.
     """
-    from repro.qmc.parallel import REDUCE_BATCH
+    from repro.qmc.parallel import REDUCE_BATCH, strip_halo_traffic
     from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 
     kwargs = dict(
@@ -239,8 +248,7 @@ def worldline_strip_workload(
         sweeps=sweeps,
         strategy="strip",
         bytes_per_site=1,
-        halo_messages_per_sweep=4,
-        halo_sites_per_message=2.0 * n_slices,
+        halo_schedule=partial(strip_halo_traffic, n_sites, n_slices),
         allreduce_doubles=2,
         reduction_batch=REDUCE_BATCH,
     )
@@ -340,29 +348,32 @@ class PerformanceModel:
 
     def halo_messages_per_sweep(self, p: int) -> int:
         """Halo messages one rank sends per sweep: the workload's
-        override, else two half-sweeps times its neighbor ranks."""
+        schedule or override, else two half-sweeps times its neighbor
+        ranks."""
         w = self.workload
+        if w.halo_schedule is not None:
+            exchanges, messages, _ = w.halo_schedule(p)
+            return exchanges * messages
         neighbors = self._halo_neighbors(p)
         if neighbors and w.halo_messages_per_sweep is not None:
             return w.halo_messages_per_sweep
         return 2 * neighbors
 
-    def halo_seconds_per_sweep(self, p: int) -> float:
-        """Modeled halo-exchange seconds per sweep on one rank.
-
-        Two checkerboard half-sweeps per sweep; each half-sweep sends
-        and receives the full boundary, one message per neighbor rank.
-        With ``workload.overlap`` the critical path instead carries
-        ``2 * post_overhead`` per message plus, per exchange, whatever
-        wire delay the exchange's interior compute fails to hide.
-        """
+    def _halo_traffic(self, p: int) -> tuple[float, int, float]:
+        """``(exchanges, messages, sites)`` of one rank's sweep: the
+        workload's schedule, else the strategy's -- two half-sweeps, one
+        message per neighbor rank, one boundary column/plane's sites
+        split over them -- under the workload's overrides."""
         w = self.workload
-        neighbor_messages = self._halo_neighbors(p)
-        if neighbor_messages == 0:
-            return 0.0
-        hops = self._neighbor_hops(p)
-        if w.strategy == "strip":
-            halo_sites = w.ly * w.lt
+        if w.halo_schedule is not None:
+            return w.halo_schedule(p)
+        neighbors = self._halo_neighbors(p)
+        if neighbors == 0:
+            return 0.0, 0, 0.0
+        if w.halo_sites_per_message is not None:
+            sites = w.halo_sites_per_message
+        elif w.strategy == "strip":
+            sites = w.ly * w.lt
         else:
             px, py = self._process_grid(p)
             bx = math.ceil(w.lx / px)
@@ -372,11 +383,24 @@ class PerformanceModel:
             edges = (2 * by * w.lt if px > 1 else 0) + (
                 2 * bx * w.lt if py > 1 else 0
             )
-            halo_sites = edges / neighbor_messages
-        if w.halo_sites_per_message is not None:
-            halo_sites = w.halo_sites_per_message
+            sites = edges / neighbors
+        return max(1.0, self.halo_messages_per_sweep(p) / neighbors), neighbors, sites
+
+    def halo_seconds_per_sweep(self, p: int) -> float:
+        """Modeled halo-exchange seconds per sweep on one rank.
+
+        Each of the sweep's halo exchanges sends and receives one
+        message per neighbor rank (:meth:`_halo_traffic`).  With
+        ``workload.overlap`` the critical path instead carries ``2 *
+        post_overhead`` per message plus, per exchange, whatever wire
+        delay the exchange's interior compute fails to hide.
+        """
+        w = self.workload
+        n_exchanges, neighbor_messages, halo_sites = self._halo_traffic(p)
+        if neighbor_messages == 0:
+            return 0.0
         per_message = self.machine.message_time(
-            int(halo_sites * w.bytes_per_site), hops
+            int(halo_sites * w.bytes_per_site), self._neighbor_hops(p)
         )
         n_messages = self.halo_messages_per_sweep(p)
         if not w.overlap:
@@ -385,7 +409,6 @@ class PerformanceModel:
         if f_int <= 0.0:
             # Degenerate subdomain: the drivers warn and run lockstep.
             return n_messages * per_message
-        n_exchanges = max(1.0, n_messages / neighbor_messages)
         interior_per_exchange = (
             f_int * self.compute_seconds_per_sweep(p) / n_exchanges
         )

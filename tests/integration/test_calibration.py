@@ -16,8 +16,12 @@ sampler with correct error bars would fail at some other seed set.  An
 error bar half its true size doubles the spread of z and fails the
 width band.
 
-Cell held here: the periodic 8-site XXZ ring, against the exact Trotter
-energy at the sampler's own Trotter number.
+Cells held here: the periodic 8-site XXZ ring against the exact
+Trotter energy at the sampler's own Trotter number, as one batch of
+serial chains and as solo strip runs at P = 2 on threads.  The strip's
+pieces of 4 columns are thinner than its ghost depth of 10, so its
+ghosts wrap around the ring into the rank's own columns: the halo
+walk's deep-ghost path, one refresh a sweep.
 """
 
 import numpy as np
@@ -27,7 +31,7 @@ from scipy import stats
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
 from repro.run.config import ParallelLayout, XXZRunConfig
-from repro.run.simulation import run_batch
+from repro.run.simulation import Simulation, run_batch
 
 #: Chance that a calibrated sampler fails a cell, both bands together.
 FALSE_ALARM = 1e-4
@@ -67,6 +71,31 @@ def test_ring_energy_error_bars_are_calibrated():
         for est in (r.estimates["energy"] for r in run_batch(configs))
     ])
     _assert_calibrated(z, "8-site ring energy")
+
+
+#: Strip runs: each its own P = 2 thread run (~1.3 ms a sweep on the
+#: 8-site ring), so the cell affords far
+#: fewer runs than the chain batch -- 12 in ~3 s.  They bound the z
+#: mean to +-1.17 and the z spread to [0.28, 1.93]: a halved error bar
+#: (spread 2) fails, as does a bias beyond ~1.2 standard errors; error
+#: bars too large pass up to ~3.5x.
+N_STRIP_RUNS = 12
+
+
+def test_strip_ring_energy_error_bars_are_calibrated():
+    beta, n_slices = 1.0, 8
+    reference = trotter_reference_energy(
+        XXZChainModel(n_sites=8), beta, n_slices // 2)
+    layout = ParallelLayout(strategy="strip", n_ranks=2, backend="thread",
+                            kernel="numpy")
+    z = []
+    for seed in range(N_STRIP_RUNS):
+        est = Simulation(XXZRunConfig(
+            n_sites=8, beta=beta, n_slices=n_slices, n_sweeps=200,
+            n_thermalize=25, seed=seed, layout=layout,
+        )).run().estimates["energy"]
+        z.append((est.value - reference) / est.error)
+    _assert_calibrated(np.array(z), "8-site ring energy, strip P = 2")
 
 
 def test_bands_reject_a_halved_error_bar():

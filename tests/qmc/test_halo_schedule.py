@@ -5,19 +5,23 @@ be read (``repro.qmc.parallel``, "Halo schedule").  Four oracles hold
 that schedule in place:
 
 * a version-stamp simulation that restates the strip's ownership rules
-  from the geometry alone (every owned column carries a write counter,
-  every ghost the counter it last received) over rings cut at arbitrary
-  even seams: no stage reads a ghost behind its owner, and dropping any
-  one scheduled message makes some stage do exactly that;
-* the read and leaves-stale sets of ``_SEAM_FACTS`` against the ghost
-  rows in each stage's own gather / flip tables, and every sending
-  half-link against a receiving half on the destination rank;
+  from the geometry alone (every global column carries a write counter,
+  every local copy the counter it last received or computed) over rings
+  cut at arbitrary even seams, running the moves the depth-``D`` walk
+  names: no move reads a column behind its owner, every owned move
+  runs, dropping any one scheduled refresh or any one redundant move
+  makes some later read do exactly that, and a sweep posts one refresh
+  on two ranks, and beyond two wherever every piece is as wide as the
+  ghost depth;
+* every move of each stage's own gather / flip tables against the
+  columns the walk calls fresh, each color row conflict-free on the
+  local rows, and every sending half-link against a receiving half on
+  the destination rank;
 * poison: every ghost column / plane overwritten with wrong spins at
   the start of each sweep, and in a saved bundle before a resume, on
-  both drivers -- trajectories and series equal the clean run, which is
-  what entitles bundles written before the schedule existed to resume;
-  and, for the block measurement that posts no halo at all, every site
-  a sweep leaves stale overwritten right before each ``measure()``;
+  both drivers -- trajectories and series equal the clean run; and,
+  for the block measurement that posts no halo at all, every site a
+  sweep leaves stale overwritten right before each ``measure()``;
 * a ``start % 4 == 2`` geometry through the bit-identity matrix.
 """
 
@@ -27,6 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.kernels.chain_tables import CORNER_COLORS
 from repro.qmc import parallel
 from repro.qmc.parallel import (
     N_WL_STAGES,
@@ -34,9 +39,11 @@ from repro.qmc.parallel import (
     IsingBlockConfig,
     WorldlineStripConfig,
     _BlockState,
+    _ghost_depth,
+    _halo_walk,
     _run_decomposed,
-    _seam_schedule,
     _StripState,
+    strip_halo_traffic,
     worldline_strip_program,
 )
 from repro.run.checkpoint import (
@@ -54,7 +61,8 @@ from tests.conftest import (
 )
 from tests.qmc.test_parallel_worldline import gather_spins
 
-STAGES = (*WL_STAGES, ("measure", 0, None))
+#: The ghost depth of pieces wide enough not to cap it.
+DEPTH = _ghost_depth([64, 64])
 
 
 # ======================================================================
@@ -66,71 +74,97 @@ class StaleRead(AssertionError):
     pass
 
 
-def simulate_sweep(sizes, drop=None):
+def _moves(kind, index, lo, hi):
+    """The moves of stage ``(kind, index)`` that touch global columns
+    ``[lo, hi)`` as ``{x: (reads, writes)}`` in global columns, restated
+    from the chain's move set: corner color ``index`` flips bonds of the
+    parity of its classes (bond ``x`` reads ``x-1 .. x+2``, writes ``x,
+    x+1``), column parity ``index`` its columns (reads ``x-1 .. x+1``)."""
+    if kind == "corner":
+        parity, reads, writes = CORNER_COLORS[index][0][0] % 2, (-1, 0, 1, 2), (0, 1)
+    else:
+        parity, reads, writes = index, (-1, 0, 1), (0,)
+    return {
+        x: ([x + o for o in reads], [x + o for o in writes])
+        for x in range(lo - 2, hi + 1)
+        if x % 2 == parity and any(lo <= x + o < hi for o in writes)
+    }
+
+
+def simulate_sweep(sizes, drop=None, skip=None):
     """One sweep plus a measurement on a ring cut into ``sizes`` pieces.
 
     Restates the ownership conventions, not the driver's tables: rank
-    ``r`` owns ``[start, stop)``, executes corner bonds ``start-1 ..
-    stop-1`` (both ends redundantly with its neighbors, writing one
-    ghost column each) and the column moves and shaded plaquettes of
-    its own columns.  Stamps live per local row ``(rank, row)``, row =
-    global column - start + 2; rows ``2 .. n+1`` are the truth.  Every
-    ghost starts stale.  ``drop = (stage, seam, pair)`` loses that one
-    message.  Returns the scheduled ``(stage, seam, pair)`` messages;
-    raises :class:`StaleRead` on a read behind the owner.
+    ``r`` owns ``[start, stop)`` and holds ``D`` ghosts a side (on two
+    ranks ``D`` may exceed the neighbor's piece: the ring wraps), runs
+    every move that writes an owned column and, of the others, the ones
+    the walk lists, and measures the shaded plaquettes of its own bonds
+    (columns ``start .. stop``).  The owner's version of every global
+    column is the truth; a local copy holds the version it last received
+    or computed, every ghost none at sweep start.  A refresh copies each
+    owner's columns into all its neighbors' ghosts, one half-link
+    ``(stage, rank, side)`` per side.  ``drop`` loses the refresh before
+    that stage, ``skip = (stage, rank, x)`` one redundant move.  Returns
+    the posted half-links; raises :class:`StaleRead` on a read behind
+    the owner.
     """
     L, P = sum(sizes), len(sizes)
     starts = [sum(sizes[:r]) for r in range(P)]
-    owner = {}
-    for r, (start, n) in enumerate(zip(starts, sizes)):
-        for col in range(start, start + n):
-            owner[col] = (r, col - start + 2)
-    stamp = {
-        (r, row): 0 if 2 <= row < n + 2 else -1
-        for r, n in enumerate(sizes) for row in range(n + 4)
-    }
-    schedules = [_seam_schedule(start) for start in starts]
+    owner_of = [r for r, n in enumerate(sizes) for _ in range(n)]
+    D = _ghost_depth(list(sizes))
+    truth = [0] * L
+    held = [
+        {g: (0 if start <= g < start + n else -1) for g in range(start - D, start + n + D)}
+        for start, n in zip(starts, sizes)
+    ]
+    walks = [_halo_walk(n, D) for n in sizes]
     posted = []
-    for s, (kind, a, _) in enumerate(STAGES):
-        # messages posted before the stage: pre-stage owner stamps
-        for b, seam in enumerate(starts):
-            left_of = (b - 1) % P
-            for pair, rank, rows, cols in (
-                (0, b, (0, 1), (seam - 2, seam - 1)),
-                (1, left_of, (sizes[left_of] + 2, sizes[left_of] + 3),
-                 (seam, seam + 1)),
-            ):
-                if not schedules[b][s][pair]:
-                    continue
-                posted.append((s, seam, pair))
-                if (s, seam, pair) != drop:
-                    for row, col in zip(rows, cols):
-                        stamp[rank, row] = stamp[owner[col % L]]
-        reads, writes = [], []
+    for s, (kind, index) in enumerate((*WL_STAGES, ("measure", None))):
         for r, (start, n) in enumerate(zip(starts, sizes)):
-            if kind == "corner":
-                for j in range(1, n + 2):
-                    if (start - 2 + j) % 4 == a:
-                        reads += [(r, row) for row in range(j - 1, j + 3)]
-                        writes += [(r, j), (r, j + 1)]
-            elif kind == "column":
-                for row in range(2, n + 2):
-                    if (start - 2 + row) % 2 == a:
-                        reads += [(r, row - 1), (r, row), (r, row + 1)]
-                        writes.append((r, row))
-            else:
-                reads += [(r, row) for row in range(2, n + 3)]
-        # one independence class: every read precedes every write
-        for r, row in reads:
-            truth = owner[(starts[r] - 2 + row) % L]
-            if stamp[r, row] != stamp[truth]:
-                raise StaleRead(
-                    f"sizes {sizes}: stage {s} {STAGES[s]} rank {r} reads "
-                    f"row {row} at stamp {stamp[r, row]}, owner has "
-                    f"{stamp[truth]}"
-                )
-        for key in writes:
-            stamp[key] += 1
+            if not walks[r].refresh[s]:
+                continue
+            for side, ghosts in (
+                ("left", range(start - D, start)),
+                ("right", range(start + n, start + n + D)),
+            ):
+                posted.append((s, r, side))
+                if s != drop:
+                    for g in ghosts:  # from its owner, r itself included
+                        held[r][g] = held[owner_of[g % L]][g % L]
+        if kind == "measure":
+            for r, (start, n) in enumerate(zip(starts, sizes)):
+                for g in range(start, start + n + 1):
+                    if held[r][g] != truth[g % L]:
+                        raise StaleRead(f"sizes {sizes}: the measurement on rank "
+                                        f"{r} reads column {g} behind its owner")
+            break
+        writes_after = {}
+        for r, (start, n) in enumerate(zip(starts, sizes)):
+            run = {start - D + x for x in walks[r].runs[s].tolist()}
+            frame = _moves(kind, index, start - D, start + n + D)
+            for x, (reads, writes) in frame.items():
+                mine = any(start <= w < start + n for w in writes)
+                if mine and x not in run:
+                    raise AssertionError(f"sizes {sizes}: stage {s} rank {r} "
+                                         f"skips owned move {x}")
+                if x not in run or (not mine and (s, r, x - start + D) == skip):
+                    continue
+                for g in reads:
+                    if held[r].get(g) != truth[g % L]:
+                        raise StaleRead(
+                            f"sizes {sizes}: stage {s} {WL_STAGES[s]} rank {r} "
+                            f"move {x} reads column {g} at version "
+                            f"{held[r].get(g)}, owner has {truth[g % L]}")
+                for w in writes:
+                    writes_after[r, w] = truth[w % L] + 1
+        # one stage: every read precedes every write; a column the stage
+        # writes moves on wherever its move ran and falls behind elsewhere
+        for g in range(L):
+            if _moves(kind, index, g, g + 1):
+                truth[g] += 1
+        for (r, w), version in writes_after.items():
+            if w in held[r]:
+                held[r][w] = version
     return posted
 
 
@@ -155,97 +189,125 @@ class TestVersionStampOracle:
         cuts = even_cuts()
         assert (10,) * 4 in cuts and (6, 6) in cuts  # start % 4 == 2
         assert any(len(set(c)) > 1 for c in cuts)
+        assert any(min(c) >= DEPTH for c in cuts if len(c) > 1)
         assert len(cuts) > 300
 
     def test_schedule_is_sufficient_and_minimal(self):
         for sizes in even_cuts():
             posted = simulate_sweep(sizes)  # raises on a stale read
             assert len(set(posted)) == len(posted)
-            for message in posted:
+            stages = {s for s, _, _ in posted}
+            assert len(posted) == 2 * len(sizes) * len(stages)  # all ghosts
+            for stage in stages:
                 with pytest.raises(StaleRead):
-                    simulate_sweep(sizes, drop=message)
+                    simulate_sweep(sizes, drop=stage)
+            refreshes = len(stages)
+            if len(sizes) == 2:  # two ranks: no cap, one refresh
+                assert _ghost_depth(list(sizes)) == DEPTH and refreshes == 1
+            elif len(sizes) > 2:
+                assert _ghost_depth(list(sizes)) <= min(sizes)
+                assert (refreshes == 1) == (min(sizes) >= DEPTH), sizes
+            assert not [m for m in posted if m[0] == N_WL_STAGES]  # measurement
+
+    @pytest.mark.parametrize(
+        "sizes", [(8,), (4, 4), (24, 24), (12, 12, 12, 12), (4, 8, 6, 6)])
+    def test_every_redundant_move_is_read(self, sizes):
+        D = _ghost_depth(list(sizes))
+        for r, n in enumerate(sizes):
+            walk = _halo_walk(n, D)
+            for s, ((kind, _), run) in enumerate(zip(WL_STAGES, walk.runs)):
+                writes = (0, 1) if kind == "corner" else (0,)
+                for x in run.tolist():
+                    if any(D <= x + o < D + n for o in writes):
+                        continue  # owned: runs whatever reads it
+                    with pytest.raises(StaleRead):
+                        simulate_sweep(sizes, skip=(s, r, x))
 
     def test_counts_the_issue_names(self):
-        # seams at 0 (mod 4): L...R.L..R. -- four receives per rank,
-        # none at the measurement, whatever P
-        for p in (1, 2, 4):
-            posted = simulate_sweep((16,) * p)
-            assert len(posted) == 4 * p
-            assert not [m for m in posted if m[0] == N_WL_STAGES]
-        per_seam = {
-            seam % 4: "".join(
-                ".LRB"[left + 2 * right] for left, right in _seam_schedule(seam)
-            )
-            for seam in (0, 10)
-        }
-        assert per_seam == {0: "L...R.L..R.", 2: "R.L......R."}
+        # two ranks of 32 columns: one message per rank and sweep,
+        # before the first stage, carrying 2 * DEPTH columns
+        assert DEPTH == 10
+        assert simulate_sweep((32, 32)) == [(0, 0, "left"), (0, 0, "right"),
+                                             (0, 1, "left"), (0, 1, "right")]
+        assert strip_halo_traffic(64, 16, 2) == (1, 1, 2 * DEPTH * 16)
+        assert strip_halo_traffic(64, 16, 4) == (1, 2, DEPTH * 16)
+        # pieces of 8 cap the depth: two refreshes at best, the first
+        # at depth 6
+        assert strip_halo_traffic(64, 16, 8) == (2, 2, 6 * 16)
+        assert strip_halo_traffic(64, 16, 1) == (5, 0, 0)  # local wraps
+        # two ranks of 4: the ghosts wrap around the ring; the 12 of 20
+        # the neighbor owns travel, the rank's own 8 copy locally
+        assert strip_halo_traffic(8, 8, 2) == (1, 1, 12 * 8)
 
 
 # ======================================================================
-# (2) the schedule's facts against the kernels' own tables
+# (2) the stage tables against the walk
 # ======================================================================
 
 
 def _inspect_strip(comm, cfg):
-    """Rank program: ghost rows each stage's tables touch, and the links."""
+    """Rank program: per stage, the local rows each move of the stage's
+    tables reads and writes, the walk's fresh rows, and the links."""
     st = _StripState(comm, cfg)
-    n, T = st.n_owned, st.T
-    ghosts = {0, 1, n + 2, n + 3}
-    out = {"n": n, "start": st.start, "stop": st.stop, "stages": []}
-    for s, (kind, _, _) in enumerate(STAGES):
-        if kind == "corner":
+    T, walk = st.T, st._walk
+    out = {"n": st.n_owned, "depth": st.depth, "stages": []}
+    for s, key in enumerate((*range(N_WL_STAGES), "measure")):
+        if key == "measure":
+            read = [np.concatenate([t.ravel() for t in st._dlog_tables]) // T]
+            written = [np.array([], dtype=int)]
+        elif WL_STAGES[s][0] == "corner":
             cache = st._stage_cache[s]
-            read = cache["env"].ravel() // T
-            flip = cache["flip"] // T  # (4, n_moves) rows a move toggles
-            mirrored = np.isin(flip, list(ghosts)).any(axis=0)
-            written = flip[:, ~mirrored].ravel()
-        elif kind == "column":
+            read = list(cache["env"] // T)
+            written = list(cache["flip"].T // T)
+        else:
             cache = st._stage_cache[s]
             # the op reads each column's neighbors and its own spin
-            read = np.concatenate([cache["nbr"].ravel() // T, cache["lc"]])
-            written = cache["lc"]
-        else:
-            read = np.concatenate([t.ravel() for t in st._dlog_tables]) // T
-            written = np.array([], dtype=int)
-        key = s if s < N_WL_STAGES else "measure"
+            read = [np.append(row // T, lc) for row, lc in zip(cache["nbr"], cache["lc"])]
+            written = [np.array([lc]) for lc in cache["lc"]]
         (links,) = st._links[key]
         out["stages"].append({
-            "ghost_reads": sorted(ghosts & set(read.tolist())),
-            "unmirrored_writes": sorted(set(written.tolist())),
+            "sizes": [(ln.dest, ln.source, ln.send.size, ln.ghost.size)
+                      for ln in links],
+            "read": read,
+            "written": written,
+            "cells": (cache["flip"].T, cache["env"]) if key != "measure"
+            and WL_STAGES[s][0] == "corner" else None,
+            "fresh": walk.fresh[s],
             "links": [(ln.dest, ln.source, ln.tag) for ln in links],
         })
     return out
 
 
-GEOMETRIES = [(16, 1), (16, 2), (16, 4), (12, 2), (20, 2), (40, 4), (24, 6)]
+GEOMETRIES = [(16, 1), (16, 2), (16, 4), (12, 2), (20, 2), (40, 4), (24, 6), (64, 2)]
 
 
 def _stage_tables(comm, cfg):
     """Rank program: the rank's stage caches, measurement gathers, frame."""
     st = _StripState(comm, cfg)
-    return st._stage_cache, st._dlog_tables, (st.start, st.stop, st.n_owned)
+    return (st._stage_cache, st._dlog_tables,
+            (st.start, st.stop, st.n_owned, st.depth, st._walk.runs))
 
 
 @pytest.mark.parametrize("n_sites,p", GEOMETRIES)
 def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
     """The strip's gather / flip tables come from ``chain_tables`` on the
-    local frame; here is the algebra the driver used to carry, written
-    out (rows ``j-1 .. j+2`` of a move, no wrap, *global* bond parity)."""
+    local frame; here is the index algebra written out (rows ``j-1 ..
+    j+2`` of a move, no wrap, *global* bond parity and class)."""
     T = 8
     cfg = WorldlineStripConfig(
         n_sites=n_sites, jz=1.0, jxy=0.8, beta=0.9, n_slices=T, n_sweeps=1,
     )
     t_even, t_odd = np.arange(0, T, 2), np.arange(1, T, 2)
-    for cache, dlog, (start, stop, n) in run_spmd(
+    for cache, dlog, (start, stop, n, D, runs) in run_spmd(
             _stage_tables, p, PARAGON, seed=1, args=(cfg,)).values:
-        assert start % 2 == 0
-        want_dlog = []
-        for (kind, a, b), got in zip(WL_STAGES, cache):
+        assert start % 2 == 0 and D % 2 == 0
+        for (kind, index), got, x in zip(WL_STAGES, cache, runs):
+            g = (start - D + x) % n_sites
             if kind == "corner":
-                j0 = 1 + ((a - (start - 1)) % 4)
-                J, Tt = np.meshgrid(
-                    np.arange(j0, n + 2, 4), np.arange(b, T, 4), indexing="ij")
-                J, Tt = J.ravel(), Tt.ravel()
+                (a, b), (a2, b2) = CORNER_COLORS[index]
+                assert set(g % 4) <= {a, a2}
+                J = np.repeat(x, T // 4)
+                Tt = (np.where(g % 4 == a, b, b2)[:, None] + np.arange(0, T, 4)).ravel()
                 t1, tm1 = (Tt + 1) % T, (Tt - 1) % T
                 lb = np.stack([J - 1, J + 1, J, J])
                 pt = np.stack([Tt, Tt, tm1, t1])
@@ -258,79 +320,90 @@ def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
                         [corners[c][k] for k in range(4) for c in range(4)]).T,
                     "flip": np.stack([J * T + Tt, J * T + t1,
                                       (J + 1) * T + Tt, (J + 1) * T + t1]),
+                    "uflat": (g // 2 * (T // 4))[:, None] + Tt.reshape(-1, T // 4) // 4,
                 }
                 assert got["env"].flags.c_contiguous  # a gather keeps its index's order
             else:
-                gc = np.arange(start + ((a - start) % 2), stop, 2)
-                lb = (gc - start + 2)[:, None]
-                # bond lc (right of column lc) is shaded at t = a (mod 2),
-                # bond lc - 1 (left) at the other slices
+                lb = x[:, None]
+                # bond lc (right of column lc) is shaded at t = index (mod
+                # 2), bond lc - 1 (left) at the other slices
                 t = np.arange(T)
-                want = {"nbr": np.where((t - a) % 2 == 0, lb + 1, lb - 1) * T + t}
-                ts = (t_even if a % 2 == 0 else t_odd)[None, :]
-                ts1 = (ts + 1) % T
-                want_dlog.append(np.stack(
-                    [lb * T + ts, (lb + 1) * T + ts, lb * T + ts1, (lb + 1) * T + ts1],
-                    axis=-1,
-                ).reshape(-1, 4))
+                want = {"nbr": np.where((t - index) % 2 == 0, lb + 1, lb - 1) * T + t,
+                        "uc": g // 2}
+            lo, hi = np.searchsorted(x, [D, D + n])
+            assert got["counted"] == slice(lo, hi)
+            # uniforms one row per bond (column) iff some go uncounted
+            assert got["grouped"] == ((lo, hi) != (0, x.size))
             for name, table in want.items():
+                if name in ("uflat", "uc"):
+                    assert got[name].ndim == 1 + got["grouped"], name
+                    got[name] = got[name].reshape(table.shape)
                 np.testing.assert_array_equal(got[name], table, err_msg=name)
                 assert got[name].dtype == np.intp
-        for got, want in zip(dlog, want_dlog, strict=True):
+        for parity, got in enumerate(dlog):
+            lb = np.arange(D + parity, D + n, 2)[:, None]
+            ts = (t_even if parity == 0 else t_odd)[None, :]
+            ts1 = (ts + 1) % T
+            want = np.stack(
+                [lb * T + ts, (lb + 1) * T + ts, lb * T + ts1, (lb + 1) * T + ts1],
+                axis=-1,
+            ).reshape(-1, 4)
             np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("n_sites,p", GEOMETRIES)
 def test_facts_match_the_stage_tables_and_links_pair_up(n_sites, p):
+    """Every move of every stage -- owned or redundant -- and the
+    measurement read only rows the walk calls fresh; each color row is
+    conflict-free on the local rows (no cell a move flips is touched by
+    another move of the row); every send has its receive."""
     cfg = WorldlineStripConfig(
         n_sites=n_sites, jz=1.0, jxy=0.8, beta=0.9, n_slices=8, n_sweeps=1,
     )
     ranks = run_spmd(_inspect_strip, p, PARAGON, seed=1, args=(cfg,)).values
     for r, info in enumerate(ranks):
-        n = info["n"]
-        at_start, at_stop = (
-            _seam_schedule(info["start"]), _seam_schedule(info["stop"])
-        )
-        for s, ((kind, a, _), stage) in enumerate(zip(STAGES, info["stages"])):
-            want_reads, want_stale = set(), set()
-            # G0..G3 of a seam sit at this rank's local rows row0 + 0..3
-            for seam, row0, mine, theirs in (
-                (info["start"], 0, (0, 1), (2, 3)),
-                (info["stop"], n, (2, 3), (0, 1)),
-            ):
-                reads, stale = parallel._SEAM_FACTS[
-                    kind, (a - seam) % 4 if kind == "corner" else a
-                ]
-                want_reads |= {row0 + g for g in reads if g in mine}
-                want_stale |= {row0 + g for g in stale if g in theirs}
-            assert set(stage["ghost_reads"]) == want_reads, (r, s)
-            # owned boundary rows this rank rewrites alone: the columns
-            # its neighbors mirror and are left stale on
-            mirrored_rows = {2, 3, n, n + 1}
-            assert (
-                set(stage["unmirrored_writes"]) & mirrored_rows == want_stale
-            ), (r, s)
-            # links: tag 0 travels rightward, tag 1 leftward
-            if p == 1:
-                want = [(None, None, tag) for tag in (0, 1) if at_start[s][tag]]
-                assert at_start == at_stop
+        n, D = info["n"], info["depth"]
+        for s, stage in enumerate(info["stages"]):
+            fresh = stage["fresh"]
+            for rows in stage["read"]:
+                assert fresh[rows].all(), (r, s)
+            # a stage's moves write disjoint rows ...
+            written = np.concatenate(stage["written"])
+            if s == N_WL_STAGES:
+                pass  # the measurement writes nothing
+            elif stage["cells"] is None:
+                assert np.unique(written).size == written.size, (r, s)
+                for i, rows in enumerate(stage["written"]):
+                    others = np.concatenate(stage["read"][:i] + stage["read"][i + 1:])
+                    assert not np.isin(rows, others).any(), (r, s)
             else:
-                left, right = (r - 1) % p, (r + 1) % p
-                want = [
-                    (right if at_stop[s][0] else None,
-                     left if at_start[s][0] else None, 0),
-                    (left if at_start[s][1] else None,
-                     right if at_stop[s][1] else None, 1),
-                ]
-                want = [ln for ln in want if ln[:2] != (None, None)]
-            assert stage["links"] == want, (r, s)
-            # every send has its receive on the destination, same stage
-            for dest, _source, tag in stage["links"]:
+                # ... and a corner move's flipped cells no other move reads
+                flips, env = stage["cells"]
+                move_of = np.repeat(np.arange(len(flips)), 20)
+                cells = np.concatenate([env, flips], axis=1).ravel()
+                pairs = np.unique(np.stack([cells, move_of]), axis=1)
+                per_cell = np.bincount(pairs[0])
+                assert (per_cell[flips.ravel()] == 1).all(), (r, s)
+            # links: a receive from each neighbor, a local copy of the
+            # ghosts the rank owns itself, a send to each neighbor of as
+            # many sites as its receive from this rank takes
+            posts = bool(stage["links"])
+            assert bool(ranks[0]["stages"][s]["links"]) == posts
+            if not posts:
+                continue
+            neighbors = {(r - 1) % p, (r + 1) % p} - {r}
+            assert {ln[1] for ln in stage["links"] if ln[1] is not None} == neighbors
+            assert {ln[0] for ln in stage["links"] if ln[0] is not None} == neighbors
+            ghosts = sum(g for d_, s_, _, g in stage["sizes"] if d_ is None)
+            assert ghosts == 2 * D * 8, (r, s)  # every ghost column, T = 8
+            for dest, _, sent, _ in stage["sizes"]:
                 if dest is not None:
-                    assert (r, tag) in [
-                        (source, t)
-                        for _d, source, t in ranks[dest]["stages"][s]["links"]
-                    ], (r, s, tag)
+                    (took,) = [g for d_, src, _, g in ranks[dest]["stages"][s]["sizes"]
+                               if d_ is None and src == r]
+                    assert sent == took, (r, s, dest)
+        assert info["stages"][0]["links"], "every ghost is stale at sweep start"
+        assert not info["stages"][-1]["links"], "the measurement posts nothing"
+        assert D == {1: 2, 2: DEPTH}.get(p, min(D, n))
 
 
 # ======================================================================
@@ -354,8 +427,8 @@ def _poisoned(state, ghost_views, wrong):
 
 
 def _strip_ghosts(st):
-    n = st.n_owned
-    return [st.loc[0:2], st.loc[n + 2 : n + 4]]
+    d = st.depth
+    return [st.loc[:d], st.loc[d + st.n_owned :]]
 
 
 def _block_ghosts(st):
@@ -493,8 +566,9 @@ class TestPoisonedBundles:
         run_driver_matrix(
             worldline_strip_program, 4, _strip_cfg(n_sweeps=5), seed=42,
             checkpoint=CheckpointConfig(tmp_path, every=5))
+        d = _ghost_depth([10] * 4)
         _poison_bundles(
-            tmp_path, 4, "loc", lambda a: [a[0:2], a[-2:]], lambda v: 1 - v)
+            tmp_path, 4, "loc", lambda a: [a[:d], a[-d:]], lambda v: 1 - v)
         resumed = run_driver_matrix(
             worldline_strip_program, 4, _strip_cfg(), seed=42,
             checkpoint=CheckpointConfig(tmp_path, resume=True))
@@ -523,8 +597,8 @@ class TestPoisonedBundles:
 @pytest.mark.parametrize("measure_every", [1, 3])
 def test_odd_seam_geometry_bit_identity_matrix(tmp_path, measure_every):
     """L = 40 over P = 4 puts ranks 1 and 3 at ``start % 4 == 2``, where
-    a rank's sends and receives fall on different stages.  P x kernel x
-    schedule x mid-run resume against the P = 1 lockstep run."""
+    a seam bond's class within each color is the other one.  P x kernel
+    x schedule x mid-run resume against the P = 1 lockstep run."""
     base = dict(measure_every=measure_every, n_sweeps=7)
     ref = run_driver_matrix(
         worldline_strip_program, 1, _strip_cfg(**base), seed=42)

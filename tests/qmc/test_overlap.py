@@ -5,7 +5,7 @@ posts, each stage's interior share before the halo wait and the rest
 after it -- and nothing that executes.  This suite pins:
 
 * the drivers' interior masks and counts (every move of every
-  independence class is interior or boundary, never both; no move
+  stage is interior or boundary, never both; no move
   counted interior touches a ghost; degenerate thin subdomains fall
   back to lockstep with a warning);
 * one kernel call per stage whatever the schedule, timed on its own;
@@ -74,21 +74,22 @@ def _block_cfg(mode="vectorized", overlap=False, n_sweeps=6):
 
 
 def _inspect_strip_partitions(comm, cfg):
-    """Rank program: build the state and report, per stage, the class
-    size, the driver's interior count (a corner class) or mask (a
-    column parity), and the local rows (axis 0 of ``loc``) each move
+    """Rank program: build the state and report, per stage, its size,
+    the driver's interior count (a corner color) or mask (a column
+    parity), and the local rows (axis 0 of ``loc``) each move
     touches."""
     st = _StripState(comm, cfg)
     out = {"active": st.overlap_active, "n_owned": st.n_owned, "classes": {}}
     if not st.overlap_active:
         return out
-    for (kind, a, b), cache in zip(WL_STAGES, st._stage_cache):
+    out["depth"] = st.depth
+    for (kind, index), cache in zip(WL_STAGES, st._stage_cache):
         if kind == "corner":
-            key, total, interior = f"corner{a}{b}", cache["j"].size, cache["n_interior"]
+            key, total, interior = f"corner{index}", cache["env"].shape[0], cache["n_interior"]
             # (moves, cells): the 16 environment and the 4 flipped cells
             touched = np.concatenate([cache["env"], cache["flip"].T], axis=1)
         else:
-            key, total, interior = f"col{a}", cache["lc"].size, cache["interior"]
+            key, total, interior = f"col{index}", cache["lc"].size, cache["interior"]
             # (columns, cells): the plaquette neighbors and the column itself
             touched = np.concatenate(
                 [cache["nbr"], cache["lc"][:, None] * st.T], axis=1)
@@ -117,26 +118,27 @@ class TestStripPartitionTables:
     def test_interior_moves_touch_no_ghost(self, p):
         """What the executed split used to prove by running it: the
         moves the clock charges before the halo wait read and write
-        owned rows ``[2, n + 2)`` only.  The interior share of a class
-        is exactly its ghost-free moves -- by count for a corner class
-        (every move is attempted), move by move for a column parity
-        (the straight ones are) -- so it is also as large as it may be."""
+        owned rows ``[depth, depth + n)`` only.  The interior share of a
+        stage is exactly its ghost-free moves -- by count for a corner
+        color (every move is attempted), move by move for a column
+        parity (the straight ones are) -- so it is also as large as it
+        may be."""
         res = run_spmd(
             _inspect_strip_partitions, p, PARAGON, seed=1,
             args=(_strip_cfg(overlap=True),),
         )
         for rank_info in res.values:
-            n = rank_info["n_owned"]
+            n, d = rank_info["n_owned"], rank_info["depth"]
             for key, (_, interior, rows) in rank_info["classes"].items():
-                ghost_free = ((rows >= 2) & (rows < n + 2)).all(axis=1)
+                ghost_free = ((rows >= d) & (rows < n + d)).all(axis=1)
                 if key.startswith("corner"):
                     assert interior == np.count_nonzero(ghost_free), key
                 else:
                     np.testing.assert_array_equal(interior, ghost_free, key)
 
     def test_degenerate_strip_warns_and_falls_back(self):
-        # 16 columns over 4 ranks -> 4 owned columns: every corner class
-        # is ghost-adjacent, so the schedule must refuse and warn.
+        # 16 columns over 4 ranks -> 4 owned columns: two corner colors
+        # are all ghost-adjacent, so the schedule must refuse and warn.
         cfg = _strip_cfg(overlap=True, n_sites=16)
         with pytest.warns(UserWarning, match="falling back to the lockstep"):
             res = run_spmd(
@@ -287,7 +289,7 @@ class TestOneKernelCallPerStage:
             assert calls_on == calls_off
             assert timed_on == timed_off
             for sweep in calls_on:
-                assert sweep["strip_corner"] == 8
+                assert sweep["strip_corner"] == 4
                 assert sweep.get("strip_column", 0) <= 2
                 assert set(sweep) <= {"strip_corner", "strip_column"}
             # every timed callable is an op, and every op call is timed

@@ -362,6 +362,27 @@ class TestDistributedValidation:
             run_spmd(program, 2, IDEAL, seed=3,
                      args=(full, CheckpointConfig(tmp_path, resume=True)))
 
+    def test_bundle_of_the_eight_class_schedule_refused(self, tmp_path):
+        """A strip bundle written when a sweep ran eight corner classes
+        behind two-wide ghosts names no ``strip_schedule``: its ``loc``
+        has two ghost columns a side and its exchange counter counts
+        another stage list, so the fingerprint refuses it -- before any
+        shape check could."""
+        self._write_checkpoint(tmp_path)
+
+        def two_wide(arrays):
+            depth = (arrays["loc"].shape[0] - 8) // 2  # 8 owned columns
+            arrays["loc"] = arrays["loc"][depth - 2 : depth + 10].copy()
+
+        for r in range(2):
+            self._rewrite_bundle(
+                rank_checkpoint_path(tmp_path, r),
+                meta_edit=lambda m: m.pop("strip_schedule"),
+                array_edit=two_wide,
+            )
+        with pytest.raises(ValueError, match="checkpoint mismatch.*strip_schedule is None"):
+            self._resume(tmp_path)
+
     def test_wrong_bit_generator_rejected(self, tmp_path):
         self._write_checkpoint(tmp_path)
         alien = np.random.Generator(np.random.MT19937(5)).bit_generator.state

@@ -156,9 +156,10 @@ class TestThreadBackendFaults:
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_strip_driver_crash_mid_sweep(self, p):
-        # One strip sweep is 10 stages x 4 comm ops: step 13 lands in
-        # the middle of the second stage of the first sweep.
-        plan = FaultPlan((CrashFault(rank=0, at_step=13),))
+        # A strip sweep posts one halo refresh at P = 2 (a send and a
+        # receive) and three at P = 4 (two of each): step 5 lands in the
+        # third of four sweeps, or the first sweep's second refresh.
+        plan = FaultPlan((CrashFault(rank=0, at_step=5),))
         with pytest.raises(InjectedRankCrash) as excinfo:
             run_spmd(
                 worldline_strip_program,

@@ -169,6 +169,7 @@ class TestWorldlineStripWorkload:
         from repro.qmc.parallel import (
             REDUCE_BATCH,
             WorldlineStripConfig,
+            strip_halo_traffic,
             worldline_strip_program,
         )
         from repro.vmp.performance import worldline_strip_workload
@@ -177,27 +178,34 @@ class TestWorldlineStripWorkload:
         w = worldline_strip_workload(64, 64, sweeps=100)
         assert w.strategy == "strip"
         assert w.bytes_per_site == 1  # int8 spins on the wire
-        assert w.halo_messages_per_sweep == 4
-        assert w.halo_sites_per_message == 2.0 * 64  # two ghost columns
         assert w.allreduce_doubles == 2  # one folded reduction
         assert w.reduction_batch == REDUCE_BATCH
         assert PerformanceModel(PARAGON, w).reductions() == (1, 100)
-        # ... which is what the driver sends: per rank, 4 halo messages a
-        # sweep plus one message (P = 2: the reduce's or the bcast's) per
-        # allreduce -- 130 measurements cross the batch cap once -- and
-        # 16 reduced bytes per measurement however they are batched.
+        # The halo traffic is the driver's schedule at every P: a
+        # refresh of all 2 D ghost columns, one message per neighbor
+        # rank, before the first stage (pieces of 8 cap D at 8 and
+        # refresh twice).
+        for p, want in ((1, 0), (2, 1), (4, 2), (8, 4)):
+            assert PerformanceModel(PARAGON, w).halo_messages_per_sweep(p) == want
+            assert w.halo_schedule(p) == strip_halo_traffic(64, 64, p)
+        # ... which is what the driver sends: per rank and sweep, its
+        # halo messages plus one message (P = 2: the reduce's or the
+        # bcast's) per allreduce -- 130 measurements cross the batch cap
+        # once -- and 16 reduced bytes per measurement however they are
+        # batched.
         w = worldline_strip_workload(64, 64, sweeps=REDUCE_BATCH + 2)
-        n_reductions, rows = PerformanceModel(PARAGON, w).reductions()
+        model = PerformanceModel(PARAGON, w)
+        n_reductions, rows = model.reductions()
         assert (n_reductions, rows) == (2, REDUCE_BATCH)
+        _, _, sites = w.halo_schedule(2)
         cfg = WorldlineStripConfig(n_sites=64, jz=1.0, jxy=1.0, beta=1.0,
                                    n_slices=64, n_sweeps=w.sweeps)
         res = run_spmd(worldline_strip_program, 2, machine=PARAGON, args=(cfg,))
         assert res.total_messages == 2 * (
-            w.halo_messages_per_sweep * cfg.n_sweeps + n_reductions
+            model.halo_messages_per_sweep(2) * cfg.n_sweeps + n_reductions
         )
         assert res.total_bytes == cfg.n_sweeps * 2 * (
-            w.halo_messages_per_sweep * int(w.halo_sites_per_message)
-            + 8 * w.allreduce_doubles
+            model.halo_messages_per_sweep(2) * sites + 8 * w.allreduce_doubles
         )
 
     def test_batched_reductions_amortise_the_latency(self):
@@ -219,20 +227,22 @@ class TestWorldlineStripWorkload:
     def test_matches_strip_decomposition_halo_spec(self):
         from repro.vmp.performance import worldline_strip_workload
 
-        # One message refreshes a ghost pair: two columns of T sites.
+        # One message refreshes every ghost column a neighbor needs: D
+        # columns of T sites each, both halves in one at P = 2.
         w = worldline_strip_workload(64, 64, sweeps=100)
-        assert w.halo_sites_per_message == 2 * 64
+        assert w.halo_schedule(2) == (1, 1, 2 * 10 * 64)
+        assert w.halo_schedule(4) == (1, 2, 10 * 64)
 
     def test_halo_aggregation_reduces_modeled_time(self):
-        # Same bytes in 2-column buffers vs column-at-a-time: fewer
+        # Same bytes in D-column buffers vs column-at-a-time: fewer
         # alphas => strictly smaller halo seconds per sweep.
         from repro.vmp.performance import worldline_strip_workload
 
         aggregated = worldline_strip_workload(64, 64, sweeps=100)
+        exchanges, messages, sites = aggregated.halo_schedule(4)
         split = worldline_strip_workload(
             64, 64, sweeps=100,
-            halo_messages_per_sweep=2 * aggregated.halo_messages_per_sweep,
-            halo_sites_per_message=64.0,
+            halo_schedule=lambda p: (exchanges, messages * 10, sites / 10),
         )
         t_agg = PerformanceModel(PARAGON, aggregated).halo_seconds_per_sweep(4)
         t_split = PerformanceModel(PARAGON, split).halo_seconds_per_sweep(4)
