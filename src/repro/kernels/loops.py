@@ -31,14 +31,16 @@ not installed):
    of the whole class.  (Off NumPy's grid -- open, odd and 2 x N
    world-line lattices -- a row's moves may share plaquettes; there
    only these loops run it, one move at a time in row order.)
-3. *Products are sequential; columns are counts.*  Plaquette-weight
-   products are strictly sequential (matching
+3. *Products are sequential; columns and block sites are counts.*
+   Plaquette-weight products are strictly sequential (matching
    ``prod``/``multiply.reduce``; packed K = 4 rows read them from the
    very tables the NumPy op indexes -- ``tests/qmc/test_chain_tables.py``
    holds those against the raster reference moves on every
    environment).  A straight column's flip is an integer count of its
-   antiparallel neighbors looked up in the same log-ratio table, so
-   there is no floating-point sum whose order could differ.
+   antiparallel neighbors looked up in the same log-ratio table, and a
+   block site's flip an integer count of its neighbour sums looked up
+   in the same threshold table, so there is no floating-point sum whose
+   order could differ.
 
 Dtype caveats: spins are int8 (bit flips via XOR; the Ising samplers
 use +/-1 int8), gather tables are intp, weights/log-ratio tables float64.
@@ -156,25 +158,29 @@ def _strip_column(loc, thr, lc, nbr, straight, log_uu, counts):
 # -- block driver (2-D decomposition of the Ising film) ---------------
 
 @njit(cache=True)
-def _block_color(g, kx, ky, kt, mask, log_u):
-    nbx = g.shape[0] - 2
-    nby = g.shape[1] - 2
-    lt = g.shape[2]
+def _block_color(g, thr, mask, log_u, rx, ry):
+    nx, ny, nt = mask.shape
+    ox = (g.shape[0] - nx) // 2
+    oy = (g.shape[1] - ny) // 2
     n_acc = 0
-    for x in range(nbx):
-        for y in range(nby):
-            for t in range(lt):
+    for x in range(nx):
+        for y in range(ny):
+            owned = rx <= x < nx - rx and ry <= y < ny - ry
+            for t in range(nt):
                 if not mask[x, y, t]:
                     continue
-                tp = t + 1 if t + 1 < lt else 0
-                tm = t - 1 if t >= 1 else lt - 1
-                sp = g[x + 1, y + 1, t]
-                f = kx * (g[x + 2, y + 1, t] + g[x, y + 1, t])
-                f = f + ky * (g[x + 1, y + 2, t] + g[x + 1, y, t])
-                f = f + kt * (g[x + 1, y + 1, tp] + g[x + 1, y + 1, tm])
-                if log_u[x, y, t] < (-2.0 * sp) * f:
-                    g[x + 1, y + 1, t] = -sp
-                    n_acc += 1
+                tp = t + 1 if t + 1 < nt else 0
+                tm = t - 1 if t >= 1 else nt - 1
+                sp = g[ox + x, oy + y, t]
+                code = g[ox + x, oy + y, tp] + g[ox + x, oy + y, tm]
+                if ox:
+                    code += 25 * (g[ox + x - 1, oy + y, t] + g[ox + x + 1, oy + y, t])
+                if oy:
+                    code += 5 * (g[ox + x, oy + y - 1, t] + g[ox + x, oy + y + 1, t])
+                if log_u[x, y, t] < thr[sp * code + 62]:
+                    g[ox + x, oy + y, t] = sp ^ -2
+                    if owned:
+                        n_acc += 1
     return n_acc
 
 
@@ -229,9 +235,8 @@ def _op_table(interpreted: bool) -> dict:
         column(loc, thr, lc, nbr, straight, log_uu.reshape(-1), counts)
         return counts if log_uu.ndim == 2 else int(counts[0])
 
-    def block_color(g, couplings, mask, log_u) -> int:
-        kx, ky, kt = couplings
-        return int(block(g, float(kx), float(ky), float(kt), mask, log_u))
+    def block_color(g, thr, mask, log_u, rim) -> int:
+        return int(block(g, thr, mask, log_u, rim[0], rim[1]))
 
     # Compatibility adapters: the chain sampler itself calls the strip
     # ops over tables cached at construction.

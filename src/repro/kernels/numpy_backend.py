@@ -4,7 +4,9 @@ One body per kind of checkerboard update: ``strip_corner`` /
 ``strip_column`` flip world-line plaquette windows and straight columns
 for every world-line caller (the chain and square-lattice samplers and
 the strip driver differ only in the index tables they pass),
-``block_color`` / ``ising_color`` are the Ising Metropolis colors.
+``block_color`` / ``ising_color`` are the Ising Metropolis colors (the
+first priced by a count looked up in a threshold table, the second by
+a float field).
 Each op:
 
 * receives the spin storage plus *precomputed* gather tables for one
@@ -122,34 +124,49 @@ def strip_column(loc, thr, lc, nbr, straight, log_uu):
     return int(np.count_nonzero(accept))
 
 
-def block_color(g, couplings, mask, log_u) -> int:
+def block_color(g, thr, mask, log_u, rim) -> int:
     """One checkerboard color of the block driver's ghosted sweep.
 
-    ``g`` is the (bx+2, by+2, lt) ghosted spin array whose interior
-    view is the block's spins; spatial neighbours come from the ghost
-    frame, temporal ones wrap locally.  The field is summed x, y, t; an
-    axis whose coupling is 0 adds a signed zero no ``<`` can see and is
-    skipped, ghosts unread.  Every temporary is the call's own: the
-    thread backend's ranks run this op concurrently.
+    ``g`` is the rank's frame of spins; the sites of ``mask`` in the box
+    of its shape at the frame's centre flip iff ``log_u < thr[code]``,
+    ``code`` the int8 count of :mod:`~repro.kernels.ising_tables` and
+    ``thr`` its table.  Spatial neighbours come from the frame -- none
+    along an axis the box fills, an extent-1 one -- and temporal ones
+    wrap.  Flips by XOR (``s ^ -2`` negates +-1) and returns the
+    accepted count of the box less ``rim`` planes a side of each
+    spatial axis: the sites the rank owns.  The code of a masked-out
+    site is never used, and a ``clip`` lookup keeps it inside the table
+    whatever the frame holds there.  Every temporary is the call's own:
+    the thread backend's ranks run this op concurrently.
     """
-    spins = g[1:-1, 1:-1]
-    kx, ky, kt = couplings
-    field = 0.0
-    if kx:
-        field = kx * (g[2:, 1:-1] + g[:-2, 1:-1])
-    if ky:
-        field = field + ky * (g[1:-1, 2:] + g[1:-1, :-2])
-    if kt:
-        # s[t-1] + s[t+1]: the bulk in one slice add, the two wrap slices
-        nt = np.empty_like(spins)
-        np.add(spins[..., :-2], spins[..., 2:], out=nt[..., 1:-1])
-        np.add(spins[..., -1], spins[..., 1], out=nt[..., 0])
-        np.add(spins[..., -2], spins[..., 0], out=nt[..., -1])
-        term = kt * nt
-        field = np.add(field, term, out=term)
-    accept = mask & (log_u < -2.0 * spins * field)
-    np.negative(spins, out=spins, where=accept)
-    return int(np.count_nonzero(accept))
+    nx, ny, nt = mask.shape
+    ox, oy = (g.shape[0] - nx) // 2, (g.shape[1] - ny) // 2
+    xs, ys = slice(ox, ox + nx), slice(oy, oy + ny)
+    # Temporal sums over the whole frame, flat and contiguous: right but
+    # at the two ends of each row, which the wrap planes then set.
+    frame = np.empty(g.shape, np.int8) if nt > 1 else np.zeros(g.shape, np.int8)
+    if nt > 1:
+        flat = g.reshape(-1)
+        np.add(flat[:-2], flat[2:], out=frame.reshape(-1)[1:-1])
+        np.add(g[..., -1], g[..., 1], out=frame[..., 0])
+        np.add(g[..., -2], g[..., 0], out=frame[..., -1])
+    code = frame[xs, ys]
+    if ox:
+        n = g[ox - 1 : ox - 1 + nx, ys] + g[ox + 1 : ox + 1 + nx, ys]
+        n *= 25
+        code += n
+    if oy:
+        n = g[xs, oy - 1 : oy - 1 + ny] + g[xs, oy + 1 : oy + 1 + ny]
+        n *= 5
+        code += n
+    spins = g[xs, ys]
+    code *= spins
+    code += 62
+    accept = log_u < thr.take(code, mode="clip")
+    accept &= mask
+    spins ^= accept.view(np.int8) * -2  # a where= ufunc is slower
+    rx, ry = rim
+    return int(np.count_nonzero(accept[rx : nx - rx, ry : ny - ry]))
 
 
 # Compatibility adapters: the chain sampler itself calls the strip ops

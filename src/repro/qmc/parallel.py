@@ -19,9 +19,17 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
-  grid.  Given the same per-site uniforms the parallel trajectory is
-  **bit-identical** to the serial one (same-color sites do not
-  interact), which the integration tests assert literally.
+  grid.  A rank's frame keeps two ghost planes a side on every spatial
+  axis of extent > 1 (none on an extent-1 one, so a chain's spins are
+  contiguous), refreshed once a sweep before color 0; color 0 also
+  updates the inner ghost ring, on its owner's uniforms, so color 1
+  reads only fresh ghosts.  A flip is priced by a count: ``log u <
+  thr[code]``, ``code`` the int8 count of the neighbour sums and ``thr``
+  :func:`~repro.kernels.ising_tables.ising_thresholds`.  Given the same
+  per-site uniforms the parallel trajectory is **bit-identical** to the
+  serial one (same-color sites do not interact, and a redundant update
+  decides as its owner does), which the integration tests assert
+  literally.
 
 * :func:`chain_program` -- whole lattices, all on one rank: the serial
   (one chain) and replica (``n`` independent chains) layouts of every
@@ -38,13 +46,14 @@ Both decomposed drivers take their shared uniforms from one stream per
 run (:meth:`_DecomposedState._sweep_draw`): every rank builds it
 once from ``sweep_seed`` and skips ahead to its share -- the strip's
 next whole block per sweep, a block rank's own rows of the sweep's
-global field.
+global field and one more a side.
 
 Halo protocol (both decomposed drivers): ghost copies of the boundary
 data travel as ONE aggregated contiguous-buffer message per neighbor
-*rank* -- the packed ghost columns for the strip, the parity-packed
-boundary planes for the Ising blocks (both of them where east and west
-are the same rank) -- instead of one message per boundary column/plane
+*rank* -- the packed ghost columns for the strip, the two-deep
+boundary planes for the Ising blocks (both faces where east and west
+are the same rank; an x phase, then a y phase that carries the x
+ghosts into the corners) -- instead of one message per boundary column/plane
 (under ``alpha + n * beta`` per message, aggregation cuts the latency
 term and leaves the bandwidth term).  Each state only *describes* its
 traffic as a ``_links`` table: per stage key, the :class:`_HaloLink`
@@ -83,11 +92,12 @@ one (local wraps)           2      5                  0, 1, 2, 3, 5
 ==========================  =====  =================  =============
 
 so a P = 2 run sends one message a rank and sweep, a P >= 3 run of wide
-pieces two, and none is posted for a measurement.  The block colors already ship only the
-sites they read, which leaves exactly the color-1 ghost sites stale
-after a sweep; every boundary bond has one color-1 end, and the rank
-owning that end counts the bond against its fresh color-0 ghost
-partner, so the block measurement posts nothing either.
+pieces two, and none is posted for a measurement.  The block refreshes
+once a sweep too, every ghost plane before color 0 (one message a rank
+and split axis), which leaves the outer planes and the inner ones'
+color-1 sites stale after a sweep; every boundary bond has one color-1
+end, and the rank owning that end counts the bond against its fresh
+color-0 ghost partner, so the block measurement posts nothing either.
 
 Ownership conventions (world-line strip, global column indices):
 
@@ -135,6 +145,7 @@ from repro.kernels.chain_tables import (
     plaquette_codes,
     shaded_corners,
 )
+from repro.kernels.ising_tables import ising_thresholds
 from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
 from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
 from repro.qmc.plaquette import PlaquetteTable
@@ -154,6 +165,7 @@ __all__ = [
     "N_WL_STAGES",
     "REDUCE_BATCH",
     "strip_halo_traffic",
+    "block_halo_traffic",
     "WorldlineStripConfig",
     "worldline_strip_program",
     "IsingBlockConfig",
@@ -451,23 +463,26 @@ class _DecomposedState:
         self._sweep_pos = 0
 
     # -- shared randomness ---------------------------------------------------
-    def _sweep_draw(self, offset: int, shape) -> np.ndarray:
-        """This sweep's ``shape`` uniforms from ``offset`` into its share
-        of the run's sweep stream; advances ``sweep_index``.
+    def _sweep_draw(self, spans) -> None:
+        """Fill this sweep's uniforms: per ``(offset, out)`` of ``spans``,
+        ``out.size`` doubles from ``offset`` into its share of the run's
+        sweep stream, into the C-contiguous ``out``; advances
+        ``sweep_index``.
 
         Every rank builds the same stream from ``sweep_seed``, and sweep
         ``k`` owns its ``_per_sweep`` doubles from position
         ``k * _per_sweep`` on.  PCG64 spends one step per double, so
         ``advance`` skips exactly the numbers other ranks (or other
-        sweeps) draw, and the position is a function of ``sweep_index``
-        alone: a restore sets that and nothing else.
+        sweeps) draw -- or steps back to a span drawn twice -- and the
+        position is a function of ``sweep_index`` alone: a restore sets
+        that and nothing else.
         """
-        target = self.sweep_index * self._per_sweep + offset
-        self._sweep_gen.bit_generator.advance(target - self._sweep_pos)
-        u = self._sweep_gen.random(shape)
-        self._sweep_pos = target + u.size
+        gen, base = self._sweep_gen, self.sweep_index * self._per_sweep
+        for offset, out in spans:
+            gen.bit_generator.advance(base + offset - self._sweep_pos)
+            gen.random(out=out)
+            self._sweep_pos = base + offset + out.size
         self.sweep_index += 1
-        return u
 
     def _init_rank(self, comm, cfg, kernel: str) -> None:
         """What :meth:`sweep` and :func:`_run_decomposed` need of any
@@ -497,7 +512,8 @@ class _DecomposedState:
     # -- halo exchange -------------------------------------------------------
     def _plan_exchanges(self) -> None:
         """Compile ``_links`` into what :meth:`_exchange` executes: per
-        stage key the sends and the receives, one per neighbor rank
+        stage key one phase per axis with links, in axis order, each the
+        sends and the receives, one per neighbor rank
         (:func:`_per_neighbor`), and the one local wrap of its unsplit
         links.  Geometry is static, so this runs once, at construction.
         """
@@ -505,27 +521,31 @@ class _DecomposedState:
         self._flat = getattr(self, self._array).reshape(-1)
         self._plans = {}
         for stage, axes in self._links.items():
-            links = [ln for axis in axes for ln in axis]
-            wraps = [ln for ln in links if ln.dest is None and ln.source is None]
-            self._plans[stage] = (
-                _per_neighbor(links, "dest", "send"),
-                _per_neighbor(links, "source", "ghost"),
-                (np.concatenate([ln.ghost for ln in wraps]),
-                 np.concatenate([ln.send for ln in wraps])) if wraps else None,
-            )
+            phases = []
+            for links in filter(None, axes):
+                wraps = [ln for ln in links if ln.dest is None and ln.source is None]
+                phases.append((
+                    _per_neighbor(links, "dest", "send"),
+                    _per_neighbor(links, "source", "ghost"),
+                    (np.concatenate([ln.ghost for ln in wraps]),
+                     np.concatenate([ln.send for ln in wraps])) if wraps else None,
+                ))
+            self._plans[stage] = phases
 
     def _exchange(self, stage, offload: bool = False) -> list:
         """Post the halo links scheduled before ``stage``: ONE aggregated
-        message per neighbor rank, none where the schedule has nothing
-        stale.
+        message per neighbor rank and phase, none where the schedule has
+        nothing stale.  Phases run in order, each complete before the
+        next sends: a later axis ships the ghosts an earlier one filled.
 
         Lockstep (``offload=False``) sends, then receives, with blocking
         calls and returns nothing pending.  The overlapped schedule
         (``offload=True``) posts the same payloads to the same
-        neighbors under the same tags as offloaded ``isend``/``irecv``
-        and returns the ``(request, ghost sites)`` pairs, in the
-        lockstep receive order, for :meth:`_exchange_wait` -- so the
-        modeled clock advances through identical arrival stamps.
+        neighbors under the same tags as offloaded ``isend``/``irecv``;
+        it waits out every phase but the last at once and returns the
+        last one's ``(request, ghost sites)`` pairs, in the lockstep
+        receive order, for :meth:`_exchange_wait` -- so the modeled
+        clock advances through identical arrival stamps.
         Every call advances the tag block, posted or not:
         tags stay in step across ranks.
         """
@@ -533,20 +553,23 @@ class _DecomposedState:
         base, period, stride = self._tag_schedule
         tag = base + (self._n_exchanges % period) * stride
         self._n_exchanges += 1
-        sends, recvs, wrap = self._plans[stage]
-        for dest, offset, sites in sends:
-            # offloaded, this is isend minus its finished Request
-            comm.send(flat[sites], dest, tag=tag + offset, offload=offload)
-        if wrap is not None:
-            flat[wrap[0]] = flat[wrap[1]]
-        if offload:
-            return [
-                (comm.irecv(source=source, tag=tag + offset, offload=True), sites)
-                for source, offset, sites in recvs
-            ]
-        for source, offset, sites in recvs:
-            flat[sites] = comm.recv(source=source, tag=tag + offset)
-        return []
+        pending: list = []
+        for sends, recvs, wrap in self._plans[stage]:
+            self._exchange_wait(pending)
+            for dest, offset, sites in sends:
+                # offloaded, this is isend minus its finished Request
+                comm.send(flat[sites], dest, tag=tag + offset, offload=offload)
+            if wrap is not None:
+                flat[wrap[0]] = flat[wrap[1]]
+            if offload:
+                pending = [
+                    (comm.irecv(source=source, tag=tag + offset, offload=True), sites)
+                    for source, offset, sites in recvs
+                ]
+            else:
+                for source, offset, sites in recvs:
+                    flat[sites] = comm.recv(source=source, tag=tag + offset)
+        return pending
 
     def _exchange_wait(self, pending: list) -> None:
         """Wait for each offloaded halo message, unpack its ghosts."""
@@ -1022,7 +1045,9 @@ class _StripState(_DecomposedState):
         Every kernel and all rank counts index the same numbers, the
         source of bit-identity.
         """
-        return self._sweep_draw(0, self._per_sweep)
+        u = np.empty(self._per_sweep)
+        self._sweep_draw([(0, u)])
+        return u
 
     def _charge_moves(self, n_moves: int, flops_per_move: float,
                       category: str) -> None:
@@ -1191,7 +1216,7 @@ class IsingBlockConfig:
     backend (batched ``numpy``, the default; per-site ``scalar``;
     ``numba``), all of which produce bit-identical trajectories.  ``overlap``
     charges the modeled clock the overlapped schedule (offloaded halo
-    posts, the interior sites' share of a color hidden behind the
+    posts, the interior sites' share of color 0 hidden behind the
     wire); what executes is the lockstep order.
     """
 
@@ -1219,12 +1244,72 @@ class IsingBlockConfig:
         _validate_schedule(self)
 
 
-class _BlockState(_DecomposedState):
-    """Per-rank block of the (lx, ly, lt) classical lattice.
+#: Ghost planes a side of every spatial axis of extent > 1 in a block
+#: rank's frame: the inner one color 0 updates redundantly, and the outer
+#: one that update reads.
+_BLOCK_DEPTH = 2
 
-    The block lives inside a ghosted array ``g`` with one ghost plane
-    per spatial side; ``spins`` is the interior view.  Ghost corners
-    are never read (no diagonal couplings).
+
+def _block_decomposition(lx: int, ly: int, n_ranks: int) -> BlockDecomposition:
+    """The block driver's split of ``lx x ly`` over ``n_ranks``: along
+    the one axis of extent > 1 if the other is inert, else the most
+    square grid; pieces even along every axis the grid splits (so
+    checkerboard parities align across rank boundaries)."""
+    grid = (n_ranks, 1) if ly == 1 else (1, n_ranks) if lx == 1 else None
+    decomp = BlockDecomposition(lx, ly, n_ranks, process_grid=grid)
+    for p in decomp.pieces:
+        bx, by = p.shape
+        if decomp.px > 1 and bx % 2:
+            raise ValueError(f"odd x-block of {bx} columns on rank {p.rank}")
+        if decomp.py > 1 and by % 2:
+            raise ValueError(f"odd y-block of {by} columns on rank {p.rank}")
+    return decomp
+
+
+def block_halo_traffic(lx: int, ly: int, lt: int, n_ranks: int):
+    """``(refreshes, messages, sites, updates, interior)``: what rank 0
+    of the block driver (the largest piece) posts and prices a sweep of
+    the ``(lx, ly, lt)`` lattice on ``n_ranks`` ranks -- one refresh of
+    ``messages`` aggregated messages (one per neighbor rank and phase)
+    of ``sites`` spins each on average; ``updates`` site updates, color
+    0's box (the owned sites and the inner ghost ring it updates
+    redundantly) and the owned box; ``interior`` of them priced before
+    the halo wait under ``overlap`` -- color 0's box off the last split
+    axis's two ghost-bound planes a side.  The performance model's block
+    workload charges this schedule."""
+    decomp = _block_decomposition(lx, ly, n_ranks)
+    shape = decomp.piece(0).shape
+    rims = [int(n > 1) for n in (lx, ly)]
+    parts = [decomp.px, decomp.py]
+    box = [b + 2 * r for b, r in zip(shape, rims)]
+    # a phase ships 2 * depth planes of its axis across the frame of the
+    # axes before it, to one rank per side (the same one on a 2-wide axis)
+    neighbors = [min(n - 1, 2) for n in parts]
+    planes = [
+        2 * _BLOCK_DEPTH * rims[0] * shape[1] * lt,
+        2 * _BLOCK_DEPTH * rims[1] * (shape[0] + 2 * _BLOCK_DEPTH * rims[0]) * lt,
+    ]
+    messages = sum(neighbors)
+    sites = sum(n and p for n, p in zip(neighbors, planes))
+    split = [a for a in (0, 1) if parts[a] > 1]
+    inner = list(box)
+    if split:
+        inner[split[-1]] = shape[split[-1]] - 2
+    updates = (box[0] * box[1] + shape[0] * shape[1]) * lt
+    return 1, messages, sites / messages if messages else 0, updates, (
+        max(0, inner[0]) * max(0, inner[1]) * lt)
+
+
+class _BlockState(_DecomposedState):
+    """Per-rank block of the (lx, ly, lt) classical lattice in its frame.
+
+    The frame ``g`` keeps :data:`_BLOCK_DEPTH` ghost planes a side on
+    every spatial axis of extent > 1 and none on an extent-1 axis, so a
+    chain's spins are one contiguous ``(bx, 1, lt)`` slab; ``spins`` is
+    the owned view.  One refresh a sweep, before color 0, fills every
+    ghost (module docstring, "Halo schedule").  Color 0 updates its box
+    -- the owned sites and the inner ghost ring around them -- so color
+    1, which updates the owned box, reads only fresh ghosts.
     """
 
     _array = "g"
@@ -1237,67 +1322,89 @@ class _BlockState(_DecomposedState):
 
     def __init__(self, comm, cfg: IsingBlockConfig):
         super().__init__(comm, cfg)
-        grid = None
-        if cfg.ly == 1:
-            grid = (comm.size, 1)  # inert y axis: decompose x only
-        elif cfg.lx == 1:
-            grid = (1, comm.size)
-        decomp = BlockDecomposition(
-            cfg.lx, cfg.ly, comm.size, process_grid=grid, require_even=False
-        )
-        # Evenness is needed only along axes the process grid actually
-        # splits (so checkerboard parities align across rank boundaries).
-        for p in decomp.pieces:
-            bx, by = p.shape
-            if decomp.px > 1 and bx % 2:
-                raise ValueError(f"odd x-block of {bx} columns on rank {p.rank}")
-            if decomp.py > 1 and by % 2:
-                raise ValueError(f"odd y-block of {by} columns on rank {p.rank}")
-        self.decomp = decomp
+        self.decomp = decomp = _block_decomposition(cfg.lx, cfg.ly, comm.size)
         p = decomp.piece(comm.rank)
         self.piece = p
-        self.bx, self.by = p.shape
-        self.lt = cfg.lt
-        self.couplings = np.array([cfg.kx, cfg.ky, cfg.kt])
+        self.bx, self.by = bx, by = p.shape
+        self.lt = lt = cfg.lt
+        self._thr = ising_thresholds(cfg.kx, cfg.ky, cfg.kt)
+        # Ghost planes a side per spatial axis, and the inner ring of
+        # them color 0 updates (its box's rim).
+        self._depth = dx, dy = [_BLOCK_DEPTH if n > 1 else 0 for n in (cfg.lx, cfg.ly)]
+        rx, ry = dx // 2, dy // 2
         # Cold start matching AnisotropicIsing's default; ghost planes
-        # are overwritten by the first exchange.
-        self.g = np.ones((self.bx + 2, self.by + 2, self.lt), dtype=np.int8)
-        self.spins = self.g[1:-1, 1:-1]
-        # Global parity of each local site (for checkerboard colors).
-        gx = np.arange(p.x_start, p.x_stop)
-        gy = np.arange(p.y_start, p.y_stop)
-        gt = np.arange(self.lt)
-        parity = (gx[:, None, None] + gy[None, :, None] + gt[None, None, :]) % 2
-        self.color_masks = [(parity == c) for c in (0, 1)]
-        self._n_sites = self._per_sweep = cfg.lx * cfg.ly * cfg.lt
-        self._n_color_sites = [int(m.sum()) for m in self.color_masks]
-        # Link tables per stage: the two checkerboard colors.  The
-        # measurement has none (see :meth:`measure`).
-        self._links = {c: self._build_links(c) for c in (0, 1)}
-        self._plan_exchanges()
-        # Per spatial axis, the boundary bonds this rank counts: its
-        # color-1 face sites (what the color-0 links send) against their
-        # ghost partners (where the color-1 links land, opposite face
-        # first); None for an extent-1 axis.
-        self._face_bonds = [
-            (np.concatenate([ln.send for ln in before]),
-             np.concatenate([ln.ghost for ln in reversed(after)]))
-            if before else None
-            for before, after in zip(self._links[0], self._links[1])
+        # are overwritten by the first refresh.
+        self.g = np.ones((bx + 2 * dx, by + 2 * dy, lt), dtype=np.int8)
+        self.spins = self.g[dx : dx + bx, dy : dy + by]
+        # The color-0 sites of color 0's box (global parity), and both
+        # colors' sites of the owned box inside it.
+        x = np.arange(p.x_start - rx, p.x_stop + rx)
+        y = np.arange(p.y_start - ry, p.y_stop + ry)
+        self._box = box = (x[:, None, None] + y[None, :, None] + np.arange(lt)) % 2 == 0
+        self._owned = (slice(rx, rx + bx), slice(ry, ry + by))
+        self.color_masks = [box[self._owned], ~box[self._owned]]
+        self._n_sites = self._per_sweep = cfg.lx * cfg.ly * lt
+        # Color 0's box draws the global field's rows x_start - 1 ..
+        # x_stop (wrapped), one span per run of consecutive rows, and
+        # takes the columns y_start - 1 .. y_stop of each.
+        rows = x % cfg.lx
+        cut = np.flatnonzero(np.diff(rows) != 1) + 1
+        self._u_spans = [
+            (int(rows[a]) * cfg.ly * lt, a, b)
+            for a, b in zip((0, *cut), (*cut, rows.size))
         ]
-        # Overlapped schedule: per color, the count of interior sites
-        # (no neighbour in a ghost plane: off the first and last plane of
-        # every axis the process grid splits) -- the share of a color's
-        # compute the clock is charged before the halo wait.
+        cols = y % cfg.ly
+        self._u_cols = (
+            slice(cols[0], cols[-1] + 1) if (np.diff(cols) == 1).all() else cols
+        )
+        # The one refresh; either color's stage names it, and a sweep
+        # posts it before color 0 only.
+        self._links = dict.fromkeys((0, 1), self._refresh_links())
+        self._plan_exchanges()
+        # Per spatial axis, the bonds this rank counts as the frame's
+        # plane pairs from the inner ghost plane to the owned faces, and
+        # the mask of the counted ones: every inner pair, and a face pair
+        # where its owned end is color 1 -- its partner, color 0, is
+        # fresh after a sweep; None for an extent-1 axis.
+        c1, self._axis_bonds = self.color_masks[1], []
+        for axis, d in enumerate(self._depth):
+            if not d:
+                self._axis_bonds.append(None)
+                continue
+            planes = [slice(dx, dx + bx), slice(dy, dy + by)]
+            n = (bx, by)[axis]
+            planes[axis] = slice(d - 1, d + n)
+            lo = self.g[tuple(planes)]
+            planes[axis] = slice(d, d + n + 1)
+            hi = self.g[tuple(planes)]
+            counted = np.ones(lo.shape, dtype=bool)
+            ends = [slice(None)] * 3
+            for pair, face in ((0, 0), (n, n - 1)):
+                ends[axis] = pair
+                counted[tuple(ends)] = np.take(c1, face, axis=axis)
+            self._axis_bonds.append((lo, hi, counted, int(counted.sum())))
+        # Overlapped schedule: the color-0 sites of its box that neither
+        # sit in nor neighbour a ghost the refresh's last phase is still
+        # receiving -- the share of color 0's compute the clock is
+        # charged before the halo wait.
         if cfg.overlap and comm.size > 1:
-            inner = tuple(
-                slice(1, -1) if parts > 1 else slice(None)
-                for parts in (decomp.px, decomp.py)
-            )
-            self._n_int = [int(m[inner].sum()) for m in self.color_masks]
-            if not any(self._n_int):
+            flight = np.zeros(self.g.size, dtype=bool)
+            for _, _, sites in self._plans[0][-1][1]:
+                flight[sites] = True
+            flight = flight.reshape(self.g.shape)
+            near = flight.copy()  # in flight, or next to it
+            if dx:
+                near[1:] |= flight[:-1]
+                near[:-1] |= flight[1:]
+            if dy:
+                near[:, 1:] |= flight[:, :-1]
+                near[:, :-1] |= flight[:, 1:]
+            self._n_int = int(np.count_nonzero(
+                box & ~near[dx - rx : dx + bx + rx, dy - ry : dy + by + ry]))
+            self._n_box = int(np.count_nonzero(box))
+            if not self._n_int:
                 warnings.warn(
-                    f"rank {comm.rank}: block {self.bx}x{self.by} is too"
+                    f"rank {comm.rank}: block {bx}x{by} is too"
                     " thin for halo overlap (every site is"
                     " ghost-adjacent); falling back to the lockstep"
                     " exchange",
@@ -1307,132 +1414,118 @@ class _BlockState(_DecomposedState):
                 self.overlap_active = True
 
     # -- halo description -----------------------------------------------------
-    def _build_links(self, color: int) -> list[list[_HaloLink]]:
-        """The x-axis and y-axis link pairs of one stage.
+    def _refresh_links(self) -> list[list[_HaloLink]]:
+        """The refresh, as its x-phase and y-phase link pairs.
 
-        ``color`` is the checkerboard color about to be updated: only
-        the opposite-parity boundary sites -- the ones that color
-        actually reads, and the only ones written since they last
-        shipped -- are packed, halving the wire bytes at the same
-        message count.  The parity of an x-boundary site is
-        ``(gx + yt) % 2``, of a y-boundary site ``(gy + xt) % 2``;
-        sender and receiver evaluate the same *global* plane
-        coordinate and flatten in C order, so the site orders agree.
-        Axes the process grid does not split wrap locally; an extent-1
-        axis (zero coupling, no bonds) has an empty pair: its ghosts
-        are never refreshed and never read.
+        Each link ships the :data:`_BLOCK_DEPTH` owned planes of one face
+        into the opposite neighbour's ghost planes, whole and in C order:
+        x planes over the owned y range, then y planes over the whole x
+        extent of the frame, x ghosts included -- so the y phase fills
+        the corners.  Axes the process grid does not split copy locally;
+        an extent-1 axis has no ghosts and no links.
         """
-
-        def sites(plane: np.ndarray, par: np.ndarray, coord: int) -> np.ndarray:
-            return plane[par == ((coord + color + 1) % 2)]
-
-        p, cfg = self.piece, self.cfg
-        g = np.arange(self.g.size).reshape(self.g.shape)  # flat site index
-        s = g[1:-1, 1:-1]
-        gt = np.arange(self.lt)
-        yt = (np.arange(p.y_start, p.y_stop)[:, None] + gt) % 2
-        xt = (np.arange(p.x_start, p.x_stop)[:, None] + gt) % 2
+        p, (dx, dy), d = self.piece, self._depth, _BLOCK_DEPTH
+        bx, by = self.bx, self.by
+        flat = np.arange(self.g.size).reshape(self.g.shape)
         east, west = (p.east, p.west) if self.decomp.px > 1 else (None, None)
         north, south = (p.north, p.south) if self.decomp.py > 1 else (None, None)
+        ys = slice(dy, dy + by)
         return [
             [
-                _HaloLink(east, west, sites(s[-1], yt, p.x_stop - 1),
-                          sites(g[0, 1:-1], yt, p.x_start - 1), 0),
-                _HaloLink(west, east, sites(s[0], yt, p.x_start),
-                          sites(g[-1, 1:-1], yt, p.x_stop), 1),
-            ] if cfg.lx > 1 else [],
+                _HaloLink(east, west, flat[bx + dx - d : bx + dx, ys].ravel(),
+                          flat[:dx, ys].ravel(), 0),
+                _HaloLink(west, east, flat[dx : dx + d, ys].ravel(),
+                          flat[bx + dx :, ys].ravel(), 1),
+            ] if dx else [],
             [
-                _HaloLink(north, south, sites(s[:, -1], xt, p.y_stop - 1),
-                          sites(g[1:-1, 0], xt, p.y_start - 1), 2),
-                _HaloLink(south, north, sites(s[:, 0], xt, p.y_start),
-                          sites(g[1:-1, -1], xt, p.y_stop), 3),
-            ] if cfg.ly > 1 else [],
+                _HaloLink(north, south, flat[:, by + dy - d : by + dy].ravel(),
+                          flat[:, :dy].ravel(), 2),
+                _HaloLink(south, north, flat[:, dy : dy + d].ravel(),
+                          flat[:, by + dy :].ravel(), 3),
+            ] if dy else [],
         ]
 
     def _sweep_uniforms(self) -> np.ndarray:
-        """This sweep's per-site uniforms: this rank's block of the
-        global ``(lx, ly, lt)`` field every rank derives from the shared
-        sweep stream -- the source of serial/parallel bit-identity.  The
-        stream skips ahead to the rank's first x-row of this sweep's
-        field and draws its rows only, so a rank's random work is its
-        share of the lattice.
+        """This sweep's per-site uniforms over color 0's box: the rank's
+        rows of the global ``(lx, ly, lt)`` field every rank derives from
+        the shared sweep stream, one more a side on a ghosted axis
+        (wrapped) -- the source of serial/parallel bit-identity, a
+        redundant update deciding on its owner's number.  The stream
+        skips ahead to each run of those rows and draws it alone, so a
+        rank's random work is its share of the lattice and a rim.
         """
-        p, ly = self.piece, self.cfg.ly
-        u = self._sweep_draw(p.x_start * ly * self.lt, (self.bx, ly, self.lt))
-        return u[:, p.y_start : p.y_stop]
+        u = np.empty((self._u_spans[-1][2], self.cfg.ly, self.lt))
+        self._sweep_draw([(offset, u[a:b]) for offset, a, b in self._u_spans])
+        return u[:, self._u_cols]
 
     def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
-        """One color's Metropolis update through the configured
-        backend's ``block_color`` op; returns the accepted-flip count."""
+        """One color's Metropolis update of the sites of ``mask``, a box
+        at the frame's centre (the owned one, or color 0's), through the
+        configured backend's ``block_color`` op; returns the count of
+        accepted flips the rank owns."""
+        rim = ((mask.shape[0] - self.bx) // 2, (mask.shape[1] - self.by) // 2)
         return self._timed(
-            self._kops["block_color"], self.g, self.couplings, mask, log_u
+            self._kops["block_color"], self.g, self._thr, mask, log_u, rim
         )
 
     def _sweep_stages(self) -> None:
-        """Both checkerboard colors, each one kernel call behind its
-        color-packed halo exchange.
+        """The refresh, then both checkerboard colors, one kernel call
+        each: color 0 over its box, color 1 over the owned sites.
 
-        The overlapped schedule differs in what the clock is charged,
-        not in what runs: each color posts its exchange offloaded,
-        charges its interior sites' share of the update (they read no
-        ghost) under ``interior`` before the wait and the rest under
-        ``boundary`` after it, where lockstep charges both colors at
-        once at the end.
+        The clock prices the work done, color 0's redundant ring
+        included.  The overlapped schedule differs in what it is
+        charged, not in what runs: the refresh posts offloaded, color
+        0's interior sites (they read no ghost in flight) are charged
+        under ``interior`` before the wait and the rest of it under
+        ``boundary`` after; lockstep charges the sweep at once at the
+        end.
         """
-        uniforms = self._sweep_uniforms()
-        log_u = np.log(np.maximum(uniforms, 1e-300))
+        log_u = self._sweep_uniforms()
+        np.log(np.maximum(log_u, 1e-300, out=log_u), out=log_u)
         overlap, comm = self.overlap_active, self.comm
-        flops_per_color = FLOPS_PER_SPIN_UPDATE * self.spins.size
-        for c, mask in enumerate(self.color_masks):
-            pending = self._exchange(c, offload=overlap)
-            if overlap:
-                frac = self._n_int[c] / self._n_color_sites[c]
-                comm.charge_seconds(
-                    comm.machine.compute_time(flops_per_color * frac), "interior"
-                )
-                self._exchange_wait(pending)
-            self.n_accepted += self._update_color(mask, log_u)
-            if overlap:
-                comm.charge_seconds(
-                    comm.machine.compute_time(flops_per_color * (1.0 - frac)),
-                    "boundary",
-                )
-        if not overlap:
-            comm.charge_compute(flops_per_color * 2)
-        self.n_attempted += self._n_color_sites[0] + self._n_color_sites[1]
+        box, owned = self._box, self._owned
+        flops = FLOPS_PER_SPIN_UPDATE * box.size
+        pending = self._exchange(0, offload=overlap)
+        if overlap:
+            frac = self._n_int / self._n_box
+            comm.charge_seconds(comm.machine.compute_time(flops * frac), "interior")
+            self._exchange_wait(pending)
+        self.n_accepted += self._update_color(box, log_u)
+        if overlap:
+            comm.charge_seconds(
+                comm.machine.compute_time(flops * (1.0 - frac)), "boundary"
+            )
+            flops = 0.0
+        self.n_accepted += self._update_color(self.color_masks[1], log_u[owned])
+        comm.charge_compute(flops + FLOPS_PER_SPIN_UPDATE * self.spins.size)
+        self.n_attempted += self.spins.size
 
     # -- measurement -----------------------------------------------------------
     def measure(self) -> np.ndarray:
         """Spin sum and (x, y, t) bond sums of the bonds this rank counts.
 
-        After a full sweep a ghost is stale exactly at its color-1
-        sites (color 0 shipped before the color-1 stage and has not
-        moved since).  Every boundary bond has one color-1 end; the
-        rank owning that end counts the bond, reading the partner's
+        After a full sweep the outer ghost planes are stale and so are
+        the inner ones' color-1 sites (color 0 updated the ring, color 1
+        only the owned box).  Every boundary bond has one color-1 end;
+        the rank owning that end counts the bond, reading the partner's
         fresh color-0 ghost.  Each bond is still counted once over the
         ranks and the sums are exact integers, so the totals are the
         ones owned-origin counting gave.  An extent-1 axis bonds every
         site to itself.
         """
-        self._n_exchanges += 1  # the tag block its exchange used to take
-        s, flat = self.spins, self._flat
-
-        def bonds(a: np.ndarray, b: np.ndarray) -> int:
-            return a.size - 2 * np.count_nonzero(a != b)  # exact for +-1
-
-        sums = [s.size - 2 * np.count_nonzero(s < 0)]
-        for inner, faces in zip(
-            ((s[:-1], s[1:]), (s[:, :-1], s[:, 1:])), self._face_bonds
-        ):
-            if faces is None:
+        s = self.spins
+        sums = [s.sum(dtype=np.int64)]
+        for pairs in self._axis_bonds:
+            if pairs is None:
                 sums.append(s.size)
-            else:
-                own, ghost = faces
-                sums.append(bonds(*inner) + bonds(flat[own], flat[ghost]))
-        sums.append(
-            bonds(s[..., :-1], s[..., 1:]) + bonds(s[..., -1], s[..., 0])
-            if self.lt > 1 else s.size
-        )
+            else:  # exact for +-1: a bond is 1 less 2 if its ends differ
+                lo, hi, counted, n = pairs
+                sums.append(n - 2 * np.count_nonzero((lo != hi) & counted))
+        if self.lt > 1:
+            sums.append(s.size - 2 * (np.count_nonzero(s[..., :-1] != s[..., 1:])
+                                      + np.count_nonzero(s[..., -1] != s[..., 0])))
+        else:
+            sums.append(s.size)
         return np.array(sums, dtype=np.float64)
 
     def series_columns(self, totals: np.ndarray) -> tuple:
@@ -1444,6 +1537,15 @@ class _BlockState(_DecomposedState):
         return {
             "block": self.spins.copy(),
             "piece": (p.x_start, p.x_stop, p.y_start, p.y_stop),
+        }
+
+    def _checkpoint_expect(self) -> dict:
+        """The shared fingerprint plus the halo schedule: ghost depth and
+        refreshes a sweep, so a bundle of another frame (whose ``g`` and
+        exchange counter mean something else) is refused."""
+        return {
+            **super()._checkpoint_expect(),
+            "block_schedule": {"ghost_depth": _BLOCK_DEPTH, "refreshes": 1},
         }
 
 

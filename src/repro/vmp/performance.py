@@ -17,7 +17,10 @@ parallelization strategies implemented in :mod:`repro.qmc.parallel`:
     2-D spatial decomposition on a ``px x py`` process grid; halos are
     the four boundary edges of the owned block, again over all slices,
     one message per neighbor *rank* (on a 2-wide axis both edges go to
-    the same rank and share a buffer).
+    the same rank and share a buffer).  The block driver's own workload
+    (:func:`ising_block_workload`) charges its schedule instead: one
+    refresh a sweep of two-plane faces, and the ghost ring it updates
+    redundantly as compute.
 
 ``replica``
     Trivial parallelism: each rank runs an independent Markov chain
@@ -42,6 +45,7 @@ __all__ = [
     "PerformanceModel",
     "worldline2d_workload",
     "worldline_strip_workload",
+    "ising_block_workload",
     "speedup",
     "efficiency",
     "gustafson_scaled_speedup",
@@ -122,7 +126,13 @@ class WorkloadShape:
         ``p`` ranks, the messages it sends at each (one per neighbor
         rank) and the sites one message carries.  Overrides the two
         fields above; the strip workload passes the driver's own
-        (:func:`repro.qmc.parallel.strip_halo_traffic`).
+        (:func:`repro.qmc.parallel.strip_halo_traffic`).  A schedule of
+        five, ``(..., updates, interior)``, also prices the compute: the
+        site updates one rank's sweep runs at ``flops_per_site`` each,
+        redundant ones included, in place of its owned sites, and the
+        ones of them the overlapped schedule charges before its halo
+        wait -- the block workload's
+        (:func:`repro.qmc.parallel.block_halo_traffic`).
     overlap:
         Model the five-stage overlap pipeline (pack -> post -> update
         interior -> wait -> update boundary): each halo message charges
@@ -144,7 +154,7 @@ class WorkloadShape:
     serial_fraction: float = 0.0
     halo_messages_per_sweep: int | None = None
     halo_sites_per_message: float | None = None
-    halo_schedule: Callable[[int], tuple[int, int, int]] | None = None
+    halo_schedule: Callable[[int], tuple] | None = None
     overlap: bool = False
 
     def __post_init__(self):
@@ -256,6 +266,43 @@ def worldline_strip_workload(
     return WorkloadShape(**kwargs)
 
 
+def ising_block_workload(
+    lx: int, ly: int, lt: int, sweeps: int, **overrides
+) -> WorkloadShape:
+    """Workload of the block-decomposed Ising / TFIM driver.
+
+    Mirrors what :func:`repro.qmc.parallel.ising_block_program`
+    executes and charges per sweep, from the driver's own schedule
+    (:func:`repro.qmc.parallel.block_halo_traffic`):
+
+    * compute -- ``FLOPS_PER_SPIN_UPDATE`` per site of each color's box:
+      color 0's (the owned sites and the inner ghost ring it updates
+      redundantly) and color 1's (the owned sites);
+    * halos -- one refresh a sweep of every ghost plane, two a side, one
+      aggregated message per neighbor rank and axis.  Spins ship as
+      single bytes;
+    * measurement -- four doubles per measurement (spin sum and three
+      bond sums), reduced in batches of up to the run loop's cap.
+    """
+    from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
+    from repro.qmc.parallel import REDUCE_BATCH, block_halo_traffic
+
+    kwargs = dict(
+        lx=lx,
+        ly=ly,
+        lt=lt,
+        flops_per_site=FLOPS_PER_SPIN_UPDATE,
+        sweeps=sweeps,
+        strategy="block",
+        bytes_per_site=1,
+        halo_schedule=partial(block_halo_traffic, lx, ly, lt),
+        allreduce_doubles=4,
+        reduction_batch=REDUCE_BATCH,
+    )
+    kwargs.update(overrides)
+    return WorkloadShape(**kwargs)
+
+
 class PerformanceModel:
     """Predict run time, speedup and communication split for a workload."""
 
@@ -291,24 +338,34 @@ class PerformanceModel:
         topo = self.machine.topology(p)
         return max(1, topo.diameter // max(1, int(math.log2(p)) or 1))
 
+    def _priced(self, p: int) -> tuple[int, int] | None:
+        """``(updates, interior)`` of the workload's schedule, if it
+        prices the compute."""
+        w = self.workload
+        schedule = w.halo_schedule(p) if w.halo_schedule is not None else ()
+        return tuple(schedule[3:]) if len(schedule) > 3 else None
+
     # -- per-sweep cost terms ----------------------------------------------
     def compute_seconds_per_sweep(self, p: int) -> float:
         """Modeled compute seconds per sweep on the slowest rank."""
         w = self.workload
-        if w.strategy == "replica":
-            owned_sites = w.sites
+        priced = self._priced(p)
+        if priced is not None:  # the updates it runs, redundant ones included
+            sites = priced[0]
+        elif w.strategy == "replica":
+            sites = w.sites
         elif w.strategy == "strip":
             if p > w.lx:
                 raise ValueError(f"strip decomposition needs P <= Lx ({w.lx}), got {p}")
-            owned_sites = math.ceil(w.lx / p) * w.ly * w.lt
+            sites = math.ceil(w.lx / p) * w.ly * w.lt
         else:  # block
             px, py = self._process_grid(p)
             if px > w.lx or py > w.ly:
                 raise ValueError(
                     f"block decomposition grid {px}x{py} exceeds lattice {w.lx}x{w.ly}"
                 )
-            owned_sites = math.ceil(w.lx / px) * math.ceil(w.ly / py) * w.lt
-        return self.machine.compute_time(owned_sites * w.flops_per_site)
+            sites = math.ceil(w.lx / px) * math.ceil(w.ly / py) * w.lt
+        return self.machine.compute_time(sites * w.flops_per_site)
 
     def interior_fraction(self, p: int) -> float:
         """Fraction of a rank's sweep compute overlappable with its halo.
@@ -318,11 +375,15 @@ class PerformanceModel:
         independence class, a block rank loses its first/last plane
         along every axis the process grid splits.  Zero when the
         subdomain is too thin to have an interior (the drivers fall
-        back to lockstep there) or when nothing is decomposed.
+        back to lockstep there) or when nothing is decomposed.  A
+        schedule that prices the compute names its interior itself.
         """
         w = self.workload
         if p == 1 or w.strategy == "replica":
             return 0.0
+        priced = self._priced(p)
+        if priced is not None:
+            return priced[1] / priced[0]
         if w.strategy == "strip":
             owned = math.ceil(w.lx / p)
             return max(0.0, (owned - 4.0) / owned)
@@ -352,7 +413,7 @@ class PerformanceModel:
         ranks."""
         w = self.workload
         if w.halo_schedule is not None:
-            exchanges, messages, _ = w.halo_schedule(p)
+            exchanges, messages = w.halo_schedule(p)[:2]
             return exchanges * messages
         neighbors = self._halo_neighbors(p)
         if neighbors and w.halo_messages_per_sweep is not None:
@@ -366,7 +427,7 @@ class PerformanceModel:
         split over them -- under the workload's overrides."""
         w = self.workload
         if w.halo_schedule is not None:
-            return w.halo_schedule(p)
+            return w.halo_schedule(p)[:3]
         neighbors = self._halo_neighbors(p)
         if neighbors == 0:
             return 0.0, 0, 0.0

@@ -21,7 +21,11 @@ Trotter energy at the sampler's own Trotter number, as one batch of
 serial chains and as solo strip runs at P = 2 on threads.  The strip's
 pieces of 4 columns are thinner than its ghost depth of 10, so its
 ghosts wrap around the ring into the rank's own columns: the halo
-walk's deep-ghost path, one refresh a sweep.
+walk's deep-ghost path, one refresh a sweep.  And the 4-site TFIM ring
+as solo block runs at P = 2 on threads, against the exact energy of
+its own classical lattice (a transfer matrix along imaginary time):
+pieces of 2 columns, as thin as the block's ghost depth, so every
+ghost plane is a whole piece of the other rank.
 """
 
 import numpy as np
@@ -30,7 +34,8 @@ from scipy import stats
 
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
-from repro.run.config import ParallelLayout, XXZRunConfig
+from repro.qmc.tfim import tfim_energy_from_bond_sums
+from repro.run.config import ParallelLayout, TfimRunConfig, XXZRunConfig
 from repro.run.simulation import Simulation, run_batch
 
 #: Chance that a calibrated sampler fails a cell, both bands together.
@@ -96,6 +101,66 @@ def test_strip_ring_energy_error_bars_are_calibrated():
         )).run().estimates["energy"]
         z.append((est.value - reference) / est.error)
     _assert_calibrated(np.array(z), "8-site ring energy, strip P = 2")
+
+
+def tfim_transfer_energy(n_sites: int, beta: float, gamma: float,
+                         n_slices: int, j: float = 1.0) -> float:
+    """Mean of the TFIM energy estimator on the periodic ``n_sites`` ring
+    at ``n_slices`` Trotter slices, exactly: the sampler's classical
+    lattice, weight ``exp(K_x sum s s' + K_t sum s s')`` with the run's
+    couplings, summed by a ``2^n_sites``-state transfer matrix along
+    imaginary time.  The estimator is linear in the space and time bond
+    sums, whose means are traces against that matrix's power -- no
+    Trotter error between the two, unlike free fermions."""
+    dtau = beta / n_slices
+    kx, kt = dtau * j, -0.5 * np.log(np.tanh(dtau * gamma))
+    spins = 1 - 2 * ((np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1)
+    space = (spins * np.roll(spins, -1, axis=1)).sum(axis=1)  # a slice's bonds
+    overlap = spins @ spins.T  # the time bonds between two slices
+    step = np.exp(kx * space)[:, None] * np.exp(kt * overlap)
+    step /= step.max()  # rescales Z and both numerators alike
+    rest = np.linalg.matrix_power(step, n_slices - 1)
+    z = np.trace(step @ rest)
+    space_sum = n_slices * np.trace(space[:, None] * step @ rest) / z
+    time_sum = n_slices * np.trace((overlap * step) @ rest) / z
+    return tfim_energy_from_bond_sums(
+        space_sum, time_sum, n_sites, n_slices, j, gamma, dtau)
+
+
+def test_transfer_energy_converges_to_exact_diagonalization():
+    """The reference carries the Trotter error of its slices and nothing
+    else: against full ED of the 4-site ring it falls like dtau^2."""
+    from repro.models.ed import ExactDiagonalization
+    from repro.models.hamiltonians import TFIM1D
+
+    exact = ExactDiagonalization(TFIM1D(4).build_sparse(), 4).energy(1.0)
+    errors = [abs(tfim_transfer_energy(4, 1.0, 1.0, n) - exact) for n in (8, 16, 32)]
+    assert errors[0] < 0.1
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+#: Block runs: each its own P = 2 thread run of the 4-site TFIM ring
+#: (~0.5 ms a sweep; pieces of 2 columns), 24 in ~3 s.  They bound the z
+#: mean to +-0.83 and the z spread to [0.46, 1.63]: a halved error bar
+#: (spread 1.9 on these seeds) fails, as does a bias beyond ~0.8
+#: standard errors; 12 longer runs would pass a halved error bar.
+N_BLOCK_RUNS = 24
+
+
+def test_block_tfim_energy_error_bars_are_calibrated():
+    beta, gamma, n_slices = 1.0, 1.0, 8
+    reference = tfim_transfer_energy(4, beta, gamma, n_slices)
+    layout = ParallelLayout(strategy="block", n_ranks=2, backend="thread",
+                            kernel="numpy")
+    z = []
+    for seed in range(N_BLOCK_RUNS):
+        est = Simulation(TfimRunConfig(
+            spatial_shape=(4,), beta=beta, gamma=gamma, n_slices=n_slices,
+            n_sweeps=200, n_thermalize=25, seed=seed, layout=layout,
+        )).run().estimates["energy"]
+        z.append((est.value - reference) / est.error)
+    _assert_calibrated(np.array(z), "4-site TFIM ring energy, block P = 2")
 
 
 def test_bands_reject_a_halved_error_bar():

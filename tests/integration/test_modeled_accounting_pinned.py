@@ -46,6 +46,15 @@ charged compute (strip P = 2 lockstep 122 -> 32 messages, 0.01015 ->
 0.00595 s; P = 4, whose 8-column pieces cap the depth at 6 and refresh
 twice, kept 246 messages and went 0.00894 -> 0.00950 s lockstep,
 0.00507 -> 0.00408 s overlapped).  Both block cases kept every literal.
+
+The block literals were re-recorded, on purpose, when the block began
+to sweep behind one refresh a sweep of two-deep ghost planes, color 0
+updating the inner ring redundantly: the trajectory kept every bit, but
+messages halved and bytes grew (P = 4 lockstep 214 -> 110 messages,
+7616 -> 20928 bytes), the ring joined the charged compute (its 4 x 4
+pieces price a 6 x 6 box for color 0: 0.00466 -> 0.00757 s) and only
+color 0's interior hides the wire, so the lockstep makespan went
+0.01117 -> 0.01101 s and the overlapped one 0.00616 -> 0.00894 s.
 """
 
 import pytest
@@ -117,17 +126,19 @@ PINNED = {
          "interior": 0.00036000000000000013},
     )),
     "block-p4-lockstep": (BLOCK, 4, False, (
-        0.01117251428571427, 214, 7616,
-        {"comm": 0.006508342857142856,
+        0.011012057142857136, 110, 20928,
+        {"comm": 0.003435885714285716,
          "comm_wait": 4.771428571428982e-06,
-         "compute": 0.0046592},
+         "compute": 0.007571200000000001},
     )),
     "block-p4-overlap": (BLOCK, 4, True, (
-        0.006156742857142847, 214, 7616,
-        {"boundary": 0.0034943999999999978,
-         "comm": 0.0014925714285714293,
+        0.008937814285714283, 110, 20928,
+        {"boundary": 0.0034944000000000004,
+         "comm": 0.0008685714285714286,
          "comm_wait": 4.771428571428982e-06,
-         "interior": 0.0011648},
+         "compute": 0.0023296,
+         "halo_wait": 0.0004930714285714343,
+         "interior": 0.0017472},
     )),
     "two-level-2x2": (TWO_LEVEL, 4, False, (
         0.008311428571428574, 126, 11056,
@@ -171,18 +182,24 @@ OVERLAP_OTHER_RANKS = {
          "interior": 0.00036000000000000013},
     ],
     "block-p4-overlap": [
-        {"boundary": 0.0034943999999999978,
-         "comm": 0.0014325714285714293,
-         "comm_wait": 6.487142857142941e-05,
-         "interior": 0.0011648},
-        {"boundary": 0.0034943999999999978,
-         "comm": 0.0014302857142857149,
-         "comm_wait": 6.715714285714363e-05,
-         "interior": 0.0011648},
-        {"boundary": 0.0034943999999999978,
-         "comm": 0.001370285714285715,
-         "comm_wait": 0.00012725714285714406,
-         "interior": 0.0011648},
+        {"boundary": 0.0034944000000000004,
+         "comm": 0.0008085714285714286,
+         "comm_wait": 6.487142857142768e-05,
+         "compute": 0.0023296,
+         "halo_wait": 0.0004930714285714343,
+         "interior": 0.0017472},
+        {"boundary": 0.0034944000000000004,
+         "comm": 0.0008062857142857144,
+         "comm_wait": 6.715714285714276e-05,
+         "compute": 0.0023296,
+         "halo_wait": 0.0004930714285714343,
+         "interior": 0.0017472},
+        {"boundary": 0.0034944000000000004,
+         "comm": 0.0007462857142857143,
+         "comm_wait": 0.00012725714285714146,
+         "compute": 0.0023296,
+         "halo_wait": 0.0004930714285714343,
+         "interior": 0.0017472},
     ],
 }
 
@@ -235,26 +252,28 @@ PER_SWEEP = {
                              n_slices=16, n_sweeps=5),
         4, (8, 1376),
     ),
-    # east and west are the same rank: one message per color and rank
+    # one refresh a sweep of two-deep ghosts; east and west are the same
+    # rank: one message a rank
     "block-p2": (
         ising_block_program,
         IsingBlockConfig(lx=64, ly=1, lt=64, kx=0.2, ky=0.0, kt=0.3,
                          n_sweeps=5),
-        2, (4, 320),
+        2, (2, 576),
     ),
-    # ... and so are north and south: two per color and rank
+    # ... and so are north and south: one message a rank and phase, the
+    # y phase carrying the x ghosts
     "block-2x2": (
         ising_block_program,
         IsingBlockConfig(lx=16, ly=16, lt=8, kx=0.2, ky=0.2, kt=0.3,
                          n_sweeps=5),
-        4, (16, 1216),
+        4, (8, 2752),
     ),
     # a 4-wide axis keeps two neighbors a rank
     "block-4x1": (
         ising_block_program,
         IsingBlockConfig(lx=64, ly=1, lt=64, kx=0.2, ky=0.0, kt=0.3,
                          n_sweeps=5),
-        4, (16, 704),
+        4, (8, 1216),
     ),
 }
 

@@ -2,23 +2,23 @@
 
 The scaling benchmarks trust the closed-form model for P beyond what
 the thread scheduler can execute; these tests pin the model to the
-executed virtual machine at small P.  Compute seconds must match
-exactly (same flop counts, same machine rate), message counts must
-match exactly, and communication seconds must agree within a structural
-factor (the model ships whole boundary planes where the driver ships
-one parity of them).
+executed virtual machine at small P.  The block workload charges the
+driver's own schedule (``block_halo_traffic``), so compute seconds must
+match exactly (same site updates, the ghost ring color 0 updates
+redundantly included, same machine rate), message counts must match
+exactly, and communication seconds must agree within a structural
+factor (the model prices every message at the mean size of a sweep's).
 """
 
 import pytest
 
-from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
-from repro.qmc.parallel import (
-    REDUCE_BATCH,
-    IsingBlockConfig,
-    ising_block_program,
-)
+from repro.qmc.parallel import IsingBlockConfig, ising_block_program
 from repro.vmp.machines import PARAGON
-from repro.vmp.performance import PerformanceModel, WorkloadShape
+from repro.vmp.performance import (
+    PerformanceModel,
+    WorkloadShape,
+    ising_block_workload,
+)
 from repro.vmp.scheduler import run_spmd
 
 LX = LY = 16
@@ -27,18 +27,7 @@ SWEEPS = 12
 
 
 def block_workload() -> WorkloadShape:
-    return WorkloadShape(
-        lx=LX,
-        ly=LY,
-        lt=LT,
-        flops_per_site=2 * FLOPS_PER_SPIN_UPDATE,  # two colors per sweep
-        sweeps=SWEEPS,
-        bytes_per_site=1,  # int8 spin planes
-        strategy="block",
-        measurement_interval=1,
-        allreduce_doubles=4,  # spin sum + three bond sums
-        reduction_batch=REDUCE_BATCH,
-    )
+    return ising_block_workload(LX, LY, LT, SWEEPS)
 
 
 def executed(p: int):
@@ -84,14 +73,15 @@ class TestCommunicationAgreement:
 
 class TestMessageAccounting:
     def test_executed_message_count_matches_halo_structure(self):
-        # Per rank and sweep: 2 colors x one message per neighbor rank
-        # (P = 2 is a 1 x 2 grid, P = 4 a 2 x 2 one: north and south,
-        # east and west are the same rank), nothing for a measurement.
+        # Per rank and sweep: one refresh, one message per neighbor rank
+        # and split axis (P = 2 is a 1 x 2 grid; P = 4 a 2 x 2 one, whose
+        # x phase goes east and west to one rank and y phase north and
+        # south to another), nothing for a color or a measurement.
         # On top, per allreduce, a reduce and a bcast tree of P - 1
         # messages each -- and 12 measurements make one batch.
         model = PerformanceModel(PARAGON, block_workload())
         assert model.reductions() == (1, SWEEPS)
-        for p, per_rank_and_sweep in ((2, 2), (4, 4)):
+        for p, per_rank_and_sweep in ((2, 1), (4, 2)):
             assert model.halo_messages_per_sweep(p) == per_rank_and_sweep
             assert executed(p).total_messages == (
                 p * SWEEPS * per_rank_and_sweep + 2 * (p - 1)

@@ -432,7 +432,9 @@ def _strip_ghosts(st):
 
 
 def _block_ghosts(st):
-    return [st.g[0], st.g[-1], st.g[:, 0], st.g[:, -1]]
+    """Both ghost planes a side of every axis that has them."""
+    (dx, dy), g = st._depth, st.g
+    return [g[:dx], g[g.shape[0] - dx :], g[:, :dy], g[:, g.shape[1] - dy :]]
 
 
 def poisoned_strip_program(comm, cfg, checkpoint=None):
@@ -495,18 +497,19 @@ class TestPoisonedGhosts:
 
 def poisoned_measurement_program(comm, cfg, checkpoint=None):
     """Block program whose every ``measure()`` first finds wrong spins
-    in each ghost site a full sweep leaves stale: the color-1 ones, and
-    every ghost along an extent-1 axis (no stage refreshes those)."""
+    in each ghost site a full sweep leaves stale: the outer planes, and
+    the color-1 sites of the inner ones (color 0 updates the inner ring,
+    corners included; color 1 only the owned sites)."""
     st = _BlockState(comm, cfg)
-    p = st.piece
-    gx = np.arange(p.x_start - 1, p.x_stop + 1)[:, None, None]
-    gy = np.arange(p.y_start - 1, p.y_stop + 1)[None, :, None]
+    p, (dx, dy) = st.piece, st._depth
+    gx = np.arange(p.x_start - dx, p.x_stop + dx)[:, None, None]
+    gy = np.arange(p.y_start - dy, p.y_stop + dy)[None, :, None]
     stale = (gx + gy + np.arange(st.lt)) % 2 == 1
-    if cfg.lx == 1:
-        stale[[0, -1]] = True
-    if cfg.ly == 1:
-        stale[:, [0, -1]] = True
-    stale[1:-1, 1:-1] = False  # owned sites
+    ring = tuple(slice(d // 2, n - d // 2) for d, n in zip((dx, dy), st.g.shape))
+    outer = np.ones(st.g.shape, dtype=bool)
+    outer[ring] = False
+    stale |= outer
+    stale[dx : dx + st.bx, dy : dy + st.by] = False  # owned sites
     clean_measure = st.measure
 
     def measure():
@@ -517,11 +520,16 @@ def poisoned_measurement_program(comm, cfg, checkpoint=None):
     return _run_decomposed(st, checkpoint, None)
 
 
+#: Block lattices through the poison tests: an inert y axis, an inert x
+#: axis, a square whose P = 4 grid is 2 x 2 (corners), pieces of two
+#: planes (the ghost depth) at P = 4 on a chain, and on a 2 x 2 grid.
+POISON_SHAPES = [(64, 1, 8), (1, 8, 8), (8, 8, 4), (8, 1, 8), (4, 4, 4)]
+
+
 @pytest.mark.parametrize("overlap", [False, True])
 @pytest.mark.parametrize("p", [1, 2, 4])
 @pytest.mark.parametrize(
-    "shape", [(64, 1, 8), (1, 8, 8), (8, 8, 4)],
-    ids=lambda s: "x".join(map(str, s)))
+    "shape", POISON_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_block_measurement_reads_no_stale_ghost(shape, p, overlap):
     """The measurement posts no halo, so it may read no ghost site the
     sweep before it left stale -- and whatever it finds there must not
@@ -538,6 +546,24 @@ def test_block_measurement_reads_no_stale_ghost(shape, p, overlap):
             parallel.ising_block_program, p, cfg, seed=42)
         dirty = run_driver_matrix(
             poisoned_measurement_program, p, cfg, seed=42)
+    assert_bit_identical(clean, dirty, BLOCK_KEYS, accounting=True)
+
+
+@pytest.mark.parametrize(
+    "shape", [(8, 1, 8), (4, 4, 4), (8, 4, 4)], ids=lambda s: "x".join(map(str, s)))
+def test_thin_and_cornered_block_trajectory_ignores_ghosts(shape):
+    """Pieces as thin as the ghost depth, on a chain and on 2 x 2 grids
+    (whose corner ghosts only the y phase fills): every ghost at sweep
+    start is wrong, and nothing changes."""
+    lx, ly, lt = shape
+    cfg = IsingBlockConfig(
+        lx=lx, ly=ly, lt=lt, kx=0.25, ky=0.25 if ly > 1 else 0.0, kt=0.4,
+        n_sweeps=8, n_thermalize=2,
+    )
+    clean = run_driver_matrix(parallel.ising_block_program, 4, cfg, seed=42)
+    dirty = run_driver_matrix(poisoned_block_program, 4, cfg, seed=42)
+    x0, x1, y0, y1 = clean.values[0]["piece"]
+    assert 2 in (x1 - x0, y1 - y0)
     assert_bit_identical(clean, dirty, BLOCK_KEYS, accounting=True)
 
 
@@ -582,7 +608,7 @@ class TestPoisonedBundles:
             checkpoint=CheckpointConfig(tmp_path, every=5))
         _poison_bundles(
             tmp_path, 4, "g",
-            lambda a: [a[0], a[-1], a[:, 0], a[:, -1]], lambda v: -v)
+            lambda a: [a[:2], a[-2:], a[:, :2], a[:, -2:]], lambda v: -v)
         resumed = run_driver_matrix(
             parallel.ising_block_program, 4, _block_cfg(), seed=42,
             checkpoint=CheckpointConfig(tmp_path, resume=True))

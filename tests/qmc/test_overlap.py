@@ -160,31 +160,36 @@ class TestStripPartitionTables:
 
 
 def _inspect_block_partitions(comm, cfg):
-    """Rank program: per color, the class size, the driver's interior
-    count, and the interior / boundary counts derived here from the
-    halo traffic itself: a site is boundary iff one of its four spatial
-    neighbours is a ghost site some rank's message lands in."""
+    """Rank program: color 0's box size, the driver's interior count,
+    and the interior / boundary counts derived here from the halo
+    traffic itself: a site is boundary iff it or one of its four spatial
+    neighbours is a ghost site the refresh's last phase lands a message
+    in (an earlier phase has arrived before it posts)."""
     st = _BlockState(comm, cfg)
     out = {"active": st.overlap_active, "grid": (st.decomp.px, st.decomp.py)}
     if not st.overlap_active:
         return out
-    out["colors"] = []
-    for c, mask in enumerate(st.color_masks):
-        in_flight = np.zeros(st.g.shape, dtype=bool)
-        for axis in st._links[c]:
-            for ln in axis:
-                if ln.source is not None:
-                    in_flight.reshape(-1)[ln.ghost] = True
-        reads_ghost = (
-            in_flight[:-2, 1:-1] | in_flight[2:, 1:-1]
-            | in_flight[1:-1, :-2] | in_flight[1:-1, 2:]
-        )
-        out["colors"].append((
-            st._n_color_sites[c],
-            st._n_int[c],
-            int(np.count_nonzero(mask & ~reads_ghost)),
-            int(np.count_nonzero(mask & reads_ghost)),
-        ))
+    in_flight = np.zeros(st.g.shape, dtype=bool)
+    for ln in [axis for axis in st._links[0] if axis][-1]:
+        if ln.source is not None:
+            in_flight.reshape(-1)[ln.ghost] = True
+    # color 0's box: one plane in from the frame on every ghosted axis
+    (dx, dy), (nx, ny) = st._depth, st.g.shape[:2]
+    xs, ys = slice(dx // 2, nx - dx // 2), slice(dy // 2, ny - dy // 2)
+    reads_ghost = in_flight[xs, ys].copy()
+    if dx:
+        reads_ghost |= in_flight[xs.start - 1 : xs.stop - 1, ys]
+        reads_ghost |= in_flight[xs.start + 1 : xs.stop + 1, ys]
+    if dy:
+        reads_ghost |= in_flight[xs, ys.start - 1 : ys.stop - 1]
+        reads_ghost |= in_flight[xs, ys.start + 1 : ys.stop + 1]
+    mask = st._box
+    out["color0"] = (
+        int(np.count_nonzero(mask)),
+        st._n_int,
+        int(np.count_nonzero(mask & ~reads_ghost)),
+        int(np.count_nonzero(mask & reads_ghost)),
+    )
     return out
 
 
@@ -197,9 +202,9 @@ class TestBlockPartitionTables:
         )
         for rank_info in res.values:
             assert rank_info["active"]
-            for total, n_int, free, reading in rank_info["colors"]:
-                assert free + reading == total
-                assert n_int == free > 0
+            total, n_int, free, reading = rank_info["color0"]
+            assert free + reading == total
+            assert n_int == free > 0
 
     @pytest.mark.parametrize("p,shape,grid", [
         (2, (8, 8, 4), (1, 2)),
@@ -210,8 +215,8 @@ class TestBlockPartitionTables:
     ], ids=["1x2", "2x2", "2x1", "4x1", "1x4"])
     def test_interior_sites_touch_no_ghost(self, p, shape, grid):
         """The sites the clock charges before the halo wait are exactly
-        the ones with no neighbour in a ghost plane of a split axis --
-        planes of an unsplit axis wrap locally and hold nobody back."""
+        the ones neither in nor next to a ghost plane still in flight --
+        planes of an unsplit axis copy locally and hold nobody back."""
         lx, ly, lt = shape
         cfg = IsingBlockConfig(
             lx=lx, ly=ly, lt=lt, kx=0.25 if lx > 1 else 0.0,
@@ -220,10 +225,10 @@ class TestBlockPartitionTables:
         res = run_spmd(_inspect_block_partitions, p, PARAGON, seed=1, args=(cfg,))
         for rank_info in res.values:
             assert rank_info["active"] and rank_info["grid"] == grid
-            for total, n_int, free, reading in rank_info["colors"]:
-                assert free + reading == total
-                assert n_int == free
-                assert reading > 0
+            total, n_int, free, reading = rank_info["color0"]
+            assert free + reading == total
+            assert n_int == free
+            assert reading > 0
 
     def test_thin_block_warns_and_falls_back(self):
         cfg = IsingBlockConfig(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.kernels.ising_tables import ising_thresholds
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.parallel import (
     IsingBlockConfig,
@@ -204,6 +205,16 @@ def _draw_uniforms(comm, cfg, n_draws):
     return st.piece, [st._sweep_uniforms() for _ in range(n_draws)]
 
 
+def _box_of(piece, cfg, field):
+    """The rows and columns of ``field`` color 0's box of ``piece``
+    covers: its own, and one more a side on an axis of extent > 1,
+    wrapped."""
+    rx, ry = int(cfg.lx > 1), int(cfg.ly > 1)
+    rows = np.arange(piece.x_start - rx, piece.x_stop + rx) % cfg.lx
+    cols = np.arange(piece.y_start - ry, piece.y_stop + ry) % cfg.ly
+    return field[rows][:, cols]
+
+
 class TestSweepUniforms:
     """A rank skips the generator ahead to its rows and draws only those."""
 
@@ -214,6 +225,7 @@ class TestSweepUniforms:
         ((8, 8, 4), 4, (2, 2)),
     ])
     def test_rank_draw_is_its_block_of_the_global_field(self, shape, p, grid):
+        """... its block, and the rim color 0 updates redundantly."""
         lx, ly, lt = shape
         cfg = IsingBlockConfig(
             lx=lx, ly=ly, lt=lt, kx=0.0 if lx == 1 else 0.2,
@@ -226,10 +238,8 @@ class TestSweepUniforms:
         for piece, draws in ranks:
             stream = SeedSequenceFactory(cfg.sweep_seed).stream("sweep", 0).generator
             for k, u in enumerate(draws):
-                full = stream.random(shape)
                 np.testing.assert_array_equal(
-                    u, full[piece.x_start : piece.x_stop,
-                            piece.y_start : piece.y_stop])
+                    u, _box_of(piece, cfg, stream.random(shape)))
 
 
 def _draw_after_sweeps(comm, cfg, k):
@@ -250,9 +260,9 @@ class TestSweepStream:
                          args=(CFG_2D, k)).values
         for piece, u in ranks:
             gen = SeedSequenceFactory(CFG_2D.sweep_seed).stream("sweep", 0).generator
-            gen.bit_generator.advance(k * lx * ly * lt + piece.x_start * ly * lt)
-            rows = gen.random((piece.x_stop - piece.x_start, ly, lt))
-            np.testing.assert_array_equal(u, rows[:, piece.y_start : piece.y_stop])
+            gen.bit_generator.advance(k * lx * ly * lt)
+            np.testing.assert_array_equal(
+                u, _box_of(piece, CFG_2D, gen.random((lx, ly, lt))))
 
 
 class TestColorOpIsStateless:
@@ -262,18 +272,18 @@ class TestColorOpIsStateless:
         trajectories that way: four threads, each hammering its own
         lattice, must leave what four sequential runs leave."""
         block_color = kernels.get_ops("numpy")["block_color"]
-        couplings = np.array([0.3, 0.0, 0.5])
-        x, y, t = np.indices((32, 1, 64))
+        thr = ising_thresholds(0.3, 0.0, 0.5)
+        x, y, t = np.indices((34, 1, 64))
         masks = [(x + y + t) % 2 == c for c in (0, 1)]
 
         def job(seed):
             rng = np.random.default_rng(seed)
-            g = (2 * rng.integers(0, 2, (34, 3, 64)) - 1).astype(np.int8)
-            return g, np.log(rng.random((200, 32, 1, 64)))
+            g = (2 * rng.integers(0, 2, (36, 1, 64)) - 1).astype(np.int8)
+            return g, np.log(rng.random((200, 34, 1, 64)))
 
         def hammer(g, log_us):
             for k, log_u in enumerate(log_us):
-                block_color(g, couplings, masks[k % 2], log_u)
+                block_color(g, thr, masks[k % 2], log_u, (1, 0))
 
         expected = []
         for seed in range(4):

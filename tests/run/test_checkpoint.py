@@ -383,6 +383,29 @@ class TestDistributedValidation:
         with pytest.raises(ValueError, match="checkpoint mismatch.*strip_schedule is None"):
             self._resume(tmp_path)
 
+    def test_bundle_of_the_one_plane_block_layout_refused(self, tmp_path):
+        """A block bundle written when the frame kept one ghost plane a
+        side (and one on an extent-1 axis) and a sweep refreshed before
+        each color names no ``block_schedule``: its ``g`` is another
+        shape and its exchange counter counts two refreshes a sweep, so
+        the fingerprint refuses it -- before any shape check could."""
+        run_spmd(ising_block_program, 2, IDEAL, seed=3,
+                 args=(_block_cfg(3), CheckpointConfig(tmp_path, every=3)))
+
+        def one_plane(arrays):
+            g = arrays["g"]  # (4 + 4, 2 + 4, 4): pieces 4 x 2 on a 1 x 2 grid
+            arrays["g"] = g[1:-1, 1:-1].copy()
+
+        for r in range(2):
+            self._rewrite_bundle(
+                rank_checkpoint_path(tmp_path, r),
+                meta_edit=lambda m: m.pop("block_schedule"),
+                array_edit=one_plane,
+            )
+        with pytest.raises(ValueError, match="checkpoint mismatch.*block_schedule is None"):
+            run_spmd(ising_block_program, 2, IDEAL, seed=3,
+                     args=(_block_cfg(6), CheckpointConfig(tmp_path, resume=True)))
+
     def test_wrong_bit_generator_rejected(self, tmp_path):
         self._write_checkpoint(tmp_path)
         alien = np.random.Generator(np.random.MT19937(5)).bit_generator.state
