@@ -95,7 +95,7 @@ def strip_corner(flat, weights, gather, flip, uu):
         accept = uu * p_old[e] < p_new[e]
     flat[flip.compress(accept, axis=1)] ^= 1
     if chains:
-        return np.count_nonzero(accept.reshape(chains, -1), axis=1)
+        return accept.reshape(chains, -1).sum(axis=1)
     return int(np.count_nonzero(accept))
 
 
@@ -120,7 +120,7 @@ def strip_column(loc, thr, lc, nbr, straight, log_uu):
     accept = straight & (log_uu < thr.take(anti))
     loc[lc[accept]] ^= 1
     if chains:
-        return np.count_nonzero(accept.reshape(chains, -1), axis=1)
+        return accept.reshape(chains, -1).sum(axis=1)
     return int(np.count_nonzero(accept))
 
 

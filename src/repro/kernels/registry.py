@@ -36,7 +36,6 @@ agree with each other there; see ``TableSweeps.resolve_sweep``.
 from __future__ import annotations
 
 import importlib
-import importlib.metadata
 import importlib.util
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -232,12 +231,17 @@ def get_ops(name: str) -> Mapping[str, Callable]:
 
 
 def backend_version(name: str) -> str | None:
-    """Version string of the package backing ``name`` (None: absent)."""
+    """Version string of the package backing ``name`` (None: absent or
+    unavailable).  Package metadata is imported only to look up an
+    installed optional backend: a process that never has one to report
+    never pays that import."""
     backend = _REGISTRY.get(name)
-    if backend is None:
+    if backend is None or not backend.available():
         return None
     if backend.requires is None:
         return np.__version__
+    import importlib.metadata
+
     try:
         return importlib.metadata.version(backend.requires)
     except Exception:

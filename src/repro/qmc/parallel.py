@@ -48,6 +48,17 @@ once from ``sweep_seed`` and skips ahead to its share -- the strip's
 next whole block per sweep, a block rank's own rows of the sweep's
 global field and one more a side.
 
+A strip rank pays for its moves, not its set-up: everything it derives
+from the geometry and couplings -- frame, halo walk and links, stage
+tables, pricing tables, the sweep's uniform index -- is one read-only
+:class:`_StripPlan`, memoized per process (:func:`_strip_plan`).  A
+launcher builds its run's plans before the ranks start
+(:func:`strip_plans`) and hands them to the program, so forked ranks
+inherit them and threads share them; a rank handed none builds its own
+on first use.  A sweep then takes the rank's uniforms of all six stages
+with one gather by the plan's index and one log for both column
+stages, and each stage reads its view of them.
+
 Halo protocol (both decomposed drivers): ghost copies of the boundary
 data travel as ONE aggregated contiguous-buffer message per neighbor
 *rank* -- the packed ghost columns for the strip, the two-deep
@@ -131,6 +142,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from time import perf_counter
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
@@ -167,6 +179,7 @@ __all__ = [
     "strip_halo_traffic",
     "block_halo_traffic",
     "WorldlineStripConfig",
+    "strip_plans",
     "worldline_strip_program",
     "IsingBlockConfig",
     "ising_block_program",
@@ -386,6 +399,26 @@ def _per_neighbor(links, end: str, sites: str) -> list[tuple[int, int, np.ndarra
     ]
 
 
+def _compile_links(links: dict) -> dict:
+    """``_links`` as :meth:`_DecomposedState._exchange` executes it: per
+    stage key one phase per axis with links, in axis order, each the
+    sends and the receives, one per neighbor rank (:func:`_per_neighbor`),
+    and the one local wrap ``(ghost, source)`` of its unsplit links."""
+    compiled = {}
+    for stage, axes in links.items():
+        phases = []
+        for group in filter(None, axes):
+            wraps = [ln for ln in group if ln.dest is None and ln.source is None]
+            phases.append((
+                _per_neighbor(group, "dest", "send"),
+                _per_neighbor(group, "source", "ghost"),
+                (np.concatenate([ln.ghost for ln in wraps]),
+                 np.concatenate([ln.send for ln in wraps])) if wraps else None,
+            ))
+        compiled[stage] = tuple(phases)
+    return compiled
+
+
 class _SweepMetrics:
     """The ``sweep.*`` handles of one chain of telemetry: a decomposed
     rank's, or one chain's of a chain rank (:class:`_ChainState`).
@@ -419,11 +452,11 @@ class _DecomposedState:
     counter, the Metropolis accounting, kernel-backend resolution, the
     per-sweep telemetry, the halo exchange and the checkpoint pair.  A
     subclass supplies the geometry: the class attributes below, its
-    ghosted spin array (the attribute named by ``_array``), the
-    ``_links`` table (per stage key, the :class:`_HaloLink` tuples the
-    halo schedule posts before that stage, grouped by axis) followed by
-    a call to :meth:`_plan_exchanges`, :meth:`_sweep_stages`,
-    :meth:`measure`, :meth:`series_columns` and :meth:`result`.  A state
+    ghosted spin array (the attribute named by ``_array``) and its flat
+    view ``_flat``, the ``_phases`` :meth:`_exchange` runs
+    (:func:`_compile_links` of a ``_links`` table: per stage key, the
+    :class:`_HaloLink` tuples the halo schedule posts before that
+    stage, grouped by axis), :meth:`_sweep_stages`, :meth:`measure`, :meth:`series_columns` and :meth:`result`.  A state
     with no geometry to exchange or checkpoint (:class:`_ChainState`)
     supplies the last four only.
     """
@@ -510,28 +543,6 @@ class _DecomposedState:
             self._m = _SweepMetrics(comm.metrics, kernel)
 
     # -- halo exchange -------------------------------------------------------
-    def _plan_exchanges(self) -> None:
-        """Compile ``_links`` into what :meth:`_exchange` executes: per
-        stage key one phase per axis with links, in axis order, each the
-        sends and the receives, one per neighbor rank
-        (:func:`_per_neighbor`), and the one local wrap of its unsplit
-        links.  Geometry is static, so this runs once, at construction.
-        """
-        #: The ghosted spin array, flat: what every link indexes.
-        self._flat = getattr(self, self._array).reshape(-1)
-        self._plans = {}
-        for stage, axes in self._links.items():
-            phases = []
-            for links in filter(None, axes):
-                wraps = [ln for ln in links if ln.dest is None and ln.source is None]
-                phases.append((
-                    _per_neighbor(links, "dest", "send"),
-                    _per_neighbor(links, "source", "ghost"),
-                    (np.concatenate([ln.ghost for ln in wraps]),
-                     np.concatenate([ln.send for ln in wraps])) if wraps else None,
-                ))
-            self._plans[stage] = phases
-
     def _exchange(self, stage, offload: bool = False) -> list:
         """Post the halo links scheduled before ``stage``: ONE aggregated
         message per neighbor rank and phase, none where the schedule has
@@ -547,14 +558,19 @@ class _DecomposedState:
         receive order, for :meth:`_exchange_wait` -- so the modeled
         clock advances through identical arrival stamps.
         Every call advances the tag block, posted or not:
-        tags stay in step across ranks.
+        tags stay in step across ranks; a stage with nothing stale
+        returns at once.
         """
+        n = self._n_exchanges
+        self._n_exchanges += 1
+        phases = self._phases[stage]
+        if not phases:
+            return []
         comm, flat = self.comm, self._flat
         base, period, stride = self._tag_schedule
-        tag = base + (self._n_exchanges % period) * stride
-        self._n_exchanges += 1
+        tag = base + (n % period) * stride
         pending: list = []
-        for sends, recvs, wrap in self._plans[stage]:
+        for sends, recvs, wrap in phases:
             self._exchange_wait(pending)
             for dest, offset, sites in sends:
                 # offloaded, this is isend minus its finished Request
@@ -853,6 +869,225 @@ class WorldlineStripConfig:
         _validate_schedule(self)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a plan's tables are shared."""
+    a.flags.writeable = False
+    return a
+
+
+class _StripPlan(NamedTuple):
+    """What one strip rank derives from ``(n_sites, n_slices, jz, jxy,
+    beta, n_ranks, rank)`` alone (module docstring): read-only, shared
+    by every rank state of that key.
+
+    * the frame: owned columns ``[start, stop)``, ``depth`` ghosts a
+      side, the halo ``walk`` and its refresh ``links`` per stage key,
+      compiled to the ``phases`` :meth:`_DecomposedState._exchange`
+      runs;
+    * ``stages``: per :data:`WL_STAGES` entry, the gather / flip tables
+      of its moves and what it counts (:func:`_strip_stages`), with the
+      overlapped schedule's interior share; ``overlap_blocker`` names
+      the first stage that has none, if any does;
+    * the sweep's one gather: ``u_index`` picks every stage's uniforms
+      out of the sweep's block at once, stage after stage, so stage
+      ``s`` reads ``u_spans[s] = (a, b, shape)`` of it; the column
+      stages' come last, from ``n_corner_u`` on, and share one log;
+    * the pricing tables: the plaquette ``table`` (weights, d ln W) and
+      the column thresholds ``thr``; ``dlog_corners`` is the
+      measurement's shaded corners, the ``n_even`` of even owned bonds
+      first.  The 1 MB corner products the corner op looks moves up in
+      stay the kernel layer's per-process memo
+      (:func:`~repro.kernels.chain_tables.corner_products`), fetched by
+      the rank state: a launcher that builds plans holds none.
+    """
+
+    start: int
+    stop: int
+    n_owned: int
+    depth: int
+    walk: _HaloWalk
+    links: MappingProxyType
+    phases: MappingProxyType
+    stages: tuple
+    overlap_blocker: str | None
+    per_sweep: int
+    u_index: np.ndarray
+    u_spans: tuple
+    n_corner_u: int
+    table: PlaquetteTable
+    thr: np.ndarray
+    dlog_corners: np.ndarray
+    n_even: int
+
+
+def strip_plans(cfg: "WorldlineStripConfig", n_ranks: int) -> tuple:
+    """The :class:`_StripPlan` of every rank of a strip run of ``cfg``
+    on ``n_ranks`` ranks, in rank order: what a launcher hands
+    :func:`worldline_strip_program` so its ranks build nothing."""
+    key = (cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy, cfg.beta, n_ranks)
+    return tuple(_strip_plan(*key, rank) for rank in range(n_ranks))
+
+
+@lru_cache(maxsize=32)
+def _strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float, beta: float,
+                n_ranks: int, rank: int) -> _StripPlan:
+    """Build rank ``rank``'s :class:`_StripPlan` (memoized)."""
+    L, T = n_sites, n_slices
+    decomp = StripDecomposition(L, n_ranks, require_even=True)
+    piece = decomp.piece(rank)
+    n = piece.n_owned
+    if n_ranks > 1 and n < 4:
+        raise ValueError("strip world-line driver needs >= 4 owned columns per rank")
+    d = _ghost_depth([p.n_owned for p in decomp.pieces])
+    walk = _halo_walk(n, d)
+    refresh = _strip_refresh(decomp, rank, d, T)
+    links = MappingProxyType({
+        key: ((refresh,) if post else ((),))
+        for key, post in zip((*range(N_WL_STAGES), "measure"), walk.refresh)
+    })
+    phases = _compile_links(links)
+    for sends, recvs, wrap in (p for ps in phases.values() for p in ps):
+        for sites in (*(s for _, _, s in (*sends, *recvs)), *(wrap or ())):
+            _frozen(sites)
+    stages, blocker = _strip_stages(L, T, piece.start, n, d, walk.runs)
+    # The sweep's uniform block holds the six stage lattices in stage
+    # order: a corner color's (L/2, T/4) grid, a column parity's L/2.
+    sizes = [L * T // 8 if kind == "corner" else L // 2 for kind, _ in WL_STAGES]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    picks, spans, a = [], [], 0
+    for off, stage in zip(offsets.tolist(), stages):
+        pick = stage["uflat"] if stage["kind"] == "corner" else stage["uc"]
+        picks.append(off + pick.ravel())
+        spans.append((a, a + pick.size, pick.shape))
+        a += pick.size
+    pt = PlaquetteTable.build(jz, jxy, beta / (T // 2))
+    _frozen(pt.weights)
+    _frozen(pt.dlog)
+    width = n + 2 * d
+    even, odd = (shaded_corners(width, T, np.arange(d + p, d + n, 2)) for p in (0, 1))
+    return _StripPlan(
+        start=piece.start, stop=piece.stop, n_owned=n, depth=d, walk=walk,
+        links=links, phases=MappingProxyType(phases),
+        stages=stages, overlap_blocker=blocker,
+        per_sweep=int(offsets[-1]),
+        u_index=_frozen(np.concatenate(picks)),
+        u_spans=tuple(spans),
+        n_corner_u=spans[N_WL_STAGES - 2][0],
+        table=pt,
+        thr=_frozen(column_thresholds(pt.weights, T)),
+        dlog_corners=_frozen(np.concatenate([even, odd])),
+        n_even=len(even),
+    )
+
+
+def _strip_refresh(decomp: StripDecomposition, rank: int, depth: int,
+                   n_slices: int) -> tuple:
+    """The refresh's :class:`_HaloLink` tuples on ``rank``'s frame.
+
+    A refresh ships every ghost column from the rank that owns it: one
+    contiguous int8 buffer per neighbor rank, laid out in the
+    receiver's ghost order, which both ends derive from the
+    decomposition.  Ghosts a rank owns itself (every ghost of a single
+    rank; the deep ones of a two-rank ring) copy locally.
+    """
+    piece = decomp.piece(rank)
+    # flat index of (column, t) in the rank's frame
+    cols = np.arange((piece.n_owned + 2 * depth) * n_slices).reshape(-1, n_slices)
+    none = _frozen(np.empty(0, dtype=np.intp))
+    mine = _ghost_owners(decomp, rank, depth)
+    refresh = []
+    # sends rightward first, receives from the left first
+    for peer in dict.fromkeys((piece.right_rank, piece.left_rank)):
+        if peer != rank:
+            wanted = [y for _, o, y in _ghost_owners(decomp, peer, depth) if o == rank]
+            send = _frozen(cols[wanted].ravel())
+            refresh.append(_HaloLink(peer, None, send, none, 0))
+    for owner in dict.fromkeys((piece.left_rank, piece.right_rank, rank)):
+        ghost = _frozen(cols[[x for x, o, _ in mine if o == owner]].ravel())
+        if owner != rank:
+            refresh.append(_HaloLink(None, owner, none, ghost, 0))
+        elif ghost.size:
+            source = _frozen(cols[[y for _, o, y in mine if o == owner]].ravel())
+            refresh.append(_HaloLink(None, None, source, ghost, 0))
+    return tuple(refresh)
+
+
+def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
+    """``(stages, blocker)``: the index tables of every stage of a frame
+    of ``n`` owned columns from global column ``start`` and ``d`` ghosts
+    a side, and the overlapped schedule's blocker.
+
+    A stage's moves are the walk's ``runs``: local bonds (corner color)
+    or columns (column parity) ``x``, ascending, the owned moves and
+    the redundant ones it keeps.  Corner color ``k`` takes bond ``x`` at
+    the intervals of the class its global bond falls in, bond-major;
+    ``uflat`` is the ``(bonds, T/4)`` index of those moves into the
+    color's ``(L/2, T/4)`` slice of the sweep's uniforms (bond ``g //
+    2``, interval ``t // 4``), ``uc`` a column's (``g // 2``) in its
+    parity's ``L/2``.  ``counted`` is the slice of ``x`` this rank
+    counts: the bonds ``start .. stop - 1`` (the seam bond ``start - 1``
+    is its left neighbor's ``stop - 1``) and the owned columns.  Where
+    it leaves some out (``grouped``), the stage's uniforms come one row
+    per bond (per column), so the op returns one count per bond
+    (column): one kernel call runs the stage and counts it.
+
+    The fused gather / flip tables -- flat indices into
+    ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment ``env``
+    and ``(4, n_moves)`` ``flip`` cells per corner color, the ``(n_cols,
+    T)`` plaquette neighbors ``nbr`` per column parity -- are the serial
+    sampler's (:mod:`repro.kernels.chain_tables`) on the ``n + 2 d``
+    local rows: a move the walk runs reads no row outside them, so
+    nothing wraps.
+
+    The overlapped schedule charges a stage's *interior* moves -- those
+    reading no ghost row -- before its halo wait.  A corner move at
+    local bond ``J`` reads rows ``J-1 .. J+2``, so it is interior iff ``d
+    + 1 <= J <= d + n - 3`` (owned rows are ``d .. d + n - 1``); a column
+    move at ``lc`` reads ``lc-1 .. lc+1``, interior iff ``d + 1 <= lc <=
+    d + n - 2``.  Every corner move is attempted, so a corner stage
+    holds the count, ``n_interior``; only straight columns are, so a
+    column stage holds the mask, ``interior``.  ``blocker`` describes
+    the first stage with no interior move (thin strips), else None.
+    """
+    width, per_bond = n + 2 * d, T // 4
+    origin = start - d  # global column of local column 0
+    stages, blocker = [], None
+    for (kind, index), x in zip(WL_STAGES, runs):
+        g = (origin + x) % L
+        counted = slice(*np.searchsorted(x, [d, d + n]).tolist())
+        # One count per bond (column) only where some go uncounted.
+        grouped = counted != slice(0, x.size)
+        stage = {"kind": kind, "counted": counted, "grouped": grouped}
+        if kind == "corner":
+            (a, b), (_, b2) = CORNER_COLORS[index]
+            t = np.where(g % 4 == a, b, b2)[:, None] + np.arange(0, T, 4)
+            env, flip = corner_tables(width, T, np.repeat(x, per_bond), t.ravel())
+            uflat = (g // 2)[:, None] * per_bond + t // 4
+            interior = (x > d) & (x <= d + n - 3)
+            stage.update(
+                uflat=_frozen(uflat if grouped else uflat.ravel()),
+                attempted=(counted.stop - counted.start) * per_bond,
+                env=_frozen(env),
+                flip=_frozen(flip),
+                n_moves=env.shape[0],
+                n_interior=int(np.count_nonzero(interior)) * per_bond,
+            )
+            what = f"corner color {index} has no interior moves"
+        else:
+            interior = _frozen((x > d) & (x <= d + n - 2))
+            stage.update(
+                lc=x,
+                uc=_frozen((g // 2)[:, None] if grouped else g // 2),
+                nbr=_frozen(column_neighbors(width, T, x)),
+                interior=interior,
+            )
+            what = f"column parity {index} has no interior columns"
+        if blocker is None and not interior.any():
+            blocker = what
+        stages.append(MappingProxyType(stage))
+    return tuple(stages), blocker
+
+
 class _StripState(_DecomposedState):
     """Per-rank world-line state: owned columns plus ``depth`` ghosts a side.
 
@@ -861,7 +1096,10 @@ class _StripState(_DecomposedState):
     global column ``g`` is ``g - start + depth``.  The depth is the
     halo schedule's (:func:`_ghost_depth`): even, so a local bond's
     parity is its global one, and at least 2, the neighborhood a seam
-    corner move reads (columns ``seam - 2 .. seam + 1``).
+    corner move reads (columns ``seam - 2 .. seam + 1``).  The rank's
+    geometry and tables are its :class:`_StripPlan` (``plan``, or the
+    memoized one of its key); the state holds the spins, the sweep's
+    uniform buffers and their per-stage views, and its counters.
     """
 
     _array = "loc"
@@ -872,168 +1110,46 @@ class _StripState(_DecomposedState):
     _driver = "worldline_strip"
     _fingerprint = ("n_sites", "n_slices", "jz", "jxy", "beta")
 
-    def __init__(self, comm, cfg: WorldlineStripConfig):
+    def __init__(self, comm, cfg: WorldlineStripConfig, plan: _StripPlan | None = None):
         super().__init__(comm, cfg)
-        self.L = cfg.n_sites
+        if plan is None:
+            plan = _strip_plan(cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy,
+                               cfg.beta, comm.size, comm.rank)
+        self._plan = plan
         self.T = cfg.n_slices
         self.n_trotter = cfg.n_slices // 2
         self.dtau = cfg.beta / self.n_trotter
-        self.table = PlaquetteTable.build(cfg.jz, cfg.jxy, self.dtau)
-        # What the two strip ops price a move from (see repro.kernels).
-        self._corner_weights = corner_products(self.table.weights)
-        self._thr = column_thresholds(self.table.weights, self.T)
-        decomp = StripDecomposition(self.L, comm.size, require_even=True)
-        self.decomp = decomp
-        piece = decomp.piece(comm.rank)
-        self.start, self.stop = piece.start, piece.stop
-        self.n_owned = n = piece.n_owned
-        if comm.size > 1 and n < 4:
-            raise ValueError(
-                "strip world-line driver needs >= 4 owned columns per rank"
-            )
-        self.depth = d = _ghost_depth([p.n_owned for p in decomp.pieces])
-        self._walk = _halo_walk(n, d)
+        self.start, self.stop = plan.start, plan.stop
+        self.n_owned, self.depth = n, d = plan.n_owned, plan.depth
+        self._phases, self._per_sweep = plan.phases, plan.per_sweep
+        self._corner_weights = corner_products(plan.table.weights)
         # Neel start, straight world lines (legal everywhere).
         g = np.arange(self.start - d, self.stop + d)
-        self.loc = loc = np.repeat(
-            (g % 2).astype(np.int8)[:, None], self.T, axis=1
-        )
-        # A refresh, before the stages the walk names, ships every ghost
-        # column from the rank that owns it: one contiguous int8 buffer
-        # per neighbor rank, laid out in the receiver's ghost order, which
-        # both ends derive from the decomposition.  Ghosts a rank owns
-        # itself (every ghost of a single rank; the deep ones of a
-        # two-rank ring) copy locally.
-        cols = np.arange(loc.size).reshape(loc.shape)  # flat index of (column, t)
-        none = np.empty(0, dtype=np.intp)
-        mine = _ghost_owners(decomp, comm.rank, d)
-        refresh = []
-        # sends rightward first, receives from the left first
-        for peer in dict.fromkeys((piece.right_rank, piece.left_rank)):
-            if peer != comm.rank:
-                wanted = [y for _, o, y in _ghost_owners(decomp, peer, d) if o == comm.rank]
-                refresh.append(_HaloLink(peer, None, cols[wanted].ravel(), none, 0))
-        for owner in dict.fromkeys((piece.left_rank, piece.right_rank, comm.rank)):
-            ghost = cols[[x for x, o, _ in mine if o == owner]].ravel()
-            if owner != comm.rank:
-                refresh.append(_HaloLink(None, owner, none, ghost, 0))
-            elif ghost.size:
-                source = [y for _, o, y in mine if o == owner]
-                refresh.append(_HaloLink(None, None, cols[source].ravel(), ghost, 0))
-        self._links = {
-            key: [refresh if post else []]
-            for key, post in zip((*range(N_WL_STAGES), "measure"), self._walk.refresh)
-        }
-        self._plan_exchanges()
-        # One shared uniform block per sweep, sliced per stage: a corner
-        # color consumes an (L/2, T/4) lattice, a column parity L/2.
-        sizes = [
-            self.L * self.T // 8 if kind == "corner" else self.L // 2
-            for kind, _ in WL_STAGES
+        self.loc = np.repeat((g % 2).astype(np.int8)[:, None], self.T, axis=1)
+        self._flat = self.loc.reshape(-1)
+        # The sweep's buffers -- its drawn block, the rank's gather of it
+        # and the log of the column stages' share -- and each stage's
+        # view of the gather (a column stage's of the log).
+        self._u_draw = np.empty(plan.per_sweep)
+        self._u = np.empty(plan.u_index.size)
+        c = plan.n_corner_u
+        self._u_cols = self._u[c:]
+        self._log_u = np.empty(self._u_cols.size)
+        self._u_stage = [
+            self._u[a:b].reshape(shape) if kind == "corner"
+            else self._log_u[a - c : b - c].reshape(shape)
+            for (kind, _), (a, b, shape) in zip(WL_STAGES, plan.u_spans)
         ]
-        self._u_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self._per_sweep = int(self._u_offsets[-1])
-        self._build_stage_caches()
         if cfg.overlap and comm.size > 1:
-            self._plan_overlap()
-
-    # -- static per-stage geometry ----------------------------------------
-
-    def _build_stage_caches(self) -> None:
-        """Precompute the index tables of every stage (geometry is static).
-
-        A stage's moves are the walk's: local bonds (corner color) or
-        columns (column parity) ``x``, ascending, the owned moves and
-        the redundant ones it keeps.  Corner color ``k`` takes bond
-        ``x`` at the intervals of the class its global bond falls in,
-        bond-major; ``uflat`` is the ``(bonds, T/4)`` index of those
-        moves into the color's ``(L/2, T/4)`` slice of the sweep's
-        uniforms (bond ``g // 2``, interval ``t // 4``).  ``counted``
-        is the slice of ``x`` this rank counts: the bonds ``start ..
-        stop - 1`` (the seam bond ``start - 1`` is its left neighbor's
-        ``stop - 1``) and the owned columns.  Where it leaves some out
-        (``grouped``), the stage's uniforms come one row per bond (per
-        column), so the op returns one count per bond (column): one
-        kernel call runs the stage and counts it.
-
-        The fused gather / flip tables -- flat indices into
-        ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment and
-        ``(4, n_moves)`` flip cells per corner color, the ``(n_cols,
-        T)`` plaquette neighbors per column parity -- are the serial
-        sampler's (:mod:`repro.kernels.chain_tables`) on the ``n + 2
-        depth`` local rows: a move the walk runs reads no row outside
-        them, so nothing wraps.
-        """
-        n, T, L, d = self.n_owned, self.T, self.L, self.depth
-        width, per_bond = n + 2 * d, T // 4
-        origin = self.start - d  # global column of local column 0
-        #: One table per entry of :data:`WL_STAGES`, in stage order.
-        self._stage_cache: list[dict] = []
-        for (kind, index), x in zip(WL_STAGES, self._walk.runs):
-            g = (origin + x) % L
-            counted = slice(*np.searchsorted(x, [d, d + n]).tolist())
-            # One count per bond (column) only where some go uncounted.
-            grouped = counted != slice(0, x.size)
-            cache = {"counted": counted, "grouped": grouped}
-            if kind == "corner":
-                (a, b), (_, b2) = CORNER_COLORS[index]
-                t = np.where(g % 4 == a, b, b2)[:, None] + np.arange(0, T, 4)
-                env, flip = corner_tables(width, T, np.repeat(x, per_bond), t.ravel())
-                uflat = (g // 2)[:, None] * per_bond + t // 4
-                cache.update(
-                    j=x,
-                    uflat=uflat if grouped else uflat.ravel(),
-                    attempted=(counted.stop - counted.start) * per_bond,
-                    env=env,
-                    flip=flip,
-                )
+            if plan.overlap_blocker is None:
+                self.overlap_active = True
             else:
-                cache.update(lc=x, uc=(g // 2)[:, None] if grouped else g // 2,
-                             nbr=column_neighbors(width, T, x))
-            self._stage_cache.append(cache)
-        #: Per column parity, the ``(n, 4)`` flat corner indices of the
-        #: shaded plaquettes at its owned bonds: :meth:`local_dlog_sum`'s.
-        self._dlog_tables = [
-            shaded_corners(width, T, np.arange(d + p, d + n, 2)) for p in (0, 1)
-        ]
-
-    def _plan_overlap(self) -> None:
-        """Per stage, the moves the overlapped schedule charges as
-        interior -- the ones that read no ghost row.
-
-        A corner move at local bond ``J`` reads rows ``J-1 .. J+2``, so
-        it is interior iff ``depth + 1 <= J <= depth + n - 3`` (owned
-        rows are ``depth .. depth + n - 1``); a column move at local
-        column ``lc`` reads ``lc-1 .. lc+1``, interior iff ``depth + 1
-        <= lc <= depth + n - 2``.  Every corner move is attempted, so a
-        corner cache gains the count, ``n_interior``; only straight
-        columns are, so a column cache gains the mask, ``interior``.
-        Degenerate geometries (a stage with no interior moves -- thin
-        strips) disable the overlap with a warning and fall back to the
-        lockstep schedule.
-        """
-        n, d = self.n_owned, self.depth
-        rank = self.comm.rank
-        for (kind, index), cache in zip(WL_STAGES, self._stage_cache):
-            if kind == "corner":
-                rows, hi = cache["j"], d + n - 3
-                what = f"corner color {index} has no interior moves"
-            else:
-                rows, hi = cache["lc"], d + n - 2
-                what = f"column parity {index} has no interior columns"
-            interior = (rows > d) & (rows <= hi)
-            if not interior.any():
                 warnings.warn(
-                    f"strip overlap disabled: {what} on rank {rank} ({n} "
-                    f"owned columns); falling back to the lockstep exchange",
-                    stacklevel=3,
+                    f"strip overlap disabled: {plan.overlap_blocker} on rank "
+                    f"{comm.rank} ({n} owned columns); falling back to the "
+                    f"lockstep exchange",
+                    stacklevel=2,
                 )
-                return
-            if kind == "corner":
-                cache["n_interior"] = int(np.count_nonzero(interior)) * (self.T // 4)
-            else:
-                cache["interior"] = interior
-        self.overlap_active = True
 
     # -- shared randomness --------------------------------------------------
     def _sweep_uniforms(self) -> np.ndarray:
@@ -1045,9 +1161,8 @@ class _StripState(_DecomposedState):
         Every kernel and all rank counts index the same numbers, the
         source of bit-identity.
         """
-        u = np.empty(self._per_sweep)
-        self._sweep_draw([(0, u)])
-        return u
+        self._sweep_draw([(0, self._u_draw)])
+        return self._u_draw
 
     def _charge_moves(self, n_moves: int, flops_per_move: float,
                       category: str) -> None:
@@ -1063,55 +1178,61 @@ class _StripState(_DecomposedState):
         walk posts for it (one, before the first, on pieces as wide as
         the ghost depth), each one kernel call over its whole table.
 
-        Where a stage runs moves this rank does not count, its kernel
-        call returns one accepted count per bond (column) and the
-        counters take the ``counted`` ones, so a move run on two ranks
-        counts once.  The overlapped schedule differs in what
-        the clock is charged, not in what runs: a stage with a halo in
-        flight charges its interior moves (the ones reading no ghost)
-        before the wait and the rest after it, under ``interior`` /
-        ``boundary``.  Which columns are straight is read from the
-        columns themselves, so a column stage's interior count is known
-        before the wait.
+        One gather takes the rank's uniforms of all six stages out of
+        the sweep's block, and one log the column stages' share (taken
+        here with NumPy, so every backend compares against identical
+        values); each stage reads its view of them.  Where a stage runs
+        moves this rank does not count, its kernel call returns one
+        accepted count per bond (column) and the counters take the
+        ``counted`` ones, so a move run on two ranks counts once.  The
+        overlapped schedule differs in what the clock is charged, not in
+        what runs: a stage with a halo in flight charges its interior
+        moves (the ones reading no ghost) before the wait and the rest
+        after it, under ``interior`` / ``boundary``.  Which columns are
+        straight is read from the columns themselves -- per stage, since
+        a refresh may sit between the two column stages -- so a column
+        stage's interior count is known before the wait.
         """
-        u_sweep = self._sweep_uniforms()
-        for s_idx, (kind, _) in enumerate(WL_STAGES):
-            cache = self._stage_cache[s_idx]
-            counted = cache["counted"]
-            u = u_sweep[self._u_offsets[s_idx] : self._u_offsets[s_idx + 1]]
-            pending = self._exchange(s_idx, offload=self.overlap_active)
-            if kind == "corner":
-                n_moves, flops = cache["env"].shape[0], FLOPS_PER_CORNER_MOVE
-                n_int = cache["n_interior"] if pending else 0
+        plan, loc = self._plan, self.loc
+        # the plan's indices are in range by construction: "clip" skips
+        # the bounds pass
+        self._sweep_uniforms().take(plan.u_index, out=self._u, mode="clip")
+        np.maximum(self._u_cols, 1e-300, out=self._log_u)
+        np.log(self._log_u, out=self._log_u)
+        offload = self.overlap_active
+        for s_idx, (stage, u) in enumerate(zip(plan.stages, self._u_stage)):
+            pending = self._exchange(s_idx, offload)
+            counted = stage["counted"]
+            if stage["kind"] == "corner":
+                n_moves, flops = stage["n_moves"], FLOPS_PER_CORNER_MOVE
+                n_int = stage["n_interior"] if pending else 0
             else:
-                rows = self.loc[cache["lc"]]
+                lc = stage["lc"]
+                rows = loc[lc]
                 straight = (rows == rows[:, :1]).all(axis=1)
                 n_moves, flops = int(np.count_nonzero(straight)), 2.0 * self.T
                 n_int = (
-                    int(np.count_nonzero(straight & cache["interior"]))
+                    int(np.count_nonzero(straight & stage["interior"]))
                     if pending else 0
                 )
             if pending:
                 self._charge_moves(n_int, flops, "interior")
                 self._exchange_wait(pending)
             accepted = 0
-            if kind == "corner":
+            if stage["kind"] == "corner":
                 accepted = self._timed(
                     self._kops["strip_corner"], self._flat, self._corner_weights,
-                    cache["env"], cache["flip"], u[cache["uflat"]],
+                    stage["env"], stage["flip"], u,
                 )
-                self.n_attempted += cache["attempted"]
+                self.n_attempted += stage["attempted"]
             else:
                 if n_moves:
-                    # Log of the stage's uniforms taken here with NumPy,
-                    # so every backend compares against identical values.
-                    log_uu = np.log(np.maximum(u[cache["uc"]], 1e-300))
                     accepted = self._timed(
-                        self._kops["strip_column"], self.loc, self._thr,
-                        cache["lc"], cache["nbr"], straight, log_uu,
+                        self._kops["strip_column"], loc, plan.thr,
+                        lc, stage["nbr"], straight, u,
                     )
                 self.n_attempted += int(np.count_nonzero(straight[counted]))
-            if cache["grouped"] and n_moves:
+            if stage["grouped"] and n_moves:
                 accepted = int(accepted[counted].sum())
             self.n_accepted += accepted
             # The clock prices the work done, the redundant moves too.
@@ -1121,13 +1242,13 @@ class _StripState(_DecomposedState):
 
     # -- measurement ---------------------------------------------------------
     def local_dlog_sum(self) -> float:
-        """Sum of d ln W over shaded plaquettes at owned bonds (one
-        partial sum per bond parity, even first: the series' bits)."""
-        flat = self.loc.reshape(-1)
-        total = 0.0
-        for table in self._dlog_tables:
-            total += float(np.sum(self.table.dlog[plaquette_codes(flat, table)]))
-        return total
+        """Sum of d ln W over shaded plaquettes at owned bonds: one
+        gather of both bond parities, summed a parity at a time, even
+        first (the series' bits)."""
+        plan = self._plan
+        dlog = plan.table.dlog[plaquette_codes(self._flat, plan.dlog_corners)]
+        return 0.0 + float(dlog[: plan.n_even].sum()) + float(
+            dlog[plan.n_even :].sum())
 
     def owned(self) -> np.ndarray:
         """The owned columns of ``loc`` (a view)."""
@@ -1171,6 +1292,7 @@ def worldline_strip_program(
     cfg: WorldlineStripConfig,
     checkpoint: "CheckpointConfig | None" = None,
     health: "HealthRules | None" = None,
+    plans: tuple | None = None,
 ) -> dict:
     """SPMD rank program: strip-decomposed world-line XXZ chain.
 
@@ -1180,6 +1302,10 @@ def worldline_strip_program(
     ``overlap_active`` -- whether this rank charged the overlapped
     schedule (a requested overlap falls back to lockstep on thin
     strips).
+
+    ``plans`` are the run's rank plans (:func:`strip_plans`), built by
+    the launcher before the ranks start; without them each rank looks
+    its own up, building it on first use in its process.
 
     ``checkpoint`` enables distributed checkpoint/restart: with
     ``every > 0`` each rank snapshots its bundle after every
@@ -1196,7 +1322,18 @@ def worldline_strip_program(
     -- so the trajectory and every series are bit-identical with health
     on or off.
     """
-    return _run_decomposed(_StripState(comm, cfg), checkpoint, health)
+    plan = _rank_plan(plans, comm)
+    return _run_decomposed(_StripState(comm, cfg, plan), checkpoint, health)
+
+
+def _rank_plan(plans: tuple | None, comm) -> _StripPlan | None:
+    """``comm``'s rank's plan of ``plans`` (None: none handed over)."""
+    if plans is None:
+        return None
+    if len(plans) != comm.size:
+        raise ValueError(f"{len(plans)} strip plans for {comm.size} ranks")
+    return plans[comm.rank]
+
 
 
 # ======================================================================
@@ -1360,7 +1497,8 @@ class _BlockState(_DecomposedState):
         # The one refresh; either color's stage names it, and a sweep
         # posts it before color 0 only.
         self._links = dict.fromkeys((0, 1), self._refresh_links())
-        self._plan_exchanges()
+        self._flat = self.g.reshape(-1)
+        self._phases = _compile_links(self._links)
         # Per spatial axis, the bonds this rank counts as the frame's
         # plane pairs from the inner ghost plane to the owned faces, and
         # the mask of the counted ones: every inner pair, and a face pair
@@ -1389,7 +1527,7 @@ class _BlockState(_DecomposedState):
         # charged before the halo wait.
         if cfg.overlap and comm.size > 1:
             flight = np.zeros(self.g.size, dtype=bool)
-            for _, _, sites in self._plans[0][-1][1]:
+            for _, _, sites in self._phases[0][-1][1]:
                 flight[sites] = True
             flight = flight.reshape(self.g.shape)
             near = flight.copy()  # in flight, or next to it

@@ -67,6 +67,7 @@ from repro.qmc.parallel import (
     _chain_values,
     chain_program,
     ising_block_program,
+    strip_plans,
     worldline_strip_program,
 )
 from repro.qmc.tfim import (
@@ -351,14 +352,18 @@ class _XXZ(_Kind):
             overlap=layout.overlap,
             mode=kernel,
         )
+        # Every rank's plan, built here once: forked ranks inherit them,
+        # threads share them, and no rank builds one of its own.
+        plans = strip_plans(wl_cfg, layout.n_ranks)
         if layout.replicas == 1:
-            return worldline_strip_program, (wl_cfg, checkpoint, rules), layout.n_ranks
+            return (worldline_strip_program, (wl_cfg, checkpoint, rules, plans),
+                    layout.n_ranks)
         from repro.qmc.two_level import TwoLevelConfig, two_level_program
 
         tl_cfg = TwoLevelConfig(
             replicas=layout.replicas, domain_ranks=layout.n_ranks, base=wl_cfg
         )
-        return two_level_program, (tl_cfg, checkpoint, rules), tl_cfg.n_ranks
+        return two_level_program, (tl_cfg, checkpoint, rules, plans), tl_cfg.n_ranks
 
     @staticmethod
     def decomposed_series(cfg, values):

@@ -78,9 +78,9 @@ def test_ring_energy_error_bars_are_calibrated():
     _assert_calibrated(z, "8-site ring energy")
 
 
-#: Strip runs: each its own P = 2 thread run (~1.3 ms a sweep on the
-#: 8-site ring), so the cell affords far
-#: fewer runs than the chain batch -- 12 in ~3 s.  They bound the z
+#: Strip runs: each its own P = 2 thread run (~0.9-1.1 ms a sweep on
+#: the 8-site ring, 2-vCPU host), so the cell affords far
+#: fewer runs than the chain batch -- 12 in ~2.5-3 s.  They bound the z
 #: mean to +-1.17 and the z spread to [0.28, 1.93]: a halved error bar
 #: (spread 2) fails, as does a bias beyond ~1.2 standard errors; error
 #: bars too large pass up to ~3.5x.

@@ -249,22 +249,22 @@ def _inspect_strip(comm, cfg):
     """Rank program: per stage, the local rows each move of the stage's
     tables reads and writes, the walk's fresh rows, and the links."""
     st = _StripState(comm, cfg)
-    T, walk = st.T, st._walk
+    T, plan = st.T, st._plan
     out = {"n": st.n_owned, "depth": st.depth, "stages": []}
     for s, key in enumerate((*range(N_WL_STAGES), "measure")):
         if key == "measure":
-            read = [np.concatenate([t.ravel() for t in st._dlog_tables]) // T]
+            read = [plan.dlog_corners.ravel() // T]
             written = [np.array([], dtype=int)]
         elif WL_STAGES[s][0] == "corner":
-            cache = st._stage_cache[s]
+            cache = plan.stages[s]
             read = list(cache["env"] // T)
             written = list(cache["flip"].T // T)
         else:
-            cache = st._stage_cache[s]
+            cache = plan.stages[s]
             # the op reads each column's neighbors and its own spin
             read = [np.append(row // T, lc) for row, lc in zip(cache["nbr"], cache["lc"])]
             written = [np.array([lc]) for lc in cache["lc"]]
-        (links,) = st._links[key]
+        (links,) = plan.links[key]
         out["stages"].append({
             "sizes": [(ln.dest, ln.source, ln.send.size, ln.ghost.size)
                       for ln in links],
@@ -272,7 +272,7 @@ def _inspect_strip(comm, cfg):
             "written": written,
             "cells": (cache["flip"].T, cache["env"]) if key != "measure"
             and WL_STAGES[s][0] == "corner" else None,
-            "fresh": walk.fresh[s],
+            "fresh": plan.walk.fresh[s],
             "links": [(ln.dest, ln.source, ln.tag) for ln in links],
         })
     return out
@@ -284,8 +284,10 @@ GEOMETRIES = [(16, 1), (16, 2), (16, 4), (12, 2), (20, 2), (40, 4), (24, 6), (64
 def _stage_tables(comm, cfg):
     """Rank program: the rank's stage caches, measurement gathers, frame."""
     st = _StripState(comm, cfg)
-    return (st._stage_cache, st._dlog_tables,
-            (st.start, st.stop, st.n_owned, st.depth, st._walk.runs))
+    plan = st._plan
+    dlog = (plan.dlog_corners[: plan.n_even], plan.dlog_corners[plan.n_even :])
+    return (plan.stages, dlog,
+            (st.start, st.stop, st.n_owned, st.depth, plan.walk.runs))
 
 
 @pytest.mark.parametrize("n_sites,p", GEOMETRIES)
@@ -335,11 +337,12 @@ def test_stage_tables_equal_the_index_algebra_they_replaced(n_sites, p):
             # uniforms one row per bond (column) iff some go uncounted
             assert got["grouped"] == ((lo, hi) != (0, x.size))
             for name, table in want.items():
+                have = got[name]
                 if name in ("uflat", "uc"):
-                    assert got[name].ndim == 1 + got["grouped"], name
-                    got[name] = got[name].reshape(table.shape)
-                np.testing.assert_array_equal(got[name], table, err_msg=name)
-                assert got[name].dtype == np.intp
+                    assert have.ndim == 1 + got["grouped"], name
+                    have = have.reshape(table.shape)
+                np.testing.assert_array_equal(have, table, err_msg=name)
+                assert have.dtype == np.intp
         for parity, got in enumerate(dlog):
             lb = np.arange(D + parity, D + n, 2)[:, None]
             ts = (t_even if parity == 0 else t_odd)[None, :]

@@ -83,7 +83,7 @@ def _inspect_strip_partitions(comm, cfg):
     if not st.overlap_active:
         return out
     out["depth"] = st.depth
-    for (kind, index), cache in zip(WL_STAGES, st._stage_cache):
+    for (kind, index), cache in zip(WL_STAGES, st._plan.stages):
         if kind == "corner":
             key, total, interior = f"corner{index}", cache["env"].shape[0], cache["n_interior"]
             # (moves, cells): the 16 environment and the 4 flipped cells

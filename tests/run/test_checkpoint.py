@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,13 @@ def _bundle_arrays(directory, rank):
         return {k: data[k].copy() for k in data.files if k != "meta"}
 
 
+#: The two rank bundles of ``_strip_cfg(3, "vectorized")`` (IDEAL, seed 3,
+#: checkpoint every 3 sweeps) as the strip driver wrote them before its
+#: ranks shared read-only plans (commit b12d372), when every rank derived
+#: its own tables.
+STRIP_BUNDLE_P2 = Path(__file__).parent / "data" / "strip_bundle_p2"
+
+
 class TestStripDriverResume:
     """Interrupted + resumed == uninterrupted, bit for bit.
 
@@ -180,6 +189,43 @@ class TestStripDriverResume:
         np.testing.assert_array_equal(resumed["owned_spins"], ref["owned_spins"])
         # Full rank state including RNG stream bytes and ghost layers.
         for r in range(p):
+            a, b = _bundle_arrays(ref_dir, r), _bundle_arrays(res_dir, r)
+            assert sorted(a) == sorted(b)
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+    def test_bundle_written_before_rank_plans_resumes(self, tmp_path):
+        """The rank plan changes no bundle byte and no ``strip_schedule``
+        fingerprint: this code writes the committed bundle exactly, and
+        resumes it to the uninterrupted run, bit for bit."""
+        mid = tmp_path / "mid"
+        run_spmd(
+            worldline_strip_program, 2, IDEAL, seed=3,
+            args=(_strip_cfg(n_sweeps=3, mode="vectorized"),
+                  CheckpointConfig(mid, every=3)),
+        )
+        for r in range(2):
+            old_meta, old_arrays = load_rank_checkpoint(STRIP_BUNDLE_P2, r)
+            meta, arrays = load_rank_checkpoint(mid, r)
+            assert meta == old_meta
+            assert sorted(arrays) == sorted(old_arrays)
+            for key in arrays:
+                np.testing.assert_array_equal(arrays[key], old_arrays[key], err_msg=key)
+
+        full = _strip_cfg(n_sweeps=6, mode="vectorized")
+        ref_dir, res_dir = tmp_path / "ref", tmp_path / "res"
+        ref = run_spmd(
+            worldline_strip_program, 2, IDEAL, seed=3,
+            args=(full, CheckpointConfig(ref_dir, every=3)),
+        ).values[0]
+        shutil.copytree(STRIP_BUNDLE_P2, res_dir)
+        resumed = run_spmd(
+            worldline_strip_program, 2, IDEAL, seed=3,
+            args=(full, CheckpointConfig(res_dir, every=3, resume=True)),
+        ).values[0]
+        for key in ("energy", "magnetization", "owned_spins"):
+            np.testing.assert_array_equal(resumed[key], ref[key], err_msg=key)
+        for r in range(2):
             a, b = _bundle_arrays(ref_dir, r), _bundle_arrays(res_dir, r)
             assert sorted(a) == sorted(b)
             for key in a:

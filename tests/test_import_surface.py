@@ -75,6 +75,9 @@ def test_a_run_imports_only_the_run_path(cli_args, tmp_path):
         # "auto" is the batched numpy backend: the per-move source (the
         # scalar / numba backends) loads only when asked for by name.
         assert not {"numba", "repro.kernels.loops"} & loaded
+        # With no optional backend installed there is no version to
+        # look up, so nothing pays for package metadata (~20 ms).
+        assert "importlib.metadata" not in loaded
 
 
 def test_info_commands_do_not_import_the_samplers():
