@@ -52,12 +52,12 @@ A strip rank pays for its moves, not its set-up: everything it derives
 from the geometry and couplings -- frame, halo walk and links, stage
 tables, pricing tables, the sweep's uniform index -- is one read-only
 :class:`_StripPlan`, memoized per process (:func:`_strip_plan`).  A
-launcher builds its run's plans before the ranks start
-(:func:`strip_plans`) and hands them to the program, so forked ranks
-inherit them and threads share them; a rank handed none builds its own
-on first use.  A sweep then takes the rank's uniforms of all six stages
-with one gather by the plan's index and one log for both column
-stages, and each stage reads its view of them.
+rank looks its plan up by its own key; a launcher whose ranks share or
+inherit its memory builds the run's plans first (:func:`strip_plans`),
+so threads share them and forked ranks inherit them, and elsewhere a
+rank builds its own on first use.  A sweep then takes the rank's
+uniforms of all six stages with one gather by the plan's index and one
+log for both column stages, and each stage reads its view of them.
 
 Halo protocol (both decomposed drivers): ghost copies of the boundary
 data travel as ONE aggregated contiguous-buffer message per neighbor
@@ -179,7 +179,6 @@ __all__ = [
     "strip_halo_traffic",
     "block_halo_traffic",
     "WorldlineStripConfig",
-    "strip_plans",
     "worldline_strip_program",
     "IsingBlockConfig",
     "ising_block_program",
@@ -922,16 +921,37 @@ class _StripPlan(NamedTuple):
 
 def strip_plans(cfg: "WorldlineStripConfig", n_ranks: int) -> tuple:
     """The :class:`_StripPlan` of every rank of a strip run of ``cfg``
-    on ``n_ranks`` ranks, in rank order: what a launcher hands
-    :func:`worldline_strip_program` so its ranks build nothing."""
+    on ``n_ranks`` ranks, in rank order, built into the memo: a
+    launcher whose ranks share or inherit its memory (threads, forked
+    processes) calls it first, so the ranks' own lookups all hit."""
     key = (cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy, cfg.beta, n_ranks)
     return tuple(_strip_plan(*key, rank) for rank in range(n_ranks))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
+def _run_plans(n_sites: int, n_slices: int, jz: float, jxy: float, beta: float,
+               n_ranks: int) -> dict:
+    """The memo of one run's plans, rank -> plan, filled on lookup.  It
+    holds one key at a time, so a process keeps at most one run's plans
+    alive, however many runs it launches."""
+    return {}
+
+
 def _strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float, beta: float,
                 n_ranks: int, rank: int) -> _StripPlan:
-    """Build rank ``rank``'s :class:`_StripPlan` (memoized)."""
+    """Rank ``rank``'s :class:`_StripPlan`, built on the first lookup of
+    its key in this process."""
+    plans = _run_plans(n_sites, n_slices, jz, jxy, beta, n_ranks)
+    plan = plans.get(rank)
+    if plan is None:
+        plan = plans[rank] = _build_strip_plan(
+            n_sites, n_slices, jz, jxy, beta, n_ranks, rank)
+    return plan
+
+
+def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
+                      beta: float, n_ranks: int, rank: int) -> _StripPlan:
+    """Build rank ``rank``'s :class:`_StripPlan`."""
     L, T = n_sites, n_slices
     decomp = StripDecomposition(L, n_ranks, require_even=True)
     piece = decomp.piece(rank)
@@ -1097,9 +1117,9 @@ class _StripState(_DecomposedState):
     halo schedule's (:func:`_ghost_depth`): even, so a local bond's
     parity is its global one, and at least 2, the neighborhood a seam
     corner move reads (columns ``seam - 2 .. seam + 1``).  The rank's
-    geometry and tables are its :class:`_StripPlan` (``plan``, or the
-    memoized one of its key); the state holds the spins, the sweep's
-    uniform buffers and their per-stage views, and its counters.
+    geometry and tables are the memoized :class:`_StripPlan` of its
+    key; the state holds the spins, the sweep's uniform buffers and
+    their per-stage views, and its counters.
     """
 
     _array = "loc"
@@ -1110,12 +1130,10 @@ class _StripState(_DecomposedState):
     _driver = "worldline_strip"
     _fingerprint = ("n_sites", "n_slices", "jz", "jxy", "beta")
 
-    def __init__(self, comm, cfg: WorldlineStripConfig, plan: _StripPlan | None = None):
+    def __init__(self, comm, cfg: WorldlineStripConfig):
         super().__init__(comm, cfg)
-        if plan is None:
-            plan = _strip_plan(cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy,
-                               cfg.beta, comm.size, comm.rank)
-        self._plan = plan
+        self._plan = plan = _strip_plan(cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy,
+                                        cfg.beta, comm.size, comm.rank)
         self.T = cfg.n_slices
         self.n_trotter = cfg.n_slices // 2
         self.dtau = cfg.beta / self.n_trotter
@@ -1292,7 +1310,6 @@ def worldline_strip_program(
     cfg: WorldlineStripConfig,
     checkpoint: "CheckpointConfig | None" = None,
     health: "HealthRules | None" = None,
-    plans: tuple | None = None,
 ) -> dict:
     """SPMD rank program: strip-decomposed world-line XXZ chain.
 
@@ -1302,10 +1319,6 @@ def worldline_strip_program(
     ``overlap_active`` -- whether this rank charged the overlapped
     schedule (a requested overlap falls back to lockstep on thin
     strips).
-
-    ``plans`` are the run's rank plans (:func:`strip_plans`), built by
-    the launcher before the ranks start; without them each rank looks
-    its own up, building it on first use in its process.
 
     ``checkpoint`` enables distributed checkpoint/restart: with
     ``every > 0`` each rank snapshots its bundle after every
@@ -1322,17 +1335,7 @@ def worldline_strip_program(
     -- so the trajectory and every series are bit-identical with health
     on or off.
     """
-    plan = _rank_plan(plans, comm)
-    return _run_decomposed(_StripState(comm, cfg, plan), checkpoint, health)
-
-
-def _rank_plan(plans: tuple | None, comm) -> _StripPlan | None:
-    """``comm``'s rank's plan of ``plans`` (None: none handed over)."""
-    if plans is None:
-        return None
-    if len(plans) != comm.size:
-        raise ValueError(f"{len(plans)} strip plans for {comm.size} ranks")
-    return plans[comm.rank]
+    return _run_decomposed(_StripState(comm, cfg), checkpoint, health)
 
 
 

@@ -55,7 +55,6 @@ from repro.obs.online import Welford, gelman_rubin_from_pooled_sums
 from repro.qmc.parallel import (
     WorldlineStripConfig,
     _health_monitor,
-    _rank_plan,
     _run_decomposed,
     _StripState,
 )
@@ -184,8 +183,7 @@ def _validate_resume_layout(directory: str | Path, cfg: TwoLevelConfig) -> None:
             )
 
 
-def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None,
-                      plans=None) -> dict:
+def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None) -> dict:
     """SPMD rank program: ``R`` strip replicas over domain sub-communicators.
 
     Returns on every rank its replica's trajectory (``energy`` /
@@ -193,9 +191,7 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None,
     bit-identical to the equivalent flat strip run) plus the
     ensemble-pooled mean series (``ensemble_energy`` /
     ``ensemble_magnetization``; None when pooling was degraded by a
-    peer-replica failure).  ``plans`` are the domain ranks' strip plans
-    (:func:`~repro.qmc.parallel.strip_plans` of ``cfg.base`` on
-    ``domain_ranks``), one set every replica shares.
+    peer-replica failure).
 
     Each replica runs the strip driver's own state and run loop
     (:func:`~repro.qmc.parallel._run_decomposed`) on its domain
@@ -286,7 +282,7 @@ def two_level_program(comm, cfg: TwoLevelConfig, checkpoint=None, health=None,
             directory=replica_checkpoint_dir(checkpoint.directory, replica),
         )
     out = _run_decomposed(
-        _StripState(domain, cfg.config_for(replica), _rank_plan(plans, domain)),
+        _StripState(domain, cfg.config_for(replica)),
         replica_checkpoint,
         health,
         monitor=monitor,

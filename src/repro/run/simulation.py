@@ -352,18 +352,19 @@ class _XXZ(_Kind):
             overlap=layout.overlap,
             mode=kernel,
         )
-        # Every rank's plan, built here once: forked ranks inherit them,
-        # threads share them, and no rank builds one of its own.
-        plans = strip_plans(wl_cfg, layout.n_ranks)
+        if layout.backend in ("thread", "mp"):
+            # Build every rank's plan here, once: threads share the memo
+            # and forked ranks inherit it, so no rank builds its own.
+            # An mpi rank is a process of its own and builds only its own.
+            strip_plans(wl_cfg, layout.n_ranks)
         if layout.replicas == 1:
-            return (worldline_strip_program, (wl_cfg, checkpoint, rules, plans),
-                    layout.n_ranks)
+            return worldline_strip_program, (wl_cfg, checkpoint, rules), layout.n_ranks
         from repro.qmc.two_level import TwoLevelConfig, two_level_program
 
         tl_cfg = TwoLevelConfig(
             replicas=layout.replicas, domain_ranks=layout.n_ranks, base=wl_cfg
         )
-        return two_level_program, (tl_cfg, checkpoint, rules, plans), tl_cfg.n_ranks
+        return two_level_program, (tl_cfg, checkpoint, rules), tl_cfg.n_ranks
 
     @staticmethod
     def decomposed_series(cfg, values):

@@ -3,7 +3,8 @@
 A strip rank's static geometry -- frame, halo walk and links, stage
 tables, pricing tables and the sweep's uniform index -- is one
 read-only :class:`~repro.qmc.parallel._StripPlan` per rank, built once
-per process; a launcher builds its run's plans before the ranks start.
+per process; a launcher whose ranks share or inherit its memory builds
+its run's plans before the ranks start.
 These tests hold the plan to the per-stage index algebra it replaced
 (one gather of every stage's uniforms, one log of the column stages'),
 to being read-only, and to being built where the launcher runs.
@@ -11,6 +12,7 @@ to being read-only, and to being built where the launcher runs.
 
 import dataclasses
 import os
+import pickle
 from types import MappingProxyType
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.qmc.parallel import (
     worldline_strip_program,
 )
 from repro.run.config import ParallelLayout, XXZRunConfig
-from repro.run.simulation import Simulation
+from repro.run.simulation import _XXZ, Simulation
 from repro.vmp import run_spmd
 from repro.vmp.machines import IDEAL
 
@@ -129,45 +131,84 @@ def test_a_plan_is_built_once_per_process_and_shared():
     again = strip_plans(dataclasses.replace(cfg, n_sweeps=9, sweep_seed=5), 2)
     assert all(a is b for a, b in zip(again, plans))
 
-    def rank_plan(comm, cfg, plans):
-        return _StripState(comm, cfg, plans[comm.rank])._plan
+    def rank_plan(comm, cfg):
+        return _StripState(comm, cfg)._plan
 
-    got = run_spmd(rank_plan, 2, IDEAL, args=(cfg, plans)).values
+    got = run_spmd(rank_plan, 2, IDEAL, args=(cfg,)).values
     assert all(a is b for a, b in zip(got, plans))
 
 
+def test_the_memo_holds_one_runs_plans():
+    """A plan is looked up by its rank's own couplings, and a new key
+    drops the last run's plans."""
+    cfg = _cfg(32)
+    hot = dataclasses.replace(cfg, beta=2 * cfg.beta)
+    plans, hot_plans = strip_plans(cfg, 2), strip_plans(hot, 2)
+    assert parallel._run_plans.cache_info().currsize == 1
+    for plan, hot_plan in zip(plans, hot_plans):
+        assert plan is not hot_plan
+        assert not np.array_equal(plan.table.weights, hot_plan.table.weights)
+
+    def rank_weights(comm, cfg):
+        return _StripState(comm, cfg)._plan.table.weights
+
+    for c, want in ((cfg, plans), (hot, hot_plans)):
+        for got, plan in zip(run_spmd(rank_weights, 2, IDEAL, args=(c,)).values, want):
+            np.testing.assert_array_equal(got, plan.table.weights)
+
+
 def _record_builds(monkeypatch, log):
-    """Patch the plan builder to append the building pid to ``log`` (a
-    file, so forked ranks report too: they inherit the patch)."""
-    build = parallel._strip_plan
+    """Empty the memo and patch the plan builder to append the building
+    pid to ``log`` (a file, so forked ranks report too: they inherit
+    the patch)."""
+    parallel._run_plans.cache_clear()
+    build = parallel._build_strip_plan
 
     def recording(*key):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return build(*key)
 
-    monkeypatch.setattr(parallel, "_strip_plan", recording)
+    monkeypatch.setattr(parallel, "_build_strip_plan", recording)
     return lambda: [int(x) for x in log.read_text().split()] if log.exists() else []
+
+
+def _xxz(backend, **kw):
+    layout = ParallelLayout(strategy="strip", n_ranks=2, backend=backend, **kw)
+    return XXZRunConfig(n_sites=16, beta=1.0, n_slices=8, n_sweeps=4, seed=3,
+                        layout=layout)
 
 
 @pytest.mark.tier1_fault
 def test_a_simulation_builds_every_plan_before_the_ranks_fork(tmp_path, monkeypatch):
+    """The runner builds both plans in the launching process; the forked
+    ranks' lookups hit the memo they inherit."""
     builds = _record_builds(monkeypatch, tmp_path / "builds")
-    layout = ParallelLayout(strategy="strip", n_ranks=2, backend="mp")
-    result = Simulation(XXZRunConfig(
-        n_sites=16, beta=1.0, n_slices=8, n_sweeps=4, seed=3, layout=layout,
-    )).run()
+    result = Simulation(_xxz("mp")).run()
     assert result.runtime["n_attempted"] > 0
     assert builds() == [os.getpid()] * 2
 
 
 @pytest.mark.tier1_fault
 def test_a_direct_mp_run_builds_its_plans_in_the_ranks(tmp_path, monkeypatch):
-    """A caller that hands no plans over still runs: each rank looks its
-    own plan up, built in its own process."""
+    """A caller that builds no plans first still runs: each rank looks
+    its own plan up, built in its own process."""
     builds = _record_builds(monkeypatch, tmp_path / "builds")
     res = run_spmd(worldline_strip_program, 2, IDEAL, seed=3,
                    args=(dataclasses.replace(_cfg(16), n_sweeps=3),), backend="mp")
     assert [len(v["energy"]) for v in res.values] == [3, 3]
     pids = builds()
     assert len(pids) == 2 and os.getpid() not in pids
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_an_mpi_layout_pickles_its_args_and_builds_no_plan(tmp_path, monkeypatch,
+                                                           replicas):
+    """``mpiexec`` launches pickle the program's args, and an mpi rank
+    is a process of its own: the runner builds no plans for it."""
+    builds = _record_builds(monkeypatch, tmp_path / "builds")
+    cfg = _xxz("mpi", replicas=replicas)
+    program, args, n_ranks = _XXZ.decomposed(cfg, "numpy", None, None)
+    assert n_ranks == 2 * replicas
+    assert pickle.loads(pickle.dumps(args))[0] == args[0]
+    assert builds() == []
