@@ -46,9 +46,9 @@ def executed_anchor() -> dict[int, float]:
     refresh of its ten-column ghosts) and 4 at P = 4 (pieces of 8 cap
     the ghosts at 6 columns, refreshed twice), so the anchor holds the
     model to a structural factor, not to its message count.  At this
-    toy size the run is still latency-bound; the model's
-    ``halo_messages_per_sweep`` override remains the granularity
-    ablation (e.g. 12: a refresh before every stage).
+    toy size the run is still latency-bound; a ``halo_schedule`` of
+    more, smaller messages is the model's granularity ablation (e.g.
+    six refreshes: one before every stage).
     """
     cfg = WorldlineStripConfig(
         n_sites=32, jz=1.0, jxy=1.0, beta=2.0, n_slices=16,

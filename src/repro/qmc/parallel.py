@@ -19,12 +19,12 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
-  grid.  A rank's frame keeps two ghost planes a side on every spatial
-  axis of extent > 1 (none on an extent-1 one, so a chain's spins are
-  contiguous), refreshed once a sweep before color 0; color 0 also
-  updates the inner ghost ring, on its owner's uniforms, so color 1
-  reads only fresh ghosts.  A flip is priced by a count: ``log u <
-  thr[code]``, ``code`` the int8 count of the neighbour sums and ``thr``
+  grid.  A rank's frame keeps the walk's two ghost planes a side on
+  every spatial axis of extent > 1 (none on an extent-1 one, so a
+  chain's spins are contiguous), refreshed once a sweep before color 0;
+  color 0 also updates the inner ghost ring, on its owner's uniforms,
+  so color 1 reads only fresh ghosts.  A flip is priced by a count:
+  ``log u < thr[code]``, ``code`` the int8 count of the neighbour sums and ``thr``
   :func:`~repro.kernels.ising_tables.ising_thresholds`.  Given the same
   per-site uniforms the parallel trajectory is **bit-identical** to the
   serial one (same-color sites do not interact, and a redundant update
@@ -48,49 +48,51 @@ once from ``sweep_seed`` and skips ahead to its share -- the strip's
 next whole block per sweep, a block rank's own rows of the sweep's
 global field and one more a side.
 
-A strip rank pays for its moves, not its set-up: everything it derives
-from the geometry and couplings -- frame, halo walk and links, stage
-tables, pricing tables, the sweep's uniform index -- is one read-only
-:class:`_StripPlan`, memoized per process (:func:`_strip_plan`).  A
-rank looks its plan up by its own key; a launcher whose ranks share or
-inherit its memory builds the run's plans first (:func:`strip_plans`),
-so threads share them and forked ranks inherit them, and elsewhere a
-rank builds its own on first use.  A sweep then takes the rank's
-uniforms of all six stages with one gather by the plan's index and one
-log for both column stages, and each stage reads its view of them.
+A rank pays for its moves, not its set-up: everything it derives from
+its geometry -- frame, halo schedule and phases, stage and pricing
+tables, the sweep's uniform index -- is one read-only plan
+(:class:`_StripPlan`, :class:`_BlockPlan`) in a per-process memo of one
+run's plans, looked up by the rank's own key (:func:`_rank_plan`).  A
+launcher whose ranks share or inherit its memory builds the run's plans
+first (:func:`rank_plans`), so threads share them and forked ranks
+inherit them; elsewhere a rank builds its own on first use.  A strip
+sweep takes its uniforms of all six stages with one gather by its
+plan's index and one log for both column stages.
 
-Halo protocol (both decomposed drivers): ghost copies of the boundary
-data travel as ONE aggregated contiguous-buffer message per neighbor
-*rank* -- the packed ghost columns for the strip, the two-deep
-boundary planes for the Ising blocks (both faces where east and west
-are the same rank; an x phase, then a y phase that carries the x
-ghosts into the corners) -- instead of one message per boundary column/plane
-(under ``alpha + n * beta`` per message, aggregation cuts the latency
-term and leaves the bandwidth term).  Each state only *describes* its
-traffic as a ``_links`` table: per stage key, the :class:`_HaloLink`
-tuples that stage posts (an axis the decomposition does not split wraps
-locally); :meth:`_DecomposedState._exchange` is the one place that posts
-and completes them, in the lockstep or the overlapped schedule, and
-:func:`_run_decomposed` is the one run loop all programs (including
-:func:`repro.qmc.two_level.two_level_program` and :func:`chain_program`,
-whose states post nothing) share.  That loop also owns the reductions:
-a measurement leaves its rank-local partial sums pending, and one
-allreduce carries every pending row when a global value is due.
+Halo protocol: ghost copies of the boundary data travel as ONE
+aggregated contiguous-buffer message per neighbor *rank* and split
+axis, an axis at a time -- a later axis ships the frame's full extent
+of the earlier ones, so the block's y phase carries the x ghosts into
+the corners -- instead of one message per boundary column/plane (under
+``alpha + n * beta`` per message, aggregation cuts the latency term and
+leaves the bandwidth term); an axis the decomposition does not split
+wraps locally.  A plan only *describes* its traffic, as the phases of
+each stage key (:func:`_axis_refresh`); :meth:`_DecomposedState._exchange`
+is the one place that posts and completes them, in the lockstep or the
+overlapped schedule, and :func:`_run_decomposed` is the one run loop
+all programs (including :func:`repro.qmc.two_level.two_level_program`
+and :func:`chain_program`, whose states post nothing) share.  That loop
+also owns the reductions: a measurement leaves its rank-local partial
+sums pending, and one allreduce carries every pending row when a global
+value is due.
 
 Halo schedule: a ghost ships only when it is stale and about to be
-read -- a function of the stage list and the decomposition alone, so
-both sides compute it independently and trajectories equal refreshing
-everything everywhere.  A strip rank holds ``D`` ghost columns a side
+read -- a function of the driver's stencil and the decomposition alone,
+so both sides compute it independently and trajectories equal
+refreshing everything everywhere.  A stencil (:class:`_Stencil`) is a
+sweep's stages along a split axis in cells -- a strip column; a block
+plane's sites of one color, cell ``2 x + c`` -- each by the cells its
+moves sit on, read and write.  A rank holds ``D`` ghost cells a side
 and runs every move whose reads are fresh, owned or redundant, so its
-ghosts go stale slowly.  :func:`_halo_walk` walks one sweep over the
-columns, every ghost stale at sweep start: a column goes stale when the
-stage's move that writes it cannot run; a refresh (every ghost, one
+ghosts go stale slowly.  :func:`_halo_walk` walks one sweep, every
+ghost stale at its start: a cell goes stale when its stage writes its
+class and no move that ran wrote it; a refresh (every ghost, one
 message per neighbor rank) goes before a stage whose owned moves would
-read a stale column, or a measurement that would; and of the redundant
-moves only those run that some later move reads.
-``D`` is the smallest even depth at which the walk posts its fewest
-refreshes, capped beyond two ranks by the thinnest piece
-(:func:`_ghost_depth`):
+read a stale cell, or a measurement that would; and of the redundant
+moves only those run that some later move reads.  ``D`` is the smallest
+depth at which the walk posts its fewest refreshes, capped beyond two
+ranks by the thinnest piece; one rank keeps the moves' own reach
+(:func:`_ghost_depth`).  It is a knob of neither driver.  The strip's:
 
 ==========================  =====  =================  =============
 ranks, pieces (columns)     ``D``  refreshes a sweep  before stages
@@ -103,12 +105,14 @@ one (local wraps)           2      5                  0, 1, 2, 3, 5
 ==========================  =====  =================  =============
 
 so a P = 2 run sends one message a rank and sweep, a P >= 3 run of wide
-pieces two, and none is posted for a measurement.  The block refreshes
-once a sweep too, every ghost plane before color 0 (one message a rank
-and split axis), which leaves the outer planes and the inner ones'
-color-1 sites stale after a sweep; every boundary bond has one color-1
-end, and the rank owning that end counts the bond against its fresh
-color-0 ghost partner, so the block measurement posts nothing either.
+pieces two, and none is posted for a measurement.  On the block the
+walk posts two refreshes at a depth of one plane and one at two, so
+``D`` is two planes on every axis of extent > 1; the refresh goes
+before color 0, which runs on the owned planes and the inner ghost
+ring, and color 1 on the owned ones.  The outer planes and the inner
+ones' color-1 sites are stale after a sweep, and the measurement reads
+none of them: every boundary bond has one color-1 end, and the rank
+owning that end counts the bond against its fresh color-0 partner.
 
 Ownership conventions (world-line strip, global column indices):
 
@@ -137,6 +141,7 @@ lockstep's by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,8 +181,7 @@ __all__ = [
     "WL_STAGES",
     "N_WL_STAGES",
     "REDUCE_BATCH",
-    "strip_halo_traffic",
-    "block_halo_traffic",
+    "halo_traffic",
     "WorldlineStripConfig",
     "worldline_strip_program",
     "IsingBlockConfig",
@@ -222,22 +226,41 @@ WL_STAGES = (
 )
 N_WL_STAGES = len(WL_STAGES)
 
-#: Offsets from a move's local bond (corner) or column (straight line)
-#: to the local columns it reads and the ones it writes.
-_MOVE_READS = {"corner": np.arange(-1, 3), "column": np.arange(-1, 2)}
-_MOVE_WRITES = {"corner": np.arange(2), "column": np.arange(1)}
+
+class _Stencil(NamedTuple):
+    """A driver's moves along one split axis, in cells (module docstring,
+    "Halo schedule").  Per stage in sweep order, ``(step, phase, reads,
+    writes)``: its moves sit on the cells ``x = phase (mod step)``, move
+    ``x`` reading the cells ``x + reads`` and writing ``x + writes``.  A
+    plane is ``per_plane`` cells; the measurement reads the owned cells
+    and ``measure``'s, each an offset from the first owned cell if
+    negative, else from one past the last."""
+
+    stages: tuple
+    per_plane: int
+    measure: tuple[int, ...]
 
 
-def _stage_parity(kind: str, index: int) -> int:
-    """The parity of the bonds (columns) a stage's moves sit on."""
-    return CORNER_COLORS[index][0][0] % 2 if kind == "corner" else index
+#: The strip's stencil, a cell per column: corner color ``k``'s bonds read
+#: columns ``x-1 .. x+2`` and write ``x, x+1``, column parity ``p``'s
+#: columns read ``x-1 .. x+1``; the measurement reads column ``stop``.
+_STRIP_STENCIL = _Stencil(tuple(
+    (2, CORNER_COLORS[k][0][0] % 2, (-1, 0, 1, 2), (0, 1)) if kind == "corner"
+    else (2, k, (-1, 0, 1), (0,)) for kind, k in WL_STAGES), per_plane=1, measure=(0,))
+
+#: The block's, along either spatial axis: cell ``2 x + c`` holds plane
+#: ``x``'s color-``c`` sites, whose neighbours are the other color's on
+#: planes ``x - 1 .. x + 1``; the measurement reads the color-0 partners
+#: of the face bonds it counts, on planes ``start - 1`` and ``stop``.
+_BLOCK_STENCIL = _Stencil(((2, 0, (-1, 0, 1, 3), (0,)), (2, 1, (-3, -1, 0, 1), (0,))),
+                          per_plane=2, measure=(-2, 0))
 
 
 class _HaloWalk(NamedTuple):
-    """The strip's halo schedule on one rank's frame (module docstring,
-    "Halo schedule"): per stage, then the measurement, whether every
-    ghost is refreshed first and the columns fresh while it runs; per
-    stage, the local bonds / columns whose moves run, ascending."""
+    """A halo schedule on one rank's frame along one axis (module
+    docstring, "Halo schedule"): per stage, then the measurement,
+    whether every ghost is refreshed first and the cells fresh while it
+    runs; per stage, the cells whose moves run, ascending."""
 
     refresh: list[bool]
     runs: list[np.ndarray]
@@ -245,41 +268,40 @@ class _HaloWalk(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _halo_walk(n_owned: int, depth: int) -> _HaloWalk:
-    """Walk one sweep over a frame of ``n_owned`` owned columns and
-    ``depth`` ghosts a side (local parity the global one).
+def _halo_walk(stencil: _Stencil, n_owned: int, depth: int) -> _HaloWalk:
+    """Walk one sweep of ``stencil`` over a frame of ``n_owned`` owned
+    cells and ``depth`` ghosts a side (local phases the global ones).
 
-    Forward, running every move whose reads are fresh: a column goes
-    stale when the stage's move that writes it cannot run, and a refresh
-    (every ghost fresh) goes before a stage whose owned moves -- the ones
-    writing an owned column -- would read a stale one.  Backward: of the
-    redundant moves only those run whose writes a later move that runs
-    reads before the next refresh (or the measurement, which reads
-    column ``stop``).  Every ghost is stale at sweep start.  Memoized:
-    the ranks of a process share it, read-only.
+    Forward, running every move whose reads are fresh: a cell goes stale
+    when the stage's write class covers it and no move that ran wrote
+    it, and a refresh (every ghost fresh) goes before a stage whose owned
+    moves -- the ones writing an owned cell -- would read a stale one.
+    Backward: of the redundant moves only those run whose writes a later
+    move that runs reads before the next refresh (or the measurement).
+    Every ghost is stale at sweep start.  Memoized: the ranks of a
+    process share it, read-only.
     """
     width = n_owned + 2 * depth
-    owned = np.zeros(width, dtype=bool)
-    owned[depth : depth + n_owned] = True
+    cells = np.arange(width)
+    owned = (cells >= depth) & (cells < depth + n_owned)
+    measured = owned.copy()
+    measured[[(depth if o < 0 else depth + n_owned) + o for o in stencil.measure]] = True
     stages = []
     fresh = owned
-    for kind, index in WL_STAGES:
-        reads, writes = _MOVE_READS[kind], _MOVE_WRITES[kind]
-        parity = _stage_parity(kind, index)
-        x = np.arange(2 - parity, width - reads[-1], 2)
+    for step, phase, reads, writes in stencil.stages:
+        x = cells[(cells % step == phase) & (cells + min(reads) >= 0)
+                  & (cells + max(reads) < width)]
         ok = fresh[x[:, None] + reads].all(axis=1)
         post = not ok[owned[x[:, None] + writes].any(axis=1)].all()
         if post:
             fresh = np.ones(width, dtype=bool)
             ok[:] = True
         stages.append((x, ok, post))
-        fresh = _advance(fresh, kind, parity, x[ok])
-    refresh = [post for _, _, post in stages] + [not fresh[depth + n_owned]]
+        fresh = _advance(fresh, step, phase, writes, x[ok])
+    refresh = [post for _, _, post in stages] + [not fresh[measured].all()]
     runs = []
-    live = np.zeros(width, dtype=bool)
-    live[depth : depth + n_owned + 1] = not refresh[-1]
-    for (kind, _), (x, ok, post) in zip(WL_STAGES[::-1], stages[::-1]):
-        reads, writes = _MOVE_READS[kind], _MOVE_WRITES[kind]
+    live = measured & (not refresh[-1])
+    for (_, _, reads, writes), (x, ok, post) in zip(stencil.stages[::-1], stages[::-1]):
         run = x[ok & (owned | live)[x[:, None] + writes].any(axis=1)]
         runs.insert(0, run)
         live = live.copy()
@@ -287,47 +309,50 @@ def _halo_walk(n_owned: int, depth: int) -> _HaloWalk:
         if post:
             live[:] = False
     fresh_at, fresh = [], owned
-    for (kind, index), run, post in zip(WL_STAGES, runs, refresh):
+    for (step, phase, _, writes), run, post in zip(stencil.stages, runs, refresh):
         fresh = np.ones(width, dtype=bool) if post else fresh
         fresh_at.append(fresh)
-        fresh = _advance(fresh, kind, _stage_parity(kind, index), run)
+        fresh = _advance(fresh, step, phase, writes, run)
     fresh_at.append(np.ones(width, dtype=bool) if refresh[-1] else fresh)
     for table in (*runs, *fresh_at):
         table.flags.writeable = False
     return _HaloWalk(refresh, runs, fresh_at)
 
 
-def _advance(fresh: np.ndarray, kind: str, parity: int, run: np.ndarray) -> np.ndarray:
-    """The columns fresh after a stage that ran the moves ``run``: those
-    it does not write, and those it writes by a move that ran."""
-    kept = np.arange(fresh.size) % 2 != parity if kind == "column" else (
-        np.zeros(fresh.size, dtype=bool))
-    kept[(run[:, None] + _MOVE_WRITES[kind]).ravel()] = True
+def _advance(fresh: np.ndarray, step: int, phase: int, writes: tuple,
+             run: np.ndarray) -> np.ndarray:
+    """The cells fresh after a stage that ran the moves ``run``: those
+    outside its write class, and those a move that ran wrote."""
+    kept = ~np.isin((np.arange(fresh.size) - phase) % step, np.mod(writes, step))
+    kept[(run[:, None] + writes).ravel()] = True
     return fresh & kept
 
 
-def _ghost_depth(widths: list[int]) -> int:
-    """Ghost columns a side of a strip cut into pieces of ``widths``:
-    the smallest even depth at which :func:`_halo_walk` posts its fewest
-    refreshes -- one a sweep, unless the thinnest piece caps the depth.
-    Beyond two ranks it does, since a ghost must come from an adjacent
-    rank; on two, every ghost column is the neighbor's or the rank's own
-    (:func:`_ghost_owners`).  One rank posts nothing at any depth -- its
-    refresh is a local wrap -- and keeps the moves' own reach, 2."""
+def _ghost_depth(stencil: _Stencil, widths: list[int]) -> int:
+    """Ghost cells a side of an axis cut into pieces of ``widths`` cells:
+    the smallest depth, a multiple of the stages' step, at which
+    :func:`_halo_walk` posts its fewest refreshes -- one a sweep, unless
+    the thinnest piece caps the depth.  Beyond two ranks it does, since
+    a ghost must come from an adjacent rank; on two, every ghost is the
+    neighbor's or the rank's own (:func:`_ghost_owners`).  One rank
+    posts nothing at any depth -- its refresh is a local wrap -- and
+    keeps the moves' own reach."""
+    step = math.lcm(*(stage[0] for stage in stencil.stages))
     if len(widths) == 1:
-        return 2
+        reach = max(abs(o) for stage in stencil.stages for o in stage[2])
+        return -(-reach // step) * step
     cap = min(widths) if len(widths) > 2 else None
-    best, depth = (N_WL_STAGES + 2, 0), 2
+    best, depth = (len(stencil.stages) + 2, 0), step
     while cap is None or depth <= cap:
-        best = min(best, (sum(_halo_walk(min(widths), depth).refresh), depth))
+        best = min(best, (sum(_halo_walk(stencil, min(widths), depth).refresh), depth))
         if best[0] == 1:  # the sweep's first stage always refreshes
             break
-        depth += 2
+        depth += step
     return best[1]
 
 
 def _ghost_owners(decomp: StripDecomposition, rank: int, depth: int):
-    """``(ghost, owner, column)`` per ghost column of ``rank`` at
+    """``(ghost, owner, plane)`` per ghost plane of ``rank`` at
     ``depth``, ascending: its local index, the rank that owns it and
     that rank's local index of it."""
     piece = decomp.piece(rank)
@@ -339,19 +364,106 @@ def _ghost_owners(decomp: StripDecomposition, rank: int, depth: int):
     return out
 
 
-def strip_halo_traffic(n_sites: int, n_slices: int, n_ranks: int) -> tuple[int, int, int]:
-    """``(refreshes, messages, sites)``: what rank 0 of the strip driver
-    posts a sweep on ``n_ranks`` ranks -- ``refreshes`` halo refreshes
-    of ``messages`` aggregated messages (one per neighbor rank) of
-    ``sites`` spins each.  The performance model's strip workload
-    charges this schedule."""
-    decomp = StripDecomposition(n_sites, n_ranks, require_even=True)
-    widths = [p.n_owned for p in decomp.pieces]
-    depth = _ghost_depth(widths)
-    refreshes = sum(_halo_walk(min(widths), depth).refresh[:N_WL_STAGES])
-    remote = [o for _, o, _ in _ghost_owners(decomp, 0, depth) if o != 0]
-    messages = len(set(remote))
-    return refreshes, messages, len(remote) * n_slices // messages if messages else 0
+def _axis_refresh(flat: np.ndarray, depths: list[int], axis: int,
+                  decomp: StripDecomposition, coord: int, world) -> tuple:
+    """A refresh's phase along ``axis`` on a frame of flat site indices
+    ``flat`` and ``depths`` ghost planes a side, as
+    :meth:`_DecomposedState._exchange` runs it: ``(sends, receives,
+    wrap)``, a ``(rank, tag offset, sites)`` per neighbor rank each way
+    and the local copy ``(ghost, source)`` or None.  ``decomp`` cuts the
+    axis, the rank sits at its ``coord`` and ``world`` maps a coordinate
+    to the rank there.
+
+    Every ghost plane ships from its owner, over the frame's full extent
+    on the axes before ``axis`` (so a later phase carries an earlier
+    one's ghosts into the corners) and the owned extent on those after:
+    one int8 buffer per neighbor rank, in the receiver's ghost order, a
+    side at a time, which both ends derive from the decomposition.
+    Ghosts a rank owns itself (an uncut axis's, the deep ones of a
+    two-rank ring) copy locally.
+    """
+    d, piece = depths[axis], decomp.piece(coord)
+    index = [slice(None) if b < axis else slice(e, n - e)
+             for b, (e, n) in enumerate(zip(depths, flat.shape))]
+
+    def sites(ghosts, owner, at):
+        """The flat sites of the ghost planes of ``ghosts`` (as
+        :func:`_ghost_owners` lists them) that ``owner`` holds, at their
+        local (``at = 0``) or owner's (``at = 2``) plane, a side at a
+        time."""
+        parts = []
+        for side in (ghosts[:d], ghosts[d:]):
+            index[axis] = [g[at] for g in side if g[1] == owner]
+            parts.append(flat[tuple(index)].ravel())
+        return _frozen(np.concatenate(parts))
+
+    mine = _ghost_owners(decomp, coord, d)
+    # sends rightward first, receives from the left first
+    sends = tuple((world(peer), axis, sites(_ghost_owners(decomp, peer, d), coord, 2))
+                  for peer in dict.fromkeys((piece.right_rank, piece.left_rank))
+                  if peer != coord)
+    recvs = tuple((world(owner), axis, sites(mine, owner, 0))
+                  for owner in dict.fromkeys((piece.left_rank, piece.right_rank))
+                  if owner != coord)
+    wrap = sites(mine, coord, 0), sites(mine, coord, 2)
+    return sends, recvs, wrap if wrap[0].size else None
+
+
+class _Frame(NamedTuple):
+    """A rank's ghosted frame (module docstring, "Halo schedule"): per
+    spatial axis the rank's piece, its ghost planes a side and its walk
+    (None, 0 and None on an inert axis), the frame's ``shape``; per
+    stage key, then ``"measure"``, whether the refresh posts first and
+    the ``phases`` :meth:`_DecomposedState._exchange` runs there, one per
+    axis with ghosts (:func:`_axis_refresh`)."""
+
+    pieces: tuple
+    depths: tuple[int, ...]
+    walks: tuple
+    shape: tuple[int, ...]
+    refresh: tuple[bool, ...]
+    phases: MappingProxyType
+
+
+def _halo_frame(stencil: _Stencil, axes: list, n_trailing: int) -> _Frame:
+    """The :class:`_Frame` of a rank with spatial ``axes``, each
+    ``(decomp, coord, world)`` as :func:`_axis_refresh` takes them or
+    None if inert (extent 1), and an unsplit trailing axis of
+    ``n_trailing``: per axis ``stencil``'s depth and walk on its pieces;
+    the refresh, a phase per axis, posts where any axis's walk does."""
+    k = stencil.per_plane
+    pieces = tuple(ax and ax[0].piece(ax[1]) for ax in axes)
+    depths, walks = [], []
+    for ax, piece in zip(axes, pieces):
+        d = _ghost_depth(stencil, [k * p.n_owned for p in ax[0].pieces]) if ax else 0
+        walks.append(ax and _halo_walk(stencil, k * piece.n_owned, d))
+        depths.append(d // k)
+    shape = (*(p.n_owned + 2 * d if p else 1 for p, d in zip(pieces, depths)), n_trailing)
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    phases = tuple(_axis_refresh(flat, depths, a, *ax) for a, ax in enumerate(axes) if ax)
+    keys = (*range(len(stencil.stages)), "measure")
+    refresh = tuple(any(w.refresh[i] for w in walks if w) for i in range(len(keys)))
+    return _Frame(pieces, tuple(depths), tuple(walks), shape, refresh, MappingProxyType(
+        {key: phases if post else () for key, post in zip(keys, refresh)}))
+
+
+def halo_traffic(driver: str, geometry: tuple, n_ranks: int) -> tuple:
+    """``(refreshes, messages, sites, *priced)``, read off the compiled
+    phases of rank 0 of ``driver`` -- ``"worldline_strip"`` of
+    ``geometry = (n_sites, n_slices)``, ``"ising_block"`` of ``(lx, ly,
+    lt)`` -- on ``n_ranks`` ranks: a sweep's refreshes (local wraps
+    included), each of ``messages`` messages (one per neighbor rank and
+    phase) of ``sites`` spins on average.  The block prices its compute
+    too, ``priced = (updates, interior)`` (:class:`_BlockPlan`).  The
+    performance model's workloads charge this schedule."""
+    if driver == "ising_block":
+        plan = _build_block_plan(*geometry, n_ranks, 0)
+        frame, priced = plan.frame, plan.priced
+    else:
+        frame, priced = _strip_frame(*geometry, n_ranks, 0), ()
+    posted = [phases for phases in frame.phases.values() if phases]
+    sent = [sites.size for sends, _, _ in posted[0] for _, _, sites in sends] if posted else []
+    return (len(posted), len(sent), sum(sent) / len(sent) if sent else 0, *priced)
 
 
 # ======================================================================
@@ -359,63 +471,33 @@ def strip_halo_traffic(n_sites: int, n_slices: int, n_ranks: int) -> tuple[int, 
 # ======================================================================
 
 
-class _HaloLink(NamedTuple):
-    """One direction of a halo refresh along one decomposed axis.
-
-    The owned boundary sites ``send`` travel to rank ``dest`` while the
-    opposite neighbor's (``source``) boundary lands in the ``ghost``
-    sites -- both flat indices into the rank's ghosted spin array, in
-    the one site order the two ends share.  A link may be one half: it
-    sends iff ``dest`` is a rank and receives iff ``source`` is one
-    (the strip's are).  Both ``None`` is a local copy of ``send`` into
-    ``ghost``, for free: an axis the decomposition does not split, or
-    the ghosts a strip rank owns itself.  ``tag`` is the link's offset
-    inside the exchange's tag block.
-    """
-
-    dest: int | None
-    source: int | None
-    send: np.ndarray
-    ghost: np.ndarray
-    tag: int
+@lru_cache(maxsize=1)
+def _run_plans(driver: str, key: tuple, n_ranks: int) -> dict:
+    """The memo of one run's rank plans, rank -> plan, filled on lookup.
+    It holds one run's key at a time, whatever its driver, so a process
+    keeps at most one run's plans alive, however many runs it launches."""
+    return {}
 
 
-def _per_neighbor(links, end: str, sites: str) -> list[tuple[int, int, np.ndarray]]:
-    """Coalesce the links of one stage by the rank at their ``end``:
-    one ``(rank, tag offset, flat site index)`` per neighbor, the sites
-    concatenated in link order.  The sender groups by ``dest``, the
-    receiver by ``source``; link ``i`` of the one names link ``i`` of
-    the other, so buffer layout and tag agree without negotiation."""
-    by_rank: dict[int, list[_HaloLink]] = {}
-    for ln in links:
-        rank = getattr(ln, end)
-        if rank is not None:
-            by_rank.setdefault(rank, []).append(ln)
-    return [
-        (rank, group[0].tag,
-         np.concatenate([getattr(ln, sites) for ln in group]))
-        for rank, group in by_rank.items()
-    ]
+def _rank_plan(state: type, cfg, n_ranks: int, rank: int):
+    """Rank ``rank``'s plan of a run of ``cfg`` on ``n_ranks`` ranks of
+    rank state ``state``, built from the config fields it names
+    (``_plan_key``) on the first lookup of its key in this process."""
+    key = tuple(getattr(cfg, name) for name in state._plan_key)
+    plans = _run_plans(state._driver, key, n_ranks)
+    if rank not in plans:
+        build = _build_strip_plan if state._driver == "worldline_strip" else _build_block_plan
+        plans[rank] = build(*key, n_ranks, rank)
+    return plans[rank]
 
 
-def _compile_links(links: dict) -> dict:
-    """``_links`` as :meth:`_DecomposedState._exchange` executes it: per
-    stage key one phase per axis with links, in axis order, each the
-    sends and the receives, one per neighbor rank (:func:`_per_neighbor`),
-    and the one local wrap ``(ghost, source)`` of its unsplit links."""
-    compiled = {}
-    for stage, axes in links.items():
-        phases = []
-        for group in filter(None, axes):
-            wraps = [ln for ln in group if ln.dest is None and ln.source is None]
-            phases.append((
-                _per_neighbor(group, "dest", "send"),
-                _per_neighbor(group, "source", "ghost"),
-                (np.concatenate([ln.ghost for ln in wraps]),
-                 np.concatenate([ln.send for ln in wraps])) if wraps else None,
-            ))
-        compiled[stage] = tuple(phases)
-    return compiled
+def rank_plans(cfg, n_ranks: int) -> tuple:
+    """The plan of every rank of a strip (block) run of ``cfg`` on
+    ``n_ranks`` ranks, in rank order, built into the memo: a launcher
+    whose ranks share or inherit its memory (threads, forked processes)
+    calls it first, so the ranks' own lookups all hit."""
+    state = _StripState if isinstance(cfg, WorldlineStripConfig) else _BlockState
+    return tuple(_rank_plan(state, cfg, n_ranks, rank) for rank in range(n_ranks))
 
 
 class _SweepMetrics:
@@ -449,13 +531,14 @@ class _DecomposedState:
 
     Owns the communicator and config, the shared-randomness sweep
     counter, the Metropolis accounting, kernel-backend resolution, the
-    per-sweep telemetry, the halo exchange and the checkpoint pair.  A
-    subclass supplies the geometry: the class attributes below, its
-    ghosted spin array (the attribute named by ``_array``) and its flat
-    view ``_flat``, the ``_phases`` :meth:`_exchange` runs
-    (:func:`_compile_links` of a ``_links`` table: per stage key, the
-    :class:`_HaloLink` tuples the halo schedule posts before that
-    stage, grouped by axis), :meth:`_sweep_stages`, :meth:`measure`, :meth:`series_columns` and :meth:`result`.  A state
+    per-sweep telemetry, the halo exchange and the checkpoint pair.  Its
+    geometry is the rank's plan (:func:`_rank_plan`): the ``frame``
+    whose ``phases`` :meth:`_exchange` runs, the uniforms a sweep takes,
+    what keeps the overlapped schedule off (``overlap_blocker``) and the
+    checkpoint's ``schedule`` entry.  A subclass supplies the
+    class attributes below, its ghosted spin array (the attribute named
+    by ``_array``) and its flat view ``_flat``, :meth:`_sweep_stages`,
+    :meth:`measure`, :meth:`series_columns` and :meth:`result`.  A state
     with no geometry to exchange or checkpoint (:class:`_ChainState`)
     supplies the last four only.
     """
@@ -476,16 +559,23 @@ class _DecomposedState:
     #: rank count, sweep seed and thermalization length.
     _driver: str
     _fingerprint: tuple[str, ...]
-
-    #: Uniforms one sweep takes from the run's sweep stream, all ranks
-    #: together (the subclass sets it at construction).
-    _per_sweep: int
+    #: The config fields a rank plan is built from, with the rank count.
+    _plan_key: tuple[str, ...]
 
     def __init__(self, comm, cfg):
         # Resolve the kernel backend once per rank (every backend, the
         # per-move "scalar" included, is trajectory-identical).
         self._init_rank(comm, cfg, kernels.resolve_kernel(cfg.mode))
         self._kops = kernels.get_ops(self.kernel)
+        self._plan = plan = _rank_plan(type(self), cfg, comm.size, comm.rank)
+        self._phases, self._per_sweep = plan.frame.phases, plan.per_sweep
+        if cfg.overlap and comm.size > 1:
+            if plan.overlap_blocker is None:
+                self.overlap_active = True
+            else:
+                warnings.warn(f"{self._driver} overlap disabled on rank {comm.rank}: "
+                              f"{plan.overlap_blocker}; falling back to the lockstep "
+                              "exchange", stacklevel=3)
         self.sweep_index = 0
         self._n_exchanges = 0
         # The run's one sweep stream, built once (see _sweep_draw), and
@@ -543,7 +633,7 @@ class _DecomposedState:
 
     # -- halo exchange -------------------------------------------------------
     def _exchange(self, stage, offload: bool = False) -> list:
-        """Post the halo links scheduled before ``stage``: ONE aggregated
+        """Post the halo phases scheduled before ``stage``: ONE aggregated
         message per neighbor rank and phase, none where the schedule has
         nothing stale.  Phases run in order, each complete before the
         next sends: a later axis ships the ghosts an earlier one filled.
@@ -646,7 +736,8 @@ class _DecomposedState:
         """Geometry/seed fingerprint a resume must match exactly; it
         names the sweep-stream scheme, so a bundle written under another
         addressing of the sweep uniforms is refused, not resumed on other
-        numbers."""
+        numbers, and the plan's halo schedule, so one of another frame
+        (whose spins and exchange counter mean something else) is too."""
         cfg = self.cfg
         return {
             "driver": self._driver,
@@ -655,6 +746,7 @@ class _DecomposedState:
             "sweep_seed": cfg.sweep_seed,
             "sweep_stream": _SWEEP_STREAM,
             "n_thermalize": cfg.n_thermalize,
+            **self._plan.schedule,
         }
 
     def save_rank_state(self, directory, sweeps_done: int, series: dict) -> None:
@@ -879,10 +971,9 @@ class _StripPlan(NamedTuple):
     beta, n_ranks, rank)`` alone (module docstring): read-only, shared
     by every rank state of that key.
 
-    * the frame: owned columns ``[start, stop)``, ``depth`` ghosts a
-      side, the halo ``walk`` and its refresh ``links`` per stage key,
-      compiled to the ``phases`` :meth:`_DecomposedState._exchange`
-      runs;
+    * the ``frame`` (:func:`_strip_frame`): the rank's piece, ``D``
+      ghost columns a side, the halo walk and the refresh's phases per
+      stage key; :attr:`schedule` is its checkpoint entry;
     * ``stages``: per :data:`WL_STAGES` entry, the gather / flip tables
       of its moves and what it counts (:func:`_strip_stages`), with the
       overlapped schedule's interior share; ``overlap_blocker`` names
@@ -900,13 +991,7 @@ class _StripPlan(NamedTuple):
       the rank state: a launcher that builds plans holds none.
     """
 
-    start: int
-    stop: int
-    n_owned: int
-    depth: int
-    walk: _HaloWalk
-    links: MappingProxyType
-    phases: MappingProxyType
+    frame: _Frame
     stages: tuple
     overlap_blocker: str | None
     per_sweep: int
@@ -918,58 +1003,29 @@ class _StripPlan(NamedTuple):
     dlog_corners: np.ndarray
     n_even: int
 
-
-def strip_plans(cfg: "WorldlineStripConfig", n_ranks: int) -> tuple:
-    """The :class:`_StripPlan` of every rank of a strip run of ``cfg``
-    on ``n_ranks`` ranks, in rank order, built into the memo: a
-    launcher whose ranks share or inherit its memory (threads, forked
-    processes) calls it first, so the ranks' own lookups all hit."""
-    key = (cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy, cfg.beta, n_ranks)
-    return tuple(_strip_plan(*key, rank) for rank in range(n_ranks))
+    @property
+    def schedule(self) -> dict:
+        return {"strip_schedule": {"ghost_depth": self.frame.depths[0], "stages": [
+            f"{kind} {index}" for kind, index in WL_STAGES]}}
 
 
-@lru_cache(maxsize=1)
-def _run_plans(n_sites: int, n_slices: int, jz: float, jxy: float, beta: float,
-               n_ranks: int) -> dict:
-    """The memo of one run's plans, rank -> plan, filled on lookup.  It
-    holds one key at a time, so a process keeps at most one run's plans
-    alive, however many runs it launches."""
-    return {}
-
-
-def _strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float, beta: float,
-                n_ranks: int, rank: int) -> _StripPlan:
-    """Rank ``rank``'s :class:`_StripPlan`, built on the first lookup of
-    its key in this process."""
-    plans = _run_plans(n_sites, n_slices, jz, jxy, beta, n_ranks)
-    plan = plans.get(rank)
-    if plan is None:
-        plan = plans[rank] = _build_strip_plan(
-            n_sites, n_slices, jz, jxy, beta, n_ranks, rank)
-    return plan
+def _strip_frame(n_sites: int, n_slices: int, n_ranks: int, rank: int) -> _Frame:
+    """Rank ``rank``'s frame of the strip: :data:`_STRIP_STENCIL` over the
+    chain's even pieces, a column a cell."""
+    decomp = StripDecomposition(n_sites, n_ranks, require_even=True)
+    if n_ranks > 1 and decomp.piece(rank).n_owned < 4:
+        raise ValueError("strip world-line driver needs >= 4 owned columns per rank")
+    return _halo_frame(_STRIP_STENCIL, [(decomp, rank, lambda r: r)], n_slices)
 
 
 def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
                       beta: float, n_ranks: int, rank: int) -> _StripPlan:
     """Build rank ``rank``'s :class:`_StripPlan`."""
     L, T = n_sites, n_slices
-    decomp = StripDecomposition(L, n_ranks, require_even=True)
-    piece = decomp.piece(rank)
+    frame = _strip_frame(L, T, n_ranks, rank)
+    (piece,), (d,) = frame.pieces, frame.depths
     n = piece.n_owned
-    if n_ranks > 1 and n < 4:
-        raise ValueError("strip world-line driver needs >= 4 owned columns per rank")
-    d = _ghost_depth([p.n_owned for p in decomp.pieces])
-    walk = _halo_walk(n, d)
-    refresh = _strip_refresh(decomp, rank, d, T)
-    links = MappingProxyType({
-        key: ((refresh,) if post else ((),))
-        for key, post in zip((*range(N_WL_STAGES), "measure"), walk.refresh)
-    })
-    phases = _compile_links(links)
-    for sends, recvs, wrap in (p for ps in phases.values() for p in ps):
-        for sites in (*(s for _, _, s in (*sends, *recvs)), *(wrap or ())):
-            _frozen(sites)
-    stages, blocker = _strip_stages(L, T, piece.start, n, d, walk.runs)
+    stages, blocker = _strip_stages(L, T, piece.start, n, d, frame.walks[0].runs)
     # The sweep's uniform block holds the six stage lattices in stage
     # order: a corner color's (L/2, T/4) grid, a column parity's L/2.
     sizes = [L * T // 8 if kind == "corner" else L // 2 for kind, _ in WL_STAGES]
@@ -986,8 +1042,7 @@ def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
     width = n + 2 * d
     even, odd = (shaded_corners(width, T, np.arange(d + p, d + n, 2)) for p in (0, 1))
     return _StripPlan(
-        start=piece.start, stop=piece.stop, n_owned=n, depth=d, walk=walk,
-        links=links, phases=MappingProxyType(phases),
+        frame=frame,
         stages=stages, overlap_blocker=blocker,
         per_sweep=int(offsets[-1]),
         u_index=_frozen(np.concatenate(picks)),
@@ -998,38 +1053,6 @@ def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
         dlog_corners=_frozen(np.concatenate([even, odd])),
         n_even=len(even),
     )
-
-
-def _strip_refresh(decomp: StripDecomposition, rank: int, depth: int,
-                   n_slices: int) -> tuple:
-    """The refresh's :class:`_HaloLink` tuples on ``rank``'s frame.
-
-    A refresh ships every ghost column from the rank that owns it: one
-    contiguous int8 buffer per neighbor rank, laid out in the
-    receiver's ghost order, which both ends derive from the
-    decomposition.  Ghosts a rank owns itself (every ghost of a single
-    rank; the deep ones of a two-rank ring) copy locally.
-    """
-    piece = decomp.piece(rank)
-    # flat index of (column, t) in the rank's frame
-    cols = np.arange((piece.n_owned + 2 * depth) * n_slices).reshape(-1, n_slices)
-    none = _frozen(np.empty(0, dtype=np.intp))
-    mine = _ghost_owners(decomp, rank, depth)
-    refresh = []
-    # sends rightward first, receives from the left first
-    for peer in dict.fromkeys((piece.right_rank, piece.left_rank)):
-        if peer != rank:
-            wanted = [y for _, o, y in _ghost_owners(decomp, peer, depth) if o == rank]
-            send = _frozen(cols[wanted].ravel())
-            refresh.append(_HaloLink(peer, None, send, none, 0))
-    for owner in dict.fromkeys((piece.left_rank, piece.right_rank, rank)):
-        ghost = _frozen(cols[[x for x, o, _ in mine if o == owner]].ravel())
-        if owner != rank:
-            refresh.append(_HaloLink(None, owner, none, ghost, 0))
-        elif ghost.size:
-            source = _frozen(cols[[y for _, o, y in mine if o == owner]].ravel())
-            refresh.append(_HaloLink(None, None, source, ghost, 0))
-    return tuple(refresh)
 
 
 def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
@@ -1060,20 +1083,18 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
     nothing wraps.
 
     The overlapped schedule charges a stage's *interior* moves -- those
-    reading no ghost row -- before its halo wait.  A corner move at
-    local bond ``J`` reads rows ``J-1 .. J+2``, so it is interior iff ``d
-    + 1 <= J <= d + n - 3`` (owned rows are ``d .. d + n - 1``); a column
-    move at ``lc`` reads ``lc-1 .. lc+1``, interior iff ``d + 1 <= lc <=
-    d + n - 2``.  Every corner move is attempted, so a corner stage
-    holds the count, ``n_interior``; only straight columns are, so a
-    column stage holds the mask, ``interior``.  ``blocker`` describes
-    the first stage with no interior move (thin strips), else None.
+    reading owned rows only (:data:`_STRIP_STENCIL`) -- before its halo
+    wait.  Every corner move is attempted, so a corner stage holds the
+    count, ``n_interior``; only straight columns are, so a column stage
+    holds the mask, ``interior``.  ``blocker`` describes the first stage
+    with no interior move (thin strips), else None.
     """
     width, per_bond = n + 2 * d, T // 4
     origin = start - d  # global column of local column 0
     stages, blocker = [], None
-    for (kind, index), x in zip(WL_STAGES, runs):
+    for (kind, index), (_, _, reads, _), x in zip(WL_STAGES, _STRIP_STENCIL.stages, runs):
         g = (origin + x) % L
+        interior = _frozen(((x[:, None] + reads >= d) & (x[:, None] + reads < d + n)).all(1))
         counted = slice(*np.searchsorted(x, [d, d + n]).tolist())
         # One count per bond (column) only where some go uncounted.
         grouped = counted != slice(0, x.size)
@@ -1083,7 +1104,6 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
             t = np.where(g % 4 == a, b, b2)[:, None] + np.arange(0, T, 4)
             env, flip = corner_tables(width, T, np.repeat(x, per_bond), t.ravel())
             uflat = (g // 2)[:, None] * per_bond + t // 4
-            interior = (x > d) & (x <= d + n - 3)
             stage.update(
                 uflat=_frozen(uflat if grouped else uflat.ravel()),
                 attempted=(counted.stop - counted.start) * per_bond,
@@ -1092,16 +1112,15 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
                 n_moves=env.shape[0],
                 n_interior=int(np.count_nonzero(interior)) * per_bond,
             )
-            what = f"corner color {index} has no interior moves"
+            what = f"corner color {index} has no interior moves ({n} owned columns)"
         else:
-            interior = _frozen((x > d) & (x <= d + n - 2))
             stage.update(
                 lc=x,
                 uc=_frozen((g // 2)[:, None] if grouped else g // 2),
                 nbr=_frozen(column_neighbors(width, T, x)),
                 interior=interior,
             )
-            what = f"column parity {index} has no interior columns"
+            what = f"column parity {index} has no interior columns ({n} owned columns)"
         if blocker is None and not interior.any():
             blocker = what
         stages.append(MappingProxyType(stage))
@@ -1128,21 +1147,19 @@ class _StripState(_DecomposedState):
     health_series = series
     _tag_schedule = (_TAG_WL, 16, 2)
     _driver = "worldline_strip"
-    _fingerprint = ("n_sites", "n_slices", "jz", "jxy", "beta")
+    _fingerprint = _plan_key = ("n_sites", "n_slices", "jz", "jxy", "beta")
 
     def __init__(self, comm, cfg: WorldlineStripConfig):
         super().__init__(comm, cfg)
-        self._plan = plan = _strip_plan(cfg.n_sites, cfg.n_slices, cfg.jz, cfg.jxy,
-                                        cfg.beta, comm.size, comm.rank)
+        plan = self._plan
         self.T = cfg.n_slices
         self.n_trotter = cfg.n_slices // 2
         self.dtau = cfg.beta / self.n_trotter
-        self.start, self.stop = plan.start, plan.stop
-        self.n_owned, self.depth = n, d = plan.n_owned, plan.depth
-        self._phases, self._per_sweep = plan.phases, plan.per_sweep
+        (piece,), (self.depth,) = plan.frame.pieces, plan.frame.depths
+        self.start, self.stop, self.n_owned = piece.start, piece.stop, piece.n_owned
         self._corner_weights = corner_products(plan.table.weights)
         # Neel start, straight world lines (legal everywhere).
-        g = np.arange(self.start - d, self.stop + d)
+        g = np.arange(self.start - self.depth, self.stop + self.depth)
         self.loc = np.repeat((g % 2).astype(np.int8)[:, None], self.T, axis=1)
         self._flat = self.loc.reshape(-1)
         # The sweep's buffers -- its drawn block, the rank's gather of it
@@ -1158,16 +1175,6 @@ class _StripState(_DecomposedState):
             else self._log_u[a - c : b - c].reshape(shape)
             for (kind, _), (a, b, shape) in zip(WL_STAGES, plan.u_spans)
         ]
-        if cfg.overlap and comm.size > 1:
-            if plan.overlap_blocker is None:
-                self.overlap_active = True
-            else:
-                warnings.warn(
-                    f"strip overlap disabled: {plan.overlap_blocker} on rank "
-                    f"{comm.rank} ({n} owned columns); falling back to the "
-                    f"lockstep exchange",
-                    stacklevel=2,
-                )
 
     # -- shared randomness --------------------------------------------------
     def _sweep_uniforms(self) -> np.ndarray:
@@ -1292,18 +1299,6 @@ class _StripState(_DecomposedState):
             "dtau": self.dtau,
         }
 
-    def _checkpoint_expect(self) -> dict:
-        """The shared fingerprint plus the halo schedule: ghost depth and
-        stage set, so a bundle of another schedule (whose ``loc`` and
-        exchange counter mean something else) is refused."""
-        return {
-            **super()._checkpoint_expect(),
-            "strip_schedule": {
-                "ghost_depth": self.depth,
-                "stages": [f"{kind} {index}" for kind, index in WL_STAGES],
-            },
-        }
-
 
 def worldline_strip_program(
     comm,
@@ -1384,12 +1379,6 @@ class IsingBlockConfig:
         _validate_schedule(self)
 
 
-#: Ghost planes a side of every spatial axis of extent > 1 in a block
-#: rank's frame: the inner one color 0 updates redundantly, and the outer
-#: one that update reads.
-_BLOCK_DEPTH = 2
-
-
 def _block_decomposition(lx: int, ly: int, n_ranks: int) -> BlockDecomposition:
     """The block driver's split of ``lx x ly`` over ``n_ranks``: along
     the one axis of extent > 1 if the other is inert, else the most
@@ -1406,50 +1395,143 @@ def _block_decomposition(lx: int, ly: int, n_ranks: int) -> BlockDecomposition:
     return decomp
 
 
-def block_halo_traffic(lx: int, ly: int, lt: int, n_ranks: int):
-    """``(refreshes, messages, sites, updates, interior)``: what rank 0
-    of the block driver (the largest piece) posts and prices a sweep of
-    the ``(lx, ly, lt)`` lattice on ``n_ranks`` ranks -- one refresh of
-    ``messages`` aggregated messages (one per neighbor rank and phase)
-    of ``sites`` spins each on average; ``updates`` site updates, color
-    0's box (the owned sites and the inner ghost ring it updates
-    redundantly) and the owned box; ``interior`` of them priced before
-    the halo wait under ``overlap`` -- color 0's box off the last split
-    axis's two ghost-bound planes a side.  The performance model's block
-    workload charges this schedule."""
+class _BlockPlan(NamedTuple):
+    """What one block rank derives from ``(lx, ly, lt, n_ranks, rank)``
+    alone: read-only, shared by every rank state of that key.
+
+    * ``decomp`` and the rank's ``piece``; the ``frame``
+      (:data:`_BLOCK_STENCIL` along each spatial axis of extent > 1, cut
+      as the process grid cuts it) and its checkpoint entry,
+      :attr:`schedule`;
+    * per color, its sites (``masks``) of the box of frame planes its
+      walk runs it on -- color 0's the owned ones and a ring, color 1's
+      the owned ones -- and that box's slices of color 0's (``views``),
+      whose uniforms a sweep draws: a span ``u_spans`` ``(offset, a,
+      b)`` per run of consecutive global rows, the columns ``u_cols`` of
+      each; ``color_masks``, both colors' sites of the owned box;
+    * ``bonds``: per spatial axis the bonds the rank counts
+      (:meth:`_BlockState.measure`) -- the frame index of their low and
+      high ends, the mask of counted ones and their count -- None on an
+      inert axis;
+    * the overlapped schedule's share: ``n_int`` of color 0's ``n_box``
+      sites neither in nor next to a ghost the refresh's last phase
+      receives (``overlap_blocker`` says why there are none, if so);
+      ``priced``, the performance model's ``(updates, interior)``: both
+      colors' site updates a sweep, and the sites of color 0's box, of
+      either color, clear of that phase's ghosts.
+    """
+
+    decomp: BlockDecomposition
+    piece: Any
+    frame: _Frame
+    masks: tuple
+    views: tuple
+    color_masks: tuple
+    u_spans: tuple
+    u_cols: Any
+    bonds: tuple
+    n_int: int
+    n_box: int
+    overlap_blocker: str | None
+    priced: tuple[int, int]
+    per_sweep: int
+
+    @property
+    def schedule(self) -> dict:
+        return {"block_schedule": {"ghost_depth": max(self.frame.depths),
+                                   "refreshes": sum(self.frame.refresh)}}
+
+
+def _build_block_plan(lx: int, ly: int, lt: int, n_ranks: int, rank: int) -> _BlockPlan:
+    """Build rank ``rank``'s :class:`_BlockPlan`: an axis's cuts are
+    those of a strip of its extent over its side of the process grid."""
     decomp = _block_decomposition(lx, ly, n_ranks)
-    shape = decomp.piece(0).shape
-    rims = [int(n > 1) for n in (lx, ly)]
-    parts = [decomp.px, decomp.py]
-    box = [b + 2 * r for b, r in zip(shape, rims)]
-    # a phase ships 2 * depth planes of its axis across the frame of the
-    # axes before it, to one rank per side (the same one on a 2-wide axis)
-    neighbors = [min(n - 1, 2) for n in parts]
-    planes = [
-        2 * _BLOCK_DEPTH * rims[0] * shape[1] * lt,
-        2 * _BLOCK_DEPTH * rims[1] * (shape[0] + 2 * _BLOCK_DEPTH * rims[0]) * lt,
-    ]
-    messages = sum(neighbors)
-    sites = sum(n and p for n, p in zip(neighbors, planes))
-    split = [a for a in (0, 1) if parts[a] > 1]
-    inner = list(box)
-    if split:
-        inner[split[-1]] = shape[split[-1]] - 2
-    updates = (box[0] * box[1] + shape[0] * shape[1]) * lt
-    return 1, messages, sites / messages if messages else 0, updates, (
-        max(0, inner[0]) * max(0, inner[1]) * lt)
+    p, py = decomp.piece(rank), decomp.py
+    gx, gy = divmod(rank, py)
+    frame = _halo_frame(_BLOCK_STENCIL, [
+        (StripDecomposition(lx, decomp.px), gx, lambda c: c * py + gy) if lx > 1 else None,
+        (StripDecomposition(ly, py), gy, lambda c: gx * py + c) if ly > 1 else None,
+    ], lt)
+    (dx, dy), (bx, by) = frame.depths, p.shape
+    origin = (p.x_start - dx, p.y_start - dy)
+    owned = (slice(dx, dx + bx), slice(dy, dy + by))
+    # cell 2 x + c of a walk is plane x's color c
+    boxes = tuple(
+        tuple(slice(w.runs[c][0] // 2, w.runs[c][-1] // 2 + 1) if w else slice(0, 1)
+              for w in frame.walks)
+        for c in (0, 1)
+    )
+
+    def coords(box):
+        return [np.arange(b.start, b.stop) + o for b, o in zip(box, origin)]
+
+    def color(box):
+        """The global color of every site of the frame's ``box``."""
+        x, y = coords(box)
+        return (x[:, None, None] + y[None, :, None] + np.arange(lt)) % 2
+
+    masks = tuple(_frozen(color(box) == c) for c, box in enumerate(boxes))
+    color_masks = tuple(_frozen(color(owned) == c) for c in (0, 1))
+    # Color 0's box draws the global field's rows it spans (wrapped), one
+    # span per run of consecutive rows, and takes its columns of each.
+    x, y = (g % n for g, n in zip(coords(boxes[0]), (lx, ly)))
+    cut = np.flatnonzero(np.diff(x) != 1) + 1
+    u_spans = tuple((int(x[a]) * ly * lt, a, b) for a, b in zip((0, *cut), (*cut, x.size)))
+    u_cols = slice(y[0], y[-1] + 1) if (np.diff(y) == 1).all() else _frozen(y)
+    # Per spatial axis, the bonds this rank counts as the frame's plane
+    # pairs from the inner ghost plane to the owned faces, and the mask
+    # of the counted ones: every inner pair, and a face pair where its
+    # owned end is color 1 -- its partner, color 0, is fresh after a
+    # sweep.
+    bonds = []
+    for axis, (d, n) in enumerate(zip(frame.depths, (bx, by))):
+        if not d:
+            bonds.append(None)
+            continue
+        lo, hi, shape = list(owned), list(owned), [bx, by, lt]
+        lo[axis], hi[axis], shape[axis] = slice(d - 1, d + n), slice(d, d + n + 1), n + 1
+        counted, ends = np.ones(shape, dtype=bool), [slice(None)] * 3
+        for pair, face in ((0, 0), (n, n - 1)):
+            ends[axis] = pair
+            counted[tuple(ends)] = np.take(color_masks[1], face, axis=axis)
+        bonds.append((tuple(lo), tuple(hi), _frozen(counted), int(counted.sum())))
+    # A site clear of the refresh's last phase neither sits in nor
+    # neighbours a ghost it is still receiving; rolling around the frame
+    # is harmless, as the boxes keep off its edges.
+    flight = np.zeros(frame.shape, dtype=bool)
+    posted = [phases for phases in frame.phases.values() if phases]
+    for _, _, sites in (posted[0][-1][1] if posted else ()):
+        flight.reshape(-1)[sites] = True
+    near = flight.copy()
+    for axis, d in enumerate(frame.depths):
+        if d:
+            near |= np.roll(flight, 1, axis) | np.roll(flight, -1, axis)
+    clear = ~near[boxes[0]]
+    n_int = int(np.count_nonzero(masks[0] & clear))
+    return _BlockPlan(
+        decomp=decomp, piece=p, frame=frame, masks=masks,
+        views=tuple(tuple(slice(b.start - b0.start, b.stop - b0.start)
+                          for b, b0 in zip(box, boxes[0])) for box in boxes),
+        color_masks=color_masks, u_spans=u_spans, u_cols=u_cols, bonds=tuple(bonds),
+        n_int=n_int, n_box=int(np.count_nonzero(masks[0])),
+        overlap_blocker=None if n_int else (
+            f"block {bx}x{by} is too thin (every site is ghost-adjacent)"),
+        priced=(sum(m.size for m in masks), int(np.count_nonzero(clear))),
+        per_sweep=lx * ly * lt,
+    )
 
 
 class _BlockState(_DecomposedState):
     """Per-rank block of the (lx, ly, lt) classical lattice in its frame.
 
-    The frame ``g`` keeps :data:`_BLOCK_DEPTH` ghost planes a side on
-    every spatial axis of extent > 1 and none on an extent-1 axis, so a
-    chain's spins are one contiguous ``(bx, 1, lt)`` slab; ``spins`` is
-    the owned view.  One refresh a sweep, before color 0, fills every
-    ghost (module docstring, "Halo schedule").  Color 0 updates its box
-    -- the owned sites and the inner ghost ring around them -- so color
-    1, which updates the owned box, reads only fresh ghosts.
+    The frame ``g`` is the rank's :class:`_BlockPlan`'s: ghost planes a
+    side on every spatial axis of extent > 1 and none on an extent-1
+    axis, so a chain's spins are one contiguous ``(bx, 1, lt)`` slab;
+    ``spins`` is the owned view.  One refresh a sweep, before color 0,
+    fills every ghost (module docstring, "Halo schedule").  Color 0
+    updates its box -- the owned sites and the inner ghost ring around
+    them -- so color 1, which updates the owned box, reads only fresh
+    ghosts.
     """
 
     _array = "g"
@@ -1459,131 +1541,25 @@ class _BlockState(_DecomposedState):
     _tag_schedule = (_TAG_ISING, 8, 4)
     _driver = "ising_block"
     _fingerprint = ("lx", "ly", "lt", "kx", "ky", "kt")
+    _plan_key = ("lx", "ly", "lt")
 
     def __init__(self, comm, cfg: IsingBlockConfig):
         super().__init__(comm, cfg)
-        self.decomp = decomp = _block_decomposition(cfg.lx, cfg.ly, comm.size)
-        p = decomp.piece(comm.rank)
-        self.piece = p
-        self.bx, self.by = bx, by = p.shape
-        self.lt = lt = cfg.lt
+        plan = self._plan
+        self.decomp, self.piece = plan.decomp, plan.piece
+        self.bx, self.by = bx, by = plan.piece.shape
+        self.lt = cfg.lt
         self._thr = ising_thresholds(cfg.kx, cfg.ky, cfg.kt)
-        # Ghost planes a side per spatial axis, and the inner ring of
-        # them color 0 updates (its box's rim).
-        self._depth = dx, dy = [_BLOCK_DEPTH if n > 1 else 0 for n in (cfg.lx, cfg.ly)]
-        rx, ry = dx // 2, dy // 2
+        dx, dy = plan.frame.depths
         # Cold start matching AnisotropicIsing's default; ghost planes
         # are overwritten by the first refresh.
-        self.g = np.ones((bx + 2 * dx, by + 2 * dy, lt), dtype=np.int8)
+        self.g = np.ones(plan.frame.shape, dtype=np.int8)
         self.spins = self.g[dx : dx + bx, dy : dy + by]
-        # The color-0 sites of color 0's box (global parity), and both
-        # colors' sites of the owned box inside it.
-        x = np.arange(p.x_start - rx, p.x_stop + rx)
-        y = np.arange(p.y_start - ry, p.y_stop + ry)
-        self._box = box = (x[:, None, None] + y[None, :, None] + np.arange(lt)) % 2 == 0
-        self._owned = (slice(rx, rx + bx), slice(ry, ry + by))
-        self.color_masks = [box[self._owned], ~box[self._owned]]
-        self._n_sites = self._per_sweep = cfg.lx * cfg.ly * lt
-        # Color 0's box draws the global field's rows x_start - 1 ..
-        # x_stop (wrapped), one span per run of consecutive rows, and
-        # takes the columns y_start - 1 .. y_stop of each.
-        rows = x % cfg.lx
-        cut = np.flatnonzero(np.diff(rows) != 1) + 1
-        self._u_spans = [
-            (int(rows[a]) * cfg.ly * lt, a, b)
-            for a, b in zip((0, *cut), (*cut, rows.size))
-        ]
-        cols = y % cfg.ly
-        self._u_cols = (
-            slice(cols[0], cols[-1] + 1) if (np.diff(cols) == 1).all() else cols
-        )
-        # The one refresh; either color's stage names it, and a sweep
-        # posts it before color 0 only.
-        self._links = dict.fromkeys((0, 1), self._refresh_links())
         self._flat = self.g.reshape(-1)
-        self._phases = _compile_links(self._links)
-        # Per spatial axis, the bonds this rank counts as the frame's
-        # plane pairs from the inner ghost plane to the owned faces, and
-        # the mask of the counted ones: every inner pair, and a face pair
-        # where its owned end is color 1 -- its partner, color 0, is
-        # fresh after a sweep; None for an extent-1 axis.
-        c1, self._axis_bonds = self.color_masks[1], []
-        for axis, d in enumerate(self._depth):
-            if not d:
-                self._axis_bonds.append(None)
-                continue
-            planes = [slice(dx, dx + bx), slice(dy, dy + by)]
-            n = (bx, by)[axis]
-            planes[axis] = slice(d - 1, d + n)
-            lo = self.g[tuple(planes)]
-            planes[axis] = slice(d, d + n + 1)
-            hi = self.g[tuple(planes)]
-            counted = np.ones(lo.shape, dtype=bool)
-            ends = [slice(None)] * 3
-            for pair, face in ((0, 0), (n, n - 1)):
-                ends[axis] = pair
-                counted[tuple(ends)] = np.take(c1, face, axis=axis)
-            self._axis_bonds.append((lo, hi, counted, int(counted.sum())))
-        # Overlapped schedule: the color-0 sites of its box that neither
-        # sit in nor neighbour a ghost the refresh's last phase is still
-        # receiving -- the share of color 0's compute the clock is
-        # charged before the halo wait.
-        if cfg.overlap and comm.size > 1:
-            flight = np.zeros(self.g.size, dtype=bool)
-            for _, _, sites in self._phases[0][-1][1]:
-                flight[sites] = True
-            flight = flight.reshape(self.g.shape)
-            near = flight.copy()  # in flight, or next to it
-            if dx:
-                near[1:] |= flight[:-1]
-                near[:-1] |= flight[1:]
-            if dy:
-                near[:, 1:] |= flight[:, :-1]
-                near[:, :-1] |= flight[:, 1:]
-            self._n_int = int(np.count_nonzero(
-                box & ~near[dx - rx : dx + bx + rx, dy - ry : dy + by + ry]))
-            self._n_box = int(np.count_nonzero(box))
-            if not self._n_int:
-                warnings.warn(
-                    f"rank {comm.rank}: block {bx}x{by} is too"
-                    " thin for halo overlap (every site is"
-                    " ghost-adjacent); falling back to the lockstep"
-                    " exchange",
-                    stacklevel=2,
-                )
-            else:
-                self.overlap_active = True
-
-    # -- halo description -----------------------------------------------------
-    def _refresh_links(self) -> list[list[_HaloLink]]:
-        """The refresh, as its x-phase and y-phase link pairs.
-
-        Each link ships the :data:`_BLOCK_DEPTH` owned planes of one face
-        into the opposite neighbour's ghost planes, whole and in C order:
-        x planes over the owned y range, then y planes over the whole x
-        extent of the frame, x ghosts included -- so the y phase fills
-        the corners.  Axes the process grid does not split copy locally;
-        an extent-1 axis has no ghosts and no links.
-        """
-        p, (dx, dy), d = self.piece, self._depth, _BLOCK_DEPTH
-        bx, by = self.bx, self.by
-        flat = np.arange(self.g.size).reshape(self.g.shape)
-        east, west = (p.east, p.west) if self.decomp.px > 1 else (None, None)
-        north, south = (p.north, p.south) if self.decomp.py > 1 else (None, None)
-        ys = slice(dy, dy + by)
-        return [
-            [
-                _HaloLink(east, west, flat[bx + dx - d : bx + dx, ys].ravel(),
-                          flat[:dx, ys].ravel(), 0),
-                _HaloLink(west, east, flat[dx : dx + d, ys].ravel(),
-                          flat[bx + dx :, ys].ravel(), 1),
-            ] if dx else [],
-            [
-                _HaloLink(north, south, flat[:, by + dy - d : by + dy].ravel(),
-                          flat[:, :dy].ravel(), 2),
-                _HaloLink(south, north, flat[:, dy : dy + d].ravel(),
-                          flat[:, by + dy :].ravel(), 3),
-            ] if dy else [],
+        self.color_masks = plan.color_masks
+        self._axis_bonds = [
+            pairs and (self.g[pairs[0]], self.g[pairs[1]], *pairs[2:])
+            for pairs in plan.bonds
         ]
 
     def _sweep_uniforms(self) -> np.ndarray:
@@ -1595,9 +1571,10 @@ class _BlockState(_DecomposedState):
         skips ahead to each run of those rows and draws it alone, so a
         rank's random work is its share of the lattice and a rim.
         """
-        u = np.empty((self._u_spans[-1][2], self.cfg.ly, self.lt))
-        self._sweep_draw([(offset, u[a:b]) for offset, a, b in self._u_spans])
-        return u[:, self._u_cols]
+        spans = self._plan.u_spans
+        u = np.empty((spans[-1][2], self.cfg.ly, self.lt))
+        self._sweep_draw([(offset, u[a:b]) for offset, a, b in spans])
+        return u[:, self._plan.u_cols]
 
     def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:
         """One color's Metropolis update of the sites of ``mask``, a box
@@ -1610,35 +1587,37 @@ class _BlockState(_DecomposedState):
         )
 
     def _sweep_stages(self) -> None:
-        """The refresh, then both checkerboard colors, one kernel call
-        each: color 0 over its box, color 1 over the owned sites.
+        """Both checkerboard colors, one kernel call each over its box,
+        each behind the refresh the walk posts for it: one, before color
+        0.  A color the walk posts nothing before takes no tag block.
 
         The clock prices the work done, color 0's redundant ring
         included.  The overlapped schedule differs in what it is
-        charged, not in what runs: the refresh posts offloaded, color
-        0's interior sites (they read no ghost in flight) are charged
-        under ``interior`` before the wait and the rest of it under
+        charged, not in what runs: the refresh posts offloaded, its
+        color's interior sites (they read no ghost in flight) are
+        charged under ``interior`` before the wait and the rest under
         ``boundary`` after; lockstep charges the sweep at once at the
         end.
         """
+        plan, comm = self._plan, self.comm
         log_u = self._sweep_uniforms()
         np.log(np.maximum(log_u, 1e-300, out=log_u), out=log_u)
-        overlap, comm = self.overlap_active, self.comm
-        box, owned = self._box, self._owned
-        flops = FLOPS_PER_SPIN_UPDATE * box.size
-        pending = self._exchange(0, offload=overlap)
-        if overlap:
-            frac = self._n_int / self._n_box
-            comm.charge_seconds(comm.machine.compute_time(flops * frac), "interior")
-            self._exchange_wait(pending)
-        self.n_accepted += self._update_color(box, log_u)
-        if overlap:
-            comm.charge_seconds(
-                comm.machine.compute_time(flops * (1.0 - frac)), "boundary"
-            )
-            flops = 0.0
-        self.n_accepted += self._update_color(self.color_masks[1], log_u[owned])
-        comm.charge_compute(flops + FLOPS_PER_SPIN_UPDATE * self.spins.size)
+        flops = 0.0
+        for color, (mask, view, post) in enumerate(
+                zip(plan.masks, plan.views, plan.frame.refresh)):
+            work = FLOPS_PER_SPIN_UPDATE * mask.size
+            pending = self._exchange(color, self.overlap_active) if post else []
+            if pending:
+                share = plan.n_int / plan.n_box
+                comm.charge_seconds(comm.machine.compute_time(work * share), "interior")
+                self._exchange_wait(pending)
+            self.n_accepted += self._update_color(mask, log_u[view])
+            if pending:
+                comm.charge_seconds(
+                    comm.machine.compute_time(work * (1.0 - share)), "boundary")
+            else:
+                flops += work
+        comm.charge_compute(flops)
         self.n_attempted += self.spins.size
 
     # -- measurement -----------------------------------------------------------
@@ -1670,23 +1649,15 @@ class _BlockState(_DecomposedState):
         return np.array(sums, dtype=np.float64)
 
     def series_columns(self, totals: np.ndarray) -> tuple:
-        """Global magnetization per site and (x, y, t) bond sums."""
-        return totals[:, 0] / self._n_sites, totals[:, 1:]
+        """Global magnetization per site (a sweep draws one uniform a
+        site) and (x, y, t) bond sums."""
+        return totals[:, 0] / self._per_sweep, totals[:, 1:]
 
     def result(self) -> dict:
         p = self.piece
         return {
             "block": self.spins.copy(),
             "piece": (p.x_start, p.x_stop, p.y_start, p.y_stop),
-        }
-
-    def _checkpoint_expect(self) -> dict:
-        """The shared fingerprint plus the halo schedule: ghost depth and
-        refreshes a sweep, so a bundle of another frame (whose ``g`` and
-        exchange counter mean something else) is refused."""
-        return {
-            **super()._checkpoint_expect(),
-            "block_schedule": {"ghost_depth": _BLOCK_DEPTH, "refreshes": 1},
         }
 
 

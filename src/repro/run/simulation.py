@@ -67,7 +67,7 @@ from repro.qmc.parallel import (
     _chain_values,
     chain_program,
     ising_block_program,
-    strip_plans,
+    rank_plans,
     worldline_strip_program,
 )
 from repro.qmc.tfim import (
@@ -86,6 +86,14 @@ from repro.vmp.machines import IDEAL, MACHINES
 from repro.vmp.scheduler import run_spmd
 
 __all__ = ["Simulation", "run_batch"]
+
+
+def _warm_plans(driver_cfg, layout) -> None:
+    """Build every rank's plan of a decomposed run here, once: threads
+    share the memo and forked ranks inherit it, so no rank builds its
+    own.  An mpi rank is a process of its own and builds only its own."""
+    if layout.backend in ("thread", "mp"):
+        rank_plans(driver_cfg, layout.n_ranks)
 
 
 def _checkpoint_config(cfg):
@@ -352,11 +360,7 @@ class _XXZ(_Kind):
             overlap=layout.overlap,
             mode=kernel,
         )
-        if layout.backend in ("thread", "mp"):
-            # Build every rank's plan here, once: threads share the memo
-            # and forked ranks inherit it, so no rank builds its own.
-            # An mpi rank is a process of its own and builds only its own.
-            strip_plans(wl_cfg, layout.n_ranks)
+        _warm_plans(wl_cfg, layout)
         if layout.replicas == 1:
             return worldline_strip_program, (wl_cfg, checkpoint, rules), layout.n_ranks
         from repro.qmc.two_level import TwoLevelConfig, two_level_program
@@ -476,6 +480,7 @@ class _Tfim(_Kind):
             overlap=cfg.layout.overlap,
             mode=kernel,
         )
+        _warm_plans(block_cfg, cfg.layout)
         return ising_block_program, (block_cfg, checkpoint, rules), cfg.layout.n_ranks
 
     @staticmethod

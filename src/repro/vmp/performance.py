@@ -107,32 +107,19 @@ class WorkloadShape:
         Non-parallelizable fraction of the total work (equilibration
         bookkeeping, global RNG setup, output).  Dominates the replica
         strategy's Amdahl limit.
-    halo_messages_per_sweep:
-        Override for the number of halo messages a rank sends per sweep
-        (default ``None`` = the strategy's half-sweep-batched count:
-        2 half-sweeps x neighbors).  Set it to model finer-grained
-        schedules, e.g. 12 for a refresh before every one of the
-        world-line driver's six stages.
-    halo_sites_per_message:
-        Override for the lattice sites packed into one halo message
-        (default ``None`` = one boundary column/plane).  Set it to
-        model aggregated-halo protocols that pack several boundary
-        columns into a single message: the alpha (latency) charge stays
-        per-message while the beta (bandwidth) charge follows the
-        aggregated byte count.
     halo_schedule:
         An executed driver's halo schedule, ``p -> (exchanges,
         messages, sites)``: the halo exchanges one rank runs a sweep on
         ``p`` ranks, the messages it sends at each (one per neighbor
-        rank) and the sites one message carries.  Overrides the two
-        fields above; the strip workload passes the driver's own
-        (:func:`repro.qmc.parallel.strip_halo_traffic`).  A schedule of
-        five, ``(..., updates, interior)``, also prices the compute: the
-        site updates one rank's sweep runs at ``flops_per_site`` each,
-        redundant ones included, in place of its owned sites, and the
-        ones of them the overlapped schedule charges before its halo
-        wait -- the block workload's
-        (:func:`repro.qmc.parallel.block_halo_traffic`).
+        rank) and the sites one message carries, in place of the
+        strategy's default (``None``: two half-sweeps, one boundary
+        column/plane per neighbor rank).  The drivers' workloads pass
+        their own (:func:`repro.qmc.parallel.halo_traffic`).  A schedule
+        of five, ``(..., updates, interior)``, also prices the compute:
+        the site updates one rank's sweep runs at ``flops_per_site``
+        each, redundant ones included, in place of its owned sites, and
+        the ones of them the overlapped schedule charges before its halo
+        wait -- the block workload's.
     overlap:
         Model the five-stage overlap pipeline (pack -> post -> update
         interior -> wait -> update boundary): each halo message charges
@@ -152,8 +139,6 @@ class WorkloadShape:
     allreduce_doubles: int = 8
     reduction_batch: int = 1
     serial_fraction: float = 0.0
-    halo_messages_per_sweep: int | None = None
-    halo_sites_per_message: float | None = None
     halo_schedule: Callable[[int], tuple] | None = None
     overlap: bool = False
 
@@ -235,7 +220,7 @@ def worldline_strip_workload(
       space--time sites) plus the straight-column pass, so per
       site-slice ``flops = FLOPS_PER_CORNER_MOVE / 2 + 2``;
     * halos -- the driver's own schedule at each P
-      (:func:`repro.qmc.parallel.strip_halo_traffic`): a refresh ships
+      (:func:`repro.qmc.parallel.halo_traffic`): a refresh ships
       all ``2 D`` ghost columns of a rank, one aggregated message per
       neighbor rank, once a sweep on two ranks or where every piece is
       as wide as the ghost depth ``D``, more often on thinner ones.
@@ -247,7 +232,7 @@ def worldline_strip_workload(
     Pass ``overlap=True`` to model the five-stage pipeline variant the
     driver runs under ``WorldlineStripConfig(overlap=True)``.
     """
-    from repro.qmc.parallel import REDUCE_BATCH, strip_halo_traffic
+    from repro.qmc.parallel import REDUCE_BATCH, halo_traffic
     from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 
     kwargs = dict(
@@ -258,7 +243,7 @@ def worldline_strip_workload(
         sweeps=sweeps,
         strategy="strip",
         bytes_per_site=1,
-        halo_schedule=partial(strip_halo_traffic, n_sites, n_slices),
+        halo_schedule=partial(halo_traffic, "worldline_strip", (n_sites, n_slices)),
         allreduce_doubles=2,
         reduction_batch=REDUCE_BATCH,
     )
@@ -273,7 +258,7 @@ def ising_block_workload(
 
     Mirrors what :func:`repro.qmc.parallel.ising_block_program`
     executes and charges per sweep, from the driver's own schedule
-    (:func:`repro.qmc.parallel.block_halo_traffic`):
+    (:func:`repro.qmc.parallel.halo_traffic`):
 
     * compute -- ``FLOPS_PER_SPIN_UPDATE`` per site of each color's box:
       color 0's (the owned sites and the inner ghost ring it updates
@@ -285,7 +270,7 @@ def ising_block_workload(
       bond sums), reduced in batches of up to the run loop's cap.
     """
     from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
-    from repro.qmc.parallel import REDUCE_BATCH, block_halo_traffic
+    from repro.qmc.parallel import REDUCE_BATCH, halo_traffic
 
     kwargs = dict(
         lx=lx,
@@ -295,7 +280,7 @@ def ising_block_workload(
         sweeps=sweeps,
         strategy="block",
         bytes_per_site=1,
-        halo_schedule=partial(block_halo_traffic, lx, ly, lt),
+        halo_schedule=partial(halo_traffic, "ising_block", (lx, ly, lt)),
         allreduce_doubles=4,
         reduction_batch=REDUCE_BATCH,
     )
@@ -409,31 +394,25 @@ class PerformanceModel:
 
     def halo_messages_per_sweep(self, p: int) -> int:
         """Halo messages one rank sends per sweep: the workload's
-        schedule or override, else two half-sweeps times its neighbor
-        ranks."""
+        schedule, else two half-sweeps times its neighbor ranks."""
         w = self.workload
         if w.halo_schedule is not None:
             exchanges, messages = w.halo_schedule(p)[:2]
             return exchanges * messages
-        neighbors = self._halo_neighbors(p)
-        if neighbors and w.halo_messages_per_sweep is not None:
-            return w.halo_messages_per_sweep
-        return 2 * neighbors
+        return 2 * self._halo_neighbors(p)
 
     def _halo_traffic(self, p: int) -> tuple[float, int, float]:
         """``(exchanges, messages, sites)`` of one rank's sweep: the
         workload's schedule, else the strategy's -- two half-sweeps, one
         message per neighbor rank, one boundary column/plane's sites
-        split over them -- under the workload's overrides."""
+        split over them."""
         w = self.workload
         if w.halo_schedule is not None:
             return w.halo_schedule(p)[:3]
         neighbors = self._halo_neighbors(p)
         if neighbors == 0:
             return 0.0, 0, 0.0
-        if w.halo_sites_per_message is not None:
-            sites = w.halo_sites_per_message
-        elif w.strategy == "strip":
+        if w.strategy == "strip":
             sites = w.ly * w.lt
         else:
             px, py = self._process_grid(p)

@@ -293,7 +293,7 @@ def _flip_costs(configs, couplings) -> np.ndarray:
 
 def _probe_color_updates(comm, cfg, configs, costs, wanted):
     """Rank program: for every configuration, color and probe, load the
-    configuration, run the color's own halo stage and update with
+    configuration, run the sweep's one refresh and update with
     ``log_u`` a hair below -dE on the ``wanted`` sites and a hair above
     it elsewhere, and report which sites flipped."""
     st = _BlockState(comm, cfg)
@@ -303,7 +303,7 @@ def _probe_color_updates(comm, cfg, configs, costs, wanted):
             for j, want in enumerate(wanted):
                 st.g[...] = 3  # no ghost survives from the previous probe
                 st.spins[...] = config
-                st._exchange(color)
+                st._exchange(0)  # the refresh, before color 0
                 n_acc = st._update_color(
                     mask, -cost + np.where(want, -EPS, EPS))
                 flipped[i, color, j] = st.spins != config

@@ -3,7 +3,7 @@
 The scaling benchmarks trust the closed-form model for P beyond what
 the thread scheduler can execute; these tests pin the model to the
 executed virtual machine at small P.  The block workload charges the
-driver's own schedule (``block_halo_traffic``), so compute seconds must
+driver's own schedule (``halo_traffic``), so compute seconds must
 match exactly (same site updates, the ghost ring color 0 updates
 redundantly included, same machine rate), message counts must match
 exactly, and communication seconds must agree within a structural

@@ -12,7 +12,10 @@ that schedule in place:
   runs, dropping any one scheduled refresh or any one redundant move
   makes some later read do exactly that, and a sweep posts one refresh
   on two ranks, and beyond two wherever every piece is as wide as the
-  ghost depth;
+  ghost depth; and the same on the block (a version per column and
+  color), its moves and measurement restated from the Ising model:
+  depth two, one refresh a sweep, before color 0, none to measure, and
+  every ring plane color 0 updates redundantly read;
 * every move of each stage's own gather / flip tables against the
   columns the walk calls fresh, each color row conflict-free on the
   local rows, and every sending half-link against a receiving half on
@@ -36,14 +39,16 @@ from repro.qmc import parallel
 from repro.qmc.parallel import (
     N_WL_STAGES,
     WL_STAGES,
+    _STRIP_STENCIL,
     IsingBlockConfig,
     WorldlineStripConfig,
     _BlockState,
+    _build_block_plan,
     _ghost_depth,
     _halo_walk,
     _run_decomposed,
     _StripState,
-    strip_halo_traffic,
+    halo_traffic,
     worldline_strip_program,
 )
 from repro.run.checkpoint import (
@@ -62,7 +67,7 @@ from tests.conftest import (
 from tests.qmc.test_parallel_worldline import gather_spins
 
 #: The ghost depth of pieces wide enough not to cap it.
-DEPTH = _ghost_depth([64, 64])
+DEPTH = _ghost_depth(_STRIP_STENCIL, [64, 64])
 
 
 # ======================================================================
@@ -111,13 +116,13 @@ def simulate_sweep(sizes, drop=None, skip=None):
     L, P = sum(sizes), len(sizes)
     starts = [sum(sizes[:r]) for r in range(P)]
     owner_of = [r for r, n in enumerate(sizes) for _ in range(n)]
-    D = _ghost_depth(list(sizes))
+    D = _ghost_depth(_STRIP_STENCIL, list(sizes))
     truth = [0] * L
     held = [
         {g: (0 if start <= g < start + n else -1) for g in range(start - D, start + n + D)}
         for start, n in zip(starts, sizes)
     ]
-    walks = [_halo_walk(n, D) for n in sizes]
+    walks = [_halo_walk(_STRIP_STENCIL, n, D) for n in sizes]
     posted = []
     for s, (kind, index) in enumerate((*WL_STAGES, ("measure", None))):
         for r, (start, n) in enumerate(zip(starts, sizes)):
@@ -203,18 +208,19 @@ class TestVersionStampOracle:
                     simulate_sweep(sizes, drop=stage)
             refreshes = len(stages)
             if len(sizes) == 2:  # two ranks: no cap, one refresh
-                assert _ghost_depth(list(sizes)) == DEPTH and refreshes == 1
+                assert _ghost_depth(_STRIP_STENCIL, list(sizes)) == DEPTH
+                assert refreshes == 1
             elif len(sizes) > 2:
-                assert _ghost_depth(list(sizes)) <= min(sizes)
+                assert _ghost_depth(_STRIP_STENCIL, list(sizes)) <= min(sizes)
                 assert (refreshes == 1) == (min(sizes) >= DEPTH), sizes
             assert not [m for m in posted if m[0] == N_WL_STAGES]  # measurement
 
     @pytest.mark.parametrize(
         "sizes", [(8,), (4, 4), (24, 24), (12, 12, 12, 12), (4, 8, 6, 6)])
     def test_every_redundant_move_is_read(self, sizes):
-        D = _ghost_depth(list(sizes))
+        D = _ghost_depth(_STRIP_STENCIL, list(sizes))
         for r, n in enumerate(sizes):
-            walk = _halo_walk(n, D)
+            walk = _halo_walk(_STRIP_STENCIL, n, D)
             for s, ((kind, _), run) in enumerate(zip(WL_STAGES, walk.runs)):
                 writes = (0, 1) if kind == "corner" else (0,)
                 for x in run.tolist():
@@ -229,15 +235,139 @@ class TestVersionStampOracle:
         assert DEPTH == 10
         assert simulate_sweep((32, 32)) == [(0, 0, "left"), (0, 0, "right"),
                                              (0, 1, "left"), (0, 1, "right")]
-        assert strip_halo_traffic(64, 16, 2) == (1, 1, 2 * DEPTH * 16)
-        assert strip_halo_traffic(64, 16, 4) == (1, 2, DEPTH * 16)
+        def traffic(n_sites, n_slices, p):
+            return halo_traffic("worldline_strip", (n_sites, n_slices), p)
+
+        assert traffic(64, 16, 2) == (1, 1, 2 * DEPTH * 16)
+        assert traffic(64, 16, 4) == (1, 2, DEPTH * 16)
         # pieces of 8 cap the depth: two refreshes at best, the first
         # at depth 6
-        assert strip_halo_traffic(64, 16, 8) == (2, 2, 6 * 16)
-        assert strip_halo_traffic(64, 16, 1) == (5, 0, 0)  # local wraps
+        assert traffic(64, 16, 8) == (2, 2, 6 * 16)
+        assert traffic(64, 16, 1) == (5, 0, 0)  # local wraps
         # two ranks of 4: the ghosts wrap around the ring; the 12 of 20
         # the neighbor owns travel, the rank's own 8 copy locally
-        assert strip_halo_traffic(8, 8, 2) == (1, 1, 12 * 8)
+        assert traffic(8, 8, 2) == (1, 1, 12 * 8)
+
+
+def simulate_block_sweep(lx, ly, p, drop=False, skip=None):
+    """One block sweep plus a measurement on ``p`` ranks, with a version
+    per cell ``(x, y, c)``: the color-``c`` sites of column ``(x, y)``.
+
+    Restates the block's ownership rules, not its tables: rank ``r``
+    owns its piece and holds its plan's frame; color ``c`` updates the
+    box the kernel takes -- the color's mask, centred in the frame --
+    which must cover the owned sites, a move reading the other color at
+    its column and its neighbours along every axis of extent > 1, and
+    itself; the measurement reads the owned sites and, on a ghosted
+    axis, the color-0 partner of each face bond (its owned end is the
+    color-1 one).  A refresh copies every ghost from its owner.
+    ``drop`` loses the refresh, ``skip = (rank, axis, plane)`` every
+    color-0 move on one redundant plane.  Returns the ``(stage, rank)``
+    refreshes; raises :class:`StaleRead` on a read behind the owner.
+    """
+    plans = [_build_block_plan(lx, ly, 2, p, r) for r in range(p)]
+    spans = [((q.piece.x_start, q.piece.x_stop), (q.piece.y_start, q.piece.y_stop))
+             for q in plans]
+    ghosted = [n > 1 for n in (lx, ly)]
+
+    def owner_of(x, y):
+        return next(r for r, ((x0, x1), (y0, y1)) in enumerate(spans)
+                    if x0 <= x % lx < x1 and y0 <= y % ly < y1)
+
+    def owned(r, x, y):
+        (x0, x1), (y0, y1) = spans[r]
+        return x0 <= x < x1 and y0 <= y < y1
+
+    def frame(r):
+        return [range(a0 - d, a1 + d) for (a0, a1), d in zip(spans[r], plans[r].frame.depths)]
+
+    truth = {(x, y, c): 0 for x in range(lx) for y in range(ly) for c in (0, 1)}
+    held = [{(x, y, c): 0 if owned(r, x, y) else -1
+             for x in frame(r)[0] for y in frame(r)[1] for c in (0, 1)} for r in range(p)]
+    posted = []
+    for s in (0, 1, 2):
+        for r in range(p):
+            if plans[r].frame.refresh[s]:
+                posted.append((s, r))
+                for (x, y, c) in held[r] if not drop else ():
+                    held[r][x, y, c] = held[owner_of(x, y)][x % lx, y % ly, c]
+        if s == 2:  # the measurement
+            for r, ((x0, x1), (y0, y1)) in enumerate(spans):
+                reads = [(x, y, c) for x in range(x0, x1) for y in range(y0, y1)
+                         for c in (0, 1)]
+                if ghosted[0]:
+                    reads += [(x, y, 0) for x in (x0 - 1, x1) for y in range(y0, y1)]
+                if ghosted[1]:
+                    reads += [(x, y, 0) for x in range(x0, x1) for y in (y0 - 1, y1)]
+                for x, y, c in reads:
+                    if held[r][x, y, c] != truth[x % lx, y % ly, c]:
+                        raise StaleRead(f"{lx}x{ly} P={p}: the measurement on rank "
+                                        f"{r} reads {(x, y, c)} behind its owner")
+            return posted
+        c = s
+        writes_after = {}
+        for r, q in enumerate(plans):
+            box = [rng[(len(rng) - m) // 2 : (len(rng) + m) // 2]
+                   for rng, m in zip(frame(r), q.masks[c].shape)]
+            assert all(owned(r, x, y) <= (x in box[0] and y in box[1])
+                       for x in frame(r)[0] for y in frame(r)[1]), (lx, ly, p, r, c)
+            for x in box[0]:
+                for y in box[1]:
+                    if (not owned(r, x, y) and c == 0 and skip is not None
+                            and skip[0] == r and (x, y)[skip[1]] == skip[2]):
+                        continue
+                    reads = [(x, y, c), (x, y, 1 - c)]
+                    if ghosted[0]:
+                        reads += [(x - 1, y, 1 - c), (x + 1, y, 1 - c)]
+                    if ghosted[1]:
+                        reads += [(x, y - 1, 1 - c), (x, y + 1, 1 - c)]
+                    for cell in reads:
+                        if held[r].get(cell) != truth[cell[0] % lx, cell[1] % ly, cell[2]]:
+                            raise StaleRead(
+                                f"{lx}x{ly} P={p}: color {c} on rank {r} at {(x, y)} "
+                                f"reads {cell} at version {held[r].get(cell)}")
+                    writes_after[r, (x, y, c)] = truth[x % lx, y % ly, c] + 1
+        for cell in truth:
+            if cell[2] == c:
+                truth[cell] += 1
+        for (r, cell), version in writes_after.items():
+            held[r][cell] = version
+
+
+#: Block lattices and rank counts: chains cut into pieces of 2, 4 and 6
+#: (two-rank ones 2 wide: east and west are one rank), both axes' chain,
+#: 2 x 2 grids of pieces 2, 4 and 6, 1 x 2 and 1 x 3 grids, a 2 x 4 one,
+#: and a rank alone (local wraps).
+BLOCK_CUTS = [
+    (8, 1, 4), (4, 1, 2), (16, 1, 4), (8, 1, 2), (18, 1, 3), (12, 1, 2), (1, 8, 4),
+    (4, 4, 4), (8, 8, 4), (12, 12, 4), (8, 8, 2), (12, 12, 3), (4, 8, 2),
+    (16, 16, 8), (8, 8, 1), (12, 1, 1),
+]
+
+
+class TestBlockVersionStampOracle:
+    @pytest.mark.parametrize("lx,ly,p", BLOCK_CUTS)
+    def test_schedule_is_sufficient_depth_two_and_one_refresh(self, lx, ly, p):
+        posted = simulate_block_sweep(lx, ly, p)  # raises on a stale read
+        assert posted == [(0, r) for r in range(p)]  # color 0; none to measure
+        for r in range(p):
+            depths = _build_block_plan(lx, ly, 2, p, r).frame.depths
+            assert depths == tuple(2 if n > 1 else 0 for n in (lx, ly))
+        with pytest.raises(StaleRead):
+            simulate_block_sweep(lx, ly, p, drop=True)
+
+    @pytest.mark.parametrize(
+        "lx,ly,p", [(8, 1, 4), (4, 1, 2), (4, 4, 4), (12, 12, 3), (8, 8, 1)])
+    def test_every_redundant_color0_plane_is_read(self, lx, ly, p):
+        for r in range(p):
+            plan = _build_block_plan(lx, ly, 2, p, r)
+            piece = plan.piece
+            for axis, (a0, a1) in enumerate(
+                    ((piece.x_start, piece.x_stop), (piece.y_start, piece.y_stop))):
+                if plan.frame.depths[axis]:
+                    for plane in (a0 - 1, a1):  # the ring color 0 updates
+                        with pytest.raises(StaleRead):
+                            simulate_block_sweep(lx, ly, p, skip=(r, axis, plane))
 
 
 # ======================================================================
@@ -247,7 +377,8 @@ class TestVersionStampOracle:
 
 def _inspect_strip(comm, cfg):
     """Rank program: per stage, the local rows each move of the stage's
-    tables reads and writes, the walk's fresh rows, and the links."""
+    tables reads and writes, the walk's fresh rows, and the refresh's
+    sends, receives and local copy, as ``(rank, sites)``."""
     st = _StripState(comm, cfg)
     T, plan = st.T, st._plan
     out = {"n": st.n_owned, "depth": st.depth, "stages": []}
@@ -264,16 +395,17 @@ def _inspect_strip(comm, cfg):
             # the op reads each column's neighbors and its own spin
             read = [np.append(row // T, lc) for row, lc in zip(cache["nbr"], cache["lc"])]
             written = [np.array([lc]) for lc in cache["lc"]]
-        (links,) = plan.links[key]
+        ((sends, recvs, wrap),) = plan.frame.phases[key] or (((), (), None),)
         out["stages"].append({
-            "sizes": [(ln.dest, ln.source, ln.send.size, ln.ghost.size)
-                      for ln in links],
+            "sends": [(dest, sites.size) for dest, _, sites in sends],
+            "recvs": [(source, sites.size) for source, _, sites in recvs],
+            "wrap": 0 if wrap is None else wrap[0].size,
             "read": read,
             "written": written,
             "cells": (cache["flip"].T, cache["env"]) if key != "measure"
             and WL_STAGES[s][0] == "corner" else None,
-            "fresh": plan.walk.fresh[s],
-            "links": [(ln.dest, ln.source, ln.tag) for ln in links],
+            "fresh": plan.frame.walks[0].fresh[s],
+            "posts": bool(plan.frame.phases[key]),
         })
     return out
 
@@ -287,7 +419,7 @@ def _stage_tables(comm, cfg):
     plan = st._plan
     dlog = (plan.dlog_corners[: plan.n_even], plan.dlog_corners[plan.n_even :])
     return (plan.stages, dlog,
-            (st.start, st.stop, st.n_owned, st.depth, plan.walk.runs))
+            (st.start, st.stop, st.n_owned, st.depth, plan.frame.walks[0].runs))
 
 
 @pytest.mark.parametrize("n_sites,p", GEOMETRIES)
@@ -387,25 +519,23 @@ def test_facts_match_the_stage_tables_and_links_pair_up(n_sites, p):
                 pairs = np.unique(np.stack([cells, move_of]), axis=1)
                 per_cell = np.bincount(pairs[0])
                 assert (per_cell[flips.ravel()] == 1).all(), (r, s)
-            # links: a receive from each neighbor, a local copy of the
-            # ghosts the rank owns itself, a send to each neighbor of as
-            # many sites as its receive from this rank takes
-            posts = bool(stage["links"])
-            assert bool(ranks[0]["stages"][s]["links"]) == posts
+            # the refresh: a receive from each neighbor, a local copy of
+            # the ghosts the rank owns itself, a send to each neighbor of
+            # as many sites as its receive from this rank takes
+            posts = stage["posts"]
+            assert ranks[0]["stages"][s]["posts"] == posts
             if not posts:
                 continue
             neighbors = {(r - 1) % p, (r + 1) % p} - {r}
-            assert {ln[1] for ln in stage["links"] if ln[1] is not None} == neighbors
-            assert {ln[0] for ln in stage["links"] if ln[0] is not None} == neighbors
-            ghosts = sum(g for d_, s_, _, g in stage["sizes"] if d_ is None)
+            assert {src for src, _ in stage["recvs"]} == neighbors
+            assert {dest for dest, _ in stage["sends"]} == neighbors
+            ghosts = sum(g for _, g in stage["recvs"]) + stage["wrap"]
             assert ghosts == 2 * D * 8, (r, s)  # every ghost column, T = 8
-            for dest, _, sent, _ in stage["sizes"]:
-                if dest is not None:
-                    (took,) = [g for d_, src, _, g in ranks[dest]["stages"][s]["sizes"]
-                               if d_ is None and src == r]
-                    assert sent == took, (r, s, dest)
-        assert info["stages"][0]["links"], "every ghost is stale at sweep start"
-        assert not info["stages"][-1]["links"], "the measurement posts nothing"
+            for dest, sent in stage["sends"]:
+                (took,) = [g for src, g in ranks[dest]["stages"][s]["recvs"] if src == r]
+                assert sent == took, (r, s, dest)
+        assert info["stages"][0]["posts"], "every ghost is stale at sweep start"
+        assert not info["stages"][-1]["posts"], "the measurement posts nothing"
         assert D == {1: 2, 2: DEPTH}.get(p, min(D, n))
 
 
@@ -436,7 +566,7 @@ def _strip_ghosts(st):
 
 def _block_ghosts(st):
     """Both ghost planes a side of every axis that has them."""
-    (dx, dy), g = st._depth, st.g
+    (dx, dy), g = st._plan.frame.depths, st.g
     return [g[:dx], g[g.shape[0] - dx :], g[:, :dy], g[:, g.shape[1] - dy :]]
 
 
@@ -504,7 +634,7 @@ def poisoned_measurement_program(comm, cfg, checkpoint=None):
     the color-1 sites of the inner ones (color 0 updates the inner ring,
     corners included; color 1 only the owned sites)."""
     st = _BlockState(comm, cfg)
-    p, (dx, dy) = st.piece, st._depth
+    p, (dx, dy) = st.piece, st._plan.frame.depths
     gx = np.arange(p.x_start - dx, p.x_stop + dx)[:, None, None]
     gy = np.arange(p.y_start - dy, p.y_stop + dy)[None, :, None]
     stale = (gx + gy + np.arange(st.lt)) % 2 == 1
@@ -595,7 +725,7 @@ class TestPoisonedBundles:
         run_driver_matrix(
             worldline_strip_program, 4, _strip_cfg(n_sweeps=5), seed=42,
             checkpoint=CheckpointConfig(tmp_path, every=5))
-        d = _ghost_depth([10] * 4)
+        d = _ghost_depth(_STRIP_STENCIL, [10] * 4)
         _poison_bundles(
             tmp_path, 4, "loc", lambda a: [a[:d], a[-d:]], lambda v: 1 - v)
         resumed = run_driver_matrix(

@@ -170,11 +170,10 @@ def _inspect_block_partitions(comm, cfg):
     if not st.overlap_active:
         return out
     in_flight = np.zeros(st.g.shape, dtype=bool)
-    for ln in [axis for axis in st._links[0] if axis][-1]:
-        if ln.source is not None:
-            in_flight.reshape(-1)[ln.ghost] = True
+    for _, _, sites in st._phases[0][-1][1]:  # the last phase's receives
+        in_flight.reshape(-1)[sites] = True
     # color 0's box: one plane in from the frame on every ghosted axis
-    (dx, dy), (nx, ny) = st._depth, st.g.shape[:2]
+    (dx, dy), (nx, ny) = st._plan.frame.depths, st.g.shape[:2]
     xs, ys = slice(dx // 2, nx - dx // 2), slice(dy // 2, ny - dy // 2)
     reads_ghost = in_flight[xs, ys].copy()
     if dx:
@@ -183,10 +182,10 @@ def _inspect_block_partitions(comm, cfg):
     if dy:
         reads_ghost |= in_flight[xs, ys.start - 1 : ys.stop - 1]
         reads_ghost |= in_flight[xs, ys.start + 1 : ys.stop + 1]
-    mask = st._box
+    mask = st._plan.masks[0]
     out["color0"] = (
         int(np.count_nonzero(mask)),
-        st._n_int,
+        st._plan.n_int,
         int(np.count_nonzero(mask & ~reads_ghost)),
         int(np.count_nonzero(mask & reads_ghost)),
     )

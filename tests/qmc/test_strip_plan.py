@@ -1,6 +1,6 @@
 """The strip driver's rank plan and its one-gather sweep.
 
-A strip rank's static geometry -- frame, halo walk and links, stage
+A strip rank's static geometry -- frame, halo walk and phases, stage
 tables, pricing tables and the sweep's uniform index -- is one
 read-only :class:`~repro.qmc.parallel._StripPlan` per rank, built once
 per process; a launcher whose ranks share or inherit its memory builds
@@ -23,7 +23,7 @@ from repro.qmc.parallel import (
     WL_STAGES,
     WorldlineStripConfig,
     _StripState,
-    strip_plans,
+    rank_plans,
     worldline_strip_program,
 )
 from repro.run.config import ParallelLayout, XXZRunConfig
@@ -115,20 +115,20 @@ def _arrays(obj):
 
 @pytest.mark.parametrize("n_sites,p", GEOMETRIES)
 def test_plans_are_read_only(n_sites, p):
-    for plan in strip_plans(_cfg(n_sites), p):
+    for plan in rank_plans(_cfg(n_sites), p):
         arrays = list(_arrays(plan))
         assert len(arrays) > 20
         writable = [a.shape for a in arrays if a.flags.writeable]
         assert writable == []
-        for mapping in (plan.links, plan.phases, *plan.stages):
+        for mapping in (plan.frame.phases, *plan.stages):
             assert isinstance(mapping, MappingProxyType)
 
 
 def test_a_plan_is_built_once_per_process_and_shared():
     cfg = _cfg(32)
-    plans = strip_plans(cfg, 2)
+    plans = rank_plans(cfg, 2)
     # the schedule and the seed are no part of a plan's key
-    again = strip_plans(dataclasses.replace(cfg, n_sweeps=9, sweep_seed=5), 2)
+    again = rank_plans(dataclasses.replace(cfg, n_sweeps=9, sweep_seed=5), 2)
     assert all(a is b for a, b in zip(again, plans))
 
     def rank_plan(comm, cfg):
@@ -143,7 +143,7 @@ def test_the_memo_holds_one_runs_plans():
     drops the last run's plans."""
     cfg = _cfg(32)
     hot = dataclasses.replace(cfg, beta=2 * cfg.beta)
-    plans, hot_plans = strip_plans(cfg, 2), strip_plans(hot, 2)
+    plans, hot_plans = rank_plans(cfg, 2), rank_plans(hot, 2)
     assert parallel._run_plans.cache_info().currsize == 1
     for plan, hot_plan in zip(plans, hot_plans):
         assert plan is not hot_plan
@@ -157,19 +157,19 @@ def test_the_memo_holds_one_runs_plans():
             np.testing.assert_array_equal(got, plan.table.weights)
 
 
-def _record_builds(monkeypatch, log):
-    """Empty the memo and patch the plan builder to append the building
-    pid to ``log`` (a file, so forked ranks report too: they inherit
-    the patch)."""
+def _record_builds(monkeypatch, log, builder="_build_strip_plan"):
+    """Empty the memo and patch the plan ``builder`` to append the
+    building pid to ``log`` (a file, so forked ranks report too: they
+    inherit the patch)."""
     parallel._run_plans.cache_clear()
-    build = parallel._build_strip_plan
+    build = getattr(parallel, builder)
 
     def recording(*key):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         return build(*key)
 
-    monkeypatch.setattr(parallel, "_build_strip_plan", recording)
+    monkeypatch.setattr(parallel, builder, recording)
     return lambda: [int(x) for x in log.read_text().split()] if log.exists() else []
 
 

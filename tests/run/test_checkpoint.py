@@ -150,6 +150,12 @@ def _bundle_arrays(directory, rank):
 #: its own tables.
 STRIP_BUNDLE_P2 = Path(__file__).parent / "data" / "strip_bundle_p2"
 
+#: The two rank bundles of ``_block_cfg(3)`` (IDEAL, seed 5, checkpoint
+#: every 3 sweeps) as the block driver wrote them when it hand-coded its
+#: ghost depth, ring and refresh (commit 85e758a), before the halo walk
+#: derived them.
+BLOCK_BUNDLE_P2 = Path(__file__).parent / "data" / "block_bundle_p2"
+
 
 class TestStripDriverResume:
     """Interrupted + resumed == uninterrupted, bit for bit.
@@ -298,6 +304,39 @@ class TestBlockDriverResume:
         )
         np.testing.assert_array_equal(resumed["bond_sums"], ref["bond_sums"])
         np.testing.assert_array_equal(resumed["block"], ref["block"])
+
+    def test_bundle_written_before_the_walk_derived_the_frame_resumes(self, tmp_path):
+        """The walk-derived frame changes no bundle byte and no
+        ``block_schedule`` fingerprint: this code writes the committed
+        bundle exactly, and resumes it to the uninterrupted run, bit for
+        bit."""
+        mid = tmp_path / "mid"
+        run_spmd(ising_block_program, 2, IDEAL, seed=5,
+                 args=(_block_cfg(n_sweeps=3), CheckpointConfig(mid, every=3)))
+        for r in range(2):
+            old_meta, old_arrays = load_rank_checkpoint(BLOCK_BUNDLE_P2, r)
+            meta, arrays = load_rank_checkpoint(mid, r)
+            assert meta == old_meta
+            assert meta["block_schedule"] == {"ghost_depth": 2, "refreshes": 1}
+            assert sorted(arrays) == sorted(old_arrays)
+            for key in arrays:
+                np.testing.assert_array_equal(arrays[key], old_arrays[key], err_msg=key)
+
+        full = _block_cfg(n_sweeps=6)
+        ref_dir, res_dir = tmp_path / "ref", tmp_path / "res"
+        ref = run_spmd(ising_block_program, 2, IDEAL, seed=5,
+                       args=(full, CheckpointConfig(ref_dir, every=3))).values
+        shutil.copytree(BLOCK_BUNDLE_P2, res_dir)
+        resumed = run_spmd(ising_block_program, 2, IDEAL, seed=5,
+                           args=(full, CheckpointConfig(res_dir, every=3, resume=True))).values
+        for a, b in zip(ref, resumed):
+            for key in ("magnetization", "bond_sums", "block"):
+                np.testing.assert_array_equal(b[key], a[key], err_msg=key)
+        for r in range(2):
+            a, b = _bundle_arrays(ref_dir, r), _bundle_arrays(res_dir, r)
+            assert sorted(a) == sorted(b)
+            for key in a:
+                np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_resume_mid_stream_at_every_rank_count(self, tmp_path, p):

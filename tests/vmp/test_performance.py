@@ -169,7 +169,7 @@ class TestWorldlineStripWorkload:
         from repro.qmc.parallel import (
             REDUCE_BATCH,
             WorldlineStripConfig,
-            strip_halo_traffic,
+            halo_traffic,
             worldline_strip_program,
         )
         from repro.vmp.performance import worldline_strip_workload
@@ -187,7 +187,7 @@ class TestWorldlineStripWorkload:
         # refresh twice).
         for p, want in ((1, 0), (2, 1), (4, 2), (8, 4)):
             assert PerformanceModel(PARAGON, w).halo_messages_per_sweep(p) == want
-            assert w.halo_schedule(p) == strip_halo_traffic(64, 64, p)
+            assert w.halo_schedule(p) == halo_traffic("worldline_strip", (64, 64), p)
         # ... which is what the driver sends: per rank and sweep, its
         # halo messages plus one message (P = 2: the reduce's or the
         # bcast's) per allreduce -- 130 measurements cross the batch cap
@@ -249,8 +249,11 @@ class TestWorldlineStripWorkload:
         assert t_agg < t_split
 
     def test_override_applies_to_halo_seconds(self):
+        # The same messages, more sites in each: the bandwidth term.
         base = workload(bytes_per_site=1)
-        more = workload(bytes_per_site=1, halo_sites_per_message=4096.0)
+        exchanges, messages, _ = PerformanceModel(PARAGON, base)._halo_traffic(4)
+        more = workload(bytes_per_site=1,
+                        halo_schedule=lambda p: (exchanges, messages, 4096.0))
         t_base = PerformanceModel(PARAGON, base).halo_seconds_per_sweep(4)
         t_more = PerformanceModel(PARAGON, more).halo_seconds_per_sweep(4)
         assert t_more > t_base
