@@ -25,9 +25,9 @@ Shape criteria (the acceptance bars of the batching work):
   in the JSON; compile time reported separately, never in the rate).
 
 The ``two_level_records`` section carries the two-level ensemble x
-domain campaign: executed composed R x P runs with per-level (halo vs
-ensemble) modeled comm fractions, plus the modeled 64 x 16 = 1024-node
-scaled-speedup record extrapolated from the executed 2 x 16 run.
+domain campaign: executed R x P runs, R replicas stacked in each of P
+strip ranks, with their modeled comm fractions, up to the era's
+full-machine 64 x 16 campaign.
 
 Wall-clock numbers vary with the host; the *ratios* are what the JSON
 trajectory tracks.  This container has a single core, so parallel
@@ -39,7 +39,6 @@ fraction column carries the scaling story on the era machines.
 from __future__ import annotations
 
 import json
-import math
 import time
 from pathlib import Path
 
@@ -52,7 +51,6 @@ from repro.qmc.parallel import (
     ising_block_program,
     worldline_strip_program,
 )
-from repro.qmc.two_level import TwoLevelConfig, two_level_program
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.util.tables import Table
@@ -223,115 +221,69 @@ def collect_overlap(smoke: bool = False) -> list[dict]:
     return records
 
 
-#: Geometry of the two-level ensemble x domain records.  The modeled
-#: scaled-speedup campaign targets 64 replicas x 16-rank strips = 1024
-#: nodes -- the full-machine configuration of the era the source paper
-#: reports on.
+#: Geometry of the two-level ensemble x domain records.  The
+#: full-machine campaign is 64 replicas over 16-rank strips, the scale
+#: of the era the source paper reports on; each rank holds its strip of
+#: every replica, so it runs on 16 nodes.
 TWO_LEVEL_CASE = f"two-level strip chain L={STRIP_L} T={STRIP_T}"
 TARGET_REPLICAS, TARGET_P = 64, 16
 
 
-def _two_level_config(replicas: int, p: int, n_sweeps: int) -> TwoLevelConfig:
-    base = WorldlineStripConfig(
-        n_sites=STRIP_L, jz=1.0, jxy=1.0, beta=BETA, n_slices=STRIP_T,
-        n_sweeps=n_sweeps, n_thermalize=2, measure_every=2,
-        mode="vectorized",
-    )
-    return TwoLevelConfig(replicas=replicas, domain_ranks=p, base=base)
-
-
 def _time_two_level(replicas: int, p: int, n_sweeps: int) -> dict:
-    """Execute a composed R x P campaign on the thread backend.
+    """Execute an R x P campaign (R replicas in each of P strip ranks)
+    on the thread backend.
 
     The same run yields the wall-clock throughput (the ranks time-share
-    the core) and the per-level modeled comm fractions on Paragon:
-    ``halo_comm_fraction`` is the domain-level share (halo exchange plus
-    halo waits inside each replica's strip), ``ensemble_comm_fraction``
-    the ensemble-level share (leader allreduces plus the end-of-run
-    pooling).  ``modeled_scaled_speedup`` is the Gustafson-style scaled
-    speedup ``nodes * (1 - comm_fraction)``: every node carries the same
-    per-node workload, so the non-comm share of the makespan is work.
+    the core) and the modeled comm fraction on Paragon: the halo
+    exchange, a message a neighbour carrying every replica's ghosts,
+    and the measurement reductions.  ``modeled_scaled_speedup`` is the
+    Gustafson-style scaled speedup ``nodes * (1 - comm_fraction)``:
+    every node carries the same per-node workload, so the non-comm
+    share of the makespan is work.
     """
-    cfg = _two_level_config(replicas, p, n_sweeps)
-    sweeps_total = n_sweeps + cfg.base.n_thermalize
+    cfg = WorldlineStripConfig(
+        n_sites=STRIP_L, jz=1.0, jxy=1.0, beta=BETA, n_slices=STRIP_T,
+        n_sweeps=n_sweeps, n_thermalize=2, measure_every=2,
+        mode="vectorized", replicas=replicas,
+    )
+    sweeps_total = n_sweeps + cfg.n_thermalize
     t0 = time.perf_counter()
-    res = run_spmd(two_level_program, cfg.n_ranks, machine=PARAGON, seed=11,
+    res = run_spmd(worldline_strip_program, p, machine=PARAGON, seed=11,
                    args=(cfg,))
     elapsed = time.perf_counter() - t0
-    by_level = res.comm_fraction_by_level()
-    comm = by_level["comm"] + by_level["ensemble"]
-    nodes = replicas * p
+    comm = res.comm_fraction()
     sites = STRIP_L * STRIP_T * replicas  # each replica sweeps a full lattice
     return {
         "case": TWO_LEVEL_CASE,
         "layout": f"{replicas}x{p}",
         "replicas": replicas,
         "p": p,
-        "nodes": nodes,
+        "nodes": p,
         "executed": True,
         "n_sweeps": sweeps_total,
         "seconds_per_sweep": elapsed / sweeps_total,
         "sweeps_per_s": sweeps_total / elapsed,
         "site_updates_per_s": sites * sweeps_total / elapsed,
         "space_time_sites": sites,
-        "halo_comm_fraction": by_level["comm"],
-        "ensemble_comm_fraction": by_level["ensemble"],
         "comm_fraction_modeled": comm,
-        "modeled_scaled_speedup": nodes * (1.0 - comm),
-    }
-
-
-def _extrapolate_two_level(source: dict) -> dict:
-    """Modeled full-machine record from one executed composed run.
-
-    Two facts about the cost model make the extrapolation exact rather
-    than a guess (see repro/vmp/collectives.py): the ensemble allreduce
-    is a reduce+bcast pair of binomial trees, so its cost per heartbeat
-    scales as ``ceil(log2 R)``; and halo traffic never leaves a
-    replica's domain sub-communicator, so per unit of makespan it is
-    independent of R.  Scaling the executed run's ensemble share by the
-    round ratio and renormalising the makespan gives the modeled
-    per-level fractions at the target replica count.
-    """
-    replicas, p = TARGET_REPLICAS, source["p"]
-    scale = (math.ceil(math.log2(replicas))
-             / math.ceil(math.log2(source["replicas"])))
-    f_halo = source["halo_comm_fraction"]
-    f_ens = source["ensemble_comm_fraction"]
-    makespan = (1.0 - f_ens) + f_ens * scale  # relative to the source run
-    halo = f_halo / makespan
-    ens = f_ens * scale / makespan
-    comm = halo + ens
-    nodes = replicas * p
-    return {
-        "case": TWO_LEVEL_CASE,
-        "layout": f"{replicas}x{p}",
-        "replicas": replicas,
-        "p": p,
-        "nodes": nodes,
-        "executed": False,
-        "extrapolated_from": source["layout"],
-        "halo_comm_fraction": halo,
-        "ensemble_comm_fraction": ens,
-        "comm_fraction_modeled": comm,
-        "modeled_scaled_speedup": nodes * (1.0 - comm),
+        "modeled_scaled_speedup": p * (1.0 - comm),
     }
 
 
 def collect_two_level(smoke: bool = False) -> list[dict]:
     """Two-level ensemble x domain records (``two_level_records``).
 
-    Executed composed runs on the thread backend -- R=2 over the target
-    strip width P=16 (full tier adds a small 2x2 cross-check) -- plus
-    the modeled 64x16 = 1024-node scaled-speedup record extrapolated
-    from the executed 2x16 run.  tools/check_bench.py gates the comm
+    Executed runs on the thread backend -- R=2 over the target strip
+    width P=16 (full tier adds a small 2x2 cross-check), then the
+    full-machine 64x16 campaign.  tools/check_bench.py gates the comm
     fractions of every record with the same ceiling it applies to the
     overlap records.
     """
-    records = [_time_two_level(2, TARGET_P, 2 if smoke else 12)]
+    n_sweeps = 2 if smoke else 12
+    records = [_time_two_level(2, TARGET_P, n_sweeps),
+               _time_two_level(TARGET_REPLICAS, TARGET_P, n_sweeps)]
     if not smoke:
         records.insert(0, _time_two_level(2, 2, 12))
-    records.append(_extrapolate_two_level(records[-1]))
     return records
 
 
@@ -537,19 +489,16 @@ def render_overlap(records: list[dict]) -> Table:
 
 def render_two_level(records: list[dict]) -> Table:
     table = Table(
-        "Two-level ensemble x domain campaign (R replicas x P-rank strips, "
-        "Paragon model)",
-        ["layout", "nodes", "kind", "halo frac", "ens frac", "comm frac",
-         "scaled speedup"],
+        "Two-level ensemble x domain campaign (R replicas in each of P "
+        "strip ranks, Paragon model)",
+        ["layout", "nodes", "ms/sweep", "comm frac", "scaled speedup"],
     )
     for rec in records:
         table.add_row(
             [
                 rec["layout"],
                 rec["nodes"],
-                "executed" if rec["executed"] else "modeled",
-                rec["halo_comm_fraction"],
-                rec["ensemble_comm_fraction"],
+                1e3 * rec["seconds_per_sweep"],
                 rec["comm_fraction_modeled"],
                 rec["modeled_scaled_speedup"],
             ]
@@ -625,16 +574,14 @@ def test_perf_kernels(benchmark, record, smoke):
                 f"{off:.3f} -> {rec['comm_fraction_modeled']:.3f}"
             )
 
-    # Two-level sanity at every tier: both levels of every record carry
-    # traffic, the total stays a proper fraction, and the campaign ends
-    # in the modeled full-machine (1024-node) record.
+    # Two-level sanity at every tier: every record's comm fraction stays
+    # a proper fraction, and the campaign ends in the full-machine
+    # record.
     for rec in two_level_records:
         assert 0.0 < rec["comm_fraction_modeled"] < 1.0, rec["layout"]
-        assert rec["halo_comm_fraction"] > 0.0, rec["layout"]
-        assert rec["ensemble_comm_fraction"] > 0.0, rec["layout"]
-    modeled = next(r for r in two_level_records if not r["executed"])
-    assert modeled["nodes"] == TARGET_REPLICAS * TARGET_P
-    assert modeled["modeled_scaled_speedup"] > 1.0
+    full = two_level_records[-1]
+    assert full["layout"] == f"{TARGET_REPLICAS}x{TARGET_P}"
+    assert full["modeled_scaled_speedup"] > 1.0
 
     speedups = {}
     by_case: dict[str, dict[str, dict]] = {}

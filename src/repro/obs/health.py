@@ -11,8 +11,8 @@ the run loop (:func:`repro.qmc.parallel._run_decomposed`):
   declarative :class:`HealthRules` at the observation cadence and emits
   :class:`HealthEvent` records on rule transitions.
 * ``observe_rhat(name, rhat, sweep)`` records a cross-replica
-  Gelman--Rubin value computed elsewhere (replica leaders over the
-  ensemble communicator) and applies the ``rhat_max`` rule to it.
+  Gelman--Rubin value computed elsewhere (a replica strip rank, from
+  its chains' moments) and applies the ``rhat_max`` rule to it.
 
 Events are *transition-based*: a rule fires one ``warning``/``critical``
 event when its condition starts holding and one ``info`` "recovered"

@@ -19,9 +19,9 @@ test suite to agree with its batch counterpart on the same series:
   :class:`~repro.stats.binning.BinningAnalysis` uses.
 * :func:`gelman_rubin` / :func:`gelman_rubin_from_moments` -- the
   cross-replica potential scale reduction factor R-hat.  The moments
-  form consumes exactly the ``(count, mean, variance)`` triples replica
-  leaders can allreduce over PR 8's ensemble communicator, and agrees
-  with the flat pooled computation over the stacked chains.
+  form consumes the chains' streaming ``(count, mean, variance)``
+  triples (:class:`Welford`), and agrees with the flat pooled
+  computation over the stacked chains.
 
 Everything here is pure arithmetic on the fed values: no RNG, no
 clock reads, no shared state -- the bit-identity discipline the health

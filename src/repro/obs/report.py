@@ -190,9 +190,8 @@ def _convergence_rows(health: dict) -> list[dict]:
 def _comm_fractions(manifest: dict) -> dict:
     runtime = manifest.get("runtime", {})
     out = {}
-    for key in ("comm_fraction", "comm_fraction_by_level"):
-        if runtime.get(key) is not None:
-            out[key] = runtime[key]
+    if runtime.get("comm_fraction") is not None:
+        out["comm_fraction"] = runtime["comm_fraction"]
     return out
 
 
@@ -355,12 +354,6 @@ def render_text(report: dict) -> str:
             bits.append(f"comm_fraction={format_float(comm)}")
         if bits:
             lines.append(f"   runtime: {', '.join(bits)}")
-        by_level = run["comm"].get("comm_fraction_by_level")
-        if by_level:
-            lines.append(
-                "   comm by level: "
-                + ", ".join(f"{k}={format_float(v)}" for k, v in sorted(by_level.items()))
-            )
         if run["rank_table"]:
             t = Table(
                 "per-rank metrics", ["rank"] + [lbl for _n, lbl in _RANK_COLUMNS]
@@ -493,7 +486,6 @@ def render_html(report: dict) -> str:
             items = []
             if comm.get("comm_fraction") is not None:
                 items.append(("total", comm["comm_fraction"]))
-            items.extend(sorted((comm.get("comm_fraction_by_level") or {}).items()))
             parts.append(
                 _html_table("comm fractions", ["level", "fraction"], items)
             )

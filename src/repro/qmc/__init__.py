@@ -13,12 +13,11 @@
   quantum--classical mapping, with quantum estimators.
 * :mod:`repro.qmc.trotter` -- Delta-tau -> 0 extrapolation driver.
 * :mod:`repro.qmc.parallel` -- the SPMD rank programs over
-  :mod:`repro.vmp`: domain-decomposed drivers (strip world-line, block
+  :mod:`repro.vmp`: domain-decomposed drivers (strip world-line, its
+  ranks optionally stacking independent replicas, and block
   classical/TFIM) and the whole-lattice chain program of the serial and
   replica layouts, on one run loop.  The samplers are move sets plus
   estimators; ``run_chain`` runs one of them on that loop.
-* :mod:`repro.qmc.two_level` -- ensemble x domain runs: independent
-  strip replicas pooled over a sub-communicator.
 * :mod:`repro.qmc.tempering` -- parallel tempering across ranks.
 """
 

@@ -169,6 +169,7 @@ from repro.qmc.plaquette import PlaquetteTable
 from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE, SweepBatch, TableSweeps
 from repro.obs.health import NOOP_HEALTH, HealthMonitor, clock_comm_seconds
 from repro.obs.metrics import ACCEPTANCE_EDGES
+from repro.obs.online import Welford, gelman_rubin_from_moments
 from repro.util.rng import SeedSequenceFactory
 from repro.vmp.machines import IDEAL
 from repro.vmp.scheduler import run_spmd
@@ -562,7 +563,7 @@ class _DecomposedState:
     #: The config fields a rank plan is built from, with the rank count.
     _plan_key: tuple[str, ...]
 
-    def __init__(self, comm, cfg):
+    def __init__(self, comm, cfg, chains: int = 1):
         # Resolve the kernel backend once per rank (every backend, the
         # per-move "scalar" included, is trajectory-identical).
         self._init_rank(comm, cfg, kernels.resolve_kernel(cfg.mode))
@@ -578,32 +579,33 @@ class _DecomposedState:
                               "exchange", stacklevel=3)
         self.sweep_index = 0
         self._n_exchanges = 0
-        # The run's one sweep stream, built once (see _sweep_draw), and
-        # the position it stands at.
-        self._sweep_gen = SeedSequenceFactory(cfg.sweep_seed).stream(
-            "sweep", 0).generator
+        # The run's sweep streams, one a chain, built once (see
+        # _sweep_draw), and the position they stand at.
+        self._sweep_gens = [SeedSequenceFactory(cfg.sweep_seed + r).stream(
+            "sweep", 0).generator for r in range(chains)]
         self._sweep_pos = 0
 
     # -- shared randomness ---------------------------------------------------
     def _sweep_draw(self, spans) -> None:
         """Fill this sweep's uniforms: per ``(offset, out)`` of ``spans``,
-        ``out.size`` doubles from ``offset`` into its share of the run's
-        sweep stream, into the C-contiguous ``out``; advances
-        ``sweep_index``.
+        the C-contiguous ``out`` holds a row a chain, each filled with
+        its doubles from ``offset`` into its share of that chain's sweep
+        stream; advances ``sweep_index``.
 
-        Every rank builds the same stream from ``sweep_seed``, and sweep
-        ``k`` owns its ``_per_sweep`` doubles from position
+        Every rank builds the same streams from ``sweep_seed``, and sweep
+        ``k`` owns its ``_per_sweep`` doubles of each from position
         ``k * _per_sweep`` on.  PCG64 spends one step per double, so
         ``advance`` skips exactly the numbers other ranks (or other
         sweeps) draw -- or steps back to a span drawn twice -- and the
         position is a function of ``sweep_index`` alone: a restore sets
         that and nothing else.
         """
-        gen, base = self._sweep_gen, self.sweep_index * self._per_sweep
+        gens, base = self._sweep_gens, self.sweep_index * self._per_sweep
         for offset, out in spans:
-            gen.bit_generator.advance(base + offset - self._sweep_pos)
-            gen.random(out=out)
-            self._sweep_pos = base + offset + out.size
+            for gen, row in zip(gens, out.reshape(len(gens), -1)):
+                gen.bit_generator.advance(base + offset - self._sweep_pos)
+                gen.random(out=row)
+            self._sweep_pos = base + offset + out.size // len(gens)
         self.sweep_index += 1
 
     def _init_rank(self, comm, cfg, kernel: str) -> None:
@@ -698,17 +700,18 @@ class _DecomposedState:
         return out
 
     def sweep(self) -> None:
-        """One sweep (:meth:`_sweep_stages`) plus its sweep-level telemetry."""
+        """One sweep (:meth:`_sweep_stages`) plus its sweep-level
+        telemetry, the rank's moves summed over its chains."""
         obs = self._obs
         if obs:
             t0_wall = perf_counter()
             t0_model = self.comm.clock.now
-            att0, acc0 = self.n_attempted, self.n_accepted
+            att0, acc0 = np.sum(self.n_attempted), np.sum(self.n_accepted)
         self._sweep_stages()
         if obs:
             self._m.record(
-                self.n_attempted - att0,
-                self.n_accepted - acc0,
+                int(np.sum(self.n_attempted) - att0),
+                int(np.sum(self.n_accepted) - acc0),
                 self.comm.clock.now - t0_model,
                 perf_counter() - t0_wall,
             )
@@ -797,12 +800,12 @@ class _DecomposedState:
         )
 
 
-def _health_monitor(health: "HealthRules | None", rank: int, replica=None):
-    """The run-health monitor of world rank ``rank`` (of ``replica``):
-    inert unless ``health`` rules are given."""
+def _health_monitor(health: "HealthRules | None", rank: int):
+    """The run-health monitor of rank ``rank``: inert unless ``health``
+    rules are given."""
     if health is None:
         return NOOP_HEALTH
-    return HealthMonitor(health, rank=rank, replica=replica)
+    return HealthMonitor(health, rank=rank)
 
 
 #: Pending measurement rows reduce together at the latest when this
@@ -817,8 +820,6 @@ def _run_decomposed(
     health: "HealthRules | None",
     *,
     monitor=None,
-    on_measure=None,
-    before_save=None,
 ) -> dict:
     """The run loop of every decomposed program.
 
@@ -833,14 +834,12 @@ def _run_decomposed(
     Reductions run in batches: a measurement only appends its rank-local
     row, and one allreduce of the ``(k, n)`` array of pending rows runs
     when a global value is due -- at :data:`REDUCE_BATCH` rows, before
-    a checkpoint write, before a health check, before ``on_measure``
-    and at the end of the run.  The sum is element-wise and in the same
-    rank order whatever ``k``, so no series bit depends on the cadence.
+    a checkpoint write, before a health check and at the end of the
+    run.  The sum is element-wise and in the same rank order whatever
+    ``k``, so no series bit depends on the cadence.
 
-    The keyword arguments are the composed two-level program's hooks:
-    ``monitor`` replaces the default per-rank health monitor (it stamps
-    world rank and replica), ``on_measure(sweep, series)`` runs after
-    each measurement and ``before_save()`` before each checkpoint write.
+    ``monitor`` replaces the default per-rank health monitor: a rank of
+    several chains feeds one monitor a chain (:class:`_ChainHealth`).
     """
     comm, cfg = state.comm, state.cfg
     metrics = comm.metrics
@@ -876,10 +875,7 @@ def _run_decomposed(
         state.sweep()
         if s % cfg.measure_every == 0:
             pending.append((s, state.measure()))
-            if on_measure is not None:
-                reduce_pending()
-                on_measure(s, series)
-            elif len(pending) == REDUCE_BATCH:
+            if len(pending) == REDUCE_BATCH:
                 reduce_pending()
         if (
             checkpoint is not None
@@ -887,8 +883,6 @@ def _run_decomposed(
             and (s + 1) % checkpoint.every == 0
         ):
             reduce_pending()
-            if before_save is not None:
-                before_save()
             state.save_rank_state(checkpoint.directory, s + 1, series)
         if check_every and (s + 1) % check_every == 0:
             reduce_pending()
@@ -935,7 +929,9 @@ class WorldlineStripConfig:
     the overlapped schedule (offloaded halo posts, the interior moves'
     time hidden behind the wire); what executes is the lockstep order,
     so the knob is absent from the checkpoint fingerprint and resumes
-    may toggle it.
+    may toggle it.  ``replicas`` stacks that many independent chains in
+    every rank (:class:`_StripState`); the value then carries a chain
+    axis.
     """
 
     n_sites: int
@@ -949,8 +945,11 @@ class WorldlineStripConfig:
     mode: str = "vectorized"
     sweep_seed: int = 12345
     overlap: bool = False
+    replicas: int = 1
 
     def __post_init__(self):
+        if self.replicas < 1:
+            raise ValueError("need at least one replica")
         if self.n_sites % 4:
             raise ValueError("parallel world-line driver needs L % 4 == 0")
         if self.n_slices % 4:
@@ -968,25 +967,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class _StripPlan(NamedTuple):
     """What one strip rank derives from ``(n_sites, n_slices, jz, jxy,
-    beta, n_ranks, rank)`` alone (module docstring): read-only, shared
-    by every rank state of that key.
+    beta, replicas, n_ranks, rank)`` alone (module docstring): read-only,
+    shared by every rank state of that key.  Its tables address the
+    rank's ``replicas`` chains stacked chain-major, each frame
+    ``stride`` sites after the last (:func:`_chains`).
 
     * the ``frame`` (:func:`_strip_frame`): the rank's piece, ``D``
       ghost columns a side, the halo walk and the refresh's phases per
-      stage key; :attr:`schedule` is its checkpoint entry;
+      stage key, each message carrying every chain's ghosts;
+      :attr:`schedule` is its checkpoint entry;
     * ``stages``: per :data:`WL_STAGES` entry, the gather / flip tables
       of its moves and what it counts (:func:`_strip_stages`), with the
       overlapped schedule's interior share; ``overlap_blocker`` names
       the first stage that has none, if any does;
     * the sweep's one gather: ``u_index`` picks every stage's uniforms
-      out of the sweep's block at once, stage after stage, so stage
-      ``s`` reads ``u_spans[s] = (a, b, shape)`` of it; the column
-      stages' come last, from ``n_corner_u`` on, and share one log;
+      out of the chains' sweep blocks (a row a chain) at once, stage
+      after stage and chain after chain within a stage, so stage ``s``
+      reads ``u_spans[s] = (a, b, shape)`` of it; the column stages'
+      come last, from ``n_corner_u`` on, and share one log;
     * the pricing tables: the plaquette ``table`` (weights, d ln W) and
       the column thresholds ``thr``; ``dlog_corners`` is the
-      measurement's shaded corners, the ``n_even`` of even owned bonds
-      first.  The 1 MB corner products the corner op looks moves up in
-      stay the kernel layer's per-process memo
+      measurement's shaded corners, per chain the ``n_even`` of even
+      owned bonds first.  The 1 MB corner products the corner op looks
+      moves up in stay the kernel layer's per-process memo
       (:func:`~repro.kernels.chain_tables.corner_products`), fetched by
       the rank state: a launcher that builds plans holds none.
     """
@@ -1018,24 +1021,45 @@ def _strip_frame(n_sites: int, n_slices: int, n_ranks: int, rank: int) -> _Frame
     return _halo_frame(_STRIP_STENCIL, [(decomp, rank, lambda r: r)], n_slices)
 
 
+def _chains(a: np.ndarray, replicas: int, stride: int, axis: int = 0) -> np.ndarray:
+    """Index table ``a`` into one chain's sites, for ``replicas`` chains
+    stacked ``stride`` sites apart: chain after chain along ``axis``."""
+    return _frozen(np.concatenate([a + r * stride for r in range(replicas)], axis=axis))
+
+
 def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
-                      beta: float, n_ranks: int, rank: int) -> _StripPlan:
+                      beta: float, replicas: int, n_ranks: int, rank: int) -> _StripPlan:
     """Build rank ``rank``'s :class:`_StripPlan`."""
-    L, T = n_sites, n_slices
+    L, T, R = n_sites, n_slices, replicas
     frame = _strip_frame(L, T, n_ranks, rank)
     (piece,), (d,) = frame.pieces, frame.depths
     n = piece.n_owned
-    stages, blocker = _strip_stages(L, T, piece.start, n, d, frame.walks[0].runs)
-    # The sweep's uniform block holds the six stage lattices in stage
+    stride = (n + 2 * d) * T
+
+    def stacked(sites):
+        return _chains(sites, R, stride)
+
+    frame = frame._replace(phases=MappingProxyType({key: tuple(
+        (tuple((peer, off, stacked(s)) for peer, off, s in sends),
+         tuple((peer, off, stacked(s)) for peer, off, s in recvs),
+         wrap and (stacked(wrap[0]), stacked(wrap[1])))
+        for sends, recvs, wrap in phases) for key, phases in frame.phases.items()}))
+    stages, blocker = _strip_stages(L, T, piece.start, n, d, frame.walks[0].runs, R)
+    # A chain's uniform block holds the six stage lattices in stage
     # order: a corner color's (L/2, T/4) grid, a column parity's L/2.
     sizes = [L * T // 8 if kind == "corner" else L // 2 for kind, _ in WL_STAGES]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
+    rows = np.arange(R)[:, None] * offsets[-1]
     picks, spans, a = [], [], 0
     for off, stage in zip(offsets.tolist(), stages):
         pick = stage["uflat"] if stage["kind"] == "corner" else stage["uc"]
-        picks.append(off + pick.ravel())
-        spans.append((a, a + pick.size, pick.shape))
-        a += pick.size
+        picks.append((rows + off + pick.ravel()).ravel())
+        # A grouped stage's op counts a row a bond (column), chain after
+        # chain; any other's a row a chain -- one chain's row is 1-D.
+        shape = ((R * pick.shape[0], *pick.shape[1:]) if stage["grouped"]
+                 else (R, pick.size)[R == 1:])
+        spans.append((a, a + R * pick.size, shape))
+        a += R * pick.size
     pt = PlaquetteTable.build(jz, jxy, beta / (T // 2))
     _frozen(pt.weights)
     _frozen(pt.dlog)
@@ -1050,22 +1074,23 @@ def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
         n_corner_u=spans[N_WL_STAGES - 2][0],
         table=pt,
         thr=_frozen(column_thresholds(pt.weights, T)),
-        dlog_corners=_frozen(np.concatenate([even, odd])),
+        dlog_corners=stacked(np.concatenate([even, odd])),
         n_even=len(even),
     )
 
 
-def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
+def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs, R: int) -> tuple:
     """``(stages, blocker)``: the index tables of every stage of a frame
     of ``n`` owned columns from global column ``start`` and ``d`` ghosts
-    a side, and the overlapped schedule's blocker.
+    a side, for ``R`` chains stacked chain-major, and the overlapped
+    schedule's blocker.
 
     A stage's moves are the walk's ``runs``: local bonds (corner color)
     or columns (column parity) ``x``, ascending, the owned moves and
     the redundant ones it keeps.  Corner color ``k`` takes bond ``x`` at
     the intervals of the class its global bond falls in, bond-major;
-    ``uflat`` is the ``(bonds, T/4)`` index of those moves into the
-    color's ``(L/2, T/4)`` slice of the sweep's uniforms (bond ``g //
+    ``uflat`` is the ``(bonds, T/4)`` index of one chain's moves into
+    the color's ``(L/2, T/4)`` slice of its sweep uniforms (bond ``g //
     2``, interval ``t // 4``), ``uc`` a column's (``g // 2``) in its
     parity's ``L/2``.  ``counted`` is the slice of ``x`` this rank
     counts: the bonds ``start .. stop - 1`` (the seam bond ``start - 1``
@@ -1074,13 +1099,13 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
     per bond (per column), so the op returns one count per bond
     (column): one kernel call runs the stage and counts it.
 
-    The fused gather / flip tables -- flat indices into
-    ``loc.reshape(-1)``, a packed ``(n_moves, 16)`` environment ``env``
-    and ``(4, n_moves)`` ``flip`` cells per corner color, the ``(n_cols,
-    T)`` plaquette neighbors ``nbr`` per column parity -- are the serial
-    sampler's (:mod:`repro.kernels.chain_tables`) on the ``n + 2 d``
-    local rows: a move the walk runs reads no row outside them, so
-    nothing wraps.
+    The fused gather / flip tables -- flat indices into the stacked
+    spins, a packed ``(n_moves, 16)`` environment ``env`` and ``(4,
+    n_moves)`` ``flip`` cells per corner color, the rows ``lc`` and the
+    ``(n_cols, T)`` plaquette neighbors ``nbr`` per column parity -- are
+    the serial sampler's (:mod:`repro.kernels.chain_tables`) on the ``n
+    + 2 d`` local rows of each chain: a move the walk runs reads no row
+    outside them, so nothing wraps.
 
     The overlapped schedule charges a stage's *interior* moves -- those
     reading owned rows only (:data:`_STRIP_STENCIL`) -- before its halo
@@ -1094,7 +1119,7 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
     stages, blocker = [], None
     for (kind, index), (_, _, reads, _), x in zip(WL_STAGES, _STRIP_STENCIL.stages, runs):
         g = (origin + x) % L
-        interior = _frozen(((x[:, None] + reads >= d) & (x[:, None] + reads < d + n)).all(1))
+        interior = ((x[:, None] + reads >= d) & (x[:, None] + reads < d + n)).all(1)
         counted = slice(*np.searchsorted(x, [d, d + n]).tolist())
         # One count per bond (column) only where some go uncounted.
         grouped = counted != slice(0, x.size)
@@ -1107,18 +1132,18 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
             stage.update(
                 uflat=_frozen(uflat if grouped else uflat.ravel()),
                 attempted=(counted.stop - counted.start) * per_bond,
-                env=_frozen(env),
-                flip=_frozen(flip),
-                n_moves=env.shape[0],
-                n_interior=int(np.count_nonzero(interior)) * per_bond,
+                env=_chains(env, R, width * T),
+                flip=_chains(flip, R, width * T, axis=1),
+                n_moves=R * env.shape[0],
+                n_interior=R * int(np.count_nonzero(interior)) * per_bond,
             )
             what = f"corner color {index} has no interior moves ({n} owned columns)"
         else:
             stage.update(
-                lc=x,
+                lc=_chains(x, R, width),
                 uc=_frozen((g // 2)[:, None] if grouped else g // 2),
-                nbr=_frozen(column_neighbors(width, T, x)),
-                interior=interior,
+                nbr=_chains(column_neighbors(width, T, x), R, width * T),
+                interior=_frozen(np.tile(interior, R)),
             )
             what = f"column parity {index} has no interior columns ({n} owned columns)"
         if blocker is None and not interior.any():
@@ -1128,17 +1153,24 @@ def _strip_stages(L: int, T: int, start: int, n: int, d: int, runs) -> tuple:
 
 
 class _StripState(_DecomposedState):
-    """Per-rank world-line state: owned columns plus ``depth`` ghosts a side.
+    """Per-rank world-line state: ``replicas`` chains, each its owned
+    columns plus ``depth`` ghosts a side.
 
-    Local layout along axis 0: ``[ghost(start-depth) .. ghost(start-1),
-    owned..., ghost(stop) .. ghost(stop+depth-1)]``; local index of
-    global column ``g`` is ``g - start + depth``.  The depth is the
-    halo schedule's (:func:`_ghost_depth`): even, so a local bond's
-    parity is its global one, and at least 2, the neighborhood a seam
-    corner move reads (columns ``seam - 2 .. seam + 1``).  The rank's
-    geometry and tables are the memoized :class:`_StripPlan` of its
-    key; the state holds the spins, the sweep's uniform buffers and
-    their per-stage views, and its counters.
+    Local layout along a chain's column axis: ``[ghost(start-depth) ..
+    ghost(start-1), owned..., ghost(stop) .. ghost(stop+depth-1)]``;
+    local index of global column ``g`` is ``g - start + depth``.  The
+    depth is the halo schedule's (:func:`_ghost_depth`): even, so a
+    local bond's parity is its global one, and at least 2, the
+    neighborhood a seam corner move reads (columns ``seam - 2 .. seam +
+    1``).  The rank's geometry and tables are the memoized
+    :class:`_StripPlan` of its key; the state holds the spins, the
+    sweep's uniform buffers and their per-stage views, and its counters.
+
+    The chains are stacked as one ``(R, width, T)`` array, swept a stage
+    at a time by one kernel call for all of them; chain ``r`` draws its
+    own sweep stream.  With R > 1 the spins (``loc``), the counters and
+    the series carry a chain axis (``(n, R)`` series, as a chain rank's:
+    :func:`_chain_values` splits them); one chain's are a strip's.
     """
 
     _array = "loc"
@@ -1147,10 +1179,11 @@ class _StripState(_DecomposedState):
     health_series = series
     _tag_schedule = (_TAG_WL, 16, 2)
     _driver = "worldline_strip"
-    _fingerprint = _plan_key = ("n_sites", "n_slices", "jz", "jxy", "beta")
+    _fingerprint = ("n_sites", "n_slices", "jz", "jxy", "beta")
+    _plan_key = (*_fingerprint, "replicas")
 
     def __init__(self, comm, cfg: WorldlineStripConfig):
-        super().__init__(comm, cfg)
+        super().__init__(comm, cfg, cfg.replicas)
         plan = self._plan
         self.T = cfg.n_slices
         self.n_trotter = cfg.n_slices // 2
@@ -1160,12 +1193,20 @@ class _StripState(_DecomposedState):
         self._corner_weights = corner_products(plan.table.weights)
         # Neel start, straight world lines (legal everywhere).
         g = np.arange(self.start - self.depth, self.stop + self.depth)
-        self.loc = np.repeat((g % 2).astype(np.int8)[:, None], self.T, axis=1)
-        self._flat = self.loc.reshape(-1)
-        # The sweep's buffers -- its drawn block, the rank's gather of it
-        # and the log of the column stages' share -- and each stage's
-        # view of the gather (a column stage's of the log).
-        self._u_draw = np.empty(plan.per_sweep)
+        line = np.repeat((g % 2).astype(np.int8)[:, None], self.T, axis=1)
+        self._stack = np.repeat(line[None], cfg.replicas, axis=0)
+        #: A value's chain index: the chain axis, or one chain's.
+        self._chain = slice(None) if cfg.replicas > 1 else 0
+        self.loc = self._stack[self._chain]
+        self._flat = self._stack.reshape(-1)
+        self._rows = self._stack.reshape(-1, self.T)
+        #: Per chain, the moves attempted and accepted.
+        self._counts = np.zeros((2, cfg.replicas), dtype=np.int64)
+        self.n_attempted, self.n_accepted = self._counts[:, self._chain].tolist()
+        # The sweep's buffers -- its drawn blocks, the rank's gather of
+        # them and the log of the column stages' share -- and each
+        # stage's view of the gather (a column stage's of the log).
+        self._u_draw = np.empty((cfg.replicas, plan.per_sweep))
         self._u = np.empty(plan.u_index.size)
         c = plan.n_corner_u
         self._u_cols = self._u[c:]
@@ -1178,9 +1219,10 @@ class _StripState(_DecomposedState):
 
     # -- shared randomness --------------------------------------------------
     def _sweep_uniforms(self) -> np.ndarray:
-        """This sweep's uniforms; every rank draws the identical block.
+        """This sweep's uniforms, a row a chain; every rank draws the
+        identical rows.
 
-        The next ``_per_sweep`` numbers of the run's sweep stream hold
+        The next ``_per_sweep`` numbers of a chain's sweep stream hold
         the six stage lattices as slices of a single draw (corner colors
         consume an ``(L/2, T/4)`` grid, column parities ``L/2`` values).
         Every kernel and all rank counts index the same numbers, the
@@ -1201,10 +1243,11 @@ class _StripState(_DecomposedState):
     def _sweep_stages(self) -> None:
         """One full sweep: 6 stages, each behind the halo refresh the
         walk posts for it (one, before the first, on pieces as wide as
-        the ghost depth), each one kernel call over its whole table.
+        the ghost depth), each one kernel call over its whole table, for
+        every chain.
 
         One gather takes the rank's uniforms of all six stages out of
-        the sweep's block, and one log the column stages' share (taken
+        the chains' blocks, and one log the column stages' share (taken
         here with NumPy, so every backend compares against identical
         values); each stage reads its view of them.  Where a stage runs
         moves this rank does not count, its kernel call returns one
@@ -1218,7 +1261,8 @@ class _StripState(_DecomposedState):
         a refresh may sit between the two column stages -- so a column
         stage's interior count is known before the wait.
         """
-        plan, loc = self._plan, self.loc
+        plan, rows, counts = self._plan, self._rows, self._counts
+        n_chains = counts.shape[1]
         # the plan's indices are in range by construction: "clip" skips
         # the bounds pass
         self._sweep_uniforms().take(plan.u_index, out=self._u, mode="clip")
@@ -1233,8 +1277,8 @@ class _StripState(_DecomposedState):
                 n_int = stage["n_interior"] if pending else 0
             else:
                 lc = stage["lc"]
-                rows = loc[lc]
-                straight = (rows == rows[:, :1]).all(axis=1)
+                cols = rows[lc]
+                straight = (cols == cols[:, :1]).all(axis=1)
                 n_moves, flops = int(np.count_nonzero(straight)), 2.0 * self.T
                 n_int = (
                     int(np.count_nonzero(straight & stage["interior"]))
@@ -1249,45 +1293,49 @@ class _StripState(_DecomposedState):
                     self._kops["strip_corner"], self._flat, self._corner_weights,
                     stage["env"], stage["flip"], u,
                 )
-                self.n_attempted += stage["attempted"]
+                counts[0] += stage["attempted"]
             else:
                 if n_moves:
                     accepted = self._timed(
-                        self._kops["strip_column"], loc, plan.thr,
+                        self._kops["strip_column"], rows, plan.thr,
                         lc, stage["nbr"], straight, u,
                     )
-                self.n_attempted += int(np.count_nonzero(straight[counted]))
+                counts[0] += straight.reshape(n_chains, -1)[:, counted].sum(axis=1)
             if stage["grouped"] and n_moves:
-                accepted = int(accepted[counted].sum())
-            self.n_accepted += accepted
+                accepted = accepted.reshape(n_chains, -1)[:, counted].sum(axis=1)
+            counts[1] += accepted
             # The clock prices the work done, the redundant moves too.
             self._charge_moves(
                 n_moves - n_int, flops, "boundary" if pending else "compute"
             )
+        self.n_attempted, self.n_accepted = counts[:, self._chain].tolist()
 
     # -- measurement ---------------------------------------------------------
-    def local_dlog_sum(self) -> float:
-        """Sum of d ln W over shaded plaquettes at owned bonds: one
-        gather of both bond parities, summed a parity at a time, even
-        first (the series' bits)."""
+    def local_dlog_sums(self) -> np.ndarray:
+        """Per chain, the sum of d ln W over shaded plaquettes at owned
+        bonds: one gather of every chain's both bond parities, summed a
+        parity at a time, even first (the series' bits)."""
         plan = self._plan
         dlog = plan.table.dlog[plaquette_codes(self._flat, plan.dlog_corners)]
-        return 0.0 + float(dlog[: plan.n_even].sum()) + float(
-            dlog[plan.n_even :].sum())
+        dlog = dlog.reshape(self._counts.shape[1], -1)
+        return 0.0 + dlog[:, : plan.n_even].sum(axis=1) + dlog[:, plan.n_even :].sum(axis=1)
 
     def owned(self) -> np.ndarray:
         """The owned columns of ``loc`` (a view)."""
-        return self.loc[self.depth : self.depth + self.n_owned]
+        return self.loc[..., self.depth : self.depth + self.n_owned, :]
 
     def measure(self) -> np.ndarray:
-        """Owned-bond d ln W sum and slice-0 S^z of the owned columns."""
+        """Per chain, the owned-bond d ln W sum; then per chain, the
+        slice-0 S^z of the owned columns."""
         self._exchange("measure")  # scheduled empty; takes its tag block
-        return np.array(
-            [self.local_dlog_sum(), self.owned()[:, 0].sum() - self.n_owned / 2.0]
-        )
+        owned = self._stack[:, self.depth : self.depth + self.n_owned, 0]
+        return np.concatenate(
+            [self.local_dlog_sums(), owned.sum(axis=1) - self.n_owned / 2.0])
 
     def series_columns(self, totals: np.ndarray) -> tuple:
-        """Energy estimate and slice-0 total S^z of the whole chain."""
+        """Energy estimate and slice-0 total S^z of the whole chain, per
+        chain."""
+        totals = totals.reshape(len(totals), 2, -1)[..., self._chain]
         return -totals[:, 0] / self.n_trotter, totals[:, 1]
 
     def result(self) -> dict:
@@ -1329,8 +1377,22 @@ def worldline_strip_program(
     own -- a check only pulls the pending measurement reduction forward
     -- so the trajectory and every series are bit-identical with health
     on or off.
+
+    With ``cfg.replicas`` R > 1 every rank holds R chains, chain ``r``
+    on its own sweep stream, and the value carries a chain axis
+    (:func:`_chain_values` splits it).  Health runs a monitor a chain,
+    stamped with the rank and the chain as its replica; rank 0's also
+    record the chains' Gelman--Rubin R-hat of the energy after each
+    measurement, computed in the rank (every rank holds every chain's
+    series).  A dead rank fails the run, all its replicas with it, as
+    a :class:`~repro.vmp.faults.RankFailure` on every rank.
     """
-    return _run_decomposed(_StripState(comm, cfg), checkpoint, health)
+    monitor = None
+    if health is not None and cfg.replicas > 1:
+        monitor = _ChainHealth(
+            (HealthMonitor(health, rank=comm.rank, replica=r) for r in range(cfg.replicas)),
+            rhat=("energy",) if comm.rank == 0 else ())
+    return _run_decomposed(_StripState(comm, cfg), checkpoint, health, monitor=monitor)
 
 
 
@@ -1786,15 +1848,39 @@ class _ChainState(_DecomposedState):
 
 
 class _ChainHealth(list):
-    """The health monitors of a chain rank, one per chain, fed as one:
-    values and counters carry the chain axis."""
+    """The health monitors of a rank of several chains, one per chain,
+    fed as one: values and counters carry the chain axis.  Every
+    monitor also records the chains' Gelman--Rubin R-hat of each series
+    ``rhat`` names, from their streaming moments, once every chain has
+    two values."""
 
     enabled = True
-    t_model = 0.0  # chains model no time; check() hands each monitor the clock
+
+    def __init__(self, monitors, rhat=()):
+        super().__init__(monitors)
+        self._moments = {name: [Welford() for _ in self] for name in rhat}
+
+    @property
+    def t_model(self) -> float:
+        return self[0].t_model
+
+    @t_model.setter
+    def t_model(self, now: float) -> None:
+        for m in self:
+            m.t_model = now
 
     def observe(self, name: str, values, sweep: int) -> None:
         for m, value in zip(self, values):
             m.observe(name, value, sweep)
+        chains = self._moments.get(name)
+        if chains is None:
+            return
+        for moments, value in zip(chains, values):
+            moments.push(value)
+        if chains[0].count >= 2:
+            rhat = gelman_rubin_from_moments(*zip(*(c.moments() for c in chains)))
+            for m in self:
+                m.observe_rhat(name, rhat, sweep)
 
     def check(self, sweep: int, *, attempted, accepted, **clock) -> None:
         for m, att, acc in zip(self, attempted, accepted):
@@ -1826,12 +1912,14 @@ def chain_program(
     return _run_decomposed(_ChainState(comm, cfg), None, health, monitor=monitor)
 
 
-def _chain_values(value: dict, series) -> list[dict]:
-    """A :func:`chain_program` value as one value per chain, each what a
-    run of that chain alone returns; ``series`` names its series."""
+def _chain_values(value: dict, series, spins: str = "spins") -> list[dict]:
+    """A value with a chain axis -- a :func:`chain_program` rank's, or a
+    replica strip rank's, whose spins are ``"owned_spins"`` -- as one
+    value per chain, each what a run of that chain alone returns;
+    ``series`` names its series."""
     chains = [{**value, **{name: value[name][:, i] for name in series},
-               **{key: value[key][i] for key in ("spins", "n_attempted", "n_accepted")}}
-              for i in range(len(value["spins"]))]
+               **{key: value[key][i] for key in (spins, "n_attempted", "n_accepted")}}
+              for i in range(len(value[spins]))]
     events = iter(value.get("health_events", ()))  # chain after chain
     for chain, summary in zip(chains, value.get("health_summary", ())):
         chain["health_summary"] = summary

@@ -263,6 +263,15 @@ def load_rank_checkpoint(
     obs = metrics is not None and metrics.enabled
     if obs:
         t0 = time.perf_counter()
+    manifest = Path(directory) / "layout.json"
+    if manifest.exists():
+        layout = json.loads(manifest.read_text()).get("layout")
+        raise ValueError(
+            f"{directory} holds a {layout!r} checkpoint, a bundle directory "
+            f"a replica under {manifest.name}: its R x P ranks are no run's "
+            f"any more (a replica strip's P ranks each hold every replica), "
+            f"so it cannot resume this run"
+        )
     path = rank_checkpoint_path(directory, rank)
     if not path.exists():
         raise FileNotFoundError(

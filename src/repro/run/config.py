@@ -89,12 +89,11 @@ class ParallelLayout:
         backend fails fast with a
         :class:`repro.kernels.KernelUnavailableError`.
     replicas:
-        Number of independent strip replicas in a two-level ensemble x
-        domain run.  With ``replicas > 1`` (``strip`` strategy only)
-        the run uses ``replicas * n_ranks`` processors: each replica is
-        a strip of ``n_ranks`` domain ranks, and the replica leaders
-        pool statistics over an ensemble sub-communicator (see
-        :mod:`repro.qmc.two_level`).
+        Number of independent strip replicas (``strip`` strategy only).
+        The run still uses ``n_ranks`` processors: each rank holds its
+        strip of every replica, stacked and swept together, and the
+        result's series are the replicas' mean (see
+        :func:`repro.qmc.parallel.worldline_strip_program`).
     """
 
     strategy: str = "serial"
@@ -134,8 +133,8 @@ class ParallelLayout:
             raise ValueError("replicas must be >= 1")
         if self.replicas > 1 and self.strategy != "strip":
             raise ValueError(
-                "a two-level ensemble (replicas > 1) composes with the "
-                f"'strip' strategy only, got {self.strategy!r}"
+                "replicas > 1 stack in the 'strip' strategy only, "
+                f"got {self.strategy!r}"
             )
 
 
@@ -441,7 +440,7 @@ _LAYOUT_FIELDS = (
                   "layout, with numpy's trajectory wherever numpy runs "
                   "(default: auto)"),
     RunField("replicas", "--replicas", int, 1, spec="replicas", metavar="R",
-             help="two-level ensemble x domain run: R independent strip "
-                  "replicas of --ranks domain processors each (R * RANKS "
-                  "total; strip strategy only)"),
+             help="R independent replicas, each rank holding its strip of "
+                  "all of them (still --ranks processors; strip strategy "
+                  "only)"),
 )

@@ -199,7 +199,9 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
         )
     anchor = cfg.metrics_out or cfg.trace_out or cfg.events_out
     if anchor is not None:
-        extra = {"outputs": dict(outputs), "runtime": dict(runtime)}
+        # The comm fraction the report shows rides in the runtime.
+        extra = {"outputs": dict(outputs),
+                 "runtime": {**runtime, "comm_fraction": spmd.comm_fraction()}}
         if health is not None:
             extra["health"] = {
                 "summary": health["summary"],
@@ -222,12 +224,12 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
 def _record_spmd(result: RunResult, spmd, layout) -> None:
     """Fold a decomposed SPMD run's modeled costs into ``result``.
 
-    Shared by the strip (incl. two-level) and block layouts: modeled
+    Shared by the strip (replicas included) and block layouts: modeled
     makespan and comm fraction, the halo traffic totals, the phase
     report, and the overlap fact -- ``requested`` is the layout knob,
     ``active`` whether every rank charged the overlapped schedule (thin
     subdomains fall back to lockstep with a warning an mp/mpi child's
-    stderr may swallow).  A two-level run adds its ensemble facts.
+    stderr may swallow).  A replica strip adds its replica count.
     """
     result.model_time = spmd.elapsed_model_time
     result.comm_fraction = spmd.comm_fraction()
@@ -241,12 +243,7 @@ def _record_spmd(result: RunResult, spmd, layout) -> None:
         },
     )
     if layout.replicas > 1:
-        result.runtime.update(
-            replicas=layout.replicas,
-            domain_ranks=layout.n_ranks,
-            comm_fraction_by_level=spmd.comm_fraction_by_level(),
-            ensemble_degraded=bool(spmd.values[0]["ensemble_degraded"]),
-        )
+        result.runtime["replicas"] = layout.replicas
 
 
 def _estimate(name: str, series: np.ndarray) -> ObservableEstimate:
@@ -315,7 +312,8 @@ class _Kind:
 
 
 class _XXZ(_Kind):
-    """World-line XXZ chain: serial / replica chains, strip (two-level) driver."""
+    """World-line XXZ chain: serial / replica chains, strip driver (its
+    ranks stacking ``layout.replicas`` chains)."""
 
     stored = chain_series = ("energy", "magnetization")
 
@@ -359,25 +357,19 @@ class _XXZ(_Kind):
             sweep_seed=cfg.seed,
             overlap=layout.overlap,
             mode=kernel,
+            replicas=layout.replicas,
         )
         _warm_plans(wl_cfg, layout)
-        if layout.replicas == 1:
-            return worldline_strip_program, (wl_cfg, checkpoint, rules), layout.n_ranks
-        from repro.qmc.two_level import TwoLevelConfig, two_level_program
-
-        tl_cfg = TwoLevelConfig(
-            replicas=layout.replicas, domain_ranks=layout.n_ranks, base=wl_cfg
-        )
-        return two_level_program, (tl_cfg, checkpoint, rules), tl_cfg.n_ranks
+        return worldline_strip_program, (wl_cfg, checkpoint, rules), layout.n_ranks
 
     @staticmethod
     def decomposed_series(cfg, values):
-        out0 = values[0]
-        # A two-level run reports the pooled ensemble-mean series; the
-        # per-replica series stay available in the rank values.
-        pooled = cfg.layout.replicas > 1 and out0["ensemble_energy"] is not None
-        prefix = "ensemble_" if pooled else ""
-        return {name: out0[prefix + name] for name in _XXZ.stored}
+        # The replicas' mean series (one replica's series are its own);
+        # the values are replica-major, so replica r's rank 0 is
+        # values[r * P].
+        replicas = values[:: len(values) // cfg.layout.replicas]
+        return {name: np.mean([v[name] for v in replicas], axis=0)
+                for name in _XXZ.stored}
 
     @staticmethod
     def estimates(cfg, series):
@@ -614,7 +606,11 @@ def run_batch(configs) -> list[RunResult]:
     # The always-on throughput numbers: a batch's runs share its wall.
     wall = (time.perf_counter() - t0_wall) / n_runs
     if decomposed:
-        runs = [spmd.values]
+        # A replica strip's ranks hold every replica: split them into
+        # the replicas' ranks, replica after replica.
+        per_rank = [_chain_values(v, kind.stored, "owned_spins") if layout.replicas > 1
+                    else [v] for v in spmd.values]
+        runs = [[chains[r] for r in range(layout.replicas) for chains in per_rank]]
     else:
         per_chain = _chain_values(spmd.values[0], kind.chain_series)
         runs = [per_chain[k * layout.n_ranks:(k + 1) * layout.n_ranks]

@@ -31,19 +31,15 @@ __all__ = [
 COMPUTE_CATEGORIES: tuple[str, ...] = ("compute", "interior", "boundary")
 
 #: Categories of CPU time spent *inside* communication calls (software
-#: overhead charged by the cost model, not wire time).  ``comm`` is
-#: domain-level traffic (halo exchanges, intra-domain collectives);
-#: ``ensemble`` is traffic over an ensemble sub-communicator (replica
-#: pooling / tempering swaps in two-level layouts), kept separate so
-#: telemetry can report per-level comm fractions.
-COMM_CATEGORIES: tuple[str, ...] = ("comm", "ensemble")
+#: overhead charged by the cost model, not wire time): ``comm``, halo
+#: exchanges and collectives alike.
+COMM_CATEGORIES: tuple[str, ...] = ("comm",)
 
 #: Categories of idle time blocked on a message that has not arrived.
 #: ``halo_wait`` is the overlapped schedule's residual wait after the
 #: interior charge; ``comm_wait`` is the blocking-receive wait of the
-#: non-overlapped path; ``ensemble_wait`` is the blocking wait on
-#: ensemble-level messages in two-level layouts.
-WAIT_CATEGORIES: tuple[str, ...] = ("comm_wait", "halo_wait", "ensemble_wait")
+#: non-overlapped path.
+WAIT_CATEGORIES: tuple[str, ...] = ("comm_wait", "halo_wait")
 
 
 class ModelClock:

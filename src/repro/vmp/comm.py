@@ -441,8 +441,7 @@ class Communicator:
 
     This class is both the thread transport's endpoint and the base of
     every other one (:class:`~repro.vmp.process_backend.MpCommunicator`,
-    :class:`~repro.vmp.mpi_backend.MpiCommunicator`,
-    :class:`~repro.vmp.split.SubCommunicator`).  Everything the cost
+    :class:`~repro.vmp.mpi_backend.MpiCommunicator`).  Everything the cost
     convention and the :class:`Request` contract depend on is written
     here once; a transport supplies three hooks over the one message
     shape ``(src, tag, arrival, payload)``:
@@ -500,20 +499,9 @@ class Communicator:
         #: bumped per message -- the only per-message cost when enabled
         #: is the wire-size histogram.
         self.metrics = metrics
-        #: Display name (set on split children); prefixed to the detail
-        #: of a RankFailure detected through this communicator.
-        self.name: str | None = None
-        #: Clock categories this endpoint charges (see util.timer); a
-        #: ``split(..., label=...)`` child charges per-level ones.
-        self._cat_comm = "comm"
-        self._cat_wait = "comm_wait"
-        self._cat_halo_wait = "halo_wait"
-        #: Collective and split call counters (every rank of a
-        #: communicator makes the same calls in the same order, so these
-        #: namespace tags identically everywhere) and the split lineage.
+        #: Collective call counter (every rank makes the same calls in
+        #: the same order, so it namespaces tags identically everywhere).
         self._coll_seq = 0
-        self._split_seq = 0
-        self._uid: tuple[int, ...] = ()
         #: Route length to each destination sent to so far (static).
         self._hops: dict[int, int] = {}
         self._obs = bool(metrics.enabled)
@@ -521,26 +509,6 @@ class Communicator:
             self._m_msg_hist = metrics.histogram(
                 "comm.message_bytes", MESSAGE_BYTES_EDGES
             )
-
-    def _adopt(self, parent: "Communicator", label: str | None,
-               name: str | None) -> None:
-        """Make this endpoint a split child of ``parent``.
-
-        One rank has one clock and one set of counters however many
-        communicators it holds, so the child shares the parent's; it
-        charges the parent's categories unless ``label`` names its own
-        level (``label`` / ``label_wait``, offloaded waits included).
-        """
-        self.clock = parent.clock
-        self.stats = parent.stats
-        self.name = name
-        if label is None:
-            self._cat_comm = parent._cat_comm
-            self._cat_wait = parent._cat_wait
-            self._cat_halo_wait = parent._cat_halo_wait
-        else:
-            self._cat_comm = label
-            self._cat_wait = self._cat_halo_wait = f"{label}_wait"
 
     def sync_metrics(self) -> None:
         """Fold CommStats and the clock's wait total into the registry."""
@@ -575,11 +543,10 @@ class Communicator:
             hops = self._hops[dest] = self.topology.hops(self.rank, dest)
         start = self.clock.now
         if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
+            self.clock.charge(self.machine.post_overhead, "comm")
         else:
             self.clock.charge(
-                self.machine.latency + self.machine.byte_time * nbytes,
-                self._cat_comm,
+                self.machine.latency + self.machine.byte_time * nbytes, "comm"
             )
         arrival = (
             start
@@ -589,17 +556,13 @@ class Communicator:
         )
         drop = False
         if self.fault_state is not None:
-            extra, drop = self.fault_state.outgoing(self._world_rank(dest))
+            extra, drop = self.fault_state.outgoing(dest)
             arrival += extra
         self.stats.messages_sent += 1
         self.stats.bytes_sent += nbytes
         if self._obs:
             self._m_msg_hist.observe(nbytes)
         self._deliver(dest, tag, arrival, obj, nbytes, start, drop)
-
-    def _world_rank(self, rank: int) -> int:
-        """World rank of local ``rank`` (the key fault plans are written in)."""
-        return rank
 
     # -- transport hooks (thread: the in-process fabric) -------------------
     def _deliver(self, dest: int, tag, arrival: float, obj: Any, nbytes: int,
@@ -627,25 +590,10 @@ class Communicator:
 
     # -- receive side shared with :class:`Request` -------------------------
     def _match(self, source: int, tag, block: bool) -> tuple | None:
-        """One matching message from the transport (None: none yet).
-
-        A :class:`RankFailure` detected here carries this
-        communicator's ``name``, so a crash inside one replica's domain
-        is reported as such.
-        """
-        try:
-            if block:
-                return self._collect(source, tag)
-            return self._try_collect(source, tag)
-        except RankFailure as exc:
-            if self.name is None:
-                raise
-            raise RankFailure(
-                failed_rank=exc.failed_rank,
-                detected_by=exc.detected_by,
-                via=exc.via,
-                detail=f"[{self.name}] {exc.detail}",
-            ) from None
+        """One matching message from the transport (None: none yet)."""
+        if block:
+            return self._collect(source, tag)
+        return self._try_collect(source, tag)
 
     def _complete_recv(self, msg: tuple, offload: bool = False) -> Any:
         """Charge and count one completed receive; returns the payload.
@@ -656,10 +604,10 @@ class Communicator:
         """
         _src, _tag, arrival, payload = msg
         if offload:
-            self.clock.advance_to(arrival, self._cat_halo_wait)
+            self.clock.advance_to(arrival, "halo_wait")
         else:
-            self.clock.charge(self.machine.latency, self._cat_comm)
-            self.clock.advance_to(arrival, self._cat_wait)
+            self.clock.charge(self.machine.latency, "comm")
+            self.clock.advance_to(arrival, "comm_wait")
         self.stats.messages_received += 1
         self.stats.bytes_received += payload_nbytes(payload)
         return payload
@@ -707,21 +655,8 @@ class Communicator:
         if source != ANY_SOURCE and not 0 <= source < self.size:
             raise ValueError(f"invalid source rank {source}")
         if offload:
-            self.clock.charge(self.machine.post_overhead, self._cat_comm)
+            self.clock.charge(self.machine.post_overhead, "comm")
         return Request(self, "recv", source=source, tag=tag, offload=offload)
-
-    # -- communicator splitting --------------------------------------------
-    def split(self, color: int | None, key: int = 0, *,
-              label: str | None = None, name: str | None = None):
-        """MPI-style collective split into sub-communicators.
-
-        Every rank calls this with its own ``color``/``key``; ranks of
-        equal color form one sub-communicator, ordered by ``(key,
-        parent rank)``.  ``color=None`` (the MPI_UNDEFINED analogue)
-        returns ``None``.  See :mod:`repro.vmp.split` for scoping,
-        clock-accounting (``label=``) and naming (``name=``) semantics.
-        """
-        return _split.split_communicator(self, color, key, label=label, name=name)
 
     # -- collectives (implemented in repro.vmp.collectives) ----------------
     def barrier(self) -> None:
@@ -755,5 +690,5 @@ class Communicator:
         )
 
 
-# Both modules import names defined above, so they load last.
-from repro.vmp import collectives, split as _split  # noqa: E402
+# It imports names defined above, so it loads last.
+from repro.vmp import collectives  # noqa: E402

@@ -66,7 +66,6 @@ from repro.vmp.comm import Communicator, _copy_payload, _Stash, recv_timeout_fai
 from repro.vmp.faults import RankFailure, RunReport
 from repro.vmp.machines import IDEAL, MachineModel
 from repro.vmp.scheduler import BackendRunResult
-from repro.vmp.split import SubTopology, _validate_label, split_membership
 from repro.vmp.topology import Topology
 
 __all__ = [
@@ -164,8 +163,7 @@ class MpiCommunicator(Communicator):
     The cost convention, ``Request`` semantics and collectives are
     :class:`~repro.vmp.comm.Communicator`'s; this class is the
     transport: eager ``isend`` with opportunistic reaping, a probe/recv
-    drain into the stash, :meth:`finalize`, and a :meth:`split` backed
-    by a real ``MPI.Comm.Split``.  ``recv_timeout`` bounds blocking
+    drain into the stash and :meth:`finalize`.  ``recv_timeout`` bounds blocking
     receives in wall-clock seconds (None: wait forever, like the thread
     backend's default).  Fault injection is thread/mp-only (see the
     module docstring), so ``fault_state`` is always ``None`` here.
@@ -187,8 +185,6 @@ class MpiCommunicator(Communicator):
         self._stash = _Stash()
         #: Outstanding MPI isend requests (reaped opportunistically).
         self._pending_sends: list = []
-        #: Sub-communicators created by :meth:`split` (finalized with us).
-        self._children: list[MpiCommunicator] = []
 
     # -- transport hooks ---------------------------------------------------
     def _reap_sends(self) -> None:
@@ -264,48 +260,9 @@ class MpiCommunicator(Communicator):
 
     def finalize(self) -> None:
         """Complete every outstanding send (call after the program returns)."""
-        for child in self._children:
-            child.finalize()
         if self._pending_sends:
             self._MPI.Request.Waitall(self._pending_sends)
             self._pending_sends = []
-
-    # -- communicator splitting --------------------------------------------
-    def split(self, color: int | None, key: int = 0, *,
-              label: str | None = None, name: str | None = None):
-        """MPI-style collective split, backed by a real ``MPI.Comm.Split``.
-
-        The membership exchange runs as a *modeled* allgather over this
-        communicator first -- the same exchange the thread and mp
-        backends perform -- so modeled makespans stay bit-identical
-        across transports; the real ``Split`` then provides genuinely
-        scoped point-to-point and collective traffic.  The child shares
-        this rank's clock and stats (one rank, one clock), charges
-        ``label``-derived categories when a label is given, and is
-        finalized together with its parent.
-        """
-        _validate_label(label)
-        members, my_rank = split_membership(self, color, key)
-        mpi_color = self._MPI.UNDEFINED if color is None else int(color)
-        sub_mpi = self._mpi.Split(mpi_color, int(key))
-        if color is None:
-            return None
-        child = MpiCommunicator(
-            sub_mpi,
-            self.machine,
-            SubTopology(self.topology, members),
-            self.stream,
-            recv_timeout=self.recv_timeout,
-        )
-        # MPI_Comm_split orders by (key, parent rank) -- the same order
-        # split_membership computed; the check guards the assumption.
-        if child.rank != my_rank:
-            raise RuntimeError(
-                f"MPI split rank {child.rank} != modeled rank {my_rank}"
-            )
-        child._adopt(self, label, name)
-        self._children.append(child)
-        return child
 
 
 def run_mpi_world(

@@ -201,30 +201,6 @@ class SpmdResult:
         """Max-over-ranks seconds spent in one clock category."""
         return max(o.breakdown.get(category, 0.0) for o in self.outcomes)
 
-    def comm_fraction_by_level(self) -> dict[str, float]:
-        """Rank-0 comm fraction split per communication level.
-
-        One entry per comm category (``comm`` for domain-level halo
-        traffic, ``ensemble`` for ensemble-level traffic in two-level
-        layouts), each counting its overhead plus matching wait
-        categories.  The plain ``halo_wait`` of the overlap pipeline
-        belongs to the domain level.  Values sum to
-        :meth:`comm_fraction`.
-        """
-        o = self.outcomes[0]
-        if o.model_time == 0:
-            return {c: 0.0 for c in COMM_CATEGORIES}
-        by_level: dict[str, float] = {}
-        for cat in COMM_CATEGORIES:
-            waits = [w for w in WAIT_CATEGORIES if w.startswith(f"{cat}_")]
-            if cat == "comm":
-                waits.append("halo_wait")
-            seconds = o.breakdown.get(cat, 0.0) + sum(
-                o.breakdown.get(w, 0.0) for w in waits
-            )
-            by_level[cat] = seconds / o.model_time
-        return by_level
-
 
 @dataclass
 class _RankBox:

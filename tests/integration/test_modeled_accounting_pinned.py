@@ -7,7 +7,7 @@ the thread backend and the PARAGON machine model: the makespan, the
 message and byte totals, and rank 0's per-category clock breakdown,
 for the strip driver at P in {2, 4} and the block driver at P = 4 in
 both the lockstep and the overlapped schedule, plus a two-level 2 x 2
-run.  The comparisons are exact (``==`` on floats): the clock is a
+run (two replicas stacked in each of two strip ranks).  The comparisons are exact (``==`` on floats): the clock is a
 deterministic sum of charges in a fixed order, so any drift is a
 reordered or re-priced operation, not rounding.
 
@@ -47,6 +47,14 @@ charged compute (strip P = 2 lockstep 122 -> 32 messages, 0.01015 ->
 twice, kept 246 messages and went 0.00894 -> 0.00950 s lockstep,
 0.00507 -> 0.00408 s overlapped).  Both block cases kept every literal.
 
+The two-level literal was re-recorded, on purpose, when the R x P
+layout of R split strips (R P ranks, a domain and an ensemble
+sub-communicator) gave way to R chains stacked in each of P ranks: 126
+-> 32 messages (one halo message a sweep carries both replicas' ghosts,
+and nothing is pooled over the wire), 11056 -> 9984 bytes, 0.00831 ->
+0.00998 s (each rank now sweeps both replicas).  Every other literal
+stayed.
+
 The block literals were re-recorded, on purpose, when the block began
 to sweep behind one refresh a sweep of two-deep ghost planes, color 0
 updating the inner ring redundantly: the trajectory kept every bit, but
@@ -57,6 +65,8 @@ color 0's interior hides the wire, so the lockstep makespan went
 0.01117 -> 0.01101 s and the overlapped one 0.00616 -> 0.00894 s.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.qmc.parallel import (
@@ -65,7 +75,6 @@ from repro.qmc.parallel import (
     ising_block_program,
     worldline_strip_program,
 )
-from repro.qmc.two_level import TwoLevelConfig, two_level_program
 from tests.conftest import run_driver_matrix
 
 
@@ -85,11 +94,10 @@ def _block_cfg(overlap: bool) -> IsingBlockConfig:
 
 STRIP = (worldline_strip_program, _strip_cfg, 42)
 BLOCK = (ising_block_program, _block_cfg, 7)
+#: Two replicas stacked in each of the strip's ranks.
 TWO_LEVEL = (
-    two_level_program,
-    lambda overlap: TwoLevelConfig(
-        replicas=2, domain_ranks=2, base=_strip_cfg(overlap)
-    ),
+    worldline_strip_program,
+    lambda overlap: replace(_strip_cfg(overlap), replicas=2),
     42,
 )
 
@@ -140,12 +148,10 @@ PINNED = {
          "halo_wait": 0.0004930714285714343,
          "interior": 0.0017472},
     )),
-    "two-level-2x2": (TWO_LEVEL, 4, False, (
-        0.008311428571428574, 126, 11056,
-        {"comm": 0.0033392000000000022,
-         "compute": 0.003991999999999998,
-         "ensemble": 0.0009620571428571431,
-         "ensemble_wait": 1.7971428571426917e-05},
+    "two-level-2x2": (TWO_LEVEL, 2, False, (
+        0.009975414285714282, 32, 9984,
+        {"comm": 0.0019913142857142857,
+         "compute": 0.007983999999999998},
     )),
 }
 

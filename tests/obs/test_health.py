@@ -7,12 +7,13 @@ Four layers of guarantees, in increasing scope:
   recovered) deterministically from the values it is fed;
 * the event JSONL sink round-trips with schema enforcement, and the
   Chrome trace grows ``ph: "i"`` instant markers for each event;
-* a seeded 2-replica x 2-rank two-level run with an injected
+* a seeded run of 2 replicas in each of 2 strip ranks with an injected
   acceptance-rate fault reproduces a **golden** event stream bit for
   bit, while the health engine never perturbs the trajectory or a
   series (P = 1, 2, 4; thread and mp backends).
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -39,7 +40,6 @@ from repro.qmc.parallel import (
     ising_block_program,
     worldline_strip_program,
 )
-from repro.qmc.two_level import TwoLevelConfig, two_level_program
 from repro.vmp.machines import PARAGON
 from repro.vmp.scheduler import run_spmd
 
@@ -56,20 +56,21 @@ def _strip_cfg(n_sweeps=40):
 
 
 def _faulty_two_level():
-    """2 replicas x 2 domain ranks with an impossible acceptance band.
+    """2 replicas stacked in each of 2 strip ranks with an impossible
+    acceptance band.
 
     Checkerboard world-line acceptance sits far below 90%, so the band
     ``(0.9, 1.0)`` is a deterministic injected fault: every windowed
-    check trips the acceptance rule on every rank.  The comm-fraction
-    ceiling is lowered as well: this toy strip spends 0.88 of its
-    modeled time communicating (0.97, over the default 0.95 ceiling,
-    before the halo schedule), and the stream keeps that rule's events.
+    check trips the acceptance rule on every rank and replica.  The
+    comm-fraction ceiling is lowered as well, so the stream keeps that
+    rule's events: a rank sweeping both replicas spends 0.29 of its
+    modeled time communicating (a replica on ranks of its own spent
+    0.66, and 0.97, over the default 0.95 ceiling, before the halo
+    schedule).
     """
-    cfg = TwoLevelConfig(
-        replicas=2, domain_ranks=2, base=_strip_cfg(n_sweeps=20)
-    )
+    cfg = dataclasses.replace(_strip_cfg(n_sweeps=20), replicas=2)
     rules = HealthRules(interval=5, acceptance_band=(0.9, 1.0), rhat_max=1.05,
-                        comm_fraction_max=0.5)
+                        comm_fraction_max=0.2)
     return cfg, rules
 
 
@@ -77,7 +78,7 @@ def _run_faulty(backend="thread"):
     cfg, rules = _faulty_two_level()
     # Phase spans need the thread backend's in-process clock observers.
     return run_spmd(
-        two_level_program, cfg.n_ranks, machine=PARAGON, seed=42,
+        worldline_strip_program, 2, machine=PARAGON, seed=42,
         args=(cfg, None, rules), backend=backend,
         spans=(backend == "thread"),
     )
@@ -273,10 +274,10 @@ regenerate_golden; regenerate_golden()"
         result = _run_faulty()
         events = result.health_events()
         assert events, "fault injection produced no events"
-        # Every rank of both replicas trips the acceptance rule.
+        # Both replicas trip the acceptance rule on every rank.
         accept = [e for e in events if e["rule"] == "acceptance"]
-        assert {e["rank"] for e in accept} == {0, 1, 2, 3}
-        assert {e.get("replica") for e in accept} == {0, 1}
+        assert {(e["rank"], e.get("replica")) for e in accept} == {
+            (0, 0), (0, 1), (1, 0), (1, 1)}
         path = tmp_path / "events.jsonl"
         write_events_jsonl(path, events)
         assert path.read_text() == GOLDEN_EVENTS.read_text()
@@ -328,20 +329,21 @@ class TestHealthBitIdentity:
         assert got.elapsed_model_time >= ref.elapsed_model_time
 
     def test_two_level_trajectory_unchanged(self, backend):
-        cfg = TwoLevelConfig(replicas=2, domain_ranks=2,
-                             base=_strip_cfg(n_sweeps=10))
-        ref = run_spmd(two_level_program, cfg.n_ranks, machine=PARAGON,
+        cfg = dataclasses.replace(_strip_cfg(n_sweeps=10), replicas=2)
+        ref = run_spmd(worldline_strip_program, 2, machine=PARAGON,
                        seed=11, args=(cfg,), backend=backend)
-        got = run_spmd(two_level_program, cfg.n_ranks, machine=PARAGON,
+        got = run_spmd(worldline_strip_program, 2, machine=PARAGON,
                        seed=11, args=(cfg, None, HealthRules(interval=3)),
                        backend=backend)
         for rv, gv in zip(ref.values, got.values):
             assert np.array_equal(rv["energy"], gv["energy"])
-        # The modeled makespan is NOT asserted equal here: the leader-side
-        # R-hat allreduce is real modeled traffic, charged to the ensemble
-        # categories by design.  The physics trajectory above is the
-        # identity guarantee.
+            assert len(gv["health_summary"]) == 2  # a monitor a replica
+        # The R-hat is computed in the rank and sends nothing; a check
+        # only pulls the pending reduction forward, which is real
+        # modeled traffic.  The physics trajectory above is the identity
+        # guarantee.
         assert got.elapsed_model_time >= ref.elapsed_model_time
+        assert "rhat" in got.values[0]["health_summary"][0]
 
 
 class TestBlockDriverHealth:

@@ -50,7 +50,7 @@ def _first_sweep_inputs(comm, cfg):
 
     def recording_draw():
         u = draw()
-        drawn.append(u.copy())
+        drawn.append(u[0].copy())  # the one chain's row
         return u
 
     def corner(flat, weights, env, flip, uu):
@@ -209,6 +209,6 @@ def test_an_mpi_layout_pickles_its_args_and_builds_no_plan(tmp_path, monkeypatch
     builds = _record_builds(monkeypatch, tmp_path / "builds")
     cfg = _xxz("mpi", replicas=replicas)
     program, args, n_ranks = _XXZ.decomposed(cfg, "numpy", None, None)
-    assert n_ranks == 2 * replicas
+    assert n_ranks == 2  # replicas stack in the ranks
     assert pickle.loads(pickle.dumps(args))[0] == args[0]
     assert builds() == []

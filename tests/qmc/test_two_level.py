@@ -1,30 +1,28 @@
-"""Two-level ensemble x domain parallelism: the composition anchor.
+"""Two-level ensemble x domain parallelism: R replicas in each strip rank.
 
-The correctness anchor of :mod:`repro.qmc.two_level`: a composed
-``R x P`` run (replica ensembles over strip domain sub-communicators,
-both built from ``Communicator.split``) is **bit-identical**, replica
-by replica and rank by rank, to ``R`` independent flat ``P``-rank
-strip runs with the same per-replica seeds -- on the thread, mp, and
-(where available) mpi backends.  On top of the anchor this suite pins:
+An ``R x P`` run is the strip driver on ``P`` ranks with
+``WorldlineStripConfig.replicas = R``: every rank holds its strip of all
+R chains, stacked, and sweeps them with one kernel call a stage; one
+halo message a neighbour carries every chain's ghosts.  The anchor of
+this suite: each replica's trajectory depends neither on the rank
+count nor on the chains stacked beside it -- replica ``r`` of an
+``R x P`` run is bit-identical to replica ``r`` of the ``R x 1`` run,
+and replica 0 to the flat strip run at the seed -- on the thread, mp
+and (where available) mpi backends.  On top of the anchor:
 
-* ensemble pooling: the leaders' pooled series equals the exact mean
-  of the flat replicas' series, and every rank receives it;
-* per-level telemetry: ensemble traffic lands in the ``ensemble`` /
-  ``ensemble_wait`` clock categories on leaders only, and
-  ``SpmdResult.comm_fraction_by_level`` splits the comm fraction into
-  halo vs ensemble shares that add up to the flat comm fraction;
-* configuration surfaces: ``TwoLevelConfig`` validation, per-replica
-  seed/beta derivation, the rank-count contract, and the
-  ``ParallelLayout.replicas`` / Simulation facade wiring.
+* pooling: a run's series are the replicas' exact mean, computed in
+  the rank with no communication;
+* the configuration surfaces: ``replicas`` validation and the
+  ``ParallelLayout.replicas`` / Simulation facade wiring (P ranks, not
+  R P).
 """
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.qmc.parallel import WorldlineStripConfig, worldline_strip_program
-from repro.qmc.two_level import TwoLevelConfig, two_level_program
 from repro.vmp.mpi_backend import mpi_available, mpiexec_available
 from tests.conftest import (
     STRIP_KEYS,
@@ -39,123 +37,79 @@ BACKENDS = [
 ] + ([pytest.param("mpi", marks=pytest.mark.tier1_fault)] if HAVE_REAL_MPI else [])
 
 
-def _base(n_sweeps=6):
+def _base(n_sweeps=6, **kw):
     return WorldlineStripConfig(
         n_sites=16, jz=1.0, jxy=0.8, beta=0.9, n_slices=8,
-        n_sweeps=n_sweeps, n_thermalize=2,
+        n_sweeps=n_sweeps, n_thermalize=2, **kw,
     )
 
 
-def _tl_cfg(replicas=2, domain_ranks=2, **kw):
-    return TwoLevelConfig(
-        replicas=replicas, domain_ranks=domain_ranks, base=_base(), **kw
-    )
+def _replica(value: dict, r: int) -> dict:
+    """Replica ``r``'s share of a stacked rank value."""
+    return {
+        "energy": value["energy"][:, r],
+        "magnetization": value["magnetization"][:, r],
+        "owned_spins": value["owned_spins"][r],
+        "n_attempted": value["n_attempted"][r],
+        "n_accepted": value["n_accepted"][r],
+    }
 
 
-def _replica_slice(composed, cfg, replica):
-    """The composed result restricted to one replica's domain ranks."""
-    P = cfg.domain_ranks
-    return SimpleNamespace(
-        values=composed.values[replica * P : (replica + 1) * P]
-    )
+class _Values:
+    def __init__(self, values):
+        self.values = values
 
 
 # ======================================================================
-# the anchor: composed == independent flat runs, bit for bit
+# the anchor: a replica's trajectory is its own
 # ======================================================================
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestComposedBitIdentity:
     def test_composed_matches_flat_strip_runs(self, backend):
-        cfg = _tl_cfg()
+        cfg = _base(replicas=2)
         composed = run_driver_matrix(
-            two_level_program, cfg.n_ranks, cfg, seed=42, backend=backend
+            worldline_strip_program, 2, cfg, seed=42, backend=backend
+        )
+        one_rank = run_driver_matrix(worldline_strip_program, 1, cfg, seed=42)
+        flat = run_driver_matrix(worldline_strip_program, 2, _base(), seed=42)
+        assert_bit_identical(
+            flat, _Values([_replica(v, 0) for v in composed.values]), STRIP_KEYS
         )
         for r in range(cfg.replicas):
-            flat = run_driver_matrix(
-                worldline_strip_program, cfg.domain_ranks, cfg.config_for(r),
-                seed=42,
-            )
-            assert_bit_identical(
-                flat, _replica_slice(composed, cfg, r), STRIP_KEYS
-            )
+            got = np.concatenate(
+                [v["owned_spins"][r] for v in composed.values])
+            np.testing.assert_array_equal(got, one_rank.values[0]["owned_spins"][r])
+            for key in ("energy", "magnetization"):
+                np.testing.assert_allclose(
+                    composed.values[0][key][:, r], one_rank.values[0][key][:, r],
+                    rtol=0, atol=1e-12)
+            assert sum(v["n_accepted"][r] for v in composed.values) == \
+                one_rank.values[0]["n_accepted"][r]
 
     def test_pooled_series_is_exact_ensemble_mean(self, backend):
-        cfg = _tl_cfg()
-        composed = run_driver_matrix(
-            two_level_program, cfg.n_ranks, cfg, seed=42, backend=backend
-        )
-        flats = [
-            run_driver_matrix(
-                worldline_strip_program, cfg.domain_ranks, cfg.config_for(r),
-                seed=42,
-            ).values[0]
-            for r in range(cfg.replicas)
-        ]
-        want_e = (flats[0]["energy"] + flats[1]["energy"]) / 2
-        want_m = (flats[0]["magnetization"] + flats[1]["magnetization"]) / 2
-        for rank, v in enumerate(composed.values):
-            assert not v["ensemble_degraded"]
-            is_leader = rank % cfg.domain_ranks == 0
-            assert v["n_ensemble_syncs"] == (len(want_e) if is_leader else 0)
-            np.testing.assert_array_equal(v["ensemble_energy"], want_e)
-            np.testing.assert_array_equal(v["ensemble_magnetization"], want_m)
+        from repro.run.config import ParallelLayout, XXZRunConfig
+        from repro.run.simulation import Simulation
+
+        layout = ParallelLayout("strip", 2, "Paragon", replicas=2, backend=backend)
+        cfg = XXZRunConfig(n_sites=16, beta=0.9, jz=1.0, jxy=0.8, n_slices=8,
+                           n_sweeps=6, n_thermalize=2, seed=12345, layout=layout)
+        result = Simulation(cfg).run()
+        stacked = run_driver_matrix(
+            worldline_strip_program, 2, _base(replicas=2), seed=42
+        ).values[0]
+        for name in ("energy", "magnetization"):
+            want = (stacked[name][:, 0] + stacked[name][:, 1]) / 2
+            np.testing.assert_array_equal(result.series[name], want)
 
 
 @pytest.mark.tier1_fault
 def test_thread_and_mp_agree_on_composed_accounting():
-    cfg = _tl_cfg()
-    ref = run_driver_matrix(
-        two_level_program, cfg.n_ranks, cfg, seed=42, backend="thread"
-    )
-    got = run_driver_matrix(
-        two_level_program, cfg.n_ranks, cfg, seed=42, backend="mp"
-    )
+    cfg = _base(replicas=2)
+    ref = run_driver_matrix(worldline_strip_program, 2, cfg, seed=42, backend="thread")
+    got = run_driver_matrix(worldline_strip_program, 2, cfg, seed=42, backend="mp")
     assert_bit_identical(ref, got, STRIP_KEYS, accounting=True)
-
-
-# ======================================================================
-# per-level telemetry
-# ======================================================================
-
-
-class TestPerLevelTelemetry:
-    def test_ensemble_charges_on_leaders_only(self):
-        cfg = _tl_cfg()
-        composed = run_driver_matrix(
-            two_level_program, cfg.n_ranks, cfg, seed=42
-        )
-        for rank, outcome in enumerate(composed.outcomes):
-            ens = outcome.breakdown.get("ensemble", 0.0)
-            ens_wait = outcome.breakdown.get("ensemble_wait", 0.0)
-            if rank % cfg.domain_ranks == 0:
-                assert ens + ens_wait > 0.0, f"leader rank {rank}"
-            else:
-                assert ens == 0.0 and ens_wait == 0.0, f"member rank {rank}"
-
-    def test_comm_fraction_by_level_partitions_comm_fraction(self):
-        cfg = _tl_cfg()
-        composed = run_driver_matrix(
-            two_level_program, cfg.n_ranks, cfg, seed=42
-        )
-        by_level = composed.comm_fraction_by_level()
-        assert set(by_level) == {"comm", "ensemble"}
-        assert by_level["comm"] > 0.0
-        assert by_level["ensemble"] > 0.0
-        assert sum(by_level.values()) == pytest.approx(
-            composed.comm_fraction(), abs=1e-12
-        )
-
-    def test_ensemble_every_zero_disables_heartbeat(self):
-        cfg = _tl_cfg(ensemble_every=0)
-        composed = run_driver_matrix(
-            two_level_program, cfg.n_ranks, cfg, seed=42
-        )
-        for v in composed.values:
-            assert v["n_ensemble_syncs"] == 0
-            # The end-of-run pooling still happens.
-            assert v["ensemble_energy"] is not None
 
 
 # ======================================================================
@@ -164,42 +118,12 @@ class TestPerLevelTelemetry:
 
 
 class TestTwoLevelConfig:
-    def test_seed_ladder_defaults_to_offsets(self):
-        cfg = _tl_cfg(replicas=3, domain_ranks=1)
-        base_seed = cfg.base.sweep_seed
-        assert [cfg.seed_for(r) for r in range(3)] == [
-            base_seed, base_seed + 1, base_seed + 2
-        ]
-
-    def test_explicit_seeds_and_betas(self):
-        cfg = _tl_cfg(replicas=2, sweep_seeds=(7, 9), betas=(0.8, 1.2))
-        assert cfg.seed_for(1) == 9
-        rep = cfg.config_for(1)
-        assert rep.sweep_seed == 9
-        assert rep.beta == 1.2
-        # Everything else is the shared base configuration.
-        assert rep.n_sites == cfg.base.n_sites
-
-    def test_n_ranks_is_product(self):
-        assert _tl_cfg(replicas=4, domain_ranks=3).n_ranks == 12
-
     @pytest.mark.parametrize("kwargs,match", [
         (dict(replicas=0), "at least one replica"),
-        (dict(domain_ranks=0), "at least one domain rank"),
-        (dict(sweep_seeds=(1,)), "sweep_seeds has 1 entries for 2 replicas"),
-        (dict(betas=(0.9,)), "betas has 1 entries for 2 replicas"),
-        (dict(ensemble_every=-1), "ensemble_every must be >= 0"),
     ])
     def test_validation(self, kwargs, match):
-        full = dict(replicas=2, domain_ranks=2, base=_base())
-        full.update(kwargs)
         with pytest.raises(ValueError, match=match):
-            TwoLevelConfig(**full)
-
-    def test_wrong_world_size_rejected(self):
-        cfg = _tl_cfg()
-        with pytest.raises(ValueError, match="needs 4 ranks, got 3"):
-            run_driver_matrix(two_level_program, 3, cfg, seed=1)
+            _base(**kwargs)
 
 
 class TestLayoutWiring:
@@ -223,8 +147,10 @@ class TestLayoutWiring:
         )
         result = Simulation(cfg).run()
         assert result.runtime["replicas"] == 2
-        assert result.runtime["domain_ranks"] == 2
-        assert result.runtime["ensemble_degraded"] is False
-        by_level = result.runtime["comm_fraction_by_level"]
-        assert by_level["ensemble"] > 0.0
-        assert by_level["comm"] > 0.0
+        # P ranks, not R P; no ensemble level left to report.
+        assert result.runtime["report"]["n_ranks"] == 2
+        assert "comm_fraction_by_level" not in result.runtime
+        assert result.comm_fraction > 0.0
+        # Both replicas' moves count: twice a flat run's work.
+        flat = Simulation(replace(cfg, layout=ParallelLayout("strip", 2, "Paragon"))).run()
+        assert result.runtime["n_attempted"] > 1.5 * flat.runtime["n_attempted"]

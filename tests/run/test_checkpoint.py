@@ -1,5 +1,6 @@
 """Tests for exact-resume checkpointing, serial and distributed."""
 
+import dataclasses
 import json
 import pickle
 import shutil
@@ -531,96 +532,73 @@ class TestDistributedValidation:
 
 
 # ======================================================================
-# two-level (ensemble x domain) composed layouts
+# two-level layouts: replicas stacked in the strip ranks
 # ======================================================================
 
 
 class TestTwoLevelResume:
-    """Composed R x P checkpoints: per-replica bundles + layout manifest.
-
-    Each replica checkpoints its strip state into a ``replica####/``
-    subdirectory and world rank 0 records the composed geometry in
-    ``layout.json``; a resume must validate that manifest before any
-    rank state is touched, so a flat checkpoint or a different
-    geometry fails with a clear error instead of a bundle mismatch
-    deep inside one replica.
+    """R replicas in each of P strip ranks checkpoint as any strip run:
+    one bundle a rank, holding every replica's spins and series.  A
+    bundle of another replica count is refused by its spin shape, and a
+    directory of the earlier R x P layout (a ``replica####/`` bundle
+    directory a replica under a ``layout.json`` manifest) by its
+    manifest, before any rank state is touched.
     """
 
-    def _tl_cfg(self, n_sweeps, replicas=2, domain_ranks=2):
-        from repro.qmc.two_level import TwoLevelConfig
-
-        return TwoLevelConfig(
-            replicas=replicas,
-            domain_ranks=domain_ranks,
-            base=_strip_cfg(n_sweeps=n_sweeps, mode="vectorized"),
-        )
+    def _cfg(self, n_sweeps, replicas=2):
+        return dataclasses.replace(
+            _strip_cfg(n_sweeps=n_sweeps, mode="vectorized"), replicas=replicas)
 
     def _run(self, cfg, ckpt=None):
-        from repro.qmc.two_level import two_level_program
-
-        return run_spmd(
-            two_level_program, cfg.n_ranks, IDEAL, seed=3, args=(cfg, ckpt)
-        )
+        return run_spmd(worldline_strip_program, 2, IDEAL, seed=3, args=(cfg, ckpt))
 
     def test_mid_campaign_resume_is_bit_identical(self, tmp_path):
-        full = self._tl_cfg(n_sweeps=6)
+        full = self._cfg(n_sweeps=6)
         ref = self._run(full)
         d = tmp_path / "ck"
         # Interrupted mid-campaign: 3 of 6 sweeps, then resume.
-        self._run(self._tl_cfg(n_sweeps=3), CheckpointConfig(d, every=3))
+        self._run(self._cfg(n_sweeps=3), CheckpointConfig(d, every=3))
+        assert sorted(p.name for p in d.iterdir()) == ["rank0000.npz", "rank0001.npz"]
         resumed = self._run(full, CheckpointConfig(d, resume=True))
         for r_ref, r_got in zip(ref.values, resumed.values):
             # Counters restart at resume (they are not in the bundle,
             # matching the flat strip driver); the trajectory must not.
-            for key in ("energy", "magnetization", "owned_spins",
-                        "ensemble_energy", "ensemble_magnetization"):
+            for key in ("energy", "magnetization", "owned_spins"):
                 np.testing.assert_array_equal(r_got[key], r_ref[key],
                                               err_msg=key)
 
-    def test_bundles_live_in_replica_subdirectories(self, tmp_path):
-        from repro.qmc.two_level import (
-            read_layout_manifest,
-            replica_checkpoint_dir,
-        )
-
-        d = tmp_path / "ck"
-        self._run(self._tl_cfg(n_sweeps=3), CheckpointConfig(d, every=3))
-        assert read_layout_manifest(d) == {
-            "layout": "two-level", "replicas": 2, "domain_ranks": 2,
-        }
-        for replica in range(2):
-            sub = replica_checkpoint_dir(d, replica)
-            for domain_rank in range(2):
-                assert rank_checkpoint_path(sub, domain_rank).exists()
-
     def test_flat_checkpoint_rejected_with_clear_error(self, tmp_path):
-        # A genuine flat strip checkpoint: same world size, no manifest.
+        # A genuine flat strip checkpoint: same ranks, one chain.
         d = tmp_path / "flat"
-        run_spmd(
-            worldline_strip_program, 4, IDEAL, seed=3,
-            args=(_strip_cfg(n_sweeps=3, mode="vectorized"),
-                  CheckpointConfig(d, every=3)),
-        )
-        with pytest.raises(ValueError, match="no layout.json manifest"):
-            self._run(self._tl_cfg(n_sweeps=6),
-                      CheckpointConfig(d, resume=True))
+        self._run(self._cfg(n_sweeps=3, replicas=1), CheckpointConfig(d, every=3))
+        with pytest.raises(ValueError, match="strip block"):
+            self._run(self._cfg(n_sweeps=6), CheckpointConfig(d, resume=True))
 
     def test_geometry_mismatch_rejected(self, tmp_path):
         d = tmp_path / "ck"
-        self._run(self._tl_cfg(n_sweeps=3), CheckpointConfig(d, every=3))
-        # Same world size (4), different composition: 4 x 1 vs 2 x 2.
-        with pytest.raises(ValueError, match="layout mismatch"):
-            self._run(self._tl_cfg(n_sweeps=6, replicas=4, domain_ranks=1),
+        self._run(self._cfg(n_sweeps=3), CheckpointConfig(d, every=3))
+        with pytest.raises(ValueError, match="strip block"):
+            self._run(self._cfg(n_sweeps=6, replicas=4),
                       CheckpointConfig(d, resume=True))
 
     def test_malformed_manifest_rejected(self, tmp_path):
-        from repro.qmc.two_level import read_layout_manifest
-
         d = tmp_path / "ck"
         d.mkdir()
         (d / "layout.json").write_text(json.dumps({"layout": "strip"}))
-        with pytest.raises(ValueError, match="expected 'two-level'"):
-            read_layout_manifest(d)
+        with pytest.raises(ValueError, match="holds a 'strip' checkpoint"):
+            self._run(self._cfg(n_sweeps=6), CheckpointConfig(d, resume=True))
+
+    def test_two_level_directory_of_the_split_layout_refused(self, tmp_path):
+        # What the R x P layout wrote: a bundle directory a replica and
+        # the manifest naming it.
+        d = tmp_path / "ck"
+        for replica in range(2):
+            self._run(self._cfg(n_sweeps=3, replicas=1),
+                      CheckpointConfig(d / f"replica{replica:04d}", every=3))
+        (d / "layout.json").write_text(json.dumps(
+            {"layout": "two-level", "replicas": 2, "domain_ranks": 2}))
+        with pytest.raises(ValueError, match="holds a 'two-level' checkpoint"):
+            self._run(self._cfg(n_sweeps=6), CheckpointConfig(d, resume=True))
 
 
 class TestSerialValidationBugfix:

@@ -409,8 +409,7 @@ def _numpy(*layout, **kw):
 _RT_SERIAL = {"kernel", "manifest", "metrics_out", "n_accepted", "n_attempted",
               "n_sweeps", "sweeps_per_second", "wall_seconds"}
 _RT_SPMD = _RT_SERIAL | {"halo_bytes", "halo_messages", "overlap", "report"}
-_RT_TWO_LEVEL = _RT_SPMD | {"comm_fraction_by_level", "domain_ranks",
-                            "ensemble_degraded", "replicas"}
+_RT_TWO_LEVEL = _RT_SPMD | {"replicas"}
 _XXZ_PARAMS = {"n_sites": 8, "beta": 0.5, "jz": 1.0, "jxy": 1.0, "n_slices": 8,
                "periodic": True, "strategy": "serial", "n_ranks": 1,
                "machine": "Ideal", "backend": "thread", "kernel": "numpy",

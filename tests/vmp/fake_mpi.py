@@ -3,10 +3,9 @@
 The mpi transport needs mpi4py plus a launcher, which most machines
 running tier 1 do not have.  This module fakes exactly the slice of
 ``mpi4py.MPI`` that :mod:`repro.vmp.mpi_backend` touches -- the
-constants ``ANY_SOURCE`` / ``UNDEFINED``, ``Request.Waitall``, and a
-communicator offering ``Get_rank`` / ``Get_size`` / ``isend`` (whose
-request answers ``Test()``) / ``iprobe`` / ``recv`` / ``Split`` /
-``allgather`` / ``Abort`` -- with one thread per rank.  Payloads cross
+constant ``ANY_SOURCE``, ``Request.Waitall``, and a communicator
+offering ``Get_rank`` / ``Get_size`` / ``isend`` (whose request answers
+``Test()``) / ``iprobe`` / ``recv`` / ``allgather`` / ``Abort`` -- with one thread per rank.  Payloads cross
 by pickle, so ranks never share objects, like real processes.
 
 :func:`run_world` installs the fake as ``sys.modules["mpi4py"]`` through
@@ -26,7 +25,6 @@ import types
 #: Deliberately not -1, the repository's own wildcard: the backend must
 #: translate, not pass its constant through.
 ANY_SOURCE = -2
-UNDEFINED = -32766
 
 _COLLECTIVE_TIMEOUT_S = 30.0
 
@@ -43,7 +41,6 @@ class _Group:
         self.cond = threading.Condition()
         self.boxes: list[list[tuple[int, int, bytes]]] = [[] for _ in range(size)]
         self._rounds: dict[int, dict[int, object]] = {}
-        self._children: dict[tuple[int, int], _Group] = {}
 
     def exchange(self, rank: int, seq: int, value) -> list:
         """Collective: every rank contributes ``value``, all get the list."""
@@ -56,10 +53,6 @@ class _Group:
             ):
                 raise RuntimeError(f"fake MPI collective {seq} never completed")
             return [slot[r] for r in range(self.size)]
-
-    def child(self, seq: int, color: int, size: int) -> "_Group":
-        with self.cond:
-            return self._children.setdefault((seq, color), _Group(size))
 
 
 class Request:
@@ -136,17 +129,6 @@ class FakeComm:
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         return [pickle.loads(d) for d in self._collective(data)[1]]
 
-    def Split(self, color: int, key: int = 0):
-        seq, pairs = self._collective((color, key))
-        if color == UNDEFINED:
-            return None
-        members = sorted(
-            (r for r, (c, _k) in enumerate(pairs) if c == color),
-            key=lambda r: (pairs[r][1], r),
-        )
-        child = self._group.child(seq, color, len(members))
-        return FakeComm(child, members.index(self._rank), self.requests)
-
     def Abort(self, code: int = 0):
         raise FakeAbort(f"MPI_Abort({code}) on rank {self._rank}")
 
@@ -171,7 +153,6 @@ class FakeWorld:
         self._local = threading.local()
         mpi = types.SimpleNamespace(
             ANY_SOURCE=ANY_SOURCE,
-            UNDEFINED=UNDEFINED,
             Request=Request,
             COMM_WORLD=_WorldProxy(self._local),
         )

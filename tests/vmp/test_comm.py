@@ -1,17 +1,8 @@
-"""Tests for the point-to-point layer of the virtual machine.
-
-Besides the send/recv semantics this file holds the property-based
-suite for ``Communicator.split``: randomized color/key assignments
-must exactly partition the ranks, order sub-ranks by (key, parent
-rank) like ``MPI_Comm_split``, and keep every collective and
-point-to-point exchange scoped to its own sub-communicator -- on the
-thread backend per example, with an mp leg pinning cross-backend
-agreement on a representative split program.
-"""
+"""Tests for the point-to-point layer of the virtual machine: payload
+sizes, send/recv semantics and the modeled time they charge."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.vmp.comm import payload_nbytes
 from repro.vmp.machines import CM5, IDEAL, PARAGON
@@ -181,171 +172,3 @@ class TestModeledTime:
         res = run_spmd(prog, 2, machine=IDEAL)
         assert res.values[0] == (1, 80, 0, 0)
         assert res.values[1] == (0, 0, 1, 80)
-
-
-# ======================================================================
-# Comm.split: property-based semantics
-# ======================================================================
-
-
-def _split_layouts(max_ranks=6):
-    """Strategy: (colors, keys) for a world of 2..max_ranks ranks.
-
-    Colors may be None (the rank opts out, like MPI_UNDEFINED); keys
-    include duplicates and negatives so ordering must fall back to the
-    parent rank as tiebreaker.
-    """
-    return st.integers(2, max_ranks).flatmap(
-        lambda p: st.tuples(
-            st.lists(st.one_of(st.none(), st.integers(0, 2)),
-                     min_size=p, max_size=p),
-            st.lists(st.integers(-2, 2), min_size=p, max_size=p),
-        )
-    )
-
-
-def _expected_groups(colors, keys):
-    """color -> parent ranks in sub-rank order (key, then parent rank)."""
-    groups = {}
-    for r, c in enumerate(colors):
-        if c is not None:
-            groups.setdefault(c, []).append(r)
-    return {
-        c: sorted(members, key=lambda r: (keys[r], r))
-        for c, members in groups.items()
-    }
-
-
-class TestSplitProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(_split_layouts())
-    def test_split_exactly_partitions_ranks(self, layout):
-        colors, keys = layout
-        p = len(colors)
-
-        def prog(comm):
-            sub = comm.split(colors[comm.rank], key=keys[comm.rank])
-            if sub is None:
-                return None
-            return (sub.rank, sub.size, sub._parent_ranks)
-
-        res = run_spmd(prog, p, machine=IDEAL)
-        groups = _expected_groups(colors, keys)
-        seen = set()
-        for color, members in groups.items():
-            for sub_rank, parent_rank in enumerate(members):
-                got = res.values[parent_rank]
-                assert got is not None, f"rank {parent_rank} lost its group"
-                assert got[0] == sub_rank, "key-then-rank ordering violated"
-                assert got[1] == len(members)
-                assert got[2] == tuple(members)
-                seen.add(parent_rank)
-        # Exact partition: every rank is in exactly one group or opted out.
-        for parent_rank, color in enumerate(colors):
-            if color is None:
-                assert res.values[parent_rank] is None
-                assert parent_rank not in seen
-
-    @settings(max_examples=15, deadline=None)
-    @given(_split_layouts())
-    def test_collectives_scope_to_the_sub_communicator(self, layout):
-        colors, keys = layout
-        p = len(colors)
-
-        def prog(comm):
-            sub = comm.split(colors[comm.rank], key=keys[comm.rank])
-            # The parent communicator keeps working alongside its
-            # children: a world-level allreduce must still see p ranks.
-            world_sum = comm.allreduce(comm.rank)
-            if sub is None:
-                return (world_sum, None, None)
-            # Concurrent per-color collectives: sums must never bleed
-            # across sibling sub-communicators.
-            group_sum = sub.allreduce(comm.rank)
-            rolled = sub.sendrecv(
-                comm.rank, (sub.rank + 1) % sub.size,
-                (sub.rank - 1) % sub.size,
-            )
-            return (world_sum, group_sum, rolled)
-
-        res = run_spmd(prog, p, machine=IDEAL)
-        groups = _expected_groups(colors, keys)
-        world_want = sum(range(p))
-        for parent_rank, color in enumerate(colors):
-            world_sum, group_sum, rolled = res.values[parent_rank]
-            assert world_sum == world_want
-            if color is None:
-                assert group_sum is None
-            else:
-                members = groups[color]
-                assert group_sum == sum(members)
-                # The ring neighbor is the previous member of *this*
-                # group -- point-to-point traffic respects the scope too.
-                idx = members.index(parent_rank)
-                assert rolled == members[idx - 1]
-
-    def test_nested_split_partitions_the_subgroup(self):
-        def prog(comm):
-            # 6 ranks -> two groups of 3 -> singletons/pairs inside.
-            outer = comm.split(comm.rank // 3, key=comm.rank)
-            inner = outer.split(outer.rank % 2, key=-outer.rank)
-            return (outer.rank, outer.size, inner.rank, inner.size)
-
-        res = run_spmd(prog, 6, machine=IDEAL)
-        for rank, (o_rank, o_size, i_rank, i_size) in enumerate(res.values):
-            assert o_rank == rank % 3 and o_size == 3
-            # outer ranks {0, 2} have color 0; {1} has color 1.
-            if o_rank % 2 == 0:
-                assert i_size == 2
-                # key=-outer.rank reverses the order: outer rank 2 first.
-                assert i_rank == (0 if o_rank == 2 else 1)
-            else:
-                assert (i_rank, i_size) == (0, 1)
-
-    def test_sub_communicator_rejects_wildcards(self):
-        def prog(comm):
-            sub = comm.split(0, key=comm.rank)
-            if comm.rank == 0:
-                sub.send(1.0, 1)
-                return None
-            try:
-                sub.recv()  # defaults are ANY_SOURCE/ANY_TAG
-            except ValueError as exc:
-                sub.recv(source=0, tag=0)  # drain the pending message
-                return str(exc)
-            return "no error"
-
-        res = run_spmd(prog, 2, machine=IDEAL)
-        assert "wildcard" in res.values[1]
-
-    def test_split_rejects_unknown_label(self):
-        def prog(comm):
-            comm.split(0, label="bogus")
-
-        with pytest.raises(ValueError, match="label"):
-            run_spmd(prog, 2, machine=IDEAL)
-
-
-def _mp_split_program(comm):
-    """Module-level (picklable) split program for the mp backend leg."""
-    sub = comm.split(comm.rank % 2, key=-comm.rank)
-    group_sum = sub.allreduce(comm.rank)
-    peer = sub.bcast(comm.rank * 10.0, root=0)
-    return (sub.rank, sub.size, group_sum, peer)
-
-
-@pytest.mark.tier1_fault
-def test_split_program_agrees_between_thread_and_mp():
-    ref = run_spmd(_mp_split_program, 4, machine=PARAGON, backend="thread")
-    got = run_spmd(_mp_split_program, 4, machine=PARAGON, backend="mp")
-    assert ref.values == got.values
-    assert got.elapsed_model_time == ref.elapsed_model_time
-    assert got.total_messages == ref.total_messages
-    # Spot-check the semantics once: colors {0: [2, 0], 1: [3, 1]}
-    # (key=-rank reverses), roots are parent ranks 2 and 3.
-    assert ref.values == [
-        (1, 2, 2, 20.0),
-        (1, 2, 4, 30.0),
-        (0, 2, 2, 20.0),
-        (0, 2, 4, 30.0),
-    ]

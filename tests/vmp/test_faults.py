@@ -14,9 +14,11 @@ part of tier 1 but can be deselected with ``--no-fault`` on machines
 where process spawning is restricted (see tests/vmp/README.md).
 """
 
+import dataclasses
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.qmc.parallel import WorldlineStripConfig, worldline_strip_program
@@ -344,114 +346,62 @@ class TestMpCommunicatorTimeout:
 
 
 # ======================================================================
-# two-level (ensemble x domain) fault containment
+# two-level (replicas stacked in the strip ranks): a dead rank
 # ======================================================================
 
 
-def _two_level_cfg():
-    from repro.qmc.two_level import TwoLevelConfig
-
-    return TwoLevelConfig(
-        replicas=2,
-        domain_ranks=2,
-        base=_strip_cfg(n_sweeps=4),
-    )
+def _two_level_cfg(n_sweeps=4):
+    return dataclasses.replace(_strip_cfg(n_sweeps=n_sweeps), replicas=2)
 
 
 class TestTwoLevelFaults:
-    """Killing one replica's domain must not take down the ensemble.
+    """A dead rank fails the run, and every replica it holds with it.
 
-    Replicas are coupled only through the leaders' ensemble
-    sub-communicator, and :func:`two_level_program` tolerates a
-    :class:`RankFailure` on every ensemble operation: the surviving
-    replica finishes its own trajectory (degraded, unpooled) while the
-    dead replica's domain surfaces the structured failure.
+    Each strip rank holds its columns of both replicas, so there is no
+    surviving replica to finish: the run surfaces the structured
+    :class:`RankFailure` on every rank, fast, and resumes from its
+    per-rank bundles bit-identically.
     """
 
-    def test_domain_crash_is_contained_to_its_replica(self):
-        from repro.qmc.two_level import two_level_program
+    def test_a_dead_rank_fails_every_replica_and_the_run_resumes(self, tmp_path):
+        from repro.run.checkpoint import CheckpointConfig
 
-        # Rank 2 is replica 1's leader; step 25 lands mid-first-sweep,
-        # after the two split() membership exchanges.
-        plan = FaultPlan((CrashFault(rank=2, at_step=25),))
+        ref = run_spmd(worldline_strip_program, 2, IDEAL, args=(_two_level_cfg(6),))
+        d = tmp_path / "ck"
+        # One refresh a sweep (a send and a receive): step 9 lands in
+        # the fifth sweep, after the bundles of sweep 4.
+        plan = FaultPlan((CrashFault(rank=1, at_step=9),))
+        t0 = time.monotonic()
         with pytest.raises(InjectedRankCrash) as excinfo:
-            run_spmd(
-                two_level_program, 4, IDEAL, args=(_two_level_cfg(),),
-                fault_plan=plan, recv_timeout=5.0,
-            )
+            run_spmd(worldline_strip_program, 2, IDEAL,
+                     args=(_two_level_cfg(6), CheckpointConfig(d, every=2)),
+                     fault_plan=plan, recv_timeout=5.0)
+        assert time.monotonic() - t0 < 5.0
         report = excinfo.value.run_report
-        assert report.failed_ranks() == [2]
-        # Replica 0's ranks run to completion: their domain traffic
-        # never touches the dead replica, and the leader's ensemble
-        # failure is absorbed as degraded pooling.
-        assert {0, 1} <= set(report.completed)
-        # Replica 1's surviving member aborts on its dead domain peer.
-        assert [a.rank for a in report.aborted] == [3]
-        assert all(a.failed_rank == 2 for a in report.aborted)
-
-    def test_rank_failure_is_prefixed_with_the_replica_name(self):
-        def prog(comm):
-            replica = comm.rank // 2
-            sub = comm.split(replica, key=comm.rank, name=f"replica{replica}")
-            if comm.rank == 0:
-                try:
-                    sub.recv(source=1, tag=5)  # the peer never sends
-                except RankFailure as exc:
-                    return (str(exc), exc.via, exc.detected_by)
-            return None
-
-        res = run_spmd(prog, 4, IDEAL, recv_timeout=0.5)
-        msg, via, detected_by = res.values[0]
-        assert "[replica0]" in msg
-        assert via == "timeout"
-        assert detected_by == 0
+        assert report.failed_ranks() == [1]
+        assert [(a.rank, a.failed_rank) for a in report.aborted] == [(0, 1)]
+        resumed = run_spmd(worldline_strip_program, 2, IDEAL,
+                           args=(_two_level_cfg(6), CheckpointConfig(d, resume=True)))
+        for r_ref, r_got in zip(ref.values, resumed.values):
+            for key in ("energy", "magnetization", "owned_spins"):
+                np.testing.assert_array_equal(r_got[key], r_ref[key], err_msg=key)
 
     @mp_fault
     def test_mp_backend_names_the_dead_replica_rank(self):
-        from repro.qmc.two_level import two_level_program
-
-        plan = FaultPlan((CrashFault(rank=2, at_step=25),))
+        plan = FaultPlan((CrashFault(rank=1, at_step=5),))
         t0 = time.monotonic()
         with pytest.raises(RankFailure) as excinfo:
             run_multiprocessing(
-                two_level_program, 4, IDEAL, args=(_two_level_cfg(),),
+                worldline_strip_program, 2, IDEAL, args=(_two_level_cfg(),),
                 fault_plan=plan, recv_timeout=10.0,
             )
         assert time.monotonic() - t0 < 10.0
         exc = excinfo.value
-        assert exc.failed_rank == 2
+        assert exc.failed_rank == 1
         report = exc.run_report
-        assert report.failed_ranks() == [2]
+        assert report.failed_ranks() == [1]
         assert report.failures[0].injected
-        # Every other rank either completed or aborted blaming rank 2
-        # (poison pills may reach replica 0 mid-receive on this backend).
-        others = set(report.completed) | {a.rank for a in report.aborted}
-        assert others == {0, 1, 3}
-        assert all(a.failed_rank == 2 for a in report.aborted)
-
-
-def prog_split_pair_send(comm):
-    """Odd and even world ranks pair up; sub rank 0 sends to sub rank 1."""
-    sub = comm.split(comm.rank % 2, key=comm.rank)
-    if sub.rank == 0:
-        sub.send(1.0, 1, tag=4)
-        return None
-    before = comm.clock.breakdown().get("comm_wait", 0.0)
-    sub.recv(source=0, tag=4)
-    return comm.clock.breakdown().get("comm_wait", 0.0) - before
-
-
-@pytest.mark.parametrize("backend", ["thread", pytest.param("mp", marks=mp_fault)])
-def test_fault_plans_stay_keyed_by_world_rank_through_a_split(backend):
-    # Both sends go sub rank 0 -> sub rank 1, but only the odd pair's is
-    # world edge 1 -> 3: the plan must hit that one and not the even
-    # pair's (0 -> 2).  The split's own allgather ring uses neither edge.
-    plan = FaultPlan((MessageDelayFault(src=1, dst=3, nth=0, seconds=0.5),))
-    base = run_spmd(prog_split_pair_send, 4, IDEAL, backend=backend)
-    hit = run_spmd(prog_split_pair_send, 4, IDEAL, backend=backend,
-                   fault_plan=plan)
-    assert hit.values[3] == pytest.approx(base.values[3] + 0.5)
-    assert hit.values[2] == base.values[2]
+        assert [(a.rank, a.failed_rank) for a in report.aborted] == [(0, 1)]
 
 
 def test_run_report_summary_is_informative():

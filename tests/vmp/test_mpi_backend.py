@@ -208,18 +208,6 @@ def _wildcard_fifo(comm):
     return got
 
 
-def _named_child_timeout(comm):
-    from repro.vmp.faults import RankFailure
-
-    sub = comm.split(comm.rank // 2, key=comm.rank, name=f"replica{comm.rank // 2}")
-    if comm.rank == 0:
-        try:
-            sub.recv(source=1, tag=5)  # the peer never sends
-        except RankFailure as exc:
-            return str(exc), exc.via, exc.failed_rank, exc.detected_by
-    return None
-
-
 def _self_send(comm):
     payload = {"a": np.arange(4.0), "b": [1, 2]}
     comm.send(payload, comm.rank, tag=1)
@@ -229,14 +217,11 @@ def _self_send(comm):
     return got["a"].tolist(), got["b"], got is payload
 
 
-def _split_traffic(comm):
-    """Ring traffic on the world and on a split child, never finalized here."""
-    sub = comm.split(comm.rank % 2, key=comm.rank, label="ensemble")
+def _ring_traffic(comm):
+    """Ring traffic and an allreduce, never finalized here."""
     nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     a = comm.sendrecv(comm.rank, nxt, prv, sendtag=2, recvtag=2)
-    b = sub.sendrecv(comm.rank, (sub.rank + 1) % sub.size,
-                     (sub.rank - 1) % sub.size)
-    return a, b, sub.allreduce(comm.rank)
+    return a, comm.allreduce(comm.rank)
 
 
 class TestFakeMpiTransport:
@@ -256,31 +241,22 @@ class TestFakeMpiTransport:
         for source in (1, 2):
             assert [i for s, i in got if s == source] == list(range(6))
 
-    def test_recv_timeout_names_the_split_child(self, monkeypatch):
-        res, _ = fake_mpi.run_world(monkeypatch, _named_child_timeout, 4,
-                                    machine=IDEAL, recv_timeout=0.3)
-        msg, via, failed_rank, detected_by = res.values[0]
-        assert via == "timeout" and failed_rank == 1 and detected_by == 0
-        assert "[replica0] no message (source=1, tag=5) within 0.3s; " in msg
-        assert "stash holds 0 unmatched message(s)" in msg
-
     def test_self_send_copies(self, monkeypatch):
         res, world = fake_mpi.run_world(monkeypatch, _self_send, 1, machine=IDEAL)
         assert res.values[0] == ([0.0, 1.0, 2.0, 3.0], [1, 2], False)
         assert world.requests == []  # self-delivery never touches MPI
 
-    def test_finalize_drains_world_and_children(self, monkeypatch):
-        res, world = fake_mpi.run_world(monkeypatch, _split_traffic, 4,
+    def test_finalize_drains_pending_sends(self, monkeypatch):
+        res, world = fake_mpi.run_world(monkeypatch, _ring_traffic, 4,
                                         machine=PARAGON)
         assert [v[0] for v in res.values] == [3, 0, 1, 2]
-        assert [v[1] for v in res.values] == [2, 3, 0, 1]
-        assert [v[2] for v in res.values] == [2, 4, 2, 4]
+        assert [v[1] for v in res.values] == [6, 6, 6, 6]
         # The fake leaves an isend in flight until its second poll, so
         # some are still pending when the program returns; finalize must
-        # complete the child's as well as the world's.
+        # complete them.
         assert world.requests and all(r.completed for r in world.requests)
         assert any(r.polls < 2 for r in world.requests)
-        thread = run_spmd(_split_traffic, 4, machine=PARAGON)
+        thread = run_spmd(_ring_traffic, 4, machine=PARAGON)
         assert res.breakdowns == [o.breakdown for o in thread.outcomes]
 
     def test_strip_makespan_equals_thread_backend(self, monkeypatch):

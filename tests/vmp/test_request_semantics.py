@@ -6,9 +6,8 @@ buffers eagerly, there is no rendezvous -- and a *receive* request
 completes when a matching message is collected, charging modeled
 latency/wait exactly once no matter how often ``test``/``wait`` are
 called.  Because that behaviour is written once, in
-:class:`repro.vmp.comm.Communicator`, the same programs run here on the
-world communicator *and* on a split child, over the thread, mp and mpi
-transports; the mpi leg uses real MPI when mpi4py + mpiexec exist and
+:class:`repro.vmp.comm.Communicator`, the same programs run here over
+the thread, mp and mpi transports; the mpi leg uses real MPI when mpi4py + mpiexec exist and
 the thread-backed fake of ``tests/vmp/fake_mpi.py`` always.  The
 programs are module-level so the mp and mpi backends can pickle them.
 """
@@ -21,7 +20,6 @@ from repro.vmp.machines import IDEAL, PARAGON
 from repro.vmp.mpi_backend import MpiCommunicator, mpi_available, mpiexec_available
 from repro.vmp.process_backend import MpCommunicator
 from repro.vmp.scheduler import run_spmd
-from repro.vmp.split import SubCommunicator
 from tests.vmp import fake_mpi
 
 BACKENDS_UNDER_TEST = ["thread", "mp", "fake-mpi"] + (
@@ -29,9 +27,6 @@ BACKENDS_UNDER_TEST = ["thread", "mp", "fake-mpi"] + (
 )
 
 backends = pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
-#: Every contract below holds on the world communicator and on a split
-#: child of it (looped inside the tests, so ids stay ``[backend]``).
-SCOPES = ("world", "split")
 
 
 def _values(monkeypatch, backend, program, n_ranks, machine, args=(), **kwargs):
@@ -44,13 +39,7 @@ def _values(monkeypatch, backend, program, n_ranks, machine, args=(), **kwargs):
                     args=args, **kwargs).values
 
 
-def _scoped(comm, scope):
-    """The world communicator, or a split child holding the same ranks."""
-    return comm if scope == "world" else comm.split(0, key=comm.rank)
-
-
-def _send_completes_on_return(comm, scope):
-    comm = _scoped(comm, scope)
+def _send_completes_on_return(comm):
     if comm.rank == 0:
         req = comm.isend(np.arange(6.0), 1, tag=4)
         done_immediately = req.test()
@@ -62,8 +51,7 @@ def _send_completes_on_return(comm, scope):
     return float(got.sum())
 
 
-def _recv_not_done_until_sent(comm, scope):
-    comm = _scoped(comm, scope)
+def _recv_not_done_until_sent(comm):
     if comm.rank == 0:
         req = comm.irecv(source=1, tag=9)
         # Rank 1 blocks for our go-message before sending, so the
@@ -80,8 +68,7 @@ def _recv_not_done_until_sent(comm, scope):
     return None
 
 
-def _wait_charges_once(comm, scope):
-    comm = _scoped(comm, scope)
+def _wait_charges_once(comm):
     nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     req = comm.irecv(source=prv, tag=2)
     comm.isend(np.full(16, float(comm.rank)), nxt, tag=2)
@@ -91,10 +78,9 @@ def _wait_charges_once(comm, scope):
     return comm.clock.now
 
 
-def _rejects_bad_ranks(comm, scope, peer_kw):
+def _rejects_bad_ranks(comm, peer_kw):
     # An out-of-range peer can never be matched: every entry point must
     # say so at once instead of waiting out its timeout.
-    comm = _scoped(comm, scope)
     calls = {"source": (comm.recv, comm.irecv), "dest": (comm.send, comm.isend)}
     errors = []
     for call in calls[peer_kw]:
@@ -109,77 +95,47 @@ def _rejects_bad_ranks(comm, scope, peer_kw):
 
 @backends
 def test_recv_validates_source_rank(monkeypatch, backend):
-    for scope in SCOPES:
-        values = _values(monkeypatch, backend, _rejects_bad_ranks, 2, IDEAL,
-                         args=(scope, "source"), recv_timeout=5.0)
-        for errors in values:
-            assert errors == [
-                "invalid source rank 2", "invalid source rank -2",
-                "invalid source rank 2", "invalid source rank -2",
-            ]
+    values = _values(monkeypatch, backend, _rejects_bad_ranks, 2, IDEAL,
+                     args=("source",), recv_timeout=5.0)
+    for errors in values:
+        assert errors == [
+            "invalid source rank 2", "invalid source rank -2",
+            "invalid source rank 2", "invalid source rank -2",
+        ]
 
 
 @backends
 def test_send_validates_destination_rank(monkeypatch, backend):
-    for scope in SCOPES:
-        values = _values(monkeypatch, backend, _rejects_bad_ranks, 2, IDEAL,
-                         args=(scope, "dest"), recv_timeout=5.0)
-        for errors in values:
-            assert errors == [
-                "invalid destination rank 2", "invalid destination rank -2",
-                "invalid destination rank 2", "invalid destination rank -2",
-            ]
-
-
-def _wildcards_on_split(comm):
-    sub = comm.split(0, key=comm.rank)
-    errors = []
-    for call, kwargs in ((sub.recv, {}), (sub.irecv, {}),
-                         (sub.recv, {"source": 0}), (sub.irecv, {"tag": 3})):
-        try:
-            call(**kwargs)
-        except ValueError as exc:
-            errors.append("wildcard" in str(exc))
-    return errors, comm.clock.breakdown() == sub.clock.breakdown()
-
-
-@pytest.mark.parametrize("backend", ["thread", "mp"])
-def test_wildcard_receives_rejected_on_a_sub_communicator(monkeypatch, backend):
-    # Thread/mp children share the parent's inbox, so a wildcard would
-    # match parent-level traffic.  (An mpi child is a real Comm.Split
-    # with its own matching scope and takes wildcards.)
-    for errors, same_clock in _values(monkeypatch, backend, _wildcards_on_split,
-                                      2, IDEAL):
-        assert errors == [True] * 4
-        assert same_clock
+    values = _values(monkeypatch, backend, _rejects_bad_ranks, 2, IDEAL,
+                     args=("dest",), recv_timeout=5.0)
+    for errors in values:
+        assert errors == [
+            "invalid destination rank 2", "invalid destination rank -2",
+            "invalid destination rank 2", "invalid destination rank -2",
+        ]
 
 
 @backends
 def test_send_request_complete_on_return(monkeypatch, backend):
-    for scope in SCOPES:
-        values = _values(monkeypatch, backend, _send_completes_on_return, 2,
-                         IDEAL, args=(scope,))
-        assert values[0] is True
-        assert values[1] == 15.0
+    values = _values(monkeypatch, backend, _send_completes_on_return, 2,
+                     IDEAL)
+    assert values[0] is True
+    assert values[1] == 15.0
 
 
 @backends
 def test_recv_request_lifecycle(monkeypatch, backend):
-    for scope in SCOPES:
-        out = _values(monkeypatch, backend, _recv_not_done_until_sent, 2, IDEAL,
-                      args=(scope,))[0]
-        assert out["early"] is False
-        assert out["value"] == "payload"
-        assert out["again"] == "payload"
+    out = _values(monkeypatch, backend, _recv_not_done_until_sent, 2, IDEAL)[0]
+    assert out["early"] is False
+    assert out["value"] == "payload"
+    assert out["again"] == "payload"
 
 
 @backends
 def test_completed_requests_charge_the_clock_once(monkeypatch, backend):
-    for scope in SCOPES:
-        values = _values(monkeypatch, backend, _wait_charges_once, 2, PARAGON,
-                         args=(scope,))
-        thread = run_spmd(_wait_charges_once, 2, machine=PARAGON, args=(scope,))
-        assert values == thread.values
+    values = _values(monkeypatch, backend, _wait_charges_once, 2, PARAGON)
+    thread = run_spmd(_wait_charges_once, 2, machine=PARAGON)
+    assert values == thread.values
 
 
 def _delta(after, before):
@@ -187,8 +143,7 @@ def _delta(after, before):
             if v != before.get(k, 0.0)}
 
 
-def _offloaded_irecv_charges(comm, scope):
-    comm = _scoped(comm, scope)
+def _offloaded_irecv_charges(comm):
     if comm.rank == 1:
         comm.send(np.zeros(4), 0, tag=3)
         return None
@@ -203,68 +158,32 @@ def _offloaded_irecv_charges(comm, scope):
 @backends
 def test_offloaded_irecv_pays_overhead_at_post_and_only_waits_after(
         monkeypatch, backend):
-    for scope in SCOPES:
-        values = _values(monkeypatch, backend, _offloaded_irecv_charges, 2,
-                         PARAGON, args=(scope,))
-        at_post, at_completion, _now = values[0]
-        assert at_post == {"comm": pytest.approx(PARAGON.post_overhead)}
-        # No alpha at completion: the clock only moves, under halo_wait,
-        # to the arrival stamp (if the message has not landed already).
-        assert set(at_completion) <= {"halo_wait"}
-        thread = run_spmd(_offloaded_irecv_charges, 2, machine=PARAGON,
-                          args=(scope,))
-        assert values[0] == thread.values[0]
-
-
-def _labelled_split_charges(comm):
-    sub = comm.split(0, key=comm.rank, label="ensemble")
-    nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
-    b0 = comm.clock.breakdown()
-    req = sub.irecv(source=prv, tag=1, offload=True)
-    sub.isend(np.arange(3.0), nxt, tag=1, offload=True)
-    req.wait()
-    sub.sendrecv(comm.rank, nxt, prv)
-    sub.allreduce(1.0)
-    b1 = comm.clock.breakdown()
-    comm.sendrecv(comm.rank, nxt, prv)
-    comm.barrier()
-    b2 = comm.clock.breakdown()
-    cats = (comm._cat_comm, comm._cat_wait, comm._cat_halo_wait)
-    return _delta(b1, b0), _delta(b2, b1), cats
-
-
-@backends
-def test_labelled_split_charges_its_own_categories(monkeypatch, backend):
-    values = _values(monkeypatch, backend, _labelled_split_charges, 2, PARAGON)
-    for on_sub, on_world, cats in values:
-        assert "ensemble" in on_sub and set(on_sub) <= {"ensemble", "ensemble_wait"}
-        assert "comm" in on_world and set(on_world) <= {"comm", "comm_wait"}
-        assert cats == ("comm", "comm_wait", "halo_wait")
-    thread = run_spmd(_labelled_split_charges, 2, machine=PARAGON)
-    assert values == thread.values
+    values = _values(monkeypatch, backend, _offloaded_irecv_charges, 2,
+                     PARAGON)
+    at_post, at_completion, _now = values[0]
+    assert at_post == {"comm": pytest.approx(PARAGON.post_overhead)}
+    # No alpha at completion: the clock only moves, under halo_wait,
+    # to the arrival stamp (if the message has not landed already).
+    assert set(at_completion) <= {"halo_wait"}
+    thread = run_spmd(_offloaded_irecv_charges, 2, machine=PARAGON)
+    assert values[0] == thread.values[0]
 
 
 # -- written once: structure ------------------------------------------------
 
 
 def test_endpoint_logic_is_defined_once():
-    shared = ("send", "sendrecv", "isend", "_complete_recv", "_match", "split",
-              "charge_compute", "charge_seconds", "sync_metrics", "barrier",
+    shared = ("send", "sendrecv", "isend", "recv", "irecv", "_complete_recv",
+              "_match", "charge_compute", "charge_seconds", "sync_metrics", "barrier",
               "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
               "alltoall")
-    for cls in (MpCommunicator, MpiCommunicator, SubCommunicator):
+    for cls in (MpCommunicator, MpiCommunicator):
         assert issubclass(cls, Communicator)
         own = set(vars(cls))
         # Every transport supplies the three hooks and none of the rest.
         assert {"_deliver", "_try_collect", "_collect"} <= own
         overridden = own & set(shared)
-        if cls is MpiCommunicator:
-            overridden -= {"split"}  # the real MPI.Comm.Split
         assert not overridden, f"{cls.__name__} re-implements {overridden}"
-        for name in ("recv", "irecv"):
-            # Only a sub-communicator may wrap these, to reject wildcards.
-            assert (name in own) == (cls is SubCommunicator)
-    assert not hasattr(SubCommunicator, "_charged")
 
 
 # -- the one stash -------------------------------------------------------------
