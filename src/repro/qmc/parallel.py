@@ -579,10 +579,11 @@ class _DecomposedState:
                               "exchange", stacklevel=3)
         self.sweep_index = 0
         self._n_exchanges = 0
-        # The run's sweep streams, one a chain, built once (see
-        # _sweep_draw), and the position they stand at.
-        self._sweep_gens = [SeedSequenceFactory(cfg.sweep_seed + r).stream(
-            "sweep", 0).generator for r in range(chains)]
+        # The run's sweep streams, built once (see _sweep_draw): chain r
+        # draws the r-th of its seed, so chain 0's is a one-chain run's.
+        # And the position they stand at.
+        seeds = SeedSequenceFactory(cfg.sweep_seed)
+        self._sweep_gens = [seeds.stream("sweep", r).generator for r in range(chains)]
         self._sweep_pos = 0
 
     # -- shared randomness ---------------------------------------------------

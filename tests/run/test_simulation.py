@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.qmc.parallel import WorldlineStripConfig, worldline_strip_program
 from repro.run.config import (
     ParallelLayout,
     TfimRunConfig,
@@ -10,6 +11,8 @@ from repro.run.config import (
     XXZRunConfig,
 )
 from repro.run.simulation import Simulation
+from repro.vmp.machines import IDEAL
+from repro.vmp.scheduler import run_spmd
 
 
 class TestDispatch:
@@ -88,11 +91,34 @@ class TestXXZRuns:
         # sums, so it agrees to rounding, not bitwise.
         np.testing.assert_allclose(base, self._strip_energy(0, 2), rtol=1e-12)
 
+    @staticmethod
+    def _strip_replicas(seed, replicas=2):
+        """Each replica's energy series of a one-rank replica strip run
+        (the Simulation's config), replica after replica."""
+        cfg = WorldlineStripConfig(
+            n_sites=8, jz=1.0, jxy=1.0, beta=0.5, n_slices=8, n_sweeps=40,
+            n_thermalize=5, sweep_seed=seed, replicas=replicas,
+        )
+        energy = run_spmd(worldline_strip_program, 1, IDEAL, args=(cfg,)).values[0]["energy"]
+        return list(energy.T)
+
     def test_strip_replicas_follow_seed(self):
-        """Replica r sweeps with seed + r; the pooled series is their mean."""
+        """Replica 0 is the flat run at the seed, replica r draws the
+        seed's r-th sweep stream, and the run's series is the replicas'
+        mean."""
         pooled = self._strip_energy(3, 1, replicas=2)
-        members = (self._strip_energy(3, 1) + self._strip_energy(4, 1)) / 2
-        np.testing.assert_allclose(pooled, members, rtol=1e-12)
+        first, second = self._strip_replicas(3)
+        np.testing.assert_array_equal(first, self._strip_energy(3, 1))
+        np.testing.assert_array_equal(pooled, (first + second) / 2)
+        assert not np.allclose(second, self._strip_energy(4, 1))
+
+    def test_strip_replicas_of_two_seeds_share_no_series(self):
+        """Neighbouring seeds' replica runs are independent: no replica
+        of one repeats a replica of the other (a seed + r ladder would
+        make replica 1 at seed s the replica 0 at seed s + 1)."""
+        a, b = self._strip_replicas(3, 3), self._strip_replicas(4, 3)
+        for x in a:
+            assert not any(np.allclose(x, y) for y in b)
 
 
 class TestTfimRuns:
@@ -429,7 +455,9 @@ _TFIM_ESTIMATES = ["energy", "energy_per_site", "sigma_x", "abs_magnetization"]
 #: order); the strip, two-level and 2-D series did not move.  The strip
 #: and two-level series were re-pinned when the strip took up those four
 #: colors behind its deep-halo refresh (the move order moved); the
-#: chain, block and 2-D series did not move.
+#: chain, block and 2-D series did not move.  The two-level series were
+#: re-pinned when replica r stopped sweeping with seed + r and took the
+#: seed's r-th sweep stream (replica 1 moved); nothing else moved.
 PINNED_RUNS = {
     "xxz_serial": (
         lambda **kw: XXZRunConfig(**_XXZ, layout=_numpy(), **kw),
@@ -449,8 +477,8 @@ PINNED_RUNS = {
     "xxz_two_level_2x2": (
         lambda **kw: XXZRunConfig(
             **_XXZ, layout=_numpy("strip", 2, "Paragon", replicas=2), **kw),
-        {"energy": "2a2f6d90d0c601911759a82d7d7491f23549a687a51b92f1add7e1bd62a03163",
-         "magnetization": "e465b1653d3252a4e48f4be553da0d704cdb0f69f55cdbb8bcffb506c45fd0ac"},
+        {"energy": "ab03d8a9d35e7369dbdebf17ca40ae92a4ed4e881c756a244a501a1f8a50fa37",
+         "magnetization": "1d35ba197d871b4d70495d6c080bfc36942481a1f0845ab04995ae1eaa22e453"},
         {**_XXZ_PARAMS, "strategy": "strip", "n_ranks": 2, "machine": "Paragon",
          "replicas": 2},
         _XXZ_ESTIMATES, _RT_TWO_LEVEL,
