@@ -35,9 +35,9 @@ dashboard) into that serving layer:
   skipped, interrupted checkpointed runs restart from their bundles,
   and a stale status/checkpoint (cache key mismatch after a spec edit)
   is rejected and the run re-executed from scratch.
-* :func:`plan_batches` -- which cells share a cell: serial world-line
-  cells that differ only in ``seed`` run as batches, one process
-  sweeping their chains as one lattice
+* :func:`plan_batches` -- which cells share a cell: chain cells
+  (serial or replica, of every kind) that differ only in ``seed`` run
+  as batches, one process holding all their chains
   (:func:`repro.run.simulation.run_batch`), each cell still with its
   own directory, status document, solo command line, cache key and
   attempts; a failed batch retries its cells solo.
@@ -834,15 +834,15 @@ async def _run_batch(
 def _batch_group(run: CampaignRun) -> str | None:
     """The key of the cells ``run`` may share a batch with, or None.
 
-    Batchable are the serial world-line cells (``xxz`` / ``xxz2d``) that
-    do not checkpoint -- health, trace and events output are not spec
-    fields, so no cell asks for them -- and their key is their kind and
-    parameters but the seed: exactly what a batch's runs share
+    Batchable are the chain cells (``serial`` / ``replica``, of every
+    kind) that do not checkpoint -- health, trace and events output are
+    not spec fields, so no cell asks for them -- and their key is their
+    kind and parameters but the seed: exactly what a batch's runs share
     (:func:`repro.run.simulation.run_batch`).
     """
     params = dict(run.params)
     strategy = params.get("strategy", _spec_fields(run.kind)["strategy"].default)
-    if (run.kind not in ("xxz", "xxz2d") or strategy != "serial"
+    if (strategy not in ("serial", "replica")
             or int(params.get("checkpoint_every", 0) or 0) > 0):
         return None
     params.pop("seed", None)

@@ -68,11 +68,12 @@ class TestPlan:
 
     @pytest.mark.parametrize("kind, base", [
         ("xxz", {"strategy": "strip", "ranks": 2}),
-        ("xxz", {"strategy": "replica", "ranks": 2}),
+        ("xxz", {"strategy": "strip", "ranks": 2, "replicas": 2}),
         ("xxz", {"strategy": "strip", "ranks": 2, "checkpoint_every": 4}),
-        ("tfim", {"shape": "8"}),
+        ("tfim", {"shape": "8x8", "strategy": "block", "ranks": 2}),
     ])
     def test_other_layouts_and_kinds_run_alone(self, kind, base):
+        """Decomposed and checkpointing cells run a cell each."""
         base = {"n_slices": 8, "n_sweeps": 10, "beta": 1.0, **base}
         if kind == "xxz":
             base["n_sites"] = 8
@@ -83,6 +84,27 @@ class TestPlan:
         base = {"lx": 4, "ly": 4, "n_slices": 8, "n_sweeps": 10, "beta": 1.0}
         runs = expand_grid(_spec(kind="xxz2d", base=base, sweep={"seed": [0, 1, 2]}))
         assert _indices(plan_batches(runs, 1)) == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("kind, base", [
+        ("tfim", {"shape": "8"}),
+        ("tfim", {"shape": "8", "strategy": "replica", "ranks": 2}),
+        ("xxz", {"n_sites": 8, "strategy": "replica", "ranks": 2}),
+    ])
+    def test_every_chain_layout_and_kind_batches(self, kind, base):
+        base = {"n_slices": 8, "n_sweeps": 10, "beta": 1.0, **base}
+        runs = expand_grid(_spec(kind=kind, base=base, sweep={"seed": [0, 1, 2]}))
+        assert _indices(plan_batches(runs, 1)) == [[0, 1, 2]]
+
+    def test_the_e2e_campaign_keeps_its_batches(self):
+        """The repo benchmark's campaign_xxz_seeds grid: eight serial
+        cells at two jobs, two batches of four, as before every chain
+        layout batched."""
+        from benchmarks.e2e.child import campaign_spec
+        from benchmarks.e2e.workloads import WORKLOADS
+
+        spec = campaign_spec(WORKLOADS["campaign_xxz_seeds"]["sizes"]["full"], 0)
+        runs = expand_grid(spec)
+        assert _indices(plan_batches(runs, spec.jobs)) == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 def _run_dir(out, run):
@@ -192,3 +214,30 @@ class TestBatchedCampaign:
             "cached", "cached", "completed", "completed",
         ]
         assert resumed.outcomes[2].batch == resumed.outcomes[3].batch is not None
+
+
+@fault
+@pytest.mark.parametrize("kind, base", [
+    ("tfim", {"shape": "8", "n_slices": 8}),
+    ("xxz", {"n_sites": 8, "n_slices": 8, "strategy": "replica", "ranks": 2}),
+])
+def test_tfim_and_replica_seed_sweeps_batch_and_equal_their_solo_runs(
+        tmp_path, kind, base):
+    spec = _spec(kind=kind, base={"beta": 1.0, "n_sweeps": 20, "n_thermalize": 2,
+                                  **base},
+                 sweep={"seed": [0, 1, 2]}, jobs=1)
+    out = tmp_path / "c"
+    result = run_campaign(spec, out_dir=out)
+    assert result.ok and result.counters["completed"] == 3
+    doc = json.loads((out / "campaign.json").read_text())
+    assert [run["batch"] for run in doc["runs"]] == ["b0000"] * 3
+    for run in expand_grid(spec):
+        run_dir = _run_dir(out, run)
+        status = json.loads((run_dir / "campaign_run.json").read_text())
+        batched = json.loads((run_dir / "result.json").read_text())
+        assert batched["runtime"]["batch"] == {"size": 3, "position": run.index}
+        npz = (run_dir / "result.npz").read_bytes()
+        assert main(status["argv"][3:]) == 0  # the cell, solo, by hand
+        assert (run_dir / "result.npz").read_bytes() == npz
+        solo = json.loads((run_dir / "result.json").read_text())
+        assert solo["estimates"] == batched["estimates"]
