@@ -1202,8 +1202,8 @@ class _StripState(_DecomposedState):
         self._flat = self._stack.reshape(-1)
         self._rows = self._stack.reshape(-1, self.T)
         #: Per chain, the moves attempted and accepted.
-        self._counts = np.zeros((2, cfg.replicas), dtype=np.int64)
-        self.n_attempted, self.n_accepted = self._counts[:, self._chain].tolist()
+        self._attempted = self._accepted = np.zeros(cfg.replicas, dtype=np.int64)
+        self.n_attempted = self.n_accepted = self._attempted[self._chain].tolist()
         # The sweep's buffers -- its drawn blocks, the rank's gather of
         # them and the log of the column stages' share -- and each
         # stage's view of the gather (a column stage's of the log).
@@ -1262,8 +1262,11 @@ class _StripState(_DecomposedState):
         a refresh may sit between the two column stages -- so a column
         stage's interior count is known before the wait.
         """
-        plan, rows, counts = self._plan, self._rows, self._counts
-        n_chains = counts.shape[1]
+        plan, rows = self._plan, self._rows
+        n_chains = self._attempted.size
+        # This sweep's moves attempted and accepted, per chain: ints or
+        # (R,) counts, added to the run's once, at the end.
+        attempted = accepted_total = 0
         # the plan's indices are in range by construction: "clip" skips
         # the bounds pass
         self._sweep_uniforms().take(plan.u_index, out=self._u, mode="clip")
@@ -1294,22 +1297,26 @@ class _StripState(_DecomposedState):
                     self._kops["strip_corner"], self._flat, self._corner_weights,
                     stage["env"], stage["flip"], u,
                 )
-                counts[0] += stage["attempted"]
+                attempted += stage["attempted"]
             else:
                 if n_moves:
                     accepted = self._timed(
                         self._kops["strip_column"], rows, plan.thr,
                         lc, stage["nbr"], straight, u,
                     )
-                counts[0] += straight.reshape(n_chains, -1)[:, counted].sum(axis=1)
+                attempted = attempted + straight.reshape(
+                    n_chains, -1)[:, counted].sum(axis=1)
             if stage["grouped"] and n_moves:
                 accepted = accepted.reshape(n_chains, -1)[:, counted].sum(axis=1)
-            counts[1] += accepted
+            accepted_total = accepted_total + accepted
             # The clock prices the work done, the redundant moves too.
             self._charge_moves(
                 n_moves - n_int, flops, "boundary" if pending else "compute"
             )
-        self.n_attempted, self.n_accepted = counts[:, self._chain].tolist()
+        self._attempted = self._attempted + attempted
+        self._accepted = self._accepted + accepted_total
+        self.n_attempted = self._attempted[self._chain].tolist()
+        self.n_accepted = self._accepted[self._chain].tolist()
 
     # -- measurement ---------------------------------------------------------
     def local_dlog_sums(self) -> np.ndarray:
@@ -1318,7 +1325,7 @@ class _StripState(_DecomposedState):
         parity at a time, even first (the series' bits)."""
         plan = self._plan
         dlog = plan.table.dlog[plaquette_codes(self._flat, plan.dlog_corners)]
-        dlog = dlog.reshape(self._counts.shape[1], -1)
+        dlog = dlog.reshape(self._attempted.size, -1)
         return 0.0 + dlog[:, : plan.n_even].sum(axis=1) + dlog[:, plan.n_even :].sum(axis=1)
 
     def owned(self) -> np.ndarray:

@@ -88,6 +88,16 @@ class TestComposedBitIdentity:
             assert sum(v["n_accepted"][r] for v in composed.values) == \
                 one_rank.values[0]["n_accepted"][r]
 
+    def test_a_replica_is_independent_of_the_chains_beside_it(self, backend):
+        two = run_driver_matrix(worldline_strip_program, 2, _base(replicas=2),
+                                seed=42, backend=backend)
+        three = run_driver_matrix(worldline_strip_program, 2, _base(replicas=3),
+                                  seed=42, backend=backend)
+        for r in range(2):
+            assert_bit_identical(
+                _Values([_replica(v, r) for v in two.values]),
+                _Values([_replica(v, r) for v in three.values]), STRIP_KEYS)
+
     def test_pooled_series_is_exact_ensemble_mean(self, backend):
         from repro.run.config import ParallelLayout, XXZRunConfig
         from repro.run.simulation import Simulation
