@@ -15,8 +15,8 @@ Quick start::
 Subpackages
 -----------
 ``repro.qmc``
-    World-line XXZ sampler, TFIM sampler, parallel drivers (strip /
-    block / two-level / tempering).
+    World-line XXZ sampler, TFIM sampler, parallel drivers (strip, its
+    ranks optionally stacking replicas / block / tempering).
 ``repro.vmp``
     The virtual massively parallel machine: MPI-like communicator,
     machine models (CM-5, Paragon, Delta, nCUBE-2), topologies,

@@ -15,7 +15,8 @@ under one sweep-telemetry wrapper (:meth:`_DecomposedState.sweep`):
   column parities: six kernel calls a rank-sweep.  Each sweep draws one
   *shared* uniform block, sliced per stage, so the trajectory is
   bit-identical across rank counts and across the kernel backends
-  (``mode="scalar"`` is the per-move one).
+  (``mode="scalar"`` is the per-move one).  A two-level run stacks R
+  independent replicas in every rank, swept by the same six calls.
 
 * :func:`ising_block_program` -- the anisotropic classical Ising model
   (and therefore the TFIM) split into 2-D spatial blocks over a process
@@ -70,8 +71,8 @@ wraps locally.  A plan only *describes* its traffic, as the phases of
 each stage key (:func:`_axis_refresh`); :meth:`_DecomposedState._exchange`
 is the one place that posts and completes them, in the lockstep or the
 overlapped schedule, and :func:`_run_decomposed` is the one run loop
-all programs (including :func:`repro.qmc.two_level.two_level_program`
-and :func:`chain_program`, whose states post nothing) share.  That loop
+all programs (:func:`chain_program`'s, whose states post nothing,
+included) share.  That loop
 also owns the reductions: a measurement leaves its rank-local partial
 sums pending, and one allreduce carries every pending row when a global
 value is due.
@@ -1056,9 +1057,12 @@ def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
         pick = stage["uflat"] if stage["kind"] == "corner" else stage["uc"]
         picks.append((rows + off + pick.ravel()).ravel())
         # A grouped stage's op counts a row a bond (column), chain after
-        # chain; any other's a row a chain -- one chain's row is 1-D.
-        shape = ((R * pick.shape[0], *pick.shape[1:]) if stage["grouped"]
-                 else (R, pick.size)[R == 1:])
+        # chain; any other's a row a chain -- one chain's row is 1-D, so
+        # the op returns one int.
+        if stage["grouped"]:
+            shape = (R * pick.shape[0], *pick.shape[1:])
+        else:
+            shape = (R, pick.size) if R > 1 else (pick.size,)
         spans.append((a, a + R * pick.size, shape))
         a += R * pick.size
     pt = PlaquetteTable.build(jz, jxy, beta / (T // 2))
@@ -1263,7 +1267,7 @@ class _StripState(_DecomposedState):
         stage's interior count is known before the wait.
         """
         plan, rows = self._plan, self._rows
-        n_chains = self._attempted.size
+        n_chains = self.cfg.replicas
         # This sweep's moves attempted and accepted, per chain: ints or
         # (R,) counts, added to the run's once, at the end.
         attempted = accepted_total = 0
@@ -1325,7 +1329,7 @@ class _StripState(_DecomposedState):
         parity at a time, even first (the series' bits)."""
         plan = self._plan
         dlog = plan.table.dlog[plaquette_codes(self._flat, plan.dlog_corners)]
-        dlog = dlog.reshape(self._attempted.size, -1)
+        dlog = dlog.reshape(self.cfg.replicas, -1)
         return 0.0 + dlog[:, : plan.n_even].sum(axis=1) + dlog[:, plan.n_even :].sum(axis=1)
 
     def owned(self) -> np.ndarray:

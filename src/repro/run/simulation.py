@@ -605,12 +605,13 @@ def run_batch(configs) -> list[RunResult]:
     )
     # The always-on throughput numbers: a batch's runs share its wall.
     wall = (time.perf_counter() - t0_wall) / n_runs
-    if decomposed:
+    if layout.replicas > 1:
         # A replica strip's ranks hold every replica: split them into
         # the replicas' ranks, replica after replica.
-        per_rank = [_chain_values(v, kind.stored, "owned_spins") if layout.replicas > 1
-                    else [v] for v in spmd.values]
+        per_rank = [_chain_values(v, kind.stored, "owned_spins") for v in spmd.values]
         runs = [[chains[r] for r in range(layout.replicas) for chains in per_rank]]
+    elif decomposed:
+        runs = [spmd.values]
     else:
         per_chain = _chain_values(spmd.values[0], kind.chain_series)
         runs = [per_chain[k * layout.n_ranks:(k + 1) * layout.n_ranks]
