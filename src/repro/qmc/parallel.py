@@ -589,9 +589,9 @@ class _DecomposedState:
 
     # -- shared randomness ---------------------------------------------------
     def _sweep_draw(self, spans) -> None:
-        """Fill this sweep's uniforms: per ``(offset, out)`` of ``spans``,
-        the C-contiguous ``out`` holds a row a chain, each filled with
-        its doubles from ``offset`` into its share of that chain's sweep
+        """Fill this sweep's uniforms: per ``(offset, rows)`` of
+        ``spans``, the C-contiguous ``rows[r]`` of chain ``r`` with its
+        doubles from ``offset`` into its share of that chain's sweep
         stream; advances ``sweep_index``.
 
         Every rank builds the same streams from ``sweep_seed``, and sweep
@@ -603,11 +603,11 @@ class _DecomposedState:
         that and nothing else.
         """
         gens, base = self._sweep_gens, self.sweep_index * self._per_sweep
-        for offset, out in spans:
-            for gen, row in zip(gens, out.reshape(len(gens), -1)):
+        for offset, rows in spans:
+            for gen, out in zip(gens, rows):
                 gen.bit_generator.advance(base + offset - self._sweep_pos)
-                gen.random(out=row)
-            self._sweep_pos = base + offset + out.size // len(gens)
+                gen.random(out=out)
+            self._sweep_pos = base + offset + out.size
         self.sweep_index += 1
 
     def _init_rank(self, comm, cfg, kernel: str) -> None:
@@ -1057,8 +1057,8 @@ def _build_strip_plan(n_sites: int, n_slices: int, jz: float, jxy: float,
         pick = stage["uflat"] if stage["kind"] == "corner" else stage["uc"]
         picks.append((rows + off + pick.ravel()).ravel())
         # A grouped stage's op counts a row a bond (column), chain after
-        # chain; any other's a row a chain -- one chain's row is 1-D, so
-        # the op returns one int.
+        # chain; any other's a row a chain -- one chain's row is 1-D, as
+        # a flat run's, and counted by one int.
         if stage["grouped"]:
             shape = (R * pick.shape[0], *pick.shape[1:])
         else:
@@ -1205,9 +1205,10 @@ class _StripState(_DecomposedState):
         self.loc = self._stack[self._chain]
         self._flat = self._stack.reshape(-1)
         self._rows = self._stack.reshape(-1, self.T)
-        #: Per chain, the moves attempted and accepted.
-        self._attempted = self._accepted = np.zeros(cfg.replicas, dtype=np.int64)
-        self.n_attempted = self.n_accepted = self._attempted[self._chain].tolist()
+        #: The moves attempted and accepted: a value's chain index of
+        #: per-chain counts (one NumPy integer for one chain).
+        self._attempted = self._accepted = np.zeros(cfg.replicas, dtype=np.int64)[self._chain]
+        self.n_attempted = self.n_accepted = 0
         # The sweep's buffers -- its drawn blocks, the rank's gather of
         # them and the log of the column stages' share -- and each
         # stage's view of the gather (a column stage's of the log).
@@ -1266,11 +1267,9 @@ class _StripState(_DecomposedState):
         a refresh may sit between the two column stages -- so a column
         stage's interior count is known before the wait.
         """
-        plan, rows = self._plan, self._rows
+        plan, rows, chain = self._plan, self._rows, self._chain
         n_chains = self.cfg.replicas
-        # This sweep's moves attempted and accepted, per chain: ints or
-        # (R,) counts, added to the run's once, at the end.
-        attempted = accepted_total = 0
+        attempted, accepted_total = self._attempted, self._accepted
         # the plan's indices are in range by construction: "clip" skips
         # the bounds pass
         self._sweep_uniforms().take(plan.u_index, out=self._u, mode="clip")
@@ -1279,7 +1278,6 @@ class _StripState(_DecomposedState):
         offload = self.overlap_active
         for s_idx, (stage, u) in enumerate(zip(plan.stages, self._u_stage)):
             pending = self._exchange(s_idx, offload)
-            counted = stage["counted"]
             if stage["kind"] == "corner":
                 n_moves, flops = stage["n_moves"], FLOPS_PER_CORNER_MOVE
                 n_int = stage["n_interior"] if pending else 0
@@ -1295,13 +1293,14 @@ class _StripState(_DecomposedState):
             if pending:
                 self._charge_moves(n_int, flops, "interior")
                 self._exchange_wait(pending)
+            counted = stage["counted"]
             accepted = 0
             if stage["kind"] == "corner":
                 accepted = self._timed(
                     self._kops["strip_corner"], self._flat, self._corner_weights,
                     stage["env"], stage["flip"], u,
                 )
-                attempted += stage["attempted"]
+                attempted = attempted + stage["attempted"]
             else:
                 if n_moves:
                     accepted = self._timed(
@@ -1309,28 +1308,28 @@ class _StripState(_DecomposedState):
                         lc, stage["nbr"], straight, u,
                     )
                 attempted = attempted + straight.reshape(
-                    n_chains, -1)[:, counted].sum(axis=1)
+                    n_chains, -1)[chain, counted].sum(axis=-1)
             if stage["grouped"] and n_moves:
-                accepted = accepted.reshape(n_chains, -1)[:, counted].sum(axis=1)
+                accepted = accepted.reshape(n_chains, -1)[chain, counted].sum(axis=-1)
             accepted_total = accepted_total + accepted
             # The clock prices the work done, the redundant moves too.
             self._charge_moves(
                 n_moves - n_int, flops, "boundary" if pending else "compute"
             )
-        self._attempted = self._attempted + attempted
-        self._accepted = self._accepted + accepted_total
-        self.n_attempted = self._attempted[self._chain].tolist()
-        self.n_accepted = self._accepted[self._chain].tolist()
+        self._attempted, self._accepted = attempted, accepted_total
+        self.n_attempted, self.n_accepted = attempted.tolist(), accepted_total.tolist()
 
     # -- measurement ---------------------------------------------------------
-    def local_dlog_sums(self) -> np.ndarray:
-        """Per chain, the sum of d ln W over shaded plaquettes at owned
-        bonds: one gather of every chain's both bond parities, summed a
-        parity at a time, even first (the series' bits)."""
+    def local_dlog_sums(self):
+        """The sum of d ln W over shaded plaquettes at owned bonds, at the
+        value's chain index: one gather of every chain's both bond
+        parities, summed a parity at a time, even first (the series'
+        bits)."""
         plan = self._plan
         dlog = plan.table.dlog[plaquette_codes(self._flat, plan.dlog_corners)]
-        dlog = dlog.reshape(self.cfg.replicas, -1)
-        return 0.0 + dlog[:, : plan.n_even].sum(axis=1) + dlog[:, plan.n_even :].sum(axis=1)
+        dlog = dlog.reshape(self.cfg.replicas, -1)[self._chain]
+        return (0.0 + dlog[..., : plan.n_even].sum(axis=-1)
+                + dlog[..., plan.n_even :].sum(axis=-1))
 
     def owned(self) -> np.ndarray:
         """The owned columns of ``loc`` (a view)."""
@@ -1340,9 +1339,8 @@ class _StripState(_DecomposedState):
         """Per chain, the owned-bond d ln W sum; then per chain, the
         slice-0 S^z of the owned columns."""
         self._exchange("measure")  # scheduled empty; takes its tag block
-        owned = self._stack[:, self.depth : self.depth + self.n_owned, 0]
-        return np.concatenate(
-            [self.local_dlog_sums(), owned.sum(axis=1) - self.n_owned / 2.0])
+        mag = self.owned()[..., 0].sum(axis=-1) - self.n_owned / 2.0
+        return np.array([self.local_dlog_sums(), mag]).ravel()
 
     def series_columns(self, totals: np.ndarray) -> tuple:
         """Energy estimate and slice-0 total S^z of the whole chain, per
@@ -1647,7 +1645,7 @@ class _BlockState(_DecomposedState):
         """
         spans = self._plan.u_spans
         u = np.empty((spans[-1][2], self.cfg.ly, self.lt))
-        self._sweep_draw([(offset, u[a:b]) for offset, a, b in spans])
+        self._sweep_draw([(offset, (u[a:b],)) for offset, a, b in spans])
         return u[:, self._plan.u_cols]
 
     def _update_color(self, mask: np.ndarray, log_u: np.ndarray) -> int:

@@ -628,7 +628,9 @@ def run_batch(configs) -> list[RunResult]:
         )
         if decomposed:
             _record_spmd(result, spmd, layout)
-        n_sweeps_run = (1 if decomposed else len(values)) * (
+        # Chain sweeps: a replica strip's replicas count as a replica
+        # run's chains do.
+        n_sweeps_run = (layout.replicas if decomposed else len(values)) * (
             cfg.n_sweeps + cfg.n_thermalize)
         result.runtime.update(
             wall_seconds=wall,

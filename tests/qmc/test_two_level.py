@@ -164,3 +164,4 @@ class TestLayoutWiring:
         # Both replicas' moves count: twice a flat run's work.
         flat = Simulation(replace(cfg, layout=ParallelLayout("strip", 2, "Paragon"))).run()
         assert result.runtime["n_attempted"] > 1.5 * flat.runtime["n_attempted"]
+        assert result.runtime["n_sweeps"] == 2 * flat.runtime["n_sweeps"] == 2 * 8
