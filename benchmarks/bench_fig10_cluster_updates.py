@@ -18,7 +18,7 @@ from benchmarks.conftest import run_once
 from repro.models.ising_exact import onsager_spontaneous_magnetization
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.cluster import SwendsenWangIsing
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.util.tables import Table
 

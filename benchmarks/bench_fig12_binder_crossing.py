@@ -13,7 +13,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.models.ising_exact import onsager_critical_temperature
 from repro.qmc.cluster import SwendsenWangIsing
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.stats.finite_size import BinderCurve, binder_cumulant, crossing_temperature
 from repro.util.tables import Table
 

@@ -13,7 +13,7 @@ from repro.models.tfim_exact import (
     tfim_finite_temperature_energy,
     tfim_ground_state_energy,
 )
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.stats.binning import BinningAnalysis
 from repro.util.tables import Table

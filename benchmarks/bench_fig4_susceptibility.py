@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import XXZChainModel
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.finite_size import susceptibility
 from repro.util.tables import Table

@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.models.tfim_exact import tfim_transverse_magnetization
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.util.tables import Table
 

@@ -13,7 +13,7 @@ from benchmarks.conftest import run_once
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.trotter import trotter_extrapolate
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.util.tables import Table

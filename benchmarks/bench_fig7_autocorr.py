@@ -19,7 +19,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.models.ising_exact import onsager_critical_temperature
 from repro.qmc.classical_ising import AnisotropicIsing
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tempering import TemperingConfig, tempering_program
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.util.tables import Table

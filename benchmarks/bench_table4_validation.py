@@ -12,7 +12,7 @@ from benchmarks.conftest import run_once
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import TFIM1D, XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.binning import BinningAnalysis

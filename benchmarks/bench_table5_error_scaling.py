@@ -11,7 +11,7 @@ consistent across run lengths.
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.stats.binning import BinningAnalysis
 from repro.util.tables import Table

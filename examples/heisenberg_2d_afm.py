@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.models.ed import lanczos_ground_state
 from repro.models.hamiltonians import XXZSquareModel
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 from repro.stats.finite_size import susceptibility

@@ -12,7 +12,7 @@ Run:  python examples/heisenberg_thermodynamics.py
 
 from repro.models.ed import ExactDiagonalization
 from repro.models.hamiltonians import XXZChainModel
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.trotter import trotter_extrapolate
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.binning import BinningAnalysis

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.multicanonical import MulticanonicalSampler, WangLandauSampler
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.util.tables import Series, Table, render_series
 
 L = 8

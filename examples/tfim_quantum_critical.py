@@ -14,7 +14,7 @@ Run:  python examples/tfim_quantum_critical.py
 import numpy as np
 
 from repro.models.tfim_exact import tfim_transverse_magnetization
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.stats.finite_size import binder_cumulant
 from repro.util.tables import Series, Table, render_series

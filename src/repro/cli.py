@@ -37,6 +37,7 @@ from typing import Sequence
 
 from repro.kernels import KernelUnavailableError
 from repro.run.config import RUN_KINDS, ParallelLayout, RunConfig
+from repro.run.reporting import StatusReporter
 from repro.util.tables import Table
 from repro.vmp.machines import MACHINES
 
@@ -153,7 +154,6 @@ def _cmd_run_batch(batch) -> int:
     are imported here, not at module level: ``machines``, ``scaling``
     and ``report`` never touch them.
     """
-    from repro.run.reporting import StatusReporter
     from repro.run.results import save_result
     from repro.run.simulation import run_batch
     from repro.vmp.mpi_backend import world_rank_hint
@@ -223,7 +223,6 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_run_campaign(args) -> int:
     from repro.run.campaign import load_campaign_spec, run_campaign
-    from repro.run.reporting import StatusReporter
 
     reporter = StatusReporter(quiet=args.quiet)
     spec = load_campaign_spec(args.spec)

@@ -7,7 +7,11 @@
   decompositions with owned/ghost index bookkeeping for halo exchange.
 """
 
-from repro.lattice.decomposition import BlockDecomposition, StripDecomposition
-from repro.lattice.lattice import Chain, SquareLattice
+from repro._lazy import attach
 
-__all__ = ["Chain", "SquareLattice", "StripDecomposition", "BlockDecomposition"]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "Chain": "repro.lattice.lattice",
+    "SquareLattice": "repro.lattice.lattice",
+    "StripDecomposition": "repro.lattice.decomposition",
+    "BlockDecomposition": "repro.lattice.decomposition",
+})

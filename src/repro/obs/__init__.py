@@ -4,7 +4,7 @@ See DESIGN.md "Observability" and "Run health & reporting" for the
 naming scheme and clock-domain rules.  The short version: everything
 here is off by default (drivers record against the free
 :data:`~repro.obs.metrics.NOOP` recorder and the
-:data:`~repro.obs.health.NOOP_HEALTH` monitor), modeled-time quantities
+:data:`~repro.obs.metrics.NOOP_HEALTH` monitor), modeled-time quantities
 are bit-reproducible, and wall-clock values are always suffixed
 ``wall_seconds``.
 """
@@ -24,12 +24,10 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "sort_events": "repro.obs.events",
     "validate_event": "repro.obs.events",
     "write_events_jsonl": "repro.obs.events",
-    "NOOP_HEALTH": "repro.obs.health",
     "SEVERITIES": "repro.obs.health",
     "HealthEvent": "repro.obs.health",
     "HealthMonitor": "repro.obs.health",
     "HealthRules": "repro.obs.health",
-    "NoopHealthMonitor": "repro.obs.health",
     "clock_comm_seconds": "repro.obs.health",
     "load_health_rules": "repro.obs.health",
     "build_manifest": "repro.obs.manifest",
@@ -46,12 +44,13 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "MetricsRegistry": "repro.obs.metrics",
     "MetricsFanout": "repro.obs.metrics",
     "NoopMetrics": "repro.obs.metrics",
+    "NoopHealthMonitor": "repro.obs.metrics",
+    "NOOP_HEALTH": "repro.obs.metrics",
     "RankMetrics": "repro.obs.metrics",
     "StreamingBinning": "repro.obs.online",
     "Welford": "repro.obs.online",
     "gelman_rubin": "repro.obs.online",
     "gelman_rubin_from_moments": "repro.obs.online",
-    "gelman_rubin_from_pooled_sums": "repro.obs.online",
     "REPORT_VERSION": "repro.obs.report",
     "build_report": "repro.obs.report",
     "discover_runs": "repro.obs.report",

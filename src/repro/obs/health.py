@@ -2,7 +2,7 @@
 
 A :class:`HealthMonitor` lives inside an SPMD rank program -- every
 layout is one, serial and replica chains included -- and is fed from
-the run loop (:func:`repro.qmc.parallel._run_decomposed`):
+the run loop (:func:`repro.qmc.chains._run_decomposed`):
 
 * ``observe(name, value, sweep)`` pushes one measured scalar into the
   per-observable streaming estimators (:class:`~repro.obs.online.Welford`
@@ -21,8 +21,10 @@ and the event stream stays deterministic and small.
 
 The monitor is pure observation: it never draws random numbers, never
 touches sampler state, and never communicates -- so enabling it cannot
-perturb a trajectory.  Disabled call sites use :data:`NOOP_HEALTH`
-(mirroring :data:`repro.obs.metrics.NOOP`), whose methods are all
+perturb a trajectory.  Disabled call sites use
+:data:`~repro.obs.metrics.NOOP_HEALTH` (next to the disabled metrics
+recorder it mirrors, :data:`~repro.obs.metrics.NOOP`, so a run without
+health checks never imports this module), whose methods are all
 no-ops, keeping the hot loop at one attribute check.
 """
 
@@ -40,8 +42,6 @@ __all__ = [
     "HealthRules",
     "HealthEvent",
     "HealthMonitor",
-    "NoopHealthMonitor",
-    "NOOP_HEALTH",
     "load_health_rules",
     "clock_comm_seconds",
 ]
@@ -394,36 +394,3 @@ class HealthMonitor:
         if self._rhat:
             doc["rhat"] = dict(sorted(self._rhat.items()))
         return doc
-
-
-class NoopHealthMonitor:
-    """Inert stand-in used when health checks are disabled.
-
-    Mirrors :class:`repro.obs.metrics.NoopMetrics`: every method is a
-    no-op so call sites need no conditionals beyond ``enabled``.
-    """
-
-    enabled = False
-    rank = -1
-    replica = None
-    t_model = 0.0
-    events: list[HealthEvent] = []
-
-    def observe(self, name: str, value: float, sweep: int) -> None:
-        pass
-
-    def observe_rhat(self, name: str, rhat: float, sweep: int) -> None:
-        pass
-
-    def check(self, sweep: int, **kwargs) -> None:
-        pass
-
-    def event_docs(self) -> list[dict]:
-        return []
-
-    def summary(self) -> dict:
-        return {}
-
-
-#: Shared inert monitor for disabled call sites.
-NOOP_HEALTH = NoopHealthMonitor()

@@ -43,6 +43,8 @@ __all__ = [
     "RankMetrics",
     "NoopMetrics",
     "NOOP",
+    "NoopHealthMonitor",
+    "NOOP_HEALTH",
     "ACCEPTANCE_EDGES",
     "MESSAGE_BYTES_EDGES",
 ]
@@ -250,6 +252,40 @@ _NOOP_METRIC = _NoopMetric()
 NOOP = NoopMetrics()
 
 
+class NoopHealthMonitor:
+    """Inert stand-in for a :class:`~repro.obs.health.HealthMonitor`,
+    used when health checks are disabled.
+
+    Mirrors :class:`NoopMetrics`: every method is a no-op so call sites
+    need no conditionals beyond ``enabled``.
+    """
+
+    enabled = False
+    rank = -1
+    replica = None
+    t_model = 0.0
+    events: list = []
+
+    def observe(self, name: str, value: float, sweep: int) -> None:
+        pass
+
+    def observe_rhat(self, name: str, rhat: float, sweep: int) -> None:
+        pass
+
+    def check(self, sweep: int, **kwargs) -> None:
+        pass
+
+    def event_docs(self) -> list[dict]:
+        return []
+
+    def summary(self) -> dict:
+        return {}
+
+
+#: Shared inert monitor for disabled call sites.
+NOOP_HEALTH = NoopHealthMonitor()
+
+
 class MetricsRegistry:
     """All metrics of one run, namespaced per rank.
 
@@ -304,7 +340,7 @@ class MetricsRegistry:
 
 
 class MetricsFanout:
-    """The one rank scope of a :func:`repro.qmc.parallel.chain_program`
+    """The one rank scope of a :func:`repro.qmc.chains.chain_program`
     run, written into each chain's ``scopes``, one per ``(registry,
     rank)`` pair: ranks ``0 .. R-1`` of one registry for a replica run,
     rank 0 of each run's registry for a seed batch

@@ -41,7 +41,6 @@ __all__ = [
     "StreamingBinning",
     "gelman_rubin",
     "gelman_rubin_from_moments",
-    "gelman_rubin_from_pooled_sums",
 ]
 
 
@@ -237,32 +236,6 @@ def gelman_rubin_from_moments(
     w = sum(variances) / r
     mean_of_means = sum(means) / r
     b_over_n = sum((m - mean_of_means) ** 2 for m in means) / (r - 1)
-    if w <= 0.0:
-        return 1.0 if b_over_n <= 0.0 else math.inf
-    var_plus = (n - 1) / n * w + b_over_n
-    return math.sqrt(var_plus / w)
-
-
-def gelman_rubin_from_pooled_sums(
-    n: int, n_chains: int, sum_means: float, sum_sq_means: float, sum_vars: float
-) -> float:
-    """R-hat from *summed* per-chain moments -- the allreduce form.
-
-    Replica leaders each hold their own ``(mean, mean**2, variance)``
-    and a single sum-allreduce over the ensemble communicator yields
-    ``(sum_means, sum_sq_means, sum_vars)``; this reconstructs exactly
-    :func:`gelman_rubin_from_moments` for ``n_chains`` chains of ``n``
-    samples (``B/n`` via the sum-of-squares identity, clamped at zero
-    against cancellation noise).
-    """
-    if n_chains < 2:
-        raise ValueError("R-hat needs at least two chains")
-    if n < 2:
-        raise ValueError("R-hat needs at least two samples per chain")
-    r = n_chains
-    w = sum_vars / r
-    mean_of_means = sum_means / r
-    b_over_n = max(0.0, (sum_sq_means - r * mean_of_means**2) / (r - 1))
     if w <= 0.0:
         return 1.0 if b_over_n <= 0.0 else math.inf
     var_plus = (n - 1) / n * w + b_over_n

@@ -12,18 +12,20 @@
 * :mod:`repro.qmc.tfim` -- transverse-field Ising QMC via the
   quantum--classical mapping, with quantum estimators.
 * :mod:`repro.qmc.trotter` -- Delta-tau -> 0 extrapolation driver.
-* :mod:`repro.qmc.parallel` -- the SPMD rank programs over
-  :mod:`repro.vmp`: domain-decomposed drivers (strip world-line, its
-  ranks optionally stacking independent replicas, and block
-  classical/TFIM) and the whole-lattice chain program of the serial and
-  replica layouts, on one run loop.  The samplers are move sets plus
-  estimators; ``run_chain`` runs one of them on that loop.
+* :mod:`repro.qmc.chains` -- the one run loop of every SPMD rank
+  program over :mod:`repro.vmp`, and the whole-lattice chain program of
+  the serial and replica layouts on it.  The samplers are move sets
+  plus estimators; ``run_chain`` runs one of them on that loop.
+* :mod:`repro.qmc.parallel` -- the domain-decomposed drivers on the
+  same loop: strip world-line (its ranks optionally stacking
+  independent replicas) and block classical/TFIM.
 * :mod:`repro.qmc.tempering` -- parallel tempering across ranks.
 """
 
 from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
+    "run_chain": "repro.qmc.chains",
     "AnisotropicIsing": "repro.qmc.classical_ising",
     "SwendsenWangIsing": "repro.qmc.cluster",
     "MulticanonicalSampler": "repro.qmc.multicanonical",

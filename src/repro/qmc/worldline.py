@@ -249,7 +249,7 @@ class WorldlineChainQmc(TableSweeps):
     """World-line sampler for one XXZ chain at fixed (beta, n_slices)."""
 
     #: Series name -> estimator method: what a chain of this sampler can
-    #: measure (:class:`repro.qmc.parallel.ChainConfig`); ``szsz`` is a
+    #: measure (:class:`repro.qmc.chains.ChainConfig`); ``szsz`` is a
     #: row, ``C(r) = <S^z_0 S^z_r>`` for r = 0 .. L//2.
     ESTIMATORS = {
         "energy": "energy_estimate",
@@ -431,8 +431,8 @@ class WorldlineChainQmc(TableSweeps):
         only for ``benchmarks/e2e/child.py::direct_sampler_run``, which
         times it and discards the result; it goes when that probe stops
         calling it.  Everything else calls
-        :func:`repro.qmc.parallel.run_chain`."""
-        from repro.qmc.parallel import run_chain  # parallel imports this module
+        :func:`repro.qmc.chains.run_chain`."""
+        from repro.qmc.chains import run_chain  # chains imports this module
 
         return run_chain(self, ("energy", "magnetization"), n_sweeps,
                          n_thermalize, measure_every, mode)

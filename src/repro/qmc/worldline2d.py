@@ -70,7 +70,7 @@ plaquette partners' spins differ from its own.
 
 The sampler records nothing about itself: a run's sweep telemetry and
 health checks belong to the rank state that drives it
-(:func:`repro.qmc.parallel.chain_program`), as for every other layout.
+(:func:`repro.qmc.chains.chain_program`), as for every other layout.
 """
 
 from __future__ import annotations

@@ -543,8 +543,12 @@ class CellServer:
     server kills the cells still alive and exits.
     """
 
-    def __init__(self, timeout: float):
+    def __init__(self, timeout: float, argvs: Sequence[Sequence[str]] = ()):
         self.timeout = timeout
+        #: The command lines of the cells to come, whose modules a
+        #: server imports before it forks any
+        #: (:func:`repro.run.cell_server.fork_server`).
+        self.argvs = [list(argv) for argv in argvs]
         #: Fork -> first server ready; 0.0 while none was needed.
         self.start_seconds = 0.0
         self._server: _Server | None = None
@@ -570,7 +574,7 @@ class CellServer:
                 self._stderr_dir = tempfile.mkdtemp(prefix="repro-cells-")
             loop = asyncio.get_running_loop()
             forked = time.perf_counter()
-            pid, request_fd, reply_fd = fork_server()
+            pid, request_fd, reply_fd = fork_server(self.argvs)
             replies = asyncio.StreamReader()
             await loop.connect_read_pipe(
                 lambda: asyncio.StreamReaderProtocol(replies), open(reply_fd, "rb", 0)
@@ -883,10 +887,6 @@ async def _run_campaign_async(
 ) -> CampaignResult:
     runs = expand_grid(spec)
     runs_root = out_dir / "runs"
-    server = None
-    if executor is None:
-        server = CellServer(spec.timeout)
-        executor = server.execute
     say = progress or (lambda _msg: None)
 
     outcomes: dict[int, RunOutcome] = {}
@@ -913,6 +913,12 @@ async def _run_campaign_async(
             n_sweeps=0.0,  # nothing recomputed
         )
         say(f"[campaign] {run.run_id}: cache hit ({run.cache_key[:12]})")
+    server = None
+    if executor is None:
+        server = CellServer(spec.timeout, [
+            build_run_argv(run, runs_root / run.run_id, resume=resume_ckpt[run.index])
+            for run in to_run])
+        executor = server.execute
     # Only the cell server runs a batch; an injected executor takes one
     # run at a time.
     if server is not None:

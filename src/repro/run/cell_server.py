@@ -7,7 +7,11 @@ start-up, NumPy and the campaign's imports, so only the run path is left
 to import.  It speaks JSON lines: a request ``{"id", "argvs", "stderr"}``
 on fd 0 is answered on fd 1 by ``{"id", "pid"}`` at the fork and
 ``{"id", "returncode"}`` once the cell is reaped; on EOF the live cells'
-groups are killed and the server exits.  ``argvs`` are recorded
+groups are killed and the server exits.  Before it announces itself
+ready, the server imports what its campaign's cells will run: the
+runner's own import step (:func:`repro.run.simulation.load_run_modules`)
+on the config of each command line it was forked with, so a cell
+imports nothing the server has not.  ``argvs`` are recorded
 ``python -m repro run-<kind> ...`` command lines: one is a campaign
 cell's, several are cells that run as one batch
 (:func:`repro.cli.main_batch`) in one process.  A cell is its own
@@ -19,8 +23,9 @@ started (DESIGN.md, "Scheduler & retry policy").
 
 from __future__ import annotations
 
+import contextlib
 import gc
-import importlib
+import io
 import json
 import os
 import select
@@ -30,15 +35,6 @@ import traceback
 from typing import Callable, NoReturn
 
 __all__ = ["fork_server", "serve", "kill_cell"]
-
-#: What a ``run-*`` cell imports, at module level or inside the functions
-#: it calls (``scipy``: the manifest records its version, no subpackage
-#: loads).  A module missing here costs its import in every cell, no more.
-_PRELOAD = (
-    "repro.cli", "repro.run.simulation", "repro.run.reporting",
-    "repro.run.checkpoint", "repro.obs.manifest", "repro.obs.sinks",
-    "repro.kernels.numpy_backend", "repro.vmp.process_backend", "scipy",
-)
 
 #: A forked server's references to the caller's stream objects, which
 #: it must never flush or finalize: its fds 0 / 1 are the pipes now.
@@ -117,13 +113,14 @@ def _become_server(request_r: int, reply_w: int) -> None:
                       closefd=False)
 
 
-def fork_server() -> tuple[int, int, int]:
+def fork_server(argvs) -> tuple[int, int, int]:
     """Fork a cell server off this process: ``(pid, request fd, reply fd)``.
 
     The child leads its own session, keeps the two pipes as fds 0 / 1
     and the caller's fd 2, and closes every other descriptor, so no pipe
     or file of the caller's is held open by the server or its cells.  It
-    never returns: it runs :func:`serve` and leaves through ``os._exit``.
+    never returns: it runs :func:`serve` on ``argvs``, the command lines
+    of the cells it will fork, and leaves through ``os._exit``.
     """
     request_r, request_w = os.pipe()
     reply_r, reply_w = os.pipe()
@@ -133,24 +130,39 @@ def fork_server() -> tuple[int, int, int]:
             _become_server(request_r, reply_w)
         except BaseException:  # no stream of its own yet to report on
             os._exit(1)
-        _exit_after(serve)
+        _exit_after(lambda: serve(argvs))
     os.close(request_r)
     os.close(reply_w)
     return pid, request_w, reply_r
 
 
-def serve() -> int:
-    """Preload, announce ``{"ready": pid}``, then serve fd 0 until EOF."""
-    for name in _PRELOAD:
-        importlib.import_module(name)
-    # The per-process constants of every cell's manifest and command
-    # line, computed once here so that each cell inherits them.
-    from repro.cli import _parser
+def _preload(argvs) -> None:
+    """Import what the cells of ``argvs`` (recorded ``python -m repro
+    run-<kind> ...`` command lines) import: the CLI, and per command line
+    the runner's import step on its config; then compute the manifest's
+    per-process constants, once for every cell.  A command line that
+    does not parse or configure is skipped, silently: its cell reports
+    that itself."""
+    from repro.cli import _parser, config_from_args
     from repro.obs.manifest import environment_info, git_revision
+    from repro.run.simulation import load_run_modules
 
+    parser = _parser()
+    for argv in argvs:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cfg = config_from_args(parser.parse_args(argv[3:]))
+            load_run_modules(cfg)
+        except (Exception, SystemExit):
+            continue
     git_revision()
     environment_info()
-    _parser()
+
+
+def serve(argvs) -> int:
+    """Preload ``argvs``' modules (:func:`_preload`), announce ``{"ready":
+    pid}``, then serve fd 0 until EOF."""
+    _preload(argvs)
 
     def reply(msg: dict) -> None:
         os.write(1, (json.dumps(msg) + "\n").encode())

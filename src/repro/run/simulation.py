@@ -15,17 +15,17 @@ autocorrelation time; parallel runs also report the virtual machine's
 modeled makespan and communication fraction.
 
 :func:`run_batch` (which :meth:`Simulation.run` calls with one config)
-is one skeleton for every run kind and every layout: resolve the kernel
--> ``params`` -> the layout's rank program under ONE ``run_spmd`` call
--> runtime -> health -> artifacts -> estimates.  Every layout is a
-rank program over the drivers' one run loop
-(:func:`repro.qmc.parallel._run_decomposed`): a serial or replica run
-is one rank holding its chains
-(:func:`~repro.qmc.parallel.chain_program`), a strip / block run the
-kind's domain-decomposed driver -- so sweep telemetry and in-loop
-health are the same on all of them.  A kind (``_XXZ`` / ``_XXZ2D`` /
-``_Tfim`` below, keyed by its config's ``kind``) supplies only the
-hooks the skeleton calls:
+is one skeleton for every run kind and every layout: import the run's
+modules and resolve the kernel (:func:`load_run_modules`) -> ``params``
+-> the layout's rank program under ONE ``run_spmd`` call -> runtime ->
+health -> artifacts -> estimates.  Every layout is a rank program over
+one run loop (:func:`repro.qmc.chains._run_decomposed`): a serial or
+replica run is one rank holding its chains
+(:func:`~repro.qmc.chains.chain_program`), a strip / block run the
+kind's domain-decomposed driver (:mod:`repro.qmc.parallel`) -- so sweep
+telemetry and in-loop health are the same on all of them.  A kind
+(``_XXZ`` / ``_XXZ2D`` / ``_Tfim`` below, keyed by its config's
+``kind``) supplies only the hooks the skeleton calls:
 
 ``params(cfg, kernel)``
     The result's ``parameters``.  Their keys are frozen: the manifest
@@ -35,7 +35,7 @@ hooks the skeleton calls:
     ``stream``: a move set plus estimators, with no run loop of its own.
     Each chain measures the sampler's ``chain_series`` estimators, its
     sweep resolved from ``mode`` -- as in every serial run of the
-    benchmarks and examples (:func:`~repro.qmc.parallel.run_chain`).
+    benchmarks and examples (:func:`~repro.qmc.chains.run_chain`).
 ``decomposed(cfg, kernel, checkpoint, rules)``
     ``(program, args, n_ranks)`` of the kind's domain-decomposed driver,
     whose rank states the driver builds; only kinds whose config names a
@@ -45,12 +45,17 @@ hooks the skeleton calls:
 ``estimates(cfg, series)``
     The observable estimates; ``stored`` names the series the result
     keeps.
+
+A kind's ``modules`` name what its hooks import beyond this module's own
+imports; the hooks import them where they use them, after
+:func:`load_run_modules` has loaded them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import math
 import time
 from pathlib import Path
@@ -60,48 +65,82 @@ import numpy as np
 from repro import kernels
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.obs.metrics import MetricsFanout
-from repro.qmc.parallel import (
-    ChainConfig,
-    IsingBlockConfig,
-    WorldlineStripConfig,
-    _chain_values,
-    chain_program,
-    ising_block_program,
-    rank_plans,
-    worldline_strip_program,
-)
-from repro.qmc.tfim import (
-    TfimQmc,
-    tfim_energy_from_bond_sums,
-    tfim_sigma_x_from_time_bonds,
-)
+from repro.qmc.chains import ChainConfig, _chain_values, chain_program
 from repro.qmc.worldline import WorldlineChainQmc
-from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.run.config import RunConfig
 from repro.run.results import ObservableEstimate, RunResult
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.stats.binning import BinningAnalysis
 from repro.stats.finite_size import susceptibility
 from repro.vmp.machines import IDEAL, MACHINES
+from repro.vmp.mpi_backend import world_rank_hint
 from repro.vmp.scheduler import run_spmd
 
-__all__ = ["Simulation", "run_batch"]
+__all__ = ["Simulation", "run_batch", "load_run_modules"]
+
+
+def _run_modules(cfg) -> list[str]:
+    """The modules a run of ``cfg`` executes that this module does not
+    import: its kind's sampler, its layout's driver and backend, and
+    what its checkpoint, health and artifact switches turn on."""
+    layout = cfg.layout
+    names = list(_KINDS[cfg.kind].modules)
+    if layout.strategy == cfg.decomposed:
+        names.append("repro.qmc.parallel")
+    if layout.backend == "mp":
+        names.append("repro.vmp.process_backend")
+    if cfg.checkpoint_every > 0 or cfg.resume:
+        names.append("repro.run.checkpoint")
+    if cfg.health:
+        names.append("repro.obs.health")
+    if cfg.trace_out is not None:
+        names.append("repro.obs.chrome_trace")
+    if cfg.health or cfg.trace_out is not None:
+        names.append("repro.obs.events")
+    if cfg.metrics_out is not None:
+        names.append("repro.obs.sinks")
+    if cfg.metrics_out or cfg.trace_out or cfg.events_out:
+        names.append("repro.obs.manifest")
+    return names
+
+
+def load_run_modules(cfg) -> str:
+    """Import everything a run of ``cfg`` executes, before it starts: the
+    kernel backend's op table and :func:`_run_modules`.  Returns the
+    resolved kernel name (a :class:`~repro.kernels.KernelUnavailableError`
+    if it cannot run here).
+
+    :func:`run_batch` calls it before its wall clock starts, so no
+    import lands in a timed region; a campaign's cell server calls it on
+    its runs' configs before it forks a cell, so a cell imports nothing
+    the server has not (DESIGN.md, "Import surface")."""
+    # Resolved to a concrete registered backend *before* any rank
+    # program spawns, so a run requesting an uninstalled backend
+    # (``--kernel numba`` without numba) fails fast instead of dying
+    # inside a worker.
+    kernel = kernels.resolve_kernel(cfg.layout.kernel)
+    kernels.get_ops(kernel)
+    for name in _run_modules(cfg):
+        importlib.import_module(name)
+    return kernel
 
 
 def _warm_plans(driver_cfg, layout) -> None:
     """Build every rank's plan of a decomposed run here, once: threads
     share the memo and forked ranks inherit it, so no rank builds its
     own.  An mpi rank is a process of its own and builds only its own."""
+    from repro.qmc.parallel import rank_plans
+
     if layout.backend in ("thread", "mp"):
         rank_plans(driver_cfg, layout.n_ranks)
 
 
 def _checkpoint_config(cfg):
     """The run's CheckpointConfig, or None when checkpointing is off."""
-    from repro.run.checkpoint import CheckpointConfig
-
     if cfg.checkpoint_every <= 0 and not cfg.resume:
         return None
+    from repro.run.checkpoint import CheckpointConfig
+
     return CheckpointConfig(
         directory=cfg.checkpoint_dir,
         every=cfg.checkpoint_every,
@@ -179,13 +218,12 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
     MPI launch every rank computes the same result; only world rank 0
     writes files, so mpiexec runs do not race on the output paths.
     """
-    from repro.obs import build_manifest, write_manifest, write_metrics_jsonl
-    from repro.vmp.mpi_backend import world_rank_hint
-
     if world_rank_hint() != 0:
         return
     outputs: dict[str, str] = {}
     if cfg.metrics_out is not None and registry is not None:
+        from repro.obs.sinks import write_metrics_jsonl
+
         outputs["metrics_out"] = str(write_metrics_jsonl(cfg.metrics_out, registry))
     if cfg.trace_out is not None and spmd.spans is not None:
         outputs["trace_out"] = str(
@@ -199,6 +237,8 @@ def _emit_observability(kind, cfg, params, registry, spmd, runtime, health):
         )
     anchor = cfg.metrics_out or cfg.trace_out or cfg.events_out
     if anchor is not None:
+        from repro.obs.manifest import build_manifest, write_manifest
+
         # The comm fraction the report shows rides in the runtime.
         extra = {"outputs": dict(outputs),
                  "runtime": {**runtime, "comm_fraction": spmd.comm_fraction()}}
@@ -278,6 +318,9 @@ class _Kind:
     stored: tuple[str, ...]
     #: What a chain measures: ``stored`` plus what only estimates use.
     chain_series: tuple[str, ...]
+    #: The modules of its sampler and estimators beyond the world-line
+    #: chain's, which the run loop itself imports.
+    modules: tuple[str, ...] = ()
 
     @classmethod
     def program(cls, cfg, kernel, checkpoint, rules, streams):
@@ -344,6 +387,8 @@ class _XXZ(_Kind):
 
     @staticmethod
     def decomposed(cfg, kernel, checkpoint, rules):
+        from repro.qmc.parallel import WorldlineStripConfig, worldline_strip_program
+
         layout = cfg.layout
         wl_cfg = WorldlineStripConfig(
             n_sites=cfg.n_sites,
@@ -381,6 +426,7 @@ class _XXZ2D(_Kind):
 
     stored = ("energy", "magnetization")
     chain_series = stored + ("m_stag_sq",)
+    modules = ("repro.qmc.worldline2d",)
 
     @staticmethod
     def params(cfg, kernel):
@@ -398,6 +444,8 @@ class _XXZ2D(_Kind):
 
     @staticmethod
     def sampler(cfg, stream, mode):
+        from repro.qmc.worldline2d import WorldlineSquareQmc
+
         model = XXZSquareModel(lx=cfg.lx, ly=cfg.ly, jz=cfg.jz, jxy=cfg.jxy)
         return WorldlineSquareQmc(model, cfg.beta, cfg.n_slices, stream=stream)
 
@@ -415,6 +463,7 @@ class _Tfim(_Kind):
     """TFIM via the classical mapping: serial / replica chains, block driver."""
 
     stored = chain_series = ("energy", "sigma_x", "abs_magnetization")
+    modules = ("repro.qmc.tfim",)
 
     @staticmethod
     def params(cfg, kernel):
@@ -434,6 +483,8 @@ class _Tfim(_Kind):
 
     @staticmethod
     def sampler(cfg, stream, mode):
+        from repro.qmc.tfim import TfimQmc
+
         # The Ising-based samplers take their kernel at construction.
         return TfimQmc(
             cfg.spatial_shape,
@@ -453,6 +504,8 @@ class _Tfim(_Kind):
 
     @staticmethod
     def decomposed(cfg, kernel, checkpoint, rules):
+        from repro.qmc.parallel import IsingBlockConfig, ising_block_program
+
         _dtau, k_space, k_tau = _Tfim._couplings(cfg)
         if len(cfg.spatial_shape) == 1:
             lx, ly, ky = cfg.spatial_shape[0], 1, 0.0
@@ -477,6 +530,8 @@ class _Tfim(_Kind):
 
     @staticmethod
     def decomposed_series(cfg, values):
+        from repro.qmc.tfim import tfim_energy_from_bond_sums, tfim_sigma_x_from_time_bonds
+
         out = values[0]
         dtau = _Tfim._couplings(cfg)[0]
         n_sites = int(np.prod(cfg.spatial_shape))
@@ -547,9 +602,10 @@ def _check_batch(configs) -> None:
 def run_batch(configs) -> list[RunResult]:
     """Run configs as one batch: each result equals its solo run's.
 
-    One skeleton for every run kind and layout: resolve the kernel ->
-    ``params`` -> the layout's rank program under ONE ``run_spmd`` call
-    -> runtime -> health -> artifacts -> estimates.  A single config is
+    One skeleton for every run kind and layout: import the run's modules
+    and resolve the kernel -> ``params`` -> the layout's rank program
+    under ONE ``run_spmd`` call -> runtime -> health -> artifacts ->
+    estimates.  A single config is
     an ordinary run (:meth:`Simulation.run`).  Several are serial or
     replica runs that may differ only in ``seed`` and output paths: one
     ``chain_program`` rank holds all their chains, each on the stream
@@ -567,11 +623,7 @@ def run_batch(configs) -> list[RunResult]:
     n_runs = len(configs)
     kind = _KINDS[cfg.kind]
     layout = cfg.layout
-    # Resolved to a concrete registered backend *before*
-    # any rank program spawns, so a run requesting an uninstalled
-    # backend (``--kernel numba`` without numba) fails fast with a
-    # KernelUnavailableError instead of dying inside a worker.
-    kernel = kernels.resolve_kernel(layout.kernel)
+    kernel = load_run_modules(cfg)
     params = kind.params(cfg, kernel)
     registries = [_obs_registry(c) for c in configs]
     rules = _health_rules(cfg)

@@ -15,6 +15,7 @@ loops (the truncated sums are not circular convolutions).
 from __future__ import annotations
 
 import numpy as np
+from numpy import fft
 
 __all__ = ["mean_circular_correlation"]
 
@@ -32,8 +33,8 @@ def mean_circular_correlation(
     n = x.shape[axis]
     if not 0 <= max_lag <= n:
         raise ValueError(f"max_lag {max_lag} outside 0..{n}")
-    f = np.fft.rfft(x, axis=axis)
+    f = fft.rfft(x, axis=axis)
     # Wiener--Khinchin: irfft(F conj(F))[k] = sum_i x[i] x[(i+k) % n].
-    s = np.fft.irfft(f * np.conj(f), n=n, axis=axis)
+    s = fft.irfft(f * np.conj(f), n=n, axis=axis)
     s = np.moveaxis(s, axis, 0)[: max_lag + 1]
     return s.reshape(s.shape[0], -1).sum(axis=1) / x.size

@@ -232,7 +232,8 @@ def worldline_strip_workload(
     Pass ``overlap=True`` to model the five-stage pipeline variant the
     driver runs under ``WorldlineStripConfig(overlap=True)``.
     """
-    from repro.qmc.parallel import REDUCE_BATCH, halo_traffic
+    from repro.qmc.chains import REDUCE_BATCH
+    from repro.qmc.parallel import halo_traffic
     from repro.qmc.worldline import FLOPS_PER_CORNER_MOVE
 
     kwargs = dict(
@@ -270,7 +271,8 @@ def ising_block_workload(
       bond sums), reduced in batches of up to the run loop's cap.
     """
     from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
-    from repro.qmc.parallel import REDUCE_BATCH, halo_traffic
+    from repro.qmc.chains import REDUCE_BATCH
+    from repro.qmc.parallel import halo_traffic
 
     kwargs = dict(
         lx=lx,

@@ -49,6 +49,11 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
+# What the fork context's Queue and Process.start load on first use,
+# loaded with this module so that no launch imports them.
+import multiprocessing.popen_fork  # noqa: F401
+import multiprocessing.queues  # noqa: F401
+import multiprocessing.synchronize  # noqa: F401
 import pickle
 import queue as queue_mod
 import struct

@@ -139,7 +139,7 @@ def _square_sampler(lx, ly, beta, n_slices, stream, mode):
 def hand_run(q, series, n_sweeps, n_thermalize=0, measure_every=1):
     """The run schedule written out by hand -- thermalize, then sweep and
     measure every ``measure_every``-th sweep: the independent oracle of
-    ``repro.qmc.parallel.run_chain``.  One array per ``series`` name."""
+    ``repro.qmc.chains.run_chain``.  One array per ``series`` name."""
     for _ in range(n_thermalize):
         q.sweep()
     rows = []
@@ -156,7 +156,7 @@ def square_chain_config(lx=4, ly=4, beta=0.5, n_slices=8, **schedule):
     built on the samplers' public API."""
     import functools
 
-    from repro.qmc.parallel import ChainConfig
+    from repro.qmc.chains import ChainConfig
 
     return ChainConfig(
         build=functools.partial(_square_sampler, lx, ly, beta, n_slices),

@@ -29,12 +29,12 @@ from repro.obs.events import (
     write_events_jsonl,
 )
 from repro.obs.health import (
-    NOOP_HEALTH,
     HealthEvent,
     HealthMonitor,
     HealthRules,
     load_health_rules,
 )
+from repro.obs.metrics import NOOP_HEALTH
 from repro.qmc.parallel import (
     WorldlineStripConfig,
     ising_block_program,

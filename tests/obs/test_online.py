@@ -1,7 +1,7 @@
 """Streaming estimators must agree with the batch ``stats`` results.
 
 The health engine's single-pass estimators (Welford moments, streaming
-logarithmic binning, pooled-moment Gelman-Rubin) are validated here
+logarithmic binning, moment-form Gelman-Rubin) are validated here
 against NumPy and against :mod:`repro.stats.binning` /
 :mod:`repro.stats.autocorr` on fixed seeded series -- same numbers, no
 second pass over the data.
@@ -15,7 +15,6 @@ from repro.obs.online import (
     Welford,
     gelman_rubin,
     gelman_rubin_from_moments,
-    gelman_rubin_from_pooled_sums,
 )
 from repro.stats.binning import BinningAnalysis, binning_levels
 
@@ -133,22 +132,6 @@ class TestGelmanRubin:
             [c.var(ddof=1) for c in chains],
         )
         assert via_moments == pytest.approx(direct, rel=1e-12)
-
-    def test_pooled_sums_form_matches_moments_form(self):
-        """The allreduce-sum form used on the ensemble communicator."""
-        rng = np.random.default_rng(3)
-        chains = [rng.standard_normal(250) + 0.2 * i for i in range(3)]
-        means = np.array([c.mean() for c in chains])
-        variances = np.array([c.var(ddof=1) for c in chains])
-        via_sums = gelman_rubin_from_pooled_sums(
-            250,
-            len(chains),
-            float(means.sum()),
-            float((means**2).sum()),
-            float(variances.sum()),
-        )
-        direct = gelman_rubin(chains)
-        assert via_sums == pytest.approx(direct, rel=1e-12)
 
     def test_unequal_chains_truncated(self):
         rng = np.random.default_rng(4)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.models.ising_exact import onsager_energy_per_site
 from repro.qmc.classical_ising import AnisotropicIsing
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 
 
 class TestConstruction:

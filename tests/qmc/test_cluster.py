@@ -11,7 +11,7 @@ from repro.models.ising_exact import (
 )
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.cluster import SwendsenWangIsing
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.stats.autocorr import integrated_autocorr_time
 
 

@@ -36,6 +36,7 @@ import pytest
 
 from repro.kernels.chain_tables import CORNER_COLORS
 from repro.qmc import parallel
+from repro.qmc.chains import _run_decomposed
 from repro.qmc.parallel import (
     N_WL_STAGES,
     WL_STAGES,
@@ -46,7 +47,6 @@ from repro.qmc.parallel import (
     _build_block_plan,
     _ghost_depth,
     _halo_walk,
-    _run_decomposed,
     _StripState,
     halo_traffic,
     worldline_strip_program,

@@ -42,10 +42,10 @@ from repro.kernels import KernelBackend, KernelUnavailableError
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.obs import MetricsRegistry
 from repro.qmc.classical_ising import AnisotropicIsing
+from repro.qmc.chains import chain_program
 from repro.qmc.parallel import (
     IsingBlockConfig,
     WorldlineStripConfig,
-    chain_program,
     ising_block_program,
     worldline_strip_program,
 )

@@ -233,7 +233,7 @@ class TestStatisticalAgreement:
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.symmetry_ed import MomentumBlockED
-from repro.qmc.parallel import _chain_values, chain_program
+from repro.qmc.chains import _chain_values, chain_program
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.util.rng import spawn_streams
 

@@ -1,6 +1,6 @@
 """Reductions run in batches; the cadence never shows in a result.
 
-The decomposed run loop (``repro.qmc.parallel._run_decomposed``) lets
+The decomposed run loop (``repro.qmc.chains._run_decomposed``) lets
 measurement rows pend and reduces them together when a global value is
 due: at ``REDUCE_BATCH`` rows, before a checkpoint write, before a
 health check and at the end of the run.  The sum is element-wise and in
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.obs.health import HealthRules
+from repro.qmc.chains import REDUCE_BATCH
 from repro.qmc.parallel import (
-    REDUCE_BATCH,
     IsingBlockConfig,
     WorldlineStripConfig,
     ising_block_program,

@@ -12,7 +12,7 @@ import pytest
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.cluster import SwendsenWangIsing
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.tfim import TfimQmc
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc

@@ -15,7 +15,7 @@ import pytest
 from repro.kernels import get_ops
 from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
 from repro.obs.metrics import MetricsFanout, MetricsRegistry
-from repro.qmc.parallel import ChainConfig, _chain_values, chain_program
+from repro.qmc.chains import ChainConfig, _chain_values, chain_program
 from repro.qmc.worldline import SweepBatch, WorldlineChainQmc
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.util.rng import SeedSequenceFactory

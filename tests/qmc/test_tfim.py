@@ -10,7 +10,7 @@ from repro.qmc.tfim import (
     tfim_energy_from_bond_sums,
     tfim_sigma_x_from_time_bonds,
 )
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.stats.binning import BinningAnalysis
 from repro.stats.finite_size import binder_cumulant
 

@@ -78,7 +78,7 @@ class TestWorldlineTrotterExtrapolation:
         """The flagship systematic check: E(dtau) -> E_exact as dtau -> 0."""
         from repro.models.ed import ExactDiagonalization
         from repro.models.hamiltonians import XXZChainModel
-        from repro.qmc.parallel import run_chain
+        from repro.qmc.chains import run_chain
         from repro.qmc.worldline import WorldlineChainQmc
 
         model = XXZChainModel(n_sites=4, periodic=False)

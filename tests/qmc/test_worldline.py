@@ -10,7 +10,7 @@ import pytest
 
 from repro.models.hamiltonians import XXZChainModel
 from repro.models.trotter_ref import trotter_reference_energy
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.worldline import WorldlineChainQmc
 from repro.stats.binning import BinningAnalysis
 from repro.stats.finite_size import susceptibility

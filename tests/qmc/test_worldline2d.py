@@ -19,7 +19,7 @@ import pytest
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.trotter_ref import trotter_reference_energy_colors
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 from repro.stats.finite_size import susceptibility

@@ -29,7 +29,7 @@ import pytest
 
 from repro.models.hamiltonians import XXZSquareModel
 from repro.models.symmetry_ed import MomentumBlockED
-from repro.qmc.parallel import run_chain
+from repro.qmc.chains import run_chain
 from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.stats.binning import BinningAnalysis
 

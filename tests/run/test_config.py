@@ -190,11 +190,8 @@ class TestDriverConfigSchedules:
         ({"n_sweeps": 0}, "at least one sweep"),
     ])
     def test_bad_schedule_rejected(self, kw, match):
-        from repro.qmc.parallel import (
-            ChainConfig,
-            IsingBlockConfig,
-            WorldlineStripConfig,
-        )
+        from repro.qmc.chains import ChainConfig
+        from repro.qmc.parallel import IsingBlockConfig, WorldlineStripConfig
 
         good = {"n_sweeps": 4, **kw}
         with pytest.raises(ValueError, match=match):

@@ -2,10 +2,12 @@
 
 Every process pays for its imports before its first sweep, so the
 sampling commands must not load the exact references, the report
-renderer or the campaign scheduler (DESIGN.md, "Import surface").  The
-first half runs real commands in fresh interpreters and inspects
-``sys.modules`` afterwards; the second half pins the contract of the
-lazily exporting packages.
+renderer or the campaign scheduler, and a serial run none of the
+layouts it does not run (DESIGN.md, "Import surface").  A campaign's
+cell server imports what its cells run before it forks them, so a cell
+imports nothing of its own.  The first half runs real commands in fresh
+interpreters and inspects ``sys.modules`` afterwards; the second half
+pins the contract of the lazily exporting packages.
 """
 
 import importlib
@@ -27,7 +29,16 @@ FORBIDDEN = (
     "repro.models.ed", "repro.obs.report", "repro.run.campaign",
 )
 
-LAZY_PACKAGES = ("repro", "repro.run", "repro.models", "repro.qmc", "repro.obs")
+#: Nor does a serial chain run: the other layouts and kinds, their
+#: drivers and backends, checkpoints and health checks.
+SERIAL_FORBIDDEN = (
+    "repro.qmc.parallel", "repro.qmc.tfim", "repro.qmc.worldline2d",
+    "repro.lattice.decomposition", "repro.obs.health", "repro.run.checkpoint",
+    "repro.vmp.process_backend", "scipy",
+)
+
+LAZY_PACKAGES = ("repro", "repro.run", "repro.models", "repro.qmc", "repro.obs",
+                 "repro.lattice")
 
 RUN = ["--beta", "1.0", "--slices", "8", "--sweeps", "20", "--thermalize", "4",
        "--quiet"]
@@ -78,6 +89,55 @@ def test_a_run_imports_only_the_run_path(cli_args, tmp_path):
         # With no optional backend installed there is no version to
         # look up, so nothing pays for package metadata (~20 ms).
         assert "importlib.metadata" not in loaded
+
+
+def test_a_serial_run_imports_no_other_layout(tmp_path):
+    loaded = _modules_after(["run-xxz", "--sites", "8", *RUN], tmp_path)
+    assert "repro.qmc.chains" in loaded
+    assert sorted(set(SERIAL_FORBIDDEN) & loaded) == []
+
+
+#: One campaign of one cell per flavour a campaign can hold:
+#: ``(kind, base)`` of its spec.
+CELL_FLAVOURS = {
+    "xxz-serial": ("xxz", {"n_sites": 8}),
+    "xxz-replica": ("xxz", {"n_sites": 8, "strategy": "replica", "ranks": 2}),
+    "xxz-strip-thread": ("xxz", {"n_sites": 8, "strategy": "strip", "ranks": 2}),
+    "xxz-strip-mp": ("xxz", {"n_sites": 8, "strategy": "strip", "ranks": 2,
+                             "backend": "mp"}),
+    "xxz-strip-checkpoint": ("xxz", {"n_sites": 8, "strategy": "strip",
+                                     "ranks": 2, "checkpoint_every": 10}),
+    "tfim-serial": ("tfim", {"shape": "8"}),
+    "tfim-block": ("tfim", {"shape": "8", "strategy": "block", "ranks": 2}),
+    "xxz2d": ("xxz2d", {"lx": 4, "ly": 4}),
+}
+
+
+@pytest.mark.parametrize("flavour", sorted(CELL_FLAVOURS))
+def test_a_cell_imports_nothing_its_server_did_not(flavour, tmp_path):
+    """The cell server preloads from its campaign's own command lines
+    (``repro.run.cell_server._preload``, then forks); a cell of that
+    campaign, run where the server stands, must import nothing new --
+    not even the ``numpy.fft`` its estimates use."""
+    kind, base = CELL_FLAVOURS[flavour]
+    base = {"beta": 1.0, "n_slices": 8, "n_sweeps": 40, "n_thermalize": 4, **base}
+    code = (
+        "import json, sys\n"
+        "from repro.run.campaign import CampaignSpec, build_run_argv, expand_grid\n"
+        "from repro.run.cell_server import _preload\n"
+        f"spec = CampaignSpec(kind={kind!r}, base={base!r})\n"
+        f"(run,) = expand_grid(spec)\n"
+        f"argv = build_run_argv(run, __import__('pathlib').Path({str(tmp_path)!r}))\n"
+        "_preload([argv])\n"
+        "before = set(sys.modules)\n"
+        "from repro.cli import main\n"
+        "code = main(argv[3:])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    exit_code, imported = json.loads(_fresh_interpreter(code).splitlines()[-1])
+    assert exit_code == 0
+    assert (tmp_path / "result.json").is_file()
+    assert imported == []
 
 
 def test_info_commands_do_not_import_the_samplers():

@@ -1,6 +1,6 @@
 """One run loop: the samplers are move sets, not programs.
 
-Every serial run goes through ``repro.qmc.parallel.run_chain`` ->
+Every serial run goes through ``repro.qmc.chains.run_chain`` ->
 ``chain_program`` -> ``_run_decomposed``.  The samplers' private run
 loops and their result types are gone; nothing may bring them back.
 """

@@ -166,8 +166,8 @@ class TestWorldline2DWorkload:
 
 class TestWorldlineStripWorkload:
     def test_mirrors_executed_stage_structure(self):
+        from repro.qmc.chains import REDUCE_BATCH
         from repro.qmc.parallel import (
-            REDUCE_BATCH,
             WorldlineStripConfig,
             halo_traffic,
             worldline_strip_program,
