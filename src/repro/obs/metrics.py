@@ -18,6 +18,8 @@ do between sweeps 300 and 400".  This module is that substrate:
   ``pass``; ``enabled`` is False so hot loops can skip even the call
   with a single attribute test.  The communicator and the drivers
   default to it, which is what "off by default, ~0% overhead" means.
+* :data:`NOOP_HEALTH` -- the disabled run-health monitor, kept here so
+  that a run without health checks never imports :mod:`repro.obs.health`.
 
 Metric naming scheme (see DESIGN.md "Observability"): dotted lowercase
 ``subsystem.quantity_unit`` -- e.g. ``comm.bytes_sent``,

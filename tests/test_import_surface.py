@@ -123,11 +123,12 @@ def test_a_cell_imports_nothing_its_server_did_not(flavour, tmp_path):
     base = {"beta": 1.0, "n_slices": 8, "n_sweeps": 40, "n_thermalize": 4, **base}
     code = (
         "import json, sys\n"
+        "from pathlib import Path\n"
         "from repro.run.campaign import CampaignSpec, build_run_argv, expand_grid\n"
         "from repro.run.cell_server import _preload\n"
         f"spec = CampaignSpec(kind={kind!r}, base={base!r})\n"
-        f"(run,) = expand_grid(spec)\n"
-        f"argv = build_run_argv(run, __import__('pathlib').Path({str(tmp_path)!r}))\n"
+        "(run,) = expand_grid(spec)\n"
+        f"argv = build_run_argv(run, Path({str(tmp_path)!r}))\n"
         "_preload([argv])\n"
         "before = set(sys.modules)\n"
         "from repro.cli import main\n"
