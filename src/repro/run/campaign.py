@@ -538,12 +538,12 @@ class CellServer:
     (``KeyboardInterrupt`` / a ``fail-fast`` abort) or a dead server
     kills the whole rank tree a run may have spawned.  A dead server's
     cells fail as transient and the retry forks a new server.  Use as
-    ``async with CellServer(timeout)`` or call :meth:`close`: on EOF of
+    ``async with CellServer(timeout, argvs)`` or call :meth:`close`: on EOF of
     its request pipe -- also what a killed scheduler leaves -- the
     server kills the cells still alive and exits.
     """
 
-    def __init__(self, timeout: float, argvs: Sequence[Sequence[str]] = ()):
+    def __init__(self, timeout: float, argvs: Sequence[Sequence[str]]):
         self.timeout = timeout
         #: The command lines of the cells to come, whose modules a
         #: server imports before it forks any

@@ -586,7 +586,7 @@ class TestSchedulerEndToEnd:
                         detail=repr(exc),
                     ) from exc
                 raise AssertionError("fault plan did not fire")
-            async with CellServer(spec.timeout) as server:
+            async with CellServer(spec.timeout, [argv]) as server:
                 return await server.execute(run, argv, attempt)
 
         result = run_campaign(spec, out_dir=tmp_path / "c", executor=flaky)
@@ -683,7 +683,7 @@ def _one_cell(server_timeout: float, base: dict, tmp_path, sample=None):
     (tmp_path / "run").mkdir()
 
     async def go():
-        async with CellServer(server_timeout) as server:
+        async with CellServer(server_timeout, [argv]) as server:
             sampler = asyncio.create_task(sample()) if sample else None
             try:
                 return await server.execute(run, argv, 0)
@@ -762,7 +762,7 @@ class TestCellServer:
         r, w = os.pipe()
 
         async def go():
-            async with CellServer(0) as server:
+            async with CellServer(0, [argv]) as server:
                 task = asyncio.create_task(server.execute(run, argv, 0))
                 while not (server._cells
                            and next(iter(server._cells.values())).pid.done()):
@@ -828,7 +828,7 @@ class TestCellServer:
         argv = build_run_argv(run, tmp_path)
 
         async def go():
-            async with CellServer(0) as server:
+            async with CellServer(0, [argv]) as server:
                 task = asyncio.create_task(server.execute(run, argv, 0))
                 await asyncio.sleep(1.0)  # server up, cell sweeping
                 (cell,) = server._cells.values()
