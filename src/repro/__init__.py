@@ -24,7 +24,8 @@ Subpackages
 ``repro.models``
     Hamiltonians and exact references (ED, free fermions, Onsager).
 ``repro.stats``
-    Binning, jackknife, autocorrelation, reweighting, WHAM.
+    Binning, jackknife, autocorrelation, histograms, WHAM
+    (multiple-histogram reweighting), finite-size analysis.
 ``repro.lattice``
     Lattices and domain decompositions.
 ``repro.util``
@@ -40,8 +41,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "CampaignSpec": "repro.run.campaign",
     "load_campaign_spec": "repro.run.campaign",
     "run_campaign": "repro.run.campaign",
-    "load_checkpoint": "repro.run.checkpoint",
-    "save_checkpoint": "repro.run.checkpoint",
     "ParallelLayout": "repro.run.config",
     "TfimRunConfig": "repro.run.config",
     "XXZ2DRunConfig": "repro.run.config",

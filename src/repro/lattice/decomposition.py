@@ -31,9 +31,6 @@ class StripPiece:
     def n_owned(self) -> int:
         return self.stop - self.start
 
-    def owned_slice(self) -> slice:
-        return slice(self.start, self.stop)
-
 
 class StripDecomposition:
     """Contiguous 1-D split of ``n_columns`` columns over ``n_ranks`` ranks.

@@ -28,9 +28,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "run_chain": "repro.qmc.chains",
     "AnisotropicIsing": "repro.qmc.classical_ising",
     "SwendsenWangIsing": "repro.qmc.cluster",
-    "MulticanonicalSampler": "repro.qmc.multicanonical",
-    "WangLandauResult": "repro.qmc.multicanonical",
-    "WangLandauSampler": "repro.qmc.multicanonical",
     "PlaquetteTable": "repro.qmc.plaquette",
     "TfimQmc": "repro.qmc.tfim",
     "TrotterPoint": "repro.qmc.trotter",

@@ -161,9 +161,6 @@ class PlaquetteTable:
     def weight(self, code: int | np.ndarray) -> float | np.ndarray:
         return self.weights[code]
 
-    def dlog_weight(self, code: int | np.ndarray) -> float | np.ndarray:
-        return self.dlog[code]
-
     def is_legal(self, code: int | np.ndarray):
         return self.weights[code] > 0.0
 

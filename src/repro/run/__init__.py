@@ -8,8 +8,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "expand_grid": "repro.run.campaign",
     "load_campaign_spec": "repro.run.campaign",
     "run_campaign": "repro.run.campaign",
-    "load_checkpoint": "repro.run.checkpoint",
-    "save_checkpoint": "repro.run.checkpoint",
     "ParallelLayout": "repro.run.config",
     "TfimRunConfig": "repro.run.config",
     "XXZ2DRunConfig": "repro.run.config",

@@ -1,33 +1,15 @@
-"""Sampler checkpointing: exact resume of a Markov chain.
+"""Per-rank checkpointing: exact resume of a distributed run.
 
 Long QMC runs on space-shared 1993 machines checkpointed religiously;
-this module provides the same facility.  A checkpoint captures the
-complete sampler state -- the spin configuration, the random
-generator's internal state, and the attempt/accept counters -- so that
-``save`` + ``load`` + ``run`` reproduces the uninterrupted trajectory
-**bit for bit** (asserted by the test suite).
-
-Usage::
-
-    save_checkpoint(sampler, "run_a.ckpt.npz")
-    ...
-    fresh = WorldlineChainQmc(model, beta, n_slices)   # same geometry
-    load_checkpoint(fresh, "run_a.ckpt.npz")
-
-Works with any sampler exposing ``spins`` (ndarray), ``stream``
-(:class:`~repro.util.rng.RankStream`) and the ``n_attempted`` /
-``n_accepted`` counters -- i.e. every sampler in :mod:`repro.qmc`.
-The TFIM wrapper delegates to its inner classical sampler.
-
-Distributed runs checkpoint *per rank*: each rank of the SPMD drivers
+this module provides the same facility.  Each rank of the SPMD drivers
 in :mod:`repro.qmc.parallel` writes its own ``rank####.npz`` bundle
 (local spins including ghost layers, RNG stream state, sweep counter,
 accumulated measurement series) into a shared directory via
 :func:`save_rank_checkpoint`; a restarted run with the same rank count
-and seed resumes the trajectory **bit-identically**.  The paper's
-machines were space-shared with preemption -- per-rank bundles mean no
-rank ever holds another rank's state, exactly as on the real hardware
-where each node dumped its local memory image.
+and seed resumes the trajectory **bit-identically** (asserted by the
+test suite).  The paper's machines were space-shared with preemption --
+per-rank bundles mean no rank ever holds another rank's state, exactly
+as on the real hardware where each node dumped its local memory image.
 """
 
 from __future__ import annotations
@@ -42,8 +24,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "save_checkpoint",
-    "load_checkpoint",
     "CheckpointConfig",
     "rank_checkpoint_path",
     "save_rank_checkpoint",
@@ -52,98 +32,8 @@ __all__ = [
     "restore_rng_state",
 ]
 
-_FORMAT_VERSION = 1
-
-#: Format of the per-rank distributed bundles (independent of the
-#: single-sampler format above).
+#: Format of the per-rank bundles.
 _DIST_FORMAT_VERSION = 1
-
-
-def _resolve(sampler):
-    """The object actually carrying spins/stream (unwraps TfimQmc)."""
-    if hasattr(sampler, "classical"):  # TfimQmc delegates
-        return sampler.classical
-    return sampler
-
-
-def save_checkpoint(sampler, path: str | Path) -> None:
-    """Write the sampler's complete resumable state to ``path`` (.npz)."""
-    target = _resolve(sampler)
-    path = Path(path)
-    meta = {
-        "version": _FORMAT_VERSION,
-        "sampler_class": type(target).__name__,
-        "shape": list(target.spins.shape),
-        "n_attempted": int(getattr(target, "n_attempted", 0)),
-        "n_accepted": int(getattr(target, "n_accepted", 0)),
-    }
-    rng_state = pickle.dumps(target.stream.generator.bit_generator.state)
-    np.savez_compressed(
-        path,
-        spins=target.spins,
-        rng_state=np.frombuffer(rng_state, dtype=np.uint8),
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    )
-
-
-def load_checkpoint(sampler, path: str | Path) -> None:
-    """Restore state saved by :func:`save_checkpoint` into ``sampler``.
-
-    The sampler must have been constructed with the same geometry (its
-    spin-array shape is validated); model parameters are the caller's
-    responsibility, as they are not part of the mutable state.
-    """
-    target = _resolve(sampler)
-    path = Path(path)
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta["version"] != _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        if meta["sampler_class"] != type(target).__name__:
-            raise ValueError(
-                f"checkpoint holds {meta['sampler_class']} state, sampler is "
-                f"{type(target).__name__}"
-            )
-        spins = data["spins"]
-        if list(spins.shape) != list(target.spins.shape):
-            raise ValueError(
-                f"checkpoint lattice {spins.shape} != sampler lattice "
-                f"{target.spins.shape}"
-            )
-        rng_state = pickle.loads(bytes(data["rng_state"]))
-        bit_gen = target.stream.generator.bit_generator
-        saved_kind = (
-            rng_state.get("bit_generator") if isinstance(rng_state, dict) else None
-        )
-        if saved_kind != type(bit_gen).__name__:
-            raise ValueError(
-                f"checkpoint RNG state is for bit generator {saved_kind!r}, "
-                f"sampler stream uses {type(bit_gen).__name__!r}; restoring "
-                f"would not reproduce the trajectory"
-            )
-        if hasattr(target, "n_attempted"):
-            missing = [k for k in ("n_attempted", "n_accepted") if k not in meta]
-            if missing:
-                raise ValueError(
-                    f"checkpoint is missing sampler counters {missing}; "
-                    f"refusing a partial restore (resumed acceptance "
-                    f"statistics would be wrong)"
-                )
-        # All validation passed: mutate the sampler only now, so a bad
-        # checkpoint never leaves it half-restored.
-        target.spins = spins.astype(target.spins.dtype).copy()
-        bit_gen.state = rng_state
-        if hasattr(target, "n_attempted"):
-            target.n_attempted = meta["n_attempted"]
-            target.n_accepted = meta["n_accepted"]
-        # Derived caches that depend on the configuration.
-        if hasattr(target, "walker"):
-            raise ValueError("multicanonical walkers checkpoint via their sampler")
-
-
-# ======================================================================
-# distributed per-rank checkpointing
-# ======================================================================
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ bar produced by the routines here:
   derived quantities (specific heat, susceptibilities, ratios).
 * :mod:`repro.stats.autocorr` -- autocorrelation function and integrated
   autocorrelation time.
-* :mod:`repro.stats.histogram` -- energy histograms.
-* :mod:`repro.stats.reweight` -- single-histogram (temperature)
-  reweighting of canonical time series.
+* :mod:`repro.stats.finite_size` -- Binder cumulant, susceptibility and
+  U4 crossings.
+* :mod:`repro.stats.histogram` -- energy histograms on a shared grid.
 * :mod:`repro.stats.wham` -- multiple-histogram reweighting
   (Ferrenberg--Swendsen / WHAM) combining runs at several temperatures
   into one density-of-states estimate, in log-space.
@@ -27,7 +27,6 @@ from repro.stats.finite_size import (
 )
 from repro.stats.histogram import EnergyHistogram
 from repro.stats.jackknife import jackknife, jackknife_blocks, jackknife_ratio
-from repro.stats.reweight import reweight_observable, reweighted_moments
 from repro.stats.wham import WhamResult, multi_histogram_reweight
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "jackknife",
     "jackknife_blocks",
     "jackknife_ratio",
-    "reweight_observable",
-    "reweighted_moments",
     "WhamResult",
     "multi_histogram_reweight",
 ]

@@ -70,34 +70,12 @@ class EnergyHistogram:
         np.add.at(self.counts, idx, 1)
         self.n_samples += idx.size
 
-    def merge(self, other: "EnergyHistogram") -> None:
-        """Accumulate another histogram on the identical grid in place."""
-        if (other.e_min, other.e_max, other.n_bins) != (self.e_min, self.e_max, self.n_bins):
-            raise ValueError("histograms live on different grids")
-        self.counts += other.counts
-        self.n_samples += other.n_samples
-
     # -- views -----------------------------------------------------------
     def normalized(self) -> np.ndarray:
         """Probability density estimate (integrates to 1 over the grid)."""
         if self.n_samples == 0:
             raise ValueError("empty histogram")
         return self.counts / (self.n_samples * self.bin_width)
-
-    def nonzero_support(self) -> np.ndarray:
-        """Indices of bins with at least one count."""
-        return np.nonzero(self.counts)[0]
-
-    def flatness(self) -> float:
-        """min/mean ratio over occupied bins (1 = perfectly flat).
-
-        The multicanonical/Wang-Landau stopping criterion.  Returns 0
-        for an empty histogram.
-        """
-        occupied = self.counts[self.counts > 0]
-        if occupied.size == 0:
-            return 0.0
-        return float(occupied.min() / occupied.mean())
 
     def __repr__(self) -> str:
         return (

@@ -71,9 +71,9 @@ class SeedSequenceFactory:
     hand out identical streams; distinct addresses never collide (NumPy
     ``SeedSequence`` guarantees this by design).
 
-    ``kind`` namespaces the tree: rank programs, measurement shufflers
-    and replica threads draw from disjoint subtrees even when their
-    integer indices coincide.
+    ``kind`` namespaces the tree: rank programs, replica chains,
+    tempering swaps and the drivers' shared sweep uniforms draw from
+    disjoint subtrees even when their integer indices coincide.
     """
 
     #: Registered stream namespaces.  Using a fixed table (rather than
@@ -82,17 +82,15 @@ class SeedSequenceFactory:
     KINDS = {
         "rank": 0,
         "replica": 1,
-        "walker": 2,
-        "measurement": 3,
         "tempering": 4,
-        "scratch": 5,
         # The shared sweep uniforms of the strip and block drivers: one
         # stream per run, index 0, that every rank builds once and skips
         # ahead through (sweep k from position k * per-sweep count, a
         # block rank to its own rows) -- the same numbers on every rank,
-        # the source of rank-count-independent trajectories.  Key 7 is
-        # left unused: it addressed a generator per strip sweep, and
-        # reusing it would make an old run's numbers look current.
+        # the source of rank-count-independent trajectories.  Keys 2, 3,
+        # 5 and 7 stay unused: they addressed retired namespaces (7 a
+        # generator per strip sweep), and reusing one would make an old
+        # run's numbers look current.
         "sweep": 8,
     }
 

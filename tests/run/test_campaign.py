@@ -216,10 +216,14 @@ class TestGridAndCacheKeys:
             "base": dict(spec.base),
             "sweep": {k: list(v) for k, v in spec.sweep.items()},
         })
+        # A bare env, so the parent's PYTHONHASHSEED cannot leak in; only
+        # its bytecode policy passes through (no __pycache__ in src).
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         out = subprocess.run(
             [sys.executable, "-c", script, spec_json],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")},
+            capture_output=True, text=True, check=True, env=env,
         )
         assert json.loads(out.stdout) == mine
 

@@ -1,4 +1,4 @@
-"""Tests for exact-resume checkpointing, serial and distributed."""
+"""Tests for exact-resume checkpointing: the per-rank bundles of the SPMD drivers."""
 
 import dataclasses
 import json
@@ -9,110 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.models.hamiltonians import XXZChainModel, XXZSquareModel
-from repro.qmc.classical_ising import AnisotropicIsing
 from repro.qmc.parallel import (
     IsingBlockConfig,
     WorldlineStripConfig,
     ising_block_program,
     worldline_strip_program,
 )
-from repro.qmc.tfim import TfimQmc
-from repro.qmc.worldline import WorldlineChainQmc
-from repro.qmc.worldline2d import WorldlineSquareQmc
 from repro.run.checkpoint import (
     CheckpointConfig,
-    load_checkpoint,
     load_rank_checkpoint,
     rank_checkpoint_path,
-    save_checkpoint,
     save_rank_checkpoint,
 )
 from repro.vmp.machines import IDEAL
 from repro.vmp.scheduler import run_spmd
-
-
-def assert_bitwise_resume(make_sampler, run, tmp_path, n_before=20, n_after=30):
-    """save at t, resume in a fresh sampler, compare with uninterrupted."""
-    a = make_sampler()
-    for _ in range(n_before):
-        run(a)
-    save_checkpoint(a, tmp_path / "state.npz")
-    # Uninterrupted continuation.
-    for _ in range(n_after):
-        run(a)
-
-    b = make_sampler()
-    load_checkpoint(b, tmp_path / "state.npz")
-    for _ in range(n_after):
-        run(b)
-
-    sa = a.classical.spins if hasattr(a, "classical") else a.spins
-    sb = b.classical.spins if hasattr(b, "classical") else b.spins
-    np.testing.assert_array_equal(sa, sb)
-
-
-class TestBitwiseResume:
-    def test_worldline_chain(self, tmp_path):
-        model = XXZChainModel(n_sites=8, periodic=True)
-        assert_bitwise_resume(
-            lambda: WorldlineChainQmc(model, 0.5, 8, seed=3),
-            lambda s: s.sweep(),
-            tmp_path,
-        )
-
-    def test_worldline_square(self, tmp_path):
-        model = XXZSquareModel(lx=2, ly=4)
-        assert_bitwise_resume(
-            lambda: WorldlineSquareQmc(model, 0.5, 8, seed=5),
-            lambda s: s.sweep(),
-            tmp_path,
-            n_before=5,
-            n_after=8,
-        )
-
-    def test_classical_ising(self, tmp_path):
-        assert_bitwise_resume(
-            lambda: AnisotropicIsing((8, 8), (0.3, 0.3), seed=7, hot_start=True),
-            lambda s: s.sweep(),
-            tmp_path,
-        )
-
-    def test_tfim_delegates_to_classical(self, tmp_path):
-        assert_bitwise_resume(
-            lambda: TfimQmc((8,), 1.0, 1.0, 2.0, 16, seed=9),
-            lambda s: s.sweep(),
-            tmp_path,
-        )
-
-
-class TestValidation:
-    def test_shape_mismatch_rejected(self, tmp_path):
-        a = AnisotropicIsing((4, 4), (0.3, 0.3), seed=1)
-        save_checkpoint(a, tmp_path / "s.npz")
-        b = AnisotropicIsing((6, 6), (0.3, 0.3), seed=1)
-        with pytest.raises(ValueError, match="lattice"):
-            load_checkpoint(b, tmp_path / "s.npz")
-
-    def test_class_mismatch_rejected(self, tmp_path):
-        a = AnisotropicIsing((4, 4), (0.3, 0.3), seed=1)
-        save_checkpoint(a, tmp_path / "s.npz")
-        model = XXZChainModel(n_sites=4, periodic=True)
-        b = WorldlineChainQmc(model, 0.5, 4 + 4, seed=1)
-        with pytest.raises(ValueError, match="state"):
-            load_checkpoint(b, tmp_path / "s.npz")
-
-    def test_counters_restored(self, tmp_path):
-        a = AnisotropicIsing((4, 4), (0.3, 0.3), seed=2, hot_start=True)
-        for _ in range(10):
-            a.sweep()
-        save_checkpoint(a, tmp_path / "s.npz")
-        b = AnisotropicIsing((4, 4), (0.3, 0.3), seed=99)
-        load_checkpoint(b, tmp_path / "s.npz")
-        assert b.n_attempted == a.n_attempted
-        assert b.n_accepted == a.n_accepted
-        assert b.acceptance_rate == a.acceptance_rate
-
 
 # ======================================================================
 # distributed per-rank checkpoint/restart
@@ -599,63 +509,3 @@ class TestTwoLevelResume:
             {"layout": "two-level", "replicas": 2, "domain_ranks": 2}))
         with pytest.raises(ValueError, match="holds a 'two-level' checkpoint"):
             self._run(self._cfg(n_sweeps=6), CheckpointConfig(d, resume=True))
-
-
-class TestSerialValidationBugfix:
-    """Regression: load_checkpoint must fail loudly, not restore halfway."""
-
-    def _rewrite(self, path, meta_edit=None, rng_state=None):
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            spins = data["spins"].copy()
-            rng = data["rng_state"].copy()
-        if meta_edit:
-            meta_edit(meta)
-        if rng_state is not None:
-            rng = np.frombuffer(pickle.dumps(rng_state), dtype=np.uint8)
-        np.savez_compressed(
-            path,
-            spins=spins,
-            rng_state=rng,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        )
-
-    def test_missing_counters_rejected_not_skipped(self, tmp_path):
-        a = AnisotropicIsing((4, 4), (0.3, 0.3), seed=2, hot_start=True)
-        for _ in range(5):
-            a.sweep()
-        path = tmp_path / "s.npz"
-        save_checkpoint(a, path)
-        self._rewrite(
-            path,
-            meta_edit=lambda m: (m.pop("n_attempted"), m.pop("n_accepted")),
-        )
-        b = AnisotropicIsing((4, 4), (0.3, 0.3), seed=99)
-        with pytest.raises(ValueError, match="counters"):
-            load_checkpoint(b, path)
-
-    def test_wrong_bit_generator_rejected(self, tmp_path):
-        a = AnisotropicIsing((4, 4), (0.3, 0.3), seed=2)
-        path = tmp_path / "s.npz"
-        save_checkpoint(a, path)
-        alien = np.random.Generator(np.random.MT19937(5)).bit_generator.state
-        self._rewrite(path, rng_state=alien)
-        b = AnisotropicIsing((4, 4), (0.3, 0.3), seed=99)
-        with pytest.raises(ValueError, match="MT19937"):
-            load_checkpoint(b, path)
-
-    def test_failed_load_leaves_sampler_untouched(self, tmp_path):
-        a = AnisotropicIsing((4, 4), (0.3, 0.3), seed=2, hot_start=True)
-        for _ in range(5):
-            a.sweep()
-        path = tmp_path / "s.npz"
-        save_checkpoint(a, path)
-        alien = np.random.Generator(np.random.MT19937(5)).bit_generator.state
-        self._rewrite(path, rng_state=alien)
-        b = AnisotropicIsing((4, 4), (0.3, 0.3), seed=99, hot_start=True)
-        spins_before = b.spins.copy()
-        state_before = b.stream.generator.bit_generator.state
-        with pytest.raises(ValueError):
-            load_checkpoint(b, path)
-        np.testing.assert_array_equal(b.spins, spins_before)
-        assert b.stream.generator.bit_generator.state == state_before

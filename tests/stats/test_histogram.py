@@ -48,21 +48,6 @@ class TestAccumulation:
         h.add(np.full(100, 0.25))
         assert h.counts[0] == 100
 
-    def test_merge_same_grid(self):
-        a = EnergyHistogram(0.0, 1.0, 4)
-        b = EnergyHistogram(0.0, 1.0, 4)
-        a.add(0.1)
-        b.add(0.9)
-        a.merge(b)
-        assert a.n_samples == 2
-        assert a.counts[0] == 1 and a.counts[-1] == 1
-
-    def test_merge_grid_mismatch_rejected(self):
-        a = EnergyHistogram(0.0, 1.0, 4)
-        b = EnergyHistogram(0.0, 2.0, 4)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
 
 class TestViews:
     def test_normalized_integrates_to_one(self, rng):
@@ -73,16 +58,3 @@ class TestViews:
     def test_normalized_empty_rejected(self):
         with pytest.raises(ValueError):
             EnergyHistogram(0.0, 1.0, 4).normalized()
-
-    def test_nonzero_support(self):
-        h = EnergyHistogram(0.0, 4.0, 4)
-        h.add(np.array([0.5, 3.5]))
-        np.testing.assert_array_equal(h.nonzero_support(), [0, 3])
-
-    def test_flatness(self):
-        h = EnergyHistogram(0.0, 4.0, 4)
-        assert h.flatness() == 0.0
-        h.add(np.array([0.5, 1.5, 2.5, 3.5]))
-        assert h.flatness() == pytest.approx(1.0)
-        h.add(np.full(9, 0.5))
-        assert h.flatness() < 0.5

@@ -13,6 +13,7 @@ pins the contract of the lazily exporting packages.
 import importlib
 import importlib.util
 import json
+import os
 import pickle
 import pkgutil
 import subprocess
@@ -45,9 +46,16 @@ RUN = ["--beta", "1.0", "--slices", "8", "--sweeps", "20", "--thermalize", "4",
 
 
 def _fresh_interpreter(code: str) -> str:
-    """Run ``code`` in a new interpreter that sees only ``src``; its stdout."""
+    """Run ``code`` in a new interpreter that sees only ``src``; its stdout.
+
+    The child keeps the parent's ``PYTHONDONTWRITEBYTECODE``, so a test
+    run leaves no ``__pycache__`` in ``src`` where the parent writes none.
+    """
+    env = {"PYTHONPATH": SRC}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, env={"PYTHONPATH": SRC})
+                         text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
     return out.stdout
 
