@@ -32,12 +32,8 @@ import numpy as np
 
 from repro.qmc.parallel import WorldlineStripConfig, worldline_strip_program
 from repro.vmp import MACHINES, run_spmd
-from repro.vmp.mpi_backend import (
-    in_mpi_world,
-    run_mpi_world,
-    world_rank_hint,
-    world_size_hint,
-)
+from repro.vmp.mpi_backend import in_mpi_world, run_mpi_world
+from repro.vmp.world import world_rank_hint, world_size_hint
 
 
 def main() -> None:

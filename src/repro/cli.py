@@ -38,7 +38,6 @@ from typing import Sequence
 from repro.kernels import KernelUnavailableError
 from repro.run.config import RUN_KINDS, ParallelLayout, RunConfig
 from repro.run.reporting import StatusReporter
-from repro.util.tables import Table
 from repro.vmp.machines import MACHINES
 
 __all__ = ["main", "main_batch", "build_parser", "config_from_args"]
@@ -156,7 +155,7 @@ def _cmd_run_batch(batch) -> int:
     """
     from repro.run.results import save_result
     from repro.run.simulation import run_batch
-    from repro.vmp.mpi_backend import world_rank_hint
+    from repro.vmp.world import world_rank_hint
 
     results = run_batch([config_from_args(args) for args in batch])
     if world_rank_hint() != 0:
@@ -172,6 +171,8 @@ def _cmd_run_batch(batch) -> int:
 
 
 def _cmd_machines(_args) -> int:
+    from repro.util.tables import Table
+
     table = Table(
         "calibrated machine models",
         ["name", "MFLOP/s/node", "latency [us]", "MB/s", "topology", "max nodes"],
@@ -188,6 +189,7 @@ def _cmd_machines(_args) -> int:
 
 def _cmd_scaling(args) -> int:
     from repro.qmc.classical_ising import FLOPS_PER_SPIN_UPDATE
+    from repro.util.tables import Table
     from repro.vmp.performance import PerformanceModel, WorkloadShape
 
     machine = MACHINES[args.machine]

@@ -347,7 +347,7 @@ class MetricsFanout:
     rank)`` pair: ranks ``0 .. R-1`` of one registry for a replica run,
     rank 0 of each run's registry for a seed batch
     (:func:`repro.run.simulation.run_batch`).  Stands in for the
-    :class:`MetricsRegistry` of ``run_spmd(metrics=...)``; what the
+    :class:`MetricsRegistry` of ``run_alone(metrics=...)``; what the
     chains share (comm counters, phase gauges, snapshots) reaches each.
     """
 

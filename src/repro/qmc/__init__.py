@@ -13,8 +13,9 @@
   quantum--classical mapping, with quantum estimators.
 * :mod:`repro.qmc.trotter` -- Delta-tau -> 0 extrapolation driver.
 * :mod:`repro.qmc.chains` -- the one run loop of every SPMD rank
-  program over :mod:`repro.vmp`, and the whole-lattice chain program of
-  the serial and replica layouts on it.  The samplers are move sets
+  program, and the whole-lattice chain program of the serial and
+  replica layouts on it, whose one rank runs alone with no fabric
+  (:func:`repro.vmp.world.run_alone`).  The samplers are move sets
   plus estimators; ``run_chain`` runs one of them on that loop.
 * :mod:`repro.qmc.parallel` -- the domain-decomposed drivers on the
   same loop: strip world-line (its ranks optionally stacking

@@ -17,7 +17,9 @@ layouts that need neither:
   class names in ``ESTIMATORS``, and a chain is one such sampler on its
   own stream measuring the series asked for, scalar or vector.
   :func:`run_chain` runs one sampler, in place, as a one-chain run:
-  the samplers have no run loop of their own.
+  the samplers have no run loop of their own.  Chains send nothing,
+  so their rank runs alone (:func:`repro.vmp.world.run_alone`), with no
+  fabric and no transport loaded.
 
 The loop owns the reductions: a measurement leaves its rank-local
 partial sums pending, and one allreduce carries every pending row when
@@ -39,8 +41,7 @@ from repro import kernels
 from repro.obs.metrics import ACCEPTANCE_EDGES, NOOP_HEALTH
 from repro.qmc.worldline import SweepBatch, TableSweeps
 from repro.util.rng import SeedSequenceFactory
-from repro.vmp.machines import IDEAL
-from repro.vmp.scheduler import run_spmd
+from repro.vmp.world import run_alone
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.run.__init__
     from repro.obs.health import HealthRules
@@ -458,7 +459,10 @@ def chain_program(
 ) -> dict:
     """SPMD rank program of the serial and replica layouts: the chains
     of ``cfg.streams``, all on this one rank (:class:`_ChainState`); a
-    larger communicator is a ``ValueError``.  Nothing is pooled or sent.
+    larger communicator is a ``ValueError``.  Nothing is pooled or sent:
+    of ``comm`` it reads only the rank, size, clock and metrics scope,
+    ``sync_metrics()`` and a one-rank ``allreduce``, so runs need no
+    fabric (:func:`~repro.vmp.world.run_alone`).
     The value carries a chain axis (series, ``spins``, counters, health
     summaries; health events chain after chain), which
     :func:`_chain_values` splits into what each chain returns alone.
@@ -499,7 +503,8 @@ def run_chain(
     mode: str = "auto",
 ) -> dict:
     """Run a serial sampler, in place, as the chain of a one-rank
-    :func:`chain_program` (thread backend, ideal machine).
+    :func:`chain_program`, run alone (:func:`~repro.vmp.world.run_alone`:
+    no fabric, the ideal machine).
 
     It draws from the stream it was built on, so its ``spins``, counters
     and ``check_invariants()`` describe the end of the run.  The
@@ -517,5 +522,5 @@ def run_chain(
         measure_every=measure_every,
         mode=mode,
     )
-    value = run_spmd(chain_program, 1, machine=IDEAL, args=(cfg,)).values[0]
+    value = run_alone(chain_program, (cfg,)).values[0]
     return _chain_values(value, cfg.series)[0]

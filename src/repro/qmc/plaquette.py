@@ -158,12 +158,6 @@ class PlaquetteTable:
             marshall_rotated=jxy > 0,
         )
 
-    def weight(self, code: int | np.ndarray) -> float | np.ndarray:
-        return self.weights[code]
-
-    def is_legal(self, code: int | np.ndarray):
-        return self.weights[code] > 0.0
-
     def as_matrix(self) -> np.ndarray:
         """The 4x4 propagator ``exp(-dtau h)`` (possibly Marshall-rotated).
 

@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.obs.manifest import config_hash
+from repro.obs.metrics import MetricsRegistry
 from repro.run.cell_server import fork_server, kill_cell
 from repro.run.config import RUN_KINDS, RunField
 from repro.vmp.faults import RankFailure
@@ -1012,8 +1013,6 @@ def _campaign_metrics(result: CampaignResult) -> dict:
     counters surface with the same summary schema every other telemetry
     consumer in :mod:`repro.obs` understands.
     """
-    from repro.obs import MetricsRegistry
-
     registry = MetricsRegistry(namespace="campaign")
     scope = registry.scope(0)
     for name, value in result.counters.items():

@@ -17,13 +17,15 @@ modeled makespan and communication fraction.
 :func:`run_batch` (which :meth:`Simulation.run` calls with one config)
 is one skeleton for every run kind and every layout: import the run's
 modules and resolve the kernel (:func:`load_run_modules`) -> ``params``
--> the layout's rank program under ONE ``run_spmd`` call -> runtime ->
-health -> artifacts -> estimates.  Every layout is a rank program over
-one run loop (:func:`repro.qmc.chains._run_decomposed`): a serial or
-replica run is one rank holding its chains
-(:func:`~repro.qmc.chains.chain_program`), a strip / block run the
-kind's domain-decomposed driver (:mod:`repro.qmc.parallel`) -- so sweep
-telemetry and in-loop health are the same on all of them.  A kind
+-> the layout's rank program, run once -> runtime -> health ->
+artifacts -> estimates.  Every layout is a rank program over one run
+loop (:func:`repro.qmc.chains._run_decomposed`): a serial or replica
+run is one rank holding its chains
+(:func:`~repro.qmc.chains.chain_program`), run alone with no fabric
+(:func:`~repro.vmp.world.run_alone`); a strip / block run is the kind's
+domain-decomposed driver (:mod:`repro.qmc.parallel`) under one
+``run_spmd`` call -- so sweep telemetry and in-loop health are the same
+on all of them.  A kind
 (``_XXZ`` / ``_XXZ2D`` / ``_Tfim`` below, keyed by its config's
 ``kind``) supplies only the hooks the skeleton calls:
 
@@ -72,23 +74,30 @@ from repro.run.results import ObservableEstimate, RunResult
 from repro.stats.autocorr import integrated_autocorr_time
 from repro.stats.binning import BinningAnalysis
 from repro.stats.finite_size import susceptibility
-from repro.vmp.machines import IDEAL, MACHINES
-from repro.vmp.mpi_backend import world_rank_hint
-from repro.vmp.scheduler import run_spmd
+from repro.stats.jackknife import jackknife
+from repro.vmp.machines import MACHINES
+from repro.vmp.world import run_alone, world_rank_hint
 
 __all__ = ["Simulation", "run_batch", "load_run_modules"]
 
 
+#: The transport of a decomposed layout's non-thread backend.
+_BACKEND_MODULES = {"mp": "repro.vmp.process_backend",
+                    "mpi": "repro.vmp.mpi_backend"}
+
+
 def _run_modules(cfg) -> list[str]:
     """The modules a run of ``cfg`` executes that this module does not
-    import: its kind's sampler, its layout's driver and backend, and
-    what its checkpoint, health and artifact switches turn on."""
+    import: its kind's sampler, its layout's driver, launcher and
+    backend, and what its checkpoint, health and artifact switches turn
+    on.  A chain layout runs alone (:func:`~repro.vmp.world.run_alone`)
+    and loads no launcher."""
     layout = cfg.layout
     names = list(_KINDS[cfg.kind].modules)
     if layout.strategy == cfg.decomposed:
-        names.append("repro.qmc.parallel")
-    if layout.backend == "mp":
-        names.append("repro.vmp.process_backend")
+        names += ["repro.qmc.parallel", "repro.vmp.scheduler"]
+    if layout.backend in _BACKEND_MODULES:
+        names.append(_BACKEND_MODULES[layout.backend])
     if cfg.checkpoint_every > 0 or cfg.resume:
         names.append("repro.run.checkpoint")
     if cfg.health:
@@ -603,13 +612,13 @@ def run_batch(configs) -> list[RunResult]:
     """Run configs as one batch: each result equals its solo run's.
 
     One skeleton for every run kind and layout: import the run's modules
-    and resolve the kernel -> ``params`` -> the layout's rank program
-    under ONE ``run_spmd`` call -> runtime -> health -> artifacts ->
-    estimates.  A single config is
-    an ordinary run (:meth:`Simulation.run`).  Several are serial or
-    replica runs that may differ only in ``seed`` and output paths: one
-    ``chain_program`` rank holds all their chains, each on the stream
-    its solo run has.  Every result then equals its solo run's --
+    and resolve the kernel -> ``params`` -> the layout's rank program,
+    run once (alone for a chain layout, under ``run_spmd`` for a
+    decomposed one) -> runtime -> health -> artifacts -> estimates.  A
+    single config is an ordinary run (:meth:`Simulation.run`).  Several
+    are serial or replica runs that may differ only in ``seed`` and
+    output paths: one ``chain_program`` rank holds all their chains,
+    each on the stream its solo run has.  Every result then equals its solo run's --
     series, estimates, parameters, counters, health -- with
     ``runtime["batch"] = {"size": R, "position": i}``, the batch's wall
     time split evenly over its runs (``wall_seconds``,
@@ -641,20 +650,25 @@ def run_batch(configs) -> list[RunResult]:
     if not decomposed and metrics is not None:
         # Each chain records into its run's registry, as its rank there.
         metrics = MetricsFanout([(registries[k], i) for k, i in chains])
-    spmd = run_spmd(
-        program,
-        n_ranks,
-        # Chains exchange nothing and model no time: they run on the
-        # ideal machine, whatever sizes ``layout.machine`` (recorded
-        # in the parameters only) could be built for.
-        machine=MACHINES[layout.machine] if decomposed else IDEAL,
-        seed=cfg.seed,
-        args=args,
-        metrics=metrics,
-        spans=cfg.trace_out is not None,
-        trace=cfg.trace_out is not None,
-        backend=layout.backend,
-    )
+    if decomposed:
+        from repro.vmp.scheduler import run_spmd
+
+        spmd = run_spmd(
+            program,
+            n_ranks,
+            machine=MACHINES[layout.machine],
+            seed=cfg.seed,
+            args=args,
+            metrics=metrics,
+            spans=cfg.trace_out is not None,
+            trace=cfg.trace_out is not None,
+            backend=layout.backend,
+        )
+    else:
+        # Chains exchange nothing and model no time: their one rank runs
+        # alone on the ideal machine, whatever sizes ``layout.machine``
+        # (recorded in the parameters only) could be built for.
+        spmd = run_alone(program, args, metrics)
     # The always-on throughput numbers: a batch's runs share its wall.
     wall = (time.perf_counter() - t0_wall) / n_runs
     if layout.replicas > 1:
@@ -710,8 +724,6 @@ def run_batch(configs) -> list[RunResult]:
 
 def _susceptibility_error(mag: np.ndarray, beta: float, n_sites: int) -> float:
     """Jackknife error of the fluctuation susceptibility."""
-    from repro.stats.jackknife import jackknife
-
     if mag.size < 40:
         return 0.0
     _, err = jackknife(

@@ -17,32 +17,27 @@ bar produced by the routines here:
   into one density-of-states estimate, in log-space.
 """
 
-from repro.stats.autocorr import autocorrelation_function, integrated_autocorr_time
-from repro.stats.binning import BinningAnalysis, binned_error, binning_levels
-from repro.stats.finite_size import (
-    BinderCurve,
-    binder_cumulant,
-    crossing_temperature,
-    susceptibility,
-)
-from repro.stats.histogram import EnergyHistogram
-from repro.stats.jackknife import jackknife, jackknife_blocks, jackknife_ratio
-from repro.stats.wham import WhamResult, multi_histogram_reweight
+from repro._lazy import attach
 
-__all__ = [
-    "autocorrelation_function",
-    "integrated_autocorr_time",
-    "BinderCurve",
-    "binder_cumulant",
-    "crossing_temperature",
-    "susceptibility",
-    "BinningAnalysis",
-    "binned_error",
-    "binning_levels",
-    "EnergyHistogram",
-    "jackknife",
-    "jackknife_blocks",
-    "jackknife_ratio",
-    "WhamResult",
-    "multi_histogram_reweight",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "autocorrelation_function": "repro.stats.autocorr",
+    "integrated_autocorr_time": "repro.stats.autocorr",
+    "BinderCurve": "repro.stats.finite_size",
+    "binder_cumulant": "repro.stats.finite_size",
+    "crossing_temperature": "repro.stats.finite_size",
+    "susceptibility": "repro.stats.finite_size",
+    "BinningAnalysis": "repro.stats.binning",
+    "binned_error": "repro.stats.binning",
+    "binning_levels": "repro.stats.binning",
+    "EnergyHistogram": "repro.stats.histogram",
+    "jackknife": "repro.stats.jackknife",
+    "jackknife_blocks": "repro.stats.jackknife",
+    "jackknife_ratio": "repro.stats.jackknife",
+    "WhamResult": "repro.stats.wham",
+    "multi_histogram_reweight": "repro.stats.wham",
+})
+
+# ``jackknife`` names a function and the module defining it.  Bound here
+# first, the name keeps the function: a later import of the module finds
+# it loaded and rebinds nothing.
+from repro.stats.jackknife import jackknife  # noqa: E402

@@ -70,13 +70,6 @@ class EnergyHistogram:
         np.add.at(self.counts, idx, 1)
         self.n_samples += idx.size
 
-    # -- views -----------------------------------------------------------
-    def normalized(self) -> np.ndarray:
-        """Probability density estimate (integrates to 1 over the grid)."""
-        if self.n_samples == 0:
-            raise ValueError("empty histogram")
-        return self.counts / (self.n_samples * self.bin_width)
-
     def __repr__(self) -> str:
         return (
             f"EnergyHistogram([{self.e_min}, {self.e_max}], n_bins={self.n_bins}, "

@@ -14,35 +14,23 @@ This subpackage is dependency-free (NumPy only) and provides:
   correlation functions measured by the samplers.
 """
 
-from repro.util.correlation import mean_circular_correlation
-from repro.util.logspace import (
-    log_add,
-    log_diff,
-    log_mean,
-    log_sub,
-    log_sum,
-    logsumexp,
-    normalize_log_weights,
-)
-from repro.util.rng import RankStream, SeedSequenceFactory, spawn_streams
-from repro.util.tables import Series, Table, format_float, render_series
-from repro.util.timer import ModelClock
+from repro._lazy import attach
 
-__all__ = [
-    "mean_circular_correlation",
-    "log_add",
-    "log_diff",
-    "log_mean",
-    "log_sub",
-    "log_sum",
-    "logsumexp",
-    "normalize_log_weights",
-    "RankStream",
-    "SeedSequenceFactory",
-    "spawn_streams",
-    "Series",
-    "Table",
-    "format_float",
-    "render_series",
-    "ModelClock",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "mean_circular_correlation": "repro.util.correlation",
+    "log_add": "repro.util.logspace",
+    "log_diff": "repro.util.logspace",
+    "log_mean": "repro.util.logspace",
+    "log_sub": "repro.util.logspace",
+    "log_sum": "repro.util.logspace",
+    "logsumexp": "repro.util.logspace",
+    "normalize_log_weights": "repro.util.logspace",
+    "RankStream": "repro.util.rng",
+    "SeedSequenceFactory": "repro.util.rng",
+    "spawn_streams": "repro.util.rng",
+    "Series": "repro.util.tables",
+    "Table": "repro.util.tables",
+    "format_float": "repro.util.tables",
+    "render_series": "repro.util.tables",
+    "ModelClock": "repro.util.timer",
+})

@@ -14,6 +14,11 @@ on.  It provides:
   between rank address spaces while charging modeled time.
 * :mod:`repro.vmp.scheduler` -- the SPMD runner: executes one Python
   callable per rank on threads, with deterministic message matching.
+* :mod:`repro.vmp.world` -- what every run returns (``SpmdResult``),
+  the surrounding MPI launch read from its environment, and
+  ``run_alone``: a program of one rank that sends nothing (the serial
+  and replica chain layouts) run with no fabric, so it loads none of
+  the transports above.
 * :mod:`repro.vmp.process_backend` -- the same program API executed on
   real OS processes via :mod:`multiprocessing` (small rank counts).
 * :mod:`repro.vmp.mpi_backend` -- the same program API executed under a
@@ -24,96 +29,53 @@ on.  It provides:
 
 The split between *executed* communication (correctness) and *modeled*
 time (performance) is the key substitution documented in DESIGN.md.
+The package exports its names lazily (:func:`repro._lazy.attach`): a
+name loads its defining module on first access, so importing
+``repro.vmp.machines`` loads no transport.
 """
 
-from repro.vmp.comm import Communicator, ReduceOp
-from repro.vmp.faults import (
-    CrashFault,
-    FaultPlan,
-    InjectedRankCrash,
-    MessageDelayFault,
-    RankFailure,
-    RunReport,
-    StallFault,
-)
-from repro.vmp.machines import (
-    CM5,
-    DELTA,
-    IDEAL,
-    MACHINES,
-    NCUBE2,
-    PARAGON,
-    MachineModel,
-)
-from repro.vmp.mpi_backend import (
-    MpiCommunicator,
-    MpiUnavailableError,
-    in_mpi_world,
-    mpi_available,
-    mpiexec_available,
-    run_mpi_world,
-    run_mpiexec,
-)
-from repro.vmp.performance import (
-    PerformanceModel,
-    WorkloadShape,
-    efficiency,
-    gustafson_scaled_speedup,
-    speedup,
-)
-from repro.vmp.scheduler import SpmdResult, run_spmd
-from repro.vmp.trace import MessageEvent, render_timeline, summarize_traffic
-from repro.vmp.topology import (
-    Crossbar,
-    FatTree,
-    Hypercube,
-    Mesh2D,
-    Mesh3D,
-    Ring,
-    Topology,
-    topology_for,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Communicator",
-    "ReduceOp",
-    "CrashFault",
-    "MessageDelayFault",
-    "StallFault",
-    "FaultPlan",
-    "InjectedRankCrash",
-    "RankFailure",
-    "RunReport",
-    "MachineModel",
-    "MACHINES",
-    "CM5",
-    "PARAGON",
-    "DELTA",
-    "NCUBE2",
-    "IDEAL",
-    "PerformanceModel",
-    "WorkloadShape",
-    "speedup",
-    "efficiency",
-    "gustafson_scaled_speedup",
-    "SpmdResult",
-    "run_spmd",
-    "MpiCommunicator",
-    "MpiUnavailableError",
-    "in_mpi_world",
-    "mpi_available",
-    "mpiexec_available",
-    "run_mpi_world",
-    "run_mpiexec",
-    "MessageEvent",
-    "render_timeline",
-    "summarize_traffic",
-    "Topology",
-    "Hypercube",
-    "Mesh2D",
-    "Mesh3D",
-    "FatTree",
-    "Ring",
-    "Crossbar",
-    "topology_for",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "Communicator": "repro.vmp.comm",
+    "ReduceOp": "repro.vmp.comm",
+    "CrashFault": "repro.vmp.faults",
+    "MessageDelayFault": "repro.vmp.faults",
+    "StallFault": "repro.vmp.faults",
+    "FaultPlan": "repro.vmp.faults",
+    "InjectedRankCrash": "repro.vmp.faults",
+    "RankFailure": "repro.vmp.faults",
+    "RunReport": "repro.vmp.faults",
+    "MachineModel": "repro.vmp.machines",
+    "MACHINES": "repro.vmp.machines",
+    "CM5": "repro.vmp.machines",
+    "PARAGON": "repro.vmp.machines",
+    "DELTA": "repro.vmp.machines",
+    "NCUBE2": "repro.vmp.machines",
+    "IDEAL": "repro.vmp.machines",
+    "PerformanceModel": "repro.vmp.performance",
+    "WorkloadShape": "repro.vmp.performance",
+    "speedup": "repro.vmp.performance",
+    "efficiency": "repro.vmp.performance",
+    "gustafson_scaled_speedup": "repro.vmp.performance",
+    "SpmdResult": "repro.vmp.world",
+    "run_spmd": "repro.vmp.scheduler",
+    "MpiCommunicator": "repro.vmp.mpi_backend",
+    "MpiUnavailableError": "repro.vmp.mpi_backend",
+    "in_mpi_world": "repro.vmp.mpi_backend",
+    "mpi_available": "repro.vmp.mpi_backend",
+    "mpiexec_available": "repro.vmp.mpi_backend",
+    "run_mpi_world": "repro.vmp.mpi_backend",
+    "run_mpiexec": "repro.vmp.mpi_backend",
+    "MessageEvent": "repro.vmp.trace",
+    "render_timeline": "repro.vmp.trace",
+    "summarize_traffic": "repro.vmp.trace",
+    "Topology": "repro.vmp.topology",
+    "Hypercube": "repro.vmp.topology",
+    "Mesh2D": "repro.vmp.topology",
+    "Mesh3D": "repro.vmp.topology",
+    "FatTree": "repro.vmp.topology",
+    "Ring": "repro.vmp.topology",
+    "Crossbar": "repro.vmp.topology",
+    "topology_for": "repro.vmp.topology",
+})

@@ -43,7 +43,6 @@ import pickle
 import threading
 import time as _time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
 # queue.SimpleQueue is _queue's; taking it from there spares every run
@@ -54,11 +53,12 @@ import numpy as np
 
 from repro.obs.metrics import MESSAGE_BYTES_EDGES, NOOP
 from repro.util.rng import RankStream
-from repro.util.timer import WAIT_CATEGORIES, ModelClock
+from repro.util.timer import ModelClock
 from repro.vmp.faults import RankFailure, RankFaultState
 from repro.vmp.machines import MachineModel
 from repro.vmp.topology import Topology
 from repro.vmp.trace import MessageEvent
+from repro.vmp.world import CommStats, record_comm_counters
 
 __all__ = [
     "ANY_SOURCE",
@@ -267,39 +267,6 @@ class Request:
             self._payload = self._comm._complete_recv(msg, offload=self._offload)
             self._done = True
         return self._payload
-
-
-@dataclass
-class CommStats:
-    """Per-rank message counters (reported by the comm-fraction bench)."""
-
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    messages_received: int = 0
-    bytes_received: int = 0
-
-    def merge(self, other: "CommStats") -> None:
-        self.messages_sent += other.messages_sent
-        self.bytes_sent += other.bytes_sent
-        self.messages_received += other.messages_received
-        self.bytes_received += other.bytes_received
-
-
-def record_comm_counters(metrics, stats: CommStats, breakdown: dict) -> None:
-    """Write a rank's ``comm.*`` counters into its metrics scope.
-
-    ``comm.wait_seconds`` is the modeled time the rank spent blocked
-    past the latency charge -- the clock's wait categories
-    (``comm_wait``, the overlap pipeline's ``halo_wait``, per-level
-    waits), so no per-message accounting is needed.
-    """
-    metrics.counter("comm.messages_sent").value = float(stats.messages_sent)
-    metrics.counter("comm.bytes_sent").value = float(stats.bytes_sent)
-    metrics.counter("comm.messages_received").value = float(stats.messages_received)
-    metrics.counter("comm.bytes_received").value = float(stats.bytes_received)
-    metrics.counter("comm.wait_seconds").value = sum(
-        breakdown.get(c, 0.0) for c in WAIT_CATEGORIES
-    )
 
 
 #: What :meth:`Fabric.mark_dead` puts into every inbox to wake its reader.

@@ -67,14 +67,13 @@ from repro.vmp.faults import RankFailure, RunReport
 from repro.vmp.machines import IDEAL, MachineModel
 from repro.vmp.scheduler import BackendRunResult
 from repro.vmp.topology import Topology
+from repro.vmp.world import world_size_hint
 
 __all__ = [
     "MpiUnavailableError",
     "MpiCommunicator",
     "mpi_available",
     "mpiexec_available",
-    "world_size_hint",
-    "world_rank_hint",
     "in_mpi_world",
     "run_mpi_world",
     "run_mpiexec",
@@ -105,39 +104,6 @@ def mpi_available() -> bool:
 def mpiexec_available() -> bool:
     """True when an ``mpiexec`` launcher is on PATH."""
     return shutil.which("mpiexec") is not None
-
-
-def world_size_hint() -> int:
-    """Rank count of the surrounding MPI launch, from the launcher's env.
-
-    Reads the environment instead of importing mpi4py so that asking
-    "am I under mpiexec?" never initializes MPI in a plain process.
-    Returns 1 outside any launcher.
-    """
-    for var in ("OMPI_COMM_WORLD_SIZE", "PMI_SIZE", "SLURM_NTASKS"):
-        value = os.environ.get(var)
-        if value:
-            try:
-                return max(1, int(value))
-            except ValueError:
-                continue
-    return 1
-
-
-def world_rank_hint() -> int:
-    """This process's rank in the surrounding MPI launch (0 outside one).
-
-    The CLI uses this to restrict printing and file output to rank 0
-    without importing mpi4py on non-MPI runs.
-    """
-    for var in ("OMPI_COMM_WORLD_RANK", "PMI_RANK", "SLURM_PROCID"):
-        value = os.environ.get(var)
-        if value:
-            try:
-                return max(0, int(value))
-            except ValueError:
-                continue
-    return 0
 
 
 def in_mpi_world() -> bool:

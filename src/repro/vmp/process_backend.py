@@ -66,7 +66,6 @@ import numpy as np
 from repro.util.rng import SeedSequenceFactory
 from repro.vmp.comm import (
     ANY_SOURCE,
-    CommStats,
     Communicator,
     _Stash,
     recv_timeout_failure,
@@ -82,6 +81,7 @@ from repro.vmp.faults import (
 from repro.vmp.machines import IDEAL, MachineModel
 from repro.vmp.scheduler import BackendRunResult
 from repro.vmp.topology import Topology
+from repro.vmp.world import CommStats
 
 __all__ = ["MpCommunicator", "run_multiprocessing"]
 

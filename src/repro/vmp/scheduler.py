@@ -10,8 +10,8 @@ not wall time -- is what the benchmarks report.  The ``backend``
 parameter routes the *same program object* to real OS processes
 (``"mp"``, :mod:`repro.vmp.process_backend`) or real message passing
 under an MPI launcher (``"mpi"``, :mod:`repro.vmp.mpi_backend`), all
-three returning a uniform :class:`SpmdResult` with bit-identical
-trajectories.
+three returning a uniform :class:`~repro.vmp.world.SpmdResult` with
+bit-identical trajectories.
 
 Failure handling: if any rank raises, the rank is registered in the
 fabric's dead-rank registry; blocked peers wake immediately with a
@@ -33,8 +33,7 @@ from typing import Any, Callable, Sequence
 from repro.obs.metrics import NOOP, MetricsRegistry
 from repro.obs.spans import SpanCollector
 from repro.util.rng import SeedSequenceFactory
-from repro.util.timer import COMM_CATEGORIES, COMPUTE_CATEGORIES, WAIT_CATEGORIES
-from repro.vmp.comm import CommStats, Communicator, Fabric, record_comm_counters
+from repro.vmp.comm import Communicator, Fabric
 from repro.vmp.faults import (
     AbortRecord,
     FaultPlan,
@@ -45,19 +44,9 @@ from repro.vmp.faults import (
 )
 from repro.vmp.machines import IDEAL, MachineModel
 from repro.vmp.topology import Topology
+from repro.vmp.world import CommStats, RankOutcome, SpmdResult, record_rank_metrics
 
-__all__ = ["BACKENDS", "BackendRunResult", "SpmdResult", "run_spmd"]
-
-
-@dataclass
-class RankOutcome:
-    """Result and accounting of one rank."""
-
-    rank: int
-    value: Any
-    model_time: float
-    breakdown: dict[str, float]
-    stats: CommStats
+__all__ = ["BACKENDS", "BackendRunResult", "run_spmd"]
 
 
 @dataclass
@@ -65,7 +54,7 @@ class BackendRunResult:
     """Rank-ordered outcome of an mp or mpi run, as its launcher returns it.
 
     ``breakdowns`` holds each rank's modeled-clock category split and
-    ``stats`` its :class:`~repro.vmp.comm.CommStats`; ``report`` is the
+    ``stats`` its :class:`~repro.vmp.world.CommStats`; ``report`` is the
     run's :class:`~repro.vmp.faults.RunReport` (all-completed -- failed
     runs raise instead of returning).  :func:`run_spmd` presents it as
     an ordinary :class:`SpmdResult`.
@@ -76,130 +65,6 @@ class BackendRunResult:
     report: RunReport
     breakdowns: list[dict[str, float]]
     stats: list[CommStats]
-
-
-@dataclass
-class SpmdResult:
-    """Aggregate outcome of an SPMD run.
-
-    ``elapsed_model_time`` is the makespan -- the slowest rank's clock --
-    which is what "time to solution" means on a space-shared MPP.
-    ``trace`` holds per-message events when the run was launched with
-    ``trace=True`` (else None); render with
-    :func:`repro.vmp.trace.render_timeline`.  ``report`` is the run's
-    :class:`~repro.vmp.faults.RunReport` (all-completed on success).
-    """
-
-    outcomes: list[RankOutcome]
-    machine: MachineModel
-    topology: Topology
-    trace: list | None = None
-    report: RunReport | None = None
-    #: The run's MetricsRegistry when telemetry was enabled (else None).
-    metrics: MetricsRegistry | None = None
-    #: Per-rank phase spans when launched with ``spans=True`` (else None).
-    spans: list | None = None
-
-    def health_events(self) -> list[dict]:
-        """All ranks' health-event records, deterministically ordered.
-
-        Rank programs that run with health rules return their monitor's
-        events under a ``"health_events"`` key in the value dict; this
-        gathers them across ranks (empty when health was off).
-        """
-        from repro.obs.events import sort_events
-
-        events: list[dict] = []
-        for o in self.outcomes:
-            if isinstance(o.value, dict):
-                events.extend(o.value.get("health_events") or ())
-        return sort_events(events)
-
-    def chrome_trace(self, metadata: dict | None = None) -> dict:
-        """Chrome ``trace_event`` document of the run (requires spans=True).
-
-        Health events, when any rank emitted them, appear as instant
-        markers on the emitting rank's timeline row.
-        """
-        from repro.obs.chrome_trace import chrome_trace_doc
-        from repro.obs.events import health_instant_events
-
-        if self.spans is None:
-            raise ValueError("run has no phase spans; pass spans=True to run_spmd")
-        return chrome_trace_doc(
-            self.spans,
-            messages=self.trace,
-            ranks=[o.rank for o in self.outcomes],
-            metadata=metadata,
-            instants=health_instant_events(self.health_events()),
-        )
-
-    def write_chrome_trace(self, path, metadata: dict | None = None):
-        """Write the Chrome trace JSON to ``path`` (see chrome_trace)."""
-        from repro.obs.chrome_trace import write_chrome_trace
-        from repro.obs.events import health_instant_events
-
-        if self.spans is None:
-            raise ValueError("run has no phase spans; pass spans=True to run_spmd")
-        return write_chrome_trace(
-            path,
-            self.spans,
-            messages=self.trace,
-            ranks=[o.rank for o in self.outcomes],
-            metadata=metadata,
-            instants=health_instant_events(self.health_events()),
-        )
-
-    def render_timeline(self, width: int = 72) -> str:
-        """Text Gantt view of traced messages (requires trace=True)."""
-        from repro.vmp.trace import render_timeline
-
-        if self.trace is None:
-            raise ValueError("run was not traced; pass trace=True to run_spmd")
-        return render_timeline(
-            self.trace,
-            [o.breakdown for o in self.outcomes],
-            self.elapsed_model_time,
-            width=width,
-        )
-
-    @property
-    def values(self) -> list[Any]:
-        return [o.value for o in self.outcomes]
-
-    @property
-    def elapsed_model_time(self) -> float:
-        return max(o.model_time for o in self.outcomes)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(o.stats.messages_sent for o in self.outcomes)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(o.stats.bytes_sent for o in self.outcomes)
-
-    def comm_fraction(self) -> float:
-        """Share of the makespan rank 0 spent communicating or waiting.
-
-        Counts the comm categories plus every wait category (both the
-        blocking path's ``comm_wait`` and the overlap pipeline's
-        ``halo_wait``), so overlapped and lockstep runs are directly
-        comparable.  Rank 0 is representative for the homogeneous SPMD
-        workloads in this repository; the per-rank breakdown is in
-        ``outcomes``.
-        """
-        o = self.outcomes[0]
-        if o.model_time == 0:
-            return 0.0
-        comm = sum(
-            o.breakdown.get(c, 0.0) for c in COMM_CATEGORIES + WAIT_CATEGORIES
-        )
-        return comm / o.model_time
-
-    def category_seconds(self, category: str) -> float:
-        """Max-over-ranks seconds spent in one clock category."""
-        return max(o.breakdown.get(category, 0.0) for o in self.outcomes)
 
 
 @dataclass
@@ -214,32 +79,6 @@ class _RankBox:
 BACKENDS = ("thread", "mp", "mpi")
 
 
-def _record_rank_metrics(scope, breakdown: dict, model_time: float,
-                         stats: CommStats) -> None:
-    """Record one rank's end-of-run comm counters and phase gauges.
-
-    The phase gauges say how the rank's modeled makespan splits into
-    compute / comm overhead / idle wait.  The same call serves every
-    backend: thread ranks pass their live scope, while mp/mpi ranks ran
-    in other processes (recorders cannot cross that boundary), so the
-    launcher records what they reported.  Sweep-level counters and the
-    message-size histogram stay thread-backend-only; DESIGN.md carries
-    the support matrix.
-    """
-    record_comm_counters(scope, stats, breakdown)
-    scope.set_gauge(
-        "phase.compute_seconds",
-        sum(breakdown.get(c, 0.0) for c in COMPUTE_CATEGORIES),
-    )
-    scope.set_gauge(
-        "phase.comm_seconds", sum(breakdown.get(c, 0.0) for c in COMM_CATEGORIES)
-    )
-    scope.set_gauge(
-        "phase.idle_seconds", sum(breakdown.get(c, 0.0) for c in WAIT_CATEGORIES)
-    )
-    scope.set_gauge("phase.model_seconds", model_time)
-
-
 def _result_from_backend(
     res: BackendRunResult, machine: MachineModel, topo: Topology, metrics
 ) -> SpmdResult:
@@ -250,7 +89,7 @@ def _result_from_backend(
     ]
     if metrics is not None:
         for o in outcomes:
-            _record_rank_metrics(
+            record_rank_metrics(
                 metrics.scope(o.rank), o.breakdown, o.model_time, o.stats
             )
     return SpmdResult(
@@ -472,7 +311,7 @@ def run_spmd(
         assert comm is not None
         breakdown = comm.clock.breakdown()
         if metrics is not None:
-            _record_rank_metrics(comm.metrics, breakdown, comm.clock.now, comm.stats)
+            record_rank_metrics(comm.metrics, breakdown, comm.clock.now, comm.stats)
         outcomes.append(
             RankOutcome(r, box.value, comm.clock.now, breakdown, comm.stats)
         )

@@ -85,6 +85,61 @@ class TestCliTelemetry:
         assert "manifest ->" in text
 
 
+#: The metric names of a serial run's rows: its chain's ``sweep.*``,
+#: and the ``comm.*`` / ``phase.*`` every rank carries, zero for a rank
+#: that sends nothing and models no time.
+SERIAL_COMM = {
+    "comm.bytes_received", "comm.bytes_sent", "comm.message_bytes",
+    "comm.messages_received", "comm.messages_sent", "comm.wait_seconds",
+}
+SERIAL_SWEEP = {
+    "sweep.acceptance", "sweep.accepted", "sweep.attempted", "sweep.count",
+    "sweep.kernel_seconds.numpy", "sweep.model_seconds", "sweep.wall_seconds",
+}
+SERIAL_PHASE = {
+    "phase.comm_seconds", "phase.compute_seconds", "phase.idle_seconds",
+    "phase.model_seconds",
+}
+
+
+class TestSerialTelemetry:
+    """A serial run's artifacts are those of a one-rank SPMD run, though
+    its chain runs alone with no fabric."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("serial")
+        assert main([
+            "run-xxz", "--sites", "16", "--beta", "1.0", "--slices", "8",
+            "--sweeps", "20", "--thermalize", "4", "--kernel", "numpy",
+            "--obs-interval", "10", "--quiet",
+            "--metrics-out", str(out / "metrics.jsonl"),
+        ]) == 0
+        return out
+
+    def test_metric_names_and_zero_comm_counters(self, run_dir):
+        rows = read_metrics_jsonl(run_dir / "metrics.jsonl")
+        snapshots = [r for r in rows if "sweep" in r]
+        (summary,) = [r for r in rows if r.get("kind") == "summary"]
+        assert [r["sweep"] for r in snapshots] == [10, 20]
+        for row in snapshots:
+            assert set(row) == SERIAL_COMM | SERIAL_SWEEP | {"rank", "sweep", "t_model"}
+        assert set(summary) == SERIAL_COMM | SERIAL_SWEEP | SERIAL_PHASE | {"kind", "rank"}
+        for row in (*snapshots, summary):
+            assert row["rank"] == 0
+            assert all(row[name] == 0.0 for name in SERIAL_COMM - {"comm.message_bytes"})
+            assert row["comm.message_bytes"]["count"] == 0
+        assert all(summary[name] == 0.0 for name in SERIAL_PHASE)
+        assert summary["sweep.count"] == 24
+
+    def test_manifest_keeps_report_and_comm_fraction(self, run_dir):
+        doc = json.loads((run_dir / "manifest.json").read_text())
+        assert doc["run_report"] == {"n_ranks": 1, "failures": [], "aborted": [],
+                                     "completed": [0]}
+        assert doc["runtime"]["comm_fraction"] == 0.0
+        assert doc["rank_metrics"]["0"]["comm.messages_sent"] == 0.0
+
+
 class TestPlainRunReporting:
     def test_plain_run_reports_acceptance_and_throughput(self, capsys):
         assert main(XXZ_ARGS) == 0

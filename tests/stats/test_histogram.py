@@ -47,14 +47,3 @@ class TestAccumulation:
         h = EnergyHistogram(0.0, 1.0, 2)
         h.add(np.full(100, 0.25))
         assert h.counts[0] == 100
-
-
-class TestViews:
-    def test_normalized_integrates_to_one(self, rng):
-        h = EnergyHistogram(-4.0, 4.0, 32, clip=True)
-        h.add(rng.normal(size=10000))
-        assert h.normalized().sum() * h.bin_width == pytest.approx(1.0)
-
-    def test_normalized_empty_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyHistogram(0.0, 1.0, 4).normalized()

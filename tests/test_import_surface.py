@@ -31,15 +31,20 @@ FORBIDDEN = (
 )
 
 #: Nor does a serial chain run: the other layouts and kinds, their
-#: drivers and backends, checkpoints and health checks.
+#: drivers, checkpoints and health checks; the message-passing machine
+#: (its chain runs alone, with no fabric, launcher or transport); and
+#: what only figures and info commands use.
 SERIAL_FORBIDDEN = (
     "repro.qmc.parallel", "repro.qmc.tfim", "repro.qmc.worldline2d",
     "repro.lattice.decomposition", "repro.obs.health", "repro.run.checkpoint",
-    "repro.vmp.process_backend", "scipy",
+    "repro.vmp.process_backend", "repro.vmp.comm", "repro.vmp.scheduler",
+    "repro.vmp.mpi_backend", "repro.vmp.collectives", "repro.vmp.trace",
+    "repro.vmp.performance", "repro.stats.wham", "repro.stats.histogram",
+    "repro.util.logspace", "repro.util.tables", "scipy",
 )
 
 LAZY_PACKAGES = ("repro", "repro.run", "repro.models", "repro.qmc", "repro.obs",
-                 "repro.lattice")
+                 "repro.lattice", "repro.vmp", "repro.stats", "repro.util")
 
 RUN = ["--beta", "1.0", "--slices", "8", "--sweeps", "20", "--thermalize", "4",
        "--quiet"]

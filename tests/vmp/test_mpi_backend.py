@@ -17,10 +17,9 @@ from repro.vmp.mpi_backend import (
     mpi_available,
     mpiexec_available,
     run_mpiexec,
-    world_rank_hint,
-    world_size_hint,
 )
 from repro.vmp.scheduler import BACKENDS, run_spmd
+from repro.vmp.world import world_rank_hint, world_size_hint
 from tests.vmp import fake_mpi
 
 HAVE_REAL_MPI = mpi_available() and mpiexec_available()
